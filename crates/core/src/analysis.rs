@@ -115,11 +115,7 @@ impl<K: EventKey> TestAnalysis<K> {
 /// the trace is pushed exactly once and observation order matches the
 /// historical checker order (RYW, MW, MR, WFR, content, order).
 pub fn analyze<K: EventKey>(trace: &TestTrace<K>, config: &CheckerConfig<K>) -> TestAnalysis<K> {
-    let mut s = StreamingAnalyzer::new(config);
-    for op in trace.ops() {
-        s.push_event(op);
-    }
-    s.finish()
+    StreamingAnalyzer::new(config).replay(trace)
 }
 
 #[cfg(test)]

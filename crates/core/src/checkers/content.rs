@@ -14,7 +14,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 
@@ -25,20 +24,9 @@ use crate::trace::{EventKey, TestTrace};
 /// second) from the earliest diverging read pair, and the total number of
 /// diverging read pairs in the detail string.
 pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace))
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), which
-/// compares each arriving read against the other agents' retained read
-/// summaries exactly once.
-pub fn check_indexed<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ContentDivergence);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ContentDivergence)
+        .replay(trace)
+        .observations
 }
 
 #[cfg(test)]

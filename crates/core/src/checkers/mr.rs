@@ -14,7 +14,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 
@@ -29,18 +28,9 @@ use crate::trace::{EventKey, TestTrace};
 /// previously observed event disappeared; the vanished events are the
 /// witnesses.
 pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace))
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer).
-pub fn check_indexed<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicReads);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicReads)
+        .replay(trace)
+        .observations
 }
 
 #[cfg(test)]

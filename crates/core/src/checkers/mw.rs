@@ -10,7 +10,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 
@@ -20,18 +19,9 @@ use crate::trace::{EventKey, TestTrace};
 /// violating pair; witnesses are `[x, y]` for the first violating pair in
 /// issue order.
 pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace))
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer).
-pub fn check_indexed<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicWrites);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicWrites)
+        .replay(trace)
+        .observations
 }
 
 #[cfg(test)]

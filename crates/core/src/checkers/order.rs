@@ -7,7 +7,7 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::{ReadView, TraceIndex};
+use crate::index::ReadView;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 use std::collections::HashMap;
@@ -61,20 +61,9 @@ pub fn inversion_between<'t, K>(
 /// the inverted event pair from the earliest diverging read pair, with the
 /// total count of diverging read pairs in the detail string.
 pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace))
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), which
-/// compares each arriving read against the other agents' retained read
-/// summaries exactly once.
-pub fn check_indexed<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::OrderDivergence);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::OrderDivergence)
+        .replay(trace)
+        .observations
 }
 
 #[cfg(test)]

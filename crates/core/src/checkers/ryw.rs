@@ -11,7 +11,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 
@@ -20,19 +19,9 @@ use crate::trace::{EventKey, TestTrace};
 /// Emits one [`Observation`] per read that is missing at least one of the
 /// reader's own completed writes; the missing writes are the witnesses.
 pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace))
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), which is the
-/// one implementation of this checker's semantics.
-pub fn check_indexed<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ReadYourWrites);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ReadYourWrites)
+        .replay(trace)
+        .observations
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 
@@ -40,24 +39,8 @@ pub enum WfrMode<K> {
 /// issue order, then observation order within the write — or trigger-pair
 /// order in [`WfrMode::TriggerPairs`]).
 pub fn check<K: EventKey>(trace: &TestTrace<K>, mode: &WfrMode<K>) -> Vec<Observation<K>> {
-    check_indexed(&TraceIndex::new(trace), mode)
-}
-
-/// [`check`] against a prebuilt [`TraceIndex`] — a replay of the indexed
-/// event stream through the incremental
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer), which derives
-/// each write's dependency set as the stream passes the write's
-/// invocation.
-pub fn check_indexed<K: EventKey>(
-    index: &TraceIndex<'_, K>,
-    mode: &WfrMode<K>,
-) -> Vec<Observation<K>> {
     let config = CheckerConfig { wfr_mode: mode.clone(), compute_windows: false };
-    let mut s = StreamingAnalyzer::single(&config, StreamPart::WritesFollowReads);
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    s.finish().observations
+    StreamingAnalyzer::single(&config, StreamPart::WritesFollowReads).replay(trace).observations
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //! Memory is `reads × key_count` u32s for the position arrays, which is
 //! small for the paper's workloads (hundreds of reads, tens of writes).
 //!
-//! [`crate::analysis::analyze`] builds one index and hands it to every
-//! checker's `check_indexed` entry point; the per-module `check(trace)`
-//! functions remain as thin wrappers that build a private index.
+//! The checkers themselves run on the streaming engine
+//! ([`crate::stream`]) and no longer build an index; it is the substrate
+//! of the frozen batch oracle the streaming-equivalence suite compares
+//! that engine against.
 
 use crate::trace::{AgentId, EventKey, OpRecord, TestTrace};
 use std::collections::HashMap;

@@ -61,7 +61,7 @@
 use crate::analysis::{CheckerConfig, TestAnalysis};
 use crate::anomaly::{AnomalyKind, Observation};
 use crate::checkers::WfrMode;
-use crate::trace::{AgentId, EventKey, OpRecord, Timestamp};
+use crate::trace::{AgentId, EventKey, OpRecord, TestTrace, Timestamp};
 use crate::window::{WindowAnalysis, WindowKind};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -277,7 +277,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     }
 
     /// An analyzer running a single operator — what the batch
-    /// `check_indexed` entry points are built on.
+    /// `checkers::*::check` and `window` entry points are built on.
     pub fn single(config: &CheckerConfig<K>, part: StreamPart) -> Self {
         let mut parts = Parts::default();
         match part {
@@ -791,6 +791,14 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 }
             }
         }
+    }
+
+    /// Pushes every op of `trace` and finishes: the whole batch façade.
+    pub(crate) fn replay(mut self, trace: &TestTrace<K>) -> TestAnalysis<K> {
+        for op in trace.ops() {
+            self.push_event(op);
+        }
+        self.finish()
     }
 
     /// Drains every deferred evaluation and assembles the final

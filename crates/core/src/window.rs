@@ -19,7 +19,6 @@
 //! — here exposed as [`WindowAnalysis::open_since`].
 
 use crate::analysis::CheckerConfig;
-use crate::index::TraceIndex;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{AgentId, EventKey, TestTrace, Timestamp};
 
@@ -74,45 +73,20 @@ fn window_part(kind: WindowKind) -> StreamPart {
     }
 }
 
-fn windows_of<K: EventKey>(index: &TraceIndex<'_, K>, kind: WindowKind) -> Vec<WindowAnalysis> {
-    let mut s = StreamingAnalyzer::single(&CheckerConfig::default(), window_part(kind));
-    for op in index.ops() {
-        s.push_event(op);
-    }
-    let analysis = s.finish();
-    match kind {
-        WindowKind::Content => analysis.content_windows,
-        WindowKind::Order => analysis.order_windows,
-    }
-}
-
 /// Computes the divergence windows of `kind` between agents `a` and `b`.
 ///
 /// The sweep merges both agents' reads by response time (ties broken by the
 /// trace's stable order) and evaluates the divergence condition on the pair
-/// of most-recent views after every read.
+/// of most-recent views after every read. A pair with no reads in the
+/// trace yields an empty, converged analysis.
 pub fn windows<K: EventKey>(
     trace: &TestTrace<K>,
     a: AgentId,
     b: AgentId,
     kind: WindowKind,
 ) -> WindowAnalysis {
-    windows_indexed(&TraceIndex::new(trace), a, b, kind)
-}
-
-/// [`windows`] against a prebuilt [`TraceIndex`] — a single streaming pass
-/// over the indexed event stream (via
-/// [`StreamingAnalyzer`](crate::stream::StreamingAnalyzer)) from which the
-/// requested pair's analysis is extracted. A pair with no reads in the
-/// trace yields an empty, converged analysis.
-pub fn windows_indexed<K: EventKey>(
-    index: &TraceIndex<'_, K>,
-    a: AgentId,
-    b: AgentId,
-    kind: WindowKind,
-) -> WindowAnalysis {
     let pair = if a <= b { (a, b) } else { (b, a) };
-    windows_of(index, kind).into_iter().find(|w| w.pair == pair).unwrap_or(WindowAnalysis {
+    all_pair_windows(trace, kind).into_iter().find(|w| w.pair == pair).unwrap_or(WindowAnalysis {
         pair,
         kind,
         windows: Vec::new(),
@@ -120,21 +94,19 @@ pub fn windows_indexed<K: EventKey>(
     })
 }
 
-/// Computes windows of `kind` for every agent pair in the trace.
+/// Computes windows of `kind` for every agent pair in the trace — one
+/// streaming pass (via [`StreamingAnalyzer`]) shared by every pair,
+/// instead of a sweep per pair.
 pub fn all_pair_windows<K: EventKey>(
     trace: &TestTrace<K>,
     kind: WindowKind,
 ) -> Vec<WindowAnalysis> {
-    all_pair_windows_indexed(&TraceIndex::new(trace), kind)
-}
-
-/// [`all_pair_windows`] against a prebuilt [`TraceIndex`] — one streaming
-/// pass shared by every agent pair, instead of a sweep per pair.
-pub fn all_pair_windows_indexed<K: EventKey>(
-    index: &TraceIndex<'_, K>,
-    kind: WindowKind,
-) -> Vec<WindowAnalysis> {
-    windows_of(index, kind)
+    let analysis =
+        StreamingAnalyzer::single(&CheckerConfig::default(), window_part(kind)).replay(trace);
+    match kind {
+        WindowKind::Content => analysis.content_windows,
+        WindowKind::Order => analysis.order_windows,
+    }
 }
 
 #[cfg(test)]

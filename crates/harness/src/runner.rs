@@ -237,7 +237,7 @@ pub struct TestResult {
     /// The seed this test ran with.
     pub seed: u64,
     /// Simulator events (message deliveries) processed during the run —
-    /// the denominator for `conprobe-bench`'s events/sec metric.
+    /// the denominator for events/sec metrics (`benchmarks/README.md`).
     pub sim_events: u64,
     /// The service this test ran against.
     pub service: ServiceKind,

@@ -17,7 +17,7 @@
 //!   JSON satisfies this by construction).
 //!
 //! This module lives in the dependency-free JSON crate so every layer
-//! (harness journal, services state transfer, bench fingerprints) frames
+//! (harness journal, services state transfer, golden fingerprints) frames
 //! records identically without new edges in the crate graph.
 
 use std::fmt;
@@ -31,6 +31,7 @@ pub const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a over a byte string. Stable across platforms and releases: the
 /// campaign journal, the golden-fingerprint suite and the state-transfer
 /// stream hash all depend on these exact constants.
+#[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_fold(FNV64_BASIS, bytes)
 }
@@ -38,6 +39,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// Folds `bytes` into a running FNV-1a state — `fnv64(b)` is
 /// `fnv64_fold(FNV64_BASIS, b)`, and hashing a concatenation is folding
 /// the pieces in order.
+#[inline]
 pub fn fnv64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;

@@ -25,12 +25,8 @@
 /// cost of a binary search over `64 * shards` points.
 pub const VNODES: usize = 64;
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut hash = conprobe_json::frame::fnv64(bytes);
     // Raw FNV-1a diffuses short inputs poorly into the high bits, and
     // ring ownership is decided by the high bits; finish with a
     // SplitMix64-style avalanche so sequential keys scatter uniformly.
@@ -60,7 +56,7 @@ impl ShardRing {
                 label[..5].copy_from_slice(b"shard");
                 label[5..9].copy_from_slice(&shard.to_le_bytes());
                 label[9..13].copy_from_slice(&vnode.to_le_bytes());
-                points.push((fnv64(&label), shard));
+                points.push((ring_hash(&label), shard));
             }
         }
         points.sort_unstable();
@@ -79,7 +75,7 @@ impl ShardRing {
     /// The shard owning `key`: the first ring point at or after the
     /// key's hash, wrapping past the top of the ring.
     pub fn shard_for_key(&self, key: u32) -> usize {
-        let h = fnv64(&key.to_le_bytes());
+        let h = ring_hash(&key.to_le_bytes());
         let idx = self.points.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.points[if idx == self.points.len() { 0 } else { idx }];
         shard as usize

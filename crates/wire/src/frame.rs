@@ -49,14 +49,7 @@ pub const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
 /// FNV-1a 64-bit — the same checksum the campaign journal uses.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+pub use conprobe_json::frame::fnv64;
 
 const KIND_HELLO: u8 = 0;
 const KIND_HELLO_ACK: u8 = 1;

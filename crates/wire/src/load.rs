@@ -11,8 +11,8 @@
 //!
 //! An optional ops/sec target turns the loop into a paced open-ish load
 //! for soak tests; left unset, the generator reports the sustained
-//! ceiling, which is what `bench_wire_throughput` records in
-//! `BENCH_repro.json`. A warm-up window runs the identical workload
+//! closed-loop ceiling (the open-loop measurements live in
+//! `benchmarks/README.md`). A warm-up window runs the identical workload
 //! before the measured interval so connection setup, allocator steady
 //! state, and socket buffer sizing never pollute the numbers.
 //!

@@ -1,818 +1,22 @@
-//! Performance measurement for the hot paths (`conprobe-bench`).
+//! Golden-seed fingerprints: the determinism anchor.
 //!
-//! The paper's campaigns ran ~1,000 test instances per (service, test)
-//! cell; tracking whether we can afford that requires numbers, not vibes.
-//! This module times the three hot paths the perf overhaul targets —
-//! replica snapshot reads, checker/analysis throughput on synthetic
-//! traces, and whole campaign cells (tests/sec and simulated events/sec) —
-//! with *deterministic* workloads and iteration counts, so the only
-//! nondeterministic input is the wall clock.
+//! A fingerprint condenses one seeded test instance — its trace bytes, the
+//! per-kind anomaly counts and the window totals — into a value that
+//! `tests/determinism_golden.rs` pins as literals and the `benchmarks/`
+//! harness re-checks in set-up before it times anything. A change that
+//! moves one has changed simulation or analysis semantics, not just speed.
 //!
-//! The `conprobe-bench` binary writes the measurements to
-//! `BENCH_repro.json` at the repo root, side by side with the pre-change
-//! baseline (the constants below, recorded on the same workload before the
-//! snapshot cache and `TraceIndex` landed), so subsequent PRs can track the
-//! speedup trajectory in-repo.
+//! Performance measurement itself lives in `benchmarks/` (see
+//! `benchmarks/README.md`); nothing here reads the wall clock.
 
-use conprobe_core::testutil::TestRng;
-use conprobe_core::{
-    analyze, AgentId, AnomalyKind, CheckerConfig, TestTrace, TestTraceBuilder, Timestamp,
-};
-use conprobe_harness::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use conprobe_core::AnomalyKind;
+use conprobe_harness::campaign::{run_campaign, CampaignConfig};
 use conprobe_harness::proto::TestKind;
 use conprobe_harness::report::StudyReport;
-use conprobe_harness::runner::run_one_test;
+use conprobe_harness::runner::{run_one_test, TestConfig};
+use conprobe_json::frame::fnv64;
 use conprobe_json::ToJson;
 use conprobe_services::ServiceKind;
-use conprobe_sim::SimDuration;
-use conprobe_store::{AuthorId, OrderingPolicy, Post, PostId, ReplicaCore};
-use std::time::Instant;
-
-/// Pre-change baseline, measured with `conprobe-bench --mode full` at the
-/// commit immediately before the snapshot cache and `TraceIndex`
-/// optimizations (same workloads, same machine class as CI).
-pub mod baseline {
-    /// Checker throughput: trace operations analyzed per second.
-    pub const CHECKER_OPS_PER_SEC: f64 = 14_169.0;
-    /// Campaign cell throughput: test instances per second.
-    pub const CAMPAIGN_TESTS_PER_SEC: f64 = 17.49;
-    /// Campaign cell throughput: simulator events per second.
-    pub const CAMPAIGN_EVENTS_PER_SEC: f64 = 35_708.0;
-    /// Replica store: policy-ordered snapshot reads per second.
-    pub const SNAPSHOT_READS_PER_SEC: f64 = 23_048.0;
-    /// Visibility records per second, measured on the same workload with
-    /// the pre-hoist `visibility()` (per-agent read lists re-derived for
-    /// every (write, agent) pair — see the ignored
-    /// `measure_prehoist_visibility_baseline` test).
-    pub const VISIBILITY_RECORDS_PER_SEC: f64 = 525_450.0;
-}
-
-/// Iteration counts for one bench run. All counts are fixed per mode, so
-/// two runs of the same mode execute identical work.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchScale {
-    /// `analyze()` passes over the synthetic trace pool.
-    pub checker_iters: usize,
-    /// Snapshot reads against the replica micro-benchmark.
-    pub snapshot_reads: usize,
-    /// Test instances in the campaign cell.
-    pub campaign_tests: u32,
-    /// `visibility()` passes over the synthetic trace pool.
-    pub visibility_iters: usize,
-    /// Wall-clock milliseconds of each measured wire-throughput point.
-    pub wire_load_millis: u64,
-    /// Wall-clock milliseconds of warm-up (connections ramped, caches
-    /// hot, allocator steady) before each wire point starts measuring.
-    pub wire_warmup_millis: u64,
-    /// The `(connections, pipeline depth)` scaling curve the wire stage
-    /// sweeps. The first point is always the old pre-event-loop shape —
-    /// few connections, no pipelining — so the report can show the old
-    /// and new operating points side by side.
-    pub wire_points: &'static [(usize, usize)],
-}
-
-impl BenchScale {
-    /// The committed-numbers scale (`--mode full`).
-    pub fn full() -> Self {
-        BenchScale {
-            checker_iters: 60,
-            snapshot_reads: 40_000,
-            campaign_tests: 6,
-            visibility_iters: 200,
-            wire_load_millis: 3_000,
-            wire_warmup_millis: 500,
-            wire_points: &[(8, 1), (64, 8), (256, 16), (512, 32), (256, 64)],
-        }
-    }
-
-    /// The CI smoke scale (`--mode smoke`): same workloads, small counts.
-    pub fn smoke() -> Self {
-        BenchScale {
-            checker_iters: 10,
-            snapshot_reads: 4_000,
-            campaign_tests: 2,
-            visibility_iters: 30,
-            wire_load_millis: 500,
-            wire_warmup_millis: 150,
-            wire_points: &[(8, 1), (128, 16)],
-        }
-    }
-}
-
-/// One measured metric set; field order mirrors the JSON output.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchNumbers {
-    /// Trace operations analyzed per second across the full checker stack.
-    pub checker_ops_per_sec: f64,
-    /// Campaign test instances per second.
-    pub campaign_tests_per_sec: f64,
-    /// Simulator events per second across the campaign cell.
-    pub campaign_events_per_sec: f64,
-    /// Policy-ordered snapshot reads per second.
-    pub snapshot_reads_per_sec: f64,
-    /// Visibility-latency records computed per second (the per-agent
-    /// read-list hoist's target workload).
-    pub visibility_records_per_sec: f64,
-}
-
-/// A deterministic synthetic trace exercising every checker.
-///
-/// Three agents write interleaved posts and read with staleness (randomly
-/// dropped elements) and order perturbations (random adjacent swaps), so
-/// the session checkers, the divergence checkers and both window sweeps
-/// all have real work. The generator is seeded [`TestRng`]; the same seed
-/// always yields the same trace.
-pub fn synthetic_trace(seed: u64, reads_per_agent: usize) -> TestTrace<PostId> {
-    let mut rng = TestRng::new(seed);
-    let agents = 3u32;
-    let writes_per_agent = 8u32;
-    let mut b = TestTraceBuilder::new();
-    let mut writes: Vec<(i64, PostId)> = Vec::new();
-    for a in 0..agents {
-        for s in 1..=writes_per_agent {
-            let invoke = ((s as i64 - 1) * 1200 + a as i64 * 137) * 1_000_000;
-            let response = invoke + 40_000_000;
-            let id = PostId::new(AuthorId(a), s);
-            b.write(AgentId(a), Timestamp::from_nanos(invoke), Timestamp::from_nanos(response), id);
-            writes.push((response, id));
-        }
-    }
-    writes.sort_unstable();
-    let horizon = writes_per_agent as i64 * 1200 * 1_000_000;
-    for a in 0..agents {
-        for r in 0..reads_per_agent {
-            let invoke = r as i64 * horizon / reads_per_agent as i64 + a as i64 * 97_000 + 1;
-            let response = invoke + 30_000_000;
-            let mut seq: Vec<PostId> =
-                writes.iter().filter(|(w, _)| *w <= invoke).map(|(_, id)| *id).collect();
-            if !seq.is_empty() && rng.chance(0.25) {
-                let i = rng.range_usize(0, seq.len());
-                seq.remove(i); // staleness: one visible post goes missing
-            }
-            if seq.len() >= 2 && rng.chance(0.5) {
-                let i = rng.range_usize(0, seq.len() - 1);
-                seq.swap(i, i + 1); // order perturbation
-            }
-            b.read(AgentId(a), Timestamp::from_nanos(invoke), Timestamp::from_nanos(response), seq);
-        }
-    }
-    b.build()
-}
-
-/// Times the full checker stack (all six checkers + both window sweeps)
-/// over a pool of synthetic traces. Returns ops/sec and an observation
-/// checksum (keeps the work observable; also a cheap sanity anchor).
-pub fn bench_checkers(scale: BenchScale) -> (f64, usize) {
-    let traces: Vec<TestTrace<PostId>> = (0..8).map(|i| synthetic_trace(0xC0DE + i, 120)).collect();
-    let config = CheckerConfig::default();
-    // Warm-up pass so allocator state doesn't skew the first iteration.
-    let mut sink = traces.iter().map(|t| analyze(t, &config).observations.len()).sum::<usize>();
-    let mut ops = 0usize;
-    let start = Instant::now();
-    for it in 0..scale.checker_iters {
-        let trace = &traces[it % traces.len()];
-        let analysis = analyze(trace, &config);
-        sink += analysis.observations.len()
-            + analysis.content_windows.len()
-            + analysis.order_windows.len();
-        ops += trace.len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (ops as f64 / elapsed, sink)
-}
-
-/// Times policy-ordered snapshot reads against a replica holding
-/// `posts` stored posts, with one mutation every 100 reads (the realistic
-/// read-dominated regime the cache targets).
-pub fn bench_snapshot_reads(scale: BenchScale) -> f64 {
-    let posts = 200u32;
-    let mut core = ReplicaCore::new(OrderingPolicy::facebook_group());
-    for s in 1..=posts {
-        let post = Post::new(
-            PostId::new(AuthorId(s % 3), s),
-            "synthetic-post-body",
-            conprobe_sim::LocalTime::from_nanos(0),
-        );
-        core.apply_new(post, conprobe_sim::SimTime::from_millis(s as u64 * 37));
-    }
-    let mut sink = 0usize;
-    let mut next_seq = posts + 1;
-    let start = Instant::now();
-    for i in 0..scale.snapshot_reads {
-        if i % 100 == 99 {
-            let post = Post::new(
-                PostId::new(AuthorId(next_seq % 3), next_seq),
-                "synthetic-post-body",
-                conprobe_sim::LocalTime::from_nanos(0),
-            );
-            core.apply_new(post, conprobe_sim::SimTime::from_millis(next_seq as u64 * 37));
-            next_seq += 1;
-        }
-        if i % 2 == 0 {
-            sink += core.snapshot().len();
-        } else {
-            sink += core.snapshot_posts().len();
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(sink > 0);
-    scale.snapshot_reads as f64 / elapsed
-}
-
-/// Times `visibility()` over the synthetic trace pool. Returns visibility
-/// records per second — the workload the per-agent read-list hoist
-/// targets (it was O(writes × agents × reads) with a fresh list per
-/// pair).
-pub fn bench_visibility(scale: BenchScale) -> f64 {
-    let traces: Vec<TestTrace<PostId>> = (0..8).map(|i| synthetic_trace(0xC0DE + i, 120)).collect();
-    let mut records = 0usize;
-    let start = Instant::now();
-    for it in 0..scale.visibility_iters {
-        let trace = &traces[it % traces.len()];
-        records += conprobe_core::visibility::visibility(trace).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(records > 0);
-    records as f64 / elapsed
-}
-
-/// Measures the observability layer's cost on the campaign cell: one run
-/// with no sink, one with a full sink (metrics + a filtering event log).
-/// Returns `(tests/sec off, tests/sec on, metrics JSON)` — the JSON is the
-/// instrumented run's registry dump, which CI uploads as `metrics.json`.
-pub fn bench_metrics_overhead(scale: BenchScale) -> (f64, f64, String) {
-    let run = |sink: Option<conprobe_sim::ObsSink>| {
-        let mut config = bench_campaign_config(scale.campaign_tests);
-        config.test.obs = sink;
-        let start = Instant::now();
-        let result = run_campaign(&config);
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(result.results.len(), scale.campaign_tests as usize);
-        scale.campaign_tests as f64 / elapsed
-    };
-    let off = run(None);
-    // A bounded Warn-level log: the shape `--metrics` runs use, so the
-    // overhead number reflects real instrumented operation.
-    let sink = conprobe_sim::ObsSink::with_log(
-        conprobe_obs::EventLog::new(4096).with_min_severity(conprobe_obs::Severity::Warn),
-    );
-    let on = run(Some(sink.clone()));
-    (off, on, sink.metrics.to_json().to_pretty())
-}
-
-/// Measures the durable journal's cost on the campaign cell: one run with
-/// no journal, one appending every result (checksummed frame + fsync per
-/// record) to a scratch journal. Returns `(tests/sec off, tests/sec on)`
-/// — the price of crash-safety, which BENCH_repro.json tracks so a
-/// regression in the fsync'd append path is visible in-repo.
-pub fn bench_journal_overhead(scale: BenchScale) -> (f64, f64) {
-    let run = |journal: Option<&conprobe_harness::Journal>| {
-        let config = bench_campaign_config(scale.campaign_tests);
-        let start = Instant::now();
-        let result = conprobe_harness::campaign::run_campaign_journaled(
-            &config,
-            None,
-            "bench/gplus/test2",
-            journal,
-            None,
-        );
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(result.results.len(), scale.campaign_tests as usize);
-        assert!(result.crashed.is_empty());
-        scale.campaign_tests as f64 / elapsed
-    };
-    let off = run(None);
-    let path =
-        std::env::temp_dir().join(format!("conprobe-bench-journal-{}.jsonl", std::process::id()));
-    let journal = conprobe_harness::Journal::create(&path).expect("scratch journal");
-    let on = run(Some(&journal));
-    // The journaled run must have produced a cleanly recoverable file.
-    drop(journal);
-    let recovery = conprobe_harness::Journal::recover(&path).expect("bench journal recovers");
-    assert_eq!(recovery.records.len(), scale.campaign_tests as usize);
-    assert!(recovery.tail.is_none());
-    std::fs::remove_file(&path).ok();
-    (off, on)
-}
-
-/// The campaign cell the bench times: Google+ Test 2 with a read-heavy
-/// schedule (the regime where snapshot reads and trace analysis dominate —
-/// exactly the load full-scale 1,000-instance cells would sustain).
-pub fn bench_campaign_config(tests: u32) -> CampaignConfig {
-    let mut config =
-        CampaignConfig::paper(ServiceKind::GooglePlus, TestKind::Test2, tests).with_seed(0xBE5C);
-    config.threads = 4;
-    config.test.read_period = SimDuration::from_millis(100);
-    config.test.fast_reads = 280;
-    config.test.reads_target = 300;
-    config
-}
-
-/// Times the campaign cell; returns (tests/sec, sim-events/sec, result).
-pub fn bench_campaign(scale: BenchScale) -> (f64, f64, CampaignResult) {
-    let config = bench_campaign_config(scale.campaign_tests);
-    let start = Instant::now();
-    let result = run_campaign(&config);
-    let elapsed = start.elapsed().as_secs_f64();
-    let events = result.total_sim_events();
-    (scale.campaign_tests as f64 / elapsed, events as f64 / elapsed, result)
-}
-
-/// One measured point on the wire-throughput scaling curve.
-#[derive(Debug, Clone, Copy)]
-pub struct WirePoint {
-    /// Concurrent connections the loop ran with.
-    pub connections: usize,
-    /// In-flight pipelined requests per connection.
-    pub pipeline: usize,
-    /// Completed closed-loop operations per second (post-warm-up).
-    pub ops_per_sec: f64,
-    /// Median per-op latency (histogram upper bucket bound), nanos.
-    pub p50_nanos: u64,
-    /// 99th-percentile per-op latency, nanos.
-    pub p99_nanos: u64,
-    /// 99.9th-percentile per-op latency, nanos.
-    pub p999_nanos: u64,
-    /// Transport errors observed (0 on a healthy loopback).
-    pub errors: u64,
-}
-
-/// What the wire-throughput stage measured (real TCP loopback: the
-/// `cpw1` server, client, and codec on the hot path): the full
-/// connections × pipeline-depth scaling curve, plus the two operating
-/// points the report headlines.
-#[derive(Debug, Clone)]
-pub struct WireBench {
-    /// The old pre-event-loop shape — few connections, depth 1 — kept
-    /// as a side-by-side baseline for the pipelining speedup.
-    pub depth1: WirePoint,
-    /// The best point of the curve by ops/sec.
-    pub best: WirePoint,
-    /// Every measured `(connections, pipeline)` point, in sweep order.
-    pub curve: Vec<WirePoint>,
-}
-
-/// Times the whole wire subsystem end to end: an in-process loopback
-/// [`WireServer`](conprobe_wire::WireServer) hosting Blogger, hammered by
-/// the closed-loop generator at each `(connections, pipeline)` point of
-/// the scale's curve. This is a *real-socket* number — frame
-/// encode/decode, checksums, TCP round trips, the shard ring and the
-/// live cluster's locking are all on the measured path. Each point gets
-/// a fresh server (identical seeded state) and a warm-up window before
-/// measurement starts; reads cycle over 16 keys so every shard's path
-/// stays exercised and payload sizes stay stationary.
-pub fn bench_wire_throughput(scale: BenchScale) -> WireBench {
-    use conprobe_wire::{run_load, LoadConfig, ServeConfig, WireServer};
-    let mut curve = Vec::new();
-    for &(connections, pipeline) in scale.wire_points {
-        let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 0xB17E))
-            .expect("bind loopback wire server");
-        let addr = server.addrs()[0].1;
-        let metrics = conprobe_obs::MetricsRegistry::new();
-        let config = LoadConfig {
-            connections,
-            pipeline,
-            keys: 16,
-            duration: std::time::Duration::from_millis(scale.wire_load_millis),
-            warmup: std::time::Duration::from_millis(scale.wire_warmup_millis),
-            ..LoadConfig::loopback(addr)
-        };
-        let report = run_load(&config, &metrics).expect("wire load loop");
-        server.request_stop();
-        server.join();
-        assert!(report.ops > 0, "wire bench made no progress at {connections}x{pipeline}");
-        assert_eq!(
-            report.ordering_errors, 0,
-            "pipelined responses arrived out of order at {connections}x{pipeline}"
-        );
-        assert_eq!(
-            report.decode_errors, 0,
-            "frame decoding failed under pipelining at {connections}x{pipeline}"
-        );
-        curve.push(WirePoint {
-            connections,
-            pipeline,
-            ops_per_sec: report.ops_per_sec,
-            p50_nanos: report.p50_nanos,
-            p99_nanos: report.p99_nanos,
-            p999_nanos: report.p999_nanos,
-            errors: report.errors,
-        });
-    }
-    let depth1 = curve[0];
-    let best =
-        *curve.iter().max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec)).expect("curve point");
-    WireBench { depth1, best, curve }
-}
-
-/// What the quorum stage measured: the strong control arm's operation
-/// throughput next to a weak catalog backend on the identical campaign
-/// schedule — the price of `R + W > N` in this simulator, in numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct QuorumBench {
-    /// Quorum-committed writes per wall-clock second across the cell.
-    pub quorum_writes_per_sec: f64,
-    /// Majority reads per wall-clock second across the cell.
-    pub quorum_reads_per_sec: f64,
-    /// The weak baseline's (Google+) writes per second, same schedule.
-    pub weak_writes_per_sec: f64,
-    /// The weak baseline's reads per second, same schedule.
-    pub weak_reads_per_sec: f64,
-}
-
-/// Times the quorum control arm against the weak baseline: two campaign
-/// cells with byte-identical schedules (Test 2, the read-heavy regime),
-/// differing only in backend. Every quorum read is a majority gather and
-/// every write a majority commit, so the gap between the two rows is
-/// pure replication-protocol cost.
-pub fn bench_quorum(scale: BenchScale) -> QuorumBench {
-    fn cell(service: ServiceKind, tests: u32) -> (f64, f64) {
-        let mut config = CampaignConfig::paper(service, TestKind::Test2, tests).with_seed(0x0C0A);
-        config.threads = 4;
-        config.test.read_period = SimDuration::from_millis(100);
-        config.test.fast_reads = 280;
-        config.test.reads_target = 300;
-        let start = Instant::now();
-        let result = run_campaign(&config);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let writes: usize = result.results.iter().map(|r| r.trace.write_count()).sum();
-        let reads: usize = result.results.iter().map(|r| r.trace.read_count()).sum();
-        assert!(reads > 0, "{service} bench cell produced no reads");
-        (writes as f64 / elapsed, reads as f64 / elapsed)
-    }
-    let (quorum_writes_per_sec, quorum_reads_per_sec) =
-        cell(ServiceKind::Quorum, scale.campaign_tests);
-    let (weak_writes_per_sec, weak_reads_per_sec) =
-        cell(ServiceKind::GooglePlus, scale.campaign_tests);
-    QuorumBench {
-        quorum_writes_per_sec,
-        quorum_reads_per_sec,
-        weak_writes_per_sec,
-        weak_reads_per_sec,
-    }
-}
-
-/// What the pbft stage measured: the ordered-log consensus arm's write
-/// commit latency (sim-time invoke→response over three protocol phases)
-/// next to the quorum arm's two-phase majority commit on the identical
-/// campaign schedule, plus wall-clock operation throughput for both.
-#[derive(Debug, Clone, Copy)]
-pub struct PbftBench {
-    /// Mean pbft write commit latency in simulated nanoseconds
-    /// (pre-prepare → prepare certificate → commit certificate → apply).
-    pub pbft_commit_nanos_mean: f64,
-    /// p99 pbft write commit latency in simulated nanoseconds.
-    pub pbft_commit_nanos_p99: i64,
-    /// Mean quorum write commit latency in simulated nanoseconds.
-    pub quorum_commit_nanos_mean: f64,
-    /// p99 quorum write commit latency in simulated nanoseconds.
-    pub quorum_commit_nanos_p99: i64,
-    /// Pbft operations per wall-clock second across the cell.
-    pub pbft_ops_per_sec: f64,
-    /// Quorum operations per wall-clock second, same schedule.
-    pub quorum_ops_per_sec: f64,
-}
-
-/// Times the pbft ordered-log arm head-to-head with the quorum arm: two
-/// campaign cells with byte-identical schedules, differing only in
-/// backend. The latency gap is the extra consensus round — a quorum
-/// write needs one majority round trip, a pbft write needs pre-prepare,
-/// a prepare certificate, and a commit certificate before the origin
-/// answers — and the wall-clock gap is the simulator cost of carrying
-/// that message complexity.
-pub fn bench_pbft(scale: BenchScale) -> PbftBench {
-    struct Cell {
-        commit_mean: f64,
-        commit_p99: i64,
-        ops_per_sec: f64,
-    }
-    fn cell(service: ServiceKind, tests: u32) -> Cell {
-        let mut config = CampaignConfig::paper(service, TestKind::Test2, tests).with_seed(0x0CB1);
-        config.threads = 4;
-        config.test.read_period = SimDuration::from_millis(100);
-        config.test.fast_reads = 280;
-        config.test.reads_target = 300;
-        let start = Instant::now();
-        let result = run_campaign(&config);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let mut commit_nanos: Vec<i64> = result
-            .results
-            .iter()
-            .flat_map(|r| r.trace.writes())
-            .map(|(op, _)| op.response.as_nanos() - op.invoke.as_nanos())
-            .collect();
-        assert!(!commit_nanos.is_empty(), "{service} bench cell produced no writes");
-        commit_nanos.sort_unstable();
-        let commit_mean = commit_nanos.iter().sum::<i64>() as f64 / commit_nanos.len() as f64;
-        let commit_p99 = commit_nanos[(commit_nanos.len() - 1) * 99 / 100];
-        let ops: usize = result.results.iter().map(|r| r.trace.len()).sum();
-        Cell { commit_mean, commit_p99, ops_per_sec: ops as f64 / elapsed }
-    }
-    let pbft = cell(ServiceKind::Pbft, scale.campaign_tests);
-    let quorum = cell(ServiceKind::Quorum, scale.campaign_tests);
-    PbftBench {
-        pbft_commit_nanos_mean: pbft.commit_mean,
-        pbft_commit_nanos_p99: pbft.commit_p99,
-        quorum_commit_nanos_mean: quorum.commit_mean,
-        quorum_commit_nanos_p99: quorum.commit_p99,
-        pbft_ops_per_sec: pbft.ops_per_sec,
-        quorum_ops_per_sec: quorum.ops_per_sec,
-    }
-}
-
-/// What the streaming-checker stage measured: the incremental engine
-/// ([`StreamingAnalyzer`](conprobe_core::StreamingAnalyzer)) replaying
-/// the bench trace pool one event at a time, next to the whole-trace
-/// `analyze()` entry point on the same pool, plus the memory-bounded
-/// contract's figures.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamBench {
-    /// Events pushed per second through `push_event` + `finish`.
-    pub stream_ops_per_sec: f64,
-    /// `analyze()` ops/sec on the identical pool (same-tree reference;
-    /// the two share the engine, so the ratio is dispatch overhead).
-    pub batch_ops_per_sec: f64,
-    /// Peak retained working-state bytes across the pool's replays.
-    pub peak_retained_bytes: usize,
-    /// Compact-JSON bytes of the largest trace replayed — the figure
-    /// retained state must stay well under for the contract to mean
-    /// anything.
-    pub trace_bytes: usize,
-}
-
-/// Times the incremental checker engine event by event and verifies,
-/// on every pool trace, that the replay's observations equal the batch
-/// pass's — a perf stage that doubles as an equivalence smoke check.
-pub fn bench_streaming(scale: BenchScale) -> StreamBench {
-    use conprobe_core::StreamingAnalyzer;
-    let traces: Vec<TestTrace<PostId>> = (0..8).map(|i| synthetic_trace(0xC0DE + i, 120)).collect();
-    let config = CheckerConfig::default();
-    let trace_bytes =
-        traces.iter().map(|t| t.to_json().to_compact().len()).max().unwrap_or_default();
-
-    // Warm-up doubling as the equivalence anchor.
-    let mut peak_retained = 0usize;
-    for t in &traces {
-        let mut analyzer = StreamingAnalyzer::new(&config);
-        for op in t.ops() {
-            analyzer.push_event(op);
-        }
-        peak_retained = peak_retained.max(analyzer.retained_bytes());
-        assert_eq!(
-            analyzer.finish().observations,
-            analyze(t, &config).observations,
-            "streaming replay must equal the batch pass"
-        );
-    }
-
-    let mut ops = 0usize;
-    let mut sink = 0usize;
-    let start = Instant::now();
-    for it in 0..scale.checker_iters {
-        let trace = &traces[it % traces.len()];
-        let mut analyzer = StreamingAnalyzer::new(&config);
-        for op in trace.ops() {
-            analyzer.push_event(op);
-        }
-        ops += trace.len();
-        sink += analyzer.finish().observations.len();
-    }
-    let stream_ops_per_sec = ops as f64 / start.elapsed().as_secs_f64();
-
-    let mut ops = 0usize;
-    let start = Instant::now();
-    for it in 0..scale.checker_iters {
-        let trace = &traces[it % traces.len()];
-        sink += analyze(trace, &config).observations.len();
-        ops += trace.len();
-    }
-    let batch_ops_per_sec = ops as f64 / start.elapsed().as_secs_f64();
-    assert!(sink > 0, "streaming bench must observe anomalies");
-
-    StreamBench {
-        stream_ops_per_sec,
-        batch_ops_per_sec,
-        peak_retained_bytes: peak_retained,
-        trace_bytes,
-    }
-}
-
-/// Runs the whole suite at `scale`.
-pub fn run_suite(scale: BenchScale) -> BenchNumbers {
-    let (checker_ops_per_sec, _) = bench_checkers(scale);
-    let snapshot_reads_per_sec = bench_snapshot_reads(scale);
-    let visibility_records_per_sec = bench_visibility(scale);
-    let (campaign_tests_per_sec, campaign_events_per_sec, result) = bench_campaign(scale);
-    assert_eq!(result.results.len(), scale.campaign_tests as usize);
-    BenchNumbers {
-        checker_ops_per_sec,
-        campaign_tests_per_sec,
-        campaign_events_per_sec,
-        snapshot_reads_per_sec,
-        visibility_records_per_sec,
-    }
-}
-
-/// Serializes a bench run (with the embedded baseline and speedup ratios)
-/// as the pretty-printed `BENCH_repro.json` document. `journal_overhead`
-/// is the [`bench_journal_overhead`] pair `(tests/sec off, tests/sec on)`
-/// when that stage ran.
-pub fn report_json(
-    mode: &str,
-    current: BenchNumbers,
-    journal_overhead: Option<(f64, f64)>,
-    wire: Option<&WireBench>,
-    quorum: Option<&QuorumBench>,
-    pbft: Option<&PbftBench>,
-    streaming: Option<&StreamBench>,
-) -> String {
-    use conprobe_json::JsonValue;
-    let numbers = |n: &BenchNumbers| {
-        JsonValue::Object(vec![
-            ("checker_ops_per_sec".into(), JsonValue::Float(round2(n.checker_ops_per_sec))),
-            ("campaign_tests_per_sec".into(), JsonValue::Float(round2(n.campaign_tests_per_sec))),
-            ("campaign_events_per_sec".into(), JsonValue::Float(round2(n.campaign_events_per_sec))),
-            ("snapshot_reads_per_sec".into(), JsonValue::Float(round2(n.snapshot_reads_per_sec))),
-            (
-                "visibility_records_per_sec".into(),
-                JsonValue::Float(round2(n.visibility_records_per_sec)),
-            ),
-        ])
-    };
-    let base = BenchNumbers {
-        checker_ops_per_sec: baseline::CHECKER_OPS_PER_SEC,
-        campaign_tests_per_sec: baseline::CAMPAIGN_TESTS_PER_SEC,
-        campaign_events_per_sec: baseline::CAMPAIGN_EVENTS_PER_SEC,
-        snapshot_reads_per_sec: baseline::SNAPSHOT_READS_PER_SEC,
-        visibility_records_per_sec: baseline::VISIBILITY_RECORDS_PER_SEC,
-    };
-    let ratio = |cur: f64, base: f64| {
-        if base > 0.0 {
-            JsonValue::Float(round2(cur / base))
-        } else {
-            JsonValue::Null
-        }
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".into(), JsonValue::Str("conprobe-bench/1".into())),
-        ("mode".into(), JsonValue::Str(mode.into())),
-        (
-            "baseline".into(),
-            JsonValue::Object(vec![
-                (
-                    "recorded".into(),
-                    JsonValue::Str(
-                        "pre-optimization tree (before snapshot cache + TraceIndex), \
-                         --mode full"
-                            .into(),
-                    ),
-                ),
-                ("numbers".into(), numbers(&base)),
-            ]),
-        ),
-        ("current".into(), numbers(&current)),
-        (
-            "speedup".into(),
-            JsonValue::Object(vec![
-                ("checker".into(), ratio(current.checker_ops_per_sec, base.checker_ops_per_sec)),
-                (
-                    "campaign_tests".into(),
-                    ratio(current.campaign_tests_per_sec, base.campaign_tests_per_sec),
-                ),
-                (
-                    "campaign_events".into(),
-                    ratio(current.campaign_events_per_sec, base.campaign_events_per_sec),
-                ),
-                (
-                    "snapshot_reads".into(),
-                    ratio(current.snapshot_reads_per_sec, base.snapshot_reads_per_sec),
-                ),
-                (
-                    "visibility".into(),
-                    ratio(current.visibility_records_per_sec, base.visibility_records_per_sec),
-                ),
-            ]),
-        ),
-    ]);
-    let JsonValue::Object(mut members) = doc else { unreachable!() };
-    if let Some((off, on)) = journal_overhead {
-        members.push((
-            "journal_overhead".into(),
-            JsonValue::Object(vec![
-                ("campaign_tests_per_sec_off".into(), JsonValue::Float(round2(off))),
-                ("campaign_tests_per_sec_on".into(), JsonValue::Float(round2(on))),
-                (
-                    "overhead_pct".into(),
-                    JsonValue::Float(round2((off / on.max(1e-9) - 1.0) * 100.0)),
-                ),
-            ]),
-        ));
-    }
-    if let Some(w) = wire {
-        let point = |p: &WirePoint| {
-            JsonValue::Object(vec![
-                ("connections".into(), JsonValue::Int(p.connections as i64)),
-                ("pipeline".into(), JsonValue::Int(p.pipeline as i64)),
-                ("ops_per_sec".into(), JsonValue::Float(round2(p.ops_per_sec))),
-                ("p50_nanos".into(), JsonValue::Int(p.p50_nanos as i64)),
-                ("p99_nanos".into(), JsonValue::Int(p.p99_nanos as i64)),
-                ("p999_nanos".into(), JsonValue::Int(p.p999_nanos as i64)),
-                ("errors".into(), JsonValue::Int(p.errors as i64)),
-            ])
-        };
-        members.push((
-            "wire_throughput".into(),
-            JsonValue::Object(vec![
-                // Headline keys describe the best operating point; the
-                // depth-1 block is the old pre-event-loop shape measured
-                // on the same tree, and `curve` is the full sweep.
-                ("ops_per_sec".into(), JsonValue::Float(round2(w.best.ops_per_sec))),
-                ("p50_nanos".into(), JsonValue::Int(w.best.p50_nanos as i64)),
-                ("p99_nanos".into(), JsonValue::Int(w.best.p99_nanos as i64)),
-                ("p999_nanos".into(), JsonValue::Int(w.best.p999_nanos as i64)),
-                ("connections".into(), JsonValue::Int(w.best.connections as i64)),
-                ("pipeline".into(), JsonValue::Int(w.best.pipeline as i64)),
-                ("errors".into(), JsonValue::Int(w.best.errors as i64)),
-                ("depth1".into(), point(&w.depth1)),
-                (
-                    "pipelining_speedup".into(),
-                    JsonValue::Float(round2(w.best.ops_per_sec / w.depth1.ops_per_sec.max(1e-9))),
-                ),
-                ("curve".into(), JsonValue::Array(w.curve.iter().map(point).collect())),
-            ]),
-        ));
-    }
-    if let Some(q) = quorum {
-        members.push((
-            "quorum".into(),
-            JsonValue::Object(vec![
-                ("writes_per_sec".into(), JsonValue::Float(round2(q.quorum_writes_per_sec))),
-                ("reads_per_sec".into(), JsonValue::Float(round2(q.quorum_reads_per_sec))),
-                ("weak_writes_per_sec".into(), JsonValue::Float(round2(q.weak_writes_per_sec))),
-                ("weak_reads_per_sec".into(), JsonValue::Float(round2(q.weak_reads_per_sec))),
-                (
-                    "read_slowdown".into(),
-                    JsonValue::Float(round2(
-                        q.weak_reads_per_sec / q.quorum_reads_per_sec.max(1e-9),
-                    )),
-                ),
-            ]),
-        ));
-    }
-    if let Some(p) = pbft {
-        members.push((
-            "pbft".into(),
-            JsonValue::Object(vec![
-                ("commit_nanos_mean".into(), JsonValue::Float(round2(p.pbft_commit_nanos_mean))),
-                ("commit_nanos_p99".into(), JsonValue::Int(p.pbft_commit_nanos_p99)),
-                (
-                    "quorum_commit_nanos_mean".into(),
-                    JsonValue::Float(round2(p.quorum_commit_nanos_mean)),
-                ),
-                ("quorum_commit_nanos_p99".into(), JsonValue::Int(p.quorum_commit_nanos_p99)),
-                ("ops_per_sec".into(), JsonValue::Float(round2(p.pbft_ops_per_sec))),
-                ("quorum_ops_per_sec".into(), JsonValue::Float(round2(p.quorum_ops_per_sec))),
-                (
-                    "commit_latency_ratio".into(),
-                    JsonValue::Float(round2(
-                        p.pbft_commit_nanos_mean / p.quorum_commit_nanos_mean.max(1e-9),
-                    )),
-                ),
-            ]),
-        ));
-    }
-    if let Some(s) = streaming {
-        members.push((
-            "streaming".into(),
-            JsonValue::Object(vec![
-                ("stream_ops_per_sec".into(), JsonValue::Float(round2(s.stream_ops_per_sec))),
-                ("batch_ops_per_sec".into(), JsonValue::Float(round2(s.batch_ops_per_sec))),
-                ("peak_retained_bytes".into(), JsonValue::Int(s.peak_retained_bytes as i64)),
-                ("trace_bytes".into(), JsonValue::Int(s.trace_bytes as i64)),
-                (
-                    "retention_ratio".into(),
-                    JsonValue::Float(round2(
-                        s.peak_retained_bytes as f64 / (s.trace_bytes as f64).max(1.0),
-                    )),
-                ),
-            ]),
-        ));
-    }
-    JsonValue::Object(members).to_pretty()
-}
-
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
-/// FNV-1a over a byte string — the fingerprint hash for the golden-seed
-/// determinism tests (stable across platforms and toolchains, unlike
-/// `std`'s `RandomState` hashes). Delegates to the workspace-wide
-/// implementation in [`conprobe_json::frame`], which the `cpj1` record
-/// format (campaign journal, quorum state transfer) also uses.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    conprobe_json::frame::fnv64(bytes)
-}
 
 /// A golden fingerprint of one test instance: the FNV-1a hash of the
 /// compact trace JSON plus the per-kind anomaly counts and window totals.
@@ -830,7 +34,8 @@ pub struct GoldenFingerprint {
 }
 
 impl GoldenFingerprint {
-    /// One line per fingerprint, for `conprobe-bench --golden` output.
+    /// One line per fingerprint — what a golden mismatch prints, and the
+    /// form `benchmarks/expected.json` commits.
     pub fn render(&self) -> String {
         let counts: Vec<String> =
             self.anomaly_counts.iter().map(|(k, n)| format!("{k}={n}")).collect();
@@ -844,19 +49,22 @@ impl GoldenFingerprint {
     }
 }
 
-/// Runs `(service, kind, seed)` once and fingerprints the outcome.
-pub fn golden_fingerprint(service: ServiceKind, kind: TestKind, seed: u64) -> GoldenFingerprint {
-    let config = conprobe_harness::runner::TestConfig::paper(service, kind);
-    let result = run_one_test(&config, seed);
-    let trace_hash = fnv64(result.trace.to_json().to_compact().as_bytes());
-    let anomaly_counts =
-        AnomalyKind::ALL.iter().map(|k| (k.short(), result.analysis.count(*k))).collect();
+fn fingerprint(config: &TestConfig, seed: u64) -> GoldenFingerprint {
+    let result = run_one_test(config, seed);
     GoldenFingerprint {
-        trace_hash,
-        anomaly_counts,
+        trace_hash: fnv64(result.trace.to_json().to_compact().as_bytes()),
+        anomaly_counts: AnomalyKind::ALL
+            .iter()
+            .map(|k| (k.short(), result.analysis.count(*k)))
+            .collect(),
         content_windows: result.analysis.content_windows.iter().map(|w| w.windows.len()).sum(),
         order_windows: result.analysis.order_windows.iter().map(|w| w.windows.len()).sum(),
     }
+}
+
+/// Runs `(service, kind, seed)` once and fingerprints the outcome.
+pub fn golden_fingerprint(service: ServiceKind, kind: TestKind, seed: u64) -> GoldenFingerprint {
+    fingerprint(&TestConfig::paper(service, kind), seed)
 }
 
 /// Like [`golden_fingerprint`], but with the full observability layer
@@ -869,20 +77,11 @@ pub fn golden_fingerprint_observed(
     kind: TestKind,
     seed: u64,
 ) -> GoldenFingerprint {
-    let mut config = conprobe_harness::runner::TestConfig::paper(service, kind);
+    let mut config = TestConfig::paper(service, kind);
     config.obs = Some(conprobe_sim::ObsSink::with_log(
         conprobe_obs::EventLog::new(8192).with_min_severity(conprobe_obs::Severity::Debug),
     ));
-    let result = run_one_test(&config, seed);
-    let trace_hash = fnv64(result.trace.to_json().to_compact().as_bytes());
-    let anomaly_counts =
-        AnomalyKind::ALL.iter().map(|k| (k.short(), result.analysis.count(*k))).collect();
-    GoldenFingerprint {
-        trace_hash,
-        anomaly_counts,
-        content_windows: result.analysis.content_windows.iter().map(|w| w.windows.len()).sum(),
-        order_windows: result.analysis.order_windows.iter().map(|w| w.windows.len()).sum(),
-    }
+    fingerprint(&config, seed)
 }
 
 /// The fixed golden cases: one per service, covering both tests.
@@ -904,203 +103,4 @@ pub fn study_fingerprint() -> u64 {
     );
     let report = StudyReport::new(42, &[("Blogger", &t1, &t2)]);
     fnv64(report.to_json().as_bytes())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn synthetic_trace_is_deterministic_and_busy() {
-        let a = synthetic_trace(0xC0DE, 40);
-        let b = synthetic_trace(0xC0DE, 40);
-        assert_eq!(a, b);
-        assert_eq!(a.write_count(), 24);
-        assert_eq!(a.read_count(), 120);
-        // The perturbations must actually trigger checkers, or the bench
-        // times an empty fast path.
-        let analysis = analyze(&a, &CheckerConfig::default());
-        assert!(!analysis.observations.is_empty(), "synthetic trace must exercise the checkers");
-    }
-
-    #[test]
-    #[ignore = "baseline measurement helper"]
-    fn measure_prehoist_visibility_baseline() {
-        // The pre-hoist algorithm, verbatim shape: reads re-derived per
-        // (write, agent) pair.
-        use conprobe_core::visibility::{Visibility, VisibilityRecord};
-        fn visibility_prehoist(trace: &TestTrace<PostId>) -> Vec<VisibilityRecord<PostId>> {
-            let mut out = Vec::new();
-            let agents = trace.agents();
-            for (wop, id) in trace.writes() {
-                for &reader in &agents {
-                    let reads = trace.reads_by(reader);
-                    if reads.is_empty() {
-                        continue;
-                    }
-                    let first_seen = reads
-                        .iter()
-                        .filter(|r| r.read_seq().expect("read").contains(id))
-                        .map(|r| r.response)
-                        .min();
-                    let visibility = match first_seen {
-                        Some(at) => Visibility::After(at.delta_nanos(wop.response).max(0)),
-                        None => Visibility::Never,
-                    };
-                    out.push(VisibilityRecord {
-                        event: *id,
-                        writer: wop.agent,
-                        reader,
-                        written_at: wop.response,
-                        visibility,
-                    });
-                }
-            }
-            out
-        }
-        let scale = BenchScale::full();
-        let traces: Vec<TestTrace<PostId>> =
-            (0..8).map(|i| synthetic_trace(0xC0DE + i, 120)).collect();
-        let measure = || {
-            let mut records = 0usize;
-            let start = Instant::now();
-            for it in 0..scale.visibility_iters {
-                records += visibility_prehoist(&traces[it % traces.len()]).len();
-            }
-            records as f64 / start.elapsed().as_secs_f64()
-        };
-        measure(); // warm-up
-        let prehoist = measure();
-        bench_visibility(scale); // warm-up
-        let hoisted = bench_visibility(scale);
-        println!("prehoist={prehoist:.0} hoisted={hoisted:.0} records/sec");
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn report_json_is_valid_and_carries_all_metrics() {
-        let numbers = BenchNumbers {
-            checker_ops_per_sec: 1000.0,
-            campaign_tests_per_sec: 2.0,
-            campaign_events_per_sec: 50_000.0,
-            snapshot_reads_per_sec: 9000.0,
-            visibility_records_per_sec: 4000.0,
-        };
-        let depth1 = WirePoint {
-            connections: 8,
-            pipeline: 1,
-            ops_per_sec: 80_000.0,
-            p50_nanos: 1_000_000,
-            p99_nanos: 2_000_000,
-            p999_nanos: 3_000_000,
-            errors: 0,
-        };
-        let best = WirePoint {
-            connections: 256,
-            pipeline: 16,
-            ops_per_sec: 800_000.0,
-            p50_nanos: 4_000_000,
-            p99_nanos: 9_000_000,
-            p999_nanos: 12_000_000,
-            errors: 0,
-        };
-        let wire = WireBench { depth1, best, curve: vec![depth1, best] };
-        let quorum = QuorumBench {
-            quorum_writes_per_sec: 10.0,
-            quorum_reads_per_sec: 500.0,
-            weak_writes_per_sec: 12.0,
-            weak_reads_per_sec: 1500.0,
-        };
-        let pbft = PbftBench {
-            pbft_commit_nanos_mean: 900_000.0,
-            pbft_commit_nanos_p99: 1_500_000,
-            quorum_commit_nanos_mean: 300_000.0,
-            quorum_commit_nanos_p99: 500_000,
-            pbft_ops_per_sec: 4_000.0,
-            quorum_ops_per_sec: 6_000.0,
-        };
-        let streaming = StreamBench {
-            stream_ops_per_sec: 20_000.0,
-            batch_ops_per_sec: 19_000.0,
-            peak_retained_bytes: 5_000,
-            trace_bytes: 50_000,
-        };
-        let doc = conprobe_json::parse(&report_json(
-            "smoke",
-            numbers,
-            Some((2.0, 1.9)),
-            Some(&wire),
-            Some(&quorum),
-            Some(&pbft),
-            Some(&streaming),
-        ))
-        .expect("valid JSON");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("conprobe-bench/1"));
-        let current = doc.get("current").expect("current block");
-        assert_eq!(current.get("checker_ops_per_sec").and_then(|v| v.as_f64()), Some(1000.0));
-        assert!(doc.get("speedup").is_some());
-        assert!(doc.get("baseline").and_then(|b| b.get("numbers")).is_some());
-        let jo = doc.get("journal_overhead").expect("journal overhead block");
-        assert_eq!(jo.get("campaign_tests_per_sec_off").and_then(|v| v.as_f64()), Some(2.0));
-        assert!(jo.get("overhead_pct").and_then(|v| v.as_f64()).unwrap() > 0.0);
-        let wt = doc.get("wire_throughput").expect("wire throughput block");
-        assert_eq!(wt.get("ops_per_sec").and_then(|v| v.as_f64()), Some(800_000.0));
-        assert_eq!(wt.get("p99_nanos").and_then(|v| v.as_f64()), Some(9_000_000.0));
-        assert_eq!(wt.get("pipeline").and_then(|v| v.as_f64()), Some(16.0));
-        assert_eq!(wt.get("pipelining_speedup").and_then(|v| v.as_f64()), Some(10.0));
-        let d1 = wt.get("depth1").expect("depth1 baseline point");
-        assert_eq!(d1.get("ops_per_sec").and_then(|v| v.as_f64()), Some(80_000.0));
-        assert_eq!(d1.get("pipeline").and_then(|v| v.as_f64()), Some(1.0));
-        match wt.get("curve") {
-            Some(conprobe_json::JsonValue::Array(points)) => assert_eq!(points.len(), 2),
-            other => panic!("curve must be an array of points, got {other:?}"),
-        }
-        let q = doc.get("quorum").expect("quorum block");
-        assert_eq!(q.get("reads_per_sec").and_then(|v| v.as_f64()), Some(500.0));
-        assert_eq!(q.get("read_slowdown").and_then(|v| v.as_f64()), Some(3.0));
-        let pb = doc.get("pbft").expect("pbft block");
-        assert_eq!(pb.get("commit_nanos_mean").and_then(|v| v.as_f64()), Some(900_000.0));
-        assert_eq!(pb.get("commit_nanos_p99").and_then(|v| v.as_f64()), Some(1_500_000.0));
-        assert_eq!(pb.get("quorum_commit_nanos_p99").and_then(|v| v.as_f64()), Some(500_000.0));
-        assert_eq!(pb.get("commit_latency_ratio").and_then(|v| v.as_f64()), Some(3.0));
-        let st = doc.get("streaming").expect("streaming block");
-        assert_eq!(st.get("stream_ops_per_sec").and_then(|v| v.as_f64()), Some(20_000.0));
-        assert_eq!(st.get("peak_retained_bytes").and_then(|v| v.as_f64()), Some(5_000.0));
-        assert_eq!(st.get("retention_ratio").and_then(|v| v.as_f64()), Some(0.1));
-        // Without the stages, the blocks are absent (schema stays stable).
-        let bare =
-            conprobe_json::parse(&report_json("smoke", numbers, None, None, None, None, None))
-                .unwrap();
-        assert!(bare.get("journal_overhead").is_none());
-        assert!(bare.get("wire_throughput").is_none());
-        assert!(bare.get("quorum").is_none());
-        assert!(bare.get("pbft").is_none());
-        assert!(bare.get("streaming").is_none());
-    }
-
-    #[test]
-    fn streaming_bench_stage_measures_and_bounds_memory() {
-        let bench = bench_streaming(BenchScale::smoke());
-        assert!(bench.stream_ops_per_sec > 0.0);
-        assert!(bench.batch_ops_per_sec > 0.0);
-        assert!(bench.peak_retained_bytes > 0);
-        // The memory-bounded contract, on the bench pool itself:
-        // retained working state stays strictly under the raw trace
-        // size even with compact `PostId` keys, where interning buys
-        // the least (the wide-key win is pinned in the core crate's
-        // streaming-equivalence suite).
-        assert!(
-            bench.peak_retained_bytes < bench.trace_bytes,
-            "retained {} bytes vs trace {} bytes",
-            bench.peak_retained_bytes,
-            bench.trace_bytes
-        );
-    }
 }

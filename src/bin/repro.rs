@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! repro [--tests N] [--seed S] [--csv DIR] [artifact…]
+//! repro [--tests N] [--seed S] [--csv DIR] [--report FILE] [artifact…]
 //!
 //! artifacts: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!            totals ablate-clock ablate-antientropy session-guard
@@ -11,10 +11,11 @@
 //! Default is `all` with `--tests 120` (the paper ran ~1,000 instances per
 //! cell; 120 gives the same shapes with wider error bars in a few minutes).
 
-use conprobe_bench::{paper_services, run_cells};
 use conprobe_core::window::WindowKind;
 use conprobe_core::AnomalyKind;
-use conprobe_harness::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use conprobe_harness::campaign::{
+    run_campaign, run_campaign_with_progress, CampaignConfig, CampaignResult,
+};
 use conprobe_harness::figures;
 use conprobe_harness::proto::TestKind;
 use conprobe_harness::stats;
@@ -23,6 +24,7 @@ use conprobe_services::{catalog, ServiceKind};
 use conprobe_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Args {
     tests: u32,
@@ -53,15 +55,15 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--csv" => args.csv_dir = Some(it.next().ok_or("--csv needs a directory")?),
-            "--report" => {
-                args.report_path = Some(it.next().ok_or("--report needs a path")?)
-            }
+            "--report" => args.report_path = Some(it.next().ok_or("--report needs a path")?),
             "--help" | "-h" => {
-                return Err("usage: repro [--tests N] [--seed S] [--csv DIR] [--report FILE] [artifact…]\n\
+                return Err(
+                    "usage: repro [--tests N] [--seed S] [--csv DIR] [--report FILE] [artifact…]\n\
                     artifacts: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
                     totals ablate-clock ablate-antientropy session-guard whitebox \
                     rotation visibility all"
-                    .to_string())
+                        .to_string(),
+                )
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             other => args.artifacts.push(other.to_string()),
@@ -81,24 +83,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let want = |name: &str| {
-        args.artifacts.iter().any(|a| a == name || a == "all")
-    };
+    let want = |name: &str| args.artifacts.iter().any(|a| a == name || a == "all");
 
-    let services = paper_services();
+    let services = ServiceKind::ALL;
     eprintln!(
         "running campaign grid: {} services × 2 tests × {} instances (seed {})…",
         services.len(),
         args.tests,
         args.seed
     );
-    let cells = run_cells(&services, &[TestKind::Test1, TestKind::Test2], args.tests, args.seed);
-    let t1: Vec<&CampaignResult> =
-        services.iter().map(|s| &cells[&(*s, TestKind::Test1)]).collect();
-    let t2: Vec<&CampaignResult> =
-        services.iter().map(|s| &cells[&(*s, TestKind::Test2)]).collect();
+    let cells: Vec<(CampaignResult, CampaignResult)> = services
+        .iter()
+        .map(|&s| (run_cell(s, TestKind::Test1, &args), run_cell(s, TestKind::Test2, &args)))
+        .collect();
+    let t1: Vec<&CampaignResult> = cells.iter().map(|(a, _)| a).collect();
+    let t2: Vec<&CampaignResult> = cells.iter().map(|(_, b)| b).collect();
     let pairs: Vec<(&CampaignResult, &CampaignResult)> =
-        t1.iter().copied().zip(t2.iter().copied()).collect();
+        cells.iter().map(|(a, b)| (a, b)).collect();
 
     let mut out = String::new();
     if want("table1") {
@@ -153,11 +154,8 @@ fn main() -> ExitCode {
     println!("{out}");
 
     if let Some(path) = &args.report_path {
-        let cells_for_report: Vec<(&str, &CampaignResult, &CampaignResult)> = services
-            .iter()
-            .zip(t1.iter().zip(t2.iter()))
-            .map(|(s, (a, b))| (s.name(), *a, *b))
-            .collect();
+        let cells_for_report: Vec<(&str, &CampaignResult, &CampaignResult)> =
+            services.iter().zip(&cells).map(|(s, (a, b))| (s.name(), a, b)).collect();
         let report = conprobe_harness::report::StudyReport::new(args.seed, &cells_for_report);
         std::fs::write(path, report.to_json()).expect("write report");
         eprintln!("JSON report written to {path}");
@@ -180,14 +178,35 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs one (service, test) campaign cell. Per-test progress and throughput
+/// go to stderr — the full grid takes minutes at paper scale, and a silent
+/// run is indistinguishable from a hung one.
+fn run_cell(service: ServiceKind, kind: TestKind, args: &Args) -> CampaignResult {
+    let config = CampaignConfig::paper(service, kind, args.tests).with_seed(args.seed);
+    let started = Instant::now();
+    let progress = move |done: usize, total: usize| {
+        let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+        eprint!("\r  {service} {kind}: {done}/{total} tests ({rate:.1} tests/sec)");
+        if done == total {
+            eprintln!();
+        }
+    };
+    run_campaign_with_progress(&config, Some(&progress))
+}
+
 /// Ablation A1: sweep the Google+ model's anti-entropy period and report
 /// the median order-divergence window — the design knob behind Figure 10a.
 fn ablate_antientropy(tests: u32, seed: u64) -> String {
-    let mut s = String::from("\n== Ablation A1: Google+ anti-entropy period vs order-divergence window ==\n");
-    s += &format!("{:<22}{:>16}{:>16}\n", "anti-entropy period", "median window(s)", "OD prevalence");
+    let mut s = String::from(
+        "\n== Ablation A1: Google+ anti-entropy period vs order-divergence window ==\n",
+    );
+    s += &format!(
+        "{:<22}{:>16}{:>16}\n",
+        "anti-entropy period", "median window(s)", "OD prevalence"
+    );
     for secs in [1u64, 2, 4, 8] {
-        let mut config = CampaignConfig::paper(ServiceKind::GooglePlus, TestKind::Test2, tests)
-            .with_seed(seed);
+        let mut config =
+            CampaignConfig::paper(ServiceKind::GooglePlus, TestKind::Test2, tests).with_seed(seed);
         config.test.service_override = Some(gplus_with_antientropy(secs));
         let result = run_campaign(&config);
         let mut windows: Vec<f64> = stats::PAIRS
@@ -213,9 +232,8 @@ fn whitebox_experiment(tests: u32, seed: u64) -> String {
     use conprobe_harness::runner::{run_one_test, TestConfig};
     use conprobe_sim::SimRng;
 
-    let mut s = String::from(
-        "\n== Extension E1: white-box replica probing (Test 2, % of tests) ==\n",
-    );
+    let mut s =
+        String::from("\n== Extension E1: white-box replica probing (Test 2, % of tests) ==\n");
     s += &format!(
         "{:<12}{:>22}{:>22}{:>22}\n",
         "service", "black-box order div", "true order div", "true content div"
@@ -297,10 +315,8 @@ fn rotation_experiment(tests: u32, seed: u64) -> String {
 fn gplus_with_antientropy(secs: u64) -> catalog::Topology {
     let mut topo = catalog::topology(ServiceKind::GooglePlus);
     for (_, params) in &mut topo.replicas {
-        *params = ReplicaParams {
-            anti_entropy: Some(SimDuration::from_secs(secs)),
-            ..params.clone()
-        };
+        *params =
+            ReplicaParams { anti_entropy: Some(SimDuration::from_secs(secs)), ..params.clone() };
     }
     topo
 }
@@ -310,16 +326,12 @@ fn session_guard_experiment(tests: u32, seed: u64) -> String {
     let mut s = String::from(
         "\n== Extension A3: session-guard masking (Test 1, session anomaly prevalence %) ==\n",
     );
-    s += &format!(
-        "{:<12}{:>18}{:>18}\n",
-        "service", "unguarded", "with SessionGuard"
-    );
+    s += &format!("{:<12}{:>18}{:>18}\n", "service", "unguarded", "with SessionGuard");
     for service in [ServiceKind::GooglePlus, ServiceKind::FacebookFeed, ServiceKind::FacebookGroup]
     {
         let mut results: BTreeMap<bool, f64> = BTreeMap::new();
         for guarded in [false, true] {
-            let mut config =
-                CampaignConfig::paper(service, TestKind::Test1, tests).with_seed(seed);
+            let mut config = CampaignConfig::paper(service, TestKind::Test1, tests).with_seed(seed);
             config.test.use_guard = guarded;
             let out = run_campaign(&config);
             // Prevalence of *any* session anomaly.
@@ -332,12 +344,8 @@ fn session_guard_experiment(tests: u32, seed: u64) -> String {
                 / out.results.len().max(1) as f64;
             results.insert(guarded, pct);
         }
-        s += &format!(
-            "{:<12}{:>17.1}%{:>17.1}%\n",
-            service.name(),
-            results[&false],
-            results[&true]
-        );
+        s +=
+            &format!("{:<12}{:>17.1}%{:>17.1}%\n", service.name(), results[&false], results[&true]);
     }
     s
 }

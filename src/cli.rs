@@ -597,70 +597,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--corrupt" => corrupt = num(val(&mut it, a)?, a)?,
             "--reset" => reset = num(val(&mut it, a)?, a)?,
             "--trickle" => trickle = num(val(&mut it, a)?, a)?,
-            "--service" => {
-                service = Some(parse_service(
-                    it.next().ok_or(CliError("--service needs a value".into()))?,
-                )?)
-            }
-            "--test" => {
-                kind = parse_test(it.next().ok_or(CliError("--test needs a value".into()))?)?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or(CliError("--seed needs a value".into()))?
-                    .parse()
-                    .map_err(|e| CliError(format!("--seed: {e}")))?
-            }
-            "--tests" => {
-                tests = Some(
-                    it.next()
-                        .ok_or(CliError("--tests needs a value".into()))?
-                        .parse()
-                        .map_err(|e| CliError(format!("--tests: {e}")))?,
-                )
-            }
-            "--levels" => {
-                levels = it
-                    .next()
-                    .ok_or(CliError("--levels needs a value".into()))?
-                    .parse()
-                    .map_err(|e| CliError(format!("--levels: {e}")))?
-            }
+            "--service" => service = Some(parse_service(val(&mut it, a)?)?),
+            "--test" => kind = parse_test(val(&mut it, a)?)?,
+            "--seed" => seed = num(val(&mut it, a)?, a)?,
+            "--tests" => tests = Some(num(val(&mut it, a)?, a)?),
+            "--levels" => levels = num(val(&mut it, a)?, a)?,
             "--guard" => guard = true,
             "--whitebox" => whitebox = true,
             "--timeline" => show_timeline = true,
             "--test1" => test1 = true,
-            "--json" => {
-                json_out =
-                    Some(it.next().ok_or(CliError("--json needs a path".into()))?.to_string())
-            }
-            "--metrics" => {
-                metrics_out =
-                    Some(it.next().ok_or(CliError("--metrics needs a path".into()))?.to_string())
-            }
-            "--journal" => {
-                journal_out =
-                    Some(it.next().ok_or(CliError("--journal needs a path".into()))?.to_string())
-            }
-            "--resume" => {
-                resume =
-                    Some(it.next().ok_or(CliError("--resume needs a path".into()))?.to_string())
-            }
-            "--level" => {
-                level = parse_level(it.next().ok_or(CliError("--level needs a value".into()))?)?
-            }
-            "--target" => {
-                target =
-                    Some(it.next().ok_or(CliError("--target needs a prefix".into()))?.to_string())
-            }
-            "--cap" => {
-                cap = it
-                    .next()
-                    .ok_or(CliError("--cap needs a value".into()))?
-                    .parse()
-                    .map_err(|e| CliError(format!("--cap: {e}")))?
-            }
+            "--json" => json_out = Some(val(&mut it, a)?.to_string()),
+            "--metrics" => metrics_out = Some(val(&mut it, a)?.to_string()),
+            "--journal" => journal_out = Some(val(&mut it, a)?.to_string()),
+            "--resume" => resume = Some(val(&mut it, a)?.to_string()),
+            "--level" => level = parse_level(val(&mut it, a)?)?,
+            "--target" => target = Some(val(&mut it, a)?.to_string()),
+            "--cap" => cap = num(val(&mut it, a)?, a)?,
             other if other.starts_with('-') => {
                 return Err(CliError(format!("unknown flag '{other}'")))
             }

@@ -3,17 +3,18 @@
 //! divergence windows and the aggregated `study.json` must stay
 //! byte-identical to the pre-change tree.
 //!
-//! The literals below were captured with `conprobe-bench --golden` on the
-//! tree *before* the optimizations landed. If a change legitimately alters
-//! simulation or analysis semantics, re-capture with the same command and
-//! say so in the commit; if these fail on a perf-only change, the change
-//! is wrong.
+//! The literals below were captured on the tree *before* the
+//! optimizations landed. If a change legitimately alters simulation or
+//! analysis semantics, re-capture from the `got` line a failing case
+//! prints and say so in the commit; if these fail on a perf-only change,
+//! the change is wrong.
 
 use conprobe::bench::{
-    fnv64, golden_fingerprint, golden_fingerprint_observed, study_fingerprint, GoldenFingerprint,
+    golden_fingerprint, golden_fingerprint_observed, study_fingerprint, GoldenFingerprint,
     GOLDEN_CASES,
 };
 use conprobe_harness::proto::TestKind;
+use conprobe_json::frame::fnv64;
 use conprobe_services::ServiceKind;
 
 fn expect_case(
