@@ -1,0 +1,861 @@
+//! The live wire-plane commands — `serve`, `chaosd`, `probe`, `load`,
+//! `dispatch`, `worker` — and the ready-file they hand addresses over in.
+
+use super::args::*;
+use super::chaos::{fault_plan, interpose_on, ledger_counts, wire_chaos_plan};
+use super::study::{campaign_tests, progress_gauge, render_campaign_report, JournalArgs, TestSpec};
+use super::{write_file, write_metrics, CliError};
+use conprobe_core::trace::OpRecord;
+use conprobe_core::{AnomalyKind, CheckerConfig, StreamingAnalyzer, TestAnalysis};
+use conprobe_harness::journal;
+use conprobe_harness::runner::{checker_config_for, TestConfig, TestResult};
+use conprobe_obs::MetricsRegistry;
+use conprobe_services::live::StaleWindow;
+use conprobe_services::{ServiceKind, ShardRing};
+use conprobe_sim::net::Region;
+use conprobe_sim::SimRng;
+use conprobe_store::PostId;
+use conprobe_wire::{
+    drive_service_actions, run_dispatch, run_load, run_probe, run_probe_with_live, run_worker,
+    ChaosConfig, ChaosProxy, DispatchConfig, InjectProfile, LiveEvent, LoadConfig, ProbeConfig,
+    ReconnectPolicy, ServeConfig, WireServer, WorkerConfig,
+};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+/// The `key=value` file `serve`, `chaosd` and `dispatch` write once
+/// their listeners are bound, and `chaosd`, `probe`, `load` and `worker`
+/// read addresses back from.
+#[derive(Debug, Default, PartialEq)]
+pub(super) struct ReadyFile {
+    /// `region=host:port` lines, one per listener.
+    pub endpoints: Vec<(Region, SocketAddr)>,
+    /// The `shards=N` line of a `serve` (absent from older files).
+    pub shards: Option<usize>,
+    /// The `dispatch=host:port` line of a coordinator.
+    pub dispatch: Option<SocketAddr>,
+}
+
+impl ReadyFile {
+    pub fn parse(text: &str) -> Result<Self, CliError> {
+        let mut ready = ReadyFile::default();
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            if let Some(n) = line.strip_prefix("shards=") {
+                ready.shards =
+                    Some(n.parse().map_err(|e| CliError(format!("bad shards line: {e}")))?);
+            } else if let Some(a) = line.strip_prefix("dispatch=") {
+                let addr = a.parse().map_err(|e| CliError(format!("dispatch address '{a}': {e}")));
+                ready.dispatch = Some(addr?);
+            } else {
+                ready.endpoints.push(parse_endpoint(line)?);
+            }
+        }
+        Ok(ready)
+    }
+
+    pub fn render(&self) -> String {
+        let mut lines = String::new();
+        for (region, addr) in &self.endpoints {
+            let _ = writeln!(lines, "{}={addr}", region_token(*region));
+        }
+        if let Some(n) = self.shards {
+            let _ = writeln!(lines, "shards={n}");
+        }
+        if let Some(addr) = self.dispatch {
+            let _ = writeln!(lines, "dispatch={addr}");
+        }
+        lines
+    }
+
+    pub fn read(path: &str) -> Result<Self, CliError> {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| CliError(format!("read {path}: {e}")))?;
+        Self::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))
+    }
+
+    /// Reads the ready-file of a `serve` (or of a `chaosd` standing in
+    /// for one), which lists at least one endpoint.
+    pub fn read_serve(path: &str) -> Result<Self, CliError> {
+        let ready = Self::read(path)?;
+        if ready.endpoints.is_empty() {
+            return Err(CliError(format!("{path} lists no endpoints")));
+        }
+        Ok(ready)
+    }
+}
+
+/// Prints the bound listeners to stderr under `banner` and publishes
+/// them to the `--ready-file`, if one was asked for.
+fn announce(banner: &str, ready: &ReadyFile, path: &Option<String>) -> Result<(), CliError> {
+    let lines = ready.render();
+    eprint!("{banner} on:\n{lines}");
+    if let Some(path) = path {
+        write_file(path, &lines)?;
+        eprintln!("endpoints written to {path}");
+    }
+    Ok(())
+}
+
+/// Blocks until `stopped` reports a drain trigger or `--max-secs` have
+/// elapsed since `started`.
+fn wait_for_drain(started: Instant, max_secs: Option<u64>, stopped: impl Fn() -> bool) {
+    while !stopped() && max_secs.is_none_or(|cap| started.elapsed() < Duration::from_secs(cap)) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// Applies a command-line override to a library default.
+fn set<T>(slot: &mut T, value: Option<T>) {
+    if let Some(v) = value {
+        *slot = v;
+    }
+}
+
+/// `conprobe serve`: host a catalog service on real TCP listeners
+/// (`cpw1` protocol) until drained by a stop file, a `stop` frame, or
+/// `--max-secs`. Every `Option` tuning field overrides
+/// [`ServeConfig::loopback`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// Service to host.
+    pub service: ServiceKind,
+    /// Seed for replication-delay and latency-shaping streams.
+    pub seed: u64,
+    /// Base TCP port (region `i` binds `base+i`); 0 = ephemeral.
+    pub base_port: Option<u16>,
+    /// Multiplier on paper-WAN artificial latency (0 disables).
+    pub latency_scale: Option<f64>,
+    /// Probability of dropping a response (lossy-WAN emulation).
+    pub drop_prob: Option<f64>,
+    /// Seeded staleness window: `(replica index, lag nanos)`.
+    pub stale: Option<(usize, u64)>,
+    /// Keyspace shards in the hosted cluster.
+    pub shards: Option<usize>,
+    /// Event-loop worker threads multiplexing the connections.
+    pub event_loops: Option<usize>,
+    /// Bounded accept backlog: shed with a `busy` frame above this
+    /// many live connections (0 = unbounded).
+    pub max_conns: Option<usize>,
+    /// Slow-client eviction budget in milliseconds (0 = disabled).
+    pub stall_budget_ms: Option<u64>,
+    /// Drive the wire-timescale fault plan's crash/recover/brownout
+    /// timeline against the hosted replicas (0 = no faults).
+    pub fault_level: u32,
+    /// Seed for the fault plan (defaults to the serve seed).
+    pub fault_seed: Option<u64>,
+    /// Drive a measured incident timeline (outage-trace JSON)
+    /// instead of the synthetic escalation.
+    pub outage_trace: Option<String>,
+    /// Graceful-drain trigger file.
+    pub stop_file: Option<String>,
+    /// Write `region=addr` lines here once the listeners are bound.
+    pub ready_file: Option<String>,
+    /// Safety cap: drain after this many seconds.
+    pub max_secs: Option<u64>,
+    /// Dump the server's final metrics registry as JSON to this path.
+    pub metrics_out: Option<String>,
+}
+
+impl ServeArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        let stale = match (a.num(STALE_REPLICA)?, a.num::<u64>(STALE_LAG_MS)?) {
+            (Some(replica), lag_ms) => {
+                let lag_ms = lag_ms.unwrap_or(3_000);
+                let lag_nanos = lag_ms.checked_mul(1_000_000).ok_or_else(|| {
+                    CliError(format!(
+                        "{}: {lag_ms} ms does not fit in nanoseconds",
+                        STALE_LAG_MS.name
+                    ))
+                })?;
+                Some((replica, lag_nanos))
+            }
+            (None, Some(_)) => {
+                return Err(CliError(format!(
+                    "{} sets the lag of the {} window; pass both",
+                    STALE_LAG_MS.name, STALE_REPLICA.name
+                )))
+            }
+            (None, None) => None,
+        };
+        Ok(ServeArgs {
+            service: a.service()?,
+            seed: a.seed()?,
+            base_port: a.num(PORT)?,
+            latency_scale: a.num(LATENCY_SCALE)?,
+            drop_prob: a.num(DROP)?,
+            stale,
+            shards: a.num(SHARDS)?,
+            event_loops: a.num(EVENT_LOOPS)?,
+            max_conns: a.num(MAX_CONNS)?,
+            stall_budget_ms: a.num(STALL_BUDGET_MS)?,
+            fault_level: a.num(FAULT_LEVEL)?.unwrap_or(0),
+            fault_seed: a.num(FAULT_SEED)?,
+            outage_trace: a.text(OUTAGE_TRACE),
+            stop_file: a.text(STOP_FILE),
+            ready_file: a.text(READY_FILE),
+            max_secs: a.num(MAX_SECS)?,
+            metrics_out: a.text(METRICS),
+        })
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let (service, seed) = (self.service, self.seed);
+        let plan = fault_plan(
+            &self.outage_trace,
+            wire_chaos_plan,
+            self.fault_level,
+            self.fault_seed.unwrap_or(seed),
+        )?;
+        if !plan.network_effects().is_empty() {
+            eprintln!(
+                "note: the plan's {} network effect(s) need the chaosd interposer; \
+                 serve executes service actions only",
+                plan.network_effects().len()
+            );
+        }
+        let mut config = ServeConfig::loopback(service, seed);
+        config.stale_window =
+            self.stale.map(|(replica, lag_nanos)| StaleWindow { replica, lag_nanos });
+        config.stop_file = self.stop_file.as_ref().map(Into::into);
+        set(&mut config.base_port, self.base_port);
+        set(&mut config.latency_scale, self.latency_scale);
+        set(&mut config.drop_prob, self.drop_prob);
+        set(&mut config.shards, self.shards);
+        set(&mut config.event_loops, self.event_loops);
+        set(&mut config.max_connections, self.max_conns);
+        set(&mut config.stall_budget, self.stall_budget_ms.map(Duration::from_millis));
+        let server = WireServer::start(&config).map_err(|e| CliError(format!("serve: {e}")))?;
+        // Probes read the shard count back to label keyed cells.
+        let ready = ReadyFile {
+            endpoints: server.addrs().to_vec(),
+            shards: Some(server.shard_count()),
+            dispatch: None,
+        };
+        announce(&format!("serving {service} (seed {seed})"), &ready, &self.ready_file)?;
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            // The fault driver replays the plan's crash/recover/
+            // brownout timeline against the live replicas while the
+            // main thread watches for the drain triggers; a drain
+            // makes the driver bail out at its next 20 ms slice.
+            if !plan.service_actions().is_empty() {
+                scope.spawn(|| {
+                    let n =
+                        drive_service_actions(&server, &plan, |line| eprintln!("fault: {line}"));
+                    eprintln!("fault plan drained: {n} service action(s) executed");
+                });
+            }
+            wait_for_drain(started, self.max_secs, || server.stopping());
+            server.request_stop();
+        });
+        let metrics_json = server.join();
+        let _ = writeln!(out, "{service} drained after {:.1}s", started.elapsed().as_secs_f64());
+        write_metrics(out, &self.metrics_out, || metrics_json)
+    }
+}
+
+/// `conprobe chaosd`: interpose deterministic chaos between live probes
+/// and a serve's listeners — per-region proxies execute a fault-plan
+/// timeline plus seeded byte-level injections against the real TCP
+/// streams.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosdArgs {
+    /// The upstream serve's ready-file (`region=host:port` lines).
+    pub server_file: String,
+    /// Seed for every injection stream.
+    pub seed: u64,
+    /// Wire-timescale fault-plan intensity (0 = transparent relay).
+    pub fault_level: u32,
+    /// Seed for the fault plan (defaults to `seed`).
+    pub fault_seed: Option<u64>,
+    /// Replay a measured incident timeline (outage-trace JSON)
+    /// instead of the synthetic escalation.
+    pub outage_trace: Option<String>,
+    /// Per-frame probability of a seeded single-bit corruption.
+    pub corrupt: f64,
+    /// Per-frame probability of a hard connection reset.
+    pub reset: f64,
+    /// Per-frame probability of slow-loris trickle delivery.
+    pub trickle: f64,
+    /// Base TCP port for the proxy listeners (0 = ephemeral).
+    pub base_port: u16,
+    /// Write proxy `region=addr` lines here once bound (a drop-in
+    /// serve ready-file; the upstream's `shards=` line rides along).
+    pub ready_file: Option<String>,
+    /// Graceful-drain trigger file.
+    pub stop_file: Option<String>,
+    /// Safety cap: drain after this many seconds.
+    pub max_secs: Option<u64>,
+}
+
+impl ChaosdArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        Ok(ChaosdArgs {
+            server_file: a.text(SERVER_FILE).ok_or_else(|| {
+                CliError(format!("chaosd requires {} (a serve ready-file)", SERVER_FILE.name))
+            })?,
+            seed: a.seed()?,
+            fault_level: a.num(FAULT_LEVEL)?.unwrap_or(0),
+            fault_seed: a.num(FAULT_SEED)?,
+            outage_trace: a.text(OUTAGE_TRACE),
+            corrupt: a.num(CORRUPT)?.unwrap_or(0.0),
+            reset: a.num(RESET)?.unwrap_or(0.0),
+            trickle: a.num(TRICKLE)?.unwrap_or(0.0),
+            base_port: a.num(PORT)?.unwrap_or(0),
+            ready_file: a.text(READY_FILE),
+            stop_file: a.text(STOP_FILE),
+            max_secs: a.num(MAX_SECS)?,
+        })
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let seed = self.seed;
+        let upstream = ReadyFile::read_serve(&self.server_file)?;
+        let plan = fault_plan(
+            &self.outage_trace,
+            wire_chaos_plan,
+            self.fault_level,
+            self.fault_seed.unwrap_or(seed),
+        )?;
+        if !plan.service_actions().is_empty() {
+            eprintln!(
+                "note: the plan's {} service action(s) need `serve --fault-level`; \
+                 chaosd injects network effects only",
+                plan.service_actions().len()
+            );
+        }
+        let config = ChaosConfig {
+            seed,
+            plan,
+            inject: InjectProfile {
+                corrupt_prob: self.corrupt,
+                reset_prob: self.reset,
+                trickle_prob: self.trickle,
+                ..InjectProfile::default()
+            },
+            base_port: self.base_port,
+        };
+        let proxy = ChaosProxy::start(&config, &interpose_on(&upstream.endpoints))
+            .map_err(|e| CliError(format!("chaosd: {e}")))?;
+        // The upstream shard count passes through so probes pointed at
+        // the interposer still label keyed cells correctly.
+        let ready = ReadyFile { endpoints: proxy.addrs().to_vec(), ..upstream };
+        announce(&format!("chaos interposer (seed {seed})"), &ready, &self.ready_file)?;
+        let started = Instant::now();
+        wait_for_drain(started, self.max_secs, || {
+            self.stop_file.as_ref().is_some_and(|f| std::path::Path::new(f).exists())
+        });
+        proxy.request_stop();
+        let ledger = proxy.join();
+        let _ = writeln!(
+            out,
+            "chaosd drained after {:.1}s: {}",
+            started.elapsed().as_secs_f64(),
+            ledger_counts(&ledger)
+        );
+        Ok(())
+    }
+}
+
+/// `conprobe probe`: run live probe agents against remote `cpw1`
+/// endpoints and feed the traces through the standard analysis/journal
+/// pipeline. The cadence fields override [`ProbeConfig::loopback`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeArgs {
+    /// What the servers host (verified on connect) and how to test it;
+    /// per-instance seeds derive from the seed like a campaign's.
+    pub spec: TestSpec,
+    /// Number of test instances to run.
+    pub tests: u32,
+    /// `region=host:port` endpoints, one agent each.
+    pub endpoints: Vec<String>,
+    /// Read endpoints from a `serve --ready-file` instead.
+    pub server_file: Option<String>,
+    /// Background read period in milliseconds (the slow phase reads at
+    /// twice this).
+    pub read_ms: Option<u64>,
+    /// Reads per agent before a Test 2 instance completes.
+    pub reads_target: Option<u32>,
+    /// Dump the probe metrics registry as JSON to this path.
+    pub metrics_out: Option<String>,
+    /// Where finished instances are journaled.
+    pub journal: JournalArgs,
+    /// Keyspace key the probe addresses (keyed sharded frames);
+    /// `None` speaks the legacy un-keyed protocol.
+    pub key: Option<u32>,
+    /// Stream a running anomaly readout to stderr while agents run.
+    pub live: bool,
+}
+
+impl ProbeArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        let parsed = ProbeArgs {
+            spec: TestSpec::parse(a)?,
+            tests: a.num(TESTS)?.unwrap_or(1),
+            endpoints: a.all(ENDPOINT),
+            server_file: a.text(SERVER_FILE),
+            read_ms: a.num(READ_MS)?,
+            reads_target: a.num(READS)?,
+            metrics_out: a.text(METRICS),
+            journal: JournalArgs::parse(a)?,
+            key: a.num(KEY)?,
+            live: a.on(LIVE),
+        };
+        if parsed.endpoints.is_empty() && parsed.server_file.is_none() {
+            return Err(CliError(format!(
+                "probe requires {} region=host:port (repeatable) or {}",
+                ENDPOINT.name, SERVER_FILE.name
+            )));
+        }
+        if let Some(ms) = parsed.read_ms.filter(|ms| ms.checked_mul(2).is_none()) {
+            return Err(CliError(format!(
+                "{}: {ms} ms is too long to double for the slow phase",
+                READ_MS.name
+            )));
+        }
+        Ok(parsed)
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let TestSpec { service, kind, seed } = self.spec;
+        let ready = match &self.server_file {
+            Some(path) => ReadyFile::read_serve(path)?,
+            None => ReadyFile::default(),
+        };
+        let endpoints = if self.endpoints.is_empty() {
+            ready.endpoints
+        } else {
+            self.endpoints.iter().map(|s| parse_endpoint(s)).collect::<Result<_, _>>()?
+        };
+        let _ = writeln!(
+            out,
+            "{service} {kind} live probe × {} (seed {seed}): {} agent(s)",
+            self.tests,
+            endpoints.len()
+        );
+        let metrics = MetricsRegistry::new();
+        let journaled = self.journal.open()?;
+        // A keyed probe addresses one logical object; the cell label
+        // records which key and which shard owns it (from the serve
+        // ready-file's `shards=` line, defaulting to the serve
+        // default) so journals from different placements never mix.
+        let cell = match self.key {
+            Some(k) => {
+                let shards = ready.shards.unwrap_or(ServeConfig::loopback(service, seed).shards);
+                let shard = ShardRing::new(shards).shard_for_key(k);
+                format!("wire/{}/k{k}@s{shard}", journal::cell_id(service, kind))
+            }
+            None => format!("wire/{}", journal::cell_id(service, kind)),
+        };
+        let instances = journaled.units(&cell, "instance");
+        let root = SimRng::new(seed);
+        let mut analysis_config = TestConfig::paper(service, kind);
+        analysis_config.agent_regions = endpoints.iter().map(|(r, _)| *r).collect();
+        let mut results = Vec::new();
+        for i in 0..self.tests {
+            let inst_seed = root.split_indexed("test", u64::from(i)).seed();
+            let probe = || {
+                let mut pc = ProbeConfig::loopback(service, kind, endpoints.clone(), inst_seed);
+                if let Some(ms) = self.read_ms {
+                    pc.read_period = Duration::from_millis(ms);
+                    pc.slow_period = pc.read_period * 2;
+                }
+                if let Some(n) = self.reads_target {
+                    pc.reads_target = n;
+                    pc.fast_reads = n / 2;
+                }
+                pc.key = self.key;
+                let res = if self.live {
+                    run_probe_watched(&pc, i, checker_config_for(&analysis_config))
+                } else {
+                    run_probe(&pc)
+                };
+                res.map_err(|e| CliError(format!("probe: {e}")))
+            };
+            let r = instances.splice_or_run(i, inst_seed, &analysis_config, probe)?;
+            // Timing-dependent figures go to stderr; stdout stays
+            // grep/diff-stable for scripted runs.
+            let max_err = r.clock_error_nanos.iter().max().copied().unwrap_or(0);
+            eprintln!(
+                "  instance {i}: {:.1}s, max clock error {:.2} ms",
+                r.duration_secs,
+                max_err as f64 / 1e6
+            );
+            for h in r.agent_health.iter().filter(|h| h.quarantined) {
+                eprintln!(
+                    "  instance {i}: agent {} QUARANTINED ({}); partial trace salvaged",
+                    h.agent_index,
+                    if h.log_collected { "some records kept" } else { "no records" },
+                );
+            }
+            let _ = writeln!(
+                out,
+                "  instance {i}: {}; {} writes; {} anomaly observation(s)",
+                if r.completed { "completed" } else { "INCOMPLETE" },
+                r.writes_total,
+                r.analysis.observations.len(),
+            );
+            metrics.counter("wire.probe.instances").inc();
+            metrics.counter("wire.probe.writes").add(u64::from(r.writes_total));
+            metrics
+                .counter("wire.probe.reads")
+                .add(r.reads_per_agent.iter().map(|&n| u64::from(n)).sum());
+            let bounds = conprobe_obs::latency_bounds_nanos();
+            let h = metrics.histogram("wire.probe.clock_error_nanos", &bounds);
+            for e in &r.clock_error_nanos {
+                h.record(e.unsigned_abs());
+            }
+            results.push(r);
+        }
+        // The deterministic section: anomaly counts across instances,
+        // every kind always listed (CI diffs this block verbatim).
+        let _ = writeln!(out, "anomaly table:");
+        for kind in AnomalyKind::ALL {
+            let observations: usize = results.iter().map(|r| r.analysis.count(kind)).sum();
+            let instances = results.iter().filter(|r| r.analysis.has(kind)).count();
+            let name = kind.to_string();
+            let _ = writeln!(
+                out,
+                "  {name:<22} {instances}/{} instance(s), {observations} observation(s)",
+                results.len()
+            );
+        }
+        write_metrics(out, &self.metrics_out, || metrics.to_json().to_pretty())
+    }
+}
+
+/// One `probe --live` instance: the probe's tap feeds a streaming
+/// analyzer on a monitor thread whose readout goes to stderr (stdout
+/// must stay byte-identical to a tap-less run).
+fn run_probe_watched(
+    pc: &ProbeConfig,
+    instance: u32,
+    checkers: CheckerConfig<PostId>,
+) -> Result<TestResult, conprobe_harness::transport::EndpointError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let agents = pc.endpoints.len();
+    let monitor = std::thread::spawn(move || live_monitor(rx, agents, checkers));
+    let res = run_probe_with_live(pc, Some(tx));
+    match monitor.join() {
+        Ok(analysis) => eprintln!(
+            "  instance {instance}: live analysis finished: {} anomaly observation(s)",
+            analysis.observations.len()
+        ),
+        Err(_) => eprintln!("  instance {instance}: live monitor panicked"),
+    }
+    res
+}
+
+/// Drains a probe's live tap (`probe --live`): a k-way merge of the
+/// per-agent event streams on `(invoke, response)` — each agent's own
+/// stream already arrives invoke-ordered — reconstructs the trace order
+/// `TestTrace::new` sorts into, and feeds a [`StreamingAnalyzer`] for a
+/// running stderr readout. An event is released only once every
+/// still-active agent has one queued (or is done), so no later-arriving
+/// earlier event can violate the analyzer's watermark. Returns the
+/// finished analysis: same events, same order as the batch pass, so the
+/// two agree exactly.
+fn live_monitor(
+    rx: std::sync::mpsc::Receiver<LiveEvent>,
+    agents: usize,
+    config: CheckerConfig<PostId>,
+) -> TestAnalysis<PostId> {
+    let mut analyzer = StreamingAnalyzer::new(&config);
+    let mut queues: Vec<VecDeque<OpRecord<PostId>>> =
+        (0..agents).map(|_| VecDeque::new()).collect();
+    let mut done = vec![false; agents];
+    let mut last = [0usize; 6];
+    for event in rx {
+        match event {
+            LiveEvent::Op(op) => {
+                let a = op.agent.0 as usize;
+                if a < agents {
+                    queues[a].push_back(op);
+                }
+            }
+            LiveEvent::Done(a) => {
+                if (a as usize) < agents {
+                    done[a as usize] = true;
+                }
+            }
+        }
+        while !queues.iter().zip(&done).any(|(q, d)| q.is_empty() && !d) {
+            // Ties across agents resolve lowest-agent-first in both this
+            // `min_by_key` and the batch path's stable sort.
+            let Some(next) = queues
+                .iter()
+                .enumerate()
+                .filter_map(|(i, q)| q.front().map(|f| (i, (f.invoke, f.response))))
+                .min_by_key(|&(_, key)| key)
+                .map(|(i, _)| i)
+            else {
+                break;
+            };
+            let op = queues[next].pop_front().expect("front checked above");
+            analyzer.push_event(&op);
+            let counts = analyzer.live_counts();
+            if counts != last {
+                last = counts;
+                eprintln!(
+                    "  live: {} op(s) in; ryw {} mw {} mr {} wfr {} cd {} od {}",
+                    analyzer.events_pushed(),
+                    counts[0],
+                    counts[1],
+                    counts[2],
+                    counts[3],
+                    counts[4],
+                    counts[5],
+                );
+            }
+        }
+    }
+    analyzer.finish()
+}
+
+/// `conprobe load`: closed-loop load generator against one `cpw1`
+/// endpoint. Every `Option` field overrides [`LoadConfig::loopback`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadArgs {
+    /// `host:port` to load.
+    pub addr: Option<SocketAddr>,
+    /// Read the first endpoint from a `serve --ready-file` instead.
+    pub server_file: Option<String>,
+    /// Concurrent connections (multiplexed, not threads).
+    pub connections: Option<usize>,
+    /// In-flight pipelined requests per connection.
+    pub pipeline: Option<usize>,
+    /// Sweeper threads the connections are spread over.
+    pub threads: Option<usize>,
+    /// Keyspace keys the reads cycle through round-robin.
+    pub keys: Option<u32>,
+    /// Wall-clock duration of the measurement loop in seconds.
+    pub secs: Option<u64>,
+    /// Warm-up seconds before measurement begins. Unlike the library's
+    /// short default warm-up, the command line measures from the start
+    /// unless told otherwise.
+    pub warmup_secs: u64,
+    /// Optional total ops/sec pacing target (default: flat out).
+    pub target_ops: Option<u64>,
+    /// Dump the load metrics registry as JSON to this path.
+    pub metrics_out: Option<String>,
+}
+
+impl LoadArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        let parsed = LoadArgs {
+            addr: a.num(ADDR)?,
+            server_file: a.text(SERVER_FILE),
+            connections: a.num(CONNECTIONS)?,
+            pipeline: a.num(PIPELINE)?,
+            threads: a.num(THREADS)?,
+            keys: a.num(KEYS)?,
+            secs: a.num(SECS)?,
+            warmup_secs: a.num(WARMUP_SECS)?.unwrap_or(0),
+            target_ops: a.num(TARGET_OPS)?,
+            metrics_out: a.text(METRICS),
+        };
+        if parsed.addr.is_none() && parsed.server_file.is_none() {
+            return Err(CliError(format!(
+                "load requires {} host:port or {}",
+                ADDR.name, SERVER_FILE.name
+            )));
+        }
+        Ok(parsed)
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let target = match (self.addr, &self.server_file) {
+            (Some(addr), _) => addr,
+            (None, Some(path)) => ReadyFile::read_serve(path)?.endpoints[0].1,
+            (None, None) => return Err(CliError("no endpoints given".into())),
+        };
+        let mut config = LoadConfig::loopback(target);
+        set(&mut config.connections, self.connections);
+        set(&mut config.pipeline, self.pipeline);
+        set(&mut config.threads, self.threads);
+        set(&mut config.keys, self.keys);
+        set(&mut config.duration, self.secs.map(Duration::from_secs));
+        config.warmup = Duration::from_secs(self.warmup_secs);
+        config.target_ops_per_sec = self.target_ops;
+        let metrics = MetricsRegistry::new();
+        let report = run_load(&config, &metrics).map_err(|e| CliError(format!("load: {e}")))?;
+        // A saturated percentile fell in the histogram's open-ended
+        // overflow bucket: the printed bound is a floor, not a
+        // measurement, and is marked as such.
+        let sat = |saturated: bool| if saturated { "+ (saturated)" } else { "" };
+        let _ = writeln!(
+            out,
+            "load {target}: {} ops in {:.1}s over {} connection(s) \
+             x {} in-flight ({:.0} ops/sec); \
+             p50 {:.2} ms{}, p99 {:.2} ms{}, p999 {:.2} ms{}; \
+             {} error(s) ({} ordering, {} decode; \
+             {} connection(s) affected, worst {})",
+            report.ops,
+            report.elapsed_secs,
+            config.connections,
+            config.pipeline,
+            report.ops_per_sec,
+            report.p50_nanos as f64 / 1e6,
+            sat(report.p50_saturated),
+            report.p99_nanos as f64 / 1e6,
+            sat(report.p99_saturated),
+            report.p999_nanos as f64 / 1e6,
+            sat(report.p999_saturated),
+            report.errors,
+            report.ordering_errors,
+            report.decode_errors,
+            report.conns_with_errors,
+            report.max_conn_errors
+        );
+        write_metrics(out, &self.metrics_out, || metrics.to_json().to_pretty())
+    }
+}
+
+/// `conprobe dispatch`: coordinate a campaign cell farmed out to
+/// `worker` processes over TCP, journaling every pushed result and
+/// merging byte-identically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DispatchArgs {
+    /// What to run.
+    pub spec: TestSpec,
+    /// Number of instances.
+    pub tests: u32,
+    /// Address to listen on (port 0 = ephemeral; default loopback).
+    pub addr: Option<SocketAddr>,
+    /// Seconds a granted unit may stay unfinished before re-issue.
+    pub lease_secs: u64,
+    /// Write a `dispatch=addr` line here once the listener is bound.
+    pub ready_file: Option<String>,
+    /// The journal workers' results merge through (mandatory).
+    pub journal: JournalArgs,
+}
+
+impl DispatchArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        let parsed = DispatchArgs {
+            spec: TestSpec::parse(a)?,
+            tests: campaign_tests(a)?,
+            addr: a.num(ADDR)?,
+            lease_secs: a.num(LEASE_SECS)?.unwrap_or(30),
+            ready_file: a.text(READY_FILE),
+            journal: JournalArgs::parse(a)?,
+        };
+        if parsed.journal.journal_out.is_none() && parsed.journal.resume.is_none() {
+            return Err(CliError(format!(
+                "dispatch requires {} FILE or {} FILE (the journal is the medium workers' \
+                 results merge through)",
+                JOURNAL.name, RESUME.name
+            )));
+        }
+        Ok(parsed)
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let tests = self.tests;
+        let journaled = self.journal.open()?;
+        let journal_file =
+            journaled.journal.ok_or(CliError("dispatch requires a journal".into()))?;
+        let cell = journal::cell_id(self.spec.service, self.spec.kind);
+        let dcfg = DispatchConfig {
+            config: self.spec.campaign_config(tests),
+            cell: cell.clone(),
+            addr: self.addr.unwrap_or(SocketAddr::from(([127, 0, 0, 1], 0))),
+            lease_timeout: Duration::from_secs(self.lease_secs),
+        };
+        let mut on_ready = |bound: SocketAddr| {
+            eprintln!("dispatching {cell} × {tests} on {bound}");
+            if let Some(path) = &self.ready_file {
+                let ready = ReadyFile { dispatch: Some(bound), ..ReadyFile::default() };
+                match write_file(path, ready.render()) {
+                    Ok(()) => eprintln!("address written to {path}"),
+                    Err(e) => eprintln!("{e}"),
+                }
+            }
+        };
+        let (result, stats) = run_dispatch(
+            &dcfg,
+            journal_file,
+            journaled.recovery.as_ref(),
+            &mut on_ready,
+            Some(&progress_gauge()),
+        )
+        .map_err(|e| CliError(format!("dispatch: {e}")))?;
+        render_campaign_report(out, &self.spec, tests, &result);
+        eprintln!(
+            "  {} worker connection(s), {} lease(s) re-issued",
+            stats.connections, stats.reissued
+        );
+        Ok(())
+    }
+}
+
+/// `conprobe worker`: pull leased work units from a `dispatch`
+/// coordinator, run them with the ordinary panic-isolated runner, and
+/// push results back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerArgs {
+    /// What to run (must match the coordinator's).
+    pub spec: TestSpec,
+    /// Number of instances (must match the coordinator's).
+    pub tests: u32,
+    /// The coordinator's `host:port`.
+    pub addr: Option<SocketAddr>,
+    /// Read the coordinator address from a `dispatch --ready-file`.
+    pub server_file: Option<String>,
+    /// Worker id for progress labels.
+    pub worker_id: u32,
+}
+
+impl WorkerArgs {
+    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
+        let parsed = WorkerArgs {
+            spec: TestSpec::parse(a)?,
+            tests: campaign_tests(a)?,
+            addr: a.num(ADDR)?,
+            server_file: a.text(SERVER_FILE),
+            worker_id: a.num(WORKER_ID)?.unwrap_or(0),
+        };
+        if parsed.addr.is_none() && parsed.server_file.is_none() {
+            return Err(CliError(format!(
+                "worker requires {} host:port or {}",
+                ADDR.name, SERVER_FILE.name
+            )));
+        }
+        Ok(parsed)
+    }
+
+    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
+        let worker_id = self.worker_id;
+        let addr = match (self.addr, &self.server_file) {
+            (Some(addr), _) => addr,
+            (None, Some(path)) => ReadyFile::read(path)?
+                .dispatch
+                .ok_or_else(|| CliError(format!("{path} has no dispatch= line")))?,
+            (None, None) => return Err(CliError("no coordinator address given".into())),
+        };
+        let wcfg = WorkerConfig {
+            addr,
+            config: self.spec.campaign_config(self.tests),
+            cell: journal::cell_id(self.spec.service, self.spec.kind),
+            worker_id,
+            // More patient than the probe default: a worker may dial
+            // before its coordinator binds, and campaigns outlive the
+            // occasional dropped connection.
+            reconnect: ReconnectPolicy {
+                attempts: 10,
+                base_delay: Duration::from_millis(50),
+                max_delay: Duration::from_secs(2),
+                seed: self.spec.seed ^ u64::from(worker_id),
+            },
+        };
+        let report = run_worker(&wcfg).map_err(|e| CliError(format!("worker {worker_id}: {e}")))?;
+        let _ = writeln!(
+            out,
+            "worker {worker_id}: {} completed, {} crashed, {} reconnect(s)",
+            report.completed, report.crashed, report.reconnects
+        );
+        Ok(())
+    }
+}
