@@ -26,7 +26,6 @@
 //! anomalies client-side.
 
 use crate::proto::{test1_post, AgentTestPlan, HarnessMsg, LocalOpRecord, Msg, TestKind};
-use crate::transport::{SimRpc, Transport};
 use conprobe_core::trace::OpKind;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
 use conprobe_session::{GuardConfig, IssueOrder, SessionGuard};
@@ -157,11 +156,6 @@ pub struct AgentNode {
     guard: Option<SessionGuard<PostId, PostIdOrder>>,
     use_guard: bool,
     obs: Option<AgentObs>,
-    /// Where requests go. Installed on `Start` (aimed at the plan's
-    /// service front door); every transmission — first sends and
-    /// retransmits alike — flows through this seam, so the sim and wire
-    /// paths share the agent's entire retry/backoff/logging machinery.
-    transport: Option<Box<dyn Transport>>,
 }
 
 impl AgentNode {
@@ -189,7 +183,6 @@ impl AgentNode {
             guard: None,
             use_guard,
             obs: None,
-            transport: None,
         }
     }
 
@@ -235,10 +228,10 @@ impl AgentNode {
         }
     }
 
-    /// The installed transport. Like [`Self::plan`], only valid once a
-    /// `Start` has arrived — which is the only path that issues requests.
-    fn transport(&mut self) -> &mut dyn Transport {
-        self.transport.as_deref_mut().expect("agent issued a request before receiving a plan")
+    /// Sends one transmission of `op` — a first send or a retransmit —
+    /// to the plan's service front door.
+    fn send_request(&self, ctx: &mut Context<'_, Msg>, req_id: u64, op: ClientOp) {
+        ctx.send(self.plan().service_entry, NetMsg::Request { req_id, op });
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, op: ClientOp, kind: PendingOp) {
@@ -246,7 +239,7 @@ impl AgentNode {
         self.next_req += 1;
         self.pending
             .insert(req_id, Pending { invoke: ctx.now_local(), kind, op: op.clone(), attempts: 1 });
-        self.transport().send_request(ctx, req_id, op);
+        self.send_request(ctx, req_id, op);
         let delay = self.retry_delay(ctx, 1);
         ctx.set_timer(delay, TOKEN_RETRY | req_id);
     }
@@ -308,7 +301,7 @@ impl AgentNode {
                 if let Some(obs) = &self.obs {
                     obs.retransmits.inc();
                 }
-                self.transport().send_request(ctx, req_id, op);
+                self.send_request(ctx, req_id, op);
                 let delay = self.retry_delay(ctx, attempts);
                 ctx.set_timer(delay, TOKEN_RETRY | req_id);
             }
@@ -428,7 +421,6 @@ impl Node<Msg> for AgentNode {
                 self.guard =
                     self.use_guard.then(|| SessionGuard::new(GuardConfig::default(), PostIdOrder));
                 debug_assert_eq!(plan.agent_index, self.agent_index, "plan routed to wrong agent");
-                self.transport = Some(Box::new(SimRpc::new(plan.service_entry)));
                 let now = ctx.now_local();
                 let wait = plan.start_at_local.delta_nanos(now).max(0) as u64;
                 self.plan = Some(*plan);

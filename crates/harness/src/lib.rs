@@ -70,4 +70,4 @@ pub use coordinator::AgentHealth;
 pub use journal::{Journal, JournalError, Recovery};
 pub use proto::{HarnessMsg, Msg, TestKind};
 pub use runner::{run_one_test, TestConfig, TestResult};
-pub use transport::{EndpointError, ServiceEndpoint, SimRpc, Transport};
+pub use transport::{EndpointError, ServiceEndpoint};

@@ -1,70 +1,24 @@
-//! The transport seam between measurement logic and the network.
+//! The blocking endpoint the live agents call a service through.
 //!
-//! The paper's agents spoke HTTP to live services; our reproduction mostly
-//! drives the same agent logic over the simulated WAN. This module pins the
-//! boundary down as a pair of traits so both paths are provably the same
-//! code:
+//! The paper's agents spoke HTTP to live services. This reproduction has
+//! two agents: [`AgentNode`](crate::agent::AgentNode), an event-driven
+//! state machine inside the simulator that sends each request straight
+//! to its plan's front-door node, and the live probe agent in
+//! `conprobe-wire`, a thread that blocks on a [`ServiceEndpoint`] over
+//! real sockets. They are not the same code: the Test 1 / Test 2 cadence
+//! (who writes when, the adaptive read period, when an agent is done)
+//! lives twice, once per agent. What the two share is everything around
+//! it — the post naming ([`test1_post`](crate::proto::test1_post)), the
+//! [`clocksync`](crate::clocksync) estimator, the trace and record types
+//! ([`LocalOpRecord`](crate::proto::LocalOpRecord),
+//! [`TestResult`](crate::runner::TestResult)), and the `analyze()`
+//! checkers — so a live trace flows through the journal, report and
+//! anomaly tables exactly as a simulated one does.
 //!
-//! * [`Transport`] — the *event-driven* side used inside a simulation: a
-//!   fire-and-forget request send, with responses delivered back through
-//!   the normal [`Node::on_message`](conprobe_sim::Node::on_message) path.
-//!   [`SimRpc`] is the in-sim implementation; [`AgentNode`](crate::agent)
-//!   issues every operation (first transmissions *and* retransmits)
-//!   through it.
-//! * [`ServiceEndpoint`] — the *blocking* side used by real-network
-//!   clients: one call, one response, over whatever wire the
-//!   implementation owns. `conprobe-wire`'s TCP client implements this;
-//!   the live probe agents and the load generator are written against the
-//!   trait, so an in-process fake can stand in for a socket in tests.
-//!
-//! Keeping both traits here (rather than in the wire crate) lets the
-//! harness stay ignorant of sockets while the wire crate reuses the
-//! harness's agent cadence, clock-sync estimator and trace types.
+//! The trait lives here, not in the wire crate, so the harness stays
+//! ignorant of sockets and an in-process fake can stand in for one.
 
-use crate::proto::Msg;
-use conprobe_services::{ClientOp, NetMsg, OpResult};
-use conprobe_sim::{Context, NodeId};
-
-/// Event-driven request transport used by in-sim agents.
-///
-/// Implementations send `op` tagged with `req_id` toward the service; the
-/// response (if any) arrives later as a
-/// [`NetMsg::Response`](conprobe_services::NetMsg) carrying the same
-/// `req_id`. The transport owns *where* the request goes; the agent owns
-/// retries, timeouts and logging. (`Send` because campaign workers move
-/// whole worlds — agents included — across OS threads.)
-pub trait Transport: Send {
-    /// Sends one request. Fire-and-forget: delivery and reply are the
-    /// network's problem.
-    fn send_request(&mut self, ctx: &mut Context<'_, Msg>, req_id: u64, op: ClientOp);
-}
-
-/// The simulated RPC path: requests go to a fixed service front door over
-/// the in-sim network, exactly as the pre-trait agent did with a direct
-/// `ctx.send`. Byte-for-byte identical event sequences — the golden
-/// determinism fingerprints prove it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimRpc {
-    entry: NodeId,
-}
-
-impl SimRpc {
-    /// A transport aimed at the given service front door.
-    pub fn new(entry: NodeId) -> Self {
-        SimRpc { entry }
-    }
-
-    /// The service front door this transport targets.
-    pub fn entry(&self) -> NodeId {
-        self.entry
-    }
-}
-
-impl Transport for SimRpc {
-    fn send_request(&mut self, ctx: &mut Context<'_, Msg>, req_id: u64, op: ClientOp) {
-        ctx.send(self.entry, NetMsg::Request { req_id, op });
-    }
-}
+use conprobe_services::{ClientOp, OpResult};
 
 /// A transport-level failure from a blocking endpoint: the connection
 /// died, the peer spoke garbage, or the protocol versions disagree.
@@ -93,47 +47,4 @@ pub trait ServiceEndpoint {
     /// [`ProbeSample`](crate::clocksync::ProbeSample) whose
     /// `agent_reading` is the server's reading.
     fn server_clock(&mut self) -> Result<i64, EndpointError>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use conprobe_services::ServiceKind;
-    use conprobe_sim::net::Region;
-    use conprobe_sim::{Node, World, WorldConfig};
-    use conprobe_store::PostId;
-    use std::sync::{Arc, Mutex};
-
-    struct OneShot {
-        transport: SimRpc,
-        seen: Arc<Mutex<Vec<OpResult>>>,
-    }
-
-    impl Node<Msg> for OneShot {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            self.transport.send_request(ctx, 7, ClientOp::Read);
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-            if let NetMsg::Response { req_id, result } = msg {
-                assert_eq!(req_id, 7);
-                self.seen.lock().unwrap().push(result);
-            }
-        }
-
-        fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _token: u64) {}
-    }
-
-    #[test]
-    fn sim_rpc_round_trips_through_the_service_front_door() {
-        let mut world: World<Msg> = World::new(WorldConfig::default(), 42);
-        let cluster = conprobe_services::deploy(&mut world, ServiceKind::Blogger);
-        let entry = cluster.entry_for(Region::Oregon);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let node = OneShot { transport: SimRpc::new(entry), seen: Arc::clone(&seen) };
-        world.add_node(Region::Oregon, Box::new(node));
-        world.run_until_idle();
-        let got = seen.lock().unwrap();
-        assert_eq!(got.as_slice(), &[OpResult::ReadOk(Vec::<PostId>::new())]);
-    }
 }

@@ -18,10 +18,9 @@
 //! [`ReplicaCore`] per replica (created on first touch), so each key is
 //! a fully isolated logical object with exactly the single-object
 //! semantics the paper measures — a write to one key is never visible
-//! to readers of another, even when the ring co-locates them. The
-//! legacy un-keyed [`LiveCluster::write`]/[`LiveCluster::read`] API is
-//! key 0 of the keyed API; with `shards: 1` the cluster is byte-for-byte
-//! the pre-sharding one.
+//! to readers of another, even when the ring co-locates them. Key 0 is
+//! the paper's single-object workload; with `shards: 1` the cluster is
+//! byte-for-byte the pre-sharding one.
 //!
 //! Fidelity note: the live driver reuses the catalog's per-replica
 //! [`OrderingPolicy`](conprobe_store::OrderingPolicy), replication-delay
@@ -32,7 +31,7 @@
 //! demand, [`LiveConfig::stale_window`] pins one replica behind a
 //! bounded-lag read cache — a deliberately seeded anomaly window the
 //! probe pipeline is expected to detect. The pin applies to that replica
-//! in *every* shard, so keyed and un-keyed probes see the same anomaly.
+//! in *every* shard, so a probe sees the same anomaly at every key.
 
 use crate::catalog::{topology, ServiceKind};
 use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
@@ -268,12 +267,6 @@ impl LiveCluster {
         self.affinity.replica_for(region)
     }
 
-    /// Accepts an un-keyed write — key 0 of the sharded keyspace (the
-    /// single-object workload the paper's probes drive).
-    pub fn write(&self, region: Region, post: Post, now_nanos: u64) -> PostId {
-        self.write_keyed(region, 0, post, now_nanos)
-    }
-
     /// Accepts a write for `key` at `region`'s replica of the owning
     /// shard. Local-ack services (all four measured ones) schedule
     /// asynchronous replication pushes to every peer with per-peer
@@ -327,11 +320,6 @@ impl LiveCluster {
         id
     }
 
-    /// Serves an un-keyed read — key 0 of the sharded keyspace.
-    pub fn read(&self, region: Region, now_nanos: u64) -> Vec<PostId> {
-        self.read_keyed(region, 0, now_nanos).to_vec()
-    }
-
     /// Serves a read for `key` at `region`'s replica of the owning shard,
     /// from the policy-ordered snapshot — or, for a stale-pinned replica,
     /// from its bounded-age cached snapshot. The returned snapshot is the
@@ -346,7 +334,7 @@ impl LiveCluster {
             (Some(caches), Some(w)) => {
                 // Per-key cache: primed empty at cluster-start age, so
                 // the first in-window reads of a key serve the cached
-                // (empty) snapshot exactly like the un-keyed pin did.
+                // (empty) snapshot.
                 let (cache, taken_at) =
                     caches.entry(key).or_insert_with(|| (Arc::from(Vec::new()), 0));
                 if now_nanos.saturating_sub(*taken_at) >= w.lag_nanos {
@@ -681,6 +669,18 @@ mod tests {
         LiveCluster::new(&LiveConfig { kind, seed: 7, stale_window: None, shards })
     }
 
+    /// Key 0 — the paper's single-object workload — for the tests that
+    /// predate the keyspace.
+    impl LiveCluster {
+        fn write(&self, region: Region, post: Post, now_nanos: u64) -> PostId {
+            self.write_keyed(region, 0, post, now_nanos)
+        }
+
+        fn read(&self, region: Region, now_nanos: u64) -> Vec<PostId> {
+            self.read_keyed(region, 0, now_nanos).to_vec()
+        }
+    }
+
     #[test]
     fn blogger_is_read_your_writes_clean() {
         let c = cluster(ServiceKind::Blogger, None);
@@ -807,10 +807,10 @@ mod tests {
     }
 
     #[test]
-    fn keyed_replication_matches_unkeyed_semantics_per_shard() {
-        // A keyed write on a sharded FB Feed exhibits the same delayed
-        // replication the un-keyed path shows: each shard is a faithful
-        // copy of the topology.
+    fn keyed_replication_matches_key_zero_semantics_per_shard() {
+        // A write to any key of a sharded FB Feed exhibits the same
+        // delayed replication key 0 of a single shard shows: each shard
+        // is a faithful copy of the topology.
         let c = sharded(ServiceKind::FacebookFeed, 4);
         let key = 42u32;
         let id = c.write_keyed(Region::Oregon, key, post(0, 1), MS);

@@ -603,7 +603,7 @@ pub fn drive_service_actions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{decode, Frame};
+    use crate::frame::{decode, Frame, PROTO_VERSION};
     use crate::server::ServeConfig;
     use conprobe_services::ServiceKind;
     use conprobe_sim::faults::{FaultEvent, LinkScope};
@@ -657,15 +657,18 @@ mod tests {
 
     #[test]
     fn transparent_proxy_forwards_both_directions_unchanged() {
-        let reply =
-            Frame::HelloAck { proto: 4, server_clock_nanos: 7, service: "blogger".to_string() }
-                .encode();
+        let reply = Frame::HelloAck {
+            proto: PROTO_VERSION,
+            server_clock_nanos: 7,
+            service: "blogger".into(),
+        }
+        .encode();
         let (addr, rx) = sink_listener(Some(reply.clone()));
         let proxy = ChaosProxy::start(&transparent_config(1), &[target_for(addr)]).expect("proxy");
         let (region, paddr) = proxy.addrs()[0];
         assert_eq!(region, Region::Oregon);
 
-        let hello = Frame::Hello { proto: 4 }.encode();
+        let hello = Frame::Hello { proto: PROTO_VERSION }.encode();
         let mut conn = TcpStream::connect(paddr).expect("connect via proxy");
         conn.write_all(&hello).expect("send hello");
         let mut got = vec![0u8; reply.len()];
@@ -699,7 +702,7 @@ mod tests {
 
         let mut conn = TcpStream::connect(paddr).expect("connect");
         for _ in 0..3 {
-            conn.write_all(&Frame::Read.encode()).expect("send");
+            conn.write_all(&Frame::ReadQ { req: 0, key: 0 }.encode()).expect("send");
         }
         drop(conn);
 
@@ -719,7 +722,9 @@ mod tests {
             let paddr = proxy.addrs()[0].1;
             let mut conn = TcpStream::connect(paddr).expect("connect");
             conn.write_all(
-                &Frame::Write {
+                &Frame::WriteQ {
+                    req: 0,
+                    key: 0,
                     author: 1,
                     seq: 2,
                     client_ts_nanos: 3,
@@ -734,13 +739,15 @@ mod tests {
 
         let (bytes_a, ledger_a) = run(7);
         let (bytes_b, ledger_b) = run(7);
-        let (bytes_c, _) = run(8);
+        let (bytes_c, _) = run(9);
         assert_eq!(bytes_a, bytes_b, "same seed, same flipped bit");
         assert_ne!(bytes_a, bytes_c, "different seed corrupts differently");
         assert_eq!(ledger_a.corrupted, 1);
         assert_eq!(ledger_a, ledger_b);
 
-        let original = Frame::Write {
+        let original = Frame::WriteQ {
+            req: 0,
+            key: 0,
             author: 1,
             seq: 2,
             client_ts_nanos: 3,
@@ -772,8 +779,8 @@ mod tests {
         let proxy = ChaosProxy::start(&config, &[target_for(addr)]).expect("proxy");
         let paddr = proxy.addrs()[0].1;
 
-        let first = Frame::Read.encode();
-        let second = Frame::Hello { proto: 4 }.encode();
+        let first = Frame::ReadQ { req: 0, key: 0 }.encode();
+        let second = Frame::Hello { proto: PROTO_VERSION }.encode();
         let sent_at = Instant::now();
         let mut conn = TcpStream::connect(paddr).expect("connect");
         conn.write_all(&first).expect("send first");
@@ -798,7 +805,7 @@ mod tests {
         let paddr = proxy.addrs()[0].1;
 
         let mut conn = TcpStream::connect(paddr).expect("connect");
-        conn.write_all(&Frame::Read.encode()).expect("send");
+        conn.write_all(&Frame::ReadQ { req: 0, key: 0 }.encode()).expect("send");
         conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
         let mut buf = [0u8; 64];
         // The proxy slams both sides: the client sees EOF or a reset
@@ -822,7 +829,9 @@ mod tests {
         let proxy = ChaosProxy::start(&config, &[target_for(addr)]).expect("proxy");
         let paddr = proxy.addrs()[0].1;
 
-        let frame = Frame::Write {
+        let frame = Frame::WriteQ {
+            req: 0,
+            key: 0,
             author: 9,
             seq: 1,
             client_ts_nanos: 0,

@@ -1,18 +1,15 @@
 //! The TCP client side of `cpw1` — a blocking
 //! [`ServiceEndpoint`](conprobe_harness::transport::ServiceEndpoint).
 //!
-//! This is the live counterpart of the harness's in-sim
-//! [`SimRpc`](conprobe_harness::transport::SimRpc): the probe agents and
-//! the load generator are written against the `ServiceEndpoint` trait and
-//! never see a socket, so the sim and live measurement paths share one
-//! agent logic with only the transport swapped.
+//! The live probe agents and the load generator's seeder call it through
+//! that trait: one keyed operation per call, addressed to the client's
+//! current keyspace key, with reconnect-and-resend underneath.
 
-use crate::frame::{decode, Frame, PROTO_VERSION};
+use crate::frame::{read_frame, write_frame, Frame, PROTO_VERSION};
 use conprobe_harness::transport::{EndpointError, ServiceEndpoint};
 use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::SimRng;
 use conprobe_store::PostId;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -76,8 +73,8 @@ impl ReconnectPolicy {
 
 /// A connected `cpw1` client.
 ///
-/// One request is in flight at a time (the protocol has no correlation
-/// ids; ordering on the TCP stream is the correlation). The constructor
+/// One request is in flight at a time, and the response must echo its
+/// request id. The constructor
 /// performs the `hello` handshake and verifies the minor protocol
 /// version, so a connected client is always version-compatible. With a
 /// [`ReconnectPolicy`], a send or receive failure transparently
@@ -93,11 +90,10 @@ pub struct WireClient {
     reconnects: u64,
     service: String,
     last_server_clock_nanos: i64,
-    /// Keyed mode: `Some(key)` routes ops through the sharded
-    /// `read_q`/`write_q` frames for this keyspace key; `None` (the
-    /// default) speaks the legacy un-keyed frames (key 0 server-side).
-    key: Option<u32>,
-    /// Request-id stream for keyed frames.
+    /// The keyspace key every operation addresses (0 until
+    /// [`WireClient::set_key`] says otherwise).
+    key: u32,
+    /// Request-id stream.
     next_req: u32,
     /// Set when the server shed this client with a `busy` frame: the
     /// minimum wait the next reconnect must respect.
@@ -133,7 +129,7 @@ impl WireClient {
             reconnects: 0,
             service: String::new(),
             last_server_clock_nanos: 0,
-            key: None,
+            key: 0,
             next_req: 0,
             busy_hint_millis: None,
             busy_sheds: 0,
@@ -178,48 +174,27 @@ impl WireClient {
         self.busy_sheds
     }
 
-    /// Switches keyed mode: `Some(key)` makes every subsequent
-    /// [`ServiceEndpoint::call`] address that keyspace key through the
-    /// sharded `read_q`/`write_q` frames (the response's echoed request
-    /// id is verified); `None` restores the legacy un-keyed frames.
+    /// Makes every subsequent [`ServiceEndpoint::call`] address keyspace
+    /// key `key` — one isolated logical object per key. `None` is key 0.
     pub fn set_key(&mut self, key: Option<u32>) {
-        self.key = key;
-    }
-
-    /// The keyspace key of keyed mode, if enabled.
-    pub fn key(&self) -> Option<u32> {
-        self.key
+        self.key = key.unwrap_or(0);
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), EndpointError> {
-        self.stream.write_all(&frame.encode()).map_err(|e| io_err("send frame", e))
+        write_frame(&mut self.stream, frame).map_err(|e| io_err("send frame", e))
     }
 
     fn recv(&mut self) -> Result<Frame, EndpointError> {
-        let mut scratch = [0u8; 64 * 1024];
-        loop {
-            match decode(&self.buf).map_err(|e| EndpointError(format!("wire decode: {e}")))? {
-                Some((Frame::Busy { retry_after_millis }, consumed)) => {
-                    // Load shed: the server refuses this connection and
-                    // closes it. Surface a retryable error; the next
-                    // reconnect honours the server's wait hint.
-                    self.buf.drain(..consumed);
-                    self.busy_hint_millis = Some(retry_after_millis);
-                    self.busy_sheds += 1;
-                    return Err(EndpointError(format!(
-                        "server busy: retry after {retry_after_millis}ms"
-                    )));
-                }
-                Some((frame, consumed)) => {
-                    self.buf.drain(..consumed);
-                    return Ok(frame);
-                }
-                None => match self.stream.read(&mut scratch) {
-                    Ok(0) => return Err(EndpointError("server closed the connection".into())),
-                    Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
-                    Err(e) => return Err(io_err("read", e)),
-                },
+        match read_frame(&mut self.stream, &mut self.buf).map_err(|e| io_err("receive frame", e))? {
+            Frame::Busy { retry_after_millis } => {
+                // Load shed: the server refuses this connection and
+                // closes it. Surface a retryable error; the next
+                // reconnect honours the server's wait hint.
+                self.busy_hint_millis = Some(retry_after_millis);
+                self.busy_sheds += 1;
+                Err(EndpointError(format!("server busy: retry after {retry_after_millis}ms")))
             }
+            frame => Ok(frame),
         }
     }
 
@@ -306,11 +281,22 @@ impl WireClient {
         }
     }
 
-    /// One keyed operation: the sharded frame family, with the echoed
-    /// request id verified (a blocking client has exactly one request in
-    /// flight, so any other id means the stream is confused).
-    fn call_keyed(&mut self, key: u32, op: ClientOp) -> Result<OpResult, EndpointError> {
-        let req = self.next_req;
+    /// Asks the server to begin a graceful drain; returns once the server
+    /// acknowledged.
+    pub fn stop_server(&mut self) -> Result<(), EndpointError> {
+        match self.roundtrip(Frame::Stop)? {
+            Frame::StopAck => Ok(()),
+            other => Err(EndpointError(format!("expected stop_ack, got {other:?}"))),
+        }
+    }
+}
+
+impl ServiceEndpoint for WireClient {
+    /// One keyed operation, with the echoed request id verified (a
+    /// blocking client has exactly one request in flight, so any other
+    /// id means the stream is confused).
+    fn call(&mut self, op: ClientOp) -> Result<OpResult, EndpointError> {
+        let (req, key) = (self.next_req, self.key);
         self.next_req = self.next_req.wrapping_add(1);
         let request = match op {
             ClientOp::Write(post) => Frame::WriteQ {
@@ -323,59 +309,24 @@ impl WireClient {
             },
             ClientOp::Read => Frame::ReadQ { req, key },
             ClientOp::Inspect => {
-                return Err(EndpointError("inspect is not part of the wire protocol".into()));
-            }
-        };
-        match self.roundtrip(request)? {
-            Frame::WriteQAck { req: got, id } if got == req => {
-                Ok(OpResult::WriteAck(PostId::from_u64(id)))
-            }
-            Frame::ReadQOk { req: got, ids } if got == req => {
-                Ok(OpResult::ReadOk(ids.into_iter().map(PostId::from_u64).collect()))
-            }
-            Frame::WriteQAck { req: got, .. } | Frame::ReadQOk { req: got, .. } => Err(
-                EndpointError(format!("request id mismatch: sent {req}, response echoes {got}")),
-            ),
-            other => Err(EndpointError(format!("unexpected response frame {other:?}"))),
-        }
-    }
-
-    /// Asks the server to begin a graceful drain; returns once the server
-    /// acknowledged.
-    pub fn stop_server(&mut self) -> Result<(), EndpointError> {
-        match self.roundtrip(Frame::Stop)? {
-            Frame::StopAck => Ok(()),
-            other => Err(EndpointError(format!("expected stop_ack, got {other:?}"))),
-        }
-    }
-}
-
-impl ServiceEndpoint for WireClient {
-    fn call(&mut self, op: ClientOp) -> Result<OpResult, EndpointError> {
-        if let Some(key) = self.key {
-            return self.call_keyed(key, op);
-        }
-        let request = match op {
-            ClientOp::Write(post) => Frame::Write {
-                author: post.id.author.0,
-                seq: post.id.seq,
-                client_ts_nanos: post.client_ts.as_nanos(),
-                content: post.content,
-            },
-            ClientOp::Read => Frame::Read,
-            ClientOp::Inspect => {
                 // Replica introspection is a white-box, sim-only facility.
                 return Err(EndpointError("inspect is not part of the wire protocol".into()));
             }
         };
-        match self.roundtrip(request)? {
-            Frame::WriteAck { id } => Ok(OpResult::WriteAck(PostId::from_u64(id))),
-            Frame::ReadOk { ids } => {
-                Ok(OpResult::ReadOk(ids.into_iter().map(PostId::from_u64).collect()))
+        let (got, result) = match self.roundtrip(request)? {
+            Frame::WriteQAck { req, id } => (req, OpResult::WriteAck(PostId::from_u64(id))),
+            Frame::ReadQOk { req, ids } => {
+                (req, OpResult::ReadOk(ids.into_iter().map(PostId::from_u64).collect()))
             }
-            Frame::Throttled => Ok(OpResult::Throttled),
-            other => Err(EndpointError(format!("unexpected response frame {other:?}"))),
+            Frame::Throttled { req } => (req, OpResult::Throttled),
+            other => return Err(EndpointError(format!("unexpected response frame {other:?}"))),
+        };
+        if got != req {
+            return Err(EndpointError(format!(
+                "request id mismatch: sent {req}, response echoes {got}"
+            )));
         }
+        Ok(result)
     }
 
     fn server_clock(&mut self) -> Result<i64, EndpointError> {
@@ -389,6 +340,25 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    /// What the listener doubles answer: an empty feed, an ack for the
+    /// post a write names, and the control replies.
+    fn canned_reply(request: Frame) -> Option<Frame> {
+        Some(match request {
+            Frame::Hello { .. } => Frame::HelloAck {
+                proto: PROTO_VERSION,
+                server_clock_nanos: 1,
+                service: "blogger".into(),
+            },
+            Frame::WriteQ { req, author, seq, .. } => Frame::WriteQAck {
+                req,
+                id: PostId::new(conprobe_store::AuthorId(author), seq).as_u64(),
+            },
+            Frame::ReadQ { req, .. } => Frame::ReadQOk { req, ids: Vec::new() },
+            Frame::Stop => Frame::StopAck,
+            _ => return None,
+        })
+    }
 
     /// A miniature `cpw1` responder for exercising the reconnect path:
     /// accepts up to `conns` connections, *drops every `drop_every`-th
@@ -428,44 +398,12 @@ mod tests {
                 }
                 let _ = stream.set_nodelay(true);
                 let mut buf = Vec::new();
-                let mut scratch = [0u8; 4096];
-                let mut frames = 0u64;
-                'conn: while frames < frames_per_conn {
-                    loop {
-                        match decode(&buf) {
-                            Ok(Some((frame, consumed))) => {
-                                buf.drain(..consumed);
-                                frames += 1;
-                                served += 1;
-                                let reply = match frame {
-                                    Frame::Hello { .. } => Frame::HelloAck {
-                                        proto: PROTO_VERSION,
-                                        server_clock_nanos: 1,
-                                        service: "blogger".into(),
-                                    },
-                                    Frame::Write { author, seq, .. } => Frame::WriteAck {
-                                        id: PostId::new(conprobe_store::AuthorId(author), seq)
-                                            .as_u64(),
-                                    },
-                                    Frame::Read => Frame::ReadOk { ids: Vec::new() },
-                                    Frame::Stop => Frame::StopAck,
-                                    _ => break 'conn,
-                                };
-                                if stream.write_all(&reply.encode()).is_err() {
-                                    break 'conn;
-                                }
-                                if frames >= frames_per_conn {
-                                    break 'conn;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => break 'conn,
-                        }
-                    }
-                    match stream.read(&mut scratch) {
-                        Ok(0) => break,
-                        Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                        Err(_) => break,
+                for _ in 0..frames_per_conn {
+                    let Ok(frame) = read_frame(&mut stream, &mut buf) else { break };
+                    let Some(reply) = canned_reply(frame) else { break };
+                    served += 1;
+                    if write_frame(&mut stream, &reply).is_err() {
+                        break;
                     }
                 }
             }
@@ -547,36 +485,15 @@ mod tests {
         let handle = std::thread::spawn(move || {
             for _ in 0..sheds {
                 let (mut conn, _) = listener.accept().expect("accept to shed");
-                let _ = conn.write_all(&Frame::Busy { retry_after_millis: 5 }.encode());
-                let _ = conn.flush();
+                let _ = write_frame(&mut conn, &Frame::Busy { retry_after_millis: 5 });
             }
             let (mut conn, _) = listener.accept().expect("accept to serve");
             let mut buf = Vec::new();
-            let mut scratch = [0u8; 4096];
-            let mut served = 0u64;
-            while served < frames {
-                match decode(&buf) {
-                    Ok(Some((frame, consumed))) => {
-                        buf.drain(..consumed);
-                        served += 1;
-                        let reply = match frame {
-                            Frame::Hello { .. } => Frame::HelloAck {
-                                proto: PROTO_VERSION,
-                                server_clock_nanos: 1,
-                                service: "blogger".into(),
-                            },
-                            Frame::Read => Frame::ReadOk { ids: Vec::new() },
-                            _ => return,
-                        };
-                        if conn.write_all(&reply.encode()).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => match conn.read(&mut scratch) {
-                        Ok(0) | Err(_) => return,
-                        Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                    },
-                    Err(_) => return,
+            for _ in 0..frames {
+                let Ok(frame) = read_frame(&mut conn, &mut buf) else { return };
+                let Some(reply) = canned_reply(frame) else { return };
+                if write_frame(&mut conn, &reply).is_err() {
+                    return;
                 }
             }
         });

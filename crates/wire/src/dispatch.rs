@@ -42,7 +42,7 @@
 //! for units already done, keeping the journal free of duplicates.
 
 use crate::client::ReconnectPolicy;
-use crate::frame::{decode, Frame, PROTO_VERSION};
+use crate::frame::{read_frame, write_frame, Frame, PROTO_VERSION};
 use conprobe_harness::campaign::{
     instance_config, panic_message, run_campaign_journaled, CampaignConfig, CampaignResult,
 };
@@ -50,47 +50,14 @@ use conprobe_harness::journal::{self, Journal, Recovery};
 use conprobe_harness::runner::run_one_test;
 use conprobe_sim::SimRng;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-// ---------------------------------------------------------------------------
-// Blocking frame I/O
-// ---------------------------------------------------------------------------
-
 fn io_invalid(context: &str, detail: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{context}: {detail}"))
-}
-
-fn send_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(&frame.encode())
-}
-
-/// Reads one complete frame, buffering partial input in `buf` across
-/// calls (the incremental-decoder discipline, blocking flavour).
-fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<Frame> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match decode(buf).map_err(|e| io_invalid("cpw1 decode", e))? {
-            Some((frame, consumed)) => {
-                buf.drain(..consumed);
-                return Ok(frame);
-            }
-            None => {
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-frame",
-                    ));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +336,7 @@ fn serve_worker(
             Frame::Hello { proto } if proto == PROTO_VERSION => {}
             other => return Err(io_invalid("handshake", format!("unexpected {other:?}"))),
         }
-        send_frame(
+        write_frame(
             &mut stream,
             &Frame::HelloAck {
                 proto: PROTO_VERSION,
@@ -382,7 +349,7 @@ fn serve_worker(
                 Frame::WorkReq { .. } => {
                     spoke = true;
                     match shared.grant(session, cfg.lease_timeout) {
-                        Some(i) => send_frame(
+                        Some(i) => write_frame(
                             &mut stream,
                             &Frame::WorkGrant {
                                 instance: i as u32,
@@ -391,7 +358,7 @@ fn serve_worker(
                             },
                         )?,
                         None => {
-                            send_frame(&mut stream, &Frame::WorkFin)?;
+                            write_frame(&mut stream, &Frame::WorkFin)?;
                             return Ok(());
                         }
                     }
@@ -420,7 +387,7 @@ fn serve_worker(
                             cb(shared.finished(), seeds.len());
                         }
                     }
-                    send_frame(&mut stream, &Frame::ResultAck)?;
+                    write_frame(&mut stream, &Frame::ResultAck)?;
                 }
                 other => return Err(io_invalid("dispatch", format!("unexpected {other:?}"))),
             }
@@ -502,7 +469,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<WorkerReport> {
         };
         let mut buf = Vec::new();
         let session: std::io::Result<()> = (|| {
-            send_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION })?;
+            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION })?;
             match read_frame(&mut stream, &mut buf)? {
                 Frame::HelloAck { proto, service, .. } => {
                     if proto != PROTO_VERSION {
@@ -527,14 +494,14 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<WorkerReport> {
             attempt = 0;
             loop {
                 if let Some(record) = &unacked {
-                    send_frame(&mut stream, &Frame::ResultPush { record: record.clone() })?;
+                    write_frame(&mut stream, &Frame::ResultPush { record: record.clone() })?;
                     match read_frame(&mut stream, &mut buf)? {
                         Frame::ResultAck => {}
                         other => return Err(io_invalid("push", format!("unexpected {other:?}"))),
                     }
                 }
                 unacked = None;
-                send_frame(&mut stream, &Frame::WorkReq { worker: cfg.worker_id })?;
+                write_frame(&mut stream, &Frame::WorkReq { worker: cfg.worker_id })?;
                 let (instance, seed) = match read_frame(&mut stream, &mut buf)? {
                     Frame::WorkGrant { instance, seed, cell } => {
                         if cell != cfg.cell {
@@ -560,7 +527,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<WorkerReport> {
                 }
                 let record = run_unit(&cfg.config, &cfg.cell, instance, seed, &mut report);
                 unacked = Some(record.clone());
-                send_frame(&mut stream, &Frame::ResultPush { record })?;
+                write_frame(&mut stream, &Frame::ResultPush { record })?;
                 match read_frame(&mut stream, &mut buf)? {
                     Frame::ResultAck => unacked = None,
                     other => return Err(io_invalid("push", format!("unexpected {other:?}"))),
@@ -735,9 +702,9 @@ mod tests {
         fn desert(addr: SocketAddr, _config: &CampaignConfig, _cell: &str) {
             let mut stream = connect(addr).unwrap();
             let mut buf = Vec::new();
-            send_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
+            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
             let _ = read_frame(&mut stream, &mut buf).unwrap();
-            send_frame(&mut stream, &Frame::WorkReq { worker: 99 }).unwrap();
+            write_frame(&mut stream, &Frame::WorkReq { worker: 99 }).unwrap();
             match read_frame(&mut stream, &mut buf).unwrap() {
                 Frame::WorkGrant { .. } => {} // taken to the grave
                 other => panic!("expected a grant, got {other:?}"),
@@ -765,9 +732,9 @@ mod tests {
         fn double_push(addr: SocketAddr, config: &CampaignConfig, cell: &str) {
             let mut stream = connect(addr).unwrap();
             let mut buf = Vec::new();
-            send_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
+            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
             let _ = read_frame(&mut stream, &mut buf).unwrap();
-            send_frame(&mut stream, &Frame::WorkReq { worker: 7 }).unwrap();
+            write_frame(&mut stream, &Frame::WorkReq { worker: 7 }).unwrap();
             let (instance, seed) = match read_frame(&mut stream, &mut buf).unwrap() {
                 Frame::WorkGrant { instance, seed, .. } => (instance, seed),
                 other => panic!("expected a grant, got {other:?}"),
@@ -775,7 +742,7 @@ mod tests {
             let mut report = WorkerReport { completed: 0, crashed: 0, reconnects: 0 };
             let record = run_unit(config, cell, instance, seed, &mut report);
             for _ in 0..2 {
-                send_frame(&mut stream, &Frame::ResultPush { record: record.clone() }).unwrap();
+                write_frame(&mut stream, &Frame::ResultPush { record: record.clone() }).unwrap();
                 assert_eq!(read_frame(&mut stream, &mut buf).unwrap(), Frame::ResultAck);
             }
         }

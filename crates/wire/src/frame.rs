@@ -28,17 +28,25 @@ use std::fmt;
 /// Frame magic: protocol name + major version.
 pub const MAGIC: [u8; 4] = *b"cpw1";
 
-/// Minor protocol version carried in `hello`/`hello_ack`. Version 2
-/// added the pipelined, keyed frame family (`write_q`/`read_q` and
-/// their acks): requests carry a client-chosen request id echoed in the
-/// response, plus a keyspace key the server maps onto a shard. Version 3
-/// added the campaign dispatch family (`work_req`/`work_grant`/
-/// `work_fin`/`result_push`/`result_ack`) used between a `dispatch`
-/// coordinator and its `worker` peers. Version 4 added the `busy`
-/// load-shed frame: an overloaded server answers (or greets) a client
-/// with `busy` instead of queueing it, and the client retries with
-/// backoff.
-pub const PROTO_VERSION: u16 = 4;
+/// Minor protocol version carried in `hello`/`hello_ack`; both ends of
+/// the protocol live in this repository, so a version is a clean break
+/// and peers on different versions refuse each other at the handshake.
+///
+/// * 2 added keyed, pipelined operations (`write_q`/`read_q` and their
+///   responses): a request carries a client-chosen request id echoed in
+///   the response, plus a keyspace key the server maps onto a shard.
+/// * 3 added the campaign dispatch family (`work_req`/`work_grant`/
+///   `work_fin`/`result_push`/`result_ack`) spoken between a `dispatch`
+///   coordinator and its `worker` peers.
+/// * 4 added the `busy` load-shed frame: an overloaded server answers
+///   (or greets) a client with `busy` instead of queueing it, and the
+///   client retries with backoff.
+/// * 5 made the keyed operations the only data-plane family: the
+///   version-1 `write`/`write_ack`/`read`/`read_ok` kinds (numbers 2–5)
+///   are retired and rejected as [`WireError::UnknownKind`] from the
+///   kind byte alone, and `throttled` echoes the request id it refuses,
+///   so a pipelined client FIFO-verifies it like any other response.
+pub const PROTO_VERSION: u16 = 5;
 
 /// Frame header size: magic + kind + len + checksum.
 pub const HEADER_LEN: usize = 4 + 1 + 4 + 8;
@@ -51,14 +59,12 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 /// FNV-1a 64-bit — the same checksum the campaign journal uses.
 pub use conprobe_json::frame::fnv64;
 
-const KIND_HELLO: u8 = 0;
+pub(crate) const KIND_HELLO: u8 = 0;
 const KIND_HELLO_ACK: u8 = 1;
-const KIND_WRITE: u8 = 2;
-const KIND_WRITE_ACK: u8 = 3;
-const KIND_READ: u8 = 4;
-const KIND_READ_OK: u8 = 5;
-const KIND_THROTTLED: u8 = 6;
-const KIND_STOP: u8 = 7;
+// 2–5 were the version-1 `write`/`write_ack`/`read`/`read_ok`; the
+// numbers stay retired so an old peer is refused, never misread.
+pub(crate) const KIND_THROTTLED: u8 = 6;
+pub(crate) const KIND_STOP: u8 = 7;
 const KIND_STOP_ACK: u8 = 8;
 pub(crate) const KIND_WRITE_Q: u8 = 9;
 pub(crate) const KIND_WRITE_Q_ACK: u8 = 10;
@@ -92,32 +98,12 @@ pub enum Frame {
         /// Journal-style token of the hosted service (e.g. `blogger`).
         service: String,
     },
-    /// Client → server: create a post.
-    Write {
-        /// Writing author (agent) id.
-        author: u32,
-        /// Author-local sequence number.
-        seq: u32,
-        /// The client's local timestamp for the post.
-        client_ts_nanos: i64,
-        /// Post body.
-        content: String,
+    /// Server → client: the request was refused by the rate limiter (a
+    /// throttle-storm brownout) and had no effect.
+    Throttled {
+        /// The request id of the refused `write_q`/`read_q`.
+        req: u32,
     },
-    /// Server → client: the write was accepted; echoes the packed
-    /// [`PostId`](conprobe_store::PostId).
-    WriteAck {
-        /// `PostId::as_u64()` of the created post.
-        id: u64,
-    },
-    /// Client → server: read the feed.
-    Read,
-    /// Server → client: the feed, as packed post ids in feed order.
-    ReadOk {
-        /// `PostId::as_u64()` for each post, in returned order.
-        ids: Vec<u64>,
-    },
-    /// Server → client: rejected by the rate limiter.
-    Throttled,
     /// Client → server: begin a graceful drain of the whole server.
     Stop,
     /// Server → client: drain initiated.
@@ -243,101 +229,6 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl Frame {
-    fn kind_byte(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => KIND_HELLO,
-            Frame::HelloAck { .. } => KIND_HELLO_ACK,
-            Frame::Write { .. } => KIND_WRITE,
-            Frame::WriteAck { .. } => KIND_WRITE_ACK,
-            Frame::Read => KIND_READ,
-            Frame::ReadOk { .. } => KIND_READ_OK,
-            Frame::Throttled => KIND_THROTTLED,
-            Frame::Stop => KIND_STOP,
-            Frame::StopAck => KIND_STOP_ACK,
-            Frame::WriteQ { .. } => KIND_WRITE_Q,
-            Frame::WriteQAck { .. } => KIND_WRITE_Q_ACK,
-            Frame::ReadQ { .. } => KIND_READ_Q,
-            Frame::ReadQOk { .. } => KIND_READ_Q_OK,
-            Frame::WorkReq { .. } => KIND_WORK_REQ,
-            Frame::WorkGrant { .. } => KIND_WORK_GRANT,
-            Frame::WorkFin => KIND_WORK_FIN,
-            Frame::ResultPush { .. } => KIND_RESULT_PUSH,
-            Frame::ResultAck => KIND_RESULT_ACK,
-            Frame::Busy { .. } => KIND_BUSY,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        match self {
-            Frame::Hello { proto } => proto.to_le_bytes().to_vec(),
-            Frame::HelloAck { proto, server_clock_nanos, service } => {
-                let mut p = Vec::with_capacity(10 + service.len());
-                p.extend_from_slice(&proto.to_le_bytes());
-                p.extend_from_slice(&server_clock_nanos.to_le_bytes());
-                p.extend_from_slice(service.as_bytes());
-                p
-            }
-            Frame::Write { author, seq, client_ts_nanos, content } => {
-                let mut p = Vec::with_capacity(16 + content.len());
-                p.extend_from_slice(&author.to_le_bytes());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(&client_ts_nanos.to_le_bytes());
-                p.extend_from_slice(content.as_bytes());
-                p
-            }
-            Frame::WriteAck { id } => id.to_le_bytes().to_vec(),
-            Frame::Read | Frame::Throttled | Frame::Stop | Frame::StopAck => Vec::new(),
-            Frame::ReadOk { ids } => {
-                let mut p = Vec::with_capacity(8 * ids.len());
-                for id in ids {
-                    p.extend_from_slice(&id.to_le_bytes());
-                }
-                p
-            }
-            Frame::WriteQ { req, key, author, seq, client_ts_nanos, content } => {
-                let mut p = Vec::with_capacity(24 + content.len());
-                p.extend_from_slice(&req.to_le_bytes());
-                p.extend_from_slice(&key.to_le_bytes());
-                p.extend_from_slice(&author.to_le_bytes());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(&client_ts_nanos.to_le_bytes());
-                p.extend_from_slice(content.as_bytes());
-                p
-            }
-            Frame::WriteQAck { req, id } => {
-                let mut p = Vec::with_capacity(12);
-                p.extend_from_slice(&req.to_le_bytes());
-                p.extend_from_slice(&id.to_le_bytes());
-                p
-            }
-            Frame::ReadQ { req, key } => {
-                let mut p = Vec::with_capacity(8);
-                p.extend_from_slice(&req.to_le_bytes());
-                p.extend_from_slice(&key.to_le_bytes());
-                p
-            }
-            Frame::ReadQOk { req, ids } => {
-                let mut p = Vec::with_capacity(4 + 8 * ids.len());
-                p.extend_from_slice(&req.to_le_bytes());
-                for id in ids {
-                    p.extend_from_slice(&id.to_le_bytes());
-                }
-                p
-            }
-            Frame::WorkReq { worker } => worker.to_le_bytes().to_vec(),
-            Frame::WorkGrant { instance, seed, cell } => {
-                let mut p = Vec::with_capacity(12 + cell.len());
-                p.extend_from_slice(&instance.to_le_bytes());
-                p.extend_from_slice(&seed.to_le_bytes());
-                p.extend_from_slice(cell.as_bytes());
-                p
-            }
-            Frame::WorkFin | Frame::ResultAck => Vec::new(),
-            Frame::ResultPush { record } => record.as_bytes().to_vec(),
-            Frame::Busy { retry_after_millis } => retry_after_millis.to_le_bytes().to_vec(),
-        }
-    }
-
     /// Encodes the frame into a self-contained byte string.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 32);
@@ -347,9 +238,50 @@ impl Frame {
 
     /// Appends the encoded frame to `out` — the write-batching entry
     /// point: an event loop coalesces many responses into one buffer and
-    /// flushes them with a single `write`.
+    /// flushes them with a single `write`. Fields go straight into `out`;
+    /// the keyed kinds share their writers with the hot loops.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        append_frame_with(out, self.kind_byte(), |p| p.extend_from_slice(&self.payload()));
+        match self {
+            Frame::Hello { proto } => {
+                append_frame_with(out, KIND_HELLO, |p| p.extend_from_slice(&proto.to_le_bytes()))
+            }
+            Frame::HelloAck { proto, server_clock_nanos, service } => {
+                append_frame_with(out, KIND_HELLO_ACK, |p| {
+                    p.extend_from_slice(&proto.to_le_bytes());
+                    p.extend_from_slice(&server_clock_nanos.to_le_bytes());
+                    p.extend_from_slice(service.as_bytes());
+                })
+            }
+            Frame::Throttled { req } => {
+                append_frame_with(out, KIND_THROTTLED, |p| p.extend_from_slice(&req.to_le_bytes()))
+            }
+            Frame::Stop => append_frame_with(out, KIND_STOP, |_| {}),
+            Frame::StopAck => append_frame_with(out, KIND_STOP_ACK, |_| {}),
+            Frame::WriteQ { req, key, author, seq, client_ts_nanos, content } => {
+                append_write_q(out, *req, *key, *author, *seq, *client_ts_nanos, content)
+            }
+            Frame::WriteQAck { req, id } => append_write_q_ack(out, *req, *id),
+            Frame::ReadQ { req, key } => append_read_q(out, *req, *key),
+            Frame::ReadQOk { req, ids } => append_read_q_ok(out, *req, ids),
+            Frame::WorkReq { worker } => append_frame_with(out, KIND_WORK_REQ, |p| {
+                p.extend_from_slice(&worker.to_le_bytes())
+            }),
+            Frame::WorkGrant { instance, seed, cell } => {
+                append_frame_with(out, KIND_WORK_GRANT, |p| {
+                    p.extend_from_slice(&instance.to_le_bytes());
+                    p.extend_from_slice(&seed.to_le_bytes());
+                    p.extend_from_slice(cell.as_bytes());
+                })
+            }
+            Frame::WorkFin => append_frame_with(out, KIND_WORK_FIN, |_| {}),
+            Frame::ResultPush { record } => {
+                append_frame_with(out, KIND_RESULT_PUSH, |p| p.extend_from_slice(record.as_bytes()))
+            }
+            Frame::ResultAck => append_frame_with(out, KIND_RESULT_ACK, |_| {}),
+            Frame::Busy { retry_after_millis } => append_frame_with(out, KIND_BUSY, |p| {
+                p.extend_from_slice(&retry_after_millis.to_le_bytes())
+            }),
+        }
     }
 }
 
@@ -357,7 +289,7 @@ impl Frame {
 /// `fill` writes, with the length and FNV checksum backpatched after the
 /// payload is in place. This is the allocation-free encode path the hot
 /// loops use (`fill` writes straight into the batch buffer).
-pub(crate) fn append_frame_with(out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+fn append_frame_with(out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&MAGIC);
     out.push(kind);
     let len_at = out.len();
@@ -370,6 +302,18 @@ pub(crate) fn append_frame_with(out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&
     out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     out[len_at + 4..len_at + 12].copy_from_slice(&sum.to_le_bytes());
 }
+
+// The keyed payload layouts. Every keyed payload leads with the request
+// id; the writers below and the readers after them are the only code
+// that knows the offsets.
+//
+// ```text
+// write_q      req u32 | key u32 | author u32 | seq u32 | client_ts i64 | content utf-8
+// write_q_ack  req u32 | id u64
+// read_q       req u32 | key u32
+// read_q_ok    req u32 | id u64 ...
+// throttled    req u32
+// ```
 
 /// Appends a framed `read_q_ok` response straight from an id slice — no
 /// intermediate `Frame` or `Vec<u64>` on the server's hot read path.
@@ -426,16 +370,48 @@ pub fn append_write_q(
     });
 }
 
+/// The request id a keyed payload (request or response) leads with.
+/// Like the two readers below, takes a payload [`decode_raw`] located,
+/// whose length the kind's contract has already vetted.
+pub(crate) fn payload_req(payload: &[u8]) -> u32 {
+    le_u32(payload)
+}
+
+/// The `(req, key)` of a `read_q` payload.
+pub(crate) fn read_q_fields(payload: &[u8]) -> (u32, u32) {
+    (le_u32(payload), le_u32(&payload[4..8]))
+}
+
+/// A `write_q` payload, borrowed from the decode buffer.
+pub(crate) struct WriteQ<'a> {
+    pub req: u32,
+    pub key: u32,
+    pub author: u32,
+    pub seq: u32,
+    pub client_ts_nanos: i64,
+    pub content: &'a str,
+}
+
+/// The fields of a `write_q` payload; only the body's UTF-8 can fail.
+pub(crate) fn write_q_fields(payload: &[u8]) -> Result<WriteQ<'_>, WireError> {
+    Ok(WriteQ {
+        req: le_u32(payload),
+        key: le_u32(&payload[4..8]),
+        author: le_u32(&payload[8..12]),
+        seq: le_u32(&payload[12..16]),
+        client_ts_nanos: le_i64(&payload[16..24]),
+        content: std::str::from_utf8(&payload[24..]).map_err(|_| WireError::BadUtf8)?,
+    })
+}
+
 /// Validates a declared payload length against the kind's contract,
 /// *before* the payload bytes are read or buffered.
 fn check_length(kind: u8, len: u32) -> Result<(), WireError> {
     let ok = match kind {
         KIND_HELLO => len == 2,
         KIND_HELLO_ACK => len >= 10,
-        KIND_WRITE => len >= 16,
-        KIND_WRITE_ACK => len == 8,
-        KIND_READ | KIND_THROTTLED | KIND_STOP | KIND_STOP_ACK => len == 0,
-        KIND_READ_OK => len.is_multiple_of(8),
+        KIND_THROTTLED => len == 4,
+        KIND_STOP | KIND_STOP_ACK => len == 0,
         KIND_WRITE_Q => len >= 24,
         KIND_WRITE_Q_ACK => len == 12,
         KIND_READ_Q => len == 8,
@@ -523,9 +499,10 @@ pub fn decode_raw(buf: &[u8]) -> Result<Option<RawFrame>, WireError> {
         return Ok(None);
     }
     // Kind and (once present) length are validated as soon as their
-    // bytes arrive; an oversized frame never gets to buffer a payload.
+    // bytes arrive; a retired, unknown or oversized frame never gets to
+    // buffer a payload.
     let kind = buf[4];
-    if !(KIND_HELLO..=KIND_MAX).contains(&kind) {
+    if !matches!(kind, KIND_HELLO | KIND_HELLO_ACK | KIND_THROTTLED..=KIND_MAX) {
         return Err(WireError::UnknownKind(kind));
     }
     if buf.len() < 9 {
@@ -560,36 +537,29 @@ pub fn parse_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
                 .map_err(|_| WireError::BadUtf8)?
                 .to_owned(),
         },
-        KIND_WRITE => Frame::Write {
-            author: le_u32(&payload[..4]),
-            seq: le_u32(&payload[4..8]),
-            client_ts_nanos: le_i64(&payload[8..16]),
-            content: std::str::from_utf8(&payload[16..])
-                .map_err(|_| WireError::BadUtf8)?
-                .to_owned(),
-        },
-        KIND_WRITE_ACK => Frame::WriteAck { id: le_u64(payload) },
-        KIND_READ => Frame::Read,
-        KIND_READ_OK => Frame::ReadOk { ids: payload.chunks_exact(8).map(le_u64).collect() },
-        KIND_THROTTLED => Frame::Throttled,
+        KIND_THROTTLED => Frame::Throttled { req: payload_req(payload) },
         KIND_STOP => Frame::Stop,
         KIND_STOP_ACK => Frame::StopAck,
-        KIND_WRITE_Q => Frame::WriteQ {
-            req: le_u32(&payload[..4]),
-            key: le_u32(&payload[4..8]),
-            author: le_u32(&payload[8..12]),
-            seq: le_u32(&payload[12..16]),
-            client_ts_nanos: le_i64(&payload[16..24]),
-            content: std::str::from_utf8(&payload[24..])
-                .map_err(|_| WireError::BadUtf8)?
-                .to_owned(),
-        },
-        KIND_WRITE_Q_ACK => {
-            Frame::WriteQAck { req: le_u32(&payload[..4]), id: le_u64(&payload[4..12]) }
+        KIND_WRITE_Q => {
+            let w = write_q_fields(payload)?;
+            Frame::WriteQ {
+                req: w.req,
+                key: w.key,
+                author: w.author,
+                seq: w.seq,
+                client_ts_nanos: w.client_ts_nanos,
+                content: w.content.to_owned(),
+            }
         }
-        KIND_READ_Q => Frame::ReadQ { req: le_u32(&payload[..4]), key: le_u32(&payload[4..8]) },
+        KIND_WRITE_Q_ACK => {
+            Frame::WriteQAck { req: payload_req(payload), id: le_u64(&payload[4..12]) }
+        }
+        KIND_READ_Q => {
+            let (req, key) = read_q_fields(payload);
+            Frame::ReadQ { req, key }
+        }
         KIND_READ_Q_OK => Frame::ReadQOk {
-            req: le_u32(&payload[..4]),
+            req: payload_req(payload),
             ids: payload[4..].chunks_exact(8).map(le_u64).collect(),
         },
         KIND_WORK_REQ => Frame::WorkReq { worker: le_u32(payload) },
@@ -609,6 +579,34 @@ pub fn parse_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
+/// Reads one complete frame off a blocking stream, keeping bytes past
+/// its end in `buf` for the next call. EOF before a frame completes is
+/// `UnexpectedEof`; a corrupt stream is `InvalidData`.
+pub fn read_frame(stream: &mut impl std::io::Read, buf: &mut Vec<u8>) -> std::io::Result<Frame> {
+    use std::io::{Error, ErrorKind};
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match decode(buf).map_err(|e| Error::new(ErrorKind::InvalidData, format!("cpw1: {e}")))? {
+            Some((frame, consumed)) => {
+                buf.drain(..consumed);
+                return Ok(frame);
+            }
+            None => {
+                let n = stream.read(&mut chunk)?;
+                if n == 0 {
+                    return Err(Error::new(ErrorKind::UnexpectedEof, "peer closed mid-frame"));
+                }
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+}
+
+/// Writes one frame to a blocking stream.
+pub fn write_frame(stream: &mut impl std::io::Write, frame: &Frame) -> std::io::Result<()> {
+    stream.write_all(&frame.encode())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,18 +620,8 @@ mod tests {
                 service: "blogger".into(),
             },
             Frame::HelloAck { proto: 9, server_clock_nanos: i64::MAX, service: String::new() },
-            Frame::Write { author: 2, seq: 1, client_ts_nanos: 5_000_000, content: "post".into() },
-            Frame::Write {
-                author: 0,
-                seq: u32::MAX,
-                client_ts_nanos: i64::MIN,
-                content: "".into(),
-            },
-            Frame::WriteAck { id: 0x0000_0002_0000_0001 },
-            Frame::Read,
-            Frame::ReadOk { ids: vec![] },
-            Frame::ReadOk { ids: vec![1, u64::MAX, 0x1234_5678_9abc_def0] },
-            Frame::Throttled,
+            Frame::Throttled { req: 0 },
+            Frame::Throttled { req: u32::MAX },
             Frame::Stop,
             Frame::StopAck,
             Frame::WriteQ {
@@ -648,14 +636,14 @@ mod tests {
                 req: u32::MAX,
                 key: 0,
                 author: 0,
-                seq: 0,
-                client_ts_nanos: i64::MAX,
+                seq: u32::MAX,
+                client_ts_nanos: i64::MIN,
                 content: String::new(),
             },
             Frame::WriteQAck { req: 7, id: 0x0000_0002_0000_0009 },
             Frame::ReadQ { req: 8, key: 3 },
             Frame::ReadQOk { req: 8, ids: vec![] },
-            Frame::ReadQOk { req: u32::MAX, ids: vec![u64::MAX, 0, 42] },
+            Frame::ReadQOk { req: u32::MAX, ids: vec![1, u64::MAX, 0x1234_5678_9abc_def0] },
             Frame::WorkReq { worker: 3 },
             Frame::WorkGrant {
                 instance: 5,
@@ -819,14 +807,13 @@ mod tests {
         inc.feed(&clean).expect("clean stream");
         let decoded_before = inc.frames.len();
         assert_eq!(decoded_before, 3);
-        let mut corrupt = Frame::Read.encode();
+        let mut corrupt = Frame::Stop.encode();
         corrupt[0] ^= 0xff; // magic destroyed
         assert_eq!(inc.feed(&corrupt), Err(WireError::BadMagic));
         assert_eq!(inc.frames.len(), decoded_before, "pre-corruption frames survive");
         // A checksum-corrupted frame is also a typed error, at any flip
         // offset inside the payload.
-        let victim =
-            Frame::Write { author: 1, seq: 2, client_ts_nanos: 3, content: "xyz".into() }.encode();
+        let victim = Frame::ResultPush { record: "xyz".into() }.encode();
         for pos in HEADER_LEN..victim.len() {
             let mut mutated = victim.clone();
             mutated[pos] ^= 0x55;
@@ -852,7 +839,7 @@ mod tests {
                 client_ts_nanos: 5,
                 content: "other conn".into(),
             },
-            Frame::Read,
+            Frame::Stop,
         ];
         let stream_b: Vec<u8> = frames_b.iter().flat_map(|f| f.encode()).collect();
         // Deterministically vary the chunk sizes so partial headers and
@@ -923,7 +910,7 @@ mod tests {
         // exist. Rejection must come from the length field, not an
         // attempted buffer fill.
         let mut bytes = MAGIC.to_vec();
-        bytes.push(2); // write
+        bytes.push(9); // write_q
         bytes.extend_from_slice(&(256u32 << 20).to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(decode(&bytes), Err(WireError::Oversized(256 << 20)));
@@ -934,23 +921,22 @@ mod tests {
 
     #[test]
     fn length_contract_violations_are_rejected_before_the_payload_arrives() {
-        // A `read` frame declaring a payload is nonsense even though the
+        // A `stop` frame declaring a payload is nonsense even though the
         // length is small.
         let mut bytes = MAGIC.to_vec();
-        bytes.push(4); // read
+        bytes.push(7); // stop
         bytes.extend_from_slice(&3u32.to_le_bytes());
-        assert_eq!(decode(&bytes), Err(WireError::BadLength { kind: 4, len: 3 }));
-        // `read_ok` payloads must be whole u64s.
+        assert_eq!(decode(&bytes), Err(WireError::BadLength { kind: 7, len: 3 }));
+        // `read_q_ok` payloads must be a request id plus whole u64s.
         let mut bytes = MAGIC.to_vec();
-        bytes.push(5); // read_ok
-        bytes.extend_from_slice(&12u32.to_le_bytes());
-        assert_eq!(decode(&bytes), Err(WireError::BadLength { kind: 5, len: 12 }));
+        bytes.push(12); // read_q_ok
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(WireError::BadLength { kind: 12, len: 8 }));
     }
 
     #[test]
     fn corrupt_checksum_is_rejected() {
-        let mut bytes =
-            Frame::Write { author: 1, seq: 2, client_ts_nanos: 3, content: "x".into() }.encode();
+        let mut bytes = Frame::ResultPush { record: "x".into() }.encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // flip a payload byte; header checksum now lies
         assert_eq!(decode(&bytes), Err(WireError::BadChecksum));
@@ -969,5 +955,81 @@ mod tests {
         let mut bytes = MAGIC.to_vec();
         bytes.push(99);
         assert_eq!(decode(&bytes), Err(WireError::UnknownKind(99)));
+    }
+
+    /// A well-formed header and checksum around `payload` under any
+    /// kind byte, spelled without the encoder under test.
+    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(kind);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn retired_kinds_are_rejected_from_the_kind_byte_and_never_parsed() {
+        // The version-1 `write`, `write_ack`, `read` and `read_ok` frames
+        // exactly as the last peer that spoke them encoded them.
+        let mut write = Vec::new();
+        write.extend_from_slice(&2u32.to_le_bytes());
+        write.extend_from_slice(&1u32.to_le_bytes());
+        write.extend_from_slice(&5_000_000i64.to_le_bytes());
+        write.extend_from_slice(b"post");
+        let ids: Vec<u8> = [1u64, u64::MAX].iter().flat_map(|id| id.to_le_bytes()).collect();
+        let retired =
+            [framed(2, &write), framed(3, &7u64.to_le_bytes()), framed(4, &[]), framed(5, &ids)];
+        for (bytes, kind) in retired.iter().zip(2u8..) {
+            for cut in 0..=bytes.len() {
+                match decode_raw(&bytes[..cut]) {
+                    Ok(None) => assert!(cut < 5, "kind {kind}: {cut} bytes were still buffered"),
+                    Err(WireError::UnknownKind(k)) => assert_eq!((k, cut >= 5), (kind, true)),
+                    other => panic!("kind {kind}, prefix {cut}: {other:?}"),
+                }
+            }
+            // No single-byte flip of a retired kind byte lands on a live
+            // kind, so every mutation is a typed rejection too.
+            for pos in 0..bytes.len() {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut mutated = bytes.clone();
+                    mutated[pos] ^= flip;
+                    let got = decode(&mutated);
+                    match pos {
+                        0..=3 => assert_eq!(got, Err(WireError::BadMagic)),
+                        4 => assert!(matches!(got, Err(WireError::UnknownKind(_))), "{got:?}"),
+                        _ => assert_eq!(got, Err(WireError::UnknownKind(kind)), "flip at {pos}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_frames_encode_to_these_exact_bytes() {
+        let cases: [(Frame, u8, &[u8]); 5] = [
+            (
+                Frame::WriteQ {
+                    req: 1,
+                    key: 2,
+                    author: 3,
+                    seq: 4,
+                    client_ts_nanos: 5,
+                    content: "hi".into(),
+                },
+                9,
+                &[
+                    1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, b'h',
+                    b'i',
+                ],
+            ),
+            (Frame::WriteQAck { req: 1, id: 0x0102 }, 10, &[1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0]),
+            (Frame::ReadQ { req: 0x0a0b, key: 7 }, 11, &[0x0b, 0x0a, 0, 0, 7, 0, 0, 0]),
+            (Frame::ReadQOk { req: 1, ids: vec![9] }, 12, &[1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]),
+            (Frame::Throttled { req: 0xdead_beef }, 6, &[0xef, 0xbe, 0xad, 0xde]),
+        ];
+        for (frame, kind, payload) in cases {
+            assert_eq!(frame.encode(), framed(kind, payload), "{frame:?}");
+        }
     }
 }

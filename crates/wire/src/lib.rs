@@ -13,8 +13,8 @@
 //!   [`LiveCluster`](conprobe_services::live::LiveCluster), optional
 //!   WAN-shaped artificial latency/drop, and a graceful stop-file /
 //!   stop-frame drain;
-//! * [`client`] — the TCP [`ServiceEndpoint`] counterpart of the
-//!   harness's in-sim `SimRpc` transport;
+//! * [`client`] — the blocking TCP [`ServiceEndpoint`]: one keyed
+//!   operation per call, reconnect-and-resend underneath;
 //! * [`probe`] — `conprobe probe`: real agent threads running the
 //!   paper's Test 1 / Test 2 cadence with skewed local clocks,
 //!   Cristian-synced over the wire, emitting a standard `TestTrace`
@@ -37,8 +37,8 @@
 //!   toggles brownouts on a running [`WireServer`].
 //!
 //! The server hosts a consistent-hash-sharded keyspace
-//! ([`conprobe_services::shard`]): legacy frames address key 0, the
-//! `read_q`/`write_q` family addresses any key, and every shard is a
+//! ([`conprobe_services::shard`]): every `read_q`/`write_q` names its
+//! key (a probe without `--key` addresses key 0), and every shard is a
 //! full replica group with the paper's storage semantics.
 //!
 //! [`ServiceEndpoint`]: conprobe_harness::transport::ServiceEndpoint

@@ -35,7 +35,7 @@ pub fn wire_latency_bounds_nanos() -> Vec<u64> {
     bounds.extend(latency_bounds_nanos());
     bounds
 }
-use conprobe_services::ClientOp;
+use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::LocalTime;
 use conprobe_store::{AuthorId, Post, PostId};
 use std::net::SocketAddr;
@@ -129,6 +129,10 @@ pub struct LoadReport {
     /// not failure: counted apart from `errors`, and the slot reconnects
     /// only after the server's wait hint.
     pub busy_sheds: u64,
+    /// Requests the server refused with `throttled` (a throttle-storm
+    /// brownout). Rate limiting, not failure: counted apart from `ops`,
+    /// `errors` and the latency histogram.
+    pub throttled: u64,
     /// Connections that suffered at least one error.
     pub conns_with_errors: u64,
     /// Errors on the single worst connection.
@@ -171,6 +175,7 @@ struct Tally {
     ordering: u64,
     decode: u64,
     busy: u64,
+    throttled: u64,
     conns_with_errors: u64,
     max_conn_errors: u64,
 }
@@ -178,7 +183,8 @@ struct Tally {
 /// Runs the load loop and records per-op latencies into `metrics`
 /// (`wire.load.latency_nanos` histogram, `wire.load.ops` /
 /// `wire.load.errors` / `wire.load.ordering_errors` /
-/// `wire.load.decode_errors` / `wire.load.busy_sheds` counters).
+/// `wire.load.decode_errors` / `wire.load.busy_sheds` /
+/// `wire.load.throttled` counters).
 pub fn run_load(
     config: &LoadConfig,
     metrics: &MetricsRegistry,
@@ -189,6 +195,7 @@ pub fn run_load(
     let ordering_ctr = metrics.counter("wire.load.ordering_errors");
     let decode_ctr = metrics.counter("wire.load.decode_errors");
     let busy_ctr = metrics.counter("wire.load.busy_sheds");
+    let throttled_ctr = metrics.counter("wire.load.throttled");
 
     // Seed a fixed read corpus, spread round-robin over the key set so
     // every key's read payload is stable over the run.
@@ -198,11 +205,11 @@ pub fn run_load(
         for seq in 1..=config.seed_posts {
             let id = PostId::new(AuthorId(u32::MAX), seq);
             seeder.set_key(Some((seq - 1) % keys));
-            seeder.call(ClientOp::Write(Post::new(
-                id,
-                format!("seed {id}"),
-                LocalTime::from_nanos(0),
-            )))?;
+            let post = Post::new(id, format!("seed {id}"), LocalTime::from_nanos(0));
+            match seeder.call(ClientOp::Write(post))? {
+                OpResult::WriteAck(_) => {}
+                other => return Err(EndpointError(format!("seed post {id} refused: {other:?}"))),
+            }
         }
     }
 
@@ -229,6 +236,7 @@ pub fn run_load(
         let ordering_ctr = ordering_ctr.clone();
         let decode_ctr = decode_ctr.clone();
         let busy_ctr = busy_ctr.clone();
+        let throttled_ctr = throttled_ctr.clone();
         handles.push(std::thread::spawn(move || {
             sweep_connections(SweeperArgs {
                 config: &config,
@@ -244,6 +252,7 @@ pub fn run_load(
                 ordering_ctr: &ordering_ctr,
                 decode_ctr: &decode_ctr,
                 busy_ctr: &busy_ctr,
+                throttled_ctr: &throttled_ctr,
             })
         }));
     }
@@ -255,6 +264,7 @@ pub fn run_load(
             tally.ordering += t.ordering;
             tally.decode += t.decode;
             tally.busy += t.busy;
+            tally.throttled += t.throttled;
             tally.conns_with_errors += t.conns_with_errors;
             tally.max_conn_errors = tally.max_conn_errors.max(t.max_conn_errors);
         }
@@ -278,6 +288,7 @@ pub fn run_load(
         ordering_errors: tally.ordering,
         decode_errors: tally.decode,
         busy_sheds: tally.busy,
+        throttled: tally.throttled,
         conns_with_errors: tally.conns_with_errors,
         max_conn_errors: tally.max_conn_errors,
     })
@@ -297,6 +308,7 @@ struct SweeperArgs<'a> {
     ordering_ctr: &'a conprobe_obs::Counter,
     decode_ctr: &'a conprobe_obs::Counter,
     busy_ctr: &'a conprobe_obs::Counter,
+    throttled_ctr: &'a conprobe_obs::Counter,
 }
 
 /// One sweeper thread: owns `conns` pipelined connections and runs the
@@ -373,6 +385,11 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
                 }
             } else {
                 conn.take_latencies();
+            }
+            if result.throttled > 0 && measuring {
+                let n = result.throttled as u64;
+                tally.throttled += n;
+                args.throttled_ctr.add(n);
             }
             if let Some(fault) = result.fault {
                 let backoff = if fault == PipeFault::Busy {

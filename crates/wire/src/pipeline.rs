@@ -10,14 +10,14 @@
 //! connections from a handful of threads.
 //!
 //! The server answers each connection's requests strictly in arrival
-//! order, so the reaper verifies FIFO: every `read_q_ok`/`write_q_ack`
-//! must echo the request id at the head of the in-flight queue. A
-//! mismatch is an *ordering error* — counted, never silently averaged
-//! away — and tears the connection down.
+//! order, so the reaper verifies FIFO: every `read_q_ok`, `write_q_ack`
+//! or `throttled` must echo the request id at the head of the in-flight
+//! queue. A mismatch is an *ordering error* — counted, never silently
+//! averaged away — and tears the connection down.
 
 use crate::frame::{
-    append_read_q, decode_raw, parse_payload, Frame, HEADER_LEN, KIND_BUSY, KIND_READ_Q_OK,
-    KIND_WRITE_Q_ACK, PROTO_VERSION,
+    append_read_q, decode_raw, parse_payload, payload_req, Frame, HEADER_LEN, KIND_BUSY,
+    KIND_READ_Q_OK, KIND_THROTTLED, KIND_WRITE_Q_ACK, PROTO_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -55,6 +55,10 @@ pub struct PumpResult {
     /// latencies (capped to a small inline buffer's worth per sweep by
     /// the caller's read batching — excess carries to the next sweep).
     pub completed: usize,
+    /// Requests the server refused with `throttled` this sweep: reaped
+    /// in FIFO order like any response, but neither completed operations
+    /// nor latency samples.
+    pub throttled: usize,
     /// Bytes moved in either direction (the loop's progress signal).
     pub progressed: bool,
     /// Set when the connection died this sweep.
@@ -201,10 +205,10 @@ impl PipeConn {
                     _ => return self.fail(result, PipeFault::Io),
                 }
             }
-            if raw.kind != KIND_READ_Q_OK && raw.kind != KIND_WRITE_Q_ACK {
+            if !matches!(raw.kind, KIND_READ_Q_OK | KIND_WRITE_Q_ACK | KIND_THROTTLED) {
                 return self.fail(result, PipeFault::Decode);
             }
-            let req = u32::from_le_bytes(payload[..4].try_into().unwrap());
+            let req = payload_req(payload);
             let head = match self.inflight.pop_front() {
                 Some(head) => head,
                 None => return self.fail(result, PipeFault::Ordering),
@@ -212,8 +216,12 @@ impl PipeConn {
             if head.req != req {
                 return self.fail(result, PipeFault::Ordering);
             }
-            self.latencies.push(head.sent.elapsed().as_nanos() as u64);
-            result.completed += 1;
+            if raw.kind == KIND_THROTTLED {
+                result.throttled += 1;
+            } else {
+                self.latencies.push(head.sent.elapsed().as_nanos() as u64);
+                result.completed += 1;
+            }
             result.progressed = true;
         }
         if self.inpos == self.inbuf.len() {
@@ -243,7 +251,7 @@ impl PipeConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{append_read_q_ok, append_write_q_ack, decode};
+    use crate::frame::{append_read_q_ok, append_write_q_ack, read_frame};
     use std::net::TcpListener;
 
     /// A hand-driven single-connection server double: accepts once,
@@ -263,22 +271,7 @@ mod tests {
     }
 
     fn read_requests(server: &mut TcpStream, buf: &mut Vec<u8>, want: usize) -> Vec<Frame> {
-        let mut scratch = [0u8; 4096];
-        let mut frames = Vec::new();
-        while frames.len() < want {
-            match decode(buf).unwrap() {
-                Some((frame, consumed)) => {
-                    buf.drain(..consumed);
-                    frames.push(frame);
-                }
-                None => {
-                    let n = server.read(&mut scratch).unwrap();
-                    assert!(n > 0, "client hung up early");
-                    buf.extend_from_slice(&scratch[..n]);
-                }
-            }
-        }
-        frames
+        (0..want).map(|_| read_frame(server, buf).expect("client hung up early")).collect()
     }
 
     fn ack_hello(server: &mut TcpStream, buf: &mut Vec<u8>) {
@@ -362,6 +355,74 @@ mod tests {
         let mut completed = 0;
         let fault = pump_until(&mut conn, &mut completed, 2, Duration::from_secs(5));
         assert_eq!(fault, Some(PipeFault::Ordering));
+        assert_eq!(conn.errors, 1);
+    }
+
+    /// Issues `depth` reads, answers them with `answer(req)` in one
+    /// batch, and pumps until every response was reaped or a fault
+    /// surfaced. Returns the connection with `(completed, throttled,
+    /// fault)`.
+    fn answer_reads(
+        depth: u32,
+        answer: impl Fn(&mut Vec<u8>, u32),
+    ) -> (PipeConn, usize, usize, Option<PipeFault>) {
+        let (mut conn, mut server) = pair();
+        let mut server_buf = Vec::new();
+        ack_hello(&mut server, &mut server_buf);
+        for _ in 0..depth {
+            conn.issue_read(0);
+        }
+        let mut scratch = [0u8; 4096];
+        let _ = conn.pump(&mut scratch, Duration::from_secs(5));
+        let mut batch = Vec::new();
+        for frame in read_requests(&mut server, &mut server_buf, depth as usize) {
+            match frame {
+                Frame::ReadQ { req, .. } => answer(&mut batch, req),
+                other => panic!("expected read_q, got {other:?}"),
+            }
+        }
+        server.write_all(&batch).unwrap();
+        let (mut completed, mut throttled) = (0, 0);
+        let begin = Instant::now();
+        while completed + throttled < depth as usize {
+            let r = conn.pump(&mut scratch, Duration::from_secs(5));
+            completed += r.completed;
+            throttled += r.throttled;
+            if r.fault.is_some() {
+                return (conn, completed, throttled, r.fault);
+            }
+            assert!(begin.elapsed() < Duration::from_secs(5), "timed out");
+        }
+        (conn, completed, throttled, None)
+    }
+
+    #[test]
+    fn throttled_responses_are_reaped_in_fifo_order_outside_ops_and_latency() {
+        // Depth 8, every third request refused: feeds and refusals
+        // interleave on one connection and all echo their request id.
+        let (mut conn, completed, throttled, fault) = answer_reads(8, |batch, req| {
+            if req % 3 == 1 {
+                Frame::Throttled { req }.encode_into(batch);
+            } else {
+                append_read_q_ok(batch, req, &[u64::from(req)]);
+            }
+        });
+        assert_eq!(fault, None);
+        assert_eq!((completed, throttled), (5, 3));
+        assert_eq!(conn.inflight(), 0);
+        assert_eq!(conn.take_latencies().len(), 5, "a refusal is not a latency sample");
+        assert_eq!(conn.errors, 0, "a refusal is not an ordering or decode error");
+    }
+
+    #[test]
+    fn a_throttled_echoing_the_wrong_request_is_an_ordering_error() {
+        let (conn, completed, throttled, fault) = answer_reads(4, |batch, req| {
+            // The refusal of request 2 claims to answer request 3.
+            let echoed = if req == 2 { 3 } else { req };
+            Frame::Throttled { req: echoed }.encode_into(batch);
+        });
+        assert_eq!(fault, Some(PipeFault::Ordering));
+        assert_eq!((completed, throttled), (0, 2), "the two before it were reaped");
         assert_eq!(conn.errors, 1);
     }
 

@@ -72,14 +72,12 @@ pub struct ProbeConfig {
     pub seed: u64,
     /// Per-call socket timeout.
     pub timeout: Duration,
-    /// Keyspace key the probe's reads and writes address. `None` speaks
-    /// the legacy un-keyed frames (key 0 server-side); `Some(k)` routes
-    /// every operation through the sharded `read_q`/`write_q` frames.
-    /// Each key is one isolated logical object, so a keyed probe
+    /// Keyspace key the probe's reads and writes address (0 by
+    /// default). Each key is one isolated logical object, so a probe
     /// measures exactly the per-object semantics the paper's tests
     /// define — the shard map changes *where* the object lives, never
     /// what the analysis sees.
-    pub key: Option<u32>,
+    pub key: u32,
 }
 
 impl ProbeConfig {
@@ -105,7 +103,7 @@ impl ProbeConfig {
             max_duration: Duration::from_secs(30),
             seed,
             timeout: Duration::from_secs(5),
-            key: None,
+            key: 0,
         }
     }
 }
@@ -343,8 +341,8 @@ pub fn run_probe_with_live(
 /// Issues one operation over the endpoint, logging it (with local
 /// invoke/response times) exactly as the sim agent logs its operations.
 /// Returns the read sequence for reads, `None` otherwise. A `Throttled`
-/// result is a skipped, unlogged operation — the live catalog services
-/// don't rate-limit, but the protocol allows it.
+/// result (a throttle-storm brownout on the serving replica) is a
+/// skipped, unlogged operation.
 fn do_op(
     client: &mut WireClient,
     clock: &AgentClock,
@@ -418,9 +416,9 @@ fn agent_setup(
             client.service()
         )));
     }
-    // Keyed probes address one sharded keyspace key for every
-    // read/write; clock-sync hellos are key-less either way.
-    client.set_key(config.key);
+    // Every read and write addresses the probe's one keyspace key;
+    // clock-sync hellos carry none.
+    client.set_key(Some(config.key));
 
     // Clock sync: Cristian probes over the real wire.
     let mut samples = Vec::new();

@@ -33,15 +33,17 @@
 //! ends mid-frame — and [`WireServer::join`] returns the final metrics
 //! dump.
 //!
-//! Request routing: legacy `read`/`write` frames address key 0 (the
-//! paper's single-object workload); `read_q`/`write_q` frames carry an
-//! explicit key, routed by the cluster's consistent-hash [`ShardRing`]
-//! (see `conprobe_services::shard`), plus a request id echoed in the
-//! response so pipelined clients can verify per-connection FIFO order.
+//! Request routing: every `read_q`/`write_q` frame carries a keyspace
+//! key, routed by the cluster's consistent-hash [`ShardRing`] (see
+//! `conprobe_services::shard`; key 0 is the paper's single-object
+//! workload), plus a request id echoed in the response — `read_q_ok`,
+//! `write_q_ack`, or `throttled` under a throttle-storm brownout — so
+//! pipelined clients can verify per-connection FIFO order. A connection
+//! needs no `hello` before its first operation.
 
 use crate::frame::{
-    append_read_q_ok_iter, append_write_q_ack, decode_raw, parse_payload, Frame, KIND_READ_Q,
-    KIND_WRITE_Q, PROTO_VERSION,
+    append_read_q_ok_iter, append_write_q_ack, decode_raw, read_q_fields, write_q_fields, Frame,
+    HEADER_LEN, KIND_HELLO, KIND_READ_Q, KIND_STOP, KIND_WRITE_Q, PROTO_VERSION,
 };
 use crate::load::wire_latency_bounds_nanos;
 use conprobe_obs::MetricsRegistry;
@@ -144,7 +146,7 @@ const BUSY_RETRY_MILLIS: u32 = 50;
 /// Per-replica brownout switches the fault driver toggles at runtime.
 #[derive(Default)]
 struct BrownoutState {
-    /// Throttle storm: the front door answers legacy reads/writes with
+    /// Throttle storm: the front door answers reads and writes with
     /// `Frame::Throttled` while set.
     throttle: AtomicBool,
     /// Added service delay in nanoseconds (folded into the WAN-shaping
@@ -327,9 +329,9 @@ impl WireServer {
     }
 
     /// Sets (or with `None` clears) replica `idx`'s brownout. A
-    /// throttle storm makes the legacy front door answer reads/writes
-    /// with `Frame::Throttled`; a delay brownout adds fixed service
-    /// latency on every connection pinned to the replica.
+    /// throttle storm makes the front door answer reads and writes with
+    /// `Frame::Throttled`; a delay brownout adds fixed service latency
+    /// on every connection pinned to the replica.
     pub fn set_brownout(&self, idx: usize, mode: Option<BrownoutMode>) -> Result<(), ServeError> {
         let state = self.shared.brownouts.get(idx).ok_or(ServeError::UnknownReplica(idx))?;
         match mode {
@@ -638,7 +640,7 @@ fn sweep_conn(
                 Some(_) => conn.release_at = None,
             }
         }
-        let payload_at = conn.inpos + crate::frame::HEADER_LEN;
+        let payload_at = conn.inpos + HEADER_LEN;
         let payload_end = conn.inpos + raw.consumed;
         conn.inpos += raw.consumed;
         ctrs.frames.inc();
@@ -649,50 +651,57 @@ fn sweep_conn(
             continue;
         }
         let payload = &conn.inbuf[payload_at..payload_end];
-        let served = match raw.kind {
+        // A throttle-storm brownout on the connection's replica refuses
+        // reads and writes alike, mirroring the sim's front-door brownout.
+        let throttling = shared.brownouts[conn.replica_idx].throttle.load(Ordering::Acquire);
+        match raw.kind {
             KIND_READ_Q => {
                 ctrs.reads.inc();
-                let req = u32::from_le_bytes(payload[..4].try_into().unwrap());
-                let key = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-                let ids = shared.cluster.read_keyed(conn.region, key, now);
-                append_read_q_ok_iter(&mut conn.outbuf, req, ids.iter().map(|id| id.as_u64()));
-                true
+                let (req, key) = read_q_fields(payload);
+                if throttling {
+                    ctrs.throttled.inc();
+                    Frame::Throttled { req }.encode_into(&mut conn.outbuf);
+                } else {
+                    let ids = shared.cluster.read_keyed(conn.region, key, now);
+                    append_read_q_ok_iter(&mut conn.outbuf, req, ids.iter().map(|id| id.as_u64()));
+                }
             }
             KIND_WRITE_Q => {
                 ctrs.writes.inc();
-                let req = u32::from_le_bytes(payload[..4].try_into().unwrap());
-                let key = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-                let author = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-                let seq = u32::from_le_bytes(payload[12..16].try_into().unwrap());
-                let ts = i64::from_le_bytes(payload[16..24].try_into().unwrap());
-                let content = match std::str::from_utf8(&payload[24..]) {
-                    Ok(s) => s.to_owned(),
-                    Err(_) => return Sweep::Closed,
-                };
-                let id = PostId::new(conprobe_store::AuthorId(author), seq);
-                let post = Post::new(id, content, LocalTime::from_nanos(ts));
-                let acked = shared.cluster.write_keyed(conn.region, key, post, now);
-                append_write_q_ack(&mut conn.outbuf, req, acked.as_u64());
-                true
-            }
-            _ => {
-                let frame = match parse_payload(raw.kind, payload) {
-                    Ok(frame) => frame,
-                    Err(_) => return Sweep::Closed,
-                };
-                match respond_legacy(shared, ctrs, conn, frame, now) {
-                    Some(reply) => {
-                        reply.encode_into(&mut conn.outbuf);
-                        true
-                    }
-                    None => return Sweep::Closed, // protocol violation
+                let Ok(w) = write_q_fields(payload) else { return Sweep::Closed };
+                if throttling {
+                    ctrs.throttled.inc();
+                    Frame::Throttled { req: w.req }.encode_into(&mut conn.outbuf);
+                } else {
+                    let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
+                    let post = Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
+                    let acked = shared.cluster.write_keyed(conn.region, w.key, post, now);
+                    append_write_q_ack(&mut conn.outbuf, w.req, acked.as_u64());
                 }
             }
-        };
-        if served {
-            ctrs.op_nanos.record(began.elapsed().as_nanos() as u64);
-            progressed = true;
+            KIND_HELLO => {
+                // The ack always carries our version; the client decides
+                // whether it can proceed.
+                ctrs.hellos.inc();
+                Frame::HelloAck {
+                    proto: PROTO_VERSION,
+                    server_clock_nanos: now as i64,
+                    service: shared.service_token.to_owned(),
+                }
+                .encode_into(&mut conn.outbuf);
+            }
+            KIND_STOP => {
+                ctrs.stops.inc();
+                shared.stop.store(true, Ordering::Release);
+                Frame::StopAck.encode_into(&mut conn.outbuf);
+            }
+            // Server-role frames from a client are a protocol violation,
+            // and the dispatch family belongs to a dispatch coordinator,
+            // not a service server.
+            _ => return Sweep::Closed,
         }
+        ctrs.op_nanos.record(began.elapsed().as_nanos() as u64);
+        progressed = true;
     }
     // Reclaim fully consumed input; compact a large consumed prefix so
     // the buffer does not grow without bound under sustained pipelining.
@@ -767,78 +776,5 @@ fn drain_flush(mut conn: Conn) {
         let _ = conn.stream.set_nonblocking(false);
         let _ = conn.stream.write_all(&conn.outbuf[conn.outpos..]);
         let _ = conn.stream.flush();
-    }
-}
-
-/// Computes the response for one legacy (un-keyed) request frame. `None`
-/// means the peer sent a server-role or out-of-protocol frame and the
-/// connection should be dropped. A throttle-storm brownout on the
-/// connection's replica answers reads and writes with
-/// [`Frame::Throttled`] — the legacy path only, mirroring the sim's
-/// front-door brownout (the keyed fast path stays unshaped).
-fn respond_legacy(
-    shared: &Shared,
-    ctrs: &Counters,
-    conn: &Conn,
-    frame: Frame,
-    now: u64,
-) -> Option<Frame> {
-    let region = conn.region;
-    let throttling = shared.brownouts[conn.replica_idx].throttle.load(Ordering::Acquire);
-    match frame {
-        Frame::Hello { proto: _ } => {
-            // The ack always carries our version; the client decides
-            // whether it can proceed.
-            ctrs.hellos.inc();
-            Some(Frame::HelloAck {
-                proto: PROTO_VERSION,
-                server_clock_nanos: now as i64,
-                service: shared.service_token.to_owned(),
-            })
-        }
-        Frame::Write { author, seq, client_ts_nanos, content } => {
-            ctrs.writes.inc();
-            if throttling {
-                ctrs.throttled.inc();
-                return Some(Frame::Throttled);
-            }
-            let id = PostId::new(conprobe_store::AuthorId(author), seq);
-            let post = Post::new(id, content, LocalTime::from_nanos(client_ts_nanos));
-            let acked = shared.cluster.write(region, post, now);
-            Some(Frame::WriteAck { id: acked.as_u64() })
-        }
-        Frame::Read => {
-            ctrs.reads.inc();
-            if throttling {
-                ctrs.throttled.inc();
-                return Some(Frame::Throttled);
-            }
-            let ids = shared.cluster.read(region, now);
-            Some(Frame::ReadOk { ids: ids.into_iter().map(PostId::as_u64).collect() })
-        }
-        Frame::Stop => {
-            ctrs.stops.inc();
-            shared.stop.store(true, Ordering::Release);
-            Some(Frame::StopAck)
-        }
-        // Server-role frames from a client are a protocol violation,
-        // keyed frames are handled on the raw path before parsing, and
-        // the dispatch family belongs to a dispatch coordinator, not a
-        // service server.
-        Frame::HelloAck { .. }
-        | Frame::WriteAck { .. }
-        | Frame::ReadOk { .. }
-        | Frame::Throttled
-        | Frame::StopAck
-        | Frame::WriteQ { .. }
-        | Frame::WriteQAck { .. }
-        | Frame::ReadQ { .. }
-        | Frame::ReadQOk { .. }
-        | Frame::WorkReq { .. }
-        | Frame::WorkGrant { .. }
-        | Frame::WorkFin
-        | Frame::ResultPush { .. }
-        | Frame::ResultAck
-        | Frame::Busy { .. } => None,
     }
 }

@@ -382,8 +382,9 @@ pub struct ProbeArgs {
     pub metrics_out: Option<String>,
     /// Where finished instances are journaled.
     pub journal: JournalArgs,
-    /// Keyspace key the probe addresses (keyed sharded frames);
-    /// `None` speaks the legacy un-keyed protocol.
+    /// Keyspace key the probe addresses. `None` is key 0 under the
+    /// plain `wire/<cell>` journal label; naming a key (0 included)
+    /// labels the cell with the key and its shard.
     pub key: Option<u32>,
     /// Stream a running anomaly readout to stderr while agents run.
     pub live: bool,
@@ -437,9 +438,9 @@ impl ProbeArgs {
         );
         let metrics = MetricsRegistry::new();
         let journaled = self.journal.open()?;
-        // A keyed probe addresses one logical object; the cell label
-        // records which key and which shard owns it (from the serve
-        // ready-file's `shards=` line, defaulting to the serve
+        // A probe addresses one logical object; with `--key` the cell
+        // label records which key and which shard owns it (from the
+        // serve ready-file's `shards=` line, defaulting to the serve
         // default) so journals from different placements never mix.
         let cell = match self.key {
             Some(k) => {
@@ -466,7 +467,7 @@ impl ProbeArgs {
                     pc.reads_target = n;
                     pc.fast_reads = n / 2;
                 }
-                pc.key = self.key;
+                pc.key = self.key.unwrap_or(0);
                 let res = if self.live {
                     run_probe_watched(&pc, i, checker_config_for(&analysis_config))
                 } else {
@@ -691,7 +692,7 @@ impl LoadArgs {
              x {} in-flight ({:.0} ops/sec); \
              p50 {:.2} ms{}, p99 {:.2} ms{}, p999 {:.2} ms{}; \
              {} error(s) ({} ordering, {} decode; \
-             {} connection(s) affected, worst {})",
+             {} connection(s) affected, worst {}); {} throttled",
             report.ops,
             report.elapsed_secs,
             config.connections,
@@ -707,7 +708,8 @@ impl LoadArgs {
             report.ordering_errors,
             report.decode_errors,
             report.conns_with_errors,
-            report.max_conn_errors
+            report.max_conn_errors,
+            report.throttled
         );
         write_metrics(out, &self.metrics_out, || metrics.to_json().to_pretty())
     }

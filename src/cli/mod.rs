@@ -124,8 +124,8 @@ USAGE:
   runs the paper's agents for real: skewed local clocks, Cristian sync
   over the wire, the Test 1/2 cadence, and the unmodified checkers on
   the merged trace; --journal/--resume work exactly as in `campaign`;
-  --key K pins the probe to one keyspace key (keyed sharded frames)
-  and labels the journal cell with the key and owning shard; --live
+  --key K picks the keyspace key (the object) the probe addresses, 0
+  by default, and labels the journal cell with it and its shard; --live
   merges the agents' operation streams through the incremental checkers
   as they happen, printing a running anomaly readout to stderr (stdout
   and the final batch analysis are unaffected). `load`

@@ -453,6 +453,10 @@ fn probe_cli_runs_against_a_live_server_and_journals() {
     )
     .unwrap();
     assert_eq!(out, resumed, "resumed probe output is byte-identical");
+    // No `--key`: the cell keeps the plain label, so journals written
+    // before keys were always on the wire still resume.
+    let journal = std::fs::read_to_string(&journal_path).unwrap();
+    assert!(journal.contains(r#""cell":"wire/blogger/test2""#), "{journal}");
 
     server.request_stop();
     server.join();

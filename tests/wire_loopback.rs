@@ -15,13 +15,12 @@ use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::TestConfig;
 use conprobe::services::live::StaleWindow;
 use conprobe::services::ServiceKind;
-use conprobe::wire::frame::{decode, Frame};
+use conprobe::wire::frame::{read_frame, write_frame, Frame};
 use conprobe::wire::{
     run_load, run_probe, run_probe_with_live, LiveEvent, LoadConfig, ProbeConfig, ServeConfig,
     WireClient, WireServer,
 };
 use conprobe_obs::MetricsRegistry;
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -204,29 +203,16 @@ fn graceful_drain_never_splits_a_frame() {
             stream.set_nodelay(true).unwrap();
             stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut buf = Vec::new();
-            let mut scratch = [0u8; 4096];
             let mut frames = 0u64;
-            loop {
-                if stream.write_all(&Frame::Read.encode()).is_err() {
-                    break; // server closed during drain — fine
-                }
-                // Read until one whole response frame (or EOF).
-                let eof = loop {
-                    match decode(&buf).expect("client never sees a corrupt stream") {
-                        Some((_frame, consumed)) => {
-                            buf.drain(..consumed);
-                            frames += 1;
-                            break false;
-                        }
-                        None => match stream.read(&mut scratch) {
-                            Ok(0) => break true,
-                            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                            Err(_) => break true, // reset during drain
-                        },
+            let read = Frame::ReadQ { req: 0, key: 0 };
+            // Until the drain closes or resets the connection.
+            while write_frame(&mut stream, &read).is_ok() {
+                match read_frame(&mut stream, &mut buf) {
+                    Ok(_) => frames += 1,
+                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        panic!("client never sees a corrupt stream: {e}")
                     }
-                };
-                if eof {
-                    break;
+                    Err(_) => break,
                 }
             }
             (frames, buf.len())
@@ -315,36 +301,25 @@ fn dead_agent_connection_is_quarantined_and_the_study_salvaged() {
         let (mut stream, _) = listener.accept().expect("accept probe agent");
         drop(listener); // every reconnect from here on is refused
         let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
         let mut served = 0u32;
         // 1 handshake hello + 5 clock probes + the initial write + two
         // reads, then die with the next op in flight.
-        'serve: while served < 9 {
-            let n = match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => n,
+        while served < 9 {
+            let Ok(frame) = read_frame(&mut stream, &mut buf) else { break };
+            let reply = match frame {
+                Frame::Hello { proto } => {
+                    Frame::HelloAck { proto, server_clock_nanos: 0, service: "blogger".into() }
+                }
+                Frame::WriteQ { req, author, seq, .. } => {
+                    Frame::WriteQAck { req, id: PostId::new(AuthorId(author), seq).as_u64() }
+                }
+                Frame::ReadQ { req, .. } => Frame::ReadQOk { req, ids: vec![] },
+                _ => continue,
             };
-            buf.extend_from_slice(&chunk[..n]);
-            while let Ok(Some((frame, used))) = decode(&buf) {
-                buf.drain(..used);
-                let reply = match frame {
-                    Frame::Hello { proto } => {
-                        Frame::HelloAck { proto, server_clock_nanos: 0, service: "blogger".into() }
-                    }
-                    Frame::Write { author, seq, .. } => {
-                        Frame::WriteAck { id: PostId::new(AuthorId(author), seq).as_u64() }
-                    }
-                    Frame::Read => Frame::ReadOk { ids: vec![] },
-                    _ => continue,
-                };
-                if stream.write_all(&reply.encode()).is_err() {
-                    break 'serve;
-                }
-                served += 1;
-                if served >= 9 {
-                    break 'serve;
-                }
+            if write_frame(&mut stream, &reply).is_err() {
+                break;
             }
+            served += 1;
         }
         served
     });
@@ -419,65 +394,91 @@ fn keyed_clients_are_isolated_per_key_across_shards() {
     server.join();
 }
 
-/// A keyed probe (all frames carrying an explicit keyspace key, routed
-/// through the shard ring) must analyze exactly like the un-keyed
-/// legacy path: clean on a clean server, and a seeded stale window must
-/// still surface as a detected read-your-writes anomaly. Keys in
-/// different shards behave identically.
+/// The key is an address, not a protocol: key 0 (what a probe without
+/// `--key` addresses) and keys landing on other shards must analyze
+/// identically — clean on a clean server, and a seeded stale window must
+/// surface as a detected read-your-writes anomaly at every key.
 #[test]
 fn keyed_probe_analyzes_identically_to_the_unkeyed_path() {
-    // Clean server: the legacy path and two keyed probes (keys far
-    // apart, so they generally land on different shards) all complete
-    // with identical verdicts and write counts.
+    let clean = ServeConfig::loopback(ServiceKind::Blogger, 29);
+    let stale = ServeConfig {
+        stale_window: Some(StaleWindow { replica: 0, lag_nanos: 3_000_000_000 }),
+        ..ServeConfig::loopback(ServiceKind::Blogger, 11)
+    };
     let mut write_totals = Vec::new();
-    for key in [None, Some(3), Some(411)] {
-        let server =
-            WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 29)).expect("bind");
+    for key in [0, 7, 0xDEAD_BEEF] {
+        let server = WireServer::start(&clean).expect("bind");
         let mut config = ProbeConfig::loopback(
             ServiceKind::Blogger,
             TestKind::Test1,
             probe_endpoints(&server, 2),
             29,
         );
+        assert_eq!(config.key, 0, "key 0 is the default address");
         config.key = key;
         let result = run_probe(&config).expect("probe");
         server.request_stop();
         server.join();
-        assert!(result.completed, "key {key:?}: probe must complete");
+        assert!(result.completed, "key {key}: probe must complete");
         assert!(
             result.analysis.is_clean(),
-            "key {key:?}: clean server must analyze clean: {:?}",
+            "key {key}: clean server must analyze clean: {:?}",
             result.analysis.observations
         );
-        assert!(result.writes_total > 0, "key {key:?}");
+        assert!(result.writes_total > 0, "key {key}");
         write_totals.push(result.writes_total);
+
+        let server = WireServer::start(&stale).expect("bind");
+        let mut config = ProbeConfig::loopback(
+            ServiceKind::Blogger,
+            TestKind::Test2,
+            probe_endpoints(&server, 2),
+            11,
+        );
+        config.key = key;
+        let result = run_probe(&config).expect("probe");
+        server.request_stop();
+        server.join();
+        assert!(result.completed, "key {key}");
+        assert!(
+            result.analysis.has(AnomalyKind::ReadYourWrites),
+            "key {key}: the stale window must be detected"
+        );
     }
     assert!(
         write_totals.windows(2).all(|w| w[0] == w[1]),
-        "keyed and un-keyed probes run the identical cadence: {write_totals:?}"
+        "every key runs the identical cadence: {write_totals:?}"
     );
+}
 
-    // Stale server: the keyed path must not mask the seeded anomaly.
-    let server = WireServer::start(&ServeConfig {
-        stale_window: Some(StaleWindow { replica: 0, lag_nanos: 3_000_000_000 }),
-        ..ServeConfig::loopback(ServiceKind::Blogger, 11)
-    })
-    .expect("bind");
-    let mut config = ProbeConfig::loopback(
-        ServiceKind::Blogger,
-        TestKind::Test2,
-        probe_endpoints(&server, 2),
-        11,
-    );
-    config.key = Some(42);
-    let result = run_probe(&config).expect("probe");
+/// A throttle-storm brownout refuses every client alike: a blocking
+/// client sees `Throttled` for key 0 and for a key on another shard, the
+/// server counts the refused read as a read *and* as throttled, and
+/// clearing the brownout restores the feed.
+#[test]
+fn throttle_storm_refuses_reads_at_every_key_and_clears() {
+    use conprobe::harness::transport::ServiceEndpoint;
+    use conprobe::services::{ClientOp, OpResult};
+    use conprobe::sim::BrownoutMode;
+
+    let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 37)).expect("bind");
+    let mut client =
+        WireClient::connect(server.addrs()[0].1, Duration::from_secs(5)).expect("connect");
+    for key in [0, 0xDEAD_BEEF] {
+        client.set_key(Some(key));
+        server.set_brownout(0, Some(BrownoutMode::ThrottleStorm)).expect("replica 0 exists");
+        assert_eq!(
+            client.call(ClientOp::Read).expect("a refusal is a response"),
+            OpResult::Throttled
+        );
+        server.set_brownout(0, None).expect("replica 0 exists");
+        assert_eq!(client.call(ClientOp::Read).expect("read"), OpResult::ReadOk(vec![]));
+    }
     server.request_stop();
-    server.join();
-    assert!(result.completed);
-    assert!(
-        result.analysis.has(AnomalyKind::ReadYourWrites),
-        "the stale window must be detected through the keyed path too"
-    );
+    let metrics = conprobe::json::parse(&server.join()).expect("metrics dump is JSON");
+    let counter = |name| metrics.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64());
+    assert_eq!(counter("wire.server.throttled"), Some(2), "one refusal per key");
+    assert_eq!(counter("wire.server.reads"), Some(4), "a refused read still counts as a read");
 }
 
 /// The pipelined load generator: many in-flight requests per connection
