@@ -20,14 +20,19 @@
 //! # Memory contract
 //!
 //! The analyzer never buffers `OpRecord`s or raw `K` sequences. Each
-//! event key is interned once (one owned `K` per *distinct* key); reads
-//! and writes are retained as compact summaries of dense `u32` ids (a
-//! read costs `~12·|seq|` bytes regardless of how wide `K` is, a write
-//! costs a fixed few words). Pairwise divergence counting is inherently
-//! `O(reads²)` in *time*, but the per-event *space* is a small constant
-//! — the property [`StreamingAnalyzer::retained_bytes`] accounts for and
-//! the streaming-equivalence suite pins. On a million-event trace of
-//! wide string keys this is the difference between gigabytes and tens of
+//! event key is interned once (one owned `K` per *distinct* key), and so
+//! is each read *result*: a read's sequence of dense `u32` ids, with its
+//! sorted position table, is a **view**, stored once per *distinct*
+//! sequence (`~12·|seq|` bytes regardless of how wide `K` is). A read is
+//! retained as a fixed-size summary — agent, times, ordinal, view id — and
+//! a write as a fixed few words, so a thousand polls that return the same
+//! five posts cost one view plus a thousand summaries. Each agent also
+//! keeps one `(view, multiplicity, first-arrived read)` entry per distinct
+//! view it has read. Pairwise divergence counting is `O(reads × distinct
+//! views)` in *time*, but the per-event *space* is a small constant — the
+//! property [`StreamingAnalyzer::retained_bytes`] accounts for and the
+//! streaming-equivalence suite pins. On a million-event trace of wide
+//! string keys this is the difference between gigabytes and tens of
 //! megabytes.
 //!
 //! # Exactness machinery
@@ -52,11 +57,24 @@
 //!   the stable tie-break is preserved.
 //! * **Pair-state lattice** (divergence): per unordered agent pair the
 //!   analyzer keeps only the diverging-read-pair count, the
-//!   lexicographically first witness, and the open/closed window state —
-//!   each new read is compared against the other agents' retained read
-//!   summaries exactly once, so every unordered read pair is evaluated
-//!   exactly once, in either order, and the batch iteration order is
-//!   reconstructed from `(read ordinal, read ordinal)` sort keys.
+//!   lexicographically first witness, and the open/closed window state.
+//!   Whether two reads diverge, and on which witness keys, depends on
+//!   their two sequences alone, so each new read is compared against the
+//!   other agents' *distinct views* exactly once: a view held by `m`
+//!   earlier reads of an agent stands for `m` read pairs with one shared
+//!   verdict, and adds `m` to the count. Every unordered read pair is
+//!   still accounted exactly once (when its later read arrives). Of the
+//!   `m` pairs the batch iteration meets first the one with the view's
+//!   first-arrived read — the smallest ordinal, on whichever side of the
+//!   `(read ordinal, read ordinal)` sort key that agent sits — so that
+//!   read alone supplies the candidate witness and its `at`.
+//!
+//! The other operators lean on views the same way, with no deferral
+//! involved: a read that repeats its agent's previous view loses no key
+//! (MR) and leaves every pair's latest views, hence its window state, as
+//! the last step left them; and a `(read, dependency)` general-WFR verdict
+//! is a `(view, dependency)` verdict, evaluated once per view and expanded
+//! to the view's reads in `finish`.
 
 use crate::analysis::{CheckerConfig, TestAnalysis};
 use crate::anomaly::{AnomalyKind, Observation};
@@ -64,7 +82,11 @@ use crate::checkers::WfrMode;
 use crate::trace::{AgentId, EventKey, OpRecord, TestTrace, Timestamp};
 use crate::window::{WindowAnalysis, WindowKind};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::BuildHasher;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// One streaming operator, for running a single checker (or window
 /// sweep) incrementally. [`StreamingAnalyzer::new`] runs all of them.
@@ -107,24 +129,41 @@ impl Parts {
     }
 }
 
-/// A retained read: the interned sequence plus a sorted `(key, last
-/// position)` table for O(log n) membership/position probes. This is the
-/// only per-read state the engine keeps — no `K` values, no `OpRecord`.
+/// A distinct read result: the interned sequence plus a sorted `(key,
+/// last position)` table for O(log n) membership/position probes. Every
+/// read that returned this sequence shares it — no `K` values, no
+/// `OpRecord`.
 #[derive(Debug)]
-struct ReadState {
-    agent: AgentId,
-    invoke: Timestamp,
-    response: Timestamp,
-    /// Dense key ids in sequence order, duplicates kept.
-    keys: Vec<u32>,
+struct View {
+    /// Dense key ids in sequence order, duplicates kept. The allocation is
+    /// shared with the [`ViewTable`] index, so it exists once.
+    keys: Arc<[u32]>,
     /// Sorted by key; position is the *last* occurrence, matching
     /// [`crate::index::ReadView::position`].
-    by_key: Vec<(u32, u32)>,
-    /// Ordinal among this agent's reads (arrival = trace order).
-    ord_in_agent: u32,
+    by_key: Box<[(u32, u32)]>,
+    /// Reads, of any agent, that returned this view.
+    reads: u32,
+    /// Whether the view violates some general-mode WFR dependency.
+    wfr_hit: bool,
 }
 
-impl ReadState {
+impl View {
+    fn new(keys: Arc<[u32]>) -> Self {
+        let mut by_key: Vec<(u32, u32)> =
+            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        by_key.sort_unstable();
+        // Last occurrence wins, matching `ReadView::position`.
+        by_key.dedup_by(|curr, prev| {
+            if curr.0 == prev.0 {
+                prev.1 = curr.1;
+                true
+            } else {
+                false
+            }
+        });
+        View { keys, by_key: by_key.into_boxed_slice(), reads: 0, wfr_hit: false }
+    }
+
     fn contains(&self, key: u32) -> bool {
         self.by_key.binary_search_by_key(&key, |&(k, _)| k).is_ok()
     }
@@ -132,6 +171,61 @@ impl ReadState {
     fn position(&self, key: u32) -> Option<u32> {
         self.by_key.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| self.by_key[i].1)
     }
+
+    /// Whether the view shows `dep`'s write without its dependency.
+    fn violates(&self, dep: &DepRec) -> bool {
+        self.contains(dep.write_key) && !self.contains(dep.dep_key)
+    }
+
+    fn retained_bytes(&self) -> usize {
+        // The struct, the shared sequence with its two `Arc` counters, the
+        // position table, and the index entry that points back here.
+        size_of::<View>()
+            + self.keys.len() * size_of::<u32>()
+            + 2 * size_of::<usize>()
+            + self.by_key.len() * size_of::<(u32, u32)>()
+            + size_of::<(Arc<[u32]>, u32)>()
+    }
+}
+
+/// The view interner. The index is keyed by the whole id sequence, so two
+/// sequences are one view only if they are equal element for element —
+/// same set in another order, or with a key repeated, is another view —
+/// whatever their hashes do (`S` is a parameter so a test can make every
+/// sequence collide).
+#[derive(Debug, Default)]
+struct ViewTable<S = RandomState> {
+    ids: HashMap<Arc<[u32]>, u32, S>,
+    views: Vec<View>,
+}
+
+impl<S: BuildHasher> ViewTable<S> {
+    /// The id of the view `keys` spells, and whether this call created it.
+    fn intern(&mut self, keys: &[u32]) -> (u32, bool) {
+        if let Some(&id) = self.ids.get(keys) {
+            return (id, false);
+        }
+        let id = self.views.len() as u32;
+        let keys: Arc<[u32]> = keys.into();
+        self.ids.insert(Arc::clone(&keys), id);
+        self.views.push(View::new(keys));
+        (id, true)
+    }
+
+    fn get(&self, id: u32) -> &View {
+        &self.views[id as usize]
+    }
+}
+
+/// A retained read: a fixed-size summary pointing at its [`View`].
+#[derive(Debug)]
+struct ReadState {
+    agent: AgentId,
+    invoke: Timestamp,
+    response: Timestamp,
+    view: u32,
+    /// Ordinal among this agent's reads (arrival = trace order).
+    ord_in_agent: u32,
 }
 
 /// A retained write: fixed-size, id-only.
@@ -142,12 +236,26 @@ struct WriteRec {
     response: Timestamp,
 }
 
+/// One distinct view among an agent's reads — what another agent's new
+/// read is compared against, in place of every read that returned it.
+#[derive(Debug, Clone, Copy)]
+struct AgentView {
+    view: u32,
+    /// How many of the agent's reads returned it.
+    count: u32,
+    /// Index of the first of them to arrive: the smallest `ord_in_agent`.
+    first_read: u32,
+}
+
 #[derive(Debug, Default)]
 struct AgentState {
     /// Writes in issue (arrival) order.
     writes: Vec<WriteRec>,
     /// Indices into `reads`, arrival order.
     read_ids: Vec<u32>,
+    /// The agent's distinct views, in order of first arrival. Divergence
+    /// state: only filled when a divergence checker runs.
+    views: Vec<AgentView>,
     /// The agent's most recently *finalized* (response-ordered) read —
     /// both the MR predecessor and the agent's latest view for the
     /// window sweeps.
@@ -164,13 +272,12 @@ struct DepRec {
     sort: (AgentId, u32, u32),
 }
 
-/// One `(read, dependency)` WFR violation.
+/// One `(view, dependency)` WFR violation — shared by every read that
+/// returned the view.
 #[derive(Debug, Clone, Copy)]
 struct MatchRec {
-    read: u32,
-    sort: (AgentId, u32, u32),
-    dep_key: u32,
-    write_key: u32,
+    view: u32,
+    dep: DepRec,
 }
 
 /// A Test 1 trigger pair with lazily resolved interned ids. An
@@ -185,34 +292,52 @@ struct TriggerPair<K> {
     write_id: Option<u32>,
 }
 
-/// Divergence state for one unordered agent pair.
-#[derive(Debug)]
-struct PairState<K> {
-    content_count: usize,
-    /// `((first ordinal, second ordinal), x, y, at)` for the
+/// One kind of divergence (content or order) for one unordered agent
+/// pair: the presence checker's count and witness, and the window sweep.
+#[derive(Debug, Default)]
+struct Divergence {
+    /// Diverging read pairs so far.
+    count: usize,
+    /// `((first ordinal, second ordinal), x id, y id, at)` for the
     /// lexicographically earliest diverging read pair.
-    content_best: Option<((u32, u32), K, K, Timestamp)>,
-    order_count: usize,
-    order_best: Option<((u32, u32), K, K, Timestamp)>,
-    content_open: Option<Timestamp>,
-    content_closed: Vec<(Timestamp, Timestamp)>,
-    order_open: Option<Timestamp>,
-    order_closed: Vec<(Timestamp, Timestamp)>,
+    best: Option<((u32, u32), u32, u32, Timestamp)>,
+    open: Option<Timestamp>,
+    closed: Vec<(Timestamp, Timestamp)>,
 }
 
-impl<K> Default for PairState<K> {
-    fn default() -> Self {
-        PairState {
-            content_count: 0,
-            content_best: None,
-            order_count: 0,
-            order_best: None,
-            content_open: None,
-            content_closed: Vec::new(),
-            order_open: None,
-            order_closed: Vec::new(),
+impl Divergence {
+    /// Accounts `pairs` diverging read pairs that share the witness
+    /// `(x, y)`; `ordkey` and `at` belong to the earliest of them.
+    fn record(&mut self, pairs: u32, ordkey: (u32, u32), (x, y): (u32, u32), at: Timestamp) {
+        self.count += pairs as usize;
+        if self.best.is_none_or(|(k, ..)| ordkey < k) {
+            self.best = Some((ordkey, x, y, at));
         }
     }
+
+    /// One window-sweep step: the pair's latest views do or do not
+    /// diverge as of `at`.
+    fn sweep(&mut self, diverged: bool, at: Timestamp) {
+        match (diverged, self.open) {
+            (true, None) => self.open = Some(at),
+            (false, Some(start)) => {
+                self.closed.push((start, at));
+                self.open = None;
+            }
+            _ => {}
+        }
+    }
+
+    fn window(&self, pair: (AgentId, AgentId), kind: WindowKind) -> WindowAnalysis {
+        WindowAnalysis { pair, kind, windows: self.closed.clone(), open_since: self.open }
+    }
+}
+
+/// Divergence state for one unordered agent pair.
+#[derive(Debug, Default)]
+struct PairState {
+    content: Divergence,
+    order: Divergence,
 }
 
 type KeyedObs<K> = Vec<((AgentId, u32), Observation<K>)>;
@@ -225,9 +350,15 @@ pub struct StreamingAnalyzer<K: EventKey> {
     triggers: Vec<TriggerPair<K>>,
 
     /// Interner: `K` → dense id, plus the id → `K` table for witness
-    /// reconstruction (the only owned `K` copies the engine keeps).
-    key_ids: HashMap<K, u32>,
-    keys: Vec<K>,
+    /// reconstruction. Both point at the one owned copy of each key.
+    key_ids: HashMap<Arc<K>, u32>,
+    keys: Vec<Arc<K>>,
+    views: ViewTable,
+    /// The id sequence of the read being pushed; kept for its capacity.
+    seq_scratch: Vec<u32>,
+    /// Per key id, the stamp of the last write that took it as a WFR
+    /// dependency (0 = none): the seen-set of `finalize_write_deps`.
+    dep_stamp: Vec<u32>,
 
     agents: BTreeMap<AgentId, AgentState>,
     reads: Vec<ReadState>,
@@ -254,8 +385,9 @@ pub struct StreamingAnalyzer<K: EventKey> {
     wfr_obs: Vec<(u32, Observation<K>)>,
     deps: Vec<DepRec>,
     wfr_matches: Vec<MatchRec>,
-    wfr_reads_hit: HashSet<u32>,
-    pairs: BTreeMap<(AgentId, AgentId), PairState<K>>,
+    /// Reads whose view has a general-mode WFR match.
+    wfr_reads_hit: usize,
+    pairs: BTreeMap<(AgentId, AgentId), PairState>,
 }
 
 impl<K: EventKey> StreamingAnalyzer<K> {
@@ -315,6 +447,9 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             triggers,
             key_ids: HashMap::new(),
             keys: Vec::new(),
+            views: ViewTable::default(),
+            seq_scratch: Vec::new(),
+            dep_stamp: Vec::new(),
             agents: BTreeMap::new(),
             reads: Vec::new(),
             write_log: Vec::new(),
@@ -331,7 +466,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             wfr_obs: Vec::new(),
             deps: Vec::new(),
             wfr_matches: Vec::new(),
-            wfr_reads_hit: HashSet::new(),
+            wfr_reads_hit: 0,
             pairs: BTreeMap::new(),
         }
     }
@@ -342,9 +477,9 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     }
 
     /// Approximate bytes of retained analysis state (read/write
-    /// summaries, interner, dependency sets) — the figure the
-    /// memory-bounded contract is about. Deliberately excludes produced
-    /// observations, which are output, not working state.
+    /// summaries, distinct views, interner, dependency sets) — the figure
+    /// the memory-bounded contract is about. Deliberately excludes
+    /// produced observations, which are output, not working state.
     pub fn retained_bytes(&self) -> usize {
         self.retained
     }
@@ -361,9 +496,9 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             self.ryw_obs.len(),
             self.mw_obs.len(),
             self.mr_obs.len(),
-            if self.general_wfr { self.wfr_reads_hit.len() } else { self.wfr_obs.len() },
-            self.pairs.values().filter(|p| p.content_count > 0).count(),
-            self.pairs.values().filter(|p| p.order_count > 0).count(),
+            if self.general_wfr { self.wfr_reads_hit } else { self.wfr_obs.len() },
+            self.pairs.values().filter(|p| p.content.count > 0).count(),
+            self.pairs.values().filter(|p| p.order.count > 0).count(),
         ]
     }
 
@@ -372,9 +507,16 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             return id;
         }
         let id = self.keys.len() as u32;
-        self.keys.push(key.clone());
-        self.key_ids.insert(key.clone(), id);
-        self.retained += 2 * std::mem::size_of::<K>() + std::mem::size_of::<u32>() * 2;
+        let key = Arc::new(key.clone());
+        self.keys.push(Arc::clone(&key));
+        self.key_ids.insert(key, id);
+        self.dep_stamp.push(0);
+        // One `K` with its two `Arc` counters, two pointers to it, the id
+        // and the stamp.
+        self.retained += size_of::<K>()
+            + 2 * size_of::<usize>()
+            + 2 * size_of::<Arc<K>>()
+            + 2 * size_of::<u32>();
         id
     }
 
@@ -403,126 +545,123 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             let ord = st.writes.len() as u32;
             st.writes.push(WriteRec { key, invoke: op.invoke, response: op.response });
             self.write_log.push((op.agent, ord));
-            self.retained += std::mem::size_of::<WriteRec>() + 8;
+            self.retained += size_of::<WriteRec>() + size_of::<(AgentId, u32)>();
         } else if let Some(seq) = op.read_seq() {
             self.push_read(op, seq);
         }
     }
 
     fn push_read(&mut self, op: &OpRecord<K>, seq: &[K]) {
-        let keys: Vec<u32> = seq.iter().map(|k| self.intern(k)).collect();
-        let mut by_key: Vec<(u32, u32)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-        by_key.sort_unstable();
-        // Last occurrence wins, matching `ReadView::position`.
-        by_key.dedup_by(|curr, prev| {
-            if curr.0 == prev.0 {
-                prev.1 = curr.1;
-                true
-            } else {
-                false
-            }
-        });
+        let mut ids = std::mem::take(&mut self.seq_scratch);
+        ids.clear();
+        ids.extend(seq.iter().map(|k| self.intern(k)));
+        let (view, new_view) = self.views.intern(&ids);
+        self.seq_scratch = ids;
+        let v = &mut self.views.views[view as usize];
+        v.reads += 1;
+        if new_view {
+            self.retained += v.retained_bytes();
+        }
+
         let idx = self.reads.len() as u32;
-        let ord_in_agent = self.agents.entry(op.agent).or_default().read_ids.len() as u32;
-        let read = ReadState {
+        let st = self.agents.entry(op.agent).or_default();
+        let ord_in_agent = st.read_ids.len() as u32;
+        st.read_ids.push(idx);
+        self.reads.push(ReadState {
             agent: op.agent,
             invoke: op.invoke,
             response: op.response,
-            keys,
-            by_key,
+            view,
             ord_in_agent,
-        };
-        self.retained +=
-            std::mem::size_of::<ReadState>() + read.keys.len() * 4 + read.by_key.len() * 8 + 8;
+        });
+        self.retained += size_of::<ReadState>() + size_of::<u32>();
 
         if self.parts.content || self.parts.order {
-            self.divergence_scan(&read);
+            self.divergence_scan(idx);
         }
         if self.parts.wfr {
-            if self.general_wfr {
+            if !self.general_wfr {
+                self.trigger_scan(idx);
+            } else if new_view {
                 for i in 0..self.deps.len() {
-                    let d = self.deps[i];
-                    if read.contains(d.write_key) && !read.contains(d.dep_key) {
-                        self.wfr_matches.push(MatchRec {
-                            read: idx,
-                            sort: d.sort,
-                            dep_key: d.dep_key,
-                            write_key: d.write_key,
-                        });
-                        self.wfr_reads_hit.insert(idx);
-                        self.retained += std::mem::size_of::<MatchRec>();
+                    let dep = self.deps[i];
+                    if self.views.get(view).violates(&dep) {
+                        self.record_wfr_match(view, dep);
                     }
                 }
-            } else {
-                self.trigger_scan(idx, &read);
+            } else if self.views.get(view).wfr_hit {
+                self.wfr_reads_hit += 1;
             }
         }
         if self.parts.needs_read_finalize() {
-            self.finalize_heap.push(Reverse((read.response, idx)));
+            self.finalize_heap.push(Reverse((op.response, idx)));
         }
-        self.agents.get_mut(&op.agent).expect("created above").read_ids.push(idx);
-        self.reads.push(read);
     }
 
-    /// Compares a newly pushed read against every retained read of every
-    /// other agent, updating the per-pair divergence counters and best
-    /// witnesses. Each unordered read pair is seen exactly once.
-    fn divergence_scan(&mut self, read: &ReadState) {
-        // (pair, is_content, ordkey, x id, y id, at)
-        type PairUpdate = ((AgentId, AgentId), bool, (u32, u32), u32, u32, Timestamp);
+    /// Compares the newly pushed read `idx` against every distinct view
+    /// of every other agent, updating the per-pair divergence counters
+    /// and best witnesses, then files it under its own agent's views. A
+    /// view stands for all the reads that returned it (see the module
+    /// docs), so each unordered read pair is accounted exactly once.
+    fn divergence_scan(&mut self, idx: u32) {
+        let read = &self.reads[idx as usize];
         let a = read.agent;
-        let mut updates: Vec<PairUpdate> = Vec::new();
+        let mine = self.views.get(read.view);
         for (&b, bst) in &self.agents {
-            if b == a {
+            if b == a || bst.views.is_empty() {
                 continue;
             }
-            for &rb_idx in &bst.read_ids {
-                let rb = &self.reads[rb_idx as usize];
+            let st = self.pairs.entry(if a < b { (a, b) } else { (b, a) }).or_default();
+            for theirs in &bst.views {
+                let rb = &self.reads[theirs.first_read as usize];
                 let at = read.response.max(rb.response);
                 // Canonical orientation: `first` is the pair's smaller
-                // agent's read.
-                let (pair, ordkey, first, second) = if a < b {
-                    ((a, b), (read.ord_in_agent, rb.ord_in_agent), read, rb)
+                // agent's view.
+                let (ordkey, first, second) = if a < b {
+                    ((read.ord_in_agent, rb.ord_in_agent), mine, self.views.get(theirs.view))
                 } else {
-                    ((b, a), (rb.ord_in_agent, read.ord_in_agent), rb, read)
+                    ((rb.ord_in_agent, read.ord_in_agent), self.views.get(theirs.view), mine)
                 };
                 if self.parts.content {
                     if let (Some(x), Some(y)) =
                         (first_only_in(first, second), first_only_in(second, first))
                     {
-                        updates.push((pair, true, ordkey, x, y, at));
+                        st.content.record(theirs.count, ordkey, (x, y), at);
                     }
                 }
                 if self.parts.order {
-                    if let Some((x, y)) = inversion_ids(first, second) {
-                        updates.push((pair, false, ordkey, x, y, at));
+                    if let Some(xy) = inversion_ids(first, second) {
+                        st.order.record(theirs.count, ordkey, xy, at);
                     }
                 }
             }
         }
-        for (pair, is_content, ordkey, x, y, at) in updates {
-            let st = self.pairs.entry(pair).or_default();
-            let (count, best) = if is_content {
-                (&mut st.content_count, &mut st.content_best)
-            } else {
-                (&mut st.order_count, &mut st.order_best)
-            };
-            *count += 1;
-            if best.as_ref().is_none_or(|(k, ..)| ordkey < *k) {
-                *best = Some((
-                    ordkey,
-                    self.keys[x as usize].clone(),
-                    self.keys[y as usize].clone(),
-                    at,
-                ));
+        let own = &mut self.agents.get_mut(&a).expect("created by push_read").views;
+        match own.iter_mut().find(|v| v.view == read.view) {
+            Some(seen) => seen.count += 1,
+            None => {
+                own.push(AgentView { view: read.view, count: 1, first_read: idx });
+                self.retained += size_of::<AgentView>();
             }
+        }
+    }
+
+    /// Files a general-mode WFR violation of `view`.
+    fn record_wfr_match(&mut self, view: u32, dep: DepRec) {
+        self.wfr_matches.push(MatchRec { view, dep });
+        self.retained += size_of::<MatchRec>();
+        let v = &mut self.views.views[view as usize];
+        if !v.wfr_hit {
+            v.wfr_hit = true;
+            self.wfr_reads_hit += v.reads as usize;
         }
     }
 
     /// Evaluates the Test 1 trigger pairs against one read, emitting the
     /// (final, timeless) WFR observation immediately.
-    fn trigger_scan(&mut self, idx: u32, read: &ReadState) {
+    fn trigger_scan(&mut self, idx: u32) {
+        let read = &self.reads[idx as usize];
+        let view = self.views.get(read.view);
         let mut witnesses: Vec<K> = Vec::new();
         for t in &mut self.triggers {
             if t.write_id.is_none() {
@@ -531,29 +670,15 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             if t.dep_id.is_none() {
                 t.dep_id = self.key_ids.get(&t.dep).copied();
             }
-            let write_seen = t.write_id.is_some_and(|id| read.contains(id));
-            let dep_seen = t.dep_id.is_some_and(|id| read.contains(id));
+            let write_seen = t.write_id.is_some_and(|id| view.contains(id));
+            let dep_seen = t.dep_id.is_some_and(|id| view.contains(id));
             if write_seen && !dep_seen {
                 witnesses.push(t.dep.clone());
                 witnesses.push(t.write.clone());
             }
         }
         if !witnesses.is_empty() {
-            let agent = read.agent;
-            self.wfr_obs.push((
-                idx,
-                Observation {
-                    kind: AnomalyKind::WritesFollowReads,
-                    agent,
-                    other_agent: None,
-                    at: read.response,
-                    detail: format!(
-                        "read by {agent} sees write(s) without their read dependencies: \
-                         {witnesses:?}"
-                    ),
-                    witnesses,
-                },
-            ));
+            self.wfr_obs.push((idx, wfr_observation(read, witnesses)));
         }
     }
 
@@ -580,15 +705,20 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         }
     }
 
+    fn key(&self, id: u32) -> K {
+        K::clone(&self.keys[id as usize])
+    }
+
     fn eval_ryw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
+        let view = self.views.get(r.view);
         let agent = r.agent;
         let Some(st) = self.agents.get(&agent) else { return };
         let missing: Vec<K> = st
             .writes
             .iter()
-            .filter(|w| w.response <= r.invoke && !r.contains(w.key))
-            .map(|w| self.keys[w.key as usize].clone())
+            .filter(|w| w.response <= r.invoke && !view.contains(w.key))
+            .map(|w| self.key(w.key))
             .collect();
         if !missing.is_empty() {
             let obs = Observation {
@@ -608,17 +738,18 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
     fn eval_mw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
+        let view = self.views.get(r.view);
+        let completed = |w: &&WriteRec| w.response <= r.invoke;
         for (&writer, wst) in &self.agents {
-            let w: Vec<&WriteRec> = wst.writes.iter().filter(|w| w.response <= r.invoke).collect();
-            'pairs: for (i, x) in w.iter().enumerate() {
-                for y in &w[i + 1..] {
-                    let violation = match (r.position(x.key), r.position(y.key)) {
+            'pairs: for (i, x) in wst.writes.iter().enumerate().filter(|(_, w)| completed(w)) {
+                for y in wst.writes[i + 1..].iter().filter(completed) {
+                    let violation = match (view.position(x.key), view.position(y.key)) {
                         (None, Some(_)) => true,
                         (Some(px), Some(py)) => py < px,
                         _ => false,
                     };
                     if violation {
-                        let (xk, yk) = (&self.keys[x.key as usize], &self.keys[y.key as usize]);
+                        let (xk, yk) = (self.key(x.key), self.key(y.key));
                         self.mw_obs.push((
                             (r_idx as u32, writer),
                             Observation {
@@ -626,12 +757,12 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                                 agent: r.agent,
                                 other_agent: Some(writer),
                                 at: r.response,
-                                witnesses: vec![xk.clone(), yk.clone()],
                                 detail: format!(
                                     "read by {} sees {writer}'s write {yk:?} but write {xk:?} \
                                      is missing or ordered after it",
                                     r.agent
                                 ),
+                                witnesses: vec![xk, yk],
                             },
                         ));
                         break 'pairs;
@@ -643,14 +774,15 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
     /// Finalizes WFR dependency sets for writes whose invoke watermark
     /// has passed, then checks every new dependency against all retained
-    /// reads (the mirror of the per-read scan in `push_read`).
+    /// views (the mirror of the new-view scan in `push_read`).
     fn finalize_write_deps(&mut self, bound: Option<Timestamp>) {
         if !(self.parts.wfr && self.general_wfr) {
             return;
         }
         while self.write_cursor < self.write_log.len() {
             let (agent, ord) = self.write_log[self.write_cursor];
-            let w = self.agents[&agent].writes[ord as usize];
+            let st = &self.agents[&agent];
+            let w = st.writes[ord as usize];
             if let Some(b) = bound {
                 if w.invoke >= b {
                     break;
@@ -658,41 +790,39 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             }
             self.write_cursor += 1;
 
-            let mut seen: HashSet<u32> = HashSet::new();
-            let mut dep_idx = 0u32;
-            let mut new_deps: Vec<DepRec> = Vec::new();
-            let st = &self.agents[&agent];
+            // `write_cursor` is now this write's stamp: a key whose
+            // `dep_stamp` carries it is already among the write's deps.
+            let stamp = self.write_cursor as u32;
+            let first_new = self.deps.len();
             for &ri in &st.read_ids {
                 let r = &self.reads[ri as usize];
                 if r.response > w.invoke {
                     continue;
                 }
-                for &k in &r.keys {
-                    if k != w.key && seen.insert(k) {
-                        new_deps.push(DepRec {
+                for &k in self.views.get(r.view).keys.iter() {
+                    if k != w.key && self.dep_stamp[k as usize] != stamp {
+                        self.dep_stamp[k as usize] = stamp;
+                        let dep_idx = (self.deps.len() - first_new) as u32;
+                        self.deps.push(DepRec {
                             dep_key: k,
                             write_key: w.key,
                             sort: (agent, ord, dep_idx),
                         });
-                        dep_idx += 1;
                     }
                 }
             }
-            for d in new_deps {
-                for (ri, r) in self.reads.iter().enumerate() {
-                    if r.contains(d.write_key) && !r.contains(d.dep_key) {
-                        self.wfr_matches.push(MatchRec {
-                            read: ri as u32,
-                            sort: d.sort,
-                            dep_key: d.dep_key,
-                            write_key: d.write_key,
-                        });
-                        self.wfr_reads_hit.insert(ri as u32);
-                        self.retained += std::mem::size_of::<MatchRec>();
+            self.retained += (self.deps.len() - first_new) * size_of::<DepRec>();
+            for view in 0..self.views.views.len() as u32 {
+                // Every new dependency is on the same write.
+                if !self.views.get(view).contains(w.key) {
+                    continue;
+                }
+                for i in first_new..self.deps.len() {
+                    let dep = self.deps[i];
+                    if !self.views.get(view).contains(dep.dep_key) {
+                        self.record_wfr_match(view, dep);
                     }
                 }
-                self.deps.push(d);
-                self.retained += std::mem::size_of::<DepRec>();
             }
         }
     }
@@ -712,39 +842,43 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 }
             }
             self.finalize_heap.pop();
-            let a = self.reads[idx as usize].agent;
-            let prev = self.agents[&a].last_finalized;
+            let r = &self.reads[idx as usize];
+            let a = r.agent;
+            let latest = &mut self.agents.get_mut(&a).expect("read's agent exists").last_finalized;
+            let prev = latest.replace(idx).map(|p| &self.reads[p as usize]);
+            // A repeat of the agent's latest view: nothing vanished, and
+            // every pair's latest views are those of its last window step.
+            if prev.is_some_and(|p| p.view == r.view) {
+                continue;
+            }
 
-            if self.parts.mr {
-                if let Some(p_idx) = prev {
-                    let p = &self.reads[p_idx as usize];
-                    let r = &self.reads[idx as usize];
-                    let vanished: Vec<K> = p
-                        .keys
-                        .iter()
-                        .filter(|&&k| !r.contains(k))
-                        .map(|&k| self.keys[k as usize].clone())
-                        .collect();
-                    if !vanished.is_empty() {
-                        let obs = Observation {
-                            kind: AnomalyKind::MonotonicReads,
-                            agent: a,
-                            other_agent: None,
-                            at: r.response,
-                            detail: format!(
-                                "{} event(s) observed by {a} disappeared from its next read: \
-                                 {vanished:?}",
-                                vanished.len()
-                            ),
-                            witnesses: vanished,
-                        };
-                        self.mr_obs.push(((a, self.mr_seq), obs));
-                        self.mr_seq += 1;
-                    }
+            if let Some(p) = prev.filter(|_| self.parts.mr) {
+                let now = self.views.get(r.view);
+                let vanished: Vec<K> = self
+                    .views
+                    .get(p.view)
+                    .keys
+                    .iter()
+                    .filter(|&&k| !now.contains(k))
+                    .map(|&k| self.key(k))
+                    .collect();
+                if !vanished.is_empty() {
+                    let obs = Observation {
+                        kind: AnomalyKind::MonotonicReads,
+                        agent: a,
+                        other_agent: None,
+                        at: r.response,
+                        detail: format!(
+                            "{} event(s) observed by {a} disappeared from its next read: \
+                             {vanished:?}",
+                            vanished.len()
+                        ),
+                        witnesses: vanished,
+                    };
+                    self.mr_obs.push(((a, self.mr_seq), obs));
+                    self.mr_seq += 1;
                 }
             }
-            self.agents.get_mut(&a).expect("read's agent exists").last_finalized = Some(idx);
-
             if self.parts.win_content || self.parts.win_order {
                 self.window_step(a, idx);
             }
@@ -755,40 +889,22 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// just became read `idx`; re-evaluate every pair involving `a` at
     /// this read's response time.
     fn window_step(&mut self, a: AgentId, idx: u32) {
-        let r_resp = self.reads[idx as usize].response;
+        let read = &self.reads[idx as usize];
+        let mine = self.views.get(read.view);
         for (&b, bst) in &self.agents {
             if b == a {
                 continue;
             }
             let Some(other_idx) = bst.last_finalized else { continue };
-            let pair = if a < b { (a, b) } else { (b, a) };
-            let (first, second) = if a < b {
-                (&self.reads[idx as usize], &self.reads[other_idx as usize])
-            } else {
-                (&self.reads[other_idx as usize], &self.reads[idx as usize])
-            };
+            let theirs = self.views.get(self.reads[other_idx as usize].view);
+            let (pair, first, second) =
+                if a < b { ((a, b), mine, theirs) } else { ((b, a), theirs, mine) };
             let st = self.pairs.entry(pair).or_default();
             if self.parts.win_content {
-                let diverged = content_diverged(first, second);
-                match (diverged, st.content_open) {
-                    (true, None) => st.content_open = Some(r_resp),
-                    (false, Some(start)) => {
-                        st.content_closed.push((start, r_resp));
-                        st.content_open = None;
-                    }
-                    _ => {}
-                }
+                st.content.sweep(content_diverged(first, second), read.response);
             }
             if self.parts.win_order {
-                let diverged = inversion_ids(first, second).is_some();
-                match (diverged, st.order_open) {
-                    (true, None) => st.order_open = Some(r_resp),
-                    (false, Some(start)) => {
-                        st.order_closed.push((start, r_resp));
-                        st.order_open = None;
-                    }
-                    _ => {}
-                }
+                st.order.sweep(inversion_ids(first, second).is_some(), read.response);
             }
         }
     }
@@ -812,111 +928,92 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         let mut observations = Vec::new();
 
         self.ryw_obs.sort_by_key(|(k, _)| *k);
-        observations.extend(self.ryw_obs.into_iter().map(|(_, o)| o));
+        observations.extend(self.ryw_obs.drain(..).map(|(_, o)| o));
 
         self.mw_obs.sort_by_key(|(k, _)| *k);
-        observations.extend(self.mw_obs.into_iter().map(|(_, o)| o));
+        observations.extend(self.mw_obs.drain(..).map(|(_, o)| o));
 
         self.mr_obs.sort_by_key(|(k, _)| *k);
-        observations.extend(self.mr_obs.into_iter().map(|(_, o)| o));
+        observations.extend(self.mr_obs.drain(..).map(|(_, o)| o));
 
         if self.general_wfr {
-            self.wfr_matches.sort_by_key(|m| (m.read, m.sort));
-            let mut i = 0;
-            while i < self.wfr_matches.len() {
-                let read_idx = self.wfr_matches[i].read;
-                let mut witnesses: Vec<K> = Vec::new();
-                while i < self.wfr_matches.len() && self.wfr_matches[i].read == read_idx {
-                    let m = &self.wfr_matches[i];
-                    witnesses.push(self.keys[m.dep_key as usize].clone());
-                    witnesses.push(self.keys[m.write_key as usize].clone());
-                    i += 1;
+            // Per view, its matches in batch dependency order; then one
+            // observation per read of a matched view, in trace order.
+            self.wfr_matches.sort_by_key(|m| (m.view, m.dep.sort));
+            let mut matches_of: Vec<&[MatchRec]> = vec![&[]; self.views.views.len()];
+            for of_view in self.wfr_matches.chunk_by(|a, b| a.view == b.view) {
+                matches_of[of_view[0].view as usize] = of_view;
+            }
+            for r in &self.reads {
+                let matches = matches_of[r.view as usize];
+                if !matches.is_empty() {
+                    let witnesses = matches
+                        .iter()
+                        .flat_map(|m| [self.key(m.dep.dep_key), self.key(m.dep.write_key)])
+                        .collect();
+                    observations.push(wfr_observation(r, witnesses));
                 }
-                let r = &self.reads[read_idx as usize];
-                let agent = r.agent;
-                observations.push(Observation {
-                    kind: AnomalyKind::WritesFollowReads,
-                    agent,
-                    other_agent: None,
-                    at: r.response,
-                    detail: format!(
-                        "read by {agent} sees write(s) without their read dependencies: \
-                         {witnesses:?}"
-                    ),
-                    witnesses,
-                });
             }
         } else {
             self.wfr_obs.sort_by_key(|(k, _)| *k);
-            observations.extend(self.wfr_obs.into_iter().map(|(_, o)| o));
+            observations.extend(self.wfr_obs.drain(..).map(|(_, o)| o));
         }
 
+        // Pairs in batch order: `a` ascending, then `b > a` ascending —
+        // the `BTreeMap` order of the canonical `(smaller, larger)` keys.
         let agent_list: Vec<AgentId> = self.agents.keys().copied().collect();
+        let all_pairs = agent_list
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| agent_list[i + 1..].iter().map(move |&b| (a, b)));
 
         if self.parts.content {
-            for (i, &a) in agent_list.iter().enumerate() {
-                for &b in &agent_list[i + 1..] {
-                    let Some(st) = self.pairs.get(&(a, b)) else { continue };
-                    if let Some((_, x, y, at)) = &st.content_best {
-                        let pair_count = st.content_count;
-                        observations.push(Observation {
-                            kind: AnomalyKind::ContentDivergence,
-                            agent: a,
-                            other_agent: Some(b),
-                            at: *at,
-                            detail: format!(
-                                "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
-                                 {a} alone sees {x:?}, {b} alone sees {y:?}"
-                            ),
-                            witnesses: vec![x.clone(), y.clone()],
-                        });
-                    }
+            for (&(a, b), st) in &self.pairs {
+                if let Some((_, x, y, at)) = st.content.best {
+                    let (x, y, pair_count) = (self.key(x), self.key(y), st.content.count);
+                    observations.push(Observation {
+                        kind: AnomalyKind::ContentDivergence,
+                        agent: a,
+                        other_agent: Some(b),
+                        at,
+                        detail: format!(
+                            "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
+                             {a} alone sees {x:?}, {b} alone sees {y:?}"
+                        ),
+                        witnesses: vec![x, y],
+                    });
                 }
             }
         }
         if self.parts.order {
-            for (i, &a) in agent_list.iter().enumerate() {
-                for &b in &agent_list[i + 1..] {
-                    let Some(st) = self.pairs.get(&(a, b)) else { continue };
-                    if let Some((_, x, y, at)) = &st.order_best {
-                        let pair_count = st.order_count;
-                        observations.push(Observation {
-                            kind: AnomalyKind::OrderDivergence,
-                            agent: a,
-                            other_agent: Some(b),
-                            at: *at,
-                            detail: format!(
-                                "{a} and {b} order {x:?}/{y:?} oppositely \
-                                 ({pair_count} read pair(s))"
-                            ),
-                            witnesses: vec![x.clone(), y.clone()],
-                        });
-                    }
+            for (&(a, b), st) in &self.pairs {
+                if let Some((_, x, y, at)) = st.order.best {
+                    let (x, y, pair_count) = (self.key(x), self.key(y), st.order.count);
+                    observations.push(Observation {
+                        kind: AnomalyKind::OrderDivergence,
+                        agent: a,
+                        other_agent: Some(b),
+                        at,
+                        detail: format!(
+                            "{a} and {b} order {x:?}/{y:?} oppositely \
+                             ({pair_count} read pair(s))"
+                        ),
+                        witnesses: vec![x, y],
+                    });
                 }
             }
         }
 
         let mut content_windows = Vec::new();
         let mut order_windows = Vec::new();
-        for (i, &a) in agent_list.iter().enumerate() {
-            for &b in &agent_list[i + 1..] {
-                let st = self.pairs.get(&(a, b));
-                if self.parts.win_content {
-                    content_windows.push(WindowAnalysis {
-                        pair: (a, b),
-                        kind: WindowKind::Content,
-                        windows: st.map(|s| s.content_closed.clone()).unwrap_or_default(),
-                        open_since: st.and_then(|s| s.content_open),
-                    });
-                }
-                if self.parts.win_order {
-                    order_windows.push(WindowAnalysis {
-                        pair: (a, b),
-                        kind: WindowKind::Order,
-                        windows: st.map(|s| s.order_closed.clone()).unwrap_or_default(),
-                        open_since: st.and_then(|s| s.order_open),
-                    });
-                }
+        let quiet = PairState::default();
+        for pair in all_pairs {
+            let st = self.pairs.get(&pair).unwrap_or(&quiet);
+            if self.parts.win_content {
+                content_windows.push(st.content.window(pair, WindowKind::Content));
+            }
+            if self.parts.win_order {
+                order_windows.push(st.order.window(pair, WindowKind::Order));
             }
         }
 
@@ -924,23 +1021,38 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     }
 }
 
+/// The (general- or trigger-mode) WFR observation of one read.
+fn wfr_observation<K: EventKey>(read: &ReadState, witnesses: Vec<K>) -> Observation<K> {
+    let agent = read.agent;
+    Observation {
+        kind: AnomalyKind::WritesFollowReads,
+        agent,
+        other_agent: None,
+        at: read.response,
+        detail: format!(
+            "read by {agent} sees write(s) without their read dependencies: {witnesses:?}"
+        ),
+        witnesses,
+    }
+}
+
 /// The dense id of the first element of `a`'s sequence that `b` lacks —
 /// the id-level mirror of the batch checker's `first_only_in`.
-fn first_only_in(a: &ReadState, b: &ReadState) -> Option<u32> {
+fn first_only_in(a: &View, b: &View) -> Option<u32> {
     a.keys.iter().find(|&&k| !b.contains(k)).copied()
 }
 
-/// Mutual content difference between two retained reads.
-fn content_diverged(a: &ReadState, b: &ReadState) -> bool {
-    a.keys.iter().any(|&x| !b.contains(x)) && b.keys.iter().any(|&y| !a.contains(y))
+/// Mutual content difference between two views.
+fn content_diverged(a: &View, b: &View) -> bool {
+    first_only_in(a, b).is_some() && first_only_in(b, a).is_some()
 }
 
 /// Id-level mirror of [`crate::checkers::order::inversion_between`]:
 /// a witness pair `(x, y)` with `x` before `y` in `a` but `y` before `x`
 /// in `b`, if any.
-fn inversion_ids(a: &ReadState, b: &ReadState) -> Option<(u32, u32)> {
+fn inversion_ids(a: &View, b: &View) -> Option<(u32, u32)> {
     let mut prev: Option<(u32, u32)> = None;
-    for &k in &a.keys {
+    for &k in a.keys.iter() {
         if let Some(p2) = b.position(k) {
             if let Some((px, pp2)) = prev {
                 if p2 < pp2 {
@@ -951,4 +1063,50 @@ fn inversion_ids(a: &ReadState, b: &ReadState) -> Option<(u32, u32)> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::{BuildHasherDefault, Hasher};
+
+    /// Hashes everything to 0: every lookup lands in one bucket.
+    #[derive(Default)]
+    struct Collide;
+
+    impl Hasher for Collide {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    /// Equal as sets, different as sequences: another order, a key
+    /// repeated inside the sequence, a prefix.
+    const SEQUENCES: [&[u32]; 6] =
+        [&[1, 2, 3], &[2, 1, 3], &[1, 2, 3, 1], &[1, 2, 3, 3], &[1, 2], &[]];
+
+    fn each_sequence_is_its_own_view<S: BuildHasher + Default>() {
+        let mut table = ViewTable::<S>::default();
+        for (i, seq) in SEQUENCES.iter().enumerate() {
+            assert_eq!(table.intern(seq), (i as u32, true), "{seq:?} is a new view");
+        }
+        for (i, seq) in SEQUENCES.iter().enumerate() {
+            assert_eq!(table.intern(seq), (i as u32, false), "{seq:?} is found again");
+            assert_eq!(&*table.get(i as u32).keys, *seq);
+        }
+        assert_eq!(table.views.len(), SEQUENCES.len());
+    }
+
+    #[test]
+    fn views_are_whole_sequences_not_sets() {
+        each_sequence_is_its_own_view::<RandomState>();
+    }
+
+    /// View identity is full-vector equality, never the hash: with every
+    /// sequence colliding they still stay apart and are still found.
+    #[test]
+    fn colliding_sequences_stay_distinct_views() {
+        each_sequence_is_its_own_view::<BuildHasherDefault<Collide>>();
+    }
 }

@@ -15,13 +15,20 @@
 //! events that seed every anomaly class. Schedules come from a seeded
 //! [`TestRng`] so each case replays exactly.
 //!
+//! A second generator, [`duplicate_heavy_trace`], polls a handful of
+//! sequences a hundred times over — the shape of a real Test 2 trace, and
+//! the one on which the engine's comparison *per distinct view* (a view
+//! standing for every read that returned it) does all the counting. The
+//! same properties are checked on both.
+//!
 //! Alongside exact equivalence, the suite pins the two streaming-only
 //! contracts: [`live_counts`](StreamingAnalyzer::live_counts) grows
 //! monotonically and lands on the final analysis, and
 //! [`retained_bytes`](StreamingAnalyzer::retained_bytes) stays far below
-//! the raw trace size when keys are wide (the interning guarantee).
+//! the raw trace size when keys are wide (the interning guarantee) and
+//! grows by a fixed summary for a read whose sequence was seen before.
 
-use conprobe_core::analysis::{analyze, CheckerConfig};
+use conprobe_core::analysis::{analyze, CheckerConfig, TestAnalysis};
 use conprobe_core::checkers::{self, WfrMode};
 use conprobe_core::stream::{StreamPart, StreamingAnalyzer};
 use conprobe_core::testutil::TestRng;
@@ -434,7 +441,114 @@ fn chaotic_trace(rng: &mut TestRng, agents: u32) -> TestTrace<K> {
     TestTrace::new(ops)
 }
 
+/// A duplicate-heavy trace: three agents poll 100–130 times and get one
+/// of at most four sequences, mostly the one they got last time.
+///
+/// The four are drawn from variants of one base sequence that differ the
+/// ways views can: another order of the same set, a key repeated inside
+/// the sequence, a key swapped for one nobody else sees, one key more or
+/// fewer. The first read of a sequence by an agent is slow, so it
+/// *arrives* first but a later read of the same sequence *responds*
+/// first. A write lands midway so general WFR has dependencies to check
+/// against views that repeat before and after it. `flip` relabels agent
+/// `a` as `2 - a`: the same schedule then meets its first divergence with
+/// the pair's agents in the other order.
+fn duplicate_heavy_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
+    let agent = |a: u32| AgentId(if flip { 2 - a } else { a });
+    let (late, phantom): (K, K) = ((0, 2), (900, 1));
+    let base: Vec<K> = vec![(0, 1), (1, 1), (2, 1)];
+    let edit = |f: &dyn Fn(&mut Vec<K>)| {
+        let mut seq = base.clone();
+        f(&mut seq);
+        seq
+    };
+    let mut variants = vec![
+        base.clone(),
+        edit(&|s| s.swap(0, 1)),
+        edit(&|s| s.swap(1, 2)),
+        edit(&|s| s.push(s[0])),
+        edit(&|s| s[1] = phantom),
+        edit(&|s| s.push(late)),
+        edit(&|s| s.truncate(2)),
+    ];
+    while variants.len() > 4 {
+        variants.remove(rng.range_usize(0, variants.len()));
+    }
+
+    let mut ops = Vec::new();
+    for (a, &id) in base.iter().enumerate() {
+        let (invoke, response) = (a as i64, a as i64 + 5);
+        ops.push(OpRecord {
+            agent: agent(a as u32),
+            invoke: Timestamp::from_millis(invoke),
+            response: Timestamp::from_millis(response),
+            kind: OpKind::Write { id },
+        });
+    }
+    let reads = rng.range_usize(100, 131);
+    let late_write_at = rng.range_usize(30, 70);
+    let mut now = 10i64;
+    let mut latest = [0usize; 3];
+    let mut polled = [[false; 4]; 3];
+    for i in 0..reads {
+        now += rng.range(0, 10) as i64;
+        let a = rng.range_usize(0, 3);
+        if i == late_write_at {
+            ops.push(OpRecord {
+                agent: agent(a as u32),
+                invoke: Timestamp::from_millis(now),
+                response: Timestamp::from_millis(now + 5),
+                kind: OpKind::Write { id: late },
+            });
+        }
+        if i == 0 || rng.chance(0.2) {
+            latest[a] = rng.range_usize(0, variants.len());
+        }
+        let took = if polled[a][latest[a]] { rng.range(0, 40) } else { rng.range(100, 150) };
+        polled[a][latest[a]] = true;
+        ops.push(OpRecord {
+            agent: agent(a as u32),
+            invoke: Timestamp::from_millis(now),
+            response: Timestamp::from_millis(now + took as i64),
+            kind: OpKind::Read { seq: variants[latest[a]].clone() },
+        });
+    }
+    TestTrace::new(ops)
+}
+
+/// The generator keeps its promises: many reads, few sequences, and a
+/// first-arrived read of some (agent, sequence) that is not the first of
+/// them to respond.
+#[test]
+fn duplicate_heavy_traces_have_the_advertised_shape() {
+    let mut rng = TestRng::new(0x57EA_0006);
+    for case in 0..20 {
+        let trace = duplicate_heavy_trace(&mut rng, case % 2 == 1);
+        let reads: Vec<_> = trace.ops().iter().filter(|op| op.read_seq().is_some()).collect();
+        let sequences: std::collections::HashSet<_> =
+            reads.iter().map(|op| op.read_seq().unwrap()).collect();
+        assert!(reads.len() >= 100 && sequences.len() <= 4, "case {case}");
+        let overtaken = reads.iter().enumerate().any(|(i, first)| {
+            let same =
+                |op: &&&OpRecord<K>| op.agent == first.agent && op.read_seq() == first.read_seq();
+            !reads[..i].iter().any(|op| same(&op))
+                && reads[i + 1..].iter().any(|op| same(&op) && op.response < first.response)
+        });
+        assert!(overtaken, "case {case}: every first arrival also responds first");
+    }
+}
+
 const CASES: usize = 250;
+
+fn assert_full_pass_matches_the_oracle(trace: &TestTrace<K>, case: &str) -> TestAnalysis<K> {
+    let config = CheckerConfig::default();
+    let got = analyze(trace, &config);
+    let (want_obs, want_cw, want_ow) = reference::analyze(trace, &config.wfr_mode);
+    assert_eq!(got.observations, want_obs, "case {case}: observations diverge");
+    assert_eq!(got.content_windows, want_cw, "case {case}: content windows diverge");
+    assert_eq!(got.order_windows, want_ow, "case {case}: order windows diverge");
+    got
+}
 
 /// The tentpole equivalence: a full streaming pass over a chaotic trace
 /// produces *identical* observations (kind, agent, timestamps, witnesses,
@@ -447,13 +561,8 @@ fn full_streaming_pass_equals_the_frozen_batch_oracle() {
     for case in 0..CASES {
         let agents = rng.range(2, 5) as u32;
         let trace = chaotic_trace(&mut rng, agents);
-        let config = CheckerConfig::default();
-        let got = analyze(&trace, &config);
-        let (want_obs, want_cw, want_ow) = reference::analyze(&trace, &config.wfr_mode);
-        assert_eq!(got.observations, want_obs, "case {case}: observations diverge");
-        assert_eq!(got.content_windows, want_cw, "case {case}: content windows diverge");
-        assert_eq!(got.order_windows, want_ow, "case {case}: order windows diverge");
-        anomalies_seen += got.observations.len();
+        anomalies_seen +=
+            assert_full_pass_matches_the_oracle(&trace, &case.to_string()).observations.len();
     }
     // The generator must actually feed the checkers, or the equivalence
     // above is vacuous.
@@ -505,43 +614,70 @@ fn single_part_operators_match_their_original_checkers() {
     let mut rng = TestRng::new(0x57EA_0003);
     for case in 0..100 {
         let trace = chaotic_trace(&mut rng, 3);
-        let index = conprobe_core::index::TraceIndex::new(&trace);
-        assert_eq!(checkers::check_read_your_writes(&trace), reference::ryw(&index), "case {case}");
-        assert_eq!(checkers::check_monotonic_writes(&trace), reference::mw(&index), "case {case}");
-        assert_eq!(checkers::check_monotonic_reads(&trace), reference::mr(&index), "case {case}");
-        assert_eq!(
-            checkers::check_writes_follow_reads(&trace, &WfrMode::General),
-            reference::wfr(&index, &WfrMode::General),
-            "case {case}"
-        );
-        assert_eq!(
-            checkers::check_content_divergence(&trace),
-            reference::content(&index),
-            "case {case}"
-        );
-        assert_eq!(
-            checkers::check_order_divergence(&trace),
-            reference::order(&index),
-            "case {case}"
-        );
-        let config = CheckerConfig::default();
-        for (part, kind) in [
-            (StreamPart::ContentWindows, conprobe_core::window::WindowKind::Content),
-            (StreamPart::OrderWindows, conprobe_core::window::WindowKind::Order),
-        ] {
-            let mut s = StreamingAnalyzer::single(&config, part);
-            for op in trace.ops() {
-                s.push_event(op);
-            }
-            let got = s.finish();
-            let want = reference::all_pair_windows(&index, kind);
-            let got_windows = match kind {
-                conprobe_core::window::WindowKind::Content => got.content_windows,
-                conprobe_core::window::WindowKind::Order => got.order_windows,
-            };
-            assert_eq!(got_windows, want, "case {case} {kind:?}");
+        assert_single_parts_match_the_oracle(&trace, &case.to_string());
+    }
+}
+
+fn assert_single_parts_match_the_oracle(trace: &TestTrace<K>, case: &str) {
+    let index = conprobe_core::index::TraceIndex::new(trace);
+    assert_eq!(checkers::check_read_your_writes(trace), reference::ryw(&index), "case {case}");
+    assert_eq!(checkers::check_monotonic_writes(trace), reference::mw(&index), "case {case}");
+    assert_eq!(checkers::check_monotonic_reads(trace), reference::mr(&index), "case {case}");
+    assert_eq!(
+        checkers::check_writes_follow_reads(trace, &WfrMode::General),
+        reference::wfr(&index, &WfrMode::General),
+        "case {case}"
+    );
+    assert_eq!(
+        checkers::check_content_divergence(trace),
+        reference::content(&index),
+        "case {case}"
+    );
+    assert_eq!(checkers::check_order_divergence(trace), reference::order(&index), "case {case}");
+    let config = CheckerConfig::default();
+    for (part, kind) in [
+        (StreamPart::ContentWindows, conprobe_core::window::WindowKind::Content),
+        (StreamPart::OrderWindows, conprobe_core::window::WindowKind::Order),
+    ] {
+        let mut s = StreamingAnalyzer::single(&config, part);
+        for op in trace.ops() {
+            s.push_event(op);
+        }
+        let got = s.finish();
+        let want = reference::all_pair_windows(&index, kind);
+        let got_windows = match kind {
+            conprobe_core::window::WindowKind::Content => got.content_windows,
+            conprobe_core::window::WindowKind::Order => got.order_windows,
+        };
+        assert_eq!(got_windows, want, "case {case} {kind:?}");
+    }
+}
+
+/// The per-view exactness argument, on the traces it is about: with a
+/// hundred reads over four sequences nearly every read pair is counted
+/// through a view's multiplicity and every witness comes from a view's
+/// first-arrived read, in both agent orientations — and counts,
+/// witnesses, `at` and detail strings still equal the oracle's, for the
+/// full pass and for each operator alone.
+#[test]
+fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
+    use conprobe_core::anomaly::AnomalyKind;
+    let mut rng = TestRng::new(0x57EA_0005);
+    let mut divergences = [0usize; 2];
+    for case in 0..60 {
+        // Each schedule twice: as generated, and with the agents relabelled.
+        let schedule = rng.clone();
+        for flip in [false, true] {
+            rng = schedule.clone();
+            let trace = duplicate_heavy_trace(&mut rng, flip);
+            let case = format!("{case} flip {flip}");
+            let analysis = assert_full_pass_matches_the_oracle(&trace, &case);
+            assert_single_parts_match_the_oracle(&trace, &case);
+            divergences[0] += analysis.count(AnomalyKind::ContentDivergence);
+            divergences[1] += analysis.count(AnomalyKind::OrderDivergence);
         }
     }
+    assert!(divergences.iter().all(|&n| n > 60), "generator too tame: {divergences:?}");
 }
 
 /// Mid-stream telemetry: `live_counts` never decreases in any component
@@ -555,8 +691,14 @@ fn single_part_operators_match_their_original_checkers() {
 fn live_counts_grow_monotonically_onto_the_final_analysis() {
     use conprobe_core::anomaly::AnomalyKind;
     let mut rng = TestRng::new(0x57EA_0004);
-    for case in 0..100 {
-        let trace = chaotic_trace(&mut rng, 3);
+    for case in 0..120 {
+        // The last twenty are duplicate-heavy: WFR and divergence counts
+        // there move by a whole view's reads at a time.
+        let trace = if case < 100 {
+            chaotic_trace(&mut rng, 3)
+        } else {
+            duplicate_heavy_trace(&mut rng, case % 2 == 1)
+        };
         let config = CheckerConfig::default();
         let mut s = StreamingAnalyzer::new(&config);
         let mut prev = [0usize; 6];
@@ -569,6 +711,18 @@ fn live_counts_grow_monotonically_onto_the_final_analysis() {
             }
             prev = now;
         }
+        // A write by a fresh agent, invoked after every response, drains
+        // each deferred check and can add no observation of its own: the
+        // counts now are what `finish` must report.
+        let end = trace.ops().iter().map(|op| op.response).max().unwrap();
+        let after = Timestamp::from_nanos(end.as_nanos() + 1);
+        s.push_event(&OpRecord {
+            agent: AgentId(99),
+            invoke: after,
+            response: after,
+            kind: OpKind::Write { id: (999, 1) },
+        });
+        let drained = s.live_counts();
         let analysis = s.finish();
         let count =
             |kind: AnomalyKind| analysis.observations.iter().filter(|o| o.kind == kind).count();
@@ -586,6 +740,7 @@ fn live_counts_grow_monotonically_onto_the_final_analysis() {
                 "case {case}: live_counts[{c}] = {live} overshot the finished analysis ({fin})"
             );
         }
+        assert_eq!(drained, finished, "case {case}: drained live counts are the final ones");
     }
 }
 
@@ -650,4 +805,36 @@ fn retained_state_stays_bounded_on_wide_keys() {
     let analysis = s.finish();
     let (want_obs, _, _) = reference::analyze(&trace, &WfrMode::General);
     assert_eq!(analysis.observations, want_obs);
+}
+
+/// A read whose sequence was seen before — by any agent — adds a
+/// fixed-size summary and nothing that grows with the sequence: the view
+/// is retained once. The first read by a *new* agent also files the view
+/// under that agent, once.
+#[test]
+fn identical_reads_retain_one_view() {
+    let seq: Vec<K> = (0..200).map(|s| (0, s)).collect();
+    let read = |agent: u32, at: i64| OpRecord {
+        agent: AgentId(agent),
+        invoke: Timestamp::from_millis(at),
+        response: Timestamp::from_millis(at + 3),
+        kind: OpKind::Read { seq: seq.clone() },
+    };
+    let mut s = StreamingAnalyzer::new(&CheckerConfig::default());
+    let mut growth = Vec::new();
+    for i in 0..300i64 {
+        let before = s.retained_bytes();
+        s.push_event(&read(u32::from(i >= 150), i * 5));
+        growth.push(s.retained_bytes() - before);
+    }
+    let summary = growth[1];
+    assert!(growth[0] > seq.len() * 12, "the first read pays for the view: {}", growth[0]);
+    assert!(summary > 0 && summary <= 64, "per-read summary of {summary} bytes");
+    for (i, &g) in growth.iter().enumerate().skip(1) {
+        if i == 150 {
+            assert!(g > summary && g <= summary + 32, "agent 1 files the view once: {g}");
+        } else {
+            assert_eq!(g, summary, "read {i} is another copy of the one view");
+        }
+    }
 }

@@ -60,7 +60,8 @@ use conprobe_services::ServiceKind;
 use conprobe_sim::net::Region;
 use conprobe_sim::{BrownoutMode, NodeId, ServiceActionKind, SimDuration, SimTime};
 use conprobe_store::PostId;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -411,19 +412,22 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, JournalError> {
         }
         offset += consumed;
     }
-    // Last-writer-wins dedup on (cell, instance).
+    // Last-writer-wins dedup on (cell, instance): a later record takes
+    // the place, in `records`, of the first one with its key.
     let total_records = raw.len();
     let mut records: Vec<RecoveredRecord> = Vec::with_capacity(raw.len());
+    let mut position: HashMap<(String, u32), usize> = HashMap::with_capacity(raw.len());
     let mut duplicates = 0usize;
     for record in raw {
-        if let Some(prev) = records
-            .iter_mut()
-            .find(|r| r.key.cell == record.key.cell && r.key.instance == record.key.instance)
-        {
-            *prev = record;
-            duplicates += 1;
-        } else {
-            records.push(record);
+        match position.entry((record.key.cell.clone(), record.key.instance)) {
+            Entry::Occupied(at) => {
+                records[*at.get()] = record;
+                duplicates += 1;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(records.len());
+                records.push(record);
+            }
         }
     }
     Ok(Recovery { records, total_records, duplicates, tail, valid_len })
@@ -1012,6 +1016,8 @@ mod tests {
         let winner =
             r.records.iter().find(|rec| rec.key.cell == "cell/a").expect("cell/a survives");
         assert_eq!(winner.entry, RecoveredEntry::Crashed { panic: "second attempt".into() });
+        // The winner takes the place of the record it supersedes.
+        assert_eq!(r.records[0].key.cell, "cell/a");
         std::fs::remove_file(&path).ok();
     }
 

@@ -27,9 +27,18 @@ fn temp(tag: &str) -> PathBuf {
 }
 
 /// Tests in this binary run in parallel but `CONPROBE_INJECT_PANIC` is
-/// process-global; every test that sets it (or computes a baseline that
-/// must see it unset) serializes on this lock.
+/// process-global; every test that sets it, or runs a campaign in this
+/// process (which must see it unset), serializes on this lock. A spawned
+/// `conprobe` inherits the environment as it is at the moment of the
+/// spawn, so children go through [`conprobe_bin`], which scrubs it.
 static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// A `conprobe` child that cannot inherit a sibling test's panic drill.
+fn conprobe_bin() -> Proc {
+    let mut child = Proc::new(env!("CARGO_BIN_EXE_conprobe"));
+    child.env_remove("CONPROBE_INJECT_PANIC");
+    child
+}
 
 #[test]
 fn campaign_with_panicking_instance_completes_with_quarantine() {
@@ -81,6 +90,7 @@ fn interrupted_repro_resumed_via_cli_is_byte_identical() {
 
 #[test]
 fn chaos_sweep_resumes_from_its_journal() {
+    let _env = ENV_LOCK.lock().unwrap();
     let journal = temp("chaos");
     let journal_s = journal.to_string_lossy();
     let want = run_cli("chaos --service blogger --test 1 --seed 3 --levels 2");
@@ -104,16 +114,15 @@ fn chaos_sweep_resumes_from_its_journal() {
 /// byte-identical to an uninterrupted one.
 #[test]
 fn sigkilled_campaign_resumes_to_identical_study_output() {
-    let bin = env!("CARGO_BIN_EXE_conprobe");
     let journal = temp("kill");
     let journal_s = journal.to_string_lossy().to_string();
     let campaign =
         ["campaign", "--service", "blogger", "--test", "2", "--tests", "4", "--seed", "7"];
 
-    let clean = Proc::new(bin).args(campaign).output().expect("spawn baseline");
+    let clean = conprobe_bin().args(campaign).output().expect("spawn baseline");
     assert!(clean.status.success());
 
-    let killed = Proc::new(bin)
+    let killed = conprobe_bin()
         .args(campaign)
         .args(["--journal", &journal_s])
         .env("CONPROBE_ABORT_AFTER_JOURNALED", "2")
@@ -124,7 +133,7 @@ fn sigkilled_campaign_resumes_to_identical_study_output() {
     assert!(!recovered.records.is_empty(), "completed tests were durably journaled");
     assert!(recovered.records.len() < 4, "the abort struck mid-campaign");
 
-    let resumed = Proc::new(bin)
+    let resumed = conprobe_bin()
         .args(campaign)
         .args(["--resume", &journal_s])
         .output()
@@ -140,7 +149,7 @@ fn sigkilled_campaign_resumes_to_identical_study_output() {
 
     // And the inspector reads the final journal cleanly.
     let inspect =
-        Proc::new(bin).args(["journal", "inspect", &journal_s]).output().expect("inspect");
+        conprobe_bin().args(["journal", "inspect", &journal_s]).output().expect("inspect");
     assert!(inspect.status.success());
     let text = String::from_utf8_lossy(&inspect.stdout);
     assert!(text.contains("blogger/test2"), "{text}");
