@@ -29,10 +29,13 @@ pub enum ServiceKind {
     FacebookFeed,
     /// Facebook group feed (Graph API).
     FacebookGroup,
-    /// Majority-quorum replication with crash-recovery state transfer —
-    /// not one of the paper's measured services, but the repo's
-    /// strong-consistency control arm: zero anomalies expected under the
-    /// same workloads and fault plans that expose the four above.
+    /// Majority-quorum replication with crash-recovery state transfer
+    /// ([`crate::quorum`]) — not one of the paper's measured services, but
+    /// the repo's strong-consistency control arm, run under the same
+    /// workloads and fault plans that expose the four above. Measured
+    /// profile: the five session/order checkers come back clean; Test 2
+    /// shows a brief *content divergence* in ≈ 5–8 % of instances (open
+    /// under ROADMAP item 2).
     Quorum,
     /// PBFT-style ordered-log replication ([`crate::pbft`]) — the second
     /// strong control arm: a replicated state machine where partitions
@@ -245,69 +248,43 @@ pub fn topology(kind: ServiceKind) -> Topology {
                 affinity: AffinityMap::with_fallback(0),
             }
         }
-        // The strong control arms. The parameter presets describe the
-        // regions, routing and write/read modes; [`deploy`] instantiates
-        // them with dedicated node types (which add the crash-recovery
-        // state-transfer and consensus protocols `ReplicaNode` lacks).
-        ServiceKind::Quorum => topology_quorum(false),
+        // The strong control arms. Their presets carry regions, routing
+        // and ordering only; [`deploy`] instantiates dedicated node types
+        // that own the protocol (majority quorums, ordered-log consensus,
+        // crash-recovery state transfer), and the wall-clock
+        // [`LiveCluster`](crate::live::LiveCluster) applies their writes
+        // synchronously.
+        ServiceKind::Quorum => topology_quorum(),
         ServiceKind::Pbft => topology_pbft(),
     }
 }
 
-/// A reference topology beyond the paper's four services: three replicas
-/// (one per agent region) with majority-synchronous writes and quorum
-/// reads. Overlapping quorums give read-your-writes and a single canonical
-/// order without any master; without read repair, quorum reads are *not*
-/// monotonic (different majorities can answer successive reads).
-pub fn topology_quorum(read_repair: bool) -> Topology {
-    let params = ReplicaParams {
-        ordering: OrderingPolicy::exact_timestamp(),
-        read_path: ReadPath::Quorum { read_repair },
-        write_mode: crate::replica_node::WriteMode::SyncMajority,
-        apply_delay: DelayDist::Zero,
-        repl_delay: DelayDist::Zero,
-        anti_entropy: Some(SimDuration::from_secs(2)),
-        canonicalize_on_anti_entropy: false,
-        canonicalize_on_push: false,
-        rate_limit: None,
-    };
+/// The regions, routing and ordering of a strong arm: one replica per
+/// `regions` entry in canonical timestamp order, each agent region routed
+/// to its own front door. The protocol lives in the dedicated node type.
+fn strong_topology(regions: &[Region]) -> Topology {
+    let params =
+        ReplicaParams { ordering: OrderingPolicy::exact_timestamp(), ..ReplicaParams::default() };
     Topology {
-        replicas: vec![
-            (Region::Oregon, params.clone()),
-            (Region::Tokyo, params.clone()),
-            (Region::Ireland, params),
-        ],
+        replicas: regions.iter().map(|r| (*r, params.clone())).collect(),
         affinity: AffinityMap::one_per_agent(),
     }
+}
+
+/// The majority-quorum arm's topology: three replicas, one per agent
+/// region. Majority writes and majority reads intersect, which gives
+/// read-your-writes and one canonical order without any master.
+pub fn topology_quorum() -> Topology {
+    strong_topology(&Region::AGENTS)
 }
 
 /// The PBFT-style ordered-log arm's topology: four replicas (`n = 3f+1`
 /// with `f = 1`) — one per agent region plus a North Virginia witness
 /// that never fronts clients. Writes and reads are both sequenced
 /// through the leader's log (ordered reads are what make the arm
-/// linearizable), so the preset's `SyncMajority` write mode and snapshot
-/// read path describe the observable contract, not the mechanism.
+/// linearizable).
 pub fn topology_pbft() -> Topology {
-    let params = ReplicaParams {
-        ordering: OrderingPolicy::exact_timestamp(),
-        read_path: ReadPath::Snapshot,
-        write_mode: crate::replica_node::WriteMode::SyncMajority,
-        apply_delay: DelayDist::Zero,
-        repl_delay: DelayDist::Zero,
-        anti_entropy: None,
-        canonicalize_on_anti_entropy: false,
-        canonicalize_on_push: false,
-        rate_limit: None,
-    };
-    Topology {
-        replicas: vec![
-            (Region::Oregon, params.clone()),
-            (Region::Tokyo, params.clone()),
-            (Region::Ireland, params.clone()),
-            (Region::Virginia, params),
-        ],
-        affinity: AffinityMap::one_per_agent(),
-    }
+    strong_topology(&[Region::Oregon, Region::Tokyo, Region::Ireland, Region::Virginia])
 }
 
 /// A reference topology beyond the paper's four services: one primary
@@ -369,17 +346,15 @@ pub fn deploy<A: Send + 'static>(
     deploy_topology(world, kind, topology(kind))
 }
 
-/// Deploys the majority-quorum reference service: one
+/// Deploys the majority-quorum control arm: one
 /// [`QuorumReplica`](crate::quorum::QuorumReplica) per agent region,
-/// fully meshed, using [`topology_quorum`]'s regions and routing.
-///
-/// This is separate from [`deploy_topology`] because the quorum service
-/// runs a dedicated node type (majority writes, quorum reads, and the
-/// crash-recovery state-transfer protocol) rather than a parameterized
-/// [`ReplicaNode`].
+/// fully meshed, using [`topology_quorum`]'s regions and routing. The
+/// dedicated node type owns the protocol (majority writes, majority
+/// reads, crash-recovery state transfer); a parameterized
+/// [`ReplicaNode`] has no quorum mode.
 pub fn deploy_quorum<A: Send + 'static>(world: &mut World<NetMsg<A>>) -> ServiceCluster {
     use crate::quorum::QuorumReplica;
-    let topo = topology_quorum(false);
+    let topo = topology_quorum();
     let mut ids = Vec::with_capacity(topo.replicas.len());
     for (region, _) in &topo.replicas {
         let id = world.add_node_with_clock(

@@ -123,6 +123,8 @@ impl<A: Send + 'static> Node<NetMsg<A>> for FaultDriver {
 mod tests {
     use super::*;
     use crate::replica_node::{ReplicaNode, ReplicaParams};
+    use crate::{PbftReplica, QuorumReplica};
+    use conprobe_obs::{EventLog, ObsSink, Severity};
     use conprobe_sim::net::Region;
     use conprobe_sim::{BrownoutMode, FaultEvent, LocalClock, SimDuration, World, WorldConfig};
 
@@ -138,9 +140,53 @@ mod tests {
         (w, r)
     }
 
+    /// The three sim replica types, each deployed alone (no peers: a
+    /// recovering strong replica just stays fenced) in a world with a
+    /// telemetry sink: `(name, deploy, is_crashed)`.
+    type Arm = (&'static str, fn(&mut World<Msg>) -> NodeId, fn(&World<Msg>, NodeId) -> bool);
+    const ARMS: [Arm; 3] = [
+        (
+            "ReplicaNode",
+            |w| w.add_node(Region::Virginia, Box::new(ReplicaNode::new(ReplicaParams::default()))),
+            |w, r| w.node_as::<ReplicaNode>(r).unwrap().is_crashed(),
+        ),
+        (
+            "QuorumReplica",
+            |w| w.add_node(Region::Virginia, Box::new(QuorumReplica::new())),
+            |w, r| w.node_as::<QuorumReplica>(r).unwrap().is_crashed(),
+        ),
+        (
+            "PbftReplica",
+            |w| {
+                let r = w.add_node(Region::Virginia, Box::new(PbftReplica::new()));
+                w.node_as_mut::<PbftReplica>(r).unwrap().set_members(vec![r], 0);
+                r
+            },
+            |w, r| w.node_as::<PbftReplica>(r).unwrap().is_crashed(),
+        ),
+    ];
+
+    /// A world with an Info-level `services` log, the arm's replica, and
+    /// a driver for `plan` aimed at it.
+    fn observed(arm: &Arm, plan: &FaultPlan) -> (World<Msg>, ObsSink, NodeId, NodeId) {
+        let sink = ObsSink::with_log(
+            EventLog::new(256).with_min_severity(Severity::Info).with_target_prefix("services"),
+        );
+        let mut w = World::new(WorldConfig::default(), 21);
+        w.install_obs(sink.clone());
+        let r = (arm.1)(&mut w);
+        let driver = w.add_node(Region::Virginia, Box::new(FaultDriver::new(plan, vec![r])));
+        (w, sink, r, driver)
+    }
+
+    /// How many logged transitions mention `what`. The driver sends every
+    /// control three times; a duplicate must not log again.
+    fn logged(sink: &ObsSink, what: &str) -> usize {
+        sink.log.drain().iter().filter(|e| e.render().contains(what)).count()
+    }
+
     #[test]
     fn crash_cycle_toggles_replica_state_and_is_logged() {
-        let (mut w, r) = world_with_replica();
         let plan = FaultPlan::new(1).with(FaultEvent::CrashCycle {
             target: 0,
             at: SimTime::from_secs(1),
@@ -148,34 +194,48 @@ mod tests {
             up_for: SimDuration::from_secs(1),
             cycles: 2,
         });
-        let driver = w.add_node(Region::Virginia, Box::new(FaultDriver::new(&plan, vec![r])));
-        // Timeline: crash 1 s, recover 3 s, crash 4 s, recover 6 s.
-        w.run_until(SimTime::from_secs(2));
-        assert!(w.node_as::<ReplicaNode>(r).unwrap().is_crashed());
-        w.run_until(SimTime::from_millis(3500));
-        assert!(!w.node_as::<ReplicaNode>(r).unwrap().is_crashed());
-        w.run_until(SimTime::from_secs(5));
-        assert!(w.node_as::<ReplicaNode>(r).unwrap().is_crashed());
-        w.run_until(SimTime::from_secs(7));
-        assert!(!w.node_as::<ReplicaNode>(r).unwrap().is_crashed());
-        let d = w.node_as::<FaultDriver>(driver).unwrap();
-        assert_eq!(d.log().len(), 4);
-        assert_eq!(d.log()[0].action, ServiceActionKind::Crash);
-        assert_eq!(d.log()[0].at, SimTime::from_secs(1));
-        assert_eq!(d.log()[3].action, ServiceActionKind::Recover);
-        assert_eq!(d.log()[3].at, SimTime::from_secs(6));
-        assert_eq!(d.skipped(), 0);
+        for arm in &ARMS {
+            let (name, is_crashed) = (arm.0, arm.2);
+            let (mut w, sink, r, driver) = observed(arm, &plan);
+            // Timeline: crash 1 s, recover 3 s, crash 4 s, recover 6 s.
+            for (until_ms, crashed) in
+                [(2_000, true), (3_500, false), (5_000, true), (7_000, false)]
+            {
+                w.run_until(SimTime::from_millis(until_ms));
+                assert_eq!(is_crashed(&w, r), crashed, "{name} at {until_ms} ms");
+                let line = if crashed { "crashed" } else { "recovered" };
+                assert_eq!(logged(&sink, line), 1, "{name}: one {line:?} line per transition");
+            }
+            let d = w.node_as::<FaultDriver>(driver).unwrap();
+            assert_eq!(d.log().len(), 4);
+            assert_eq!(d.log()[0].action, ServiceActionKind::Crash);
+            assert_eq!(d.log()[0].at, SimTime::from_secs(1));
+            assert_eq!(d.log()[3].action, ServiceActionKind::Recover);
+            assert_eq!(d.log()[3].at, SimTime::from_secs(6));
+            assert_eq!(d.skipped(), 0);
+        }
     }
 
     #[test]
     fn brownout_window_sets_and_clears_mode() {
-        let (mut w, r) = world_with_replica();
         let plan = FaultPlan::new(1).with(FaultEvent::Brownout {
             target: 0,
             at: SimTime::from_secs(1),
             duration: SimDuration::from_secs(2),
             mode: BrownoutMode::ThrottleStorm,
         });
+        for arm in &ARMS {
+            let name = arm.0;
+            let (mut w, sink, r, _driver) = observed(arm, &plan);
+            let gauge = sink.metrics.gauge(&format!("services.replica.{r}.brownout"));
+            w.run_until(SimTime::from_secs(2));
+            assert_eq!(gauge.get(), 1.0, "{name}: gauge up inside the window");
+            assert_eq!(logged(&sink, "brownout start: ThrottleStorm"), 1, "{name}");
+            w.run_until(SimTime::from_secs(4));
+            assert_eq!(gauge.get(), 0.0, "{name}: gauge down after the window");
+            assert_eq!(logged(&sink, "brownout end"), 1, "{name}");
+        }
+        let (mut w, r) = world_with_replica();
         let _driver = w.add_node(Region::Virginia, Box::new(FaultDriver::new(&plan, vec![r])));
         w.run_until(SimTime::from_secs(2));
         assert_eq!(

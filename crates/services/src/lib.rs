@@ -47,6 +47,7 @@ pub mod pbft;
 pub mod quorum;
 pub mod replica_node;
 pub mod shard;
+mod shell;
 
 pub use api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
 pub use catalog::{deploy, ServiceCluster, ServiceKind};
@@ -56,3 +57,69 @@ pub use pbft::{PbftMsg, PbftReplica};
 pub use quorum::QuorumReplica;
 pub use replica_node::{DelayDist, ReadPath, ReplicaNode, ReplicaParams};
 pub use shard::ShardRing;
+
+/// The scripted sim driver and small constructors the replica unit tests
+/// share.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::api::{ClientOp, NetMsg, OpResult};
+    use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration, SimTime, World};
+    use conprobe_store::{AuthorId, Post, PostId};
+
+    pub(crate) type Msg = NetMsg<()>;
+
+    /// Sends a fixed schedule of messages (client ops, fault controls,
+    /// forged replication traffic) and records the responses it gets.
+    pub(crate) struct Script {
+        schedule: Vec<(SimDuration, NodeId, Msg)>,
+        pub(crate) responses: Vec<(u64, OpResult)>,
+    }
+
+    impl Script {
+        pub(crate) fn new(schedule: Vec<(SimDuration, NodeId, Msg)>) -> Self {
+            Script { schedule, responses: Vec::new() }
+        }
+    }
+
+    impl Node<Msg> for Script {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            for (i, (at, _, _)) in self.schedule.iter().enumerate() {
+                ctx.set_timer(*at, i as u64);
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
+            if let NetMsg::Response { req_id, result } = msg {
+                self.responses.push((req_id, result));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
+            let (_, target, msg) = self.schedule[token as usize].clone();
+            ctx.send(target, msg);
+        }
+    }
+
+    pub(crate) fn post(author: u32, seq: u32) -> Post {
+        let id = PostId::new(AuthorId(author), seq);
+        Post::new(id, format!("post {id}"), LocalTime::from_nanos(0))
+    }
+
+    /// A client request; by convention `index` is its place in the
+    /// schedule, so responses can be matched to what was sent.
+    pub(crate) fn req(index: usize, op: ClientOp) -> Msg {
+        NetMsg::Request { req_id: index as u64, op }
+    }
+
+    /// Steps the world until `until` (sim time) or the queue drains —
+    /// bounded, because a fenced replica's retry timer and the pbft pulse
+    /// re-arm forever and `run_until_idle` would never return.
+    pub(crate) fn run(world: &mut World<Msg>, until: SimDuration) {
+        let deadline = SimTime::ZERO + until;
+        while world.now() < deadline && world.step() {}
+    }
+
+    pub(crate) fn at(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+}

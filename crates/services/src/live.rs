@@ -34,12 +34,13 @@
 //! in *every* shard, so a probe sees the same anomaly at every key.
 
 use crate::catalog::{topology, ServiceKind};
-use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
-use crate::replica_node::{DelayDist, WriteMode};
+use crate::quorum::{decode_post_frame, stored_post_to_payload};
+use crate::replica_node::DelayDist;
 use crate::shard::ShardRing;
+use crate::shell::Catchup;
 use conprobe_json::frame;
 use conprobe_sim::net::Region;
-use conprobe_sim::{SimRng, SimTime};
+use conprobe_sim::{NodeId, SimRng, SimTime};
 use conprobe_store::{AffinityMap, OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -156,10 +157,6 @@ pub struct LiveCluster {
     ring: ShardRing,
     rng: Mutex<SimRng>,
     stale: Option<StaleWindow>,
-    /// Majority-synchronous writes (the strong control arms): a write is
-    /// applied at every replica before it is acknowledged, so the live
-    /// group is linearizable — no replication queue, no anomaly windows.
-    sync_writes: bool,
     /// Ordered-log view tracking for the PBFT arm (`kind == Pbft`): the
     /// current view (`leader = view mod n`), the number of completed
     /// view changes, and which replicas are currently down. A leader
@@ -215,8 +212,6 @@ impl LiveCluster {
                 ShardState { replicas, in_flight: Mutex::new(Vec::new()) }
             })
             .collect();
-        let sync_writes =
-            topo.replicas.iter().all(|(_, p)| p.write_mode == WriteMode::SyncMajority);
         let replica_count = topo.replicas.len();
         LiveCluster {
             kind: config.kind,
@@ -226,7 +221,6 @@ impl LiveCluster {
             ring: ShardRing::new(shard_count),
             rng: Mutex::new(SimRng::new(config.seed).split("live.repl")),
             stale: config.stale_window,
-            sync_writes,
             pbft_view: AtomicU64::new(1),
             pbft_view_changes: AtomicU64::new(0),
             down: (0..replica_count).map(|_| AtomicBool::new(false)).collect(),
@@ -270,9 +264,11 @@ impl LiveCluster {
     /// Accepts a write for `key` at `region`'s replica of the owning
     /// shard. Local-ack services (all four measured ones) schedule
     /// asynchronous replication pushes to every peer with per-peer
-    /// sampled delays; the majority-synchronous quorum service instead
-    /// applies the write at every replica before returning, so the
-    /// acknowledgement implies global visibility.
+    /// sampled delays; the strong arms instead apply the write at every
+    /// replica before returning, so the acknowledgement implies global
+    /// visibility. Either way a down replica receives nothing: what it
+    /// missed comes back at rejoin (state transfer) or through
+    /// anti-entropy.
     pub fn write_keyed(&self, region: Region, key: u32, post: Post, now_nanos: u64) -> PostId {
         self.tick(now_nanos);
         let shard = &self.shards[self.ring.shard_for_key(key)];
@@ -282,12 +278,12 @@ impl LiveCluster {
             let mut rep = shard.replicas[origin].lock().unwrap();
             rep.core_mut(key).apply_new(post, SimTime::from_nanos(now_nanos)).cloned()
         };
-        if self.sync_writes {
+        if self.sync_writes() {
             if let Some(stored) = stored {
                 // Lock in index order (the anti-entropy discipline) so a
                 // concurrent writer at another front door cannot deadlock.
                 for target in 0..shard.replicas.len() {
-                    if target != origin {
+                    if target != origin && !self.is_down(target) {
                         let mut rep = shard.replicas[target].lock().unwrap();
                         rep.core_mut(key).apply_replicated(stored.clone());
                     }
@@ -301,7 +297,7 @@ impl LiveCluster {
             let mut pushes = Vec::new();
             let mut earliest = u64::MAX;
             for target in 0..shard.replicas.len() {
-                if target != origin {
+                if target != origin && !self.is_down(target) {
                     let delay = repl_delay.sample(&mut rng).as_nanos();
                     let deliver_at = now_nanos.saturating_add(delay);
                     earliest = earliest.min(deliver_at);
@@ -389,7 +385,8 @@ impl LiveCluster {
                 }
                 due
             };
-            for push in due {
+            // A push addressed to a process that has since died dies too.
+            for push in due.into_iter().filter(|p| !self.is_down(p.target)) {
                 let mut rep = shard.replicas[push.target].lock().unwrap();
                 let core = rep.core_mut(push.key);
                 for post in push.posts {
@@ -423,8 +420,11 @@ impl LiveCluster {
     /// push what the peer lacks.
     fn anti_entropy_round(&self, shard_idx: usize, idx: usize, now_nanos: u64) {
         let shard = &self.shards[shard_idx];
+        // A down replica neither initiates nor answers an exchange; its
+        // schedule still advances so the sweep horizon keeps moving.
+        let idle = self.is_down(idx);
         for peer in 0..shard.replicas.len() {
-            if peer == idx {
+            if peer == idx || idle || self.is_down(peer) {
                 continue;
             }
             // Lock in index order to rule out deadlock between
@@ -468,10 +468,16 @@ impl LiveCluster {
         }
     }
 
-    /// Whether writes are majority-synchronous (the quorum control arm).
+    /// Whether writes are synchronous (the strong control arms): a write
+    /// is applied at every live replica before it is acknowledged, so the
+    /// group is linearizable — no replication queue, no anomaly windows.
     /// Decides the rejoin flavour: state transfer vs cold restart.
     pub fn sync_writes(&self) -> bool {
-        self.sync_writes
+        matches!(self.kind, ServiceKind::Quorum | ServiceKind::Pbft)
+    }
+
+    fn is_down(&self, idx: usize) -> bool {
+        self.down[idx].load(Ordering::Acquire)
     }
 
     /// Crashes replica `idx`: its in-memory state is wiped in every
@@ -560,28 +566,11 @@ impl LiveCluster {
         if idx < self.down.len() {
             self.down[idx].store(false, Ordering::SeqCst);
         }
-        if !self.sync_writes {
-            return RejoinReport {
-                frames: 0,
-                peers: 0,
-                watermark: 0,
-                applied: 0,
-                stream_hash: frame::FNV64_BASIS,
-                cold: true,
-            };
-        }
-        let mut report = RejoinReport {
-            frames: 0,
-            peers: 0,
-            watermark: 0,
-            applied: 0,
-            stream_hash: frame::FNV64_BASIS,
-            cold: false,
-        };
-        for peer in 0..self.replica_count() {
-            if peer == idx {
-                continue;
-            }
+        let mut round = Catchup::new(0, decode_post_frame);
+        let mut applied = 0;
+        // Weak arms rejoin cold: nobody streams anything.
+        let donors = if self.sync_writes() { self.replica_count() } else { 0 };
+        for peer in (0..donors).filter(|peer| *peer != idx) {
             let mut peer_total = 0u64;
             for shard in &self.shards {
                 // Pairwise index-ordered locking — the anti-entropy
@@ -607,31 +596,26 @@ impl LiveCluster {
                         .iter()
                         .map(|p| frame::encode_record(&stored_post_to_payload(p)))
                         .collect();
-                    let verified: Option<Vec<StoredPost>> = lines
-                        .iter()
-                        .map(|line| {
-                            frame::decode_record(line)
-                                .ok()
-                                .and_then(|payload| stored_post_from_payload(payload).ok())
-                        })
-                        .collect();
-                    let Some(decoded) = verified else { continue };
-                    for line in &lines {
-                        report.stream_hash = frame::fnv64_fold(report.stream_hash, line.as_bytes());
-                    }
-                    report.frames += lines.len() as u64;
+                    let Ok(decoded) = round.verify(&lines) else { continue };
                     let core = me.core_mut(key);
                     for post in decoded {
                         if core.apply_replicated(post) {
-                            report.applied += 1;
+                            applied += 1;
                         }
                     }
                 }
             }
-            report.peers += 1;
-            report.watermark = report.watermark.max(peer_total);
+            round.heard(NodeId(peer), peer_total);
         }
-        report
+        let (frames, watermark, stream_hash) = round.record();
+        RejoinReport {
+            frames,
+            peers: round.peers() as u64,
+            watermark,
+            applied,
+            stream_hash,
+            cold: !self.sync_writes(),
+        }
     }
 
     /// Total posts held by replica `idx`, summed across shards and keys
@@ -937,6 +921,34 @@ mod tests {
         assert_eq!(c.replica_len(1), 0, "cold rejoin restarts empty");
         // Anti-entropy (Google+ runs it every 6 s) heals the divergence.
         assert!(c.read(Region::Tokyo, 120 * SEC).contains(&id));
+    }
+
+    #[test]
+    fn down_replica_receives_nothing_until_it_rejoins() {
+        // Weak arm: a write made during Tokyo's outage must not reach it
+        // by push or by anti-entropy, however long the outage lasts.
+        let c = cluster(ServiceKind::FacebookFeed, None);
+        c.crash_replica(1);
+        let id = c.write(Region::Oregon, post(0, 1), MS);
+        for step in 1..=600u64 {
+            c.tick(step * 100 * MS);
+            assert_eq!(c.replica_len(1), 0, "a down replica applied traffic at {step}");
+        }
+        assert_eq!(c.replica_len(0), 1);
+        assert_eq!(c.replica_len(2), 1, "the live peers still replicate among themselves");
+        // Cold rejoin, then anti-entropy (2 s on FB Feed) heals it.
+        assert!(c.recover_replica(1).cold);
+        assert_eq!(c.replica_len(1), 0);
+        assert!(c.read(Region::Tokyo, 120 * SEC).contains(&id));
+
+        // Quorum arm: the write commits on the live majority only, and
+        // the rejoin's state transfer is what delivers it.
+        let c = cluster(ServiceKind::Quorum, None);
+        c.crash_replica(1);
+        let id = c.write(Region::Oregon, post(0, 1), MS);
+        assert_eq!(c.replica_len(1), 0);
+        assert_eq!(c.recover_replica(1).applied, 1);
+        assert!(c.read(Region::Tokyo, 2 * MS).contains(&id));
     }
 
     #[test]

@@ -35,43 +35,37 @@
 //! this: their front door simply re-forwards pending ops to the new
 //! leader.
 //!
-//! **Crash recovery** is the quorum arm's state-transfer protocol
-//! applied to the log: a recovering replica broadcasts
-//! [`PbftMsg::StateReq`] and peers stream their committed backlog as
-//! `cpj1` length-prefixed checksummed records (one `{slot, op}` entry
-//! per frame — the campaign journal's format) plus their apply
-//! watermark. The recovering replica verifies each whole stream before
-//! applying any of it, and serves **no client operations** until it has
-//! heard `n − quorum + 1` peers (every commit quorum misses at most
-//! `n − quorum` replicas, so this fence intersects all of them — the
-//! same intersection argument as `quorum.rs`) *and* caught up past the
-//! highest watermark heard. Committed-but-unapplied slots replay from
+//! **Crash recovery** is the quorum arm's state-transfer round (one
+//! implementation, shared) applied to the log: a recovering replica
+//! broadcasts [`PbftMsg::StateReq`] and peers stream their committed
+//! backlog as `cpj1` length-prefixed checksummed records (one
+//! `{slot, op}` entry per frame — the campaign journal's format) plus
+//! their apply watermark. The recovering replica verifies each whole
+//! stream before applying any of it, and serves **no client operations**
+//! until it has heard `n − quorum + 1` peers (every commit quorum misses
+//! at most `n − quorum` replicas, so this fence intersects all of them —
+//! the same intersection argument as `quorum.rs`) *and* caught up past
+//! the highest watermark heard. Committed-but-unapplied slots replay from
 //! the backlog the instant their predecessors arrive.
 //!
-//! The node is [`FaultDriver`](crate::fault_driver::FaultDriver)-aware:
-//! it honours the same [`ControlMsg`] crash/recover/brownout protocol as
-//! the other arms, so `conprobe chaos` drives it unchanged.
+//! The node is [`FaultDriver`](crate::fault_driver::FaultDriver)-aware
+//! through the same front-door shell as the other arms (crash, restart,
+//! brownout), so `conprobe chaos` drives it unchanged.
 
-use crate::api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
+use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
+use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
 use conprobe_json::{frame, member, FromJson, JsonError, JsonValue, ToJson};
-use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, ObsSink, Severity};
-use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimTime};
+use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
+use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Fixed timer token: re-broadcast [`PbftMsg::StateReq`] to peers that
-/// have not answered yet.
-const TOKEN_CATCHUP_RETRY: u64 = 0;
 /// Fixed timer token: the periodic pulse (re-forwarding, leader
 /// retransmission, suspicion, gap repair). Re-armed while not crashed.
+/// ([`TOKEN_CATCHUP_RETRY`] is 0; the front door's counter starts at 2.)
 const TOKEN_PULSE: u64 = 1;
-/// Timer-token kind: a brownout-held client request.
-const TOKEN_KIND_DELAY: u64 = 3 << 62;
-const TOKEN_KIND_MASK: u64 = 3 << 62;
 
-/// How long a fenced replica waits before re-asking unanswered peers.
-const CATCHUP_RETRY: SimDuration = SimDuration::from_millis(500);
 /// Pulse period: the protocol's retry/suspicion heartbeat.
 const PULSE: SimDuration = SimDuration::from_millis(200);
 /// Re-forward a pending client op to the leader after this long without
@@ -297,28 +291,10 @@ struct PendingRead {
     last_forward: SimTime,
 }
 
-/// One in-progress state transfer (this replica is the recovering side).
-struct Catchup {
-    token: u64,
-    heard: HashSet<NodeId>,
-    /// Highest apply watermark heard from any responder.
-    watermark: u64,
-    /// Highest view heard from any responder (adopted on completion).
-    view: u64,
-    frames: u64,
-    /// Running FNV-1a over every verified frame, in arrival order.
-    stream_hash: u64,
-}
-
-/// Observability handles, resolved in `on_start`. Instrumentation only:
-/// behaviour is identical without a sink.
+/// This arm's own metrics, next to the [`FrontDoor`]'s common ones.
+/// Instrumentation only: behaviour is identical without a sink.
 struct PbftObs {
-    sink: ObsSink,
-    applied: Gauge,
     fenced: Gauge,
-    writes: Counter,
-    reads: Counter,
-    throttled: Counter,
     state_transfers: Counter,
     protocol_anomalies: Counter,
     /// Shared across the replica group: completed view installations.
@@ -331,34 +307,6 @@ struct PbftObs {
     commit_latency: Histogram,
 }
 
-impl PbftObs {
-    fn new(sink: &ObsSink, node: NodeId) -> Self {
-        let prefix = format!("services.replica.{node}");
-        let m = &sink.metrics;
-        PbftObs {
-            applied: m.gauge(&format!("{prefix}.applied")),
-            fenced: m.gauge(&format!("{prefix}.fenced")),
-            writes: m.counter(&format!("{prefix}.writes")),
-            reads: m.counter(&format!("{prefix}.reads")),
-            throttled: m.counter(&format!("{prefix}.throttled")),
-            state_transfers: m.counter(&format!("{prefix}.state_transfers")),
-            protocol_anomalies: m.counter(&format!("{prefix}.protocol_anomalies")),
-            view_changes: m.counter("services.pbft.view_changes"),
-            commits: m.counter("services.pbft.commits"),
-            leader: m.gauge("services.pbft.leader"),
-            commit_latency: m
-                .histogram("services.pbft.commit_latency_nanos", &latency_bounds_nanos()),
-            sink: sink.clone(),
-        }
-    }
-
-    fn event(&self, now: SimTime, severity: Severity, message: impl FnOnce() -> String) {
-        if self.sink.log.enabled(severity, "services") {
-            self.sink.log.record(now.as_nanos(), severity, "services", message());
-        }
-    }
-}
-
 /// A PBFT-style ordered-log replica (see the module docs for the
 /// protocol).
 pub struct PbftReplica {
@@ -366,8 +314,9 @@ pub struct PbftReplica {
     /// The full member list (self included), in replica-index order.
     replicas: Vec<NodeId>,
     my_index: usize,
-    next_token: u64,
-    crashed: bool,
+    /// Crash flag, brownout gate, request counters, timer tokens and the
+    /// common metrics — the shell shared with the other replica types.
+    door: FrontDoor,
     /// The current view; `leader = view mod n`.
     view: u64,
     /// Per-slot protocol state (never garbage-collected — the retained
@@ -403,17 +352,16 @@ pub struct PbftReplica {
     /// Per-replica seeded suspicion timeout (base + jitter).
     suspicion: SimDuration,
     /// The read fence: `Some` while recovering, cleared on completion.
-    catchup: Option<Catchup>,
+    catchup: Option<Catchup<(u64, String)>>,
+    /// Highest view heard from any responder of the current catch-up
+    /// round (adopted on completion).
+    catchup_view: u64,
     /// An outstanding gap-repair round (fetch missing committed prefix).
     gap_token: Option<u64>,
     /// When the current sequence gap was first observed.
     gap_since: Option<SimTime>,
     /// Client ops queued behind the read fence.
     fenced_requests: Vec<(NodeId, u64, ClientOp)>,
-    brownout: Option<BrownoutMode>,
-    delayed_requests: HashMap<u64, (NodeId, u64, ClientOp)>,
-    /// `(writes, reads, throttled)` counters for tests/diagnostics.
-    stats: (u64, u64, u64),
     /// Malformed/inconsistent peer messages ignored (never panicked on).
     anomalies: u64,
     /// Completed view installations/adoptions at this replica.
@@ -431,7 +379,7 @@ impl std::fmt::Debug for PbftReplica {
             .field("applied", &self.core.len())
             .field("next_apply", &self.next_apply)
             .field("fenced", &self.is_fenced())
-            .field("stats", &self.stats)
+            .field("stats", &self.door.stats())
             .finish()
     }
 }
@@ -450,8 +398,12 @@ impl PbftReplica {
             core: ReplicaCore::new(OrderingPolicy::exact_timestamp()),
             replicas: Vec::new(),
             my_index: 0,
-            next_token: 2,
-            crashed: false,
+            // Replies ride the FIFO link: a read's content is pinned at
+            // its log slot, so two answers to one client must arrive in
+            // slot order — an old-content answer leapfrogging a newer one
+            // would read as a monotonic-reads violation at the probe even
+            // though the log itself is linear.
+            door: FrontDoor::new(2, true),
             view: INITIAL_VIEW,
             slots: HashMap::new(),
             committed: BTreeMap::new(),
@@ -470,12 +422,10 @@ impl PbftReplica {
             last_new_view: None,
             suspicion: SUSPICION_BASE,
             catchup: None,
+            catchup_view: 0,
             gap_token: None,
             gap_since: None,
             fenced_requests: Vec::new(),
-            brownout: None,
-            delayed_requests: HashMap::new(),
-            stats: (0, 0, 0),
             anomalies: 0,
             views_entered: 0,
             transfers: Vec::new(),
@@ -498,7 +448,7 @@ impl PbftReplica {
 
     /// Whether the replica is currently crashed (fault injection).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.door.is_crashed()
     }
 
     /// Whether the recovery fence is up (no client service until caught
@@ -524,7 +474,7 @@ impl PbftReplica {
 
     /// `(writes, reads, throttled)` request counters.
     pub fn stats(&self) -> (u64, u64, u64) {
-        self.stats
+        self.door.stats()
     }
 
     /// Malformed or inconsistent peer messages ignored-and-counted.
@@ -571,12 +521,6 @@ impl PbftReplica {
         self.replicas[self.leader_index(view)]
     }
 
-    fn fresh_token(&mut self, kind: u64) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        kind | t
-    }
-
     fn sender_index(&self, from: NodeId) -> Option<usize> {
         self.replicas.iter().position(|r| *r == from)
     }
@@ -586,15 +530,6 @@ impl PbftReplica {
         if let Some(obs) = &self.obs {
             obs.protocol_anomalies.inc();
         }
-    }
-
-    /// Client responses use the FIFO link: a read's content is pinned at
-    /// its log slot, so two answers to the same client must arrive in
-    /// the order the front door sent them (slot order) — an old-content
-    /// answer leapfrogging a newer one would read as a monotonic-reads
-    /// violation at the probe even though the log itself is linear.
-    fn respond<A>(ctx: &mut Context<'_, NetMsg<A>>, client: NodeId, req_id: u64, result: OpResult) {
-        ctx.send_ordered(client, NetMsg::Response { req_id, result });
     }
 
     fn broadcast<A>(&self, ctx: &mut Context<'_, NetMsg<A>>, msg: PbftMsg, ordered: bool) {
@@ -628,7 +563,7 @@ impl PbftReplica {
             // White-box instrumentation: authoritative local state,
             // exempt from the fence (it bypasses the ordered-read path).
             let seq = self.core.snapshot().to_vec();
-            Self::respond(ctx, from, req_id, OpResult::ReadOk(seq));
+            self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             return;
         }
         if self.is_fenced() {
@@ -642,10 +577,7 @@ impl PbftReplica {
         let now = ctx.true_now();
         match op {
             ClientOp::Write(post) => {
-                self.stats.0 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.writes.inc();
-                }
+                self.door.count_write();
                 let id = post.id;
                 if self.core.contains(id) {
                     // Already committed and applied (an RPC retransmit
@@ -653,10 +585,10 @@ impl PbftReplica {
                     // any waiters a lost commit round left behind.
                     if let Some(w) = self.pending_writes.remove(&id) {
                         for (client, req) in w.waiters {
-                            Self::respond(ctx, client, req, OpResult::WriteAck(id));
+                            self.door.respond(ctx, client, req, OpResult::WriteAck(id));
                         }
                     }
-                    Self::respond(ctx, from, req_id, OpResult::WriteAck(id));
+                    self.door.respond(ctx, from, req_id, OpResult::WriteAck(id));
                     return;
                 }
                 if let Some(w) = self.pending_writes.get_mut(&id) {
@@ -678,10 +610,7 @@ impl PbftReplica {
                 self.forward_to_leader(ctx, op);
             }
             ClientOp::Read => {
-                self.stats.1 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.reads.inc();
-                }
+                self.door.count_read();
                 if self.read_reqs.contains_key(&(from, req_id)) {
                     return; // retransmit of an in-flight ordered read
                 }
@@ -950,7 +879,7 @@ impl PbftReplica {
                                     .record(now.saturating_since(w.first_at).as_nanos());
                             }
                             for (client, req_id) in w.waiters {
-                                Self::respond(ctx, client, req_id, OpResult::WriteAck(id));
+                                self.door.respond(ctx, client, req_id, OpResult::WriteAck(id));
                             }
                         }
                     }
@@ -960,7 +889,7 @@ impl PbftReplica {
                         if let Some(r) = self.pending_reads.remove(&seq) {
                             self.read_reqs.retain(|_, s| *s != seq);
                             let snapshot = self.core.snapshot().to_vec();
-                            Self::respond(ctx, r.client, r.req_id, OpResult::ReadOk(snapshot));
+                            self.door.respond(ctx, r.client, r.req_id, OpResult::ReadOk(snapshot));
                         }
                     }
                 }
@@ -974,9 +903,7 @@ impl PbftReplica {
         if let Some((&last, _)) = self.committed.iter().next_back() {
             self.next_slot = self.next_slot.max(last + 1);
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 
     // ------------------------------------------------------------------
@@ -1024,13 +951,10 @@ impl PbftReplica {
         self.voted_at = now;
         let proofs = self.prepared_proofs();
         self.view_votes.entry(new_view).or_default().insert(self.my_index, proofs.clone());
-        if let Some(obs) = &self.obs {
-            let node = ctx.node_id();
-            let leader = self.leader_index(new_view);
-            obs.event(now, Severity::Warn, || {
-                format!("replica {node} suspects leader; voting view change to view {new_view} (leader n{leader})")
-            });
-        }
+        let (node, leader) = (ctx.node_id(), self.leader_index(new_view));
+        self.door.event(now, Severity::Warn, || {
+            format!("replica {node} suspects leader; voting view change to view {new_view} (leader n{leader})")
+        });
         self.broadcast(ctx, PbftMsg::ViewChange { new_view, prepared: proofs }, true);
         self.maybe_install(ctx, new_view);
     }
@@ -1161,14 +1085,12 @@ impl PbftReplica {
             obs.view_changes.inc();
         }
         self.broadcast(ctx, PbftMsg::NewView { view: new_view, pre_prepares }, true);
-        if let Some(obs) = &self.obs {
-            let node = ctx.node_id();
-            obs.event(now, Severity::Info, || {
-                format!(
-                    "replica {node} view change installed: leading view {new_view} with re-issued log prefix"
-                )
-            });
-        }
+        let node = ctx.node_id();
+        self.door.event(now, Severity::Info, || {
+            format!(
+                "replica {node} view change installed: leading view {new_view} with re-issued log prefix"
+            )
+        });
         let mut slots: Vec<u64> =
             self.slots.iter().filter(|(_, s)| !s.committed).map(|(slot, _)| *slot).collect();
         slots.sort_unstable(); // deterministic send order
@@ -1260,11 +1182,11 @@ impl PbftReplica {
         let leader = self.leader_index(view);
         if let Some(obs) = &self.obs {
             obs.leader.set(leader as f64);
-            let node = ctx.node_id();
-            obs.event(now, Severity::Info, || {
-                format!("replica {node} view change: entering view {view}, leader n{leader}")
-            });
         }
+        let node = ctx.node_id();
+        self.door.event(now, Severity::Info, || {
+            format!("replica {node} view change: entering view {view}, leader n{leader}")
+        });
     }
 
     /// Reacts to evidence of a view newer than ours: petition its leader
@@ -1309,27 +1231,14 @@ impl PbftReplica {
         Ok((slot, op))
     }
 
-    /// Begins (or restarts) recovery: raise the fence and ask every peer
-    /// for a checksummed backlog stream.
-    fn begin_catchup<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
-        let token = self.fresh_token(0);
-        self.catchup = Some(Catchup {
-            token,
-            heard: HashSet::new(),
-            watermark: 0,
-            view: self.view,
-            frames: 0,
-            stream_hash: frame::FNV64_BASIS,
-        });
-        if let Some(obs) = &self.obs {
-            obs.fenced.set(1.0);
+    /// Asks every peer that has not streamed its backlog yet (all of them
+    /// when the round begins), and re-arms the retry timer.
+    fn solicit_catchup<A>(&self, ctx: &mut Context<'_, NetMsg<A>>) {
+        if let Some(round) = &self.catchup {
+            let me = self.replicas[self.my_index];
+            let peers = self.replicas.iter().copied().filter(|peer| *peer != me);
+            round.solicit(ctx, peers, |token| ReplMsg::Pbft(PbftMsg::StateReq { token }));
         }
-        for (i, &peer) in self.replicas.iter().enumerate() {
-            if i != self.my_index {
-                ctx.send(peer, NetMsg::Repl(ReplMsg::Pbft(PbftMsg::StateReq { token })));
-            }
-        }
-        ctx.set_timer(CATCHUP_RETRY, TOKEN_CATCHUP_RETRY);
     }
 
     fn on_state_resp<A>(
@@ -1341,8 +1250,7 @@ impl PbftReplica {
         watermark: u64,
         frames: Vec<String>,
     ) {
-        let now = ctx.true_now();
-        if self.catchup.is_none() {
+        let Some(round) = self.catchup.as_mut() else {
             // Not recovering: this may answer an outstanding gap-repair
             // round (fetching a committed prefix the commit rounds
             // skipped past us).
@@ -1350,16 +1258,12 @@ impl PbftReplica {
                 return;
             }
             self.gap_token = None;
-            let mut entries = Vec::with_capacity(frames.len());
-            for line in &frames {
-                match Self::decode_backlog_frame(line) {
-                    Ok(entry) => entries.push(entry),
-                    Err(_) => {
-                        self.note_anomaly();
-                        return; // refuse the stream whole
-                    }
-                }
-            }
+            let decoded: Result<Vec<_>, _> =
+                frames.iter().map(|line| Self::decode_backlog_frame(line)).collect();
+            let Ok(entries) = decoded else {
+                self.note_anomaly();
+                return; // refuse the stream whole
+            };
             for (slot, op) in entries {
                 self.committed.entry(slot).or_insert(op);
             }
@@ -1368,91 +1272,36 @@ impl PbftReplica {
             }
             self.try_apply(ctx);
             return;
-        }
-        {
-            let catchup = self.catchup.as_mut().expect("checked above");
-            if catchup.token != token || catchup.heard.contains(&from) {
-                return; // stale round or duplicate responder
-            }
-            // Verify every frame before applying any of it: a corrupt
-            // stream is refused whole, and the retry timer re-requests.
-            let mut entries = Vec::with_capacity(frames.len());
-            for line in &frames {
-                match Self::decode_backlog_frame(line) {
-                    Ok(entry) => entries.push(entry),
-                    Err(reason) => {
-                        if let Some(obs) = &self.obs {
-                            let node = ctx.node_id();
-                            obs.event(now, Severity::Warn, || {
-                                format!(
-                                    "replica {node} refused catch-up stream from {from}: {reason}"
-                                )
-                            });
-                        }
-                        return;
-                    }
-                }
-            }
-            catchup.heard.insert(from);
-            catchup.watermark = catchup.watermark.max(watermark);
-            catchup.view = catchup.view.max(peer_view);
-            catchup.frames += frames.len() as u64;
-            for line in &frames {
-                catchup.stream_hash = frame::fnv64_fold(catchup.stream_hash, line.as_bytes());
-            }
-            for (slot, op) in entries {
-                self.committed.entry(slot).or_insert(op);
-            }
+        };
+        let Some(entries) = round.accept(&self.door, ctx, from, token, watermark, &frames) else {
+            return;
+        };
+        self.catchup_view = self.catchup_view.max(peer_view);
+        for (slot, op) in entries {
+            self.committed.entry(slot).or_insert(op);
         }
         self.try_apply(ctx);
-        let done = {
-            let catchup = self.catchup.as_ref().expect("checked above");
-            catchup.heard.len() >= self.catchup_quorum() && self.next_apply >= catchup.watermark
-        };
-        if done {
-            let catchup = self.catchup.take().expect("checked above");
-            if catchup.view > self.view {
-                self.enter_view(ctx, catchup.view);
-            }
-            self.transfers.push((catchup.frames, catchup.watermark, catchup.stream_hash));
-            if let Some(obs) = &self.obs {
-                obs.fenced.set(0.0);
-                obs.state_transfers.inc();
-                let node = ctx.node_id();
-                let applied = self.next_apply;
-                obs.event(now, Severity::Info, || {
-                    format!(
-                        "replica {node} state transfer complete: {} frame(s) from {} peer(s), \
-                         watermark {}, {applied} slot(s) applied, stream hash {:016x}",
-                        catchup.frames,
-                        catchup.heard.len(),
-                        catchup.watermark,
-                        catchup.stream_hash,
-                    )
-                });
-            }
-            // The fence is down: serve everything queued behind it.
-            for (client, req_id, op) in std::mem::take(&mut self.fenced_requests) {
-                self.handle_request(ctx, client, req_id, op);
-            }
+        let (quorum, local) = (self.catchup_quorum(), self.next_apply);
+        let Some(round) = self.catchup.take_if(|r| r.caught_up(quorum, local)) else { return };
+        if self.catchup_view > self.view {
+            self.enter_view(ctx, self.catchup_view);
+        }
+        let applied = self.next_apply;
+        self.transfers.push(round.finish(&self.door, ctx, || format!("{applied} slot(s) applied")));
+        if let Some(obs) = &self.obs {
+            obs.fenced.set(0.0);
+            obs.state_transfers.inc();
+        }
+        // The fence is down: serve everything queued behind it.
+        for (client, req_id, op) in std::mem::take(&mut self.fenced_requests) {
+            self.handle_request(ctx, client, req_id, op);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Fault-driver control
-    // ------------------------------------------------------------------
-
-    fn on_control<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, msg: &ControlMsg) {
-        let now = ctx.true_now();
-        let node = ctx.node_id();
-        // Every transition is an idempotent no-op when the state already
-        // holds: the fault driver retransmits controls against loss.
-        match msg {
-            ControlMsg::Crash => {
-                if self.crashed {
-                    return;
-                }
-                self.crashed = true;
+    /// Follows up a crash or restart the [`FrontDoor`] just recorded.
+    fn on_transition<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, transition: Transition) {
+        match transition {
+            Transition::Crashed => {
                 // Volatile state is lost wholesale; the brownout is
                 // external overload and survives, like the other arms.
                 self.core = ReplicaCore::new(OrderingPolicy::exact_timestamp());
@@ -1474,45 +1323,22 @@ impl PbftReplica {
                 self.gap_token = None;
                 self.gap_since = None;
                 self.fenced_requests.clear();
-                self.delayed_requests.clear();
                 if let Some(obs) = &self.obs {
-                    obs.applied.set(0.0);
                     obs.fenced.set(0.0);
-                    obs.event(now, Severity::Warn, || format!("replica {node} crashed"));
                 }
             }
-            ControlMsg::Recover => {
-                if self.crashed {
-                    self.crashed = false;
-                    if let Some(obs) = &self.obs {
-                        obs.event(now, Severity::Info, || {
-                            format!("replica {node} recovered; state transfer begun")
-                        });
-                    }
-                    // The pulse died with the crash; re-arm it.
-                    ctx.set_timer(PULSE, TOKEN_PULSE);
-                    self.begin_catchup(ctx);
-                }
-            }
-            ControlMsg::BrownoutStart(mode) => {
-                if self.brownout == Some(*mode) {
-                    return;
-                }
-                self.brownout = Some(*mode);
+            Transition::Recovered => {
+                // The pulse died with the crash; re-arm it. Then raise
+                // the fence and ask every peer for a checksummed backlog
+                // stream.
+                ctx.set_timer(PULSE, TOKEN_PULSE);
+                let token = self.door.fresh_token(0);
+                self.catchup = Some(Catchup::new(token, Self::decode_backlog_frame));
+                self.catchup_view = self.view;
                 if let Some(obs) = &self.obs {
-                    obs.event(now, Severity::Warn, || {
-                        format!("replica {node} brownout start: {mode:?}")
-                    });
+                    obs.fenced.set(1.0);
                 }
-            }
-            ControlMsg::BrownoutEnd => {
-                if self.brownout.is_none() {
-                    return;
-                }
-                self.brownout = None;
-                if let Some(obs) = &self.obs {
-                    obs.event(now, Severity::Info, || format!("replica {node} brownout end"));
-                }
+                self.solicit_catchup(ctx);
             }
         }
     }
@@ -1551,7 +1377,7 @@ impl PbftReplica {
         for id in resolved {
             if let Some(w) = self.pending_writes.remove(&id) {
                 for (client, req_id) in w.waiters {
-                    Self::respond(ctx, client, req_id, OpResult::WriteAck(id));
+                    self.door.respond(ctx, client, req_id, OpResult::WriteAck(id));
                 }
             }
         }
@@ -1589,7 +1415,7 @@ impl PbftReplica {
             let since = *self.gap_since.get_or_insert(now);
             if now.saturating_since(since) >= GAP_REPAIR {
                 self.gap_since = Some(now);
-                let token = self.fresh_token(0);
+                let token = self.door.fresh_token(0);
                 self.gap_token = Some(token);
                 let leader = self.leader_id(self.view);
                 if leader != ctx.node_id() {
@@ -1680,7 +1506,21 @@ impl PbftReplica {
 
 impl<A: Send + 'static> Node<NetMsg<A>> for PbftReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
-        self.obs = ctx.obs().map(|sink| PbftObs::new(sink, ctx.node_id()));
+        self.door.start(ctx);
+        self.obs = ctx.obs().map(|sink| {
+            let prefix = metric_prefix(ctx.node_id());
+            let m = &sink.metrics;
+            PbftObs {
+                fenced: m.gauge(&format!("{prefix}.fenced")),
+                state_transfers: m.counter(&format!("{prefix}.state_transfers")),
+                protocol_anomalies: m.counter(&format!("{prefix}.protocol_anomalies")),
+                view_changes: m.counter("services.pbft.view_changes"),
+                commits: m.counter("services.pbft.commits"),
+                leader: m.gauge("services.pbft.leader"),
+                commit_latency: m
+                    .histogram("services.pbft.commit_latency_nanos", &latency_bounds_nanos()),
+            }
+        });
         // Stagger suspicion deterministically per seed/node so replicas
         // do not stampede the same target view at the same instant.
         let jitter = ctx.rng().gen_range(0..400u64);
@@ -1695,40 +1535,30 @@ impl<A: Send + 'static> Node<NetMsg<A>> for PbftReplica {
         // Fault-injection control is handled even while crashed (the
         // recover signal must get through).
         if let NetMsg::Control(control) = &msg {
-            self.on_control(ctx, control);
+            if let Some(t) = self.door.on_control(ctx, control, "; state transfer begun") {
+                self.on_transition(ctx, t);
+            }
             return;
         }
-        if self.crashed {
+        if self.door.is_crashed() {
             return; // a crashed process answers nothing
         }
         match msg {
-            NetMsg::Request { req_id, op } => match self.brownout {
-                Some(BrownoutMode::ThrottleStorm) if !matches!(op, ClientOp::Inspect) => {
-                    self.stats.2 += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.throttled.inc();
-                    }
-                    Self::respond(ctx, from, req_id, OpResult::Throttled);
+            NetMsg::Request { req_id, op } => {
+                if let Some(op) = self.door.admit(ctx, from, req_id, op) {
+                    self.handle_request(ctx, from, req_id, op);
                 }
-                Some(BrownoutMode::Delay(hold)) if !matches!(op, ClientOp::Inspect) => {
-                    let token = self.fresh_token(TOKEN_KIND_DELAY);
-                    self.delayed_requests.insert(token, (from, req_id, op));
-                    ctx.set_timer(hold, token);
-                }
-                _ => self.handle_request(ctx, from, req_id, op),
-            },
+            }
             NetMsg::Repl(ReplMsg::Pbft(pbft)) => self.on_pbft(ctx, from, pbft),
             // The weak arms' replication and the quorum arm's protocols
             // are not addressed to an ordered-log replica.
             NetMsg::Repl(_) | NetMsg::Response { .. } | NetMsg::App(_) | NetMsg::Control(_) => {}
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, NetMsg<A>>, token: u64) {
-        if self.crashed {
+        if self.door.is_crashed() {
             return; // timers die with the process (re-armed on recover)
         }
         if token == TOKEN_PULSE {
@@ -1737,84 +1567,24 @@ impl<A: Send + 'static> Node<NetMsg<A>> for PbftReplica {
             return;
         }
         if token == TOKEN_CATCHUP_RETRY {
-            // Re-ask peers that have not streamed the backlog yet; keep
-            // the timer alive while the fence is up.
-            let Some(catchup) = self.catchup.as_ref() else { return };
-            let round = catchup.token;
-            let unanswered: Vec<NodeId> = self
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(i, peer)| *i != self.my_index && !catchup.heard.contains(peer))
-                .map(|(_, peer)| *peer)
-                .collect();
-            for peer in unanswered {
-                ctx.send(peer, NetMsg::Repl(ReplMsg::Pbft(PbftMsg::StateReq { token: round })));
-            }
-            ctx.set_timer(CATCHUP_RETRY, TOKEN_CATCHUP_RETRY);
+            self.solicit_catchup(ctx);
             return;
         }
-        if token & TOKEN_KIND_MASK == TOKEN_KIND_DELAY {
-            if let Some((client, req_id, op)) = self.delayed_requests.remove(&token) {
-                self.handle_request(ctx, client, req_id, op);
-            }
+        if let Some((client, req_id, op)) = self.door.release(token) {
+            self.handle_request(ctx, client, req_id, op);
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ControlMsg;
+    use crate::testkit::{at, post, req, run, Msg, Script};
     use conprobe_sim::net::Region;
     use conprobe_sim::{LocalClock, LocalTime, World, WorldConfig};
     use conprobe_store::AuthorId;
-
-    type Msg = NetMsg<()>;
-
-    /// Scripted driver: sends a fixed schedule of messages (client ops,
-    /// fault controls, forged consensus traffic) and records responses.
-    /// Requests carry their schedule index as `req_id`.
-    struct Script {
-        schedule: Vec<(SimDuration, NodeId, Msg)>,
-        responses: Vec<(u64, OpResult)>,
-    }
-
-    impl Script {
-        fn new(schedule: Vec<(SimDuration, NodeId, Msg)>) -> Self {
-            Script { schedule, responses: Vec::new() }
-        }
-    }
-
-    impl Node<Msg> for Script {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            for (i, (at, _, _)) in self.schedule.iter().enumerate() {
-                ctx.set_timer(*at, i as u64);
-            }
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-            if let NetMsg::Response { req_id, result } = msg {
-                self.responses.push((req_id, result));
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-            let (_, target, msg) = self.schedule[token as usize].clone();
-            ctx.send(target, msg);
-        }
-    }
-
-    fn post(author: u32, seq: u32) -> Post {
-        let id = PostId::new(AuthorId(author), seq);
-        Post::new(id, format!("post {id}"), LocalTime::from_nanos(0))
-    }
-
-    fn req(index: usize, op: ClientOp) -> Msg {
-        NetMsg::Request { req_id: index as u64, op }
-    }
 
     /// A four-replica group (`n = 3f+1`, `f = 1`): the catalog's regions,
     /// with Virginia as the client-less witness. The initial view is 1,
@@ -1835,18 +1605,6 @@ mod tests {
             world.node_as_mut::<PbftReplica>(id).unwrap().set_members(ids.clone(), i);
         }
         ids
-    }
-
-    /// Steps the world until `until` (sim time) or the queue drains —
-    /// bounded, because the pulse timer re-arms forever and
-    /// `run_until_idle` would never return.
-    fn run(world: &mut World<Msg>, until: SimDuration) {
-        let deadline = SimTime::ZERO + until;
-        while world.now() < deadline && world.step() {}
-    }
-
-    fn at(ms: u64) -> SimDuration {
-        SimDuration::from_millis(ms)
     }
 
     #[test]

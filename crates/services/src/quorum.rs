@@ -9,7 +9,8 @@
 //! * **reads** collect snapshots from a majority
 //!   ([`ReplMsg::SnapshotReq`]) and present the merged set in canonical
 //!   timestamp order, so overlapping quorums guarantee read-your-writes
-//!   and no two front doors ever disagree on order.
+//!   and no two front doors ever disagree on order. There is no read
+//!   repair.
 //! * **crash recovery** is an explicit state-transfer protocol: a
 //!   recovering replica broadcasts [`ReplMsg::CatchupReq`] and peers
 //!   stream their state back as `cpj1` length-prefixed, checksummed
@@ -28,29 +29,27 @@
 //! needs no history), as do inbound [`ReplMsg::SyncPush`]es — they only
 //! make the fence lift sooner.
 //!
-//! The node is [`FaultDriver`](crate::fault_driver::FaultDriver)-aware:
-//! it honours the same [`ControlMsg`] crash/recover/brownout protocol as
-//! [`ReplicaNode`](crate::replica_node::ReplicaNode), so `conprobe
-//! chaos` drives it unchanged.
+//! **Measured profile** (200 seeds a cell, clean and under the chaos
+//! plans): the five session/order checkers — read-your-writes, monotonic
+//! writes, monotonic reads, writes-follow-reads, order divergence — never
+//! fire. Test 2 shows a brief *content divergence* in ≈ 5–8 % of
+//! instances; it is unexplained and stays open under ROADMAP item 2,
+//! which is why nothing here claims (or disclaims) linearizability.
+//!
+//! The node is [`FaultDriver`](crate::fault_driver::FaultDriver)-aware
+//! through the same front-door shell as
+//! [`ReplicaNode`](crate::replica_node::ReplicaNode) and
+//! [`PbftReplica`](crate::pbft::PbftReplica) (crash, restart, brownout),
+//! so `conprobe chaos` drives it unchanged; this is the simulator's one
+//! majority-quorum implementation.
 
-use crate::api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
-use crate::replica_node::quorum_order;
+use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
+use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
 use conprobe_json::{frame, member, FromJson, JsonError, JsonValue, ToJson};
-use conprobe_obs::{Counter, Gauge, ObsSink, Severity};
-use conprobe_sim::{BrownoutMode, Context, LocalTime, Node, NodeId, SimDuration, SimTime};
+use conprobe_obs::{Counter, Gauge};
+use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::{HashMap, HashSet};
-
-/// Fixed timer token: re-broadcast [`ReplMsg::CatchupReq`] to peers that
-/// have not answered yet (requests or responses may be lost to fault
-/// injection).
-const TOKEN_CATCHUP_RETRY: u64 = 0;
-/// Timer-token kind: a brownout-held client request.
-const TOKEN_KIND_DELAY: u64 = 3 << 62;
-const TOKEN_KIND_MASK: u64 = 3 << 62;
-
-/// How long a fenced replica waits before re-asking unanswered peers.
-const CATCHUP_RETRY: SimDuration = SimDuration::from_millis(500);
+use std::collections::HashMap;
 
 /// Serializes one stored post as the compact-JSON payload of a catch-up
 /// frame. Field order is fixed, so the encoding — and therefore the
@@ -83,6 +82,21 @@ pub(crate) fn stored_post_from_payload(payload: &str) -> Result<StoredPost, Json
     Ok(StoredPost { post: Post::new(id, content, client_ts), server_ts, arrival_index })
 }
 
+/// Decodes one catch-up frame: `cpj1` length and checksum, then the
+/// stored-post payload.
+pub(crate) fn decode_post_frame(line: &str) -> Result<StoredPost, String> {
+    let payload = frame::decode_record(line).map_err(|e| e.to_string())?;
+    stored_post_from_payload(payload).map_err(|e| e.to_string())
+}
+
+/// Canonical presentation order for quorum reads: exact server timestamp,
+/// ties by post id — identical at every coordinator, so quorum systems
+/// never exhibit order divergence.
+fn quorum_order(mut posts: Vec<StoredPost>) -> Vec<PostId> {
+    OrderingPolicy::exact_timestamp().sort(&mut posts);
+    posts.into_iter().map(|p| p.id()).collect()
+}
+
 /// A client write waiting for majority acknowledgement.
 struct PendingWrite {
     client: NodeId,
@@ -99,76 +113,27 @@ struct PendingRead {
     merged: Vec<StoredPost>,
 }
 
-/// One in-progress state transfer (this replica is the recovering side).
-struct Catchup {
-    /// Correlation token; responses carrying any other token are stale.
-    token: u64,
-    /// Peers whose stream has been verified and applied.
-    heard: HashSet<NodeId>,
-    /// Highest commit watermark heard from any responder.
-    watermark: u64,
-    /// Total frames verified across responders.
-    frames: u64,
-    /// Running FNV-1a over every verified frame, in arrival order — the
-    /// byte-determinism witness logged on completion.
-    stream_hash: u64,
-}
-
-/// Observability handles, resolved in `on_start`. Instrumentation only:
-/// no randomness, no messages — behaviour is identical without a sink.
+/// This arm's own metrics, next to the [`FrontDoor`]'s common ones.
+/// Instrumentation only: no randomness, no messages.
 struct QuorumObs {
-    sink: ObsSink,
-    applied: Gauge,
     fenced: Gauge,
-    writes: Counter,
-    reads: Counter,
-    throttled: Counter,
     state_transfers: Counter,
     protocol_anomalies: Counter,
-}
-
-impl QuorumObs {
-    fn new(sink: &ObsSink, node: NodeId) -> Self {
-        let prefix = format!("services.replica.{node}");
-        let m = &sink.metrics;
-        QuorumObs {
-            applied: m.gauge(&format!("{prefix}.applied")),
-            fenced: m.gauge(&format!("{prefix}.fenced")),
-            writes: m.counter(&format!("{prefix}.writes")),
-            reads: m.counter(&format!("{prefix}.reads")),
-            throttled: m.counter(&format!("{prefix}.throttled")),
-            state_transfers: m.counter(&format!("{prefix}.state_transfers")),
-            protocol_anomalies: m.counter(&format!("{prefix}.protocol_anomalies")),
-            sink: sink.clone(),
-        }
-    }
-
-    fn event(&self, now: SimTime, severity: Severity, message: impl FnOnce() -> String) {
-        if self.sink.log.enabled(severity, "services") {
-            self.sink.log.record(now.as_nanos(), severity, "services", message());
-        }
-    }
 }
 
 /// A majority-quorum replica (see the module docs for the protocol).
 pub struct QuorumReplica {
     core: ReplicaCore,
     peers: Vec<NodeId>,
-    next_token: u64,
-    /// True while crashed: every message except [`ControlMsg`] is ignored.
-    crashed: bool,
+    /// Crash flag, brownout gate, request counters, timer tokens and the
+    /// common metrics — the shell shared with the other replica types.
+    door: FrontDoor,
     /// The read fence: `Some` while recovering, cleared on completion.
-    catchup: Option<Catchup>,
+    catchup: Option<Catchup<StoredPost>>,
     /// Client reads queued behind the read fence: `(client, req_id)`.
     fenced_reads: Vec<(NodeId, u64)>,
     pending_writes: HashMap<u64, PendingWrite>,
     pending_reads: HashMap<u64, PendingRead>,
-    /// Active front-door brownout. Survives a crash (external overload,
-    /// not volatile process state), like `ReplicaNode`.
-    brownout: Option<BrownoutMode>,
-    delayed_requests: HashMap<u64, (NodeId, u64, ClientOp)>,
-    /// `(writes, reads, throttled)` counters for tests/diagnostics.
-    stats: (u64, u64, u64),
     /// Malformed or replayed peer frames ignored-and-counted instead of
     /// panicking (`services.*.protocol_anomalies`).
     anomalies: u64,
@@ -183,7 +148,7 @@ impl std::fmt::Debug for QuorumReplica {
             .field("posts", &self.core.len())
             .field("peers", &self.peers)
             .field("fenced", &self.is_fenced())
-            .field("stats", &self.stats)
+            .field("stats", &self.door.stats())
             .finish()
     }
 }
@@ -201,15 +166,11 @@ impl QuorumReplica {
         QuorumReplica {
             core: ReplicaCore::new(OrderingPolicy::exact_timestamp()),
             peers: Vec::new(),
-            next_token: 1,
-            crashed: false,
+            door: FrontDoor::new(1, false),
             catchup: None,
             fenced_reads: Vec::new(),
             pending_writes: HashMap::new(),
             pending_reads: HashMap::new(),
-            brownout: None,
-            delayed_requests: HashMap::new(),
-            stats: (0, 0, 0),
             anomalies: 0,
             transfers: Vec::new(),
             obs: None,
@@ -228,7 +189,7 @@ impl QuorumReplica {
 
     /// Whether the replica is currently crashed (fault injection).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.door.is_crashed()
     }
 
     /// Whether the read fence is up (recovering, not yet caught up).
@@ -238,7 +199,7 @@ impl QuorumReplica {
 
     /// `(writes, reads, throttled)` request counters.
     pub fn stats(&self) -> (u64, u64, u64) {
-        self.stats
+        self.door.stats()
     }
 
     /// Malformed or replayed peer frames ignored-and-counted.
@@ -279,16 +240,6 @@ impl QuorumReplica {
         self.core.len() as u64
     }
 
-    fn fresh_token(&mut self, kind: u64) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        kind | t
-    }
-
-    fn respond<A>(ctx: &mut Context<'_, NetMsg<A>>, client: NodeId, req_id: u64, result: OpResult) {
-        ctx.send(client, NetMsg::Response { req_id, result });
-    }
-
     /// Majority write: apply locally, sync-push to every peer, ack the
     /// client once `majority - 1` peers acked. Duplicate deliveries (the
     /// agent RPC layer retransmits lost requests) re-run the whole
@@ -314,7 +265,7 @@ impl QuorumReplica {
                     Some(stored) => stored,
                     None => {
                         self.note_anomaly();
-                        Self::respond(ctx, client, req_id, OpResult::WriteAck(post_id));
+                        self.door.respond(ctx, client, req_id, OpResult::WriteAck(post_id));
                         return;
                     }
                 }
@@ -322,10 +273,10 @@ impl QuorumReplica {
         };
         let acks_remaining = self.majority().saturating_sub(1);
         if acks_remaining == 0 {
-            Self::respond(ctx, client, req_id, OpResult::WriteAck(post_id));
+            self.door.respond(ctx, client, req_id, OpResult::WriteAck(post_id));
             return;
         }
-        let token = self.fresh_token(0);
+        let token = self.door.fresh_token(0);
         self.pending_writes.insert(token, PendingWrite { client, req_id, post_id, acks_remaining });
         for &peer in &self.peers {
             ctx.send_ordered(
@@ -341,10 +292,10 @@ impl QuorumReplica {
         let responses_remaining = self.majority().saturating_sub(1);
         let merged = self.core.snapshot_posts().to_vec();
         if responses_remaining == 0 {
-            Self::respond(ctx, client, req_id, OpResult::ReadOk(quorum_order(merged)));
+            self.door.respond(ctx, client, req_id, OpResult::ReadOk(quorum_order(merged)));
             return;
         }
-        let token = self.fresh_token(0);
+        let token = self.door.fresh_token(0);
         self.pending_reads
             .insert(token, PendingRead { client, req_id, responses_remaining, merged });
         for &peer in &self.peers {
@@ -377,28 +328,16 @@ impl QuorumReplica {
                 self.note_anomaly();
                 return;
             };
-            Self::respond(ctx, p.client, p.req_id, OpResult::ReadOk(quorum_order(p.merged)));
+            self.door.respond(ctx, p.client, p.req_id, OpResult::ReadOk(quorum_order(p.merged)));
         }
     }
 
-    /// Begins (or restarts) recovery: raise the read fence and ask every
-    /// peer for a checksummed state stream.
-    fn begin_catchup<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
-        let token = self.fresh_token(0);
-        self.catchup = Some(Catchup {
-            token,
-            heard: HashSet::new(),
-            watermark: 0,
-            frames: 0,
-            stream_hash: frame::FNV64_BASIS,
-        });
-        if let Some(obs) = &self.obs {
-            obs.fenced.set(1.0);
+    /// Asks every peer that has not streamed state yet (all of them when
+    /// the round begins), and re-arms the retry timer.
+    fn solicit_catchup<A>(&self, ctx: &mut Context<'_, NetMsg<A>>) {
+        if let Some(round) = &self.catchup {
+            round.solicit(ctx, self.peers.iter().copied(), |token| ReplMsg::CatchupReq { token });
         }
-        for &peer in &self.peers {
-            ctx.send(peer, NetMsg::Repl(ReplMsg::CatchupReq { token }));
-        }
-        ctx.set_timer(CATCHUP_RETRY, TOKEN_CATCHUP_RETRY);
     }
 
     /// Applies one verified catch-up stream; lifts the fence when the
@@ -411,70 +350,24 @@ impl QuorumReplica {
         watermark: u64,
         frames: Vec<String>,
     ) {
-        let now = ctx.true_now();
-        {
-            let Some(catchup) = self.catchup.as_mut() else { return };
-            if catchup.token != token || catchup.heard.contains(&from) {
-                return; // stale round or duplicate responder
-            }
-            // Verify every frame before applying any of it: a corrupt
-            // stream is refused whole, and the retry timer re-requests.
-            let mut posts = Vec::with_capacity(frames.len());
-            for line in &frames {
-                match frame::decode_record(line).map_err(|e| e.to_string()).and_then(|payload| {
-                    stored_post_from_payload(payload).map_err(|e| e.to_string())
-                }) {
-                    Ok(post) => posts.push(post),
-                    Err(reason) => {
-                        if let Some(obs) = &self.obs {
-                            let node = ctx.node_id();
-                            obs.event(now, Severity::Warn, || {
-                                format!(
-                                    "replica {node} refused catch-up stream from {from}: {reason}"
-                                )
-                            });
-                        }
-                        return;
-                    }
-                }
-            }
-            catchup.heard.insert(from);
-            catchup.watermark = catchup.watermark.max(watermark);
-            catchup.frames += frames.len() as u64;
-            for line in &frames {
-                catchup.stream_hash = frame::fnv64_fold(catchup.stream_hash, line.as_bytes());
-            }
-            for post in posts {
-                self.core.apply_replicated(post);
-            }
-        }
-        let done = {
-            let catchup = self.catchup.as_ref().expect("checked above");
-            catchup.heard.len() >= self.catchup_quorum() && self.watermark() >= catchup.watermark
+        let Some(round) = self.catchup.as_mut() else { return };
+        let Some(posts) = round.accept(&self.door, ctx, from, token, watermark, &frames) else {
+            return;
         };
-        if done {
-            let catchup = self.catchup.take().expect("checked above");
-            self.transfers.push((catchup.frames, catchup.watermark, catchup.stream_hash));
-            if let Some(obs) = &self.obs {
-                obs.fenced.set(0.0);
-                obs.state_transfers.inc();
-                let node = ctx.node_id();
-                let applied = self.core.len();
-                obs.event(now, Severity::Info, || {
-                    format!(
-                        "replica {node} state transfer complete: {} frame(s) from {} peer(s), \
-                         watermark {}, {applied} post(s), stream hash {:016x}",
-                        catchup.frames,
-                        catchup.heard.len(),
-                        catchup.watermark,
-                        catchup.stream_hash,
-                    )
-                });
-            }
-            // The fence is down: serve every read queued behind it.
-            for (client, req_id) in std::mem::take(&mut self.fenced_reads) {
-                self.quorum_read(ctx, client, req_id);
-            }
+        for post in posts {
+            self.core.apply_replicated(post);
+        }
+        let (quorum, local) = (self.catchup_quorum(), self.watermark());
+        let Some(round) = self.catchup.take_if(|r| r.caught_up(quorum, local)) else { return };
+        let applied = self.core.len();
+        self.transfers.push(round.finish(&self.door, ctx, || format!("{applied} post(s)")));
+        if let Some(obs) = &self.obs {
+            obs.fenced.set(0.0);
+            obs.state_transfers.inc();
+        }
+        // The fence is down: serve every read queued behind it.
+        for (client, req_id) in std::mem::take(&mut self.fenced_reads) {
+            self.quorum_read(ctx, client, req_id);
         }
     }
 
@@ -489,17 +382,11 @@ impl QuorumReplica {
     ) {
         match op {
             ClientOp::Write(post) => {
-                self.stats.0 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.writes.inc();
-                }
+                self.door.count_write();
                 self.quorum_write(ctx, from, req_id, post);
             }
             ClientOp::Read => {
-                self.stats.1 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.reads.inc();
-                }
+                self.door.count_read();
                 if self.is_fenced() {
                     // Read fence: no reads until caught up past the
                     // rejoin watermark. Duplicate queue entries (RPC
@@ -515,66 +402,34 @@ impl QuorumReplica {
                 // White-box instrumentation: authoritative local state,
                 // exempt from the fence (it bypasses the read protocol).
                 let seq = self.core.snapshot().to_vec();
-                Self::respond(ctx, from, req_id, OpResult::ReadOk(seq));
+                self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             }
         }
     }
 
-    fn on_control<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, msg: &ControlMsg) {
-        let now = ctx.true_now();
-        let node = ctx.node_id();
-        // Like `ReplicaNode`, every transition is an idempotent no-op
-        // when the state already holds: the fault driver retransmits
-        // controls against message loss.
-        match msg {
-            ControlMsg::Crash => {
-                if self.crashed {
-                    return;
-                }
-                self.crashed = true;
+    /// Follows up a crash or restart the [`FrontDoor`] just recorded.
+    fn on_transition<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, transition: Transition) {
+        match transition {
+            Transition::Crashed => {
                 // Volatile state is lost wholesale.
                 self.core = ReplicaCore::new(OrderingPolicy::exact_timestamp());
                 self.catchup = None;
                 self.fenced_reads.clear();
                 self.pending_writes.clear();
                 self.pending_reads.clear();
-                self.delayed_requests.clear();
                 if let Some(obs) = &self.obs {
-                    obs.applied.set(0.0);
                     obs.fenced.set(0.0);
-                    obs.event(now, Severity::Warn, || format!("replica {node} crashed"));
                 }
             }
-            ControlMsg::Recover => {
-                if self.crashed {
-                    self.crashed = false;
-                    if let Some(obs) = &self.obs {
-                        obs.event(now, Severity::Info, || {
-                            format!("replica {node} recovered; state transfer begun")
-                        });
-                    }
-                    self.begin_catchup(ctx);
-                }
-            }
-            ControlMsg::BrownoutStart(mode) => {
-                if self.brownout == Some(*mode) {
-                    return;
-                }
-                self.brownout = Some(*mode);
+            // Begin recovery: raise the read fence and ask every peer for
+            // a checksummed state stream.
+            Transition::Recovered => {
+                let token = self.door.fresh_token(0);
+                self.catchup = Some(Catchup::new(token, decode_post_frame));
                 if let Some(obs) = &self.obs {
-                    obs.event(now, Severity::Warn, || {
-                        format!("replica {node} brownout start: {mode:?}")
-                    });
+                    obs.fenced.set(1.0);
                 }
-            }
-            ControlMsg::BrownoutEnd => {
-                if self.brownout.is_none() {
-                    return;
-                }
-                self.brownout = None;
-                if let Some(obs) = &self.obs {
-                    obs.event(now, Severity::Info, || format!("replica {node} brownout end"));
-                }
+                self.solicit_catchup(ctx);
             }
         }
     }
@@ -582,38 +437,34 @@ impl QuorumReplica {
 
 impl<A: Send + 'static> Node<NetMsg<A>> for QuorumReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
-        self.obs = ctx.obs().map(|sink| QuorumObs::new(sink, ctx.node_id()));
+        self.door.start(ctx);
+        self.obs = ctx.obs().map(|sink| {
+            let prefix = metric_prefix(ctx.node_id());
+            let m = &sink.metrics;
+            QuorumObs {
+                fenced: m.gauge(&format!("{prefix}.fenced")),
+                state_transfers: m.counter(&format!("{prefix}.state_transfers")),
+                protocol_anomalies: m.counter(&format!("{prefix}.protocol_anomalies")),
+            }
+        });
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, NetMsg<A>>, from: NodeId, msg: NetMsg<A>) {
         // Fault-injection control is handled even while crashed (the
         // recover signal must get through).
         if let NetMsg::Control(control) = &msg {
-            self.on_control(ctx, control);
+            if let Some(t) = self.door.on_control(ctx, control, "; state transfer begun") {
+                self.on_transition(ctx, t);
+            }
             return;
         }
-        if self.crashed {
+        if self.door.is_crashed() {
             return; // a crashed process answers nothing
         }
         match msg {
             NetMsg::Request { req_id, op } => {
-                // Front-door brownouts mistreat client requests exactly
-                // like the weak replicas: throttle storm rejects,
-                // delayed service holds.
-                match self.brownout {
-                    Some(BrownoutMode::ThrottleStorm) if !matches!(op, ClientOp::Inspect) => {
-                        self.stats.2 += 1;
-                        if let Some(obs) = &self.obs {
-                            obs.throttled.inc();
-                        }
-                        Self::respond(ctx, from, req_id, OpResult::Throttled);
-                    }
-                    Some(BrownoutMode::Delay(hold)) if !matches!(op, ClientOp::Inspect) => {
-                        let token = self.fresh_token(TOKEN_KIND_DELAY);
-                        self.delayed_requests.insert(token, (from, req_id, op));
-                        ctx.set_timer(hold, token);
-                    }
-                    _ => self.handle_request(ctx, from, req_id, op),
+                if let Some(op) = self.door.admit(ctx, from, req_id, op) {
+                    self.handle_request(ctx, from, req_id, op);
                 }
             }
             NetMsg::Repl(repl) => match repl {
@@ -637,7 +488,7 @@ impl<A: Send + 'static> Node<NetMsg<A>> for QuorumReplica {
                             self.note_anomaly();
                             return;
                         };
-                        Self::respond(ctx, w.client, w.req_id, OpResult::WriteAck(w.post_id));
+                        self.door.respond(ctx, w.client, w.req_id, OpResult::WriteAck(w.post_id));
                     }
                 }
                 ReplMsg::SnapshotReq { token } => {
@@ -683,89 +534,32 @@ impl<A: Send + 'static> Node<NetMsg<A>> for QuorumReplica {
             // storage replica.
             NetMsg::Response { .. } | NetMsg::App(_) | NetMsg::Control(_) => {}
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, NetMsg<A>>, token: u64) {
-        if self.crashed {
+        if self.door.is_crashed() {
             return;
         }
         if token == TOKEN_CATCHUP_RETRY {
-            // Re-ask peers that have not streamed state yet; keep the
-            // timer alive while the fence is up.
-            let Some(catchup) = self.catchup.as_ref() else { return };
-            let round = catchup.token;
-            let unanswered: Vec<NodeId> =
-                self.peers.iter().copied().filter(|p| !catchup.heard.contains(p)).collect();
-            for peer in unanswered {
-                ctx.send(peer, NetMsg::Repl(ReplMsg::CatchupReq { token: round }));
-            }
-            ctx.set_timer(CATCHUP_RETRY, TOKEN_CATCHUP_RETRY);
+            self.solicit_catchup(ctx);
             return;
         }
-        if token & TOKEN_KIND_MASK == TOKEN_KIND_DELAY {
-            if let Some((client, req_id, op)) = self.delayed_requests.remove(&token) {
-                self.handle_request(ctx, client, req_id, op);
-            }
+        if let Some((client, req_id, op)) = self.door.release(token) {
+            self.handle_request(ctx, client, req_id, op);
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ControlMsg;
+    use crate::testkit::{at, post, req, run, Msg, Script};
     use conprobe_sim::net::Region;
     use conprobe_sim::{LocalClock, World, WorldConfig};
     use conprobe_store::AuthorId;
-
-    type Msg = NetMsg<()>;
-
-    /// Scripted driver: sends a fixed schedule of messages (client ops,
-    /// fault controls, forged replication traffic) and records responses.
-    /// Requests carry their schedule index as `req_id`.
-    struct Script {
-        schedule: Vec<(SimDuration, NodeId, Msg)>,
-        responses: Vec<(u64, OpResult)>,
-    }
-
-    impl Script {
-        fn new(schedule: Vec<(SimDuration, NodeId, Msg)>) -> Self {
-            Script { schedule, responses: Vec::new() }
-        }
-    }
-
-    impl Node<Msg> for Script {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            for (i, (at, _, _)) in self.schedule.iter().enumerate() {
-                ctx.set_timer(*at, i as u64);
-            }
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-            if let NetMsg::Response { req_id, result } = msg {
-                self.responses.push((req_id, result));
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-            let (_, target, msg) = self.schedule[token as usize].clone();
-            ctx.send(target, msg);
-        }
-    }
-
-    fn post(author: u32, seq: u32) -> Post {
-        let id = PostId::new(AuthorId(author), seq);
-        Post::new(id, format!("post {id}"), LocalTime::from_nanos(0))
-    }
-
-    fn req(index: usize, op: ClientOp) -> Msg {
-        NetMsg::Request { req_id: index as u64, op }
-    }
 
     fn build_cluster(world: &mut World<Msg>, n: usize) -> Vec<NodeId> {
         let regions = [Region::Oregon, Region::Tokyo, Region::Ireland];
@@ -783,18 +577,6 @@ mod tests {
             world.node_as_mut::<QuorumReplica>(id).unwrap().set_peers(peers);
         }
         ids
-    }
-
-    /// Steps the world until `until` (sim time) or the queue drains —
-    /// bounded, because a permanently fenced replica re-arms its retry
-    /// timer forever and `run_until_idle` would never return.
-    fn run(world: &mut World<Msg>, until: SimDuration) {
-        let deadline = SimTime::ZERO + until;
-        while world.now() < deadline && world.step() {}
-    }
-
-    fn at(ms: u64) -> SimDuration {
-        SimDuration::from_millis(ms)
     }
 
     #[test]

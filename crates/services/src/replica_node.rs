@@ -25,7 +25,8 @@
 //! not model.
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
-use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, ObsSink, Severity};
+use crate::shell::{metric_prefix, FrontDoor, Transition, TOKEN_KIND_MASK};
+use conprobe_obs::{latency_bounds_nanos, Counter, Histogram};
 use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimRng, SimTime};
 use conprobe_store::ranking::RankablePost;
 use conprobe_store::{
@@ -111,15 +112,6 @@ pub enum ReadPath {
         /// writes-follows-reads violations.
         lag: DelayDist,
     },
-    /// Quorum reads: the front door collects snapshots from a majority of
-    /// replicas (itself included), merges them in canonical timestamp
-    /// order, and optionally writes repaired state back (read repair).
-    /// Combined with [`WriteMode::SyncMajority`], overlapping quorums give
-    /// read-your-writes without a single master.
-    Quorum {
-        /// Push merged state back to the replicas after each read.
-        read_repair: bool,
-    },
     /// Through the interest-ranking pipeline.
     Ranked(RankingConfig),
 }
@@ -131,9 +123,6 @@ pub enum WriteMode {
     /// paper's services behave this way).
     #[default]
     LocalAck,
-    /// Apply locally, replicate synchronously, and acknowledge only after a
-    /// majority of replicas (this one included) holds the write.
-    SyncMajority,
     /// This replica is a read-only backup: client writes are forwarded to
     /// the primary (peer index 0 by convention of
     /// [`crate::catalog::topology_primary_backup`]), which acknowledges and
@@ -191,8 +180,6 @@ impl Default for ReplicaParams {
 const TOKEN_ANTI_ENTROPY: u64 = 0;
 const TOKEN_KIND_APPLY: u64 = 1 << 62;
 const TOKEN_KIND_PUSH: u64 = 2 << 62;
-const TOKEN_KIND_DELAY: u64 = 3 << 62;
-const TOKEN_KIND_MASK: u64 = 3 << 62;
 
 /// A service replica (also the service's front door for its clients).
 pub struct ReplicaNode {
@@ -205,30 +192,18 @@ pub struct ReplicaNode {
     peers: Vec<NodeId>,
     pending_apply: HashMap<u64, (Post, SimTime)>,
     pending_push: HashMap<u64, (NodeId, Vec<conprobe_store::StoredPost>)>,
-    next_token: u64,
     last_op_at: HashMap<NodeId, SimTime>,
     last_push_at: HashMap<NodeId, SimTime>,
-    /// True while crashed (fault injection): all traffic is ignored.
-    crashed: bool,
-    /// Active front-door brownout (fault injection). Survives a crash: it
-    /// models an external overload condition, not volatile process state.
-    brownout: Option<BrownoutMode>,
-    /// Client requests held by a [`BrownoutMode::Delay`] brownout, keyed by
-    /// the hold timer's token.
-    delayed_requests: HashMap<u64, (NodeId, u64, ClientOp)>,
-    /// Sync-majority writes awaiting peer acknowledgements.
-    pending_sync_writes: HashMap<u64, PendingSyncWrite>,
-    /// Quorum reads awaiting peer snapshots.
-    pending_quorum_reads: HashMap<u64, PendingQuorumRead>,
+    /// Crash flag, brownout gate, request counters, timer tokens and the
+    /// common metrics (fault injection and telemetry; see [`FrontDoor`]).
+    door: FrontDoor,
     /// Writes forwarded to the primary: forwarded req id → (client, its
     /// original req id).
     forwarded_writes: HashMap<u64, (NodeId, u64)>,
     /// Next forwarded request id (disjoint space from client ids).
     next_forward_req: u64,
-    /// Counters for tests/diagnostics: (writes, reads, throttled).
-    stats: (u64, u64, u64),
-    /// Observability handles, resolved in `on_start` when the world has a
-    /// sink installed. `None` means telemetry is off.
+    /// This arm's own metric handles, resolved in `on_start` when the
+    /// world has a sink installed. `None` means telemetry is off.
     obs: Option<ReplicaObs>,
 }
 
@@ -237,74 +212,17 @@ impl std::fmt::Debug for ReplicaNode {
         f.debug_struct("ReplicaNode")
             .field("posts", &self.core.len())
             .field("peers", &self.peers)
-            .field("stats", &self.stats)
+            .field("stats", &self.door.stats())
             .finish()
     }
 }
 
-/// Per-replica observability handles (see `conprobe-obs`), resolved once in
-/// `on_start` from the world's sink. All metrics live under
-/// `services.replica.n<id>.`. Recording is instrumentation only: it draws no
-/// randomness and sends nothing, so replica behaviour is identical whether
-/// or not a sink is installed.
+/// The weak arms' own metrics (see `conprobe-obs`), next to the
+/// [`FrontDoor`]'s common ones under `services.replica.n<id>.`.
+/// Instrumentation only: recording draws no randomness and sends nothing.
 struct ReplicaObs {
-    sink: ObsSink,
-    applied: Gauge,
-    brownout: Gauge,
     anti_entropy_rounds: Counter,
-    writes: Counter,
-    reads: Counter,
-    throttled: Counter,
     prop_lag: Histogram,
-}
-
-impl ReplicaObs {
-    fn new(sink: &ObsSink, node: NodeId) -> Self {
-        let prefix = format!("services.replica.{node}");
-        let m = &sink.metrics;
-        ReplicaObs {
-            applied: m.gauge(&format!("{prefix}.applied")),
-            brownout: m.gauge(&format!("{prefix}.brownout")),
-            anti_entropy_rounds: m.counter(&format!("{prefix}.anti_entropy_rounds")),
-            writes: m.counter(&format!("{prefix}.writes")),
-            reads: m.counter(&format!("{prefix}.reads")),
-            throttled: m.counter(&format!("{prefix}.throttled")),
-            prop_lag: m
-                .histogram(&format!("{prefix}.propagation_lag_nanos"), &latency_bounds_nanos()),
-            sink: sink.clone(),
-        }
-    }
-
-    /// Records one post replicated from a peer: propagation lag is how long
-    /// after its origin `server_ts` it became visible here.
-    fn replicated(&self, now: SimTime, server_ts: SimTime) {
-        self.prop_lag.record(now.saturating_since(server_ts).as_nanos());
-    }
-
-    /// Logs a structured event; the message closure only runs when the
-    /// log's filters would accept it.
-    fn event(&self, now: SimTime, severity: Severity, message: impl FnOnce() -> String) {
-        if self.sink.log.enabled(severity, "services") {
-            self.sink.log.record(now.as_nanos(), severity, "services", message());
-        }
-    }
-}
-
-/// A client write waiting for majority acknowledgement.
-struct PendingSyncWrite {
-    client: NodeId,
-    req_id: u64,
-    post_id: PostId,
-    acks_remaining: usize,
-}
-
-/// A client read waiting for a majority of snapshots.
-struct PendingQuorumRead {
-    client: NodeId,
-    req_id: u64,
-    responses_remaining: usize,
-    merged: Vec<conprobe_store::StoredPost>,
-    read_repair: bool,
 }
 
 impl ReplicaNode {
@@ -332,17 +250,11 @@ impl ReplicaNode {
             peers: Vec::new(),
             pending_apply: HashMap::new(),
             pending_push: HashMap::new(),
-            next_token: 1,
             last_op_at: HashMap::new(),
             last_push_at: HashMap::new(),
-            crashed: false,
-            brownout: None,
-            delayed_requests: HashMap::new(),
-            pending_sync_writes: HashMap::new(),
-            pending_quorum_reads: HashMap::new(),
+            door: FrontDoor::new(1, false),
             forwarded_writes: HashMap::new(),
             next_forward_req: 1 << 48,
-            stats: (0, 0, 0),
             obs: None,
         }
     }
@@ -364,34 +276,23 @@ impl ReplicaNode {
 
     /// Whether the replica is currently crashed (fault injection).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.door.is_crashed()
     }
 
     /// The active front-door brownout, if any (fault injection).
     pub fn brownout(&self) -> Option<BrownoutMode> {
-        self.brownout
+        self.door.brownout()
     }
 
     /// `(writes, reads, throttled)` request counters.
     pub fn stats(&self) -> (u64, u64, u64) {
-        self.stats
+        self.door.stats()
     }
 
     /// The replica's current policy-ordered snapshot (diagnostics).
     /// Shares the replica core's cached view.
     pub fn snapshot(&self) -> Arc<[PostId]> {
         self.core.snapshot()
-    }
-
-    /// Majority size over peers + self.
-    fn majority(&self) -> usize {
-        self.peers.len().div_ceil(2) + 1
-    }
-
-    fn fresh_token(&mut self, kind: u64) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        kind | t
     }
 
     fn throttled<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, from: NodeId) -> bool {
@@ -436,7 +337,7 @@ impl ReplicaNode {
                     dispatch_at = *last + SimDuration::from_nanos(1);
                 }
                 *last = dispatch_at;
-                let token = self.fresh_token(TOKEN_KIND_PUSH);
+                let token = self.door.fresh_token(TOKEN_KIND_PUSH);
                 self.pending_push.insert(token, (peer, vec![stored.clone()]));
                 ctx.set_timer(dispatch_at.saturating_since(now), token);
             }
@@ -462,109 +363,28 @@ impl ReplicaNode {
         }
     }
 
-    /// Majority-synchronous write path: apply locally, replicate to every
-    /// peer, acknowledge once a majority (incl. this node) holds the post.
-    fn sync_majority_write<A>(
+    /// Applies posts replicated from a peer, recording visibility and
+    /// propagation lag (how long after its origin `server_ts` each became
+    /// visible here) for the new ones. Returns whether any was new.
+    fn absorb<A>(
         &mut self,
         ctx: &mut Context<'_, NetMsg<A>>,
-        client: NodeId,
-        req_id: u64,
-        post: Post,
-        server_ts: SimTime,
-    ) {
-        let now = ctx.true_now();
-        let post_id = post.id;
-        if self.core.apply_new(post, server_ts).is_some() {
-            self.visible_at.insert(post_id, now);
-        }
-        let acks_remaining = self.majority().saturating_sub(1);
-        if acks_remaining == 0 {
-            ctx.send(client, NetMsg::Response { req_id, result: OpResult::WriteAck(post_id) });
-            return;
-        }
-        let token = self.fresh_token(TOKEN_KIND_PUSH);
-        let payload = self.core.missing_from(&std::collections::HashSet::new());
-        let mine: Vec<conprobe_store::StoredPost> =
-            payload.into_iter().filter(|p| p.id() == post_id).collect();
-        self.pending_sync_writes
-            .insert(token, PendingSyncWrite { client, req_id, post_id, acks_remaining });
-        for &peer in &self.peers {
-            ctx.send_ordered(peer, NetMsg::Repl(ReplMsg::SyncPush { token, posts: mine.clone() }));
-        }
-    }
-
-    /// Starts a quorum read: collect snapshots from a majority.
-    fn begin_quorum_read<A>(
-        &mut self,
-        ctx: &mut Context<'_, NetMsg<A>>,
-        client: NodeId,
-        req_id: u64,
-        read_repair: bool,
-    ) {
-        let responses_remaining = self.majority().saturating_sub(1);
-        // Owned: the merge below extends this with peer snapshots.
-        let merged = self.core.snapshot_posts().to_vec();
-        if responses_remaining == 0 {
-            let seq = quorum_order(merged);
-            ctx.send(client, NetMsg::Response { req_id, result: OpResult::ReadOk(seq) });
-            return;
-        }
-        let token = self.fresh_token(TOKEN_KIND_PUSH);
-        self.pending_quorum_reads.insert(
-            token,
-            PendingQuorumRead { client, req_id, responses_remaining, merged, read_repair },
-        );
-        for &peer in &self.peers {
-            ctx.send(peer, NetMsg::Repl(ReplMsg::SnapshotReq { token }));
-        }
-    }
-
-    /// Accumulates quorum-read snapshots; answers the client (and performs
-    /// read repair) when a majority has reported.
-    fn on_snapshot_resp<A>(
-        &mut self,
-        ctx: &mut Context<'_, NetMsg<A>>,
-        token: u64,
         posts: Vec<conprobe_store::StoredPost>,
-    ) {
-        let done = {
-            let Some(pending) = self.pending_quorum_reads.get_mut(&token) else {
-                return; // read already answered with an earlier majority
-            };
-            for p in posts {
-                if !pending.merged.iter().any(|q| q.id() == p.id()) {
-                    pending.merged.push(p);
+    ) -> bool {
+        let now = ctx.true_now();
+        let mut applied_any = false;
+        for stored in posts {
+            let id = stored.id();
+            let origin_ts = stored.server_ts;
+            if self.core.apply_replicated(stored) {
+                self.record_visibility(id, now, ctx.rng());
+                if let Some(obs) = &self.obs {
+                    obs.prop_lag.record(now.saturating_since(origin_ts).as_nanos());
                 }
+                applied_any = true;
             }
-            pending.responses_remaining = pending.responses_remaining.saturating_sub(1);
-            pending.responses_remaining == 0
-        };
-        if done {
-            let p = self.pending_quorum_reads.remove(&token).expect("just seen");
-            let now = ctx.true_now();
-            if p.read_repair {
-                // Absorb anything we were missing and push the merged set
-                // to every peer.
-                for stored in &p.merged {
-                    let id = stored.id();
-                    let origin_ts = stored.server_ts;
-                    if self.core.apply_replicated(stored.clone()) {
-                        self.record_visibility(id, now, ctx.rng());
-                        if let Some(obs) = &self.obs {
-                            obs.replicated(now, origin_ts);
-                        }
-                    }
-                }
-                for &peer in &self.peers {
-                    ctx.send_ordered(peer, NetMsg::Repl(ReplMsg::Push(p.merged.clone())));
-                }
-            }
-            let seq = quorum_order(p.merged);
-            ctx.send(
-                p.client,
-                NetMsg::Response { req_id: p.req_id, result: OpResult::ReadOk(seq) },
-            );
         }
+        applied_any
     }
 
     /// Serves one client request: rate-limit check, then the op itself.
@@ -580,45 +400,33 @@ impl ReplicaNode {
         // White-box inspection is harness instrumentation, exempt from the
         // service's public rate limit.
         if !matches!(op, ClientOp::Inspect) && self.throttled(ctx, from) {
-            self.stats.2 += 1;
-            if let Some(obs) = &self.obs {
-                obs.throttled.inc();
-            }
-            ctx.send(from, NetMsg::Response { req_id, result: OpResult::Throttled });
+            self.door.count_throttled();
+            self.door.respond(ctx, from, req_id, OpResult::Throttled);
             return;
         }
         match op {
             ClientOp::Write(post) => {
-                self.stats.0 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.writes.inc();
-                }
+                self.door.count_write();
                 let server_ts = ctx.true_now();
                 let id = post.id;
                 match self.params.write_mode {
                     WriteMode::LocalAck => {
                         // Acknowledge immediately; visibility follows later.
-                        ctx.send(from, NetMsg::Response { req_id, result: OpResult::WriteAck(id) });
+                        self.door.respond(ctx, from, req_id, OpResult::WriteAck(id));
                         let delay = self.params.apply_delay.sample(ctx.rng());
                         if delay.is_zero() {
                             self.apply_and_replicate(ctx, post, server_ts);
                         } else {
-                            let token = self.fresh_token(TOKEN_KIND_APPLY);
+                            let token = self.door.fresh_token(TOKEN_KIND_APPLY);
                             self.pending_apply.insert(token, (post, server_ts));
                             ctx.set_timer(delay, token);
                         }
-                    }
-                    WriteMode::SyncMajority => {
-                        self.sync_majority_write(ctx, from, req_id, post, server_ts);
                     }
                     WriteMode::ForwardToPrimary => {
                         let Some(primary) = self.peers.first().copied() else {
                             // No primary configured: degrade to a local ack
                             // so the client is not left hanging.
-                            ctx.send(
-                                from,
-                                NetMsg::Response { req_id, result: OpResult::WriteAck(id) },
-                            );
+                            self.door.respond(ctx, from, req_id, OpResult::WriteAck(id));
                             self.apply_and_replicate(ctx, post, server_ts);
                             return;
                         };
@@ -633,21 +441,14 @@ impl ReplicaNode {
                 }
             }
             ClientOp::Read => {
-                self.stats.1 += 1;
-                if let Some(obs) = &self.obs {
-                    obs.reads.inc();
-                }
-                if let ReadPath::Quorum { read_repair } = self.params.read_path {
-                    self.begin_quorum_read(ctx, from, req_id, read_repair);
-                } else {
-                    let seq = self.serve_read(ctx);
-                    ctx.send(from, NetMsg::Response { req_id, result: OpResult::ReadOk(seq) });
-                }
+                self.door.count_read();
+                let seq = self.serve_read(ctx);
+                self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             }
             ClientOp::Inspect => {
                 // Authoritative state, bypassing every read path.
                 let seq = self.core.snapshot().to_vec();
-                ctx.send(from, NetMsg::Response { req_id, result: OpResult::ReadOk(seq) });
+                self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             }
         }
     }
@@ -678,9 +479,6 @@ impl ReplicaNode {
                     self.core.snapshot().to_vec()
                 }
             }
-            // Quorum reads are answered asynchronously in
-            // `begin_quorum_read`; serve_read is never called for them.
-            ReadPath::Quorum { .. } => self.core.snapshot().to_vec(),
             ReadPath::Ranked(_) => {
                 let ranker = self.ranker.as_ref().expect("ranked path has ranker");
                 let posts: Vec<RankablePost> = self
@@ -701,7 +499,16 @@ impl ReplicaNode {
 
 impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
-        self.obs = ctx.obs().map(|sink| ReplicaObs::new(sink, ctx.node_id()));
+        self.door.start(ctx);
+        self.obs = ctx.obs().map(|sink| {
+            let prefix = metric_prefix(ctx.node_id());
+            ReplicaObs {
+                anti_entropy_rounds: sink.metrics.counter(&format!("{prefix}.anti_entropy_rounds")),
+                prop_lag: sink
+                    .metrics
+                    .histogram(&format!("{prefix}.propagation_lag_nanos"), &latency_bounds_nanos()),
+            }
+        });
         if let Some(period) = self.params.anti_entropy {
             // Random phase so replicas don't exchange in lock-step.
             let phase = SimDuration::from_nanos(ctx.rng().gen_range(0..period.as_nanos().max(1)));
@@ -711,156 +518,40 @@ impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, NetMsg<A>>, from: NodeId, msg: NetMsg<A>) {
         if let NetMsg::Control(ctl) = &msg {
-            // Control transitions are idempotent: the fault driver
-            // retransmits them over the (possibly lossy) network, so a
-            // duplicate must neither re-fire side effects nor re-log.
-            match ctl {
-                crate::api::ControlMsg::Crash if !self.crashed => {
-                    // Volatile state is lost wholesale; in-flight applies,
-                    // pushes and held client requests are dropped with it.
+            match self.door.on_control(ctx, ctl, "") {
+                Some(Transition::Crashed) => {
+                    // Volatile state is lost wholesale; in-flight applies
+                    // and pushes are dropped with it.
                     self.core = ReplicaCore::new(self.params.ordering);
                     self.visible_at.clear();
                     self.indexed_at.clear();
                     self.pending_apply.clear();
                     self.pending_push.clear();
-                    self.delayed_requests.clear();
                     self.last_op_at.clear();
-                    self.crashed = true;
-                    if let Some(obs) = &self.obs {
-                        obs.applied.set(0.0);
-                        let node = ctx.node_id();
-                        obs.event(ctx.true_now(), Severity::Warn, || {
-                            format!("replica {node} crashed")
-                        });
+                }
+                // Kick anti-entropy immediately so peers re-fill us
+                // without waiting for the next periodic round.
+                Some(Transition::Recovered) if self.params.anti_entropy.is_some() => {
+                    let digest = self.core.digest();
+                    for &peer in &self.peers {
+                        ctx.send(peer, NetMsg::Repl(ReplMsg::DigestReq(digest.clone())));
                     }
                 }
-                crate::api::ControlMsg::Recover if self.crashed => {
-                    self.crashed = false;
-                    if let Some(obs) = &self.obs {
-                        let node = ctx.node_id();
-                        obs.event(ctx.true_now(), Severity::Info, || {
-                            format!("replica {node} recovered")
-                        });
-                    }
-                    // Kick anti-entropy immediately so peers re-fill us
-                    // without waiting for the next periodic round.
-                    if self.params.anti_entropy.is_some() {
-                        let digest = self.core.digest();
-                        for &peer in &self.peers {
-                            ctx.send(peer, NetMsg::Repl(ReplMsg::DigestReq(digest.clone())));
-                        }
-                    }
-                }
-                crate::api::ControlMsg::BrownoutStart(mode) if self.brownout != Some(*mode) => {
-                    self.brownout = Some(*mode);
-                    if let Some(obs) = &self.obs {
-                        obs.brownout.set(1.0);
-                        let node = ctx.node_id();
-                        obs.event(ctx.true_now(), Severity::Warn, || {
-                            format!("replica {node} brownout start: {mode:?}")
-                        });
-                    }
-                }
-                crate::api::ControlMsg::BrownoutEnd if self.brownout.is_some() => {
-                    self.brownout = None;
-                    if let Some(obs) = &self.obs {
-                        obs.brownout.set(0.0);
-                        let node = ctx.node_id();
-                        obs.event(ctx.true_now(), Severity::Info, || {
-                            format!("replica {node} brownout end")
-                        });
-                    }
-                }
-                _ => {} // duplicate delivery of an already-applied transition
+                _ => {}
             }
             return;
         }
-        if self.crashed {
+        if self.door.is_crashed() {
             return; // a crashed node neither serves nor replicates
         }
         match msg {
             NetMsg::Request { req_id, op } => {
-                // A browned-out front door mistreats client traffic before
-                // any normal processing; white-box inspection stays exempt.
-                if !matches!(op, ClientOp::Inspect) {
-                    match self.brownout {
-                        Some(BrownoutMode::ThrottleStorm) => {
-                            self.stats.2 += 1;
-                            if let Some(obs) = &self.obs {
-                                obs.throttled.inc();
-                            }
-                            ctx.send(
-                                from,
-                                NetMsg::Response { req_id, result: OpResult::Throttled },
-                            );
-                            return;
-                        }
-                        Some(BrownoutMode::Delay(hold)) => {
-                            let token = self.fresh_token(TOKEN_KIND_DELAY);
-                            self.delayed_requests.insert(token, (from, req_id, op));
-                            ctx.set_timer(hold, token);
-                            return;
-                        }
-                        None => {}
-                    }
+                if let Some(op) = self.door.admit(ctx, from, req_id, op) {
+                    self.handle_request(ctx, from, req_id, op);
                 }
-                self.handle_request(ctx, from, req_id, op);
-            }
-            NetMsg::Repl(ReplMsg::SyncPush { token, posts }) => {
-                let now = ctx.true_now();
-                for stored in posts {
-                    let id = stored.id();
-                    let origin_ts = stored.server_ts;
-                    if self.core.apply_replicated(stored) {
-                        self.record_visibility(id, now, ctx.rng());
-                        if let Some(obs) = &self.obs {
-                            obs.replicated(now, origin_ts);
-                        }
-                    }
-                }
-                ctx.send_ordered(from, NetMsg::Repl(ReplMsg::PushAck { token }));
-            }
-            NetMsg::Repl(ReplMsg::PushAck { token }) => {
-                let done = {
-                    let Some(pending) = self.pending_sync_writes.get_mut(&token) else {
-                        return; // late ack beyond the majority
-                    };
-                    pending.acks_remaining = pending.acks_remaining.saturating_sub(1);
-                    pending.acks_remaining == 0
-                };
-                if done {
-                    let p = self.pending_sync_writes.remove(&token).expect("just seen");
-                    ctx.send(
-                        p.client,
-                        NetMsg::Response {
-                            req_id: p.req_id,
-                            result: OpResult::WriteAck(p.post_id),
-                        },
-                    );
-                }
-            }
-            NetMsg::Repl(ReplMsg::SnapshotReq { token }) => {
-                let posts = self.core.snapshot_posts().to_vec();
-                ctx.send(from, NetMsg::Repl(ReplMsg::SnapshotResp { token, posts }));
-            }
-            NetMsg::Repl(ReplMsg::SnapshotResp { token, posts }) => {
-                self.on_snapshot_resp(ctx, token, posts);
             }
             NetMsg::Repl(ReplMsg::Push(posts)) => {
-                let now = ctx.true_now();
-                let mut applied_any = false;
-                for stored in posts {
-                    let id = stored.id();
-                    let origin_ts = stored.server_ts;
-                    if self.core.apply_replicated(stored) {
-                        self.record_visibility(id, now, ctx.rng());
-                        if let Some(obs) = &self.obs {
-                            obs.replicated(now, origin_ts);
-                        }
-                        applied_any = true;
-                    }
-                }
-                if applied_any && self.params.canonicalize_on_push {
+                if self.absorb(ctx, posts) && self.params.canonicalize_on_push {
                     self.core.resequence_canonical();
                 }
             }
@@ -869,45 +560,32 @@ impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
                 ctx.send_ordered(from, NetMsg::Repl(ReplMsg::DigestResp(missing)));
             }
             NetMsg::Repl(ReplMsg::DigestResp(posts)) => {
-                let now = ctx.true_now();
-                for stored in posts {
-                    let id = stored.id();
-                    let origin_ts = stored.server_ts;
-                    if self.core.apply_replicated(stored) {
-                        self.record_visibility(id, now, ctx.rng());
-                        if let Some(obs) = &self.obs {
-                            obs.replicated(now, origin_ts);
-                        }
-                    }
-                }
+                self.absorb(ctx, posts);
                 if self.params.canonicalize_on_anti_entropy {
                     self.core.resequence_canonical();
                 }
             }
-            // State transfer and ordered-log consensus are the strong
-            // arms' protocols ([`crate::quorum::QuorumReplica`],
+            // Majority quorums, state transfer and ordered-log consensus
+            // are the strong arms' protocols
+            // ([`crate::quorum::QuorumReplica`],
             // [`crate::pbft::PbftReplica`]); the weak catalog replicas
             // recover via anti-entropy instead and ignore them.
-            NetMsg::Repl(ReplMsg::CatchupReq { .. })
-            | NetMsg::Repl(ReplMsg::CatchupResp { .. })
-            | NetMsg::Repl(ReplMsg::Pbft(_)) => {}
+            NetMsg::Repl(_) => {}
             // A response reaching a replica is the primary answering a
             // forwarded write: relay it to the original client.
             NetMsg::Response { req_id, result } => {
                 if let Some((client, orig_req)) = self.forwarded_writes.remove(&req_id) {
-                    ctx.send(client, NetMsg::Response { req_id: orig_req, result });
+                    self.door.respond(ctx, client, orig_req, result);
                 }
             }
             // App traffic (and Control, handled above) is not for replicas.
             NetMsg::App(_) | NetMsg::Control(_) => {}
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, NetMsg<A>>, token: u64) {
-        if self.crashed {
+        if self.door.is_crashed() {
             // Keep the anti-entropy heartbeat alive so recovery works.
             if token == TOKEN_ANTI_ENTROPY {
                 if let Some(period) = self.params.anti_entropy {
@@ -941,70 +619,23 @@ impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
                     ctx.send_ordered(peer, NetMsg::Repl(ReplMsg::Push(posts)));
                 }
             }
-            TOKEN_KIND_DELAY => {
-                // A brownout-held request's delay expired: serve it now,
-                // whether or not the brownout has since ended.
-                if let Some((client, req_id, op)) = self.delayed_requests.remove(&token) {
+            _ => {
+                if let Some((client, req_id, op)) = self.door.release(token) {
                     self.handle_request(ctx, client, req_id, op);
                 }
             }
-            _ => {}
         }
-        if let Some(obs) = &self.obs {
-            obs.applied.set(self.core.len() as f64);
-        }
+        self.door.set_applied(self.core.len());
     }
-}
-
-/// Canonical presentation order for quorum reads: exact server timestamp,
-/// ties by post id — identical at every coordinator, so quorum systems
-/// never exhibit order divergence.
-pub(crate) fn quorum_order(mut posts: Vec<conprobe_store::StoredPost>) -> Vec<PostId> {
-    OrderingPolicy::exact_timestamp().sort(&mut posts);
-    posts.into_iter().map(|p| p.id()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{at, post, req, Msg, Script};
     use conprobe_sim::net::Region;
-    use conprobe_sim::{LocalClock, LocalTime, World, WorldConfig};
+    use conprobe_sim::{LocalClock, World, WorldConfig};
     use conprobe_store::AuthorId;
-
-    type Msg = NetMsg<()>;
-
-    /// Minimal scripted client: sends a fixed schedule of ops and records
-    /// responses.
-    struct Script {
-        target: NodeId,
-        schedule: Vec<(SimDuration, ClientOp)>,
-        responses: Vec<(u64, OpResult)>,
-    }
-    impl Script {
-        fn new(target: NodeId, schedule: Vec<(SimDuration, ClientOp)>) -> Self {
-            Script { target, schedule, responses: Vec::new() }
-        }
-    }
-    impl Node<Msg> for Script {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            for (i, (delay, _)) in self.schedule.iter().enumerate() {
-                ctx.set_timer(*delay, i as u64);
-            }
-        }
-        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-            if let NetMsg::Response { req_id, result } = msg {
-                self.responses.push((req_id, result));
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-            let op = self.schedule[token as usize].1.clone();
-            ctx.send(self.target, NetMsg::Request { req_id: token, op });
-        }
-    }
-
-    fn post(author: u32, seq: u32) -> Post {
-        Post::new(PostId::new(AuthorId(author), seq), "m", LocalTime::from_nanos(0))
-    }
 
     fn world() -> World<Msg> {
         World::new(WorldConfig::default(), 11)
@@ -1020,13 +651,10 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, ReplicaParams::default());
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(500), ClientOp::Read),
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Write(post(1, 1)))),
+                (at(500), replica, req(1, ClientOp::Read)),
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1041,14 +669,11 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, ReplicaParams::default());
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(200), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(500), ClientOp::Read),
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Write(post(1, 1)))),
+                (at(200), replica, req(1, ClientOp::Write(post(1, 1)))),
+                (at(500), replica, req(2, ClientOp::Read)),
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1066,14 +691,11 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, params);
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(500), ClientOp::Read), // too early
-                    (SimDuration::from_secs(4), ClientOp::Read),     // after apply
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Write(post(1, 1)))),
+                (at(500), replica, req(1, ClientOp::Read)), // too early
+                (at(4_000), replica, req(2, ClientOp::Read)), // after apply
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1094,10 +716,7 @@ mod tests {
         w.node_as_mut::<ReplicaNode>(r1).unwrap().set_peers(vec![r0]);
         let _client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                r0,
-                vec![(SimDuration::from_millis(0), ClientOp::Write(post(1, 1)))],
-            )),
+            Box::new(Script::new(vec![(at(0), r0, req(0, ClientOp::Write(post(1, 1))))])),
         );
         w.run_until_idle();
         assert_eq!(w.node_as::<ReplicaNode>(r1).unwrap().applied(), 1);
@@ -1118,10 +737,7 @@ mod tests {
         w.node_as_mut::<ReplicaNode>(r1).unwrap().set_peers(vec![r0]);
         let _client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                r0,
-                vec![(SimDuration::from_millis(0), ClientOp::Write(post(1, 1)))],
-            )),
+            Box::new(Script::new(vec![(at(0), r0, req(0, ClientOp::Write(post(1, 1))))])),
         );
         w.run_until(SimTime::from_secs(5));
         assert_eq!(w.node_as::<ReplicaNode>(r1).unwrap().applied(), 1);
@@ -1137,14 +753,11 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, params);
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Read),
-                    (SimDuration::from_millis(50), ClientOp::Read), // too fast
-                    (SimDuration::from_millis(500), ClientOp::Read),
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Read)),
+                (at(50), replica, req(1, ClientOp::Read)), // too fast
+                (at(500), replica, req(2, ClientOp::Read)),
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1165,15 +778,12 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, params);
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Read), // warms the cache (empty)
-                    (SimDuration::from_millis(500), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_secs(2), ClientOp::Read), // cache still fresh → stale data
-                    (SimDuration::from_secs(15), ClientOp::Read), // cache expired → sees post
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Read)), // warms the cache (empty)
+                (at(500), replica, req(1, ClientOp::Write(post(1, 1)))),
+                (at(2_000), replica, req(2, ClientOp::Read)), // cache still fresh → stale data
+                (at(15_000), replica, req(3, ClientOp::Read)), // cache expired → sees post
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1196,14 +806,11 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, params);
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    (SimDuration::from_millis(0), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(500), ClientOp::Read), // not yet indexed
-                    (SimDuration::from_secs(5), ClientOp::Read),     // indexed
-                ],
-            )),
+            Box::new(Script::new(vec![
+                (at(0), replica, req(0, ClientOp::Write(post(1, 1)))),
+                (at(500), replica, req(1, ClientOp::Read)), // not yet indexed
+                (at(5_000), replica, req(2, ClientOp::Read)), // indexed
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
@@ -1221,15 +828,12 @@ mod tests {
         let replica = add_replica(&mut w, Region::Virginia, params);
         let client = w.add_node(
             Region::Oregon,
-            Box::new(Script::new(
-                replica,
-                vec![
-                    // Both writes land within the same wall-clock second.
-                    (SimDuration::from_millis(100), ClientOp::Write(post(1, 1))),
-                    (SimDuration::from_millis(400), ClientOp::Write(post(1, 2))),
-                    (SimDuration::from_secs(2), ClientOp::Read),
-                ],
-            )),
+            Box::new(Script::new(vec![
+                // Both writes land within the same wall-clock second.
+                (at(100), replica, req(0, ClientOp::Write(post(1, 1)))),
+                (at(400), replica, req(1, ClientOp::Write(post(1, 2)))),
+                (at(2_000), replica, req(2, ClientOp::Read)),
+            ])),
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();

@@ -2,25 +2,36 @@
 //!
 //! The `Quorum` service exists to prove the harness measures the
 //! *services* and not itself: majority writes + majority reads +
-//! crash-recovery state transfer with read fencing must come through
-//! every checker clean, in clean runs and under the chaos plan's
-//! crash/recover cycle alike. Under a fixed seed the whole thing —
-//! trace, recovery narration, state-transfer stream hash — must be
-//! byte-deterministic.
+//! crash-recovery state transfer with read fencing. Measured profile
+//! (200 seeds a cell): read-your-writes, monotonic writes, monotonic
+//! reads, writes-follow-reads and order divergence never fire, in clean
+//! runs and under the chaos plan's crash/recover cycle alike; Test 2
+//! shows a brief *content divergence* in ≈ 5–8 % of instances (seeds 9,
+//! 19, 22, 39 of the first 60), which ROADMAP item 2 keeps open. The
+//! seeds pinned below are clean on all six checkers. Under a fixed seed
+//! the whole thing — trace, recovery narration, state-transfer stream
+//! hash — must be byte-deterministic.
 
 use conprobe::cli::chaos_plan;
 use conprobe::core::AnomalyKind;
 use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig, TestResult};
 use conprobe::services::ServiceKind;
+use conprobe_json::frame::fnv64;
+use conprobe_json::ToJson;
 use conprobe_obs::{EventLog, ObsSink, Severity};
 
-/// The control arm: no faults, every checker, multiple seeds and both
-/// test designs — zero anomaly observations, always.
+/// The control arm: no faults, every checker, both test designs, seeds
+/// 0..6 plus 7 and 42 — zero anomaly observations. That covers what
+/// overlapping quorums promise (an acknowledged write is in some replica
+/// the next read consults: read-your-writes), what the canonical
+/// timestamp order promises (no order divergence at any coordinator) and
+/// what synchronous writes promise (a client's two writes cannot
+/// reorder: monotonic writes).
 #[test]
 fn clean_quorum_runs_are_anomaly_free_across_all_six_checkers() {
     for kind in [TestKind::Test1, TestKind::Test2] {
-        for seed in [1, 7, 42] {
+        for seed in (0..6).chain([7, 42]) {
             let config = TestConfig::paper(ServiceKind::Quorum, kind);
             let r = run_one_test(&config, seed);
             assert!(r.completed, "{kind} seed {seed} must complete");
@@ -37,13 +48,13 @@ fn clean_quorum_runs_are_anomaly_free_across_all_six_checkers() {
 }
 
 /// Runs the level-3 chaos cell (loss burst + degraded link + link flap +
-/// a replica crash/recover cycle) against the quorum service, capturing
+/// a replica crash/recover cycle) of Test 2 against `service`, capturing
 /// the service event log.
-fn chaos_crash_run(seed: u64) -> (TestResult, Vec<String>) {
+fn chaos_crash_run(service: ServiceKind, seed: u64) -> (TestResult, Vec<String>) {
     let sink = ObsSink::with_log(
         EventLog::new(4096).with_min_severity(Severity::Info).with_target_prefix("services"),
     );
-    let mut config = TestConfig::paper(ServiceKind::Quorum, TestKind::Test2);
+    let mut config = TestConfig::paper(service, TestKind::Test2);
     config.fault_plan = chaos_plan(3, seed);
     config.obs = Some(sink.clone());
     let r = run_one_test(&config, seed);
@@ -58,7 +69,7 @@ fn chaos_crash_run(seed: u64) -> (TestResult, Vec<String>) {
 /// transfer.
 #[test]
 fn crash_and_recover_stays_clean_and_completes_a_state_transfer() {
-    let (r, events) = chaos_crash_run(42);
+    let (r, events) = chaos_crash_run(ServiceKind::Quorum, 42);
     assert!(r.completed, "the survivors keep both quorums available");
     for anomaly in AnomalyKind::ALL {
         assert_eq!(
@@ -86,14 +97,37 @@ fn crash_and_recover_stays_clean_and_completes_a_state_transfer() {
 /// fully deterministic.
 #[test]
 fn crash_recovery_state_transfer_is_byte_deterministic() {
-    let (r1, e1) = chaos_crash_run(42);
-    let (r2, e2) = chaos_crash_run(42);
+    let (r1, e1) = chaos_crash_run(ServiceKind::Quorum, 42);
+    let (r2, e2) = chaos_crash_run(ServiceKind::Quorum, 42);
     assert_eq!(r1.trace, r2.trace, "traces must be byte-identical under a fixed seed");
     assert_eq!(e1, e2, "recovery narration (incl. stream hash) must be deterministic");
     assert!(
         e1.iter().any(|e| e.contains("stream hash")),
         "the transfer narration carries the catch-up stream hash: {e1:#?}"
     );
+}
+
+/// The three sim replica types share one front-door shell and the two
+/// strong arms one catch-up round; this pins what that shell says and
+/// does. The constants were captured on the commit *before* the shell was
+/// factored out (three pasted copies): FNV-1a over the compact trace JSON
+/// followed by every `services` event-log line, newline-terminated.
+#[test]
+fn replica_shell_refactor_left_traces_and_narration_byte_identical() {
+    for (service, want) in [
+        (ServiceKind::Quorum, 0xf48a_2a91_e6d9_c08c_u64),
+        (ServiceKind::Pbft, 0x3be7_f178_b6fb_a8db),
+        (ServiceKind::GooglePlus, 0x2f18_ba3e_57ae_b72a),
+    ] {
+        let (r, events) = chaos_crash_run(service, 42);
+        let mut bytes = r.trace.to_json().to_compact();
+        for line in &events {
+            bytes.push_str(line);
+            bytes.push('\n');
+        }
+        let got = fnv64(bytes.as_bytes());
+        assert_eq!(got, want, "{service}: got {got:#018x}\n{events:#?}");
+    }
 }
 
 /// The paper's campaign matrix — and with it every golden fingerprint —
