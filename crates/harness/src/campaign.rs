@@ -7,15 +7,17 @@
 //! runner executes its instances in parallel across OS threads (each test
 //! is an independent world with its own derived seed).
 
-use crate::journal::{result_from_json, Journal, Recovery};
+use crate::journal::{
+    completed_record_json, crashed_record_json, result_from_json, Journal, Recovery,
+};
 use crate::proto::TestKind;
 use crate::runner::{run_one_test, TestConfig, TestResult};
 use conprobe_obs::Severity;
 use conprobe_services::ServiceKind;
 use conprobe_sim::{SimDuration, SimRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 /// One (service, test-kind) campaign cell.
 #[derive(Debug, Clone)]
@@ -252,6 +254,14 @@ pub fn progress_rates(
 /// spliced in instead of re-run. Workers are panic-isolated: a panicking
 /// instance becomes a quarantined [`CrashedInstance`] (journaled as a
 /// `crashed` record) rather than aborting the campaign.
+///
+/// Workers do not wait for the disk: each writes its record and goes on
+/// to the next test, while the calling thread fsyncs whenever anything is
+/// unsynced, so batches form exactly when tests outpace the disk. The
+/// function returns only once every record it wrote is durable or the
+/// journal's (sticky) I/O error has been reported, once, on stderr. A
+/// process killed mid-campaign loses at most the journal's unsynced
+/// window of finished instances; a resume re-runs them byte-identically.
 pub fn run_campaign_journaled(
     config: &CampaignConfig,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
@@ -296,65 +306,101 @@ pub fn run_campaign_journaled(
     }
     .min(pending.len().max(1));
 
+    // The journal's I/O errors are sticky, so the first one says it all.
+    let reported = AtomicBool::new(false);
+    let report_once = |e: std::io::Error| {
+        if !reported.swap(true, Ordering::Relaxed) {
+            eprintln!("journal: append failed for {cell}; the campaign goes on unjournaled: {e}");
+        }
+    };
+    let counted = obs.as_ref().zip(journal).map(|(sink, j)| (sink, j, j.counts()));
+
+    // One worker. With a journal it writes each record, hands the
+    // record's sequence number to the syncer and moves on — it never
+    // waits for its own fsync.
+    let work = |log: Option<(&Journal, mpsc::Sender<u64>)>| {
+        let journal_record = |payload: &dyn Fn() -> String| {
+            let Some((journal, written)) = &log else { return };
+            match journal.write(&payload()) {
+                Ok(seq) => written.send(seq).expect("the syncer receives until every worker ends"),
+                Err(e) => report_once(e),
+            }
+        };
+        loop {
+            let p = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = pending.get(p) else { return };
+            let seed = root.split_indexed("test", i as u64).seed();
+            let test = instance_config(config, i);
+            // Panic isolation: a panicking instance must not poison
+            // the slot mutex or tear down its sibling workers — the
+            // lock is taken only *after* the test (and only for the
+            // assignment), and the panic is downgraded to a
+            // quarantined record.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if config.inject_panic.contains(&(i as u32)) {
+                    panic!("injected panic (instance {i})");
+                }
+                run_one_test(&test, seed)
+            }));
+            match outcome {
+                Ok(result) => {
+                    journal_record(&|| completed_record_json(cell, i as u32, seed, &result));
+                    slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result);
+                }
+                Err(payload) => {
+                    let msg = panic_message(payload.as_ref());
+                    if let Some(sink) = &obs {
+                        sink.metrics.counter("campaign.tests.crashed").inc();
+                        sink.log.record(
+                            0,
+                            Severity::Error,
+                            "campaign",
+                            format!("instance {i} panicked: {msg}"),
+                        );
+                    }
+                    journal_record(&|| crashed_record_json(cell, i as u32, seed, &msg));
+                    crashed.lock().unwrap_or_else(|p| p.into_inner()).push(CrashedInstance {
+                        index: i as u32,
+                        seed,
+                        panic: msg,
+                    });
+                }
+            }
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            campaign_progress(finished);
+            if let Some(cb) = progress {
+                cb(finished, n);
+            }
+        }
+    };
+
     std::thread::scope(|scope| {
+        let (written, to_sync) = mpsc::channel::<u64>();
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let p = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = pending.get(p) else { return };
-                let seed = root.split_indexed("test", i as u64).seed();
-                let test = instance_config(config, i);
-                // Panic isolation: a panicking instance must not poison
-                // the slot mutex or tear down its sibling workers — the
-                // lock is taken only *after* the test (and only for the
-                // assignment), and the panic is downgraded to a
-                // quarantined record.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if config.inject_panic.contains(&(i as u32)) {
-                        panic!("injected panic (instance {i})");
-                    }
-                    run_one_test(&test, seed)
-                }));
-                match outcome {
-                    Ok(result) => {
-                        if let Some(j) = journal {
-                            if let Err(e) = j.append_completed(cell, i as u32, seed, &result) {
-                                eprintln!("journal: append failed for {cell} instance {i}: {e}");
-                            }
-                        }
-                        slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result);
-                    }
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        if let Some(sink) = &obs {
-                            sink.metrics.counter("campaign.tests.crashed").inc();
-                            sink.log.record(
-                                0,
-                                Severity::Error,
-                                "campaign",
-                                format!("instance {i} panicked: {msg}"),
-                            );
-                        }
-                        if let Some(j) = journal {
-                            if let Err(e) = j.append_crashed(cell, i as u32, seed, &msg) {
-                                eprintln!("journal: append failed for {cell} instance {i}: {e}");
-                            }
-                        }
-                        crashed.lock().unwrap_or_else(|p| p.into_inner()).push(CrashedInstance {
-                            index: i as u32,
-                            seed,
-                            panic: msg,
-                        });
-                    }
-                }
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                campaign_progress(finished);
-                if let Some(cb) = progress {
-                    cb(finished, n);
-                }
-            });
+            let log = journal.map(|journal| (journal, written.clone()));
+            scope.spawn(|| work(log));
+        }
+        drop(written);
+        let Some(journal) = journal else { return };
+        // The syncer, on the calling thread, which would otherwise idle
+        // until the workers are joined: one fsync covers whatever was
+        // written while the last one ran, so batches form only when tests
+        // outpace the disk. It ends — the campaign's durability barrier —
+        // once every worker has dropped its sender and every record sent
+        // has been waited for.
+        while let Ok(seq) = to_sync.recv() {
+            let seq = to_sync.try_iter().fold(seq, u64::max);
+            if let Err(e) = journal.wait_durable(seq) {
+                report_once(e);
+            }
         }
     });
     drop(cell_span);
+    if let Some((sink, journal, (records, syncs))) = counted {
+        let (records_now, syncs_now) = journal.counts();
+        sink.metrics.counter("campaign.journal.records").add(records_now - records);
+        sink.metrics.counter("campaign.journal.syncs").add(syncs_now - syncs);
+    }
 
     let results: Vec<TestResult> =
         slots.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten().collect();
@@ -500,6 +546,44 @@ mod tests {
             assert_eq!(a.analysis.observations, b.analysis.observations);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn campaign_returns_only_after_its_last_record_is_durable() {
+        let path = temp_journal("barrier");
+        let mut c = CampaignConfig::paper(ServiceKind::Blogger, TestKind::Test2, 8);
+        c.threads = 2;
+        let sink = conprobe_obs::ObsSink::new();
+        c.test.obs = Some(sink.clone());
+        let journal = Journal::create(&path).unwrap();
+        run_campaign_journaled(&c, None, "blogger/test2", Some(&journal), None);
+        // The journal is still open: nothing here relies on a drop.
+        let recovery = Journal::recover(&path).unwrap();
+        assert_eq!(recovery.completed_for("blogger/test2").len(), 8);
+        assert!(recovery.tail.is_none());
+        // Nothing is left to sync: a wait for the last record issues no fsync.
+        let (written, syncs) = journal.counts();
+        assert_eq!(written, 8);
+        journal.wait_durable(written).unwrap();
+        assert_eq!(journal.counts(), (written, syncs));
+        assert!((1..=8).contains(&syncs), "{syncs} fsyncs for 8 records");
+        assert_eq!(sink.metrics.counter("campaign.journal.records").get(), written);
+        assert_eq!(sink.metrics.counter("campaign.journal.syncs").get(), syncs);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn campaign_outlives_a_journal_that_cannot_be_written() {
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return; // platform without /dev/full; covered on CI (Linux)
+        }
+        let mut c = CampaignConfig::paper(ServiceKind::Blogger, TestKind::Test2, 8);
+        c.threads = 2;
+        let journal = Journal::create(full).unwrap();
+        let out = run_campaign_journaled(&c, None, "blogger/test2", Some(&journal), None);
+        assert_eq!(out.results.len(), 8, "a dead journal must not cost or hang a test");
+        assert_eq!(journal.counts(), (0, 0));
     }
 
     #[test]

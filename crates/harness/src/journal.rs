@@ -24,8 +24,35 @@
 //! * `<payload-json>` — one compact JSON object (compact JSON never
 //!   contains a raw newline, so the file stays line-oriented).
 //!
-//! Appends are a single `write_all` followed by `fsync`, so a crash —
-//! including SIGKILL mid-write — leaves at most one truncated tail line.
+//! A record is one `write_all`, so a crash — including SIGKILL mid-write
+//! — leaves at most one truncated tail line.
+//!
+//! ## Durability: group commit
+//!
+//! An append has two halves. **Write** frames the record and `write_all`s
+//! it under the journal's lock; **wait-durable** returns once an `fsync`
+//! that started after the write has finished. The fsync runs *outside*
+//! the lock: whoever finds no sync in flight becomes the leader, syncs,
+//! and publishes "durable up to what was written when I started";
+//! everyone else waits for that. Concurrent appenders therefore share one
+//! fsync, and a lone appender pays exactly one.
+//!
+//! [`Journal::append_payload`] / [`append_completed`](Journal::append_completed)
+//! / [`append_crashed`](Journal::append_crashed) are write + wait: the
+//! record is on disk when they return.
+//! [`run_campaign_journaled`](crate::campaign::run_campaign_journaled) is
+//! the one caller that does not wait per record: its workers write and go
+//! on to the next test while the calling thread fsyncs whenever anything
+//! is unsynced, and it returns only once everything it wrote is durable. At
+//! most `UNSYNCED_WINDOW` (64) records are ever written but not yet durable,
+//! so a crash mid-campaign loses at most that many *finished* instances —
+//! which a resume re-runs byte-identically, because their seeds are
+//! derived. A lost suffix is a shorter file, never a hole: the recovery
+//! rules below are unchanged.
+//!
+//! The first I/O error is sticky: every later write or wait on the same
+//! `Journal` fails with it, so a half-written line is never followed by a
+//! valid one and nobody waits for a sync that cannot happen.
 //!
 //! ## Recovery rules
 //!
@@ -66,7 +93,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 // Record framing (`cpj1` magic, length prefix, FNV-1a checksum) lives in
 // `conprobe_json::frame` so the quorum state-transfer stream and this
@@ -219,24 +246,67 @@ impl From<std::io::Error> for JournalError {
 // The journal file
 // ---------------------------------------------------------------------------
 
-/// An append-only, fsync'd campaign journal.
+/// Most records a [`Journal`] lets be written but not yet durable: a
+/// writer past it waits for a sync to finish. Only a caller that writes
+/// without waiting — the campaign — can reach it, and it is what bounds
+/// the finished instances a crash can cost such a caller.
+pub(crate) const UNSYNCED_WINDOW: u64 = 64;
+
+/// An append-only, group-committed campaign journal.
 ///
-/// Appends are thread-safe (campaign workers journal concurrently); each
-/// record is written with a single `write_all` and synced to disk before
-/// the append returns, so a completed test can never be lost to a later
+/// Appends are thread-safe (campaign workers and dispatch sessions
+/// journal concurrently). Each record is one `write_all` under the lock;
+/// the fsync that makes it durable runs outside the lock and covers every
+/// record written before it began, so concurrent appenders share it (see
+/// the module docs). The `append_*` methods return once their record is
+/// on disk: a test appended through them can never be lost to a later
 /// crash.
 #[derive(Debug)]
 pub struct Journal {
-    file: Mutex<File>,
+    /// Written through `&File` under the `commit` lock, synced outside it.
+    file: File,
+    commit: Mutex<Commit>,
+    /// Signalled when `durable` advances or `failed` is set.
+    progressed: Condvar,
     path: PathBuf,
 }
 
+/// Group-commit state. Sequence numbers count records written through
+/// this `Journal` value, from 1.
+#[derive(Debug, Default)]
+struct Commit {
+    /// Sequence number of the last record written.
+    written: u64,
+    /// Every record up to this sequence number is on disk.
+    durable: u64,
+    /// A leader is inside `sync_data`.
+    syncing: bool,
+    /// fsyncs issued.
+    syncs: u64,
+    /// The first I/O error. Sticky: a failed `write_all` may have left
+    /// half a line, and a failed fsync may have dropped dirty pages that
+    /// a retry would report clean.
+    failed: Option<std::io::Error>,
+}
+
+/// An `io::Error` is not `Clone`; this keeps what callers look at.
+fn copy_error(e: &std::io::Error) -> std::io::Error {
+    match e.raw_os_error() {
+        Some(code) => std::io::Error::from_raw_os_error(code),
+        None => std::io::Error::new(e.kind(), e.to_string()),
+    }
+}
+
 impl Journal {
+    fn open(file: File, path: PathBuf) -> Journal {
+        Journal { file, commit: Mutex::default(), progressed: Condvar::new(), path }
+    }
+
     /// Creates (or truncates) a fresh journal at `path`.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        Ok(Journal { file: Mutex::new(file), path })
+        Ok(Journal::open(file, path))
     }
 
     /// Recovers `path` (read-only): parses every record, tolerating a
@@ -264,7 +334,7 @@ impl Journal {
         file.sync_data()?;
         let mut file = file;
         file.seek(SeekFrom::End(0))?;
-        Ok((Journal { file: Mutex::new(file), path }, recovery))
+        Ok((Journal::open(file, path), recovery))
     }
 
     /// The journal's path.
@@ -294,7 +364,8 @@ impl Journal {
         self.append_payload(&crashed_record_json(cell, instance, seed, panic_msg))
     }
 
-    /// Frames, writes, and fsyncs one payload verbatim.
+    /// Frames and writes one payload verbatim, and returns once it is on
+    /// disk.
     ///
     /// This is the ingestion path for distributed campaigns: a dispatch
     /// coordinator appends record payloads produced by remote workers
@@ -303,20 +374,97 @@ impl Journal {
     /// a single process would have written. Validate foreign payloads
     /// with [`parse_record_payload`] first.
     pub fn append_payload(&self, payload: &str) -> std::io::Result<()> {
+        let seq = self.write(payload)?;
+        self.wait_durable(seq)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Commit> {
+        // No update of `Commit` can panic half-way, so a poisoned lock
+        // (a panicking caller thread) still guards consistent state.
+        self.commit.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn wait<'a>(&self, commit: MutexGuard<'a, Commit>) -> MutexGuard<'a, Commit> {
+        self.progressed.wait(commit).unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Records `e` as the journal's failure unless one is already set,
+    /// wakes every waiter, and returns the failure for the caller to report.
+    fn fail(&self, commit: &mut Commit, e: std::io::Error) -> std::io::Error {
+        self.progressed.notify_all();
+        copy_error(commit.failed.get_or_insert(e))
+    }
+
+    /// The write half of an append: frames `payload`, `write_all`s it
+    /// under the lock, and returns the record's sequence number for
+    /// [`wait_durable`](Self::wait_durable). No fsync. Waits while
+    /// [`UNSYNCED_WINDOW`] records are written but not durable, so a
+    /// caller that never waits must have someone syncing behind it.
+    pub(crate) fn write(&self, payload: &str) -> std::io::Result<u64> {
         let line = frame::encode_record(payload);
-        let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
+        let mut commit = self.lock();
+        while commit.failed.is_none() && commit.written - commit.durable >= UNSYNCED_WINDOW {
+            commit = self.wait(commit);
+        }
+        if let Some(e) = &commit.failed {
+            return Err(copy_error(e));
+        }
+        if let Err(e) = (&self.file).write_all(line.as_bytes()) {
+            return Err(self.fail(&mut commit, e));
+        }
+        commit.written += 1;
         maybe_abort_for_drill();
-        Ok(())
+        Ok(commit.written)
+    }
+
+    /// The wait half of an append: returns once record `seq` is on disk.
+    /// Whoever finds no sync in flight runs one, outside the lock, and
+    /// publishes everything written before it began; the others wait.
+    pub(crate) fn wait_durable(&self, seq: u64) -> std::io::Result<()> {
+        let mut commit = self.lock();
+        loop {
+            if commit.durable >= seq {
+                return Ok(());
+            }
+            if let Some(e) = &commit.failed {
+                return Err(copy_error(e));
+            }
+            if commit.syncing {
+                commit = self.wait(commit);
+                continue;
+            }
+            commit.syncing = true;
+            commit.syncs += 1;
+            let covered = commit.written;
+            drop(commit);
+            let synced = self.file.sync_data();
+            commit = self.lock();
+            commit.syncing = false;
+            match synced {
+                Ok(()) => {
+                    commit.durable = covered;
+                    self.progressed.notify_all();
+                }
+                Err(e) => return Err(self.fail(&mut commit, e)),
+            }
+        }
+    }
+
+    /// `(records written, fsyncs issued)` through this `Journal` value;
+    /// their ratio is the batch factor.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        let commit = self.lock();
+        (commit.written, commit.syncs)
     }
 }
 
 /// Kill drill: with `CONPROBE_ABORT_AFTER_JOURNALED=N` in the
 /// environment, the process aborts (no unwinding, no destructors — the
-/// moral equivalent of SIGKILL) after the N-th successful journal append.
-/// CI's kill-and-resume smoke job uses this to prove that a campaign
-/// murdered mid-run resumes to byte-identical study output.
+/// moral equivalent of SIGKILL) at the N-th journal write, still under
+/// the write lock, so the file it leaves holds exactly N records: the
+/// page cache survives `abort()`, only the process does not. CI's
+/// kill-and-resume smoke job uses this to prove that a campaign murdered
+/// mid-run resumes to byte-identical study output.
 fn maybe_abort_for_drill() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
@@ -1040,6 +1188,88 @@ mod tests {
         assert!(r.tail.is_none(), "resume must have truncated the damage");
         assert_eq!(r.records.len(), 2);
         assert_eq!(r.records[1].entry, RecoveredEntry::Crashed { panic: "rewritten".into() });
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_appends_share_syncs_and_lose_nothing() {
+        let path = temp_path("group");
+        let journal = Journal::create(&path).unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (journal, start) = (&journal, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        journal
+                            .append_payload(&crashed_record_json("cell/a", t * 50 + i, 9, "x"))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let (written, syncs) = journal.counts();
+        assert_eq!(written, 200);
+        assert!((1..=200).contains(&syncs), "{syncs} fsyncs for 200 records");
+        // Durable on return: nothing is left for a further wait to sync.
+        journal.wait_durable(written).unwrap();
+        assert_eq!(journal.counts(), (written, syncs));
+        let r = Journal::recover(&path).unwrap();
+        assert_eq!(r.records.len(), 200);
+        assert_eq!(r.duplicates, 0);
+        assert!(r.tail.is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_lost_unsynced_suffix_is_a_tail_and_resumes_identically() {
+        use crate::campaign::{run_campaign, run_campaign_journaled, CampaignConfig};
+        let path = temp_path("suffix");
+        let cell = "blogger/test1";
+        let mut c = CampaignConfig::paper(ServiceKind::Blogger, TestKind::Test1, 6);
+        c.threads = 1;
+        let journal = Journal::create(&path).unwrap();
+        run_campaign_journaled(&c, None, cell, Some(&journal), None);
+        drop(journal);
+        let full = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> =
+            full.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect();
+        assert_eq!(ends.len(), 6);
+        let uninterrupted = run_campaign(&c);
+
+        // A crash inside the unsynced window leaves the file cut anywhere
+        // in the records not yet synced — here, the last three. The scan
+        // starts at the window: the three records before it read the same
+        // at every cut, and re-parsing them 13 000 times costs a debug
+        // build 15 s.
+        let window = &full[ends[2]..];
+        for cut in 0..window.len() {
+            let at = ends[2] + cut;
+            let r = recover_bytes(&window[..cut])
+                .unwrap_or_else(|e| panic!("cut at {at} must recover, got {e}"));
+            let whole = ends.iter().filter(|&&end| end <= at).count();
+            assert_eq!(r.records.len(), whole - 3, "cut at {at}");
+            assert_eq!(ends[2] + r.valid_len as usize, ends[whole - 1], "cut at {at}");
+            assert_eq!(r.tail.is_some(), at != ends[whole - 1], "cut at {at}");
+        }
+
+        // Resuming from each surviving prefix re-runs the rest to the
+        // results of a campaign that was never interrupted.
+        for lost in 1..=3 {
+            std::fs::write(&path, &full[..ends[6 - lost] - 1]).unwrap();
+            let (journal, recovery) = Journal::resume(&path).unwrap();
+            assert!(recovery.tail.is_some());
+            let resumed = run_campaign_journaled(&c, None, cell, Some(&journal), Some(&recovery));
+            drop(journal);
+            assert_eq!(resumed.resumed, 6 - lost);
+            assert_eq!(resumed.results.len(), 6);
+            for (a, b) in resumed.results.iter().zip(&uninterrupted.results) {
+                assert_eq!(a.trace, b.trace);
+                assert_eq!(a.analysis.observations, b.analysis.observations);
+            }
+            assert_eq!(std::fs::read(&path).unwrap().len(), full.len());
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -382,6 +382,9 @@ fn serve_worker(
                     // Duplicates (an at-least-once re-push after a lost
                     // ack) are acknowledged but not re-journaled.
                     if shared.complete(i) {
+                        // Returns once the record is on disk (sessions
+                        // pushing together share the fsync), so the ack
+                        // below never covers a record a crash could lose.
                         journal.append_payload(&record)?;
                         if let Some(cb) = progress {
                             cb(shared.finished(), seeds.len());

@@ -161,8 +161,10 @@ USAGE:
   stamped with simulated time. Observability never perturbs the
   simulation: the same seed yields the same trace with it on or off.
 
-  --journal appends one checksummed, fsync'd record per finished test to
-  FILE as the campaign runs; --resume recovers FILE (tolerating a
+  --journal appends one checksummed record per finished test to FILE as
+  the campaign runs, fsync'd in groups (a killed campaign loses at most
+  its last 64 finished tests, which --resume re-runs), and refuses a
+  FILE that already holds records; --resume recovers FILE (tolerating a
   truncated tail from a crash), re-runs only the missing instances, and
   keeps journaling to the same file. A resumed campaign produces
   byte-identical output to an uninterrupted one with the same seed.

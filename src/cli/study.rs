@@ -81,6 +81,15 @@ impl JournalArgs {
         match (&self.journal_out, &self.resume) {
             (None, None) => Ok(OpenJournal { journal: None, recovery: None }),
             (Some(path), None) => {
+                // `Journal::create` truncates, and a mistyped flag must not
+                // cost a prior campaign its durable records.
+                if std::fs::metadata(path).is_ok_and(|m| m.is_file() && m.len() > 0) {
+                    return Err(CliError(format!(
+                        "journal {path}: already holds records; pass {} {path} to continue it, \
+                         or remove the file to start over",
+                        RESUME.name
+                    )));
+                }
                 let j =
                     Journal::create(path).map_err(|e| CliError(format!("journal {path}: {e}")))?;
                 Ok(OpenJournal { journal: Some(j), recovery: None })

@@ -1,0 +1,66 @@
+//! `--journal` at the binary's surface: a fresh journal never overwrites
+//! an old one, and a journal that cannot be written costs one line of
+//! stderr, not the campaign.
+
+use conprobe_harness::journal::Journal;
+use std::path::PathBuf;
+use std::process::Command as Proc;
+
+fn temp(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("conprobe-journal-cli-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// `conprobe campaign --service blogger --test 2 --tests N --seed 7` plus `extra`.
+fn campaign(tests: &str, extra: &[&str]) -> std::process::Output {
+    Proc::new(env!("CARGO_BIN_EXE_conprobe"))
+        .args(["campaign", "--service", "blogger", "--test", "2", "--tests", tests, "--seed", "7"])
+        .args(extra)
+        .env_remove("CONPROBE_INJECT_PANIC")
+        .output()
+        .expect("spawn conprobe")
+}
+
+#[test]
+fn journal_flag_refuses_to_truncate_a_journal_that_holds_records() {
+    let path = temp("refuse");
+    let path_s = path.to_string_lossy().to_string();
+    std::fs::remove_file(&path).ok();
+
+    // Absent, and present but empty, are both a fresh start.
+    assert!(campaign("2", &["--journal", &path_s]).status.success());
+    let first = std::fs::read(&path).unwrap();
+    assert_eq!(Journal::recover(&path).unwrap().records.len(), 2);
+    let empty = temp("empty");
+    std::fs::write(&empty, b"").unwrap();
+    assert!(campaign("1", &["--journal", &empty.to_string_lossy()]).status.success());
+    assert_eq!(Journal::recover(&empty).unwrap().records.len(), 1);
+
+    // The same flag again would have destroyed those two records.
+    let again = campaign("3", &["--journal", &path_s]);
+    assert!(!again.status.success());
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert!(stderr.contains("already holds records"), "{stderr}");
+    assert!(stderr.contains(&format!("--resume {path_s}")), "{stderr}");
+    assert_eq!(std::fs::read(&path).unwrap(), first, "the refused run must not touch the file");
+
+    // And the flag the error names continues it.
+    let resumed = campaign("3", &["--resume", &path_s]);
+    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+    assert_eq!(Journal::recover(&path).unwrap().records.len(), 3);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&empty).ok();
+}
+
+#[test]
+fn unwritable_journal_costs_one_stderr_line_and_no_result() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return; // platform without /dev/full; covered on CI (Linux)
+    }
+    let clean = campaign("8", &[]);
+    let full = campaign("8", &["--journal", "/dev/full"]);
+    assert!(full.status.success(), "{}", String::from_utf8_lossy(&full.stderr));
+    assert_eq!(full.stdout, clean.stdout, "every result is still reported");
+    let stderr = String::from_utf8_lossy(&full.stderr);
+    assert_eq!(stderr.matches("journal: append failed").count(), 1, "{stderr}");
+    assert!(stderr.contains("No space left on device"), "{stderr}");
+}
