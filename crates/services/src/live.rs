@@ -22,6 +22,15 @@
 //! the paper's single-object workload; with `shards: 1` the cluster is
 //! byte-for-byte the pre-sharding one.
 //!
+//! **Background work.** A weak-arm write is applied at its origin and
+//! enqueued once per live peer on the shard's min-heap of pending pushes,
+//! ordered by `(deliver_at, enqueue order)`; origin, pushes and peers all
+//! hold the same post body. [`LiveCluster::tick`] is one atomic load until
+//! the earliest push or anti-entropy round falls due; the sweep then pops
+//! only what is due, visits the replicas of a shard only when that shard's
+//! own anti-entropy instant (kept beside its queue) has come, and
+//! reconciles two replicas by reading each core's id set in place.
+//!
 //! Fidelity note: the live driver reuses the catalog's per-replica
 //! [`OrderingPolicy`](conprobe_store::OrderingPolicy), replication-delay
 //! distribution, anti-entropy period, and canonicalization flags, but
@@ -42,7 +51,7 @@ use conprobe_json::frame;
 use conprobe_sim::net::Region;
 use conprobe_sim::{NodeId, SimRng, SimTime};
 use conprobe_store::{AffinityMap, OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -100,12 +109,59 @@ pub struct RejoinReport {
 }
 
 /// One replication push in flight between replicas of one shard, due at
-/// `deliver_at` nanoseconds on the caller's clock.
+/// `deliver_at` nanoseconds on the caller's clock. Ordered *descending*
+/// on `(deliver_at, seq)` so that `BinaryHeap`, a max-heap, pops the
+/// earliest push first and pushes due at one instant in the order they
+/// were enqueued.
 struct PendingRepl {
     deliver_at: u64,
+    /// Enqueue order within the shard ([`ReplQueue::enqueued`]).
+    seq: u64,
     target: usize,
     key: u32,
-    posts: Vec<StoredPost>,
+    post: StoredPost,
+}
+
+impl Ord for PendingRepl {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
+    }
+}
+
+impl PartialOrd for PendingRepl {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for PendingRepl {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for PendingRepl {}
+
+/// One shard's background work, everything [`LiveCluster::tick`] needs to
+/// decide whether the shard has any: the sweep takes this one lock and,
+/// when nothing is due, no replica lock at all.
+struct ReplQueue {
+    /// Replication pushes waiting out their sampled WAN delay, earliest
+    /// on top.
+    pushes: BinaryHeap<PendingRepl>,
+    /// Pushes ever enqueued — the next push's `seq`.
+    enqueued: u64,
+    /// Earliest `next_anti_entropy` among the shard's replicas
+    /// (`u64::MAX` when none runs anti-entropy). Replica schedules only
+    /// move forward, so a stale value here is early, never late.
+    next_anti_entropy: u64,
+}
+
+impl ReplQueue {
+    /// The earliest instant this shard has work.
+    fn next_due(&self) -> u64 {
+        self.pushes.peek().map_or(u64::MAX, |p| p.deliver_at).min(self.next_anti_entropy)
+    }
 }
 
 /// Per-key `(snapshot, taken_at_nanos)` cache for a stale-pinned replica.
@@ -137,8 +193,7 @@ impl LiveReplica {
 /// queue. Shards never share locks, so keyed traffic scales across them.
 struct ShardState {
     replicas: Vec<Mutex<LiveReplica>>,
-    /// Replication pushes waiting out their sampled WAN delay.
-    in_flight: Mutex<Vec<PendingRepl>>,
+    queue: Mutex<ReplQueue>,
 }
 
 /// A thread-safe wall-clock replica group hosting one catalog service
@@ -185,7 +240,14 @@ impl LiveCluster {
     pub fn new(config: &LiveConfig) -> Self {
         let topo = topology(config.kind);
         let shard_count = config.shards.max(1);
-        let mut next_due = u64::MAX;
+        // Every shard deploys the same topology, so they all start on the
+        // same anti-entropy schedule.
+        let first_anti_entropy = topo
+            .replicas
+            .iter()
+            .filter_map(|(_, params)| params.anti_entropy.map(|d| d.as_nanos()))
+            .min()
+            .unwrap_or(u64::MAX);
         let shards = (0..shard_count)
             .map(|_| {
                 let replicas = topo
@@ -195,9 +257,6 @@ impl LiveCluster {
                     .map(|(i, (_, params))| {
                         let pinned = config.stale_window.is_some_and(|w| w.replica == i);
                         let anti = params.anti_entropy.map(|d| d.as_nanos());
-                        if let Some(first) = anti {
-                            next_due = next_due.min(first);
-                        }
                         Mutex::new(LiveReplica {
                             cores: HashMap::new(),
                             ordering: params.ordering,
@@ -209,7 +268,12 @@ impl LiveCluster {
                         })
                     })
                     .collect();
-                ShardState { replicas, in_flight: Mutex::new(Vec::new()) }
+                let queue = ReplQueue {
+                    pushes: BinaryHeap::new(),
+                    enqueued: 0,
+                    next_anti_entropy: first_anti_entropy,
+                };
+                ShardState { replicas, queue: Mutex::new(queue) }
             })
             .collect();
         let replica_count = topo.replicas.len();
@@ -224,7 +288,7 @@ impl LiveCluster {
             pbft_view: AtomicU64::new(1),
             pbft_view_changes: AtomicU64::new(0),
             down: (0..replica_count).map(|_| AtomicBool::new(false)).collect(),
-            next_due_nanos: AtomicU64::new(next_due),
+            next_due_nanos: AtomicU64::new(first_anti_entropy),
             empty: Arc::from(Vec::new()),
         }
     }
@@ -274,45 +338,46 @@ impl LiveCluster {
         let shard = &self.shards[self.ring.shard_for_key(key)];
         let origin = self.replica_for(region);
         let id = post.id;
-        let stored = {
+        let (stored, repl_delay) = {
             let mut rep = shard.replicas[origin].lock().unwrap();
-            rep.core_mut(key).apply_new(post, SimTime::from_nanos(now_nanos)).cloned()
+            let stored = rep.core_mut(key).apply_new(post, SimTime::from_nanos(now_nanos)).cloned();
+            (stored, rep.repl_delay.clone())
         };
+        // A duplicate was replicated when it was first accepted.
+        let Some(stored) = stored else { return id };
+        let live_peers = (0..shard.replicas.len()).filter(|t| *t != origin && !self.is_down(*t));
         if self.sync_writes() {
-            if let Some(stored) = stored {
-                // Lock in index order (the anti-entropy discipline) so a
-                // concurrent writer at another front door cannot deadlock.
-                for target in 0..shard.replicas.len() {
-                    if target != origin && !self.is_down(target) {
-                        let mut rep = shard.replicas[target].lock().unwrap();
-                        rep.core_mut(key).apply_replicated(stored.clone());
-                    }
-                }
+            // Lock in index order (the anti-entropy discipline) so a
+            // concurrent writer at another front door cannot deadlock.
+            for target in live_peers {
+                let mut rep = shard.replicas[target].lock().unwrap();
+                rep.core_mut(key).apply_replicated(stored.clone());
             }
             return id;
         }
-        if let Some(stored) = stored {
-            let repl_delay = shard.replicas[origin].lock().unwrap().repl_delay.clone();
+        let mut earliest = u64::MAX;
+        {
+            // Delays are drawn and enqueued under both locks so the seeded
+            // stream and the enqueue order agree; nothing takes them in
+            // the other order.
             let mut rng = self.rng.lock().unwrap();
-            let mut pushes = Vec::new();
-            let mut earliest = u64::MAX;
-            for target in 0..shard.replicas.len() {
-                if target != origin && !self.is_down(target) {
-                    let delay = repl_delay.sample(&mut rng).as_nanos();
-                    let deliver_at = now_nanos.saturating_add(delay);
-                    earliest = earliest.min(deliver_at);
-                    pushes.push(PendingRepl {
-                        deliver_at,
-                        target,
-                        key,
-                        posts: vec![stored.clone()],
-                    });
-                }
+            let mut queue = shard.queue.lock().unwrap();
+            for target in live_peers {
+                let delay = repl_delay.sample(&mut rng).as_nanos();
+                let deliver_at = now_nanos.saturating_add(delay);
+                earliest = earliest.min(deliver_at);
+                let seq = queue.enqueued;
+                queue.enqueued += 1;
+                queue.pushes.push(PendingRepl {
+                    deliver_at,
+                    seq,
+                    target,
+                    key,
+                    post: stored.clone(),
+                });
             }
-            drop(rng);
-            shard.in_flight.lock().unwrap().extend(pushes);
-            self.next_due_nanos.fetch_min(earliest, Ordering::AcqRel);
         }
+        self.next_due_nanos.fetch_min(earliest, Ordering::AcqRel);
         id
     }
 
@@ -354,7 +419,7 @@ impl LiveCluster {
     /// *and* inline from reads/writes (each operation calls it so
     /// single-threaded tests never need a ticker). When nothing is due —
     /// the overwhelmingly common case on a serving hot path — this is
-    /// one relaxed atomic load.
+    /// one atomic load.
     pub fn tick(&self, now_nanos: u64) {
         if now_nanos < self.next_due_nanos.load(Ordering::Acquire) {
             return;
@@ -362,55 +427,57 @@ impl LiveCluster {
         self.tick_full(now_nanos);
     }
 
+    /// The sweep behind [`LiveCluster::tick`]. Per shard it pops exactly
+    /// the pushes that are due off the queue's top, in
+    /// `(deliver_at, enqueue order)`, and reads the shard's next horizon
+    /// off what is left; a shard with nothing due costs one queue lock
+    /// and no replica lock.
     fn tick_full(&self, now_nanos: u64) {
         // Park the horizon at MAX while sweeping; concurrent writers
         // `fetch_min` their new push's instant, so a push scheduled
         // mid-sweep can lower it again and is never lost.
         self.next_due_nanos.store(u64::MAX, Ordering::Release);
         let mut horizon = u64::MAX;
-        for shard_idx in 0..self.shards.len() {
-            let shard = &self.shards[shard_idx];
-            // Deliver replication pushes whose sampled delay has elapsed.
-            let due: Vec<PendingRepl> = {
-                let mut inflight = shard.in_flight.lock().unwrap();
-                let mut due = Vec::new();
-                let mut i = 0;
-                while i < inflight.len() {
-                    if inflight[i].deliver_at <= now_nanos {
-                        due.push(inflight.swap_remove(i));
-                    } else {
-                        horizon = horizon.min(inflight[i].deliver_at);
-                        i += 1;
-                    }
+        for (shard_idx, shard) in self.shards.iter().enumerate() {
+            let mut due = Vec::new();
+            let anti_entropy_due = {
+                let mut queue = shard.queue.lock().unwrap();
+                while queue.pushes.peek().is_some_and(|p| p.deliver_at <= now_nanos) {
+                    due.extend(queue.pushes.pop());
                 }
-                due
+                let anti_entropy_due = queue.next_anti_entropy <= now_nanos;
+                if !anti_entropy_due {
+                    horizon = horizon.min(queue.next_due());
+                }
+                anti_entropy_due
             };
             // A push addressed to a process that has since died dies too.
             for push in due.into_iter().filter(|p| !self.is_down(p.target)) {
                 let mut rep = shard.replicas[push.target].lock().unwrap();
-                let core = rep.core_mut(push.key);
-                for post in push.posts {
-                    core.apply_replicated(post);
-                }
+                rep.core_mut(push.key).apply_replicated(push.post);
+            }
+            if !anti_entropy_due {
+                continue;
             }
             // Anti-entropy: pairwise digest exchange, exactly the sim's
             // protocol but executed synchronously at the due instant.
+            let mut next = u64::MAX;
             for idx in 0..shard.replicas.len() {
                 let due = {
                     let rep = shard.replicas[idx].lock().unwrap();
-                    match rep.anti_entropy_nanos {
-                        Some(_) => rep.next_anti_entropy <= now_nanos,
-                        None => false,
-                    }
+                    rep.anti_entropy_nanos.is_some() && rep.next_anti_entropy <= now_nanos
                 };
                 if due {
                     self.anti_entropy_round(shard_idx, idx, now_nanos);
                 }
                 let rep = shard.replicas[idx].lock().unwrap();
                 if rep.anti_entropy_nanos.is_some() {
-                    horizon = horizon.min(rep.next_anti_entropy);
+                    next = next.min(rep.next_anti_entropy);
                 }
             }
+            let mut queue = shard.queue.lock().unwrap();
+            queue.next_anti_entropy = next;
+            horizon = horizon.min(queue.next_due());
         }
         self.next_due_nanos.fetch_min(horizon, Ordering::AcqRel);
     }
@@ -443,14 +510,20 @@ impl LiveCluster {
                 }
             }
             for key in keys {
-                let my_digest = me.core_mut(key).digest();
-                let peer_digest = other.core_mut(key).digest();
-                let mine = &mut me.cores.get_mut(&key).expect("core just touched");
-                let theirs = &mut other.cores.get_mut(&key).expect("core just touched");
-                for post in theirs.missing_from(&my_digest) {
+                let (mine, theirs) = (me.core_mut(key), other.core_mut(key));
+                // Both diffs are taken before either side applies, against
+                // the cores' own id sets — no digest is copied.
+                let for_me = theirs.missing_from(mine.digest());
+                // Nothing of theirs is new to me and we hold equally many:
+                // the sets are equal, the usual case between two rounds.
+                if for_me.is_empty() && mine.len() == theirs.len() {
+                    continue;
+                }
+                let for_them = mine.missing_from(theirs.digest());
+                for post in for_me {
                     mine.apply_replicated(post);
                 }
-                for post in mine.missing_from(&peer_digest) {
+                for post in for_them {
                     theirs.apply_replicated(post);
                 }
             }
@@ -476,6 +549,12 @@ impl LiveCluster {
         matches!(self.kind, ServiceKind::Quorum | ServiceKind::Pbft)
     }
 
+    /// A replica index from outside the cluster is the caller's to check;
+    /// one that gets this far is a bug, reported before any state moves.
+    fn assert_replica(&self, idx: usize) {
+        assert!(idx < self.replica_count(), "no replica {idx} in a {} group", self.replica_count());
+    }
+
     fn is_down(&self, idx: usize) -> bool {
         self.down[idx].load(Ordering::Acquire)
     }
@@ -487,7 +566,12 @@ impl LiveCluster {
     /// exists. For weak arms that lost window is a real divergence
     /// source (healed only where anti-entropy runs); the quorum arm
     /// repairs it wholesale at rejoin.
+    ///
+    /// # Panics
+    /// If the topology has no replica `idx` — callers validate operator
+    /// input first (`WireServer::kill_replica` answers `UnknownReplica`).
     pub fn crash_replica(&self, idx: usize) {
+        self.assert_replica(idx);
         for shard in &self.shards {
             {
                 let mut rep = shard.replicas[idx].lock().unwrap();
@@ -496,11 +580,9 @@ impl LiveCluster {
                     caches.clear();
                 }
             }
-            shard.in_flight.lock().unwrap().retain(|p| p.target != idx);
+            shard.queue.lock().unwrap().pushes.retain(|p| p.target != idx);
         }
-        if idx < self.down.len() {
-            self.down[idx].store(true, Ordering::SeqCst);
-        }
+        self.down[idx].store(true, Ordering::SeqCst);
         if self.kind == ServiceKind::Pbft {
             self.rotate_view_past_down();
         }
@@ -562,10 +644,13 @@ impl LiveCluster {
     /// rejoin cold: an empty replica reconverges through the ordinary
     /// replication and anti-entropy machinery, leaving exactly the
     /// anomaly window the probes are built to observe.
+    ///
+    /// # Panics
+    /// If the topology has no replica `idx`, on every arm — see
+    /// [`LiveCluster::crash_replica`].
     pub fn recover_replica(&self, idx: usize) -> RejoinReport {
-        if idx < self.down.len() {
-            self.down[idx].store(false, Ordering::SeqCst);
-        }
+        self.assert_replica(idx);
+        self.down[idx].store(false, Ordering::SeqCst);
         let mut round = Catchup::new(0, decode_post_frame);
         let mut applied = 0;
         // Weak arms rejoin cold: nobody streams anything.
@@ -869,6 +954,9 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "same writes, same framed stream, same hash");
+        // Pinned from the build that still stored bodies as `String`: how
+        // a post holds its body must not move one byte of a `cpj1` frame.
+        assert_eq!((a.frames, a.stream_hash), (16, 0x389b_ac2d_5c06_2455));
         assert_ne!(a.stream_hash, frame::FNV64_BASIS, "a non-empty stream moved the hash");
     }
 
@@ -995,5 +1083,92 @@ mod tests {
         assert_eq!(id, id2);
         assert!(!c2.read(Region::Tokyo, MS * (first_seen - 1)).contains(&id2));
         assert!(c2.read(Region::Tokyo, MS * first_seen).contains(&id2));
+    }
+
+    #[test]
+    fn due_pushes_apply_in_delivery_then_enqueue_order() {
+        // Google+ orders a 6 ms timestamp bucket by local arrival, so the
+        // order in which one sweep applies its due pushes is the order
+        // Ireland serves them in.
+        let c = cluster(ServiceKind::GooglePlus, None);
+        for seq in 1..=5u32 {
+            c.write(Region::Oregon, post(0, seq), 12 * MS + u64::from(seq));
+        }
+        let mut scheduled: Vec<(u64, u64, PostId)> = {
+            let queue = c.shards[0].queue.lock().unwrap();
+            queue.pushes.iter().map(|p| (p.deliver_at, p.seq, p.post.id())).collect()
+        };
+        scheduled.sort_unstable();
+        let last = scheduled.last().expect("five pushes in flight").0;
+        assert!(last < 6 * SEC, "all five land before the first anti-entropy round");
+        let expected: Vec<PostId> = scheduled.iter().map(|(_, _, id)| *id).collect();
+        let mut as_written = expected.clone();
+        as_written.sort_unstable();
+        assert_ne!(expected, as_written, "sampled delays reorder the writes");
+        // One sweep delivers all five.
+        assert_eq!(c.read(Region::Ireland, last), expected);
+    }
+
+    #[test]
+    fn a_push_scheduled_mid_sweep_is_still_delivered() {
+        // The sweep parks the horizon at MAX, finishes shard 0, then
+        // stalls on a shard-1 replica this thread holds. A write into
+        // shard 0 now lands behind the sweep: only the writer's own
+        // `fetch_min` on the parked horizon keeps its pushes due.
+        let c = sharded(ServiceKind::FacebookFeed, 2);
+        let key = (0..1000u32).find(|k| c.shard_for_key(*k) == 0).expect("a key on shard 0");
+        let now = 10 * SEC; // anti-entropy (2 s) is due in both shards
+        let id = std::thread::scope(|s| {
+            let stall = c.shards[1].replicas[0].lock().unwrap();
+            let sweep = s.spawn(|| c.tick(now));
+            // Shard 0 is behind the sweep once its anti-entropy is rescheduled.
+            while c.shards[0].queue.lock().unwrap().next_anti_entropy <= now {
+                std::thread::yield_now();
+            }
+            assert_eq!(c.next_due_nanos.load(Ordering::Acquire), u64::MAX, "sweep in progress");
+            let id = c.write_keyed(Region::Oregon, key, post(0, 1), now);
+            drop(stall);
+            sweep.join().expect("sweep thread");
+            id
+        });
+        let due: Vec<u64> =
+            c.shards[0].queue.lock().unwrap().pushes.iter().map(|p| p.deliver_at).collect();
+        let (first, last) = (*due.iter().min().unwrap(), *due.iter().max().unwrap());
+        assert_eq!(due.len(), 2, "one push per peer");
+        assert!(last < now + 2 * SEC, "both land before anti-entropy could heal a lost push");
+        assert_eq!(c.next_due_nanos.load(Ordering::Acquire), first);
+        c.tick(last);
+        assert!(c.read_keyed(Region::Tokyo, key, last).contains(&id));
+        assert!(c.read_keyed(Region::Ireland, key, last).contains(&id));
+    }
+
+    #[test]
+    fn a_replicated_post_shares_its_body_with_the_origin() {
+        let c = cluster(ServiceKind::FacebookFeed, None);
+        c.write(Region::Oregon, post(0, 1), MS);
+        c.tick(60 * SEC);
+        let held =
+            |idx: usize| c.shards[0].replicas[idx].lock().unwrap().cores[&0].snapshot_posts();
+        let origin = held(0);
+        for peer in 1..3 {
+            let theirs = held(peer);
+            assert_eq!(theirs.len(), 1, "replica {peer} received the write");
+            assert!(
+                Arc::ptr_eq(&origin[0].post.content, &theirs[0].post.content),
+                "replica {peer} holds its own copy of the body"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no replica 3 in a 3 group")]
+    fn crash_replica_rejects_an_index_outside_the_topology() {
+        cluster(ServiceKind::FacebookFeed, None).crash_replica(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no replica 1 in a 1 group")]
+    fn recover_replica_rejects_an_index_outside_the_topology_on_a_weak_arm() {
+        cluster(ServiceKind::Blogger, None).recover_replica(1);
     }
 }

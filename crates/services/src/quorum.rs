@@ -60,7 +60,7 @@ pub(crate) fn stored_post_to_payload(p: &StoredPost) -> String {
     JsonValue::Object(vec![
         ("author".into(), p.post.id.author.0.to_json()),
         ("seq".into(), p.post.id.seq.to_json()),
-        ("content".into(), JsonValue::Str(p.post.content.clone())),
+        ("content".into(), JsonValue::Str(String::from(&*p.post.content))),
         ("client_ts".into(), p.post.client_ts.as_nanos().to_json()),
         ("server_ts".into(), p.server_ts.as_nanos().to_json()),
         ("arrival".into(), p.arrival_index.to_json()),

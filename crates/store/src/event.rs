@@ -9,6 +9,7 @@
 use conprobe_json::{member, FromJson, JsonError, JsonValue, ToJson};
 use conprobe_sim::{LocalTime, SimTime};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a writing client (an agent in the measurement study).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,15 +88,17 @@ impl FromJson for PostId {
 pub struct Post {
     /// Unique identifier.
     pub id: PostId,
-    /// Message body (opaque to the infrastructure).
-    pub content: String,
+    /// Message body (opaque to the infrastructure). Shared, not copied:
+    /// the origin replica, every replication push, every peer and every
+    /// materialised view hold the one allocation the write arrived in.
+    pub content: Arc<str>,
     /// The writer's local clock reading at submission time.
     pub client_ts: LocalTime,
 }
 
 impl Post {
     /// Creates a post.
-    pub fn new(id: PostId, content: impl Into<String>, client_ts: LocalTime) -> Self {
+    pub fn new(id: PostId, content: impl Into<Arc<str>>, client_ts: LocalTime) -> Self {
         Post { id, content: content.into(), client_ts }
     }
 }
@@ -148,7 +151,7 @@ mod tests {
     #[test]
     fn post_construction() {
         let p = Post::new(PostId::new(AuthorId(0), 1), "hello", LocalTime::from_nanos(5));
-        assert_eq!(p.content, "hello");
+        assert_eq!(&*p.content, "hello");
         assert_eq!(p.client_ts.as_nanos(), 5);
     }
 }

@@ -1,10 +1,13 @@
 //! A single replica's state machine.
 //!
-//! [`ReplicaCore`] holds the set of posts a replica has applied, remembers
-//! arrival order, produces policy-ordered snapshots for reads, and supports
-//! digest-based anti-entropy (compute what a peer is missing) plus canonical
-//! re-sequencing (the reconciliation step that ends order divergence in the
-//! Google+ model).
+//! [`ReplicaCore`] stores each applied post once, in arrival order, and
+//! keeps beside it the policy-ordered sequence a read returns. That
+//! sequence is *maintained*, not derived: an apply places the newcomer by
+//! one binary search on [`OrderingPolicy::sort_key`], so no mutation ever
+//! costs the next read a copy and a sort of the whole post list. The core
+//! also supports digest-based anti-entropy (compute what a peer is
+//! missing) and canonical re-sequencing (the reconciliation step that
+//! ends order divergence in the Google+ model).
 
 use crate::event::{Post, PostId, StoredPost};
 use crate::ordering::OrderingPolicy;
@@ -13,34 +16,40 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The memoized policy-ordered view of a replica's posts.
+/// The published form of a replica's policy-ordered view.
 ///
 /// Reads dominate writes in every service model (Tables I/II: hundreds of
-/// reads against a handful of writes per test), so the snapshot a read
-/// returns is recomputed only when the post set actually changed — the
-/// `generation` field records which mutation generation the view reflects.
-/// The shared `Arc` slices let every read between two mutations reuse one
-/// allocation.
-#[derive(Debug, Clone)]
+/// reads against a handful of writes per test), so every read between two
+/// mutations shares one `Arc` slice. A mutation empties both slots; the
+/// next read republishes the slot it needs from [`ReplicaCore`]'s
+/// maintained order — one allocation, no per-post copy, no sort. The
+/// id slice is what the wire path serves; the post slice is filled only
+/// for the few callers that need timestamps or bodies (ranking read
+/// paths, quorum merge, rejoin), and its entries share their bodies with
+/// the stored posts.
+#[derive(Debug, Clone, Default)]
 struct ViewCache {
-    generation: u64,
-    ids: Arc<[PostId]>,
-    posts: Arc<[StoredPost]>,
+    ids: Option<Arc<[PostId]>>,
+    posts: Option<Arc<[StoredPost]>>,
 }
 
 /// Replica state: applied posts, arrival order, ordering policy.
 #[derive(Debug, Clone)]
 pub struct ReplicaCore {
     policy: OrderingPolicy,
+    /// Applied posts in arrival order — the order `missing_from` feeds
+    /// peers in, and the order an `Arrival` replica serves.
     posts: Vec<StoredPost>,
+    /// Positions into `posts`, in policy order.
+    order: Vec<usize>,
     seen: HashSet<PostId>,
     arrival_counter: u64,
-    /// Bumped by every state mutation; guards `view`.
-    generation: u64,
-    /// Lazily rebuilt policy-ordered view (interior mutability keeps the
-    /// read path `&self`; each simulated world is single-threaded, so the
-    /// `RefCell` is never contended).
-    view: RefCell<Option<ViewCache>>,
+    /// Published slices of `order` (interior mutability keeps the read
+    /// path `&self`; each simulated world is single-threaded and the live
+    /// cluster holds a core behind its replica's mutex, so the `RefCell`
+    /// is never contended). A clone starts from the same published
+    /// slices, which are immutable, and republishes on its own.
+    view: RefCell<ViewCache>,
 }
 
 impl ReplicaCore {
@@ -49,10 +58,10 @@ impl ReplicaCore {
         ReplicaCore {
             policy,
             posts: Vec::new(),
+            order: Vec::new(),
             seen: HashSet::new(),
             arrival_counter: 0,
-            generation: 0,
-            view: RefCell::new(None),
+            view: RefCell::default(),
         }
     }
 
@@ -71,6 +80,26 @@ impl ReplicaCore {
         self.posts.is_empty()
     }
 
+    /// Stores a post this replica has not seen, as its latest arrival, and
+    /// places it in the policy order: after every post whose sort key is
+    /// not greater, which is where a stable sort over the arrival-ordered
+    /// posts would leave it.
+    fn insert(&mut self, post: Post, server_ts: SimTime) {
+        let stored = StoredPost { post, server_ts, arrival_index: self.arrival_counter };
+        self.arrival_counter += 1;
+        let key = self.policy.sort_key(&stored);
+        let not_after = |i: &usize| self.policy.sort_key(&self.posts[*i]) <= key;
+        // Clocks move forward: the usual newcomer sorts last, one
+        // comparison; the search is for a late replicated arrival.
+        let at = match self.order.last() {
+            Some(last) if !not_after(last) => self.order.partition_point(not_after),
+            _ => self.order.len(),
+        };
+        self.order.insert(at, self.posts.len());
+        self.posts.push(stored);
+        *self.view.get_mut() = ViewCache::default();
+    }
+
     /// Applies a post first accepted locally at `server_ts`.
     ///
     /// Returns the stored record if the post was new, or `None` if it was a
@@ -79,10 +108,7 @@ impl ReplicaCore {
         if !self.seen.insert(post.id) {
             return None;
         }
-        let stored = StoredPost { post, server_ts, arrival_index: self.arrival_counter };
-        self.arrival_counter += 1;
-        self.generation += 1;
-        self.posts.push(stored);
+        self.insert(post, server_ts);
         self.posts.last()
     }
 
@@ -94,10 +120,7 @@ impl ReplicaCore {
         if !self.seen.insert(stored.id()) {
             return false;
         }
-        let record = StoredPost { arrival_index: self.arrival_counter, ..stored };
-        self.arrival_counter += 1;
-        self.generation += 1;
-        self.posts.push(record);
+        self.insert(stored.post, stored.server_ts);
         true
     }
 
@@ -107,45 +130,39 @@ impl ReplicaCore {
     }
 
     /// The post ids this replica holds, as a digest for anti-entropy.
-    pub fn digest(&self) -> HashSet<PostId> {
-        self.seen.clone()
+    /// Borrowed: a caller that ships the digest to a peer clones it, one
+    /// that compares two cores in place does not.
+    pub fn digest(&self) -> &HashSet<PostId> {
+        &self.seen
     }
 
     /// Posts this replica holds that are absent from `peer_digest` —
-    /// the anti-entropy payload to push to that peer.
+    /// the anti-entropy payload to push to that peer, in arrival order.
     pub fn missing_from(&self, peer_digest: &HashSet<PostId>) -> Vec<StoredPost> {
         self.posts.iter().filter(|p| !peer_digest.contains(&p.id())).cloned().collect()
     }
 
-    /// The current policy-ordered view, rebuilding it only if a mutation
-    /// happened since the last read.
-    fn view(&self) -> ViewCache {
-        let mut slot = self.view.borrow_mut();
-        match slot.as_ref() {
-            Some(v) if v.generation == self.generation => v.clone(),
-            _ => {
-                let mut posts = self.posts.clone();
-                self.policy.sort(&mut posts);
-                let ids: Arc<[PostId]> = posts.iter().map(StoredPost::id).collect();
-                let view = ViewCache { generation: self.generation, ids, posts: posts.into() };
-                *slot = Some(view.clone());
-                view
-            }
-        }
-    }
-
     /// The sequence of post ids a read returns, ordered by the policy.
     ///
-    /// Repeated reads between mutations share one cached allocation; the
-    /// result is identical to cloning and policy-sorting the post set.
+    /// Repeated reads between mutations share one allocation; the result
+    /// is identical to cloning and policy-sorting the post set.
     pub fn snapshot(&self) -> Arc<[PostId]> {
-        self.view().ids
+        let mut view = self.view.borrow_mut();
+        let ids = view
+            .ids
+            .get_or_insert_with(|| self.order.iter().map(|&i| self.posts[i].id()).collect());
+        Arc::clone(ids)
     }
 
     /// The full stored posts in policy order (for read paths that need
-    /// timestamps, e.g. feed ranking). Cached like [`ReplicaCore::snapshot`].
+    /// timestamps, e.g. feed ranking). Shared like [`ReplicaCore::snapshot`]
+    /// once asked for; bodies are shared with the stored posts.
     pub fn snapshot_posts(&self) -> Arc<[StoredPost]> {
-        self.view().posts
+        let mut view = self.view.borrow_mut();
+        let posts = view
+            .posts
+            .get_or_insert_with(|| self.order.iter().map(|&i| self.posts[i].clone()).collect());
+        Arc::clone(posts)
     }
 
     /// Rewrites arrival indices so that arrival order coincides with exact
@@ -161,7 +178,12 @@ impl ReplicaCore {
             p.arrival_index = i as u64;
         }
         self.arrival_counter = self.posts.len() as u64;
-        self.generation += 1;
+        // Positions and arrival-based keys all moved: the one place the
+        // order is rebuilt rather than maintained.
+        let (policy, posts) = (self.policy, &self.posts);
+        self.order = (0..posts.len()).collect();
+        self.order.sort_by_key(|&i| policy.sort_key(&posts[i]));
+        *self.view.get_mut() = ViewCache::default();
     }
 }
 
@@ -213,10 +235,10 @@ mod tests {
         a.apply_new(post(1, 2), SimTime::ZERO).unwrap();
         let mut b = ReplicaCore::new(OrderingPolicy::Arrival);
         b.apply_new(post(1, 1), SimTime::ZERO).unwrap();
-        let missing = a.missing_from(&b.digest());
+        let missing = a.missing_from(b.digest());
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].id(), PostId::new(AuthorId(1), 2));
-        assert!(a.missing_from(&a.digest()).is_empty());
+        assert!(a.missing_from(a.digest()).is_empty());
     }
 
     #[test]
@@ -324,10 +346,10 @@ mod proptests {
                     b.apply_new(p, SimTime::from_millis(*ms));
                 }
             }
-            for sp in a.missing_from(&b.digest()) {
+            for sp in a.missing_from(b.digest()) {
                 b.apply_replicated(sp);
             }
-            for sp in b.missing_from(&a.digest()) {
+            for sp in b.missing_from(a.digest()) {
                 a.apply_replicated(sp);
             }
             assert_eq!(a.digest(), b.digest(), "case {case}");
@@ -337,66 +359,102 @@ mod proptests {
         }
     }
 
-    /// The cached policy-ordered view always equals a fresh clone+sort of
-    /// the raw post set, across interleaved applies (local and
-    /// replicated), duplicate deliveries, canonical re-sequencing, and
-    /// crash/recovery refill. Reads are interleaved *before* mutations so
-    /// the test exercises cache invalidation, not just cold rebuilds.
+    /// The maintained policy-ordered view always equals a fresh clone+sort
+    /// of the raw post set, under all four orderings, across interleaved
+    /// applies (local and replicated), duplicate deliveries, canonical
+    /// re-sequencing, crash/recovery refill and a clone that diverges from
+    /// its original. Both slices are published *before* every mutation, in
+    /// either order, so the test exercises invalidation, not just cold
+    /// builds — and a slice held across the mutation must not move.
     #[test]
     fn cached_view_equals_fresh_clone_and_sort() {
-        // The reference path deliberately bypasses the cache:
+        // The reference path deliberately bypasses the maintained order:
         // `missing_from(∅)` returns the raw posts, which we clone and sort
         // exactly the way the pre-cache implementation did.
-        fn check(r: &ReplicaCore, case: usize, step: usize) {
-            let mut expected = r.missing_from(&std::collections::HashSet::new());
+        fn check(r: &ReplicaCore, ids_first: bool, at: &str) {
+            let mut expected = r.missing_from(&HashSet::new());
             r.policy().sort(&mut expected);
             let expected_ids: Vec<PostId> = expected.iter().map(StoredPost::id).collect();
-            assert_eq!(r.snapshot().to_vec(), expected_ids, "case {case} step {step}");
-            assert_eq!(r.snapshot_posts().to_vec(), expected, "case {case} step {step}");
+            let (ids, posts) = if ids_first {
+                let ids = r.snapshot();
+                (ids, r.snapshot_posts())
+            } else {
+                let posts = r.snapshot_posts();
+                (r.snapshot(), posts)
+            };
+            assert_eq!(ids.to_vec(), expected_ids, "{at}");
+            assert_eq!(posts.to_vec(), expected, "{at}");
         }
 
+        // Five one-second buckets under up to 72 ids: every bucket holds
+        // several posts, so tie-breaks decide.
+        fn fresh(rng: &mut SimRng) -> (Post, SimTime) {
+            let id = PostId::new(AuthorId(rng.gen_range(0u32..3)), rng.gen_range(1u32..25));
+            let at = SimTime::from_millis(rng.gen_range(0u64..5_000));
+            (Post::new(id, "x", LocalTime::from_nanos(0)), at)
+        }
+
+        let policies = [
+            OrderingPolicy::Arrival,
+            OrderingPolicy::exact_timestamp(),
+            OrderingPolicy::facebook_group(),
+            OrderingPolicy::Timestamp {
+                precision: conprobe_sim::SimDuration::from_secs(1),
+                tie: crate::ordering::TieBreak::Arrival,
+            },
+        ];
         let mut rng = SimRng::new(0x4E01_0003);
         for case in 0..200 {
-            let policy = match rng.gen_range(0u32..3) {
-                0 => OrderingPolicy::Arrival,
-                1 => OrderingPolicy::facebook_group(),
-                _ => OrderingPolicy::exact_timestamp(),
-            };
+            let policy = policies[case % policies.len()];
             let mut r = ReplicaCore::new(policy);
             let steps = rng.gen_range(1usize..50);
             for step in 0..steps {
-                // Populate the cache so the next mutation must invalidate.
-                let _ = r.snapshot();
-                match rng.gen_range(0u32..12) {
+                let at = format!("case {case} step {step}");
+                // Publish the view so the next mutation must invalidate
+                // it, and hold it across that mutation.
+                check(&r, step % 2 == 0, &at);
+                let (held_ids, held_posts) = (r.snapshot(), r.snapshot_posts());
+                let (old_ids, old_posts) = (held_ids.to_vec(), held_posts.to_vec());
+                match rng.gen_range(0u32..14) {
                     0..=6 => {
-                        let p = Post::new(
-                            PostId::new(AuthorId(rng.gen_range(0u32..3)), rng.gen_range(1u32..25)),
-                            "x",
-                            LocalTime::from_nanos(0),
-                        );
-                        r.apply_new(p, SimTime::from_millis(rng.gen_range(0u64..5_000)));
+                        let (p, ts) = fresh(&mut rng);
+                        r.apply_new(p, ts);
                     }
                     7..=8 => {
                         // Replicated apply, possibly a duplicate.
                         let donor = r.clone();
-                        let payload = donor.missing_from(&std::collections::HashSet::new());
+                        let payload = donor.missing_from(&HashSet::new());
                         if !payload.is_empty() {
                             let i = rng.gen_range(0..payload.len());
                             r.apply_replicated(payload[i].clone());
                         }
                     }
                     9..=10 => r.resequence_canonical(),
-                    _ => {
+                    11 => {
                         // Crash: volatile state is lost; anti-entropy
                         // refills the fresh replica from a survivor.
                         let survivor = r.clone();
                         r = ReplicaCore::new(policy);
-                        for sp in survivor.missing_from(&r.digest()) {
+                        for sp in survivor.missing_from(r.digest()) {
                             r.apply_replicated(sp);
                         }
                     }
+                    _ => {
+                        // A clone starts from the published view and then
+                        // goes its own way; neither side sees the other.
+                        let mut fork = r.clone();
+                        let (p, ts) = fresh(&mut rng);
+                        fork.apply_new(p, ts);
+                        check(&fork, step % 2 == 1, &at);
+                        assert_eq!(r.snapshot().to_vec(), old_ids, "{at}: original moved");
+                        let (p, ts) = fresh(&mut rng);
+                        r.apply_new(p, ts);
+                        check(&fork, step % 2 == 0, &at);
+                    }
                 }
-                check(&r, case, step);
+                check(&r, step % 2 == 1, &at);
+                assert_eq!(held_ids.to_vec(), old_ids, "{at}: a published slice was rewritten");
+                assert_eq!(held_posts.to_vec(), old_posts, "{at}: a published slice was rewritten");
             }
         }
     }

@@ -305,7 +305,7 @@ impl ServiceEndpoint for WireClient {
                 author: post.id.author.0,
                 seq: post.id.seq,
                 client_ts_nanos: post.client_ts.as_nanos(),
-                content: post.content,
+                content: String::from(&*post.content),
             },
             ClientOp::Read => Frame::ReadQ { req, key },
             ClientOp::Inspect => {
@@ -558,5 +558,40 @@ mod tests {
             (0..4).map(|a| policy.backoff(a, &mut rng)).collect()
         };
         assert_eq!(once, again);
+    }
+
+    #[test]
+    fn a_write_carries_the_posts_body_onto_the_wire_unchanged() {
+        // However `Post` holds its body, the `write_q` frame a client
+        // sends is the one built from the same text as a `String`.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut buf = Vec::new();
+            let hello = read_frame(&mut stream, &mut buf).expect("hello");
+            write_frame(&mut stream, &canned_reply(hello).expect("hello ack")).expect("ack");
+            let write = read_frame(&mut stream, &mut buf).expect("write_q");
+            write_frame(&mut stream, &canned_reply(write.clone()).expect("write ack"))
+                .expect("ack");
+            write
+        });
+        let mut client = WireClient::connect(addr, Duration::from_secs(2)).expect("connect");
+        client.set_key(Some(9));
+        let body = "héllo, wire \u{1F980} — 64 bytes or so of opaque message body text";
+        let id = PostId::new(conprobe_store::AuthorId(3), 7);
+        let post = conprobe_store::Post::new(id, body, conprobe_sim::LocalTime::from_nanos(-5));
+        client.call(ClientOp::Write(post)).expect("write acknowledged");
+        let sent = server.join().expect("listener thread");
+        let Frame::WriteQ { req, .. } = sent else { panic!("expected write_q, got {sent:?}") };
+        let expected = Frame::WriteQ {
+            req,
+            key: 9,
+            author: 3,
+            seq: 7,
+            client_ts_nanos: -5,
+            content: body.to_string(),
+        };
+        assert_eq!(sent.encode(), expected.encode());
     }
 }
