@@ -6,16 +6,10 @@
 //! * it always answers the coordinator's clock probes with its local clock
 //!   reading;
 //! * on `Start` it waits until the agent-local start time the coordinator
-//!   computed, then runs the test script:
-//!   * **Test 1** — continuous background reads every `read_period`; agent 0
-//!     writes its two messages immediately (the second as soon as the first
-//!     is acknowledged); agent *i* > 0 writes its two messages when a read
-//!     first shows agent *i−1*'s second message; every agent reports
-//!     completion when it has seen the last agent's second message (M6);
-//!   * **Test 2** — one write at the synchronized start instant; background
-//!     reads at `read_period` for the first `fast_reads` reads, then at
-//!     `slow_period` (the paper's adaptive schedule working around rate
-//!     limits), reporting completion after `reads_target` reads;
+//!   computed, then runs the plan's [`TestScript`]: the script decides who
+//!   writes when, the adaptive read period and when the agent is done;
+//!   this node is its simulator driver — request ids, retransmit and
+//!   throttle-backoff timers, heartbeats and the Stop/flush/Log protocol;
 //! * every operation is logged with **local** invocation/response times and
 //!   its output — the agent has no access to true time;
 //! * on `Stop` it ships the log to the coordinator.
@@ -25,12 +19,13 @@
 //! then what gets logged, modelling an application that masks session
 //! anomalies client-side.
 
-use crate::proto::{test1_post, AgentTestPlan, HarnessMsg, LocalOpRecord, Msg, TestKind};
+use crate::proto::{HarnessMsg, LocalOpRecord, Msg};
+use crate::script::{post_for, TestScript};
 use conprobe_core::trace::OpKind;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
 use conprobe_session::{GuardConfig, IssueOrder, SessionGuard};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration};
-use conprobe_store::{Post, PostId};
+use conprobe_store::PostId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -70,11 +65,6 @@ const RETRY_CAP: SimDuration = SimDuration::from_secs(8);
 /// Transmissions per operation (first send included) before the agent
 /// abandons it as undeliverable.
 const MAX_ATTEMPTS: u32 = 8;
-/// Consecutive throttle rejections that trip the read-period widening
-/// circuit.
-const THROTTLE_TRIP: u32 = 3;
-/// Cap on the read-period widening factor under a sustained throttle storm.
-const WIDEN_CAP: u64 = 8;
 /// How long a stopped agent holds its log back while a write ack is still
 /// outstanding. One retransmit round fits inside it, so an ack lost right
 /// at the end of the test is usually recovered; after the grace the log
@@ -136,20 +126,14 @@ impl AgentObs {
 pub struct AgentNode {
     agent_index: u32,
     coordinator: Option<NodeId>,
-    plan: Option<AgentTestPlan>,
+    /// The running test — the plan's service front door and the script
+    /// deciding what to do there; `None` until a `Start` arrives.
+    test: Option<(NodeId, TestScript)>,
     records: Vec<LocalOpRecord>,
     pending: HashMap<u64, Pending>,
     next_req: u64,
-    reads_issued: u32,
-    reads_done: u32,
-    next_write_seq: u32,
-    triggered: bool,
-    completion_sent: bool,
     stopped: bool,
     rpc: RpcStats,
-    /// Consecutive throttle rejections with no success in between; drives
-    /// the read-period widening circuit.
-    throttle_streak: u32,
     /// Operations rejected by the rate limiter, awaiting a backoff retry.
     throttle_backlog: HashMap<u64, (PendingOp, ClientOp)>,
     next_backoff: u64,
@@ -166,18 +150,12 @@ impl AgentNode {
         AgentNode {
             agent_index,
             coordinator: None,
-            plan: None,
+            test: None,
             records: Vec::new(),
             pending: HashMap::new(),
             next_req: 0,
-            reads_issued: 0,
-            reads_done: 0,
-            next_write_seq: 1,
-            triggered: false,
-            completion_sent: false,
             stopped: false,
             rpc: RpcStats::default(),
-            throttle_streak: 0,
             throttle_backlog: HashMap::new(),
             next_backoff: 0,
             guard: None,
@@ -201,8 +179,8 @@ impl AgentNode {
         self.rpc
     }
 
-    fn plan(&self) -> &AgentTestPlan {
-        self.plan.as_ref().expect("agent acted before receiving a plan")
+    fn script(&mut self) -> &mut TestScript {
+        &mut self.test.as_mut().expect("agent acted before receiving a plan").1
     }
 
     /// Exponential backoff with deterministic jitter: `attempts`
@@ -217,21 +195,11 @@ impl AgentNode {
         base + SimDuration::from_nanos(jitter)
     }
 
-    /// Read-period multiplier while the throttle circuit is tripped: 1×
-    /// below [`THROTTLE_TRIP`] consecutive rejections, then widening with
-    /// the streak up to [`WIDEN_CAP`]×.
-    fn widen_factor(&self) -> u64 {
-        if self.throttle_streak < THROTTLE_TRIP {
-            1
-        } else {
-            u64::from(self.throttle_streak - THROTTLE_TRIP + 2).min(WIDEN_CAP)
-        }
-    }
-
     /// Sends one transmission of `op` — a first send or a retransmit —
     /// to the plan's service front door.
     fn send_request(&self, ctx: &mut Context<'_, Msg>, req_id: u64, op: ClientOp) {
-        ctx.send(self.plan().service_entry, NetMsg::Request { req_id, op });
+        let (entry, _) = self.test.as_ref().expect("agent acted before receiving a plan");
+        ctx.send(*entry, NetMsg::Request { req_id, op });
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, op: ClientOp, kind: PendingOp) {
@@ -244,40 +212,19 @@ impl AgentNode {
         ctx.set_timer(delay, TOKEN_RETRY | req_id);
     }
 
+    /// Issues a scheduled background read and arms the timer for the
+    /// next one, if the script wants another.
     fn issue_read(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.reads_issued += 1;
+        let next = self.script().read_issued();
         self.issue(ctx, ClientOp::Read, PendingOp::Read);
-    }
-
-    fn issue_write(&mut self, ctx: &mut Context<'_, Msg>) {
-        let id = test1_post(self.plan().agent_index, self.next_write_seq);
-        self.next_write_seq += 1;
-        let post = Post::new(id, format!("post {id}"), ctx.now_local());
-        self.issue(ctx, ClientOp::Write(post), PendingOp::Write(id));
-    }
-
-    fn schedule_next_read(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.stopped {
-            return;
+        if let Some(period) = next {
+            ctx.set_timer(period, TOKEN_READ);
         }
-        let plan = self.plan();
-        let period = match plan.kind {
-            TestKind::Test1 => plan.read_period,
-            TestKind::Test2 => {
-                if self.reads_issued >= plan.reads_target {
-                    return; // quota reached — Test 2 agents stop reading
-                }
-                if self.reads_issued < plan.fast_reads {
-                    plan.read_period
-                } else {
-                    plan.slow_period
-                }
-            }
-        };
-        // A tripped throttle circuit widens the period: under a sustained
-        // `Throttled` storm, hammering the front door at full rate only
-        // deepens the storm and bloats the retry backlog.
-        ctx.set_timer(period.saturating_mul(self.widen_factor()), TOKEN_READ);
+    }
+
+    fn issue_write(&mut self, ctx: &mut Context<'_, Msg>, id: PostId) {
+        let post = post_for(id, ctx.now_local());
+        self.issue(ctx, ClientOp::Write(post), PendingOp::Write(id));
     }
 
     /// Handles a `TOKEN_RETRY | req_id` timer: retransmits the operation
@@ -335,60 +282,6 @@ impl AgentNode {
             );
         }
     }
-
-    fn report_completion(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.completion_sent {
-            return;
-        }
-        self.completion_sent = true;
-        let idx = self.plan().agent_index;
-        if let Some(coord) = self.coordinator {
-            ctx.send(coord, NetMsg::App(HarnessMsg::CompletionSeen { agent_index: idx }));
-        }
-    }
-
-    fn handle_read_result(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        invoke: LocalTime,
-        raw: Vec<PostId>,
-    ) {
-        let seq = match &mut self.guard {
-            Some(g) => g.filter_read(&raw),
-            None => raw,
-        };
-        self.reads_done += 1;
-        let response = ctx.now_local();
-        self.records.push(LocalOpRecord {
-            invoke,
-            response,
-            kind: OpKind::Read { seq: seq.clone() },
-        });
-        let plan = self.plan().clone();
-        match plan.kind {
-            TestKind::Test1 => {
-                // Staggering: my writes are triggered by the predecessor's
-                // second message appearing in my view.
-                if !self.triggered && plan.agent_index > 0 {
-                    let trigger = test1_post(plan.agent_index - 1, 2);
-                    if seq.contains(&trigger) {
-                        self.triggered = true;
-                        self.issue_write(ctx);
-                    }
-                }
-                // Completion: the last agent's second message (M6).
-                let m_last = test1_post(plan.total_agents - 1, 2);
-                if seq.contains(&m_last) {
-                    self.report_completion(ctx);
-                }
-            }
-            TestKind::Test2 => {
-                if self.reads_done >= plan.reads_target {
-                    self.report_completion(ctx);
-                }
-            }
-        }
-    }
 }
 
 impl Node<Msg> for AgentNode {
@@ -406,24 +299,18 @@ impl Node<Msg> for AgentNode {
             }
             NetMsg::App(HarnessMsg::Start(plan)) => {
                 ctx.send(from, NetMsg::App(HarnessMsg::StartAck { agent_index: self.agent_index }));
-                if self.plan.is_some() {
+                if self.test.is_some() {
                     return; // duplicate Start (retry): already running
                 }
                 self.coordinator = Some(from);
-                self.records.clear();
-                self.pending.clear();
-                self.reads_issued = 0;
-                self.reads_done = 0;
-                self.next_write_seq = 1;
-                self.triggered = false;
-                self.completion_sent = false;
                 self.stopped = false;
                 self.guard =
                     self.use_guard.then(|| SessionGuard::new(GuardConfig::default(), PostIdOrder));
                 debug_assert_eq!(plan.agent_index, self.agent_index, "plan routed to wrong agent");
                 let now = ctx.now_local();
                 let wait = plan.start_at_local.delta_nanos(now).max(0) as u64;
-                self.plan = Some(*plan);
+                let script = TestScript::new(plan.cadence, plan.agent_index, plan.total_agents);
+                self.test = Some((plan.service_entry, script));
                 ctx.set_timer(SimDuration::from_nanos(wait), TOKEN_START);
                 // Liveness beacons run from plan receipt until Stop.
                 ctx.set_timer(SimDuration::ZERO, TOKEN_HEARTBEAT);
@@ -473,7 +360,6 @@ impl Node<Msg> for AgentNode {
                 match (kind, result) {
                     (PendingOp::Write(id), OpResult::WriteAck(acked)) => {
                         debug_assert_eq!(id, acked);
-                        self.throttle_streak = 0;
                         self.records.push(LocalOpRecord {
                             invoke,
                             response: ctx.now_local(),
@@ -482,34 +368,46 @@ impl Node<Msg> for AgentNode {
                         if let Some(g) = &mut self.guard {
                             g.note_write_ack(id);
                         }
-                        // "Each agent performs two consecutive writes": the
-                        // second goes out as soon as the first is
-                        // acknowledged.
-                        if self.plan().kind == TestKind::Test1 && self.next_write_seq == 2 {
-                            self.issue_write(ctx);
+                        if let Some(next) = self.script().write_acked() {
+                            self.issue_write(ctx, next);
                         }
                     }
-                    (PendingOp::Read, OpResult::ReadOk(seq)) => {
-                        self.throttle_streak = 0;
-                        self.handle_read_result(ctx, invoke, seq);
+                    (PendingOp::Read, OpResult::ReadOk(raw)) => {
+                        let seq = match &mut self.guard {
+                            Some(g) => g.filter_read(&raw),
+                            None => raw,
+                        };
+                        let outcome = self.script().read_returned(&seq);
+                        self.records.push(LocalOpRecord {
+                            invoke,
+                            response: ctx.now_local(),
+                            kind: OpKind::Read { seq },
+                        });
+                        if let Some(id) = outcome.write {
+                            self.issue_write(ctx, id);
+                        }
+                        if let (true, Some(coord)) = (outcome.completed, self.coordinator) {
+                            let agent_index = self.agent_index;
+                            ctx.send(
+                                coord,
+                                NetMsg::App(HarnessMsg::CompletionSeen { agent_index }),
+                            );
+                        }
                     }
                     (kind, OpResult::Throttled) => {
-                        // Back off and retry: a throttled write would
-                        // otherwise stall Test 1's chain. The backoff
-                        // itself widens with the streak, like the read
-                        // period.
+                        // Back off for as long as the script says, then
+                        // retry from the backlog.
                         self.rpc.throttled += 1;
                         if let Some(obs) = &self.obs {
                             obs.throttled.inc();
                         }
-                        self.throttle_streak += 1;
-                        self.rpc.max_throttle_streak =
-                            self.rpc.max_throttle_streak.max(self.throttle_streak);
+                        let backoff = self.script().throttled();
+                        let streak = self.script().throttle_streak();
+                        self.rpc.max_throttle_streak = self.rpc.max_throttle_streak.max(streak);
                         let token = TOKEN_THROTTLED | self.next_backoff;
                         self.next_backoff += 1;
-                        let period = self.plan().read_period.saturating_mul(self.widen_factor());
                         self.throttle_backlog.insert(token, (kind, op));
-                        ctx.set_timer(period, token);
+                        ctx.set_timer(backoff, token);
                     }
                     _ => {}
                 }
@@ -520,7 +418,7 @@ impl Node<Msg> for AgentNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-        if self.plan.is_none() {
+        if self.test.is_none() {
             return;
         }
         if self.stopped {
@@ -566,7 +464,7 @@ impl Node<Msg> for AgentNode {
                     // can eat it and stall the coordinator until the test
                     // timeout. Re-announce on every beacon until Stop; the
                     // coordinator treats duplicates as idempotent.
-                    if self.completion_sent {
+                    if self.script().completed() {
                         ctx.send(
                             coord,
                             NetMsg::App(HarnessMsg::CompletionSeen {
@@ -578,25 +476,12 @@ impl Node<Msg> for AgentNode {
                 ctx.set_timer(HEARTBEAT_PERIOD, TOKEN_HEARTBEAT);
             }
             TOKEN_START => {
-                match self.plan().kind {
-                    TestKind::Test1 => {
-                        if self.plan().agent_index == 0 {
-                            self.triggered = true;
-                            self.issue_write(ctx);
-                        }
-                    }
-                    TestKind::Test2 => {
-                        // The synchronized simultaneous write.
-                        self.issue_write(ctx);
-                    }
+                if let Some(id) = self.script().start() {
+                    self.issue_write(ctx, id);
                 }
                 self.issue_read(ctx);
-                self.schedule_next_read(ctx);
             }
-            TOKEN_READ => {
-                self.issue_read(ctx);
-                self.schedule_next_read(ctx);
-            }
+            TOKEN_READ => self.issue_read(ctx),
             _ => {}
         }
     }
@@ -623,6 +508,6 @@ mod tests {
         let a = AgentNode::new(0, false);
         assert_eq!(a.logged(), 0);
         assert_eq!(a.throttled(), 0);
-        assert!(a.plan.is_none());
+        assert!(a.test.is_none());
     }
 }

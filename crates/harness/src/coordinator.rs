@@ -8,7 +8,8 @@
 //! its own timeline using the estimated deltas.
 
 use crate::clocksync::{estimate, DeltaEstimate, ProbeSample};
-use crate::proto::{AgentTestPlan, HarnessMsg, LocalOpRecord, Msg, TestKind};
+use crate::proto::{AgentTestPlan, HarnessMsg, LocalOpRecord, Msg};
+use crate::script::Cadence;
 use conprobe_core::trace::{AgentId, OpRecord, TestTrace, Timestamp};
 use conprobe_obs::Severity;
 use conprobe_services::NetMsg;
@@ -45,8 +46,8 @@ pub struct CoordinatorConfig {
     pub agents: Vec<NodeId>,
     /// The service front door for each agent.
     pub entries: Vec<NodeId>,
-    /// Which test to run.
-    pub kind: TestKind,
+    /// The test design every agent runs.
+    pub cadence: Cadence,
     /// Clock probes per agent (averaged).
     pub probes_per_agent: u32,
     /// Pause between successive probes.
@@ -56,14 +57,6 @@ pub struct CoordinatorConfig {
     pub start_margin: SimDuration,
     /// Give up and stop the test after this long past the start.
     pub max_duration: SimDuration,
-    /// Background read period (Tables I/II).
-    pub read_period: SimDuration,
-    /// Test 2: fast reads before switching to `slow_period`.
-    pub fast_reads: u32,
-    /// Test 2: slow read period.
-    pub slow_period: SimDuration,
-    /// Test 2: per-agent read quota.
-    pub reads_target: u32,
 }
 
 /// Per-agent liveness summary at the end of a test (part of the fault
@@ -247,14 +240,10 @@ impl CoordinatorNode {
             // agent's estimated delta, so true start times align.
             let start_at_local = target.offset_by(self.deltas[i].delta_nanos);
             let plan = AgentTestPlan {
-                kind: self.cfg.kind,
+                cadence: self.cfg.cadence,
                 agent_index: i as u32,
                 total_agents: self.cfg.agents.len() as u32,
                 service_entry: self.cfg.entries[i],
-                read_period: self.cfg.read_period,
-                fast_reads: self.cfg.fast_reads,
-                slow_period: self.cfg.slow_period,
-                reads_target: self.cfg.reads_target,
                 start_at_local,
             };
             ctx.send(agent, NetMsg::App(HarnessMsg::Start(Box::new(plan.clone()))));
@@ -482,20 +471,23 @@ impl Node<Msg> for CoordinatorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::TestKind;
 
     fn cfg(agents: Vec<NodeId>, entries: Vec<NodeId>) -> CoordinatorConfig {
         CoordinatorConfig {
             agents,
             entries,
-            kind: TestKind::Test1,
+            cadence: Cadence {
+                kind: TestKind::Test1,
+                read_period: SimDuration::from_millis(300),
+                fast_reads: 0,
+                slow_period: SimDuration::from_secs(1),
+                reads_target: 0,
+            },
             probes_per_agent: 3,
             probe_spacing: SimDuration::from_millis(50),
             start_margin: SimDuration::from_secs(1),
             max_duration: SimDuration::from_secs(60),
-            read_period: SimDuration::from_millis(300),
-            fast_reads: 0,
-            slow_period: SimDuration::from_secs(1),
-            reads_target: 0,
         }
     }
 

@@ -38,7 +38,10 @@ pub fn render_table1(cells: &[&CampaignResult]) -> String {
     };
     s += &row(
         "Period between reads",
-        cells.iter().map(|c| format!("{}ms", c.config.test.read_period.as_millis())).collect(),
+        cells
+            .iter()
+            .map(|c| format!("{}ms", c.config.test.cadence.read_period.as_millis()))
+            .collect(),
     );
     s += &row(
         "Reads per agent per test (avg)",
@@ -77,16 +80,16 @@ pub fn render_table2(cells: &[&CampaignResult]) -> String {
             .map(|c| {
                 format!(
                     "{}ms({}X)+{}s",
-                    c.config.test.read_period.as_millis(),
-                    c.config.test.fast_reads,
-                    c.config.test.slow_period.as_millis() / 1000
+                    c.config.test.cadence.read_period.as_millis(),
+                    c.config.test.cadence.fast_reads,
+                    c.config.test.cadence.slow_period.as_millis() / 1000
                 )
             })
             .collect(),
     );
     s += &row(
         "Reads per agent per test",
-        cells.iter().map(|c| c.config.test.reads_target.to_string()).collect(),
+        cells.iter().map(|c| c.config.test.cadence.reads_target.to_string()).collect(),
     );
     s += &row(
         "Time between successive tests",

@@ -7,11 +7,14 @@
 //!   estimates per-agent deltas by assuming symmetric one-way delays, and
 //!   carries an uncertainty of half the RTT. NTP is "disabled" by
 //!   construction: agents' clocks drift freely.
-//! * [`agent`] — the deployed agents (Oregon, Tokyo, Ireland). Each runs
-//!   the scripted behaviour of Test 1 (staggered write pairs triggered by
-//!   observing the predecessor's last write, continuous background reads)
-//!   or Test 2 (one synchronized write, adaptive-rate background reads),
-//!   logging every operation with local invocation/response times.
+//! * [`script`] — the two test designs as one I/O-free state machine:
+//!   Test 1 (staggered write pairs triggered by observing the
+//!   predecessor's last write, continuous background reads) and Test 2
+//!   (one synchronized write, adaptive-rate background reads).
+//! * [`agent`] — the deployed agents (Oregon, Tokyo, Ireland): the
+//!   script's driver inside the simulator, logging every operation with
+//!   local invocation/response times. [`transport`] holds its blocking
+//!   driver for live endpoints.
 //! * [`coordinator`] — the North Virginia coordinator: runs clock sync
 //!   before each test, schedules a synchronized start, detects completion
 //!   (Test 1: all agents saw M6; Test 2: all agents hit their read quota),
@@ -60,6 +63,7 @@ pub mod proto;
 pub mod report;
 pub mod runner;
 pub mod schedule;
+pub mod script;
 pub mod stats;
 pub mod transport;
 pub mod whitebox;

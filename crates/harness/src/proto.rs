@@ -5,10 +5,11 @@
 //! requests, so clock-sync probes experience real RTTs (which is the whole
 //! point of the paper's uncertainty analysis).
 
+use crate::script::Cadence;
 use conprobe_core::trace::OpKind;
 use conprobe_services::NetMsg;
+use conprobe_sim::LocalTime;
 use conprobe_sim::NodeId;
-use conprobe_sim::{LocalTime, SimDuration};
 use conprobe_store::PostId;
 
 /// The two test designs of §IV.
@@ -43,23 +44,14 @@ pub struct LocalOpRecord {
 /// The per-test marching orders an agent receives from the coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentTestPlan {
-    /// Which test design to run.
-    pub kind: TestKind,
+    /// The test design to run.
+    pub cadence: Cadence,
     /// This agent's index (0-based; the paper's Agent⟨i+1⟩).
     pub agent_index: u32,
     /// Total number of agents in the test.
     pub total_agents: u32,
     /// The service front door this agent talks to.
     pub service_entry: NodeId,
-    /// Background read period (Tables I/II: 300 ms).
-    pub read_period: SimDuration,
-    /// Test 2: number of initial fast reads before switching to
-    /// `slow_period` (Table II: 14×/13×/20×/20×).
-    pub fast_reads: u32,
-    /// Test 2: read period after the fast phase (Table II: 1 s).
-    pub slow_period: SimDuration,
-    /// Test 2: total reads after which this agent reports completion.
-    pub reads_target: u32,
     /// Agent-local time at which to start the test (coordinator-computed
     /// via the estimated delta, so that true start times align).
     pub start_at_local: LocalTime,

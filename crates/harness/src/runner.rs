@@ -3,14 +3,15 @@
 use crate::agent::{AgentNode, RpcStats};
 use crate::coordinator::{AgentHealth, CoordinatorConfig, CoordinatorNode};
 use crate::proto::{test1_trigger_pairs, Msg, TestKind};
+use crate::script::Cadence;
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, CheckerConfig, TestAnalysis, TestTrace};
 use conprobe_services::fault_driver::{ExecutedAction, FaultDriver};
 use conprobe_services::{deploy, ServiceCluster, ServiceKind};
 use conprobe_sim::net::{PartitionSpec, Region};
 use conprobe_sim::{
-    ClockConfig, FaultEvent, FaultNetStats, FaultPlan, NodeId, ObsSink, SimDuration, SimTime,
-    World, WorldConfig,
+    ClockConfig, FaultNetStats, FaultPlan, NodeId, ObsSink, SimDuration, SimTime, World,
+    WorldConfig,
 };
 use conprobe_store::PostId;
 
@@ -19,16 +20,8 @@ use conprobe_store::PostId;
 pub struct TestConfig {
     /// The service under test.
     pub service: ServiceKind,
-    /// Which of the paper's two tests to run.
-    pub kind: TestKind,
-    /// Background read period (Tables I/II: 300 ms everywhere).
-    pub read_period: SimDuration,
-    /// Test 2: number of fast reads before the 1-second period (Table II).
-    pub fast_reads: u32,
-    /// Test 2: slow read period (Table II: 1 s).
-    pub slow_period: SimDuration,
-    /// Test 2: per-agent read quota (Table II).
-    pub reads_target: u32,
+    /// Which of the paper's two tests to run, and on what schedule.
+    pub cadence: Cadence,
     /// Clock probes per agent before the test.
     pub probes_per_agent: u32,
     /// Margin between clock sync and the synchronized start.
@@ -57,12 +50,6 @@ pub struct TestConfig {
     /// Probe every replica's authoritative state at this period (white-box
     /// extension; adds a [`crate::whitebox::WhiteboxReport`] to the result).
     pub whitebox_period: Option<SimDuration>,
-    /// Crash one replica mid-test (fault injection): volatile state is
-    /// lost, requests go unanswered until recovery, anti-entropy repairs
-    /// the state afterwards. Legacy shorthand — merged into
-    /// [`TestConfig::fault_plan`] as a one-cycle
-    /// [`FaultEvent::CrashCycle`] at run time.
-    pub crash_fault: Option<CrashFault>,
     /// Declarative fault script executed against the world and the service
     /// (link flaps, loss bursts, degraded links, crash cycles, brownouts).
     /// The resulting interference is accounted in
@@ -79,17 +66,6 @@ pub struct TestConfig {
     /// `None` (the default) runs with telemetry off; either way the
     /// simulation schedule is identical.
     pub obs: Option<ObsSink>,
-}
-
-/// A scheduled replica crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashFault {
-    /// Index into the service's replica list.
-    pub replica: usize,
-    /// Crash this long after the world starts.
-    pub at: SimDuration,
-    /// Recover this long after the crash.
-    pub down_for: SimDuration,
 }
 
 impl TestConfig {
@@ -118,11 +94,13 @@ impl TestConfig {
         };
         TestConfig {
             service,
-            kind,
-            read_period: SimDuration::from_millis(300),
-            fast_reads,
-            slow_period: SimDuration::from_secs(1),
-            reads_target,
+            cadence: Cadence {
+                kind,
+                read_period: SimDuration::from_millis(300),
+                fast_reads,
+                slow_period: SimDuration::from_secs(1),
+                reads_target,
+            },
             probes_per_agent: 5,
             start_margin: SimDuration::from_secs(1),
             max_duration: match kind {
@@ -136,28 +114,10 @@ impl TestConfig {
             link_loss: 0.0,
             rotation: 0,
             whitebox_period: None,
-            crash_fault: None,
             fault_plan: FaultPlan::default(),
             agent_regions: Region::AGENTS.to_vec(),
             obs: None,
         }
-    }
-
-    /// The fault plan actually executed: [`TestConfig::fault_plan`] plus
-    /// the legacy [`TestConfig::crash_fault`] folded in as a one-cycle
-    /// crash.
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        let mut plan = self.fault_plan.clone();
-        if let Some(fault) = self.crash_fault {
-            plan.push(FaultEvent::CrashCycle {
-                target: fault.replica,
-                at: SimTime::ZERO + fault.at,
-                down_for: fault.down_for,
-                up_for: SimDuration::ZERO,
-                cycles: 1,
-            });
-        }
-        plan
     }
 }
 
@@ -168,7 +128,7 @@ impl TestConfig {
 /// function of `(trace, checker config)`, so it is *recomputed* on
 /// resume rather than serialized.
 pub fn checker_config_for(config: &TestConfig) -> CheckerConfig<PostId> {
-    match config.kind {
+    match config.cadence.kind {
         TestKind::Test1 => CheckerConfig {
             wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(config.agent_regions.len() as u32)),
             compute_windows: true,
@@ -270,7 +230,7 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     if config.link_loss > 0.0 {
         matrix = matrix.with_loss_everywhere(config.link_loss);
     }
-    let fault_plan = config.effective_fault_plan();
+    let fault_plan = &config.fault_plan;
     let mut net = conprobe_sim::net::NetworkConfig::new(matrix);
     net.effects = fault_plan.network_effects();
     net.fault_seed = fault_plan.seed();
@@ -311,15 +271,11 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     let coord_cfg = CoordinatorConfig {
         agents: agents.clone(),
         entries,
-        kind: config.kind,
+        cadence: config.cadence,
         probes_per_agent: config.probes_per_agent,
         probe_spacing: SimDuration::from_millis(50),
         start_margin: config.start_margin,
         max_duration: config.max_duration,
-        read_period: config.read_period,
-        fast_reads: config.fast_reads,
-        slow_period: config.slow_period,
-        reads_target: config.reads_target,
     };
     let coord = world.add_node(Region::Virginia, Box::new(CoordinatorNode::new(coord_cfg)));
 
@@ -327,7 +283,7 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     let fault_driver = (!fault_plan.is_empty()).then(|| {
         world.add_node(
             Region::Virginia,
-            Box::new(FaultDriver::new(&fault_plan, cluster.replicas.clone())),
+            Box::new(FaultDriver::new(fault_plan, cluster.replicas.clone())),
         )
     });
 
@@ -483,7 +439,7 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.writes_total, 3, "one write per agent");
         for n in &r.reads_per_agent {
-            assert_eq!(*n, config.reads_target, "each agent reads its quota");
+            assert_eq!(*n, config.cadence.reads_target, "each agent reads its quota");
         }
     }
 

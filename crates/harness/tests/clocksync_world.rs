@@ -5,6 +5,7 @@
 use conprobe_harness::agent::AgentNode;
 use conprobe_harness::coordinator::{CoordinatorConfig, CoordinatorNode};
 use conprobe_harness::proto::{Msg, TestKind};
+use conprobe_harness::script::Cadence;
 use conprobe_sim::net::Region;
 use conprobe_sim::{LocalClock, SimDuration, SimTime, World, WorldConfig};
 
@@ -33,15 +34,17 @@ fn sync_world(offsets_ms: [i64; 3]) -> Vec<i64> {
         Box::new(CoordinatorNode::new(CoordinatorConfig {
             agents: agents.clone(),
             entries: vec![service; 3],
-            kind: TestKind::Test2,
+            cadence: Cadence {
+                kind: TestKind::Test2,
+                read_period: SimDuration::from_millis(300),
+                fast_reads: 2,
+                slow_period: SimDuration::from_secs(1),
+                reads_target: 2,
+            },
             probes_per_agent: 5,
             probe_spacing: SimDuration::from_millis(50),
             start_margin: SimDuration::from_secs(1),
             max_duration: SimDuration::from_secs(30),
-            read_period: SimDuration::from_millis(300),
-            fast_reads: 2,
-            slow_period: SimDuration::from_secs(1),
-            reads_target: 2,
         })),
     );
     // Run until probing completes (deltas become available).

@@ -13,7 +13,7 @@ use conprobe_obs::MetricsRegistry;
 use conprobe_services::live::StaleWindow;
 use conprobe_services::{ServiceKind, ShardRing};
 use conprobe_sim::net::Region;
-use conprobe_sim::SimRng;
+use conprobe_sim::{SimDuration, SimRng};
 use conprobe_store::PostId;
 use conprobe_wire::{
     drive_service_actions, run_dispatch, run_load, run_probe, run_probe_with_live, run_worker,
@@ -377,7 +377,7 @@ pub struct ProbeArgs {
     /// twice this).
     pub read_ms: Option<u64>,
     /// Reads per agent before a Test 2 instance completes.
-    pub reads_target: Option<u32>,
+    pub reads: Option<u32>,
     /// Dump the probe metrics registry as JSON to this path.
     pub metrics_out: Option<String>,
     /// Where finished instances are journaled.
@@ -398,7 +398,7 @@ impl ProbeArgs {
             endpoints: a.all(ENDPOINT),
             server_file: a.text(SERVER_FILE),
             read_ms: a.num(READ_MS)?,
-            reads_target: a.num(READS)?,
+            reads: a.num(READS)?,
             metrics_out: a.text(METRICS),
             journal: JournalArgs::parse(a)?,
             key: a.num(KEY)?,
@@ -410,7 +410,11 @@ impl ProbeArgs {
                 ENDPOINT.name, SERVER_FILE.name
             )));
         }
-        if let Some(ms) = parsed.read_ms.filter(|ms| ms.checked_mul(2).is_none()) {
+        // The slow phase reads at twice this, a throttle storm widens
+        // that up to eightfold, and the result is added to a signed
+        // nanosecond clock.
+        const MAX_READ_MS: u64 = i64::MAX as u64 / (2 * 8 * 1_000_000);
+        if let Some(ms) = parsed.read_ms.filter(|ms| *ms > MAX_READ_MS) {
             return Err(CliError(format!(
                 "{}: {ms} ms is too long to double for the slow phase",
                 READ_MS.name
@@ -460,12 +464,12 @@ impl ProbeArgs {
             let probe = || {
                 let mut pc = ProbeConfig::loopback(service, kind, endpoints.clone(), inst_seed);
                 if let Some(ms) = self.read_ms {
-                    pc.read_period = Duration::from_millis(ms);
-                    pc.slow_period = pc.read_period * 2;
+                    pc.cadence.read_period = SimDuration::from_millis(ms);
+                    pc.cadence.slow_period = SimDuration::from_millis(ms * 2);
                 }
-                if let Some(n) = self.reads_target {
-                    pc.reads_target = n;
-                    pc.fast_reads = n / 2;
+                if let Some(n) = self.reads {
+                    pc.cadence.reads_target = n;
+                    pc.cadence.fast_reads = n / 2;
                 }
                 pc.key = self.key.unwrap_or(0);
                 let res = if self.live {

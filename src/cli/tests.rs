@@ -292,7 +292,7 @@ fn parses_wire_commands() {
         Command::Probe(probe) => {
             assert_eq!(probe.endpoints.len(), 2);
             assert_eq!(probe.tests, 1, "probe defaults to one instance");
-            assert_eq!(probe.reads_target, Some(10));
+            assert_eq!(probe.reads, Some(10));
             assert_eq!(probe.read_ms, None, "library cadence");
         }
         other => panic!("wrong parse: {other:?}"),

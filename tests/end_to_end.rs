@@ -127,7 +127,7 @@ fn completion_conditions_hold() {
     assert!(r2.completed);
     assert_eq!(r2.writes_total, 3, "Test 2 writes one message per agent");
     for n in &r2.reads_per_agent {
-        assert_eq!(*n, config2.reads_target);
+        assert_eq!(*n, config2.cadence.reads_target);
     }
 }
 
@@ -156,11 +156,11 @@ fn test2_read_schedule_is_adaptive() {
     let config = TestConfig::paper(ServiceKind::FacebookFeed, TestKind::Test2);
     let r = run_one_test(&config, 5);
     let reads = r.trace.reads_by(AgentId(0));
-    assert_eq!(reads.len() as u32, config.reads_target);
+    assert_eq!(reads.len() as u32, config.cadence.reads_target);
     let gaps: Vec<i64> =
         reads.windows(2).map(|w| w[1].invoke.as_nanos() - w[0].invoke.as_nanos()).collect();
-    let fast = &gaps[..(config.fast_reads as usize - 1)];
-    let slow = &gaps[config.fast_reads as usize..];
+    let fast = &gaps[..(config.cadence.fast_reads as usize - 1)];
+    let slow = &gaps[config.cadence.fast_reads as usize..];
     let fast_mean = fast.iter().sum::<i64>() as f64 / fast.len() as f64;
     let slow_mean = slow.iter().sum::<i64>() as f64 / slow.len() as f64;
     assert!(

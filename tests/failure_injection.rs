@@ -140,12 +140,13 @@ fn loss_does_not_fabricate_anomalies_on_a_linearizable_service() {
 /// methodology detects without any knowledge of the crash.
 #[test]
 fn replica_crash_is_visible_as_monotonic_reads_violations() {
-    use conprobe::harness::runner::CrashFault;
     let mut config = TestConfig::paper(ServiceKind::GooglePlus, TestKind::Test2);
-    config.crash_fault = Some(CrashFault {
-        replica: 0, // DC-West, serving Oregon and Tokyo
-        at: conprobe::sim::SimDuration::from_secs(8),
-        down_for: conprobe::sim::SimDuration::from_secs(4),
+    config.fault_plan.push(FaultEvent::CrashCycle {
+        target: 0, // DC-West, serving Oregon and Tokyo
+        at: SimTime::from_secs(8),
+        down_for: SimDuration::from_secs(4),
+        up_for: SimDuration::ZERO,
+        cycles: 1,
     });
     let mut mr_hits = 0;
     for seed in 0..3 {
@@ -168,12 +169,13 @@ fn replica_crash_is_visible_as_monotonic_reads_violations() {
 /// intersect the serving path.
 #[test]
 fn crash_of_an_idle_replica_is_invisible() {
-    use conprobe::harness::runner::CrashFault;
     let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2);
-    config.crash_fault = Some(CrashFault {
-        replica: 1, // the idle Tokyo replica
-        at: conprobe::sim::SimDuration::from_secs(8),
-        down_for: conprobe::sim::SimDuration::from_secs(4),
+    config.fault_plan.push(FaultEvent::CrashCycle {
+        target: 1, // the idle Tokyo replica
+        at: SimTime::from_secs(8),
+        down_for: SimDuration::from_secs(4),
+        up_for: SimDuration::ZERO,
+        cycles: 1,
     });
     let r = run_one_test(&config, 5);
     assert!(r.completed);

@@ -65,7 +65,7 @@ fn seeded_stale_window_is_detected_by_the_unmodified_checkers() {
     // The trace is a standard TestTrace: every agent logged its write
     // plus its full read quota.
     assert_eq!(result.writes_total, 2);
-    assert!(result.reads_per_agent.iter().all(|&r| r >= config.reads_target));
+    assert!(result.reads_per_agent.iter().all(|&r| r >= config.cadence.reads_target));
 }
 
 /// The live tap sees every operation the merged trace contains, in an
@@ -340,12 +340,12 @@ fn dead_agent_connection_is_quarantined_and_the_study_salvaged() {
     assert!(result.agent_health[1].quarantined, "the dead agent is quarantined");
     assert!(result.agent_health[1].log_collected, "records logged before the failure are salvaged");
     assert!(
-        result.reads_per_agent[0] >= config.reads_target,
+        result.reads_per_agent[0] >= config.cadence.reads_target,
         "the healthy agent finishes its full read quota: {:?}",
         result.reads_per_agent
     );
     assert!(
-        result.reads_per_agent[1] < config.reads_target,
+        result.reads_per_agent[1] < config.cadence.reads_target,
         "the dead agent stops early: {:?}",
         result.reads_per_agent
     );
@@ -481,6 +481,50 @@ fn throttle_storm_refuses_reads_at_every_key_and_clears() {
     assert_eq!(counter("wire.server.reads"), Some(4), "a refused read still counts as a read");
 }
 
+/// A throttle storm that outlasts the synchronized start refuses agent
+/// 0's opening write. The probe runs the sim agent's script, so the
+/// refused write is backed off and retried — not counted as done — and
+/// Test 1's trigger chain still runs to the last agent's second message.
+#[test]
+fn throttled_test1_write_is_retried_and_the_chain_completes() {
+    use conprobe::sim::BrownoutMode;
+
+    let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 41)).expect("bind");
+    let config = ProbeConfig::loopback(
+        ServiceKind::Blogger,
+        TestKind::Test1,
+        probe_endpoints(&server, 3),
+        41,
+    );
+    server.set_brownout(0, Some(BrownoutMode::ThrottleStorm)).expect("replica 0 exists");
+    let result = std::thread::scope(|scope| {
+        // Clock sync is not throttled, so the agents reach the start
+        // (300 ms after sync) inside the storm; it clears ~300 ms later.
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(600));
+            server.set_brownout(0, None).expect("replica 0 exists");
+        });
+        run_probe(&config).expect("probe")
+    });
+    server.request_stop();
+    let metrics = conprobe::json::parse(&server.join()).expect("metrics dump is JSON");
+    let throttled = metrics
+        .get("counters")
+        .and_then(|c| c.get("wire.server.throttled"))
+        .and_then(|v| v.as_u64());
+    assert!(throttled >= Some(1), "the storm must have refused something: {throttled:?}");
+
+    assert!(result.completed, "every agent must see the last write once the storm clears");
+    assert!(
+        result.duration_secs < config.max_duration.as_secs_f64() / 2.0,
+        "completion must come from the chain, not the deadline: {} s",
+        result.duration_secs
+    );
+    assert_eq!(result.trace.write_count(), 6, "M1..M6 are all in the trace");
+    assert_eq!(result.writes_total as usize, result.trace.write_count());
+    assert!(result.analysis.is_clean(), "{:?}", result.analysis.observations);
+}
+
 /// The pipelined load generator: many in-flight requests per connection
 /// over several sweeper threads and keys, with FIFO responses verified
 /// per connection — a healthy loopback run reports zero transport,
@@ -520,10 +564,11 @@ fn pipelined_load_reports_clean_percentiles_and_error_counters() {
 }
 
 /// The quorum control arm served over real sockets: `serve --service
-/// quorum` bridges `QuorumReplica` through `LiveCluster` with
-/// synchronous majority writes, so a live probe must analyze clean on
-/// every checker — the wire-level counterpart of the simulated control
-/// arm in `tests/quorum_replica.rs`.
+/// quorum` runs `LiveCluster`'s own model of the arm — synchronous
+/// majority writes, not the sim's `QuorumReplica` protocol — so a live
+/// probe must analyze clean on every checker: the wire-level
+/// counterpart of the simulated control arm in
+/// `tests/quorum_replica.rs`.
 #[test]
 fn live_quorum_probe_is_anomaly_free_over_the_wire() {
     let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Quorum, 13)).expect("bind");
@@ -544,5 +589,5 @@ fn live_quorum_probe_is_anomaly_free_over_the_wire() {
         "majority writes + majority reads must hide nothing from the checkers"
     );
     assert_eq!(result.writes_total, 2);
-    assert!(result.reads_per_agent.iter().all(|&r| r >= config.reads_target));
+    assert!(result.reads_per_agent.iter().all(|&r| r >= config.cadence.reads_target));
 }
