@@ -69,6 +69,13 @@ impl ServiceKind {
         ServiceKind::Pbft,
     ];
 
+    /// Whether `serve` hosts the nodes [`deploy`] builds for this arm
+    /// instead of serving it from stored replica cores. The ordered-log
+    /// arm joins at ROADMAP item 1, stage 2.
+    pub fn hosted_live(&self) -> bool {
+        *self == ServiceKind::Quorum
+    }
+
     /// Human-readable name as used in the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -251,9 +258,7 @@ pub fn topology(kind: ServiceKind) -> Topology {
         // The strong control arms. Their presets carry regions, routing
         // and ordering only; [`deploy`] instantiates dedicated node types
         // that own the protocol (majority quorums, ordered-log consensus,
-        // crash-recovery state transfer), and the wall-clock
-        // [`LiveCluster`](crate::live::LiveCluster) applies their writes
-        // synchronously.
+        // crash-recovery state transfer).
         ServiceKind::Quorum => topology_quorum(),
         ServiceKind::Pbft => topology_pbft(),
     }

@@ -42,6 +42,7 @@
 pub mod api;
 pub mod catalog;
 pub mod fault_driver;
+mod hosted;
 pub mod live;
 pub mod pbft;
 pub mod quorum;
@@ -52,7 +53,7 @@ mod shell;
 pub use api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
 pub use catalog::{deploy, ServiceCluster, ServiceKind};
 pub use fault_driver::{ExecutedAction, FaultDriver};
-pub use live::{LiveCluster, LiveConfig, StaleWindow};
+pub use live::{LiveCluster, LiveConfig, LiveReply, StaleWindow};
 pub use pbft::{PbftMsg, PbftReplica};
 pub use quorum::QuorumReplica;
 pub use replica_node::{DelayDist, ReadPath, ReplicaNode, ReplicaParams};

@@ -1,26 +1,32 @@
-//! Wall-clock driver around the deterministic replica cores.
+//! The catalog's services on wall-clock time.
 //!
-//! The simulator advances [`ReplicaCore`]s with virtual time; the wire
-//! subsystem (`conprobe-wire`) needs the *same* storage semantics on real
-//! time, serving concurrent TCP clients. [`LiveCluster`] is that bridge:
-//! a thread-safe, I/O-free replica group whose notion of "now" is
+//! The wire subsystem (`conprobe-wire`) serves concurrent TCP clients the
+//! semantics the simulator runs on virtual time. [`LiveCluster`] is that
+//! bridge: a thread-safe, I/O-free cluster whose notion of "now" is
 //! whatever nanosecond count the caller passes in. The TCP server feeds
-//! it wall-clock nanoseconds (and runs a ticker thread for anti-entropy);
-//! unit tests feed it hand-picked instants and get fully deterministic
-//! behaviour — the same trick the sim plays, inverted.
+//! it wall-clock nanoseconds (and runs a ticker thread); unit tests feed
+//! it hand-picked instants and get fully deterministic behaviour — the
+//! same trick the sim plays, inverted.
+//!
+//! **Two drivers, one shell.** The ring, the region affinity, the `down`
+//! flags and the operator surface exist once. An arm whose protocol *is*
+//! its message exchange is *hosted*: the sim's own nodes on a `World` fed
+//! real time ([`crate::hosted`]). The rest are *stored*, driven by this
+//! module — [`ReplicaCore`]s behind mutexes, a replication queue and an
+//! anti-entropy schedule, which is all a weak arm is (and, until live
+//! traffic can ride out a view change, how the ordered-log arm is
+//! modelled: each write applied at every live replica before the ack).
+//! The rest of this page describes the stored driver.
 //!
 //! **Keyspace sharding.** The cluster hosts [`LiveConfig::shards`]
 //! independent copies of the service topology, one per keyspace shard,
 //! with a consistent-hash [`ShardRing`] mapping every `u32` key onto a
-//! shard (see [`crate::shard`]). Each shard is a full replica group with
-//! its own replication queue and anti-entropy schedule, so unrelated
-//! keys never contend on a lock; within a shard, every key gets its own
-//! [`ReplicaCore`] per replica (created on first touch), so each key is
-//! a fully isolated logical object with exactly the single-object
+//! shard (see [`crate::shard`]). Shards never share a lock; within a
+//! shard every key is its own object (a [`ReplicaCore`] per replica, or a
+//! hosted group, created on first touch) with exactly the single-object
 //! semantics the paper measures — a write to one key is never visible
 //! to readers of another, even when the ring co-locates them. Key 0 is
-//! the paper's single-object workload; with `shards: 1` the cluster is
-//! byte-for-byte the pre-sharding one.
+//! the paper's single-object workload.
 //!
 //! **Background work.** A weak-arm write is applied at its origin and
 //! enqueued once per live peer on the shard's min-heap of pending pushes,
@@ -31,7 +37,7 @@
 //! own anti-entropy instant (kept beside its queue) has come, and
 //! reconciles two replicas by reading each core's id set in place.
 //!
-//! Fidelity note: the live driver reuses the catalog's per-replica
+//! Fidelity note: the stored driver reuses the catalog's per-replica
 //! [`OrderingPolicy`](conprobe_store::OrderingPolicy), replication-delay
 //! distribution, anti-entropy period, and canonicalization flags, but
 //! serves every read from the policy-ordered snapshot (the sim's
@@ -42,7 +48,9 @@
 //! probe pipeline is expected to detect. The pin applies to that replica
 //! in *every* shard, so a probe sees the same anomaly at every key.
 
+use crate::api::{ClientOp, OpResult};
 use crate::catalog::{topology, ServiceKind};
+use crate::hosted::HostedShard;
 use crate::quorum::{decode_post_frame, stored_post_to_payload};
 use crate::replica_node::DelayDist;
 use crate::shard::ShardRing;
@@ -53,7 +61,7 @@ use conprobe_sim::{NodeId, SimRng, SimTime};
 use conprobe_store::{AffinityMap, OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A deliberately seeded staleness window: the chosen replica serves
 /// reads from a snapshot refreshed at most once per `lag_nanos`, so a
@@ -74,7 +82,8 @@ pub struct LiveConfig {
     pub kind: ServiceKind,
     /// Seed for the replication-delay sampling stream.
     pub seed: u64,
-    /// Optional seeded staleness window (see [`StaleWindow`]).
+    /// Optional seeded staleness window (see [`StaleWindow`]). It pins a
+    /// *stored* snapshot; a hosted arm refuses it.
     pub stale_window: Option<StaleWindow>,
     /// Keyspace shards (independent replica groups); clamped to ≥ 1.
     pub shards: usize,
@@ -87,20 +96,34 @@ impl LiveConfig {
     }
 }
 
+/// The cluster's answer to one client operation ([`LiveCluster::serve`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LiveReply {
+    /// The read result — a stored replica's shared snapshot, uncopied.
+    Read(Arc<[PostId]>),
+    /// The write is acknowledged.
+    Acked(PostId),
+    /// A hosted arm cannot answer at this instant: no reachable majority,
+    /// or a read-fenced door. Retryable, like a throttle.
+    Unavailable,
+}
+
 /// What a crashed replica's rejoin accomplished (see
 /// [`LiveCluster::recover_replica`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RejoinReport {
     /// Verified `cpj1` catch-up frames applied across all peers/shards.
     pub frames: u64,
-    /// Peers that contributed a verified stream.
+    /// Peers that contributed a verified stream; 0 on a strong arm means
+    /// no transfer completed and the replica is still read-fenced.
     pub peers: u64,
     /// Highest peer commit watermark (applied-post count) heard.
     pub watermark: u64,
     /// Posts newly applied at the recovering replica.
     pub applied: u64,
-    /// Running FNV-1a over every verified frame line, in stream order —
-    /// the byte-determinism witness (same seed, same hash).
+    /// Running FNV-1a over every verified frame line in stream order (a
+    /// hosted arm: over its groups' stream hashes, in shard then key
+    /// order) — the byte-determinism witness (same seed, same hash).
     pub stream_hash: u64,
     /// True for a weak-arm cold rejoin: no state transfer ran, the
     /// replica restarts empty and reconverges via replication pushes
@@ -196,6 +219,11 @@ struct ShardState {
     queue: Mutex<ReplQueue>,
 }
 
+/// A hosted shard's groups, locked for one pump.
+fn lock_hosted(shard: &Mutex<HostedShard>) -> MutexGuard<'_, HostedShard> {
+    shard.lock().expect("a hosted shard's lock is only poisoned by a panicked pump")
+}
+
 /// A thread-safe wall-clock replica group hosting one catalog service
 /// over a consistent-hash-sharded keyspace.
 ///
@@ -208,7 +236,10 @@ pub struct LiveCluster {
     kind: ServiceKind,
     regions: Vec<Region>,
     affinity: AffinityMap,
+    /// The keyspace shards: [`LiveCluster::new`] populates exactly one of
+    /// `shards` (stored) and `hosted`; sweeping the other sweeps nothing.
     shards: Vec<ShardState>,
+    hosted: Vec<Mutex<HostedShard>>,
     ring: ShardRing,
     rng: Mutex<SimRng>,
     stale: Option<StaleWindow>,
@@ -227,7 +258,8 @@ pub struct LiveCluster {
     /// compares against this and returns without taking any lock when
     /// nothing is due — the sharded serving path calls `tick` on every
     /// operation, so this check is the difference between an atomic load
-    /// and a full queue sweep per request.
+    /// and a full queue sweep per request. A hosted cluster holds this at
+    /// 0: its groups keep their own timers, and every `tick` reaches them.
     next_due_nanos: AtomicU64,
     /// Shared empty snapshot served for keys with no traffic yet — the
     /// common case when a load sweep cycles more keys than were seeded.
@@ -237,9 +269,22 @@ pub struct LiveCluster {
 impl LiveCluster {
     /// Deploys `config.kind`'s catalog topology onto wall-clock time,
     /// once per keyspace shard.
+    ///
+    /// # Panics
+    /// If a [`StaleWindow`] is configured for a hosted arm.
     pub fn new(config: &LiveConfig) -> Self {
         let topo = topology(config.kind);
-        let shard_count = config.shards.max(1);
+        let ring = ShardRing::new(config.shards.max(1));
+        let (shard_count, hosted_count) =
+            if config.kind.hosted_live() { (0, ring.shards()) } else { (ring.shards(), 0) };
+        let mut hosted: Vec<HostedShard> =
+            (0..hosted_count).map(|_| HostedShard::new(config.kind, config.seed)).collect();
+        // Key 0 exists from the start, so an idle server's rejoin still
+        // runs a real state-transfer round.
+        if let Some(shard) = hosted.get_mut(ring.shard_for_key(0)) {
+            assert!(config.stale_window.is_none(), "a hosted arm has no stored snapshot to pin");
+            shard.open(0, std::iter::empty());
+        }
         // Every shard deploys the same topology, so they all start on the
         // same anti-entropy schedule.
         let first_anti_entropy = topo
@@ -282,20 +327,16 @@ impl LiveCluster {
             regions: topo.replicas.iter().map(|(r, _)| *r).collect(),
             affinity: topo.affinity,
             shards,
-            ring: ShardRing::new(shard_count),
+            hosted: hosted.into_iter().map(Mutex::new).collect(),
+            ring,
             rng: Mutex::new(SimRng::new(config.seed).split("live.repl")),
             stale: config.stale_window,
             pbft_view: AtomicU64::new(1),
             pbft_view_changes: AtomicU64::new(0),
             down: (0..replica_count).map(|_| AtomicBool::new(false)).collect(),
-            next_due_nanos: AtomicU64::new(first_anti_entropy),
+            next_due_nanos: AtomicU64::new(if hosted_count > 0 { 0 } else { first_anti_entropy }),
             empty: Arc::from(Vec::new()),
         }
-    }
-
-    /// Which service this cluster hosts.
-    pub fn kind(&self) -> ServiceKind {
-        self.kind
     }
 
     /// Number of replicas per shard.
@@ -305,7 +346,7 @@ impl LiveCluster {
 
     /// Number of keyspace shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.ring.shards()
     }
 
     /// The shard owning `key` — deterministic consistent hashing, the
@@ -325,14 +366,35 @@ impl LiveCluster {
         self.affinity.replica_for(region)
     }
 
+    /// Serves one client operation on `key` through `region`'s front door:
+    /// the server's one entry point. A stored arm always answers; a hosted
+    /// group that cannot, at `now_nanos`, is [`LiveReply::Unavailable`].
+    pub fn serve(&self, region: Region, key: u32, op: ClientOp, now_nanos: u64) -> LiveReply {
+        let Some(shard) = self.hosted.get(self.ring.shard_for_key(key)) else {
+            return match op {
+                ClientOp::Write(post) => {
+                    LiveReply::Acked(self.write_keyed(region, key, post, now_nanos))
+                }
+                ClientOp::Read | ClientOp::Inspect => {
+                    LiveReply::Read(self.read_keyed(region, key, now_nanos))
+                }
+            };
+        };
+        let down = (0..self.down.len()).filter(|idx| self.is_down(*idx));
+        match lock_hosted(shard).open(key, down).request(region, op, now_nanos) {
+            Some(OpResult::ReadOk(ids)) => LiveReply::Read(ids.into()),
+            Some(OpResult::WriteAck(id)) => LiveReply::Acked(id),
+            Some(OpResult::Throttled) | None => LiveReply::Unavailable,
+        }
+    }
+
     /// Accepts a write for `key` at `region`'s replica of the owning
-    /// shard. Local-ack services (all four measured ones) schedule
-    /// asynchronous replication pushes to every peer with per-peer
-    /// sampled delays; the strong arms instead apply the write at every
-    /// replica before returning, so the acknowledgement implies global
-    /// visibility. Either way a down replica receives nothing: what it
-    /// missed comes back at rejoin (state transfer) or through
-    /// anti-entropy.
+    /// stored shard (a hosted arm has none; see [`LiveCluster::serve`]).
+    /// Local-ack services (all four measured ones) schedule asynchronous
+    /// replication pushes to every peer with per-peer sampled delays; the
+    /// ordered-log arm instead applies the write at every live replica
+    /// before returning. Either way a down replica receives nothing: what
+    /// it missed comes back at rejoin or through anti-entropy.
     pub fn write_keyed(&self, region: Region, key: u32, post: Post, now_nanos: u64) -> PostId {
         self.tick(now_nanos);
         let shard = &self.shards[self.ring.shard_for_key(key)];
@@ -381,9 +443,9 @@ impl LiveCluster {
         id
     }
 
-    /// Serves a read for `key` at `region`'s replica of the owning shard,
-    /// from the policy-ordered snapshot — or, for a stale-pinned replica,
-    /// from its bounded-age cached snapshot. The returned snapshot is the
+    /// Serves a read for `key` at `region`'s replica of the owning stored
+    /// shard, from the policy-ordered snapshot — or, for a stale-pinned
+    /// replica, from its bounded-age cached snapshot. The result is the
     /// replica's shared `Arc` slice: no copy on the serving hot path.
     pub fn read_keyed(&self, region: Region, key: u32, now_nanos: u64) -> Arc<[PostId]> {
         self.tick(now_nanos);
@@ -415,11 +477,11 @@ impl LiveCluster {
     }
 
     /// Delivers due replication pushes and runs due anti-entropy rounds
-    /// on every shard. Idempotent; safe to call from a ticker thread
-    /// *and* inline from reads/writes (each operation calls it so
-    /// single-threaded tests never need a ticker). When nothing is due —
-    /// the overwhelmingly common case on a serving hot path — this is
-    /// one atomic load.
+    /// on every shard (for a hosted group, its due timers). Idempotent;
+    /// safe to call from a ticker thread *and* inline from reads/writes
+    /// (each stored operation calls it so single-threaded tests never need
+    /// a ticker). When nothing is due — the overwhelmingly common case on
+    /// a serving hot path — this is one atomic load.
     pub fn tick(&self, now_nanos: u64) {
         if now_nanos < self.next_due_nanos.load(Ordering::Acquire) {
             return;
@@ -433,6 +495,9 @@ impl LiveCluster {
     /// off what is left; a shard with nothing due costs one queue lock
     /// and no replica lock.
     fn tick_full(&self, now_nanos: u64) {
+        if !self.hosted.is_empty() {
+            return self.hosted.iter().for_each(|shard| lock_hosted(shard).tick(now_nanos));
+        }
         // Park the horizon at MAX while sweeping; concurrent writers
         // `fetch_min` their new push's instant, so a push scheduled
         // mid-sweep can lower it again and is never lost.
@@ -541,12 +606,12 @@ impl LiveCluster {
         }
     }
 
-    /// Whether writes are synchronous (the strong control arms): a write
-    /// is applied at every live replica before it is acknowledged, so the
-    /// group is linearizable — no replication queue, no anomaly windows.
-    /// Decides the rejoin flavour: state transfer vs cold restart.
-    pub fn sync_writes(&self) -> bool {
-        matches!(self.kind, ServiceKind::Quorum | ServiceKind::Pbft)
+    /// Whether a stored arm's writes are synchronous (the ordered-log
+    /// arm): applied at every live replica before the acknowledgement —
+    /// no replication queue, no anomaly windows. Decides the rejoin
+    /// flavour: state transfer vs cold restart.
+    fn sync_writes(&self) -> bool {
+        self.kind == ServiceKind::Pbft
     }
 
     /// A replica index from outside the cluster is the caller's to check;
@@ -564,14 +629,18 @@ impl LiveCluster {
     /// read caches, and replication pushes still in flight *to* it are
     /// dropped — they were addressed to a process that no longer
     /// exists. For weak arms that lost window is a real divergence
-    /// source (healed only where anti-entropy runs); the quorum arm
-    /// repairs it wholesale at rejoin.
+    /// source (healed only where anti-entropy runs); a strong arm repairs
+    /// it wholesale at rejoin. (Hosted: `ControlMsg::Crash` to every group.)
     ///
     /// # Panics
     /// If the topology has no replica `idx` — callers validate operator
     /// input first (`WireServer::kill_replica` answers `UnknownReplica`).
     pub fn crash_replica(&self, idx: usize) {
         self.assert_replica(idx);
+        // Flag first: a hosted group born from here on is born with `idx`
+        // crashed, and one born earlier is in its shard for the sweep.
+        self.down[idx].store(true, Ordering::SeqCst);
+        self.hosted.iter().for_each(|shard| lock_hosted(shard).crash(idx));
         for shard in &self.shards {
             {
                 let mut rep = shard.replicas[idx].lock().unwrap();
@@ -582,7 +651,6 @@ impl LiveCluster {
             }
             shard.queue.lock().unwrap().pushes.retain(|p| p.target != idx);
         }
-        self.down[idx].store(true, Ordering::SeqCst);
         if self.kind == ServiceKind::Pbft {
             self.rotate_view_past_down();
         }
@@ -633,13 +701,16 @@ impl LiveCluster {
         Some((self.pbft_view.load(Ordering::SeqCst) % self.replica_count() as u64) as usize)
     }
 
-    /// Rejoins a crashed replica. On the quorum arm this is the `cpj1`
-    /// state-transfer protocol (the same checksummed record format the
-    /// sim's [`QuorumReplica`](crate::quorum::QuorumReplica) streams):
-    /// every peer serializes its per-key snapshots as framed records —
-    /// keys in sorted order, shards and peers in index order, so the
-    /// stream and its running hash are byte-deterministic — and the
-    /// recovering replica verifies each whole stream (frame checksum +
+    /// Rejoins a crashed replica. On a hosted arm this is
+    /// `ControlMsg::Recover` to every group: the arm's own fenced catch-up
+    /// round, complete inside the call when a catch-up quorum of peers is
+    /// up. When none is, the replica stays read-fenced — for good, by
+    /// design, if a majority crashed with amnesia: nobody can vouch for
+    /// what it held. The stored ordered-log arm runs the same `cpj1`
+    /// transfer in place: every peer serializes its per-key snapshots as
+    /// framed records — keys in sorted order, shards and peers in index
+    /// order, so the stream and its running hash are byte-deterministic —
+    /// and the recovering replica verifies each whole stream (checksum +
     /// payload parse) before applying a single post from it. Weak arms
     /// rejoin cold: an empty replica reconverges through the ordinary
     /// replication and anti-entropy machinery, leaving exactly the
@@ -659,8 +730,8 @@ impl LiveCluster {
             let mut peer_total = 0u64;
             for shard in &self.shards {
                 // Pairwise index-ordered locking — the anti-entropy
-                // discipline — so rejoin can overlap live quorum writes
-                // without deadlock.
+                // discipline — so rejoin can overlap live synchronous
+                // writes without deadlock.
                 let (lo, hi) = if idx < peer { (idx, peer) } else { (peer, idx) };
                 let mut first = shard.replicas[lo].lock().unwrap();
                 let mut second = shard.replicas[hi].lock().unwrap();
@@ -693,26 +764,31 @@ impl LiveCluster {
             round.heard(NodeId(peer), peer_total);
         }
         let (frames, watermark, stream_hash) = round.record();
-        RejoinReport {
+        let mut report = RejoinReport {
             frames,
             peers: round.peers() as u64,
             watermark,
             applied,
             stream_hash,
-            cold: !self.sync_writes(),
-        }
+            cold: !self.sync_writes() && self.hosted.is_empty(),
+        };
+        // A hosted arm streamed nothing above; its groups report here.
+        self.hosted.iter().for_each(|shard| lock_hosted(shard).recover(idx, &mut report));
+        report
     }
 
     /// Total posts held by replica `idx`, summed across shards and keys
     /// (diagnostics).
     pub fn replica_len(&self, idx: usize) -> usize {
+        let hosted: usize = self.hosted.iter().map(|s| lock_hosted(s).replica_len(idx)).sum();
         self.shards
             .iter()
             .map(|s| {
                 let rep = s.replicas[idx].lock().unwrap();
                 rep.cores.values().map(ReplicaCore::len).sum::<usize>()
             })
-            .sum()
+            .sum::<usize>()
+            + hosted
     }
 }
 
@@ -742,11 +818,27 @@ mod tests {
     /// predate the keyspace.
     impl LiveCluster {
         fn write(&self, region: Region, post: Post, now_nanos: u64) -> PostId {
-            self.write_keyed(region, 0, post, now_nanos)
+            self.put(region, 0, post, now_nanos)
         }
 
         fn read(&self, region: Region, now_nanos: u64) -> Vec<PostId> {
-            self.read_keyed(region, 0, now_nanos).to_vec()
+            self.get(region, 0, now_nanos)
+        }
+
+        /// An acknowledged write through `serve`, on either driver.
+        fn put(&self, region: Region, key: u32, post: Post, now_nanos: u64) -> PostId {
+            match self.serve(region, key, ClientOp::Write(post), now_nanos) {
+                LiveReply::Acked(id) => id,
+                other => panic!("write refused: {other:?}"),
+            }
+        }
+
+        /// An answered read through `serve`, on either driver.
+        fn get(&self, region: Region, key: u32, now_nanos: u64) -> Vec<PostId> {
+            match self.serve(region, key, ClientOp::Read, now_nanos) {
+                LiveReply::Read(ids) => ids.to_vec(),
+                other => panic!("read refused: {other:?}"),
+            }
         }
     }
 
@@ -918,27 +1010,23 @@ mod tests {
     #[test]
     fn quorum_crash_then_rejoin_transfers_full_state() {
         let c = sharded(ServiceKind::Quorum, 4);
-        assert!(c.sync_writes());
         for key in 0..12u32 {
-            c.write_keyed(Region::Oregon, key, post(key, 1), MS + u64::from(key));
+            c.put(Region::Oregon, key, post(key, 1), MS + u64::from(key));
         }
         let before = c.replica_len(1);
-        assert!(before >= 12, "sync writes land everywhere");
+        assert_eq!(before, 12, "every peer acks the push before the client is acked");
         c.crash_replica(1);
         assert_eq!(c.replica_len(1), 0, "a crash loses all in-memory state");
         let report = c.recover_replica(1);
         assert!(!report.cold);
         assert_eq!(report.peers, 2, "both surviving peers streamed");
         assert_eq!(report.applied as usize, before, "state transfer restores every post");
-        assert_eq!(report.watermark, 12, "watermark is the peer's applied count");
-        assert!(report.frames >= 24, "each peer streams all 12 posts");
+        assert_eq!(report.watermark, 12, "watermark is the peers' applied count");
+        assert_eq!(report.frames, 24, "each peer streams all 12 posts");
         assert_eq!(c.replica_len(1), before);
         // Post-rejoin reads at the recovered front door are complete.
         for key in 0..12u32 {
-            assert!(
-                !c.read_keyed(Region::Tokyo, key, SEC).is_empty(),
-                "key {key} visible after rejoin"
-            );
+            assert!(!c.get(Region::Tokyo, key, SEC).is_empty(), "key {key} visible after rejoin");
         }
     }
 
@@ -947,17 +1035,91 @@ mod tests {
         let run = || {
             let c = sharded(ServiceKind::Quorum, 4);
             for key in 0..8u32 {
-                c.write_keyed(Region::Oregon, key, post(key, 1), MS + u64::from(key));
+                c.put(Region::Oregon, key, post(key, 1), MS + u64::from(key));
             }
             c.crash_replica(2);
             c.recover_replica(2)
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "same writes, same framed stream, same hash");
-        // Pinned from the build that still stored bodies as `String`: how
-        // a post holds its body must not move one byte of a `cpj1` frame.
-        assert_eq!((a.frames, a.stream_hash), (16, 0x389b_ac2d_5c06_2455));
+        // Pinned (each group's own stream hash, folded in (shard, sorted
+        // key) order): how a post holds its body must not move one byte
+        // of a `cpj1` frame, nor a change of map move the fold order.
+        assert_eq!((a.frames, a.stream_hash), (16, 0x49c0_d01c_f749_c9e8));
         assert_ne!(a.stream_hash, frame::FNV64_BASIS, "a non-empty stream moved the hash");
+    }
+
+    #[test]
+    fn lost_quorum_is_refused() {
+        let c = cluster(ServiceKind::Quorum, None);
+        c.write(Region::Oregon, post(0, 1), MS);
+        c.crash_replica(1);
+        c.crash_replica(2);
+        // One replica of three is no majority: C over A.
+        let refused = ClientOp::Write(post(0, 2));
+        assert_eq!(c.serve(Region::Oregon, 0, refused.clone(), 2 * MS), LiveReply::Unavailable);
+        assert_eq!(c.serve(Region::Oregon, 0, ClientOp::Read, 3 * MS), LiveReply::Unavailable);
+        assert_eq!(c.serve(Region::Tokyo, 0, ClientOp::Read, 4 * MS), LiveReply::Unavailable);
+        // The origin holds its own copy of the refused write — unacked,
+        // and unreadable until a majority can vouch — and nobody else does.
+        assert_eq!((c.replica_len(0), c.replica_len(1), c.replica_len(2)), (2, 0, 0));
+        // A restarted replica acks pushes even while read-fenced, so the
+        // retry commits, de-duplicated on its `PostId`.
+        c.recover_replica(1);
+        assert_eq!(
+            c.serve(Region::Oregon, 0, refused, 5 * MS),
+            LiveReply::Acked(PostId::new(AuthorId(0), 2))
+        );
+        assert_eq!((c.replica_len(0), c.replica_len(1)), (2, 2));
+    }
+
+    #[test]
+    fn a_fenced_door_serves_no_read() {
+        let c = cluster(ServiceKind::Quorum, None);
+        c.write(Region::Oregon, post(0, 1), MS);
+        c.crash_replica(1);
+        c.crash_replica(2);
+        // Replica 1 needs ⌈n/2⌉ = 2 peers to vouch for what committed
+        // without it and can hear one: no transfer completes.
+        let report = c.recover_replica(1);
+        assert_eq!((report.peers, report.frames, report.cold), (0, 0, false));
+        // Its own door queues reads behind the fence, and replica 0 finds
+        // no unfenced peer to complete a read quorum with.
+        assert_eq!(c.serve(Region::Tokyo, 0, ClientOp::Read, 2 * MS), LiveReply::Unavailable);
+        assert_eq!(c.serve(Region::Oregon, 0, ClientOp::Read, 3 * MS), LiveReply::Unavailable);
+        // Writes commit again on {0, 1}, through either door.
+        let id = c.write(Region::Oregon, post(0, 2), 4 * MS);
+        assert_eq!(c.write(Region::Tokyo, post(1, 1), 5 * MS), PostId::new(AuthorId(1), 1));
+        assert_eq!((c.replica_len(0), c.replica_len(1)), (3, 3));
+        // By design a majority that crashed with amnesia stays
+        // read-fenced: replica 2 returns, hears one unfenced peer, and
+        // joins replica 1 behind the fence — however long the retries run.
+        assert_eq!(c.recover_replica(2).peers, 0);
+        c.tick(60 * SEC);
+        for region in Region::AGENTS {
+            assert_eq!(c.serve(region, 0, ClientOp::Read, 61 * SEC), LiveReply::Unavailable);
+        }
+        assert_eq!(c.write(Region::Ireland, post(2, 1), 62 * SEC), PostId::new(AuthorId(2), 1));
+        assert_eq!(id, PostId::new(AuthorId(0), 2));
+    }
+
+    #[test]
+    fn a_group_born_during_an_outage_is_born_into_it() {
+        let c = sharded(ServiceKind::Quorum, 4);
+        c.crash_replica(1);
+        // Key 9 is first touched now: its Tokyo replica must not exist as
+        // a live process that missed the crash.
+        c.put(Region::Oregon, 9, post(0, 1), MS);
+        assert_eq!(c.replica_len(1), 0);
+        assert_eq!(c.serve(Region::Tokyo, 9, ClientOp::Read, 2 * MS), LiveReply::Unavailable);
+        assert_eq!(c.recover_replica(1).applied, 1);
+        assert_eq!(c.get(Region::Tokyo, 9, 3 * MS).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no stored snapshot to pin")]
+    fn a_hosted_arm_refuses_a_stale_window() {
+        cluster(ServiceKind::Quorum, Some(StaleWindow { replica: 0, lag_nanos: MS }));
     }
 
     #[test]
@@ -1029,8 +1191,9 @@ mod tests {
         assert_eq!(c.replica_len(1), 0);
         assert!(c.read(Region::Tokyo, 120 * SEC).contains(&id));
 
-        // Quorum arm: the write commits on the live majority only, and
-        // the rejoin's state transfer is what delivers it.
+        // Quorum arm: the write commits on the live majority only (a
+        // crashed process hears no `SyncPush`), and the rejoin's state
+        // transfer is what delivers it.
         let c = cluster(ServiceKind::Quorum, None);
         c.crash_replica(1);
         let id = c.write(Region::Oregon, post(0, 1), MS);

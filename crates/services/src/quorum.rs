@@ -49,7 +49,7 @@ use conprobe_json::{frame, member, FromJson, JsonError, JsonValue, ToJson};
 use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Serializes one stored post as the compact-JSON payload of a catch-up
 /// frame. Field order is fixed, so the encoding — and therefore the
@@ -111,6 +111,9 @@ struct PendingRead {
     req_id: u64,
     responses_remaining: usize,
     merged: Vec<StoredPost>,
+    /// The ids in `merged`, so folding a peer snapshot in is one lookup a
+    /// post instead of a scan of the list.
+    merged_ids: HashSet<PostId>,
 }
 
 /// This arm's own metrics, next to the [`FrontDoor`]'s common ones.
@@ -139,6 +142,8 @@ pub struct QuorumReplica {
     anomalies: u64,
     /// Completed state transfers: `(frames, watermark, stream_hash)`.
     transfers: Vec<(u64, u64, u64)>,
+    /// Peers that streamed the latest completed transfer.
+    transfer_donors: usize,
     obs: Option<QuorumObs>,
 }
 
@@ -173,6 +178,7 @@ impl QuorumReplica {
             pending_reads: HashMap::new(),
             anomalies: 0,
             transfers: Vec::new(),
+            transfer_donors: 0,
             obs: None,
         }
     }
@@ -219,6 +225,11 @@ impl QuorumReplica {
     /// tuples, in completion order — the byte-determinism witness.
     pub fn state_transfers(&self) -> &[(u64, u64, u64)] {
         &self.transfers
+    }
+
+    /// How many peers streamed the latest completed state transfer.
+    pub fn transfer_donors(&self) -> usize {
+        self.transfer_donors
     }
 
     /// Majority size over peers + self (write/read quorum).
@@ -296,8 +307,9 @@ impl QuorumReplica {
             return;
         }
         let token = self.door.fresh_token(0);
+        let merged_ids = merged.iter().map(StoredPost::id).collect();
         self.pending_reads
-            .insert(token, PendingRead { client, req_id, responses_remaining, merged });
+            .insert(token, PendingRead { client, req_id, responses_remaining, merged, merged_ids });
         for &peer in &self.peers {
             ctx.send(peer, NetMsg::Repl(ReplMsg::SnapshotReq { token }));
         }
@@ -314,7 +326,7 @@ impl QuorumReplica {
                 return; // answered with an earlier majority
             };
             for p in posts {
-                if !pending.merged.iter().any(|q| q.id() == p.id()) {
+                if pending.merged_ids.insert(p.id()) {
                     pending.merged.push(p);
                 }
             }
@@ -360,6 +372,7 @@ impl QuorumReplica {
         let (quorum, local) = (self.catchup_quorum(), self.watermark());
         let Some(round) = self.catchup.take_if(|r| r.caught_up(quorum, local)) else { return };
         let applied = self.core.len();
+        self.transfer_donors = round.peers();
         self.transfers.push(round.finish(&self.door, ctx, || format!("{applied} post(s)")));
         if let Some(obs) = &self.obs {
             obs.fenced.set(0.0);

@@ -132,6 +132,13 @@ impl LatencyMatrix {
         LatencyMatrix { links: BTreeMap::new(), default_link, local_link: LinkSpec::local() }
     }
 
+    /// Every link, intra-region included, delivers at once and loses
+    /// nothing: what the replicas of one process see of each other.
+    pub fn instant() -> Self {
+        let link = LinkSpec { base: SimDuration::ZERO, jitter_mean: SimDuration::ZERO, loss: 0.0 };
+        LatencyMatrix { links: BTreeMap::new(), default_link: link, local_link: link }
+    }
+
     /// The WAN the paper ran on.
     ///
     /// Coordinator links reproduce the paper's measured RTTs exactly

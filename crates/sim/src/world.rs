@@ -520,20 +520,21 @@ impl<M: 'static> World<M> {
         true
     }
 
-    /// Runs until the queue is empty or `deadline` is reached; the clock is
-    /// left at `max(now, deadline)` if the queue drains early, or at the last
-    /// processed event otherwise.
+    /// Processes every event due at or before `deadline` and leaves the
+    /// clock at `max(now, deadline)`: a deadline already in the past (a
+    /// wall-clock caller that lost a race) never moves time backwards.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(ev)) = self.core.queue.peek() {
-            if ev.at > deadline {
-                self.core.now = deadline;
-                return;
-            }
+        while self.core.queue.peek().is_some_and(|Reverse(ev)| ev.at <= deadline) {
             self.step();
         }
-        if self.core.now < deadline {
-            self.core.now = deadline;
-        }
+        self.core.now = self.core.now.max(deadline);
+    }
+
+    /// Sends `msg` from `src` to `dst` at the current instant, exactly as
+    /// if node `src` had called [`Context::send`]: an external driver's
+    /// way into the world.
+    pub fn post(&mut self, src: NodeId, dst: NodeId, msg: M) {
+        self.core.send(src, dst, msg, false);
     }
 
     /// Runs until no events remain.
@@ -760,6 +761,39 @@ mod tests {
         w.run_until(SimTime::from_secs(10));
         assert_eq!(w.delivered(), 1);
         assert_eq!(w.now(), SimTime::from_secs(10));
+    }
+
+    #[test]
+    fn a_stale_deadline_never_moves_time_backwards() {
+        /// Holds a far-future timer (so the queue is never empty) and
+        /// answers every message with a 10 ms timer.
+        struct Sleeper {
+            fired: Vec<(u64, SimTime)>,
+        }
+        impl Node<Msg> for Sleeper {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.set_timer(SimDuration::from_secs(1), 1);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
+                ctx.set_timer(SimDuration::from_millis(10), 2);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
+                self.fired.push((token, ctx.true_now()));
+            }
+        }
+        let mut cfg = WorldConfig::default();
+        cfg.net.matrix = LatencyMatrix::instant();
+        let mut w = World::new(cfg, 1);
+        let id = w.add_node(Region::Oregon, Box::new(Sleeper { fired: vec![] }));
+        w.run_until(SimTime::from_millis(100));
+        // A caller that lost a race passes a deadline already behind the
+        // clock, with the 1 s timer still queued.
+        w.run_until(SimTime::from_millis(50));
+        assert_eq!(w.now(), SimTime::from_millis(100));
+        w.post(id, id, "wake");
+        w.run_until(SimTime::from_millis(200));
+        let fired = &w.node_as::<Sleeper>(id).unwrap().fired;
+        assert_eq!(fired, &[(2, SimTime::from_millis(110))], "old now + delay");
     }
 
     #[test]

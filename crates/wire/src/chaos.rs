@@ -569,6 +569,10 @@ pub fn drive_service_actions(
                 if let Ok(report) = server.restart_replica(target) {
                     if report.cold {
                         log(format!("replica n{target} rejoined cold"));
+                    } else if report.peers == 0 {
+                        log(format!(
+                            "replica n{target} hears no catch-up quorum; it stays read-fenced"
+                        ));
                     } else {
                         log(format!(
                             "replica n{target} state transfer complete: {} frame(s) from {} \

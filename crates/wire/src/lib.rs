@@ -8,8 +8,8 @@
 //!   FNV-checksummed binary frames with an incremental, fuzz-hardened
 //!   decoder (the `conprobe-json` discipline, applied to bytes);
 //! * [`server`] — `conprobe serve`: any catalog service behind
-//!   per-region TCP listeners, with the deterministic replica cores
-//!   bridged onto wall-clock time by
+//!   per-region TCP listeners, with the sim's deterministic service
+//!   models bridged onto wall-clock time by
 //!   [`LiveCluster`](conprobe_services::live::LiveCluster), optional
 //!   WAN-shaped artificial latency/drop, and a graceful stop-file /
 //!   stop-frame drain;

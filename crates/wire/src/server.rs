@@ -1,8 +1,8 @@
 //! The `cpw1` TCP server: catalog services on real sockets.
 //!
 //! [`WireServer::start`] binds one listener per agent region, hosts a
-//! keyspace-sharded [`LiveCluster`] (the wall-clock bridge around the
-//! deterministic replica cores), and serves frames with optional
+//! keyspace-sharded [`LiveCluster`] (the catalog's services on wall-clock
+//! time), and serves frames with optional
 //! per-region artificial latency shaped from the sim's WAN latency
 //! matrix. Architecture — a readiness-sweep event loop (the workspace is
 //! `std`-only and forbids `unsafe`, so there is no epoll; non-blocking
@@ -37,8 +37,9 @@
 //! key, routed by the cluster's consistent-hash [`ShardRing`] (see
 //! `conprobe_services::shard`; key 0 is the paper's single-object
 //! workload), plus a request id echoed in the response — `read_q_ok`,
-//! `write_q_ack`, or `throttled` under a throttle-storm brownout — so
-//! pipelined clients can verify per-connection FIFO order. A connection
+//! `write_q_ack`, or `throttled` (a throttle-storm brownout, or a hosted
+//! arm with no majority to answer from) — so pipelined clients can
+//! verify per-connection FIFO order. A connection
 //! needs no `hello` before its first operation.
 
 use crate::frame::{
@@ -47,8 +48,8 @@ use crate::frame::{
 };
 use crate::load::wire_latency_bounds_nanos;
 use conprobe_obs::MetricsRegistry;
-use conprobe_services::live::{LiveCluster, LiveConfig, RejoinReport, StaleWindow};
-use conprobe_services::ServiceKind;
+use conprobe_services::live::{LiveCluster, LiveConfig, LiveReply, RejoinReport, StaleWindow};
+use conprobe_services::{ClientOp, ServiceKind};
 use conprobe_sim::net::{LatencyMatrix, Region};
 use conprobe_sim::{BrownoutMode, LocalTime, SimRng};
 use conprobe_store::{Post, PostId};
@@ -202,8 +203,14 @@ pub struct WireServer {
 }
 
 impl WireServer {
-    /// Binds the per-region listeners and starts serving.
+    /// Binds the per-region listeners and starts serving. A staleness
+    /// window on a hosted arm is refused, not ignored: the caller would
+    /// believe the control arm is seeded with an anomaly.
     pub fn start(config: &ServeConfig) -> std::io::Result<WireServer> {
+        if config.stale_window.is_some() && config.kind.hosted_live() {
+            let why = format!("--stale-replica pins a stored snapshot; {} has none", config.kind);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        }
         let event_loops = config.event_loops.max(1);
         let cluster = LiveCluster::new(&LiveConfig {
             kind: config.kind,
@@ -316,7 +323,7 @@ impl WireServer {
         Some((self.shared.cluster.pbft_view(), leader, self.shared.cluster.pbft_view_changes()))
     }
 
-    /// Restarts a crashed replica: a quorum-arm replica rejoins via
+    /// Restarts a crashed replica: a strong-arm replica rejoins via
     /// `cpj1` state transfer from its peers, a weak-arm replica rejoins
     /// cold (replication and anti-entropy converge it); only then does
     /// its front door reopen.
@@ -658,26 +665,24 @@ fn sweep_conn(
             KIND_READ_Q => {
                 ctrs.reads.inc();
                 let (req, key) = read_q_fields(payload);
-                if throttling {
-                    ctrs.throttled.inc();
-                    Frame::Throttled { req }.encode_into(&mut conn.outbuf);
+                let reply = if throttling {
+                    LiveReply::Unavailable
                 } else {
-                    let ids = shared.cluster.read_keyed(conn.region, key, now);
-                    append_read_q_ok_iter(&mut conn.outbuf, req, ids.iter().map(|id| id.as_u64()));
-                }
+                    shared.cluster.serve(conn.region, key, ClientOp::Read, now)
+                };
+                encode_reply(&mut conn.outbuf, ctrs, req, reply);
             }
             KIND_WRITE_Q => {
                 ctrs.writes.inc();
                 let Ok(w) = write_q_fields(payload) else { return Sweep::Closed };
-                if throttling {
-                    ctrs.throttled.inc();
-                    Frame::Throttled { req: w.req }.encode_into(&mut conn.outbuf);
+                let reply = if throttling {
+                    LiveReply::Unavailable
                 } else {
                     let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
                     let post = Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
-                    let acked = shared.cluster.write_keyed(conn.region, w.key, post, now);
-                    append_write_q_ack(&mut conn.outbuf, w.req, acked.as_u64());
-                }
+                    shared.cluster.serve(conn.region, w.key, ClientOp::Write(post), now)
+                };
+                encode_reply(&mut conn.outbuf, ctrs, w.req, reply);
             }
             KIND_HELLO => {
                 // The ack always carries our version; the client decides
@@ -741,6 +746,19 @@ fn sweep_conn(
         Sweep::Progress
     } else {
         Sweep::Idle
+    }
+}
+
+/// Appends the answer to request `req`. "Unavailable" is the refusal a
+/// throttle storm sends: the probe already retries it as a new operation.
+fn encode_reply(out: &mut Vec<u8>, ctrs: &Counters, req: u32, reply: LiveReply) {
+    match reply {
+        LiveReply::Read(ids) => append_read_q_ok_iter(out, req, ids.iter().map(|id| id.as_u64())),
+        LiveReply::Acked(id) => append_write_q_ack(out, req, id.as_u64()),
+        LiveReply::Unavailable => {
+            ctrs.throttled.inc();
+            Frame::Throttled { req }.encode_into(out);
+        }
     }
 }
 

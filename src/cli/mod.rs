@@ -113,9 +113,10 @@ USAGE:
 
   `serve` hosts a catalog service on one 127.0.0.1 listener per agent
   region, speaking the length-prefixed, checksummed `cpw1` protocol; the
-  deterministic replica cores run on wall-clock time, with optional
-  artificial WAN latency (--latency-scale, from the paper latency
-  matrix), response loss (--drop), and a seeded staleness window
+  deterministic replica cores (for quorum, the simulator's own replica
+  nodes) run on wall-clock time, with optional artificial WAN latency
+  (--latency-scale, from the paper latency matrix), response loss
+  (--drop), and on the other arms a seeded staleness window
   (--stale-replica/--stale-lag-ms). It drains gracefully — finishing
   whole frames — when --stop-file appears, a client sends `stop`, or
   --max-secs elapses. The hosted cluster shards its keyspace over

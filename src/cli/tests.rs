@@ -346,6 +346,16 @@ fn dependent_flags_fail_at_parse_time() {
 }
 
 #[test]
+fn serve_refuses_a_stale_window_on_the_quorum_arm() {
+    // The window pins a stored replica's snapshot; the quorum arm runs its
+    // own replicas, and ignoring the flag would hand back a control arm
+    // the caller believes is seeded with an anomaly.
+    let e = execute(parse(&args("serve --service quorum --stale-replica 0 --max-secs 1")).unwrap())
+        .unwrap_err();
+    assert!(e.0.contains("--stale-replica") && e.0.contains("Quorum"), "{}", e.0);
+}
+
+#[test]
 fn ready_file_round_trips_every_line_kind() {
     let serve = "oregon=127.0.0.1:9200\ntokyo=127.0.0.1:9201\nshards=16\n";
     let ready = ReadyFile::parse(serve).unwrap();

@@ -564,9 +564,8 @@ fn pipelined_load_reports_clean_percentiles_and_error_counters() {
 }
 
 /// The quorum control arm served over real sockets: `serve --service
-/// quorum` runs `LiveCluster`'s own model of the arm — synchronous
-/// majority writes, not the sim's `QuorumReplica` protocol — so a live
-/// probe must analyze clean on every checker: the wire-level
+/// quorum` hosts the sim's own `QuorumReplica` nodes on wall-clock time,
+/// so a live probe must analyze clean on every checker: the wire-level
 /// counterpart of the simulated control arm in
 /// `tests/quorum_replica.rs`.
 #[test]
@@ -590,4 +589,49 @@ fn live_quorum_probe_is_anomaly_free_over_the_wire() {
     );
     assert_eq!(result.writes_total, 2);
     assert!(result.reads_per_agent.iter().all(|&r| r >= config.cadence.reads_target));
+}
+
+/// C over A on the wire: with two of three quorum replicas killed, the
+/// survivor's door refuses writes and reads with `throttled` (the frame
+/// the probe already retries) instead of acking a write one node holds;
+/// a replica restarted into that minority stays read-fenced, yet acks
+/// pushes, so writes commit again while every door still refuses reads.
+#[test]
+fn lost_quorum_is_refused_over_the_wire_and_a_fenced_door_serves_no_read() {
+    use conprobe::harness::transport::ServiceEndpoint;
+    use conprobe::services::{ClientOp, OpResult};
+    use conprobe::sim::net::Region;
+    use conprobe::sim::LocalTime;
+    use conprobe::store::{AuthorId, Post, PostId};
+
+    let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Quorum, 61)).expect("bind");
+    let connect = |region| {
+        let addr = server.addr_for(region).expect("a listener per agent region");
+        WireClient::connect(addr, Duration::from_secs(5)).expect("connect")
+    };
+    let write = |seq| {
+        let id = PostId::new(AuthorId(0), seq);
+        (id, ClientOp::Write(Post::new(id, format!("post {id}"), LocalTime::from_nanos(0))))
+    };
+    let mut oregon = connect(Region::Oregon);
+    let (first, op) = write(1);
+    assert_eq!(oregon.call(op).expect("write"), OpResult::WriteAck(first));
+
+    server.kill_replica(1).expect("replica 1 exists");
+    server.kill_replica(2).expect("replica 2 exists");
+    let (second, op) = write(2);
+    assert_eq!(oregon.call(op.clone()).expect("a refusal is a response"), OpResult::Throttled);
+    assert_eq!(oregon.call(ClientOp::Read).expect("a refusal is a response"), OpResult::Throttled);
+
+    let report = server.restart_replica(1).expect("replica 1 exists");
+    assert_eq!((report.peers, report.cold), (0, false), "one peer is no catch-up quorum");
+    let mut tokyo = connect(Region::Tokyo);
+    assert_eq!(tokyo.call(ClientOp::Read).expect("fenced door"), OpResult::Throttled);
+    assert_eq!(oregon.call(ClientOp::Read).expect("nobody to vouch"), OpResult::Throttled);
+    assert_eq!(oregon.call(op).expect("the retried write"), OpResult::WriteAck(second));
+
+    server.request_stop();
+    let metrics = conprobe::json::parse(&server.join()).expect("metrics dump is JSON");
+    let counter = |name| metrics.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64());
+    assert_eq!(counter("wire.server.throttled"), Some(4));
 }
