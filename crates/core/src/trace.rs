@@ -6,7 +6,7 @@
 //! clock deltas, then hands the merged log to the checkers as a
 //! [`TestTrace`].
 
-use conprobe_json::{member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use std::fmt;
 use std::hash::Hash;
 
@@ -218,91 +218,105 @@ impl<K: EventKey> TestTrace<K> {
 }
 
 impl ToJson for AgentId {
-    fn to_json(&self) -> JsonValue {
-        self.0.to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.0.write_json(w);
     }
 }
 
 impl FromJson for AgentId {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        u32::from_json(v).map(AgentId)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        u32::read_json(r).map(AgentId)
     }
 }
 
 impl ToJson for Timestamp {
-    fn to_json(&self) -> JsonValue {
-        self.0.to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.0.write_json(w);
     }
 }
 
 impl FromJson for Timestamp {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        i64::from_json(v).map(Timestamp)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        i64::read_json(r).map(Timestamp)
     }
 }
 
 impl<K: ToJson> ToJson for OpKind<K> {
-    fn to_json(&self) -> JsonValue {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         match self {
-            OpKind::Write { id } => JsonValue::Object(vec![(
-                "Write".into(),
-                JsonValue::Object(vec![("id".into(), id.to_json())]),
-            )]),
-            OpKind::Read { seq } => JsonValue::Object(vec![(
-                "Read".into(),
-                JsonValue::Object(vec![("seq".into(), seq.to_json())]),
-            )]),
+            OpKind::Write { id } => {
+                w.key("Write");
+                w.begin_object();
+                w.member("id", id);
+            }
+            OpKind::Read { seq } => {
+                w.key("Read");
+                w.begin_object();
+                w.member("seq", seq);
+            }
         }
+        w.end_object();
+        w.end_object();
     }
 }
 
 impl<K: FromJson> FromJson for OpKind<K> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(w) = v.get("Write") {
-            Ok(OpKind::Write { id: K::from_json(member(w, "id")?)? })
-        } else if let Some(r) = v.get("Read") {
-            Ok(OpKind::Read { seq: Vec::from_json(member(r, "seq")?)? })
-        } else {
-            Err(JsonError::schema("expected `Write` or `Read` variant"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut write, mut read) = (None, None);
+        r.begin_object()?;
+        while let Some(variant) = r.next_key()? {
+            match &*variant {
+                "Write" => r.member(&mut write, |r| {
+                    read_members!(r => id);
+                    Ok(id)
+                })?,
+                "Read" => r.member(&mut read, |r| {
+                    read_members!(r => seq);
+                    Ok(seq)
+                })?,
+                _ => drop(r.skip_value()?),
+            }
+        }
+        match (write, read) {
+            (Some(id), _) => Ok(OpKind::Write { id }),
+            (None, Some(seq)) => Ok(OpKind::Read { seq }),
+            (None, None) => Err(JsonError::schema("expected `Write` or `Read` variant")),
         }
     }
 }
 
 impl<K: ToJson> ToJson for OpRecord<K> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("agent".into(), self.agent.to_json()),
-            ("invoke".into(), self.invoke.to_json()),
-            ("response".into(), self.response.to_json()),
-            ("kind".into(), self.kind.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("agent", &self.agent);
+        w.member("invoke", &self.invoke);
+        w.member("response", &self.response);
+        w.member("kind", &self.kind);
+        w.end_object();
     }
 }
 
 impl<K: FromJson> FromJson for OpRecord<K> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(OpRecord {
-            agent: AgentId::from_json(member(v, "agent")?)?,
-            invoke: Timestamp::from_json(member(v, "invoke")?)?,
-            response: Timestamp::from_json(member(v, "response")?)?,
-            kind: OpKind::from_json(member(v, "kind")?)?,
-        })
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => agent, invoke, response, kind);
+        Ok(OpRecord { agent, invoke, response, kind })
     }
 }
 
 impl<K: ToJson> ToJson for TestTrace<K> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![("ops".into(), self.ops.to_json())])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("ops", &self.ops);
+        w.end_object();
     }
 }
 
 impl<K: EventKey + FromJson> FromJson for TestTrace<K> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let ops: Vec<OpRecord<K>> = Vec::from_json(member(v, "ops")?)?;
-        for op in &ops {
-            if op.response < op.invoke {
-                return Err(JsonError::schema("operation response precedes invocation"));
-            }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => ops: Vec::<OpRecord<K>>::read_json);
+        if ops.iter().any(|op| op.response < op.invoke) {
+            return Err(JsonError::schema("operation response precedes invocation"));
         }
         Ok(TestTrace::new(ops))
     }
@@ -434,11 +448,27 @@ mod tests {
         let mut b = TestTraceBuilder::new();
         b.write(AgentId(0), t(0), t(5), 1u32).read(AgentId(1), t(6), t(9), vec![1u32]);
         let trace = b.build();
-        let json = trace.to_json().to_compact();
-        let back = TestTrace::<u32>::from_json(&conprobe_json::parse(&json).unwrap()).unwrap();
-        assert_eq!(trace, back);
+        let json = trace.to_compact();
+        assert_eq!(
+            json,
+            r#"{"ops":[{"agent":0,"invoke":0,"response":5000000,"kind":{"Write":{"id":1}}},{"agent":1,"invoke":6000000,"response":9000000,"kind":{"Read":{"seq":[1]}}}]}"#
+        );
+        assert_eq!(TestTrace::<u32>::from_json_str(&json), Ok(trace.clone()));
+        // The tree reads the same text, and the trace reads back from the tree.
+        let tree = conprobe_json::parse(&json).unwrap();
+        assert_eq!(tree.to_compact(), json);
+        assert_eq!(TestTrace::<u32>::from_json(&tree), Ok(trace));
         // Corrupted logs are rejected at parse time, mirroring `TestTrace::new`.
         let bad = json.replace("\"invoke\":6000000", "\"invoke\":99000000");
-        assert!(TestTrace::<u32>::from_json(&conprobe_json::parse(&bad).unwrap()).is_err());
+        assert!(TestTrace::<u32>::from_json_str(&bad).is_err());
+        // `Write` wins over `Read` whichever comes first, as a lookup would.
+        let both =
+            r#"{"agent":0,"invoke":0,"response":1,"kind":{"Read":{"seq":[]},"Write":{"id":4}}}"#;
+        assert_eq!(OpRecord::<u32>::from_json_str(both).unwrap().write_id(), Some(&4));
+        assert!(OpRecord::<u32>::from_json_str(&both.replace("Write", "Wrote")).unwrap().is_read());
+        assert!(OpRecord::<u32>::from_json_str(
+            &both.replace("Read", "Wrote").replace("Write", "W")
+        )
+        .is_err());
     }
 }

@@ -56,7 +56,11 @@
 //!
 //! ## Recovery rules
 //!
-//! * A *complete* line that frames and checksums correctly is a record.
+//! * A *complete* line that is UTF-8, frames and checksums correctly, and
+//!   whose payload is JSON throughout with a valid envelope (`cell`,
+//!   `instance`, `seed`, a known `status`, and that status's member) is a
+//!   record. All of that is checked by [`Journal::recover`], in one pass
+//!   of the reader over the line.
 //! * Trailing bytes that do not form a complete valid line are a
 //!   **truncated or corrupt tail**: dropped and reported, never a panic
 //!   ([`Recovery::tail`]). [`Journal::resume`] truncates the file back to
@@ -66,6 +70,12 @@
 //!   [`JournalError::CorruptMiddle`] rather than silently skipping data.
 //! * Duplicate `(cell, instance)` keys resolve last-writer-wins, counted
 //!   in [`Recovery::duplicates`] so callers can warn.
+//! * What recovery does *not* do is decode a completed record's `result`:
+//!   it keeps the checked text ([`ResultText`]). Whether that text has a
+//!   result's shape (member types, integer ranges, `response ≥ invoke`)
+//!   is decided by [`result_from_json`], when a caller that knows the
+//!   cell's [`TestConfig`] rebuilds the instance; a result it rejects is
+//!   re-run, out loud.
 //!
 //! ## What a record stores
 //!
@@ -77,16 +87,20 @@
 //! probe is a single-test debugging tool that journaled campaigns don't
 //! enable. A `crashed` record stores the panic message of a quarantined
 //! worker so `conprobe journal inspect` can report it.
+//!
+//! No record is ever a document tree: each type in it writes itself to a
+//! [`JsonWriter`] and reads itself from a [`JsonReader`] (members in any
+//! order, unknown ones skipped, the first of duplicates wins), and the
+//! bytes are those the tree-building encoder wrote before it.
 
 use crate::coordinator::AgentHealth;
 use crate::runner::{checker_config_for, FaultLedger, TestConfig, TestResult};
-use conprobe_core::{analyze, TestTrace};
-use conprobe_json::{member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_core::analyze;
+use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonValue, JsonWriter, ToJson};
 use conprobe_services::fault_driver::ExecutedAction;
 use conprobe_services::ServiceKind;
 use conprobe_sim::net::Region;
 use conprobe_sim::{BrownoutMode, NodeId, ServiceActionKind, SimDuration, SimTime};
-use conprobe_store::PostId;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -121,13 +135,19 @@ pub struct JournalKey {
     pub seed: u64,
 }
 
-/// A recovered record's body. Completed results stay as raw JSON until a
+/// The `result` member of a completed record, as text: checked to be
+/// JSON when the record was recovered, decoded (and only then held to
+/// the result's schema) by [`result_from_json`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultText(String);
+
+/// A recovered record's body. A completed result stays text until a
 /// [`TestConfig`] is available to rebuild the [`TestResult`] (the
 /// analysis is recomputed, see [`result_from_json`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveredEntry {
     /// The instance finished; payload is the serialized result object.
-    Completed(JsonValue),
+    Completed(ResultText),
     /// The instance's worker panicked and was quarantined.
     Crashed {
         /// The panic message captured by the campaign worker.
@@ -180,7 +200,7 @@ pub struct Recovery {
 
 impl Recovery {
     /// Completed records for one cell: instance index → (seed, payload).
-    pub fn completed_for(&self, cell: &str) -> BTreeMap<u32, (u64, &JsonValue)> {
+    pub fn completed_for(&self, cell: &str) -> BTreeMap<u32, (u64, &ResultText)> {
         self.records
             .iter()
             .filter(|r| r.key.cell == cell)
@@ -486,34 +506,44 @@ fn maybe_abort_for_drill() {
 /// serialize a result once and stream the exact journal bytes to its
 /// coordinator.
 pub fn completed_record_json(cell: &str, instance: u32, seed: u64, result: &TestResult) -> String {
-    record_json(cell, instance, seed, "completed", |members| {
-        members.push(("result".into(), result_to_json(result)));
+    record_json(record_capacity(result), cell, instance, seed, "completed", |w| {
+        w.member("result", result)
     })
 }
 
 /// The journal payload (compact JSON) for a quarantined-crash record —
 /// what [`Journal::append_crashed`] writes; see [`completed_record_json`].
 pub fn crashed_record_json(cell: &str, instance: u32, seed: u64, panic_msg: &str) -> String {
-    record_json(cell, instance, seed, "crashed", |members| {
-        members.push(("panic".into(), JsonValue::Str(panic_msg.to_string())));
-    })
+    record_json(0, cell, instance, seed, "crashed", |w| w.member("panic", panic_msg))
+}
+
+/// Bytes to reserve for a completed record so that writing it does not
+/// regrow the buffer: all but a few hundred of them are the trace's
+/// operations (two timestamps and the framing of a `kind` each) and the
+/// post ids those carry.
+fn record_capacity(result: &TestResult) -> usize {
+    let ops = result.trace.ops();
+    let ids: usize = ops.iter().map(|op| op.read_seq().map_or(1, <[_]>::len)).sum();
+    2048 + 96 * ops.len() + 26 * ids
 }
 
 fn record_json(
+    capacity: usize,
     cell: &str,
     instance: u32,
     seed: u64,
     status: &str,
-    extend: impl FnOnce(&mut Vec<(String, JsonValue)>),
+    body: impl FnOnce(&mut JsonWriter),
 ) -> String {
-    let mut members = vec![
-        ("cell".into(), JsonValue::Str(cell.to_string())),
-        ("instance".into(), instance.to_json()),
-        ("seed".into(), seed.to_json()),
-        ("status".into(), JsonValue::Str(status.to_string())),
-    ];
-    extend(&mut members);
-    JsonValue::Object(members).to_compact()
+    let mut w = JsonWriter::with_capacity(capacity);
+    w.begin_object();
+    w.member("cell", cell);
+    w.member("instance", &instance);
+    w.member("seed", &seed);
+    w.member("status", status);
+    body(&mut w);
+    w.end_object();
+    w.finish()
 }
 
 /// Parses the journal byte stream (exposed for byte-surgery tests).
@@ -581,42 +611,44 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, JournalError> {
     Ok(Recovery { records, total_records, duplicates, tail, valid_len })
 }
 
-/// Validates one complete line: frame, checksum, JSON, schema.
+/// Validates one complete line: UTF-8, frame, checksum, then the payload.
 fn parse_line(line: &[u8]) -> Result<RecoveredRecord, String> {
     let text = std::str::from_utf8(line).map_err(|_| "record is not UTF-8".to_string())?;
     let payload = frame::decode_record(text).map_err(|e| e.to_string())?;
     parse_record_payload(payload)
 }
 
-/// Validates one unframed record payload (JSON + schema), returning its
-/// key and entry. The dispatch coordinator runs every worker-pushed
-/// payload through this before journaling it, so a buggy or hostile
-/// worker cannot splice malformed records into the study.
+/// Validates one unframed record payload in one pass — that all of it is
+/// JSON, and the envelope's schema — and returns its key and entry; a
+/// completed record's `result` is checked as JSON and kept as text. The
+/// dispatch coordinator runs every worker-pushed payload through this
+/// before journaling it, so a buggy or hostile worker cannot splice
+/// malformed records into the study.
 ///
 /// # Errors
 ///
 /// A human-readable reason when the payload is not valid record JSON.
 pub fn parse_record_payload(payload: &str) -> Result<RecoveredRecord, String> {
-    let doc = conprobe_json::parse(payload).map_err(|e| format!("payload JSON: {e}"))?;
-    let key = JournalKey {
-        cell: String::from_json(member(&doc, "cell").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?,
-        instance: u32::from_json(member(&doc, "instance").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?,
-        seed: u64::from_json(member(&doc, "seed").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?,
+    record_from_json(&mut JsonReader::new(payload)).map_err(|e| e.to_string())
+}
+
+fn record_from_json(r: &mut JsonReader<'_>) -> Result<RecoveredRecord, JsonError> {
+    // A `status` or `panic` that is not a string reads as an absent one.
+    let lenient = |r: &mut JsonReader<'_>| match r.peek()? {
+        b'"' => String::read_json(r),
+        _ => r.skip_value().map(|_| String::new()),
     };
-    let status = doc.get("status").and_then(JsonValue::as_str).unwrap_or("");
-    let entry = match status {
-        "completed" => {
-            RecoveredEntry::Completed(member(&doc, "result").map_err(|e| e.to_string())?.clone())
-        }
-        "crashed" => RecoveredEntry::Crashed {
-            panic: doc.get("panic").and_then(JsonValue::as_str).unwrap_or("").to_string(),
-        },
-        other => return Err(format!("unknown record status {other:?}")),
+    read_members!(r => cell, instance, seed;
+        status: lenient, result: |r| r.skip_value().map(str::to_string), panic: lenient);
+    r.finish()?;
+    let entry = match status.as_deref().unwrap_or("") {
+        "completed" => RecoveredEntry::Completed(ResultText(
+            result.ok_or_else(|| conprobe_json::missing("result"))?,
+        )),
+        "crashed" => RecoveredEntry::Crashed { panic: panic.unwrap_or_default() },
+        other => return Err(JsonError::schema(format!("unknown record status {other:?}"))),
     };
-    Ok(RecoveredRecord { key, entry })
+    Ok(RecoveredRecord { key: JournalKey { cell, instance, seed }, entry })
 }
 
 // ---------------------------------------------------------------------------
@@ -636,25 +668,20 @@ pub fn service_token(service: ServiceKind) -> &'static str {
     }
 }
 
-fn service_from_token(s: &str) -> Result<ServiceKind, JsonError> {
-    match s {
-        "blogger" => Ok(ServiceKind::Blogger),
-        "gplus" => Ok(ServiceKind::GooglePlus),
-        "fbfeed" => Ok(ServiceKind::FacebookFeed),
-        "fbgroup" => Ok(ServiceKind::FacebookGroup),
-        "quorum" => Ok(ServiceKind::Quorum),
-        "pbft" => Ok(ServiceKind::Pbft),
-        other => Err(JsonError::schema(format!("unknown service token {other:?}"))),
-    }
+fn service_from_json(r: &mut JsonReader<'_>) -> Result<ServiceKind, JsonError> {
+    let token = r.string()?;
+    ServiceKind::ALL
+        .into_iter()
+        .find(|service| service_token(*service) == token)
+        .ok_or_else(|| JsonError::schema(format!("unknown service token {token:?}")))
 }
 
-fn region_to_json(region: Region) -> JsonValue {
-    JsonValue::Str(region.short().into_owned())
+fn region_to_json(w: &mut JsonWriter, region: &Region) {
+    w.str(&region.short());
 }
 
-fn region_from_json(v: &JsonValue) -> Result<Region, JsonError> {
-    let s = v.as_str().ok_or_else(|| JsonError::schema("expected region string"))?;
-    match s {
+fn region_from_json(r: &mut JsonReader<'_>) -> Result<Region, JsonError> {
+    match &*r.string()? {
         "OR" => Ok(Region::Oregon),
         "JP" => Ok(Region::Tokyo),
         "IR" => Ok(Region::Ireland),
@@ -666,23 +693,25 @@ fn region_from_json(v: &JsonValue) -> Result<Region, JsonError> {
     }
 }
 
-fn action_kind_to_json(kind: ServiceActionKind) -> JsonValue {
-    JsonValue::Str(match kind {
-        ServiceActionKind::Crash => "crash".to_string(),
-        ServiceActionKind::Recover => "recover".to_string(),
-        ServiceActionKind::BrownoutEnd => "brownout_end".to_string(),
-        ServiceActionKind::BrownoutStart(BrownoutMode::ThrottleStorm) => {
-            "brownout_throttle".to_string()
-        }
+fn action_to_json(w: &mut JsonWriter, a: &ExecutedAction) {
+    w.begin_object();
+    w.member("at_nanos", &a.at.as_nanos());
+    w.member("target", &a.target);
+    w.key("action");
+    match a.action {
+        ServiceActionKind::Crash => w.str("crash"),
+        ServiceActionKind::Recover => w.str("recover"),
+        ServiceActionKind::BrownoutEnd => w.str("brownout_end"),
+        ServiceActionKind::BrownoutStart(BrownoutMode::ThrottleStorm) => w.str("brownout_throttle"),
         ServiceActionKind::BrownoutStart(BrownoutMode::Delay(d)) => {
-            format!("brownout_delay:{}", d.as_nanos())
+            w.str(&format!("brownout_delay:{}", d.as_nanos()))
         }
-    })
+    }
+    w.end_object();
 }
 
-fn action_kind_from_json(v: &JsonValue) -> Result<ServiceActionKind, JsonError> {
-    let s = v.as_str().ok_or_else(|| JsonError::schema("expected action string"))?;
-    match s {
+fn action_kind_from_json(r: &mut JsonReader<'_>) -> Result<ServiceActionKind, JsonError> {
+    match &*r.string()? {
         "crash" => Ok(ServiceActionKind::Crash),
         "recover" => Ok(ServiceActionKind::Recover),
         "brownout_end" => Ok(ServiceActionKind::BrownoutEnd),
@@ -696,189 +725,150 @@ fn action_kind_from_json(v: &JsonValue) -> Result<ServiceActionKind, JsonError> 
     }
 }
 
-fn ledger_to_json(ledger: &FaultLedger) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "net".into(),
-            JsonValue::Object(vec![
-                ("blocked".into(), ledger.net.blocked.to_json()),
-                ("dropped".into(), ledger.net.dropped.to_json()),
-                ("delayed".into(), ledger.net.delayed.to_json()),
-            ]),
-        ),
-        (
-            "actions".into(),
-            JsonValue::Array(
-                ledger
-                    .actions
-                    .iter()
-                    .map(|a| {
-                        JsonValue::Object(vec![
-                            ("at_nanos".into(), a.at.as_nanos().to_json()),
-                            ("target".into(), a.target.to_json()),
-                            ("action".into(), action_kind_to_json(a.action)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("skipped_actions".into(), ledger.skipped_actions.to_json()),
-        (
-            "agent_rpc".into(),
-            JsonValue::Array(
-                ledger
-                    .agent_rpc
-                    .iter()
-                    .map(|s| {
-                        JsonValue::Object(vec![
-                            ("retransmits".into(), s.retransmits.to_json()),
-                            ("abandoned".into(), s.abandoned.to_json()),
-                            ("throttled".into(), s.throttled.to_json()),
-                            ("max_throttle_streak".into(), s.max_throttle_streak.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn action_from_json(r: &mut JsonReader<'_>) -> Result<ExecutedAction, JsonError> {
+    read_members!(r => at_nanos, target, action: action_kind_from_json);
+    Ok(ExecutedAction { at: SimTime::from_nanos(at_nanos), target, action })
 }
 
-fn ledger_from_json(v: &JsonValue) -> Result<FaultLedger, JsonError> {
-    let net = member(v, "net")?;
-    let mut ledger = FaultLedger {
-        net: conprobe_sim::FaultNetStats {
-            blocked: u64::from_json(member(net, "blocked")?)?,
-            dropped: u64::from_json(member(net, "dropped")?)?,
-            delayed: u64::from_json(member(net, "delayed")?)?,
-        },
-        ..FaultLedger::default()
-    };
-    for a in member(v, "actions")?
-        .as_array()
-        .ok_or_else(|| JsonError::schema("actions must be an array"))?
-    {
-        ledger.actions.push(ExecutedAction {
-            at: SimTime::from_nanos(u64::from_json(member(a, "at_nanos")?)?),
-            target: usize::from_json(member(a, "target")?)?,
-            action: action_kind_from_json(member(a, "action")?)?,
-        });
+impl ToJson for FaultLedger {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("net");
+        w.begin_object();
+        w.member("blocked", &self.net.blocked);
+        w.member("dropped", &self.net.dropped);
+        w.member("delayed", &self.net.delayed);
+        w.end_object();
+        w.key("actions");
+        w.array(&self.actions, action_to_json);
+        w.member("skipped_actions", &self.skipped_actions);
+        w.member("agent_rpc", &self.agent_rpc);
+        w.end_object();
     }
-    ledger.skipped_actions = usize::from_json(member(v, "skipped_actions")?)?;
-    for s in member(v, "agent_rpc")?
-        .as_array()
-        .ok_or_else(|| JsonError::schema("agent_rpc must be an array"))?
-    {
-        ledger.agent_rpc.push(crate::agent::RpcStats {
-            retransmits: u64::from_json(member(s, "retransmits")?)?,
-            abandoned: u64::from_json(member(s, "abandoned")?)?,
-            throttled: u64::from_json(member(s, "throttled")?)?,
-            max_throttle_streak: u32::from_json(member(s, "max_throttle_streak")?)?,
-        });
+}
+
+impl FromJson for FaultLedger {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let net_stats = |r: &mut JsonReader<'_>| {
+            read_members!(r => blocked, dropped, delayed);
+            Ok(conprobe_sim::FaultNetStats { blocked, dropped, delayed })
+        };
+        read_members!(r =>
+            net: net_stats, actions: |r| r.elements(action_from_json), skipped_actions, agent_rpc,
+        );
+        Ok(FaultLedger { net, actions, skipped_actions, agent_rpc })
     }
-    Ok(ledger)
 }
 
-fn health_to_json(health: &AgentHealth) -> JsonValue {
-    JsonValue::Object(vec![
-        ("agent_index".into(), health.agent_index.to_json()),
-        ("heartbeats".into(), health.heartbeats.to_json()),
-        ("quarantined".into(), health.quarantined.to_json()),
-        ("log_collected".into(), health.log_collected.to_json()),
-    ])
+impl ToJson for crate::agent::RpcStats {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("retransmits", &self.retransmits);
+        w.member("abandoned", &self.abandoned);
+        w.member("throttled", &self.throttled);
+        w.member("max_throttle_streak", &self.max_throttle_streak);
+        w.end_object();
+    }
 }
 
-fn health_from_json(v: &JsonValue) -> Result<AgentHealth, JsonError> {
-    Ok(AgentHealth {
-        agent_index: u32::from_json(member(v, "agent_index")?)?,
-        heartbeats: u64::from_json(member(v, "heartbeats")?)?,
-        quarantined: bool::from_json(member(v, "quarantined")?)?,
-        log_collected: bool::from_json(member(v, "log_collected")?)?,
-    })
+impl FromJson for crate::agent::RpcStats {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => retransmits, abandoned, throttled, max_throttle_streak);
+        Ok(Self { retransmits, abandoned, throttled, max_throttle_streak })
+    }
 }
 
-/// Serializes a [`TestResult`] as a journal `result` object. The analysis
-/// and the white-box report are intentionally omitted (see the module
-/// docs).
+impl ToJson for AgentHealth {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("agent_index", &self.agent_index);
+        w.member("heartbeats", &self.heartbeats);
+        w.member("quarantined", &self.quarantined);
+        w.member("log_collected", &self.log_collected);
+        w.end_object();
+    }
+}
+
+impl FromJson for AgentHealth {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => agent_index, heartbeats, quarantined, log_collected);
+        Ok(AgentHealth { agent_index, heartbeats, quarantined, log_collected })
+    }
+}
+
+/// A [`TestResult`] as a journal `result` object. The analysis and the
+/// white-box report are intentionally omitted (see the module docs).
+impl ToJson for TestResult {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("trace", &self.trace);
+        w.member("completed", &self.completed);
+        w.member("reads_per_agent", &self.reads_per_agent);
+        w.member("writes_total", &self.writes_total);
+        w.member("duration_secs", &self.duration_secs);
+        w.member("partitioned", &self.partitioned);
+        w.member("clock_error_nanos", &self.clock_error_nanos);
+        w.member("clock_uncertainty_nanos", &self.clock_uncertainty_nanos);
+        w.key("agent_regions");
+        w.array(&self.agent_regions, region_to_json);
+        w.member("fault_ledger", &self.fault_ledger);
+        w.member("agent_health", &self.agent_health);
+        w.member("salvaged", &self.salvaged);
+        w.member("seed", &self.seed);
+        w.member("sim_events", &self.sim_events);
+        w.member("service", service_token(self.service));
+        w.key("agent_entries");
+        w.array(&self.agent_entries, |w, node| w.u64(node.0 as u64));
+        w.end_object();
+    }
+}
+
+/// The journal `result` object of `result` as a document tree: what its
+/// one encoder writes, parsed.
 pub fn result_to_json(result: &TestResult) -> JsonValue {
-    JsonValue::Object(vec![
-        ("trace".into(), ToJson::to_json(&result.trace)),
-        ("completed".into(), result.completed.to_json()),
-        ("reads_per_agent".into(), result.reads_per_agent.to_json()),
-        ("writes_total".into(), result.writes_total.to_json()),
-        ("duration_secs".into(), result.duration_secs.to_json()),
-        ("partitioned".into(), result.partitioned.to_json()),
-        ("clock_error_nanos".into(), result.clock_error_nanos.to_json()),
-        ("clock_uncertainty_nanos".into(), result.clock_uncertainty_nanos.to_json()),
-        (
-            "agent_regions".into(),
-            JsonValue::Array(result.agent_regions.iter().map(|r| region_to_json(*r)).collect()),
-        ),
-        ("fault_ledger".into(), ledger_to_json(&result.fault_ledger)),
-        (
-            "agent_health".into(),
-            JsonValue::Array(result.agent_health.iter().map(health_to_json).collect()),
-        ),
-        ("salvaged".into(), result.salvaged.to_json()),
-        ("seed".into(), result.seed.to_json()),
-        ("sim_events".into(), result.sim_events.to_json()),
-        ("service".into(), JsonValue::Str(service_token(result.service).to_string())),
-        (
-            "agent_entries".into(),
-            JsonValue::Array(result.agent_entries.iter().map(|n| n.0.to_json()).collect()),
-        ),
-    ])
+    conprobe_json::parse(&result.to_compact()).expect("the record encoder writes JSON")
 }
 
-/// Rebuilds a [`TestResult`] from a journal `result` object, recomputing
-/// the analysis with the checker configuration `config` implies — the
+/// Rebuilds a [`TestResult`] from a journal `result`, recomputing the
+/// analysis with the checker configuration `config` implies — the
 /// determinism-of-resume guarantee rests on `analyze` being a pure
 /// function of `(trace, checker config)`.
 ///
 /// # Errors
 ///
 /// Returns a schema [`JsonError`] when the payload has the wrong shape.
-pub fn result_from_json(config: &TestConfig, v: &JsonValue) -> Result<TestResult, JsonError> {
-    let trace: TestTrace<PostId> = FromJson::from_json(member(v, "trace")?)?;
-    let analysis = analyze(&trace, &checker_config_for(config));
-    let regions = member(v, "agent_regions")?
-        .as_array()
-        .ok_or_else(|| JsonError::schema("agent_regions must be an array"))?
-        .iter()
-        .map(region_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let health = member(v, "agent_health")?
-        .as_array()
-        .ok_or_else(|| JsonError::schema("agent_health must be an array"))?
-        .iter()
-        .map(health_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let entries = member(v, "agent_entries")?
-        .as_array()
-        .ok_or_else(|| JsonError::schema("agent_entries must be an array"))?
-        .iter()
-        .map(|n| usize::from_json(n).map(NodeId))
-        .collect::<Result<Vec<_>, _>>()?;
+pub fn result_from_json(
+    config: &TestConfig,
+    payload: &ResultText,
+) -> Result<TestResult, JsonError> {
+    let r = &mut JsonReader::new(&payload.0);
+    read_members!(r =>
+        trace, completed, reads_per_agent, writes_total, duration_secs, partitioned,
+        clock_error_nanos, clock_uncertainty_nanos,
+        agent_regions: |r| r.elements(region_from_json),
+        fault_ledger, agent_health, salvaged, seed, sim_events,
+        service: service_from_json,
+        agent_entries: |r| r.elements(|r| usize::read_json(r).map(NodeId)),
+    );
     Ok(TestResult {
-        analysis,
-        completed: bool::from_json(member(v, "completed")?)?,
-        reads_per_agent: Vec::from_json(member(v, "reads_per_agent")?)?,
-        writes_total: u32::from_json(member(v, "writes_total")?)?,
-        duration_secs: f64::from_json(member(v, "duration_secs")?)?,
-        partitioned: bool::from_json(member(v, "partitioned")?)?,
-        clock_error_nanos: Vec::from_json(member(v, "clock_error_nanos")?)?,
-        clock_uncertainty_nanos: Vec::from_json(member(v, "clock_uncertainty_nanos")?)?,
-        agent_regions: regions,
-        whitebox: None,
-        fault_ledger: ledger_from_json(member(v, "fault_ledger")?)?,
-        agent_health: health,
-        salvaged: bool::from_json(member(v, "salvaged")?)?,
-        seed: u64::from_json(member(v, "seed")?)?,
-        sim_events: u64::from_json(member(v, "sim_events")?)?,
-        service: service_from_token(
-            member(v, "service")?.as_str().ok_or_else(|| JsonError::schema("service string"))?,
-        )?,
-        agent_entries: entries,
+        analysis: analyze(&trace, &checker_config_for(config)),
         trace,
+        completed,
+        reads_per_agent,
+        writes_total,
+        duration_secs,
+        partitioned,
+        clock_error_nanos,
+        clock_uncertainty_nanos,
+        agent_regions,
+        whitebox: None,
+        fault_ledger,
+        agent_health,
+        salvaged,
+        seed,
+        sim_events,
+        service,
+        agent_entries,
     })
 }
 
@@ -992,12 +982,20 @@ mod tests {
         assert!(again.is_err());
     }
 
+    /// What recovery hands [`result_from_json`] for a completed record.
+    fn result_text(payload: &str) -> ResultText {
+        match parse_record_payload(payload).expect("a valid record").entry {
+            RecoveredEntry::Completed(text) => text,
+            RecoveredEntry::Crashed { .. } => panic!("expected a completed record"),
+        }
+    }
+
     #[test]
     fn completed_record_round_trips_with_recomputed_analysis() {
         let config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test2);
         let result = run_one_test(&config, 11);
-        let payload = result_to_json(&result);
-        let back = result_from_json(&config, &payload).expect("round trip");
+        let payload = completed_record_json("blogger/test2", 3, 11, &result);
+        let back = result_from_json(&config, &result_text(&payload)).expect("round trip");
         assert_eq!(back.trace, result.trace);
         assert_eq!(back.completed, result.completed);
         assert_eq!(back.reads_per_agent, result.reads_per_agent);
@@ -1013,8 +1011,107 @@ mod tests {
         assert_eq!(back.analysis.observations, result.analysis.observations);
         assert_eq!(back.analysis.content_windows, result.analysis.content_windows);
         assert_eq!(back.analysis.order_windows, result.analysis.order_windows);
-        // And a second serialization is a fixpoint.
-        assert_eq!(result_to_json(&back).to_compact(), payload.to_compact());
+        // And a second serialization is a fixpoint, in one write that the
+        // reserved buffer held without regrowing or much to spare.
+        let again = completed_record_json("blogger/test2", 3, 11, &back);
+        assert_eq!(again, payload);
+        assert_eq!(again.capacity(), record_capacity(&back));
+        assert!(again.len() * 3 > again.capacity() * 2, "{} of {}", again.len(), again.capacity());
+        // The tree view is the same text, parsed.
+        assert_eq!(result_to_json(&back).to_compact(), result_text(&payload).0);
+    }
+
+    #[test]
+    fn record_members_decode_in_any_order_and_checks_stay_where_they_were() {
+        let config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test1);
+        let result = run_one_test(&config, 5);
+        let payload = completed_record_json("blogger/test1", 0, 5, &result);
+        let JsonValue::Object(mut envelope) = conprobe_json::parse(&payload).unwrap() else {
+            panic!("a record is an object")
+        };
+        // Reversed at both levels, with an unknown member and a late
+        // duplicate in each: same key, same result.
+        for (_, value) in &mut envelope {
+            if let JsonValue::Object(members) = value {
+                members.reverse();
+                members.push(("seed".into(), JsonValue::Str("a later duplicate".into())));
+                members.push(("added_in_v2".into(), JsonValue::Array(vec![JsonValue::Null])));
+            }
+        }
+        envelope.reverse();
+        envelope.push(("instance".into(), JsonValue::Int(99)));
+        envelope.push(("added_in_v2".into(), JsonValue::Bool(true)));
+        let shuffled = JsonValue::Object(envelope).to_compact();
+        let record = parse_record_payload(&shuffled).expect("order and extras do not matter");
+        assert_eq!(record.key, JournalKey { cell: "blogger/test1".into(), instance: 0, seed: 5 });
+        let back = result_from_json(&config, &result_text(&shuffled)).expect("decodes");
+        assert_eq!(completed_record_json("blogger/test1", 0, 5, &back), payload);
+
+        // Recovery checks syntax and the envelope; the result's schema is
+        // checked when it is decoded.
+        let wrong_type = payload.replace("\"writes_total\":", "\"writes_total\":\"x\",\"was\":");
+        assert!(result_from_json(&config, &result_text(&wrong_type)).is_err());
+        let backwards =
+            payload.replacen("\"invoke\":", "\"invoke\":9223372036854775807,\"was\":", 1);
+        let err = result_from_json(&config, &result_text(&backwards)).unwrap_err();
+        assert!(err.message.contains("precedes"), "{err}");
+        for bad in [
+            payload.replace("\"writes_total\":", "\"writes_total\":01,\"was\":"),
+            payload.replace("\"duration_secs\":", "\"duration_secs\":1e400,\"was\":"),
+            payload.replace("\"instance\":0", "\"instance\":4294967296"),
+            payload.replace("\"instance\":0", "\"instance\":\"0\""),
+            payload.replace("\"status\":\"completed\"", "\"status\":\"done\""),
+            payload.replace("\"status\":\"completed\"", "\"status\":7"),
+            payload.replace("\"result\":", "\"outcome\":"),
+            format!("{payload}}}"),
+        ] {
+            assert!(parse_record_payload(&bad).is_err(), "{}", &bad[..120]);
+        }
+    }
+
+    /// The north star's "every decoder and recovery path stays panic-free
+    /// under fuzz", past the checksum: each mutated record is re-framed
+    /// with a correct length and hash, so recovery takes the line as
+    /// written and the mutation reaches the reader and the schema.
+    #[test]
+    fn mutated_records_under_a_valid_checksum_never_panic_a_decoder() {
+        use conprobe_sim::SimRng;
+        let config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
+        let result = run_one_test(&config, 7);
+        let payload = completed_record_json("fbgroup/test1", 2, 7, &result).into_bytes();
+        let mut rng = SimRng::new(0xF022);
+        let (mut recovered, mut decoded) = (0, 0);
+        for _ in 0..4000 {
+            let mut bytes = payload.clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = rng.gen_range(0..bytes.len());
+                match rng.gen_range(0..5usize) {
+                    0 => bytes[at] ^= 1 << rng.gen_range(0..7usize),
+                    1 => bytes[at] = *rng.choose(b"{}[]\",:-0e.\\nut").expect("not empty"),
+                    2 => drop(bytes.remove(at)),
+                    3 => bytes.truncate(at),
+                    _ => {
+                        let len = rng.gen_range(1..40usize).min(bytes.len() - at);
+                        let chunk = bytes[at..at + len].to_vec();
+                        let to = rng.gen_range(0..bytes.len());
+                        bytes.splice(to..to, chunk);
+                    }
+                }
+            }
+            let Ok(mutated) = String::from_utf8(bytes) else { continue };
+            let line = frame::encode_record(&mutated);
+            let Ok(recovery) = recover_bytes(line.as_bytes()) else { unreachable!("one line") };
+            assert_eq!(recovery.tail.is_some(), parse_record_payload(&mutated).is_err());
+            for (_, (_, text)) in recovery.completed_for("fbgroup/test1") {
+                recovered += 1;
+                decoded += usize::from(result_from_json(&config, text).is_ok());
+            }
+        }
+        // The mutations land on both sides of every check.
+        assert!(recovered > 100 && decoded > 10 && decoded < recovered, "{decoded}/{recovered}");
     }
 
     #[test]
@@ -1049,7 +1146,7 @@ mod tests {
                 max_throttle_streak: 3,
             }],
         };
-        let back = ledger_from_json(&ledger_to_json(&ledger)).unwrap();
+        let back = FaultLedger::from_json_str(&ledger.to_compact()).unwrap();
         assert_eq!(back.net, ledger.net);
         assert_eq!(back.actions, ledger.actions);
         assert_eq!(back.skipped_actions, ledger.skipped_actions);
@@ -1299,11 +1396,15 @@ mod tests {
             Region::Virginia,
             Region::Datacenter(4),
         ] {
-            assert_eq!(region_from_json(&region_to_json(region)).unwrap(), region);
+            let mut w = JsonWriter::compact();
+            region_to_json(&mut w, &region);
+            assert_eq!(region_from_json(&mut JsonReader::new(&w.finish())), Ok(region));
         }
-        assert!(region_from_json(&JsonValue::Str("XX".into())).is_err());
+        assert!(region_from_json(&mut JsonReader::new("\"XX\"")).is_err());
         for service in ServiceKind::ALL {
-            assert_eq!(service_from_token(service_token(service)).unwrap(), service);
+            let token = format!("{:?}", service_token(service));
+            assert_eq!(service_from_json(&mut JsonReader::new(&token)), Ok(service));
         }
+        assert!(service_from_json(&mut JsonReader::new("\"gminus\"")).is_err());
     }
 }

@@ -13,7 +13,7 @@ use crate::stats::{
 };
 use conprobe_core::window::WindowKind;
 use conprobe_core::AnomalyKind;
-use conprobe_json::{member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use std::collections::BTreeMap;
 
 /// Rounds to microsecond-ish precision so emitted floats have short,
@@ -140,103 +140,80 @@ impl StudyReport {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        ToJson::to_json(self).to_pretty()
+        self.to_pretty()
     }
 }
 
-fn map_to_json<V: ToJson>(map: &BTreeMap<String, V>) -> JsonValue {
-    JsonValue::Object(map.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-}
-
-fn map_from_json<V: FromJson>(v: &JsonValue) -> Result<BTreeMap<String, V>, JsonError> {
-    v.as_object()
-        .ok_or_else(|| JsonError::schema("expected object"))?
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-        .collect()
-}
-
 impl ToJson for WindowStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("quantiles_secs".into(), self.quantiles_secs.to_json()),
-            ("nonconvergence_pct".into(), self.nonconvergence_pct.to_json()),
-            ("samples".into(), self.samples.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("quantiles_secs", &self.quantiles_secs);
+        w.member("nonconvergence_pct", &self.nonconvergence_pct);
+        w.member("samples", &self.samples);
+        w.end_object();
     }
 }
 
 impl FromJson for WindowStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(WindowStats {
-            quantiles_secs: Vec::from_json(member(v, "quantiles_secs")?)?,
-            nonconvergence_pct: f64::from_json(member(v, "nonconvergence_pct")?)?,
-            samples: usize::from_json(member(v, "samples")?)?,
-        })
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => quantiles_secs, nonconvergence_pct, samples);
+        Ok(WindowStats { quantiles_secs, nonconvergence_pct, samples })
     }
 }
 
 impl ToJson for CellReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("tests".into(), self.tests.to_json()),
-            ("completed".into(), self.completed.to_json()),
-            ("total_reads".into(), self.total_reads.to_json()),
-            ("total_writes".into(), self.total_writes.to_json()),
-            ("mean_reads_per_agent".into(), self.mean_reads_per_agent.to_json()),
-            ("prevalence_pct".into(), map_to_json(&self.prevalence_pct)),
-            (
-                "content_divergence_per_pair_pct".into(),
-                map_to_json(&self.content_divergence_per_pair_pct),
-            ),
-            ("content_windows".into(), map_to_json(&self.content_windows)),
-            ("order_windows".into(), map_to_json(&self.order_windows)),
-            ("clock_error_ms".into(), self.clock_error_ms.to_vec().to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("tests", &self.tests);
+        w.member("completed", &self.completed);
+        w.member("total_reads", &self.total_reads);
+        w.member("total_writes", &self.total_writes);
+        w.member("mean_reads_per_agent", &self.mean_reads_per_agent);
+        w.member("prevalence_pct", &self.prevalence_pct);
+        w.member("content_divergence_per_pair_pct", &self.content_divergence_per_pair_pct);
+        w.member("content_windows", &self.content_windows);
+        w.member("order_windows", &self.order_windows);
+        w.member("clock_error_ms", self.clock_error_ms.as_slice());
+        w.end_object();
     }
 }
 
 impl FromJson for CellReport {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let clock: Vec<f64> = Vec::from_json(member(v, "clock_error_ms")?)?;
-        let clock_error_ms: [f64; 3] = clock
-            .try_into()
-            .map_err(|_| JsonError::schema("clock_error_ms must have 3 entries"))?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r =>
+            tests, completed, total_reads, total_writes, mean_reads_per_agent, prevalence_pct,
+            content_divergence_per_pair_pct, content_windows, order_windows, clock_error_ms,
+        );
         Ok(CellReport {
-            tests: usize::from_json(member(v, "tests")?)?,
-            completed: usize::from_json(member(v, "completed")?)?,
-            total_reads: u64::from_json(member(v, "total_reads")?)?,
-            total_writes: u64::from_json(member(v, "total_writes")?)?,
-            mean_reads_per_agent: f64::from_json(member(v, "mean_reads_per_agent")?)?,
-            prevalence_pct: map_from_json(member(v, "prevalence_pct")?)?,
-            content_divergence_per_pair_pct: map_from_json(member(
-                v,
-                "content_divergence_per_pair_pct",
-            )?)?,
-            content_windows: map_from_json(member(v, "content_windows")?)?,
-            order_windows: map_from_json(member(v, "order_windows")?)?,
-            clock_error_ms,
+            tests,
+            completed,
+            total_reads,
+            total_writes,
+            mean_reads_per_agent,
+            prevalence_pct,
+            content_divergence_per_pair_pct,
+            content_windows,
+            order_windows,
+            clock_error_ms: Vec::try_into(clock_error_ms)
+                .map_err(|_| JsonError::schema("clock_error_ms must have 3 entries"))?,
         })
     }
 }
 
 impl ToJson for StudyReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("generator".into(), self.generator.to_json()),
-            ("seed".into(), self.seed.to_json()),
-            ("services".into(), map_to_json(&self.services)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("generator", &self.generator);
+        w.member("seed", &self.seed);
+        w.member("services", &self.services);
+        w.end_object();
     }
 }
 
 impl FromJson for StudyReport {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(StudyReport {
-            generator: String::from_json(member(v, "generator")?)?,
-            seed: u64::from_json(member(v, "seed")?)?,
-            services: map_from_json(member(v, "services")?)?,
-        })
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => generator, seed, services);
+        Ok(StudyReport { generator, seed, services })
     }
 }
 

@@ -2,28 +2,44 @@
 //!
 //! The workspace must build and test without network access, so it cannot
 //! pull `serde`/`serde_json` from a registry. This crate supplies the small
-//! slice of JSON functionality conprobe actually needs: a [`JsonValue`]
-//! document model, a strict recursive-descent [`parse`] function, compact and
-//! pretty writers, and the [`ToJson`]/[`FromJson`] conversion traits the rest
-//! of the workspace implements by hand for its (few) serialized types.
+//! slice of JSON functionality conprobe actually needs: a push
+//! [`JsonWriter`] and a strict pull [`JsonReader`], the
+//! [`ToJson`]/[`FromJson`] traits through which the workspace's (few)
+//! serialized types write themselves to the one and read themselves from
+//! the other, and a [`JsonValue`] document model for small documents whose
+//! shape is not fixed. The tree is one more client: [`parse`] is
+//! `JsonValue`'s `FromJson`, `to_compact`/`to_pretty` its `ToJson`. There
+//! is one tokenizer and one string escaper, and a fixed-schema record
+//! never passes through a tree.
 //!
 //! Design notes:
 //!
-//! * Object members preserve insertion order (a `Vec` of pairs, not a map),
-//!   so writers emit fields in the order the `ToJson` impl listed them and a
+//! * Object members keep their order (a `Vec` of pairs, not a map), and an
+//!   encoder emits fields in the order it lists them, so a
 //!   serialize→parse→serialize round trip is a fixpoint.
 //! * Numbers keep their integer-ness: `Int`/`UInt` survive round trips
 //!   exactly; only values written with a decimal point or exponent parse as
 //!   `Float`. This matters for 64-bit seeds and nanosecond timestamps that
 //!   exceed `f64`'s 53-bit integer range.
-//! * The parser is strict (no trailing commas, no comments, no NaN/Infinity)
-//!   and recursion-limited so hostile inputs fail cleanly.
+//! * The reader is strict (no trailing commas, no comments, no
+//!   NaN/Infinity, no literal that overflows to infinity) and
+//!   depth-limited, so hostile inputs fail cleanly. What a decoder skips
+//!   is checked as strictly as what it reads.
+//! * A decoder takes members in any order, skips the ones it does not
+//!   know, and lets the first of duplicate keys win — what a lookup in a
+//!   parsed tree does ([`read_members!`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;
+mod reader;
+mod writer;
 
+pub use reader::JsonReader;
+pub use writer::JsonWriter;
+
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed or constructed JSON document.
@@ -118,16 +134,12 @@ impl JsonValue {
 
     /// Serializes without whitespace.
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        write_value(self, None, 0, &mut out);
-        out
+        ToJson::to_compact(self)
     }
 
     /// Serializes with 2-space indentation (the `serde_json` pretty style).
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        write_value(self, Some(2), 0, &mut out);
-        out
+        ToJson::to_pretty(self)
     }
 }
 
@@ -155,260 +167,50 @@ impl JsonError {
     }
 }
 
-/// Types that can render themselves as a [`JsonValue`].
+/// Types that can write themselves as JSON.
 pub trait ToJson {
-    /// Converts to a document-model value.
-    fn to_json(&self) -> JsonValue;
+    /// Appends this value to `w`.
+    fn write_json(&self, w: &mut JsonWriter);
+
+    /// Serializes without whitespace.
+    fn to_compact(&self) -> String {
+        let mut w = JsonWriter::compact();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Serializes with 2-space indentation (the `serde_json` pretty style).
+    fn to_pretty(&self) -> String {
+        let mut w = JsonWriter::pretty();
+        self.write_json(&mut w);
+        w.finish()
+    }
 }
 
-/// Types that can reconstruct themselves from a [`JsonValue`].
+/// Types that can read themselves from JSON.
 pub trait FromJson: Sized {
-    /// Converts from a document-model value.
+    /// Reads one value of this type from `r`.
     ///
     /// # Errors
     ///
-    /// Returns a schema [`JsonError`] when the value has the wrong shape.
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError>;
-}
+    /// Returns a [`JsonError`] at the offending token when the text is not
+    /// JSON or the value has the wrong shape.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError>;
 
-/// Fetches a required object member, with a schema error naming the key.
-pub fn member<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, JsonError> {
-    v.get(key).ok_or_else(|| JsonError::schema(format!("missing member `{key}`")))
-}
-
-fn uint_to_json(n: u64) -> JsonValue {
-    if n <= i64::MAX as u64 {
-        JsonValue::Int(n as i64)
-    } else {
-        JsonValue::UInt(n)
+    /// Decodes a complete document: one value, then only whitespace.
+    fn from_json_str(text: &str) -> Result<Self, JsonError> {
+        let mut r = JsonReader::new(text);
+        let value = Self::read_json(&mut r)?;
+        r.finish()?;
+        Ok(value)
     }
-}
 
-macro_rules! int_impls {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> JsonValue {
-                uint_to_json(*self as u64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-                match v {
-                    JsonValue::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| JsonError::schema("integer out of range")),
-                    JsonValue::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| JsonError::schema("integer out of range")),
-                    _ => Err(JsonError::schema(concat!("expected ", stringify!($t)))),
-                }
-            }
-        }
-    )*};
-}
-
-int_impls!(u32, u64, usize);
-
-impl ToJson for i64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Int(*self)
-    }
-}
-
-impl FromJson for i64 {
+    /// Decodes a subtree of a parsed document, through its text (a type
+    /// has one decoder). For documents small enough to have been parsed
+    /// into a tree in the first place.
     fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        v.as_i64().ok_or_else(|| JsonError::schema("expected i64"))
+        Self::from_json_str(&v.to_compact())
     }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Float(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::schema("expected number"))
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        v.as_bool().ok_or_else(|| JsonError::schema("expected bool"))
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        v.as_str().map(str::to_string).ok_or_else(|| JsonError::schema("expected string"))
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        v.as_array()
-            .ok_or_else(|| JsonError::schema("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Some(t) => t.to_json(),
-            None => JsonValue::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v {
-            JsonValue::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::schema("expected 2-element array")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(v: &JsonValue, indent: Option<usize>, depth: usize, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(true) => out.push_str("true"),
-        JsonValue::Bool(false) => out.push_str("false"),
-        JsonValue::Int(n) => out.push_str(&n.to_string()),
-        JsonValue::UInt(n) => out.push_str(&n.to_string()),
-        JsonValue::Float(f) => write_float(*f, out),
-        JsonValue::Str(s) => write_string(s, out),
-        JsonValue::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                write_value(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push(']');
-        }
-        JsonValue::Object(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_float(f: f64, out: &mut String) {
-    if !f.is_finite() {
-        // JSON has no NaN/Infinity; mirror serde_json's lossy `null`.
-        out.push_str("null");
-        return;
-    }
-    // `{}` on f64 is the shortest representation that round-trips, but drops
-    // the decimal point for whole numbers; keep `.0` so the value re-parses
-    // as Float and serialization stays a fixpoint.
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
 }
 
 /// Parses a complete JSON document.
@@ -418,241 +220,247 @@ struct Parser<'a> {
 /// Returns a [`JsonError`] with the byte offset of the first syntax problem,
 /// including trailing garbage after the top-level value.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(v)
+    JsonValue::from_json_str(input)
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_string() }
-    }
+/// Fetches a required object member, with a schema error naming the key.
+pub fn member<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, JsonError> {
+    v.get(key).ok_or_else(|| missing(key))
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
+/// The error for an object without its required member `key`.
+pub fn missing(key: &str) -> JsonError {
+    JsonError::schema(format!("missing member `{key}`"))
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+/// Reads an object's members into local variables named after their
+/// keys: `read_members!(r => author, seq; note)` leaves `author` and
+/// `seq` bound (a missing one is a schema error) and `note` an `Option`,
+/// their types inferred from use. `key: read` decodes that member with
+/// the function `read` instead of its type's [`FromJson`]. Members may
+/// come in any order, unknown ones are skipped (and checked), and the
+/// first of duplicate keys wins.
+#[macro_export]
+macro_rules! read_members {
+    ($r:ident => $($key:ident $(: $read:expr)?),*
+        $(; $($opt:ident $(: $opt_read:expr)?),+)? $(,)?) => {
+        $(let mut $key = None;)*
+        $($(let mut $opt = None;)+)?
+        $r.begin_object()?;
+        while let Some(key) = $r.next_key()? {
+            match &*key {
+                $(stringify!($key) => $r.member(&mut $key, $crate::read_members!(@ $($read)?))?,)*
+                $($(stringify!($opt) =>
+                    $r.member(&mut $opt, $crate::read_members!(@ $($opt_read)?))?,)+)?
+                _ => drop($r.skip_value()?),
+            }
         }
-    }
+        $(let $key = $key.ok_or_else(|| $crate::missing(stringify!($key)))?;)*
+    };
+    (@) => { $crate::FromJson::read_json };
+    (@ $read:expr) => { $read };
+}
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(JsonValue::Null),
-            Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+impl ToJson for JsonValue {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::Int(n) => w.i64(*n),
+            JsonValue::UInt(n) => w.u64(*n),
+            JsonValue::Float(f) => w.f64(*f),
+            JsonValue::Str(s) => w.str(s),
+            JsonValue::Array(items) => items.write_json(w),
+            JsonValue::Object(members) => {
+                w.begin_object();
+                for (key, value) in members {
+                    w.member(key, value);
                 }
-                _ => return Err(self.err("expected `,` or `]`")),
+                w.end_object();
             }
         }
     }
+}
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+impl FromJson for JsonValue {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        match r.peek()? {
+            b'n' => r.null().map(|()| JsonValue::Null),
+            b't' | b'f' => r.bool().map(JsonValue::Bool),
+            b'"' => r.string().map(|s| JsonValue::Str(s.into_owned())),
+            b'-' | b'0'..=b'9' => r.number(),
+            b'[' => Vec::read_json(r).map(JsonValue::Array),
+            b'{' => {
+                r.begin_object()?;
+                let mut members = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    members.push((key.into_owned(), JsonValue::read_json(r)?));
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
+                Ok(JsonValue::Object(members))
             }
+            _ => Err(r.error("expected a JSON value")),
         }
     }
+}
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                // High surrogate: require a low surrogate.
-                                if !self.eat_literal("\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            s.push(c.ok_or_else(|| self.err("invalid code point"))?);
-                            // hex4 leaves pos past the digits; compensate for
-                            // the `self.pos += 1` below.
-                            self.pos -= 1;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' || b < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    // Input is a &str, so the slice is valid UTF-8.
-                    s.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
+macro_rules! int_impls {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            #[inline]
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.u64(*self as u64);
             }
+        }
+        impl FromJson for $t {
+            #[inline]
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+                r.number_as(stringify!($t), |n| n.as_u64().and_then(|n| <$t>::try_from(n).ok()))
+            }
+        }
+    )*};
+}
+
+int_impls!(u32, u64, usize);
+
+impl ToJson for i64 {
+    #[inline]
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.i64(*self);
+    }
+}
+
+impl FromJson for i64 {
+    #[inline]
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.number_as("i64", JsonValue::as_i64)
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(*self);
+    }
+}
+
+impl FromJson for f64 {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.number_as("number", JsonValue::as_f64)
+    }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
+    }
+}
+
+impl FromJson for bool {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.bool()
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+
+impl FromJson for String {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.string().map(|s| s.into_owned())
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(self, |w, item| item.write_json(w));
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.elements(T::read_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
         }
     }
+}
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+impl<T: FromJson> FromJson for Option<T> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        match r.peek()? {
+            b'n' => r.null().map(|()| None),
+            _ => T::read_json(r).map(Some),
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(cp)
     }
+}
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        self.0.write_json(w);
+        self.1.write_json(w);
+        w.end_array();
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let wrong = |r: &JsonReader<'_>| r.error("expected 2-element array");
+        r.begin_array()?;
+        if !r.next_element()? {
+            return Err(wrong(r));
         }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("invalid number")),
+        let a = A::read_json(r)?;
+        if !r.next_element()? {
+            return Err(wrong(r));
         }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits required after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        let b = B::read_json(r)?;
+        if r.next_element()? {
+            return Err(wrong(r));
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digits required in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        Ok((a, b))
+    }
+}
+
+/// An object whose keys are data. The last of duplicate keys wins.
+impl<V: ToJson> ToJson for BTreeMap<String, V> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (key, value) in self {
+            w.member(key, value);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_float {
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(JsonValue::Int(n));
-            }
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(n));
-            }
+        w.end_object();
+    }
+}
+
+impl<V: FromJson> FromJson for BTreeMap<String, V> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        r.begin_object()?;
+        let mut map = BTreeMap::new();
+        while let Some(key) = r.next_key()? {
+            map.insert(key.into_owned(), V::read_json(r)?);
         }
-        text.parse::<f64>()
-            .map(JsonValue::Float)
-            .map_err(|_| JsonError { offset: start, message: "invalid number".into() })
+        Ok(map)
     }
 }
 
@@ -678,6 +486,18 @@ mod tests {
         assert_eq!(v, JsonValue::UInt(u64::MAX));
         assert_eq!(v.to_compact(), "18446744073709551615");
         assert_eq!(u64::from_json(&v).unwrap(), u64::MAX);
+        assert_eq!(u64::MAX.to_compact(), "18446744073709551615");
+        assert_eq!(i64::MIN.to_compact(), "-9223372036854775808");
+        assert_eq!(parse("-9223372036854775808").unwrap(), JsonValue::Int(i64::MIN));
+        assert_eq!(
+            parse("-9223372036854775809").unwrap(),
+            JsonValue::Float(-9223372036854775809.0)
+        );
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            JsonValue::Float(18446744073709551616.0)
+        );
+        assert_eq!(parse("-0").unwrap(), JsonValue::Int(0));
     }
 
     #[test]
@@ -750,9 +570,49 @@ mod tests {
         }
     }
 
+    /// Every way the workspace reads JSON, over one input: the tree, a
+    /// checking skip, each typed read, and a schema'd object. All must
+    /// return, `Ok` or `Err`; and a skip accepts exactly what `parse` does.
+    fn drive(s: &str) {
+        let parsed = parse(s);
+        let mut r = JsonReader::new(s);
+        let skipped = r.skip_value().and_then(|_| r.finish());
+        assert_eq!(skipped.err(), parsed.as_ref().err().cloned(), "{s:?}");
+        let _ = u32::from_json_str(s);
+        let _ = i64::from_json_str(s);
+        let _ = f64::from_json_str(s);
+        let _ = bool::from_json_str(s);
+        let _ = String::from_json_str(s);
+        let _ = Option::<Vec<u64>>::from_json_str(s);
+        let _ = <(i64, String)>::from_json_str(s);
+        let _ = BTreeMap::<String, Vec<Option<f64>>>::from_json_str(s);
+        let _ = Vec::<BTreeMap<String, bool>>::from_json_str(s);
+        let _ = (|| {
+            let r = &mut JsonReader::new(s);
+            read_members!(r => cell: String::read_json, seed: u64::read_json; result: |r| {
+                read_members!(r => trace: Vec::<BTreeMap<String, f64>>::read_json);
+                Ok(trace)
+            });
+            r.finish()?;
+            Ok::<_, JsonError>((cell, seed, result))
+        })();
+        // A reader driven against the grain of its input, too.
+        let mut r = JsonReader::new(s);
+        for step in 0..s.len().min(64) {
+            let _ = match step % 6 {
+                0 => r.begin_array(),
+                1 => r.next_element().map(drop),
+                2 => r.begin_object(),
+                3 => r.next_key().map(drop),
+                4 => r.number().map(drop),
+                _ => r.string().map(drop),
+            };
+        }
+    }
+
     /// Corrupt/adversarial input must yield `Err`, never a panic or a
     /// stack overflow. This is the journal's trust boundary: recovery
-    /// feeds disk bytes of unknown provenance straight into `parse`.
+    /// feeds disk bytes of unknown provenance straight into the reader.
     #[test]
     fn parse_never_panics_on_arbitrary_input() {
         let mut rng = Lcg(0x5EED);
@@ -763,7 +623,7 @@ mod tests {
             let s: String = (0..len)
                 .map(|_| alphabet[(rng.next() as usize) % alphabet.len()] as char)
                 .collect();
-            let _ = parse(&s); // must return, Ok or Err
+            drive(&s);
         }
         // Raw high-byte / invalid-UTF-8-adjacent content via char soup.
         for _ in 0..500 {
@@ -771,7 +631,7 @@ mod tests {
             let s: String = (0..len)
                 .map(|_| char::from_u32((rng.next() % 0xD7FF) as u32).unwrap_or('\u{FFFD}'))
                 .collect();
-            let _ = parse(&s);
+            drive(&s);
         }
     }
 
@@ -784,9 +644,10 @@ mod tests {
             "status":"completed","result":{"trace":[{"agent":0,"op":"w","at":-1.5e3,
             "key":[1,2],"vals":["a","b",null,true,false]}],"nested":{"deep":[[[{"x":1}]]]}}}"#;
         assert!(parse(doc).is_ok());
+        drive(doc);
         for cut in 0..doc.len() {
             if let Some(prefix) = doc.get(..cut) {
-                let _ = parse(prefix);
+                drive(prefix);
             }
         }
         let bytes = doc.as_bytes();
@@ -795,7 +656,7 @@ mod tests {
                 let mut mutated = bytes.to_vec();
                 mutated[i] ^= flip;
                 if let Ok(s) = std::str::from_utf8(&mutated) {
-                    let _ = parse(s);
+                    drive(s);
                 }
             }
         }
@@ -817,14 +678,82 @@ mod tests {
     #[test]
     fn trait_impls_round_trip() {
         let xs: Vec<u64> = vec![1, 2, u64::MAX];
-        assert_eq!(Vec::<u64>::from_json(&xs.to_json()).unwrap(), xs);
+        assert_eq!(Vec::<u64>::from_json_str(&xs.to_compact()).unwrap(), xs);
         let opt: Option<String> = Some("hi".into());
-        assert_eq!(Option::<String>::from_json(&opt.to_json()).unwrap(), opt);
+        assert_eq!(Option::<String>::from_json_str(&opt.to_compact()).unwrap(), opt);
         let none: Option<String> = None;
-        assert_eq!(Option::<String>::from_json(&none.to_json()).unwrap(), none);
+        assert_eq!(Option::<String>::from_json_str(&none.to_compact()).unwrap(), none);
         let pair: (u32, f64) = (7, 0.5);
-        assert_eq!(<(u32, f64)>::from_json(&pair.to_json()).unwrap(), pair);
+        assert_eq!(<(u32, f64)>::from_json_str(&pair.to_compact()).unwrap(), pair);
+        assert!(<(u32, f64)>::from_json_str("[7]").is_err());
+        assert!(<(u32, f64)>::from_json_str("[7,0.5,1]").is_err());
         assert!(u32::from_json(&JsonValue::Int(-1)).is_err());
         assert!(u32::from_json(&JsonValue::Str("x".into())).is_err());
+        assert_eq!(u32::from_json_str("4294967296").unwrap_err().offset, 0);
+        // An `f64` field takes an integer token; an integer field no float.
+        assert_eq!(f64::from_json_str("3").unwrap(), 3.0);
+        assert!(u64::from_json_str("3.0").is_err());
+        let map: BTreeMap<String, u32> = [("a".to_string(), 1), ("b".to_string(), 2)].into();
+        assert_eq!(map.to_compact(), r#"{"a":1,"b":2}"#);
+        assert_eq!(BTreeMap::from_json_str(r#"{"b":9,"a":1,"b":2}"#), Ok(map));
+    }
+
+    #[test]
+    fn a_literal_that_overflows_f64_is_rejected_not_read_as_infinity() {
+        for (bad, offset) in [("1e400", 0), (" -1e999", 1), ("[1,2e308]", 3)] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("number out of range", offset),
+                "{bad}"
+            );
+        }
+        let max = "1.7976931348623157e308";
+        assert_eq!(parse(max).unwrap(), JsonValue::Float(f64::MAX));
+        assert_eq!(parse(&format!("-{max}")).unwrap(), JsonValue::Float(f64::MIN));
+        // What the writer prints for the largest float reads back as it.
+        assert_eq!(
+            parse(&JsonValue::Float(f64::MAX).to_compact()).unwrap().as_f64(),
+            Some(f64::MAX)
+        );
+        // A non-finite float is written as `null`, so it never comes back.
+        assert_eq!(JsonValue::Float(f64::INFINITY).to_compact(), "null");
+    }
+
+    #[test]
+    fn read_members_takes_any_order_skips_unknowns_and_keeps_the_first_duplicate() {
+        fn point(text: &str) -> Result<(u32, i64), JsonError> {
+            let mut r = JsonReader::new(text);
+            read_members!(r => x, y: |r| r.number_as("i64", JsonValue::as_i64); note);
+            r.finish()?;
+            assert_eq!(note.unwrap_or(text.contains("note")), text.contains("note"));
+            Ok((x, y))
+        }
+        assert_eq!(point(r#"{"x":1,"y":-2}"#), Ok((1, -2)));
+        assert_eq!(point(r#"{"note":true,"x":1,"y":-2}"#), Ok((1, -2)));
+        assert!(point(r#"{"note":1,"x":1,"y":-2}"#).is_err());
+        assert_eq!(point(r#" { "y" : -2 , "z" : [{"x":9}] , "x" : 1 } "#), Ok((1, -2)));
+        // The loser of a duplicate is skipped: checked as JSON, not as a `u32`.
+        assert_eq!(point(r#"{"x":1,"x":"later","y":0}"#), Ok((1, 0)));
+        assert_eq!(point(r#"{"x":1,"x":tru,"y":0}"#).unwrap_err().offset, 11);
+        assert_eq!(point(r#"{"x":1}"#).unwrap_err().message, "missing member `y`");
+        assert_eq!(point(r#"{"x":-1,"y":0}"#).unwrap_err().offset, 5);
+        assert_eq!(point(r#"{"x":1,"y":0,"z":01}"#).unwrap_err().offset, 18);
+        assert!(point(r#"{"x":1,"y":0} x"#).is_err());
+    }
+
+    #[test]
+    fn skip_value_returns_the_span_it_checked() {
+        let mut r = JsonReader::new(r#" [ {"a":[1,2,{"b":null}],"c":"x\ny"} , 2.5e3 ] "#);
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.skip_value().unwrap(), r#"{"a":[1,2,{"b":null}],"c":"x\ny"}"#);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.skip_value().unwrap(), "2.5e3");
+        assert!(!r.next_element().unwrap());
+        r.finish().unwrap();
+        for bad in [r#"{"a":[1,]}"#, r#"{"a":1e400}"#, r#"["\x"]"#, r#"{"a" 1}"#, "[1 2]"] {
+            assert!(JsonReader::new(bad).skip_value().is_err(), "{bad}");
+        }
     }
 }

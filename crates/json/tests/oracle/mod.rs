@@ -1,0 +1,261 @@
+//! The recursive-descent `Parser` that `conprobe_json::parse` was until
+//! the pull `JsonReader` replaced it, frozen verbatim as the oracle
+//! `tests/differential.rs` holds the reader to: same accepted language,
+//! same values, same error offsets and messages — but for a literal that
+//! overflows `f64`, which this parser reads as infinity.
+//!
+//! Do not fix or tidy this file; it is a reference, not product code.
+
+use conprobe_json::{JsonError, JsonValue};
+
+const MAX_DEPTH: usize = 128;
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+/// Parses a complete JSON document.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] with the byte offset of the first syntax problem,
+/// including trailing garbage after the top-level value.
+pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    p.skip_ws();
+    let v = p.value(0)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after value"));
+    }
+    Ok(v)
+}
+
+impl<'a> Parser<'a> {
+    fn err(&self, message: &str) -> JsonError {
+        JsonError { offset: self.pos, message: message.to_string() }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected `{}`", b as char)))
+        }
+    }
+
+    fn eat_literal(&mut self, lit: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'n') if self.eat_literal("null") => Ok(JsonValue::Null),
+            Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
+            Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(items));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value(depth + 1)?;
+            members.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(members));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut s = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        Some(b'/') => s.push('/'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
+                        Some(b'n') => s.push('\n'),
+                        Some(b'r') => s.push('\r'),
+                        Some(b't') => s.push('\t'),
+                        Some(b'u') => {
+                            self.pos += 1;
+                            let cp = self.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&cp) {
+                                // High surrogate: require a low surrogate.
+                                if !self.eat_literal("\\u") {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid low surrogate"));
+                                }
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(combined)
+                            } else {
+                                char::from_u32(cp)
+                            };
+                            s.push(c.ok_or_else(|| self.err("invalid code point"))?);
+                            // hex4 leaves pos past the digits; compensate for
+                            // the `self.pos += 1` below.
+                            self.pos -= 1;
+                        }
+                        _ => return Err(self.err("invalid escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(_) => {
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    // Input is a &str, so the slice is valid UTF-8.
+                    s.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let end = self.pos + 4;
+        if end > self.bytes.len() {
+            return Err(self.err("truncated \\u escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
+            .map_err(|_| self.err("invalid \\u escape"))?;
+        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        self.pos = end;
+        Ok(cp)
+    }
+
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.err("invalid number")),
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digits required after decimal point"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digits required in exponent"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if !is_float {
+            if let Ok(n) = text.parse::<i64>() {
+                return Ok(JsonValue::Int(n));
+            }
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::UInt(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(JsonValue::Float)
+            .map_err(|_| JsonError { offset: start, message: "invalid number".into() })
+    }
+}

@@ -55,7 +55,7 @@
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
 use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
-use conprobe_json::{frame, member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_json::{frame, missing, read_members, FromJson, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
@@ -206,46 +206,48 @@ fn digest_of(payload: &str) -> u64 {
 /// every replica applies identical bytes and the resulting snapshots are
 /// byte-identical across the group.
 fn write_payload(origin: usize, stored: &StoredPost) -> String {
-    JsonValue::Object(vec![
-        ("kind".into(), JsonValue::Str("write".into())),
-        ("origin".into(), (origin as u64).to_json()),
-        ("post".into(), JsonValue::Str(stored_post_to_payload(stored))),
-    ])
-    .to_compact()
+    JsonWriter::object(|w| {
+        w.member("kind", "write");
+        w.member("origin", &origin);
+        w.member("post", &stored_post_to_payload(stored));
+    })
 }
 
 fn read_payload(origin: usize, seq: u64) -> String {
-    JsonValue::Object(vec![
-        ("kind".into(), JsonValue::Str("read".into())),
-        ("origin".into(), (origin as u64).to_json()),
-        ("seq".into(), seq.to_json()),
-    ])
-    .to_compact()
+    JsonWriter::object(|w| {
+        w.member("kind", "read");
+        w.member("origin", &origin);
+        w.member("seq", &seq);
+    })
 }
 
 /// Serializes a sequence-gap filler (the slot makes the digest unique).
 fn noop_payload(slot: u64) -> String {
-    JsonValue::Object(vec![
-        ("kind".into(), JsonValue::Str("noop".into())),
-        ("slot".into(), slot.to_json()),
-    ])
-    .to_compact()
+    JsonWriter::object(|w| {
+        w.member("kind", "noop");
+        w.member("slot", &slot);
+    })
+}
+
+/// One committed slot as the payload of a state-transfer frame.
+fn backlog_record(slot: u64, op: &str) -> String {
+    JsonWriter::object(|w| {
+        w.member("slot", &slot);
+        w.member("op", op);
+    })
 }
 
 fn parse_log_op(payload: &str) -> Result<LogOp, JsonError> {
-    let doc = conprobe_json::parse(payload)?;
-    let kind = String::from_json(member(&doc, "kind")?)?;
-    match kind.as_str() {
+    let r = &mut JsonReader::new(payload);
+    read_members!(r => kind; origin, post, seq);
+    r.finish()?;
+    let origin = origin.ok_or_else(|| missing("origin"));
+    match String::as_str(&kind) {
         "write" => {
-            let origin = u64::from_json(member(&doc, "origin")?)? as usize;
-            let stored = stored_post_from_payload(&String::from_json(member(&doc, "post")?)?)?;
-            Ok(LogOp::Write { origin, stored })
+            let post: String = post.ok_or_else(|| missing("post"))?;
+            Ok(LogOp::Write { origin: origin?, stored: stored_post_from_payload(&post)? })
         }
-        "read" => {
-            let origin = u64::from_json(member(&doc, "origin")?)? as usize;
-            let seq = u64::from_json(member(&doc, "seq")?)?;
-            Ok(LogOp::Read { origin, seq })
-        }
+        "read" => Ok(LogOp::Read { origin: origin?, seq: seq.ok_or_else(|| missing("seq"))? }),
         "noop" => Ok(LogOp::Noop),
         other => Err(JsonError::schema(format!("unknown log op kind {other:?}"))),
     }
@@ -1207,28 +1209,21 @@ impl PbftReplica {
     fn backlog_frames(&self) -> Vec<String> {
         self.committed
             .iter()
-            .map(|(slot, payload)| {
-                let record = JsonValue::Object(vec![
-                    ("slot".into(), (*slot).to_json()),
-                    ("op".into(), JsonValue::Str(payload.clone())),
-                ])
-                .to_compact();
-                frame::encode_record(&record)
-            })
+            .map(|(slot, payload)| frame::encode_record(&backlog_record(*slot, payload)))
             .collect()
     }
 
     fn decode_backlog_frame(line: &str) -> Result<(u64, String), String> {
         let payload = frame::decode_record(line).map_err(|e| e.to_string())?;
-        let doc = conprobe_json::parse(payload).map_err(|e| e.to_string())?;
-        let slot = u64::from_json(member(&doc, "slot").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        let op = String::from_json(member(&doc, "op").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        // The embedded op must itself parse — refuse streams carrying
-        // garbage that would only explode later at apply time.
-        parse_log_op(&op).map_err(|e| e.to_string())?;
-        Ok((slot, op))
+        let record = |r: &mut JsonReader<'_>| -> Result<(u64, String), JsonError> {
+            read_members!(r => slot, op: String::read_json);
+            r.finish()?;
+            // The embedded op must itself parse — refuse streams carrying
+            // garbage that would only explode later at apply time.
+            parse_log_op(&op)?;
+            Ok((slot, op))
+        };
+        record(&mut JsonReader::new(payload)).map_err(|e| e.to_string())
     }
 
     /// Asks every peer that has not streamed its backlog yet (all of them
@@ -1812,25 +1807,14 @@ mod tests {
     fn corrupt_backlog_frame_is_refused() {
         let stored =
             StoredPost { post: post(1, 1), server_ts: SimTime::from_nanos(5), arrival_index: 0 };
-        let record = JsonValue::Object(vec![
-            ("slot".into(), 0u64.to_json()),
-            ("op".into(), JsonValue::Str(write_payload(0, &stored))),
-        ])
-        .to_compact();
-        let good = frame::encode_record(&record);
+        let good = frame::encode_record(&backlog_record(0, &write_payload(0, &stored)));
         assert!(PbftReplica::decode_backlog_frame(&good).is_ok());
         // Flip payload bytes: the cpj1 checksum no longer matches.
         let corrupt = good.replace("post", "pXst");
         assert!(PbftReplica::decode_backlog_frame(&corrupt).is_err());
         // A checksummed frame whose embedded op is garbage is refused
         // at decode time too, never deferred to apply time.
-        let junk = frame::encode_record(
-            &JsonValue::Object(vec![
-                ("slot".into(), 0u64.to_json()),
-                ("op".into(), JsonValue::Str("{\"kind\":\"evil\"}".into())),
-            ])
-            .to_compact(),
-        );
+        let junk = frame::encode_record(&backlog_record(0, "{\"kind\":\"evil\"}"));
         assert!(PbftReplica::decode_backlog_frame(&junk).is_err());
     }
 

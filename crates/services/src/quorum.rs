@@ -45,7 +45,7 @@
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
-use conprobe_json::{frame, member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_json::{frame, read_members, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
@@ -57,29 +57,30 @@ use std::collections::{HashMap, HashSet};
 /// live cluster's wire-side rejoin path (`live.rs`), which speaks the
 /// same `cpj1` record format.
 pub(crate) fn stored_post_to_payload(p: &StoredPost) -> String {
-    JsonValue::Object(vec![
-        ("author".into(), p.post.id.author.0.to_json()),
-        ("seq".into(), p.post.id.seq.to_json()),
-        ("content".into(), JsonValue::Str(String::from(&*p.post.content))),
-        ("client_ts".into(), p.post.client_ts.as_nanos().to_json()),
-        ("server_ts".into(), p.server_ts.as_nanos().to_json()),
-        ("arrival".into(), p.arrival_index.to_json()),
-    ])
-    .to_compact()
+    JsonWriter::object(|w| {
+        w.member("author", &p.post.id.author);
+        w.member("seq", &p.post.id.seq);
+        w.member("content", &*p.post.content);
+        w.member("client_ts", &p.post.client_ts.as_nanos());
+        w.member("server_ts", &p.server_ts.as_nanos());
+        w.member("arrival", &p.arrival_index);
+    })
 }
 
 /// Parses a catch-up frame payload back into a stored post.
 pub(crate) fn stored_post_from_payload(payload: &str) -> Result<StoredPost, JsonError> {
-    let doc = conprobe_json::parse(payload)?;
-    let id = PostId::new(
-        conprobe_store::AuthorId(u32::from_json(member(&doc, "author")?)?),
-        u32::from_json(member(&doc, "seq")?)?,
-    );
-    let content = String::from_json(member(&doc, "content")?)?;
-    let client_ts = LocalTime::from_nanos(i64::from_json(member(&doc, "client_ts")?)?);
-    let server_ts = SimTime::from_nanos(u64::from_json(member(&doc, "server_ts")?)?);
-    let arrival_index = u64::from_json(member(&doc, "arrival")?)?;
-    Ok(StoredPost { post: Post::new(id, content, client_ts), server_ts, arrival_index })
+    let r = &mut JsonReader::new(payload);
+    read_members!(r => author, seq, content, client_ts, server_ts, arrival);
+    r.finish()?;
+    Ok(StoredPost {
+        post: Post::new(
+            PostId::new(author, seq),
+            String::into_boxed_str(content),
+            LocalTime::from_nanos(client_ts),
+        ),
+        server_ts: SimTime::from_nanos(server_ts),
+        arrival_index: arrival,
+    })
 }
 
 /// Decodes one catch-up frame: `cpj1` length and checksum, then the

@@ -6,7 +6,7 @@
 //! author's own sequence number. This mirrors how the paper's tests name
 //! messages M1…M6 by writer and position.
 
-use conprobe_json::{member, FromJson, JsonError, JsonValue, ToJson};
+use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use conprobe_sim::{LocalTime, SimTime};
 use std::fmt;
 use std::sync::Arc;
@@ -54,32 +54,30 @@ impl fmt::Display for PostId {
 }
 
 impl ToJson for AuthorId {
-    fn to_json(&self) -> JsonValue {
-        self.0.to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.0.write_json(w);
     }
 }
 
 impl FromJson for AuthorId {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        u32::from_json(v).map(AuthorId)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        u32::read_json(r).map(AuthorId)
     }
 }
 
 impl ToJson for PostId {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("author".into(), self.author.to_json()),
-            ("seq".into(), self.seq.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.member("author", &self.author);
+        w.member("seq", &self.seq);
+        w.end_object();
     }
 }
 
 impl FromJson for PostId {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(PostId {
-            author: AuthorId::from_json(member(v, "author")?)?,
-            seq: u32::from_json(member(v, "seq")?)?,
-        })
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        read_members!(r => author, seq);
+        Ok(PostId { author, seq })
     }
 }
 
@@ -146,6 +144,15 @@ mod tests {
     fn post_id_orders_by_author_then_seq() {
         assert!(PostId::new(AuthorId(1), 9) < PostId::new(AuthorId(2), 1));
         assert!(PostId::new(AuthorId(1), 1) < PostId::new(AuthorId(1), 2));
+    }
+
+    #[test]
+    fn post_id_json_round_trips_and_keeps_its_member_order() {
+        let id = PostId::new(AuthorId(u32::MAX), 7);
+        assert_eq!(id.to_compact(), r#"{"author":4294967295,"seq":7}"#);
+        assert_eq!(PostId::from_json_str(r#"{"seq":7,"extra":[],"author":4294967295}"#), Ok(id));
+        assert!(PostId::from_json_str(r#"{"author":4294967296,"seq":7}"#).is_err());
+        assert!(PostId::from_json_str(r#"{"author":1}"#).is_err());
     }
 
     #[test]

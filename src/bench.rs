@@ -52,7 +52,7 @@ impl GoldenFingerprint {
 fn fingerprint(config: &TestConfig, seed: u64) -> GoldenFingerprint {
     let result = run_one_test(config, seed);
     GoldenFingerprint {
-        trace_hash: fnv64(result.trace.to_json().to_compact().as_bytes()),
+        trace_hash: fnv64(result.trace.to_compact().as_bytes()),
         anomaly_counts: AnomalyKind::ALL
             .iter()
             .map(|k| (k.short(), result.analysis.count(*k)))

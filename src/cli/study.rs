@@ -7,11 +7,11 @@ use super::{write_file, write_metrics, CliError};
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, timeline, AnomalyKind, CheckerConfig, TestTrace, Verdict};
 use conprobe_harness::campaign::{run_campaign_journaled, CampaignResult, CrashedInstance};
-use conprobe_harness::journal::{self, Journal, Recovery};
+use conprobe_harness::journal::{self, Journal, Recovery, ResultText};
 use conprobe_harness::proto::{test1_trigger_pairs, TestKind};
 use conprobe_harness::runner::{run_one_test, TestConfig, TestResult};
 use conprobe_harness::{stats, CampaignConfig};
-use conprobe_json::{FromJson, JsonValue, ToJson};
+use conprobe_json::{FromJson, ToJson};
 use conprobe_obs::{EventLog, Severity};
 use conprobe_services::ServiceKind;
 use conprobe_sim::{ObsSink, SimDuration};
@@ -128,7 +128,7 @@ impl OpenJournal {
 
 pub(super) struct JournaledUnits<'a> {
     journal: Option<&'a Journal>,
-    recovered: BTreeMap<u32, (u64, &'a JsonValue)>,
+    recovered: BTreeMap<u32, (u64, &'a ResultText)>,
     cell: &'a str,
     noun: &'static str,
 }
@@ -146,14 +146,16 @@ impl JournaledUnits<'_> {
         run: impl FnOnce() -> Result<TestResult, CliError>,
     ) -> Result<TestResult, CliError> {
         let (cell, noun) = (self.cell, self.noun);
-        let spliced = self
-            .recovered
-            .get(&index)
-            .filter(|(rseed, _)| *rseed == seed)
-            .and_then(|(_, payload)| journal::result_from_json(config, payload).ok());
-        if let Some(r) = spliced {
-            eprintln!("  {noun} {index} spliced from the journal");
-            return Ok(r);
+        if let Some((_, payload)) = self.recovered.get(&index).filter(|(rseed, _)| *rseed == seed) {
+            match journal::result_from_json(config, payload) {
+                Ok(r) => {
+                    eprintln!("  {noun} {index} spliced from the journal");
+                    return Ok(r);
+                }
+                Err(e) => {
+                    eprintln!("journal: {cell} {noun} {index} payload rejected ({e}); re-running")
+                }
+            }
         }
         let r = run()?;
         if let Some(j) = self.journal {
@@ -310,7 +312,7 @@ impl RunArgs {
             );
         }
         if let Some(path) = &self.json_out {
-            write_file(path, ToJson::to_json(&r.trace).to_pretty())?;
+            write_file(path, r.trace.to_pretty())?;
             let _ = writeln!(out, "trace written to {path}");
         }
         write_metrics(out, &self.metrics_out, || sink.metrics.to_json().to_pretty())
@@ -336,10 +338,8 @@ impl AnalyzeArgs {
         let path = &self.path;
         let json =
             std::fs::read_to_string(path).map_err(|e| CliError(format!("read {path}: {e}")))?;
-        let doc =
-            conprobe_json::parse(&json).map_err(|e| CliError(format!("parse {path}: {e}")))?;
         let trace: TestTrace<PostId> =
-            FromJson::from_json(&doc).map_err(|e| CliError(format!("parse {path}: {e}")))?;
+            FromJson::from_json_str(&json).map_err(|e| CliError(format!("parse {path}: {e}")))?;
         let config = if self.test1 {
             CheckerConfig {
                 wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(3)),

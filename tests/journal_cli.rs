@@ -3,6 +3,7 @@
 //! stderr, not the campaign.
 
 use conprobe_harness::journal::Journal;
+use conprobe_json::frame;
 use std::path::PathBuf;
 use std::process::Command as Proc;
 
@@ -63,4 +64,52 @@ fn unwritable_journal_costs_one_stderr_line_and_no_result() {
     let stderr = String::from_utf8_lossy(&full.stderr);
     assert_eq!(stderr.matches("journal: append failed").count(), 1, "{stderr}");
     assert!(stderr.contains("No space left on device"), "{stderr}");
+}
+
+/// A record that recovery accepts (valid frame, checksum and JSON) but
+/// whose `result` does not decode is re-run — and said to be, in the
+/// words `campaign` uses — by the commands that run their units one at a
+/// time (`chaos`, `probe`).
+#[test]
+fn a_unit_whose_recorded_result_is_rejected_is_re_run_out_loud() {
+    let path = temp("rejected");
+    let path_s = path.to_string_lossy().to_string();
+    std::fs::remove_file(&path).ok();
+    let chaos = |extra: &[&str]| {
+        Proc::new(env!("CARGO_BIN_EXE_conprobe"))
+            .args(["chaos", "--service", "blogger", "--test", "1", "--seed", "3", "--levels", "2"])
+            .args(extra)
+            .output()
+            .expect("spawn conprobe")
+    };
+    let want = chaos(&["--journal", &path_s]);
+    assert!(want.status.success());
+    // Level 1's record, with one member of the wrong type, re-framed.
+    let lines: Vec<String> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let payload = frame::decode_record(line).unwrap();
+            match payload.contains("\"instance\":1,") {
+                true => frame::encode_record(
+                    &payload.replace("\"salvaged\":", "\"salvaged\":7,\"was\":"),
+                ),
+                false => format!("{line}\n"),
+            }
+        })
+        .collect();
+    std::fs::write(&path, lines.concat()).unwrap();
+    assert_eq!(Journal::recover(&path).unwrap().records.len(), 3, "recovery checks syntax only");
+
+    let resumed = chaos(&["--resume", &path_s]);
+    assert!(resumed.status.success());
+    assert_eq!(resumed.stdout, want.stdout, "the re-run level reports what it did the first time");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let said = "journal: chaos/blogger/test1 level 1 payload rejected (JSON error at byte";
+    assert!(stderr.contains(said) && stderr.contains("expected bool); re-running"), "{stderr}");
+    assert_eq!(stderr.matches("spliced from the journal").count(), 2, "{stderr}");
+    // The re-run superseded the rejected record.
+    let after = Journal::recover(&path).unwrap();
+    assert_eq!((after.total_records, after.duplicates), (4, 1));
+    std::fs::remove_file(&path).ok();
 }

@@ -10,7 +10,11 @@
 //! dying process had no chance to close cleanly.
 
 use conprobe::cli::{execute, parse};
-use conprobe_harness::journal::Journal;
+use conprobe::harness::proto::TestKind;
+use conprobe::harness::runner::TestConfig;
+use conprobe::services::ServiceKind;
+use conprobe_harness::journal::{self, Journal, RecoveredEntry};
+use conprobe_json::frame;
 use std::path::PathBuf;
 use std::process::Command as Proc;
 
@@ -155,4 +159,71 @@ fn sigkilled_campaign_resumes_to_identical_study_output() {
     assert!(text.contains("blogger/test2"), "{text}");
     assert!(text.contains("tail: clean"), "{text}");
     std::fs::remove_file(&journal).ok();
+}
+
+/// A journal written by the binary of the commit *before* the record
+/// codec stopped building trees: one small cell per golden case
+/// (`campaign --tests 2`, the case's seed as the master seed; FB Group
+/// `--tests 3` with `CONPROBE_INJECT_PANIC=1`, hence one `crashed` record).
+const PARENT_JOURNAL: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent.cpj1.jsonl");
+
+/// The configuration a `service/testN` cell's traces are re-analyzed under.
+fn cell_config(cell: &str) -> TestConfig {
+    let (token, kind) = cell.split_once('/').expect("service/testN");
+    let service = ServiceKind::ALL.into_iter().find(|s| journal::service_token(*s) == token);
+    let kind = if kind == "test1" { TestKind::Test1 } else { TestKind::Test2 };
+    TestConfig::paper(service.expect("a catalog service"), kind)
+}
+
+#[test]
+fn the_parent_commits_journal_recovers_and_re_encodes_byte_for_byte() {
+    let recovery = Journal::recover(PARENT_JOURNAL).expect("every line recovers");
+    assert_eq!((recovery.records.len(), recovery.duplicates), (9, 0));
+    assert!(recovery.tail.is_none(), "{:?}", recovery.tail);
+    let text = std::fs::read_to_string(PARENT_JOURNAL).unwrap();
+    assert_eq!(recovery.valid_len, text.len() as u64);
+    let (mut completed, mut crashed) = (0, 0);
+    for (line, record) in text.split_inclusive('\n').zip(&recovery.records) {
+        let key = &record.key;
+        let payload = match &record.entry {
+            RecoveredEntry::Completed(result) => {
+                completed += 1;
+                let result = journal::result_from_json(&cell_config(&key.cell), result)
+                    .unwrap_or_else(|e| panic!("{} instance {}: {e}", key.cell, key.instance));
+                journal::completed_record_json(&key.cell, key.instance, key.seed, &result)
+            }
+            RecoveredEntry::Crashed { panic } => {
+                crashed += 1;
+                journal::crashed_record_json(&key.cell, key.instance, key.seed, panic)
+            }
+        };
+        assert_eq!(frame::decode_record(line).unwrap(), payload, "{} {}", key.cell, key.instance);
+        assert_eq!(frame::encode_record(&payload), line);
+    }
+    assert_eq!((completed, crashed), (8, 1));
+}
+
+#[test]
+fn a_truncated_parent_journal_resumes_to_the_uninterrupted_stdout() {
+    let _env = ENV_LOCK.lock().unwrap();
+    let copy = temp("parent");
+    let copy_s = copy.to_string_lossy();
+    // Cut mid-way through the last record: a tail for recovery to drop,
+    // one instance of the last cell (FB Feed) for the resume to re-run.
+    let bytes = std::fs::read(PARENT_JOURNAL).unwrap();
+    std::fs::write(&copy, &bytes[..bytes.len() - 5000]).unwrap();
+    for campaign in [
+        "campaign --service fbfeed --test 2 --tests 2 --seed 3",
+        "campaign --service gplus --test 2 --tests 2 --seed 2",
+        "campaign --service fbgroup --test 1 --tests 3 --seed 7",
+    ] {
+        let resumed = run_cli(&format!("{campaign} --resume {copy_s}"));
+        assert_eq!(resumed, run_cli(campaign), "{campaign}");
+    }
+    // What the resumes re-ran (the cut record, the crashed one) they appended.
+    let after = Journal::recover(&copy).unwrap();
+    assert_eq!((after.total_records, after.duplicates), (10, 1));
+    assert!(after.tail.is_none() && after.crashed().is_empty());
+    std::fs::remove_file(&copy).ok();
 }

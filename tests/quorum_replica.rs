@@ -120,7 +120,7 @@ fn replica_shell_refactor_left_traces_and_narration_byte_identical() {
         (ServiceKind::GooglePlus, 0x2f18_ba3e_57ae_b72a),
     ] {
         let (r, events) = chaos_crash_run(service, 42);
-        let mut bytes = r.trace.to_json().to_compact();
+        let mut bytes = r.trace.to_compact();
         for line in &events {
             bytes.push_str(line);
             bytes.push('\n');

@@ -15,7 +15,7 @@ use conprobe::store::PostId;
 fn traces_round_trip_through_json() {
     let config = TestConfig::paper(ServiceKind::FacebookFeed, TestKind::Test1);
     let r = run_one_test(&config, 21);
-    let json = r.trace.to_json().to_compact();
+    let json = r.trace.to_compact();
     let parsed = conprobe::json::parse(&json).expect("parse");
     let back: TestTrace<PostId> = FromJson::from_json(&parsed).expect("deserialize");
     assert_eq!(r.trace, back);
