@@ -70,10 +70,10 @@ impl ServiceKind {
     ];
 
     /// Whether `serve` hosts the nodes [`deploy`] builds for this arm
-    /// instead of serving it from stored replica cores. The ordered-log
-    /// arm joins at ROADMAP item 1, stage 2.
+    /// instead of serving it from stored replica cores: the two arms whose
+    /// protocol *is* their message exchange.
     pub fn hosted_live(&self) -> bool {
-        *self == ServiceKind::Quorum
+        matches!(self, ServiceKind::Quorum | ServiceKind::Pbft)
     }
 
     /// Human-readable name as used in the paper's tables.

@@ -13,10 +13,8 @@
 //! its message exchange is *hosted*: the sim's own nodes on a `World` fed
 //! real time ([`crate::hosted`]). The rest are *stored*, driven by this
 //! module — [`ReplicaCore`]s behind mutexes, a replication queue and an
-//! anti-entropy schedule, which is all a weak arm is (and, until live
-//! traffic can ride out a view change, how the ordered-log arm is
-//! modelled: each write applied at every live replica before the ack).
-//! The rest of this page describes the stored driver.
+//! anti-entropy schedule, which is all a weak arm is. The rest of this
+//! page describes the stored driver.
 //!
 //! **Keyspace sharding.** The cluster hosts [`LiveConfig::shards`]
 //! independent copies of the service topology, one per keyspace shard,
@@ -51,13 +49,11 @@
 use crate::api::{ClientOp, OpResult};
 use crate::catalog::{topology, ServiceKind};
 use crate::hosted::HostedShard;
-use crate::quorum::{decode_post_frame, stored_post_to_payload};
 use crate::replica_node::DelayDist;
 use crate::shard::ShardRing;
-use crate::shell::Catchup;
 use conprobe_json::frame;
 use conprobe_sim::net::Region;
-use conprobe_sim::{NodeId, SimRng, SimTime};
+use conprobe_sim::{SimRng, SimTime};
 use conprobe_store::{AffinityMap, OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,8 +99,9 @@ pub enum LiveReply {
     Read(Arc<[PostId]>),
     /// The write is acknowledged.
     Acked(PostId),
-    /// A hosted arm cannot answer at this instant: no reachable majority,
-    /// or a read-fenced door. Retryable, like a throttle.
+    /// A hosted arm cannot answer at this instant: no reachable quorum, a
+    /// fenced door, or a dead leader no view change has replaced yet.
+    /// Retryable, like a throttle.
     Unavailable,
 }
 
@@ -233,7 +230,6 @@ fn lock_hosted(shard: &Mutex<HostedShard>) -> MutexGuard<'_, HostedShard> {
 /// duration of one storage operation, and the common no-work
 /// [`LiveCluster::tick`] is a single atomic load.
 pub struct LiveCluster {
-    kind: ServiceKind,
     regions: Vec<Region>,
     affinity: AffinityMap,
     /// The keyspace shards: [`LiveCluster::new`] populates exactly one of
@@ -243,15 +239,7 @@ pub struct LiveCluster {
     ring: ShardRing,
     rng: Mutex<SimRng>,
     stale: Option<StaleWindow>,
-    /// Ordered-log view tracking for the PBFT arm (`kind == Pbft`): the
-    /// current view (`leader = view mod n`), the number of completed
-    /// view changes, and which replicas are currently down. A leader
-    /// kill rotates the view past every down replica, exactly like the
-    /// sim protocol's suspicion/rotation — the wall-clock group's writes
-    /// are already synchronous, so the *observable* effect of a live
-    /// view change is the leadership handoff the narration reports.
-    pbft_view: AtomicU64,
-    pbft_view_changes: AtomicU64,
+    /// Which replicas are currently down.
     down: Vec<AtomicBool>,
     /// Earliest instant at which any shard has deliverable work (a due
     /// replication push or anti-entropy round). The hot-path `tick`
@@ -323,7 +311,6 @@ impl LiveCluster {
             .collect();
         let replica_count = topo.replicas.len();
         LiveCluster {
-            kind: config.kind,
             regions: topo.replicas.iter().map(|(r, _)| *r).collect(),
             affinity: topo.affinity,
             shards,
@@ -331,8 +318,6 @@ impl LiveCluster {
             ring,
             rng: Mutex::new(SimRng::new(config.seed).split("live.repl")),
             stale: config.stale_window,
-            pbft_view: AtomicU64::new(1),
-            pbft_view_changes: AtomicU64::new(0),
             down: (0..replica_count).map(|_| AtomicBool::new(false)).collect(),
             next_due_nanos: AtomicU64::new(if hosted_count > 0 { 0 } else { first_anti_entropy }),
             empty: Arc::from(Vec::new()),
@@ -389,12 +374,10 @@ impl LiveCluster {
     }
 
     /// Accepts a write for `key` at `region`'s replica of the owning
-    /// stored shard (a hosted arm has none; see [`LiveCluster::serve`]).
-    /// Local-ack services (all four measured ones) schedule asynchronous
-    /// replication pushes to every peer with per-peer sampled delays; the
-    /// ordered-log arm instead applies the write at every live replica
-    /// before returning. Either way a down replica receives nothing: what
-    /// it missed comes back at rejoin or through anti-entropy.
+    /// stored shard (a hosted arm has none; see [`LiveCluster::serve`]):
+    /// acknowledged locally, with an asynchronous replication push to
+    /// every peer after a per-peer sampled delay. A down replica receives
+    /// nothing: what it missed comes back through anti-entropy.
     pub fn write_keyed(&self, region: Region, key: u32, post: Post, now_nanos: u64) -> PostId {
         self.tick(now_nanos);
         let shard = &self.shards[self.ring.shard_for_key(key)];
@@ -408,15 +391,6 @@ impl LiveCluster {
         // A duplicate was replicated when it was first accepted.
         let Some(stored) = stored else { return id };
         let live_peers = (0..shard.replicas.len()).filter(|t| *t != origin && !self.is_down(*t));
-        if self.sync_writes() {
-            // Lock in index order (the anti-entropy discipline) so a
-            // concurrent writer at another front door cannot deadlock.
-            for target in live_peers {
-                let mut rep = shard.replicas[target].lock().unwrap();
-                rep.core_mut(key).apply_replicated(stored.clone());
-            }
-            return id;
-        }
         let mut earliest = u64::MAX;
         {
             // Delays are drawn and enqueued under both locks so the seeded
@@ -606,14 +580,6 @@ impl LiveCluster {
         }
     }
 
-    /// Whether a stored arm's writes are synchronous (the ordered-log
-    /// arm): applied at every live replica before the acknowledgement —
-    /// no replication queue, no anomaly windows. Decides the rejoin
-    /// flavour: state transfer vs cold restart.
-    fn sync_writes(&self) -> bool {
-        self.kind == ServiceKind::Pbft
-    }
-
     /// A replica index from outside the cluster is the caller's to check;
     /// one that gets this far is a bug, reported before any state moves.
     fn assert_replica(&self, idx: usize) {
@@ -628,9 +594,9 @@ impl LiveCluster {
     /// shard (a process crash loses everything), along with any stale
     /// read caches, and replication pushes still in flight *to* it are
     /// dropped — they were addressed to a process that no longer
-    /// exists. For weak arms that lost window is a real divergence
-    /// source (healed only where anti-entropy runs); a strong arm repairs
-    /// it wholesale at rejoin. (Hosted: `ControlMsg::Crash` to every group.)
+    /// exists: a real divergence source, healed only where anti-entropy
+    /// runs. (Hosted: `ControlMsg::Crash` to every group, whose protocol
+    /// repairs the loss wholesale at rejoin.)
     ///
     /// # Panics
     /// If the topology has no replica `idx` — callers validate operator
@@ -651,70 +617,24 @@ impl LiveCluster {
             }
             shard.queue.lock().unwrap().pushes.retain(|p| p.target != idx);
         }
-        if self.kind == ServiceKind::Pbft {
-            self.rotate_view_past_down();
-        }
     }
 
-    /// Advances the pbft view until it lands on a live replica — each
-    /// rotation step is one completed view change (suspicion at the
-    /// surviving replicas, deterministic next-leader handoff).
-    fn rotate_view_past_down(&self) {
-        let n = self.replica_count() as u64;
-        if n == 0 {
-            return;
-        }
-        loop {
-            let view = self.pbft_view.load(Ordering::SeqCst);
-            let leader = (view % n) as usize;
-            if !self.down[leader].load(Ordering::SeqCst) {
-                return;
-            }
-            if self.down.iter().all(|d| d.load(Ordering::SeqCst)) {
-                return; // nobody left to lead; avoid spinning forever
-            }
-            if self
-                .pbft_view
-                .compare_exchange(view, view + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                self.pbft_view_changes.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// The PBFT arm's current view number (1 at boot).
-    pub fn pbft_view(&self) -> u64 {
-        self.pbft_view.load(Ordering::SeqCst)
-    }
-
-    /// Completed live view changes (leader rotations past down replicas).
-    pub fn pbft_view_changes(&self) -> u64 {
-        self.pbft_view_changes.load(Ordering::SeqCst)
-    }
-
-    /// The PBFT arm's current leader index, or `None` for other services.
-    pub fn pbft_leader(&self) -> Option<usize> {
-        if self.kind != ServiceKind::Pbft || self.regions.is_empty() {
-            return None;
-        }
-        Some((self.pbft_view.load(Ordering::SeqCst) % self.replica_count() as u64) as usize)
+    /// The consensus view of key 0's group (the paper's single object) as
+    /// `(view, leader, views entered)`: the highest view installed at a
+    /// running replica. `None` on an arm without views. Every key's group
+    /// is its own consensus instance and changes view on its own traffic.
+    pub fn view_status(&self) -> Option<(u64, usize, u64)> {
+        lock_hosted(self.hosted.get(self.ring.shard_for_key(0))?).view_status(0)
     }
 
     /// Rejoins a crashed replica. On a hosted arm this is
     /// `ControlMsg::Recover` to every group: the arm's own fenced catch-up
     /// round, complete inside the call when a catch-up quorum of peers is
-    /// up. When none is, the replica stays read-fenced — for good, by
-    /// design, if a majority crashed with amnesia: nobody can vouch for
-    /// what it held. The stored ordered-log arm runs the same `cpj1`
-    /// transfer in place: every peer serializes its per-key snapshots as
-    /// framed records — keys in sorted order, shards and peers in index
-    /// order, so the stream and its running hash are byte-deterministic —
-    /// and the recovering replica verifies each whole stream (checksum +
-    /// payload parse) before applying a single post from it. Weak arms
-    /// rejoin cold: an empty replica reconverges through the ordinary
-    /// replication and anti-entropy machinery, leaving exactly the
-    /// anomaly window the probes are built to observe.
+    /// up. When none is, the replica stays fenced — for good, by design,
+    /// if a majority crashed with amnesia: nobody can vouch for what it
+    /// held. A stored replica rejoins cold: empty, it reconverges through
+    /// the ordinary replication and anti-entropy machinery, leaving
+    /// exactly the anomaly window the probes are built to observe.
     ///
     /// # Panics
     /// If the topology has no replica `idx`, on every arm — see
@@ -722,57 +642,14 @@ impl LiveCluster {
     pub fn recover_replica(&self, idx: usize) -> RejoinReport {
         self.assert_replica(idx);
         self.down[idx].store(false, Ordering::SeqCst);
-        let mut round = Catchup::new(0, decode_post_frame);
-        let mut applied = 0;
-        // Weak arms rejoin cold: nobody streams anything.
-        let donors = if self.sync_writes() { self.replica_count() } else { 0 };
-        for peer in (0..donors).filter(|peer| *peer != idx) {
-            let mut peer_total = 0u64;
-            for shard in &self.shards {
-                // Pairwise index-ordered locking — the anti-entropy
-                // discipline — so rejoin can overlap live synchronous
-                // writes without deadlock.
-                let (lo, hi) = if idx < peer { (idx, peer) } else { (peer, idx) };
-                let mut first = shard.replicas[lo].lock().unwrap();
-                let mut second = shard.replicas[hi].lock().unwrap();
-                let (me, other) = if lo == idx {
-                    (&mut *first, &mut *second)
-                } else {
-                    (&mut *second, &mut *first)
-                };
-                let mut keys: Vec<u32> = other.cores.keys().copied().collect();
-                keys.sort_unstable();
-                for key in keys {
-                    let posts = other.cores.get(&key).expect("key just listed").snapshot_posts();
-                    peer_total += posts.len() as u64;
-                    // Encode, then verify the whole framed stream before
-                    // applying anything from it — a corrupt frame
-                    // discards the stream, it never half-applies.
-                    let lines: Vec<String> = posts
-                        .iter()
-                        .map(|p| frame::encode_record(&stored_post_to_payload(p)))
-                        .collect();
-                    let Ok(decoded) = round.verify(&lines) else { continue };
-                    let core = me.core_mut(key);
-                    for post in decoded {
-                        if core.apply_replicated(post) {
-                            applied += 1;
-                        }
-                    }
-                }
-            }
-            round.heard(NodeId(peer), peer_total);
-        }
-        let (frames, watermark, stream_hash) = round.record();
         let mut report = RejoinReport {
-            frames,
-            peers: round.peers() as u64,
-            watermark,
-            applied,
-            stream_hash,
-            cold: !self.sync_writes() && self.hosted.is_empty(),
+            frames: 0,
+            peers: 0,
+            watermark: 0,
+            applied: 0,
+            stream_hash: frame::FNV64_BASIS,
+            cold: self.hosted.is_empty(),
         };
-        // A hosted arm streamed nothing above; its groups report here.
         self.hosted.iter().for_each(|shard| lock_hosted(shard).recover(idx, &mut report));
         report
     }
@@ -1122,39 +999,144 @@ mod tests {
         cluster(ServiceKind::Quorum, Some(StaleWindow { replica: 0, lag_nanos: MS }));
     }
 
-    #[test]
-    fn pbft_leader_kill_rotates_the_view_to_the_next_live_replica() {
-        let c = cluster(ServiceKind::Pbft, None);
-        assert!(c.sync_writes(), "pbft writes apply synchronously everywhere");
-        assert_eq!(c.pbft_view(), 1, "boot view");
-        assert_eq!(c.pbft_leader(), Some(1), "view 1 leads at replica 1");
-        // Killing a non-leader changes nothing.
+    /// The ordered log's two client doors that survive a kill of its
+    /// boot leader (n1, Tokyo's door).
+    const SURVIVING_DOORS: [Region; 2] = [Region::Oregon, Region::Ireland];
+
+    /// A pbft cluster holding one committed post, its leader n1 crashed at
+    /// `10 * SEC` — the instant the outage tests count from.
+    fn pbft_without_its_leader(shards: usize) -> (LiveCluster, u64) {
+        let c = sharded(ServiceKind::Pbft, shards);
+        assert_eq!(c.view_status(), Some((1, 1, 0)), "boot: view 1, leader n1");
+        c.write(Region::Oregon, post(0, 1), SEC);
+        assert_eq!(c.read(Region::Tokyo, 2 * SEC).len(), 1);
+        // Killing a non-leader and bringing it back moves no view.
         c.crash_replica(3);
-        assert_eq!(c.pbft_view(), 1);
-        assert_eq!(c.pbft_view_changes(), 0);
-        // Killing the leader rotates to the next live replica.
+        assert!(!c.recover_replica(3).cold);
         c.crash_replica(1);
-        assert_eq!(c.pbft_view(), 2);
-        assert_eq!(c.pbft_leader(), Some(2));
-        assert_eq!(c.pbft_view_changes(), 1);
-        // Killing the new leader skips the still-down replica 3.
-        c.crash_replica(2);
-        assert_eq!(c.pbft_leader(), Some(0), "view 4 skips dead replica 3");
-        assert_eq!(c.pbft_view_changes(), 3, "two rotation steps counted");
-        // Rejoin keeps the view where it landed; writes still work.
-        c.recover_replica(1);
-        c.recover_replica(2);
-        c.recover_replica(3);
-        let id = c.write(Region::Oregon, post(9, 1), MS);
-        assert!(c.read(Region::Tokyo, 2 * MS).contains(&id));
+        assert_eq!(c.view_status(), Some((1, 1, 0)), "a kill alone changes no view");
+        (c, 10 * SEC)
     }
 
     #[test]
-    fn non_pbft_arms_report_no_leader() {
-        let c = cluster(ServiceKind::Quorum, None);
-        assert_eq!(c.pbft_leader(), None);
-        c.crash_replica(1);
-        assert_eq!(c.pbft_view_changes(), 0, "quorum kills never rotate a view");
+    fn a_short_pbft_leader_outage_is_ridden_out_in_view_one() {
+        let (c, t) = pbft_without_its_leader(1);
+        // Nobody sequences while the leader is away: refused, not acked.
+        let stalled = ClientOp::Write(post(0, 2));
+        assert_eq!(
+            c.serve(Region::Oregon, 0, stalled.clone(), t + 10 * MS),
+            LiveReply::Unavailable
+        );
+        assert_eq!(
+            c.serve(Region::Ireland, 0, ClientOp::Read, t + 20 * MS),
+            LiveReply::Unavailable
+        );
+        assert_eq!(c.replica_len(0), 1);
+        // Back after 300 ms, well inside the suspicion timeout: the ex-leader
+        // rejoins by fenced transfer and still leads view 1.
+        c.tick(t + 300 * MS);
+        let report = c.recover_replica(1);
+        assert!(!report.cold && report.peers >= 2, "{report:?}");
+        assert_eq!(report.applied, 1);
+        assert_eq!(c.view_status(), Some((1, 1, 0)));
+        // Oregon's door re-forwards the stalled write on its next pulse
+        // past the 600 ms retry, and the client's retry finds it committed.
+        c.tick(t + SEC);
+        assert_eq!(c.replica_len(2), 2, "the stalled write committed with no client asking");
+        assert_eq!(c.put(Region::Oregon, 0, post(0, 2), t + SEC + MS), PostId::new(AuthorId(0), 2));
+        assert_eq!(c.read(Region::Tokyo, t + SEC + 2 * MS).len(), 2);
+        c.tick(t + 60 * SEC);
+        assert_eq!(c.view_status(), Some((1, 1, 0)), "ridden out: no view change, ever");
+    }
+
+    #[test]
+    fn a_long_pbft_leader_outage_with_traffic_at_two_doors_installs_view_two() {
+        let (c, t) = pbft_without_its_leader(1);
+        for at in [t + 10 * MS, t + 600 * MS, t + 1_100 * MS] {
+            for (i, door) in SURVIVING_DOORS.into_iter().enumerate() {
+                assert_eq!(c.serve(door, 0, ClientOp::Read, at + i as u64), LiveReply::Unavailable);
+            }
+            assert_eq!(c.view_status(), Some((1, 1, 0)), "not before the suspicion timeout");
+        }
+        // Both doors' oldest read has stalled past 1.2-1.6 s: two distinct
+        // suspicions, a third replica joins them, n2 installs view 2.
+        c.tick(t + 1_900 * MS);
+        assert_eq!(c.view_status(), Some((2, 2, 1)), "view 2, leader n2, through `NewView`");
+        let id = c.put(Region::Oregon, 0, post(0, 2), t + 2 * SEC);
+        assert_eq!(
+            c.read(Region::Ireland, t + 2 * SEC + MS),
+            vec![PostId::new(AuthorId(0), 1), id]
+        );
+        // The ex-leader comes back a follower of view 2.
+        let report = c.recover_replica(1);
+        assert!(!report.cold && report.peers >= 2, "{report:?}");
+        assert_eq!(report.applied, 2, "the posts committed, before its crash and after");
+        assert_eq!(c.read(Region::Tokyo, t + 3 * SEC).len(), 2);
+        assert_eq!(c.view_status(), Some((2, 2, 1)));
+    }
+
+    #[test]
+    fn stalled_operations_at_one_pbft_door_alone_never_move_the_view() {
+        let (c, t) = pbft_without_its_leader(1);
+        for step in 0..40u64 {
+            let at = t + step * 100 * MS;
+            assert_eq!(c.serve(Region::Oregon, 0, ClientOp::Read, at), LiveReply::Unavailable);
+            assert_eq!(c.view_status(), Some((1, 1, 0)), "one suspicion is not f + 1 at {step}");
+        }
+    }
+
+    #[test]
+    fn pbft_with_two_of_four_down_refuses_everything() {
+        let c = cluster(ServiceKind::Pbft, None);
+        c.write(Region::Oregon, post(0, 1), MS);
+        c.crash_replica(2);
+        c.crash_replica(3);
+        // The leader is up and sequences, but two replicas are no
+        // certificate quorum of three: C over A, on reads as on writes.
+        for step in 1..=50u64 {
+            let at = step * 100 * MS + 7 * MS;
+            let write = ClientOp::Write(post(0, 2));
+            assert_eq!(c.serve(Region::Oregon, 0, write, at), LiveReply::Unavailable);
+            assert_eq!(c.serve(Region::Tokyo, 0, ClientOp::Read, at + 1), LiveReply::Unavailable);
+        }
+        assert_eq!((c.replica_len(0), c.replica_len(1)), (1, 1), "nothing was acked or applied");
+        // One replica back makes three: the retried write commits.
+        assert!(c.recover_replica(2).peers >= 2);
+        assert_eq!(c.put(Region::Oregon, 0, post(0, 2), 6 * SEC), PostId::new(AuthorId(0), 2));
+    }
+
+    #[test]
+    fn a_pbft_group_born_during_a_leader_outage_needs_its_own_two_door_traffic() {
+        let (c, t) = pbft_without_its_leader(4);
+        let key = (1..1000u32).find(|k| c.shard_for_key(*k) != c.shard_for_key(0)).unwrap();
+        // Key 0's group gets its view change; every key is its own
+        // consensus instance, so that moves nothing for `key`.
+        for door in SURVIVING_DOORS {
+            assert_eq!(c.serve(door, 0, ClientOp::Read, t + 10 * MS), LiveReply::Unavailable);
+        }
+        c.tick(t + 2 * SEC);
+        assert_eq!(c.view_status(), Some((2, 2, 1)));
+        // `key` is first touched now, into view 1 with its leader down.
+        let born = t + 2 * SEC;
+        for door in SURVIVING_DOORS {
+            assert_eq!(c.serve(door, key, ClientOp::Read, born), LiveReply::Unavailable);
+        }
+        assert_eq!(c.replica_len(1), 0);
+        c.tick(born + 2 * SEC);
+        assert_eq!(
+            c.put(Region::Oregon, key, post(3, 1), born + 2 * SEC),
+            PostId::new(AuthorId(3), 1)
+        );
+        assert_eq!(c.get(Region::Ireland, key, born + 3 * SEC).len(), 1);
+    }
+
+    #[test]
+    fn an_arm_without_views_reports_no_view() {
+        for kind in [ServiceKind::Quorum, ServiceKind::FacebookFeed] {
+            let c = cluster(kind, None);
+            c.crash_replica(1);
+            assert_eq!(c.view_status(), None, "{kind}");
+        }
     }
 
     #[test]

@@ -54,7 +54,9 @@
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
-use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
+use crate::shell::{
+    metric_prefix, Catchup, FrontDoor, Hosted, Transfers, Transition, TOKEN_CATCHUP_RETRY,
+};
 use conprobe_json::{frame, missing, read_members, FromJson, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
@@ -368,8 +370,7 @@ pub struct PbftReplica {
     anomalies: u64,
     /// Completed view installations/adoptions at this replica.
     views_entered: u64,
-    /// Completed state transfers: `(frames, watermark, stream_hash)`.
-    transfers: Vec<(u64, u64, u64)>,
+    transfers: Transfers,
     obs: Option<PbftObs>,
 }
 
@@ -430,7 +431,7 @@ impl PbftReplica {
             fenced_requests: Vec::new(),
             anomalies: 0,
             views_entered: 0,
-            transfers: Vec::new(),
+            transfers: Transfers::default(),
             obs: None,
         }
     }
@@ -487,7 +488,7 @@ impl PbftReplica {
     /// Completed state transfers as `(frames, watermark, stream_hash)`
     /// tuples, in completion order — the byte-determinism witness.
     pub fn state_transfers(&self) -> &[(u64, u64, u64)] {
-        &self.transfers
+        &self.transfers.records
     }
 
     fn n(&self) -> usize {
@@ -568,6 +569,12 @@ impl PbftReplica {
             self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             return;
         }
+        // Everything behind the fence, reads and writes not yet applied.
+        let held =
+            self.fenced_requests.len() + self.pending_reads.len() + self.pending_writes.len();
+        if self.door.refuse_if_full(ctx, held, from, req_id) {
+            return;
+        }
         if self.is_fenced() {
             // No client service until caught up past the rejoin
             // watermark; RPC retransmits collapse onto one queue entry.
@@ -594,7 +601,9 @@ impl PbftReplica {
                     return;
                 }
                 if let Some(w) = self.pending_writes.get_mut(&id) {
-                    if !w.waiters.contains(&(from, req_id)) {
+                    if !w.waiters.contains(&(from, req_id))
+                        && !self.door.refuse_if_full(ctx, w.waiters.len(), from, req_id)
+                    {
                         w.waiters.push((from, req_id));
                     }
                     return;
@@ -1496,6 +1505,21 @@ impl PbftReplica {
                 self.on_state_resp(ctx, from, token, view, watermark, frames);
             }
         }
+    }
+}
+
+impl Hosted for PbftReplica {
+    fn applied(&self) -> usize {
+        self.core.len()
+    }
+
+    fn transfers(&self) -> &Transfers {
+        &self.transfers
+    }
+
+    fn view_status(&self) -> Option<(u64, usize, u64)> {
+        let status = (self.view, self.leader_index(self.view), self.views_entered);
+        (!self.is_crashed()).then_some(status)
     }
 }
 

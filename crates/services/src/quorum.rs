@@ -44,7 +44,9 @@
 //! majority-quorum implementation.
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
-use crate::shell::{metric_prefix, Catchup, FrontDoor, Transition, TOKEN_CATCHUP_RETRY};
+use crate::shell::{
+    metric_prefix, Catchup, FrontDoor, Hosted, Transfers, Transition, TOKEN_CATCHUP_RETRY,
+};
 use conprobe_json::{frame, read_members, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
@@ -53,9 +55,8 @@ use std::collections::{HashMap, HashSet};
 
 /// Serializes one stored post as the compact-JSON payload of a catch-up
 /// frame. Field order is fixed, so the encoding — and therefore the
-/// framed stream and its hash — is byte-deterministic. Shared with the
-/// live cluster's wire-side rejoin path (`live.rs`), which speaks the
-/// same `cpj1` record format.
+/// framed stream and its hash — is byte-deterministic. The ordered-log
+/// arm embeds the same payload in its write records.
 pub(crate) fn stored_post_to_payload(p: &StoredPost) -> String {
     JsonWriter::object(|w| {
         w.member("author", &p.post.id.author);
@@ -85,7 +86,7 @@ pub(crate) fn stored_post_from_payload(payload: &str) -> Result<StoredPost, Json
 
 /// Decodes one catch-up frame: `cpj1` length and checksum, then the
 /// stored-post payload.
-pub(crate) fn decode_post_frame(line: &str) -> Result<StoredPost, String> {
+fn decode_post_frame(line: &str) -> Result<StoredPost, String> {
     let payload = frame::decode_record(line).map_err(|e| e.to_string())?;
     stored_post_from_payload(payload).map_err(|e| e.to_string())
 }
@@ -141,10 +142,7 @@ pub struct QuorumReplica {
     /// Malformed or replayed peer frames ignored-and-counted instead of
     /// panicking (`services.*.protocol_anomalies`).
     anomalies: u64,
-    /// Completed state transfers: `(frames, watermark, stream_hash)`.
-    transfers: Vec<(u64, u64, u64)>,
-    /// Peers that streamed the latest completed transfer.
-    transfer_donors: usize,
+    transfers: Transfers,
     obs: Option<QuorumObs>,
 }
 
@@ -178,8 +176,7 @@ impl QuorumReplica {
             pending_writes: HashMap::new(),
             pending_reads: HashMap::new(),
             anomalies: 0,
-            transfers: Vec::new(),
-            transfer_donors: 0,
+            transfers: Transfers::default(),
             obs: None,
         }
     }
@@ -225,12 +222,7 @@ impl QuorumReplica {
     /// Completed state transfers as `(frames, watermark, stream_hash)`
     /// tuples, in completion order — the byte-determinism witness.
     pub fn state_transfers(&self) -> &[(u64, u64, u64)] {
-        &self.transfers
-    }
-
-    /// How many peers streamed the latest completed state transfer.
-    pub fn transfer_donors(&self) -> usize {
-        self.transfer_donors
+        &self.transfers.records
     }
 
     /// Majority size over peers + self (write/read quorum).
@@ -373,7 +365,6 @@ impl QuorumReplica {
         let (quorum, local) = (self.catchup_quorum(), self.watermark());
         let Some(round) = self.catchup.take_if(|r| r.caught_up(quorum, local)) else { return };
         let applied = self.core.len();
-        self.transfer_donors = round.peers();
         self.transfers.push(round.finish(&self.door, ctx, || format!("{applied} post(s)")));
         if let Some(obs) = &self.obs {
             obs.fenced.set(0.0);
@@ -394,6 +385,11 @@ impl QuorumReplica {
         req_id: u64,
         op: ClientOp,
     ) {
+        // Reads behind the fence, reads and writes short of a majority.
+        let held = self.fenced_reads.len() + self.pending_reads.len() + self.pending_writes.len();
+        if !matches!(op, ClientOp::Inspect) && self.door.refuse_if_full(ctx, held, from, req_id) {
+            return;
+        }
         match op {
             ClientOp::Write(post) => {
                 self.door.count_write();
@@ -446,6 +442,16 @@ impl QuorumReplica {
                 self.solicit_catchup(ctx);
             }
         }
+    }
+}
+
+impl Hosted for QuorumReplica {
+    fn applied(&self) -> usize {
+        self.core.len()
+    }
+
+    fn transfers(&self) -> &Transfers {
+        &self.transfers
     }
 }
 

@@ -8,8 +8,8 @@
 //! their own; the shell in front of it — crash flag, brownout gate, held
 //! requests, request counters, timer tokens, the per-replica metrics and
 //! the `services` event log — is this one value. The two strong arms
-//! (and the wall-clock [`LiveCluster`](crate::live::LiveCluster), for its
-//! verify-then-fold step) recover through one state-transfer round.
+//! recover through one state-transfer round, keep one record of it
+//! ([`Transfers`]) and show the wall-clock driver one face ([`Hosted`]).
 
 use crate::api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
 use conprobe_json::frame;
@@ -26,6 +26,12 @@ pub(crate) const TOKEN_KIND_MASK: u64 = 3 << 62;
 pub(crate) const TOKEN_CATCHUP_RETRY: u64 = 0;
 /// How long a fenced replica waits before re-asking unanswered peers.
 const CATCHUP_RETRY: SimDuration = SimDuration::from_millis(500);
+/// Most client operations a door holds waiting (behind the fence, or for
+/// a quorum or a leader that is not there). A sim agent keeps one
+/// operation in flight, so no sim run comes near it; a live door that
+/// cannot answer is retried with a fresh request each time and would
+/// otherwise grow, and rescan, its queues for as long as it is probed.
+pub(crate) const MAX_WAITING_OPS: usize = 1024;
 
 /// A process-state change the owning replica must follow up on: wipe its
 /// own volatile protocol state, or re-arm and start recovering.
@@ -159,6 +165,24 @@ impl FrontDoor {
         }
     }
 
+    /// The bound on waiting operations: a door already holding
+    /// [`MAX_WAITING_OPS`] takes no more and the client is told to retry.
+    /// Returns whether the operation was refused.
+    pub(crate) fn refuse_if_full<A>(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg<A>>,
+        held: usize,
+        client: NodeId,
+        req_id: u64,
+    ) -> bool {
+        if held < MAX_WAITING_OPS {
+            return false;
+        }
+        self.count_throttled();
+        self.respond(ctx, client, req_id, OpResult::Throttled);
+        true
+    }
+
     /// Answers a client.
     pub(crate) fn respond<A>(
         &self,
@@ -270,6 +294,38 @@ pub(crate) fn metric_prefix(node: NodeId) -> String {
     format!("services.replica.{node}")
 }
 
+/// A replica's completed state transfers.
+#[derive(Default)]
+pub(crate) struct Transfers {
+    /// `(frames, watermark, stream_hash)` each, in completion order — the
+    /// byte-determinism witness.
+    pub(crate) records: Vec<(u64, u64, u64)>,
+    /// Peers that streamed the latest one.
+    pub(crate) donors: usize,
+}
+
+impl Transfers {
+    /// Records what [`Catchup::finish`] returned.
+    pub(crate) fn push(&mut self, (record, donors): ((u64, u64, u64), usize)) {
+        self.records.push(record);
+        self.donors = donors;
+    }
+}
+
+/// What the wall-clock driver ([`crate::hosted`]) reads off a replica it
+/// hosts, whichever arm it is.
+pub(crate) trait Hosted {
+    /// Posts applied.
+    fn applied(&self) -> usize;
+    /// Completed state transfers.
+    fn transfers(&self) -> &Transfers;
+    /// `(view, leader, views entered)` at a running replica of an arm that
+    /// has views.
+    fn view_status(&self) -> Option<(u64, usize, u64)> {
+        None
+    }
+}
+
 /// One in-progress state transfer (this replica is the recovering side):
 /// peers stream their state as `cpj1` frames plus a watermark, and the
 /// replica stays fenced until enough of them have been verified and it
@@ -321,7 +377,7 @@ impl<T> Catchup<T> {
     /// Verifies every frame before yielding any of it, then folds the
     /// stream into the frame count and hash: a corrupt stream is refused
     /// whole and leaves the round untouched.
-    pub(crate) fn verify(&mut self, frames: &[String]) -> Result<Vec<T>, String> {
+    fn verify(&mut self, frames: &[String]) -> Result<Vec<T>, String> {
         let items =
             frames.iter().map(|line| (self.decode)(line)).collect::<Result<Vec<T>, String>>()?;
         self.frames += frames.len() as u64;
@@ -329,12 +385,6 @@ impl<T> Catchup<T> {
             self.stream_hash = frame::fnv64_fold(self.stream_hash, line.as_bytes());
         }
         Ok(items)
-    }
-
-    /// Counts `from` as heard, at `watermark`.
-    pub(crate) fn heard(&mut self, from: NodeId, watermark: u64) {
-        self.heard.insert(from);
-        self.watermark = self.watermark.max(watermark);
     }
 
     /// One responder's stream: `None` for a stale round, a duplicate
@@ -353,7 +403,8 @@ impl<T> Catchup<T> {
         }
         match self.verify(frames) {
             Ok(items) => {
-                self.heard(from, watermark);
+                self.heard.insert(from);
+                self.watermark = self.watermark.max(watermark);
                 Some(items)
             }
             Err(reason) => {
@@ -372,24 +423,15 @@ impl<T> Catchup<T> {
         self.heard.len() >= quorum && local >= self.watermark
     }
 
-    /// Peers whose stream was verified.
-    pub(crate) fn peers(&self) -> usize {
-        self.heard.len()
-    }
-
-    /// The completion record: `(frames, watermark, stream_hash)`.
-    pub(crate) fn record(&self) -> (u64, u64, u64) {
-        (self.frames, self.watermark, self.stream_hash)
-    }
-
     /// Narrates the completed transfer (`state` says what the replica now
-    /// holds) and yields its record.
+    /// holds) and yields its `(frames, watermark, stream_hash)` record with
+    /// the number of peers that streamed it.
     pub(crate) fn finish<A>(
         self,
         door: &FrontDoor,
         ctx: &Context<'_, NetMsg<A>>,
         state: impl FnOnce() -> String,
-    ) -> (u64, u64, u64) {
+    ) -> ((u64, u64, u64), usize) {
         let node = ctx.node_id();
         door.event(ctx.true_now(), Severity::Info, || {
             format!(
@@ -402,6 +444,6 @@ impl<T> Catchup<T> {
                 self.stream_hash,
             )
         });
-        self.record()
+        ((self.frames, self.watermark, self.stream_hash), self.heard.len())
     }
 }

@@ -520,9 +520,11 @@ fn flush_side(dst: &TcpStream, dir: &mut DirState) -> io::Result<bool> {
 /// starts on entry; each action is narrated through `log` (replica
 /// indices render as node names `n{idx}`, matching the sim's quorum
 /// narration so the same CI greps cover both paths). Targets outside
-/// the deployed replica range are narrated and skipped. Returns the
-/// number of actions executed; returns early if the server begins
-/// stopping.
+/// the deployed replica range are narrated and skipped. While it waits
+/// (and once before it returns) it watches [`WireServer::pbft_status`] and
+/// narrates a view change the ordered-log arm has installed, whenever the
+/// protocol got there. Returns the number of actions executed; returns
+/// early if the server begins stopping.
 pub fn drive_service_actions(
     server: &WireServer,
     plan: &FaultPlan,
@@ -531,12 +533,21 @@ pub fn drive_service_actions(
     let start = Instant::now();
     let replicas = server.replica_count();
     let mut executed = 0usize;
+    let mut view = server.pbft_status().map(|(view, ..)| view);
+    let mut narrate_view = |log: &mut dyn FnMut(String)| {
+        if let Some((now, leader, _)) = server.pbft_status() {
+            if view.replace(now) != Some(now) {
+                log(format!("pbft view change: view {now}, new leader n{leader}"));
+            }
+        }
+    };
     for ServiceAction { target, at, action } in plan.service_actions() {
         let due = Duration::from_nanos(at.as_nanos());
         while start.elapsed() < due {
             if server.stopping() {
                 return executed;
             }
+            narrate_view(&mut log);
             let remaining = due.saturating_sub(start.elapsed());
             thread::sleep(remaining.min(Duration::from_millis(20)));
         }
@@ -551,16 +562,8 @@ pub fn drive_service_actions(
         }
         match action {
             ServiceActionKind::Crash => {
-                let changes_before = server.pbft_status().map(|(_, _, c)| c);
                 if server.kill_replica(target).is_ok() {
                     log(format!("replica n{target} crashed"));
-                    if let (Some(before), Some((view, leader, after))) =
-                        (changes_before, server.pbft_status())
-                    {
-                        if after > before {
-                            log(format!("pbft view change: view {view}, new leader n{leader}"));
-                        }
-                    }
                     executed += 1;
                 }
             }
@@ -601,6 +604,7 @@ pub fn drive_service_actions(
             }
         }
     }
+    narrate_view(&mut log);
     executed
 }
 

@@ -302,29 +302,27 @@ impl WireServer {
     /// Crashes replica `idx` mid-run: its in-memory state is wiped and
     /// its front door goes dark — new connections are refused and live
     /// ones evicted — while the listener keeps the port reserved so the
-    /// later restart never races `TIME_WAIT` rebinding.
+    /// later restart never races `TIME_WAIT` rebinding. Killing the
+    /// ordered log's leader changes no view by itself: the survivors
+    /// replace it once operations have stalled at two of their doors for
+    /// the protocol's suspicion timeout, and not before.
     pub fn kill_replica(&self, idx: usize) -> Result<(), ServeError> {
         let down = self.shared.replica_down.get(idx).ok_or(ServeError::UnknownReplica(idx))?;
         down.store(true, Ordering::Release);
-        let changes_before = self.shared.cluster.pbft_view_changes();
         self.shared.cluster.crash_replica(idx);
         self.shared.metrics.counter("wire.server.replica_kills").inc();
-        let rotations = self.shared.cluster.pbft_view_changes() - changes_before;
-        for _ in 0..rotations {
-            self.shared.metrics.counter("wire.server.view_changes").inc();
-        }
         Ok(())
     }
 
-    /// PBFT-arm consensus status as `(view, leader, view_changes)`, or
-    /// `None` for every other service kind.
+    /// PBFT-arm consensus status as `(view, leader, views entered)`, read
+    /// off the replicas of key 0's group: the highest view installed at a
+    /// running one. `None` for every other service kind.
     pub fn pbft_status(&self) -> Option<(u64, usize, u64)> {
-        let leader = self.shared.cluster.pbft_leader()?;
-        Some((self.shared.cluster.pbft_view(), leader, self.shared.cluster.pbft_view_changes()))
+        self.shared.cluster.view_status()
     }
 
-    /// Restarts a crashed replica: a strong-arm replica rejoins via
-    /// `cpj1` state transfer from its peers, a weak-arm replica rejoins
+    /// Restarts a crashed replica: a hosted (strong-arm) replica rejoins
+    /// through its protocol's fenced `cpj1` state transfer, a stored one
     /// cold (replication and anti-entropy converge it); only then does
     /// its front door reopen.
     pub fn restart_replica(&self, idx: usize) -> Result<RejoinReport, ServeError> {

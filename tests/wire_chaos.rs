@@ -15,14 +15,14 @@ use conprobe::harness::proto::TestKind;
 use conprobe::harness::transport::ServiceEndpoint;
 use conprobe::services::api::{ClientOp, OpResult};
 use conprobe::services::ServiceKind;
-use conprobe::sim::{FaultEvent, FaultPlan, LocalTime, SimDuration, SimTime};
+use conprobe::sim::{FaultEvent, FaultPlan, LocalTime, Region, SimDuration, SimTime};
 use conprobe::store::{AuthorId, Post, PostId};
 use conprobe::wire::{
     drive_service_actions, run_load, run_probe, ChaosConfig, ChaosProxy, ChaosTarget,
     InjectProfile, LoadConfig, ProbeConfig, ReconnectPolicy, ServeConfig, WireClient, WireServer,
 };
 use conprobe_obs::MetricsRegistry;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Interposer targets mirroring a server's listeners one to one.
 fn targets_for(server: &WireServer) -> Vec<ChaosTarget> {
@@ -212,15 +212,18 @@ fn quorum_crash_rejoin_completes_state_transfer_and_probes_clean() {
 }
 
 /// The consensus-arm acceptance scenario: the live pbft leader (view 1
-/// leads at replica 1) is killed mid-run by the fault driver, forcing a
-/// narrated view change; the ex-leader rejoins via `cpj1` state
-/// transfer; and a post-rejoin probe over real TCP analyzes clean on
-/// every checker.
+/// leads at replica 1, Tokyo's door) is killed by the fault driver for
+/// 3 s. Its door is dark meanwhile, so the traffic is a client at each of
+/// the two surviving doors, not a probe: every read is refused until
+/// operations have stalled at both past the suspicion timeout (1.2 s and
+/// seeded jitter), the survivors install view 2 through the protocol's own
+/// `ViewChange`/`NewView` exchange, and reads are answered again. The
+/// ex-leader rejoins via `cpj1` state transfer, and a post-rejoin probe
+/// over real TCP analyzes clean on every checker.
 #[test]
 fn pbft_leader_kill_forces_a_live_view_change_and_probes_clean() {
     let server = WireServer::start(&ServeConfig::loopback(ServiceKind::Pbft, 56)).expect("bind");
-    let (view, leader, changes) = server.pbft_status().expect("pbft arm reports status");
-    assert_eq!((view, leader, changes), (1, 1, 0), "boot: view 1, leader n1, no changes");
+    assert_eq!(server.pbft_status(), Some((1, 1, 0)), "boot: view 1, leader n1, none entered");
 
     // Seed real state first so the transfer has posts to move.
     let warmup =
@@ -228,23 +231,59 @@ fn pbft_leader_kill_forces_a_live_view_change_and_probes_clean() {
     let seeded = run_probe(&warmup).expect("warmup probe");
     assert!(seeded.completed);
 
-    // Kill the leader itself: the surviving replicas rotate the view.
     let plan = FaultPlan::new(56).with(FaultEvent::CrashCycle {
         target: 1,
         at: SimTime::ZERO,
-        down_for: SimDuration::from_millis(100),
+        down_for: SimDuration::from_millis(3_000),
         up_for: SimDuration::ZERO,
         cycles: 1,
     });
-    let mut narration = Vec::new();
-    let executed = drive_service_actions(&server, &plan, |line| narration.push(line));
+    let (killed_tx, killed_rx) = std::sync::mpsc::channel();
+    let (executed, narration) = std::thread::scope(|scope| {
+        let driver = scope.spawn(|| {
+            let mut narration = Vec::new();
+            let executed = drive_service_actions(&server, &plan, |line| {
+                if line.contains("crashed") {
+                    killed_tx.send(Instant::now()).expect("the test is listening");
+                }
+                narration.push(line);
+            });
+            (executed, narration)
+        });
+        let killed = killed_rx.recv_timeout(Duration::from_secs(5)).expect("an immediate kill");
+        let mut doors = [Region::Oregon, Region::Ireland].map(|door| {
+            let addr = server.addr_for(door).expect("a listener a region");
+            WireClient::connect(addr, Duration::from_secs(2)).expect("a surviving door")
+        });
+        let mut refused = 0;
+        while server.pbft_status() != Some((2, 2, 1)) {
+            assert!(killed.elapsed() < Duration::from_secs(5), "two-door traffic moved no view");
+            for door in &mut doors {
+                match door.call(ClientOp::Read).expect("a surviving door replies") {
+                    OpResult::Throttled => refused += 1,
+                    // Only a new leader can have sequenced it.
+                    answer => assert_eq!(server.pbft_status(), Some((2, 2, 1)), "{answer:?}"),
+                }
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(killed.elapsed() >= Duration::from_millis(1_200), "sooner than the protocol can");
+        assert!(refused >= 2 * 10, "reads were refused at both doors throughout: {refused}");
+        for door in &mut doors {
+            let answer = door.call(ClientOp::Read).expect("a read under the new leader");
+            assert!(matches!(answer, OpResult::ReadOk(_)), "{answer:?}");
+        }
+        driver.join().expect("the fault driver")
+    });
     assert_eq!(executed, 2, "one crash and one recover");
-    let joined = narration.join("\n");
-    assert!(joined.contains("replica n1 crashed"), "{joined}");
-    assert!(joined.contains("pbft view change: view 2, new leader n2"), "{joined}");
-    assert!(joined.contains("state transfer complete"), "{joined}");
-    let (view, leader, changes) = server.pbft_status().expect("status after the kill");
-    assert_eq!((view, leader, changes), (2, 2, 1), "the view rotated exactly once");
+    let at = |what: &str| {
+        narration.iter().position(|line| line.contains(what)).unwrap_or_else(|| {
+            panic!("no {what:?} in:\n{}", narration.join("\n"));
+        })
+    };
+    assert!(at("replica n1 crashed") < at("pbft view change: view 2, new leader n2"));
+    assert!(at("pbft view change: view 2, new leader n2") < at("state transfer complete"));
+    assert_eq!(server.pbft_status(), Some((2, 2, 1)), "the ex-leader rejoined as a follower");
 
     let after =
         ProbeConfig::loopback(ServiceKind::Pbft, TestKind::Test2, server.addrs().to_vec(), 57);
@@ -256,7 +295,7 @@ fn pbft_leader_kill_forces_a_live_view_change_and_probes_clean() {
     assert!(!result.salvaged);
     assert!(
         result.analysis.is_clean(),
-        "an ordered log with a rotated leader must hide nothing from the checkers"
+        "an ordered log with a replaced leader must hide nothing from the checkers"
     );
 }
 
