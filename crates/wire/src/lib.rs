@@ -48,6 +48,7 @@
 
 pub mod chaos;
 pub mod client;
+mod conn;
 pub mod dispatch;
 pub mod frame;
 pub mod load;
@@ -65,3 +66,6 @@ pub use load::{run_load, wire_latency_bounds_nanos, LoadConfig, LoadReport};
 pub use pipeline::{PipeConn, PipeFault};
 pub use probe::{run_probe, run_probe_with_live, LiveEvent, ProbeConfig};
 pub use server::{ServeConfig, ServeError, WireServer};
+
+#[cfg(test)]
+mod tests;

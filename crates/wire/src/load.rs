@@ -22,6 +22,7 @@
 //! connections cannot hide inside an aggregate average.
 
 use crate::client::WireClient;
+use crate::conn::IdleBackoff;
 use crate::pipeline::{PipeConn, PipeFault};
 use conprobe_harness::transport::{EndpointError, ServiceEndpoint};
 use conprobe_obs::{latency_bounds_nanos, Histogram, MetricsRegistry};
@@ -38,7 +39,7 @@ pub fn wire_latency_bounds_nanos() -> Vec<u64> {
 use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::LocalTime;
 use conprobe_store::{AuthorId, Post, PostId};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Configuration for [`run_load`].
@@ -315,7 +316,18 @@ struct SweeperArgs<'a> {
 /// warm-up + measured loop over them.
 fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
     let mut tally = Tally::default();
-    let mut conns: Vec<Option<PipeConn>> = Vec::with_capacity(args.conns);
+    // The sweeper's epoch: every `PipeConn` instant is nanoseconds since.
+    let epoch = Instant::now();
+    let clock = || epoch.elapsed().as_nanos() as u64;
+    // Connects (blocking), then switches the stream to non-blocking.
+    let dial = || {
+        let stream = TcpStream::connect_timeout(&args.config.addr, args.config.timeout).ok()?;
+        stream.set_nodelay(true).ok()?;
+        stream.set_nonblocking(true).ok()?;
+        Some((stream, PipeConn::new(clock())))
+    };
+    let pace = args.pace.map(|interval| interval.as_nanos() as u64);
+    let mut conns: Vec<Option<(TcpStream, PipeConn)>> = Vec::with_capacity(args.conns);
     // Errors per connection *slot*, surviving reconnects — the
     // per-connection counter the report surfaces.
     let mut slot_errors: Vec<u64> = vec![0; args.conns];
@@ -325,17 +337,15 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
     let mut retry_at: Vec<Instant> = vec![Instant::now(); args.conns];
     let mut key_cursor: u32 = 0;
     for slot in slot_errors.iter_mut() {
-        match PipeConn::connect(args.config.addr, args.config.timeout) {
-            Ok(conn) => conns.push(Some(conn)),
-            Err(_) => {
-                tally.errors += 1;
-                *slot += 1;
-                conns.push(None);
-            }
+        let conn = dial();
+        if conn.is_none() {
+            tally.errors += 1;
+            *slot += 1;
         }
+        conns.push(conn);
     }
     let mut scratch = vec![0u8; 256 * 1024];
-    let mut idle_sweeps: u32 = 0;
+    let mut backoff = IdleBackoff::default();
     loop {
         let now = Instant::now();
         let measuring = now >= args.warmup_end;
@@ -350,31 +360,28 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
                 if !issuing || now < retry_at[slot_idx] {
                     continue;
                 }
-                match PipeConn::connect(args.config.addr, args.config.timeout) {
-                    Ok(conn) => {
-                        *slot = Some(conn);
-                        progressed = true;
-                    }
-                    Err(_) => {
-                        retry_at[slot_idx] = now + Duration::from_millis(20);
-                        continue;
-                    }
+                *slot = dial();
+                if slot.is_none() {
+                    retry_at[slot_idx] = now + Duration::from_millis(20);
+                    continue;
                 }
+                progressed = true;
             }
-            let Some(conn) = slot else { continue };
-            if issuing {
+            let Some((stream, conn)) = slot else { continue };
+            if issuing && conn.inflight() < args.depth {
+                let at = clock();
                 while conn.inflight() < args.depth {
-                    if let Some(interval) = args.pace {
-                        if now < conn.next_issue_at {
+                    if let Some(interval) = pace {
+                        if at < conn.next_issue_at {
                             break;
                         }
                         conn.next_issue_at += interval;
                     }
-                    conn.issue_read(key_cursor % args.keys);
+                    conn.issue_read(key_cursor % args.keys, at);
                     key_cursor = key_cursor.wrapping_add(1);
                 }
             }
-            let result = conn.pump(&mut scratch, args.config.timeout);
+            let result = conn.pump(stream, &mut scratch, args.config.timeout, &clock);
             progressed |= result.progressed;
             if result.completed > 0 && measuring {
                 let n = result.completed as u64;
@@ -435,19 +442,9 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
             tally.max_conn_errors = slot_errors.iter().copied().max().unwrap_or(0);
             return tally;
         }
-        if progressed {
-            idle_sweeps = 0;
-        } else {
-            // Mirror the server's backoff: yield to hand the core to the
-            // serving thread (the responses we are waiting on), sleep
-            // only once yielding stops producing progress.
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps > 256 {
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        // The server's backoff, mirrored: a yield hands the core to the
+        // serving thread, which holds the responses we are waiting on.
+        backoff.after_sweep(progressed);
     }
 }
 

@@ -13,11 +13,12 @@
 //!   streams to the event loops round-robin;
 //! * [`ServeConfig::event_loops`] *worker* threads, each owning a set of
 //!   non-blocking connections it multiplexes: per sweep it reads every
-//!   readable socket to exhaustion, serves **all** buffered complete
-//!   frames (pipelining: many in-flight requests per connection,
-//!   answered strictly in arrival order), and coalesces the responses
-//!   into one output buffer flushed with single large writes — the
-//!   write-batching that amortizes syscalls over the pipeline depth;
+//!   readable socket to exhaustion (or the backlog cap), serves **all**
+//!   buffered complete frames (pipelining: many in-flight requests per
+//!   connection, answered strictly in arrival order), and coalesces the
+//!   responses into one output buffer flushed with single large writes.
+//!   The worker owns the sockets and the clock; what a connection *does*
+//!   is `Conn`, a state machine over a `FrameBuf` and a `now`;
 //! * one *ticker* thread advancing the cluster's replication queue and
 //!   anti-entropy schedule on wall-clock time (the cluster's atomic
 //!   horizon makes the per-request inline tick nearly free);
@@ -42,9 +43,10 @@
 //! verify per-connection FIFO order. A connection
 //! needs no `hello` before its first operation.
 
+use crate::conn::{FrameBuf, IdleBackoff, READ_BACKLOG_CAP};
 use crate::frame::{
     append_read_q_ok_iter, append_write_q_ack, decode_raw, read_q_fields, write_q_fields, Frame,
-    HEADER_LEN, KIND_HELLO, KIND_READ_Q, KIND_STOP, KIND_WRITE_Q, PROTO_VERSION,
+    KIND_HELLO, KIND_READ_Q, KIND_STOP, KIND_WRITE_Q, PROTO_VERSION,
 };
 use crate::load::wire_latency_bounds_nanos;
 use conprobe_obs::MetricsRegistry;
@@ -160,21 +162,18 @@ struct Shared {
     started: Instant,
     stop: AtomicBool,
     metrics: MetricsRegistry,
+    ctrs: Counters,
     matrix: LatencyMatrix,
-    latency_scale: f64,
-    drop_prob: f64,
-    seed: u64,
+    /// What was asked for: shaping, loss, the accept cap behind the `busy`
+    /// shed, the slow-client stall budget.
+    config: ServeConfig,
     service_token: &'static str,
     conn_seq: AtomicU64,
     /// One inbox per event-loop worker; accept threads drop new
     /// connections in round-robin and workers adopt them each sweep.
-    inboxes: Vec<Mutex<Vec<Conn>>>,
+    inboxes: Vec<Mutex<Vec<(TcpStream, Conn)>>>,
     /// Live (accepted, not yet dropped) connections — the shed gate.
     live_conns: AtomicU64,
-    /// Accept cap behind the `busy` shed; `0` = unbounded.
-    max_connections: usize,
-    /// Slow-client eviction budget; `ZERO` = disabled.
-    stall_budget: Duration,
     /// Per-replica crash flags. A down replica's listener stays bound
     /// (rebinding the port would race TIME_WAIT) but refuses clients:
     /// new accepts are dropped immediately and live connections evicted,
@@ -186,6 +185,32 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServeConfig) -> Shared {
+        let cluster = LiveCluster::new(&LiveConfig {
+            kind: config.kind,
+            seed: config.seed,
+            stale_window: config.stale_window,
+            shards: config.shards,
+        });
+        let replicas = cluster.replica_count();
+        let metrics = MetricsRegistry::new();
+        Shared {
+            cluster,
+            started: Instant::now(),
+            stop: AtomicBool::new(false),
+            ctrs: Counters::new(&metrics),
+            metrics,
+            matrix: LatencyMatrix::paper_wan(),
+            config: config.clone(),
+            service_token: conprobe_harness::journal::service_token(config.kind),
+            conn_seq: AtomicU64::new(0),
+            inboxes: (0..config.event_loops.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            live_conns: AtomicU64::new(0),
+            replica_down: (0..replicas).map(|_| AtomicBool::new(false)).collect(),
+            brownouts: (0..replicas).map(|_| BrownoutState::default()).collect(),
+        }
+    }
+
     fn now_nanos(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
     }
@@ -198,7 +223,7 @@ pub struct WireServer {
     addrs: Vec<(Region, SocketAddr)>,
     accepters: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    ticker: Option<JoinHandle<()>>,
+    ticker: JoinHandle<()>,
     watcher: Option<JoinHandle<()>>,
 }
 
@@ -211,32 +236,7 @@ impl WireServer {
             let why = format!("--stale-replica pins a stored snapshot; {} has none", config.kind);
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
-        let event_loops = config.event_loops.max(1);
-        let cluster = LiveCluster::new(&LiveConfig {
-            kind: config.kind,
-            seed: config.seed,
-            stale_window: config.stale_window,
-            shards: config.shards,
-        });
-        let replicas = cluster.replica_count();
-        let shared = Arc::new(Shared {
-            cluster,
-            started: Instant::now(),
-            stop: AtomicBool::new(false),
-            metrics: MetricsRegistry::new(),
-            matrix: LatencyMatrix::paper_wan(),
-            latency_scale: config.latency_scale,
-            drop_prob: config.drop_prob,
-            seed: config.seed,
-            service_token: conprobe_harness::journal::service_token(config.kind),
-            conn_seq: AtomicU64::new(0),
-            inboxes: (0..event_loops).map(|_| Mutex::new(Vec::new())).collect(),
-            live_conns: AtomicU64::new(0),
-            max_connections: config.max_connections,
-            stall_budget: config.stall_budget,
-            replica_down: (0..replicas).map(|_| AtomicBool::new(false)).collect(),
-            brownouts: (0..replicas).map(|_| BrownoutState::default()).collect(),
-        });
+        let shared = Arc::new(Shared::new(config));
         let mut addrs = Vec::new();
         let mut accepters = Vec::new();
         for (i, region) in Region::AGENTS.iter().enumerate() {
@@ -248,7 +248,7 @@ impl WireServer {
             let region = *region;
             accepters.push(std::thread::spawn(move || accept_loop(shared, region, listener)));
         }
-        let workers = (0..event_loops)
+        let workers = (0..shared.inboxes.len())
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(shared, w))
@@ -275,14 +275,7 @@ impl WireServer {
                 }
             })
         });
-        Ok(WireServer {
-            shared,
-            addrs,
-            accepters,
-            workers,
-            ticker: Some(ticker),
-            watcher: Some(watcher.unwrap_or_else(|| std::thread::spawn(|| ()))),
-        })
+        Ok(WireServer { shared, addrs, accepters, workers, ticker, watcher })
     }
 
     /// The bound address for each agent region.
@@ -378,17 +371,9 @@ impl WireServer {
     /// In-flight requests finish first: workers answer every request
     /// already buffered and flush every response in full before closing.
     pub fn join(self) -> String {
-        for handle in self.accepters {
+        let threads = self.accepters.into_iter().chain(self.workers);
+        for handle in threads.chain([self.ticker]).chain(self.watcher) {
             let _ = handle.join();
-        }
-        for handle in self.workers {
-            let _ = handle.join();
-        }
-        if let Some(t) = self.ticker {
-            let _ = t.join();
-        }
-        if let Some(w) = self.watcher {
-            let _ = w.join();
         }
         self.shared.metrics.to_json().to_pretty()
     }
@@ -417,9 +402,8 @@ fn accept_loop(shared: Arc<Shared>, region: Region, listener: TcpListener) {
                 // backoff hint) instead of silently queueing it. The
                 // accepted stream is still blocking here, so the tiny
                 // frame flushes synchronously before the drop.
-                if shared.max_connections > 0
-                    && shared.live_conns.load(Ordering::Acquire) >= shared.max_connections as u64
-                {
+                let cap = shared.config.max_connections as u64;
+                if cap > 0 && shared.live_conns.load(Ordering::Acquire) >= cap {
                     busy_sheds.inc();
                     let mut shed = Vec::with_capacity(32);
                     Frame::Busy { retry_after_millis: BUSY_RETRY_MILLIS }.encode_into(&mut shed);
@@ -434,21 +418,9 @@ fn accept_loop(shared: Arc<Shared>, region: Region, listener: TcpListener) {
                 }
                 let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
                 shared.live_conns.fetch_add(1, Ordering::AcqRel);
-                let conn = Conn {
-                    stream,
-                    region,
-                    replica_region: shared.cluster.replica_region(replica_idx),
-                    replica_idx,
-                    inbuf: Vec::new(),
-                    inpos: 0,
-                    outbuf: Vec::new(),
-                    outpos: 0,
-                    rng: SimRng::new(shared.seed).split_indexed("wire.conn", conn_id),
-                    release_at: None,
-                    stalled_since: None,
-                };
+                let conn = Conn::new(&shared, region, conn_id);
                 let inbox = &shared.inboxes[(conn_id as usize) % shared.inboxes.len()];
-                inbox.lock().unwrap().push(conn);
+                inbox.lock().unwrap().push((stream, conn));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -458,36 +430,28 @@ fn accept_loop(shared: Arc<Shared>, region: Region, listener: TcpListener) {
     }
 }
 
-/// One multiplexed connection owned by an event-loop worker.
+/// One multiplexed connection minus its stream: decode → shape/drop/
+/// throttle → [`LiveCluster::serve`] → encode, with the stall budget.
+/// Time is an argument (nanoseconds since [`Shared::started`]); the
+/// worker that owns the `TcpStream` reads the clock.
 struct Conn {
-    stream: TcpStream,
+    buf: FrameBuf,
     region: Region,
     replica_region: Region,
     /// Index of the replica this connection is pinned to (crash flags
     /// and brownout switches key on it).
     replica_idx: usize,
-    /// Inbound bytes; `inpos..` is the unconsumed tail (consuming a
-    /// frame advances `inpos` instead of memmoving the buffer).
-    inbuf: Vec<u8>,
-    inpos: usize,
-    /// Coalesced responses awaiting flush; `outpos..` is unsent.
-    outbuf: Vec<u8>,
-    outpos: usize,
     rng: SimRng,
     /// WAN shaping: the instant the next buffered request may be served.
-    release_at: Option<Instant>,
+    release_at: Option<u64>,
     /// When response bytes first failed to flush; cleared on a full
     /// flush. Drives the slow-client stall budget.
-    stalled_since: Option<Instant>,
+    stalled_since: Option<u64>,
 }
 
-/// Soft cap on unserved inbound bytes per connection per sweep; frames
-/// already buffered are always served, this only pauses further reads so
-/// one fire-hose connection cannot starve its loop-mates.
-const READ_BACKLOG_CAP: usize = 1 << 20;
-
 /// Outcome of one sweep over one connection.
-enum Sweep {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Sweep {
     /// Bytes moved or frames served — keep the loop hot.
     Progress,
     /// Nothing to do.
@@ -496,7 +460,21 @@ enum Sweep {
     Closed,
 }
 
-/// Per-worker handles to the shared metrics (resolved once, not per op).
+/// Outcome of [`Conn::serve_next`] on the head of the input.
+enum Step {
+    /// One request consumed and answered.
+    Served,
+    /// One request consumed; its response is the lossy WAN's.
+    Dropped,
+    /// The head frame is incomplete: only more bytes can help.
+    Starved,
+    /// The head frame is complete and waiting out its delay.
+    Held,
+    /// Corrupt stream or protocol violation — hang up.
+    Closed,
+}
+
+/// Handles to the serving-path metrics (resolved once, not per op).
 struct Counters {
     frames: conprobe_obs::Counter,
     hellos: conprobe_obs::Counter,
@@ -509,21 +487,146 @@ struct Counters {
     op_nanos: conprobe_obs::Histogram,
 }
 
+impl Counters {
+    fn new(metrics: &MetricsRegistry) -> Counters {
+        Counters {
+            frames: metrics.counter("wire.server.frames"),
+            hellos: metrics.counter("wire.server.hellos"),
+            writes: metrics.counter("wire.server.writes"),
+            reads: metrics.counter("wire.server.reads"),
+            stops: metrics.counter("wire.server.stops"),
+            dropped: metrics.counter("wire.server.dropped_responses"),
+            slow_evictions: metrics.counter("wire.server.slow_evictions"),
+            throttled: metrics.counter("wire.server.throttled"),
+            op_nanos: metrics.histogram("wire.server.op_nanos", &wire_latency_bounds_nanos()),
+        }
+    }
+}
+
+impl Conn {
+    fn new(shared: &Shared, region: Region, conn_id: u64) -> Conn {
+        let replica_idx = shared.cluster.replica_for(region);
+        Conn {
+            buf: FrameBuf::default(),
+            region,
+            replica_region: shared.cluster.replica_region(replica_idx),
+            replica_idx,
+            rng: SimRng::new(shared.config.seed).split_indexed("wire.conn", conn_id),
+            release_at: None,
+            stalled_since: None,
+        }
+    }
+
+    /// Serves the frame at the head of the input, if it is complete and
+    /// due at `now` — strictly in arrival order, the per-connection FIFO
+    /// guarantee pipelined clients check via request ids.
+    fn serve_next(&mut self, shared: &Shared, now: u64) -> Step {
+        let ctrs = &shared.ctrs;
+        let (input, out) = self.buf.split();
+        let raw = match decode_raw(input) {
+            Ok(Some(raw)) => raw,
+            Ok(None) => return Step::Starved,
+            Err(_) => return Step::Closed,
+        };
+        // Artificial WAN shaping: each request waits out a sampled
+        // agent↔replica delay (plus any delay-brownout surcharge on the
+        // replica) before being served. The request stays buffered and is
+        // revisited on later sweeps, so shaping one connection never
+        // stalls the others.
+        let brownout = &shared.brownouts[self.replica_idx];
+        let brownout_nanos = brownout.delay_nanos.load(Ordering::Acquire);
+        if shared.config.latency_scale > 0.0 || brownout_nanos > 0 {
+            match self.release_at {
+                None => {
+                    let mut nanos = brownout_nanos;
+                    if shared.config.latency_scale > 0.0 {
+                        let wan = shared.matrix.sample_delay(
+                            self.region,
+                            self.replica_region,
+                            &mut self.rng,
+                        );
+                        nanos += (wan.as_nanos() as f64 * shared.config.latency_scale) as u64;
+                    }
+                    self.release_at = Some(now + nanos);
+                    return Step::Held;
+                }
+                Some(t) if now < t => return Step::Held,
+                Some(_) => self.release_at = None,
+            }
+        }
+        ctrs.frames.inc();
+        let payload = &input[raw.payload.clone()];
+        // A throttle-storm brownout on the connection's replica refuses
+        // reads and writes alike, mirroring the sim's front-door brownout.
+        let throttling = brownout.throttle.load(Ordering::Acquire);
+        let step = if shared.config.drop_prob > 0.0 && self.rng.gen_bool(shared.config.drop_prob) {
+            ctrs.dropped.inc();
+            Step::Dropped
+        } else {
+            match raw.kind {
+                KIND_READ_Q => {
+                    ctrs.reads.inc();
+                    let (req, key) = read_q_fields(payload);
+                    let reply = if throttling {
+                        LiveReply::Unavailable
+                    } else {
+                        shared.cluster.serve(self.region, key, ClientOp::Read, now)
+                    };
+                    encode_reply(out, ctrs, req, reply);
+                }
+                KIND_WRITE_Q => {
+                    ctrs.writes.inc();
+                    let Ok(w) = write_q_fields(payload) else { return Step::Closed };
+                    let reply = if throttling {
+                        LiveReply::Unavailable
+                    } else {
+                        let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
+                        let post =
+                            Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
+                        shared.cluster.serve(self.region, w.key, ClientOp::Write(post), now)
+                    };
+                    encode_reply(out, ctrs, w.req, reply);
+                }
+                KIND_HELLO => {
+                    // The ack always carries our version; the client decides
+                    // whether it can proceed.
+                    ctrs.hellos.inc();
+                    Frame::HelloAck {
+                        proto: PROTO_VERSION,
+                        server_clock_nanos: now as i64,
+                        service: shared.service_token.to_owned(),
+                    }
+                    .encode_into(out);
+                }
+                KIND_STOP => {
+                    ctrs.stops.inc();
+                    shared.stop.store(true, Ordering::Release);
+                    Frame::StopAck.encode_into(out);
+                }
+                // Server-role frames from a client are a protocol violation,
+                // and the dispatch family belongs to a dispatch coordinator,
+                // not a service server.
+                _ => return Step::Closed,
+            }
+            Step::Served
+        };
+        self.buf.consume(raw.consumed);
+        step
+    }
+
+    /// Slow-client stall budget: true once response bytes have sat
+    /// unflushable for longer than `budget` (a trickle reader, or a peer
+    /// that stopped reading entirely).
+    fn stalled_out(&mut self, budget: u64, now: u64) -> bool {
+        now - *self.stalled_since.get_or_insert(now) > budget
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>, worker: usize) {
-    let ctrs = Counters {
-        frames: shared.metrics.counter("wire.server.frames"),
-        hellos: shared.metrics.counter("wire.server.hellos"),
-        writes: shared.metrics.counter("wire.server.writes"),
-        reads: shared.metrics.counter("wire.server.reads"),
-        stops: shared.metrics.counter("wire.server.stops"),
-        dropped: shared.metrics.counter("wire.server.dropped_responses"),
-        slow_evictions: shared.metrics.counter("wire.server.slow_evictions"),
-        throttled: shared.metrics.counter("wire.server.throttled"),
-        op_nanos: shared.metrics.histogram("wire.server.op_nanos", &wire_latency_bounds_nanos()),
-    };
-    let mut conns: Vec<Conn> = Vec::new();
+    let clock = || shared.now_nanos();
+    let mut conns: Vec<(TcpStream, Conn)> = Vec::new();
     let mut scratch = vec![0u8; 256 * 1024];
-    let mut idle_sweeps: u32 = 0;
+    let mut backoff = IdleBackoff::default();
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
         {
@@ -533,7 +636,8 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         let mut progressed = false;
         let mut i = 0;
         while i < conns.len() {
-            match sweep_conn(&shared, &ctrs, &mut conns[i], &mut scratch, stopping) {
+            let (stream, conn) = &mut conns[i];
+            match sweep_conn(&shared, stream, conn, &mut scratch, stopping, &clock) {
                 Sweep::Progress => {
                     progressed = true;
                     i += 1;
@@ -547,41 +651,33 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         }
         if stopping {
             // Drain point: the sweep above answered everything buffered;
-            // push the remaining response bytes out synchronously so no
-            // client ever observes a stream ending mid-frame.
-            for conn in conns.drain(..) {
+            // push the remaining response bytes out synchronously (a
+            // blocking flush is `write_all`) so no client ever observes a
+            // stream ending mid-frame.
+            for (mut stream, mut conn) in conns.drain(..) {
                 shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-                drain_flush(conn);
+                if conn.buf.unsent() > 0 {
+                    let _ = stream.set_nonblocking(false);
+                    let _ = conn.buf.flush(&mut stream);
+                }
             }
             return;
         }
-        if progressed {
-            idle_sweeps = 0;
-        } else {
-            // Yield first: on a saturated core the client thread likely
-            // holds the next request, and a yield hands it the CPU at
-            // context-switch cost instead of a 50µs timer wait. Only a
-            // genuinely idle server (yields keep coming back with no
-            // work) backs off to sleeping.
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps > 256 {
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        backoff.after_sweep(progressed);
     }
 }
 
-/// One event-loop pass over one connection: read to exhaustion, serve
-/// every buffered complete frame in arrival order, flush what the socket
-/// will take.
-fn sweep_conn(
+/// One event-loop pass over one connection and the stream `io` it
+/// arrived on: read to the backlog cap, serve every buffered complete
+/// frame that is due, flush what the stream will take. `clock` is read
+/// twice per served frame (the request's `now`, then its `op_nanos`).
+fn sweep_conn<S: Read + Write>(
     shared: &Shared,
-    ctrs: &Counters,
+    io: &mut S,
     conn: &mut Conn,
     scratch: &mut [u8],
     stopping: bool,
+    clock: &impl Fn() -> u64,
 ) -> Sweep {
     // A freshly crashed replica evicts its live connections: clients see
     // a clean close, retry, and hit the refuse-at-accept path until the
@@ -590,154 +686,43 @@ fn sweep_conn(
         return Sweep::Closed;
     }
     let mut progressed = false;
-    let mut eof = false;
     if !stopping {
-        while conn.inbuf.len() - conn.inpos < READ_BACKLOG_CAP {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&scratch[..n]);
-                    progressed = true;
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Sweep::Closed,
-            }
+        match conn.buf.fill(io, scratch, READ_BACKLOG_CAP) {
+            Ok(read) => progressed = read,
+            Err(_) => return Sweep::Closed,
         }
     }
-    // Serve every complete frame already buffered, strictly in arrival
-    // order — the per-connection FIFO guarantee pipelined clients check
-    // via request ids.
-    loop {
-        let raw = match decode_raw(&conn.inbuf[conn.inpos..]) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => break,
-            Err(_) => return Sweep::Closed, // corrupt stream: hang up
-        };
-        // Artificial WAN shaping: each request waits out a sampled
-        // agent↔replica delay (plus any delay-brownout surcharge on the
-        // replica) before being served. The event loop keeps the request
-        // buffered and revisits on later sweeps instead of sleeping, so
-        // shaping one connection never stalls the others.
-        let brownout_nanos = shared.brownouts[conn.replica_idx].delay_nanos.load(Ordering::Acquire);
-        if shared.latency_scale > 0.0 || brownout_nanos > 0 {
-            match conn.release_at {
-                None => {
-                    let mut nanos = brownout_nanos;
-                    if shared.latency_scale > 0.0 {
-                        let wan = shared.matrix.sample_delay(
-                            conn.region,
-                            conn.replica_region,
-                            &mut conn.rng,
-                        );
-                        nanos += (wan.as_nanos() as f64 * shared.latency_scale) as u64;
-                    }
-                    conn.release_at = Some(Instant::now() + Duration::from_nanos(nanos));
-                    break;
-                }
-                Some(t) if Instant::now() < t => break,
-                Some(_) => conn.release_at = None,
+    let mut held = false;
+    while !conn.buf.unread().is_empty() {
+        let began = clock();
+        match conn.serve_next(shared, began) {
+            Step::Served => {
+                shared.ctrs.op_nanos.record(clock() - began);
+                progressed = true;
             }
+            Step::Dropped => {}
+            Step::Starved => break,
+            Step::Held => {
+                held = true;
+                break;
+            }
+            Step::Closed => return Sweep::Closed,
         }
-        let payload_at = conn.inpos + HEADER_LEN;
-        let payload_end = conn.inpos + raw.consumed;
-        conn.inpos += raw.consumed;
-        ctrs.frames.inc();
-        let began = Instant::now();
-        let now = began.duration_since(shared.started).as_nanos() as u64;
-        if shared.drop_prob > 0.0 && conn.rng.gen_bool(shared.drop_prob) {
-            ctrs.dropped.inc();
-            continue;
-        }
-        let payload = &conn.inbuf[payload_at..payload_end];
-        // A throttle-storm brownout on the connection's replica refuses
-        // reads and writes alike, mirroring the sim's front-door brownout.
-        let throttling = shared.brownouts[conn.replica_idx].throttle.load(Ordering::Acquire);
-        match raw.kind {
-            KIND_READ_Q => {
-                ctrs.reads.inc();
-                let (req, key) = read_q_fields(payload);
-                let reply = if throttling {
-                    LiveReply::Unavailable
-                } else {
-                    shared.cluster.serve(conn.region, key, ClientOp::Read, now)
-                };
-                encode_reply(&mut conn.outbuf, ctrs, req, reply);
-            }
-            KIND_WRITE_Q => {
-                ctrs.writes.inc();
-                let Ok(w) = write_q_fields(payload) else { return Sweep::Closed };
-                let reply = if throttling {
-                    LiveReply::Unavailable
-                } else {
-                    let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
-                    let post = Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
-                    shared.cluster.serve(conn.region, w.key, ClientOp::Write(post), now)
-                };
-                encode_reply(&mut conn.outbuf, ctrs, w.req, reply);
-            }
-            KIND_HELLO => {
-                // The ack always carries our version; the client decides
-                // whether it can proceed.
-                ctrs.hellos.inc();
-                Frame::HelloAck {
-                    proto: PROTO_VERSION,
-                    server_clock_nanos: now as i64,
-                    service: shared.service_token.to_owned(),
-                }
-                .encode_into(&mut conn.outbuf);
-            }
-            KIND_STOP => {
-                ctrs.stops.inc();
-                shared.stop.store(true, Ordering::Release);
-                Frame::StopAck.encode_into(&mut conn.outbuf);
-            }
-            // Server-role frames from a client are a protocol violation,
-            // and the dispatch family belongs to a dispatch coordinator,
-            // not a service server.
-            _ => return Sweep::Closed,
-        }
-        ctrs.op_nanos.record(began.elapsed().as_nanos() as u64);
-        progressed = true;
     }
-    // Reclaim fully consumed input; compact a large consumed prefix so
-    // the buffer does not grow without bound under sustained pipelining.
-    if conn.inpos == conn.inbuf.len() {
-        conn.inbuf.clear();
-        conn.inpos = 0;
-    } else if conn.inpos > 64 * 1024 {
-        conn.inbuf.drain(..conn.inpos);
-        conn.inpos = 0;
-    }
-    match flush_outbuf(conn) {
+    match conn.buf.flush(io) {
         Ok(wrote) => progressed |= wrote,
-        Err(()) => return Sweep::Closed,
+        Err(_) => return Sweep::Closed,
     }
-    // Slow-client stall budget: a connection whose response bytes sit
-    // unflushable past the budget (a trickle reader, or a peer that
-    // stopped reading entirely) is evicted rather than pinning worker
-    // buffers indefinitely.
-    if conn.outpos < conn.outbuf.len() {
-        if !shared.stall_budget.is_zero() {
-            match conn.stalled_since {
-                None => conn.stalled_since = Some(Instant::now()),
-                Some(since) if since.elapsed() > shared.stall_budget => {
-                    ctrs.slow_evictions.inc();
-                    return Sweep::Closed;
-                }
-                Some(_) => {}
-            }
-        }
-    } else {
+    let budget = shared.config.stall_budget;
+    if conn.buf.unsent() == 0 {
         conn.stalled_since = None;
-    }
-    if eof && conn.inpos == conn.inbuf.len() && conn.outpos == conn.outbuf.len() {
+        // A peer that hung up is done once everything it sent is answered;
+        // what is left of a frame it never finished goes with it.
+        if conn.buf.eof() && !held {
+            return Sweep::Closed;
+        }
+    } else if !budget.is_zero() && conn.stalled_out(budget.as_nanos() as u64, clock()) {
+        shared.ctrs.slow_evictions.inc();
         return Sweep::Closed;
     }
     if progressed {
@@ -760,37 +745,293 @@ fn encode_reply(out: &mut Vec<u8>, ctrs: &Counters, req: u32, reply: LiveReply) 
     }
 }
 
-/// Writes as much of the batched response buffer as the socket accepts.
-fn flush_outbuf(conn: &mut Conn) -> Result<bool, ()> {
-    let mut wrote = false;
-    while conn.outpos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.outpos..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => {
-                conn.outpos += n;
-                wrote = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::conn::mem::{frames, FakeClock, Link};
+    use crate::frame::{append_read_q, decode};
+
+    const MS: u64 = 1_000_000;
+
+    /// One server connection with no socket under it: the first
+    /// connection a `serve` with `config` would accept from `region`,
+    /// swept over whatever stream the test passes, at fabricated instants.
+    pub(crate) struct Rig {
+        shared: Shared,
+        conn: Conn,
+        clock: FakeClock,
+        scratch: Vec<u8>,
+    }
+
+    impl Rig {
+        pub(crate) fn new(config: &ServeConfig, region: Region) -> Rig {
+            let shared = Shared::new(config);
+            let conn = Conn::new(&shared, region, 0);
+            Rig { shared, conn, clock: FakeClock::default(), scratch: vec![0; 256 * 1024] }
+        }
+
+        pub(crate) fn sweep<S: Read + Write>(&mut self, io: &mut S, now: u64) -> Sweep {
+            self.clock.set(now);
+            let clock = self.clock.read();
+            sweep_conn(&self.shared, io, &mut self.conn, &mut self.scratch, false, &clock)
+        }
+
+        pub(crate) fn counter(&self, name: &str) -> u64 {
+            self.shared.metrics.counter(name).get()
+        }
+
+        /// Response bytes appended and not yet written to a stream.
+        pub(crate) fn unflushed(&mut self) -> Vec<u8> {
+            let pending = self.conn.buf.unsent();
+            let out = self.conn.buf.out();
+            out[out.len() - pending..].to_vec()
+        }
+
+        /// Sets (or with `0` lifts) a delay brownout on the connection's replica.
+        pub(crate) fn delay_brownout(&self, nanos: u64) {
+            self.brownout().delay_nanos.store(nanos, Ordering::Release);
+        }
+
+        fn brownout(&self) -> &BrownoutState {
+            &self.shared.brownouts[self.conn.replica_idx]
+        }
+
+        /// The sampled WAN delays this connection will draw, in order.
+        fn wan_delays(&self, seed: u64, count: usize) -> Vec<u64> {
+            let mut rng = SimRng::new(seed).split_indexed("wire.conn", 0);
+            let (a, b) = (self.conn.region, self.conn.replica_region);
+            (0..count).map(|_| self.shared.matrix.sample_delay(a, b, &mut rng).as_nanos()).collect()
         }
     }
-    if conn.outpos == conn.outbuf.len() {
-        conn.outbuf.clear();
-        conn.outpos = 0;
-    } else if conn.outpos > 64 * 1024 {
-        conn.outbuf.drain(..conn.outpos);
-        conn.outpos = 0;
-    }
-    Ok(wrote)
-}
 
-/// Final synchronous flush at drain: every byte of every answered
-/// response reaches the socket before the connection closes.
-fn drain_flush(mut conn: Conn) {
-    if conn.outpos < conn.outbuf.len() {
-        let _ = conn.stream.set_nonblocking(false);
-        let _ = conn.stream.write_all(&conn.outbuf[conn.outpos..]);
-        let _ = conn.stream.flush();
+    fn reads(reqs: std::ops::Range<u32>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for req in reqs {
+            append_read_q(&mut bytes, req, req % 5);
+        }
+        bytes
+    }
+
+    /// The request ids a response stream answers, in stream order.
+    pub(crate) fn answered(bytes: &[u8]) -> Vec<u32> {
+        let req_of = |frame| match frame {
+            Frame::ReadQOk { req, .. }
+            | Frame::WriteQAck { req, .. }
+            | Frame::Throttled { req } => req,
+            other => panic!("not an answer: {other:?}"),
+        };
+        frames(bytes).into_iter().map(req_of).collect()
+    }
+
+    #[test]
+    fn wan_shaping_releases_in_arrival_order_at_the_sampled_instants() {
+        let run = |seed: u64| -> Vec<(u64, Vec<u32>)> {
+            let mut config = ServeConfig::loopback(ServiceKind::Blogger, seed);
+            config.latency_scale = 1.0;
+            let mut rig = Rig::new(&config, Region::Tokyo);
+            let delays = rig.wan_delays(seed, 4);
+            assert!(delays.iter().all(|d| *d > MS), "Tokyo is an ocean away: {delays:?}");
+            let mut link = Link::default();
+            link.a_to_b.bytes.extend(reads(0..4));
+            // A request's delay is drawn when it reaches the head of the
+            // connection, so release instants chain.
+            let mut releases = Vec::new();
+            let mut at = 3 * MS;
+            assert_eq!(rig.sweep(&mut link.b(), at), Sweep::Progress, "bytes arrived");
+            for delay in delays {
+                at += delay;
+                assert_eq!(rig.sweep(&mut link.b(), at - 1), Sweep::Idle, "one nanosecond early");
+                assert!(link.b_to_a.bytes.is_empty());
+                assert_eq!(rig.sweep(&mut link.b(), at), Sweep::Progress);
+                releases.push((at, answered(&link.b_to_a.take())));
+            }
+            assert_eq!(rig.counter("wire.server.frames"), 4);
+            releases
+        };
+        let first = run(42);
+        let order: Vec<Vec<u32>> = first.iter().map(|(_, reqs)| reqs.clone()).collect();
+        assert_eq!(order, [[0], [1], [2], [3]], "one per release, in arrival order");
+        assert_eq!(first, run(42), "same seed, same instants");
+        assert_ne!(first, run(43));
+    }
+
+    #[test]
+    fn drop_prob_drops_the_response_but_consumes_the_request() {
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 9);
+        config.drop_prob = 0.3;
+        let mut rig = Rig::new(&config, Region::Oregon);
+        let mut link = Link::default();
+        link.a_to_b.bytes.extend(reads(0..200));
+        assert_eq!(rig.sweep(&mut link.b(), MS), Sweep::Progress);
+        // The drops are the connection's own seeded draws, one per request.
+        let mut rng = SimRng::new(9).split_indexed("wire.conn", 0);
+        let kept: Vec<u32> = (0..200).filter(|_| !rng.gen_bool(0.3)).collect();
+        assert_eq!(answered(&link.b_to_a.take()), kept);
+        assert!(kept.len() < 200 && kept.len() > 100);
+        assert_eq!(rig.counter("wire.server.dropped_responses"), 200 - kept.len() as u64);
+        assert_eq!(rig.counter("wire.server.frames"), 200, "a dropped request was still consumed");
+        assert!(rig.conn.buf.unread().is_empty());
+        assert_eq!(rig.sweep(&mut link.b(), 2 * MS), Sweep::Idle, "nothing is left to retry");
+    }
+
+    #[test]
+    fn a_delay_brownout_adds_exactly_its_nanoseconds() {
+        let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Blogger, 5), Region::Oregon);
+        let mut link = Link::default();
+        rig.brownout().delay_nanos.store(7 * MS, Ordering::Release);
+        link.a_to_b.bytes.extend(reads(0..1));
+        rig.sweep(&mut link.b(), MS);
+        rig.sweep(&mut link.b(), 8 * MS - 1);
+        assert!(link.b_to_a.bytes.is_empty(), "held for the brownout's 7 ms");
+        rig.sweep(&mut link.b(), 8 * MS);
+        assert_eq!(answered(&link.b_to_a.take()), [0]);
+        // Lifted, a request is served in the sweep that reads it.
+        rig.brownout().delay_nanos.store(0, Ordering::Release);
+        link.a_to_b.bytes.extend(reads(1..2));
+        rig.sweep(&mut link.b(), 9 * MS);
+        assert_eq!(answered(&link.b_to_a.take()), [1]);
+
+        // On a shaped link the surcharge lands on top of the sampled delay.
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 5);
+        config.latency_scale = 0.5;
+        let mut rig = Rig::new(&config, Region::Ireland);
+        let due = rig.wan_delays(5, 1)[0] / 2 + 7 * MS;
+        rig.brownout().delay_nanos.store(7 * MS, Ordering::Release);
+        link.a_to_b.bytes.extend(reads(0..1));
+        rig.sweep(&mut link.b(), 0);
+        rig.sweep(&mut link.b(), due - 1);
+        assert!(link.b_to_a.bytes.is_empty());
+        rig.sweep(&mut link.b(), due);
+        assert_eq!(answered(&link.b_to_a.take()), [0]);
+
+        // The other brownout refuses instead of delaying.
+        rig.brownout().delay_nanos.store(0, Ordering::Release);
+        rig.brownout().throttle.store(true, Ordering::Release);
+        link.a_to_b.bytes.extend(reads(1..3));
+        let _ = (rig.sweep(&mut link.b(), due), rig.sweep(&mut link.b(), due + 200 * MS));
+        let refused = link.b_to_a.take();
+        assert_eq!(answered(&refused), [1]);
+        assert!(matches!(decode(&refused), Ok(Some((Frame::Throttled { req: 1 }, _)))));
+        assert_eq!(rig.counter("wire.server.throttled"), 1);
+    }
+
+    #[test]
+    fn slow_client_eviction_fires_after_the_stall_budget_and_never_without_one() {
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 3);
+        config.stall_budget = Duration::from_millis(100);
+        let mut rig = Rig::new(&config, Region::Oregon);
+        let mut link = Link::default();
+        link.b_to_a.room = 0; // the client stopped reading
+        link.a_to_b.bytes.extend(reads(0..2));
+        assert_eq!(rig.sweep(&mut link.b(), 10 * MS), Sweep::Progress, "served; nothing flushed");
+        // The client reads a little before the budget runs out: the clock restarts.
+        assert_eq!(rig.sweep(&mut link.b(), 110 * MS), Sweep::Idle);
+        link.b_to_a.room = usize::MAX;
+        assert_eq!(rig.sweep(&mut link.b(), 110 * MS), Sweep::Progress);
+        assert_eq!(answered(&link.b_to_a.take()), [0, 1]);
+        link.b_to_a.room = 0;
+        link.a_to_b.bytes.extend(reads(2..3));
+        assert_eq!(rig.sweep(&mut link.b(), 150 * MS), Sweep::Progress);
+        assert_eq!(rig.sweep(&mut link.b(), 250 * MS), Sweep::Idle, "at the budget, not past it");
+        assert_eq!(rig.counter("wire.server.slow_evictions"), 0);
+        assert_eq!(rig.sweep(&mut link.b(), 250 * MS + 1), Sweep::Closed);
+        assert_eq!(rig.counter("wire.server.slow_evictions"), 1);
+
+        // Budget zero: a peer may stay stuck for as long as it likes.
+        let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Blogger, 3), Region::Oregon);
+        link.a_to_b.bytes.extend(reads(0..1));
+        assert_eq!(rig.sweep(&mut link.b(), 0), Sweep::Progress);
+        assert_eq!(rig.sweep(&mut link.b(), 3_600_000 * MS), Sweep::Idle);
+        assert_eq!(rig.counter("wire.server.slow_evictions"), 0);
+    }
+
+    #[test]
+    fn reading_pauses_at_the_backlog_cap_while_buffered_frames_are_still_served() {
+        let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Blogger, 4), Region::Oregon);
+        let mut link = Link::default();
+        let total = 3 * READ_BACKLOG_CAP as u32 / 25; // 25-byte frames, ~3 caps' worth
+        link.a_to_b.bytes.extend(reads(0..total));
+        let offered = link.a_to_b.bytes.len();
+        // A brownout holds the head request, so input only accumulates.
+        rig.brownout().delay_nanos.store(50 * MS, Ordering::Release);
+        for sweep in 0..20 {
+            rig.sweep(&mut link.b(), sweep * MS);
+        }
+        let held = rig.conn.buf.unread().len();
+        assert!((READ_BACKLOG_CAP..READ_BACKLOG_CAP + rig.scratch.len()).contains(&held), "{held}");
+        assert_eq!(held + link.a_to_b.bytes.len(), offered, "the rest stays on the wire");
+        assert_eq!(rig.counter("wire.server.frames"), 0);
+        // Lifted: everything buffered is served by one sweep, which read
+        // nothing; the sweeps after it read on.
+        rig.brownout().delay_nanos.store(0, Ordering::Release);
+        let on_the_wire = link.a_to_b.bytes.len();
+        rig.sweep(&mut link.b(), 50 * MS);
+        assert_eq!(link.a_to_b.bytes.len(), on_the_wire, "still at the cap: no read");
+        let served = answered(&link.b_to_a.take());
+        assert_eq!(served.len(), held / 25, "every complete buffered frame");
+        let mut all = served;
+        for sweep in 51..60 {
+            rig.sweep(&mut link.b(), sweep * MS);
+            all.extend(answered(&link.b_to_a.take()));
+        }
+        assert_eq!(all, (0..total).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn a_server_role_or_dispatch_frame_from_a_client_closes_the_connection() {
+        let intruders = [
+            Frame::HelloAck { proto: PROTO_VERSION, server_clock_nanos: 1, service: "x".into() },
+            Frame::ReadQOk { req: 1, ids: vec![3] },
+            Frame::WriteQAck { req: 1, id: 3 },
+            Frame::Throttled { req: 1 },
+            Frame::StopAck,
+            Frame::Busy { retry_after_millis: 5 },
+            Frame::WorkReq { worker: 1 },
+            Frame::WorkFin,
+            Frame::ResultAck,
+        ];
+        for intruder in intruders {
+            let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Blogger, 6), Region::Oregon);
+            let mut link = Link::default();
+            link.a_to_b.bytes.extend(reads(0..1));
+            link.a_to_b.bytes.extend(intruder.encode());
+            link.a_to_b.bytes.extend(reads(1..2));
+            assert_eq!(rig.sweep(&mut link.b(), MS), Sweep::Closed, "{intruder:?}");
+            assert_eq!(answered(rig.conn.buf.out()), [0], "nothing appended after {intruder:?}");
+            assert_eq!(rig.counter("wire.server.reads"), 1);
+        }
+    }
+
+    #[test]
+    fn a_peer_that_hangs_up_is_closed_once_everything_it_sent_is_answered() {
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 8);
+        config.latency_scale = 1.0;
+        let mut rig = Rig::new(&config, Region::Oregon);
+        let due = rig.wan_delays(8, 1)[0];
+        let mut link = Link::default();
+        // One whole request, then the first bytes of a second, then EOF.
+        link.a_to_b.bytes.extend(reads(0..1));
+        link.a_to_b.bytes.extend(&reads(1..2)[..9]);
+        link.a_to_b.closed = true;
+        assert_eq!(rig.sweep(&mut link.b(), 0), Sweep::Progress);
+        assert_eq!(rig.sweep(&mut link.b(), due - 1), Sweep::Idle, "a held request keeps it open");
+        // Served and flushed; what is left can never become a frame.
+        assert_eq!(rig.sweep(&mut link.b(), due), Sweep::Closed);
+        assert_eq!(answered(&link.b_to_a.take()), [0]);
+    }
+
+    #[test]
+    fn a_hello_is_acknowledged_with_the_instant_it_was_served_at() {
+        let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Quorum, 2), Region::Ireland);
+        let mut link = Link::default();
+        link.a_to_b.bytes.extend(Frame::Hello { proto: PROTO_VERSION }.encode());
+        rig.sweep(&mut link.b(), 123_456_789);
+        let (ack, _) = decode(&link.b_to_a.take()).unwrap().unwrap();
+        let expect = Frame::HelloAck {
+            proto: PROTO_VERSION,
+            server_clock_nanos: 123_456_789,
+            service: "quorum".into(),
+        };
+        assert_eq!(ack, expect);
     }
 }
