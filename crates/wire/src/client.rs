@@ -1,15 +1,19 @@
-//! The TCP client side of `cpw1` — a blocking
+//! The blocking client side of `cpw1` — a
 //! [`ServiceEndpoint`](conprobe_harness::transport::ServiceEndpoint).
 //!
 //! The live probe agents and the load generator's seeder call it through
 //! that trait: one keyed operation per call, addressed to the client's
-//! current keyspace key, with reconnect-and-resend underneath.
+//! current keyspace key, with reconnect-and-resend underneath. The
+//! dispatch worker sends its `work_req`/`result_push` frames through the
+//! same exchange, so this is the one place in the crate that dials,
+//! handshakes, backs off and re-sends.
 
 use crate::frame::{read_frame, write_frame, Frame, PROTO_VERSION};
 use conprobe_harness::transport::{EndpointError, ServiceEndpoint};
 use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::SimRng;
 use conprobe_store::PostId;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -71,25 +75,45 @@ impl ReconnectPolicy {
     }
 }
 
-/// A connected `cpw1` client.
+/// Why an exchange failed, and whether a fresh session may fix it.
+enum Failed {
+    /// A dead or shed connection: re-dial under the policy.
+    Retry(EndpointError),
+    /// A version or service-token mismatch: every re-dial would meet it
+    /// again, so it ends the exchange at once.
+    Fatal(EndpointError),
+}
+
+impl From<EndpointError> for Failed {
+    fn from(e: EndpointError) -> Self {
+        Failed::Retry(e)
+    }
+}
+
+/// A connected `cpw1` client over stream `S` (a `TcpStream` for every
+/// public constructor; a scripted in-memory peer in the tests).
 ///
 /// One request is in flight at a time, and the response must echo its
-/// request id. The constructor
-/// performs the `hello` handshake and verifies the minor protocol
-/// version, so a connected client is always version-compatible. With a
-/// [`ReconnectPolicy`], a send or receive failure transparently
-/// re-dials, re-handshakes and re-sends the in-flight frame.
-pub struct WireClient {
-    stream: TcpStream,
-    /// Undecoded bytes read off the socket.
+/// request id. The constructor performs the `hello` handshake and
+/// verifies the protocol version, so a connected client is always
+/// version-compatible. With a [`ReconnectPolicy`], a send or receive
+/// failure transparently re-dials, re-handshakes and re-sends the
+/// in-flight frame. The service token the first handshake learns is
+/// pinned: a re-handshake that presents another one, like a version
+/// mismatch, is terminal.
+pub struct WireClient<S = TcpStream> {
+    /// The live session; `None` after a failure, until the next dial.
+    stream: Option<S>,
+    /// Undecoded bytes read off the stream.
     buf: Vec<u8>,
-    addr: SocketAddr,
-    timeout: Duration,
+    /// Opens a fresh stream to the server.
+    dial: Box<dyn FnMut() -> Result<S, EndpointError> + Send>,
+    /// Waits out a reconnect backoff.
+    pause: Box<dyn FnMut(Duration) + Send>,
     policy: ReconnectPolicy,
     jitter: SimRng,
     reconnects: u64,
     service: String,
-    last_server_clock_nanos: i64,
     /// The keyspace key every operation addresses (0 until
     /// [`WireClient::set_key`] says otherwise).
     key: u32,
@@ -117,54 +141,65 @@ impl WireClient {
         timeout: Duration,
         policy: ReconnectPolicy,
     ) -> Result<Self, EndpointError> {
-        let stream = Self::dial(addr, timeout)?;
+        Self::dial_tcp(addr, timeout, Some(timeout), policy)
+    }
+
+    /// [`WireClient::connect_with_policy`] with the read timeout set on
+    /// its own: `None` lets a read block for as long as the server takes.
+    pub(crate) fn dial_tcp(
+        addr: SocketAddr,
+        timeout: Duration,
+        read_timeout: Option<Duration>,
+        policy: ReconnectPolicy,
+    ) -> Result<Self, EndpointError> {
+        let dial = move || {
+            let stream = TcpStream::connect_timeout(&addr, timeout)
+                .map_err(|e| io_err(&format!("connect {addr}"), e))?;
+            stream.set_nodelay(true).map_err(|e| io_err("set_nodelay", e))?;
+            stream.set_read_timeout(read_timeout).map_err(|e| io_err("set_read_timeout", e))?;
+            Ok(stream)
+        };
+        Self::with_dialer(dial, std::thread::sleep, policy)
+    }
+}
+
+impl<S: Read + Write> WireClient<S> {
+    /// Connects through `dial` and handshakes; `dial` opens every later
+    /// session too, and every reconnect backoff is waited out by `pause`.
+    /// A failed first dial or handshake — a load-shedding server answers
+    /// the dial itself with `busy` and hangs up — is retried under
+    /// `policy` like a mid-operation drop.
+    pub(crate) fn with_dialer(
+        dial: impl FnMut() -> Result<S, EndpointError> + Send + 'static,
+        pause: impl FnMut(Duration) + Send + 'static,
+        policy: ReconnectPolicy,
+    ) -> Result<Self, EndpointError> {
         let jitter = SimRng::new(policy.seed).split("wire.client.backoff");
         let mut client = WireClient {
-            stream,
+            stream: None,
             buf: Vec::new(),
-            addr,
-            timeout,
+            dial: Box::new(dial),
+            pause: Box::new(pause),
             policy,
             jitter,
             reconnects: 0,
             service: String::new(),
-            last_server_clock_nanos: 0,
             key: 0,
             next_req: 0,
             busy_hint_millis: None,
             busy_sheds: 0,
         };
-        if let Err(first) = client.handshake() {
-            // A load-shedding server answers the dial itself with `busy`
-            // and hangs up; that is retryable under the same policy as a
-            // mid-operation drop.
-            let mut last_err = first;
-            for attempt in 0..client.policy.attempts {
-                match client.reconnect(attempt) {
-                    Ok(()) => return Ok(client),
-                    Err(e) => last_err = e,
-                }
-            }
-            return Err(last_err);
-        }
+        client.exchange(|_| Ok(()))?;
         Ok(client)
     }
 
-    fn dial(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, EndpointError> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)
-            .map_err(|e| io_err(&format!("connect {addr}"), e))?;
-        stream.set_nodelay(true).map_err(|e| io_err("set_nodelay", e))?;
-        stream.set_read_timeout(Some(timeout)).map_err(|e| io_err("set_read_timeout", e))?;
-        Ok(stream)
-    }
-
     /// The journal-style token of the service the server hosts
-    /// (`blogger`, `gplus`, …), learned during the handshake.
+    /// (`blogger`, `gplus`, …), learned during the first handshake.
     pub fn service(&self) -> &str {
         &self.service
     }
 
-    /// How many times this client re-dialed a dropped connection.
+    /// How many times this client re-dialed, refused dials included.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -181,11 +216,13 @@ impl WireClient {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), EndpointError> {
-        write_frame(&mut self.stream, frame).map_err(|e| io_err("send frame", e))
+        let stream = self.stream.as_mut().expect("exchange opens a session before any send");
+        write_frame(stream, frame).map_err(|e| io_err("send frame", e))
     }
 
     fn recv(&mut self) -> Result<Frame, EndpointError> {
-        match read_frame(&mut self.stream, &mut self.buf).map_err(|e| io_err("receive frame", e))? {
+        let stream = self.stream.as_mut().expect("exchange opens a session before any recv");
+        match read_frame(stream, &mut self.buf).map_err(|e| io_err("receive frame", e))? {
             Frame::Busy { retry_after_millis } => {
                 // Load shed: the server refuses this connection and
                 // closes it. Surface a retryable error; the next
@@ -198,100 +235,110 @@ impl WireClient {
         }
     }
 
-    /// One non-retrying `hello` exchange on the current stream; validates
-    /// the version and refreshes the service token and clock cache.
-    fn handshake(&mut self) -> Result<i64, EndpointError> {
+    /// One `hello` exchange on the live session: checks the version and
+    /// the pinned service token, and returns the server's clock.
+    fn handshake(&mut self) -> Result<i64, Failed> {
         self.send(&Frame::Hello { proto: PROTO_VERSION })?;
         match self.recv()? {
-            Frame::HelloAck { proto, server_clock_nanos, service } => {
-                if proto != PROTO_VERSION {
-                    return Err(EndpointError(format!(
-                        "protocol version mismatch: client {PROTO_VERSION}, server {proto}"
-                    )));
+            Frame::HelloAck { proto, .. } if proto != PROTO_VERSION => {
+                Err(Failed::Fatal(EndpointError(format!(
+                    "protocol version mismatch: client {PROTO_VERSION}, server {proto}"
+                ))))
+            }
+            Frame::HelloAck { server_clock_nanos, service, .. } => {
+                if self.service.is_empty() {
+                    self.service = service;
+                } else if service != self.service {
+                    return Err(Failed::Fatal(EndpointError(format!(
+                        "re-handshake found service '{service}' where '{}' was",
+                        self.service
+                    ))));
                 }
-                self.service = service;
-                self.last_server_clock_nanos = server_clock_nanos;
                 Ok(server_clock_nanos)
             }
-            other => Err(EndpointError(format!("expected hello_ack, got {other:?}"))),
+            other => Err(EndpointError(format!("expected hello_ack, got {other:?}")).into()),
         }
     }
 
-    /// Tears down the dead stream, waits out the backoff for `attempt`
-    /// (at least the server's `busy` wait hint, if one was received),
-    /// re-dials and re-handshakes. Any half-received bytes are dropped
-    /// with the old connection — the new stream starts on a frame
-    /// boundary by construction.
-    fn reconnect(&mut self, attempt: u32) -> Result<(), EndpointError> {
-        let mut delay = self.policy.backoff(attempt, &mut self.jitter);
-        if let Some(hint) = self.busy_hint_millis.take() {
-            delay = delay.max(Duration::from_millis(u64::from(hint)));
-        }
-        std::thread::sleep(delay);
-        self.stream = Self::dial(self.addr, self.timeout)?;
-        self.buf.clear();
-        self.reconnects += 1;
-        self.handshake()?;
-        Ok(())
-    }
-
-    fn try_roundtrip(&mut self, frame: &Frame) -> Result<Frame, EndpointError> {
-        self.send(frame)?;
-        self.recv()
-    }
-
-    fn roundtrip(&mut self, frame: Frame) -> Result<Frame, EndpointError> {
-        let mut last_err = match self.try_roundtrip(&frame) {
-            Ok(reply) => return Ok(reply),
-            Err(e) => e,
-        };
-        if self.policy.attempts == 0 {
-            return Err(last_err);
-        }
-        for attempt in 0..self.policy.attempts {
-            match self.reconnect(attempt).and_then(|()| self.try_roundtrip(&frame)) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => last_err = e,
+    /// Runs `step` on a live session, dialing and handshaking first if
+    /// there is none. A retryable failure drops the session; under the
+    /// policy the client then waits out the backoff (at least the
+    /// server's `busy` hint, if one came), re-dials and runs `step` again,
+    /// so a request is re-sent byte for byte on the fresh session. Any
+    /// half-received bytes go with the old session — a new one starts on
+    /// a frame boundary by construction.
+    fn exchange<T>(
+        &mut self,
+        mut step: impl FnMut(&mut Self) -> Result<T, Failed>,
+    ) -> Result<T, EndpointError> {
+        let mut attempt = 0;
+        loop {
+            let outcome = match self.stream {
+                Some(_) => step(self),
+                None => self.open().and_then(|()| step(self)),
+            };
+            let failed = match outcome {
+                Ok(value) => return Ok(value),
+                Err(failed) => failed,
+            };
+            self.stream = None;
+            let error = match failed {
+                Failed::Fatal(e) => return Err(e),
+                Failed::Retry(e) => e,
+            };
+            if attempt == self.policy.attempts {
+                return Err(match attempt {
+                    0 => error,
+                    n => {
+                        EndpointError(format!("giving up after {n} reconnect attempt(s): {error}"))
+                    }
+                });
             }
+            let mut delay = self.policy.backoff(attempt, &mut self.jitter);
+            if let Some(hint) = self.busy_hint_millis.take() {
+                delay = delay.max(Duration::from_millis(u64::from(hint)));
+            }
+            (self.pause)(delay);
+            self.reconnects += 1;
+            attempt += 1;
         }
-        Err(EndpointError(format!(
-            "giving up after {} reconnect attempt(s): {last_err}",
-            self.policy.attempts
-        )))
+    }
+
+    fn open(&mut self) -> Result<(), Failed> {
+        self.stream = Some((self.dial)()?);
+        self.buf.clear();
+        self.handshake().map(drop)
+    }
+
+    /// One request/response exchange, re-sent on a fresh session under
+    /// the policy when the connection dies.
+    pub(crate) fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, EndpointError> {
+        self.exchange(|client| {
+            client.send(frame)?;
+            Ok(client.recv()?)
+        })
     }
 
     /// One `hello` round trip: returns the server's clock reading
-    /// (nanoseconds on its monotonic timeline) and refreshes the cached
-    /// service token. This is the Cristian probe primitive: wrap the call
+    /// (nanoseconds on its monotonic timeline) and re-checks the service
+    /// token. This is the Cristian probe primitive: wrap the call
     /// between two local clock readings to form a
     /// [`ProbeSample`](conprobe_harness::clocksync::ProbeSample).
     pub fn hello(&mut self) -> Result<i64, EndpointError> {
-        match self.roundtrip(Frame::Hello { proto: PROTO_VERSION })? {
-            Frame::HelloAck { proto, server_clock_nanos, service } => {
-                if proto != PROTO_VERSION {
-                    return Err(EndpointError(format!(
-                        "protocol version mismatch: client {PROTO_VERSION}, server {proto}"
-                    )));
-                }
-                self.service = service;
-                self.last_server_clock_nanos = server_clock_nanos;
-                Ok(server_clock_nanos)
-            }
-            other => Err(EndpointError(format!("expected hello_ack, got {other:?}"))),
-        }
+        self.exchange(Self::handshake)
     }
 
     /// Asks the server to begin a graceful drain; returns once the server
     /// acknowledged.
     pub fn stop_server(&mut self) -> Result<(), EndpointError> {
-        match self.roundtrip(Frame::Stop)? {
+        match self.roundtrip(&Frame::Stop)? {
             Frame::StopAck => Ok(()),
             other => Err(EndpointError(format!("expected stop_ack, got {other:?}"))),
         }
     }
 }
 
-impl ServiceEndpoint for WireClient {
+impl<S: Read + Write> ServiceEndpoint for WireClient<S> {
     /// One keyed operation, with the echoed request id verified (a
     /// blocking client has exactly one request in flight, so any other
     /// id means the stream is confused).
@@ -313,7 +360,7 @@ impl ServiceEndpoint for WireClient {
                 return Err(EndpointError("inspect is not part of the wire protocol".into()));
             }
         };
-        let (got, result) = match self.roundtrip(request)? {
+        let (got, result) = match self.roundtrip(&request)? {
             Frame::WriteQAck { req, id } => (req, OpResult::WriteAck(PostId::from_u64(id))),
             Frame::ReadQOk { req, ids } => {
                 (req, OpResult::ReadOk(ids.into_iter().map(PostId::from_u64).collect()))
@@ -337,12 +384,15 @@ impl ServiceEndpoint for WireClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::decode;
+    use conprobe_sim::LocalTime;
+    use conprobe_store::{AuthorId, Post};
+    use std::collections::VecDeque;
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    /// What the listener doubles answer: an empty feed, an ack for the
-    /// post a write names, and the control replies.
+    /// What the peers answer: an empty feed, an ack for the post a write
+    /// names, and the control replies.
     fn canned_reply(request: Frame) -> Option<Frame> {
         Some(match request {
             Frame::Hello { .. } => Frame::HelloAck {
@@ -350,66 +400,124 @@ mod tests {
                 server_clock_nanos: 1,
                 service: "blogger".into(),
             },
-            Frame::WriteQ { req, author, seq, .. } => Frame::WriteQAck {
-                req,
-                id: PostId::new(conprobe_store::AuthorId(author), seq).as_u64(),
-            },
+            Frame::WriteQ { req, author, seq, .. } => {
+                Frame::WriteQAck { req, id: PostId::new(AuthorId(author), seq).as_u64() }
+            }
             Frame::ReadQ { req, .. } => Frame::ReadQOk { req, ids: Vec::new() },
             Frame::Stop => Frame::StopAck,
             _ => return None,
         })
     }
 
-    /// A miniature `cpw1` responder for exercising the reconnect path:
-    /// accepts up to `conns` connections, *drops every `drop_every`-th
-    /// one at accept* (the flaky half), and closes every surviving
-    /// connection after serving `frames_per_conn` frames (so each
-    /// operation beyond the handshake forces a reconnect). Returns the
-    /// number of frames served.
-    fn flaky_listener(
-        drop_every: u64,
-        frames_per_conn: u64,
-        conns: u64,
-    ) -> (SocketAddr, std::thread::JoinHandle<u64>, Arc<AtomicBool>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let addr = listener.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut accepted = 0u64;
-            let mut served = 0u64;
-            while accepted < conns {
-                let (mut stream, _) = match listener.accept() {
-                    Ok(conn) => conn,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if stop_flag.load(Ordering::Acquire) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    Err(_) => break,
-                };
-                stream.set_nonblocking(false).expect("blocking conn");
-                accepted += 1;
-                if drop_every > 0 && accepted.is_multiple_of(drop_every) {
-                    continue; // flaky: close the fresh connection unserved
-                }
-                let _ = stream.set_nodelay(true);
-                let mut buf = Vec::new();
-                for _ in 0..frames_per_conn {
-                    let Ok(frame) = read_frame(&mut stream, &mut buf) else { break };
-                    let Some(reply) = canned_reply(frame) else { break };
-                    served += 1;
-                    if write_frame(&mut stream, &reply).is_err() {
-                        break;
-                    }
-                }
+    /// One scripted connection, in memory: answers its first `frames`
+    /// requests with [`canned_reply`] (a hello with its own `proto` and
+    /// `service`), then hangs up — later requests are swallowed and reads
+    /// see EOF. Every byte the client writes lands in `log[conn]`.
+    struct Peer {
+        frames: u64,
+        proto: u16,
+        service: &'static str,
+        /// Request bytes not yet decoded.
+        pending: Vec<u8>,
+        /// Reply bytes the client has not read yet.
+        replies: VecDeque<u8>,
+        log: Arc<Mutex<Vec<Vec<u8>>>>,
+        conn: usize,
+    }
+
+    impl Peer {
+        fn serving(frames: u64) -> Peer {
+            Peer {
+                frames,
+                proto: PROTO_VERSION,
+                service: "blogger",
+                pending: Vec::new(),
+                replies: VecDeque::new(),
+                log: Arc::default(),
+                conn: 0,
             }
-            served
-        });
-        (addr, handle, stop)
+        }
+
+        /// Sheds the dial with a `busy` frame (5 ms hint) and hangs up —
+        /// the server's load-shedding behaviour.
+        fn shedding() -> Peer {
+            let mut peer = Peer::serving(0);
+            peer.replies.extend(Frame::Busy { retry_after_millis: 5 }.encode());
+            peer
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.log.lock().unwrap()[self.conn].extend_from_slice(bytes);
+            self.pending.extend_from_slice(bytes);
+            while let Some((request, used)) = decode(&self.pending).expect("the client's frames") {
+                self.pending.drain(..used);
+                if self.frames == 0 {
+                    continue;
+                }
+                self.frames -= 1;
+                let reply = match request {
+                    Frame::Hello { .. } => Frame::HelloAck {
+                        proto: self.proto,
+                        server_clock_nanos: 1,
+                        service: self.service.into(),
+                    },
+                    other => canned_reply(other).expect("a request the peer answers"),
+                };
+                self.replies.extend(reply.encode());
+            }
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.replies.read(out)
+        }
+    }
+
+    /// What a scripted client did: the bytes it wrote on each connection
+    /// it opened, in dial order, and every backoff it paused for.
+    #[derive(Default)]
+    struct Log {
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+        pauses: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Log {
+        fn sent(&self) -> Vec<Vec<u8>> {
+            self.sent.lock().unwrap().clone()
+        }
+
+        fn pauses(&self) -> Vec<Duration> {
+            self.pauses.lock().unwrap().clone()
+        }
+    }
+
+    /// Connects a client whose `n`-th dial reaches `script(n)` (`None`:
+    /// refused) and whose pauses are recorded, not slept.
+    fn scripted(
+        policy: ReconnectPolicy,
+        script: impl Fn(usize) -> Option<Peer> + Send + 'static,
+    ) -> (Result<WireClient<Peer>, EndpointError>, Log) {
+        let log = Log::default();
+        let (sent, pauses) = (Arc::clone(&log.sent), Arc::clone(&log.pauses));
+        let mut dials = 0;
+        let dial = move || {
+            let mut peer = script(dials).ok_or_else(|| EndpointError("refused".into()))?;
+            dials += 1;
+            let mut conns = sent.lock().unwrap();
+            (peer.log, peer.conn) = (Arc::clone(&sent), conns.len());
+            conns.push(Vec::new());
+            Ok(peer)
+        };
+        let pause = move |d| pauses.lock().unwrap().push(d);
+        (WireClient::with_dialer(dial, pause, policy), log)
     }
 
     fn quick_policy() -> ReconnectPolicy {
@@ -425,111 +533,145 @@ mod tests {
     fn reconnect_rides_out_dropped_connections_and_resends_in_flight_ops() {
         // Every connection serves the handshake plus exactly one
         // operation, and every second dial is dropped unserved: every op
-        // after the first needs at least one reconnect, half of which
-        // fail and must be retried under the backoff budget.
-        let (addr, server, stop) = flaky_listener(2, 2, 40);
-        let mut client =
-            WireClient::connect_with_policy(addr, Duration::from_secs(2), quick_policy())
-                .expect("initial connect");
+        // after the first needs two reconnects, the first of which fails
+        // and must be retried under the backoff budget.
+        let (client, log) =
+            scripted(quick_policy(), |n| Some(Peer::serving(2 * (1 - n as u64 % 2))));
+        let mut client = client.expect("initial connect");
         assert_eq!(client.service(), "blogger");
         for i in 0..5u32 {
-            match client.call(ClientOp::Read).expect("read survives the flaky listener") {
+            match client.call(ClientOp::Read).expect("read survives the flaky peer") {
                 OpResult::ReadOk(ids) => assert!(ids.is_empty(), "op {i}"),
                 other => panic!("expected ReadOk, got {other:?}"),
             }
         }
-        assert!(
-            client.reconnects() >= 5,
-            "every post-handshake op forced at least one reconnect, got {}",
-            client.reconnects()
-        );
-        assert_eq!(client.service(), "blogger", "the re-handshake refreshes the token");
-        drop(client);
-        stop.store(true, Ordering::Release);
-        let served = server.join().expect("listener thread");
-        assert!(served >= 10, "handshakes + ops were served across incarnations: {served}");
+        assert_eq!(client.reconnects(), 8, "two re-dials for each op after the first");
+        assert_eq!(log.pauses().len(), 8, "one backoff per re-dial");
+        let sent = log.sent();
+        assert_eq!(sent.len(), 9);
+        let hello = Frame::Hello { proto: PROTO_VERSION }.encode();
+        for op in 0..5u32 {
+            let answered = [hello.clone(), Frame::ReadQ { req: op, key: 0 }.encode()].concat();
+            assert!(
+                sent[2 * op as usize].starts_with(&answered),
+                "op {op} answered by dial {}",
+                2 * op
+            );
+        }
+        assert_eq!(client.service(), "blogger", "the token stays pinned");
     }
 
     #[test]
     fn without_a_policy_the_first_drop_is_fatal() {
         // One connection, handshake only: the first call hits EOF and
         // the policy-free client reports it without re-dialing.
-        let (addr, server, _stop) = flaky_listener(0, 1, 1);
-        let mut client = WireClient::connect(addr, Duration::from_secs(2)).expect("connect");
+        let (client, log) = scripted(ReconnectPolicy::disabled(), |_| Some(Peer::serving(1)));
+        let mut client = client.expect("connect");
         let err = client.call(ClientOp::Read).expect_err("no reconnect without a policy");
         assert!(!err.0.contains("giving up"), "no budget language on the fast path: {}", err.0);
         assert_eq!(client.reconnects(), 0);
-        let _ = server.join();
+        assert_eq!((log.sent().len(), log.pauses().len()), (1, 0));
     }
 
     #[test]
     fn exhausted_reconnect_budget_reports_the_attempts() {
-        // One good connection, then the listener goes away for good: the
-        // next op burns the whole budget against a dead address.
-        let (addr, server, _stop) = flaky_listener(0, 2, 1);
-        let mut client =
-            WireClient::connect_with_policy(addr, Duration::from_secs(2), quick_policy())
-                .expect("connect");
+        // One good connection, then every dial is refused: the next op
+        // burns the whole budget against a dead address.
+        let (client, log) = scripted(quick_policy(), |n| (n == 0).then(|| Peer::serving(2)));
+        let mut client = client.expect("connect");
         client.call(ClientOp::Read).expect("first op served");
-        let _ = server.join(); // listener closed: further dials are refused
         let err = client.call(ClientOp::Read).expect_err("budget must run out");
         assert!(err.0.contains("giving up after 4 reconnect attempt(s)"), "{}", err.0);
-    }
-
-    /// Sheds the first `sheds` dials with a `busy` frame (5 ms hint) and
-    /// an immediate close — the server's load-shedding behaviour — then
-    /// serves one connection normally for `frames` frames.
-    fn shedding_listener(sheds: u32, frames: u64) -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || {
-            for _ in 0..sheds {
-                let (mut conn, _) = listener.accept().expect("accept to shed");
-                let _ = write_frame(&mut conn, &Frame::Busy { retry_after_millis: 5 });
-            }
-            let (mut conn, _) = listener.accept().expect("accept to serve");
-            let mut buf = Vec::new();
-            for _ in 0..frames {
-                let Ok(frame) = read_frame(&mut conn, &mut buf) else { return };
-                let Some(reply) = canned_reply(frame) else { return };
-                if write_frame(&mut conn, &reply).is_err() {
-                    return;
-                }
-            }
-        });
-        (addr, handle)
+        assert_eq!(client.reconnects(), 4);
+        assert_eq!(log.pauses().len(), 4);
     }
 
     #[test]
     fn busy_shed_is_retryable_and_honours_the_wait_hint() {
-        let (addr, server) = shedding_listener(2, 2);
-        let started = std::time::Instant::now();
-        let mut client =
-            WireClient::connect_with_policy(addr, Duration::from_secs(2), quick_policy())
-                .expect("the policy rides out the busy sheds");
+        let (client, log) = scripted(quick_policy(), |n| {
+            Some(if n < 2 { Peer::shedding() } else { Peer::serving(2) })
+        });
+        let mut client = client.expect("the policy rides out the busy sheds");
         assert_eq!(client.busy_sheds(), 2, "both sheds were observed");
+        let pauses = log.pauses();
+        assert_eq!(pauses.len(), 2);
+        // The policy alone would wait under 1 ms before the first re-dial.
         assert!(
-            started.elapsed() >= Duration::from_millis(10),
-            "each reconnect waited at least the 5ms busy hint: {:?}",
-            started.elapsed()
+            pauses.iter().all(|p| *p >= Duration::from_millis(5)),
+            "each reconnect waited at least the 5ms busy hint: {pauses:?}"
         );
         match client.call(ClientOp::Read).expect("post-shed op") {
             OpResult::ReadOk(ids) => assert!(ids.is_empty()),
             other => panic!("expected ReadOk, got {other:?}"),
         }
-        drop(client);
-        server.join().expect("listener thread");
     }
 
     #[test]
     fn busy_shed_without_a_policy_is_fatal() {
-        let (addr, server) = shedding_listener(1, 0);
-        let err = match WireClient::connect(addr, Duration::from_secs(2)) {
-            Ok(_) => panic!("no retry budget, the shed is the caller's problem"),
-            Err(e) => e,
-        };
+        let (client, log) = scripted(ReconnectPolicy::disabled(), |_| Some(Peer::shedding()));
+        let Err(err) = client else { panic!("no retry budget, the shed is the caller's problem") };
         assert!(err.0.contains("server busy: retry after 5ms"), "{}", err.0);
-        drop(server); // the serving accept never happens; don't join
+        assert_eq!((log.sent().len(), log.pauses().len()), (1, 0));
+    }
+
+    #[test]
+    fn a_version_mismatch_fails_at_once() {
+        let mismatch = format!("version mismatch: client {PROTO_VERSION}, server 4");
+        // At connect: one dial, no pause, no re-dial — though the
+        // budget would allow four.
+        let (client, log) =
+            scripted(quick_policy(), |_| Some(Peer { proto: 4, ..Peer::serving(9) }));
+        let Err(err) = client else { panic!("a version-4 server must be refused") };
+        assert!(err.0.contains(&mismatch), "{}", err.0);
+        assert_eq!((log.sent().len(), log.pauses().len()), (1, 0));
+        // On a live session's clock probe: the same, and no reconnect.
+        let (client, log) = scripted(quick_policy(), |_| Some(Peer::serving(9)));
+        let mut client = client.expect("connect");
+        client.stream.as_mut().expect("a live session").proto = 4;
+        let err = client.hello().expect_err("a version-4 hello_ack is refused");
+        assert!(err.0.contains(&mismatch), "{}", err.0);
+        assert_eq!(client.reconnects(), 0);
+        assert_eq!((log.sent().len(), log.pauses().len()), (1, 0));
+    }
+
+    #[test]
+    fn a_re_handshake_with_another_service_token_is_terminal() {
+        // The blogger server hangs up after one op; the re-dial reaches
+        // a server hosting gplus. The client must not silently switch.
+        let (client, log) = scripted(quick_policy(), |n| {
+            Some(if n == 0 {
+                Peer::serving(2)
+            } else {
+                Peer { service: "gplus", ..Peer::serving(9) }
+            })
+        });
+        let mut client = client.expect("connect");
+        client.call(ClientOp::Read).expect("first op served");
+        let err = client.call(ClientOp::Read).expect_err("another service is refused");
+        assert!(err.0.contains("'gplus' where 'blogger'"), "{}", err.0);
+        assert_eq!(client.service(), "blogger");
+        assert_eq!(client.reconnects(), 1);
+        assert_eq!(log.sent().len(), 2, "no re-dial after the mismatch");
+    }
+
+    #[test]
+    fn a_request_lost_with_its_connection_is_resent_byte_for_byte() {
+        // At-least-once delivery: the first connection takes the write
+        // and dies before answering it; the next dial must carry the same
+        // hello and the same `write_q` bytes (same request id included).
+        let (client, log) = scripted(quick_policy(), |n| Some(Peer::serving(1 + n as u64)));
+        let mut client = client.expect("connect");
+        let id = PostId::new(AuthorId(3), 7);
+        let post = Post::new(id, "at least once", LocalTime::from_nanos(-5));
+        match client.call(ClientOp::Write(post)).expect("acked on the second session") {
+            OpResult::WriteAck(acked) => assert_eq!(acked, id),
+            other => panic!("expected WriteAck, got {other:?}"),
+        }
+        let sent = log.sent();
+        assert_eq!(sent.len(), 2);
+        let hello = Frame::Hello { proto: PROTO_VERSION }.encode();
+        assert!(sent[0].len() > hello.len(), "the write reached the first connection");
+        assert_eq!(sent[0], sent[1]);
     }
 
     #[test]
@@ -579,8 +721,8 @@ mod tests {
         let mut client = WireClient::connect(addr, Duration::from_secs(2)).expect("connect");
         client.set_key(Some(9));
         let body = "héllo, wire \u{1F980} — 64 bytes or so of opaque message body text";
-        let id = PostId::new(conprobe_store::AuthorId(3), 7);
-        let post = conprobe_store::Post::new(id, body, conprobe_sim::LocalTime::from_nanos(-5));
+        let id = PostId::new(AuthorId(3), 7);
+        let post = Post::new(id, body, LocalTime::from_nanos(-5));
         client.call(ClientOp::Write(post)).expect("write acknowledged");
         let sent = server.join().expect("listener thread");
         let Frame::WriteQ { req, .. } = sent else { panic!("expected write_q, got {sent:?}") };

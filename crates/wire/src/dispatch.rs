@@ -41,7 +41,7 @@
 //! after reconnecting, and the coordinator acknowledges-without-append
 //! for units already done, keeping the journal free of duplicates.
 
-use crate::client::ReconnectPolicy;
+use crate::client::{ReconnectPolicy, WireClient};
 use crate::frame::{read_frame, write_frame, Frame, PROTO_VERSION};
 use conprobe_harness::campaign::{
     instance_config, panic_message, run_campaign_journaled, CampaignConfig, CampaignResult,
@@ -451,116 +451,51 @@ pub struct WorkerReport {
 /// violations, and grant/derivation mismatches.
 pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<WorkerReport> {
     let root = SimRng::new(cfg.config.seed);
-    let mut jitter = SimRng::new(cfg.reconnect.seed).split("wire.worker.backoff");
+    // No read timeout: the dispatcher holds a `work_req` until a lease
+    // frees, which can take a whole `--lease-secs`.
+    let mut client =
+        WireClient::dial_tcp(cfg.addr, Duration::from_secs(5), None, cfg.reconnect.clone())
+            .map_err(std::io::Error::other)?;
+    if client.service() != cfg.cell {
+        return Err(io_invalid(
+            "handshake",
+            format!("cell mismatch: worker {:?}, dispatcher {:?}", cfg.cell, client.service()),
+        ));
+    }
+    let mut exchange = |frame: Frame| client.roundtrip(&frame).map_err(std::io::Error::other);
     let mut report = WorkerReport { completed: 0, crashed: 0, reconnects: 0 };
-    // The record sent but not yet acknowledged (resent after reconnect).
-    let mut unacked: Option<String> = None;
-    let mut attempt = 0u32;
-
-    'reconnect: loop {
-        let mut stream = match connect(cfg.addr) {
-            Ok(s) => s,
-            Err(e) => {
-                if attempt >= cfg.reconnect.attempts {
-                    return Err(e);
-                }
-                std::thread::sleep(cfg.reconnect.backoff(attempt, &mut jitter));
-                attempt += 1;
-                report.reconnects += 1;
-                continue 'reconnect;
-            }
-        };
-        let mut buf = Vec::new();
-        let session: std::io::Result<()> = (|| {
-            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION })?;
-            match read_frame(&mut stream, &mut buf)? {
-                Frame::HelloAck { proto, service, .. } => {
-                    if proto != PROTO_VERSION {
-                        return Err(io_invalid(
-                            "handshake",
-                            format!(
-                                "protocol mismatch: worker {PROTO_VERSION}, dispatcher {proto}"
-                            ),
-                        ));
-                    }
-                    if service != cfg.cell {
-                        return Err(io_invalid(
-                            "handshake",
-                            format!("cell mismatch: worker {:?}, dispatcher {service:?}", cfg.cell),
-                        ));
-                    }
-                }
-                other => return Err(io_invalid("handshake", format!("unexpected {other:?}"))),
-            }
-            // A successful handshake resets the reconnect budget: the
-            // budget bounds consecutive failures, not total dials.
-            attempt = 0;
-            loop {
-                if let Some(record) = &unacked {
-                    write_frame(&mut stream, &Frame::ResultPush { record: record.clone() })?;
-                    match read_frame(&mut stream, &mut buf)? {
-                        Frame::ResultAck => {}
-                        other => return Err(io_invalid("push", format!("unexpected {other:?}"))),
-                    }
-                }
-                unacked = None;
-                write_frame(&mut stream, &Frame::WorkReq { worker: cfg.worker_id })?;
-                let (instance, seed) = match read_frame(&mut stream, &mut buf)? {
-                    Frame::WorkGrant { instance, seed, cell } => {
-                        if cell != cfg.cell {
-                            return Err(io_invalid(
-                                "grant",
-                                format!("cell mismatch: got {cell:?}, want {:?}", cfg.cell),
-                            ));
-                        }
-                        (instance, seed)
-                    }
-                    Frame::WorkFin => return Ok(()),
-                    other => return Err(io_invalid("grant", format!("unexpected {other:?}"))),
-                };
-                let derived = root.split_indexed("test", u64::from(instance)).seed();
-                if seed != derived {
+    loop {
+        let (instance, seed) = match exchange(Frame::WorkReq { worker: cfg.worker_id })? {
+            Frame::WorkGrant { instance, seed, cell } => {
+                if cell != cfg.cell {
                     return Err(io_invalid(
                         "grant",
-                        format!(
-                            "instance {instance} granted seed {seed:#x} but this worker derives \
-                             {derived:#x}; campaign parameters differ from the dispatcher's"
-                        ),
+                        format!("cell mismatch: got {cell:?}, want {:?}", cfg.cell),
                     ));
                 }
-                let record = run_unit(&cfg.config, &cfg.cell, instance, seed, &mut report);
-                unacked = Some(record.clone());
-                write_frame(&mut stream, &Frame::ResultPush { record })?;
-                match read_frame(&mut stream, &mut buf)? {
-                    Frame::ResultAck => unacked = None,
-                    other => return Err(io_invalid("push", format!("unexpected {other:?}"))),
-                }
+                (instance, seed)
             }
-        })();
-        match session {
-            Ok(()) => return Ok(report),
-            Err(e) => {
-                if e.kind() == std::io::ErrorKind::InvalidData || attempt >= cfg.reconnect.attempts
-                {
-                    return Err(e);
-                }
-                eprintln!(
-                    "worker {}: connection lost ({e}); reconnecting (attempt {})",
-                    cfg.worker_id,
-                    attempt + 1
-                );
-                std::thread::sleep(cfg.reconnect.backoff(attempt, &mut jitter));
-                attempt += 1;
-                report.reconnects += 1;
-            }
+            Frame::WorkFin => break,
+            other => return Err(io_invalid("grant", format!("unexpected {other:?}"))),
+        };
+        let derived = root.split_indexed("test", u64::from(instance)).seed();
+        if seed != derived {
+            return Err(io_invalid(
+                "grant",
+                format!(
+                    "instance {instance} granted seed {seed:#x} but this worker derives \
+                     {derived:#x}; campaign parameters differ from the dispatcher's"
+                ),
+            ));
+        }
+        let record = run_unit(&cfg.config, &cfg.cell, instance, seed, &mut report);
+        match exchange(Frame::ResultPush { record })? {
+            Frame::ResultAck => {}
+            other => return Err(io_invalid("push", format!("unexpected {other:?}"))),
         }
     }
-}
-
-fn connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
+    report.reconnects = u32::try_from(client.reconnects()).unwrap_or(u32::MAX);
+    Ok(report)
 }
 
 /// Runs one granted unit exactly as a local campaign worker would —
@@ -703,16 +638,12 @@ mod tests {
         // the moral equivalent of a SIGKILL'd worker. Its unit must be
         // re-issued to the honest workers and the output stay identical.
         fn desert(addr: SocketAddr, _config: &CampaignConfig, _cell: &str) {
-            let mut stream = connect(addr).unwrap();
-            let mut buf = Vec::new();
-            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
-            let _ = read_frame(&mut stream, &mut buf).unwrap();
-            write_frame(&mut stream, &Frame::WorkReq { worker: 99 }).unwrap();
-            match read_frame(&mut stream, &mut buf).unwrap() {
+            let mut client = WireClient::connect(addr, Duration::from_secs(5)).unwrap();
+            match client.roundtrip(&Frame::WorkReq { worker: 99 }).unwrap() {
                 Frame::WorkGrant { .. } => {} // taken to the grave
                 other => panic!("expected a grant, got {other:?}"),
             }
-            // Dropping the stream releases the lease instantly.
+            // Dropping the client releases the lease instantly.
         }
         let config = small_cell(4);
         let path = temp_journal("desert");
@@ -733,20 +664,16 @@ mod tests {
         // the same record again after reconnecting. The journal must end
         // up with exactly one record per instance.
         fn double_push(addr: SocketAddr, config: &CampaignConfig, cell: &str) {
-            let mut stream = connect(addr).unwrap();
-            let mut buf = Vec::new();
-            write_frame(&mut stream, &Frame::Hello { proto: PROTO_VERSION }).unwrap();
-            let _ = read_frame(&mut stream, &mut buf).unwrap();
-            write_frame(&mut stream, &Frame::WorkReq { worker: 7 }).unwrap();
-            let (instance, seed) = match read_frame(&mut stream, &mut buf).unwrap() {
+            let mut client = WireClient::connect(addr, Duration::from_secs(5)).unwrap();
+            let (instance, seed) = match client.roundtrip(&Frame::WorkReq { worker: 7 }).unwrap() {
                 Frame::WorkGrant { instance, seed, .. } => (instance, seed),
                 other => panic!("expected a grant, got {other:?}"),
             };
             let mut report = WorkerReport { completed: 0, crashed: 0, reconnects: 0 };
-            let record = run_unit(config, cell, instance, seed, &mut report);
+            let push =
+                Frame::ResultPush { record: run_unit(config, cell, instance, seed, &mut report) };
             for _ in 0..2 {
-                write_frame(&mut stream, &Frame::ResultPush { record: record.clone() }).unwrap();
-                assert_eq!(read_frame(&mut stream, &mut buf).unwrap(), Frame::ResultAck);
+                assert_eq!(client.roundtrip(&push).unwrap(), Frame::ResultAck);
             }
         }
         let config = small_cell(3);

@@ -13,8 +13,8 @@
 //!   [`LiveCluster`](conprobe_services::live::LiveCluster), optional
 //!   WAN-shaped artificial latency/drop, and a graceful stop-file /
 //!   stop-frame drain;
-//! * [`client`] — the blocking TCP [`ServiceEndpoint`]: one keyed
-//!   operation per call, reconnect-and-resend underneath;
+//! * [`client`] — the one blocking client (a TCP [`ServiceEndpoint`], and
+//!   the dispatch worker's exchange), reconnect-and-resend underneath;
 //! * [`probe`] — `conprobe probe`: real agent threads running the
 //!   paper's Test 1 / Test 2 cadence with skewed local clocks,
 //!   Cristian-synced over the wire, emitting a standard `TestTrace`

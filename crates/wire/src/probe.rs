@@ -303,11 +303,18 @@ fn cluster_entry_index(service: ServiceKind, region: Region) -> usize {
     conprobe_services::catalog::topology(service).affinity.replica_for(region)
 }
 
+/// Agent `agent_index`'s reconnect budget: its own jitter stream, so the
+/// agents of one instance losing a server do not re-dial in lockstep.
+fn reconnect_policy(seed: u64, agent_index: u32) -> ReconnectPolicy {
+    let jitter = SimRng::new(seed).split_indexed("wire.agent.reconnect", u64::from(agent_index));
+    ReconnectPolicy::probe_default(jitter.seed())
+}
+
 /// Connect, verify the hosted service and run the Cristian clock-sync
 /// phase — everything that can fail *before* the synchronized start.
 fn agent_setup(
     config: &ProbeConfig,
-    addr: SocketAddr,
+    agent_index: u32,
     clock: &SkewedClock,
     offset_nanos: i64,
 ) -> Result<(WireClient, i64, i64, i64), EndpointError> {
@@ -315,9 +322,9 @@ fn agent_setup(
     // reconnect budget; only a persistently dead endpoint fails the
     // agent (and then the study quarantines it rather than aborting).
     let mut client = WireClient::connect_with_policy(
-        addr,
+        config.endpoints[agent_index as usize].1,
         config.timeout,
-        ReconnectPolicy::probe_default(config.seed),
+        reconnect_policy(config.seed, agent_index),
     )?;
     let expected = conprobe_harness::journal::service_token(config.service);
     if client.service() != expected {
@@ -372,7 +379,6 @@ fn agent_main(
     live: Option<std::sync::mpsc::Sender<LiveEvent>>,
 ) -> AgentOutput {
     let total = config.endpoints.len() as u32;
-    let addr = config.endpoints[agent_index as usize].1;
     // The paper's NTP-disabled clocks: ±2 s seeded offsets, per agent.
     let mut rng =
         SimRng::new(config.seed).split_indexed("wire.agent.clock", u64::from(agent_index));
@@ -380,7 +386,7 @@ fn agent_main(
     let clock = SkewedClock { epoch: shared.epoch, offset_nanos };
 
     let (mut client, delta_nanos, uncertainty_nanos, clock_error_nanos) =
-        match agent_setup(config, addr, &clock, offset_nanos) {
+        match agent_setup(config, agent_index, &clock, offset_nanos) {
             Ok(v) => v,
             Err(e) => {
                 // The barrier MUST still be crossed, or every healthy
@@ -447,4 +453,30 @@ fn agent_main(
     }
 
     AgentOutput { run, delta_nanos, uncertainty_nanos, clock_error_nanos }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// The backoffs a client under `policy` pauses for while every dial
+    /// is refused.
+    fn backoffs(policy: ReconnectPolicy) -> Vec<Duration> {
+        let pauses = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&pauses);
+        let refused = || Err::<std::io::Cursor<Vec<u8>>, _>(EndpointError("refused".into()));
+        let dead = WireClient::with_dialer(refused, move |d| log.lock().unwrap().push(d), policy);
+        assert!(dead.is_err(), "every dial is refused");
+        let pauses = pauses.lock().unwrap().clone();
+        pauses
+    }
+
+    #[test]
+    fn agents_of_one_instance_back_off_on_their_own_schedules() {
+        let first = backoffs(reconnect_policy(7, 0));
+        assert_eq!(first.len(), 5, "the probe budget");
+        assert_ne!(first, backoffs(reconnect_policy(7, 1)), "no lockstep re-dials");
+        assert_eq!(first, backoffs(reconnect_policy(7, 0)), "seeded: same agent, same schedule");
+    }
 }
