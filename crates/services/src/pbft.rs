@@ -61,7 +61,7 @@ use conprobe_json::{frame, missing, read_members, FromJson, JsonError, JsonReade
 use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Fixed timer token: the periodic pulse (re-forwarding, leader
 /// retransmission, suspicion, gap repair). Re-armed while not crashed.
@@ -85,6 +85,12 @@ const GAP_REPAIR: SimDuration = SimDuration::from_millis(600);
 /// chaos plans crash — so an unchanged level-3 sweep forces a real view
 /// change.
 const INITIAL_VIEW: u64 = 1;
+
+/// The log holds slots below `next_apply + LOG_WINDOW`, PBFT's high
+/// watermark. Far above what the front doors can hold in flight
+/// (n × [`MAX_WAITING_OPS`](crate::shell::MAX_WAITING_OPS)); a message
+/// for a slot above it is dropped.
+const LOG_WINDOW: u64 = 1 << 16;
 
 /// One consensus message, carried inside [`ReplMsg::Pbft`] so the
 /// generic [`NetMsg`] plumbing (agents, fault driver, weak replicas)
@@ -263,15 +269,39 @@ struct Slot {
     digest: u64,
     /// The interned payload, once a pre-prepare delivered it.
     payload: Option<String>,
-    /// Replica indices whose prepare (or pre-prepare) vote arrived.
-    prepares: HashSet<usize>,
-    /// Replica indices whose commit vote arrived.
-    commits: HashSet<usize>,
+    /// Bit `i` set: replica `i`'s prepare (or pre-prepare) vote arrived.
+    prepares: u64,
+    /// Bit `i` set: replica `i`'s commit vote arrived.
+    commits: u64,
     prepared: bool,
     committed: bool,
     /// When the leader (re-)broadcast this slot's pre-prepare last —
     /// drives pulse retransmission under message loss.
     retransmitted_at: SimTime,
+}
+
+impl Slot {
+    fn new(view: u64, digest: u64, now: SimTime) -> Self {
+        Slot {
+            view,
+            digest,
+            payload: None,
+            prepares: 0,
+            commits: 0,
+            prepared: false,
+            committed: false,
+            retransmitted_at: now,
+        }
+    }
+
+    /// Voids the votes collected for a superseded digest.
+    fn rebind(&mut self, digest: u64) {
+        self.digest = digest;
+        self.payload = None;
+        self.prepares = 0;
+        self.commits = 0;
+        self.prepared = false;
+    }
 }
 
 /// A client write waiting for its slot to commit and apply.
@@ -323,9 +353,11 @@ pub struct PbftReplica {
     door: FrontDoor,
     /// The current view; `leader = view mod n`.
     view: u64,
-    /// Per-slot protocol state (never garbage-collected — the retained
-    /// history doubles as the view-change proof store; see DESIGN §15).
-    slots: HashMap<u64, Slot>,
+    /// Per-slot protocol state, indexed by slot number, below the high
+    /// watermark `next_apply + LOG_WINDOW` (never garbage-collected — the
+    /// retained history doubles as the view-change proof store; see
+    /// DESIGN §15).
+    slots: Vec<Option<Slot>>,
     /// The persistent consensus backlog: committed payloads by slot.
     committed: BTreeMap<u64, String>,
     /// The leader's next slot to assign.
@@ -408,7 +440,7 @@ impl PbftReplica {
             // though the log itself is linear.
             door: FrontDoor::new(2, true),
             view: INITIAL_VIEW,
-            slots: HashMap::new(),
+            slots: Vec::new(),
             committed: BTreeMap::new(),
             next_slot: 0,
             next_apply: 0,
@@ -438,8 +470,14 @@ impl PbftReplica {
 
     /// Installs the full member list (self included) and this replica's
     /// index into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `my_index` is out of range, or with more than 64
+    /// members (a slot's votes are a `u64` bitset over replica indices).
     pub fn set_members(&mut self, replicas: Vec<NodeId>, my_index: usize) {
         assert!(my_index < replicas.len(), "my_index must address the member list");
+        assert!(replicas.len() <= 64, "at most 64 members");
         self.replicas = replicas;
         self.my_index = my_index;
     }
@@ -526,6 +564,28 @@ impl PbftReplica {
 
     fn sender_index(&self, from: NodeId) -> Option<usize> {
         self.replicas.iter().position(|r| *r == from)
+    }
+
+    /// The log index of `slot`, or `None` at or above the high watermark.
+    fn log_index(&self, slot: u64) -> Option<usize> {
+        if slot >= self.next_apply.saturating_add(LOG_WINDOW) {
+            return None;
+        }
+        usize::try_from(slot).ok()
+    }
+
+    /// The log entry for `slot`, opened as `Slot::new(view, digest, now)`
+    /// on first touch; `None` (the message is dropped) above the window.
+    fn slot_entry(&mut self, slot: u64, view: u64, digest: u64, now: SimTime) -> Option<&mut Slot> {
+        let i = self.log_index(slot)?;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        Some(self.slots[i].get_or_insert_with(|| Slot::new(view, digest, now)))
+    }
+
+    fn slot_mut(&mut self, slot: u64) -> Option<&mut Slot> {
+        self.slots.get_mut(usize::try_from(slot).ok()?)?.as_mut()
     }
 
     fn note_anomaly(&mut self) {
@@ -653,8 +713,8 @@ impl PbftReplica {
     // ------------------------------------------------------------------
 
     fn leader_propose<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, op: ProposeOp) {
-        if !self.is_leader() || self.is_fenced() {
-            return; // stale forward; the origin's pulse will retry
+        if !self.is_leader() || self.is_fenced() || self.log_index(self.next_slot).is_none() {
+            return; // stale forward or a full log; the origin's pulse will retry
         }
         match op {
             ProposeOp::Write { origin, post } => {
@@ -691,21 +751,13 @@ impl PbftReplica {
         self.next_slot += 1;
         let digest = digest_of(&payload);
         let view = self.view;
-        let mut prepares = HashSet::new();
-        prepares.insert(self.my_index);
-        self.slots.insert(
-            slot,
-            Slot {
-                view,
-                digest,
-                payload: Some(payload.clone()),
-                prepares,
-                commits: HashSet::new(),
-                prepared: false,
-                committed: false,
-                retransmitted_at: ctx.true_now(),
-            },
-        );
+        let mut opened = Slot::new(view, digest, ctx.true_now());
+        opened.payload = Some(payload.clone());
+        opened.prepares = 1 << self.my_index;
+        // A stray vote may have opened this slot already; the leader's
+        // binding replaces it.
+        let entry = self.slot_entry(slot, view, digest, opened.retransmitted_at);
+        *entry.expect("leader_propose checked the window") = opened;
         self.broadcast(ctx, PbftMsg::PrePrepare { view, slot, digest, payload }, true);
     }
 
@@ -714,7 +766,7 @@ impl PbftReplica {
     /// so even a front door that missed the whole commit round recovers.
     fn rebroadcast_slot<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, slot: u64) {
         let now = ctx.true_now();
-        let Some(s) = self.slots.get_mut(&slot) else { return };
+        let Some(s) = self.slot_mut(slot) else { return };
         let Some(payload) = s.payload.clone() else { return };
         s.retransmitted_at = now;
         let (view, digest) = (s.view, s.digest);
@@ -760,17 +812,8 @@ impl PbftReplica {
             }
             return;
         }
-        let now = ctx.true_now();
-        let entry = self.slots.entry(slot).or_insert_with(|| Slot {
-            view,
-            digest,
-            payload: None,
-            prepares: HashSet::new(),
-            commits: HashSet::new(),
-            prepared: false,
-            committed: false,
-            retransmitted_at: now,
-        });
+        let my_index = self.my_index;
+        let Some(entry) = self.slot_entry(slot, view, digest, ctx.true_now()) else { return };
         if entry.digest != digest {
             if entry.committed || entry.prepared {
                 self.note_anomaly(); // equivocating assignment
@@ -778,15 +821,11 @@ impl PbftReplica {
             }
             // A re-issued binding from the legitimate leader supersedes
             // provisional votes collected for another digest.
-            entry.digest = digest;
-            entry.payload = None;
-            entry.prepares.clear();
-            entry.commits.clear();
+            entry.rebind(digest);
         }
         entry.view = view;
         entry.payload.get_or_insert(payload);
-        entry.prepares.insert(from_idx);
-        entry.prepares.insert(self.my_index);
+        entry.prepares |= (1 << from_idx) | (1 << my_index);
         self.next_slot = self.next_slot.max(slot + 1);
         self.broadcast(ctx, PbftMsg::Prepare { view, slot, digest }, false);
         self.check_slot(ctx, slot);
@@ -806,28 +845,19 @@ impl PbftReplica {
             // Still count the vote: in the crash-fault model a vote for
             // this digest is valid evidence regardless of the view tag.
         }
-        if self.committed.contains_key(&slot) {
+        // Every applied slot is in `committed`.
+        if slot < self.next_apply || self.committed.contains_key(&slot) {
             return; // settled; late votes are expected under loss
         }
-        let now = ctx.true_now();
-        let entry = self.slots.entry(slot).or_insert_with(|| Slot {
-            view,
-            digest,
-            payload: None,
-            prepares: HashSet::new(),
-            commits: HashSet::new(),
-            prepared: false,
-            committed: false,
-            retransmitted_at: now,
-        });
+        let Some(entry) = self.slot_entry(slot, view, digest, ctx.true_now()) else { return };
         if entry.digest != digest {
             self.note_anomaly(); // vote for a conflicting digest
             return;
         }
-        entry.prepares.insert(from_idx);
+        entry.prepares |= 1 << from_idx;
         if is_commit {
             // A commit vote implies the sender prepared the slot.
-            entry.commits.insert(from_idx);
+            entry.commits |= 1 << from_idx;
         }
         self.check_slot(ctx, slot);
     }
@@ -836,17 +866,18 @@ impl PbftReplica {
     fn check_slot<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, slot: u64) {
         let quorum = self.cert_quorum();
         let my_index = self.my_index;
-        let Some(s) = self.slots.get_mut(&slot) else { return };
+        let Some(s) = self.slot_mut(slot) else { return };
         if s.committed {
             return;
         }
         let mut announce_commit = None;
-        if !s.prepared && s.payload.is_some() && s.prepares.len() >= quorum {
+        if !s.prepared && s.payload.is_some() && s.prepares.count_ones() as usize >= quorum {
             s.prepared = true;
-            s.commits.insert(my_index);
+            s.commits |= 1 << my_index;
             announce_commit = Some((s.view, s.digest));
         }
-        let newly_committed = s.prepared && s.payload.is_some() && s.commits.len() >= quorum;
+        let newly_committed =
+            s.prepared && s.payload.is_some() && s.commits.count_ones() as usize >= quorum;
         if newly_committed {
             s.committed = true;
             let payload = s.payload.clone().expect("checked payload.is_some() above");
@@ -898,7 +929,7 @@ impl PbftReplica {
                 LogOp::Read { origin, seq } => {
                     if origin == self.my_index {
                         if let Some(r) = self.pending_reads.remove(&seq) {
-                            self.read_reqs.retain(|_, s| *s != seq);
+                            self.read_reqs.remove(&(r.client, r.req_id));
                             let snapshot = self.core.snapshot().to_vec();
                             self.door.respond(ctx, r.client, r.req_id, OpResult::ReadOk(snapshot));
                         }
@@ -927,20 +958,11 @@ impl PbftReplica {
     /// a slot prepared anywhere in the vote quorum is always re-issued,
     /// never overwritten by a noop.
     fn prepared_proofs(&self) -> Vec<PreparedProof> {
-        let mut proofs: HashMap<u64, PreparedProof> = HashMap::new();
-        for (&slot, s) in &self.slots {
-            if s.prepared {
-                if let Some(payload) = &s.payload {
-                    proofs.insert(
-                        slot,
-                        PreparedProof {
-                            slot,
-                            view: s.view,
-                            digest: s.digest,
-                            payload: payload.clone(),
-                        },
-                    );
-                }
+        let mut proofs: BTreeMap<u64, PreparedProof> = BTreeMap::new();
+        for (slot, s) in (0u64..).zip(&self.slots) {
+            if let Some(Slot { prepared: true, payload: Some(payload), view, digest, .. }) = s {
+                let (view, digest, payload) = (*view, *digest, payload.clone());
+                proofs.insert(slot, PreparedProof { slot, view, digest, payload });
             }
         }
         for (&slot, payload) in &self.committed {
@@ -951,9 +973,7 @@ impl PbftReplica {
                 payload: payload.clone(),
             });
         }
-        let mut list: Vec<PreparedProof> = proofs.into_values().collect();
-        list.sort_by_key(|p| p.slot);
-        list
+        proofs.into_values().collect()
     }
 
     fn send_view_change<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, new_view: u64) {
@@ -1068,27 +1088,14 @@ impl PbftReplica {
             if self.committed.contains_key(&p.slot) {
                 continue;
             }
-            let now = ctx.true_now();
-            let entry = self.slots.entry(p.slot).or_insert_with(|| Slot {
-                view: new_view,
-                digest: p.digest,
-                payload: None,
-                prepares: HashSet::new(),
-                commits: HashSet::new(),
-                prepared: false,
-                committed: false,
-                retransmitted_at: now,
-            });
+            let (now, my_index) = (ctx.true_now(), self.my_index);
+            let Some(entry) = self.slot_entry(p.slot, new_view, p.digest, now) else { continue };
             if entry.digest != p.digest {
-                entry.prepares.clear();
-                entry.commits.clear();
-                entry.prepared = false;
-                entry.digest = p.digest;
-                entry.payload = None;
+                entry.rebind(p.digest);
             }
             entry.view = new_view;
             entry.payload.get_or_insert_with(|| p.payload.clone());
-            entry.prepares.insert(self.my_index);
+            entry.prepares |= 1 << my_index;
             entry.retransmitted_at = now;
         }
         self.last_new_view = Some((new_view, pre_prepares.clone()));
@@ -1102,10 +1109,12 @@ impl PbftReplica {
                 "replica {node} view change installed: leading view {new_view} with re-issued log prefix"
             )
         });
-        let mut slots: Vec<u64> =
-            self.slots.iter().filter(|(_, s)| !s.committed).map(|(slot, _)| *slot).collect();
-        slots.sort_unstable(); // deterministic send order
-        for slot in slots {
+        let open: Vec<u64> = (0u64..)
+            .zip(&self.slots)
+            .filter(|(_, s)| s.as_ref().is_some_and(|s| !s.committed))
+            .map(|(slot, _)| slot)
+            .collect();
+        for slot in open {
             self.check_slot(ctx, slot);
         }
     }
@@ -1140,30 +1149,18 @@ impl PbftReplica {
                 }
                 continue;
             }
-            let now = ctx.true_now();
-            let entry = self.slots.entry(p.slot).or_insert_with(|| Slot {
-                view,
-                digest: p.digest,
-                payload: None,
-                prepares: HashSet::new(),
-                commits: HashSet::new(),
-                prepared: false,
-                committed: false,
-                retransmitted_at: now,
-            });
+            let my_index = self.my_index;
+            let Some(entry) = self.slot_entry(p.slot, view, p.digest, ctx.true_now()) else {
+                continue;
+            };
             if entry.digest != p.digest {
                 // The new leader re-bound this slot: provisional votes
                 // for the superseded digest are void.
-                entry.prepares.clear();
-                entry.commits.clear();
-                entry.prepared = false;
-                entry.digest = p.digest;
-                entry.payload = None;
+                entry.rebind(p.digest);
             }
             entry.view = view;
             entry.payload.get_or_insert(p.payload);
-            entry.prepares.insert(from_idx);
-            entry.prepares.insert(self.my_index);
+            entry.prepares |= (1 << from_idx) | (1 << my_index);
             self.next_slot = self.next_slot.max(p.slot + 1);
             let (slot, digest) = (p.slot, p.digest);
             self.broadcast(ctx, PbftMsg::Prepare { view, slot, digest }, false);
@@ -1358,17 +1355,15 @@ impl PbftReplica {
         }
         // Leader: re-broadcast stalled open slots (vote-loss repair).
         if self.is_leader() {
-            let mut stalled: Vec<u64> = self
-                .slots
-                .iter()
-                .filter(|(slot, s)| {
-                    **slot >= self.next_apply
-                        && !s.committed
-                        && now.saturating_since(s.retransmitted_at) >= FORWARD_RETRY
+            let stalled: Vec<u64> = (self.next_apply..)
+                .zip(self.slots.iter().skip(self.next_apply as usize))
+                .filter(|(_, s)| {
+                    s.as_ref().is_some_and(|s| {
+                        !s.committed && now.saturating_since(s.retransmitted_at) >= FORWARD_RETRY
+                    })
                 })
-                .map(|(slot, _)| *slot)
+                .map(|(slot, _)| slot)
                 .collect();
-            stalled.sort_unstable(); // deterministic send order
             for slot in stalled {
                 self.rebroadcast_slot(ctx, slot);
             }
@@ -1825,6 +1820,50 @@ mod tests {
             OpResult::WriteAck(PostId::new(AuthorId(1), 1)),
             "service continues unharmed"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 members")]
+    fn a_group_wider_than_the_vote_bitset_is_refused() {
+        let members: Vec<NodeId> = (0..65).map(NodeId).collect();
+        PbftReplica::new().set_members(members, 0);
+    }
+
+    #[test]
+    fn a_slot_beyond_the_log_window_is_dropped() {
+        let mut world: World<Msg> = World::new(WorldConfig::default(), 38);
+        let replicas = build_cluster(&mut world);
+        world.add_node(
+            Region::Virginia,
+            Box::new(Script::new(vec![(at(10), replicas[0], req(0, ClientOp::Write(post(1, 1))))])),
+        );
+        run(&mut world, at(2_000));
+        let (target, leader) = (replicas[0], replicas[1]);
+        let state = |w: &World<Msg>| {
+            let r = w.node_as::<PbftReplica>(target).unwrap();
+            (r.slots.len(), r.next_apply, r.applied(), r.protocol_anomalies(), r.view())
+        };
+        let was = state(&world);
+        assert_eq!((was.1, was.4), (1, INITIAL_VIEW), "the write applied in the boot view");
+        let payload = noop_payload(0);
+        let digest = digest_of(&payload);
+        for slot in [u64::MAX, was.1 + LOG_WINDOW] {
+            // From the view-1 leader, well formed: only the window drops it.
+            let pre = PbftMsg::PrePrepare { view: 1, slot, digest, payload: payload.clone() };
+            let prepare = PbftMsg::Prepare { view: 1, slot, digest };
+            let commit = PbftMsg::Commit { view: 1, slot, digest };
+            for msg in [pre, prepare, commit] {
+                world.post(leader, target, NetMsg::Repl(ReplMsg::Pbft(msg)));
+            }
+        }
+        run(&mut world, at(4_000));
+        assert_eq!(state(&world), was);
+        // The last slot below the window is still one the log holds.
+        let slot = was.1 + LOG_WINDOW - 1;
+        let prepare = PbftMsg::Prepare { view: 1, slot, digest };
+        world.post(leader, target, NetMsg::Repl(ReplMsg::Pbft(prepare)));
+        run(&mut world, at(6_000));
+        assert_eq!(state(&world).0 as u64, slot + 1);
     }
 
     #[test]

@@ -107,6 +107,18 @@ impl LinkSpec {
         self.loss = loss;
         self
     }
+
+    /// Samples whether one message on this link is lost. Draws nothing
+    /// from a lossless link.
+    pub(crate) fn sample_loss(&self, rng: &mut SimRng) -> bool {
+        self.loss > 0.0 && rng.gen_bool(self.loss)
+    }
+
+    /// Samples one message's one-way delay: `base + Exp(jitter_mean)`.
+    pub(crate) fn sample_delay(&self, rng: &mut SimRng) -> SimDuration {
+        let jitter = rng.gen_exp(self.jitter_mean.as_nanos() as f64);
+        self.base + SimDuration::from_nanos(jitter.round() as u64)
+    }
 }
 
 /// Symmetric matrix of [`LinkSpec`]s between regions.
@@ -185,15 +197,7 @@ impl LatencyMatrix {
 
     /// Samples a one-way delay for a message from `a` to `b`.
     pub fn sample_delay(&self, a: Region, b: Region, rng: &mut SimRng) -> SimDuration {
-        let spec = self.link(a, b);
-        let jitter = rng.gen_exp(spec.jitter_mean.as_nanos() as f64);
-        spec.base + SimDuration::from_nanos(jitter.round() as u64)
-    }
-
-    /// Samples whether a message from `a` to `b` is lost.
-    pub fn sample_loss(&self, a: Region, b: Region, rng: &mut SimRng) -> bool {
-        let spec = self.link(a, b);
-        spec.loss > 0.0 && rng.gen_bool(spec.loss)
+        self.link(a, b).sample_delay(rng)
     }
 
     /// Returns a copy with the given loss probability applied to every
@@ -387,8 +391,8 @@ mod tests {
         let mut m = LatencyMatrix::uniform(LinkSpec::wan_ms(10).with_loss(1.0));
         m.set(Region::Oregon, Region::Tokyo, LinkSpec::wan_ms(10)); // lossless
         let mut rng = SimRng::new(2);
-        assert!(m.sample_loss(Region::Oregon, Region::Ireland, &mut rng));
-        assert!(!m.sample_loss(Region::Oregon, Region::Tokyo, &mut rng));
+        assert!(m.link(Region::Oregon, Region::Ireland).sample_loss(&mut rng));
+        assert!(!m.link(Region::Oregon, Region::Tokyo).sample_loss(&mut rng));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::clock::{ClockConfig, LocalClock, LocalTime};
 use crate::faults::FaultNetStats;
-use crate::net::{NetworkConfig, Region};
+use crate::net::{LinkSpec, NetworkConfig, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use conprobe_obs::{Counter, ObsSink, Severity};
@@ -93,28 +93,22 @@ enum EventKind<M> {
     Timer { token: u64 },
 }
 
-struct Scheduled<M> {
+/// A queue key. The event it schedules waits in `WorldCore::events[slot]`,
+/// so the heap sifts 24 bytes, not a message. `seq` is unique, so keys
+/// order by `(at, seq)` and `slot` never decides.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Scheduled {
     at: SimTime,
     seq: u64,
-    dst: NodeId,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// What `send` needs to know of one ordered (src, dst) node pair.
+#[derive(Clone, Copy)]
+struct Channel {
+    link: LinkSpec,
+    /// Last arrival scheduled through [`Context::send_ordered`].
+    last_ordered: SimTime,
 }
 
 /// Per-link observability counters (one pair of regions).
@@ -168,8 +162,13 @@ impl WorldObs {
 struct WorldCore<M> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The queued events, by slot; `free` lists the empty slots.
+    events: Vec<Option<(NodeId, EventKind<M>)>>,
+    free: Vec<u32>,
     regions: Vec<Region>,
+    /// `channels[src][dst]`, one entry per node pair.
+    channels: Vec<Vec<Channel>>,
     clocks: Vec<LocalClock>,
     node_rngs: Vec<SimRng>,
     net: NetworkConfig,
@@ -180,8 +179,6 @@ struct WorldCore<M> {
     delivered: u64,
     dropped: u64,
     fault_stats: FaultNetStats,
-    /// Last scheduled arrival per ordered (src, dst) channel.
-    ordered_last: std::collections::HashMap<(NodeId, NodeId), SimTime>,
     /// Event trace, when enabled (None = tracing off).
     trace: Option<Vec<SimEvent>>,
     /// Observability sink + cached handles (None = observability off).
@@ -243,7 +240,26 @@ impl<M> WorldCore<M> {
     fn push(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, dst, kind }));
+        let event = Some((dst, kind));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = event;
+                slot
+            }
+            None => {
+                self.events.push(event);
+                u32::try_from(self.events.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        self.queue.push(Reverse(Scheduled { at, seq, slot }));
+    }
+
+    /// Pops the earliest event, by `(at, seq)`.
+    fn pop(&mut self) -> Option<(SimTime, NodeId, EventKind<M>)> {
+        let Reverse(Scheduled { at, slot, .. }) = self.queue.pop()?;
+        let (dst, kind) = self.events[slot as usize].take().expect("a queued key has its event");
+        self.free.push(slot);
+        Some((at, dst, kind))
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, msg: M, ordered: bool) {
@@ -253,12 +269,13 @@ impl<M> WorldCore<M> {
             return;
         }
         let (ra, rb) = (self.regions[src.0], self.regions[dst.0]);
-        if self.net.matrix.sample_loss(ra, rb, &mut self.net_rng) {
+        let link = self.channels[src.0][dst.0].link;
+        if link.sample_loss(&mut self.net_rng) {
             self.dropped += 1;
             self.record(dst, SimEventKind::Dropped { src });
             return;
         }
-        let mut delay = self.net.matrix.sample_delay(ra, rb, &mut self.net_rng);
+        let mut delay = link.sample_delay(&mut self.net_rng);
         // Fault-plan effects, sampled from their own stream. The guard
         // keeps configurations without a plan on byte-identical replay.
         if !self.net.effects.is_empty() {
@@ -293,7 +310,7 @@ impl<M> WorldCore<M> {
         }
         let mut at = self.now + delay;
         if ordered {
-            let last = self.ordered_last.entry((src, dst)).or_insert(SimTime::ZERO);
+            let last = &mut self.channels[src.0][dst.0].last_ordered;
             if at <= *last {
                 at = *last + SimDuration::from_nanos(1);
             }
@@ -373,7 +390,7 @@ impl<'a, M> Context<'a, M> {
 /// A complete simulated world: nodes + network + event queue.
 pub struct World<M> {
     core: WorldCore<M>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
+    nodes: Vec<Box<dyn Node<M>>>,
     rng_root: SimRng,
     clock_config: ClockConfig,
 }
@@ -388,7 +405,10 @@ impl<M: 'static> World<M> {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
+                events: Vec::new(),
+                free: Vec::new(),
                 regions: Vec::new(),
+                channels: Vec::new(),
                 clocks: Vec::new(),
                 node_rngs: Vec::new(),
                 net: config.net,
@@ -397,7 +417,6 @@ impl<M: 'static> World<M> {
                 delivered: 0,
                 dropped: 0,
                 fault_stats: FaultNetStats::default(),
-                ordered_last: std::collections::HashMap::new(),
                 trace: None,
                 obs: None,
             },
@@ -425,11 +444,19 @@ impl<M: 'static> World<M> {
         node: Box<dyn Node<M>>,
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.core.regions.push(region);
-        self.core.clocks.push(clock);
-        self.core.node_rngs.push(self.rng_root.split_indexed("node", id.0 as u64));
-        self.nodes.push(Some(node));
-        self.core.push(self.core.now, id, EventKind::Start);
+        let core = &mut self.core;
+        let channel =
+            |a, b| Channel { link: core.net.matrix.link(a, b), last_ordered: SimTime::ZERO };
+        for (row, &src) in core.channels.iter_mut().zip(&core.regions) {
+            row.push(channel(src, region));
+        }
+        let row = core.regions.iter().chain([&region]).map(|&dst| channel(region, dst)).collect();
+        core.channels.push(row);
+        core.regions.push(region);
+        core.clocks.push(clock);
+        core.node_rngs.push(self.rng_root.split_indexed("node", id.0 as u64));
+        core.push(core.now, id, EventKind::Start);
+        self.nodes.push(node);
         id
     }
 
@@ -476,47 +503,40 @@ impl<M: 'static> World<M> {
     /// Borrows a node back as its concrete type (post-run result
     /// extraction).
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let node = self.nodes.get(id.0)?.as_deref()?;
+        let node: &dyn Node<M> = self.nodes.get(id.0)?.as_ref();
         (node as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrows a node back as its concrete type.
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let node = self.nodes.get_mut(id.0)?.as_deref_mut()?;
+        let node: &mut dyn Node<M> = self.nodes.get_mut(id.0)?.as_mut();
         (node as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.core.queue.pop() else {
+        let Some((at, dst, kind)) = self.core.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.core.now, "time went backwards");
-        self.core.now = ev.at;
-        // Take the node out so we can hand the core to it mutably.
-        let mut node = match self.nodes.get_mut(ev.dst.0).and_then(Option::take) {
-            Some(n) => n,
-            None => return true, // node slot empty (shouldn't happen) — drop event
-        };
-        {
-            let mut ctx = Context { core: &mut self.core, node: ev.dst };
-            match ev.kind {
-                EventKind::Start => {
-                    ctx.core.record(ev.dst, SimEventKind::Started);
-                    node.on_start(&mut ctx);
-                }
-                EventKind::Deliver { src, msg } => {
-                    ctx.core.delivered += 1;
-                    ctx.core.record(ev.dst, SimEventKind::Delivered { src });
-                    node.on_message(&mut ctx, src, msg);
-                }
-                EventKind::Timer { token } => {
-                    ctx.core.record(ev.dst, SimEventKind::Timer(token));
-                    node.on_timer(&mut ctx, token);
-                }
+        debug_assert!(at >= self.core.now, "time went backwards");
+        self.core.now = at;
+        let node = &mut self.nodes[dst.0];
+        let mut ctx = Context { core: &mut self.core, node: dst };
+        match kind {
+            EventKind::Start => {
+                ctx.core.record(dst, SimEventKind::Started);
+                node.on_start(&mut ctx);
+            }
+            EventKind::Deliver { src, msg } => {
+                ctx.core.delivered += 1;
+                ctx.core.record(dst, SimEventKind::Delivered { src });
+                node.on_message(&mut ctx, src, msg);
+            }
+            EventKind::Timer { token } => {
+                ctx.core.record(dst, SimEventKind::Timer(token));
+                node.on_timer(&mut ctx, token);
             }
         }
-        self.nodes[ev.dst.0] = Some(node);
         true
     }
 
@@ -915,6 +935,164 @@ mod tests {
             }
         }
         assert!(unordered_scrambled, "jitter should scramble some unordered burst");
+    }
+
+    #[test]
+    fn the_queue_pops_in_time_then_schedule_order_across_slot_reuse() {
+        use std::sync::{Arc, Mutex};
+
+        /// Every event the world queued, in the order it numbered them
+        /// (`seq` = position), and every event it dispatched, in order.
+        #[derive(Default)]
+        struct Ledger {
+            scheduled: Vec<(SimTime, u64)>,
+            popped: Vec<(SimTime, u64)>,
+        }
+        const CAP: usize = 5_000;
+
+        /// On each event schedules one or two more, until the ledger is
+        /// full: timers 0–2 ms out or instant sends, so many share an
+        /// instant and pops and pushes interleave (slots are reused).
+        struct Churn {
+            ledger: Arc<Mutex<Ledger>>,
+            token: u64,
+            peers: usize,
+        }
+        impl Churn {
+            fn fired(&mut self, ctx: &mut Context<'_, u64>, token: u64) {
+                let mut ledger = self.ledger.lock().unwrap();
+                ledger.popped.push((ctx.true_now(), token));
+                for _ in 0..ctx.rng().gen_range(0..=2u32) {
+                    if ledger.scheduled.len() >= CAP {
+                        return;
+                    }
+                    let token = ledger.scheduled.len() as u64;
+                    let now = ctx.true_now();
+                    if ctx.rng().gen_bool(0.5) {
+                        let delay = SimDuration::from_millis(ctx.rng().gen_range(0..4u64));
+                        ledger.scheduled.push((now + delay, token));
+                        ctx.set_timer(delay, token);
+                    } else {
+                        let dst = NodeId(ctx.rng().gen_range(0..self.peers));
+                        ledger.scheduled.push((now, token));
+                        ctx.send(dst, token);
+                    }
+                }
+            }
+        }
+        impl Node<u64> for Churn {
+            fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+                self.fired(ctx, self.token);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, u64>, _: NodeId, token: u64) {
+                self.fired(ctx, token);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u64>, token: u64) {
+                self.fired(ctx, token);
+            }
+        }
+
+        for seed in 0..4 {
+            let ledger = Arc::new(Mutex::new(Ledger::default()));
+            let mut cfg = WorldConfig::default();
+            cfg.net.matrix = LatencyMatrix::instant();
+            let mut w = World::new(cfg, seed);
+            let peers = 4;
+            for _ in 0..peers {
+                let mut l = ledger.lock().unwrap();
+                let token = l.scheduled.len() as u64;
+                l.scheduled.push((w.now(), token));
+                drop(l);
+                w.add_node(
+                    Region::Oregon,
+                    Box::new(Churn { ledger: ledger.clone(), token, peers }),
+                );
+            }
+            // The test posts between steps too, from outside any node,
+            // and revives the churn whenever it dies out.
+            let mut outside = SimRng::new(seed);
+            loop {
+                let mut l = ledger.lock().unwrap();
+                let idle = w.core.queue.is_empty();
+                if l.scheduled.len() < CAP && (idle || outside.gen_bool(0.05)) {
+                    let token = l.scheduled.len() as u64;
+                    l.scheduled.push((w.now(), token));
+                    drop(l);
+                    let (src, dst) = (outside.gen_range(0..peers), outside.gen_range(0..peers));
+                    w.post(NodeId(src), NodeId(dst), token);
+                } else {
+                    drop(l);
+                    if !w.step() {
+                        break;
+                    }
+                }
+            }
+            let l = ledger.lock().unwrap();
+            assert_eq!(l.scheduled.len(), CAP, "seed {seed}: the churn filled the ledger");
+            let mut expected = l.scheduled.clone();
+            expected.sort_by_key(|&(at, token)| (at, token)); // token = seq
+            assert_eq!(l.popped, expected, "seed {seed}");
+            assert!(w.core.events.len() < CAP / 10, "slots were reused: {}", w.core.events.len());
+            let instants: std::collections::BTreeSet<_> = l.popped.iter().map(|e| e.0).collect();
+            assert!((2..CAP / 10).contains(&instants.len()), "most events share an instant");
+        }
+    }
+
+    #[test]
+    fn a_node_added_mid_run_gets_its_links_and_fifo_channels() {
+        /// Records arrivals; answers a "ping" with a "pong".
+        struct Recorder {
+            got: Vec<(Msg, SimTime)>,
+        }
+        impl Node<Msg> for Recorder {
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+                self.got.push((msg, ctx.true_now()));
+                if msg == "ping" {
+                    ctx.send(from, "pong");
+                }
+            }
+            fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: u64) {}
+        }
+        /// Pings `target`, then sends it an ordered burst.
+        struct Late {
+            target: NodeId,
+            got: Vec<(Msg, SimTime)>,
+        }
+        const BURST: [Msg; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        impl Node<Msg> for Late {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.send(self.target, "ping");
+                for m in BURST {
+                    ctx.send_ordered(self.target, m);
+                }
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, msg: Msg) {
+                self.got.push((msg, ctx.true_now()));
+            }
+            fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: u64) {}
+        }
+
+        let base = LatencyMatrix::paper_wan().link(Region::Virginia, Region::Tokyo).base;
+        for seed in 0..10 {
+            let mut w = World::new(WorldConfig::default(), seed);
+            let tokyo = w.add_node(Region::Tokyo, Box::new(Recorder { got: vec![] }));
+            w.add_node(Region::Ireland, Box::new(Echo::new(0)));
+            w.run_until(SimTime::from_secs(1));
+            let joined = w.now();
+            let late = w.add_node(Region::Virginia, Box::new(Late { target: tokyo, got: vec![] }));
+            w.run_until_idle();
+
+            let got = &w.node_as::<Recorder>(tokyo).unwrap().got;
+            let (_, ping_at) = *got.iter().find(|(m, _)| *m == "ping").expect("ping arrived");
+            assert!(ping_at >= joined + base, "seed {seed}: ping beat the link's base delay");
+            let burst: Vec<Msg> = got.iter().map(|(m, _)| *m).filter(|m| *m != "ping").collect();
+            assert_eq!(burst, BURST, "seed {seed}: the ordered burst was scrambled");
+            assert!(got.iter().all(|(_, at)| *at >= joined + base), "seed {seed}");
+
+            let back = &w.node_as::<Late>(late).unwrap().got;
+            assert_eq!(back.len(), 1, "seed {seed}: the pong came back");
+            assert!(back[0].1 >= ping_at + base, "seed {seed}: pong beat the base delay");
+        }
     }
 
     #[test]
