@@ -7,7 +7,6 @@
 
 use crate::analysis::CheckerConfig;
 use crate::anomaly::Observation;
-use crate::index::ReadView;
 use crate::stream::{StreamPart, StreamingAnalyzer};
 use crate::trace::{EventKey, TestTrace};
 use std::collections::HashMap;
@@ -27,26 +26,6 @@ pub fn find_inversion<K: EventKey>(s1: &[K], s2: &[K]) -> Option<(K, K)> {
             if let Some((px, pp2)) = prev {
                 if p2 < pp2 {
                     return Some((px.clone(), x.clone()));
-                }
-            }
-            prev = Some((x, p2));
-        }
-    }
-    None
-}
-
-/// [`find_inversion`] between two indexed reads — position lookups are
-/// array probes on interned keys instead of per-call hash maps.
-pub fn inversion_between<'t, K>(
-    a: &ReadView<'t, K>,
-    b: &ReadView<'t, K>,
-) -> Option<(&'t K, &'t K)> {
-    let mut prev: Option<(&'t K, u32)> = None;
-    for (&k, x) in a.keys().iter().zip(a.seq) {
-        if let Some(p2) = b.position(k) {
-            if let Some((px, pp2)) = prev {
-                if p2 < pp2 {
-                    return Some((px, x));
                 }
             }
             prev = Some((x, p2));

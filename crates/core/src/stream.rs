@@ -1047,7 +1047,7 @@ fn content_diverged(a: &View, b: &View) -> bool {
     first_only_in(a, b).is_some() && first_only_in(b, a).is_some()
 }
 
-/// Id-level mirror of [`crate::checkers::order::inversion_between`]:
+/// Id-level mirror of [`crate::checkers::order::find_inversion`]:
 /// a witness pair `(x, y)` with `x` before `y` in `a` but `y` before `x`
 /// in `b`, if any.
 fn inversion_ids(a: &View, b: &View) -> Option<(u32, u32)> {

@@ -7,9 +7,7 @@
 //! runner executes its instances in parallel across OS threads (each test
 //! is an independent world with its own derived seed).
 
-use crate::journal::{
-    completed_record_json, crashed_record_json, result_from_json, Journal, Recovery,
-};
+use crate::journal::{self, completed_record_json, crashed_record_json, Journal, Recovery};
 use crate::proto::TestKind;
 use crate::runner::{run_one_test, TestConfig, TestResult};
 use conprobe_obs::Severity;
@@ -187,13 +185,8 @@ pub fn instance_config(config: &CampaignConfig, i: usize) -> TestConfig {
     test
 }
 
-/// Splices journal-recovered results into `slots` and returns how many
-/// instances were recovered. A recovered record is only trusted when its
-/// persisted seed matches the freshly derived one (same master seed) and
-/// its payload deserializes; otherwise the instance is re-run. Crashed
-/// records are deliberately *not* spliced — a resume retries them, which
-/// is what makes an env-injected-panic run resume to byte-identical
-/// output.
+/// Splices journal-recovered results into `slots` under the one rule
+/// of [`journal::splice`] and returns how many instances were recovered.
 fn splice_recovered(
     config: &CampaignConfig,
     cell: &str,
@@ -202,28 +195,18 @@ fn splice_recovered(
     slots: &mut [Option<TestResult>],
 ) -> usize {
     let mut resumed = 0;
-    for (i, (seed, payload)) in recovery.completed_for(cell) {
-        let i = i as usize;
-        if i >= slots.len() {
-            continue;
-        }
-        let expect = root.split_indexed("test", i as u64).seed();
-        if seed != expect {
-            eprintln!(
-                "journal: {cell} instance {i} recorded seed {seed:#x} but campaign derives \
-                 {expect:#x}; re-running"
-            );
-            continue;
-        }
-        match result_from_json(&instance_config(config, i), payload) {
-            Ok(result) => {
-                slots[i] = Some(result);
-                resumed += 1;
-            }
-            Err(e) => {
-                eprintln!("journal: {cell} instance {i} payload rejected ({e}); re-running");
-            }
-        }
+    for (i, recorded) in recovery.completed_for(cell) {
+        let Some(slot) = slots.get_mut(i as usize) else { continue };
+        let derived = root.split_indexed("test", u64::from(i)).seed();
+        *slot = journal::splice(
+            cell,
+            "instance",
+            i,
+            recorded,
+            derived,
+            &instance_config(config, i as usize),
+        );
+        resumed += usize::from(slot.is_some());
     }
     resumed
 }
@@ -330,25 +313,13 @@ pub fn run_campaign_journaled(
             let p = next.fetch_add(1, Ordering::Relaxed);
             let Some(&i) = pending.get(p) else { return };
             let seed = root.split_indexed("test", i as u64).seed();
-            let test = instance_config(config, i);
-            // Panic isolation: a panicking instance must not poison
-            // the slot mutex or tear down its sibling workers — the
-            // lock is taken only *after* the test (and only for the
-            // assignment), and the panic is downgraded to a
-            // quarantined record.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if config.inject_panic.contains(&(i as u32)) {
-                    panic!("injected panic (instance {i})");
-                }
-                run_one_test(&test, seed)
-            }));
-            match outcome {
-                Ok(result) => {
-                    journal_record(&|| completed_record_json(cell, i as u32, seed, &result));
-                    slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result);
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
+            // The slot mutex is taken only *after* the test (and only for
+            // the assignment), so a panicking instance cannot poison it.
+            let run = run_instance(config, i as u32, seed);
+            journal_record(&|| run.record(cell));
+            match run.outcome {
+                Ok(result) => slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(result),
+                Err(msg) => {
                     if let Some(sink) = &obs {
                         sink.metrics.counter("campaign.tests.crashed").inc();
                         sink.log.record(
@@ -358,7 +329,6 @@ pub fn run_campaign_journaled(
                             format!("instance {i} panicked: {msg}"),
                         );
                     }
-                    journal_record(&|| crashed_record_json(cell, i as u32, seed, &msg));
                     crashed.lock().unwrap_or_else(|p| p.into_inner()).push(CrashedInstance {
                         index: i as u32,
                         seed,
@@ -409,11 +379,44 @@ pub fn run_campaign_journaled(
     CampaignResult { config: config.clone(), results, crashed, resumed }
 }
 
+/// One finished instance of a cell: its result, or the panic its worker
+/// was quarantined with.
+pub struct InstanceRun {
+    index: u32,
+    seed: u64,
+    /// The result, or the captured panic message.
+    pub outcome: Result<TestResult, String>,
+}
+
+impl InstanceRun {
+    /// The instance's journal record payload — the same bytes whichever
+    /// process ran it.
+    pub fn record(&self, cell: &str) -> String {
+        match &self.outcome {
+            Ok(result) => completed_record_json(cell, self.index, self.seed, result),
+            Err(panic) => crashed_record_json(cell, self.index, self.seed, panic),
+        }
+    }
+}
+
+/// Runs instance `index` of a cell under its derived `seed` the way every
+/// campaign worker does, local or distributed: the `inject_panic` hook,
+/// then the test, with a panic caught and kept as the quarantine message
+/// instead of tearing down the caller.
+pub fn run_instance(config: &CampaignConfig, index: u32, seed: u64) -> InstanceRun {
+    let test = instance_config(config, index as usize);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if config.inject_panic.contains(&index) {
+            panic!("injected panic (instance {index})");
+        }
+        run_one_test(&test, seed)
+    }));
+    InstanceRun { index, seed, outcome: outcome.map_err(|payload| panic_message(payload.as_ref())) }
+}
+
 /// Best-effort rendering of a caught panic payload (`&str` and `String`
-/// cover everything `panic!` produces in practice). Distributed-campaign
-/// workers use the same rendering so a quarantined instance's journal
-/// record is identical whichever process caught the panic.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// cover everything `panic!` produces in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

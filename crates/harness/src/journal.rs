@@ -223,6 +223,33 @@ impl Recovery {
     }
 }
 
+/// The one splice rule of every resume: a recovered completed record
+/// (from [`Recovery::completed_for`]) replaces re-running `unit` `index`
+/// only when its seed is the one the run derives for that unit — the
+/// journal came from the same master seed — and its payload rebuilds
+/// under `config`. Anything else is narrated on stderr and answers
+/// `None`: the caller re-runs the unit. Crashed records never get here,
+/// so a resume retries a quarantined instance.
+pub fn splice(
+    cell: &str,
+    unit: &str,
+    index: u32,
+    (recorded_seed, payload): (u64, &ResultText),
+    derived_seed: u64,
+    config: &TestConfig,
+) -> Option<TestResult> {
+    if recorded_seed != derived_seed {
+        eprintln!(
+            "journal: {cell} {unit} {index} recorded seed {recorded_seed:#x} but campaign \
+             derives {derived_seed:#x}; re-running"
+        );
+        return None;
+    }
+    result_from_json(config, payload)
+        .map_err(|e| eprintln!("journal: {cell} {unit} {index} payload rejected ({e}); re-running"))
+        .ok()
+}
+
 /// Why a journal could not be recovered.
 #[derive(Debug)]
 pub enum JournalError {

@@ -37,7 +37,7 @@
 
 use crate::conn::{FrameBuf, READ_BACKLOG_CAP};
 use crate::frame::decode_raw;
-use crate::server::WireServer;
+use crate::server::{bind_listeners, WireServer};
 use conprobe_sim::faults::{EffectKind, FaultPlan, LinkEffect, ServiceAction, ServiceActionKind};
 use conprobe_sim::net::Region;
 use conprobe_sim::{SimRng, SimTime};
@@ -164,13 +164,11 @@ impl ChaosProxy {
         let stop = Arc::new(AtomicBool::new(false));
         let epoch = Instant::now();
         let root = SimRng::new(config.seed);
-        let mut addrs = Vec::with_capacity(targets.len());
+        let regions: Vec<Region> = targets.iter().map(|t| t.region).collect();
+        let (listeners, addrs): (Vec<_>, _) =
+            bind_listeners(config.base_port, &regions)?.into_iter().unzip();
         let mut accepters = Vec::with_capacity(targets.len());
-        for (i, target) in targets.iter().enumerate() {
-            let port = if config.base_port == 0 { 0 } else { config.base_port + i as u16 };
-            let listener = TcpListener::bind(("127.0.0.1", port))?;
-            listener.set_nonblocking(true)?;
-            addrs.push((target.region, listener.local_addr()?));
+        for (i, (target, listener)) in targets.iter().zip(listeners).enumerate() {
             let ctx = Arc::new(TargetCtx {
                 target: *target,
                 target_rng: root.split_indexed("chaos.region", i as u64),

@@ -20,9 +20,9 @@
 //!    grant whose seed does not match the worker's own derivation is a
 //!    configuration mismatch and the worker refuses it.
 //! 2. A journal record is a pure function of `(cell, instance, seed,
-//!    result)`; the worker serializes it with the exact code a local
-//!    campaign uses ([`journal::completed_record_json`]) and the
-//!    coordinator appends the payload verbatim, so the merged journal is
+//!    result)`; the worker runs and serializes a unit with the exact code
+//!    a local campaign uses ([`run_instance`]) and the coordinator
+//!    appends the payload verbatim, so the merged journal is
 //!    byte-compatible with one written by a single process.
 //! 3. Campaign output is a pure function of the journal: the coordinator
 //!    finishes by recovering its own journal and splicing it through
@@ -44,14 +44,12 @@
 use crate::client::{ReconnectPolicy, WireClient};
 use crate::frame::{read_frame, write_frame, Frame, PROTO_VERSION};
 use conprobe_harness::campaign::{
-    instance_config, panic_message, run_campaign_journaled, CampaignConfig, CampaignResult,
+    run_campaign_journaled, run_instance, CampaignConfig, CampaignResult,
 };
 use conprobe_harness::journal::{self, Journal, Recovery};
-use conprobe_harness::runner::run_one_test;
 use conprobe_sim::SimRng;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -498,9 +496,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<WorkerReport> {
     Ok(report)
 }
 
-/// Runs one granted unit exactly as a local campaign worker would —
-/// same panic isolation, same injected-panic hook, same record
-/// serialization — and returns the journal payload to push.
+/// Runs one granted unit through the local campaign's own
+/// [`run_instance`] and returns the journal payload to push.
 fn run_unit(
     config: &CampaignConfig,
     cell: &str,
@@ -519,23 +516,12 @@ fn run_unit(
     {
         std::thread::sleep(Duration::from_millis(ms));
     }
-    let test = instance_config(config, instance as usize);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if config.inject_panic.contains(&instance) {
-            panic!("injected panic (instance {instance})");
-        }
-        run_one_test(&test, seed)
-    }));
-    match outcome {
-        Ok(result) => {
-            report.completed += 1;
-            journal::completed_record_json(cell, instance, seed, &result)
-        }
-        Err(payload) => {
-            report.crashed += 1;
-            journal::crashed_record_json(cell, instance, seed, &panic_message(payload.as_ref()))
-        }
+    let run = run_instance(config, instance, seed);
+    match run.outcome {
+        Ok(_) => report.completed += 1,
+        Err(_) => report.crashed += 1,
     }
+    run.record(cell)
 }
 
 #[cfg(test)]

@@ -216,6 +216,30 @@ impl Shared {
     }
 }
 
+/// Binds one non-blocking loopback listener per region, region `i` on
+/// `base_port + i` (all ephemeral when `base_port` is 0). Either every
+/// listener binds or none stays bound: a port past 65535 is refused as
+/// `InvalidInput` before any bind, and a failed bind drops the listeners
+/// bound before it — so callers spawn accept threads only on success.
+pub(crate) fn bind_listeners(
+    base_port: u16,
+    regions: &[Region],
+) -> std::io::Result<Vec<(TcpListener, (Region, SocketAddr))>> {
+    let last = usize::from(base_port) + regions.len().saturating_sub(1);
+    if base_port != 0 && last > usize::from(u16::MAX) {
+        let why = format!("listener port {last} is past 65535 (base port {base_port})");
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+    }
+    let bind = |(i, &region): (usize, &Region)| {
+        let port = if base_port == 0 { 0 } else { base_port + i as u16 };
+        let listener = TcpListener::bind(("127.0.0.1", port))?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        Ok((listener, (region, addr)))
+    };
+    regions.iter().enumerate().map(bind).collect()
+}
+
 /// A running wire server. Dropping it without [`WireServer::join`] leaks
 /// the serving threads; `join` performs the graceful drain.
 pub struct WireServer {
@@ -236,18 +260,17 @@ impl WireServer {
             let why = format!("--stale-replica pins a stored snapshot; {} has none", config.kind);
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
+        let (listeners, addrs): (Vec<_>, _) =
+            bind_listeners(config.base_port, &Region::AGENTS)?.into_iter().unzip();
         let shared = Arc::new(Shared::new(config));
-        let mut addrs = Vec::new();
-        let mut accepters = Vec::new();
-        for (i, region) in Region::AGENTS.iter().enumerate() {
-            let port = if config.base_port == 0 { 0 } else { config.base_port + i as u16 };
-            let listener = TcpListener::bind(("127.0.0.1", port))?;
-            listener.set_nonblocking(true)?;
-            addrs.push((*region, listener.local_addr()?));
-            let shared = Arc::clone(&shared);
-            let region = *region;
-            accepters.push(std::thread::spawn(move || accept_loop(shared, region, listener)));
-        }
+        let accepters = listeners
+            .into_iter()
+            .zip(Region::AGENTS)
+            .map(|(listener, region)| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || accept_loop(shared, region, listener))
+            })
+            .collect();
         let workers = (0..shared.inboxes.len())
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -1033,5 +1056,57 @@ pub(crate) mod tests {
             service: "quorum".into(),
         };
         assert_eq!(ack, expect);
+    }
+
+    /// Both listener sets `serve` and `chaosd` bind: one per agent region.
+    fn start_both(base_port: u16) -> [std::io::Error; 2] {
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 1);
+        config.base_port = base_port;
+        let served = WireServer::start(&config).err().expect("the serve start fails");
+        let chaos = crate::chaos::ChaosConfig {
+            seed: 1,
+            plan: conprobe_sim::FaultPlan::new(1),
+            inject: crate::chaos::InjectProfile::default(),
+            base_port,
+        };
+        let targets: Vec<_> = Region::AGENTS
+            .iter()
+            .map(|&region| crate::chaos::ChaosTarget {
+                region,
+                replica_region: region,
+                addr: "127.0.0.1:9".parse().unwrap(),
+            })
+            .collect();
+        let proxied = crate::chaos::ChaosProxy::start(&chaos, &targets).err();
+        [served, proxied.expect("the chaosd start fails")]
+    }
+
+    #[test]
+    fn a_base_port_whose_last_listener_overflows_is_refused_before_any_bind() {
+        // The third region would need port 65536.
+        assert_eq!(Region::AGENTS.len(), 3);
+        for err in start_both(65534) {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("listener port 65536"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_start_whose_second_bind_fails_leaves_the_first_port_free() {
+        // A free port whose successor another listener holds.
+        let (port, _successor) = loop {
+            let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+            let port = probe.local_addr().unwrap().port();
+            if port < u16::MAX {
+                if let Ok(successor) = TcpListener::bind(("127.0.0.1", port + 1)) {
+                    break (port, successor);
+                }
+            }
+        };
+        for err in start_both(port) {
+            assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+            TcpListener::bind(("127.0.0.1", port))
+                .expect("nothing still listens on the first port");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! `conprobe chaos` — the simulated and the live (`--wire`) fault-level
 //! sweeps — and the fault plans every fault-injecting command executes.
 
-use super::args::*;
+use super::args::Args;
 use super::study::{JournalArgs, TestSpec};
 use super::{write_metrics, CliError};
 use conprobe_harness::journal;
@@ -206,10 +206,10 @@ impl ChaosArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         let parsed = ChaosArgs {
             spec: TestSpec::parse(a)?,
-            levels: a.num(LEVELS)?.unwrap_or(3),
-            wire: a.on(WIRE),
-            outage_trace: a.text(OUTAGE_TRACE),
-            metrics_out: a.text(METRICS),
+            levels: a.num("--levels")?.unwrap_or(3),
+            wire: a.on("--wire"),
+            outage_trace: a.text("--outage-trace"),
+            metrics_out: a.text("--metrics"),
             journal: JournalArgs::parse(a)?,
         };
         if parsed.wire && parsed.metrics_out.is_some() {

@@ -1,7 +1,7 @@
 //! The live wire-plane commands — `serve`, `chaosd`, `probe`, `load`,
 //! `dispatch`, `worker` — and the ready-file they hand addresses over in.
 
-use super::args::*;
+use super::args::{parse_endpoint, region_token, Args};
 use super::chaos::{fault_plan, interpose_on, ledger_counts, wire_chaos_plan};
 use super::study::{campaign_tests, progress_gauge, render_campaign_report, JournalArgs, TestSpec};
 use super::{write_file, write_metrics, CliError};
@@ -13,7 +13,7 @@ use conprobe_obs::MetricsRegistry;
 use conprobe_services::live::StaleWindow;
 use conprobe_services::{ServiceKind, ShardRing};
 use conprobe_sim::net::Region;
-use conprobe_sim::{SimDuration, SimRng};
+use conprobe_sim::{FaultPlan, SimDuration, SimRng};
 use conprobe_store::PostId;
 use conprobe_wire::{
     drive_service_actions, run_dispatch, run_load, run_probe, run_probe_with_live, run_worker,
@@ -86,23 +86,71 @@ impl ReadyFile {
     }
 }
 
-/// Prints the bound listeners to stderr under `banner` and publishes
-/// them to the `--ready-file`, if one was asked for.
-fn announce(banner: &str, ready: &ReadyFile, path: &Option<String>) -> Result<(), CliError> {
-    let lines = ready.render();
-    eprint!("{banner} on:\n{lines}");
-    if let Some(path) = path {
-        write_file(path, &lines)?;
-        eprintln!("endpoints written to {path}");
-    }
-    Ok(())
+/// The flags `serve` and `chaosd` share: what their listeners bind and
+/// announce, the wire-timescale fault plan they execute, and when they
+/// drain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostArgs {
+    /// Seed: `serve`'s replication-delay and latency-shaping streams,
+    /// `chaosd`'s injection streams.
+    pub seed: u64,
+    /// Base TCP port (listener `i` binds `base+i`); 0 = ephemeral.
+    pub base_port: u16,
+    /// Wire-timescale fault-plan intensity (0 = no faults).
+    pub fault_level: u32,
+    /// Seed for the fault plan (defaults to `seed`).
+    pub fault_seed: Option<u64>,
+    /// Replay a measured incident timeline (outage-trace JSON) instead
+    /// of the synthetic escalation.
+    pub outage_trace: Option<String>,
+    /// Write `region=addr` lines here once the listeners are bound.
+    pub ready_file: Option<String>,
+    /// Graceful-drain trigger file.
+    pub stop_file: Option<String>,
+    /// Safety cap: drain after this many seconds.
+    pub max_secs: Option<u64>,
 }
 
-/// Blocks until `stopped` reports a drain trigger or `--max-secs` have
-/// elapsed since `started`.
-fn wait_for_drain(started: Instant, max_secs: Option<u64>, stopped: impl Fn() -> bool) {
-    while !stopped() && max_secs.is_none_or(|cap| started.elapsed() < Duration::from_secs(cap)) {
-        std::thread::sleep(Duration::from_millis(50));
+impl HostArgs {
+    fn parse(a: &Args) -> Result<Self, CliError> {
+        Ok(HostArgs {
+            seed: a.seed()?,
+            base_port: a.num("--port")?.unwrap_or(0),
+            fault_level: a.num("--fault-level")?.unwrap_or(0),
+            fault_seed: a.num("--fault-seed")?,
+            outage_trace: a.text("--outage-trace"),
+            ready_file: a.text("--ready-file"),
+            stop_file: a.text("--stop-file"),
+            max_secs: a.num("--max-secs")?,
+        })
+    }
+
+    /// The fault plan the host executes: the outage trace, or the wire
+    /// escalation at `--fault-level`.
+    fn plan(&self) -> Result<FaultPlan, CliError> {
+        let seed = self.fault_seed.unwrap_or(self.seed);
+        fault_plan(&self.outage_trace, wire_chaos_plan, self.fault_level, seed)
+    }
+
+    /// Prints the bound listeners to stderr under `banner` and publishes
+    /// them to the `--ready-file`, if one was asked for.
+    fn announce(&self, banner: &str, ready: &ReadyFile) -> Result<(), CliError> {
+        let lines = ready.render();
+        eprint!("{banner} on:\n{lines}");
+        if let Some(path) = &self.ready_file {
+            write_file(path, &lines)?;
+            eprintln!("endpoints written to {path}");
+        }
+        Ok(())
+    }
+
+    /// Blocks until `stopped` reports a drain trigger or `--max-secs`
+    /// have elapsed since `started`.
+    fn wait_for_drain(&self, started: Instant, stopped: impl Fn() -> bool) {
+        let open = |cap: u64| started.elapsed() < Duration::from_secs(cap);
+        while !stopped() && self.max_secs.is_none_or(open) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
     }
 }
 
@@ -121,10 +169,9 @@ fn set<T>(slot: &mut T, value: Option<T>) {
 pub struct ServeArgs {
     /// Service to host.
     pub service: ServiceKind,
-    /// Seed for replication-delay and latency-shaping streams.
-    pub seed: u64,
-    /// Base TCP port (region `i` binds `base+i`); 0 = ephemeral.
-    pub base_port: Option<u16>,
+    /// Listeners, fault plan (its crash/recover/brownout timeline is
+    /// driven against the hosted replicas) and drain.
+    pub host: HostArgs,
     /// Multiplier on paper-WAN artificial latency (0 disables).
     pub latency_scale: Option<f64>,
     /// Probability of dropping a response (lossy-WAN emulation).
@@ -140,74 +187,44 @@ pub struct ServeArgs {
     pub max_conns: Option<usize>,
     /// Slow-client eviction budget in milliseconds (0 = disabled).
     pub stall_budget_ms: Option<u64>,
-    /// Drive the wire-timescale fault plan's crash/recover/brownout
-    /// timeline against the hosted replicas (0 = no faults).
-    pub fault_level: u32,
-    /// Seed for the fault plan (defaults to the serve seed).
-    pub fault_seed: Option<u64>,
-    /// Drive a measured incident timeline (outage-trace JSON)
-    /// instead of the synthetic escalation.
-    pub outage_trace: Option<String>,
-    /// Graceful-drain trigger file.
-    pub stop_file: Option<String>,
-    /// Write `region=addr` lines here once the listeners are bound.
-    pub ready_file: Option<String>,
-    /// Safety cap: drain after this many seconds.
-    pub max_secs: Option<u64>,
     /// Dump the server's final metrics registry as JSON to this path.
     pub metrics_out: Option<String>,
 }
 
 impl ServeArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
-        let stale = match (a.num(STALE_REPLICA)?, a.num::<u64>(STALE_LAG_MS)?) {
+        let stale = match (a.num("--stale-replica")?, a.num::<u64>("--stale-lag-ms")?) {
             (Some(replica), lag_ms) => {
                 let lag_ms = lag_ms.unwrap_or(3_000);
                 let lag_nanos = lag_ms.checked_mul(1_000_000).ok_or_else(|| {
-                    CliError(format!(
-                        "{}: {lag_ms} ms does not fit in nanoseconds",
-                        STALE_LAG_MS.name
-                    ))
+                    CliError(format!("--stale-lag-ms: {lag_ms} ms does not fit in nanoseconds"))
                 })?;
                 Some((replica, lag_nanos))
             }
             (None, Some(_)) => {
-                return Err(CliError(format!(
-                    "{} sets the lag of the {} window; pass both",
-                    STALE_LAG_MS.name, STALE_REPLICA.name
-                )))
+                return Err(CliError(
+                    "--stale-lag-ms sets the lag of the --stale-replica window; pass both".into(),
+                ))
             }
             (None, None) => None,
         };
         Ok(ServeArgs {
             service: a.service()?,
-            seed: a.seed()?,
-            base_port: a.num(PORT)?,
-            latency_scale: a.num(LATENCY_SCALE)?,
-            drop_prob: a.num(DROP)?,
+            host: HostArgs::parse(a)?,
+            latency_scale: a.num("--latency-scale")?,
+            drop_prob: a.num("--drop")?,
             stale,
-            shards: a.num(SHARDS)?,
-            event_loops: a.num(EVENT_LOOPS)?,
-            max_conns: a.num(MAX_CONNS)?,
-            stall_budget_ms: a.num(STALL_BUDGET_MS)?,
-            fault_level: a.num(FAULT_LEVEL)?.unwrap_or(0),
-            fault_seed: a.num(FAULT_SEED)?,
-            outage_trace: a.text(OUTAGE_TRACE),
-            stop_file: a.text(STOP_FILE),
-            ready_file: a.text(READY_FILE),
-            max_secs: a.num(MAX_SECS)?,
-            metrics_out: a.text(METRICS),
+            shards: a.num("--shards")?,
+            event_loops: a.num("--event-loops")?,
+            max_conns: a.num("--max-conns")?,
+            stall_budget_ms: a.num("--stall-budget-ms")?,
+            metrics_out: a.text("--metrics"),
         })
     }
 
     pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
-        let (service, seed) = (self.service, self.seed);
-        let plan = fault_plan(
-            &self.outage_trace,
-            wire_chaos_plan,
-            self.fault_level,
-            self.fault_seed.unwrap_or(seed),
-        )?;
+        let (service, seed) = (self.service, self.host.seed);
+        let plan = self.host.plan()?;
         if !plan.network_effects().is_empty() {
             eprintln!(
                 "note: the plan's {} network effect(s) need the chaosd interposer; \
@@ -216,10 +233,10 @@ impl ServeArgs {
             );
         }
         let mut config = ServeConfig::loopback(service, seed);
+        config.base_port = self.host.base_port;
         config.stale_window =
             self.stale.map(|(replica, lag_nanos)| StaleWindow { replica, lag_nanos });
-        config.stop_file = self.stop_file.as_ref().map(Into::into);
-        set(&mut config.base_port, self.base_port);
+        config.stop_file = self.host.stop_file.as_ref().map(Into::into);
         set(&mut config.latency_scale, self.latency_scale);
         set(&mut config.drop_prob, self.drop_prob);
         set(&mut config.shards, self.shards);
@@ -233,7 +250,7 @@ impl ServeArgs {
             shards: Some(server.shard_count()),
             dispatch: None,
         };
-        announce(&format!("serving {service} (seed {seed})"), &ready, &self.ready_file)?;
+        self.host.announce(&format!("serving {service} (seed {seed})"), &ready)?;
         let started = Instant::now();
         std::thread::scope(|scope| {
             // The fault driver replays the plan's crash/recover/
@@ -247,7 +264,7 @@ impl ServeArgs {
                     eprintln!("fault plan drained: {n} service action(s) executed");
                 });
             }
-            wait_for_drain(started, self.max_secs, || server.stopping());
+            self.host.wait_for_drain(started, || server.stopping());
             server.request_stop();
         });
         let metrics_json = server.join();
@@ -264,61 +281,35 @@ impl ServeArgs {
 pub struct ChaosdArgs {
     /// The upstream serve's ready-file (`region=host:port` lines).
     pub server_file: String,
-    /// Seed for every injection stream.
-    pub seed: u64,
-    /// Wire-timescale fault-plan intensity (0 = transparent relay).
-    pub fault_level: u32,
-    /// Seed for the fault plan (defaults to `seed`).
-    pub fault_seed: Option<u64>,
-    /// Replay a measured incident timeline (outage-trace JSON)
-    /// instead of the synthetic escalation.
-    pub outage_trace: Option<String>,
+    /// Proxy listeners, fault plan (its network effects are executed
+    /// per link) and drain; the ready file is a drop-in serve
+    /// ready-file (the upstream's `shards=` line rides along).
+    pub host: HostArgs,
     /// Per-frame probability of a seeded single-bit corruption.
     pub corrupt: f64,
     /// Per-frame probability of a hard connection reset.
     pub reset: f64,
     /// Per-frame probability of slow-loris trickle delivery.
     pub trickle: f64,
-    /// Base TCP port for the proxy listeners (0 = ephemeral).
-    pub base_port: u16,
-    /// Write proxy `region=addr` lines here once bound (a drop-in
-    /// serve ready-file; the upstream's `shards=` line rides along).
-    pub ready_file: Option<String>,
-    /// Graceful-drain trigger file.
-    pub stop_file: Option<String>,
-    /// Safety cap: drain after this many seconds.
-    pub max_secs: Option<u64>,
 }
 
 impl ChaosdArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         Ok(ChaosdArgs {
-            server_file: a.text(SERVER_FILE).ok_or_else(|| {
-                CliError(format!("chaosd requires {} (a serve ready-file)", SERVER_FILE.name))
+            server_file: a.text("--server-file").ok_or_else(|| {
+                CliError("chaosd requires --server-file (a serve ready-file)".into())
             })?,
-            seed: a.seed()?,
-            fault_level: a.num(FAULT_LEVEL)?.unwrap_or(0),
-            fault_seed: a.num(FAULT_SEED)?,
-            outage_trace: a.text(OUTAGE_TRACE),
-            corrupt: a.num(CORRUPT)?.unwrap_or(0.0),
-            reset: a.num(RESET)?.unwrap_or(0.0),
-            trickle: a.num(TRICKLE)?.unwrap_or(0.0),
-            base_port: a.num(PORT)?.unwrap_or(0),
-            ready_file: a.text(READY_FILE),
-            stop_file: a.text(STOP_FILE),
-            max_secs: a.num(MAX_SECS)?,
+            host: HostArgs::parse(a)?,
+            corrupt: a.num("--corrupt")?.unwrap_or(0.0),
+            reset: a.num("--reset")?.unwrap_or(0.0),
+            trickle: a.num("--trickle")?.unwrap_or(0.0),
         })
     }
 
     pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
-        let seed = self.seed;
+        let seed = self.host.seed;
         let upstream = ReadyFile::read_serve(&self.server_file)?;
-        let plan = fault_plan(
-            &self.outage_trace,
-            wire_chaos_plan,
-            self.fault_level,
-            self.fault_seed.unwrap_or(seed),
-        )?;
+        let plan = self.host.plan()?;
         if !plan.service_actions().is_empty() {
             eprintln!(
                 "note: the plan's {} service action(s) need `serve --fault-level`; \
@@ -335,17 +326,17 @@ impl ChaosdArgs {
                 trickle_prob: self.trickle,
                 ..InjectProfile::default()
             },
-            base_port: self.base_port,
+            base_port: self.host.base_port,
         };
         let proxy = ChaosProxy::start(&config, &interpose_on(&upstream.endpoints))
             .map_err(|e| CliError(format!("chaosd: {e}")))?;
         // The upstream shard count passes through so probes pointed at
         // the interposer still label keyed cells correctly.
         let ready = ReadyFile { endpoints: proxy.addrs().to_vec(), ..upstream };
-        announce(&format!("chaos interposer (seed {seed})"), &ready, &self.ready_file)?;
+        self.host.announce(&format!("chaos interposer (seed {seed})"), &ready)?;
         let started = Instant::now();
-        wait_for_drain(started, self.max_secs, || {
-            self.stop_file.as_ref().is_some_and(|f| std::path::Path::new(f).exists())
+        self.host.wait_for_drain(started, || {
+            self.host.stop_file.as_ref().is_some_and(|f| std::path::Path::new(f).exists())
         });
         proxy.request_stop();
         let ledger = proxy.join();
@@ -394,21 +385,20 @@ impl ProbeArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         let parsed = ProbeArgs {
             spec: TestSpec::parse(a)?,
-            tests: a.num(TESTS)?.unwrap_or(1),
-            endpoints: a.all(ENDPOINT),
-            server_file: a.text(SERVER_FILE),
-            read_ms: a.num(READ_MS)?,
-            reads: a.num(READS)?,
-            metrics_out: a.text(METRICS),
+            tests: a.num("--tests")?.unwrap_or(1),
+            endpoints: a.all("--endpoint"),
+            server_file: a.text("--server-file"),
+            read_ms: a.num("--read-ms")?,
+            reads: a.num("--reads")?,
+            metrics_out: a.text("--metrics"),
             journal: JournalArgs::parse(a)?,
-            key: a.num(KEY)?,
-            live: a.on(LIVE),
+            key: a.num("--key")?,
+            live: a.on("--live"),
         };
         if parsed.endpoints.is_empty() && parsed.server_file.is_none() {
-            return Err(CliError(format!(
-                "probe requires {} region=host:port (repeatable) or {}",
-                ENDPOINT.name, SERVER_FILE.name
-            )));
+            return Err(CliError(
+                "probe requires --endpoint region=host:port (repeatable) or --server-file".into(),
+            ));
         }
         // The slow phase reads at twice this, a throttle storm widens
         // that up to eightfold, and the result is added to a signed
@@ -416,8 +406,7 @@ impl ProbeArgs {
         const MAX_READ_MS: u64 = i64::MAX as u64 / (2 * 8 * 1_000_000);
         if let Some(ms) = parsed.read_ms.filter(|ms| *ms > MAX_READ_MS) {
             return Err(CliError(format!(
-                "{}: {ms} ms is too long to double for the slow phase",
-                READ_MS.name
+                "--read-ms: {ms} ms is too long to double for the slow phase"
             )));
         }
         Ok(parsed)
@@ -650,22 +639,19 @@ pub struct LoadArgs {
 impl LoadArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         let parsed = LoadArgs {
-            addr: a.num(ADDR)?,
-            server_file: a.text(SERVER_FILE),
-            connections: a.num(CONNECTIONS)?,
-            pipeline: a.num(PIPELINE)?,
-            threads: a.num(THREADS)?,
-            keys: a.num(KEYS)?,
-            secs: a.num(SECS)?,
-            warmup_secs: a.num(WARMUP_SECS)?.unwrap_or(0),
-            target_ops: a.num(TARGET_OPS)?,
-            metrics_out: a.text(METRICS),
+            addr: a.num("--addr")?,
+            server_file: a.text("--server-file"),
+            connections: a.num("--connections")?,
+            pipeline: a.num("--pipeline")?,
+            threads: a.num("--threads")?,
+            keys: a.num("--keys")?,
+            secs: a.num("--secs")?,
+            warmup_secs: a.num("--warmup-secs")?.unwrap_or(0),
+            target_ops: a.num("--target-ops")?,
+            metrics_out: a.text("--metrics"),
         };
         if parsed.addr.is_none() && parsed.server_file.is_none() {
-            return Err(CliError(format!(
-                "load requires {} host:port or {}",
-                ADDR.name, SERVER_FILE.name
-            )));
+            return Err(CliError("load requires --addr host:port or --server-file".into()));
         }
         Ok(parsed)
     }
@@ -743,17 +729,17 @@ impl DispatchArgs {
         let parsed = DispatchArgs {
             spec: TestSpec::parse(a)?,
             tests: campaign_tests(a)?,
-            addr: a.num(ADDR)?,
-            lease_secs: a.num(LEASE_SECS)?.unwrap_or(30),
-            ready_file: a.text(READY_FILE),
+            addr: a.num("--addr")?,
+            lease_secs: a.num("--lease-secs")?.unwrap_or(30),
+            ready_file: a.text("--ready-file"),
             journal: JournalArgs::parse(a)?,
         };
         if parsed.journal.journal_out.is_none() && parsed.journal.resume.is_none() {
-            return Err(CliError(format!(
-                "dispatch requires {} FILE or {} FILE (the journal is the medium workers' \
-                 results merge through)",
-                JOURNAL.name, RESUME.name
-            )));
+            return Err(CliError(
+                "dispatch requires --journal FILE or --resume FILE (the journal is the medium \
+                 workers' results merge through)"
+                    .into(),
+            ));
         }
         Ok(parsed)
     }
@@ -819,15 +805,12 @@ impl WorkerArgs {
         let parsed = WorkerArgs {
             spec: TestSpec::parse(a)?,
             tests: campaign_tests(a)?,
-            addr: a.num(ADDR)?,
-            server_file: a.text(SERVER_FILE),
-            worker_id: a.num(WORKER_ID)?.unwrap_or(0),
+            addr: a.num("--addr")?,
+            server_file: a.text("--server-file"),
+            worker_id: a.num("--worker-id")?.unwrap_or(0),
         };
         if parsed.addr.is_none() && parsed.server_file.is_none() {
-            return Err(CliError(format!(
-                "worker requires {} host:port or {}",
-                ADDR.name, SERVER_FILE.name
-            )));
+            return Err(CliError("worker requires --addr host:port or --server-file".into()));
         }
         Ok(parsed)
     }

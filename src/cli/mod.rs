@@ -2,8 +2,8 @@
 //!
 //! All argument parsing and command execution lives here and returns
 //! strings/results so it can be unit-tested; `src/bin/conprobe.rs` is the
-//! thin I/O shell. `args` declares every flag once and which subcommand
-//! reads it; [`study`], [`chaos`] and [`live`] each hold one command
+//! thin I/O shell. `args` reads each subcommand's flags off its [`USAGE`]
+//! synopsis; [`study`], [`chaos`] and [`live`] each hold one command
 //! family's argument structs next to the code that runs them.
 
 mod args;
@@ -62,7 +62,9 @@ impl std::fmt::Display for CliError {
 }
 impl std::error::Error for CliError {}
 
-/// Usage text.
+/// Usage text. Its synopsis blocks are the CLI's grammar: a subcommand
+/// accepts exactly the flags its block names, and a flag takes a value
+/// exactly when a placeholder follows it inside its brackets.
 pub const USAGE: &str = "\
 conprobe — black-box consistency characterization (DSN'16 reproduction)
 
@@ -199,7 +201,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "worker" => live::WorkerArgs::parse(&a).map(Command::Worker),
         "services" => Ok(Command::Services),
         "help" => Ok(Command::Help),
-        other => unreachable!("`{other}` has a flag table but no argument parser"),
+        other => unreachable!("`{other}` has a synopsis but no argument parser"),
     }
 }
 

@@ -2,7 +2,7 @@
 //! `trace`, `journal inspect`, `services` — plus the argument groups
 //! and the journal/report plumbing every command family shares.
 
-use super::args::*;
+use super::args::{parse_level, parse_test, Args};
 use super::{write_file, write_metrics, CliError};
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, timeline, AnomalyKind, CheckerConfig, TestTrace, Verdict};
@@ -34,7 +34,7 @@ impl TestSpec {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         Ok(TestSpec {
             service: a.service()?,
-            kind: a.get(TEST, parse_test)?.unwrap_or(TestKind::Test1),
+            kind: a.get("--test", parse_test)?.unwrap_or(TestKind::Test1),
             seed: a.seed()?,
         })
     }
@@ -50,7 +50,7 @@ impl TestSpec {
 
 /// `--tests` for the campaign-shaped commands (default 20).
 pub(super) fn campaign_tests(a: &Args) -> Result<u32, CliError> {
-    Ok(a.num(TESTS)?.unwrap_or(20))
+    Ok(a.num("--tests")?.unwrap_or(20))
 }
 
 /// `--journal FILE | --resume FILE`.
@@ -64,12 +64,12 @@ pub struct JournalArgs {
 
 impl JournalArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
-        let parsed = JournalArgs { journal_out: a.text(JOURNAL), resume: a.text(RESUME) };
+        let parsed = JournalArgs { journal_out: a.text("--journal"), resume: a.text("--resume") };
         if parsed.journal_out.is_some() && parsed.resume.is_some() {
-            return Err(CliError(format!(
-                "{} starts a fresh journal and {} continues one; pass exactly one",
-                JOURNAL.name, RESUME.name
-            )));
+            return Err(CliError(
+                "--journal starts a fresh journal and --resume continues one; pass exactly one"
+                    .into(),
+            ));
         }
         Ok(parsed)
     }
@@ -85,9 +85,8 @@ impl JournalArgs {
                 // cost a prior campaign its durable records.
                 if std::fs::metadata(path).is_ok_and(|m| m.is_file() && m.len() > 0) {
                     return Err(CliError(format!(
-                        "journal {path}: already holds records; pass {} {path} to continue it, \
-                         or remove the file to start over",
-                        RESUME.name
+                        "journal {path}: already holds records; pass --resume {path} to continue \
+                         it, or remove the file to start over"
                     )));
                 }
                 let j =
@@ -134,10 +133,10 @@ pub(super) struct JournaledUnits<'a> {
 }
 
 impl JournaledUnits<'_> {
-    /// Splices unit `index` when a record with the same seed was
-    /// recovered — the rule `campaign` applies — and otherwise runs it
-    /// and appends the result. `config` is what a spliced trace is
-    /// re-analyzed under.
+    /// Splices unit `index` when its recovered record passes
+    /// [`journal::splice`] — the rule `campaign` applies — and otherwise
+    /// runs it and appends the result. `config` is what a spliced trace
+    /// is re-analyzed under.
     pub(super) fn splice_or_run(
         &self,
         index: u32,
@@ -146,16 +145,12 @@ impl JournaledUnits<'_> {
         run: impl FnOnce() -> Result<TestResult, CliError>,
     ) -> Result<TestResult, CliError> {
         let (cell, noun) = (self.cell, self.noun);
-        if let Some((_, payload)) = self.recovered.get(&index).filter(|(rseed, _)| *rseed == seed) {
-            match journal::result_from_json(config, payload) {
-                Ok(r) => {
-                    eprintln!("  {noun} {index} spliced from the journal");
-                    return Ok(r);
-                }
-                Err(e) => {
-                    eprintln!("journal: {cell} {noun} {index} payload rejected ({e}); re-running")
-                }
-            }
+        let recorded = self.recovered.get(&index).copied();
+        if let Some(r) =
+            recorded.and_then(|rec| journal::splice(cell, noun, index, rec, seed, config))
+        {
+            eprintln!("  {noun} {index} spliced from the journal");
+            return Ok(r);
         }
         let r = run()?;
         if let Some(j) = self.journal {
@@ -274,11 +269,11 @@ impl RunArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         Ok(RunArgs {
             spec: TestSpec::parse(a)?,
-            guard: a.on(GUARD),
-            whitebox: a.on(WHITEBOX),
-            show_timeline: a.on(TIMELINE),
-            json_out: a.text(JSON),
-            metrics_out: a.text(METRICS),
+            guard: a.on("--guard"),
+            whitebox: a.on("--whitebox"),
+            show_timeline: a.on("--timeline"),
+            json_out: a.text("--json"),
+            metrics_out: a.text("--metrics"),
         })
     }
 
@@ -331,7 +326,7 @@ pub struct AnalyzeArgs {
 impl AnalyzeArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         let path = a.positional.first().ok_or(CliError("analyze requires a trace path".into()))?;
-        Ok(AnalyzeArgs { path: path.to_string(), test1: a.on(TEST1) })
+        Ok(AnalyzeArgs { path: path.to_string(), test1: a.on("--test1") })
     }
 
     pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
@@ -373,7 +368,7 @@ impl CampaignArgs {
         Ok(CampaignArgs {
             spec: TestSpec::parse(a)?,
             tests: campaign_tests(a)?,
-            metrics_out: a.text(METRICS),
+            metrics_out: a.text("--metrics"),
             journal: JournalArgs::parse(a)?,
         })
     }
@@ -413,9 +408,9 @@ impl TraceArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         Ok(TraceArgs {
             spec: TestSpec::parse(a)?,
-            level: a.get(LEVEL, parse_level)?.unwrap_or(Severity::Info),
-            target: a.text(TARGET),
-            cap: a.num(CAP)?.unwrap_or(10_000),
+            level: a.get("--level", parse_level)?.unwrap_or(Severity::Info),
+            target: a.text("--target"),
+            cap: a.num("--cap")?.unwrap_or(10_000),
         })
     }
 
@@ -468,7 +463,7 @@ impl ReproArgs {
         Ok(ReproArgs {
             tests: campaign_tests(a)?,
             seed: a.seed()?,
-            metrics_out: a.text(METRICS),
+            metrics_out: a.text("--metrics"),
             journal: JournalArgs::parse(a)?,
         })
     }
