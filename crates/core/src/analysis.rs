@@ -22,13 +22,6 @@ impl<K> Default for CheckerConfig<K> {
     }
 }
 
-impl<K> CheckerConfig<K> {
-    /// Test 1 configuration with the paper's trigger pairs.
-    pub fn with_trigger_pairs(pairs: Vec<(K, K)>) -> Self {
-        CheckerConfig { wfr_mode: WfrMode::TriggerPairs(pairs), compute_windows: true }
-    }
-}
-
 /// The complete analysis of one test instance's trace.
 #[derive(Debug, Clone)]
 pub struct TestAnalysis<K> {
@@ -208,12 +201,5 @@ mod tests {
         let analysis = analyze(&b.build(), &config);
         assert!(analysis.content_windows.is_empty());
         assert!(analysis.order_windows.is_empty());
-    }
-
-    #[test]
-    fn trigger_pair_config_constructor() {
-        let config = CheckerConfig::with_trigger_pairs(vec![(2u32, 3u32)]);
-        assert!(matches!(config.wfr_mode, WfrMode::TriggerPairs(ref p) if p.len() == 1));
-        assert!(config.compute_windows);
     }
 }

@@ -152,11 +152,6 @@ impl CampaignResult {
             .sum();
         per_agent / self.results.len() as f64
     }
-
-    /// Total simulator events (message deliveries) across all instances.
-    pub fn total_sim_events(&self) -> u64 {
-        self.results.iter().map(|r| r.sim_events).sum()
-    }
 }
 
 /// Runs every instance of a campaign cell, in parallel.

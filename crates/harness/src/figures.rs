@@ -2,8 +2,8 @@
 //!
 //! Each `render_*` function takes campaign results and prints the same
 //! rows/series the paper reports, as an aligned text table (and, where
-//! useful, CSV via the `*_csv` variants). The reproduction binary
-//! (`src/bin/repro.rs`) calls these to regenerate the full evaluation
+//! useful, CSV via the `*_csv` variants). `conprobe repro`
+//! (`src/cli/repro.rs`) calls these to regenerate the full evaluation
 //! section.
 
 use crate::campaign::CampaignResult;

@@ -7,15 +7,13 @@
 //! instance finishes, we had to wait for a fixed period of time before
 //! starting a new one."*
 //!
-//! [`StudyPlan`] captures that calendar; [`plan_counts`] computes how many
-//! instances of each test fit (using a pilot run to estimate per-instance
-//! duration, since Test 1's duration is emergent), and [`run_study`]
-//! executes a scaled version of the whole study. This is both a faithful
-//! orchestration layer and a sanity check on the paper's own arithmetic:
-//! ~30 days at the reported pauses yields test counts of the same order as
-//! Tables I–II.
+//! [`StudyPlan`] captures that calendar, and [`plan_counts`] computes how
+//! many instances of each test fit (using a pilot run to estimate
+//! per-instance duration, since Test 1's duration is emergent) — a sanity
+//! check on the paper's own arithmetic: ~30 days at the reported pauses
+//! yields test counts of the same order as Tables I–II.
 
-use crate::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use crate::campaign::CampaignConfig;
 use crate::proto::TestKind;
 use crate::runner::{run_one_test, TestConfig};
 use conprobe_services::ServiceKind;
@@ -95,38 +93,6 @@ pub fn plan_counts(plan: &StudyPlan, pilots: u32, seed: u64) -> PlannedCounts {
     }
 }
 
-/// The outcome of a (scaled) study run.
-#[derive(Debug)]
-pub struct StudyOutcome {
-    /// What the full calendar would have run.
-    pub planned: PlannedCounts,
-    /// The scale factor applied (1 = full study).
-    pub scale: f64,
-    /// Test 1 results.
-    pub test1: CampaignResult,
-    /// Test 2 results.
-    pub test2: CampaignResult,
-}
-
-/// Plans and executes the study at `scale` (e.g. `0.05` runs 5 % of the
-/// planned instances — the full paper-scale study is ~2,000 instances).
-///
-/// # Panics
-///
-/// Panics if `scale` is not within `(0, 1]`.
-pub fn run_study(plan: &StudyPlan, scale: f64, seed: u64) -> StudyOutcome {
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    let planned = plan_counts(plan, 2, seed);
-    let n1 = ((planned.test1 as f64 * scale) as u32).max(1);
-    let n2 = ((planned.test2 as f64 * scale) as u32).max(1);
-    let test1 =
-        run_campaign(&CampaignConfig::paper(plan.service, TestKind::Test1, n1).with_seed(seed));
-    let test2 = run_campaign(
-        &CampaignConfig::paper(plan.service, TestKind::Test2, n2).with_seed(seed ^ 0x5EED),
-    );
-    StudyOutcome { planned, scale, test1, test2 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,24 +125,5 @@ mod tests {
             assert!((200..5_000).contains(&counts.test1), "{service} test1: {counts:?}");
             assert!((200..20_000).contains(&counts.test2), "{service} test2: {counts:?}");
         }
-    }
-
-    #[test]
-    fn scaled_study_runs_both_cells() {
-        let plan = StudyPlan::paper(ServiceKind::Blogger);
-        let outcome = run_study(&plan, 0.003, 11);
-        assert!(outcome.planned.test1 > 0);
-        assert!(!outcome.test1.results.is_empty());
-        assert!(!outcome.test2.results.is_empty());
-        assert_eq!(outcome.scale, 0.003);
-        // Blogger stays clean at study scale too.
-        assert!(outcome.test1.results.iter().all(|r| r.analysis.is_clean()));
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be in")]
-    fn run_study_validates_scale() {
-        let plan = StudyPlan::paper(ServiceKind::Blogger);
-        let _ = run_study(&plan, 0.0, 1);
     }
 }

@@ -49,11 +49,6 @@ pub fn prevalence(results: &[TestResult], kind: AnomalyKind) -> f64 {
     100.0 * hits as f64 / results.len() as f64
 }
 
-/// Prevalence of every anomaly kind.
-pub fn prevalence_all(results: &[TestResult]) -> BTreeMap<AnomalyKind, f64> {
-    AnomalyKind::ALL.iter().map(|k| (*k, prevalence(results, *k))).collect()
-}
-
 /// Histogram buckets used in Figures 4–7: observations per test per agent.
 pub const BUCKET_LABELS: [&str; 5] = ["1", "2", "3-5", "6-10", ">10"];
 
@@ -265,8 +260,8 @@ mod tests {
     #[test]
     fn clean_campaign_has_zero_prevalence() {
         let results = blogger_results(3);
-        for (_, p) in prevalence_all(&results) {
-            assert_eq!(p, 0.0);
+        for kind in AnomalyKind::ALL {
+            assert_eq!(prevalence(&results, kind), 0.0, "{kind}");
         }
         let h = observation_histogram(&results, AnomalyKind::ReadYourWrites);
         assert_eq!(h, [[0; 5]; 3]);

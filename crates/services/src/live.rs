@@ -53,8 +53,10 @@ use crate::replica_node::DelayDist;
 use crate::shard::ShardRing;
 use conprobe_json::frame;
 use conprobe_sim::net::Region;
-use conprobe_sim::{SimRng, SimTime};
-use conprobe_store::{AffinityMap, OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
+use conprobe_sim::{SimDuration, SimRng, SimTime};
+use conprobe_store::{
+    AffinityMap, OrderingPolicy, Post, PostId, ReadCache, ReplicaCore, StoredPost,
+};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -184,9 +186,6 @@ impl ReplQueue {
     }
 }
 
-/// Per-key `(snapshot, taken_at_nanos)` cache for a stale-pinned replica.
-type StaleCache = HashMap<u32, (Arc<[PostId]>, u64)>;
-
 struct LiveReplica {
     /// One deterministic core per keyspace key this replica has seen,
     /// created on first touch with the replica's ordering policy. Keys
@@ -199,7 +198,7 @@ struct LiveReplica {
     next_anti_entropy: u64,
     /// Per-key read caches for a stale-pinned replica (`None` when the
     /// replica is not pinned).
-    stale_cache: Option<StaleCache>,
+    stale_cache: Option<HashMap<u32, ReadCache>>,
 }
 
 impl LiveReplica {
@@ -426,27 +425,22 @@ impl LiveCluster {
         let shard = &self.shards[self.ring.shard_for_key(key)];
         let idx = self.replica_for(region);
         let mut guard = shard.replicas[idx].lock().unwrap();
-        let rep = &mut *guard;
-        match (&mut rep.stale_cache, self.stale) {
+        let LiveReplica { cores, stale_cache, .. } = &mut *guard;
+        let snapshot = || cores.get(&key).map_or_else(|| Arc::clone(&self.empty), |c| c.snapshot());
+        match (stale_cache, self.stale) {
             (Some(caches), Some(w)) => {
                 // Per-key cache: primed empty at cluster-start age, so
                 // the first in-window reads of a key serve the cached
                 // (empty) snapshot.
-                let (cache, taken_at) =
-                    caches.entry(key).or_insert_with(|| (Arc::from(Vec::new()), 0));
-                if now_nanos.saturating_sub(*taken_at) >= w.lag_nanos {
-                    *cache = match rep.cores.get(&key) {
-                        Some(core) => core.snapshot(),
-                        None => Arc::clone(&self.empty),
-                    };
-                    *taken_at = now_nanos;
-                }
-                Arc::clone(cache)
+                let cache = caches.entry(key).or_insert_with(|| {
+                    let mut cache = ReadCache::new(SimDuration::from_nanos(w.lag_nanos));
+                    cache.refresh(Arc::clone(&self.empty), SimTime::ZERO);
+                    cache
+                });
+                cache.refresh_if_stale(SimTime::from_nanos(now_nanos), snapshot);
+                Arc::clone(cache.read())
             }
-            _ => match rep.cores.get(&key) {
-                Some(core) => core.snapshot(),
-                None => Arc::clone(&self.empty),
-            },
+            _ => snapshot(),
         }
     }
 

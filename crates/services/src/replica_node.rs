@@ -459,10 +459,7 @@ impl ReplicaNode {
             ReadPath::Snapshot => self.core.snapshot().to_vec(),
             ReadPath::Caches { count, .. } => {
                 let idx = if *count == 1 { 0 } else { ctx.rng().gen_range(0..*count) };
-                if self.caches[idx].is_stale(now) {
-                    let snap = self.core.snapshot();
-                    self.caches[idx].refresh(snap, now);
-                }
+                self.caches[idx].refresh_if_stale(now, || self.core.snapshot());
                 self.caches[idx].read().to_vec()
             }
             ReadPath::SecondaryIndex { stale_prob, .. } => {

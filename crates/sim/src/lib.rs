@@ -75,7 +75,7 @@ pub use faults::{
 pub use net::{LatencyMatrix, LinkSpec, NetworkConfig, PartitionSpec, Region};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use world::{Context, Node, NodeId, SimEvent, SimEventKind, World, WorldConfig};
+pub use world::{Context, Node, NodeId, SimEventKind, World, WorldConfig};
 
 /// Re-export of the observability sink so downstream crates can install
 /// and share one without depending on `conprobe-obs` directly.

@@ -175,12 +175,6 @@ impl LatencyMatrix {
         self
     }
 
-    /// Overrides the intra-region link spec.
-    pub fn set_local(&mut self, spec: LinkSpec) -> &mut Self {
-        self.local_link = spec;
-        self
-    }
-
     /// The spec used for pairs with no explicit entry.
     pub fn default_link(&self) -> LinkSpec {
         self.default_link

@@ -58,11 +58,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -87,16 +82,6 @@ impl SimDuration {
     /// Constructs a duration from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Constructs a duration from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "duration must be finite and non-negative");
-        SimDuration((s * 1e9).round() as u64)
     }
 
     /// Raw nanoseconds in this duration.
@@ -220,7 +205,6 @@ mod tests {
         assert_eq!(t.as_millis(), 150);
         assert_eq!(t.saturating_since(SimTime::from_millis(100)).as_millis(), 50);
         assert_eq!(SimTime::from_millis(10).saturating_since(t), SimDuration::ZERO);
-        assert_eq!(t.checked_since(SimTime::from_millis(200)), None);
     }
 
     #[test]
@@ -230,18 +214,6 @@ mod tests {
         assert_eq!(d.saturating_mul(3).as_millis(), 900);
         assert_eq!(d.div(3).as_millis(), 100);
         assert!(SimDuration::ZERO.is_zero());
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000000015).as_nanos(), 2);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1500);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

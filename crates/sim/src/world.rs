@@ -19,7 +19,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// What happened in one simulator event (when tracing is enabled).
+/// What happened in one simulator event: what the world counts and, with
+/// an [`ObsSink`] installed (see [`World::install_obs`]), logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEventKind {
     /// A message was delivered from the contained node.
@@ -36,17 +37,6 @@ pub enum SimEventKind {
     Timer(u64),
     /// The node's `on_start` ran.
     Started,
-}
-
-/// One entry of the simulator's event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimEvent {
-    /// True simulation time of the event.
-    pub at: SimTime,
-    /// The node the event was dispatched to.
-    pub node: NodeId,
-    /// What happened.
-    pub kind: SimEventKind,
 }
 
 /// Identifies a node within one [`World`].
@@ -179,8 +169,6 @@ struct WorldCore<M> {
     delivered: u64,
     dropped: u64,
     fault_stats: FaultNetStats,
-    /// Event trace, when enabled (None = tracing off).
-    trace: Option<Vec<SimEvent>>,
     /// Observability sink + cached handles (None = observability off).
     /// Recording mutates atomics and a bounded log only — it never draws
     /// randomness or schedules events, so it cannot perturb determinism.
@@ -189,9 +177,6 @@ struct WorldCore<M> {
 
 impl<M> WorldCore<M> {
     fn record(&mut self, node: NodeId, kind: SimEventKind) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(SimEvent { at: self.now, node, kind });
-        }
         if let Some(obs) = &mut self.obs {
             match kind {
                 SimEventKind::Delivered { src } => {
@@ -417,7 +402,6 @@ impl<M: 'static> World<M> {
                 delivered: 0,
                 dropped: 0,
                 fault_stats: FaultNetStats::default(),
-                trace: None,
                 obs: None,
             },
             nodes: Vec::new(),
@@ -596,12 +580,6 @@ impl<M: 'static> World<M> {
 }
 
 impl<M: 'static> World<M> {
-    /// Replaces the clock-sampling configuration used by subsequent
-    /// [`World::add_node`] calls.
-    pub fn set_clock_config(&mut self, config: ClockConfig) {
-        self.clock_config = config;
-    }
-
     /// Schedules a partition after construction (useful once node ids are
     /// known, e.g. to cut a specific replica off).
     pub fn add_partition(&mut self, spec: crate::net::PartitionSpec) {
@@ -613,21 +591,6 @@ impl<M: 'static> World<M> {
         self.core.net.add_effect(effect);
     }
 
-    /// Enables event tracing: every dispatch and drop is recorded until
-    /// [`World::take_trace`] drains the log. Costs one `Vec` push per
-    /// event — leave off for large campaigns.
-    pub fn enable_tracing(&mut self) {
-        if self.core.trace.is_none() {
-            self.core.trace = Some(Vec::new());
-        }
-    }
-
-    /// Drains and returns the event trace recorded so far (empty when
-    /// tracing was never enabled).
-    pub fn take_trace(&mut self) -> Vec<SimEvent> {
-        self.core.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     /// Installs an observability sink: global and per-region-link
     /// delivery/drop counters, fault-interference counters, timer counts,
     /// and the structured event log (all under the `sim.` namespace; nodes
@@ -637,11 +600,6 @@ impl<M: 'static> World<M> {
     /// overhead beyond one branch per event.
     pub fn install_obs(&mut self, sink: ObsSink) {
         self.core.obs = Some(WorldObs::new(sink));
-    }
-
-    /// The installed observability sink, if any.
-    pub fn obs_sink(&self) -> Option<&ObsSink> {
-        self.core.obs.as_ref().map(|o| &o.sink)
     }
 }
 
@@ -1246,8 +1204,11 @@ mod fault_tests {
 
 #[cfg(test)]
 mod trace_tests {
+    //! The sim events `conprobe trace` prints: the obs event log the world
+    //! writes, stamped in simulated time.
     use super::*;
     use crate::net::Region;
+    use conprobe_obs::{EventLog, ObsEvent};
 
     type Msg = u32;
 
@@ -1269,35 +1230,40 @@ mod trace_tests {
         }
     }
 
-    #[test]
-    fn tracing_records_starts_timers_and_deliveries() {
-        let mut w = World::new(WorldConfig::default(), 2);
-        w.enable_tracing();
+    /// Runs a kick (Oregon) at an echo (Tokyo) with a log at `min`; returns
+    /// the drained events, the sink, and the echo and kick ids.
+    fn traced(cfg: WorldConfig, min: Severity) -> (Vec<ObsEvent>, ObsSink, NodeId, NodeId) {
+        let sink = ObsSink::with_log(EventLog::new(64).with_min_severity(min));
+        let mut w = World::new(cfg, 2);
+        w.install_obs(sink.clone());
         let echo = w.add_node(Region::Tokyo, Box::new(Echo));
         let kick = w.add_node(Region::Oregon, Box::new(Kick { target: echo }));
         w.run_until_idle();
-        let trace = w.take_trace();
-        assert!(trace.iter().any(|e| e.node == kick && e.kind == SimEventKind::Started));
-        assert!(trace.iter().any(|e| e.node == kick && e.kind == SimEventKind::Timer(9)));
-        let delivered: Vec<_> =
-            trace.iter().filter(|e| matches!(e.kind, SimEventKind::Delivered { .. })).collect();
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].node, echo);
+        (sink.log.drain(), sink, echo, kick)
+    }
+
+    #[test]
+    fn tracing_records_starts_timers_and_deliveries() {
+        let (events, sink, echo, kick) = traced(WorldConfig::default(), Severity::Debug);
+        let messages: Vec<&str> = events.iter().map(|e| e.message.as_str()).collect();
+        assert!(messages.contains(&format!("node {kick} started").as_str()), "{messages:?}");
+        assert_eq!(sink.metrics.counter("sim.timers").get(), 1, "the kick's one timer");
+        let delivered: Vec<_> = messages.iter().filter(|m| m.starts_with("deliver ")).collect();
+        assert_eq!(delivered, [&format!("deliver {kick} -> {echo}")]);
         // Times are monotone.
-        for w in trace.windows(2) {
-            assert!(w[0].at <= w[1].at);
+        for w in events.windows(2) {
+            assert!(w[0].at_nanos <= w[1].at_nanos);
         }
-        // Drained: the second take is empty.
-        assert!(w.take_trace().is_empty());
+        // Drained: the second drain is empty.
+        assert!(sink.log.drain().is_empty());
     }
 
     #[test]
     fn tracing_off_records_nothing() {
-        let mut w = World::new(WorldConfig::default(), 2);
-        let echo = w.add_node(Region::Tokyo, Box::new(Echo));
-        let _kick = w.add_node(Region::Oregon, Box::new(Kick { target: echo }));
-        w.run_until_idle();
-        assert!(w.take_trace().is_empty());
+        // Below the log's floor nothing is kept; the counters still count.
+        let (events, sink, _, _) = traced(WorldConfig::default(), Severity::Error);
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(sink.metrics.counter("sim.delivered").get(), 1);
     }
 
     #[test]
@@ -1305,15 +1271,9 @@ mod trace_tests {
         let mut cfg = WorldConfig::default();
         cfg.net.matrix =
             crate::net::LatencyMatrix::uniform(crate::net::LinkSpec::wan_ms(5).with_loss(1.0));
-        let mut w = World::new(cfg, 2);
-        w.enable_tracing();
-        let echo = w.add_node(Region::Tokyo, Box::new(Echo));
-        let kick = w.add_node(Region::Oregon, Box::new(Kick { target: echo }));
-        w.run_until_idle();
-        let trace = w.take_trace();
-        assert!(trace
-            .iter()
-            .any(|e| e.node == echo && e.kind == SimEventKind::Dropped { src: kick }));
+        let (events, _, echo, kick) = traced(cfg, Severity::Warn);
+        let drop = format!("drop {kick} -> {echo}");
+        assert!(events.iter().any(|e| e.message == drop && e.severity == Severity::Warn));
     }
 }
 

@@ -30,8 +30,9 @@ impl ReadCache {
         ReadCache { snapshot: Arc::from([]), last_refresh: None, refresh_every }
     }
 
-    /// The cached sequence served to readers.
-    pub fn read(&self) -> &[PostId] {
+    /// The cached sequence served to readers, as the shared slice it was
+    /// installed as.
+    pub fn read(&self) -> &Arc<[PostId]> {
         &self.snapshot
     }
 
@@ -96,7 +97,7 @@ mod tests {
     fn refresh_installs_snapshot() {
         let mut c = ReadCache::new(SimDuration::from_millis(500));
         c.refresh(vec![id(1), id(2)].into(), SimTime::from_millis(100));
-        assert_eq!(c.read(), [id(1), id(2)]);
+        assert_eq!(**c.read(), [id(1), id(2)]);
         assert_eq!(c.last_refresh(), Some(SimTime::from_millis(100)));
         assert!(!c.is_stale(SimTime::from_millis(400)));
         assert!(c.is_stale(SimTime::from_millis(600)));
@@ -107,11 +108,11 @@ mod tests {
         let mut c = ReadCache::new(SimDuration::from_millis(100));
         let refreshed = c.refresh_if_stale(SimTime::from_millis(50), || vec![id(1)].into());
         assert!(refreshed);
-        assert_eq!(c.read(), [id(1)]);
+        assert_eq!(**c.read(), [id(1)]);
         // Not stale yet: the closure must not run.
         let refreshed = c.refresh_if_stale(SimTime::from_millis(100), || panic!("pulled"));
         assert!(!refreshed);
-        assert_eq!(c.read(), [id(1)]);
+        assert_eq!(**c.read(), [id(1)]);
     }
 
     #[test]

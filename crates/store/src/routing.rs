@@ -49,14 +49,6 @@ impl AffinityMap {
         m
     }
 
-    /// The Facebook Group model's affinity per the paper's inference:
-    /// Oregon and Ireland on the main replica 0; Tokyo on replica 1.
-    pub fn fbgroup_paper() -> Self {
-        let mut m = AffinityMap::new();
-        m.assign(Region::Oregon, 0).assign(Region::Ireland, 0).assign(Region::Tokyo, 1);
-        m
-    }
-
     /// One replica per agent region: Oregon→0, Tokyo→1, Ireland→2 (the
     /// Facebook Feed model, where divergence is uniform across pairs).
     pub fn one_per_agent() -> Self {
@@ -87,13 +79,6 @@ mod tests {
         let m = AffinityMap::gplus_paper();
         assert_eq!(m.replica_for(Region::Oregon), m.replica_for(Region::Tokyo));
         assert_ne!(m.replica_for(Region::Oregon), m.replica_for(Region::Ireland));
-    }
-
-    #[test]
-    fn fbgroup_tokyo_is_isolated() {
-        let m = AffinityMap::fbgroup_paper();
-        assert_eq!(m.replica_for(Region::Oregon), m.replica_for(Region::Ireland));
-        assert_ne!(m.replica_for(Region::Tokyo), m.replica_for(Region::Oregon));
     }
 
     #[test]

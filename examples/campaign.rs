@@ -2,8 +2,8 @@
 //!
 //! Runs Test 1 and Test 2 cells for every service (50 instances each, in
 //! parallel), then prints Figure 3 and the per-pair content-divergence
-//! breakdown of Figure 8. For the full set of tables and figures use the
-//! `repro` binary (`cargo run --release --bin repro`).
+//! breakdown of Figure 8. For the full set of tables and figures use
+//! `conprobe repro` (`cargo run --release -- repro`).
 //!
 //! ```sh
 //! cargo run --release --example campaign

@@ -152,6 +152,15 @@ impl<'a> Args<'a> {
     pub fn seed(&self) -> Result<u64, CliError> {
         Ok(self.num("--seed")?.unwrap_or(42))
     }
+
+    /// `--tests`, defaulting to `default`. Zero is refused: a run of no
+    /// tests would report on nothing as if it had measured something.
+    pub fn tests(&self, default: u32) -> Result<u32, CliError> {
+        match self.num("--tests")? {
+            Some(0) => Err(CliError("--tests must be at least 1".into())),
+            tests => Ok(tests.unwrap_or(default)),
+        }
+    }
 }
 
 pub(super) fn parse_service(s: &str) -> Result<ServiceKind, CliError> {

@@ -385,7 +385,7 @@ impl ProbeArgs {
     pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
         let parsed = ProbeArgs {
             spec: TestSpec::parse(a)?,
-            tests: a.num("--tests")?.unwrap_or(1),
+            tests: a.tests(1)?,
             endpoints: a.all("--endpoint"),
             server_file: a.text("--server-file"),
             read_ms: a.num("--read-ms")?,

@@ -3,12 +3,13 @@
 //! All argument parsing and command execution lives here and returns
 //! strings/results so it can be unit-tested; `src/bin/conprobe.rs` is the
 //! thin I/O shell. `args` reads each subcommand's flags off its [`USAGE`]
-//! synopsis; [`study`], [`chaos`] and [`live`] each hold one command
-//! family's argument structs next to the code that runs them.
+//! synopsis; [`study`], [`repro`], [`chaos`] and [`live`] each hold one
+//! command family's argument structs next to the code that runs them.
 
 mod args;
 pub mod chaos;
 pub mod live;
+pub mod repro;
 pub mod study;
 
 pub use chaos::{chaos_plan, wire_chaos_plan};
@@ -29,8 +30,8 @@ pub enum Command {
     Chaos(chaos::ChaosArgs),
     /// Replay one test with the structured event log on.
     Trace(study::TraceArgs),
-    /// Run the full mini-study and print a prevalence table.
-    Repro(study::ReproArgs),
+    /// Render the paper's tables and figures.
+    Repro(repro::ReproArgs),
     /// Inspect a campaign journal.
     JournalInspect(study::JournalInspectArgs),
     /// Host a catalog service on real TCP listeners.
@@ -79,8 +80,9 @@ USAGE:
                [--metrics FILE] [--journal FILE | --resume FILE]
   conprobe trace --service <svc> [--test 1|2] [--seed N]
                [--level debug|info|warn|error] [--target PREFIX] [--cap N]
-  conprobe repro [--tests N] [--seed N] [--metrics FILE]
-               [--journal FILE | --resume FILE]
+  conprobe repro [--tests N] [--seed N] [--csv DIR] [--report FILE]
+               [--metrics FILE] [--journal FILE | --resume FILE]
+               [artifact…]
   conprobe journal inspect <journal.jsonl>
   conprobe serve --service <svc> [--seed N] [--port BASE]
                [--latency-scale F] [--drop P]
@@ -191,7 +193,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "campaign" => study::CampaignArgs::parse(&a).map(Command::Campaign),
         "chaos" => chaos::ChaosArgs::parse(&a).map(Command::Chaos),
         "trace" => study::TraceArgs::parse(&a).map(Command::Trace),
-        "repro" => study::ReproArgs::parse(&a).map(Command::Repro),
+        "repro" => repro::ReproArgs::parse(&a).map(Command::Repro),
         "journal" => study::JournalInspectArgs::parse(&a).map(Command::JournalInspect),
         "serve" => live::ServeArgs::parse(&a).map(Command::Serve),
         "chaosd" => live::ChaosdArgs::parse(&a).map(Command::Chaosd),

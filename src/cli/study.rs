@@ -1,6 +1,7 @@
-//! The simulated-study commands — `run`, `analyze`, `campaign`, `repro`,
-//! `trace`, `journal inspect`, `services` — plus the argument groups
-//! and the journal/report plumbing every command family shares.
+//! The simulated-study commands — `run`, `analyze`, `campaign`, `trace`,
+//! `journal inspect`, `services` — plus the argument groups and the
+//! journal/report plumbing every command family shares (`repro` has its
+//! own module).
 
 use super::args::{parse_level, parse_test, Args};
 use super::{write_file, write_metrics, CliError};
@@ -39,8 +40,9 @@ impl TestSpec {
         })
     }
 
-    /// The campaign cell `campaign`, `dispatch` and `worker` must agree
-    /// on, with the `CONPROBE_INJECT_PANIC` drill hook applied.
+    /// The campaign cell `campaign`, `dispatch`, `worker` and `repro`'s
+    /// grid must agree on, with the `CONPROBE_INJECT_PANIC` drill hook
+    /// applied.
     pub(super) fn campaign_config(&self, tests: u32) -> CampaignConfig {
         let mut config = CampaignConfig::paper(self.service, self.kind, tests).with_seed(self.seed);
         config.inject_panic = injected_panics();
@@ -50,7 +52,7 @@ impl TestSpec {
 
 /// `--tests` for the campaign-shaped commands (default 20).
 pub(super) fn campaign_tests(a: &Args) -> Result<u32, CliError> {
-    Ok(a.num("--tests")?.unwrap_or(20))
+    a.tests(20)
 }
 
 /// `--journal FILE | --resume FILE`.
@@ -173,7 +175,7 @@ fn injected_panics() -> Vec<u32> {
 
 /// Appends quarantine lines for crashed instances (stdout — a campaign
 /// with quarantined tests must say so in its report).
-fn report_crashed(out: &mut String, crashed: &[CrashedInstance]) {
+pub(super) fn report_crashed(out: &mut String, crashed: &[CrashedInstance]) {
     for c in crashed {
         let _ = writeln!(
             out,
@@ -441,95 +443,6 @@ impl TraceArgs {
         );
         report_analysis(out, &r.analysis, &r.trace, false);
         Ok(())
-    }
-}
-
-/// `conprobe repro`: the full mini-study (every service × both tests)
-/// with a prevalence table; `--metrics` dumps the combined registry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReproArgs {
-    /// Instances per (service, test) cell.
-    pub tests: u32,
-    /// Seed (combined with each cell's own master seed).
-    pub seed: u64,
-    /// Dump the metrics registry as JSON to this path.
-    pub metrics_out: Option<String>,
-    /// Where finished instances are journaled.
-    pub journal: JournalArgs,
-}
-
-impl ReproArgs {
-    pub(super) fn parse(a: &Args) -> Result<Self, CliError> {
-        Ok(ReproArgs {
-            tests: campaign_tests(a)?,
-            seed: a.seed()?,
-            metrics_out: a.text("--metrics"),
-            journal: JournalArgs::parse(a)?,
-        })
-    }
-
-    pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
-        let (tests, seed) = (self.tests, self.seed);
-        let sink = ObsSink::default();
-        let journaled = self.journal.open()?;
-        let inject = injected_panics();
-        let _ = writeln!(out, "mini-study: {tests} instance(s) per cell (seed {seed})");
-        let _ = writeln!(
-            out,
-            "  {:<10} {:<6} {:>10} {:>8} {:>8}",
-            "service", "test", "completed", "reads", "writes"
-        );
-        let mut all: Vec<(ServiceKind, Vec<TestResult>)> = Vec::new();
-        for service in ServiceKind::ALL {
-            let mut rows = Vec::new();
-            for kind in [TestKind::Test1, TestKind::Test2] {
-                let mut config = CampaignConfig::paper(service, kind, tests);
-                config.seed ^= seed;
-                config.test.obs = self.metrics_out.as_ref().map(|_| sink.clone());
-                config.inject_panic = inject.clone();
-                let cell = journal::cell_id(service, kind);
-                let result = run_campaign_journaled(
-                    &config,
-                    None,
-                    &cell,
-                    journaled.journal.as_ref(),
-                    journaled.recovery.as_ref(),
-                );
-                if result.resumed > 0 {
-                    eprintln!("  {cell}: {} instance(s) spliced from the journal", result.resumed);
-                }
-                let _ = writeln!(
-                    out,
-                    "  {:<10} {:<6} {:>6}/{:<3} {:>8} {:>8}",
-                    service.name(),
-                    kind.to_string(),
-                    result.completed(),
-                    tests,
-                    result.total_reads(),
-                    result.total_writes()
-                );
-                report_crashed(out, &result.crashed);
-                rows.extend(result.results);
-            }
-            all.push((service, rows));
-        }
-        let _ = writeln!(out, "anomaly prevalence (% of tests, both test kinds pooled):");
-        for (service, rows) in &all {
-            let mut cells = Vec::new();
-            for kind in AnomalyKind::ALL {
-                let p = stats::prevalence(rows, kind);
-                if p > 0.0 {
-                    cells.push(format!("{}={p:.1}%", kind.short()));
-                }
-            }
-            let _ = writeln!(
-                out,
-                "  {:<10} {}",
-                service.name(),
-                if cells.is_empty() { "clean".to_string() } else { cells.join(" ") }
-            );
-        }
-        write_metrics(out, &self.metrics_out, || sink.metrics.to_json().to_pretty())
     }
 }
 

@@ -98,11 +98,12 @@ fn repro_emits_metrics_covering_all_layers() {
     let dir = std::env::temp_dir().join("conprobe-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("repro-metrics.json").to_string_lossy().to_string();
-    let out = execute(parse(&args(&format!("repro --tests 1 --seed 9 --metrics {path}"))).unwrap())
-        .unwrap();
-    assert!(out.contains("mini-study"), "{out}");
+    let line = format!("repro --tests 1 --seed 9 --metrics {path} fig3");
+    let out = execute(parse(&args(&line)).unwrap()).unwrap();
+    assert!(out.contains("== Figure 3: % of tests with observations of each anomaly =="), "{out}");
     assert!(out.contains("Blogger"), "{out}");
-    assert!(out.contains("anomaly prevalence"), "{out}");
+    assert!(!out.contains("Table I"), "only the requested artifact is rendered: {out}");
+    assert!(out.ends_with(&format!("metrics written to {path}\n")), "{out}");
     let json = std::fs::read_to_string(&path).unwrap();
     let doc = conprobe_json::parse(&json).unwrap();
     // The acceptance bar: one registry dump spanning all four layers.
@@ -166,7 +167,8 @@ fn flags_a_subcommand_does_not_read_are_errors() {
 /// Every `(subcommand, flag, takes value)` triple the `USAGE` synopses
 /// declare, one per line in synopsis order. The hash is of the same
 /// rendering of the hand-written per-subcommand flag tables the
-/// synopses replaced: 15 subcommands, 51 distinct flags.
+/// synopses replaced, plus `repro`'s `--csv` and `--report`: 15
+/// subcommands, 53 distinct flags.
 #[test]
 fn the_usage_grammar_is_pinned() {
     let mut rendering = String::new();
@@ -181,9 +183,9 @@ fn the_usage_grammar_is_pinned() {
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(synopses().count(), 15, "subcommands");
-    assert_eq!(distinct.len(), 51, "distinct flags");
+    assert_eq!(distinct.len(), 53, "distinct flags");
     let hash = conprobe_json::frame::fnv64(rendering.as_bytes());
-    assert_eq!(hash, 0x9eea_9961_702d_4763, "{rendering}");
+    assert_eq!(hash, 0xd1f4_0624_0234_0dbf, "{rendering}");
 }
 
 /// Every parse-time refusal word for word, including the messages
@@ -236,6 +238,17 @@ fn parse_errors_keep_their_exact_text() {
         ("worker --service blogger", "worker requires --addr host:port or --server-file"),
         ("chaosd", "chaosd requires --server-file (a serve ready-file)"),
         ("chaosd --server-file x --port 70000", "--port: number too large to fit in target type"),
+        ("campaign --service blogger --tests 0", "--tests must be at least 1"),
+        ("repro --tests 0", "--tests must be at least 1"),
+        ("dispatch --service blogger --tests 0 --resume j", "--tests must be at least 1"),
+        ("worker --service blogger --tests 0 --addr 127.0.0.1:1", "--tests must be at least 1"),
+        ("probe --service blogger --tests 0 --server-file s", "--tests must be at least 1"),
+        (
+            "repro fig11",
+            "unknown artifact 'fig11' (use one of: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 \
+             fig9 fig10 totals ablate-clock ablate-antientropy session-guard whitebox \
+             visibility rotation all)",
+        ),
     ] {
         assert_eq!(parse_err(line), error, "{line}");
     }
@@ -685,11 +698,43 @@ fn campaign_shaped_commands_default_to_twenty_tests() {
     assert!(matches!(parsed("campaign --service blogger"), Command::Campaign(c) if c.tests == 20));
     assert!(matches!(parsed("campaign --service blogger --tests 3"),
         Command::Campaign(c) if c.tests == 3));
-    assert!(matches!(parsed("repro"), Command::Repro(r) if r.tests == 20 && r.seed == 42));
+    assert!(matches!(parsed("repro"),
+        Command::Repro(r) if r.tests == 20 && r.seed == 42 && r.artifacts == ["all"]));
     assert!(matches!(parsed("dispatch --service blogger --resume j.jsonl"),
         Command::Dispatch(d) if d.tests == 20 && d.lease_secs == 30));
     assert!(matches!(parsed("worker --service blogger --addr 127.0.0.1:7000"),
         Command::Worker(w) if w.tests == 20 && w.worker_id == 0));
+}
+
+#[test]
+fn repro_refuses_an_unknown_artifact_by_name() {
+    let e = parse_err("repro table1 fig11 fig3");
+    assert!(e.starts_with("unknown artifact 'fig11' "), "{e}");
+    match parse(&args("repro fig3 table1")).unwrap() {
+        Command::Repro(r) => assert_eq!(r.artifacts, ["fig3", "table1"]),
+        other => panic!("wrong parse: {other:?}"),
+    }
+}
+
+#[test]
+fn repro_renders_every_artifact_by_default() {
+    let out = execute(parse(&args("repro --tests 1 --seed 3")).unwrap()).unwrap();
+    // One `== title ==` block per artifact, in the paper's order.
+    let titles: Vec<&str> = out.lines().filter(|l| l.starts_with("== ")).collect();
+    assert_eq!(titles.len(), 17, "{titles:#?}");
+    assert!(titles[0].starts_with("== Table I:") && titles[16].contains("E2: agent rotation"));
+}
+
+#[test]
+fn repro_reports_a_report_it_cannot_write_as_an_error() {
+    let missing = std::env::temp_dir().join(format!("conprobe-missing-{}", std::process::id()));
+    let report = missing.join("study.json");
+    let e = execute(
+        parse(&args(&format!("repro --tests 1 --report {} table1", report.display()))).unwrap(),
+    )
+    .unwrap_err();
+    assert!(e.0.starts_with(&format!("write {}: ", report.display())), "{}", e.0);
+    assert!(!missing.exists());
 }
 
 #[test]

@@ -175,14 +175,14 @@ fn test2_read_schedule_is_adaptive() {
     );
 }
 
-/// The `repro` binary — the README's "regenerate every table and figure"
+/// `conprobe repro` — the README's "regenerate every table and figure"
 /// entry point — runs the campaign grid and renders Table I.
 #[test]
 fn repro_binary_renders_table1() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--tests", "1", "table1"])
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_conprobe"))
+        .args(["repro", "--tests", "1", "table1"])
         .output()
-        .expect("spawn repro");
+        .expect("spawn conprobe repro");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.contains("== Table I: configuration parameters for Test 1 =="), "{table}");

@@ -82,13 +82,13 @@ fn interrupted_repro_resumed_via_cli_is_byte_identical() {
     let _env = ENV_LOCK.lock().unwrap();
     let journal = temp("repro");
     let journal_s = journal.to_string_lossy();
-    let want = run_cli("repro --tests 2 --seed 3");
+    let want = run_cli("repro --tests 2 --seed 3 fig3");
     std::env::set_var("CONPROBE_INJECT_PANIC", "0");
-    let first = run_cli(&format!("repro --tests 2 --seed 3 --journal {journal_s}"));
+    let first = run_cli(&format!("repro --tests 2 --seed 3 --journal {journal_s} fig3"));
     std::env::remove_var("CONPROBE_INJECT_PANIC");
     assert!(first.contains("QUARANTINED instance 0"), "{first}");
-    let resumed = run_cli(&format!("repro --tests 2 --seed 3 --resume {journal_s}"));
-    assert_eq!(resumed, want, "resumed mini-study must match the uninterrupted one");
+    let resumed = run_cli(&format!("repro --tests 2 --seed 3 --resume {journal_s} fig3"));
+    assert_eq!(resumed, want, "resumed figure must match the uninterrupted one");
     std::fs::remove_file(&journal).ok();
 }
 
