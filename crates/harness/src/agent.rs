@@ -14,36 +14,19 @@
 //!   its output — the agent has no access to true time;
 //! * on `Stop` it ships the log to the coordinator.
 //!
-//! Optionally the agent routes reads and write-acks through a
-//! [`SessionGuard`] (the A3 extension experiment): the *corrected* view is
-//! then what gets logged, modelling an application that masks session
+//! Optionally the agent routes reads and write-acks through a session
+//! guard (`guard.rs`, the A3 extension experiment): the *corrected* view
+//! is then what gets logged, modelling an application that masks session
 //! anomalies client-side.
 
+use crate::guard::SessionGuard;
 use crate::proto::{HarnessMsg, LocalOpRecord, Msg};
 use crate::script::{post_for, TestScript};
 use conprobe_core::trace::OpKind;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
-use conprobe_session::{GuardConfig, IssueOrder, SessionGuard};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration};
 use conprobe_store::PostId;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Issue order over [`PostId`]s: same author ⇒ ordered by sequence number,
-/// with derivable predecessors — the paper's session-id + sequence-number
-/// scheme instantiated for our post keys.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PostIdOrder;
-
-impl IssueOrder<PostId> for PostIdOrder {
-    fn same_session_order(&self, a: &PostId, b: &PostId) -> Option<Ordering> {
-        (a.author == b.author).then(|| a.seq.cmp(&b.seq))
-    }
-
-    fn predecessor(&self, k: &PostId) -> Option<PostId> {
-        (k.seq > 1).then(|| PostId::new(k.author, k.seq - 1))
-    }
-}
 
 const TOKEN_START: u64 = 1;
 const TOKEN_READ: u64 = 2;
@@ -137,7 +120,7 @@ pub struct AgentNode {
     /// Operations rejected by the rate limiter, awaiting a backoff retry.
     throttle_backlog: HashMap<u64, (PendingOp, ClientOp)>,
     next_backoff: u64,
-    guard: Option<SessionGuard<PostId, PostIdOrder>>,
+    guard: Option<SessionGuard>,
     use_guard: bool,
     obs: Option<AgentObs>,
 }
@@ -145,7 +128,7 @@ pub struct AgentNode {
 impl AgentNode {
     /// Creates an idle agent with the given index (0-based; the paper's
     /// Agent⟨i+1⟩). If `use_guard` is set, reads are filtered through a
-    /// [`SessionGuard`] before logging.
+    /// session guard before logging.
     pub fn new(agent_index: u32, use_guard: bool) -> Self {
         AgentNode {
             agent_index,
@@ -304,8 +287,7 @@ impl Node<Msg> for AgentNode {
                 }
                 self.coordinator = Some(from);
                 self.stopped = false;
-                self.guard =
-                    self.use_guard.then(|| SessionGuard::new(GuardConfig::default(), PostIdOrder));
+                self.guard = self.use_guard.then(SessionGuard::default);
                 debug_assert_eq!(plan.agent_index, self.agent_index, "plan routed to wrong agent");
                 let now = ctx.now_local();
                 let wait = plan.start_at_local.delta_nanos(now).max(0) as u64;
@@ -490,18 +472,6 @@ impl Node<Msg> for AgentNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn post_id_order_oracle() {
-        let a = PostId::new(conprobe_store::AuthorId(1), 1);
-        let b = PostId::new(conprobe_store::AuthorId(1), 2);
-        let c = PostId::new(conprobe_store::AuthorId(2), 1);
-        assert_eq!(PostIdOrder.same_session_order(&a, &b), Some(Ordering::Less));
-        assert_eq!(PostIdOrder.same_session_order(&b, &a), Some(Ordering::Greater));
-        assert_eq!(PostIdOrder.same_session_order(&a, &c), None);
-        assert_eq!(PostIdOrder.predecessor(&b), Some(a));
-        assert_eq!(PostIdOrder.predecessor(&a), None);
-    }
 
     #[test]
     fn new_agent_is_idle() {

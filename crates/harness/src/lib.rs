@@ -14,7 +14,10 @@
 //! * [`agent`] — the deployed agents (Oregon, Tokyo, Ireland): the
 //!   script's driver inside the simulator, logging every operation with
 //!   local invocation/response times. [`transport`] holds its blocking
-//!   driver for live endpoints.
+//!   driver for live endpoints. With `TestConfig::use_guard` each agent
+//!   logs the view of a private session guard (`guard.rs`, extension A3):
+//!   acked own writes injected, nothing once shown dropped, each author's
+//!   posts held back until their predecessors are shown.
 //! * [`coordinator`] — the North Virginia coordinator: runs clock sync
 //!   before each test, schedules a synchronized start, detects completion
 //!   (Test 1: all agents saw M6; Test 2: all agents hit their read quota),
@@ -58,6 +61,7 @@ pub mod campaign;
 pub mod clocksync;
 pub mod coordinator;
 pub mod figures;
+mod guard;
 pub mod journal;
 pub mod proto;
 pub mod report;

@@ -33,7 +33,7 @@ pub struct TestConfig {
     /// Cut the Tokyo-side replica off from the rest of the service for the
     /// whole test (the transient fault the paper infers for FB Group).
     pub tokyo_partition: bool,
-    /// Run agents behind a `conprobe-session` guard (extension A3).
+    /// Run agents behind a client-side session guard (extension A3).
     pub use_guard: bool,
     /// Deploy this topology instead of the service's calibrated preset
     /// (ablations).

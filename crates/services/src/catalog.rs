@@ -12,9 +12,11 @@
 //! EXPERIMENTS.md records the paper-vs-measured comparison.
 
 use crate::api::NetMsg;
+use crate::pbft::PbftReplica;
+use crate::quorum::QuorumReplica;
 use crate::replica_node::{DelayDist, ReadPath, ReplicaNode, ReplicaParams};
 use conprobe_sim::net::Region;
-use conprobe_sim::{LocalClock, NodeId, SimDuration, World};
+use conprobe_sim::{LocalClock, Node, NodeId, SimDuration, World};
 use conprobe_store::{AffinityMap, OrderingPolicy, RankingConfig, TieBreak};
 use std::fmt;
 
@@ -342,67 +344,16 @@ pub fn deploy<A: Send + 'static>(
     world: &mut World<NetMsg<A>>,
     kind: ServiceKind,
 ) -> ServiceCluster {
-    if kind == ServiceKind::Quorum {
-        return deploy_quorum(world);
-    }
-    if kind == ServiceKind::Pbft {
-        return deploy_pbft(world);
-    }
     deploy_topology(world, kind, topology(kind))
 }
 
-/// Deploys the majority-quorum control arm: one
-/// [`QuorumReplica`](crate::quorum::QuorumReplica) per agent region,
-/// fully meshed, using [`topology_quorum`]'s regions and routing. The
-/// dedicated node type owns the protocol (majority writes, majority
-/// reads, crash-recovery state transfer); a parameterized
-/// [`ReplicaNode`] has no quorum mode.
-pub fn deploy_quorum<A: Send + 'static>(world: &mut World<NetMsg<A>>) -> ServiceCluster {
-    use crate::quorum::QuorumReplica;
-    let topo = topology_quorum();
-    let mut ids = Vec::with_capacity(topo.replicas.len());
-    for (region, _) in &topo.replicas {
-        let id = world.add_node_with_clock(
-            *region,
-            LocalClock::perfect(),
-            Box::new(QuorumReplica::new()),
-        );
-        ids.push(id);
-    }
-    for (i, id) in ids.iter().enumerate() {
-        let peers: Vec<NodeId> =
-            ids.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, p)| *p).collect();
-        world
-            .node_as_mut::<QuorumReplica>(*id)
-            .expect("just added a QuorumReplica")
-            .set_peers(peers);
-    }
-    ServiceCluster { kind: ServiceKind::Quorum, replicas: ids, affinity: topo.affinity }
-}
-
-/// Deploys the PBFT-style ordered-log service: one
-/// [`PbftReplica`](crate::pbft::PbftReplica) per [`topology_pbft`]
-/// region, each knowing the full ordered member list (leader rotation
-/// indexes into it), using the preset's routing.
-pub fn deploy_pbft<A: Send + 'static>(world: &mut World<NetMsg<A>>) -> ServiceCluster {
-    use crate::pbft::PbftReplica;
-    let topo = topology_pbft();
-    let mut ids = Vec::with_capacity(topo.replicas.len());
-    for (region, _) in &topo.replicas {
-        let id =
-            world.add_node_with_clock(*region, LocalClock::perfect(), Box::new(PbftReplica::new()));
-        ids.push(id);
-    }
-    for (i, id) in ids.iter().enumerate() {
-        world
-            .node_as_mut::<PbftReplica>(*id)
-            .expect("just added a PbftReplica")
-            .set_members(ids.clone(), i);
-    }
-    ServiceCluster { kind: ServiceKind::Pbft, replicas: ids, affinity: topo.affinity }
-}
-
-/// Deploys an explicit topology (for ablations and custom services).
+/// Deploys an explicit topology (for ablations and custom services): one
+/// node per replica, in order, with a perfect clock, then each wired to
+/// the others. A strong arm's replicas are its dedicated node type —
+/// [`QuorumReplica`] (majority writes and reads) or [`PbftReplica`] (the
+/// full ordered member list, which leader rotation indexes into) — and
+/// own the protocol; every other kind deploys a parameterized
+/// [`ReplicaNode`].
 pub fn deploy_topology<A: Send + 'static>(
     world: &mut World<NetMsg<A>>,
     kind: ServiceKind,
@@ -410,17 +361,25 @@ pub fn deploy_topology<A: Send + 'static>(
 ) -> ServiceCluster {
     let mut ids = Vec::with_capacity(topo.replicas.len());
     for (region, params) in &topo.replicas {
-        let id = world.add_node_with_clock(
-            *region,
-            LocalClock::perfect(),
-            Box::new(ReplicaNode::new(params.clone())),
-        );
-        ids.push(id);
+        let node: Box<dyn Node<NetMsg<A>>> = match kind {
+            ServiceKind::Quorum => Box::new(QuorumReplica::new()),
+            ServiceKind::Pbft => Box::new(PbftReplica::new()),
+            _ => Box::new(ReplicaNode::new(params.clone())),
+        };
+        ids.push(world.add_node_with_clock(*region, LocalClock::perfect(), node));
     }
-    for (i, id) in ids.iter().enumerate() {
-        let peers: Vec<NodeId> =
-            ids.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, p)| *p).collect();
-        world.node_as_mut::<ReplicaNode>(*id).expect("just added a ReplicaNode").set_peers(peers);
+    for (i, &id) in ids.iter().enumerate() {
+        let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p != id).collect();
+        let wired = match kind {
+            ServiceKind::Quorum => {
+                world.node_as_mut::<QuorumReplica>(id).map(|n| n.set_peers(peers))
+            }
+            ServiceKind::Pbft => {
+                world.node_as_mut::<PbftReplica>(id).map(|n| n.set_members(ids.clone(), i))
+            }
+            _ => world.node_as_mut::<ReplicaNode>(id).map(|n| n.set_peers(peers)),
+        };
+        wired.expect("the node type just added");
     }
     ServiceCluster { kind, replicas: ids, affinity: topo.affinity }
 }

@@ -258,9 +258,18 @@ impl LiveCluster {
     /// once per keyspace shard.
     ///
     /// # Panics
-    /// If a [`StaleWindow`] is configured for a hosted arm.
+    /// If a [`StaleWindow`] is configured for a hosted arm or for a
+    /// replica the topology lacks.
     pub fn new(config: &LiveConfig) -> Self {
         let topo = topology(config.kind);
+        if let Some(w) = config.stale_window {
+            let replicas = topo.replicas.len();
+            assert!(
+                w.replica < replicas,
+                "no replica {} to pin in a {replicas}-replica group",
+                w.replica
+            );
+        }
         let ring = ShardRing::new(config.shards.max(1));
         let (shard_count, hosted_count) =
             if config.kind.hosted_live() { (0, ring.shards()) } else { (ring.shards(), 0) };

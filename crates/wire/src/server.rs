@@ -50,6 +50,7 @@ use crate::frame::{
 };
 use crate::load::wire_latency_bounds_nanos;
 use conprobe_obs::MetricsRegistry;
+use conprobe_services::catalog::topology;
 use conprobe_services::live::{LiveCluster, LiveConfig, LiveReply, RejoinReport, StaleWindow};
 use conprobe_services::{ClientOp, ServiceKind};
 use conprobe_sim::net::{LatencyMatrix, Region};
@@ -253,11 +254,23 @@ pub struct WireServer {
 
 impl WireServer {
     /// Binds the per-region listeners and starts serving. A staleness
-    /// window on a hosted arm is refused, not ignored: the caller would
-    /// believe the control arm is seeded with an anomaly.
+    /// window on a hosted arm, or on a replica the topology lacks, is
+    /// refused, not ignored: the caller would believe the service is
+    /// seeded with an anomaly.
     pub fn start(config: &ServeConfig) -> std::io::Result<WireServer> {
-        if config.stale_window.is_some() && config.kind.hosted_live() {
-            let why = format!("--stale-replica pins a stored snapshot; {} has none", config.kind);
+        let refusal = config.stale_window.and_then(|w| {
+            let (kind, replicas) = (config.kind, topology(config.kind).replicas.len());
+            match w.replica {
+                _ if kind.hosted_live() => {
+                    Some(format!("--stale-replica pins a stored snapshot; {kind} has none"))
+                }
+                i if i >= replicas => {
+                    Some(format!("--stale-replica {i}: {kind} has {replicas} replica(s)"))
+                }
+                _ => None,
+            }
+        });
+        if let Some(why) = refusal {
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
         let (listeners, addrs): (Vec<_>, _) =
@@ -568,9 +581,12 @@ impl Conn {
                             self.replica_region,
                             &mut self.rng,
                         );
-                        nanos += (wan.as_nanos() as f64 * shared.config.latency_scale) as u64;
+                        // The cast saturates at u64::MAX and so do the
+                        // sums: a huge scale holds the frame, never wraps.
+                        let scaled = (wan.as_nanos() as f64 * shared.config.latency_scale) as u64;
+                        nanos = nanos.saturating_add(scaled);
                     }
-                    self.release_at = Some(now + nanos);
+                    self.release_at = Some(now.saturating_add(nanos));
                     return Step::Held;
                 }
                 Some(t) if now < t => return Step::Held,
@@ -879,6 +895,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_huge_latency_scale_holds_the_frame_without_overflowing() {
+        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 4);
+        config.latency_scale = 1e30;
+        let mut rig = Rig::new(&config, Region::Tokyo);
+        rig.delay_brownout(7 * MS);
+        let mut link = Link::default();
+        link.a_to_b.bytes.extend(reads(0..1));
+        assert_eq!(rig.sweep(&mut link.b(), 3 * MS), Sweep::Progress, "bytes arrived");
+        assert_eq!(rig.sweep(&mut link.b(), u64::MAX - 1), Sweep::Idle, "still held");
+        assert!(link.b_to_a.bytes.is_empty());
+        assert_eq!(rig.counter("wire.server.frames"), 0);
+    }
+
+    #[test]
     fn drop_prob_drops_the_response_but_consumes_the_request() {
         let mut config = ServeConfig::loopback(ServiceKind::Blogger, 9);
         config.drop_prob = 0.3;
@@ -1089,6 +1119,27 @@ pub(crate) mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
             assert!(err.to_string().contains("listener port 65536"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_stale_window_on_a_replica_the_topology_lacks_is_refused() {
+        let start = |kind, replica| {
+            let mut config = ServeConfig::loopback(kind, 1);
+            config.stale_window = Some(StaleWindow { replica, lag_nanos: MS });
+            WireServer::start(&config)
+        };
+        for (kind, replica, why) in [
+            (ServiceKind::Blogger, 1, "--stale-replica 1: Blogger has 1 replica(s)"),
+            (ServiceKind::FacebookFeed, 3, "--stale-replica 3: FB Feed has 3 replica(s)"),
+        ] {
+            let err = start(kind, replica).err().expect("the start is refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(err.to_string(), why);
+        }
+        // The last replica in range still pins.
+        let server = start(ServiceKind::FacebookFeed, 2).expect("replica 2 exists");
+        server.request_stop();
+        server.join();
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl GoldenFingerprint {
     }
 }
 
-fn fingerprint(config: &TestConfig, seed: u64) -> GoldenFingerprint {
+/// Runs `config` once at `seed` and fingerprints the outcome.
+pub fn fingerprint(config: &TestConfig, seed: u64) -> GoldenFingerprint {
     let result = run_one_test(config, seed);
     GoldenFingerprint {
         trace_hash: fnv64(result.trace.to_compact().as_bytes()),

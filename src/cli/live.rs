@@ -208,11 +208,19 @@ impl ServeArgs {
             }
             (None, None) => None,
         };
+        let latency_scale: Option<f64> = a.num("--latency-scale")?;
+        if let Some(scale) = latency_scale.filter(|s| !(s.is_finite() && *s >= 0.0)) {
+            return Err(CliError(format!("--latency-scale: {scale} is not a finite scale >= 0")));
+        }
+        let drop_prob: Option<f64> = a.num("--drop")?;
+        if let Some(p) = drop_prob.filter(|p| !(0.0..=1.0).contains(p)) {
+            return Err(CliError(format!("--drop: {p} is not a probability in [0, 1]")));
+        }
         Ok(ServeArgs {
             service: a.service()?,
             host: HostArgs::parse(a)?,
-            latency_scale: a.num("--latency-scale")?,
-            drop_prob: a.num("--drop")?,
+            latency_scale,
+            drop_prob,
             stale,
             shards: a.num("--shards")?,
             event_loops: a.num("--event-loops")?,

@@ -229,6 +229,16 @@ fn parse_errors_keep_their_exact_text() {
             "serve --service blogger --stale-replica 0 --stale-lag-ms 99999999999999999",
             "--stale-lag-ms: 99999999999999999 ms does not fit in nanoseconds",
         ),
+        ("serve --service blogger --drop 2", "--drop: 2 is not a probability in [0, 1]"),
+        ("serve --service blogger --drop -1", "--drop: -1 is not a probability in [0, 1]"),
+        (
+            "serve --service blogger --latency-scale -1",
+            "--latency-scale: -1 is not a finite scale >= 0",
+        ),
+        (
+            "serve --service blogger --latency-scale NaN",
+            "--latency-scale: NaN is not a finite scale >= 0",
+        ),
         ("load", "load requires --addr host:port or --server-file"),
         (
             "dispatch --service blogger",

@@ -16,7 +16,6 @@ pub use conprobe_core as core;
 pub use conprobe_harness as harness;
 pub use conprobe_json as json;
 pub use conprobe_services as services;
-pub use conprobe_session as session;
 pub use conprobe_sim as sim;
 pub use conprobe_store as store;
 pub use conprobe_wire as wire;

@@ -1,7 +1,8 @@
-//! The two methodology extensions beyond the paper's evaluation:
-//! agent-role rotation (§V's validation side-experiment) and white-box
-//! replica probing (§VI future work).
+//! The methodology extensions beyond the paper's evaluation: agent-role
+//! rotation (§V's validation side-experiment), white-box replica probing
+//! (§VI future work) and the client-side session guard (§V discussion).
 
+use conprobe::bench::fingerprint;
 use conprobe::core::AnomalyKind;
 use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig};
@@ -129,4 +130,29 @@ fn whitebox_content_windows_bound_blackbox_windows() {
         blackbox_total <= whitebox_total + slack,
         "black-box {blackbox_total}ns vs white-box {whitebox_total}ns (+{slack})"
     );
+}
+
+/// Guarded Test 1 runs, fingerprinted as `tests/determinism_golden.rs`
+/// does: the trace hash pins every corrected view the agents logged. The
+/// literals were captured from the generic session-guard library the
+/// harness's `PostId` guard replaced.
+#[test]
+fn guarded_test1_matches_the_pinned_fingerprints() {
+    let pinned: [(ServiceKind, [u64; 3]); 3] = [
+        (ServiceKind::GooglePlus, [0xccb52f6399af6e02, 0xfa9360a24ad12d90, 0x9dbe457e283f2fbd]),
+        (ServiceKind::FacebookFeed, [0x4595daf6be33f611, 0x521716a5a97c21f3, 0xea6f3fff1ec48b4e]),
+        (ServiceKind::FacebookGroup, [0x1d0489ac7f6cc27d, 0xdf69ff1f79086a6e, 0xc0e9480abf1078bb]),
+    ];
+    for (service, hashes) in pinned {
+        let mut config = TestConfig::paper(service, TestKind::Test1);
+        config.use_guard = true;
+        for (seed, hash) in (1u64..).zip(hashes) {
+            let got = fingerprint(&config, seed);
+            assert_eq!(
+                got.render(),
+                format!("trace_hash=0x{hash:016x} RYW=0 MW=0 MR=0 WFR=0 CD=0 OD=0 cw=0 ow=0"),
+                "{service} seed {seed}"
+            );
+        }
+    }
 }
