@@ -21,12 +21,14 @@
 //!
 //! The analyzer never buffers `OpRecord`s or raw `K` sequences. Each
 //! event key is interned once (one owned `K` per *distinct* key), and so
-//! is each read *result*: a read's sequence of dense `u32` ids, with its
-//! sorted position table, is a **view**, stored once per *distinct*
-//! sequence (`~12·|seq|` bytes regardless of how wide `K` is). A read is
-//! retained as a fixed-size summary — agent, times, ordinal, view id — and
-//! a write as a fixed few words, so a thousand polls that return the same
-//! five posts cost one view plus a thousand summaries. Each agent also
+//! is each read *result*: a read's sequence of dense `u32` ids is a
+//! **view**, stored once per *distinct* sequence (`~4·|seq|` bytes
+//! regardless of how wide `K` is), with no index of its own: all views
+//! share two position tables of a fixed few words per distinct key (see
+//! *Probes*). A read is retained as a fixed-size summary — agent, times,
+//! ordinal, view id — and a write as a fixed few words, so a thousand
+//! polls that return the same five posts cost one view plus a thousand
+//! summaries. Each agent also
 //! keeps one `(view, multiplicity, first-arrived read)` entry per distinct
 //! view it has read. Pairwise divergence counting is `O(reads × distinct
 //! views)` in *time*, but the per-event *space* is a small constant — the
@@ -34,6 +36,20 @@
 //! streaming-equivalence suite pins. On a million-event trace of wide
 //! string keys this is the difference between gigabytes and tens of
 //! megabytes.
+//!
+//! # Probes
+//!
+//! A position table is indexed by key id, and each slot is a `(generation,
+//! last position)` pair. Marking a view writes its ids in sequence order
+//! under a new generation, so a repeated key keeps its *last* position
+//! (the batch checkers' rule) and a slot left by any earlier generation
+//! reads as absent; the generation is a `u64` and never wraps back onto a
+//! stale mark. Then "does the view contain `k`" and "at which position"
+//! are one load each. A check of one view (RYW, MW, MR, WFR) marks it
+//! once; a pairwise comparison (divergence, windows) marks the new read's
+//! view in one table and each view it is compared with in the other.
+//! Witness searches still walk the sequences, in order, duplicates
+//! included.
 //!
 //! # Exactness machinery
 //!
@@ -129,18 +145,14 @@ impl Parts {
     }
 }
 
-/// A distinct read result: the interned sequence plus a sorted `(key,
-/// last position)` table for O(log n) membership/position probes. Every
-/// read that returned this sequence shares it — no `K` values, no
-/// `OpRecord`.
+/// A distinct read result: the interned id sequence. Every read that
+/// returned this sequence shares it — no `K` values, no `OpRecord`, and
+/// no index: it is probed through [`Marks`].
 #[derive(Debug)]
 struct View {
     /// Dense key ids in sequence order, duplicates kept. The allocation is
     /// shared with the [`ViewTable`] index, so it exists once.
     keys: Arc<[u32]>,
-    /// Sorted by key; position is the *last* occurrence, matching
-    /// [`crate::index::ReadView::position`].
-    by_key: Box<[(u32, u32)]>,
     /// Reads, of any agent, that returned this view.
     reads: u32,
     /// Whether the view violates some general-mode WFR dependency.
@@ -148,43 +160,84 @@ struct View {
 }
 
 impl View {
-    fn new(keys: Arc<[u32]>) -> Self {
-        let mut by_key: Vec<(u32, u32)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-        by_key.sort_unstable();
-        // Last occurrence wins, matching `ReadView::position`.
-        by_key.dedup_by(|curr, prev| {
-            if curr.0 == prev.0 {
-                prev.1 = curr.1;
-                true
-            } else {
-                false
-            }
-        });
-        View { keys, by_key: by_key.into_boxed_slice(), reads: 0, wfr_hit: false }
-    }
-
-    fn contains(&self, key: u32) -> bool {
-        self.by_key.binary_search_by_key(&key, |&(k, _)| k).is_ok()
-    }
-
-    fn position(&self, key: u32) -> Option<u32> {
-        self.by_key.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| self.by_key[i].1)
-    }
-
-    /// Whether the view shows `dep`'s write without its dependency.
-    fn violates(&self, dep: &DepRec) -> bool {
-        self.contains(dep.write_key) && !self.contains(dep.dep_key)
-    }
-
     fn retained_bytes(&self) -> usize {
-        // The struct, the shared sequence with its two `Arc` counters, the
-        // position table, and the index entry that points back here.
+        // The struct, the shared sequence with its two `Arc` counters, and
+        // the index entry that points back here.
         size_of::<View>()
             + self.keys.len() * size_of::<u32>()
             + 2 * size_of::<usize>()
-            + self.by_key.len() * size_of::<(u32, u32)>()
             + size_of::<(Arc<[u32]>, u32)>()
+    }
+}
+
+/// A position table (see *Probes* in the module docs). Only a marked view
+/// is probed.
+#[derive(Debug, Default)]
+struct Marks {
+    generation: u64,
+    slots: Vec<(u64, u32)>,
+}
+
+impl Marks {
+    /// Marks `seq` under a new generation, in sequence order so that a
+    /// repeated id keeps its last position (as
+    /// [`crate::index::ReadView::position`] does).
+    fn mark<'a>(&'a mut self, seq: &'a [u32]) -> Marked<'a> {
+        self.generation += 1;
+        for (i, &k) in seq.iter().enumerate() {
+            self.slots[k as usize] = (self.generation, i as u32);
+        }
+        Marked { seq, marks: self }
+    }
+
+    /// Adds `key` to the marked set (position 0); whether it was absent.
+    fn insert(&mut self, key: u32) -> bool {
+        let absent = !self.contains(key);
+        self.slots[key as usize] = (self.generation, 0);
+        absent
+    }
+
+    fn contains(&self, key: u32) -> bool {
+        self.slots[key as usize].0 == self.generation
+    }
+
+    fn position(&self, key: u32) -> Option<u32> {
+        let (generation, at) = self.slots[key as usize];
+        (generation == self.generation).then_some(at)
+    }
+}
+
+/// A view's id sequence beside the table it is marked in.
+#[derive(Clone, Copy)]
+struct Marked<'a> {
+    seq: &'a [u32],
+    marks: &'a Marks,
+}
+
+impl Marked<'_> {
+    /// The first id of this sequence, in order, that `other` lacks — the
+    /// id-level mirror of the batch checker's `first_only_in`.
+    fn first_not_in(self, other: Marked<'_>) -> Option<u32> {
+        self.seq.iter().copied().find(|&k| !other.marks.contains(k))
+    }
+
+    /// Id-level mirror of [`crate::checkers::order::find_inversion`]: the
+    /// first adjacent descent of `other`'s positions over the ids both
+    /// hold, walking this sequence — `(x, y)` with `x` before `y` here but
+    /// `y` before `x` there.
+    fn inversion(self, other: Marked<'_>) -> Option<(u32, u32)> {
+        let mut prev: Option<(u32, u32)> = None;
+        for &k in self.seq {
+            if let Some(p2) = other.marks.position(k) {
+                if let Some((px, pp2)) = prev {
+                    if p2 < pp2 {
+                        return Some((px, k));
+                    }
+                }
+                prev = Some((k, p2));
+            }
+        }
+        None
     }
 }
 
@@ -208,7 +261,7 @@ impl<S: BuildHasher> ViewTable<S> {
         let id = self.views.len() as u32;
         let keys: Arc<[u32]> = keys.into();
         self.ids.insert(Arc::clone(&keys), id);
-        self.views.push(View::new(keys));
+        self.views.push(View { keys, reads: 0, wfr_hit: false });
         (id, true)
     }
 
@@ -356,9 +409,10 @@ pub struct StreamingAnalyzer<K: EventKey> {
     views: ViewTable,
     /// The id sequence of the read being pushed; kept for its capacity.
     seq_scratch: Vec<u32>,
-    /// Per key id, the stamp of the last write that took it as a WFR
-    /// dependency (0 = none): the seen-set of `finalize_write_deps`.
-    dep_stamp: Vec<u32>,
+    /// The two position tables: `[0]` for the view under check (the new
+    /// read's, in a pairwise comparison), `[1]` for the view compared
+    /// with it.
+    marks: [Marks; 2],
 
     agents: BTreeMap<AgentId, AgentState>,
     reads: Vec<ReadState>,
@@ -449,7 +503,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             keys: Vec::new(),
             views: ViewTable::default(),
             seq_scratch: Vec::new(),
-            dep_stamp: Vec::new(),
+            marks: Default::default(),
             agents: BTreeMap::new(),
             reads: Vec::new(),
             write_log: Vec::new(),
@@ -510,13 +564,14 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         let key = Arc::new(key.clone());
         self.keys.push(Arc::clone(&key));
         self.key_ids.insert(key, id);
-        self.dep_stamp.push(0);
+        self.marks.iter_mut().for_each(|marks| marks.slots.push((0, 0)));
         // One `K` with its two `Arc` counters, two pointers to it, the id
-        // and the stamp.
+        // and its slot in each position table.
         self.retained += size_of::<K>()
             + 2 * size_of::<usize>()
             + 2 * size_of::<Arc<K>>()
-            + 2 * size_of::<u32>();
+            + size_of::<u32>()
+            + self.marks.len() * size_of::<(u64, u32)>();
         id
     }
 
@@ -583,9 +638,11 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             if !self.general_wfr {
                 self.trigger_scan(idx);
             } else if new_view {
+                self.marks[0].mark(&self.views.get(view).keys);
                 for i in 0..self.deps.len() {
-                    let dep = self.deps[i];
-                    if self.views.get(view).violates(&dep) {
+                    let (dep, marks) = (self.deps[i], &self.marks[0]);
+                    // The view shows the write without its dependency.
+                    if marks.contains(dep.write_key) && !marks.contains(dep.dep_key) {
                         self.record_wfr_match(view, dep);
                     }
                 }
@@ -606,7 +663,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     fn divergence_scan(&mut self, idx: u32) {
         let read = &self.reads[idx as usize];
         let a = read.agent;
-        let mine = self.views.get(read.view);
+        let [my_marks, their_marks] = &mut self.marks;
+        let mine = my_marks.mark(&self.views.get(read.view).keys);
         for (&b, bst) in &self.agents {
             if b == a || bst.views.is_empty() {
                 continue;
@@ -615,22 +673,23 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             for theirs in &bst.views {
                 let rb = &self.reads[theirs.first_read as usize];
                 let at = read.response.max(rb.response);
+                let other = their_marks.mark(&self.views.get(theirs.view).keys);
                 // Canonical orientation: `first` is the pair's smaller
                 // agent's view.
                 let (ordkey, first, second) = if a < b {
-                    ((read.ord_in_agent, rb.ord_in_agent), mine, self.views.get(theirs.view))
+                    ((read.ord_in_agent, rb.ord_in_agent), mine, other)
                 } else {
-                    ((rb.ord_in_agent, read.ord_in_agent), self.views.get(theirs.view), mine)
+                    ((rb.ord_in_agent, read.ord_in_agent), other, mine)
                 };
                 if self.parts.content {
                     if let (Some(x), Some(y)) =
-                        (first_only_in(first, second), first_only_in(second, first))
+                        (first.first_not_in(second), second.first_not_in(first))
                     {
                         st.content.record(theirs.count, ordkey, (x, y), at);
                     }
                 }
                 if self.parts.order {
-                    if let Some(xy) = inversion_ids(first, second) {
+                    if let Some(xy) = first.inversion(second) {
                         st.order.record(theirs.count, ordkey, xy, at);
                     }
                 }
@@ -661,7 +720,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// (final, timeless) WFR observation immediately.
     fn trigger_scan(&mut self, idx: u32) {
         let read = &self.reads[idx as usize];
-        let view = self.views.get(read.view);
+        let view = self.marks[0].mark(&self.views.get(read.view).keys).marks;
         let mut witnesses: Vec<K> = Vec::new();
         for t in &mut self.triggers {
             if t.write_id.is_none() {
@@ -711,9 +770,10 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
     fn eval_ryw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
-        let view = self.views.get(r.view);
         let agent = r.agent;
         let Some(st) = self.agents.get(&agent) else { return };
+        self.marks[0].mark(&self.views.get(r.view).keys);
+        let view = &self.marks[0];
         let missing: Vec<K> = st
             .writes
             .iter()
@@ -738,7 +798,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
     fn eval_mw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
-        let view = self.views.get(r.view);
+        self.marks[0].mark(&self.views.get(r.view).keys);
+        let view = &self.marks[0];
         let completed = |w: &&WriteRec| w.response <= r.invoke;
         for (&writer, wst) in &self.agents {
             'pairs: for (i, x) in wst.writes.iter().enumerate().filter(|(_, w)| completed(w)) {
@@ -790,9 +851,10 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             }
             self.write_cursor += 1;
 
-            // `write_cursor` is now this write's stamp: a key whose
-            // `dep_stamp` carries it is already among the write's deps.
-            let stamp = self.write_cursor as u32;
+            // The keys already among the write's deps, and its own key,
+            // which never is one.
+            let seen = &mut self.marks[0];
+            seen.mark(&[w.key]);
             let first_new = self.deps.len();
             for &ri in &st.read_ids {
                 let r = &self.reads[ri as usize];
@@ -800,8 +862,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                     continue;
                 }
                 for &k in self.views.get(r.view).keys.iter() {
-                    if k != w.key && self.dep_stamp[k as usize] != stamp {
-                        self.dep_stamp[k as usize] = stamp;
+                    if seen.insert(k) {
                         let dep_idx = (self.deps.len() - first_new) as u32;
                         self.deps.push(DepRec {
                             dep_key: k,
@@ -814,12 +875,12 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             self.retained += (self.deps.len() - first_new) * size_of::<DepRec>();
             for view in 0..self.views.views.len() as u32 {
                 // Every new dependency is on the same write.
-                if !self.views.get(view).contains(w.key) {
+                if !self.marks[0].mark(&self.views.get(view).keys).marks.contains(w.key) {
                     continue;
                 }
                 for i in first_new..self.deps.len() {
                     let dep = self.deps[i];
-                    if !self.views.get(view).contains(dep.dep_key) {
+                    if !self.marks[0].contains(dep.dep_key) {
                         self.record_wfr_match(view, dep);
                     }
                 }
@@ -853,7 +914,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             }
 
             if let Some(p) = prev.filter(|_| self.parts.mr) {
-                let now = self.views.get(r.view);
+                self.marks[0].mark(&self.views.get(r.view).keys);
+                let now = &self.marks[0];
                 let vanished: Vec<K> = self
                     .views
                     .get(p.view)
@@ -890,21 +952,25 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// this read's response time.
     fn window_step(&mut self, a: AgentId, idx: u32) {
         let read = &self.reads[idx as usize];
-        let mine = self.views.get(read.view);
+        let [my_marks, their_marks] = &mut self.marks;
+        let mine = my_marks.mark(&self.views.get(read.view).keys);
         for (&b, bst) in &self.agents {
             if b == a {
                 continue;
             }
             let Some(other_idx) = bst.last_finalized else { continue };
-            let theirs = self.views.get(self.reads[other_idx as usize].view);
+            let theirs =
+                their_marks.mark(&self.views.get(self.reads[other_idx as usize].view).keys);
             let (pair, first, second) =
                 if a < b { ((a, b), mine, theirs) } else { ((b, a), theirs, mine) };
             let st = self.pairs.entry(pair).or_default();
             if self.parts.win_content {
-                st.content.sweep(content_diverged(first, second), read.response);
+                let diverged =
+                    first.first_not_in(second).is_some() && second.first_not_in(first).is_some();
+                st.content.sweep(diverged, read.response);
             }
             if self.parts.win_order {
-                st.order.sweep(inversion_ids(first, second).is_some(), read.response);
+                st.order.sweep(first.inversion(second).is_some(), read.response);
             }
         }
     }
@@ -1036,35 +1102,6 @@ fn wfr_observation<K: EventKey>(read: &ReadState, witnesses: Vec<K>) -> Observat
     }
 }
 
-/// The dense id of the first element of `a`'s sequence that `b` lacks —
-/// the id-level mirror of the batch checker's `first_only_in`.
-fn first_only_in(a: &View, b: &View) -> Option<u32> {
-    a.keys.iter().find(|&&k| !b.contains(k)).copied()
-}
-
-/// Mutual content difference between two views.
-fn content_diverged(a: &View, b: &View) -> bool {
-    first_only_in(a, b).is_some() && first_only_in(b, a).is_some()
-}
-
-/// Id-level mirror of [`crate::checkers::order::find_inversion`]:
-/// a witness pair `(x, y)` with `x` before `y` in `a` but `y` before `x`
-/// in `b`, if any.
-fn inversion_ids(a: &View, b: &View) -> Option<(u32, u32)> {
-    let mut prev: Option<(u32, u32)> = None;
-    for &k in a.keys.iter() {
-        if let Some(p2) = b.position(k) {
-            if let Some((px, pp2)) = prev {
-                if p2 < pp2 {
-                    return Some((px, k));
-                }
-            }
-            prev = Some((k, p2));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,5 +1145,25 @@ mod tests {
     #[test]
     fn colliding_sequences_stay_distinct_views() {
         each_sequence_is_its_own_view::<BuildHasherDefault<Collide>>();
+    }
+
+    /// Views marked one after another, across the point where a 32-bit
+    /// generation would wrap to the 0 that unmarked slots carry: every
+    /// probe sees the current view alone — its keys at their last
+    /// position, no other view's keys, no never-marked key.
+    #[test]
+    fn a_view_marked_after_many_generations_reads_no_stale_marks() {
+        let mut marks = Marks { generation: u64::from(u32::MAX) - 2, slots: vec![(0, 0); 8] };
+        // Keys 6 and 7 are never marked.
+        let views: [&[u32]; 6] = [&[0, 1, 2], &[2, 3, 2], &[4], &[], &[5, 0, 5], &[1]];
+        for (i, seq) in views.iter().enumerate() {
+            let marked = marks.mark(seq);
+            for k in 0..8u32 {
+                let last = seq.iter().rposition(|&x| x == k).map(|p| p as u32);
+                assert_eq!(marked.marks.position(k), last, "view {i}, key {k}");
+                assert_eq!(marked.marks.contains(k), last.is_some(), "view {i}, key {k}");
+            }
+        }
+        assert!(marks.generation > u64::from(u32::MAX));
     }
 }

@@ -18,8 +18,12 @@
 //! A second generator, [`duplicate_heavy_trace`], polls a handful of
 //! sequences a hundred times over — the shape of a real Test 2 trace, and
 //! the one on which the engine's comparison *per distinct view* (a view
-//! standing for every read that returned it) does all the counting. The
-//! same properties are checked on both.
+//! standing for every read that returned it) does all the counting. A
+//! third, [`probe_stress_trace`], is shaped for how the engine probes a
+//! view rather than for the anomalies it holds: keys repeated inside a
+//! read, keys first interned by the read being compared, and views whose
+//! key ids lie hundreds apart. The same properties are checked on all
+//! three.
 //!
 //! Alongside exact equivalence, the suite pins the two streaming-only
 //! contracts: [`live_counts`](StreamingAnalyzer::live_counts) grows
@@ -678,6 +682,156 @@ fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
         }
     }
     assert!(divergences.iter().all(|&n| n > 60), "generator too tame: {divergences:?}");
+}
+
+/// A probe-stress trace: three agents, 30–60 ops after one wide read.
+///
+/// * The wide read comes first and carries 100–300 keys nobody writes, so
+///   they take the low ids and every written key's id lies above them; a
+///   later read that mixes one of them with written keys spans ids
+///   hundreds apart.
+/// * A read may carry one of its keys twice, so a view's *last* position
+///   and an in-order witness walk, duplicates included, both decide
+///   verdicts.
+/// * A read may carry a key no earlier op carried: the analyzer interns
+///   it while pushing the very read it then compares.
+/// * Adjacent swaps make order food. `flip` relabels agent `a` as `2 - a`,
+///   so each schedule also runs with every pair's agents the other way
+///   round.
+fn probe_stress_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
+    fn insert_anywhere(rng: &mut TestRng, seq: &mut Vec<K>, key: K) {
+        let at = rng.range_usize(0, seq.len() + 1);
+        seq.insert(at, key);
+    }
+    let op = |a: u32, at: i64, took: u64, kind| OpRecord {
+        agent: AgentId(if flip { 2 - a } else { a }),
+        invoke: Timestamp::from_millis(at),
+        response: Timestamp::from_millis(at + took as i64),
+        kind,
+    };
+    let wide: Vec<K> = (0..rng.range(100, 301) as u32).map(|s| (950, s)).collect();
+    let mut ops = vec![op(0, 0, 5, OpKind::Read { seq: wide.clone() })];
+    let (mut log, mut written, mut fresh, mut now) = (Vec::new(), [0u32; 3], 0, 0i64);
+    for _ in 0..rng.range_usize(30, 61) {
+        now += rng.range(0, 12) as i64;
+        let a = rng.range(0, 3) as u32;
+        let took = rng.range(0, 30);
+        if rng.chance(0.3) {
+            written[a as usize] += 1;
+            let id = (a, written[a as usize]);
+            log.push(id);
+            ops.push(op(a, now, took, OpKind::Write { id }));
+            continue;
+        }
+        let mut seq: Vec<K> = log[..rng.range_usize(0, log.len() + 1)].to_vec();
+        if rng.chance(0.4) {
+            let far = wide[rng.range_usize(0, wide.len())];
+            insert_anywhere(rng, &mut seq, far);
+        }
+        if !seq.is_empty() && rng.chance(0.5) {
+            let again = seq[rng.range_usize(0, seq.len())];
+            insert_anywhere(rng, &mut seq, again);
+        }
+        if seq.len() >= 2 && rng.chance(0.4) {
+            let i = rng.range_usize(0, seq.len() - 1);
+            seq.swap(i, i + 1);
+        }
+        if rng.chance(0.35) {
+            fresh += 1;
+            insert_anywhere(rng, &mut seq, (800 + a, fresh));
+        }
+        ops.push(op(a, now, took, OpKind::Read { seq }));
+    }
+    TestTrace::new(ops)
+}
+
+/// The generator keeps its promises, judged on key ids assigned the way
+/// the analyzer interns them (first appearance in trace order): a read
+/// with a repeated key, a read spanning ids at least 50 apart, and a read
+/// carrying a key no earlier op carried after another agent has read.
+#[test]
+fn probe_stress_traces_have_the_advertised_shape() {
+    let mut rng = TestRng::new(0x57EA_0008);
+    for case in 0..20 {
+        let trace = probe_stress_trace(&mut rng, case % 2 == 1);
+        let mut ids = std::collections::HashMap::<K, usize>::new();
+        let mut readers = std::collections::HashSet::new();
+        let (mut repeated, mut spread, mut fresh_compared) = (false, 0, false);
+        for op in trace.ops() {
+            let keys = match &op.kind {
+                OpKind::Write { id } => std::slice::from_ref(id),
+                OpKind::Read { seq } => seq.as_slice(),
+            };
+            let unseen = keys.iter().any(|k| !ids.contains_key(k));
+            for &k in keys {
+                let next = ids.len();
+                ids.entry(k).or_insert(next);
+            }
+            if let OpKind::Read { seq } = &op.kind {
+                repeated |= (1..seq.len()).any(|i| seq[..i].contains(&seq[i]));
+                let of = |k: &K| ids[k];
+                if let (Some(lo), Some(hi)) = (seq.iter().map(of).min(), seq.iter().map(of).max()) {
+                    // The wide read itself does not count.
+                    if seq.len() < 50 {
+                        spread = spread.max(hi - lo);
+                    }
+                }
+                fresh_compared |= unseen && readers.iter().any(|&r| r != op.agent);
+                readers.insert(op.agent);
+            }
+        }
+        assert!(repeated && spread >= 50 && fresh_compared, "case {case}: {repeated} {spread}");
+    }
+}
+
+/// The probe-table guards: on probe-stress traces in both orientations,
+/// the full pass, every single-part operator and trigger-pair WFR equal
+/// the frozen oracle. Trigger pairs come from the trace's own keys — so a
+/// pair's key may first be interned mid-stream — plus the first wide key
+/// and a key no op carries.
+#[test]
+fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
+    use conprobe_core::anomaly::AnomalyKind;
+    let mut rng = TestRng::new(0x57EA_0007);
+    let mut found = [0usize; 4];
+    for case in 0..80 {
+        let schedule = rng.clone();
+        for flip in [false, true] {
+            rng = schedule.clone();
+            let trace = probe_stress_trace(&mut rng, flip);
+            let case = format!("{case} flip {flip}");
+            let analysis = assert_full_pass_matches_the_oracle(&trace, &case);
+            assert_single_parts_match_the_oracle(&trace, &case);
+            for (n, kind) in found.iter_mut().zip([
+                AnomalyKind::MonotonicWrites,
+                AnomalyKind::WritesFollowReads,
+                AnomalyKind::ContentDivergence,
+                AnomalyKind::OrderDivergence,
+            ]) {
+                *n += analysis.count(kind);
+            }
+
+            let mut keys: Vec<K> = trace
+                .ops()
+                .iter()
+                .flat_map(|op| match &op.kind {
+                    OpKind::Write { id } => vec![*id],
+                    OpKind::Read { seq } => seq.clone(),
+                })
+                .filter(|k| k.0 != 950)
+                .chain([(950, 0), (777, 1)])
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut pick = || keys[rng.range_usize(0, keys.len())];
+            let pairs: Vec<(K, K)> = (0..4).map(|_| (pick(), pick())).collect();
+            let mode = WfrMode::TriggerPairs(pairs);
+            let config = CheckerConfig { wfr_mode: mode.clone(), compute_windows: false };
+            let (want, _, _) = reference::analyze(&trace, &mode);
+            assert_eq!(analyze(&trace, &config).observations, want, "case {case}: trigger pairs");
+        }
+    }
+    assert!(found.iter().all(|&n| n > 80), "generator too tame: {found:?}");
 }
 
 /// Mid-stream telemetry: `live_counts` never decreases in any component

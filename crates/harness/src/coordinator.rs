@@ -210,6 +210,11 @@ impl CoordinatorNode {
         self.outcome.as_ref()
     }
 
+    /// Moves the finished outcome out of the coordinator.
+    pub fn take_outcome(&mut self) -> Option<TestOutcome> {
+        self.outcome.take()
+    }
+
     /// The delta estimates (available once probing finished).
     pub fn deltas(&self) -> &[DeltaEstimate] {
         &self.deltas
@@ -300,15 +305,17 @@ impl CoordinatorNode {
     }
 
     fn finish(&mut self, ctx: &mut Context<'_, Msg>) {
-        let mut ops: Vec<OpRecord<PostId>> = Vec::new();
-        for (agent_index, records) in &self.logs {
-            let delta = self.deltas[*agent_index as usize];
+        // The logs move into the trace (no `Log` is accepted after `Done`),
+        // which a campaign keeps: reserve exactly, leave no slack.
+        let mut ops = Vec::with_capacity(self.logs.values().map(Vec::len).sum());
+        for (agent_index, records) in std::mem::take(&mut self.logs) {
+            let delta = self.deltas[agent_index as usize];
             for r in records {
                 ops.push(OpRecord {
-                    agent: AgentId(*agent_index),
+                    agent: AgentId(agent_index),
                     invoke: Timestamp::from_nanos(delta.to_coordinator(r.invoke).as_nanos()),
                     response: Timestamp::from_nanos(delta.to_coordinator(r.response).as_nanos()),
-                    kind: r.kind.clone(),
+                    kind: r.kind,
                 });
             }
         }

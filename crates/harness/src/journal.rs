@@ -1141,6 +1141,42 @@ mod tests {
         assert!(recovered > 100 && decoded > 10 && decoded < recovered, "{decoded}/{recovered}");
     }
 
+    /// The same fuzz one layer out, in the shape of `wire::frame`'s: every
+    /// byte of a three-line journal — magic, length, checksum, separators,
+    /// payload, newline — flipped four ways. Recovery never panics, and a
+    /// damaged line either decodes to the original records or is lost
+    /// where it starts: as the tail when it (merged with the next line, if
+    /// its newline was hit) runs to the end, as `CorruptMiddle` otherwise.
+    #[test]
+    fn single_byte_mutations_of_framed_lines_are_caught_at_their_line() {
+        let lines: Vec<String> = (0..3)
+            .map(|i| frame::encode_record(&crashed_record_json("fbgroup/test1", i, 7, "boom")))
+            .collect();
+        let bytes = lines.concat().into_bytes();
+        let starts: Vec<usize> = (0..3).map(|i| lines[..i].concat().len()).collect();
+        let clean = recover_bytes(&bytes).expect("an undamaged journal");
+        assert_eq!(clean.records.len(), 3);
+        for pos in 0..bytes.len() {
+            let line = starts.iter().rposition(|&s| s <= pos).expect("line 0 starts at 0");
+            for flip in [0x01, 0x20, 0x80, 0xff] {
+                let mut damaged = bytes.clone();
+                damaged[pos] ^= flip;
+                let at = format!("byte {pos} ^ {flip:#04x}");
+                match recover_bytes(&damaged) {
+                    Ok(r) if r.tail.is_none() => assert_eq!(r.records, clean.records, "{at}"),
+                    Ok(r) => {
+                        assert_eq!(r.tail.expect("a tail").offset, starts[line] as u64, "{at}");
+                        assert_eq!(r.records, clean.records[..line], "{at}");
+                    }
+                    Err(JournalError::CorruptMiddle { record, offset, .. }) => {
+                        assert_eq!((record, offset), (line, starts[line] as u64), "{at}");
+                    }
+                    Err(e) => panic!("{at}: {e}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn ledger_and_actions_round_trip() {
         use conprobe_sim::FaultNetStats;

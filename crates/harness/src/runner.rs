@@ -299,8 +299,8 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     let sim_events = world.delivered();
 
     let outcome = world
-        .node_as::<CoordinatorNode>(coord)
-        .and_then(|c| c.outcome().cloned())
+        .node_as_mut::<CoordinatorNode>(coord)
+        .and_then(CoordinatorNode::take_outcome)
         .expect("coordinator finished");
     if let Some(sink) = &config.obs {
         let m = &sink.metrics;
@@ -329,9 +329,12 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
 
     let analysis = analyze(&outcome.trace, &checker_config_for(config));
 
-    let reads_per_agent = (0..n_agents)
-        .map(|i| outcome.trace.reads_by(conprobe_core::AgentId(i)).len() as u32)
-        .collect();
+    let mut reads_per_agent = vec![0; n_agents as usize];
+    for op in outcome.trace.ops().iter().filter(|op| op.is_read()) {
+        if let Some(n) = reads_per_agent.get_mut(op.agent.0 as usize) {
+            *n += 1;
+        }
+    }
 
     let agent_regions = agents.iter().map(|id| world.region_of(*id)).collect();
     let (actions, skipped_actions) = fault_driver

@@ -104,7 +104,10 @@ pub fn encode_record(payload: &str) -> String {
 }
 
 /// Decodes one framed line (with or without its trailing newline) back
-/// into its payload, verifying length and checksum.
+/// into its payload, verifying length and checksum. Only the header
+/// [`encode_record`] writes is accepted — a decimal length with no sign
+/// and no leading zero, exactly 16 lowercase hex digits — so a damaged
+/// header byte can never spell the same numbers another way.
 pub fn decode_record(line: &str) -> Result<&str, FrameError> {
     let line = line.strip_suffix('\n').unwrap_or(line);
     let mut parts = line.splitn(4, ' ');
@@ -114,12 +117,14 @@ pub fn decode_record(line: &str) -> Result<&str, FrameError> {
     }
     let len: usize = parts
         .next()
-        .ok_or(FrameError::Malformed { field: "length" })?
-        .parse()
-        .map_err(|_| FrameError::Malformed { field: "length" })?;
-    let hash = parts.next().ok_or(FrameError::Malformed { field: "checksum" }).and_then(|s| {
-        u64::from_str_radix(s, 16).map_err(|_| FrameError::Malformed { field: "checksum" })
-    })?;
+        .filter(|s| s.bytes().all(|b| b.is_ascii_digit()) && (*s == "0" || !s.starts_with('0')))
+        .and_then(|s| s.parse().ok())
+        .ok_or(FrameError::Malformed { field: "length" })?;
+    let hash = parts
+        .next()
+        .filter(|s| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or(FrameError::Malformed { field: "checksum" })?;
     let payload = parts.next().ok_or(FrameError::Malformed { field: "payload" })?;
     if payload.len() != len {
         return Err(FrameError::LengthMismatch { framed: len, actual: payload.len() });
@@ -190,6 +195,32 @@ mod tests {
         // Missing fields.
         assert!(matches!(decode_record("cpj1 7"), Err(FrameError::Malformed { .. })));
         assert!(matches!(decode_record("cpj1 x y z"), Err(FrameError::Malformed { .. })));
+    }
+
+    /// `A`–`F` and `a`–`f` are one bit (0x20) apart, and a sign or a
+    /// leading zero spells the same length: each is one damaged header
+    /// byte that a lenient number parser would read as the original.
+    #[test]
+    fn a_header_in_any_but_the_canonical_spelling_is_malformed() {
+        let line = encode_record("payload");
+        let (head, sum) = (&line[..7], &line[7..23]);
+        assert_eq!(head, "cpj1 7 ");
+        let letter = 7 + sum.find(|c: char| c.is_ascii_alphabetic()).expect("a hex letter");
+        let mut flipped = line.clone().into_bytes();
+        flipped[letter] ^= 1 << 5;
+        let flipped = String::from_utf8(flipped).unwrap();
+        assert_eq!(flipped.to_ascii_lowercase(), line, "one letter changed case");
+        assert_eq!(decode_record(&flipped), Err(FrameError::Malformed { field: "checksum" }));
+
+        for (bad, field) in [
+            (line.replacen(head, "cpj1 +7 ", 1), "length"),
+            (line.replacen(head, "cpj1 07 ", 1), "length"),
+            (line.replacen(sum, &format!("0{sum}"), 1), "checksum"),
+            (line.replacen(sum, &format!("+{sum}"), 1), "checksum"),
+        ] {
+            assert_eq!(decode_record(&bad), Err(FrameError::Malformed { field }), "{bad:?}");
+        }
+        assert_eq!(decode_record(&encode_record("")), Ok(""), "a zero length is one `0`");
     }
 
     #[test]

@@ -1882,6 +1882,18 @@ mod tests {
     }
 
     #[test]
+    fn single_byte_mutations_of_a_backlog_stream_are_refused_whole() {
+        let stored =
+            StoredPost { post: post(1, 1), server_ts: SimTime::from_nanos(5), arrival_index: 0 };
+        let frames = [(0, write_payload(0, &stored)), (1, read_payload(2, 9))]
+            .map(|(slot, op)| frame::encode_record(&backlog_record(slot, &op)));
+        crate::shell::tests::damaged_streams_are_refused_whole(
+            PbftReplica::decode_backlog_frame,
+            &frames,
+        );
+    }
+
+    #[test]
     fn log_op_payloads_round_trip() {
         let stored = StoredPost {
             post: Post::new(

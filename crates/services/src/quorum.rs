@@ -800,6 +800,18 @@ mod tests {
     }
 
     #[test]
+    fn single_byte_mutations_of_a_catchup_stream_are_refused_whole() {
+        let frames: Vec<String> = (1..=3u32)
+            .map(|seq| {
+                let (server_ts, arrival_index) = (SimTime::from_nanos(5), u64::from(seq));
+                let stored = StoredPost { post: post(1, seq), server_ts, arrival_index };
+                frame::encode_record(&stored_post_to_payload(&stored))
+            })
+            .collect();
+        crate::shell::tests::damaged_streams_are_refused_whole(decode_post_frame, &frames);
+    }
+
+    #[test]
     fn stored_post_payload_round_trips() {
         let original = StoredPost {
             post: Post::new(

@@ -447,3 +447,37 @@ impl<T> Catchup<T> {
         ((self.frames, self.watermark, self.stream_hash), self.heard.len())
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Mutation fuzz of a catch-up decoder, in the shape of `wire::frame`'s:
+    /// each byte of each frame of `frames` — magic, length, checksum,
+    /// separators, payload, newline — flipped four ways. Every damaged
+    /// stream is refused whole and leaves the round untouched, nothing
+    /// panics, and the undamaged stream is then accepted.
+    pub(crate) fn damaged_streams_are_refused_whole<T>(
+        decode: fn(&str) -> Result<T, String>,
+        frames: &[String],
+    ) {
+        let mut round = Catchup::new(1, decode);
+        for (i, line) in frames.iter().enumerate() {
+            for pos in 0..line.len() {
+                for flip in [0x01, 0x20, 0x80, 0xff] {
+                    let mut bytes = line.clone().into_bytes();
+                    bytes[pos] ^= flip;
+                    // Frames travel as `String`s: bytes that are not UTF-8
+                    // never reach a decoder.
+                    let Ok(damaged) = String::from_utf8(bytes) else { continue };
+                    let mut stream = frames.to_vec();
+                    stream[i] = damaged;
+                    let at = format!("frame {i}, byte {pos} ^ {flip:#04x}");
+                    assert!(round.verify(&stream).is_err(), "{at}");
+                    assert_eq!((round.frames, round.stream_hash), (0, frame::FNV64_BASIS), "{at}");
+                }
+            }
+        }
+        assert_eq!(round.verify(frames).map(|items| items.len()), Ok(frames.len()));
+    }
+}
