@@ -60,7 +60,9 @@
 //!   whose payload is JSON throughout with a valid envelope (`cell`,
 //!   `instance`, `seed`, a known `status`, and that status's member) is a
 //!   record. All of that is checked by [`Journal::recover`], in one pass
-//!   of the reader over the line.
+//!   of the reader over the line. Lines are checked on every core, in
+//!   contiguous runs, and judged in file order, so the first damaged line
+//!   decides as it would on one thread.
 //! * Trailing bytes that do not form a complete valid line are a
 //!   **truncated or corrupt tail**: dropped and reported, never a panic
 //!   ([`Recovery::tail`]). [`Journal::resume`] truncates the file back to
@@ -70,12 +72,13 @@
 //!   [`JournalError::CorruptMiddle`] rather than silently skipping data.
 //! * Duplicate `(cell, instance)` keys resolve last-writer-wins, counted
 //!   in [`Recovery::duplicates`] so callers can warn.
-//! * What recovery does *not* do is decode a completed record's `result`:
-//!   it keeps the checked text ([`ResultText`]). Whether that text has a
-//!   result's shape (member types, integer ranges, `response ≥ invoke`)
-//!   is decided by [`result_from_json`], when a caller that knows the
-//!   cell's [`TestConfig`] rebuilds the instance; a result it rejects is
-//!   re-run, out loud.
+//! * Recovery decodes a completed record's `result` in that same pass
+//!   ([`DecodedResult`]). A `result` that is JSON but not a result (a
+//!   member of the wrong type, an integer out of range, `response <
+//!   invoke`) is still a record: it keeps the schema error, which
+//!   [`result_from_json`] returns when a caller that knows the cell's
+//!   [`TestConfig`] rebuilds the instance, and the result is re-run, out
+//!   loud. Rebuilding only recomputes the analysis.
 //!
 //! ## What a record stores
 //!
@@ -95,7 +98,7 @@
 
 use crate::coordinator::AgentHealth;
 use crate::runner::{checker_config_for, FaultLedger, TestConfig, TestResult};
-use conprobe_core::analyze;
+use conprobe_core::{analyze, TestAnalysis};
 use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonValue, JsonWriter, ToJson};
 use conprobe_services::fault_driver::ExecutedAction;
 use conprobe_services::ServiceKind;
@@ -106,6 +109,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -135,19 +139,29 @@ pub struct JournalKey {
     pub seed: u64,
 }
 
-/// The `result` member of a completed record, as text: checked to be
-/// JSON when the record was recovered, decoded (and only then held to
-/// the result's schema) by [`result_from_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultText(String);
+/// The `result` member of a completed record, decoded once, when the
+/// record was recovered: every journaled field of a [`TestResult`] (the
+/// analysis left empty), or the schema error that rejects it, its offset
+/// relative to the member. [`result_from_json`] hands out either.
+#[derive(Debug, Clone)]
+pub struct DecodedResult(Result<Box<TestResult>, JsonError>);
 
-/// A recovered record's body. A completed result stays text until a
-/// [`TestConfig`] is available to rebuild the [`TestResult`] (the
-/// analysis is recomputed, see [`result_from_json`]).
+/// Two decoded results are equal when they journal the same `result`
+/// object, or are rejected with the same error.
+impl PartialEq for DecodedResult {
+    fn eq(&self, other: &Self) -> bool {
+        let [a, b] = [self, other].map(|d| d.0.as_ref().map(|result| result.to_compact()));
+        a == b
+    }
+}
+
+/// A recovered record's body. A completed result becomes a
+/// [`TestResult`] once a [`TestConfig`] is available to recompute its
+/// analysis (see [`result_from_json`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveredEntry {
-    /// The instance finished; payload is the serialized result object.
-    Completed(ResultText),
+    /// The instance finished; payload is its decoded result object.
+    Completed(DecodedResult),
     /// The instance's worker panicked and was quarantined.
     Crashed {
         /// The panic message captured by the campaign worker.
@@ -200,7 +214,7 @@ pub struct Recovery {
 
 impl Recovery {
     /// Completed records for one cell: instance index → (seed, payload).
-    pub fn completed_for(&self, cell: &str) -> BTreeMap<u32, (u64, &ResultText)> {
+    pub fn completed_for(&self, cell: &str) -> BTreeMap<u32, (u64, &DecodedResult)> {
         self.records
             .iter()
             .filter(|r| r.key.cell == cell)
@@ -234,7 +248,7 @@ pub fn splice(
     cell: &str,
     unit: &str,
     index: u32,
-    (recorded_seed, payload): (u64, &ResultText),
+    (recorded_seed, payload): (u64, &DecodedResult),
     derived_seed: u64,
     config: &TestConfig,
 ) -> Option<TestResult> {
@@ -573,49 +587,57 @@ fn record_json(
     w.finish()
 }
 
-/// Parses the journal byte stream (exposed for byte-surgery tests).
+/// Fewest lines a worker thread is started for: a journal shorter than
+/// two runs of this is checked on the calling thread.
+const LINES_PER_WORKER: usize = 8;
+
+/// Parses the journal byte stream (exposed for byte-surgery tests), on
+/// as many threads as the machine runs at once.
 fn recover_bytes(bytes: &[u8]) -> Result<Recovery, JournalError> {
-    let mut raw: Vec<RecoveredRecord> = Vec::new();
+    recover_on(bytes, std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// [`recover_bytes`] on at most `workers` threads: the calling thread
+/// checks the first contiguous run of lines, a scoped thread each other
+/// run, and the verdicts are judged in file order.
+fn recover_on(bytes: &[u8], workers: usize) -> Result<Recovery, JournalError> {
+    let (mut lines, mut start) = (Vec::new(), 0);
+    while start < bytes.len() {
+        let end = find_newline(&bytes[start..]).map_or(bytes.len(), |nl| start + nl + 1);
+        lines.push(start..end);
+        start = end;
+    }
+    let check = |run: &[Range<usize>]| -> Vec<_> {
+        run.iter().map(|line| check_line(&bytes[line.clone()])).collect()
+    };
+    let mut runs = lines.chunks(run_len(lines.len(), workers));
+    let first = runs.next().unwrap_or_default();
+    let verdicts = std::thread::scope(|scope| {
+        let others: Vec<_> = runs.map(|run| scope.spawn(move || check(run))).collect();
+        let mut verdicts = check(first);
+        for other in others {
+            verdicts.extend(other.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        verdicts
+    });
+    let mut raw: Vec<RecoveredRecord> = Vec::with_capacity(lines.len());
     let mut tail = None;
     let mut valid_len = 0u64;
-    let mut offset = 0usize;
-    let mut index = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let line_end = rest.iter().position(|&b| b == b'\n');
-        let (line, consumed, complete) = match line_end {
-            Some(nl) => (&rest[..nl], nl + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        let verdict = if complete {
-            parse_line(line)
-        } else {
-            Err("record truncated mid-line (no trailing newline)".to_string())
-        };
+    for (line, verdict) in lines.iter().zip(verdicts) {
         match verdict {
             Ok(record) => {
                 raw.push(record);
-                valid_len = (offset + consumed) as u64;
-                index += 1;
+                valid_len = line.end as u64;
+            }
+            Err(reason) if line.end == bytes.len() => {
+                let bytes = (line.end - line.start) as u64;
+                tail = Some(TailLoss { offset: line.start as u64, bytes, reason });
             }
             Err(reason) => {
-                let last = offset + consumed >= bytes.len();
-                if last {
-                    tail = Some(TailLoss {
-                        offset: offset as u64,
-                        bytes: (bytes.len() - offset) as u64,
-                        reason,
-                    });
-                    break;
-                }
-                return Err(JournalError::CorruptMiddle {
-                    record: index,
-                    offset: offset as u64,
-                    reason,
-                });
+                let (record, offset) = (raw.len(), line.start as u64);
+                return Err(JournalError::CorruptMiddle { record, offset, reason });
             }
         }
-        offset += consumed;
     }
     // Last-writer-wins dedup on (cell, instance): a later record takes
     // the place, in `records`, of the first one with its key.
@@ -638,8 +660,35 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, JournalError> {
     Ok(Recovery { records, total_records, duplicates, tail, valid_len })
 }
 
-/// Validates one complete line: UTF-8, frame, checksum, then the payload.
-fn parse_line(line: &[u8]) -> Result<RecoveredRecord, String> {
+/// The offset of the first `\n` in `bytes`, eight bytes at a time (the
+/// lowest byte the has-zero-byte test flags in `word ^ NEWLINES` is one).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let rest = words.remainder();
+    rest.iter().position(|&b| b == b'\n').map(|at| bytes.len() - rest.len() + at)
+}
+
+/// How many lines each of `workers` threads checks.
+fn run_len(lines: usize, workers: usize) -> usize {
+    lines.div_ceil(workers.min(lines / LINES_PER_WORKER).max(1)).max(1)
+}
+
+/// Validates one line: its newline, UTF-8, frame, checksum, then the
+/// payload.
+fn check_line(line: &[u8]) -> Result<RecoveredRecord, String> {
+    let Some((b'\n', line)) = line.split_last() else {
+        return Err("record truncated mid-line (no trailing newline)".to_string());
+    };
     let text = std::str::from_utf8(line).map_err(|_| "record is not UTF-8".to_string())?;
     let payload = frame::decode_record(text).map_err(|e| e.to_string())?;
     parse_record_payload(payload)
@@ -647,7 +696,7 @@ fn parse_line(line: &[u8]) -> Result<RecoveredRecord, String> {
 
 /// Validates one unframed record payload in one pass — that all of it is
 /// JSON, and the envelope's schema — and returns its key and entry; a
-/// completed record's `result` is checked as JSON and kept as text. The
+/// completed record's `result` is decoded ([`DecodedResult`]). The
 /// dispatch coordinator runs every worker-pushed payload through this
 /// before journaling it, so a buggy or hostile worker cannot splice
 /// malformed records into the study.
@@ -665,17 +714,35 @@ fn record_from_json(r: &mut JsonReader<'_>) -> Result<RecoveredRecord, JsonError
         b'"' => String::read_json(r),
         _ => r.skip_value().map(|_| String::new()),
     };
-    read_members!(r => cell, instance, seed;
-        status: lenient, result: |r| r.skip_value().map(str::to_string), panic: lenient);
+    read_members!(r => cell, instance, seed; status: lenient, result: decode_result, panic: lenient);
     r.finish()?;
     let entry = match status.as_deref().unwrap_or("") {
-        "completed" => RecoveredEntry::Completed(ResultText(
-            result.ok_or_else(|| conprobe_json::missing("result"))?,
-        )),
+        "completed" => {
+            RecoveredEntry::Completed(result.ok_or_else(|| conprobe_json::missing("result"))?)
+        }
         "crashed" => RecoveredEntry::Crashed { panic: panic.unwrap_or_default() },
         other => return Err(JsonError::schema(format!("unknown record status {other:?}"))),
     };
     Ok(RecoveredRecord { key: JournalKey { cell, instance, seed }, entry })
+}
+
+/// Decodes a record's `result` member. JSON that is not a result still
+/// reads: the reader goes back and skips the member, and the error is
+/// kept with its offset made relative to the member — what decoding the
+/// member's text alone would have said. Only text that is not JSON fails
+/// the record.
+fn decode_result(r: &mut JsonReader<'_>) -> Result<DecodedResult, JsonError> {
+    r.peek()?;
+    let (start, rewind) = (r.offset(), r.clone());
+    let error = match journaled_result(r) {
+        Ok(result) => return Ok(DecodedResult(Ok(Box::new(result)))),
+        Err(error) => error,
+    };
+    *r = rewind;
+    r.skip_value()?;
+    // A reader's error lies inside the member; a schema error's is 0.
+    let offset = error.offset.saturating_sub(start);
+    Ok(DecodedResult(Err(JsonError { offset, ..error })))
 }
 
 // ---------------------------------------------------------------------------
@@ -697,7 +764,7 @@ pub fn service_token(service: ServiceKind) -> &'static str {
 
 fn service_from_json(r: &mut JsonReader<'_>) -> Result<ServiceKind, JsonError> {
     let token = r.string()?;
-    ServiceKind::ALL
+    ServiceKind::CATALOG
         .into_iter()
         .find(|service| service_token(*service) == token)
         .ok_or_else(|| JsonError::schema(format!("unknown service token {token:?}")))
@@ -863,12 +930,20 @@ pub fn result_to_json(result: &TestResult) -> JsonValue {
 ///
 /// # Errors
 ///
-/// Returns a schema [`JsonError`] when the payload has the wrong shape.
+/// Returns the schema [`JsonError`] recovery found when the payload has
+/// the wrong shape.
 pub fn result_from_json(
     config: &TestConfig,
-    payload: &ResultText,
+    payload: &DecodedResult,
 ) -> Result<TestResult, JsonError> {
-    let r = &mut JsonReader::new(&payload.0);
+    let mut result = payload.0.as_deref().map_err(JsonError::clone)?.clone();
+    result.analysis = analyze(&result.trace, &checker_config_for(config));
+    Ok(result)
+}
+
+/// Reads a journal `result` object: every field but the analysis, which
+/// is left empty, and the white-box report.
+fn journaled_result(r: &mut JsonReader<'_>) -> Result<TestResult, JsonError> {
     read_members!(r =>
         trace, completed, reads_per_agent, writes_total, duration_secs, partitioned,
         clock_error_nanos, clock_uncertainty_nanos,
@@ -878,7 +953,11 @@ pub fn result_from_json(
         agent_entries: |r| r.elements(|r| usize::read_json(r).map(NodeId)),
     );
     Ok(TestResult {
-        analysis: analyze(&trace, &checker_config_for(config)),
+        analysis: TestAnalysis {
+            observations: Vec::new(),
+            content_windows: Vec::new(),
+            order_windows: Vec::new(),
+        },
         trace,
         completed,
         reads_per_agent,
@@ -1010,7 +1089,7 @@ mod tests {
     }
 
     /// What recovery hands [`result_from_json`] for a completed record.
-    fn result_text(payload: &str) -> ResultText {
+    fn result_text(payload: &str) -> DecodedResult {
         match parse_record_payload(payload).expect("a valid record").entry {
             RecoveredEntry::Completed(text) => text,
             RecoveredEntry::Crashed { .. } => panic!("expected a completed record"),
@@ -1045,7 +1124,8 @@ mod tests {
         assert_eq!(again.capacity(), record_capacity(&back));
         assert!(again.len() * 3 > again.capacity() * 2, "{} of {}", again.len(), again.capacity());
         // The tree view is the same text, parsed.
-        assert_eq!(result_to_json(&back).to_compact(), result_text(&payload).0);
+        let record = conprobe_json::parse(&payload).unwrap();
+        assert_eq!(&result_to_json(&back), conprobe_json::member(&record, "result").unwrap());
     }
 
     #[test]
@@ -1464,10 +1544,320 @@ mod tests {
             assert_eq!(region_from_json(&mut JsonReader::new(&w.finish())), Ok(region));
         }
         assert!(region_from_json(&mut JsonReader::new("\"XX\"")).is_err());
-        for service in ServiceKind::ALL {
+        for service in ServiceKind::CATALOG {
             let token = format!("{:?}", service_token(service));
             assert_eq!(service_from_json(&mut JsonReader::new(&token)), Ok(service));
         }
         assert!(service_from_json(&mut JsonReader::new("\"gminus\"")).is_err());
+    }
+
+    /// A quorum or pbft record rebuilds: its service token is in the
+    /// catalog, so a resume splices every instance instead of re-running it.
+    #[test]
+    fn strong_arms_resume_from_their_journal() {
+        use crate::campaign::{run_campaign_journaled, CampaignConfig};
+        for service in [ServiceKind::Quorum, ServiceKind::Pbft] {
+            let path = temp_path("strong");
+            let cell = cell_id(service, TestKind::Test2);
+            let mut c = CampaignConfig::paper(service, TestKind::Test2, 3);
+            c.threads = 1;
+            let journal = Journal::create(&path).unwrap();
+            let first = run_campaign_journaled(&c, None, &cell, Some(&journal), None);
+            drop(journal);
+            let (journal, recovery) = Journal::resume(&path).unwrap();
+            let resumed = run_campaign_journaled(&c, None, &cell, Some(&journal), Some(&recovery));
+            drop(journal);
+            assert_eq!((resumed.resumed, resumed.results.len()), (3, 3), "{cell}");
+            for (a, b) in resumed.results.iter().zip(&first.results) {
+                assert_eq!(a.trace, b.trace, "{cell}");
+                assert_eq!(a.analysis.observations, b.analysis.observations, "{cell}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn newlines_are_found_at_every_alignment() {
+        let mut bytes = vec![b'x'; 40];
+        assert_eq!(find_newline(&bytes), None);
+        for at in 0..bytes.len() {
+            bytes[at] = b'\n';
+            for start in 0..=at {
+                assert_eq!(find_newline(&bytes[start..]), Some(at - start), "{start}..{at}");
+            }
+            // A byte that differs from `\n` in one bit, and `\n + 0x80`,
+            // before the newline, are not newlines.
+            for near in [b'\n' ^ 0x01, b'\n' ^ 0x80, 0x8a, 0x00] {
+                let mut noisy = bytes.clone();
+                noisy[..at].fill(near);
+                assert_eq!(find_newline(&noisy), Some(at), "{near:#04x} before {at}");
+            }
+            bytes[at] = b'x';
+        }
+    }
+
+    /// The serial recovery this module had before lines were checked on
+    /// every core and each `result` decoded once, frozen as the oracle the
+    /// parallel one is held to. A record's body is its `result` text
+    /// (completed) or its panic message (crashed).
+    mod serial {
+        use super::*;
+
+        type Record = (JournalKey, Result<String, String>);
+
+        #[derive(Debug)]
+        pub(super) struct Recovery {
+            pub records: Vec<Record>,
+            pub total_records: usize,
+            pub duplicates: usize,
+            pub tail: Option<TailLoss>,
+            pub valid_len: u64,
+        }
+
+        pub(super) fn recover_bytes(bytes: &[u8]) -> Result<Recovery, JournalError> {
+            let mut raw: Vec<Record> = Vec::new();
+            let mut tail = None;
+            let mut valid_len = 0u64;
+            let mut offset = 0usize;
+            let mut index = 0usize;
+            while offset < bytes.len() {
+                let rest = &bytes[offset..];
+                let line_end = rest.iter().position(|&b| b == b'\n');
+                let (line, consumed, complete) = match line_end {
+                    Some(nl) => (&rest[..nl], nl + 1, true),
+                    None => (rest, rest.len(), false),
+                };
+                let verdict = if complete {
+                    parse_line(line)
+                } else {
+                    Err("record truncated mid-line (no trailing newline)".to_string())
+                };
+                match verdict {
+                    Ok(record) => {
+                        raw.push(record);
+                        valid_len = (offset + consumed) as u64;
+                        index += 1;
+                    }
+                    Err(reason) => {
+                        let last = offset + consumed >= bytes.len();
+                        if last {
+                            tail = Some(TailLoss {
+                                offset: offset as u64,
+                                bytes: (bytes.len() - offset) as u64,
+                                reason,
+                            });
+                            break;
+                        }
+                        return Err(JournalError::CorruptMiddle {
+                            record: index,
+                            offset: offset as u64,
+                            reason,
+                        });
+                    }
+                }
+                offset += consumed;
+            }
+            let total_records = raw.len();
+            let mut records: Vec<Record> = Vec::with_capacity(raw.len());
+            let mut position: HashMap<(String, u32), usize> = HashMap::new();
+            let mut duplicates = 0usize;
+            for record in raw {
+                match position.entry((record.0.cell.clone(), record.0.instance)) {
+                    Entry::Occupied(at) => {
+                        records[*at.get()] = record;
+                        duplicates += 1;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(records.len());
+                        records.push(record);
+                    }
+                }
+            }
+            Ok(Recovery { records, total_records, duplicates, tail, valid_len })
+        }
+
+        fn parse_line(line: &[u8]) -> Result<Record, String> {
+            let text = std::str::from_utf8(line).map_err(|_| "record is not UTF-8".to_string())?;
+            let payload = frame::decode_record(text).map_err(|e| e.to_string())?;
+            record_from_json(&mut JsonReader::new(payload)).map_err(|e| e.to_string())
+        }
+
+        fn record_from_json(r: &mut JsonReader<'_>) -> Result<Record, JsonError> {
+            let lenient = |r: &mut JsonReader<'_>| match r.peek()? {
+                b'"' => String::read_json(r),
+                _ => r.skip_value().map(|_| String::new()),
+            };
+            read_members!(r => cell, instance, seed;
+                status: lenient, result: |r| r.skip_value().map(String::from), panic: lenient);
+            r.finish()?;
+            let body = match status.as_deref().unwrap_or("") {
+                "completed" => Ok(result.ok_or_else(|| conprobe_json::missing("result"))?),
+                "crashed" => Err(panic.unwrap_or_default()),
+                other => return Err(JsonError::schema(format!("unknown record status {other:?}"))),
+            };
+            Ok((JournalKey { cell, instance, seed }, body))
+        }
+    }
+
+    /// What the oracle's caller rebuilt from a `result` text: the text
+    /// decoded on its own.
+    fn decoded_alone(text: &str) -> DecodedResult {
+        DecodedResult(journaled_result(&mut JsonReader::new(text)).map(Box::new))
+    }
+
+    /// Recovers `bytes` on `workers` threads and with the serial oracle,
+    /// and asserts the two agree: the same counts, tail and valid prefix,
+    /// and the same records — a completed one decoded to what the oracle's
+    /// text decodes to alone, or rejected with the same error — or the
+    /// same `CorruptMiddle`.
+    fn assert_matches_oracle(bytes: &[u8], workers: usize, at: &str) {
+        match (recover_on(bytes, workers), serial::recover_bytes(bytes)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(
+                    (new.total_records, new.duplicates, &new.tail, new.valid_len),
+                    (old.total_records, old.duplicates, &old.tail, old.valid_len),
+                    "{at}"
+                );
+                assert_eq!(new.records.len(), old.records.len(), "{at}");
+                for (record, (key, body)) in new.records.iter().zip(&old.records) {
+                    assert_eq!(&record.key, key, "{at}");
+                    match (&record.entry, body) {
+                        (RecoveredEntry::Completed(decoded), Ok(text)) => {
+                            assert!(*decoded == decoded_alone(text), "{at}: {key:?}");
+                        }
+                        (RecoveredEntry::Crashed { panic }, Err(old)) => {
+                            assert_eq!(panic, old, "{at}");
+                        }
+                        (_, body) => panic!("{at}: {key:?} changed status, was {body:?}"),
+                    }
+                }
+            }
+            (
+                Err(JournalError::CorruptMiddle { record, offset, reason }),
+                Err(JournalError::CorruptMiddle { record: was, offset: at_was, reason: why }),
+            ) => assert_eq!((record, offset, reason), (was, at_was, why), "{at}"),
+            (new, old) => panic!("{at}: {:?} against {old:?}", new.map(|r| r.valid_len)),
+        }
+    }
+
+    /// `n` framed records on `keys` keys (instance `i % keys`, so keys
+    /// repeat when `keys < n`): record `i` is `result` completed where
+    /// `completed(i)`, a crash otherwise. Returns each line.
+    fn journal_lines(
+        n: usize,
+        keys: usize,
+        completed: impl Fn(usize) -> bool,
+        result: &TestResult,
+    ) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                let instance = (i % keys) as u32;
+                frame::encode_record(&match completed(i) {
+                    true => completed_record_json("blogger/test1", instance, 5, result),
+                    false => {
+                        crashed_record_json("blogger/test1", instance, 5, &format!("boom {i}"))
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_recovery_matches_the_serial_oracle() {
+        let config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test1);
+        let result = run_one_test(&config, 5);
+        let workers = [1, 2, 3, 4, 8];
+        let every_third = |i: usize| i.is_multiple_of(3);
+
+        // Clean journals, with and without duplicate keys; at 64 records
+        // and `keys = 33`, record i and i + 33 share a key and sit in
+        // different runs for every worker count above one.
+        for n in [1, 2, 3, 17, 64] {
+            for keys in [n, n / 2 + 1] {
+                let bytes = journal_lines(n, keys, every_third, &result).concat().into_bytes();
+                assert_matches_oracle(&bytes, 1, &format!("{n} records on {keys} keys"));
+                for w in workers {
+                    assert_matches_oracle(&bytes, w, &format!("{n} on {keys} keys, {w} workers"));
+                }
+                // And the rebuilt results equal the oracle's.
+                let new = recover_bytes(&bytes).unwrap();
+                let old = serial::recover_bytes(&bytes).unwrap();
+                for (record, (_, body)) in new.records.iter().zip(&old.records) {
+                    if let (RecoveredEntry::Completed(decoded), Ok(text)) = (&record.entry, body) {
+                        let alone = decoded_alone(text);
+                        let a = result_from_json(&config, decoded).unwrap();
+                        let b = result_from_json(&config, &alone).unwrap();
+                        assert_eq!(a.analysis.observations, b.analysis.observations);
+                        assert_eq!(a.to_compact(), b.to_compact());
+                    }
+                }
+            }
+        }
+
+        // Truncation at every offset inside the last two records, one of
+        // them completed (the rest are crashes, which keeps the debug
+        // build's 9 000 recoveries to a second).
+        for (n, w) in [(3, 1), (17, 2)] {
+            let lines = journal_lines(n, n, |i| i == n - 2, &result);
+            let bytes = lines.concat().into_bytes();
+            let from = lines[..n - 2].concat().len();
+            for cut in from..bytes.len() {
+                assert_matches_oracle(&bytes[..cut], w, &format!("{n} records cut at {cut}"));
+            }
+        }
+
+        // One damaged line first, last, and either side of a run boundary:
+        // a checksum flip, a byte that is not UTF-8, and a result that is
+        // JSON but not a result (a record, rejected when rebuilt).
+        let n = 64;
+        let lines = journal_lines(n, n, every_third, &result);
+        for w in [2, 3, 4] {
+            let run = run_len(n, w);
+            for at in [0, run - 1, run, n - 1] {
+                let line = &lines[at];
+                let payload = frame::decode_record(line).unwrap();
+                let mut flipped = line.clone().into_bytes();
+                let middle = line.len() - payload.len() / 2;
+                flipped[middle] ^= 0x01;
+                let mut not_utf8 = line.clone().into_bytes();
+                not_utf8[middle] = 0xff;
+                let not_a_result = frame::encode_record(
+                    &completed_record_json("blogger/test1", at as u32, 5, &result)
+                        .replace("\"writes_total\":", "\"writes_total\":true,\"was\":"),
+                )
+                .into_bytes();
+                for (kind, damaged) in
+                    [("flip", flipped), ("not UTF-8", not_utf8), ("not a result", not_a_result)]
+                {
+                    let mut bytes = lines[..at].concat().into_bytes();
+                    bytes.extend_from_slice(&damaged);
+                    let ended = bytes.len();
+                    bytes.extend_from_slice(lines[at + 1..].concat().as_bytes());
+                    assert_matches_oracle(&bytes, w, &format!("{kind} at line {at}, {w} workers"));
+                    // Followed by one byte: still more data, so not the tail.
+                    if ended < bytes.len() {
+                        let cut = &bytes[..ended + 1];
+                        assert_matches_oracle(cut, w, &format!("{kind} at line {at} + 1 byte"));
+                    }
+                }
+            }
+        }
+
+        // Every byte of a short journal flipped four ways — the mutation
+        // set of `single_byte_mutations_of_framed_lines_are_caught_at_their_line`
+        // on 3 lines, and on 17 that two workers split.
+        for (n, w) in [(3, 1), (17, 2)] {
+            let lines: Vec<String> = (0..n)
+                .map(|i| frame::encode_record(&crashed_record_json("fbgroup/test1", i, 7, "boom")))
+                .collect();
+            let bytes = lines.concat().into_bytes();
+            for pos in 0..bytes.len() {
+                for flip in [0x01, 0x20, 0x80, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[pos] ^= flip;
+                    assert_matches_oracle(&damaged, w, &format!("byte {pos} ^ {flip:#04x}"));
+                }
+            }
+        }
     }
 }

@@ -32,6 +32,11 @@ impl<'a> JsonReader<'a> {
         JsonReader { src, pos: 0, depth: 0, first: false }
     }
 
+    /// The reader's byte offset in its input.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// An error at the reader's position.
     #[cold]
     pub fn error(&self, message: &str) -> JsonError {

@@ -8,7 +8,7 @@ use super::{write_file, write_metrics, CliError};
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, timeline, AnomalyKind, CheckerConfig, TestTrace, Verdict};
 use conprobe_harness::campaign::{run_campaign_journaled, CampaignResult, CrashedInstance};
-use conprobe_harness::journal::{self, Journal, Recovery, ResultText};
+use conprobe_harness::journal::{self, DecodedResult, Journal, Recovery};
 use conprobe_harness::proto::{test1_trigger_pairs, TestKind};
 use conprobe_harness::runner::{run_one_test, TestConfig, TestResult};
 use conprobe_harness::{stats, CampaignConfig};
@@ -129,7 +129,7 @@ impl OpenJournal {
 
 pub(super) struct JournaledUnits<'a> {
     journal: Option<&'a Journal>,
-    recovered: BTreeMap<u32, (u64, &'a ResultText)>,
+    recovered: BTreeMap<u32, (u64, &'a DecodedResult)>,
     cell: &'a str,
     noun: &'static str,
 }

@@ -113,3 +113,75 @@ fn a_unit_whose_recorded_result_is_rejected_is_re_run_out_loud() {
     assert_eq!((after.total_records, after.duplicates), (4, 1));
     std::fs::remove_file(&path).ok();
 }
+
+/// A `result` that is JSON but not a result still recovers as a record,
+/// and a resume rejects it in the very words it used when recovery kept
+/// results as text and decoded them only on rebuild (the four lines
+/// below were captured from that binary). A `result` that is not JSON
+/// still damages its line.
+#[test]
+fn a_result_that_is_json_but_not_a_result_is_rejected_as_before() {
+    let path = temp("not-a-result");
+    let path_s = path.to_string_lossy().to_string();
+    std::fs::remove_file(&path).ok();
+    let clean = campaign("5", &["--journal", &path_s]);
+    assert!(clean.status.success());
+    let journaled = std::fs::read_to_string(&path).unwrap();
+    // The journal with `edit(i, payload)` applied to its `i`-th line.
+    let edited = |edit: &dyn Fn(usize, &str) -> String| -> String {
+        let line = |(i, line)| frame::encode_record(&edit(i, frame::decode_record(line).unwrap()));
+        journaled.lines().enumerate().map(line).collect()
+    };
+    let rejected = edited(&|_, p| match p {
+        _ if p.contains("\"instance\":0,") => {
+            p.replace("\"writes_total\":", "\"writes_total\":\"x\",\"was\":")
+        }
+        _ if p.contains("\"instance\":1,") => {
+            p.replacen("\"invoke\":", "\"invoke\":9223372036854775807,\"was\":", 1)
+        }
+        _ if p.contains("\"instance\":2,") => p.replace("\"sim_events\":", "\"sim_events_was\":"),
+        _ if p.contains("\"instance\":3,") => {
+            p.replace("\"service\":\"blogger\"", "\"service\":\"gminus\"")
+        }
+        _ => p.to_string(),
+    });
+    std::fs::write(&path, rejected).unwrap();
+    assert_eq!(Journal::recover(&path).unwrap().records.len(), 5);
+
+    let resumed = campaign("5", &["--resume", &path_s]);
+    assert!(resumed.status.success());
+    assert_eq!(resumed.stdout, clean.stdout);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    for said in [
+        "instance 0 payload rejected (JSON error at byte 8877: expected a number); re-running",
+        "instance 1 payload rejected (JSON error at byte 0: operation response precedes \
+         invocation); re-running",
+        "instance 2 payload rejected (JSON error at byte 0: missing member `sim_events`); \
+         re-running",
+        "instance 3 payload rejected (JSON error at byte 0: unknown service token \"gminus\"); \
+         re-running",
+    ] {
+        assert!(stderr.contains(&format!("journal: blogger/test2 {said}")), "{said}\n{stderr}");
+    }
+    assert!(stderr.contains("  1 instance(s) spliced from the journal"), "{stderr}");
+
+    // Not JSON at all: the last line is a damaged tail, the first one
+    // corrupts the journal.
+    let not_json = |at: usize| {
+        edited(&|i, p| match i == at {
+            true => p.replace("\"writes_total\":", "\"writes_total\":01,\"was\":"),
+            false => p.to_string(),
+        })
+    };
+    std::fs::write(&path, not_json(4)).unwrap();
+    let tail = Journal::recover(&path).unwrap();
+    assert_eq!(tail.records.len(), 4);
+    assert!(tail.tail.expect("a damaged tail").reason.contains("JSON error"));
+    std::fs::write(&path, not_json(0)).unwrap();
+    let err = Journal::recover(&path).unwrap_err();
+    assert!(
+        matches!(err, conprobe_harness::journal::JournalError::CorruptMiddle { record: 0, .. }),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
