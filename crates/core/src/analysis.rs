@@ -12,13 +12,11 @@ use std::collections::BTreeSet;
 pub struct CheckerConfig<K> {
     /// Dependency relation for the Writes Follows Reads checker.
     pub wfr_mode: WfrMode<K>,
-    /// Whether to compute divergence windows (presence checkers always run).
-    pub compute_windows: bool,
 }
 
 impl<K> Default for CheckerConfig<K> {
     fn default() -> Self {
-        CheckerConfig { wfr_mode: WfrMode::General, compute_windows: true }
+        CheckerConfig { wfr_mode: WfrMode::General }
     }
 }
 
@@ -85,7 +83,8 @@ impl<K: EventKey> TestAnalysis<K> {
         })
     }
 
-    /// The content or order windows for one pair, if computed.
+    /// The content or order windows for one pair, if both agents are in
+    /// the trace.
     pub fn pair_windows(
         &self,
         kind: WindowKind,
@@ -101,12 +100,9 @@ impl<K: EventKey> TestAnalysis<K> {
     }
 }
 
-/// Runs every checker (plus window computation) over `trace`.
-///
-/// One incremental pass of the [`StreamingAnalyzer`] evaluates all six
-/// presence checkers and both window sweeps simultaneously; each event of
-/// the trace is pushed exactly once and observation order matches the
-/// historical checker order (RYW, MW, MR, WFR, content, order).
+/// Runs every checker and both window sweeps over `trace`: one pass of the
+/// [`StreamingAnalyzer`], each event pushed once. Observations come in
+/// checker order (RYW, MW, MR, WFR, content, order).
 pub fn analyze<K: EventKey>(trace: &TestTrace<K>, config: &CheckerConfig<K>) -> TestAnalysis<K> {
     StreamingAnalyzer::new(config).replay(trace)
 }
@@ -191,15 +187,5 @@ mod tests {
         // Both agents of a divergence pair perceive it.
         let set = analysis.agents_observing(AnomalyKind::ContentDivergence);
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn windows_can_be_disabled() {
-        let mut b = TestTraceBuilder::new();
-        b.read(A0, t(0), t(10), vec![1u32]);
-        let config = CheckerConfig { compute_windows: false, ..Default::default() };
-        let analysis = analyze(&b.build(), &config);
-        assert!(analysis.content_windows.is_empty());
-        assert!(analysis.order_windows.is_empty());
     }
 }

@@ -11,29 +11,21 @@
 //! The reads need not be simultaneous — the paper's window computation (see
 //! [`crate::window`]) handles the temporal aspect; this checker establishes
 //! presence per agent pair.
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
-
-/// Finds content divergence between every pair of agents in `trace`.
-///
-/// Emits at most one [`Observation`] per unordered agent pair, carrying a
-/// witness pair `[x, y]` (`x` seen only by the first agent, `y` only by the
-/// second) from the earliest diverging read pair, and the total number of
-/// diverging read pairs in the detail string.
-pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ContentDivergence)
-        .replay(trace)
-        .observations
-}
+//!
+//! At most one observation per unordered agent pair: the witness pair
+//! `[x, y]` (`x` seen only by the first agent, `y` only by the second)
+//! comes from the earliest diverging read pair, and the detail string
+//! counts all diverging read pairs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use super::super::{observations_of, WfrMode};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::ContentDivergence, WfrMode::General)
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

@@ -1,8 +1,6 @@
-//! One module per anomaly checker.
-//!
-//! Every checker is a pure function from a [`crate::trace::TestTrace`] to a
-//! list of [`crate::anomaly::Observation`]s. Conventions shared by all
-//! checkers:
+//! The six §III anomaly definitions, one module each. They are checked
+//! together, in one pass, by [`crate::analysis::analyze`]. Conventions
+//! shared by all checkers:
 //!
 //! * A write by agent `c` is considered *issued* at its invocation time and
 //!   *completed* at its response time. Only writes completed before a read's
@@ -23,9 +21,16 @@ pub mod order;
 pub mod ryw;
 pub mod wfr;
 
-pub use content::check as check_content_divergence;
-pub use mr::check as check_monotonic_reads;
-pub use mw::check as check_monotonic_writes;
-pub use order::check as check_order_divergence;
-pub use ryw::check as check_read_your_writes;
-pub use wfr::{check as check_writes_follow_reads, WfrMode};
+pub use wfr::WfrMode;
+
+/// The observations of `kind` in the full analysis of `trace`: one
+/// checker's output, as its unit tests read it.
+#[cfg(test)]
+fn observations_of<K: crate::trace::EventKey>(
+    trace: &crate::trace::TestTrace<K>,
+    kind: crate::anomaly::AnomalyKind,
+    wfr_mode: WfrMode<K>,
+) -> Vec<crate::anomaly::Observation<K>> {
+    let analysis = crate::analysis::analyze(trace, &crate::analysis::CheckerConfig { wfr_mode });
+    analysis.observations.into_iter().filter(|o| o.kind == kind).collect()
+}

@@ -11,33 +11,22 @@
 //! detects the same anomalies while matching the paper's per-test
 //! observation counts (a message that disappears once is one observation,
 //! not one per later read).
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
-
-/// Finds all Monotonic Reads violations in `trace`.
-///
-/// "(in that order)" in §III is the order results were *returned*: a
-/// client reacts to responses, and retransmitted reads can overlap later
-/// ones, so response order — not invocation order — defines the
-/// successive views.
-///
-/// Emits one [`Observation`] per consecutive read pair in which at least one
-/// previously observed event disappeared; the vanished events are the
-/// witnesses.
-pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicReads)
-        .replay(trace)
-        .observations
-}
+//!
+//! "(in that order)" is the order results were *returned*: a client reacts
+//! to responses, and retransmitted reads can overlap later ones, so
+//! response order — not invocation order — defines the successive views.
+//! One observation per consecutive read pair in which an observed event
+//! disappeared; the vanished events are the witnesses.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use super::super::{observations_of, WfrMode};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::MonotonicReads, WfrMode::General)
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

@@ -7,28 +7,20 @@
 //!
 //! That is: some later write `y` of a client is visible while an earlier
 //! write `x` of the same client is either missing or ordered after `y`.
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
-
-/// Finds all Monotonic Writes violations in `trace`.
-///
-/// Emits one [`Observation`] per (read, writing agent) with at least one
-/// violating pair; witnesses are `[x, y]` for the first violating pair in
-/// issue order.
-pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::MonotonicWrites)
-        .replay(trace)
-        .observations
-}
+//!
+//! One observation per (read, writing agent) with at least one violating
+//! pair; the witnesses are `[x, y]` for the first violating pair in issue
+//! order.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use super::super::{observations_of, WfrMode};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::MonotonicWrites, WfrMode::General)
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

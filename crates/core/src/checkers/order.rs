@@ -4,52 +4,22 @@
 //! clients c₁ and c₂ return sequences S₁ and S₂ containing a pair of events
 //! occurring in a different order at the two sequences:
 //! `∃x, y ∈ S₁, S₂ : S₁(x) ≺ S₁(y) ∧ S₂(y) ≺ S₂(x)`."*
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
-use std::collections::HashMap;
-
-/// Returns a witness pair `(x, y)` such that `x` precedes `y` in `s1` but
-/// `y` precedes `x` in `s2`, if any exists.
-///
-/// Only events present in both sequences participate. Runs in
-/// `O(|s1| + |s2|)` after hashing: the common subsequence of `s1` is order
-/// -divergent iff its positions in `s2` are not monotonically increasing,
-/// and any non-monotonicity yields an adjacent witness.
-pub fn find_inversion<K: EventKey>(s1: &[K], s2: &[K]) -> Option<(K, K)> {
-    let pos2: HashMap<&K, usize> = s2.iter().enumerate().map(|(i, k)| (k, i)).collect();
-    let mut prev: Option<(&K, usize)> = None;
-    for x in s1 {
-        if let Some(&p2) = pos2.get(x) {
-            if let Some((px, pp2)) = prev {
-                if p2 < pp2 {
-                    return Some((px.clone(), x.clone()));
-                }
-            }
-            prev = Some((x, p2));
-        }
-    }
-    None
-}
-
-/// Finds order divergence between every pair of agents in `trace`.
-///
-/// Emits at most one [`Observation`] per unordered agent pair, witnessing
-/// the inverted event pair from the earliest diverging read pair, with the
-/// total count of diverging read pairs in the detail string.
-pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::OrderDivergence)
-        .replay(trace)
-        .observations
-}
+//!
+//! Only events present in both sequences participate: the common
+//! subsequence of `S₁` is order-divergent iff its positions in `S₂` are not
+//! increasing, and any descent yields an adjacent witness pair. At most one
+//! observation per unordered agent pair, witnessed from the earliest
+//! diverging read pair; the detail string counts all diverging read pairs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use super::super::{observations_of, WfrMode};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::OrderDivergence, WfrMode::General)
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -57,27 +27,36 @@ mod tests {
     const A0: AgentId = AgentId(0);
     const A1: AgentId = AgentId(1);
 
-    #[test]
-    fn find_inversion_basic() {
-        assert_eq!(find_inversion(&[1, 2], &[2, 1]), Some((1, 2)));
-        assert_eq!(find_inversion(&[1, 2], &[1, 2]), None);
-        assert_eq!(find_inversion::<u32>(&[], &[]), None);
+    /// The witness pair reported when agent 0 reads `s1` and agent 1 reads
+    /// `s2`, if the two orders diverge.
+    pub(super) fn inversion(s1: &[u32], s2: &[u32]) -> Option<(u32, u32)> {
+        let mut b = TestTraceBuilder::new();
+        b.read(A0, t(0), t(10), s1.to_vec());
+        b.read(A1, t(0), t(10), s2.to_vec());
+        check(&b.build()).first().map(|o| (o.witnesses[0], o.witnesses[1]))
     }
 
     #[test]
-    fn find_inversion_ignores_uncommon_events() {
+    fn inversion_basic() {
+        assert_eq!(inversion(&[1, 2], &[2, 1]), Some((1, 2)));
+        assert_eq!(inversion(&[1, 2], &[1, 2]), None);
+        assert_eq!(inversion(&[], &[]), None);
+    }
+
+    #[test]
+    fn inversion_ignores_uncommon_events() {
         // 9 and 7 are not shared; the common subsequence (1,2) agrees.
-        assert_eq!(find_inversion(&[9, 1, 2], &[1, 7, 2]), None);
+        assert_eq!(inversion(&[9, 1, 2], &[1, 7, 2]), None);
         // Common subsequence (1,2) vs (2,1) disagrees despite noise.
-        assert_eq!(find_inversion(&[9, 1, 2], &[2, 7, 1]), Some((1, 2)));
+        assert_eq!(inversion(&[9, 1, 2], &[2, 7, 1]), Some((1, 2)));
     }
 
     #[test]
-    fn find_inversion_non_adjacent() {
+    fn inversion_non_adjacent() {
         // Inversion between non-adjacent elements (1 before 3 vs 3 before 1)
         // is still caught via the adjacent pair of the common subsequence.
-        assert!(find_inversion(&[1, 2, 3], &[3, 2, 1]).is_some());
-        assert!(find_inversion(&[1, 2, 3], &[2, 3, 1]).is_some());
+        assert!(inversion(&[1, 2, 3], &[3, 2, 1]).is_some());
+        assert!(inversion(&[1, 2, 3], &[2, 3, 1]).is_some());
     }
 
     #[test]
@@ -141,17 +120,17 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
+    use super::tests::inversion;
     use crate::testutil::TestRng;
 
     /// A random sequence of distinct small ids.
-    fn gen_seq(rng: &mut TestRng) -> Vec<u8> {
+    fn gen_seq(rng: &mut TestRng) -> Vec<u32> {
         let len = rng.range_usize(0, 10);
         let mut seen = std::collections::HashSet::new();
-        (0..len).map(|_| rng.range(0, 12) as u8).filter(|x| seen.insert(*x)).collect()
+        (0..len).map(|_| rng.range(0, 12) as u32).filter(|x| seen.insert(*x)).collect()
     }
 
-    /// find_inversion is symmetric in *existence*: an inversion between
+    /// Order divergence is symmetric in *existence*: an inversion between
     /// s1 and s2 exists iff one exists between s2 and s1.
     #[test]
     fn inversion_existence_is_symmetric() {
@@ -160,8 +139,8 @@ mod proptests {
             let s1 = gen_seq(&mut rng);
             let s2 = gen_seq(&mut rng);
             assert_eq!(
-                find_inversion(&s1, &s2).is_some(),
-                find_inversion(&s2, &s1).is_some(),
+                inversion(&s1, &s2).is_some(),
+                inversion(&s2, &s1).is_some(),
                 "case {case}: {s1:?} vs {s2:?}"
             );
         }
@@ -173,9 +152,9 @@ mod proptests {
         let mut rng = TestRng::new(0x08DE82);
         for case in 0..500 {
             let s = gen_seq(&mut rng);
-            assert_eq!(find_inversion(&s, &s), None, "case {case}");
-            let sub: Vec<u8> = s.iter().filter(|_| rng.chance(0.5)).copied().collect();
-            assert_eq!(find_inversion(&s, &sub), None, "case {case}: {s:?} vs {sub:?}");
+            assert_eq!(inversion(&s, &s), None, "case {case}");
+            let sub: Vec<u32> = s.iter().filter(|_| rng.chance(0.5)).copied().collect();
+            assert_eq!(inversion(&s, &sub), None, "case {case}: {s:?} vs {sub:?}");
         }
     }
 
@@ -186,8 +165,8 @@ mod proptests {
         for case in 0..500 {
             let s1 = gen_seq(&mut rng);
             let s2 = gen_seq(&mut rng);
-            if let Some((x, y)) = find_inversion(&s1, &s2) {
-                let p = |s: &[u8], v: u8| s.iter().position(|e| *e == v).unwrap();
+            if let Some((x, y)) = inversion(&s1, &s2) {
+                let p = |s: &[u32], v: u32| s.iter().position(|e| *e == v).unwrap();
                 assert!(p(&s1, x) < p(&s1, y), "case {case}");
                 assert!(p(&s2, y) < p(&s2, x), "case {case}");
             }

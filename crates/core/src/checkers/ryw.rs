@@ -8,27 +8,19 @@
 //! "At a given instant" is interpreted as: writes whose response arrived
 //! before the read was invoked. A write still in flight when the read
 //! started is not required to be visible.
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
-
-/// Finds all Read Your Writes violations in `trace`.
-///
-/// Emits one [`Observation`] per read that is missing at least one of the
-/// reader's own completed writes; the missing writes are the witnesses.
-pub fn check<K: EventKey>(trace: &TestTrace<K>) -> Vec<Observation<K>> {
-    StreamingAnalyzer::single(&CheckerConfig::default(), StreamPart::ReadYourWrites)
-        .replay(trace)
-        .observations
-}
+//!
+//! One observation per read that misses at least one of the reader's own
+//! completed writes; the missing writes are the witnesses.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use super::super::{observations_of, WfrMode};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::ReadYourWrites, WfrMode::General)
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

@@ -14,11 +14,12 @@
 //!   our test, M3 and M5 are the only write operations that require the
 //!   observation of M2 and M4, respectively, as a trigger."* Each pair
 //!   `(dep, w)` flags reads that contain `w` but not `dep`.
-
-use crate::analysis::CheckerConfig;
-use crate::anomaly::Observation;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{EventKey, TestTrace};
+//!
+//! One observation per read that shows a write without one of its
+//! dependencies. Its witnesses are `[missing dependency, write]` for each
+//! violated dependency, in dependency order: agent ascending, then write
+//! issue order, then observation order within the write — or trigger-pair
+//! order.
 
 /// Which dependency relation the checker uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,23 +32,16 @@ pub enum WfrMode<K> {
     TriggerPairs(Vec<(K, K)>),
 }
 
-/// Finds Writes Follows Reads violations in `trace` under `mode`.
-///
-/// Emits one [`Observation`] per read that contains a write without one of
-/// its dependencies; witnesses are `[missing dependency, write]` for each
-/// violated dependency, in dependency order (agent ascending, then write
-/// issue order, then observation order within the write — or trigger-pair
-/// order in [`WfrMode::TriggerPairs`]).
-pub fn check<K: EventKey>(trace: &TestTrace<K>, mode: &WfrMode<K>) -> Vec<Observation<K>> {
-    let config = CheckerConfig { wfr_mode: mode.clone(), compute_windows: false };
-    StreamingAnalyzer::single(&config, StreamPart::WritesFollowReads).replay(trace).observations
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::observations_of;
     use super::*;
-    use crate::anomaly::AnomalyKind;
-    use crate::trace::{AgentId, TestTraceBuilder, Timestamp};
+    use crate::anomaly::{AnomalyKind, Observation};
+    use crate::trace::{AgentId, TestTrace, TestTraceBuilder, Timestamp};
+
+    fn check(trace: &TestTrace<u32>, mode: &WfrMode<u32>) -> Vec<Observation<u32>> {
+        observations_of(trace, AnomalyKind::WritesFollowReads, mode.clone())
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

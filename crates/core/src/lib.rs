@@ -8,8 +8,9 @@
 //! The model matches the paper's: clients issue **write** requests (each
 //! creating one event) and **read** requests (each returning a *sequence* of
 //! events). A [`trace::TestTrace`] records those operations with their
-//! invocation/response times on a common (clock-corrected) timeline; each
-//! checker in [`checkers`] searches the trace for one anomaly:
+//! invocation/response times on a common (clock-corrected) timeline, and
+//! [`analyze`] checks it for every anomaly in one pass (definitions in
+//! [`checkers`]):
 //!
 //! | Anomaly | Predicate (paper §III) |
 //! |---|---|
@@ -20,29 +21,22 @@
 //! | Content Divergence | `∃x∈S₁, y∈S₂ : x∉S₂ ∧ y∉S₁` across two clients |
 //! | Order Divergence | `∃x,y ∈ S₁,S₂ : S₁(x)≺S₁(y) ∧ S₂(y)≺S₂(x)` |
 //!
-//! [`window`] computes the *content/order divergence windows*: how long the
-//! divergence condition holds between a pair of clients, as determined by
-//! each client's most recent read — including the paper's subtlety that an
-//! anomaly can exist between non-overlapping reads yet have a zero window.
-//!
-//! Checkers are generic over the event key type `K` (any `Clone + Eq +
-//! Hash + Ord + Debug` type), so they work over simulated post ids, HTTP
-//! resource ids, or plain integers in tests.
+//! The same pass measures the [`window`]s: how long content or order
+//! divergence holds between each pair of clients' most recent reads. Keys
+//! are generic (`K`: post ids, HTTP resource ids, plain integers).
 //!
 //! ## Example
 //!
 //! ```
-//! use conprobe_core::trace::{AgentId, TestTraceBuilder, Timestamp};
-//! use conprobe_core::checkers::ryw;
+//! use conprobe_core::{analyze, AgentId, AnomalyKind, CheckerConfig, TestTraceBuilder, Timestamp};
 //!
 //! let mut b = TestTraceBuilder::new();
 //! let a0 = AgentId(0);
 //! b.write(a0, Timestamp::from_millis(0), Timestamp::from_millis(10), 1u32);
 //! // A later read by the same agent that misses write 1:
 //! b.read(a0, Timestamp::from_millis(20), Timestamp::from_millis(30), vec![]);
-//! let trace = b.build();
-//! let anomalies = ryw::check(&trace);
-//! assert_eq!(anomalies.len(), 1);
+//! let analysis = analyze(&b.build(), &CheckerConfig::default());
+//! assert_eq!(analysis.count(AnomalyKind::ReadYourWrites), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +57,7 @@ pub mod window;
 pub use analysis::{analyze, CheckerConfig, TestAnalysis};
 pub use anomaly::{AnomalyKind, Observation};
 pub use index::TraceIndex;
-pub use stream::{StreamPart, StreamingAnalyzer};
+pub use stream::StreamingAnalyzer;
 pub use trace::{AgentId, EventKey, OpKind, OpRecord, TestTrace, TestTraceBuilder, Timestamp};
 pub use verdict::{Status, Verdict};
 pub use visibility::{

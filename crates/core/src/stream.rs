@@ -1,21 +1,17 @@
-//! Streaming (incremental) anomaly checking.
+//! The checker engine: the six §III checkers and both divergence-window
+//! sweeps, run together as one streaming pass.
 //!
-//! The batch checkers in [`crate::checkers`] analyze a complete
-//! [`crate::trace::TestTrace`] after the fact. That caps campaign scale:
-//! the whole trace (every `K` event key of every read sequence) must sit
-//! in memory before the first anomaly can be counted, and a live probe
-//! can say nothing until it finishes. [`StreamingAnalyzer`] converts all
-//! six checkers and both divergence-window sweeps into **streaming
-//! operators**: events are pushed one at a time in trace order
-//! (nondecreasing invocation time — exactly the order
+//! [`StreamingAnalyzer::new`] is the only way in ([`crate::analysis::analyze`]
+//! replays a whole trace through it), and every pass runs all eight
+//! operators. Events are pushed one at a time in trace order
+//! (nondecreasing invocation time — the order
 //! [`crate::trace::TestTrace::new`] sorts into), anomaly counts update as
-//! events arrive ([`StreamingAnalyzer::live_counts`]), and
-//! [`StreamingAnalyzer::finish`] produces a
-//! [`TestAnalysis`] **identical** — observation order, witness order,
-//! detail strings, window boundaries — to what the batch pipeline
-//! produces on the same trace. The batch entry points are themselves
-//! rewritten as thin wrappers that replay `trace.ops()` through this
-//! engine, so there is one implementation of the paper's semantics.
+//! they arrive ([`StreamingAnalyzer::live_counts`]), and
+//! [`StreamingAnalyzer::finish`] produces a [`TestAnalysis`] **identical**
+//! — observation order, witness order, detail strings, window boundaries —
+//! to what the paper's whole-trace (batch) definitions give on the same
+//! trace; the streaming-equivalence suite keeps a frozen batch
+//! implementation as its oracle.
 //!
 //! # Memory contract
 //!
@@ -104,47 +100,6 @@ use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
-/// One streaming operator, for running a single checker (or window
-/// sweep) incrementally. [`StreamingAnalyzer::new`] runs all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamPart {
-    /// The Read Your Writes checker.
-    ReadYourWrites,
-    /// The Monotonic Writes checker.
-    MonotonicWrites,
-    /// The Monotonic Reads checker.
-    MonotonicReads,
-    /// The Writes Follows Reads checker (mode from the config).
-    WritesFollowReads,
-    /// The Content Divergence checker.
-    ContentDivergence,
-    /// The Order Divergence checker.
-    OrderDivergence,
-    /// The content-divergence window sweep (all agent pairs).
-    ContentWindows,
-    /// The order-divergence window sweep (all agent pairs).
-    OrderWindows,
-}
-
-/// Which operators are active.
-#[derive(Debug, Clone, Copy, Default)]
-struct Parts {
-    ryw: bool,
-    mw: bool,
-    mr: bool,
-    wfr: bool,
-    content: bool,
-    order: bool,
-    win_content: bool,
-    win_order: bool,
-}
-
-impl Parts {
-    fn needs_read_finalize(&self) -> bool {
-        self.mr || self.win_content || self.win_order
-    }
-}
-
 /// A distinct read result: the interned id sequence. Every read that
 /// returned this sequence shares it — no `K` values, no `OpRecord`, and
 /// no index: it is probed through [`Marks`].
@@ -221,10 +176,10 @@ impl Marked<'_> {
         self.seq.iter().copied().find(|&k| !other.marks.contains(k))
     }
 
-    /// Id-level mirror of [`crate::checkers::order::find_inversion`]: the
-    /// first adjacent descent of `other`'s positions over the ids both
-    /// hold, walking this sequence — `(x, y)` with `x` before `y` here but
-    /// `y` before `x` there.
+    /// The order-divergence witness: the first adjacent descent of
+    /// `other`'s positions over the ids both hold, walking this sequence —
+    /// `(x, y)` with `x` before `y` here but `y` before `x` there. Any
+    /// inverted common pair implies such an adjacent one.
     fn inversion(self, other: Marked<'_>) -> Option<(u32, u32)> {
         let mut prev: Option<(u32, u32)> = None;
         for &k in self.seq {
@@ -306,8 +261,7 @@ struct AgentState {
     writes: Vec<WriteRec>,
     /// Indices into `reads`, arrival order.
     read_ids: Vec<u32>,
-    /// The agent's distinct views, in order of first arrival. Divergence
-    /// state: only filled when a divergence checker runs.
+    /// The agent's distinct views, in order of first arrival.
     views: Vec<AgentView>,
     /// The agent's most recently *finalized* (response-ordered) read —
     /// both the MR predecessor and the agent's latest view for the
@@ -398,7 +352,6 @@ type KeyedObs<K> = Vec<((AgentId, u32), Observation<K>)>;
 /// The streaming analysis engine. See the module docs for the contract.
 #[derive(Debug)]
 pub struct StreamingAnalyzer<K: EventKey> {
-    parts: Parts,
     general_wfr: bool,
     triggers: Vec<TriggerPair<K>>,
 
@@ -445,42 +398,10 @@ pub struct StreamingAnalyzer<K: EventKey> {
 }
 
 impl<K: EventKey> StreamingAnalyzer<K> {
-    /// A full analyzer: all six checkers, plus both window sweeps when
-    /// `config.compute_windows` is set — the streaming equivalent of
-    /// [`crate::analysis::analyze`].
+    /// An analyzer running every checker and both window sweeps under
+    /// `config` — the engine behind [`crate::analysis::analyze`].
     pub fn new(config: &CheckerConfig<K>) -> Self {
-        let parts = Parts {
-            ryw: true,
-            mw: true,
-            mr: true,
-            wfr: true,
-            content: true,
-            order: true,
-            win_content: config.compute_windows,
-            win_order: config.compute_windows,
-        };
-        Self::with_parts(&config.wfr_mode, parts)
-    }
-
-    /// An analyzer running a single operator — what the batch
-    /// `checkers::*::check` and `window` entry points are built on.
-    pub fn single(config: &CheckerConfig<K>, part: StreamPart) -> Self {
-        let mut parts = Parts::default();
-        match part {
-            StreamPart::ReadYourWrites => parts.ryw = true,
-            StreamPart::MonotonicWrites => parts.mw = true,
-            StreamPart::MonotonicReads => parts.mr = true,
-            StreamPart::WritesFollowReads => parts.wfr = true,
-            StreamPart::ContentDivergence => parts.content = true,
-            StreamPart::OrderDivergence => parts.order = true,
-            StreamPart::ContentWindows => parts.win_content = true,
-            StreamPart::OrderWindows => parts.win_order = true,
-        }
-        Self::with_parts(&config.wfr_mode, parts)
-    }
-
-    fn with_parts(mode: &WfrMode<K>, parts: Parts) -> Self {
-        let (general_wfr, triggers) = match mode {
+        let (general_wfr, triggers) = match &config.wfr_mode {
             WfrMode::General => (true, Vec::new()),
             WfrMode::TriggerPairs(pairs) => (
                 false,
@@ -496,7 +417,6 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             ),
         };
         StreamingAnalyzer {
-            parts,
             general_wfr,
             triggers,
             key_ids: HashMap::new(),
@@ -631,28 +551,22 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         });
         self.retained += size_of::<ReadState>() + size_of::<u32>();
 
-        if self.parts.content || self.parts.order {
-            self.divergence_scan(idx);
-        }
-        if self.parts.wfr {
-            if !self.general_wfr {
-                self.trigger_scan(idx);
-            } else if new_view {
-                self.marks[0].mark(&self.views.get(view).keys);
-                for i in 0..self.deps.len() {
-                    let (dep, marks) = (self.deps[i], &self.marks[0]);
-                    // The view shows the write without its dependency.
-                    if marks.contains(dep.write_key) && !marks.contains(dep.dep_key) {
-                        self.record_wfr_match(view, dep);
-                    }
+        self.divergence_scan(idx);
+        if !self.general_wfr {
+            self.trigger_scan(idx);
+        } else if new_view {
+            self.marks[0].mark(&self.views.get(view).keys);
+            for i in 0..self.deps.len() {
+                let (dep, marks) = (self.deps[i], &self.marks[0]);
+                // The view shows the write without its dependency.
+                if marks.contains(dep.write_key) && !marks.contains(dep.dep_key) {
+                    self.record_wfr_match(view, dep);
                 }
-            } else if self.views.get(view).wfr_hit {
-                self.wfr_reads_hit += 1;
             }
+        } else if self.views.get(view).wfr_hit {
+            self.wfr_reads_hit += 1;
         }
-        if self.parts.needs_read_finalize() {
-            self.finalize_heap.push(Reverse((op.response, idx)));
-        }
+        self.finalize_heap.push(Reverse((op.response, idx)));
     }
 
     /// Compares the newly pushed read `idx` against every distinct view
@@ -681,17 +595,12 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 } else {
                     ((rb.ord_in_agent, read.ord_in_agent), other, mine)
                 };
-                if self.parts.content {
-                    if let (Some(x), Some(y)) =
-                        (first.first_not_in(second), second.first_not_in(first))
-                    {
-                        st.content.record(theirs.count, ordkey, (x, y), at);
-                    }
+                if let (Some(x), Some(y)) = (first.first_not_in(second), second.first_not_in(first))
+                {
+                    st.content.record(theirs.count, ordkey, (x, y), at);
                 }
-                if self.parts.order {
-                    if let Some(xy) = first.inversion(second) {
-                        st.order.record(theirs.count, ordkey, xy, at);
-                    }
+                if let Some(xy) = first.inversion(second) {
+                    st.order.record(theirs.count, ordkey, xy, at);
                 }
             }
         }
@@ -744,9 +653,6 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// RYW + MW evaluation for reads whose invoke watermark has passed
     /// (`invoke < bound`; `None` = end of stream).
     fn release_reads(&mut self, bound: Option<Timestamp>) {
-        if !(self.parts.ryw || self.parts.mw) {
-            return;
-        }
         while self.rw_cursor < self.reads.len() {
             let r_idx = self.rw_cursor;
             if let Some(b) = bound {
@@ -755,12 +661,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 }
             }
             self.rw_cursor += 1;
-            if self.parts.ryw {
-                self.eval_ryw(r_idx);
-            }
-            if self.parts.mw {
-                self.eval_mw(r_idx);
-            }
+            self.eval_ryw(r_idx);
+            self.eval_mw(r_idx);
         }
     }
 
@@ -837,7 +739,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// has passed, then checks every new dependency against all retained
     /// views (the mirror of the new-view scan in `push_read`).
     fn finalize_write_deps(&mut self, bound: Option<Timestamp>) {
-        if !(self.parts.wfr && self.general_wfr) {
+        if !self.general_wfr {
             return;
         }
         while self.write_cursor < self.write_log.len() {
@@ -893,9 +795,6 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// `(response, trace seq)` order — the batch response order with its
     /// stable tie-break.
     fn finalize_responded_reads(&mut self, bound: Option<Timestamp>) {
-        if !self.parts.needs_read_finalize() {
-            return;
-        }
         while let Some(&Reverse((resp, idx))) = self.finalize_heap.peek() {
             if let Some(b) = bound {
                 if resp > b {
@@ -913,7 +812,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 continue;
             }
 
-            if let Some(p) = prev.filter(|_| self.parts.mr) {
+            if let Some(p) = prev {
                 self.marks[0].mark(&self.views.get(r.view).keys);
                 let now = &self.marks[0];
                 let vanished: Vec<K> = self
@@ -941,9 +840,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                     self.mr_seq += 1;
                 }
             }
-            if self.parts.win_content || self.parts.win_order {
-                self.window_step(a, idx);
-            }
+            self.window_step(a, idx);
         }
     }
 
@@ -964,18 +861,15 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             let (pair, first, second) =
                 if a < b { ((a, b), mine, theirs) } else { ((b, a), theirs, mine) };
             let st = self.pairs.entry(pair).or_default();
-            if self.parts.win_content {
-                let diverged =
-                    first.first_not_in(second).is_some() && second.first_not_in(first).is_some();
-                st.content.sweep(diverged, read.response);
-            }
-            if self.parts.win_order {
-                st.order.sweep(first.inversion(second).is_some(), read.response);
-            }
+            let diverged =
+                first.first_not_in(second).is_some() && second.first_not_in(first).is_some();
+            st.content.sweep(diverged, read.response);
+            st.order.sweep(first.inversion(second).is_some(), read.response);
         }
     }
 
-    /// Pushes every op of `trace` and finishes: the whole batch façade.
+    /// Pushes every op of `trace` and finishes — what
+    /// [`crate::analysis::analyze`] runs.
     pub(crate) fn replay(mut self, trace: &TestTrace<K>) -> TestAnalysis<K> {
         for op in trace.ops() {
             self.push_event(op);
@@ -1033,40 +927,36 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             .enumerate()
             .flat_map(|(i, &a)| agent_list[i + 1..].iter().map(move |&b| (a, b)));
 
-        if self.parts.content {
-            for (&(a, b), st) in &self.pairs {
-                if let Some((_, x, y, at)) = st.content.best {
-                    let (x, y, pair_count) = (self.key(x), self.key(y), st.content.count);
-                    observations.push(Observation {
-                        kind: AnomalyKind::ContentDivergence,
-                        agent: a,
-                        other_agent: Some(b),
-                        at,
-                        detail: format!(
-                            "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
-                             {a} alone sees {x:?}, {b} alone sees {y:?}"
-                        ),
-                        witnesses: vec![x, y],
-                    });
-                }
+        for (&(a, b), st) in &self.pairs {
+            if let Some((_, x, y, at)) = st.content.best {
+                let (x, y, pair_count) = (self.key(x), self.key(y), st.content.count);
+                observations.push(Observation {
+                    kind: AnomalyKind::ContentDivergence,
+                    agent: a,
+                    other_agent: Some(b),
+                    at,
+                    detail: format!(
+                        "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
+                         {a} alone sees {x:?}, {b} alone sees {y:?}"
+                    ),
+                    witnesses: vec![x, y],
+                });
             }
         }
-        if self.parts.order {
-            for (&(a, b), st) in &self.pairs {
-                if let Some((_, x, y, at)) = st.order.best {
-                    let (x, y, pair_count) = (self.key(x), self.key(y), st.order.count);
-                    observations.push(Observation {
-                        kind: AnomalyKind::OrderDivergence,
-                        agent: a,
-                        other_agent: Some(b),
-                        at,
-                        detail: format!(
-                            "{a} and {b} order {x:?}/{y:?} oppositely \
-                             ({pair_count} read pair(s))"
-                        ),
-                        witnesses: vec![x, y],
-                    });
-                }
+        for (&(a, b), st) in &self.pairs {
+            if let Some((_, x, y, at)) = st.order.best {
+                let (x, y, pair_count) = (self.key(x), self.key(y), st.order.count);
+                observations.push(Observation {
+                    kind: AnomalyKind::OrderDivergence,
+                    agent: a,
+                    other_agent: Some(b),
+                    at,
+                    detail: format!(
+                        "{a} and {b} order {x:?}/{y:?} oppositely \
+                         ({pair_count} read pair(s))"
+                    ),
+                    witnesses: vec![x, y],
+                });
             }
         }
 
@@ -1075,12 +965,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         let quiet = PairState::default();
         for pair in all_pairs {
             let st = self.pairs.get(&pair).unwrap_or(&quiet);
-            if self.parts.win_content {
-                content_windows.push(st.content.window(pair, WindowKind::Content));
-            }
-            if self.parts.win_order {
-                order_windows.push(st.order.window(pair, WindowKind::Order));
-            }
+            content_windows.push(st.content.window(pair, WindowKind::Content));
+            order_windows.push(st.order.window(pair, WindowKind::Order));
         }
 
         TestAnalysis { observations, content_windows, order_windows }

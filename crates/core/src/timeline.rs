@@ -106,7 +106,7 @@ mod tests {
         b.write(AgentId(0), t(0), t(10), 1u32);
         b.read(AgentId(0), t(500), t(600), vec![]);
         let trace = b.build();
-        let obs = crate::checkers::check_read_your_writes(&trace);
+        let obs = crate::analyze(&trace, &crate::CheckerConfig::default()).observations;
         assert_eq!(obs.len(), 1);
         let s = render(&trace, &obs, 30);
         assert!(s.contains('!'), "{s}");
@@ -131,7 +131,7 @@ mod tests {
             b.read(AgentId(0), t(10 + i * 10), t(15 + i * 10), vec![]);
         }
         let trace = b.build();
-        let obs = crate::checkers::check_read_your_writes(&trace);
+        let obs = crate::analyze(&trace, &crate::CheckerConfig::default()).observations;
         assert_eq!(obs.len(), 30);
         let s = render(&trace, &obs, 60);
         assert!(s.contains("… and 10 more"), "{s}");

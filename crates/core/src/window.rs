@@ -17,10 +17,13 @@
 //! re-converged during the test; the paper reports those separately ("These
 //! results exclude runs where convergence was not reached during the test")
 //! — here exposed as [`WindowAnalysis::open_since`].
+//!
+//! Both agents' reads are merged by response time (ties broken by trace
+//! order), and the condition is evaluated on the pair's latest views after
+//! every read. [`crate::analysis::analyze`] sweeps every agent pair in the
+//! same pass as the presence checkers.
 
-use crate::analysis::CheckerConfig;
-use crate::stream::{StreamPart, StreamingAnalyzer};
-use crate::trace::{AgentId, EventKey, TestTrace, Timestamp};
+use crate::trace::{AgentId, Timestamp};
 
 /// Which divergence condition a window measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,53 +69,22 @@ impl WindowAnalysis {
     }
 }
 
-fn window_part(kind: WindowKind) -> StreamPart {
-    match kind {
-        WindowKind::Content => StreamPart::ContentWindows,
-        WindowKind::Order => StreamPart::OrderWindows,
-    }
-}
-
-/// Computes the divergence windows of `kind` between agents `a` and `b`.
-///
-/// The sweep merges both agents' reads by response time (ties broken by the
-/// trace's stable order) and evaluates the divergence condition on the pair
-/// of most-recent views after every read. A pair with no reads in the
-/// trace yields an empty, converged analysis.
-pub fn windows<K: EventKey>(
-    trace: &TestTrace<K>,
-    a: AgentId,
-    b: AgentId,
-    kind: WindowKind,
-) -> WindowAnalysis {
-    let pair = if a <= b { (a, b) } else { (b, a) };
-    all_pair_windows(trace, kind).into_iter().find(|w| w.pair == pair).unwrap_or(WindowAnalysis {
-        pair,
-        kind,
-        windows: Vec::new(),
-        open_since: None,
-    })
-}
-
-/// Computes windows of `kind` for every agent pair in the trace — one
-/// streaming pass (via [`StreamingAnalyzer`]) shared by every pair,
-/// instead of a sweep per pair.
-pub fn all_pair_windows<K: EventKey>(
-    trace: &TestTrace<K>,
-    kind: WindowKind,
-) -> Vec<WindowAnalysis> {
-    let analysis =
-        StreamingAnalyzer::single(&CheckerConfig::default(), window_part(kind)).replay(trace);
-    match kind {
-        WindowKind::Content => analysis.content_windows,
-        WindowKind::Order => analysis.order_windows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TestTraceBuilder;
+    use crate::analysis::{analyze, CheckerConfig};
+    use crate::trace::{EventKey, TestTrace, TestTraceBuilder};
+
+    /// The windows of `kind` between `a` and `b` in the full analysis.
+    fn windows<K: EventKey>(
+        trace: &TestTrace<K>,
+        a: AgentId,
+        b: AgentId,
+        kind: WindowKind,
+    ) -> WindowAnalysis {
+        let analysis = analyze(trace, &CheckerConfig::default());
+        analysis.pair_windows(kind, a, b).expect("both agents read").clone()
+    }
 
     fn t(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -210,12 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn all_pair_windows_covers_every_pair() {
+    fn windows_cover_every_pair() {
         let mut b = TestTraceBuilder::new();
         for agent in [AgentId(0), AgentId(1), AgentId(2)] {
             b.read(agent, t(0), t(10), vec![agent.0]);
         }
-        let ws = all_pair_windows(&b.build(), WindowKind::Content);
+        let ws = analyze(&b.build(), &CheckerConfig::default()).content_windows;
         assert_eq!(ws.len(), 3);
         assert!(ws.iter().all(|w| w.open_since.is_some()));
     }
@@ -236,6 +208,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::analysis::{analyze, CheckerConfig};
+    use crate::anomaly::AnomalyKind;
     use crate::testutil::TestRng;
     use crate::trace::TestTraceBuilder;
 
@@ -266,9 +240,8 @@ mod proptests {
                 let at = Timestamp::from_millis(i as i64 * 10);
                 b.read(AgentId(agent as u32), at, at, seq);
             }
-            let trace = b.build();
-            for kind in [WindowKind::Content, WindowKind::Order] {
-                let w = windows(&trace, AgentId(0), AgentId(1), kind);
+            let analysis = analyze(&b.build(), &CheckerConfig::default());
+            for w in analysis.content_windows.iter().chain(&analysis.order_windows) {
                 let mut prev_end = Timestamp::from_millis(-1);
                 for (s, e) in &w.windows {
                     assert!(s <= e, "case {case}: negative window");
@@ -296,12 +269,10 @@ mod proptests {
                 let at = Timestamp::from_millis(i as i64 * 10);
                 b.read(AgentId(agent as u32), at, at, seq);
             }
-            let trace = b.build();
-            let w = windows(&trace, AgentId(0), AgentId(1), WindowKind::Content);
-            if w.any_divergence() {
-                let obs = crate::checkers::content::check(&trace);
+            let analysis = analyze(&b.build(), &CheckerConfig::default());
+            if analysis.content_windows.iter().any(WindowAnalysis::any_divergence) {
                 assert!(
-                    !obs.is_empty(),
+                    analysis.has(AnomalyKind::ContentDivergence),
                     "case {case}: window sweep found divergence the checker missed"
                 );
             }

@@ -11,10 +11,10 @@
 //! Schedules are drawn from a seeded [`TestRng`] so every case replays
 //! exactly (the offline build has no property-testing framework).
 
-use conprobe_core::checkers::{self, WfrMode};
+use conprobe_core::analysis::{analyze, CheckerConfig};
+use conprobe_core::anomaly::{AnomalyKind, Observation};
 use conprobe_core::testutil::TestRng;
 use conprobe_core::trace::{AgentId, OpKind, OpRecord, TestTrace, Timestamp};
-use conprobe_core::window::{all_pair_windows, WindowKind};
 
 type K = (u32, u32); // (author, seq)
 
@@ -75,25 +75,22 @@ fn linearizable_trace(schedule: &[Step]) -> TestTrace<K> {
 
 const CASES: usize = 300;
 
+/// The observations of `kind` in the full analysis of `trace`.
+fn observations(trace: &TestTrace<K>, kind: AnomalyKind) -> Vec<Observation<K>> {
+    let analysis = analyze(trace, &CheckerConfig::default());
+    analysis.observations.into_iter().filter(|o| o.kind == kind).collect()
+}
+
 /// Soundness: a linearizable execution triggers no checker at all.
 #[test]
 fn linearizable_executions_are_clean() {
     let mut rng = TestRng::new(0xC8EC_0001);
     for case in 0..CASES {
         let trace = linearizable_trace(&gen_schedule(&mut rng, 3));
-        assert!(checkers::check_read_your_writes(&trace).is_empty(), "case {case}");
-        assert!(checkers::check_monotonic_writes(&trace).is_empty(), "case {case}");
-        assert!(checkers::check_monotonic_reads(&trace).is_empty(), "case {case}");
-        assert!(
-            checkers::check_writes_follow_reads(&trace, &WfrMode::General).is_empty(),
-            "case {case}"
-        );
-        assert!(checkers::check_content_divergence(&trace).is_empty(), "case {case}");
-        assert!(checkers::check_order_divergence(&trace).is_empty(), "case {case}");
-        for kind in [WindowKind::Content, WindowKind::Order] {
-            for w in all_pair_windows(&trace, kind) {
-                assert!(!w.any_divergence(), "case {case}");
-            }
+        let analysis = analyze(&trace, &CheckerConfig::default());
+        assert!(analysis.is_clean(), "case {case}: {:?}", analysis.observations);
+        for w in analysis.content_windows.iter().chain(&analysis.order_windows) {
+            assert!(!w.any_divergence(), "case {case}");
         }
     }
 }
@@ -128,7 +125,7 @@ fn planted_ryw_is_found() {
             seq.remove(pos);
         }
         let mutated = TestTrace::new(ops);
-        let obs = checkers::check_read_your_writes(&mutated);
+        let obs = observations(&mutated, AnomalyKind::ReadYourWrites);
         assert!(!obs.is_empty(), "case {case}: erased own write not detected");
         assert!(obs.iter().any(|o| o.agent == agent), "case {case}");
     }
@@ -175,7 +172,7 @@ fn planted_mw_is_found() {
         }
         let mutated = TestTrace::new(ops);
         assert!(
-            !checkers::check_monotonic_writes(&mutated).is_empty(),
+            !observations(&mutated, AnomalyKind::MonotonicWrites).is_empty(),
             "case {case}: reversed same-author pair not detected"
         );
     }
@@ -220,7 +217,7 @@ fn planted_mr_is_found() {
         }
         exercised += 1;
         let mutated = TestTrace::new(ops);
-        let obs = checkers::check_monotonic_reads(&mutated);
+        let obs = observations(&mutated, AnomalyKind::MonotonicReads);
         assert!(!obs.is_empty(), "case {case}: vanished event not detected");
         assert!(obs.iter().any(|o| o.agent == agent), "case {case}");
     }
@@ -262,7 +259,7 @@ fn planted_content_divergence_is_found() {
         }
         let mutated = TestTrace::new(ops);
         assert!(
-            !checkers::check_content_divergence(&mutated).is_empty(),
+            !observations(&mutated, AnomalyKind::ContentDivergence).is_empty(),
             "case {case}: disjoint suffixes not detected"
         );
     }
@@ -275,11 +272,10 @@ fn planted_content_divergence_is_found() {
 fn window_divergence_implies_presence() {
     let mut rng = TestRng::new(0xC8EC_0006);
     for case in 0..CASES {
-        let trace = linearizable_trace(&gen_schedule(&mut rng, 3));
-        for w in all_pair_windows(&trace, WindowKind::Content) {
-            if w.any_divergence() {
-                assert!(!checkers::check_content_divergence(&trace).is_empty(), "case {case}");
-            }
+        let analysis =
+            analyze(&linearizable_trace(&gen_schedule(&mut rng, 3)), &Default::default());
+        if analysis.content_windows.iter().any(|w| w.any_divergence()) {
+            assert!(analysis.has(AnomalyKind::ContentDivergence), "case {case}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Streaming-equals-batch property suite.
 //!
-//! The shipped `analyze()` and every `checkers::check_*` facade are now
-//! one-pass replays through the incremental
-//! [`StreamingAnalyzer`](conprobe_core::stream::StreamingAnalyzer), so
-//! comparing them against each other would prove nothing. The oracle in
+//! The shipped `analyze()` is a one-pass replay through the incremental
+//! [`StreamingAnalyzer`](conprobe_core::stream::StreamingAnalyzer), the
+//! only checker engine, so there is nothing else in the crate to compare it
+//! against. The oracle in
 //! [`reference`] is instead a frozen copy of the original whole-trace
 //! checker implementations, exactly as they stood before the engine went
 //! incremental — an independent second implementation of §III.
@@ -33,8 +33,8 @@
 //! grows by a fixed summary for a read whose sequence was seen before.
 
 use conprobe_core::analysis::{analyze, CheckerConfig, TestAnalysis};
-use conprobe_core::checkers::{self, WfrMode};
-use conprobe_core::stream::{StreamPart, StreamingAnalyzer};
+use conprobe_core::checkers::WfrMode;
+use conprobe_core::stream::StreamingAnalyzer;
 use conprobe_core::testutil::TestRng;
 use conprobe_core::trace::{AgentId, OpKind, OpRecord, TestTrace, Timestamp};
 
@@ -367,7 +367,7 @@ mod reference {
         WindowAnalysis { pair, kind, windows: closed, open_since: open }
     }
 
-    pub fn all_pair_windows<K: EventKey>(
+    pub fn every_pair_windows<K: EventKey>(
         index: &TraceIndex<'_, K>,
         kind: WindowKind,
     ) -> Vec<WindowAnalysis> {
@@ -395,8 +395,8 @@ mod reference {
         obs.extend(wfr(&index, mode));
         obs.extend(content(&index));
         obs.extend(order(&index));
-        let cw = all_pair_windows(&index, WindowKind::Content);
-        let ow = all_pair_windows(&index, WindowKind::Order);
+        let cw = every_pair_windows(&index, WindowKind::Content);
+        let ow = every_pair_windows(&index, WindowKind::Order);
         (obs, cw, ow)
     }
 }
@@ -602,58 +602,10 @@ fn trigger_pair_wfr_matches_the_oracle() {
             pairs.push((dep, write));
         }
         let mode = WfrMode::TriggerPairs(pairs);
-        let config = CheckerConfig { wfr_mode: mode.clone(), compute_windows: false };
+        let config = CheckerConfig { wfr_mode: mode.clone() };
         let got = analyze(&trace, &config);
         let (want_obs, _, _) = reference::analyze(&trace, &mode);
         assert_eq!(got.observations, want_obs, "case {case}");
-    }
-}
-
-/// Each single-operator replay (`StreamingAnalyzer::single`, which is
-/// what the batch `checkers::check_*` facades run) matches its original
-/// checker in isolation, and the window operators match the original
-/// sweep.
-#[test]
-fn single_part_operators_match_their_original_checkers() {
-    let mut rng = TestRng::new(0x57EA_0003);
-    for case in 0..100 {
-        let trace = chaotic_trace(&mut rng, 3);
-        assert_single_parts_match_the_oracle(&trace, &case.to_string());
-    }
-}
-
-fn assert_single_parts_match_the_oracle(trace: &TestTrace<K>, case: &str) {
-    let index = conprobe_core::index::TraceIndex::new(trace);
-    assert_eq!(checkers::check_read_your_writes(trace), reference::ryw(&index), "case {case}");
-    assert_eq!(checkers::check_monotonic_writes(trace), reference::mw(&index), "case {case}");
-    assert_eq!(checkers::check_monotonic_reads(trace), reference::mr(&index), "case {case}");
-    assert_eq!(
-        checkers::check_writes_follow_reads(trace, &WfrMode::General),
-        reference::wfr(&index, &WfrMode::General),
-        "case {case}"
-    );
-    assert_eq!(
-        checkers::check_content_divergence(trace),
-        reference::content(&index),
-        "case {case}"
-    );
-    assert_eq!(checkers::check_order_divergence(trace), reference::order(&index), "case {case}");
-    let config = CheckerConfig::default();
-    for (part, kind) in [
-        (StreamPart::ContentWindows, conprobe_core::window::WindowKind::Content),
-        (StreamPart::OrderWindows, conprobe_core::window::WindowKind::Order),
-    ] {
-        let mut s = StreamingAnalyzer::single(&config, part);
-        for op in trace.ops() {
-            s.push_event(op);
-        }
-        let got = s.finish();
-        let want = reference::all_pair_windows(&index, kind);
-        let got_windows = match kind {
-            conprobe_core::window::WindowKind::Content => got.content_windows,
-            conprobe_core::window::WindowKind::Order => got.order_windows,
-        };
-        assert_eq!(got_windows, want, "case {case} {kind:?}");
     }
 }
 
@@ -661,8 +613,7 @@ fn assert_single_parts_match_the_oracle(trace: &TestTrace<K>, case: &str) {
 /// hundred reads over four sequences nearly every read pair is counted
 /// through a view's multiplicity and every witness comes from a view's
 /// first-arrived read, in both agent orientations — and counts,
-/// witnesses, `at` and detail strings still equal the oracle's, for the
-/// full pass and for each operator alone.
+/// witnesses, `at` and detail strings still equal the oracle's.
 #[test]
 fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
     use conprobe_core::anomaly::AnomalyKind;
@@ -676,7 +627,6 @@ fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
             let trace = duplicate_heavy_trace(&mut rng, flip);
             let case = format!("{case} flip {flip}");
             let analysis = assert_full_pass_matches_the_oracle(&trace, &case);
-            assert_single_parts_match_the_oracle(&trace, &case);
             divergences[0] += analysis.count(AnomalyKind::ContentDivergence);
             divergences[1] += analysis.count(AnomalyKind::OrderDivergence);
         }
@@ -785,10 +735,9 @@ fn probe_stress_traces_have_the_advertised_shape() {
 }
 
 /// The probe-table guards: on probe-stress traces in both orientations,
-/// the full pass, every single-part operator and trigger-pair WFR equal
-/// the frozen oracle. Trigger pairs come from the trace's own keys — so a
-/// pair's key may first be interned mid-stream — plus the first wide key
-/// and a key no op carries.
+/// the full pass and trigger-pair WFR equal the frozen oracle. Trigger
+/// pairs come from the trace's own keys — so a pair's key may first be
+/// interned mid-stream — plus the first wide key and a key no op carries.
 #[test]
 fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
     use conprobe_core::anomaly::AnomalyKind;
@@ -801,7 +750,6 @@ fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
             let trace = probe_stress_trace(&mut rng, flip);
             let case = format!("{case} flip {flip}");
             let analysis = assert_full_pass_matches_the_oracle(&trace, &case);
-            assert_single_parts_match_the_oracle(&trace, &case);
             for (n, kind) in found.iter_mut().zip([
                 AnomalyKind::MonotonicWrites,
                 AnomalyKind::WritesFollowReads,
@@ -826,7 +774,7 @@ fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
             let mut pick = || keys[rng.range_usize(0, keys.len())];
             let pairs: Vec<(K, K)> = (0..4).map(|_| (pick(), pick())).collect();
             let mode = WfrMode::TriggerPairs(pairs);
-            let config = CheckerConfig { wfr_mode: mode.clone(), compute_windows: false };
+            let config = CheckerConfig { wfr_mode: mode.clone() };
             let (want, _, _) = reference::analyze(&trace, &mode);
             assert_eq!(analyze(&trace, &config).observations, want, "case {case}: trigger pairs");
         }

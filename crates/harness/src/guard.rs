@@ -168,8 +168,8 @@ mod tests {
     /// yields a per-agent trace the session checkers find clean.
     #[test]
     fn corrected_trace_passes_session_checkers() {
-        use conprobe_core::checkers;
         use conprobe_core::trace::{AgentId, TestTraceBuilder, Timestamp};
+        use conprobe_core::{analyze, AnomalyKind, CheckerConfig};
 
         let t = Timestamp::from_millis;
         // Agent 0 writes (0,1), (0,2); the service shows them reversed,
@@ -185,10 +185,12 @@ mod tests {
             let at = t(30 + i as i64 * 10);
             b.read(AgentId(0), at, at, g.filter_read(r));
         }
-        let trace = b.build();
-        assert!(checkers::check_read_your_writes(&trace).is_empty());
-        assert!(checkers::check_monotonic_writes(&trace).is_empty());
-        assert!(checkers::check_monotonic_reads(&trace).is_empty());
+        let analysis = analyze(&b.build(), &CheckerConfig::default());
+        for kind in
+            [AnomalyKind::ReadYourWrites, AnomalyKind::MonotonicWrites, AnomalyKind::MonotonicReads]
+        {
+            assert!(!analysis.has(kind), "{kind}: {:?}", analysis.observations);
+        }
     }
 }
 

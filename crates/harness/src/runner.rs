@@ -131,7 +131,6 @@ pub fn checker_config_for(config: &TestConfig) -> CheckerConfig<PostId> {
     match config.cadence.kind {
         TestKind::Test1 => CheckerConfig {
             wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(config.agent_regions.len() as u32)),
-            compute_windows: true,
         },
         TestKind::Test2 => CheckerConfig::default(),
     }

@@ -17,8 +17,10 @@
 //! service"), which our white-box report can now quantify.
 
 use crate::proto::Msg;
+use conprobe_core::analysis::{analyze, CheckerConfig};
+use conprobe_core::anomaly::AnomalyKind;
 use conprobe_core::trace::{AgentId, OpRecord, TestTrace, Timestamp};
-use conprobe_core::window::{all_pair_windows, WindowAnalysis, WindowKind};
+use conprobe_core::window::WindowAnalysis;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
 use conprobe_sim::{Context, Node, NodeId, SimDuration};
 use conprobe_store::PostId;
@@ -117,8 +119,9 @@ pub struct WhiteboxReport {
 }
 
 impl WhiteboxReport {
-    /// Builds the report from raw samples by treating each replica as a
-    /// "client" and reusing the §III divergence machinery.
+    /// Builds the report from raw samples: each replica is a "client", and
+    /// one [`analyze`] pass gives both presence flags and every pair's
+    /// windows.
     pub fn from_samples(samples: &[ReplicaSample], replicas: usize) -> Self {
         let ops: Vec<OpRecord<PostId>> = samples
             .iter()
@@ -129,26 +132,15 @@ impl WhiteboxReport {
                 kind: conprobe_core::trace::OpKind::Read { seq: s.seq.clone() },
             })
             .collect();
-        let trace = TestTrace::new(ops);
+        let analysis = analyze(&TestTrace::new(ops), &CheckerConfig::default());
         WhiteboxReport {
-            content_windows: all_pair_windows(&trace, WindowKind::Content),
-            order_windows: all_pair_windows(&trace, WindowKind::Order),
-            content_presence: !conprobe_core::checkers::check_content_divergence(&trace).is_empty(),
-            order_presence: !conprobe_core::checkers::check_order_divergence(&trace).is_empty(),
+            content_presence: analysis.has(AnomalyKind::ContentDivergence),
+            order_presence: analysis.has(AnomalyKind::OrderDivergence),
+            content_windows: analysis.content_windows,
+            order_windows: analysis.order_windows,
             samples: samples.len(),
             replicas,
         }
-    }
-
-    /// Whether any replica pair ever truly diverged in content (any-pair
-    /// presence, matching the black-box checkers' semantics).
-    pub fn any_true_content_divergence(&self) -> bool {
-        self.content_presence
-    }
-
-    /// Whether any replica pair ever truly diverged in order.
-    pub fn any_true_order_divergence(&self) -> bool {
-        self.order_presence
     }
 }
 
@@ -168,8 +160,8 @@ mod tests {
     fn identical_replicas_show_no_divergence() {
         let samples = vec![sample(0, 100, vec![1, 2]), sample(1, 110, vec![1, 2])];
         let report = WhiteboxReport::from_samples(&samples, 2);
-        assert!(!report.any_true_content_divergence());
-        assert!(!report.any_true_order_divergence());
+        assert!(!report.content_presence);
+        assert!(!report.order_presence);
         assert_eq!(report.samples, 2);
     }
 
@@ -182,7 +174,7 @@ mod tests {
             sample(1, 510, vec![1, 2]),
         ];
         let report = WhiteboxReport::from_samples(&samples, 2);
-        assert!(report.any_true_content_divergence());
+        assert!(report.content_presence);
         assert!(report.content_windows[0].converged());
     }
 
@@ -190,6 +182,6 @@ mod tests {
     fn order_flip_across_replicas_is_detected() {
         let samples = vec![sample(0, 100, vec![1, 2]), sample(1, 110, vec![2, 1])];
         let report = WhiteboxReport::from_samples(&samples, 2);
-        assert!(report.any_true_order_divergence());
+        assert!(report.order_presence);
     }
 }

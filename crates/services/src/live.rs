@@ -87,13 +87,6 @@ pub struct LiveConfig {
     pub shards: usize,
 }
 
-impl LiveConfig {
-    /// A single-shard deployment — the pre-sharding behaviour.
-    pub fn single(kind: ServiceKind, seed: u64) -> Self {
-        LiveConfig { kind, seed, stale_window: None, shards: 1 }
-    }
-}
-
 /// The cluster's answer to one client operation ([`LiveCluster::serve`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiveReply {

@@ -32,8 +32,8 @@ fn main() {
                 seed,
                 r.has(AnomalyKind::ContentDivergence),
                 r.has(AnomalyKind::OrderDivergence),
-                report.any_true_content_divergence(),
-                report.any_true_order_divergence(),
+                report.content_presence,
+                report.order_presence,
             );
         }
     }

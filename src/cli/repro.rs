@@ -203,10 +203,10 @@ fn whitebox_experiment(tests: u32, seed: u64) -> String {
                 bb_od += 1;
             }
             let report = r.whitebox.as_ref().expect("probe enabled");
-            if report.any_true_order_divergence() {
+            if report.order_presence {
                 wb_od += 1;
             }
-            if report.any_true_content_divergence() {
+            if report.content_presence {
                 wb_cd += 1;
             }
         }

@@ -302,10 +302,7 @@ impl RunArgs {
                 out,
                 "white-box: {} samples over {} replicas; true content divergence: {}, \
                  true order divergence: {}",
-                report.samples,
-                report.replicas,
-                report.any_true_content_divergence(),
-                report.any_true_order_divergence()
+                report.samples, report.replicas, report.content_presence, report.order_presence
             );
         }
         if let Some(path) = &self.json_out {
@@ -338,10 +335,18 @@ impl AnalyzeArgs {
         let trace: TestTrace<PostId> =
             FromJson::from_json_str(&json).map_err(|e| CliError(format!("parse {path}: {e}")))?;
         let config = if self.test1 {
-            CheckerConfig {
-                wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(3)),
-                compute_windows: true,
+            // Test 1's trigger pairs chain each agent to the next, up to the
+            // highest agent id the trace holds. Every Test 1 agent writes,
+            // so an id past the operation count is no Test 1 trace, and it
+            // would size that chain.
+            let agents = trace.agents().last().map_or(0, |a| a.0 as usize + 1);
+            if agents > trace.ops().len() {
+                return Err(CliError(format!(
+                    "analyze {path} --test1: agent ids run past the trace's {} operation(s)",
+                    trace.ops().len()
+                )));
             }
+            CheckerConfig { wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(agents as u32)) }
         } else {
             CheckerConfig::default()
         };

@@ -291,6 +291,48 @@ fn run_and_analyze_round_trip() {
     assert!(out.contains("anomalous read"), "timeline shown: {out}");
 }
 
+/// `analyze --test1` chains every agent of the trace: with four agents,
+/// a read showing agent 3's first post without agent 2's second is a WFR
+/// observation.
+#[test]
+fn analyze_test1_takes_its_trigger_pairs_from_the_trace() {
+    use conprobe_core::{AgentId, TestTraceBuilder, Timestamp};
+    use conprobe_harness::proto::test1_post;
+    use conprobe_json::ToJson;
+
+    let t = Timestamp::from_millis;
+    let mut b = TestTraceBuilder::new();
+    let mut seen = Vec::new();
+    for agent in 0..4u32 {
+        let at = i64::from(agent) * 100;
+        if agent > 0 {
+            b.read(AgentId(agent), t(at), t(at + 10), seen.clone());
+        }
+        for seq in 1..=2 {
+            let at = at + 20 * i64::from(seq);
+            b.write(AgentId(agent), t(at), t(at + 10), test1_post(agent, seq));
+            seen.push(test1_post(agent, seq));
+        }
+    }
+    seen.retain(|&p| p != test1_post(2, 2));
+    b.read(AgentId(0), t(500), t(510), seen);
+
+    let dir = std::env::temp_dir().join("conprobe-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("four-agents.json").to_string_lossy().to_string();
+    std::fs::write(&path, b.build().to_pretty()).unwrap();
+    let out = execute(parse(&args(&format!("analyze {path} --test1"))).unwrap()).unwrap();
+    assert!(out.contains("operations: 8 writes, 4 reads"), "{out}");
+    assert!(out.contains("writes follows reads: 1 observation(s)"), "{out}");
+
+    // An agent id no Test 1 trace can hold does not size the chain.
+    let mut b = TestTraceBuilder::new();
+    b.read(AgentId(u32::MAX), t(0), t(10), vec![test1_post(0, 1)]);
+    std::fs::write(&path, b.build().to_pretty()).unwrap();
+    let err = execute(parse(&args(&format!("analyze {path} --test1"))).unwrap()).unwrap_err();
+    assert!(err.0.contains("agent ids run past the trace's 1 operation(s)"), "{}", err.0);
+}
+
 #[test]
 fn run_with_whitebox_reports_ground_truth() {
     let out = execute(parse(&args("run --service fbfeed --test 2 --seed 2 --whitebox")).unwrap())

@@ -3,7 +3,7 @@
 //! (§VI future work) and the client-side session guard (§V discussion).
 
 use conprobe::bench::fingerprint;
-use conprobe::core::AnomalyKind;
+use conprobe::core::{AnomalyKind, WindowAnalysis};
 use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig};
 use conprobe::services::ServiceKind;
@@ -75,7 +75,7 @@ fn whitebox_separates_true_divergence_from_read_path_artifacts() {
         if r.has(AnomalyKind::OrderDivergence) {
             blackbox_od += 1;
         }
-        if report.any_true_order_divergence() {
+        if report.order_presence {
             whitebox_od += 1;
         }
     }
@@ -92,7 +92,7 @@ fn whitebox_separates_true_divergence_from_read_path_artifacts() {
         let r = run_one_test(&config, seed);
         if r.has(AnomalyKind::OrderDivergence) {
             seen += 1;
-            if r.whitebox.as_ref().unwrap().any_true_order_divergence() {
+            if r.whitebox.as_ref().unwrap().order_presence {
                 confirmed += 1;
             }
         }
@@ -116,7 +116,7 @@ fn whitebox_content_windows_bound_blackbox_windows() {
     let report = r.whitebox.as_ref().unwrap();
     if r.has(AnomalyKind::ContentDivergence) {
         assert!(
-            report.any_true_content_divergence(),
+            report.content_presence,
             "perceived content divergence must be backed by replica state"
         );
     }
@@ -130,6 +130,67 @@ fn whitebox_content_windows_bound_blackbox_windows() {
         blackbox_total <= whitebox_total + slack,
         "black-box {blackbox_total}ns vs white-box {whitebox_total}ns (+{slack})"
     );
+}
+
+/// The white-box report of Test 2 runs, pinned: sample count, both
+/// presence flags, and per replica pair the number of closed content and
+/// order windows, their total length and whether one is still open.
+#[test]
+fn whitebox_report_matches_the_pinned_values() {
+    let pinned: [(ServiceKind, u64, &str); 4] = [
+        (
+            ServiceKind::FacebookFeed,
+            1,
+            "samples=904 cd=true od=false \
+             | content agent0-agent1:1/6727715ns agent0-agent2:1/252789509ns \
+             agent1-agent2:2/237871579ns \
+             | order agent0-agent1:0/0ns agent0-agent2:0/0ns agent1-agent2:0/0ns",
+        ),
+        (
+            ServiceKind::FacebookFeed,
+            2,
+            "samples=901 cd=true od=false \
+             | content agent0-agent1:1/56080830ns agent0-agent2:1/169062444ns \
+             agent1-agent2:1/111456161ns \
+             | order agent0-agent1:0/0ns agent0-agent2:0/0ns agent1-agent2:0/0ns",
+        ),
+        (
+            ServiceKind::GooglePlus,
+            3,
+            "samples=1088 cd=true od=true \
+             | content agent0-agent1:1/1528529573ns | order agent0-agent1:1/2123728236ns",
+        ),
+        (
+            ServiceKind::GooglePlus,
+            4,
+            "samples=1087 cd=true od=false \
+             | content agent0-agent1:1/1860143263ns | order agent0-agent1:0/0ns",
+        ),
+    ];
+    let windows = |ws: &[WindowAnalysis]| {
+        ws.iter()
+            .map(|w| {
+                let open = if w.converged() { "" } else { "+open" };
+                format!("{}-{}:{}/{}ns{open}", w.pair.0, w.pair.1, w.windows.len(), w.total_nanos())
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    for (service, seed, want) in pinned {
+        let mut config = TestConfig::paper(service, TestKind::Test2);
+        config.whitebox_period = Some(SimDuration::from_millis(100));
+        let r = run_one_test(&config, seed);
+        let report = r.whitebox.as_ref().expect("probe enabled");
+        let got = format!(
+            "samples={} cd={} od={} | content {} | order {}",
+            report.samples,
+            report.content_presence,
+            report.order_presence,
+            windows(&report.content_windows),
+            windows(&report.order_windows)
+        );
+        assert_eq!(got, want, "{service} seed {seed}");
+    }
 }
 
 /// Guarded Test 1 runs, fingerprinted as `tests/determinism_golden.rs`

@@ -21,10 +21,7 @@ fn traces_round_trip_through_json() {
     assert_eq!(r.trace, back);
 
     // Re-analysis of the imported trace reproduces the original findings.
-    let checker = CheckerConfig {
-        wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(3)),
-        compute_windows: true,
-    };
+    let checker = CheckerConfig { wfr_mode: WfrMode::TriggerPairs(test1_trigger_pairs(3)) };
     let re = analyze(&back, &checker);
     for kind in AnomalyKind::ALL {
         assert_eq!(re.count(kind), r.analysis.count(kind), "{kind} count changed after round trip");
@@ -41,17 +38,6 @@ fn analysis_is_a_pure_function_of_the_trace() {
     let b = analyze(&r.trace, &CheckerConfig::default());
     assert_eq!(a.observations, b.observations);
     assert_eq!(a.content_windows, b.content_windows);
-}
-
-#[test]
-fn disabling_windows_does_not_change_observations() {
-    let config = TestConfig::paper(ServiceKind::GooglePlus, TestKind::Test2);
-    let r = run_one_test(&config, 9);
-    let with = analyze(&r.trace, &CheckerConfig::default());
-    let without =
-        analyze(&r.trace, &CheckerConfig { compute_windows: false, ..Default::default() });
-    assert_eq!(with.observations, without.observations);
-    assert!(without.content_windows.is_empty());
 }
 
 /// Observation metadata is well-formed on real traces: observers exist,
