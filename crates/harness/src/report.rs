@@ -13,7 +13,7 @@ use crate::stats::{
 };
 use conprobe_core::window::WindowKind;
 use conprobe_core::AnomalyKind;
-use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
+use conprobe_json::{JsonWriter, ToJson};
 use std::collections::BTreeMap;
 
 /// Rounds to microsecond-ish precision so emitted floats have short,
@@ -154,13 +154,6 @@ impl ToJson for WindowStats {
     }
 }
 
-impl FromJson for WindowStats {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        read_members!(r => quantiles_secs, nonconvergence_pct, samples);
-        Ok(WindowStats { quantiles_secs, nonconvergence_pct, samples })
-    }
-}
-
 impl ToJson for CellReport {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -178,28 +171,6 @@ impl ToJson for CellReport {
     }
 }
 
-impl FromJson for CellReport {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        read_members!(r =>
-            tests, completed, total_reads, total_writes, mean_reads_per_agent, prevalence_pct,
-            content_divergence_per_pair_pct, content_windows, order_windows, clock_error_ms,
-        );
-        Ok(CellReport {
-            tests,
-            completed,
-            total_reads,
-            total_writes,
-            mean_reads_per_agent,
-            prevalence_pct,
-            content_divergence_per_pair_pct,
-            content_windows,
-            order_windows,
-            clock_error_ms: Vec::try_into(clock_error_ms)
-                .map_err(|_| JsonError::schema("clock_error_ms must have 3 entries"))?,
-        })
-    }
-}
-
 impl ToJson for StudyReport {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -207,13 +178,6 @@ impl ToJson for StudyReport {
         w.member("seed", &self.seed);
         w.member("services", &self.services);
         w.end_object();
-    }
-}
-
-impl FromJson for StudyReport {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        read_members!(r => generator, seed, services);
-        Ok(StudyReport { generator, seed, services })
     }
 }
 
@@ -236,11 +200,9 @@ mod tests {
         let t2 = cell(ServiceKind::Blogger, TestKind::Test2);
         let report = StudyReport::new(42, &[("Blogger", &t1, &t2)]);
         let json = report.to_json();
-        let back = StudyReport::from_json(&conprobe_json::parse(&json).unwrap()).unwrap();
-        // Floats may lose a ULP through JSON; a second serialization is a
-        // fixpoint, so compare at the JSON level.
-        assert_eq!(json, back.to_json());
-        assert_eq!(report.services.len(), back.services.len());
+        // Rounded floats print as their shortest decimal, so the parsed
+        // document prints back byte for byte.
+        assert_eq!(conprobe_json::parse(&json).unwrap().to_pretty(), json);
         assert!(json.contains("\"RYW\""));
         assert!(json.contains("OR-JP"));
     }

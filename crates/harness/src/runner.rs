@@ -38,10 +38,6 @@ pub struct TestConfig {
     /// Deploy this topology instead of the service's calibrated preset
     /// (ablations).
     pub service_override: Option<conprobe_services::catalog::Topology>,
-    /// Message-loss probability applied to every network link (failure
-    /// injection; the harness retries, replicas deduplicate, anti-entropy
-    /// repairs).
-    pub link_loss: f64,
     /// Rotate agent roles across locations: agent index `i` is deployed in
     /// region `AGENTS[(i + rotation) % 3]`. The paper used this to confirm
     /// that Ireland's lower anomaly multiplicity in Test 1 is an artifact
@@ -111,7 +107,6 @@ impl TestConfig {
             tokyo_partition: false,
             use_guard: false,
             service_override: None,
-            link_loss: 0.0,
             rotation: 0,
             whitebox_period: None,
             fault_plan: FaultPlan::default(),
@@ -225,12 +220,8 @@ impl TestResult {
 /// Panics if the simulation exceeds its event budget without the
 /// coordinator finishing — that indicates a harness bug, not an anomaly.
 pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
-    let mut matrix = conprobe_sim::LatencyMatrix::paper_wan();
-    if config.link_loss > 0.0 {
-        matrix = matrix.with_loss_everywhere(config.link_loss);
-    }
     let fault_plan = &config.fault_plan;
-    let mut net = conprobe_sim::net::NetworkConfig::new(matrix);
+    let mut net = conprobe_sim::net::NetworkConfig::new(conprobe_sim::LatencyMatrix::paper_wan());
     net.effects = fault_plan.network_effects();
     net.fault_seed = fault_plan.seed();
     let world_config = WorldConfig { net, clocks: config.agent_clocks.clone() };

@@ -175,7 +175,6 @@ pub fn topology(kind: ServiceKind) -> Topology {
                 anti_entropy: Some(SimDuration::from_secs(6)),
                 canonicalize_on_anti_entropy: true,
                 canonicalize_on_push: false,
-                rate_limit: None,
                 write_mode: Default::default(),
             };
             // DC-West (serving Oregon and Tokyo) runs hotter: its slow
@@ -219,7 +218,6 @@ pub fn topology(kind: ServiceKind) -> Topology {
                 anti_entropy: Some(SimDuration::from_secs(2)),
                 canonicalize_on_anti_entropy: false,
                 canonicalize_on_push: false,
-                rate_limit: None,
                 write_mode: Default::default(),
             };
             Topology {
@@ -249,7 +247,6 @@ pub fn topology(kind: ServiceKind) -> Topology {
                 anti_entropy: Some(SimDuration::from_secs(2)),
                 canonicalize_on_anti_entropy: false,
                 canonicalize_on_push: false,
-                rate_limit: None,
                 write_mode: Default::default(),
             };
             Topology {
@@ -315,7 +312,6 @@ pub fn topology_primary_backup(repl_delay_ms: u64) -> Topology {
         anti_entropy: Some(SimDuration::from_secs(2)),
         canonicalize_on_anti_entropy: false,
         canonicalize_on_push: false,
-        rate_limit: None,
     };
     let backup = ReplicaParams {
         write_mode: crate::replica_node::WriteMode::ForwardToPrimary,

@@ -153,8 +153,6 @@ pub struct ReplicaParams {
     /// replica never exposes a transient wrong order (the "order authority"
     /// behaviour of the Google+ model's DC-West).
     pub canonicalize_on_push: bool,
-    /// Server-side per-client minimum interval between operations.
-    pub rate_limit: Option<SimDuration>,
     /// Write acknowledgement discipline.
     pub write_mode: WriteMode,
 }
@@ -171,7 +169,6 @@ impl Default for ReplicaParams {
             anti_entropy: None,
             canonicalize_on_anti_entropy: false,
             canonicalize_on_push: false,
-            rate_limit: None,
             write_mode: WriteMode::LocalAck,
         }
     }
@@ -192,7 +189,6 @@ pub struct ReplicaNode {
     peers: Vec<NodeId>,
     pending_apply: HashMap<u64, (Post, SimTime)>,
     pending_push: HashMap<u64, (NodeId, Vec<conprobe_store::StoredPost>)>,
-    last_op_at: HashMap<NodeId, SimTime>,
     last_push_at: HashMap<NodeId, SimTime>,
     /// Crash flag, brownout gate, request counters, timer tokens and the
     /// common metrics (fault injection and telemetry; see [`FrontDoor`]).
@@ -250,7 +246,6 @@ impl ReplicaNode {
             peers: Vec::new(),
             pending_apply: HashMap::new(),
             pending_push: HashMap::new(),
-            last_op_at: HashMap::new(),
             last_push_at: HashMap::new(),
             door: FrontDoor::new(1, false),
             forwarded_writes: HashMap::new(),
@@ -293,19 +288,6 @@ impl ReplicaNode {
     /// Shares the replica core's cached view.
     pub fn snapshot(&self) -> Arc<[PostId]> {
         self.core.snapshot()
-    }
-
-    fn throttled<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, from: NodeId) -> bool {
-        let Some(min) = self.params.rate_limit else { return false };
-        let now = ctx.true_now();
-        let throttle = match self.last_op_at.get(&from) {
-            Some(last) => now.saturating_since(*last) < min,
-            None => false,
-        };
-        if !throttle {
-            self.last_op_at.insert(from, now);
-        }
-        throttle
     }
 
     fn apply_and_replicate<A>(
@@ -387,9 +369,8 @@ impl ReplicaNode {
         applied_any
     }
 
-    /// Serves one client request: rate-limit check, then the op itself.
-    /// Called both on message receipt and when a brownout-held request's
-    /// delay expires.
+    /// Serves one client request. Called both on message receipt and when
+    /// a brownout-held request's delay expires.
     fn handle_request<A>(
         &mut self,
         ctx: &mut Context<'_, NetMsg<A>>,
@@ -397,13 +378,6 @@ impl ReplicaNode {
         req_id: u64,
         op: ClientOp,
     ) {
-        // White-box inspection is harness instrumentation, exempt from the
-        // service's public rate limit.
-        if !matches!(op, ClientOp::Inspect) && self.throttled(ctx, from) {
-            self.door.count_throttled();
-            self.door.respond(ctx, from, req_id, OpResult::Throttled);
-            return;
-        }
         match op {
             ClientOp::Write(post) => {
                 self.door.count_write();
@@ -524,7 +498,6 @@ impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
                     self.indexed_at.clear();
                     self.pending_apply.clear();
                     self.pending_push.clear();
-                    self.last_op_at.clear();
                 }
                 // Kick anti-entropy immediately so peers re-fill us
                 // without waiting for the next periodic round.
@@ -738,31 +711,6 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(5));
         assert_eq!(w.node_as::<ReplicaNode>(r1).unwrap().applied(), 1);
-    }
-
-    #[test]
-    fn rate_limit_throttles_rapid_requests() {
-        let mut w = world();
-        let params = ReplicaParams {
-            rate_limit: Some(SimDuration::from_millis(300)),
-            ..ReplicaParams::default()
-        };
-        let replica = add_replica(&mut w, Region::Virginia, params);
-        let client = w.add_node(
-            Region::Oregon,
-            Box::new(Script::new(vec![
-                (at(0), replica, req(0, ClientOp::Read)),
-                (at(50), replica, req(1, ClientOp::Read)), // too fast
-                (at(500), replica, req(2, ClientOp::Read)),
-            ])),
-        );
-        w.run_until_idle();
-        let s = w.node_as::<Script>(client).unwrap();
-        let throttled =
-            s.responses.iter().filter(|(_, r)| matches!(r, OpResult::Throttled)).count();
-        assert_eq!(throttled, 1);
-        let (_, _, t) = w.node_as::<ReplicaNode>(replica).unwrap().stats();
-        assert_eq!(t, 1);
     }
 
     #[test]

@@ -404,80 +404,74 @@ impl FaultPlan {
         };
         for incident in incidents {
             let kind = String::from_json(member(incident, "kind")?)?;
-            let at = SimTime::from_nanos(
-                u64::from_json(member(incident, "start_ms")?)?.saturating_mul(1_000_000),
-            );
-            let duration =
-                SimDuration::from_millis(u64::from_json(member(incident, "duration_ms")?)?);
-            match kind.as_str() {
+            let at = SimTime::ZERO + millis(incident, "start_ms")?;
+            let duration = millis(incident, "duration_ms")?;
+            // How long after `at` the incident's last window closes.
+            let mut span = Some(duration.as_nanos());
+            let event = match kind.as_str() {
                 "partition" => {
                     let flaps = match incident.get("flaps") {
                         Some(v) => u32::from_json(v)?,
                         None => 1,
                     };
-                    let up_for = SimDuration::from_millis(match incident.get("gap_ms") {
-                        Some(v) => u64::from_json(v)?,
-                        None => 0,
-                    });
-                    plan.push(FaultEvent::LinkFlap {
+                    let up_for = match incident.get("gap_ms") {
+                        Some(_) => millis(incident, "gap_ms")?,
+                        None => SimDuration::ZERO,
+                    };
+                    span = duration
+                        .as_nanos()
+                        .checked_add(up_for.as_nanos())
+                        .and_then(|period| period.checked_mul(u64::from(flaps.saturating_sub(1))))
+                        .and_then(|last_start| last_start.checked_add(duration.as_nanos()));
+                    FaultEvent::LinkFlap {
                         scope: incident_scope(incident)?,
                         at,
                         down_for: duration,
                         up_for,
                         flaps,
-                    });
+                    }
                 }
                 "loss" => {
                     let loss = f64::from_json(member(incident, "severity")?)?;
                     if !(0.0..=1.0).contains(&loss) {
                         return Err(JsonError::schema("`severity` must be a probability"));
                     }
-                    plan.push(FaultEvent::LossBurst {
-                        scope: incident_scope(incident)?,
-                        at,
-                        duration,
-                        loss,
-                    });
+                    FaultEvent::LossBurst { scope: incident_scope(incident)?, at, duration, loss }
                 }
-                "degraded" => {
-                    let extra = u64::from_json(member(incident, "extra_ms")?)?;
-                    let jitter = match incident.get("jitter_ms") {
-                        Some(v) => u64::from_json(v)?,
-                        None => 0,
-                    };
-                    plan.push(FaultEvent::DegradedLink {
-                        scope: incident_scope(incident)?,
-                        at,
-                        duration,
-                        extra_base: SimDuration::from_millis(extra),
-                        extra_jitter: SimDuration::from_millis(jitter),
-                    });
-                }
-                "outage" => {
-                    plan.push(FaultEvent::CrashCycle {
-                        target: usize::from_json(member(incident, "target")?)?,
-                        at,
-                        down_for: duration,
-                        up_for: SimDuration::ZERO,
-                        cycles: 1,
-                    });
-                }
-                "brownout" => {
-                    let mode = match member(incident, "mode")? {
+                "degraded" => FaultEvent::DegradedLink {
+                    scope: incident_scope(incident)?,
+                    at,
+                    duration,
+                    extra_base: millis(incident, "extra_ms")?,
+                    extra_jitter: match incident.get("jitter_ms") {
+                        Some(_) => millis(incident, "jitter_ms")?,
+                        None => SimDuration::ZERO,
+                    },
+                },
+                "outage" => FaultEvent::CrashCycle {
+                    target: usize::from_json(member(incident, "target")?)?,
+                    at,
+                    down_for: duration,
+                    up_for: SimDuration::ZERO,
+                    cycles: 1,
+                },
+                "brownout" => FaultEvent::Brownout {
+                    target: usize::from_json(member(incident, "target")?)?,
+                    at,
+                    duration,
+                    mode: match member(incident, "mode")? {
                         JsonValue::Str(s) if s == "throttle" => BrownoutMode::ThrottleStorm,
-                        v => BrownoutMode::Delay(SimDuration::from_millis(u64::from_json(
-                            member(v, "delay_ms")?,
-                        )?)),
-                    };
-                    plan.push(FaultEvent::Brownout {
-                        target: usize::from_json(member(incident, "target")?)?,
-                        at,
-                        duration,
-                        mode,
-                    });
-                }
+                        v => BrownoutMode::Delay(millis(v, "delay_ms")?),
+                    },
+                },
                 other => return Err(JsonError::schema(format!("unknown incident kind `{other}`"))),
+            };
+            if span.and_then(|span| at.as_nanos().checked_add(span)).is_none() {
+                return Err(JsonError::schema(format!(
+                    "a `{kind}` incident ends past the end of the simulated clock"
+                )));
             }
+            plan.push(event);
         }
         Ok(plan)
     }
@@ -489,6 +483,15 @@ impl FaultPlan {
         let svc = self.service_actions().into_iter().map(|a| a.at);
         net.chain(svc).max().unwrap_or(SimTime::ZERO)
     }
+}
+
+/// Reads a millisecond member of `value` as a duration. A count of
+/// milliseconds the simulated clock cannot hold is a schema error.
+fn millis(value: &JsonValue, name: &str) -> Result<SimDuration, JsonError> {
+    u64::from_json(member(value, name)?)?
+        .checked_mul(1_000_000)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| JsonError::schema(format!("`{name}` overflows the simulated clock")))
 }
 
 /// Parses an incident's optional `regions` list into a [`LinkScope`].
@@ -728,6 +731,55 @@ mod tests {
             let err = FaultPlan::from_outage_trace(doc).expect_err(doc);
             assert!(err.to_string().contains(needle), "{doc}: {err}");
         }
+    }
+
+    #[test]
+    fn outage_trace_rejects_times_past_the_end_of_the_clock() {
+        let cases = [
+            // The duration alone overflows the nanosecond clock.
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "loss", "start_ms": 4000,
+                   "duration_ms": 18446744073710, "severity": 0.25}]}"#,
+                "`duration_ms` overflows",
+            ),
+            // So does the start.
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "loss", "start_ms": 18446744073710,
+                   "duration_ms": 1000, "severity": 0.25}]}"#,
+                "`start_ms` overflows",
+            ),
+            // Each fits, but the window would end before it starts.
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "brownout", "start_ms": 8000,
+                   "duration_ms": 18446744073709, "target": 0, "mode": "throttle"}]}"#,
+                "a `brownout` incident ends past the end",
+            ),
+            // The last of many flaps ends past the clock.
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "partition", "start_ms": 0,
+                   "duration_ms": 5000, "gap_ms": 5000, "flaps": 4000000000}]}"#,
+                "a `partition` incident ends past the end",
+            ),
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "degraded", "start_ms": 0,
+                   "duration_ms": 1000, "extra_ms": 18446744073710}]}"#,
+                "`extra_ms` overflows",
+            ),
+            (
+                r#"{"seed": 1, "incidents": [{"kind": "brownout", "start_ms": 0,
+                   "duration_ms": 1000, "target": 0, "mode": {"delay_ms": 18446744073710}}]}"#,
+                "`delay_ms` overflows",
+            ),
+        ];
+        for (doc, needle) in cases {
+            let err = FaultPlan::from_outage_trace(doc).expect_err(doc);
+            assert!(err.to_string().contains(needle), "{doc}: {err}");
+        }
+        // The largest window that still fits compiles, and ends after it starts.
+        let edge = r#"{"seed": 1, "incidents": [{"kind": "loss", "start_ms": 0,
+            "duration_ms": 18446744073709, "severity": 0.25}]}"#;
+        let effect = FaultPlan::from_outage_trace(edge).unwrap().network_effects()[0];
+        assert!(effect.end > effect.start);
     }
 
     #[test]

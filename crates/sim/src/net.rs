@@ -1,4 +1,4 @@
-//! WAN network model: regions, latency matrix, loss, partitions.
+//! WAN network model: regions, latency matrix, partitions, fault windows.
 //!
 //! The paper's agents sat in three Amazon EC2 availability zones — Oregon,
 //! Tokyo and Ireland — with a coordinator in North Virginia, and reported
@@ -8,10 +8,11 @@
 //!
 //! One-way delays are sampled as `base + Exp(jitter_mean)`, a standard heavy
 //! -tail-ish WAN model that keeps medians near the base while producing the
-//! occasional slow packet. Links can also drop messages with a fixed
-//! probability, and [`PartitionSpec`]s block traffic between node sets during
-//! a time window (used to reproduce the transient Tokyo partition the paper
-//! infers for Facebook Group).
+//! occasional slow packet. Links themselves never lose a message:
+//! [`PartitionSpec`]s block traffic between node sets during a time window
+//! (the transient Tokyo partition the paper infers for Facebook Group), and
+//! every other loss, block or extra delay is a window of a
+//! [`crate::faults::FaultPlan`], carried here as [`NetworkConfig::effects`].
 
 use crate::faults::{EffectKind, LinkEffect};
 use crate::rng::SimRng;
@@ -66,52 +67,28 @@ impl fmt::Display for Region {
     }
 }
 
-/// Timing and reliability parameters of a directed region pair.
+/// Timing parameters of a directed region pair.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
     /// Minimum one-way delay.
     pub base: SimDuration,
     /// Mean of the exponential jitter added on top of `base`.
     pub jitter_mean: SimDuration,
-    /// Probability that a message on this link is silently dropped.
-    pub loss: f64,
 }
 
 impl LinkSpec {
     /// A link with the given base one-way delay in milliseconds and 10 %
-    /// of the base as mean jitter, lossless.
+    /// of the base as mean jitter.
     pub fn wan_ms(base_ms: u64) -> Self {
         LinkSpec {
             base: SimDuration::from_millis(base_ms),
             jitter_mean: SimDuration::from_millis((base_ms / 10).max(1)),
-            loss: 0.0,
         }
     }
 
-    /// A fast intra-datacenter link (250 µs base, 50 µs jitter, lossless).
+    /// A fast intra-datacenter link (250 µs base, 50 µs jitter).
     pub fn local() -> Self {
-        LinkSpec {
-            base: SimDuration::from_micros(250),
-            jitter_mean: SimDuration::from_micros(50),
-            loss: 0.0,
-        }
-    }
-
-    /// Returns a copy with the given loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not within `[0, 1]`.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.loss = loss;
-        self
-    }
-
-    /// Samples whether one message on this link is lost. Draws nothing
-    /// from a lossless link.
-    pub(crate) fn sample_loss(&self, rng: &mut SimRng) -> bool {
-        self.loss > 0.0 && rng.gen_bool(self.loss)
+        LinkSpec { base: SimDuration::from_micros(250), jitter_mean: SimDuration::from_micros(50) }
     }
 
     /// Samples one message's one-way delay: `base + Exp(jitter_mean)`.
@@ -144,10 +121,10 @@ impl LatencyMatrix {
         LatencyMatrix { links: BTreeMap::new(), default_link, local_link: LinkSpec::local() }
     }
 
-    /// Every link, intra-region included, delivers at once and loses
-    /// nothing: what the replicas of one process see of each other.
+    /// Every link, intra-region included, delivers at once: what the
+    /// replicas of one process see of each other.
     pub fn instant() -> Self {
-        let link = LinkSpec { base: SimDuration::ZERO, jitter_mean: SimDuration::ZERO, loss: 0.0 };
+        let link = LinkSpec { base: SimDuration::ZERO, jitter_mean: SimDuration::ZERO };
         LatencyMatrix { links: BTreeMap::new(), default_link: link, local_link: link }
     }
 
@@ -193,21 +170,6 @@ impl LatencyMatrix {
     pub fn sample_delay(&self, a: Region, b: Region, rng: &mut SimRng) -> SimDuration {
         self.link(a, b).sample_delay(rng)
     }
-
-    /// Returns a copy with the given loss probability applied to every
-    /// link, including the intra-region and fallback links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not within `[0, 1]`.
-    pub fn with_loss_everywhere(mut self, loss: f64) -> Self {
-        self.default_link = self.default_link.with_loss(loss);
-        self.local_link = self.local_link.with_loss(loss);
-        for spec in self.links.values_mut() {
-            *spec = spec.with_loss(loss);
-        }
-        self
-    }
 }
 
 /// A scheduled bidirectional partition between two sets of nodes.
@@ -238,7 +200,7 @@ impl PartitionSpec {
 /// scheduled fault-plan link effects.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkConfig {
-    /// The latency/loss matrix.
+    /// The latency matrix.
     pub matrix: LatencyMatrix,
     /// Scheduled partitions.
     pub partitions: Vec<PartitionSpec>,
@@ -378,21 +340,6 @@ mod tests {
             assert!(d >= SimDuration::from_millis(70));
             assert!(d < SimDuration::from_millis(300), "pathological jitter: {d}");
         }
-    }
-
-    #[test]
-    fn loss_is_sampled() {
-        let mut m = LatencyMatrix::uniform(LinkSpec::wan_ms(10).with_loss(1.0));
-        m.set(Region::Oregon, Region::Tokyo, LinkSpec::wan_ms(10)); // lossless
-        let mut rng = SimRng::new(2);
-        assert!(m.link(Region::Oregon, Region::Ireland).sample_loss(&mut rng));
-        assert!(!m.link(Region::Oregon, Region::Tokyo).sample_loss(&mut rng));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn with_loss_validates() {
-        let _ = LinkSpec::wan_ms(10).with_loss(1.5);
     }
 
     #[test]

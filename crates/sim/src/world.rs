@@ -254,13 +254,7 @@ impl<M> WorldCore<M> {
             return;
         }
         let (ra, rb) = (self.regions[src.0], self.regions[dst.0]);
-        let link = self.channels[src.0][dst.0].link;
-        if link.sample_loss(&mut self.net_rng) {
-            self.dropped += 1;
-            self.record(dst, SimEventKind::Dropped { src });
-            return;
-        }
-        let mut delay = link.sample_delay(&mut self.net_rng);
+        let mut delay = self.channels[src.0][dst.0].link.sample_delay(&mut self.net_rng);
         // Fault-plan effects, sampled from their own stream. The guard
         // keeps configurations without a plan on byte-identical replay.
         if !self.net.effects.is_empty() {
@@ -586,11 +580,6 @@ impl<M: 'static> World<M> {
         self.core.net.add_partition(spec);
     }
 
-    /// Schedules a fault-plan link effect after construction.
-    pub fn add_fault_effect(&mut self, effect: crate::faults::LinkEffect) {
-        self.core.net.add_effect(effect);
-    }
-
     /// Installs an observability sink: global and per-region-link
     /// delivery/drop counters, fault-interference counters, timer counts,
     /// and the structured event log (all under the `sim.` namespace; nodes
@@ -603,10 +592,25 @@ impl<M: 'static> World<M> {
     }
 }
 
+/// A world configuration in which every message on every link is lost
+/// with probability `p`: one fault-plan `Loss` window over the whole run.
+#[cfg(test)]
+fn lossy_config(p: f64) -> WorldConfig {
+    use crate::faults::{EffectKind, LinkEffect, LinkScope};
+    let mut cfg = WorldConfig::default();
+    cfg.net.add_effect(LinkEffect {
+        scope: LinkScope::All,
+        start: SimTime::ZERO,
+        end: SimTime::from_nanos(u64::MAX),
+        kind: EffectKind::Loss(p),
+    });
+    cfg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{LatencyMatrix, LinkSpec, PartitionSpec};
+    use crate::net::{LatencyMatrix, PartitionSpec};
 
     type Msg = &'static str;
 
@@ -789,18 +793,6 @@ mod tests {
         w.run_until_idle();
         assert_eq!(w.dropped(), 1);
         assert!(w.node_as::<Echo>(echo).unwrap().received.is_empty());
-    }
-
-    #[test]
-    fn lossy_link_drops_probabilistically() {
-        let mut cfg = WorldConfig::default();
-        cfg.net.matrix = LatencyMatrix::uniform(LinkSpec::wan_ms(10).with_loss(1.0));
-        let mut w = World::new(cfg, 1);
-        let echo = w.add_node(Region::Tokyo, Box::new(Echo::new(0)));
-        let _kick = w.add_node(Region::Oregon, Box::new(Kick { target: echo }));
-        w.run_until_idle();
-        assert_eq!(w.dropped(), 1);
-        assert_eq!(w.delivered(), 0);
     }
 
     #[test]
@@ -1200,6 +1192,38 @@ mod fault_tests {
         assert_eq!(w.fault_stats(), FaultNetStats::default());
         assert_eq!(w.node_as::<Sink>(sink).unwrap().got, 50);
     }
+
+    #[test]
+    fn without_a_partition_every_drop_is_a_plan_drop() {
+        // Links lose nothing on their own: a world's drop total is exactly
+        // what its plan's block and loss windows account for.
+        let plan = FaultPlan::new(3)
+            .with(FaultEvent::LinkFlap {
+                scope: LinkScope::Between(Region::Oregon, Region::Tokyo),
+                at: SimTime::from_secs(1),
+                down_for: SimDuration::from_millis(500),
+                up_for: SimDuration::from_millis(500),
+                flaps: 2,
+            })
+            .with(FaultEvent::LossBurst {
+                scope: LinkScope::All,
+                at: SimTime::from_secs(2),
+                duration: SimDuration::from_secs(2),
+                loss: 0.5,
+            });
+        for seed in 0..4 {
+            let (mut w, sink) = pinger_world(plan.network_effects(), seed);
+            w.run_until_idle();
+            let stats = w.fault_stats();
+            assert!(stats.blocked > 0 && stats.dropped > 0, "seed {seed}: {stats:?}");
+            assert_eq!(w.dropped(), stats.blocked + stats.dropped, "seed {seed}");
+            assert_eq!(w.node_as::<Sink>(sink).unwrap().got as u64, 50 - w.dropped());
+        }
+        // With no plan at all, nothing is ever lost.
+        let (mut w, sink) = pinger_world(Vec::new(), 0);
+        w.run_until_idle();
+        assert_eq!((w.dropped(), w.node_as::<Sink>(sink).unwrap().got), (0, 50));
+    }
 }
 
 #[cfg(test)]
@@ -1268,10 +1292,7 @@ mod trace_tests {
 
     #[test]
     fn drops_are_traced() {
-        let mut cfg = WorldConfig::default();
-        cfg.net.matrix =
-            crate::net::LatencyMatrix::uniform(crate::net::LinkSpec::wan_ms(5).with_loss(1.0));
-        let (events, _, echo, kick) = traced(cfg, Severity::Warn);
+        let (events, _, echo, kick) = traced(lossy_config(1.0), Severity::Warn);
         let drop = format!("drop {kick} -> {echo}");
         assert!(events.iter().any(|e| e.message == drop && e.severity == Severity::Warn));
     }
@@ -1332,11 +1353,8 @@ mod obs_tests {
 
     #[test]
     fn drops_and_faults_are_counted() {
-        let mut cfg = WorldConfig::default();
-        cfg.net.matrix =
-            crate::net::LatencyMatrix::uniform(crate::net::LinkSpec::wan_ms(5).with_loss(1.0));
         let sink = ObsSink::new();
-        let (w, _) = drive(cfg, Some(sink.clone()));
+        let (w, _) = drive(lossy_config(1.0), Some(sink.clone()));
         assert_eq!(w.delivered(), 0);
         assert_eq!(sink.metrics.counter("sim.dropped").get(), w.dropped());
         assert_eq!(sink.metrics.counter("sim.link.OR-JP.dropped").get(), w.dropped());
@@ -1356,17 +1374,11 @@ mod obs_tests {
 
     #[test]
     fn observability_does_not_perturb_the_schedule() {
-        // Same seed, lossy links (exercises fault_rng), with and without a
+        // Same seed, a whole-run loss window (exercises fault_rng), with and without a
         // sink installed: final sim time and delivery totals must agree.
-        let lossy = || {
-            let mut cfg = WorldConfig::default();
-            cfg.net.matrix =
-                crate::net::LatencyMatrix::uniform(crate::net::LinkSpec::wan_ms(5).with_loss(0.5));
-            cfg
-        };
         let sink = ObsSink::with_log(EventLog::new(16));
-        let (plain, _) = drive(lossy(), None);
-        let (observed, _) = drive(lossy(), Some(sink));
+        let (plain, _) = drive(lossy_config(0.5), None);
+        let (observed, _) = drive(lossy_config(0.5), Some(sink));
         assert_eq!(plain.now(), observed.now());
         assert_eq!(plain.delivered(), observed.delivered());
         assert_eq!(plain.dropped(), observed.dropped());

@@ -760,6 +760,34 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn loss_window_drops_frames_by_the_connections_seeded_draws() {
+        let mut config = transparent_config(9);
+        config.plan.push(FaultEvent::LossBurst {
+            scope: LinkScope::All,
+            at: SimTime::ZERO,
+            duration: SimDuration::from_secs(600),
+            loss: 0.3,
+        });
+        let mut rig = Rig::new(&config);
+        let frames: Vec<Vec<u8>> =
+            (0..200).map(|req| Frame::ReadQ { req, key: 0 }.encode()).collect();
+        let got = rig.forward(&frames.concat(), MS);
+        // One draw per frame, from the rig's connection stream.
+        let mut rng = SimRng::new(9).split_indexed("chaos.region", 0).split_indexed("conn", 0);
+        let kept: Vec<&[u8]> =
+            frames.iter().filter(|_| !rng.gen_bool(0.3)).map(Vec::as_slice).collect();
+        assert_eq!(got, kept.concat());
+        let ledger = rig.ledger();
+        assert_eq!(
+            (ledger.dropped, ledger.forwarded),
+            (200 - kept.len() as u64, kept.len() as u64)
+        );
+        assert!(ledger.dropped > 30 && ledger.dropped < 90, "~30 % of 200: {ledger:?}");
+        // Past the window nothing is lost.
+        assert_eq!(rig.forward(&frames[0], 600_000 * MS), frames[0]);
+    }
+
+    #[test]
     fn extra_delay_holds_frames_but_preserves_order() {
         let mut config = transparent_config(3);
         config.plan.push(FaultEvent::DegradedLink {

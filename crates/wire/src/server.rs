@@ -78,9 +78,6 @@ pub struct ServeConfig {
     /// serving — what the load benchmark uses); `1.0` emulates the
     /// paper's full WAN RTTs.
     pub latency_scale: f64,
-    /// Probability of dropping (not answering) a request, emulating a
-    /// lost response on a lossy WAN. The client's retry layer recovers.
-    pub drop_prob: f64,
     /// Base TCP port; region `i` binds `base_port + i`. `0` picks
     /// ephemeral ports (tests and same-host CI).
     pub base_port: u16,
@@ -104,15 +101,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Loopback defaults: ephemeral ports, no artificial latency or
-    /// loss, a sharded keyspace on one event loop.
+    /// Loopback defaults: ephemeral ports, no artificial latency, a
+    /// sharded keyspace on one event loop.
     pub fn loopback(kind: ServiceKind, seed: u64) -> Self {
         ServeConfig {
             kind,
             seed,
             stale_window: None,
             latency_scale: 0.0,
-            drop_prob: 0.0,
             base_port: 0,
             stop_file: None,
             shards: 16,
@@ -500,8 +496,6 @@ pub(crate) enum Sweep {
 enum Step {
     /// One request consumed and answered.
     Served,
-    /// One request consumed; its response is the lossy WAN's.
-    Dropped,
     /// The head frame is incomplete: only more bytes can help.
     Starved,
     /// The head frame is complete and waiting out its delay.
@@ -517,7 +511,6 @@ struct Counters {
     writes: conprobe_obs::Counter,
     reads: conprobe_obs::Counter,
     stops: conprobe_obs::Counter,
-    dropped: conprobe_obs::Counter,
     slow_evictions: conprobe_obs::Counter,
     throttled: conprobe_obs::Counter,
     op_nanos: conprobe_obs::Histogram,
@@ -531,7 +524,6 @@ impl Counters {
             writes: metrics.counter("wire.server.writes"),
             reads: metrics.counter("wire.server.reads"),
             stops: metrics.counter("wire.server.stops"),
-            dropped: metrics.counter("wire.server.dropped_responses"),
             slow_evictions: metrics.counter("wire.server.slow_evictions"),
             throttled: metrics.counter("wire.server.throttled"),
             op_nanos: metrics.histogram("wire.server.op_nanos", &wire_latency_bounds_nanos()),
@@ -598,59 +590,52 @@ impl Conn {
         // A throttle-storm brownout on the connection's replica refuses
         // reads and writes alike, mirroring the sim's front-door brownout.
         let throttling = brownout.throttle.load(Ordering::Acquire);
-        let step = if shared.config.drop_prob > 0.0 && self.rng.gen_bool(shared.config.drop_prob) {
-            ctrs.dropped.inc();
-            Step::Dropped
-        } else {
-            match raw.kind {
-                KIND_READ_Q => {
-                    ctrs.reads.inc();
-                    let (req, key) = read_q_fields(payload);
-                    let reply = if throttling {
-                        LiveReply::Unavailable
-                    } else {
-                        shared.cluster.serve(self.region, key, ClientOp::Read, now)
-                    };
-                    encode_reply(out, ctrs, req, reply);
-                }
-                KIND_WRITE_Q => {
-                    ctrs.writes.inc();
-                    let Ok(w) = write_q_fields(payload) else { return Step::Closed };
-                    let reply = if throttling {
-                        LiveReply::Unavailable
-                    } else {
-                        let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
-                        let post =
-                            Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
-                        shared.cluster.serve(self.region, w.key, ClientOp::Write(post), now)
-                    };
-                    encode_reply(out, ctrs, w.req, reply);
-                }
-                KIND_HELLO => {
-                    // The ack always carries our version; the client decides
-                    // whether it can proceed.
-                    ctrs.hellos.inc();
-                    Frame::HelloAck {
-                        proto: PROTO_VERSION,
-                        server_clock_nanos: now as i64,
-                        service: shared.service_token.to_owned(),
-                    }
-                    .encode_into(out);
-                }
-                KIND_STOP => {
-                    ctrs.stops.inc();
-                    shared.stop.store(true, Ordering::Release);
-                    Frame::StopAck.encode_into(out);
-                }
-                // Server-role frames from a client are a protocol violation,
-                // and the dispatch family belongs to a dispatch coordinator,
-                // not a service server.
-                _ => return Step::Closed,
+        match raw.kind {
+            KIND_READ_Q => {
+                ctrs.reads.inc();
+                let (req, key) = read_q_fields(payload);
+                let reply = if throttling {
+                    LiveReply::Unavailable
+                } else {
+                    shared.cluster.serve(self.region, key, ClientOp::Read, now)
+                };
+                encode_reply(out, ctrs, req, reply);
             }
-            Step::Served
-        };
+            KIND_WRITE_Q => {
+                ctrs.writes.inc();
+                let Ok(w) = write_q_fields(payload) else { return Step::Closed };
+                let reply = if throttling {
+                    LiveReply::Unavailable
+                } else {
+                    let id = PostId::new(conprobe_store::AuthorId(w.author), w.seq);
+                    let post = Post::new(id, w.content, LocalTime::from_nanos(w.client_ts_nanos));
+                    shared.cluster.serve(self.region, w.key, ClientOp::Write(post), now)
+                };
+                encode_reply(out, ctrs, w.req, reply);
+            }
+            KIND_HELLO => {
+                // The ack always carries our version; the client decides
+                // whether it can proceed.
+                ctrs.hellos.inc();
+                Frame::HelloAck {
+                    proto: PROTO_VERSION,
+                    server_clock_nanos: now as i64,
+                    service: shared.service_token.to_owned(),
+                }
+                .encode_into(out);
+            }
+            KIND_STOP => {
+                ctrs.stops.inc();
+                shared.stop.store(true, Ordering::Release);
+                Frame::StopAck.encode_into(out);
+            }
+            // Server-role frames from a client are a protocol violation,
+            // and the dispatch family belongs to a dispatch coordinator,
+            // not a service server.
+            _ => return Step::Closed,
+        }
         self.buf.consume(raw.consumed);
-        step
+        Step::Served
     }
 
     /// Slow-client stall budget: true once response bytes have sat
@@ -739,7 +724,6 @@ fn sweep_conn<S: Read + Write>(
                 shared.ctrs.op_nanos.record(clock() - began);
                 progressed = true;
             }
-            Step::Dropped => {}
             Step::Starved => break,
             Step::Held => {
                 held = true;
@@ -906,25 +890,6 @@ pub(crate) mod tests {
         assert_eq!(rig.sweep(&mut link.b(), u64::MAX - 1), Sweep::Idle, "still held");
         assert!(link.b_to_a.bytes.is_empty());
         assert_eq!(rig.counter("wire.server.frames"), 0);
-    }
-
-    #[test]
-    fn drop_prob_drops_the_response_but_consumes_the_request() {
-        let mut config = ServeConfig::loopback(ServiceKind::Blogger, 9);
-        config.drop_prob = 0.3;
-        let mut rig = Rig::new(&config, Region::Oregon);
-        let mut link = Link::default();
-        link.a_to_b.bytes.extend(reads(0..200));
-        assert_eq!(rig.sweep(&mut link.b(), MS), Sweep::Progress);
-        // The drops are the connection's own seeded draws, one per request.
-        let mut rng = SimRng::new(9).split_indexed("wire.conn", 0);
-        let kept: Vec<u32> = (0..200).filter(|_| !rng.gen_bool(0.3)).collect();
-        assert_eq!(answered(&link.b_to_a.take()), kept);
-        assert!(kept.len() < 200 && kept.len() > 100);
-        assert_eq!(rig.counter("wire.server.dropped_responses"), 200 - kept.len() as u64);
-        assert_eq!(rig.counter("wire.server.frames"), 200, "a dropped request was still consumed");
-        assert!(rig.conn.buf.unread().is_empty());
-        assert_eq!(rig.sweep(&mut link.b(), 2 * MS), Sweep::Idle, "nothing is left to retry");
     }
 
     #[test]

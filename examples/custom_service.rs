@@ -33,7 +33,6 @@ fn my_topology() -> Topology {
         anti_entropy: Some(SimDuration::from_secs(3)),
         canonicalize_on_anti_entropy: true,
         canonicalize_on_push: false,
-        rate_limit: None,
         write_mode: Default::default(),
     };
     Topology {

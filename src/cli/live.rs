@@ -174,8 +174,6 @@ pub struct ServeArgs {
     pub host: HostArgs,
     /// Multiplier on paper-WAN artificial latency (0 disables).
     pub latency_scale: Option<f64>,
-    /// Probability of dropping a response (lossy-WAN emulation).
-    pub drop_prob: Option<f64>,
     /// Seeded staleness window: `(replica index, lag nanos)`.
     pub stale: Option<(usize, u64)>,
     /// Keyspace shards in the hosted cluster.
@@ -212,15 +210,10 @@ impl ServeArgs {
         if let Some(scale) = latency_scale.filter(|s| !(s.is_finite() && *s >= 0.0)) {
             return Err(CliError(format!("--latency-scale: {scale} is not a finite scale >= 0")));
         }
-        let drop_prob: Option<f64> = a.num("--drop")?;
-        if let Some(p) = drop_prob.filter(|p| !(0.0..=1.0).contains(p)) {
-            return Err(CliError(format!("--drop: {p} is not a probability in [0, 1]")));
-        }
         Ok(ServeArgs {
             service: a.service()?,
             host: HostArgs::parse(a)?,
             latency_scale,
-            drop_prob,
             stale,
             shards: a.num("--shards")?,
             event_loops: a.num("--event-loops")?,
@@ -246,7 +239,6 @@ impl ServeArgs {
             self.stale.map(|(replica, lag_nanos)| StaleWindow { replica, lag_nanos });
         config.stop_file = self.host.stop_file.as_ref().map(Into::into);
         set(&mut config.latency_scale, self.latency_scale);
-        set(&mut config.drop_prob, self.drop_prob);
         set(&mut config.shards, self.shards);
         set(&mut config.event_loops, self.event_loops);
         set(&mut config.max_connections, self.max_conns);

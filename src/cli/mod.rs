@@ -85,7 +85,7 @@ USAGE:
                [artifact…]
   conprobe journal inspect <journal.jsonl>
   conprobe serve --service <svc> [--seed N] [--port BASE]
-               [--latency-scale F] [--drop P]
+               [--latency-scale F]
                [--stale-replica I] [--stale-lag-ms N]
                [--shards N] [--event-loops N]
                [--max-conns N] [--stall-budget-ms N]
@@ -119,8 +119,8 @@ USAGE:
   region, speaking the length-prefixed, checksummed `cpw1` protocol; the
   deterministic replica cores (for quorum, the simulator's own replica
   nodes) run on wall-clock time, with optional artificial WAN latency
-  (--latency-scale, from the paper latency matrix), response loss
-  (--drop), and on the other arms a seeded staleness window
+  (--latency-scale, from the paper latency matrix; wire loss is chaosd's),
+  and on the other arms a seeded staleness window
   (--stale-replica/--stale-lag-ms). It drains gracefully — finishing
   whole frames — when --stop-file appears, a client sends `stop`, or
   --max-secs elapses. The hosted cluster shards its keyspace over

@@ -167,8 +167,8 @@ fn flags_a_subcommand_does_not_read_are_errors() {
 /// Every `(subcommand, flag, takes value)` triple the `USAGE` synopses
 /// declare, one per line in synopsis order. The hash is of the same
 /// rendering of the hand-written per-subcommand flag tables the
-/// synopses replaced, plus `repro`'s `--csv` and `--report`: 15
-/// subcommands, 53 distinct flags.
+/// synopses replaced, plus `repro`'s `--csv` and `--report`, minus
+/// `serve`'s retired `--drop`: 15 subcommands, 52 distinct flags.
 #[test]
 fn the_usage_grammar_is_pinned() {
     let mut rendering = String::new();
@@ -183,9 +183,9 @@ fn the_usage_grammar_is_pinned() {
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(synopses().count(), 15, "subcommands");
-    assert_eq!(distinct.len(), 53, "distinct flags");
+    assert_eq!(distinct.len(), 52, "distinct flags");
     let hash = conprobe_json::frame::fnv64(rendering.as_bytes());
-    assert_eq!(hash, 0xd1f4_0624_0234_0dbf, "{rendering}");
+    assert_eq!(hash, 0x441e_66ab_1a58_6b3c, "{rendering}");
 }
 
 /// Every parse-time refusal word for word, including the messages
@@ -229,8 +229,6 @@ fn parse_errors_keep_their_exact_text() {
             "serve --service blogger --stale-replica 0 --stale-lag-ms 99999999999999999",
             "--stale-lag-ms: 99999999999999999 ms does not fit in nanoseconds",
         ),
-        ("serve --service blogger --drop 2", "--drop: 2 is not a probability in [0, 1]"),
-        ("serve --service blogger --drop -1", "--drop: -1 is not a probability in [0, 1]"),
         (
             "serve --service blogger --latency-scale -1",
             "--latency-scale: -1 is not a finite scale >= 0",
@@ -373,7 +371,7 @@ fn parses_wire_commands() {
     assert!(parse(&args("load")).is_err(), "load requires a target");
     assert!(parse(&args("probe --service blogger --endpoint oregon=nonsense")).is_ok());
     let cmd = parse(&args(
-        "serve --service gplus --seed 4 --port 9200 --latency-scale 1.0 --drop 0.01 \
+        "serve --service gplus --seed 4 --port 9200 --latency-scale 1.0 \
              --stale-replica 1 --stale-lag-ms 500 --max-secs 30",
     ))
     .unwrap();
@@ -382,7 +380,7 @@ fn parses_wire_commands() {
             assert_eq!(serve.service, ServiceKind::GooglePlus);
             assert_eq!(serve.host.seed, 4);
             assert_eq!(serve.host.base_port, 9200);
-            assert_eq!((serve.latency_scale, serve.drop_prob), (Some(1.0), Some(0.01)));
+            assert_eq!(serve.latency_scale, Some(1.0));
             assert_eq!(serve.stale, Some((1, 500_000_000)));
             assert_eq!(serve.host.max_secs, Some(30));
             assert_eq!((serve.shards, serve.event_loops), (None, None), "library defaults");

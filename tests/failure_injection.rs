@@ -7,7 +7,20 @@ use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig};
 use conprobe::services::ServiceKind;
 use conprobe::sim::net::Region;
-use conprobe::sim::{ClockConfig, FaultEvent, FaultPlan, LinkScope, SimDuration, SimTime};
+use conprobe::sim::{
+    BrownoutMode, ClockConfig, FaultEvent, FaultPlan, LinkScope, SimDuration, SimTime,
+};
+
+/// A plan under which every link loses each message with probability
+/// `loss` for the whole run.
+fn whole_run_loss(loss: f64) -> FaultPlan {
+    FaultPlan::new(0).with(FaultEvent::LossBurst {
+        scope: LinkScope::All,
+        at: SimTime::ZERO,
+        duration: SimDuration::from_secs(3600),
+        loss,
+    })
+}
 
 /// The full-test Tokyo partition: divergence is detected, the test times
 /// out or completes, and the harness still produces a coherent trace.
@@ -101,13 +114,14 @@ fn drift_decays_the_clock_estimate() {
 fn lossy_network_is_survivable() {
     for service in [ServiceKind::Blogger, ServiceKind::GooglePlus] {
         let mut config = TestConfig::paper(service, TestKind::Test1);
-        config.link_loss = 0.03; // 3 % of all messages vanish
+        config.fault_plan = whole_run_loss(0.03); // 3 % of all messages vanish
         let mut completed = 0;
         for seed in 0..4 {
             let r = run_one_test(&config, seed);
             // Even a timed-out run must still produce a full trace.
             assert_eq!(r.reads_per_agent.len(), 3, "seed {seed}");
             assert!(r.writes_total >= 1, "seed {seed}: some writes must land");
+            assert!(r.fault_ledger.net.dropped > 0, "seed {seed}: the drops are on the ledger");
             if r.completed {
                 completed += 1;
                 assert_eq!(r.writes_total, 6, "completed runs saw all of M1..M6");
@@ -122,7 +136,7 @@ fn lossy_network_is_survivable() {
 #[test]
 fn loss_does_not_fabricate_anomalies_on_a_linearizable_service() {
     let mut config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test2);
-    config.link_loss = 0.05;
+    config.fault_plan = whole_run_loss(0.05);
     for seed in 10..14 {
         let r = run_one_test(&config, seed);
         assert!(
@@ -185,25 +199,19 @@ fn crash_of_an_idle_replica_is_invisible() {
     );
 }
 
-/// A server-side rate limit throttles over-eager requests, and the agents'
-/// backoff keeps the test progressing: retried writes keep Test 1's
+/// A front door in a throttle storm rejects every client request, and the
+/// agents' backoff keeps the test progressing: retried writes keep Test 1's
 /// staggered chain alive.
 #[test]
-fn server_side_rate_limit_is_survivable() {
-    use conprobe::services::catalog;
-    use conprobe::services::ReplicaParams;
-
-    // Blogger with a server-enforced 350 ms per-client interval: the
-    // agents' 300 ms read cadence plus the write bursts will trip it.
-    let mut topo = catalog::topology(ServiceKind::Blogger);
-    for (_, params) in &mut topo.replicas {
-        *params = ReplicaParams {
-            rate_limit: Some(conprobe::sim::SimDuration::from_millis(350)),
-            ..params.clone()
-        };
-    }
+fn a_throttling_front_door_is_survivable() {
+    // Blogger's one replica serves every agent, so all three meet the storm.
     let mut config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test1);
-    config.service_override = Some(topo);
+    config.fault_plan = FaultPlan::new(0).with(FaultEvent::Brownout {
+        target: 0,
+        at: SimTime::from_secs(3),
+        duration: SimDuration::from_secs(4),
+        mode: BrownoutMode::ThrottleStorm,
+    });
     let r = run_one_test(&config, 2);
     assert!(r.completed, "backoff must keep the test progressing");
     assert_eq!(r.writes_total, 6, "all writes eventually accepted");
@@ -212,6 +220,9 @@ fn server_side_rate_limit_is_survivable() {
         "throttling must not fabricate anomalies: {:?}",
         r.analysis.observations.first()
     );
+    for (i, rpc) in r.fault_ledger.agent_rpc.iter().enumerate() {
+        assert!(rpc.throttled > 0, "agent {i} met the storm: {rpc:?}");
+    }
 }
 
 /// A link flap, a loss burst, and a crash/restart cycle composed in one
