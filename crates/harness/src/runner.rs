@@ -38,11 +38,6 @@ pub struct TestConfig {
     /// Deploy this topology instead of the service's calibrated preset
     /// (ablations).
     pub service_override: Option<conprobe_services::catalog::Topology>,
-    /// Rotate agent roles across locations: agent index `i` is deployed in
-    /// region `AGENTS[(i + rotation) % 3]`. The paper used this to confirm
-    /// that Ireland's lower anomaly multiplicity in Test 1 is an artifact
-    /// of being the *last* writer, not of the location itself.
-    pub rotation: u32,
     /// Probe every replica's authoritative state at this period (white-box
     /// extension; adds a [`crate::whitebox::WhiteboxReport`] to the result).
     pub whitebox_period: Option<SimDuration>,
@@ -107,7 +102,6 @@ impl TestConfig {
             tokyo_partition: false,
             use_guard: false,
             service_override: None,
-            rotation: 0,
             whitebox_period: None,
             fault_plan: FaultPlan::default(),
             agent_regions: Region::AGENTS.to_vec(),
@@ -176,8 +170,8 @@ pub struct TestResult {
     pub clock_error_nanos: Vec<i64>,
     /// Per-agent half-RTT uncertainty claimed by the estimator.
     pub clock_uncertainty_nanos: Vec<i64>,
-    /// The region each agent index was deployed in (varies with
-    /// [`TestConfig::rotation`]).
+    /// The region each agent index was deployed in
+    /// ([`TestConfig::agent_regions`]).
     pub agent_regions: Vec<Region>,
     /// Replica-level ground truth, when white-box probing was enabled.
     pub whitebox: Option<crate::whitebox::WhiteboxReport>,
@@ -249,8 +243,7 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     assert!(n_agents >= 2, "a consistency test needs at least two agents");
     let mut agents = Vec::new();
     let mut entries = Vec::new();
-    for i in 0..n_agents {
-        let region = config.agent_regions[((i + config.rotation) % n_agents) as usize];
+    for (i, &region) in (0..).zip(&config.agent_regions) {
         let id = world.add_node(region, Box::new(AgentNode::new(i, config.use_guard)));
         entries.push(cluster.entry_for(region));
         agents.push(id);

@@ -6,10 +6,12 @@
 //! data: it compiles into
 //!
 //! * **network effects** ([`FaultPlan::network_effects`]) — region-scoped
-//!   [`LinkEffect`] windows that [`crate::world::World`] consults on every
-//!   send, using a dedicated `"faults"` random stream (so an empty plan
+//!   [`LinkEffect`] windows. One function, [`judge_link`], decides what
+//!   they do to a message: [`crate::world::World`] calls it on every send,
+//!   drawing from a dedicated `"faults"` random stream (so an empty plan
 //!   leaves every existing random stream untouched and replays remain
-//!   byte-identical);
+//!   byte-identical), and chaosd calls it on every frame it forwards.
+//!   Both count its verdicts in one [`FaultNetStats`];
 //! * **service actions** ([`FaultPlan::service_actions`]) — a time-sorted
 //!   list of crash/recover/brownout transitions against abstract target
 //!   indices, which a deployment layer (that knows the real node ids) turns
@@ -18,7 +20,8 @@
 //! Everything is deterministic: the same seed and plan produce the same
 //! fault timeline, drop decisions and delay samples on every run.
 
-use crate::net::Region;
+use crate::net::{LinkSpec, Region};
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use conprobe_json::{member, FromJson, JsonError, JsonValue};
 use std::fmt;
@@ -80,6 +83,63 @@ impl LinkEffect {
     pub fn applies(&self, a: Region, b: Region, at: SimTime) -> bool {
         at >= self.start && at < self.end && self.scope.covers(a, b)
     }
+}
+
+/// What [`judge_link`] decided for one message or frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkVerdict {
+    /// A [`EffectKind::Block`] window covers it: lost, nothing drawn.
+    Blocked,
+    /// The strongest [`EffectKind::Loss`] window's draw lost it.
+    Dropped,
+    /// It goes through this much later than the link alone would carry
+    /// it: the sum of the covering [`EffectKind::ExtraDelay`] windows.
+    Deliver(SimDuration),
+}
+
+/// The one link-fault judge: decides one `a → b` message or frame sent
+/// at `at` against compiled `effects`, draws from `rng` (the fault
+/// stream), and counts the verdict into `stats`. The simulator judges
+/// every send with it and chaosd every frame, so both arms follow the
+/// same three rules with the same draws:
+///
+/// 1. any covering `Block` window blocks it, and nothing is drawn;
+/// 2. otherwise the strongest covering `Loss` window takes one
+///    `gen_bool(p)` — overlapping windows do not compound;
+/// 3. otherwise each covering `ExtraDelay` window, in effect order, adds
+///    `base + round(Exp(jitter_mean))`. Only a non-zero sum counts as
+///    `delayed`.
+pub fn judge_link(
+    effects: &[LinkEffect],
+    a: Region,
+    b: Region,
+    at: SimTime,
+    rng: &mut SimRng,
+    stats: &mut FaultNetStats,
+) -> LinkVerdict {
+    let active = || effects.iter().filter(move |e| e.applies(a, b, at));
+    if active().any(|e| e.kind == EffectKind::Block) {
+        stats.blocked += 1;
+        return LinkVerdict::Blocked;
+    }
+    let strongest_loss = active()
+        .filter_map(|e| match e.kind {
+            EffectKind::Loss(p) => Some(p),
+            _ => None,
+        })
+        .reduce(f64::max);
+    if strongest_loss.is_some_and(|p| rng.gen_bool(p)) {
+        stats.dropped += 1;
+        return LinkVerdict::Dropped;
+    }
+    let mut extra = SimDuration::ZERO;
+    for e in active() {
+        if let EffectKind::ExtraDelay { base, jitter_mean } = e.kind {
+            extra += LinkSpec { base, jitter_mean }.sample_delay(rng);
+        }
+    }
+    stats.delayed += u64::from(!extra.is_zero());
+    LinkVerdict::Deliver(extra)
 }
 
 /// How a browned-out front door mistreats client requests.
@@ -204,9 +264,10 @@ impl fmt::Display for ServiceActionKind {
     }
 }
 
-/// Network-fault counters accumulated by a world (part of the fault
-/// ledger): how many messages a plan's effects blocked, probabilistically
-/// dropped, or delayed.
+/// Network-fault counters, as [`judge_link`] counts them: how many
+/// messages or frames a plan's effects blocked, probabilistically dropped,
+/// or delayed. The network half of both a world's fault ledger and
+/// chaosd's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultNetStats {
     /// Messages dropped by a [`EffectKind::Block`] window.
@@ -223,6 +284,11 @@ impl FaultNetStats {
         self.blocked + self.dropped + self.delayed
     }
 }
+
+/// The most flaps one outage-trace `partition` incident may ask for. Each
+/// flap compiles to its own [`LinkEffect`], and [`judge_link`] scans every
+/// effect for every message, so a trace may not ask for billions.
+pub const MAX_TRACE_FLAPS: u32 = 10_000;
 
 /// A deterministic script of composable fault events.
 ///
@@ -393,8 +459,8 @@ impl FaultPlan {
     /// link between them. `severity` is the loss probability; an
     /// `outage` is one crash/restart cycle of the target replica; a
     /// `brownout` mode is `"throttle"` or `{"delay_ms": N}`. `flaps`
-    /// (default 1) repeats a partition with `gap_ms` of healthy time
-    /// between outages.
+    /// (default 1, at most [`MAX_TRACE_FLAPS`]) repeats a partition with
+    /// `gap_ms` of healthy time between outages.
     pub fn from_outage_trace(json: &str) -> Result<FaultPlan, JsonError> {
         let doc = conprobe_json::parse(json)?;
         let seed = u64::from_json(member(&doc, "seed")?)?;
@@ -414,6 +480,11 @@ impl FaultPlan {
                         Some(v) => u32::from_json(v)?,
                         None => 1,
                     };
+                    if flaps > MAX_TRACE_FLAPS {
+                        return Err(JsonError::schema(format!(
+                            "`flaps` is {flaps}, above the cap of {MAX_TRACE_FLAPS} per incident"
+                        )));
+                    }
                     let up_for = match incident.get("gap_ms") {
                         Some(_) => millis(incident, "gap_ms")?,
                         None => SimDuration::ZERO,
@@ -536,6 +607,158 @@ mod tests {
         assert!(LinkScope::Touching(jp).covers(or, jp));
         assert!(LinkScope::Touching(jp).covers(jp, jp));
         assert!(!LinkScope::Touching(jp).covers(or, ir));
+    }
+
+    fn window(scope: LinkScope, start: SimTime, end: SimTime, kind: EffectKind) -> LinkEffect {
+        LinkEffect { scope, start, end, kind }
+    }
+
+    /// Judges an Oregon → Tokyo message sent at time zero.
+    fn judge_or_jp(
+        effects: &[LinkEffect],
+        rng: &mut SimRng,
+        stats: &mut FaultNetStats,
+    ) -> LinkVerdict {
+        judge_link(effects, Region::Oregon, Region::Tokyo, SimTime::ZERO, rng, stats)
+    }
+
+    /// Whether `rng` and `twin` are at the same point of one stream.
+    fn in_step(rng: &mut SimRng, twin: &mut SimRng) -> bool {
+        rng.gen_u64() == twin.gen_u64()
+    }
+
+    #[test]
+    fn judge_windows_are_scoped_timed_and_take_the_strongest_loss() {
+        let (or, jp, ir) = (Region::Oregon, Region::Tokyo, Region::Ireland);
+        let (s1, s2, s3) = (SimTime::from_secs(1), SimTime::from_secs(2), SimTime::from_secs(3));
+        let mut effects = vec![
+            window(LinkScope::Between(or, jp), s1, s2, EffectKind::Block),
+            window(LinkScope::Touching(jp), s1, s3, EffectKind::Loss(0.25)),
+            window(LinkScope::All, s1, s3, EffectKind::Loss(0.75)),
+        ];
+        let (mut rng, mut twin) = (SimRng::new(1), SimRng::new(1));
+        let mut stats = FaultNetStats::default();
+        let mid = SimTime::from_millis(1_500);
+        let mut judge = |effects: &[LinkEffect], a, b, at, rng: &mut SimRng| {
+            judge_link(effects, a, b, at, rng, &mut stats)
+        };
+        assert_eq!(judge(&effects, or, jp, mid, &mut rng), LinkVerdict::Blocked);
+        assert_eq!(judge(&effects, jp, or, mid, &mut rng), LinkVerdict::Blocked, "symmetric");
+        // The block window is end-exclusive and scoped; the strongest of
+        // the overlapping loss windows judges what it leaves.
+        let mut dropped = 0;
+        for (a, b, at) in [(or, jp, s2), (or, ir, mid)] {
+            let lost = twin.gen_bool(0.75);
+            dropped += u64::from(lost);
+            let verdict = judge(&effects, a, b, at, &mut rng);
+            assert_eq!(verdict == LinkVerdict::Dropped, lost, "{a} -> {b} at {at}");
+            if !lost {
+                assert_eq!(verdict, LinkVerdict::Deliver(SimDuration::ZERO), "no delay window");
+            }
+        }
+        // Past every window: delivered on time, nothing drawn.
+        let late = SimTime::from_secs(4);
+        assert_eq!(
+            judge(&effects, or, jp, late, &mut rng),
+            LinkVerdict::Deliver(SimDuration::ZERO)
+        );
+        assert!(in_step(&mut rng, &mut twin));
+        // Extra delay comes only from ExtraDelay windows.
+        effects.push(window(
+            LinkScope::All,
+            SimTime::ZERO,
+            SimTime::from_secs(10),
+            EffectKind::ExtraDelay {
+                base: SimDuration::from_millis(100),
+                jitter_mean: SimDuration::from_millis(10),
+            },
+        ));
+        let LinkVerdict::Deliver(d) = judge(&effects, or, jp, late, &mut rng) else {
+            panic!("only a delay window covers {late}");
+        };
+        assert!(d >= SimDuration::from_millis(100));
+        assert_eq!(stats, FaultNetStats { blocked: 2, dropped, delayed: 1 });
+    }
+
+    #[test]
+    fn a_block_window_takes_no_draw() {
+        let all = |kind| window(LinkScope::All, SimTime::ZERO, SimTime::from_secs(1), kind);
+        let effects = [
+            all(EffectKind::Loss(0.5)),
+            all(EffectKind::ExtraDelay {
+                base: SimDuration::from_millis(1),
+                jitter_mean: SimDuration::from_millis(1),
+            }),
+            all(EffectKind::Block),
+        ];
+        let (mut rng, mut twin) = (SimRng::new(5), SimRng::new(5));
+        let mut stats = FaultNetStats::default();
+        for _ in 0..10 {
+            let verdict = judge_or_jp(&effects, &mut rng, &mut stats);
+            assert_eq!(verdict, LinkVerdict::Blocked);
+        }
+        assert!(in_step(&mut rng, &mut twin), "ten blocked messages drew nothing");
+        assert_eq!(stats, FaultNetStats { blocked: 10, ..FaultNetStats::default() });
+    }
+
+    #[test]
+    fn overlapping_loss_windows_take_one_draw_at_the_larger_p() {
+        let until = SimTime::from_secs(1);
+        let effects = [
+            window(LinkScope::All, SimTime::ZERO, until, EffectKind::Loss(0.3)),
+            window(
+                LinkScope::Touching(Region::Oregon),
+                SimTime::ZERO,
+                until,
+                EffectKind::Loss(0.6),
+            ),
+        ];
+        let (mut rng, mut twin) = (SimRng::new(9), SimRng::new(9));
+        let mut stats = FaultNetStats::default();
+        let mut lost = 0;
+        for _ in 0..200 {
+            let verdict = judge_or_jp(&effects, &mut rng, &mut stats);
+            let expected = twin.gen_bool(0.6);
+            lost += u64::from(expected);
+            assert_eq!(verdict == LinkVerdict::Dropped, expected);
+        }
+        assert!(in_step(&mut rng, &mut twin), "exactly one draw a message");
+        assert_eq!(stats, FaultNetStats { dropped: lost, ..FaultNetStats::default() });
+        assert!(lost > 90 && lost < 150, "~60 % of 200, not the compound 72 %: {lost}");
+    }
+
+    #[test]
+    fn extra_delay_windows_add_up_in_effect_order_with_rounded_jitter() {
+        let until = SimTime::from_secs(1);
+        let delay = |base_ms, jitter_nanos| EffectKind::ExtraDelay {
+            base: SimDuration::from_millis(base_ms),
+            jitter_mean: SimDuration::from_nanos(jitter_nanos),
+        };
+        // A nanosecond-scale jitter rounds differently from a truncated one
+        // about half the time; a thousandfold gap tells the means apart.
+        let effects = [
+            window(LinkScope::All, SimTime::ZERO, until, delay(5, 3)),
+            window(LinkScope::All, SimTime::ZERO, until, EffectKind::Loss(0.0)),
+            window(LinkScope::Touching(Region::Tokyo), SimTime::ZERO, until, delay(1, 3_000)),
+            window(LinkScope::Touching(Region::Ireland), SimTime::ZERO, until, delay(50, 9)),
+        ];
+        let (mut rng, mut twin) = (SimRng::new(4), SimRng::new(4));
+        let mut stats = FaultNetStats::default();
+        for _ in 0..50 {
+            let verdict = judge_or_jp(&effects, &mut rng, &mut stats);
+            twin.gen_bool(0.0);
+            let first = twin.gen_exp(3.0).round() as u64;
+            let second = twin.gen_exp(3_000.0).round() as u64;
+            let expected = SimDuration::from_nanos(6_000_000 + first + second);
+            assert_eq!(verdict, LinkVerdict::Deliver(expected));
+        }
+        assert!(in_step(&mut rng, &mut twin));
+        assert_eq!(stats, FaultNetStats { delayed: 50, ..FaultNetStats::default() });
+        // A window that adds nothing delays nothing.
+        let idle = [window(LinkScope::All, SimTime::ZERO, until, delay(0, 0))];
+        let verdict = judge_or_jp(&idle, &mut rng, &mut stats);
+        assert_eq!(verdict, LinkVerdict::Deliver(SimDuration::ZERO));
+        assert_eq!(stats.delayed, 50);
     }
 
     #[test]
@@ -757,7 +980,7 @@ mod tests {
             // The last of many flaps ends past the clock.
             (
                 r#"{"seed": 1, "incidents": [{"kind": "partition", "start_ms": 0,
-                   "duration_ms": 5000, "gap_ms": 5000, "flaps": 4000000000}]}"#,
+                   "duration_ms": 5000000000, "gap_ms": 5000000000, "flaps": 10000}]}"#,
                 "a `partition` incident ends past the end",
             ),
             (
@@ -780,6 +1003,17 @@ mod tests {
             "duration_ms": 18446744073709, "severity": 0.25}]}"#;
         let effect = FaultPlan::from_outage_trace(edge).unwrap().network_effects()[0];
         assert!(effect.end > effect.start);
+    }
+
+    #[test]
+    fn outage_trace_caps_flaps_per_incident() {
+        // Fits the clock, but would compile four billion windows.
+        let doc = r#"{"seed":1,"incidents":[{"kind":"partition","start_ms":0,"duration_ms":1,"flaps":4000000000}]}"#;
+        let err = FaultPlan::from_outage_trace(doc).expect_err("four billion flaps");
+        assert!(err.to_string().contains("`flaps`"), "{err}");
+        let at_cap = doc.replace("4000000000", &MAX_TRACE_FLAPS.to_string());
+        let plan = FaultPlan::from_outage_trace(&at_cap).expect("the cap itself is allowed");
+        assert_eq!(plan.network_effects().len(), MAX_TRACE_FLAPS as usize);
     }
 
     #[test]

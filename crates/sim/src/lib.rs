@@ -29,7 +29,9 @@
 //! * **WAN model** — [`net::LatencyMatrix`] captures one-way delays with
 //!   jitter between [`net::Region`]s, seeded from the RTTs the paper
 //!   measured (136 ms Virginia–Oregon, 218 ms Virginia–Tokyo, 172 ms
-//!   Virginia–Ireland), plus message loss and scheduled partitions.
+//!   Virginia–Ireland), plus scheduled partitions; every other loss, block
+//!   or extra delay comes from a [`FaultPlan`] and its one link judge,
+//!   [`faults::judge_link`].
 //!
 //! ## Example
 //!
@@ -69,8 +71,8 @@ pub mod world;
 
 pub use clock::{ClockConfig, LocalClock, LocalTime};
 pub use faults::{
-    BrownoutMode, EffectKind, FaultEvent, FaultNetStats, FaultPlan, LinkEffect, LinkScope,
-    ServiceAction, ServiceActionKind,
+    judge_link, BrownoutMode, EffectKind, FaultEvent, FaultNetStats, FaultPlan, LinkEffect,
+    LinkScope, LinkVerdict, ServiceAction, ServiceActionKind,
 };
 pub use net::{LatencyMatrix, LinkSpec, NetworkConfig, PartitionSpec, Region};
 pub use rng::SimRng;

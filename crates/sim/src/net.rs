@@ -12,9 +12,12 @@
 //! [`PartitionSpec`]s block traffic between node sets during a time window
 //! (the transient Tokyo partition the paper infers for Facebook Group), and
 //! every other loss, block or extra delay is a window of a
-//! [`crate::faults::FaultPlan`], carried here as [`NetworkConfig::effects`].
+//! [`crate::faults::FaultPlan`], carried here as [`NetworkConfig::effects`]
+//! and judged per send by [`crate::faults::judge_link`] — the function
+//! chaosd judges its frames with, so this module has no fault rules of
+//! its own.
 
-use crate::faults::{EffectKind, LinkEffect};
+use crate::faults::LinkEffect;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::world::NodeId;
@@ -204,11 +207,12 @@ pub struct NetworkConfig {
     pub matrix: LatencyMatrix,
     /// Scheduled partitions.
     pub partitions: Vec<PartitionSpec>,
-    /// Compiled fault-plan windows (see [`crate::faults::FaultPlan`]).
+    /// Compiled fault-plan windows (see [`crate::faults::FaultPlan`]),
+    /// judged per send by [`crate::faults::judge_link`].
     pub effects: Vec<LinkEffect>,
     /// Seed for the world's dedicated fault random stream (the plan's
-    /// seed). Drop and extra-delay sampling for `effects` draws from that
-    /// stream only, so configurations without effects are unperturbed.
+    /// seed). The judge draws for `effects` from that stream only, so
+    /// configurations without effects are unperturbed.
     pub fault_seed: u64,
 }
 
@@ -224,55 +228,9 @@ impl NetworkConfig {
         self
     }
 
-    /// Adds a compiled fault-plan link effect.
-    pub fn add_effect(&mut self, effect: LinkEffect) -> &mut Self {
-        self.effects.push(effect);
-        self
-    }
-
     /// Whether any partition blocks `src → dst` at `at`.
     pub fn is_blocked(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
         self.partitions.iter().any(|p| p.blocks(src, dst, at))
-    }
-
-    /// Whether a fault-plan `Block` window covers an `a → b` message at
-    /// `at`.
-    pub fn fault_blocks(&self, a: Region, b: Region, at: SimTime) -> bool {
-        self.effects.iter().any(|e| matches!(e.kind, EffectKind::Block) && e.applies(a, b, at))
-    }
-
-    /// The strongest active fault-plan loss probability for an `a → b`
-    /// message at `at`, if any `Loss` window covers it.
-    pub fn fault_loss(&self, a: Region, b: Region, at: SimTime) -> Option<f64> {
-        self.effects
-            .iter()
-            .filter(|e| e.applies(a, b, at))
-            .filter_map(|e| match e.kind {
-                EffectKind::Loss(p) => Some(p),
-                _ => None,
-            })
-            .fold(None, |acc, p| Some(acc.map_or(p, |a: f64| a.max(p))))
-    }
-
-    /// Samples the total extra delay from every active `ExtraDelay` window
-    /// covering an `a → b` message at `at` (effects compose additively).
-    pub fn fault_extra_delay(
-        &self,
-        a: Region,
-        b: Region,
-        at: SimTime,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        for e in &self.effects {
-            if let EffectKind::ExtraDelay { base, jitter_mean } = e.kind {
-                if e.applies(a, b, at) {
-                    let jitter = rng.gen_exp(jitter_mean.as_nanos() as f64);
-                    extra += base + SimDuration::from_nanos(jitter.round() as u64);
-                }
-            }
-        }
-        extra
     }
 }
 
@@ -356,52 +314,6 @@ mod tests {
         assert!(!p.blocks(NodeId(1), NodeId(2), mid)); // same side
         assert!(!p.blocks(NodeId(0), NodeId(1), SimTime::from_secs(9)));
         assert!(!p.blocks(NodeId(0), NodeId(1), SimTime::from_secs(20))); // end exclusive
-    }
-
-    #[test]
-    fn fault_effects_window_and_compose() {
-        use crate::faults::{EffectKind, LinkEffect, LinkScope};
-        let mut cfg = NetworkConfig::new(LatencyMatrix::paper_wan());
-        cfg.add_effect(LinkEffect {
-            scope: LinkScope::Between(Region::Oregon, Region::Tokyo),
-            start: SimTime::from_secs(1),
-            end: SimTime::from_secs(2),
-            kind: EffectKind::Block,
-        });
-        cfg.add_effect(LinkEffect {
-            scope: LinkScope::Touching(Region::Tokyo),
-            start: SimTime::from_secs(1),
-            end: SimTime::from_secs(3),
-            kind: EffectKind::Loss(0.25),
-        });
-        cfg.add_effect(LinkEffect {
-            scope: LinkScope::All,
-            start: SimTime::from_secs(1),
-            end: SimTime::from_secs(3),
-            kind: EffectKind::Loss(0.75),
-        });
-        let mid = SimTime::from_millis(1_500);
-        assert!(cfg.fault_blocks(Region::Oregon, Region::Tokyo, mid));
-        assert!(cfg.fault_blocks(Region::Tokyo, Region::Oregon, mid), "symmetric");
-        assert!(!cfg.fault_blocks(Region::Oregon, Region::Tokyo, SimTime::from_secs(2)));
-        assert!(!cfg.fault_blocks(Region::Oregon, Region::Ireland, mid));
-        // Overlapping loss windows: the strongest applies.
-        assert_eq!(cfg.fault_loss(Region::Oregon, Region::Tokyo, mid), Some(0.75));
-        assert_eq!(cfg.fault_loss(Region::Oregon, Region::Tokyo, SimTime::from_secs(4)), None);
-        // Extra delay comes only from ExtraDelay windows.
-        let mut rng = SimRng::new(1);
-        assert!(cfg.fault_extra_delay(Region::Oregon, Region::Tokyo, mid, &mut rng).is_zero());
-        cfg.add_effect(LinkEffect {
-            scope: LinkScope::All,
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(10),
-            kind: EffectKind::ExtraDelay {
-                base: SimDuration::from_millis(100),
-                jitter_mean: SimDuration::from_millis(10),
-            },
-        });
-        let d = cfg.fault_extra_delay(Region::Oregon, Region::Tokyo, mid, &mut rng);
-        assert!(d >= SimDuration::from_millis(100));
     }
 
     #[test]

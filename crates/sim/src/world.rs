@@ -9,7 +9,7 @@
 //! exactly reproducible for a given configuration and seed.
 
 use crate::clock::{ClockConfig, LocalClock, LocalTime};
-use crate::faults::FaultNetStats;
+use crate::faults::{judge_link, FaultNetStats, LinkVerdict};
 use crate::net::{LinkSpec, NetworkConfig, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -258,34 +258,28 @@ impl<M> WorldCore<M> {
         // Fault-plan effects, sampled from their own stream. The guard
         // keeps configurations without a plan on byte-identical replay.
         if !self.net.effects.is_empty() {
-            if self.net.fault_blocks(ra, rb, self.now) {
-                self.dropped += 1;
-                self.fault_stats.blocked += 1;
-                if let Some(obs) = &mut self.obs {
-                    obs.fault_blocked.inc();
+            let verdict = judge_link(
+                &self.net.effects,
+                ra,
+                rb,
+                self.now,
+                &mut self.fault_rng,
+                &mut self.fault_stats,
+            );
+            if let Some(obs) = &self.obs {
+                match verdict {
+                    LinkVerdict::Blocked => obs.fault_blocked.inc(),
+                    LinkVerdict::Dropped => obs.fault_dropped.inc(),
+                    LinkVerdict::Deliver(extra) if !extra.is_zero() => obs.fault_delayed.inc(),
+                    LinkVerdict::Deliver(_) => {}
                 }
+            }
+            let LinkVerdict::Deliver(extra) = verdict else {
+                self.dropped += 1;
                 self.record(dst, SimEventKind::Dropped { src });
                 return;
-            }
-            if let Some(p) = self.net.fault_loss(ra, rb, self.now) {
-                if self.fault_rng.gen_bool(p) {
-                    self.dropped += 1;
-                    self.fault_stats.dropped += 1;
-                    if let Some(obs) = &mut self.obs {
-                        obs.fault_dropped.inc();
-                    }
-                    self.record(dst, SimEventKind::Dropped { src });
-                    return;
-                }
-            }
-            let extra = self.net.fault_extra_delay(ra, rb, self.now, &mut self.fault_rng);
-            if !extra.is_zero() {
-                self.fault_stats.delayed += 1;
-                if let Some(obs) = &mut self.obs {
-                    obs.fault_delayed.inc();
-                }
-                delay += extra;
-            }
+            };
+            delay += extra;
         }
         let mut at = self.now + delay;
         if ordered {
@@ -598,7 +592,7 @@ impl<M: 'static> World<M> {
 fn lossy_config(p: f64) -> WorldConfig {
     use crate::faults::{EffectKind, LinkEffect, LinkScope};
     let mut cfg = WorldConfig::default();
-    cfg.net.add_effect(LinkEffect {
+    cfg.net.effects.push(LinkEffect {
         scope: LinkScope::All,
         start: SimTime::ZERO,
         end: SimTime::from_nanos(u64::MAX),

@@ -6,13 +6,12 @@
 //! measured outages imply. A [`ChaosProxy`] binds one listener per
 //! [`ChaosTarget`] and forwards traffic to the real replica listener,
 //! judging every complete `cpw1` frame against the plan's compiled
-//! [`LinkEffect`] windows at the wall-clock offset since proxy start:
-//!
-//! * [`EffectKind::Block`] windows blackhole the frame (both directions
-//!   are judged, so a partition is symmetric);
-//! * [`EffectKind::Loss`] drops it with the window's probability;
-//! * [`EffectKind::ExtraDelay`] holds it for `base + Exp(jitter)`,
-//!   releasing FIFO so delay never reorders a connection's stream.
+//! [`LinkEffect`] windows at the wall-clock offset since proxy start with
+//! [`judge_link`] — the function the simulator judges its messages with,
+//! so a frame is blocked, lost or delayed by exactly the sim's rules and
+//! draws, and counted in the same [`FaultNetStats`]. Both directions are
+//! judged, so a partition is symmetric; a delayed frame is released FIFO,
+//! so delay never reorders a connection's stream.
 //!
 //! On top of the plan, an [`InjectProfile`] adds byte-level adversity
 //! that no plan window models: seeded single-bit corruption (the
@@ -23,7 +22,9 @@
 //! Everything random comes from [`SimRng`] streams split per target and
 //! per accepted connection, so a sweep with the same seed injects the
 //! same faults at the same frames — the property the repro workflow
-//! depends on.
+//! depends on. Per frame, the connection's stream is drawn in this order:
+//! the judge's loss draw, each delay window's jitter, then reset, corrupt
+//! byte, corrupt bit and trickle.
 //!
 //! Bytes that do not parse as frames (a client speaking garbage) are
 //! forwarded verbatim: the interposer degrades to a transparent pipe
@@ -38,7 +39,9 @@
 use crate::conn::{FrameBuf, READ_BACKLOG_CAP};
 use crate::frame::decode_raw;
 use crate::server::{bind_listeners, WireServer};
-use conprobe_sim::faults::{EffectKind, FaultPlan, LinkEffect, ServiceAction, ServiceActionKind};
+use conprobe_sim::faults::{
+    judge_link, FaultNetStats, FaultPlan, LinkEffect, LinkVerdict, ServiceAction, ServiceActionKind,
+};
 use conprobe_sim::net::Region;
 use conprobe_sim::{SimRng, SimTime};
 use std::collections::VecDeque;
@@ -117,12 +120,9 @@ pub struct ChaosLedger {
     /// Frames forwarded upstream/downstream (including corrupted and
     /// trickled ones).
     pub forwarded: u64,
-    /// Frames blackholed by a [`EffectKind::Block`] window.
-    pub blocked: u64,
-    /// Frames dropped by a [`EffectKind::Loss`] sample.
-    pub dropped: u64,
-    /// Frames that picked up [`EffectKind::ExtraDelay`].
-    pub delayed: u64,
+    /// Frames the plan's link windows blocked, dropped or delayed, as
+    /// [`judge_link`] counts them.
+    pub net: FaultNetStats,
     /// Frames with an injected bit flip.
     pub corrupted: u64,
     /// Connections torn down by an injected reset.
@@ -188,12 +188,6 @@ impl ChaosProxy {
     /// The proxy-side listener address for each target, in target order.
     pub fn addrs(&self) -> &[(Region, SocketAddr)] {
         &self.addrs
-    }
-
-    /// A live snapshot of the fault ledger (final totals come from
-    /// [`ChaosProxy::join`]).
-    pub fn ledger(&self) -> ChaosLedger {
-        *self.cells.lock().expect("no ledger update panics")
     }
 
     /// Asks every accept and pump thread to wind down.
@@ -291,27 +285,10 @@ impl Direction {
             // Judge against the plan's link windows at the wall offset.
             let at = SimTime::from_nanos(now);
             let (a, b) = (ctx.target.region, ctx.target.replica_region);
-            let mut blocked = false;
-            let mut lost = false;
-            let mut delay_nanos = 0u64;
-            for effect in ctx.effects.iter().filter(|e| e.applies(a, b, at)) {
-                match effect.kind {
-                    EffectKind::Block => blocked = true,
-                    EffectKind::Loss(p) => lost |= rng.gen_bool(p),
-                    EffectKind::ExtraDelay { base, jitter_mean } => {
-                        delay_nanos +=
-                            base.as_nanos() + rng.gen_exp(jitter_mean.as_nanos() as f64) as u64;
-                    }
-                }
-            }
-            if blocked {
-                ledger.blocked += 1;
-                continue;
-            }
-            if lost {
-                ledger.dropped += 1;
-                continue;
-            }
+            let delay_nanos = match judge_link(&ctx.effects, a, b, at, rng, &mut ledger.net) {
+                LinkVerdict::Deliver(extra) => extra.as_nanos(),
+                LinkVerdict::Blocked | LinkVerdict::Dropped => continue,
+            };
 
             // Byte-level injections on the surviving frame.
             let inject = &ctx.inject;
@@ -326,9 +303,6 @@ impl Direction {
                 ledger.corrupted += 1;
             }
 
-            if delay_nanos > 0 {
-                ledger.delayed += 1;
-            }
             let release = (now + delay_nanos).max(self.last_release);
             let trickle =
                 inject.trickle_prob > 0.0 && bytes.len() > 1 && rng.gen_bool(inject.trickle_prob);
@@ -698,7 +672,7 @@ pub(crate) mod tests {
         assert!(rig.forward(&burst, 0).is_empty(), "nothing crosses a partition");
         assert!(rig.forward(&read, 600_000 * MS - 1).is_empty(), "its last nanosecond included");
         let ledger = rig.ledger();
-        assert_eq!((ledger.blocked, ledger.forwarded), (4, 0));
+        assert_eq!((ledger.net.blocked, ledger.forwarded), (4, 0));
         // The window is a window: the link heals at its end, in both directions.
         assert_eq!(rig.forward(&read, 600_000 * MS), read);
         rig.upstream.b_to_a.bytes.extend(&read);
@@ -706,7 +680,11 @@ pub(crate) mod tests {
         assert_eq!(rig.client.b_to_a.take(), read);
         assert_eq!(
             rig.ledger(),
-            ChaosLedger { blocked: 4, forwarded: 2, ..ChaosLedger::default() }
+            ChaosLedger {
+                net: FaultNetStats { blocked: 4, ..FaultNetStats::default() },
+                forwarded: 2,
+                ..ChaosLedger::default()
+            }
         );
     }
 
@@ -779,12 +757,40 @@ pub(crate) mod tests {
         assert_eq!(got, kept.concat());
         let ledger = rig.ledger();
         assert_eq!(
-            (ledger.dropped, ledger.forwarded),
+            (ledger.net.dropped, ledger.forwarded),
             (200 - kept.len() as u64, kept.len() as u64)
         );
-        assert!(ledger.dropped > 30 && ledger.dropped < 90, "~30 % of 200: {ledger:?}");
+        assert!(ledger.net.dropped > 30 && ledger.net.dropped < 90, "~30 % of 200: {ledger:?}");
         // Past the window nothing is lost.
         assert_eq!(rig.forward(&frames[0], 600_000 * MS), frames[0]);
+    }
+
+    #[test]
+    fn overlapping_loss_windows_drop_by_one_draw_like_the_simulator() {
+        let mut config = transparent_config(9);
+        for _ in 0..2 {
+            config.plan.push(FaultEvent::LossBurst {
+                scope: LinkScope::All,
+                at: SimTime::ZERO,
+                duration: SimDuration::from_secs(600),
+                loss: 0.3,
+            });
+        }
+        let mut rig = Rig::new(&config);
+        let frames: Vec<Vec<u8>> =
+            (0..200).map(|req| Frame::ReadQ { req, key: 0 }.encode()).collect();
+        let got = rig.forward(&frames.concat(), MS);
+        // The strongest window judges, with one draw a frame: two 30 %
+        // windows lose 30 %, not the compound 51 %.
+        let mut rng = SimRng::new(9).split_indexed("chaos.region", 0).split_indexed("conn", 0);
+        let kept: Vec<&[u8]> =
+            frames.iter().filter(|_| !rng.gen_bool(0.3)).map(Vec::as_slice).collect();
+        assert_eq!(got, kept.concat());
+        let ledger = rig.ledger();
+        assert_eq!(
+            (ledger.net.dropped, ledger.forwarded),
+            (200 - kept.len() as u64, kept.len() as u64)
+        );
     }
 
     #[test]
@@ -810,7 +816,7 @@ pub(crate) mod tests {
         );
         assert_eq!(rig.forward(&[], 46 * MS), second, "FIFO order survives the delay window");
         let ledger = rig.ledger();
-        assert_eq!((ledger.delayed, ledger.forwarded), (2, 2));
+        assert_eq!((ledger.net.delayed, ledger.forwarded), (2, 2));
     }
 
     #[test]

@@ -347,8 +347,8 @@ fn one_fabricated_clock_drives_client_interposer_and_server_deterministically() 
     // 300 reads and a hello went up, 300 answers and an ack came down.
     assert_eq!(served, 301);
     assert_eq!(ledger.forwarded, 602);
-    assert!(ledger.delayed > 50 && ledger.trickled > 100, "{ledger:?}");
-    assert_eq!(ledger.blocked + ledger.dropped + ledger.corrupted + ledger.resets, 0);
+    assert!(ledger.net.delayed > 50 && ledger.trickled > 100, "{ledger:?}");
+    assert_eq!(ledger.net.blocked + ledger.net.dropped + ledger.corrupted + ledger.resets, 0);
     let (answers, tail) = intact_front(&heard);
     assert_eq!((answers.len(), tail), (301, Tail::Clean));
     assert_eq!(latencies.len(), 300);

@@ -165,10 +165,11 @@ pub(super) fn fault_plan(
 /// What the interposer did to the traffic, as `chaosd` and the wire
 /// sweep both report it.
 pub(super) fn ledger_counts(ledger: &ChaosLedger) -> String {
-    let ChaosLedger { forwarded, blocked, dropped, delayed, corrupted, resets, trickled } = ledger;
+    let ChaosLedger { forwarded, net, corrupted, resets, trickled } = ledger;
     format!(
-        "{forwarded} forwarded, {blocked} blocked, {dropped} dropped, {delayed} delayed, \
-         {corrupted} corrupted, {resets} reset, {trickled} trickled"
+        "{forwarded} forwarded, {} blocked, {} dropped, {} delayed, \
+         {corrupted} corrupted, {resets} reset, {trickled} trickled",
+        net.blocked, net.dropped, net.delayed
     )
 }
 
@@ -347,7 +348,8 @@ impl ChaosArgs {
 /// One wire sweep level: a loopback server, the chaos interposer in
 /// front of every listener, the fault driver replaying the plan's
 /// service actions against the live replicas, and a probe instance
-/// pointed at the proxies.
+/// pointed at the proxies. The result's `fault_ledger.net` is the
+/// interposer's, so the journal records what the plan did to the wire.
 fn run_wire_chaos_level(
     spec: &TestSpec,
     level: u32,
@@ -381,7 +383,8 @@ fn run_wire_chaos_level(
     proxy.request_stop();
     let ledger = proxy.join();
     let _ = server.join();
-    let r = probe_res.map_err(|e| CliError(format!("wire chaos probe: {e}")))?;
+    let mut r = probe_res.map_err(|e| CliError(format!("wire chaos probe: {e}")))?;
+    r.fault_ledger.net = ledger.net;
     Ok((r, ledger))
 }
 

@@ -236,9 +236,9 @@ fn rotation_experiment(tests: u32, seed: u64) -> String {
         "{:<26}{:>12}{:>12}{:>12}\n",
         "agent-0 location", "1st writer", "2nd writer", "last writer"
     );
-    for rotation in 0..3u32 {
+    for rotation in 0..3 {
         let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
-        config.rotation = rotation;
+        config.agent_regions.rotate_left(rotation);
         let root = SimRng::new(seed);
         let mut per_writer = [0u32; 3];
         let mut region = String::new();

@@ -21,9 +21,9 @@ use conprobe::sim::SimDuration;
 #[test]
 fn rotation_shows_last_writer_effect_is_role_not_location() {
     let runs = 8u64;
-    for rotation in 0..3u32 {
+    for rotation in 0..3 {
         let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
-        config.rotation = rotation;
+        config.agent_regions.rotate_left(rotation);
         // MW observations *witnessing* a given writer's reversed pair:
         // the last writer's pair exists only in the test's final moments
         // ("it has a smaller opportunity window for detecting this
@@ -34,7 +34,7 @@ fn rotation_shows_last_writer_effect_is_role_not_location() {
             let r = run_one_test(&config, seed);
             assert_eq!(
                 r.agent_regions[0],
-                Region::AGENTS[rotation as usize],
+                Region::AGENTS[rotation],
                 "rotation must relocate agent 0"
             );
             for obs in r.analysis.of_kind(AnomalyKind::MonotonicWrites) {

@@ -11,11 +11,15 @@
 //! transfer after which the unmodified checkers analyze clean.
 
 use conprobe::cli::{execute, parse};
+use conprobe::harness::journal::{result_from_json, wire_chaos_cell_id, Journal};
 use conprobe::harness::proto::TestKind;
+use conprobe::harness::runner::TestConfig;
 use conprobe::harness::transport::ServiceEndpoint;
 use conprobe::services::api::{ClientOp, OpResult};
 use conprobe::services::ServiceKind;
-use conprobe::sim::{FaultEvent, FaultPlan, LocalTime, Region, SimDuration, SimTime};
+use conprobe::sim::{
+    FaultEvent, FaultNetStats, FaultPlan, LocalTime, Region, SimDuration, SimTime,
+};
 use conprobe::store::{AuthorId, Post, PostId};
 use conprobe::wire::{
     drive_service_actions, run_load, run_probe, ChaosConfig, ChaosProxy, ChaosTarget,
@@ -329,6 +333,20 @@ fn wire_chaos_sweep_resume_is_byte_identical() {
     )
     .expect("resumed wire sweep");
     assert_eq!(fresh, resumed, "splice reproduces the live sweep byte-for-byte");
+
+    // Each level journals what the interposer did to its frames: nothing
+    // at level 0, the level 1 latency spike's delays at level 1.
+    let recovery = Journal::recover(&journal).expect("the journal recovers");
+    let cell = wire_chaos_cell_id(ServiceKind::Blogger, TestKind::Test2);
+    let config = TestConfig::paper(ServiceKind::Blogger, TestKind::Test2);
+    let net: Vec<FaultNetStats> = recovery
+        .completed_for(&cell)
+        .values()
+        .map(|&(_, payload)| result_from_json(&config, payload).unwrap().fault_ledger.net)
+        .collect();
+    assert_eq!(net.len(), 2, "{net:?}");
+    assert_eq!(net[0], FaultNetStats::default(), "level 0 is fault-free");
+    assert!(net[1].delayed > 0, "level 1 delays frames: {:?}", net[1]);
     let _ = std::fs::remove_file(&journal);
 }
 
