@@ -5,11 +5,11 @@
 //! Every [`PbftReplica`] is both a front door and a log replica. Client
 //! operations — writes *and* reads — are forwarded to the current
 //! view's leader, sequenced into a single totally-ordered log, and run
-//! through the classic three-phase exchange over interned op digests:
+//! through the classic three-phase exchange over op digests:
 //!
 //! * **pre-prepare** — the leader assigns the next slot, stamps the
 //!   canonical record (server timestamp + arrival index = slot), and
-//!   broadcasts the payload with its FNV-64 digest;
+//!   broadcasts the typed [`LogOp`] with its [`LogOp::digest`];
 //! * **prepare** — backups that accept the leader's binding broadcast a
 //!   prepare vote; a slot is *prepared* once a certificate quorum
 //!   (`max(2f+1, ⌈n/2⌉+1)`, `f = ⌊(n−1)/3⌋`) has vouched for the digest;
@@ -25,7 +25,7 @@
 //! **View changes.** Each front door tracks its pending operations; when
 //! one stalls past a seeded suspicion timeout and this replica is not
 //! the leader, it votes `ViewChange(v+1)` carrying its *prepared
-//! backlog* (every slot it ever prepared, payload included). A replica
+//! backlog* (every slot it ever prepared, op included). A replica
 //! seeing `f+1` votes for a higher view joins them; the deterministic
 //! next leader (`leader = view mod n`) installs the view at a
 //! certificate quorum of votes and broadcasts `NewView`, re-issuing the
@@ -39,9 +39,11 @@
 //! implementation, shared) applied to the log: a recovering replica
 //! broadcasts [`PbftMsg::StateReq`] and peers stream their committed
 //! backlog as `cpj1` length-prefixed checksummed records (one
-//! `{slot, op}` entry per frame — the campaign journal's format) plus
-//! their apply watermark. The recovering replica verifies each whole
-//! stream before applying any of it, and serves **no client operations**
+//! `{slot, op}` entry per frame — the campaign journal's format, and the
+//! only place an op is text) plus their apply watermark. The recovering
+//! replica decodes and verifies each whole stream before applying any of
+//! it — a slot at or past the responder's watermark plus `LOG_WINDOW`
+//! refuses the stream — and serves **no client operations**
 //! until it has heard `n − quorum + 1` peers (every commit quorum misses
 //! at most `n − quorum` replicas, so this fence intersects all of them —
 //! the same intersection argument as `quorum.rs`) *and* caught up past
@@ -99,16 +101,16 @@ const LOG_WINDOW: u64 = 1 << 16;
 pub enum PbftMsg {
     /// Front door → leader: please sequence this operation.
     Propose(ProposeOp),
-    /// Leader → all: slot assignment with the interned op payload.
+    /// Leader → all: slot assignment with the op.
     PrePrepare {
         /// The view this assignment belongs to.
         view: u64,
         /// The assigned log slot.
         slot: u64,
-        /// FNV-64 digest of `payload`.
+        /// [`LogOp::digest`] of `payload`.
         digest: u64,
-        /// The op payload (compact JSON, see [`LogOp`]).
-        payload: String,
+        /// The op.
+        payload: LogOp,
     },
     /// Backup → all: I accept the leader's digest binding for this slot.
     Prepare {
@@ -132,7 +134,7 @@ pub enum PbftMsg {
     ViewChange {
         /// The view the voter wants to move to.
         new_view: u64,
-        /// Every slot the voter ever prepared, payloads included.
+        /// Every slot the voter ever prepared, ops included.
         prepared: Vec<PreparedProof>,
     },
     /// The new leader's installation broadcast: the full re-issued log
@@ -191,74 +193,100 @@ pub struct PreparedProof {
     pub slot: u64,
     /// The view the slot was (pre-)prepared in.
     pub view: u64,
-    /// FNV-64 digest of `payload`.
+    /// [`LogOp::digest`] of `payload`.
     pub digest: u64,
-    /// The interned op payload.
-    pub payload: String,
+    /// The op.
+    pub payload: LogOp,
 }
 
-/// A decoded log-op payload.
-enum LogOp {
-    Write { origin: usize, stored: StoredPost },
-    Read { origin: usize, seq: u64 },
-    Noop,
+/// One log op — the only in-process form of what a slot holds (text
+/// exists only inside a state-transfer frame, `backlog_record`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogOp {
+    /// A client write, answered by `origin` at apply.
+    Write {
+        /// The forwarding front door's replica index.
+        origin: usize,
+        /// The post as the leader stamped it once (server timestamp =
+        /// pre-prepare instant, arrival index = slot): every replica
+        /// applies this one value and shares its content allocation.
+        stored: StoredPost,
+    },
+    /// An ordered read, answered by `origin` from its snapshot at apply.
+    Read {
+        /// The forwarding front door's replica index.
+        origin: usize,
+        /// The front door's local read sequence number.
+        seq: u64,
+    },
+    /// A sequence-gap filler (the slot makes the digest unique).
+    Noop {
+        /// The filled slot.
+        slot: u64,
+    },
 }
 
-/// FNV-64 digest of an interned op payload.
-fn digest_of(payload: &str) -> u64 {
-    frame::fnv64_fold(frame::FNV64_BASIS, payload.as_bytes())
-}
-
-/// Serializes a write op. The leader stamps the [`StoredPost`] once
-/// (server timestamp = pre-prepare instant, arrival index = slot), so
-/// every replica applies identical bytes and the resulting snapshots are
-/// byte-identical across the group.
-fn write_payload(origin: usize, stored: &StoredPost) -> String {
-    JsonWriter::object(|w| {
-        w.member("kind", "write");
-        w.member("origin", &origin);
-        w.member("post", &stored_post_to_payload(stored));
-    })
-}
-
-fn read_payload(origin: usize, seq: u64) -> String {
-    JsonWriter::object(|w| {
-        w.member("kind", "read");
-        w.member("origin", &origin);
-        w.member("seq", &seq);
-    })
-}
-
-/// Serializes a sequence-gap filler (the slot makes the digest unique).
-fn noop_payload(slot: u64) -> String {
-    JsonWriter::object(|w| {
-        w.member("kind", "noop");
-        w.member("slot", &slot);
-    })
-}
-
-/// One committed slot as the payload of a state-transfer frame.
-fn backlog_record(slot: u64, op: &str) -> String {
-    JsonWriter::object(|w| {
-        w.member("slot", &slot);
-        w.member("op", op);
-    })
-}
-
-fn parse_log_op(payload: &str) -> Result<LogOp, JsonError> {
-    let r = &mut JsonReader::new(payload);
-    read_members!(r => kind; origin, post, seq);
-    r.finish()?;
-    let origin = origin.ok_or_else(|| missing("origin"));
-    match String::as_str(&kind) {
-        "write" => {
-            let post: String = post.ok_or_else(|| missing("post"))?;
-            Ok(LogOp::Write { origin: origin?, stored: stored_post_from_payload(&post)? })
+impl LogOp {
+    /// FNV-64 over a variant tag and every field in a fixed order, the
+    /// content length-prefixed. Votes carry it; it is only ever compared
+    /// for equality.
+    pub fn digest(&self) -> u64 {
+        let fold = |h, ws: &[u64]| ws.iter().fold(h, |h, w| frame::fnv64_fold(h, &w.to_le_bytes()));
+        match self {
+            LogOp::Write { origin, stored: StoredPost { post, server_ts, arrival_index } } => {
+                let (id, content) = (post.id, post.content.as_bytes());
+                let head =
+                    [0, *origin as u64, id.author.0.into(), id.seq.into(), content.len() as u64];
+                let h = frame::fnv64_fold(fold(frame::FNV64_BASIS, &head), content);
+                fold(h, &[post.client_ts.as_nanos() as u64, server_ts.as_nanos(), *arrival_index])
+            }
+            LogOp::Read { origin, seq } => fold(frame::FNV64_BASIS, &[1, *origin as u64, *seq]),
+            LogOp::Noop { slot } => fold(frame::FNV64_BASIS, &[2, *slot]),
         }
-        "read" => Ok(LogOp::Read { origin: origin?, seq: seq.ok_or_else(|| missing("seq"))? }),
-        "noop" => Ok(LogOp::Noop),
-        other => Err(JsonError::schema(format!("unknown log op kind {other:?}"))),
     }
+
+    /// Parses the op text of a [`backlog_record`] — the one decoder, used
+    /// only by [`PbftReplica::decode_backlog_frame`].
+    fn decode(text: &str) -> Result<LogOp, JsonError> {
+        let r = &mut JsonReader::new(text);
+        read_members!(r => kind; origin, post, seq, slot);
+        r.finish()?;
+        let origin = origin.ok_or_else(|| missing("origin"));
+        match String::as_str(&kind) {
+            "write" => {
+                let post: String = post.ok_or_else(|| missing("post"))?;
+                Ok(LogOp::Write { origin: origin?, stored: stored_post_from_payload(&post)? })
+            }
+            "read" => Ok(LogOp::Read { origin: origin?, seq: seq.ok_or_else(|| missing("seq"))? }),
+            "noop" => Ok(LogOp::Noop { slot: slot.ok_or_else(|| missing("slot"))? }),
+            other => Err(JsonError::schema(format!("unknown log op kind {other:?}"))),
+        }
+    }
+}
+
+/// One committed slot as the payload of a state-transfer frame — the one
+/// place an op is encoded.
+fn backlog_record(slot: u64, op: &LogOp) -> String {
+    let op = JsonWriter::object(|w| match op {
+        LogOp::Write { origin, stored } => {
+            w.member("kind", "write");
+            w.member("origin", origin);
+            w.member("post", &stored_post_to_payload(stored));
+        }
+        LogOp::Read { origin, seq } => {
+            w.member("kind", "read");
+            w.member("origin", origin);
+            w.member("seq", seq);
+        }
+        LogOp::Noop { slot } => {
+            w.member("kind", "noop");
+            w.member("slot", slot);
+        }
+    });
+    JsonWriter::object(|w| {
+        w.member("slot", &slot);
+        w.member("op", &op);
+    })
 }
 
 /// One log slot's protocol state.
@@ -267,8 +295,8 @@ struct Slot {
     view: u64,
     /// The digest this replica is counting votes for.
     digest: u64,
-    /// The interned payload, once a pre-prepare delivered it.
-    payload: Option<String>,
+    /// The op, once a pre-prepare delivered it.
+    payload: Option<LogOp>,
     /// Bit `i` set: replica `i`'s prepare (or pre-prepare) vote arrived.
     prepares: u64,
     /// Bit `i` set: replica `i`'s commit vote arrived.
@@ -358,8 +386,8 @@ pub struct PbftReplica {
     /// retained history doubles as the view-change proof store; see
     /// DESIGN §15).
     slots: Vec<Option<Slot>>,
-    /// The persistent consensus backlog: committed payloads by slot.
-    committed: BTreeMap<u64, String>,
+    /// The persistent consensus backlog: committed ops by slot.
+    committed: BTreeMap<u64, LogOp>,
     /// The leader's next slot to assign.
     next_slot: u64,
     /// The first slot not yet applied to `core`.
@@ -388,7 +416,7 @@ pub struct PbftReplica {
     /// Per-replica seeded suspicion timeout (base + jitter).
     suspicion: SimDuration,
     /// The read fence: `Some` while recovering, cleared on completion.
-    catchup: Option<Catchup<(u64, String)>>,
+    catchup: Option<Catchup<(u64, LogOp)>>,
     /// Highest view heard from any responder of the current catch-up
     /// round (adopted on completion).
     catchup_view: u64,
@@ -726,10 +754,9 @@ impl PbftReplica {
                     return;
                 }
                 let slot = self.next_slot;
+                self.proposed_writes.insert(post.id, slot);
                 let stored = StoredPost { post, server_ts: ctx.true_now(), arrival_index: slot };
-                let payload = write_payload(origin, &stored);
-                self.proposed_writes.insert(stored.post.id, slot);
-                self.start_slot(ctx, slot, payload);
+                self.start_slot(ctx, slot, LogOp::Write { origin, stored });
             }
             ProposeOp::Read { origin, seq } => {
                 if let Some(&slot) = self.proposed_reads.get(&(origin, seq)) {
@@ -737,19 +764,18 @@ impl PbftReplica {
                     return;
                 }
                 let slot = self.next_slot;
-                let payload = read_payload(origin, seq);
                 self.proposed_reads.insert((origin, seq), slot);
-                self.start_slot(ctx, slot, payload);
+                self.start_slot(ctx, slot, LogOp::Read { origin, seq });
             }
         }
     }
 
     /// Opens a new slot as leader: record it, count our own implicit
     /// prepare, broadcast the pre-prepare.
-    fn start_slot<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, slot: u64, payload: String) {
+    fn start_slot<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, slot: u64, payload: LogOp) {
         debug_assert_eq!(slot, self.next_slot);
         self.next_slot += 1;
-        let digest = digest_of(&payload);
+        let digest = payload.digest();
         let view = self.view;
         let mut opened = Slot::new(view, digest, ctx.true_now());
         opened.payload = Some(payload.clone());
@@ -781,11 +807,9 @@ impl PbftReplica {
         &mut self,
         ctx: &mut Context<'_, NetMsg<A>>,
         from_idx: usize,
-        view: u64,
-        slot: u64,
-        digest: u64,
-        payload: String,
+        p: PreparedProof,
     ) {
+        let view = p.view;
         if view < self.view {
             return; // stale reign
         }
@@ -799,12 +823,27 @@ impl PbftReplica {
             self.note_anomaly(); // only the leader assigns slots
             return;
         }
-        if digest_of(&payload) != digest {
-            self.note_anomaly(); // digest does not match the bytes
+        self.adopt_binding(ctx, from_idx, view, p, false);
+    }
+
+    /// Adopts leader `from_idx`'s binding of `p.slot` in `view` — a
+    /// pre-prepare, or one slot a `NewView` re-issues (`reissue`) — and
+    /// echoes `Prepare`; a committed slot re-affirms its `Commit` instead.
+    fn adopt_binding<A>(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg<A>>,
+        from_idx: usize,
+        view: u64,
+        p: PreparedProof,
+        reissue: bool,
+    ) {
+        let PreparedProof { slot, digest, payload, .. } = p;
+        if payload.digest() != digest {
+            self.note_anomaly(); // digest does not match the op
             return;
         }
         if let Some(committed) = self.committed.get(&slot) {
-            if digest_of(committed) == digest {
+            if committed.digest() == digest {
                 // Re-affirm so replicas missing the commit round hear it.
                 self.broadcast(ctx, PbftMsg::Commit { view, slot, digest }, false);
             } else {
@@ -815,12 +854,12 @@ impl PbftReplica {
         let my_index = self.my_index;
         let Some(entry) = self.slot_entry(slot, view, digest, ctx.true_now()) else { return };
         if entry.digest != digest {
-            if entry.committed || entry.prepared {
+            if (entry.committed || entry.prepared) && !reissue {
                 self.note_anomaly(); // equivocating assignment
                 return;
             }
-            // A re-issued binding from the legitimate leader supersedes
-            // provisional votes collected for another digest.
+            // The legitimate leader's binding (a new view's, even over a
+            // prepared slot) supersedes votes collected for another digest.
             entry.rebind(digest);
         }
         entry.view = view;
@@ -898,17 +937,7 @@ impl PbftReplica {
     /// front door's clients as their ops apply.
     fn try_apply<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
         let now = ctx.true_now();
-        while let Some(payload) = self.committed.get(&self.next_apply) {
-            let op = match parse_log_op(payload) {
-                Ok(op) => op,
-                Err(_) => {
-                    // A committed payload this replica cannot parse is an
-                    // inconsistency, never a panic: skip the slot (it was
-                    // interned by digest, so peers apply the same bytes).
-                    self.note_anomaly();
-                    LogOp::Noop
-                }
-            };
+        while let Some(op) = self.committed.get(&self.next_apply).cloned() {
             self.next_apply += 1;
             match op {
                 LogOp::Write { origin, stored } => {
@@ -935,7 +964,7 @@ impl PbftReplica {
                         }
                     }
                 }
-                LogOp::Noop => {}
+                LogOp::Noop { .. } => {}
             }
         }
         self.gap_since = None;
@@ -965,13 +994,10 @@ impl PbftReplica {
                 proofs.insert(slot, PreparedProof { slot, view, digest, payload });
             }
         }
-        for (&slot, payload) in &self.committed {
-            proofs.entry(slot).or_insert_with(|| PreparedProof {
-                slot,
-                view: 0,
-                digest: digest_of(payload),
-                payload: payload.clone(),
-            });
+        for (&slot, op) in &self.committed {
+            let proof =
+                || PreparedProof { slot, view: 0, digest: op.digest(), payload: op.clone() };
+            proofs.entry(slot).or_insert_with(proof);
         }
         proofs.into_values().collect()
     }
@@ -1004,13 +1030,8 @@ impl PbftReplica {
             // If we installed the current view, re-send it the NewView.
             if let Some((view, pre_prepares)) = &self.last_new_view {
                 if *view == self.view {
-                    ctx.send_ordered(
-                        from,
-                        NetMsg::Repl(ReplMsg::Pbft(PbftMsg::NewView {
-                            view: *view,
-                            pre_prepares: pre_prepares.clone(),
-                        })),
-                    );
+                    let msg = PbftMsg::NewView { view: *view, pre_prepares: pre_prepares.clone() };
+                    ctx.send_ordered(from, NetMsg::Repl(ReplMsg::Pbft(msg)));
                 }
             }
             return;
@@ -1070,14 +1091,10 @@ impl PbftReplica {
         let mut pre_prepares = Vec::new();
         if let Some(max_slot) = max_slot {
             for slot in 0..=max_slot {
-                let payload = match self.committed.get(&slot) {
-                    Some(payload) => payload.clone(),
-                    None => match chosen.remove(&slot) {
-                        Some(proof) => proof.payload,
-                        None => noop_payload(slot),
-                    },
-                };
-                let digest = digest_of(&payload);
+                let payload = (self.committed.get(&slot).cloned())
+                    .or_else(|| chosen.remove(&slot).map(|proof| proof.payload))
+                    .unwrap_or(LogOp::Noop { slot });
+                let digest = payload.digest();
                 pre_prepares.push(PreparedProof { slot, view: new_view, digest, payload });
             }
             self.next_slot = max_slot + 1;
@@ -1135,36 +1152,7 @@ impl PbftReplica {
         }
         self.enter_view(ctx, view);
         for p in pre_prepares {
-            if digest_of(&p.payload) != p.digest {
-                self.note_anomaly();
-                continue;
-            }
-            if let Some(committed) = self.committed.get(&p.slot) {
-                if digest_of(committed) == p.digest {
-                    // Re-affirm for peers that missed the commit round.
-                    let (slot, digest) = (p.slot, p.digest);
-                    self.broadcast(ctx, PbftMsg::Commit { view, slot, digest }, false);
-                } else {
-                    self.note_anomaly(); // re-issue conflicts with a commit
-                }
-                continue;
-            }
-            let my_index = self.my_index;
-            let Some(entry) = self.slot_entry(p.slot, view, p.digest, ctx.true_now()) else {
-                continue;
-            };
-            if entry.digest != p.digest {
-                // The new leader re-bound this slot: provisional votes
-                // for the superseded digest are void.
-                entry.rebind(p.digest);
-            }
-            entry.view = view;
-            entry.payload.get_or_insert(p.payload);
-            entry.prepares |= (1 << from_idx) | (1 << my_index);
-            self.next_slot = self.next_slot.max(p.slot + 1);
-            let (slot, digest) = (p.slot, p.digest);
-            self.broadcast(ctx, PbftMsg::Prepare { view, slot, digest }, false);
-            self.check_slot(ctx, slot);
+            self.adopt_binding(ctx, from_idx, view, p, true);
         }
     }
 
@@ -1215,21 +1203,30 @@ impl PbftReplica {
     fn backlog_frames(&self) -> Vec<String> {
         self.committed
             .iter()
-            .map(|(slot, payload)| frame::encode_record(&backlog_record(*slot, payload)))
+            .map(|(slot, op)| frame::encode_record(&backlog_record(*slot, op)))
             .collect()
     }
 
-    fn decode_backlog_frame(line: &str) -> Result<(u64, String), String> {
+    /// Decodes one state-transfer frame to its typed entry, once.
+    fn decode_backlog_frame(line: &str) -> Result<(u64, LogOp), String> {
         let payload = frame::decode_record(line).map_err(|e| e.to_string())?;
-        let record = |r: &mut JsonReader<'_>| -> Result<(u64, String), JsonError> {
+        let record = |r: &mut JsonReader<'_>| -> Result<(u64, LogOp), JsonError> {
             read_members!(r => slot, op: String::read_json);
             r.finish()?;
-            // The embedded op must itself parse — refuse streams carrying
-            // garbage that would only explode later at apply time.
-            parse_log_op(&op)?;
-            Ok((slot, op))
+            Ok((slot, LogOp::decode(&op)?))
         };
         record(&mut JsonReader::new(payload)).map_err(|e| e.to_string())
+    }
+
+    /// Refuses an entry at or above the responder's high watermark: no
+    /// honest replica commits a slot outside its log window. Both the
+    /// catch-up and the gap-repair stream run every entry through it.
+    fn in_window(entry: (u64, LogOp), watermark: u64) -> Result<(u64, LogOp), String> {
+        let slot = entry.0;
+        let window = watermark.saturating_add(LOG_WINDOW);
+        (slot < window)
+            .then_some(entry)
+            .ok_or_else(|| format!("slot {slot} is past window {window}"))
     }
 
     /// Asks every peer that has not streamed its backlog yet (all of them
@@ -1251,36 +1248,35 @@ impl PbftReplica {
         watermark: u64,
         frames: Vec<String>,
     ) {
-        let Some(round) = self.catchup.as_mut() else {
+        let gap_repair = self.catchup.is_none();
+        let stream = match self.catchup.as_mut() {
+            Some(round) => round.accept(&self.door, ctx, from, token, watermark, &frames),
             // Not recovering: this may answer an outstanding gap-repair
             // round (fetching a committed prefix the commit rounds
             // skipped past us).
-            if self.gap_token != Some(token) {
-                return;
+            None if self.gap_token == Some(token) => {
+                self.gap_token = None;
+                let decode = |line| Self::in_window(Self::decode_backlog_frame(line)?, watermark);
+                Some(frames.iter().map(|line| decode(line)).collect())
             }
-            self.gap_token = None;
-            let decoded: Result<Vec<_>, _> =
-                frames.iter().map(|line| Self::decode_backlog_frame(line)).collect();
-            let Ok(entries) = decoded else {
-                self.note_anomaly();
-                return; // refuse the stream whole
-            };
-            for (slot, op) in entries {
-                self.committed.entry(slot).or_insert(op);
-            }
+            None => None,
+        };
+        let entries = match stream {
+            Some(Ok(entries)) => entries,
+            Some(Err(_)) => return self.note_anomaly(), // refused whole
+            None => return,
+        };
+        for (slot, op) in entries {
+            self.committed.entry(slot).or_insert(op);
+        }
+        if gap_repair {
             if peer_view > self.view {
                 self.enter_view(ctx, peer_view);
             }
             self.try_apply(ctx);
             return;
-        };
-        let Some(entries) = round.accept(&self.door, ctx, from, token, watermark, &frames) else {
-            return;
-        };
-        self.catchup_view = self.catchup_view.max(peer_view);
-        for (slot, op) in entries {
-            self.committed.entry(slot).or_insert(op);
         }
+        self.catchup_view = self.catchup_view.max(peer_view);
         self.try_apply(ctx);
         let (quorum, local) = (self.catchup_quorum(), self.next_apply);
         let Some(round) = self.catchup.take_if(|r| r.caught_up(quorum, local)) else { return };
@@ -1334,7 +1330,8 @@ impl PbftReplica {
                 // stream.
                 ctx.set_timer(PULSE, TOKEN_PULSE);
                 let token = self.door.fresh_token(0);
-                self.catchup = Some(Catchup::new(token, Self::decode_backlog_frame));
+                let round = Catchup::new(token, Self::decode_backlog_frame);
+                self.catchup = Some(round.admitting(Self::in_window));
                 self.catchup_view = self.view;
                 if let Some(obs) = &self.obs {
                     obs.fenced.set(1.0);
@@ -1465,7 +1462,7 @@ impl PbftReplica {
         match msg {
             PbftMsg::Propose(op) => self.leader_propose(ctx, op),
             PbftMsg::PrePrepare { view, slot, digest, payload } => {
-                self.on_pre_prepare(ctx, from_idx, view, slot, digest, payload);
+                self.on_pre_prepare(ctx, from_idx, PreparedProof { slot, view, digest, payload });
             }
             PbftMsg::Prepare { view, slot, digest } => {
                 self.on_vote(ctx, from_idx, view, slot, digest, false);
@@ -1483,17 +1480,10 @@ impl PbftReplica {
                 // Only a caught-up replica streams its backlog; a fenced
                 // one stays silent and the requester retries.
                 if !self.is_fenced() {
-                    let frames = self.backlog_frames();
-                    let (view, watermark) = (self.view, self.next_apply);
-                    ctx.send_ordered(
-                        from,
-                        NetMsg::Repl(ReplMsg::Pbft(PbftMsg::StateResp {
-                            token,
-                            view,
-                            watermark,
-                            frames,
-                        })),
-                    );
+                    let (view, watermark, frames) =
+                        (self.view, self.next_apply, self.backlog_frames());
+                    let resp = PbftMsg::StateResp { token, view, watermark, frames };
+                    ctx.send_ordered(from, NetMsg::Repl(ReplMsg::Pbft(resp)));
                 }
             }
             PbftMsg::StateResp { token, view, watermark, frames } => {
@@ -1599,6 +1589,7 @@ mod tests {
     use conprobe_sim::net::Region;
     use conprobe_sim::{LocalClock, LocalTime, World, WorldConfig};
     use conprobe_store::AuthorId;
+    use std::sync::Arc;
 
     /// A four-replica group (`n = 3f+1`, `f = 1`): the catalog's regions,
     /// with Virginia as the client-less witness. The initial view is 1,
@@ -1845,8 +1836,8 @@ mod tests {
         };
         let was = state(&world);
         assert_eq!((was.1, was.4), (1, INITIAL_VIEW), "the write applied in the boot view");
-        let payload = noop_payload(0);
-        let digest = digest_of(&payload);
+        let payload = LogOp::Noop { slot: 0 };
+        let digest = payload.digest();
         for slot in [u64::MAX, was.1 + LOG_WINDOW] {
             // From the view-1 leader, well formed: only the window drops it.
             let pre = PbftMsg::PrePrepare { view: 1, slot, digest, payload: payload.clone() };
@@ -1870,14 +1861,14 @@ mod tests {
     fn corrupt_backlog_frame_is_refused() {
         let stored =
             StoredPost { post: post(1, 1), server_ts: SimTime::from_nanos(5), arrival_index: 0 };
-        let good = frame::encode_record(&backlog_record(0, &write_payload(0, &stored)));
+        let good = frame::encode_record(&backlog_record(0, &LogOp::Write { origin: 0, stored }));
         assert!(PbftReplica::decode_backlog_frame(&good).is_ok());
         // Flip payload bytes: the cpj1 checksum no longer matches.
         let corrupt = good.replace("post", "pXst");
         assert!(PbftReplica::decode_backlog_frame(&corrupt).is_err());
         // A checksummed frame whose embedded op is garbage is refused
         // at decode time too, never deferred to apply time.
-        let junk = frame::encode_record(&backlog_record(0, "{\"kind\":\"evil\"}"));
+        let junk = frame::encode_record(r#"{"slot":0,"op":"{\"kind\":\"evil\"}"}"#);
         assert!(PbftReplica::decode_backlog_frame(&junk).is_err());
     }
 
@@ -1885,12 +1876,127 @@ mod tests {
     fn single_byte_mutations_of_a_backlog_stream_are_refused_whole() {
         let stored =
             StoredPost { post: post(1, 1), server_ts: SimTime::from_nanos(5), arrival_index: 0 };
-        let frames = [(0, write_payload(0, &stored)), (1, read_payload(2, 9))]
-            .map(|(slot, op)| frame::encode_record(&backlog_record(slot, &op)));
+        let frames =
+            [(0, LogOp::Write { origin: 0, stored }), (1, LogOp::Read { origin: 2, seq: 9 })]
+                .map(|(slot, op)| frame::encode_record(&backlog_record(slot, &op)));
         crate::shell::tests::damaged_streams_are_refused_whole(
             PbftReplica::decode_backlog_frame,
             &frames,
         );
+    }
+
+    /// A member that answers every state-transfer request with `frames`.
+    struct Liar(Vec<String>);
+
+    impl Node<Msg> for Liar {
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+            if let NetMsg::Repl(ReplMsg::Pbft(PbftMsg::StateReq { token })) = msg {
+                let frames = self.0.clone();
+                let resp = PbftMsg::StateResp { token, view: INITIAL_VIEW, watermark: 0, frames };
+                ctx.send(from, NetMsg::Repl(ReplMsg::Pbft(resp)));
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _token: u64) {}
+    }
+
+    #[test]
+    fn an_out_of_window_backlog_slot_is_refused_whole() {
+        let noop = |slot| frame::encode_record(&backlog_record(slot, &LogOp::Noop { slot }));
+        // Watermark 0: the responder's window is slots 0..LOG_WINDOW.
+        for bad in [u64::MAX, LOG_WINDOW] {
+            let frames = vec![noop(0), noop(bad)];
+            let mut world: World<Msg> = World::new(WorldConfig::default(), 39);
+            let regions = [Region::Oregon, Region::Tokyo, Region::Ireland];
+            let mut ids: Vec<NodeId> = regions
+                .iter()
+                .map(|region| world.add_node(*region, Box::new(PbftReplica::new())))
+                .collect();
+            let liar = world.add_node(Region::Virginia, Box::new(Liar(frames.clone())));
+            ids.push(liar);
+            for i in 0..3 {
+                world.node_as_mut::<PbftReplica>(ids[i]).unwrap().set_members(ids.clone(), i);
+            }
+            // Gap repair: a stream answering replica 0's outstanding round.
+            world.node_as_mut::<PbftReplica>(ids[0]).unwrap().gap_token = Some(77);
+            let resp = PbftMsg::StateResp { token: 77, view: INITIAL_VIEW, watermark: 0, frames };
+            world.post(liar, ids[0], NetMsg::Repl(ReplMsg::Pbft(resp)));
+            run(&mut world, at(500));
+            let r = world.node_as::<PbftReplica>(ids[0]).unwrap();
+            assert_eq!(r.protocol_anomalies(), 1, "slot {bad}");
+            assert_eq!((r.committed.len(), r.next_apply, r.next_slot), (0, 0, 0), "slot {bad}");
+            // Catch-up: replica 2 recovers; the liar's stream is refused
+            // whole and the two honest peers carry the transfer.
+            world.add_node(
+                Region::Virginia,
+                Box::new(Script::new(vec![
+                    (at(10), ids[0], req(0, ClientOp::Write(post(1, 1)))),
+                    (at(20), ids[0], req(1, ClientOp::Write(post(2, 1)))),
+                    (at(900), ids[2], NetMsg::Control(ControlMsg::Crash)),
+                    (at(1_500), ids[2], NetMsg::Control(ControlMsg::Recover)),
+                ])),
+            );
+            run(&mut world, at(5_500));
+            let r = world.node_as::<PbftReplica>(ids[2]).unwrap();
+            assert!(!r.is_fenced(), "slot {bad}: catch-up completes");
+            assert_eq!((r.applied(), r.next_apply), (2, 2), "slot {bad}: both writes, no noop");
+            assert_eq!(r.protocol_anomalies(), 1, "slot {bad}");
+            assert_eq!(r.transfers.donors, 2, "slot {bad}: the liar is not heard");
+        }
+    }
+
+    #[test]
+    fn a_write_is_one_content_allocation_at_every_replica() {
+        let mut world: World<Msg> = World::new(WorldConfig::default(), 31);
+        let replicas = build_cluster(&mut world);
+        world.add_node(
+            Region::Virginia,
+            Box::new(Script::new(vec![(at(10), replicas[0], req(0, ClientOp::Write(post(1, 1))))])),
+        );
+        run(&mut world, at(2_000));
+        let contents: Vec<Arc<str>> = replicas
+            .iter()
+            .map(|&id| {
+                let posts = world.node_as::<PbftReplica>(id).unwrap().core.snapshot_posts();
+                assert_eq!(posts.len(), 1);
+                Arc::clone(&posts[0].post.content)
+            })
+            .collect();
+        assert!(contents.iter().all(|content| Arc::ptr_eq(content, &contents[0])));
+    }
+
+    #[test]
+    fn every_field_moves_the_digest() {
+        let stored = StoredPost {
+            post: Post::new(PostId::new(AuthorId(7), 3), "body", LocalTime::from_nanos(-42)),
+            server_ts: SimTime::from_nanos(5),
+            arrival_index: 9,
+        };
+        let write = |origin, edit: fn(&mut StoredPost)| {
+            let mut stored = stored.clone();
+            edit(&mut stored);
+            LogOp::Write { origin, stored }
+        };
+        let base = write(2, |_| {});
+        assert_eq!(base.digest(), write(2, |_| {}).digest());
+        let moved = [
+            (LogOp::Read { origin: 2, seq: 3 }, "variant"),
+            (write(1, |_| {}), "origin"),
+            (write(2, |s| s.post.id.author = AuthorId(8)), "author"),
+            (write(2, |s| s.post.id.seq = 4), "seq"),
+            (write(2, |s| s.post.content = "bodz".into()), "content"),
+            (write(2, |s| s.post.client_ts = LocalTime::from_nanos(-41)), "client_ts"),
+            (write(2, |s| s.server_ts = SimTime::from_nanos(6)), "server_ts"),
+            (write(2, |s| s.arrival_index = 10), "arrival_index"),
+        ];
+        for (op, field) in moved {
+            assert_ne!(op.digest(), base.digest(), "{field}");
+        }
+        let read = LogOp::Read { origin: 0, seq: 4 };
+        assert_ne!(read.digest(), LogOp::Read { origin: 1, seq: 4 }.digest(), "read origin");
+        assert_ne!(read.digest(), LogOp::Read { origin: 0, seq: 5 }.digest(), "read seq");
+        assert_ne!(read.digest(), LogOp::Noop { slot: 4 }.digest(), "read vs noop");
+        assert_ne!(LogOp::Noop { slot: 3 }.digest(), LogOp::Noop { slot: 4 }.digest(), "noop slot");
     }
 
     #[test]
@@ -1904,23 +2010,23 @@ mod tests {
             server_ts: SimTime::from_nanos(123_456_789),
             arrival_index: 9,
         };
-        let w = write_payload(2, &stored);
-        match parse_log_op(&w).unwrap() {
-            LogOp::Write { origin, stored: decoded } => {
-                assert_eq!(origin, 2);
-                assert_eq!(decoded, stored);
-            }
-            _ => panic!("expected a write op"),
+        let ops = [
+            LogOp::Write { origin: 2, stored },
+            LogOp::Read { origin: 1, seq: 44 },
+            LogOp::Noop { slot: 3 },
+        ];
+        for (slot, op) in (7u64..).zip(ops) {
+            let line = frame::encode_record(&backlog_record(slot, &op));
+            assert_eq!(PbftReplica::decode_backlog_frame(&line), Ok((slot, op)));
         }
-        let r = read_payload(1, 44);
-        match parse_log_op(&r).unwrap() {
-            LogOp::Read { origin, seq } => {
-                assert_eq!((origin, seq), (1, 44));
-            }
-            _ => panic!("expected a read op"),
-        }
-        assert!(matches!(parse_log_op(&noop_payload(3)).unwrap(), LogOp::Noop));
-        // Distinct noop slots intern to distinct digests.
-        assert_ne!(digest_of(&noop_payload(3)), digest_of(&noop_payload(4)));
+        // The frame text is the state-transfer stream hash's input.
+        assert_eq!(
+            backlog_record(1, &LogOp::Read { origin: 2, seq: 9 }),
+            r#"{"slot":1,"op":"{\"kind\":\"read\",\"origin\":2,\"seq\":9}"}"#
+        );
+        assert_eq!(
+            backlog_record(4, &LogOp::Noop { slot: 4 }),
+            r#"{"slot":4,"op":"{\"kind\":\"noop\",\"slot\":4}"}"#
+        );
     }
 }

@@ -356,7 +356,7 @@ impl QuorumReplica {
         frames: Vec<String>,
     ) {
         let Some(round) = self.catchup.as_mut() else { return };
-        let Some(posts) = round.accept(&self.door, ctx, from, token, watermark, &frames) else {
+        let Some(Ok(posts)) = round.accept(&self.door, ctx, from, token, watermark, &frames) else {
             return;
         };
         for post in posts {

@@ -344,6 +344,9 @@ pub(crate) struct Catchup<T> {
     /// byte-determinism witness logged on completion.
     stream_hash: u64,
     decode: fn(&str) -> Result<T, String>,
+    /// Checks each decoded item against the responder's watermark (see
+    /// [`Catchup::admitting`]); an error refuses the stream whole.
+    admit: fn(T, u64) -> Result<T, String>,
 }
 
 impl<T> Catchup<T> {
@@ -355,7 +358,13 @@ impl<T> Catchup<T> {
             frames: 0,
             stream_hash: frame::FNV64_BASIS,
             decode,
+            admit: |item, _| Ok(item),
         }
+    }
+
+    /// The round with `admit` as its per-item watermark check.
+    pub(crate) fn admitting(self, admit: fn(T, u64) -> Result<T, String>) -> Self {
+        Catchup { admit, ..self }
     }
 
     /// Asks every peer that has not streamed state yet, and keeps the
@@ -375,11 +384,11 @@ impl<T> Catchup<T> {
     }
 
     /// Verifies every frame before yielding any of it, then folds the
-    /// stream into the frame count and hash: a corrupt stream is refused
-    /// whole and leaves the round untouched.
-    fn verify(&mut self, frames: &[String]) -> Result<Vec<T>, String> {
-        let items =
-            frames.iter().map(|line| (self.decode)(line)).collect::<Result<Vec<T>, String>>()?;
+    /// stream into the frame count and hash: a corrupt or inadmissible
+    /// stream is refused whole and leaves the round untouched.
+    fn verify(&mut self, frames: &[String], watermark: u64) -> Result<Vec<T>, String> {
+        let admit = |line: &String| (self.admit)((self.decode)(line)?, watermark);
+        let items = frames.iter().map(admit).collect::<Result<Vec<T>, String>>()?;
         self.frames += frames.len() as u64;
         for line in frames {
             self.stream_hash = frame::fnv64_fold(self.stream_hash, line.as_bytes());
@@ -387,8 +396,9 @@ impl<T> Catchup<T> {
         Ok(items)
     }
 
-    /// One responder's stream: `None` for a stale round, a duplicate
-    /// responder, or a corrupt stream (narrated; the retry re-requests).
+    /// One responder's stream: `None` for a stale round or a duplicate
+    /// responder, an error for a refused stream (narrated; the retry
+    /// re-requests).
     pub(crate) fn accept<A>(
         &mut self,
         door: &FrontDoor,
@@ -397,24 +407,24 @@ impl<T> Catchup<T> {
         token: u64,
         watermark: u64,
         frames: &[String],
-    ) -> Option<Vec<T>> {
+    ) -> Option<Result<Vec<T>, String>> {
         if self.token != token || self.heard.contains(&from) {
             return None;
         }
-        match self.verify(frames) {
-            Ok(items) => {
+        let verified = self.verify(frames, watermark);
+        match &verified {
+            Ok(_) => {
                 self.heard.insert(from);
                 self.watermark = self.watermark.max(watermark);
-                Some(items)
             }
             Err(reason) => {
                 let node = ctx.node_id();
                 door.event(ctx.true_now(), Severity::Warn, || {
                     format!("replica {node} refused catch-up stream from {from}: {reason}")
                 });
-                None
             }
         }
+        Some(verified)
     }
 
     /// Whether the fence may lift: `quorum` peers heard and local progress
@@ -473,11 +483,11 @@ pub(crate) mod tests {
                     let mut stream = frames.to_vec();
                     stream[i] = damaged;
                     let at = format!("frame {i}, byte {pos} ^ {flip:#04x}");
-                    assert!(round.verify(&stream).is_err(), "{at}");
+                    assert!(round.verify(&stream, 0).is_err(), "{at}");
                     assert_eq!((round.frames, round.stream_hash), (0, frame::FNV64_BASIS), "{at}");
                 }
             }
         }
-        assert_eq!(round.verify(frames).map(|items| items.len()), Ok(frames.len()));
+        assert_eq!(round.verify(frames, 0).map(|items| items.len()), Ok(frames.len()));
     }
 }
