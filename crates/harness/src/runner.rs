@@ -4,8 +4,10 @@ use crate::agent::{AgentNode, RpcStats};
 use crate::coordinator::{AgentHealth, CoordinatorConfig, CoordinatorNode};
 use crate::proto::{test1_trigger_pairs, Msg, TestKind};
 use crate::script::Cadence;
+use crate::whitebox::ReplicaSample;
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, CheckerConfig, TestAnalysis, TestTrace};
+use conprobe_services::catalog::replica_state;
 use conprobe_services::fault_driver::{ExecutedAction, FaultDriver};
 use conprobe_services::{deploy, ServiceCluster, ServiceKind};
 use conprobe_sim::net::{PartitionSpec, Region};
@@ -38,9 +40,9 @@ pub struct TestConfig {
     /// Deploy this topology instead of the service's calibrated preset
     /// (ablations).
     pub service_override: Option<conprobe_services::catalog::Topology>,
-    /// Probe every replica's authoritative state at this period (white-box
-    /// extension; adds a [`crate::whitebox::WhiteboxReport`] to the result).
-    pub whitebox_period: Option<SimDuration>,
+    /// Read every replica in place every [`crate::whitebox::PERIOD`] (white-box
+    /// extension: adds a [`crate::whitebox::WhiteboxReport`], changes nothing).
+    pub whitebox: bool,
     /// Declarative fault script executed against the world and the service
     /// (link flaps, loss bursts, degraded links, crash cycles, brownouts).
     /// The resulting interference is accounted in
@@ -102,7 +104,7 @@ impl TestConfig {
             tokyo_partition: false,
             use_guard: false,
             service_override: None,
-            whitebox_period: None,
+            whitebox: false,
             fault_plan: FaultPlan::default(),
             agent_regions: Region::AGENTS.to_vec(),
             obs: None,
@@ -270,15 +272,7 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
         )
     });
 
-    // Optional white-box probe, co-located with the coordinator.
-    let probe = config.whitebox_period.map(|period| {
-        world.add_node(
-            Region::Virginia,
-            Box::new(crate::whitebox::WhiteboxProbe::new(cluster.replicas.clone(), period)),
-        )
-    });
-
-    drive(&mut world, coord);
+    let samples = drive(&mut world, coord, config.whitebox.then_some(&cluster));
     let sim_events = world.delivered();
 
     let outcome = world
@@ -333,10 +327,9 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
             .map(|id| world.node_as::<AgentNode>(*id).map(|a| a.rpc_stats()).unwrap_or_default())
             .collect(),
     };
-    let whitebox = probe.map(|p| {
-        let node = world.node_as::<crate::whitebox::WhiteboxProbe>(p).expect("probe node exists");
-        crate::whitebox::WhiteboxReport::from_samples(node.samples(), cluster.replicas.len())
-    });
+    let whitebox = config
+        .whitebox
+        .then(|| crate::whitebox::WhiteboxReport::from_samples(samples, cluster.replicas.len()));
     TestResult {
         agent_regions,
         whitebox,
@@ -385,16 +378,34 @@ fn add_tokyo_partition(world: &mut World<Msg>, cluster: &mut ServiceCluster, con
     });
 }
 
-/// Steps the world until the coordinator publishes its outcome.
-fn drive(world: &mut World<Msg>, coord: NodeId) {
+/// Steps the world until the coordinator publishes its outcome. With a
+/// `whitebox` cluster, reads every running replica at each instant k·PERIOD
+/// once the events due by then have run: between steps, moving nothing.
+fn drive(
+    world: &mut World<Msg>,
+    coord: NodeId,
+    whitebox: Option<&ServiceCluster>,
+) -> Vec<ReplicaSample> {
+    let mut samples = Vec::new();
+    let mut instant = SimTime::ZERO;
     // Generous budget: a long Test 2 is ~200k events.
     for _ in 0..50_000_000u64 {
         let done =
             world.node_as::<CoordinatorNode>(coord).map(|c| c.outcome().is_some()).unwrap_or(false);
         if done {
-            return;
+            return samples;
         }
-        assert!(world.step(), "world drained before the coordinator finished");
+        let next = world.next_event_at().expect("world drained before the coordinator finished");
+        if let Some(cluster) = whitebox {
+            while instant < next {
+                for replica in 0..cluster.replicas.len() {
+                    let Some(seq) = replica_state(world, cluster, replica) else { continue };
+                    samples.push(ReplicaSample { replica, at_nanos: instant.as_nanos(), seq });
+                }
+                instant += crate::whitebox::PERIOD;
+            }
+        }
+        world.step();
     }
     panic!("event budget exhausted before the coordinator finished");
 }

@@ -2,10 +2,10 @@
 //! ("extend this methodology … also considering white-box testing"),
 //! implemented.
 //!
-//! A [`WhiteboxProbe`] node periodically issues `Inspect` operations
-//! directly against **every replica** of the service under test, recording
-//! each replica's authoritative snapshot. Comparing the replica-level
-//! divergence against the agents' black-box observations separates
+//! The test driver reads **every replica**'s authoritative state in place
+//! ([`conprobe_services::catalog::replica_state`]) every [`PERIOD`], between
+//! world steps, so the black-box run is the un-probed run. Comparing the
+//! replica-level divergence against the agents' observations separates
 //!
 //! * **true replica divergence** — the replicas' states genuinely differ
 //!   (weak replication at work), from
@@ -16,85 +16,26 @@
 //! near-100 % order divergence ("explained by the semantics of the
 //! service"), which our white-box report can now quantify.
 
-use crate::proto::Msg;
 use conprobe_core::analysis::{analyze, CheckerConfig};
 use conprobe_core::anomaly::AnomalyKind;
 use conprobe_core::trace::{AgentId, OpRecord, TestTrace, Timestamp};
 use conprobe_core::window::WindowAnalysis;
-use conprobe_services::{ClientOp, NetMsg, OpResult};
-use conprobe_sim::{Context, Node, NodeId, SimDuration};
+use conprobe_sim::SimDuration;
 use conprobe_store::PostId;
 
-const TOKEN_TICK: u64 = 1;
+/// The sampling period: every running replica is read at each multiple.
+pub const PERIOD: SimDuration = SimDuration::from_millis(100);
 
 /// One white-box sample: which replica, when (true time), what state.
 #[derive(Debug, Clone)]
 pub struct ReplicaSample {
     /// Index of the replica in the cluster's replica list.
     pub replica: usize,
-    /// True simulation time of the snapshot (instrumentation may use true
-    /// time; only the black-box agents are clock-blind).
+    /// The sampling instant, in true simulation time (instrumentation may
+    /// use true time; only the black-box agents are clock-blind).
     pub at_nanos: u64,
     /// The replica's authoritative snapshot.
-    pub seq: Vec<PostId>,
-}
-
-/// A node that snapshots every replica at a fixed period.
-pub struct WhiteboxProbe {
-    replicas: Vec<NodeId>,
-    period: SimDuration,
-    pending: std::collections::HashMap<u64, usize>,
-    next_req: u64,
-    samples: Vec<ReplicaSample>,
-}
-
-impl WhiteboxProbe {
-    /// Creates a probe over the given replicas.
-    pub fn new(replicas: Vec<NodeId>, period: SimDuration) -> Self {
-        WhiteboxProbe {
-            replicas,
-            period,
-            pending: std::collections::HashMap::new(),
-            next_req: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// The collected samples (after the run).
-    pub fn samples(&self) -> &[ReplicaSample] {
-        &self.samples
-    }
-}
-
-impl Node<Msg> for WhiteboxProbe {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(SimDuration::ZERO, TOKEN_TICK);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        if let NetMsg::Response { req_id, result: OpResult::ReadOk(seq) } = msg {
-            if let Some(replica) = self.pending.remove(&req_id) {
-                self.samples.push(ReplicaSample {
-                    replica,
-                    at_nanos: ctx.true_now().as_nanos(),
-                    seq,
-                });
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-        if token != TOKEN_TICK {
-            return;
-        }
-        for (i, replica) in self.replicas.clone().into_iter().enumerate() {
-            let req_id = self.next_req;
-            self.next_req += 1;
-            self.pending.insert(req_id, i);
-            ctx.send(replica, NetMsg::Request { req_id, op: ClientOp::Inspect });
-        }
-        ctx.set_timer(self.period, TOKEN_TICK);
-    }
+    pub seq: std::sync::Arc<[PostId]>,
 }
 
 /// Replica-level ground truth derived from white-box samples.
@@ -112,8 +53,8 @@ pub struct WhiteboxReport {
     pub content_presence: bool,
     /// Any-pair order divergence between replica snapshots.
     pub order_presence: bool,
-    /// Number of samples collected.
-    pub samples: usize,
+    /// The samples the report was built from, in sampling order.
+    pub samples: Vec<ReplicaSample>,
     /// Number of replicas probed.
     pub replicas: usize,
 }
@@ -122,23 +63,29 @@ impl WhiteboxReport {
     /// Builds the report from raw samples: each replica is a "client", and
     /// one [`analyze`] pass gives both presence flags and every pair's
     /// windows.
-    pub fn from_samples(samples: &[ReplicaSample], replicas: usize) -> Self {
+    pub fn from_samples(samples: Vec<ReplicaSample>, replicas: usize) -> Self {
         let ops: Vec<OpRecord<PostId>> = samples
             .iter()
             .map(|s| OpRecord {
                 agent: AgentId(s.replica as u32),
                 invoke: Timestamp::from_nanos(s.at_nanos as i64),
                 response: Timestamp::from_nanos(s.at_nanos as i64),
-                kind: conprobe_core::trace::OpKind::Read { seq: s.seq.clone() },
+                kind: conprobe_core::trace::OpKind::Read { seq: s.seq.to_vec() },
             })
             .collect();
-        let analysis = analyze(&TestTrace::new(ops), &CheckerConfig::default());
+        let mut analysis = analyze(&TestTrace::new(ops), &CheckerConfig::default());
+        // One instant's samples merge one replica at a time, so replicas
+        // that re-sequence alike open and close a window at that instant.
+        // A true window spans at least one period: drop zero-length ones.
+        for w in analysis.content_windows.iter_mut().chain(&mut analysis.order_windows) {
+            w.windows.retain(|(start, end)| start != end);
+        }
         WhiteboxReport {
             content_presence: analysis.has(AnomalyKind::ContentDivergence),
             order_presence: analysis.has(AnomalyKind::OrderDivergence),
             content_windows: analysis.content_windows,
             order_windows: analysis.order_windows,
-            samples: samples.len(),
+            samples,
             replicas,
         }
     }
@@ -157,12 +104,30 @@ mod tests {
     }
 
     #[test]
+    fn replicas_that_re_sequence_alike_at_one_instant_open_no_window() {
+        // Both replicas hold [1,2] and, by the next instant, both hold
+        // [2,1] (G+ anti-entropy canonicalizing alike): no two
+        // simultaneous states ever differ.
+        let samples = vec![
+            sample(0, 0, vec![1, 2]),
+            sample(1, 0, vec![1, 2]),
+            sample(0, 100, vec![2, 1]),
+            sample(1, 100, vec![2, 1]),
+        ];
+        let report = WhiteboxReport::from_samples(samples, 2);
+        assert_eq!(report.order_windows.len(), 1, "the pair is still reported");
+        assert!(report.order_windows[0].windows.is_empty(), "{:?}", report.order_windows);
+        assert!(report.order_windows[0].converged());
+        assert!(report.order_presence, "the across-time flag still sees the flip");
+    }
+
+    #[test]
     fn identical_replicas_show_no_divergence() {
         let samples = vec![sample(0, 100, vec![1, 2]), sample(1, 110, vec![1, 2])];
-        let report = WhiteboxReport::from_samples(&samples, 2);
+        let report = WhiteboxReport::from_samples(samples, 2);
         assert!(!report.content_presence);
         assert!(!report.order_presence);
-        assert_eq!(report.samples, 2);
+        assert_eq!(report.samples.len(), 2);
     }
 
     #[test]
@@ -173,7 +138,7 @@ mod tests {
             sample(0, 500, vec![1, 2]),
             sample(1, 510, vec![1, 2]),
         ];
-        let report = WhiteboxReport::from_samples(&samples, 2);
+        let report = WhiteboxReport::from_samples(samples, 2);
         assert!(report.content_presence);
         assert!(report.content_windows[0].converged());
     }
@@ -181,7 +146,7 @@ mod tests {
     #[test]
     fn order_flip_across_replicas_is_detected() {
         let samples = vec![sample(0, 100, vec![1, 2]), sample(1, 110, vec![2, 1])];
-        let report = WhiteboxReport::from_samples(&samples, 2);
+        let report = WhiteboxReport::from_samples(samples, 2);
         assert!(report.order_presence);
     }
 }

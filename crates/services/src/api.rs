@@ -20,13 +20,6 @@ pub enum ClientOp {
     Write(Post),
     /// Fetch the current sequence of posts.
     Read,
-    /// White-box inspection: return the replica's *authoritative* snapshot,
-    /// bypassing caches, secondary indices and ranking. Not available to
-    /// measurement agents — this is the hook for the paper's future-work
-    /// direction of "also considering white-box testing", used by the
-    /// harness's replica probe to separate true replica divergence from
-    /// read-path artifacts.
-    Inspect,
 }
 
 /// A service's reply to a [`ClientOp`].

@@ -17,7 +17,7 @@ use crate::quorum::QuorumReplica;
 use crate::replica_node::{DelayDist, ReadPath, ReplicaNode, ReplicaParams};
 use conprobe_sim::net::Region;
 use conprobe_sim::{LocalClock, Node, NodeId, SimDuration, World};
-use conprobe_store::{AffinityMap, OrderingPolicy, RankingConfig, TieBreak};
+use conprobe_store::{AffinityMap, OrderingPolicy, PostId, RankingConfig, TieBreak};
 use std::fmt;
 
 /// The four services of the measurement study.
@@ -378,6 +378,26 @@ pub fn deploy_topology<A: Send + 'static>(
         wired.expect("the node type just added");
     }
     ServiceCluster { kind, replicas: ids, affinity: topo.affinity }
+}
+
+/// Reads replica `idx` in place: its applied state, past every read path,
+/// fence and brownout, or `None` while crashed. It sends and draws nothing,
+/// so the run it observes is the run without it.
+pub fn replica_state<A: Send + 'static>(
+    world: &World<NetMsg<A>>,
+    cluster: &ServiceCluster,
+    idx: usize,
+) -> Option<std::sync::Arc<[PostId]>> {
+    let id = cluster.replicas[idx];
+    match cluster.kind {
+        ServiceKind::Quorum => {
+            world.node_as::<QuorumReplica>(id).filter(|n| !n.is_crashed()).map(|n| n.snapshot())
+        }
+        ServiceKind::Pbft => {
+            world.node_as::<PbftReplica>(id).filter(|n| !n.is_crashed()).map(|n| n.snapshot())
+        }
+        _ => world.node_as::<ReplicaNode>(id).filter(|n| !n.is_crashed()).map(|n| n.snapshot()),
+    }
 }
 
 #[cfg(test)]

@@ -361,9 +361,7 @@ impl LiveCluster {
                 ClientOp::Write(post) => {
                     LiveReply::Acked(self.write_keyed(region, key, post, now_nanos))
                 }
-                ClientOp::Read | ClientOp::Inspect => {
-                    LiveReply::Read(self.read_keyed(region, key, now_nanos))
-                }
+                ClientOp::Read => LiveReply::Read(self.read_keyed(region, key, now_nanos)),
             };
         };
         let down = (0..self.down.len()).filter(|idx| self.is_down(*idx));

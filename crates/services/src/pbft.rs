@@ -520,6 +520,11 @@ impl PbftReplica {
         self.door.is_crashed()
     }
 
+    /// The replica's applied state in policy order (diagnostics).
+    pub fn snapshot(&self) -> std::sync::Arc<[PostId]> {
+        self.core.snapshot()
+    }
+
     /// Whether the recovery fence is up (no client service until caught
     /// up).
     pub fn is_fenced(&self) -> bool {
@@ -650,13 +655,6 @@ impl PbftReplica {
         req_id: u64,
         op: ClientOp,
     ) {
-        if matches!(op, ClientOp::Inspect) {
-            // White-box instrumentation: authoritative local state,
-            // exempt from the fence (it bypasses the ordered-read path).
-            let seq = self.core.snapshot().to_vec();
-            self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
-            return;
-        }
         // Everything behind the fence, reads and writes not yet applied.
         let held =
             self.fenced_requests.len() + self.pending_reads.len() + self.pending_writes.len();
@@ -723,7 +721,6 @@ impl PbftReplica {
                 let op = ProposeOp::Read { origin: self.my_index, seq };
                 self.forward_to_leader(ctx, op);
             }
-            ClientOp::Inspect => unreachable!("handled above"),
         }
     }
 

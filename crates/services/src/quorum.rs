@@ -196,6 +196,11 @@ impl QuorumReplica {
         self.door.is_crashed()
     }
 
+    /// The replica's applied state in policy order (diagnostics).
+    pub fn snapshot(&self) -> std::sync::Arc<[PostId]> {
+        self.core.snapshot()
+    }
+
     /// Whether the read fence is up (recovering, not yet caught up).
     pub fn is_fenced(&self) -> bool {
         self.catchup.is_some()
@@ -387,7 +392,7 @@ impl QuorumReplica {
     ) {
         // Reads behind the fence, reads and writes short of a majority.
         let held = self.fenced_reads.len() + self.pending_reads.len() + self.pending_writes.len();
-        if !matches!(op, ClientOp::Inspect) && self.door.refuse_if_full(ctx, held, from, req_id) {
+        if self.door.refuse_if_full(ctx, held, from, req_id) {
             return;
         }
         match op {
@@ -407,12 +412,6 @@ impl QuorumReplica {
                 } else {
                     self.quorum_read(ctx, from, req_id);
                 }
-            }
-            ClientOp::Inspect => {
-                // White-box instrumentation: authoritative local state,
-                // exempt from the fence (it bypasses the read protocol).
-                let seq = self.core.snapshot().to_vec();
-                self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             }
         }
     }

@@ -419,11 +419,6 @@ impl ReplicaNode {
                 let seq = self.serve_read(ctx);
                 self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
             }
-            ClientOp::Inspect => {
-                // Authoritative state, bypassing every read path.
-                let seq = self.core.snapshot().to_vec();
-                self.door.respond(ctx, from, req_id, OpResult::ReadOk(seq));
-            }
         }
     }
 

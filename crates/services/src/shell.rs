@@ -255,7 +255,7 @@ impl FrontDoor {
     /// mistreats client traffic before any normal processing — a throttle
     /// storm rejects, delayed service holds the request on a timer (see
     /// [`FrontDoor::release`]). Returns the op when it is to be served
-    /// now; white-box inspection is always exempt.
+    /// now.
     pub(crate) fn admit<A>(
         &mut self,
         ctx: &mut Context<'_, NetMsg<A>>,
@@ -264,18 +264,18 @@ impl FrontDoor {
         op: ClientOp,
     ) -> Option<ClientOp> {
         match self.brownout {
-            Some(BrownoutMode::ThrottleStorm) if !matches!(op, ClientOp::Inspect) => {
+            Some(BrownoutMode::ThrottleStorm) => {
                 self.count_throttled();
                 self.respond(ctx, from, req_id, OpResult::Throttled);
                 None
             }
-            Some(BrownoutMode::Delay(hold)) if !matches!(op, ClientOp::Inspect) => {
+            Some(BrownoutMode::Delay(hold)) => {
                 let token = self.fresh_token(TOKEN_KIND_DELAY);
                 self.delayed_requests.insert(token, (from, req_id, op));
                 ctx.set_timer(hold, token);
                 None
             }
-            _ => Some(op),
+            None => Some(op),
         }
     }
 

@@ -512,11 +512,17 @@ impl<M: 'static> World<M> {
         true
     }
 
+    /// When the next queued event is due, if any: a read-only peek that
+    /// lets a driver act between events without moving the clock.
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.core.queue.peek().map(|Reverse(ev)| ev.at)
+    }
+
     /// Processes every event due at or before `deadline` and leaves the
     /// clock at `max(now, deadline)`: a deadline already in the past (a
     /// wall-clock caller that lost a race) never moves time backwards.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.core.queue.peek().is_some_and(|Reverse(ev)| ev.at <= deadline) {
+        while self.next_event_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
         self.core.now = self.core.now.max(deadline);

@@ -355,10 +355,6 @@ impl<S: Read + Write> ServiceEndpoint for WireClient<S> {
                 content: String::from(&*post.content),
             },
             ClientOp::Read => Frame::ReadQ { req, key },
-            ClientOp::Inspect => {
-                // Replica introspection is a white-box, sim-only facility.
-                return Err(EndpointError("inspect is not part of the wire protocol".into()));
-            }
         };
         let (got, result) = match self.roundtrip(&request)? {
             Frame::WriteQAck { req, id } => (req, OpResult::WriteAck(PostId::from_u64(id))),

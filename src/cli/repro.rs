@@ -194,7 +194,7 @@ fn whitebox_experiment(tests: u32, seed: u64) -> String {
     );
     for service in [ServiceKind::GooglePlus, ServiceKind::FacebookFeed] {
         let mut config = TestConfig::paper(service, TestKind::Test2);
-        config.whitebox_period = Some(SimDuration::from_millis(100));
+        config.whitebox = true;
         let root = SimRng::new(seed);
         let (mut bb_od, mut wb_od, mut wb_cd) = (0u32, 0u32, 0u32);
         for i in 0..tests {

@@ -15,7 +15,7 @@ use conprobe_harness::{stats, CampaignConfig};
 use conprobe_json::{FromJson, ToJson};
 use conprobe_obs::{EventLog, Severity};
 use conprobe_services::ServiceKind;
-use conprobe_sim::{ObsSink, SimDuration};
+use conprobe_sim::ObsSink;
 use conprobe_store::PostId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -283,9 +283,7 @@ impl RunArgs {
         let TestSpec { service, kind, seed } = self.spec;
         let mut config = TestConfig::paper(service, kind);
         config.use_guard = self.guard;
-        if self.whitebox {
-            config.whitebox_period = Some(SimDuration::from_millis(100));
-        }
+        config.whitebox = self.whitebox;
         // No event log: the registry is the product of a `--metrics` run.
         let sink = ObsSink::default();
         config.obs = self.metrics_out.as_ref().map(|_| sink.clone());
@@ -302,7 +300,10 @@ impl RunArgs {
                 out,
                 "white-box: {} samples over {} replicas; true content divergence: {}, \
                  true order divergence: {}",
-                report.samples, report.replicas, report.content_presence, report.order_presence
+                report.samples.len(),
+                report.replicas,
+                report.content_presence,
+                report.order_presence
             );
         }
         if let Some(path) = &self.json_out {

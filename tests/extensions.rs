@@ -6,9 +6,11 @@ use conprobe::bench::fingerprint;
 use conprobe::core::{AnomalyKind, WindowAnalysis};
 use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig};
+use conprobe::harness::whitebox::PERIOD;
+use conprobe::json::ToJson;
 use conprobe::services::ServiceKind;
 use conprobe::sim::net::Region;
-use conprobe::sim::SimDuration;
+use conprobe::sim::{FaultEvent, ServiceActionKind, SimDuration, SimTime};
 
 /// §V, monotonic writes: "in test 1 Ireland is the last client to issue its
 /// sequence of two write operations, terminating the test as soon as these
@@ -65,13 +67,13 @@ fn rotation_shows_last_writer_effect_is_role_not_location() {
 fn whitebox_separates_true_divergence_from_read_path_artifacts() {
     // Facebook Feed: black-box OD ~100 %, white-box OD = none.
     let mut config = TestConfig::paper(ServiceKind::FacebookFeed, TestKind::Test2);
-    config.whitebox_period = Some(SimDuration::from_millis(100));
+    config.whitebox = true;
     let mut blackbox_od = 0;
     let mut whitebox_od = 0;
     for seed in 0..4 {
         let r = run_one_test(&config, seed);
         let report = r.whitebox.as_ref().expect("probe enabled");
-        assert!(report.samples > 0);
+        assert!(!report.samples.is_empty());
         if r.has(AnomalyKind::OrderDivergence) {
             blackbox_od += 1;
         }
@@ -85,7 +87,7 @@ fn whitebox_separates_true_divergence_from_read_path_artifacts() {
     // Google+: when agents see order divergence, the replicas really did
     // hold different orders at some point.
     let mut config = TestConfig::paper(ServiceKind::GooglePlus, TestKind::Test2);
-    config.whitebox_period = Some(SimDuration::from_millis(100));
+    config.whitebox = true;
     let mut confirmed = 0;
     let mut seen = 0;
     for seed in 0..12 {
@@ -111,7 +113,7 @@ fn whitebox_separates_true_divergence_from_read_path_artifacts() {
 #[test]
 fn whitebox_content_windows_bound_blackbox_windows() {
     let mut config = TestConfig::paper(ServiceKind::GooglePlus, TestKind::Test2);
-    config.whitebox_period = Some(SimDuration::from_millis(50));
+    config.whitebox = true;
     let r = run_one_test(&config, 17);
     let report = r.whitebox.as_ref().unwrap();
     if r.has(AnomalyKind::ContentDivergence) {
@@ -132,6 +134,82 @@ fn whitebox_content_windows_bound_blackbox_windows() {
     );
 }
 
+/// White-box probing reads replica state in place, between world steps:
+/// it sends nothing and draws nothing, so the black-box half of a probed
+/// run — trace, analysis, event count and fault ledger — is the un-probed
+/// run, on every arm.
+#[test]
+fn whitebox_probing_leaves_the_black_box_run_byte_identical() {
+    for service in ServiceKind::CATALOG {
+        for kind in [TestKind::Test1, TestKind::Test2] {
+            for seed in [1, 3, 5] {
+                let mut config = TestConfig::paper(service, kind);
+                let off = run_one_test(&config, seed);
+                config.whitebox = true;
+                let on = run_one_test(&config, seed);
+                let case = format!("{service} {kind:?} seed {seed}");
+                assert!(off.whitebox.is_none() && on.whitebox.is_some(), "{case}");
+                assert_eq!(on.trace.to_compact(), off.trace.to_compact(), "{case}");
+                assert_eq!(format!("{:?}", on.analysis), format!("{:?}", off.analysis), "{case}");
+                assert_eq!(on.sim_events, off.sim_events, "{case}");
+                assert_eq!(
+                    format!("{:?}", on.fault_ledger),
+                    format!("{:?}", off.fault_ledger),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+/// Samples are taken at the instants 0, P, 2P, …, one per running replica
+/// each; a crashed replica contributes none while it is down. The crash
+/// and the recovery reach the replica over the WAN, so its gap starts
+/// after the ledger's crash and ends after the ledger's recovery.
+#[test]
+fn whitebox_samples_every_running_replica_at_each_period_instant() {
+    let mut config = TestConfig::paper(ServiceKind::Quorum, TestKind::Test2);
+    config.whitebox = true;
+    config.fault_plan.push(FaultEvent::CrashCycle {
+        target: 1,
+        at: SimTime::from_secs(7),
+        down_for: SimDuration::from_secs(4),
+        up_for: SimDuration::ZERO,
+        cycles: 1,
+    });
+    let r = run_one_test(&config, 2);
+    assert!(r.completed);
+    let fired = |action: ServiceActionKind| {
+        let a = r.fault_ledger.actions.iter().find(|a| a.action == action).expect("fired");
+        assert_eq!(a.target, 1);
+        a.at.as_nanos()
+    };
+    let (crash, recover) = (fired(ServiceActionKind::Crash), fired(ServiceActionKind::Recover));
+    let report = r.whitebox.as_ref().expect("probe enabled");
+    let period = PERIOD.as_nanos();
+    let last = report.samples.last().expect("samples").at_nanos;
+    assert!(last > recover + 1_000_000_000, "the run outlasts the recovery");
+    let mut samples = report.samples.iter().peekable();
+    let mut down = Vec::new();
+    for instant in (0..=last).step_by(period as usize) {
+        let mut held = Vec::new();
+        while let Some(s) = samples.next_if(|s| s.at_nanos == instant) {
+            held.push(s.replica);
+        }
+        if held == [0, 2] {
+            down.push(instant);
+        } else {
+            assert_eq!(held, [0, 1, 2], "instant {instant}ns");
+        }
+    }
+    assert!(samples.next().is_none(), "every sample sits at a period instant");
+    let (first, gap_end) = (down[0], down[down.len() - 1] + period);
+    assert_eq!(down.len() as u64, (gap_end - first) / period, "one gap: {down:?}");
+    let wan = 500_000_000;
+    assert!((crash..crash + wan).contains(&first), "gap {first}ns, crash {crash}ns");
+    assert!((recover..recover + wan).contains(&gap_end), "gap end {gap_end}ns, {recover}ns");
+}
+
 /// The white-box report of Test 2 runs, pinned: sample count, both
 /// presence flags, and per replica pair the number of closed content and
 /// order windows, their total length and whether one is still open.
@@ -141,30 +219,30 @@ fn whitebox_report_matches_the_pinned_values() {
         (
             ServiceKind::FacebookFeed,
             1,
-            "samples=904 cd=true od=false \
-             | content agent0-agent1:1/6727715ns agent0-agent2:1/252789509ns \
-             agent1-agent2:2/237871579ns \
+            "samples=909 cd=true od=false \
+             | content agent0-agent1:1/100000000ns agent0-agent2:1/300000000ns \
+             agent1-agent2:1/200000000ns \
              | order agent0-agent1:0/0ns agent0-agent2:0/0ns agent1-agent2:0/0ns",
         ),
         (
             ServiceKind::FacebookFeed,
             2,
-            "samples=901 cd=true od=false \
-             | content agent0-agent1:1/56080830ns agent0-agent2:1/169062444ns \
-             agent1-agent2:1/111456161ns \
+            "samples=906 cd=true od=false \
+             | content agent0-agent1:1/100000000ns agent0-agent2:1/200000000ns \
+             agent1-agent2:1/200000000ns \
              | order agent0-agent1:0/0ns agent0-agent2:0/0ns agent1-agent2:0/0ns",
         ),
         (
             ServiceKind::GooglePlus,
             3,
-            "samples=1088 cd=true od=true \
-             | content agent0-agent1:1/1528529573ns | order agent0-agent1:1/2123728236ns",
+            "samples=1096 cd=true od=false \
+             | content agent0-agent1:1/1500000000ns | order agent0-agent1:0/0ns",
         ),
         (
             ServiceKind::GooglePlus,
             4,
-            "samples=1087 cd=true od=false \
-             | content agent0-agent1:1/1860143263ns | order agent0-agent1:0/0ns",
+            "samples=1090 cd=true od=true \
+             | content agent0-agent1:1/1900000000ns | order agent0-agent1:0/0ns",
         ),
     ];
     let windows = |ws: &[WindowAnalysis]| {
@@ -178,12 +256,12 @@ fn whitebox_report_matches_the_pinned_values() {
     };
     for (service, seed, want) in pinned {
         let mut config = TestConfig::paper(service, TestKind::Test2);
-        config.whitebox_period = Some(SimDuration::from_millis(100));
+        config.whitebox = true;
         let r = run_one_test(&config, seed);
         let report = r.whitebox.as_ref().expect("probe enabled");
         let got = format!(
             "samples={} cd={} od={} | content {} | order {}",
-            report.samples,
+            report.samples.len(),
             report.content_presence,
             report.order_presence,
             windows(&report.content_windows),
