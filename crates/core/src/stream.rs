@@ -42,10 +42,16 @@
 //! reads as absent; the generation is a `u64` and never wraps back onto a
 //! stale mark. Then "does the view contain `k`" and "at which position"
 //! are one load each. A check of one view (RYW, MW, MR, WFR) marks it
-//! once; a pairwise comparison (divergence, windows) marks the new read's
-//! view in one table and each view it is compared with in the other.
-//! Witness searches still walk the sequences, in order, duplicates
-//! included.
+//! once. A pairwise comparison (divergence, windows) marks the new read's
+//! view and walks each view it is compared with once, probing: when
+//! neither repeats a key, they content-diverge iff `common < |mine|` and
+//! `common < |theirs|` (`common` counts the walked keys found), and
+//! order-diverge iff the found positions descend somewhere along the
+//! walk. Whether a view repeats a key is settled when it is first marked;
+//! a pair with such a view, or one whose witness is wanted (see
+//! *Pair-state lattice*), marks the compared view in the second table and
+//! runs the witness searches, which walk the sequences in order,
+//! duplicates included.
 //!
 //! # Exactness machinery
 //!
@@ -79,7 +85,12 @@
 //!   `m` pairs the batch iteration meets first the one with the view's
 //!   first-arrived read — the smallest ordinal, on whichever side of the
 //!   `(read ordinal, read ordinal)` sort key that agent sits — so that
-//!   read alone supplies the candidate witness and its `at`.
+//!   read alone supplies the candidate witness and its `at`. Only the
+//!   pair with the smallest key the pair has met so far can hold the
+//!   witness, and keys do not arrive in order (a later read of the
+//!   smaller agent meets the larger agent's early reads), so the
+//!   searches run for a diverging view pair only when its key beats the
+//!   kept one; any other diverging view pair just adds its `m`.
 //!
 //! The other operators lean on views the same way, with no deferral
 //! involved: a read that repeats its agent's previous view loses no key
@@ -112,6 +123,10 @@ struct View {
     reads: u32,
     /// Whether the view violates some general-mode WFR dependency.
     wfr_hit: bool,
+    /// Whether the sequence repeats a key, set when the view is first
+    /// marked: the one-walk verdict is exact only between views that do
+    /// not (see *Probes* in the module docs).
+    dups: bool,
 }
 
 impl View {
@@ -170,6 +185,36 @@ struct Marked<'a> {
 }
 
 impl Marked<'_> {
+    /// Whether the sequence repeats an id: a repeated id's slot keeps a
+    /// later position than its first occurrence.
+    fn repeats(self) -> bool {
+        self.seq.iter().enumerate().any(|(i, &k)| self.marks.slots[k as usize].1 != i as u32)
+    }
+
+    /// The one-walk verdict `(content, order)` of `other` against this
+    /// marked sequence, exact when neither repeats an id: they
+    /// content-diverge iff each holds an id outside the `common` ones, and
+    /// order-diverge iff this sequence's positions descend somewhere
+    /// along `other`.
+    fn verdict(self, other: &[u32]) -> (bool, bool) {
+        let (mut common, mut prev, mut inverted) = (0, 0, false);
+        for &k in other {
+            if let Some(p) = self.marks.position(k) {
+                common += 1;
+                inverted |= p < prev;
+                prev = p;
+            }
+        }
+        (common < self.seq.len() && common < other.len(), inverted)
+    }
+
+    /// The verdict by the exact searches, with `self` as the pair's first
+    /// view; it holds for sequences that repeat an id too.
+    fn searched_verdict(self, second: Marked<'_>) -> (bool, bool) {
+        let content = self.first_not_in(second).is_some() && second.first_not_in(self).is_some();
+        (content, self.inversion(second).is_some())
+    }
+
     /// The first id of this sequence, in order, that `other` lacks — the
     /// id-level mirror of the batch checker's `first_only_in`.
     fn first_not_in(self, other: Marked<'_>) -> Option<u32> {
@@ -216,7 +261,7 @@ impl<S: BuildHasher> ViewTable<S> {
         let id = self.views.len() as u32;
         let keys: Arc<[u32]> = keys.into();
         self.ids.insert(Arc::clone(&keys), id);
-        self.views.push(View { keys, reads: 0, wfr_hit: false });
+        self.views.push(View { keys, reads: 0, wfr_hit: false, dups: false });
         (id, true)
     }
 
@@ -319,6 +364,21 @@ impl Divergence {
         self.count += pairs as usize;
         if self.best.is_none_or(|(k, ..)| ordkey < k) {
             self.best = Some((ordkey, x, y, at));
+        }
+    }
+
+    /// Accounts `pairs` read pairs keyed `ordkey` on their one-walk
+    /// verdict (`None`: a repeated id leaves it to the exact search);
+    /// whether the exact search must still run, for the verdict or for a
+    /// witness that would beat `best`.
+    fn needs_search(&mut self, pairs: u32, ordkey: (u32, u32), diverged: Option<bool>) -> bool {
+        match diverged {
+            Some(false) => false,
+            Some(true) if self.best.is_some_and(|(k, ..)| k < ordkey) => {
+                self.count += pairs as usize;
+                false
+            }
+            _ => true,
         }
     }
 
@@ -551,6 +611,10 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         });
         self.retained += size_of::<ReadState>() + size_of::<u32>();
 
+        if new_view {
+            let dups = self.marks[0].mark(&self.views.get(view).keys).repeats();
+            self.views.views[view as usize].dups = dups;
+        }
         self.divergence_scan(idx);
         if !self.general_wfr {
             self.trigger_scan(idx);
@@ -573,12 +637,15 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// of every other agent, updating the per-pair divergence counters
     /// and best witnesses, then files it under its own agent's views. A
     /// view stands for all the reads that returned it (see the module
-    /// docs), so each unordered read pair is accounted exactly once.
+    /// docs), so each unordered read pair is accounted exactly once. One
+    /// walk decides each view pair; the exact searches run only where a
+    /// repeated id leaves that walk inexact or a witness could win.
     fn divergence_scan(&mut self, idx: u32) {
         let read = &self.reads[idx as usize];
         let a = read.agent;
         let [my_marks, their_marks] = &mut self.marks;
-        let mine = my_marks.mark(&self.views.get(read.view).keys);
+        let my_view = self.views.get(read.view);
+        let mine = my_marks.mark(&my_view.keys);
         for (&b, bst) in &self.agents {
             if b == a || bst.views.is_empty() {
                 continue;
@@ -586,21 +653,35 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             let st = self.pairs.entry(if a < b { (a, b) } else { (b, a) }).or_default();
             for theirs in &bst.views {
                 let rb = &self.reads[theirs.first_read as usize];
+                let ordkey = if a < b {
+                    (read.ord_in_agent, rb.ord_in_agent)
+                } else {
+                    (rb.ord_in_agent, read.ord_in_agent)
+                };
+                let their_view = self.views.get(theirs.view);
+                let walked =
+                    (!my_view.dups && !their_view.dups).then(|| mine.verdict(&their_view.keys));
+                let content = st.content.needs_search(theirs.count, ordkey, walked.map(|v| v.0));
+                let order = st.order.needs_search(theirs.count, ordkey, walked.map(|v| v.1));
+                if !content && !order {
+                    continue;
+                }
                 let at = read.response.max(rb.response);
-                let other = their_marks.mark(&self.views.get(theirs.view).keys);
+                let other = their_marks.mark(&their_view.keys);
                 // Canonical orientation: `first` is the pair's smaller
                 // agent's view.
-                let (ordkey, first, second) = if a < b {
-                    ((read.ord_in_agent, rb.ord_in_agent), mine, other)
-                } else {
-                    ((rb.ord_in_agent, read.ord_in_agent), other, mine)
-                };
-                if let (Some(x), Some(y)) = (first.first_not_in(second), second.first_not_in(first))
-                {
-                    st.content.record(theirs.count, ordkey, (x, y), at);
+                let (first, second) = if a < b { (mine, other) } else { (other, mine) };
+                if content {
+                    if let (Some(x), Some(y)) =
+                        (first.first_not_in(second), second.first_not_in(first))
+                    {
+                        st.content.record(theirs.count, ordkey, (x, y), at);
+                    }
                 }
-                if let Some(xy) = first.inversion(second) {
-                    st.order.record(theirs.count, ordkey, xy, at);
+                if order {
+                    if let Some(xy) = first.inversion(second) {
+                        st.order.record(theirs.count, ordkey, xy, at);
+                    }
                 }
             }
         }
@@ -850,21 +931,27 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     fn window_step(&mut self, a: AgentId, idx: u32) {
         let read = &self.reads[idx as usize];
         let [my_marks, their_marks] = &mut self.marks;
-        let mine = my_marks.mark(&self.views.get(read.view).keys);
+        let my_view = self.views.get(read.view);
+        let mine = my_marks.mark(&my_view.keys);
         for (&b, bst) in &self.agents {
             if b == a {
                 continue;
             }
             let Some(other_idx) = bst.last_finalized else { continue };
-            let theirs =
-                their_marks.mark(&self.views.get(self.reads[other_idx as usize].view).keys);
-            let (pair, first, second) =
-                if a < b { ((a, b), mine, theirs) } else { ((b, a), theirs, mine) };
-            let st = self.pairs.entry(pair).or_default();
-            let diverged =
-                first.first_not_in(second).is_some() && second.first_not_in(first).is_some();
-            st.content.sweep(diverged, read.response);
-            st.order.sweep(first.inversion(second).is_some(), read.response);
+            let their_view = self.views.get(self.reads[other_idx as usize].view);
+            let (content, order) = if my_view.dups || their_view.dups {
+                let theirs = their_marks.mark(&their_view.keys);
+                if a < b {
+                    mine.searched_verdict(theirs)
+                } else {
+                    theirs.searched_verdict(mine)
+                }
+            } else {
+                mine.verdict(&their_view.keys)
+            };
+            let st = self.pairs.entry(if a < b { (a, b) } else { (b, a) }).or_default();
+            st.content.sweep(content, read.response);
+            st.order.sweep(order, read.response);
         }
     }
 
@@ -991,6 +1078,8 @@ fn wfr_observation<K: EventKey>(read: &ReadState, witnesses: Vec<K>) -> Observat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TestRng;
+    use crate::trace::OpKind;
     use std::hash::{BuildHasherDefault, Hasher};
 
     /// Hashes everything to 0: every lookup lands in one bucket.
@@ -1051,5 +1140,73 @@ mod tests {
             }
         }
         assert!(marks.generation > u64::from(u32::MAX));
+    }
+
+    /// On views that repeat no id, the one walk of the compared view
+    /// decides exactly what the searches decide — content iff each side
+    /// holds an id the other lacks, order iff either side's walk finds an
+    /// inversion — and a view is checked for repeats when first marked.
+    #[test]
+    fn the_one_walk_verdict_equals_the_searches_on_duplicate_free_views() {
+        let mut rng = TestRng::new(0x0E_3A1C);
+        let fresh = || Marks { generation: 0, slots: vec![(0, 0); 12] };
+        let [mut left, mut right] = [fresh(), fresh()];
+        let mut met = [[0; 2]; 2];
+        for case in 0..3000 {
+            let mut draw = || {
+                let mut ids: Vec<u32> = (0..12).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.range_usize(0, i + 1));
+                }
+                ids.truncate(rng.range_usize(0, 9));
+                ids
+            };
+            let (a, b) = (draw(), draw());
+            let (mine, theirs) = (left.mark(&a), right.mark(&b));
+            assert!(!mine.repeats() && !theirs.repeats(), "case {case}");
+            let content =
+                mine.first_not_in(theirs).is_some() && theirs.first_not_in(mine).is_some();
+            let order = mine.inversion(theirs).is_some();
+            assert_eq!(theirs.inversion(mine).is_some(), order, "case {case}: {a:?} {b:?}");
+            assert_eq!(mine.verdict(&b), (content, order), "case {case}: {a:?} {b:?}");
+            met[usize::from(content)][usize::from(order)] += 1;
+        }
+        assert!(met.iter().flatten().all(|&n| n > 100), "too tame: {met:?}");
+    }
+
+    /// A repeated id keeps its last position, so one walk can miss the
+    /// inversion the exact search finds: the view is flagged when first
+    /// pushed and its pairs take the searches, in the scan and the sweep.
+    #[test]
+    fn a_view_that_repeats_an_id_defers_to_the_searches() {
+        let (twice, once): (&[u32], &[u32]) = (&[2, 1, 2], &[1, 2]);
+        let fresh = || Marks { generation: 0, slots: vec![(0, 0); 3] };
+        let [mut left, mut right] = [fresh(), fresh()];
+        let (mine, theirs) = (left.mark(twice), right.mark(once));
+        assert!(mine.repeats() && !theirs.repeats());
+        assert_eq!(mine.verdict(once), (false, false), "the walk alone misses it");
+        assert_eq!(mine.searched_verdict(theirs), (false, true));
+
+        // Agent 1 reads the plain view first, so agent 0's read of the
+        // repeating one is the new read, marked in the first table.
+        let read = |agent: u32, at: i64, seq: &[u32]| OpRecord {
+            agent: AgentId(agent),
+            invoke: Timestamp::from_millis(at),
+            response: Timestamp::from_millis(at + 1),
+            kind: OpKind::Read { seq: seq.to_vec() },
+        };
+        let mut s = StreamingAnalyzer::new(&CheckerConfig::default());
+        s.push_event(&read(1, 0, once));
+        s.push_event(&read(0, 10, twice));
+        assert_eq!(s.views.views.iter().map(|v| v.dups).collect::<Vec<_>>(), [false, true]);
+        let analysis = s.finish();
+        let order: Vec<_> = analysis
+            .observations
+            .iter()
+            .filter(|o| o.kind == AnomalyKind::OrderDivergence)
+            .map(|o| o.witnesses.clone())
+            .collect();
+        assert_eq!(order, [vec![2, 1]]);
+        assert_eq!(analysis.order_windows[0].open_since, Some(Timestamp::from_millis(11)));
     }
 }

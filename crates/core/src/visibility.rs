@@ -14,6 +14,7 @@
 //! the trace is reported as [`Visibility::Never`] (right-censored).
 
 use crate::trace::{AgentId, EventKey, TestTrace, Timestamp};
+use std::collections::{BTreeMap, HashMap};
 
 /// When (if ever) an agent first observed a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,22 +56,21 @@ pub struct VisibilityRecord<K> {
 ///
 /// Agents with no reads contribute no records.
 pub fn visibility<K: EventKey>(trace: &TestTrace<K>) -> Vec<VisibilityRecord<K>> {
+    // One pass over the reads: each reading agent's earliest response
+    // that contained each key it ever read.
+    let mut first_seen: BTreeMap<AgentId, HashMap<&K, Timestamp>> = BTreeMap::new();
+    for op in trace.ops() {
+        let Some(seq) = op.read_seq() else { continue };
+        let seen = first_seen.entry(op.agent).or_default();
+        for key in seq {
+            let at = seen.entry(key).or_insert(op.response);
+            *at = (*at).min(op.response);
+        }
+    }
     let mut out = Vec::new();
-    let agents = trace.agents();
-    // Hoisted per-agent read lists: deriving them per (write, agent) pair
-    // made this O(writes × agents × reads) with a fresh Vec each time.
-    let reads_of: Vec<_> = agents.iter().map(|a| trace.reads_by(*a)).collect();
     for (wop, id) in trace.writes() {
-        for (&reader, reads) in agents.iter().zip(&reads_of) {
-            if reads.is_empty() {
-                continue;
-            }
-            let first_seen = reads
-                .iter()
-                .filter(|r| r.read_seq().expect("read").contains(id))
-                .map(|r| r.response)
-                .min();
-            let visibility = match first_seen {
+        for (&reader, seen) in &first_seen {
+            let visibility = match seen.get(id) {
                 Some(at) => Visibility::After(at.delta_nanos(wop.response).max(0)),
                 None => Visibility::Never,
             };

@@ -634,6 +634,39 @@ fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
     assert!(divergences.iter().all(|&n| n > 60), "generator too tame: {divergences:?}");
 }
 
+/// A pair's earliest diverging read pair by ordinal key can arrive after
+/// a later one was counted: agent 0's second read diverges from agent 1's
+/// first at key `(1, 0)`, then agent 1's second read diverges from agent
+/// 0's first at `(0, 1)` — met with the pair's agents the other way round
+/// (the new read's agent is the larger). Both kinds must take the second
+/// arrival's witness and `at`, and count every diverging pair.
+#[test]
+fn an_earlier_ordinal_pair_that_arrives_later_supplies_the_witness() {
+    use conprobe_core::anomaly::AnomalyKind;
+    let read = |agent: u32, at: i64, seq: &[u32]| OpRecord {
+        agent: AgentId(agent),
+        invoke: Timestamp::from_millis(at),
+        response: Timestamp::from_millis(at + 5),
+        kind: OpKind::Read { seq: seq.iter().map(|&s| (9, s)).collect() },
+    };
+    let trace = TestTrace::new(vec![
+        read(1, 0, &[1, 2, 4]),  // agent 1, ordinal 0
+        read(0, 10, &[1, 2, 4]), // agent 0, ordinal 0: the same view
+        read(0, 20, &[2, 1, 3]), // key (1, 0): 3 vs 4, and 2/1 swapped
+        read(1, 30, &[5, 2, 1]), // key (0, 1): 4 vs 5, and 1/2 swapped
+    ]);
+    let analysis = assert_full_pass_matches_the_oracle(&trace, "late earliest pair");
+    let of = |kind| analysis.observations.iter().find(|o| o.kind == kind).expect("observed");
+    let content = of(AnomalyKind::ContentDivergence);
+    assert_eq!(content.witnesses, [(9, 4), (9, 5)]);
+    assert_eq!(content.at, Timestamp::from_millis(35));
+    assert!(content.detail.contains("(3 read pair(s))"), "{}", content.detail);
+    let order = of(AnomalyKind::OrderDivergence);
+    assert_eq!(order.witnesses, [(9, 1), (9, 2)]);
+    assert_eq!(order.at, Timestamp::from_millis(35));
+    assert!(order.detail.contains("(2 read pair(s))"), "{}", order.detail);
+}
+
 /// A probe-stress trace: three agents, 30–60 ops after one wide read.
 ///
 /// * The wide read comes first and carries 100–300 keys nobody writes, so
