@@ -170,14 +170,18 @@ pub fn run_campaign_with_progress(
     run_campaign_journaled(config, progress, "", None, None)
 }
 
-/// The per-instance test configuration: the shared cell config plus the
-/// instance's partition-plan flag. Public because distributed-campaign
-/// workers must derive the exact same per-instance config from their own
-/// copy of the cell parameters.
+/// The per-instance test configuration: the shared cell config, plus the
+/// Tokyo partition ([`TestConfig::with_tokyo_partition`]) for an instance
+/// in `partition_tests`. Public because distributed-campaign workers must
+/// derive the exact same per-instance config from their own copy of the
+/// cell parameters.
 pub fn instance_config(config: &CampaignConfig, i: usize) -> TestConfig {
-    let mut test = config.test.clone();
-    test.tokyo_partition = test.tokyo_partition || config.partition_tests.contains(&(i as u32));
-    test
+    let test = config.test.clone();
+    if config.partition_tests.contains(&(i as u32)) {
+        test.with_tokyo_partition()
+    } else {
+        test
+    }
 }
 
 /// Splices journal-recovered results into `slots` under the one rule

@@ -7,13 +7,13 @@ use crate::script::Cadence;
 use crate::whitebox::ReplicaSample;
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::{analyze, CheckerConfig, TestAnalysis, TestTrace};
-use conprobe_services::catalog::replica_state;
+use conprobe_services::catalog::{replica_state, topology};
 use conprobe_services::fault_driver::{ExecutedAction, FaultDriver};
 use conprobe_services::{deploy, ServiceCluster, ServiceKind};
-use conprobe_sim::net::{PartitionSpec, Region};
+use conprobe_sim::net::Region;
 use conprobe_sim::{
-    ClockConfig, FaultNetStats, FaultPlan, NodeId, ObsSink, SimDuration, SimTime, World,
-    WorldConfig,
+    ClockConfig, FaultEvent, FaultNetStats, FaultPlan, LatencyMatrix, LinkScope, NodeId, ObsSink,
+    SimDuration, SimTime, World, WorldConfig,
 };
 use conprobe_store::PostId;
 
@@ -32,9 +32,6 @@ pub struct TestConfig {
     pub max_duration: SimDuration,
     /// Clock distribution of the measurement machines (NTP disabled).
     pub agent_clocks: ClockConfig,
-    /// Cut the Tokyo-side replica off from the rest of the service for the
-    /// whole test (the transient fault the paper infers for FB Group).
-    pub tokyo_partition: bool,
     /// Run agents behind a client-side session guard (extension A3).
     pub use_guard: bool,
     /// Deploy this topology instead of the service's calibrated preset
@@ -44,9 +41,10 @@ pub struct TestConfig {
     /// extension: adds a [`crate::whitebox::WhiteboxReport`], changes nothing).
     pub whitebox: bool,
     /// Declarative fault script executed against the world and the service
-    /// (link flaps, loss bursts, degraded links, crash cycles, brownouts).
-    /// The resulting interference is accounted in
-    /// [`TestResult::fault_ledger`].
+    /// (link flaps, loss bursts, degraded links, crash cycles, brownouts,
+    /// node-pair cuts such as [`TestConfig::with_tokyo_partition`]'s): the
+    /// only fault injector a run has. The resulting interference is
+    /// accounted in [`TestResult::fault_ledger`].
     pub fault_plan: FaultPlan,
     /// Agent deployment regions, in agent-index order. The paper's three
     /// (Oregon, Tokyo, Ireland) by default; any count ≥ 2 works — Test 1's
@@ -101,7 +99,6 @@ impl TestConfig {
                 TestKind::Test2 => SimDuration::from_secs(120),
             },
             agent_clocks: ClockConfig::default(),
-            tokyo_partition: false,
             use_guard: false,
             service_override: None,
             whitebox: false,
@@ -109,6 +106,32 @@ impl TestConfig {
             agent_regions: Region::AGENTS.to_vec(),
             obs: None,
         }
+    }
+
+    /// Adds the paper's transient Tokyo fault (FB Group's partition
+    /// instances): routes the Tokyo agent to the last replica (idle for FB
+    /// Group) and plans a cut between it and every other replica until
+    /// `start_margin + 10 s`, so the cut covers the start of the measured
+    /// phase and heals mid-test; anti-entropy then closes the window. The
+    /// Tokyo agent still reaches its own front door: it "was unable to
+    /// observe the operations of other agents". A single-replica service
+    /// gains no event. Replica `i` is node `i`: [`run_one_test`] deploys
+    /// the service first.
+    pub fn with_tokyo_partition(mut self) -> Self {
+        let mut topo = self.service_override.take().unwrap_or_else(|| topology(self.service));
+        let tokyo = topo.replicas.len() - 1;
+        topo.affinity.assign(Region::Tokyo, tokyo);
+        for other in 0..tokyo {
+            self.fault_plan.push(FaultEvent::LinkFlap {
+                scope: LinkScope::Nodes(NodeId(tokyo), NodeId(other)),
+                at: SimTime::ZERO,
+                down_for: self.start_margin + SimDuration::from_secs(10),
+                up_for: SimDuration::ZERO,
+                flaps: 1,
+            });
+        }
+        self.service_override = Some(topo);
+        self
     }
 }
 
@@ -165,7 +188,8 @@ pub struct TestResult {
     pub writes_total: u32,
     /// Test duration in (coordinator-perceived) seconds.
     pub duration_secs: f64,
-    /// Whether the Tokyo partition was active.
+    /// Whether the fault plan cut nodes apart (the Tokyo partition of
+    /// [`TestConfig::with_tokyo_partition`]).
     pub partitioned: bool,
     /// Per-agent absolute error of the estimated clock delta vs ground
     /// truth (nanoseconds) — the clock-sync ablation input.
@@ -217,10 +241,11 @@ impl TestResult {
 /// coordinator finishing — that indicates a harness bug, not an anomaly.
 pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
     let fault_plan = &config.fault_plan;
-    let mut net = conprobe_sim::net::NetworkConfig::new(conprobe_sim::LatencyMatrix::paper_wan());
-    net.effects = fault_plan.network_effects();
-    net.fault_seed = fault_plan.seed();
-    let world_config = WorldConfig { net, clocks: config.agent_clocks.clone() };
+    let world_config = WorldConfig {
+        matrix: LatencyMatrix::paper_wan(),
+        plan: fault_plan.clone(),
+        clocks: config.agent_clocks.clone(),
+    };
     let mut world: World<Msg> = World::new(world_config, seed);
     // Install telemetry before any node exists so every `on_start` sees it.
     let test_span = config.obs.as_ref().map(|sink| {
@@ -229,16 +254,14 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
         sink.metrics.span("harness.test")
     });
 
-    // Service first (replica node ids are deterministic: 0..n).
-    let mut cluster: ServiceCluster = match &config.service_override {
+    // Service first: plan events name replica `i` as node `i`.
+    let cluster: ServiceCluster = match &config.service_override {
         Some(topo) => {
             conprobe_services::catalog::deploy_topology(&mut world, config.service, topo.clone())
         }
         None => deploy(&mut world, config.service),
     };
-    if config.tokyo_partition {
-        add_tokyo_partition(&mut world, &mut cluster, config);
-    }
+    assert!(cluster.replicas.iter().enumerate().all(|(i, id)| id.0 == i), "replica i is node i");
 
     // Agents (the paper's three regions by default; any count works).
     let n_agents = config.agent_regions.len() as u32;
@@ -337,7 +360,10 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
         writes_total: outcome.trace.write_count() as u32,
         duration_secs: outcome.duration_nanos as f64 / 1e9,
         completed: outcome.completed,
-        partitioned: config.tokyo_partition,
+        partitioned: fault_plan
+            .events()
+            .iter()
+            .any(|e| matches!(e, FaultEvent::LinkFlap { scope: LinkScope::Nodes(..), .. })),
         clock_error_nanos: clock_error,
         clock_uncertainty_nanos: clock_uncertainty,
         trace: outcome.trace,
@@ -350,32 +376,6 @@ pub fn run_one_test(config: &TestConfig, seed: u64) -> TestResult {
         service: config.service,
         agent_entries,
     }
-}
-
-/// Models the paper's transient Tokyo fault: the Tokyo agent is rerouted to
-/// the Tokyo-side replica (normally idle for Facebook Group), which is cut
-/// off from the rest of the service for the first part of the test. The
-/// Tokyo agent keeps reaching its own front door — it simply "was unable to
-/// observe the operations of other agents" — and once the partition heals,
-/// anti-entropy repairs the divergence, closing the window.
-fn add_tokyo_partition(world: &mut World<Msg>, cluster: &mut ServiceCluster, config: &TestConfig) {
-    if cluster.replicas.len() < 2 {
-        return; // single-replica service: nothing to cut
-    }
-    let tokyo_idx = cluster.replicas.len() - 1;
-    cluster.affinity.assign(Region::Tokyo, tokyo_idx);
-    let tokyo_replica = cluster.replicas[tokyo_idx];
-    let others: Vec<NodeId> =
-        cluster.replicas.iter().copied().filter(|r| *r != tokyo_replica).collect();
-    // Clock sync + start margin take a few seconds; the partition covers
-    // the start of the measured phase and heals mid-test.
-    let heal_at = SimTime::ZERO + config.start_margin + SimDuration::from_secs(10);
-    world.add_partition(PartitionSpec {
-        side_a: vec![tokyo_replica],
-        side_b: others,
-        start: SimTime::ZERO,
-        end: heal_at,
-    });
 }
 
 /// Steps the world until the coordinator publishes its outcome. With a
@@ -460,8 +460,8 @@ mod tests {
 
     #[test]
     fn fbgroup_partition_causes_content_divergence_and_timeout() {
-        let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2);
-        config.tokyo_partition = true;
+        let config =
+            TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2).with_tokyo_partition();
         let r = run_one_test(&config, 3);
         assert!(r.partitioned);
         assert!(r.has(AnomalyKind::ContentDivergence), "a partitioned Tokyo replica must diverge");

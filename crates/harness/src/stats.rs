@@ -358,8 +358,8 @@ mod tests {
             assert!(same_entry(&r, AgentId(a), AgentId(b)), "FB Group: one main door");
         }
         // ...except when the Tokyo partition reroutes the Tokyo agent.
-        let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2);
-        config.tokyo_partition = true;
+        let config =
+            TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2).with_tokyo_partition();
         let r = run_one_test(&config, 3);
         assert!(!same_entry(&r, AgentId(0), AgentId(1)), "rerouted Tokyo agent");
         assert!(same_entry(&r, AgentId(0), AgentId(2)));

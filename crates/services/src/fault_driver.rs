@@ -5,13 +5,13 @@
 //! against the real replica [`NodeId`]s, fires each transition at its
 //! scheduled time as a [`ControlMsg`], and keeps an execution log for the
 //! test's fault ledger. Network-level events don't pass through here: they
-//! enter a world only as [`conprobe_sim::net::NetworkConfig::effects`],
-//! which the world applies on every send.
+//! enter a world only through its [`conprobe_sim::WorldConfig::plan`],
+//! whose windows the world applies on every send.
 //!
 //! The plan is the only fault injector a simulated run has. Links lose
 //! nothing on their own and replicas have no rate limiter of their own: a
-//! loss, a block, an extra delay, a crash or a throttle comes from a plan
-//! event, so the ledger sees every one. Any composition of crash/restart
+//! cut, a loss, a block, an extra delay, a crash or a throttle comes from
+//! a plan event, so the ledger sees every one. Any composition of crash/restart
 //! cycles and brownouts is a plan, and the same plan drives both unit
 //! tests and the harness.
 

@@ -26,7 +26,7 @@ use crate::pbft::PbftReplica;
 use crate::quorum::QuorumReplica;
 use crate::shell::Hosted;
 use conprobe_json::frame;
-use conprobe_sim::net::{LatencyMatrix, NetworkConfig, Region};
+use conprobe_sim::net::{LatencyMatrix, Region};
 use conprobe_sim::{Context, LocalClock, Node, NodeId, SimDuration, SimTime, World, WorldConfig};
 use std::collections::BTreeMap;
 
@@ -34,7 +34,7 @@ type Msg = NetMsg<()>;
 
 /// A world in which every message arrives the instant it is sent.
 pub(crate) fn instant_net() -> WorldConfig {
-    WorldConfig { net: NetworkConfig::new(LatencyMatrix::instant()), ..WorldConfig::default() }
+    WorldConfig { matrix: LatencyMatrix::instant(), ..WorldConfig::default() }
 }
 
 /// Node `id` of a hosted arm, for its counters: the one place a replica

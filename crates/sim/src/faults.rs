@@ -5,13 +5,16 @@
 //! brownouts — that can be attached to a simulated world. The plan is pure
 //! data: it compiles into
 //!
-//! * **network effects** ([`FaultPlan::network_effects`]) — region-scoped
-//!   [`LinkEffect`] windows. One function, [`judge_link`], decides what
-//!   they do to a message: [`crate::world::World`] calls it on every send,
-//!   drawing from a dedicated `"faults"` random stream (so an empty plan
-//!   leaves every existing random stream untouched and replays remain
-//!   byte-identical), and chaosd calls it on every frame it forwards.
-//!   Both count its verdicts in one [`FaultNetStats`];
+//! * **network effects** ([`FaultPlan::network_effects`]) — [`LinkEffect`]
+//!   windows scoped to regions or to one node pair. One function,
+//!   [`judge_link`], decides what region windows do to a message:
+//!   [`crate::world::World`] calls it on every send, drawing from a
+//!   dedicated `"faults"` random stream (so an empty plan leaves every
+//!   existing random stream untouched and replays remain byte-identical),
+//!   and chaosd calls it on every frame it forwards. Both count its
+//!   verdicts in one [`FaultNetStats`]. A node-pair window is a cut
+//!   ([`LinkEffect::cuts`]) that only a world can judge: chaosd sees
+//!   regions, not nodes;
 //! * **service actions** ([`FaultPlan::service_actions`]) — a time-sorted
 //!   list of crash/recover/brownout transitions against abstract target
 //!   indices, which a deployment layer (that knows the real node ids) turns
@@ -23,6 +26,7 @@
 use crate::net::{LinkSpec, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::world::NodeId;
 use conprobe_json::{member, FromJson, JsonError, JsonValue};
 use std::fmt;
 
@@ -35,6 +39,9 @@ pub enum LinkScope {
     Between(Region, Region),
     /// Every link with at least one endpoint in the region.
     Touching(Region),
+    /// The link between two simulated nodes, in both directions. No
+    /// region pair is covered by it: only [`LinkEffect::cuts`] sees it.
+    Nodes(NodeId, NodeId),
 }
 
 impl LinkScope {
@@ -44,6 +51,7 @@ impl LinkScope {
             LinkScope::All => true,
             LinkScope::Between(x, y) => (a == *x && b == *y) || (a == *y && b == *x),
             LinkScope::Touching(r) => a == *r || b == *r,
+            LinkScope::Nodes(..) => false,
         }
     }
 }
@@ -83,6 +91,14 @@ impl LinkEffect {
     pub fn applies(&self, a: Region, b: Region, at: SimTime) -> bool {
         at >= self.start && at < self.end && self.scope.covers(a, b)
     }
+
+    /// Whether this is a [`EffectKind::Block`] window on the node pair
+    /// `src`–`dst` (either direction) that is open at `at`.
+    pub fn cuts(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
+        let LinkScope::Nodes(x, y) = self.scope else { return false };
+        let pair = (src == x && dst == y) || (src == y && dst == x);
+        pair && self.kind == EffectKind::Block && at >= self.start && at < self.end
+    }
 }
 
 /// What [`judge_link`] decided for one message or frame.
@@ -109,6 +125,9 @@ pub enum LinkVerdict {
 /// 3. otherwise each covering `ExtraDelay` window, in effect order, adds
 ///    `base + round(Exp(jitter_mean))`. Only a non-zero sum counts as
 ///    `delayed`.
+///
+/// A [`LinkScope::Nodes`] window covers no region pair, so the judge
+/// passes it by: a world checks it with [`LinkEffect::cuts`].
 pub fn judge_link(
     effects: &[LinkEffect],
     a: Region,
@@ -607,10 +626,55 @@ mod tests {
         assert!(LinkScope::Touching(jp).covers(or, jp));
         assert!(LinkScope::Touching(jp).covers(jp, jp));
         assert!(!LinkScope::Touching(jp).covers(or, ir));
+        for (a, b) in [(or, jp), (jp, jp)] {
+            assert!(!LinkScope::Nodes(NodeId(0), NodeId(1)).covers(a, b), "no region pair");
+        }
     }
 
     fn window(scope: LinkScope, start: SimTime, end: SimTime, kind: EffectKind) -> LinkEffect {
         LinkEffect { scope, start, end, kind }
+    }
+
+    #[test]
+    fn node_pair_cuts_block_both_directions_within_window() {
+        // Node 0 cut off from nodes 1 and 2: one flap per pair.
+        let flap = |other| FaultEvent::LinkFlap {
+            scope: LinkScope::Nodes(NodeId(0), NodeId(other)),
+            at: SimTime::from_secs(10),
+            down_for: SimDuration::from_secs(10),
+            up_for: SimDuration::ZERO,
+            flaps: 1,
+        };
+        let effects = FaultPlan::new(0).with(flap(1)).with(flap(2)).network_effects();
+        let cut = |src, dst, at| effects.iter().any(|e| e.cuts(NodeId(src), NodeId(dst), at));
+        let mid = SimTime::from_secs(15);
+        assert!(cut(0, 1, mid));
+        assert!(cut(2, 0, mid));
+        assert!(!cut(1, 2, mid)); // same side
+        assert!(!cut(0, 1, SimTime::from_secs(9)));
+        assert!(!cut(0, 1, SimTime::from_secs(20))); // end exclusive
+    }
+
+    #[test]
+    fn only_a_node_pair_block_window_cuts_and_the_judge_passes_it_by() {
+        let (s0, s1) = (SimTime::ZERO, SimTime::from_secs(1));
+        let pair = LinkScope::Nodes(NodeId(3), NodeId(4));
+        let mid = SimTime::from_millis(500);
+        assert!(window(pair, s0, s1, EffectKind::Block).cuts(NodeId(3), NodeId(4), mid));
+        assert!(!window(pair, s0, s1, EffectKind::Block).cuts(NodeId(3), NodeId(5), mid));
+        assert!(!window(pair, s0, s1, EffectKind::Loss(1.0)).cuts(NodeId(3), NodeId(4), mid));
+        assert!(!window(LinkScope::All, s0, s1, EffectKind::Block).cuts(NodeId(3), NodeId(4), mid));
+        // The region judge sees no window at all: nothing blocked, drawn
+        // or counted.
+        let effects =
+            [window(pair, s0, s1, EffectKind::Block), window(pair, s0, s1, EffectKind::Loss(1.0))];
+        let (mut rng, mut twin) = (SimRng::new(2), SimRng::new(2));
+        let mut stats = FaultNetStats::default();
+        let verdict =
+            judge_link(&effects, Region::Tokyo, Region::Virginia, mid, &mut rng, &mut stats);
+        assert_eq!(verdict, LinkVerdict::Deliver(SimDuration::ZERO));
+        assert_eq!(stats, FaultNetStats::default());
+        assert!(in_step(&mut rng, &mut twin));
     }
 
     /// Judges an Oregon → Tokyo message sent at time zero.

@@ -29,8 +29,9 @@
 //! * **WAN model** — [`net::LatencyMatrix`] captures one-way delays with
 //!   jitter between [`net::Region`]s, seeded from the RTTs the paper
 //!   measured (136 ms Virginia–Oregon, 218 ms Virginia–Tokyo, 172 ms
-//!   Virginia–Ireland), plus scheduled partitions; every other loss, block
-//!   or extra delay comes from a [`FaultPlan`] and its one link judge,
+//!   Virginia–Ireland). Every cut, loss, block or extra delay comes from
+//!   the world's [`FaultPlan`]: node-pair cuts through
+//!   [`LinkEffect::cuts`], region windows through the one link judge,
 //!   [`faults::judge_link`].
 //!
 //! ## Example
@@ -74,7 +75,7 @@ pub use faults::{
     judge_link, BrownoutMode, EffectKind, FaultEvent, FaultNetStats, FaultPlan, LinkEffect,
     LinkScope, LinkVerdict, ServiceAction, ServiceActionKind,
 };
-pub use net::{LatencyMatrix, LinkSpec, NetworkConfig, PartitionSpec, Region};
+pub use net::{LatencyMatrix, LinkSpec, Region};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use world::{Context, Node, NodeId, SimEventKind, World, WorldConfig};

@@ -1,4 +1,4 @@
-//! WAN network model: regions, latency matrix, partitions, fault windows.
+//! WAN network model: regions and the latency matrix.
 //!
 //! The paper's agents sat in three Amazon EC2 availability zones — Oregon,
 //! Tokyo and Ireland — with a coordinator in North Virginia, and reported
@@ -8,19 +8,13 @@
 //!
 //! One-way delays are sampled as `base + Exp(jitter_mean)`, a standard heavy
 //! -tail-ish WAN model that keeps medians near the base while producing the
-//! occasional slow packet. Links themselves never lose a message:
-//! [`PartitionSpec`]s block traffic between node sets during a time window
-//! (the transient Tokyo partition the paper infers for Facebook Group), and
-//! every other loss, block or extra delay is a window of a
-//! [`crate::faults::FaultPlan`], carried here as [`NetworkConfig::effects`]
-//! and judged per send by [`crate::faults::judge_link`] — the function
-//! chaosd judges its frames with, so this module has no fault rules of
-//! its own.
+//! occasional slow packet. Links themselves never lose a message: every
+//! loss, block, cut or extra delay is a window of the world's
+//! [`crate::faults::FaultPlan`] (see [`crate::world::WorldConfig`]), so
+//! this module has no fault rules of its own.
 
-use crate::faults::LinkEffect;
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
-use crate::world::NodeId;
+use crate::time::SimDuration;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -175,65 +169,6 @@ impl LatencyMatrix {
     }
 }
 
-/// A scheduled bidirectional partition between two sets of nodes.
-#[derive(Debug, Clone)]
-pub struct PartitionSpec {
-    /// Nodes on one side of the partition.
-    pub side_a: Vec<NodeId>,
-    /// Nodes on the other side.
-    pub side_b: Vec<NodeId>,
-    /// Partition start (inclusive).
-    pub start: SimTime,
-    /// Partition end (exclusive).
-    pub end: SimTime,
-}
-
-impl PartitionSpec {
-    /// Whether a message sent from `src` to `dst` at time `at` is blocked.
-    pub fn blocks(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        if at < self.start || at >= self.end {
-            return false;
-        }
-        (self.side_a.contains(&src) && self.side_b.contains(&dst))
-            || (self.side_b.contains(&src) && self.side_a.contains(&dst))
-    }
-}
-
-/// Full network configuration: latency matrix, active partitions, and
-/// scheduled fault-plan link effects.
-#[derive(Debug, Clone, Default)]
-pub struct NetworkConfig {
-    /// The latency matrix.
-    pub matrix: LatencyMatrix,
-    /// Scheduled partitions.
-    pub partitions: Vec<PartitionSpec>,
-    /// Compiled fault-plan windows (see [`crate::faults::FaultPlan`]),
-    /// judged per send by [`crate::faults::judge_link`].
-    pub effects: Vec<LinkEffect>,
-    /// Seed for the world's dedicated fault random stream (the plan's
-    /// seed). The judge draws for `effects` from that stream only, so
-    /// configurations without effects are unperturbed.
-    pub fault_seed: u64,
-}
-
-impl NetworkConfig {
-    /// Creates a configuration with the given matrix and no partitions.
-    pub fn new(matrix: LatencyMatrix) -> Self {
-        NetworkConfig { matrix, ..NetworkConfig::default() }
-    }
-
-    /// Adds a partition window.
-    pub fn add_partition(&mut self, spec: PartitionSpec) -> &mut Self {
-        self.partitions.push(spec);
-        self
-    }
-
-    /// Whether any partition blocks `src → dst` at `at`.
-    pub fn is_blocked(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        self.partitions.iter().any(|p| p.blocks(src, dst, at))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,34 +233,5 @@ mod tests {
             assert!(d >= SimDuration::from_millis(70));
             assert!(d < SimDuration::from_millis(300), "pathological jitter: {d}");
         }
-    }
-
-    #[test]
-    fn partitions_block_both_directions_within_window() {
-        let p = PartitionSpec {
-            side_a: vec![NodeId(0)],
-            side_b: vec![NodeId(1), NodeId(2)],
-            start: SimTime::from_secs(10),
-            end: SimTime::from_secs(20),
-        };
-        let mid = SimTime::from_secs(15);
-        assert!(p.blocks(NodeId(0), NodeId(1), mid));
-        assert!(p.blocks(NodeId(2), NodeId(0), mid));
-        assert!(!p.blocks(NodeId(1), NodeId(2), mid)); // same side
-        assert!(!p.blocks(NodeId(0), NodeId(1), SimTime::from_secs(9)));
-        assert!(!p.blocks(NodeId(0), NodeId(1), SimTime::from_secs(20))); // end exclusive
-    }
-
-    #[test]
-    fn network_config_aggregates_partitions() {
-        let mut cfg = NetworkConfig::new(LatencyMatrix::paper_wan());
-        cfg.add_partition(PartitionSpec {
-            side_a: vec![NodeId(3)],
-            side_b: vec![NodeId(4)],
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(1),
-        });
-        assert!(cfg.is_blocked(NodeId(3), NodeId(4), SimTime::from_millis(500)));
-        assert!(!cfg.is_blocked(NodeId(3), NodeId(5), SimTime::from_millis(500)));
     }
 }

@@ -3,14 +3,16 @@
 //! A [`World`] owns a set of [`Node`]s, each placed in a [`Region`] and
 //! equipped with a [`LocalClock`]. Nodes interact with the world only through
 //! the [`Context`] handed to their callbacks: they can send messages (which
-//! arrive after a sampled network delay, or never, if lost or partitioned),
-//! set timers, read their local clock, and draw from a private random
-//! stream. The loop pops events in `(time, sequence)` order, so runs are
-//! exactly reproducible for a given configuration and seed.
+//! arrive after a sampled network delay, or never, if a window of the
+//! world's [`FaultPlan`] cuts, blocks or loses them), set timers, read
+//! their local clock, and draw from a private random stream. The plan in
+//! [`WorldConfig`] is the one way network faults enter a world. The loop
+//! pops events in `(time, sequence)` order, so runs are exactly
+//! reproducible for a given configuration and seed.
 
 use crate::clock::{ClockConfig, LocalClock, LocalTime};
-use crate::faults::{judge_link, FaultNetStats, LinkVerdict};
-use crate::net::{LinkSpec, NetworkConfig, Region};
+use crate::faults::{judge_link, FaultNetStats, FaultPlan, LinkEffect, LinkVerdict};
+use crate::net::{LatencyMatrix, LinkSpec, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use conprobe_obs::{Counter, ObsSink, Severity};
@@ -28,7 +30,7 @@ pub enum SimEventKind {
         /// Sender.
         src: NodeId,
     },
-    /// A message from `src` was dropped by loss or partition.
+    /// A message from `src` was lost to a fault-plan window.
     Dropped {
         /// Sender.
         src: NodeId,
@@ -71,8 +73,12 @@ pub trait Node<M>: Any + Send {
 /// Configuration for a [`World`].
 #[derive(Debug, Clone, Default)]
 pub struct WorldConfig {
-    /// Network model (latency matrix + partitions).
-    pub net: NetworkConfig,
+    /// Link delays between regions (the paper's WAN by default).
+    pub matrix: LatencyMatrix,
+    /// Every network fault the world applies: the plan's network effects
+    /// are judged on each send, drawing from a stream split from the
+    /// plan's seed. Its service actions are a deployment layer's to run.
+    pub plan: FaultPlan,
     /// Distribution from which node clocks are sampled.
     pub clocks: ClockConfig,
 }
@@ -161,13 +167,14 @@ struct WorldCore<M> {
     channels: Vec<Vec<Channel>>,
     clocks: Vec<LocalClock>,
     node_rngs: Vec<SimRng>,
-    net: NetworkConfig,
+    matrix: LatencyMatrix,
+    /// The plan's compiled network windows.
+    effects: Vec<LinkEffect>,
     net_rng: SimRng,
     /// Dedicated stream for fault-plan loss/delay sampling, split from the
     /// plan's own seed so an empty plan perturbs nothing.
     fault_rng: SimRng,
     delivered: u64,
-    dropped: u64,
     fault_stats: FaultNetStats,
     /// Observability sink + cached handles (None = observability off).
     /// Recording mutates atomics and a bounded log only — it never draws
@@ -248,37 +255,33 @@ impl<M> WorldCore<M> {
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, msg: M, ordered: bool) {
-        if self.net.is_blocked(src, dst, self.now) {
-            self.dropped += 1;
-            self.record(dst, SimEventKind::Dropped { src });
-            return;
+        // Neither fault check may cross the link-delay draw. A cut message
+        // takes no draw (checked after it, the pinned partition traces
+        // break); a region window is judged after the draw (judged before
+        // it, every later delay shifts and the pinned quorum traces break).
+        if self.effects.iter().any(|e| e.cuts(src, dst, self.now)) {
+            self.fault_stats.blocked += 1;
+            return self.lost(src, dst, LinkVerdict::Blocked);
         }
         let (ra, rb) = (self.regions[src.0], self.regions[dst.0]);
         let mut delay = self.channels[src.0][dst.0].link.sample_delay(&mut self.net_rng);
-        // Fault-plan effects, sampled from their own stream. The guard
-        // keeps configurations without a plan on byte-identical replay.
-        if !self.net.effects.is_empty() {
+        // Region windows draw from their own stream. The guard keeps
+        // configurations without a plan on byte-identical replay.
+        if !self.effects.is_empty() {
             let verdict = judge_link(
-                &self.net.effects,
+                &self.effects,
                 ra,
                 rb,
                 self.now,
                 &mut self.fault_rng,
                 &mut self.fault_stats,
             );
-            if let Some(obs) = &self.obs {
-                match verdict {
-                    LinkVerdict::Blocked => obs.fault_blocked.inc(),
-                    LinkVerdict::Dropped => obs.fault_dropped.inc(),
-                    LinkVerdict::Deliver(extra) if !extra.is_zero() => obs.fault_delayed.inc(),
-                    LinkVerdict::Deliver(_) => {}
-                }
-            }
             let LinkVerdict::Deliver(extra) = verdict else {
-                self.dropped += 1;
-                self.record(dst, SimEventKind::Dropped { src });
-                return;
+                return self.lost(src, dst, verdict);
             };
+            if let (Some(obs), false) = (&self.obs, extra.is_zero()) {
+                obs.fault_delayed.inc();
+            }
             delay += extra;
         }
         let mut at = self.now + delay;
@@ -290,6 +293,15 @@ impl<M> WorldCore<M> {
             *last = at;
         }
         self.push(at, dst, EventKind::Deliver { src, msg });
+    }
+
+    /// Counts and records a message a fault verdict lost.
+    fn lost(&mut self, src: NodeId, dst: NodeId, verdict: LinkVerdict) {
+        if let Some(obs) = &self.obs {
+            let blocked = verdict == LinkVerdict::Blocked;
+            if blocked { &obs.fault_blocked } else { &obs.fault_dropped }.inc();
+        }
+        self.record(dst, SimEventKind::Dropped { src });
     }
 }
 
@@ -324,7 +336,7 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Sends `msg` to `dst`. Delivery is asynchronous with a sampled network
-    /// delay; the message may be lost or blocked by a partition. Messages on
+    /// delay; a fault-plan window may cut, block or lose it. Messages on
     /// the same (src, dst) pair may be reordered by jitter — use
     /// [`Context::send_ordered`] for FIFO semantics.
     pub fn send(&mut self, dst: NodeId, msg: M) {
@@ -372,7 +384,7 @@ impl<M: 'static> World<M> {
     /// Creates an empty world from a configuration and a seed.
     pub fn new(config: WorldConfig, seed: u64) -> Self {
         let rng_root = SimRng::new(seed);
-        let fault_rng = rng_root.split_indexed("faults", config.net.fault_seed);
+        let fault_rng = rng_root.split_indexed("faults", config.plan.seed());
         World {
             core: WorldCore {
                 now: SimTime::ZERO,
@@ -384,11 +396,11 @@ impl<M: 'static> World<M> {
                 channels: Vec::new(),
                 clocks: Vec::new(),
                 node_rngs: Vec::new(),
-                net: config.net,
+                matrix: config.matrix,
+                effects: config.plan.network_effects(),
                 net_rng: rng_root.split("net"),
                 fault_rng,
                 delivered: 0,
-                dropped: 0,
                 fault_stats: FaultNetStats::default(),
                 obs: None,
             },
@@ -417,8 +429,7 @@ impl<M: 'static> World<M> {
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
         let core = &mut self.core;
-        let channel =
-            |a, b| Channel { link: core.net.matrix.link(a, b), last_ordered: SimTime::ZERO };
+        let channel = |a, b| Channel { link: core.matrix.link(a, b), last_ordered: SimTime::ZERO };
         for (row, &src) in core.channels.iter_mut().zip(&core.regions) {
             row.push(channel(src, region));
         }
@@ -442,13 +453,10 @@ impl<M: 'static> World<M> {
         self.core.delivered
     }
 
-    /// Number of messages dropped (loss, partition or fault plan) so far.
-    pub fn dropped(&self) -> u64 {
-        self.core.dropped
-    }
-
     /// Counters of fault-plan network interference (the network half of a
-    /// fault ledger). All zero when no effects are configured.
+    /// fault ledger). Links lose nothing on their own, so `blocked +
+    /// dropped` is every message the world lost. All zero when the plan
+    /// has no network effects.
     pub fn fault_stats(&self) -> FaultNetStats {
         self.core.fault_stats
     }
@@ -574,12 +582,6 @@ impl<M: 'static> World<M> {
 }
 
 impl<M: 'static> World<M> {
-    /// Schedules a partition after construction (useful once node ids are
-    /// known, e.g. to cut a specific replica off).
-    pub fn add_partition(&mut self, spec: crate::net::PartitionSpec) {
-        self.core.net.add_partition(spec);
-    }
-
     /// Installs an observability sink: global and per-region-link
     /// delivery/drop counters, fault-interference counters, timer counts,
     /// and the structured event log (all under the `sim.` namespace; nodes
@@ -596,21 +598,20 @@ impl<M: 'static> World<M> {
 /// with probability `p`: one fault-plan `Loss` window over the whole run.
 #[cfg(test)]
 fn lossy_config(p: f64) -> WorldConfig {
-    use crate::faults::{EffectKind, LinkEffect, LinkScope};
-    let mut cfg = WorldConfig::default();
-    cfg.net.effects.push(LinkEffect {
+    use crate::faults::{FaultEvent, LinkScope};
+    let plan = FaultPlan::new(0).with(FaultEvent::LossBurst {
         scope: LinkScope::All,
-        start: SimTime::ZERO,
-        end: SimTime::from_nanos(u64::MAX),
-        kind: EffectKind::Loss(p),
+        at: SimTime::ZERO,
+        duration: SimDuration::from_nanos(u64::MAX),
+        loss: p,
     });
-    cfg
+    WorldConfig { plan, ..WorldConfig::default() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{LatencyMatrix, PartitionSpec};
+    use crate::net::LatencyMatrix;
 
     type Msg = &'static str;
 
@@ -763,8 +764,7 @@ mod tests {
                 self.fired.push((token, ctx.true_now()));
             }
         }
-        let mut cfg = WorldConfig::default();
-        cfg.net.matrix = LatencyMatrix::instant();
+        let cfg = WorldConfig { matrix: LatencyMatrix::instant(), ..WorldConfig::default() };
         let mut w = World::new(cfg, 1);
         let id = w.add_node(Region::Oregon, Box::new(Sleeper { fired: vec![] }));
         w.run_until(SimTime::from_millis(100));
@@ -780,19 +780,25 @@ mod tests {
 
     #[test]
     fn partition_drops_messages() {
-        let mut cfg = WorldConfig::default();
-        cfg.net.add_partition(PartitionSpec {
-            side_a: vec![NodeId(0)],
-            side_b: vec![NodeId(1)],
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(60),
+        use crate::faults::{FaultEvent, LinkScope};
+        let plan = FaultPlan::new(0).with(FaultEvent::LinkFlap {
+            scope: LinkScope::Nodes(NodeId(0), NodeId(1)),
+            at: SimTime::ZERO,
+            down_for: SimDuration::from_secs(60),
+            up_for: SimDuration::ZERO,
+            flaps: 1,
         });
-        let mut w = World::new(cfg, 1);
+        let mut w = World::new(WorldConfig { plan, ..WorldConfig::default() }, 1);
+        let sink = ObsSink::new();
+        w.install_obs(sink.clone());
         let echo = w.add_node(Region::Tokyo, Box::new(Echo::new(0)));
         let _kick = w.add_node(Region::Oregon, Box::new(Kick { target: echo }));
         w.run_until_idle();
-        assert_eq!(w.dropped(), 1);
+        assert_eq!(w.fault_stats(), FaultNetStats { blocked: 1, dropped: 0, delayed: 0 });
         assert!(w.node_as::<Echo>(echo).unwrap().received.is_empty());
+        for name in ["sim.dropped", "sim.fault.blocked", "sim.link.OR-JP.dropped"] {
+            assert_eq!(sink.metrics.counter(name).get(), 1, "{name}");
+        }
     }
 
     #[test]
@@ -944,8 +950,7 @@ mod tests {
 
         for seed in 0..4 {
             let ledger = Arc::new(Mutex::new(Ledger::default()));
-            let mut cfg = WorldConfig::default();
-            cfg.net.matrix = LatencyMatrix::instant();
+            let cfg = WorldConfig { matrix: LatencyMatrix::instant(), ..WorldConfig::default() };
             let mut w = World::new(cfg, seed);
             let peers = 4;
             for _ in 0..peers {
@@ -1055,7 +1060,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::faults::{EffectKind, FaultEvent, FaultPlan, LinkEffect, LinkScope};
+    use crate::faults::{FaultEvent, FaultPlan, LinkScope};
 
     type Msg = &'static str;
 
@@ -1088,10 +1093,8 @@ mod fault_tests {
         fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: u64) {}
     }
 
-    fn pinger_world(effects: Vec<LinkEffect>, seed: u64) -> (World<Msg>, NodeId) {
-        let mut cfg = WorldConfig::default();
-        cfg.net.effects = effects;
-        let mut w = World::new(cfg, seed);
+    fn pinger_world(plan: FaultPlan, seed: u64) -> (World<Msg>, NodeId) {
+        let mut w = World::new(WorldConfig { plan, ..WorldConfig::default() }, seed);
         let sink = w.add_node(Region::Tokyo, Box::new(Sink { got: 0 }));
         let _src = w.add_node(Region::Oregon, Box::new(Pinger { target: sink, count: 50 }));
         (w, sink)
@@ -1106,7 +1109,7 @@ mod fault_tests {
             up_for: SimDuration::from_secs(1),
             flaps: 1,
         });
-        let (mut w, sink) = pinger_world(plan.network_effects(), 3);
+        let (mut w, sink) = pinger_world(plan.clone(), 3);
         w.run_until_idle();
         let stats = w.fault_stats();
         // Sends at 1.0 s..1.9 s fall inside the block window (10 of 50).
@@ -1114,7 +1117,6 @@ mod fault_tests {
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.delayed, 0);
         assert_eq!(w.node_as::<Sink>(sink).unwrap().got, 40);
-        assert_eq!(w.dropped(), 10);
     }
 
     #[test]
@@ -1126,7 +1128,7 @@ mod fault_tests {
             loss: 0.5,
         });
         let run = |seed| {
-            let (mut w, sink) = pinger_world(plan.network_effects(), seed);
+            let (mut w, sink) = pinger_world(plan.clone(), seed);
             w.run_until_idle();
             (w.fault_stats(), w.node_as::<Sink>(sink).unwrap().got)
         };
@@ -1146,8 +1148,8 @@ mod fault_tests {
             extra_base: SimDuration::from_secs(1),
             extra_jitter: SimDuration::from_millis(10),
         });
-        let (mut w, sink) = pinger_world(plan.network_effects(), 4);
-        let (mut base, base_sink) = pinger_world(Vec::new(), 4);
+        let (mut w, sink) = pinger_world(plan.clone(), 4);
+        let (mut base, base_sink) = pinger_world(FaultPlan::default(), 4);
         w.run_until_idle();
         base.run_until_idle();
         assert_eq!(w.fault_stats().delayed, 50);
@@ -1164,9 +1166,9 @@ mod fault_tests {
     fn empty_effects_leave_existing_streams_untouched() {
         // A world with no effects must behave exactly like one built before
         // the fault engine existed: same deliveries, same finish time.
-        let (mut a, sink_a) = pinger_world(Vec::new(), 9);
-        let mut cfg = WorldConfig::default();
-        cfg.net.fault_seed = 0xDEAD_BEEF; // different fault stream, unused
+        let (mut a, sink_a) = pinger_world(FaultPlan::default(), 9);
+        // A different fault stream, unused.
+        let cfg = WorldConfig { plan: FaultPlan::new(0xDEAD_BEEF), ..WorldConfig::default() };
         let mut b = World::new(cfg, 9);
         let sink_b = b.add_node(Region::Tokyo, Box::new(Sink { got: 0 }));
         let _src = b.add_node(Region::Oregon, Box::new(Pinger { target: sink_b, count: 50 }));
@@ -1181,13 +1183,14 @@ mod fault_tests {
     fn expired_effect_has_no_influence() {
         // An effect entirely in the past still exercises the effects path
         // (fault_rng exists) but changes nothing observable.
-        let effects = vec![LinkEffect {
+        let plan = FaultPlan::new(0).with(FaultEvent::LinkFlap {
             scope: LinkScope::All,
-            start: SimTime::ZERO,
-            end: SimTime::from_millis(1),
-            kind: EffectKind::Block,
-        }];
-        let (mut w, sink) = pinger_world(effects, 11);
+            at: SimTime::ZERO,
+            down_for: SimDuration::from_millis(1),
+            up_for: SimDuration::ZERO,
+            flaps: 1,
+        });
+        let (mut w, sink) = pinger_world(plan, 11);
         w.run_until_idle();
         assert_eq!(w.fault_stats(), FaultNetStats::default());
         assert_eq!(w.node_as::<Sink>(sink).unwrap().got, 50);
@@ -1195,8 +1198,9 @@ mod fault_tests {
 
     #[test]
     fn without_a_partition_every_drop_is_a_plan_drop() {
-        // Links lose nothing on their own: a world's drop total is exactly
-        // what its plan's block and loss windows account for.
+        // Links lose nothing on their own: what a sink misses is exactly
+        // what the plan's block and loss windows account for (a node-pair
+        // cut is a plan window too; `partition_drops_messages` counts one).
         let plan = FaultPlan::new(3)
             .with(FaultEvent::LinkFlap {
                 scope: LinkScope::Between(Region::Oregon, Region::Tokyo),
@@ -1212,17 +1216,20 @@ mod fault_tests {
                 loss: 0.5,
             });
         for seed in 0..4 {
-            let (mut w, sink) = pinger_world(plan.network_effects(), seed);
+            let (mut w, sink) = pinger_world(plan.clone(), seed);
             w.run_until_idle();
             let stats = w.fault_stats();
             assert!(stats.blocked > 0 && stats.dropped > 0, "seed {seed}: {stats:?}");
-            assert_eq!(w.dropped(), stats.blocked + stats.dropped, "seed {seed}");
-            assert_eq!(w.node_as::<Sink>(sink).unwrap().got as u64, 50 - w.dropped());
+            let got = u64::from(w.node_as::<Sink>(sink).unwrap().got);
+            assert_eq!(got, 50 - stats.blocked - stats.dropped, "seed {seed}");
         }
         // With no plan at all, nothing is ever lost.
-        let (mut w, sink) = pinger_world(Vec::new(), 0);
+        let (mut w, sink) = pinger_world(FaultPlan::default(), 0);
         w.run_until_idle();
-        assert_eq!((w.dropped(), w.node_as::<Sink>(sink).unwrap().got), (0, 50));
+        assert_eq!(
+            (w.fault_stats(), w.node_as::<Sink>(sink).unwrap().got),
+            (Default::default(), 50)
+        );
     }
 }
 
@@ -1344,7 +1351,7 @@ mod obs_tests {
         let sink = ObsSink::new();
         let (w, _) = drive(WorldConfig::default(), Some(sink.clone()));
         assert_eq!(sink.metrics.counter("sim.delivered").get(), w.delivered());
-        assert_eq!(sink.metrics.counter("sim.dropped").get(), w.dropped());
+        assert_eq!(sink.metrics.counter("sim.dropped").get(), 0);
         // 3 timer firings from Kick plus its start event; the per-link
         // Oregon→Tokyo counter sees every delivery.
         assert_eq!(sink.metrics.counter("sim.timers").get(), 3);
@@ -1356,8 +1363,11 @@ mod obs_tests {
         let sink = ObsSink::new();
         let (w, _) = drive(lossy_config(1.0), Some(sink.clone()));
         assert_eq!(w.delivered(), 0);
-        assert_eq!(sink.metrics.counter("sim.dropped").get(), w.dropped());
-        assert_eq!(sink.metrics.counter("sim.link.OR-JP.dropped").get(), w.dropped());
+        let dropped = w.fault_stats().dropped;
+        assert_eq!(dropped, 3, "every shot lost");
+        assert_eq!(sink.metrics.counter("sim.dropped").get(), dropped);
+        assert_eq!(sink.metrics.counter("sim.fault.dropped").get(), dropped);
+        assert_eq!(sink.metrics.counter("sim.link.OR-JP.dropped").get(), dropped);
     }
 
     #[test]
@@ -1381,6 +1391,6 @@ mod obs_tests {
         let (observed, _) = drive(lossy_config(0.5), Some(sink));
         assert_eq!(plain.now(), observed.now());
         assert_eq!(plain.delivered(), observed.delivered());
-        assert_eq!(plain.dropped(), observed.dropped());
+        assert_eq!(plain.fault_stats(), observed.fault_stats());
     }
 }

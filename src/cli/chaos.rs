@@ -7,6 +7,8 @@ use super::{write_metrics, CliError};
 use conprobe_harness::journal;
 use conprobe_harness::runner::{run_one_test, TestConfig, TestResult};
 use conprobe_obs::{EventLog, Severity};
+use conprobe_services::catalog::topology;
+use conprobe_services::ServiceKind;
 use conprobe_sim::net::Region;
 use conprobe_sim::{
     BrownoutMode, FaultEvent, FaultPlan, LinkScope, ObsSink, SimDuration, SimRng, SimTime,
@@ -173,11 +175,20 @@ pub(super) fn ledger_counts(ledger: &ChaosLedger) -> String {
     )
 }
 
-/// One interposer target in front of each upstream listener.
-pub(super) fn interpose_on(upstream: &[(Region, std::net::SocketAddr)]) -> Vec<ChaosTarget> {
+/// One interposer target in front of each upstream listener of `service`,
+/// judged on the link from the door's region to its replica's region (the
+/// catalog's routing): the region pair the simulator judges for an agent.
+pub(super) fn interpose_on(
+    service: ServiceKind,
+    upstream: &[(Region, std::net::SocketAddr)],
+) -> Vec<ChaosTarget> {
+    let topo = topology(service);
     upstream
         .iter()
-        .map(|&(region, addr)| ChaosTarget { region, replica_region: region, addr })
+        .map(|&(region, addr)| {
+            let replica_region = topo.replicas[topo.affinity.replica_for(region)].0;
+            ChaosTarget { region, replica_region, addr }
+        })
         .collect()
 }
 
@@ -364,7 +375,7 @@ fn run_wire_chaos_level(
         inject: wire_inject_profile(level),
         base_port: 0,
     };
-    let proxy = ChaosProxy::start(&chaos_config, &interpose_on(server.addrs()))
+    let proxy = ChaosProxy::start(&chaos_config, &interpose_on(spec.service, server.addrs()))
         .map_err(|e| CliError(format!("wire chaos interposer: {e}")))?;
     let mut pc = ProbeConfig::loopback(spec.service, spec.kind, proxy.addrs().to_vec(), inst_seed);
     // A blackholed response stalls a read until the socket times out; a

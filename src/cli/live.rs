@@ -1,7 +1,7 @@
 //! The live wire-plane commands — `serve`, `chaosd`, `probe`, `load`,
 //! `dispatch`, `worker` — and the ready-file they hand addresses over in.
 
-use super::args::{parse_endpoint, region_token, Args};
+use super::args::{parse_endpoint, parse_service, region_token, Args};
 use super::chaos::{fault_plan, interpose_on, ledger_counts, wire_chaos_plan};
 use super::study::{campaign_tests, progress_gauge, render_campaign_report, JournalArgs, TestSpec};
 use super::{write_file, write_metrics, CliError};
@@ -34,6 +34,8 @@ pub(super) struct ReadyFile {
     pub endpoints: Vec<(Region, SocketAddr)>,
     /// The `shards=N` line of a `serve` (absent from older files).
     pub shards: Option<usize>,
+    /// The `service=NAME` line of a `serve`: chaosd routes doors by it.
+    pub service: Option<ServiceKind>,
     /// The `dispatch=host:port` line of a coordinator.
     pub dispatch: Option<SocketAddr>,
 }
@@ -45,6 +47,8 @@ impl ReadyFile {
             if let Some(n) = line.strip_prefix("shards=") {
                 ready.shards =
                     Some(n.parse().map_err(|e| CliError(format!("bad shards line: {e}")))?);
+            } else if let Some(name) = line.strip_prefix("service=") {
+                ready.service = Some(parse_service(name)?);
             } else if let Some(a) = line.strip_prefix("dispatch=") {
                 let addr = a.parse().map_err(|e| CliError(format!("dispatch address '{a}': {e}")));
                 ready.dispatch = Some(addr?);
@@ -62,6 +66,9 @@ impl ReadyFile {
         }
         if let Some(n) = self.shards {
             let _ = writeln!(lines, "shards={n}");
+        }
+        if let Some(service) = self.service {
+            let _ = writeln!(lines, "service={}", journal::service_token(service));
         }
         if let Some(addr) = self.dispatch {
             let _ = writeln!(lines, "dispatch={addr}");
@@ -248,6 +255,7 @@ impl ServeArgs {
         let ready = ReadyFile {
             endpoints: server.addrs().to_vec(),
             shards: Some(server.shard_count()),
+            service: Some(service),
             dispatch: None,
         };
         self.host.announce(&format!("serving {service} (seed {seed})"), &ready)?;
@@ -309,6 +317,9 @@ impl ChaosdArgs {
     pub(super) fn execute(&self, out: &mut String) -> Result<(), CliError> {
         let seed = self.host.seed;
         let upstream = ReadyFile::read_serve(&self.server_file)?;
+        let service = upstream.service.ok_or_else(|| {
+            CliError(format!("{} has no service= line (serve writes one)", self.server_file))
+        })?;
         let plan = self.host.plan()?;
         if !plan.service_actions().is_empty() {
             eprintln!(
@@ -328,10 +339,10 @@ impl ChaosdArgs {
             },
             base_port: self.host.base_port,
         };
-        let proxy = ChaosProxy::start(&config, &interpose_on(&upstream.endpoints))
+        let proxy = ChaosProxy::start(&config, &interpose_on(service, &upstream.endpoints))
             .map_err(|e| CliError(format!("chaosd: {e}")))?;
-        // The upstream shard count passes through so probes pointed at
-        // the interposer still label keyed cells correctly.
+        // The upstream shard count and service pass through, so probes
+        // pointed at the interposer still label keyed cells correctly.
         let ready = ReadyFile { endpoints: proxy.addrs().to_vec(), ..upstream };
         self.host.announce(&format!("chaos interposer (seed {seed})"), &ready)?;
         let started = Instant::now();

@@ -125,7 +125,7 @@ USAGE:
   whole frames — when --stop-file appears, a client sends `stop`, or
   --max-secs elapses. The hosted cluster shards its keyspace over
   --shards consistent-hash shards served by --event-loops non-blocking
-  event-loop workers; the ready file records the shard count. `probe`
+  event-loop workers; the ready file records shards and service. `probe`
   runs the paper's agents for real: skewed local clocks, Cristian sync
   over the wire, the Test 1/2 cadence, and the unmodified checkers on
   the merged trace; --journal/--resume work exactly as in `campaign`;
@@ -143,7 +143,8 @@ USAGE:
   serve's listeners: per-region proxy listeners relay whole cpw1
   frames while a fault plan — the synthetic wire-timescale escalation
   (--fault-level) or a measured incident timeline (--outage-trace
-  JSON) — blackholes, delays and drops them per link, and seeded
+  JSON) — blackholes, delays and drops them on each door's link to
+  its replica (the serve ready-file names the service), and seeded
   per-frame injections flip single bits (--corrupt, rejected by the
   checksummed decoder), reset connections (--reset) or trickle bytes
   (--trickle). Its --ready-file is a drop-in serve ready-file, so

@@ -465,15 +465,17 @@ fn serve_refuses_a_stale_window_on_the_quorum_arm() {
 
 #[test]
 fn ready_file_round_trips_every_line_kind() {
-    let serve = "oregon=127.0.0.1:9200\ntokyo=127.0.0.1:9201\nshards=16\n";
+    let serve = "oregon=127.0.0.1:9200\ntokyo=127.0.0.1:9201\nshards=16\nservice=fbgroup\n";
     let ready = ReadyFile::parse(serve).unwrap();
     assert_eq!(ready.endpoints.len(), 2);
     assert_eq!(ready.endpoints[1], (Region::Tokyo, "127.0.0.1:9201".parse().unwrap()));
     assert_eq!((ready.shards, ready.dispatch), (Some(16), None));
+    assert_eq!(ready.service, Some(ServiceKind::FacebookGroup));
     assert_eq!(ready.render(), serve);
-    // A ready-file from before the shard line existed.
+    // A ready-file from before the shard and service lines existed.
     let old = ReadyFile::parse("oregon=127.0.0.1:9200\n\n").unwrap();
-    assert_eq!((old.endpoints.len(), old.shards), (1, None));
+    assert_eq!((old.endpoints.len(), old.shards, old.service), (1, None, None));
+    assert!(ReadyFile::parse("service=mystery\n").is_err());
     let dispatch = ReadyFile::parse("dispatch=127.0.0.1:7000\n").unwrap();
     assert_eq!(dispatch.dispatch, Some("127.0.0.1:7000".parse().unwrap()));
     assert_eq!(dispatch.render(), "dispatch=127.0.0.1:7000\n");
@@ -500,12 +502,13 @@ fn serve_with_max_secs_zero_drains_immediately() {
     assert!(out.contains("drained"), "{out}");
     let listing = std::fs::read_to_string(&ready).unwrap();
     // One listener per agent region, parseable as probe endpoints,
-    // plus the shard-count metadata line.
-    assert_eq!(listing.lines().count(), Region::AGENTS.len() + 1, "{listing}");
+    // plus the shard-count and service metadata lines.
+    assert_eq!(listing.lines().count(), Region::AGENTS.len() + 2, "{listing}");
     assert!(listing.lines().any(|l| l == "shards=16"), "{listing}");
+    assert!(listing.lines().any(|l| l == "service=blogger"), "{listing}");
     let parsed = ReadyFile::read_serve(&ready.display().to_string()).unwrap();
     assert_eq!(parsed.endpoints.len(), Region::AGENTS.len(), "{listing}");
-    assert_eq!(parsed.shards, Some(16), "{listing}");
+    assert_eq!((parsed.shards, parsed.service), (Some(16), Some(ServiceKind::Blogger)));
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("wire.server.connections"), "{json}");
     let _ = std::fs::remove_file(&ready);
@@ -513,14 +516,15 @@ fn serve_with_max_secs_zero_drains_immediately() {
 }
 
 /// A serve ready-file for `server`'s listeners, with or without the
-/// shard-count line.
-fn ready_listing(server: &conprobe_wire::WireServer, shards: bool) -> String {
+/// shard-count and service lines (`service` names what it serves).
+fn ready_listing(server: &conprobe_wire::WireServer, service: Option<ServiceKind>) -> String {
     let mut listing = String::new();
     for (region, addr) in server.addrs() {
         let _ = writeln!(listing, "{}={addr}", region_token(*region));
     }
-    if shards {
+    if let Some(service) = service {
         let _ = writeln!(listing, "shards={}", server.shard_count());
+        let _ = writeln!(listing, "service={}", conprobe_harness::journal::service_token(service));
     }
     listing
 }
@@ -536,7 +540,7 @@ fn probe_cli_runs_against_a_live_server_and_journals() {
 
     let server =
         conprobe_wire::WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 21)).unwrap();
-    crate::fsio::write_atomic(&ready, ready_listing(&server, false)).unwrap();
+    crate::fsio::write_atomic(&ready, ready_listing(&server, None)).unwrap();
 
     // `--live` on the first run: the streaming readout must not
     // perturb stdout (the resumed run below has no tap and must
@@ -663,32 +667,71 @@ fn chaosd_fronts_a_live_server_and_drains() {
 
     let server =
         conprobe_wire::WireServer::start(&ServeConfig::loopback(ServiceKind::Blogger, 7)).unwrap();
-    crate::fsio::write_atomic(&upstream_file, ready_listing(&server, true)).unwrap();
+    // Without a service line chaosd cannot tell which replica a door
+    // reaches, and refuses to start.
+    crate::fsio::write_atomic(&upstream_file, ready_listing(&server, None)).unwrap();
+    let chaosd = format!(
+        "chaosd --server-file {} --seed 7 --max-secs 0 --ready-file {}",
+        upstream_file.display(),
+        proxy_file.display()
+    );
+    let err = execute(parse(&args(&chaosd)).unwrap()).unwrap_err();
+    assert!(err.0.contains("has no service= line"), "{err:?}");
+    crate::fsio::write_atomic(&upstream_file, ready_listing(&server, Some(ServiceKind::Blogger)))
+        .unwrap();
 
-    let out = execute(
-        parse(&args(&format!(
-            "chaosd --server-file {} --seed 7 --max-secs 0 --ready-file {}",
-            upstream_file.display(),
-            proxy_file.display()
-        )))
-        .unwrap(),
-    )
-    .unwrap();
+    let out = execute(parse(&args(&chaosd)).unwrap()).unwrap();
     assert!(out.contains("chaosd drained"), "{out}");
 
     // The interposer listing is itself a valid serve ready-file:
-    // probe endpoints per region plus the shard count passed through
-    // from upstream.
+    // probe endpoints per region plus the shard count and service passed
+    // through from upstream.
     let proxied = std::fs::read_to_string(&proxy_file).unwrap();
-    assert_eq!(proxied.lines().count(), Region::AGENTS.len() + 1, "{proxied}");
+    assert_eq!(proxied.lines().count(), Region::AGENTS.len() + 2, "{proxied}");
     let parsed = ReadyFile::read_serve(&proxy_file.display().to_string()).unwrap();
     assert_eq!(parsed.endpoints.len(), Region::AGENTS.len(), "{proxied}");
     assert_eq!(parsed.shards, Some(server.shard_count()), "{proxied}");
+    assert_eq!(parsed.service, Some(ServiceKind::Blogger), "{proxied}");
 
     server.request_stop();
     server.join();
     let _ = std::fs::remove_file(&upstream_file);
     let _ = std::fs::remove_file(&proxy_file);
+}
+
+/// FB Group routes every agent region to its Virginia replica, so a
+/// window on the Tokyo ↔ Virginia link cuts the Tokyo door and no other:
+/// the link the simulator cuts for the Tokyo agent.
+#[test]
+fn the_interposer_judges_each_door_on_its_link_to_the_replica_behind_it() {
+    use conprobe_sim::{FaultEvent, FaultPlan, LinkScope, SimDuration};
+    use conprobe_wire::{ChaosConfig, ChaosProxy, InjectProfile, WireClient, WireServer};
+
+    let service = ServiceKind::FacebookGroup;
+    let server = WireServer::start(&ServeConfig::loopback(service, 7)).unwrap();
+    let targets = super::chaos::interpose_on(service, server.addrs());
+    assert!(targets.iter().all(|t| t.replica_region == Region::Virginia), "{targets:?}");
+    let plan = FaultPlan::new(1).with(FaultEvent::LinkFlap {
+        scope: LinkScope::Between(Region::Tokyo, Region::Virginia),
+        at: SimTime::ZERO,
+        down_for: SimDuration::from_secs(3600),
+        up_for: SimDuration::ZERO,
+        flaps: 1,
+    });
+    let config = ChaosConfig { seed: 1, plan, inject: InjectProfile::default(), base_port: 0 };
+    let proxy = ChaosProxy::start(&config, &targets).unwrap();
+    for &(region, addr) in proxy.addrs() {
+        // The handshake is one frame each way: it completes unless the
+        // door's link is cut.
+        let reached = WireClient::connect(addr, Duration::from_millis(300)).is_ok();
+        assert_eq!(reached, region != Region::Tokyo, "{region} door");
+    }
+    proxy.request_stop();
+    let ledger = proxy.join();
+    server.request_stop();
+    server.join();
+    assert!(ledger.net.blocked > 0, "{ledger:?}");
+    assert_eq!(ledger.net.dropped + ledger.net.delayed, 0, "{ledger:?}");
 }
 
 #[test]

@@ -26,11 +26,13 @@ fn whole_run_loss(loss: f64) -> FaultPlan {
 /// out or completes, and the harness still produces a coherent trace.
 #[test]
 fn partition_produces_divergence_and_a_coherent_trace() {
-    let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2);
-    config.tokyo_partition = true;
+    let config =
+        TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test2).with_tokyo_partition();
     for seed in 0..3 {
         let r = run_one_test(&config, seed);
         assert!(r.partitioned);
+        // The cut is a plan event, so the ledger counts what it blocked.
+        assert!(r.fault_ledger.net.blocked > 0, "seed {seed}: {:?}", r.fault_ledger.net);
         assert!(r.has(AnomalyKind::ContentDivergence));
         // The Tokyo agent still performed its reads (it could reach its own
         // front door throughout).
@@ -54,8 +56,8 @@ fn partition_produces_divergence_and_a_coherent_trace() {
 /// max_duration is small) — the coordinator must time out gracefully.
 #[test]
 fn partitioned_test1_times_out_gracefully() {
-    let mut config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
-    config.tokyo_partition = true;
+    let mut config =
+        TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1).with_tokyo_partition();
     config.max_duration = conprobe::sim::SimDuration::from_secs(6); // < heal time
     let r = run_one_test(&config, 1);
     assert!(!r.completed, "completion requires Tokyo to see M6");
