@@ -134,8 +134,7 @@ mod tests {
     }
 
     /// A deliberately pathological trace that triggers every anomaly kind.
-    #[test]
-    fn kitchen_sink_trace_triggers_everything() {
+    fn kitchen_sink() -> TestTrace<u32> {
         let mut b = TestTraceBuilder::new();
         // A0 writes 1 then 2.
         b.write(A0, t(0), t(10), 1u32);
@@ -152,11 +151,43 @@ mod tests {
         // without 1 later → WFR; mutual content difference vs A0's (1).
         b.read(A1, t(100), t(110), vec![2, 1]);
         b.read(A1, t(120), t(130), vec![3, 2]);
-        let analysis = analyze(&b.build(), &CheckerConfig::default());
+        b.build()
+    }
+
+    #[test]
+    fn kitchen_sink_trace_triggers_everything() {
+        let analysis = analyze(&kitchen_sink(), &CheckerConfig::default());
         for kind in AnomalyKind::ALL {
             assert!(analysis.has(kind), "missing {kind}");
         }
         assert!(!analysis.is_clean());
+    }
+
+    /// The first observation of each kind, rendered: the lines the engine
+    /// printed when it still formatted each observation's prose as it
+    /// found it, byte for byte.
+    #[test]
+    fn kitchen_sink_prose_is_pinned() {
+        let analysis = analyze(&kitchen_sink(), &CheckerConfig::default());
+        let first = |kind| {
+            let obs = analysis.observations.iter().find(|o| o.kind == kind).expect("observed");
+            obs.to_string()
+        };
+        let pinned = [
+            "[RYW @ 0.050000s by agent0] read by agent0 misses 1 own completed write(s): [1]",
+            "[MW @ 0.050000s by agent0] read by agent0 sees agent0's write 2 but write 1 is \
+             missing or ordered after it",
+            "[MR @ 0.090000s by agent0] 1 event(s) observed by agent0 disappeared from its next \
+             read: [2]",
+            "[WFR @ 0.130000s by agent1] read by agent1 sees write(s) without their read \
+             dependencies: [1, 3]",
+            "[CD @ 0.070000s by agent0] agent0 and agent1 mutually diverge (3 read pair(s)): \
+             agent0 alone sees 2, agent1 alone sees 1",
+            "[OD @ 0.110000s by agent0] agent0 and agent1 order 1/2 oppositely (1 read pair(s))",
+        ];
+        for (kind, line) in AnomalyKind::ALL.into_iter().zip(pinned) {
+            assert_eq!(first(kind), line);
+        }
     }
 
     #[test]

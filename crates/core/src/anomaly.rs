@@ -72,6 +72,10 @@ impl fmt::Display for AnomalyKind {
 }
 
 /// One detected instance of an anomaly.
+///
+/// It holds data, not prose: [`Observation::detail`] renders the
+/// explanation from the fields when something displays it, so a pass
+/// that only counts or compares observations never formats one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Observation<K> {
     /// Which anomaly.
@@ -79,20 +83,84 @@ pub struct Observation<K> {
     /// The agent that observed it (the reader whose view is anomalous). For
     /// divergence anomalies, the first agent of the pair.
     pub agent: AgentId,
-    /// The second agent of a divergence pair, if applicable.
+    /// The second agent of a divergence pair, or the writer of a monotonic
+    /// writes violation.
     pub other_agent: Option<AgentId>,
     /// Response time of the read at which the anomaly was observed.
     pub at: Timestamp,
     /// The events witnessing the violation (e.g. the missing write, or the
     /// inverted pair).
     pub witnesses: Vec<K>,
-    /// Human-readable explanation.
-    pub detail: String,
+    /// For a divergence, how many read pairs of the two agents diverge;
+    /// 0 for the session anomalies.
+    pub read_pairs: usize,
+}
+
+impl<K: fmt::Debug> Observation<K> {
+    /// The human-readable explanation. A slot that a hand-built
+    /// observation leaves empty (a missing witness or other agent) reads
+    /// `?`.
+    pub fn detail(&self) -> String {
+        let mut out = String::new();
+        self.write_detail(&mut out).expect("a String takes every write");
+        out
+    }
+
+    fn write_detail(&self, f: &mut impl fmt::Write) -> fmt::Result {
+        let (a, b, w, pairs) =
+            (self.agent, Slot(self.other_agent), &self.witnesses, self.read_pairs);
+        let (x, y, n) = (Slot(w.first()), Slot(w.get(1)), w.len());
+        match self.kind {
+            AnomalyKind::ReadYourWrites => {
+                write!(f, "read by {a} misses {n} own completed write(s): {w:?}")
+            }
+            AnomalyKind::MonotonicWrites => write!(
+                f,
+                "read by {a} sees {b}'s write {y:?} but write {x:?} is missing or ordered after it"
+            ),
+            AnomalyKind::MonotonicReads => {
+                write!(f, "{n} event(s) observed by {a} disappeared from its next read: {w:?}")
+            }
+            AnomalyKind::WritesFollowReads => {
+                write!(f, "read by {a} sees write(s) without their read dependencies: {w:?}")
+            }
+            AnomalyKind::ContentDivergence => write!(
+                f,
+                "{a} and {b} mutually diverge ({pairs} read pair(s)): \
+                 {a} alone sees {x:?}, {b} alone sees {y:?}"
+            ),
+            AnomalyKind::OrderDivergence => {
+                write!(f, "{a} and {b} order {x:?}/{y:?} oppositely ({pairs} read pair(s))")
+            }
+        }
+    }
 }
 
 impl<K: fmt::Debug> fmt::Display for Observation<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} @ {} by {}] {}", self.kind.short(), self.at, self.agent, self.detail)
+        write!(f, "[{} @ {} by {}] ", self.kind.short(), self.at, self.agent)?;
+        self.write_detail(f)
+    }
+}
+
+/// An optional part of the prose: the value, or `?` when it is absent.
+struct Slot<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Slot<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("?"),
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Slot<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("?"),
+        }
     }
 }
 
@@ -130,11 +198,42 @@ mod tests {
             other_agent: None,
             at: Timestamp::from_millis(1500),
             witnesses: vec![7u32],
-            detail: "event 7 disappeared".to_string(),
+            read_pairs: 0,
         };
-        let s = obs.to_string();
-        assert!(s.contains("MR"), "{s}");
-        assert!(s.contains("agent2"), "{s}");
-        assert!(s.contains("disappeared"), "{s}");
+        assert_eq!(
+            obs.to_string(),
+            "[MR @ 1.500000s by agent2] 1 event(s) observed by agent2 disappeared from its next \
+             read: [7]"
+        );
+    }
+
+    /// Every kind renders from fewer witnesses than it normally carries,
+    /// and without the other agent, marking the gaps instead of panicking.
+    #[test]
+    fn detail_renders_a_short_hand_built_observation() {
+        for kind in AnomalyKind::ALL {
+            for witnesses in [vec![], vec![4u32]] {
+                let obs = Observation {
+                    kind,
+                    agent: AgentId(0),
+                    other_agent: None,
+                    at: Timestamp::from_millis(0),
+                    witnesses,
+                    read_pairs: 0,
+                };
+                let detail = obs.detail();
+                assert!(!detail.is_empty(), "{kind}");
+                assert!(obs.to_string().ends_with(&detail), "{kind}");
+            }
+        }
+        let od = Observation {
+            kind: AnomalyKind::OrderDivergence,
+            agent: AgentId(0),
+            other_agent: None,
+            at: Timestamp::from_millis(0),
+            witnesses: vec![4u32],
+            read_pairs: 2,
+        };
+        assert_eq!(od.detail(), "agent0 and ? order 4/? oppositely (2 read pair(s))");
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! At most one observation per unordered agent pair: the witness pair
 //! `[x, y]` (`x` seen only by the first agent, `y` only by the second)
-//! comes from the earliest diverging read pair, and the detail string
+//! comes from the earliest diverging read pair, and its `read_pairs`
 //! counts all diverging read pairs.
 
 #[cfg(test)]
@@ -87,7 +87,7 @@ mod tests {
         }
         let obs = check(&b.build());
         assert_eq!(obs.len(), 1);
-        assert!(obs[0].detail.contains("9 read pair(s)"), "{}", obs[0].detail);
+        assert!(obs[0].detail().contains("9 read pair(s)"), "{}", obs[0].detail());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! subsequence of `S₁` is order-divergent iff its positions in `S₂` are not
 //! increasing, and any descent yields an adjacent witness pair. At most one
 //! observation per unordered agent pair, witnessed from the earliest
-//! diverging read pair; the detail string counts all diverging read pairs.
+//! diverging read pair; its `read_pairs` counts all diverging read pairs.
 
 #[cfg(test)]
 mod tests {
@@ -106,7 +106,7 @@ mod tests {
         b.read(A1, t(0), t(10), vec![2, 1]);
         let obs = check(&b.build());
         assert_eq!(obs.len(), 1);
-        assert!(obs[0].detail.contains("2 read pair(s)"), "{}", obs[0].detail);
+        assert!(obs[0].detail().contains("2 read pair(s)"), "{}", obs[0].detail());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`crate::trace::TestTrace::new`] sorts into), anomaly counts update as
 //! they arrive ([`StreamingAnalyzer::live_counts`]), and
 //! [`StreamingAnalyzer::finish`] produces a [`TestAnalysis`] **identical**
-//! — observation order, witness order, detail strings, window boundaries —
+//! — observation order, witness order, read-pair counts, window boundaries —
 //! to what the paper's whole-trace (batch) definitions give on the same
 //! trace; the streaming-equivalence suite keeps a frozen batch
 //! implementation as its oracle.
@@ -21,15 +21,16 @@
 //! **view**, stored once per *distinct* sequence (`~4·|seq|` bytes
 //! regardless of how wide `K` is), with no index of its own: all views
 //! share two position tables of a fixed few words per distinct key (see
-//! *Probes*). A read is retained as a fixed-size summary — agent, times,
+//! *Probes*). A read is retained as a fixed-size record — agent, times,
 //! ordinal, view id — and a write as a fixed few words, so a thousand
 //! polls that return the same five posts cost one view plus a thousand
-//! summaries. Each agent also
-//! keeps one `(view, multiplicity, first-arrived read)` entry per distinct
-//! view it has read. Pairwise divergence counting is `O(reads × distinct
-//! views)` in *time*, but the per-event *space* is a small constant — the
-//! property [`StreamingAnalyzer::retained_bytes`] accounts for and the
-//! streaming-equivalence suite pins. On a million-event trace of wide
+//! records. A view's word summary (see *Probes*), five words and a count,
+//! is part of the view and so is paid once per distinct view. Each agent
+//! also keeps one `(view, multiplicity, first-arrived read)` entry per
+//! distinct view it has read. Pairwise divergence counting is
+//! `O(reads × distinct views)` in *time*, but the per-event *space* is a
+//! small constant — the property [`StreamingAnalyzer::retained_bytes`]
+//! accounts for and the streaming-equivalence suite pins. On a million-event trace of wide
 //! string keys this is the difference between gigabytes and tens of
 //! megabytes.
 //!
@@ -52,6 +53,18 @@
 //! *Pair-state lattice*), marks the compared view in the second table and
 //! runs the witness searches, which walk the sequences in order,
 //! duplicates included.
+//!
+//! A view whose ids are all below 64, none repeated, also gets a
+//! **summary** when it is interned, if it inverts at most four pairs (a
+//! pair is inverted when the larger id comes first): a `u64` mask of its
+//! ids and each inverted pair as a two-bit mask. Two summarized views are
+//! decided without a walk. Content: each mask has a bit the other lacks,
+//! which is `common < |mine|` and `common < |theirs|` on sets. Order: two
+//! views order a common pair oppositely iff exactly one of them inverts
+//! it, so they order-diverge iff some inverted pair of one view lies in
+//! the common mask and is not among the other's inverted pairs. Every
+//! pair either view inverts is listed, so the verdict is exact. A pair in
+//! which either view lacks a summary is walked as above.
 //!
 //! # Exactness machinery
 //!
@@ -127,16 +140,86 @@ struct View {
     /// marked: the one-walk verdict is exact only between views that do
     /// not (see *Probes* in the module docs).
     dups: bool,
+    /// The view as words, when it has one (see [`Summary::of`]).
+    summary: Option<Summary>,
 }
 
 impl View {
     fn retained_bytes(&self) -> usize {
-        // The struct, the shared sequence with its two `Arc` counters, and
-        // the index entry that points back here.
+        // The struct (its summary included), the shared sequence with its
+        // two `Arc` counters, and the index entry that points back here.
         size_of::<View>()
             + self.keys.len() * size_of::<u32>()
             + 2 * size_of::<usize>()
             + size_of::<(Arc<[u32]>, u32)>()
+    }
+}
+
+/// A view as words: the set of ids it holds and the pairs of them it
+/// holds larger id first (see *Probes* in the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    /// Bit `k` is set iff the view holds id `k`.
+    ids: u64,
+    /// Each inverted pair as a two-bit mask; the first `flipped` are used.
+    flips: [u64; Summary::MAX_FLIPS],
+    flipped: u8,
+}
+
+impl Summary {
+    const MAX_FLIPS: usize = 4;
+
+    /// The summary of `seq`, if every id is below 64, none repeats, and
+    /// at most [`Summary::MAX_FLIPS`] pairs are inverted.
+    fn of(seq: &[u32]) -> Option<Summary> {
+        let mut s = Summary { ids: 0, flips: [0; Summary::MAX_FLIPS], flipped: 0 };
+        for &k in seq {
+            let bit = 1u64.checked_shl(k)?;
+            if s.ids & bit != 0 {
+                return None;
+            }
+            // Every larger id already seen makes an inverted pair with `k`.
+            let mut larger = s.ids & !(bit | (bit - 1));
+            while larger != 0 {
+                *s.flips.get_mut(usize::from(s.flipped))? = bit | (larger & larger.wrapping_neg());
+                s.flipped += 1;
+                larger &= larger - 1;
+            }
+            s.ids |= bit;
+        }
+        Some(s)
+    }
+
+    fn flips(&self) -> &[u64] {
+        &self.flips[..usize::from(self.flipped)]
+    }
+
+    /// Whether some pair this view inverts lies in `common` and `other`
+    /// does not invert it, i.e. holds it the other way round.
+    fn flips_alone(&self, other: &Summary, common: u64) -> bool {
+        self.flips().iter().any(|&p| p & common == p && !other.flips().contains(&p))
+    }
+
+    /// The verdict `(content, order)` of two summarized views, by word
+    /// operations: they content-diverge iff each holds an id the other
+    /// lacks, and order-diverge iff one inverts a common pair that the
+    /// other does not.
+    fn verdict(&self, other: &Summary) -> (bool, bool) {
+        let common = self.ids & other.ids;
+        let content = self.ids != common && other.ids != common;
+        (content, self.flips_alone(other, common) || other.flips_alone(self, common))
+    }
+}
+
+/// The verdict `(content, order)` of a view pair that needs no search:
+/// from the summaries when both views have one, else from the one walk of
+/// `theirs` against the marked `mine`; `None` when a repeated id leaves
+/// it to the searches.
+fn quick_verdict(mine: Marked<'_>, my_view: &View, their_view: &View) -> Option<(bool, bool)> {
+    match (&my_view.summary, &their_view.summary) {
+        (Some(m), Some(t)) => Some(m.verdict(t)),
+        _ if my_view.dups || their_view.dups => None,
+        _ => Some(mine.verdict(&their_view.keys)),
     }
 }
 
@@ -261,7 +344,8 @@ impl<S: BuildHasher> ViewTable<S> {
         let id = self.views.len() as u32;
         let keys: Arc<[u32]> = keys.into();
         self.ids.insert(Arc::clone(&keys), id);
-        self.views.push(View { keys, reads: 0, wfr_hit: false, dups: false });
+        let summary = Summary::of(&keys);
+        self.views.push(View { keys, reads: 0, wfr_hit: false, dups: false, summary });
         (id, true)
     }
 
@@ -270,7 +354,7 @@ impl<S: BuildHasher> ViewTable<S> {
     }
 }
 
-/// A retained read: a fixed-size summary pointing at its [`View`].
+/// A retained read: a fixed-size record pointing at its [`View`].
 #[derive(Debug)]
 struct ReadState {
     agent: AgentId,
@@ -510,8 +594,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         self.events
     }
 
-    /// Approximate bytes of retained analysis state (read/write
-    /// summaries, distinct views, interner, dependency sets) — the figure
+    /// Approximate bytes of retained analysis state (read/write records,
+    /// distinct views, interner, dependency sets) — the figure
     /// the memory-bounded contract is about. Deliberately excludes
     /// produced observations, which are output, not working state.
     pub fn retained_bytes(&self) -> usize {
@@ -659,8 +743,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                     (rb.ord_in_agent, read.ord_in_agent)
                 };
                 let their_view = self.views.get(theirs.view);
-                let walked =
-                    (!my_view.dups && !their_view.dups).then(|| mine.verdict(&their_view.keys));
+                let walked = quick_verdict(mine, my_view, their_view);
                 let content = st.content.needs_search(theirs.count, ordkey, walked.map(|v| v.0));
                 let order = st.order.needs_search(theirs.count, ordkey, walked.map(|v| v.1));
                 if !content && !order {
@@ -769,11 +852,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 agent,
                 other_agent: None,
                 at: r.response,
-                detail: format!(
-                    "read by {agent} misses {} own completed write(s): {missing:?}",
-                    missing.len()
-                ),
                 witnesses: missing,
+                read_pairs: 0,
             };
             self.ryw_obs.push(((agent, r.ord_in_agent), obs));
         }
@@ -801,12 +881,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                                 agent: r.agent,
                                 other_agent: Some(writer),
                                 at: r.response,
-                                detail: format!(
-                                    "read by {} sees {writer}'s write {yk:?} but write {xk:?} \
-                                     is missing or ordered after it",
-                                    r.agent
-                                ),
                                 witnesses: vec![xk, yk],
+                                read_pairs: 0,
                             },
                         ));
                         break 'pairs;
@@ -910,12 +986,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                         agent: a,
                         other_agent: None,
                         at: r.response,
-                        detail: format!(
-                            "{} event(s) observed by {a} disappeared from its next read: \
-                             {vanished:?}",
-                            vanished.len()
-                        ),
                         witnesses: vanished,
+                        read_pairs: 0,
                     };
                     self.mr_obs.push(((a, self.mr_seq), obs));
                     self.mr_seq += 1;
@@ -939,16 +1011,14 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             }
             let Some(other_idx) = bst.last_finalized else { continue };
             let their_view = self.views.get(self.reads[other_idx as usize].view);
-            let (content, order) = if my_view.dups || their_view.dups {
+            let (content, order) = quick_verdict(mine, my_view, their_view).unwrap_or_else(|| {
                 let theirs = their_marks.mark(&their_view.keys);
                 if a < b {
                     mine.searched_verdict(theirs)
                 } else {
                     theirs.searched_verdict(mine)
                 }
-            } else {
-                mine.verdict(&their_view.keys)
-            };
+            });
             let st = self.pairs.entry(if a < b { (a, b) } else { (b, a) }).or_default();
             st.content.sweep(content, read.response);
             st.order.sweep(order, read.response);
@@ -1016,33 +1086,25 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
         for (&(a, b), st) in &self.pairs {
             if let Some((_, x, y, at)) = st.content.best {
-                let (x, y, pair_count) = (self.key(x), self.key(y), st.content.count);
                 observations.push(Observation {
                     kind: AnomalyKind::ContentDivergence,
                     agent: a,
                     other_agent: Some(b),
                     at,
-                    detail: format!(
-                        "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
-                         {a} alone sees {x:?}, {b} alone sees {y:?}"
-                    ),
-                    witnesses: vec![x, y],
+                    witnesses: vec![self.key(x), self.key(y)],
+                    read_pairs: st.content.count,
                 });
             }
         }
         for (&(a, b), st) in &self.pairs {
             if let Some((_, x, y, at)) = st.order.best {
-                let (x, y, pair_count) = (self.key(x), self.key(y), st.order.count);
                 observations.push(Observation {
                     kind: AnomalyKind::OrderDivergence,
                     agent: a,
                     other_agent: Some(b),
                     at,
-                    detail: format!(
-                        "{a} and {b} order {x:?}/{y:?} oppositely \
-                         ({pair_count} read pair(s))"
-                    ),
-                    witnesses: vec![x, y],
+                    witnesses: vec![self.key(x), self.key(y)],
+                    read_pairs: st.order.count,
                 });
             }
         }
@@ -1062,16 +1124,13 @@ impl<K: EventKey> StreamingAnalyzer<K> {
 
 /// The (general- or trigger-mode) WFR observation of one read.
 fn wfr_observation<K: EventKey>(read: &ReadState, witnesses: Vec<K>) -> Observation<K> {
-    let agent = read.agent;
     Observation {
         kind: AnomalyKind::WritesFollowReads,
-        agent,
+        agent: read.agent,
         other_agent: None,
         at: read.response,
-        detail: format!(
-            "read by {agent} sees write(s) without their read dependencies: {witnesses:?}"
-        ),
         witnesses,
+        read_pairs: 0,
     }
 }
 
@@ -1146,32 +1205,97 @@ mod tests {
     /// decides exactly what the searches decide — content iff each side
     /// holds an id the other lacks, order iff either side's walk finds an
     /// inversion — and a view is checked for repeats when first marked.
+    /// Where both views have a summary, its word verdict decides the same;
+    /// a view has one iff its ids are below 64, distinct, and invert at
+    /// most four pairs. Ids are drawn on both sides of 64, and views from
+    /// sorted runs with a few adjacent swaps as well as from shuffles.
     #[test]
     fn the_one_walk_verdict_equals_the_searches_on_duplicate_free_views() {
         let mut rng = TestRng::new(0x0E_3A1C);
-        let fresh = || Marks { generation: 0, slots: vec![(0, 0); 12] };
+        let fresh = || Marks { generation: 0, slots: vec![(0, 0); 72] };
         let [mut left, mut right] = [fresh(), fresh()];
         let mut met = [[0; 2]; 2];
-        for case in 0..3000 {
+        // Summarized pairs: by verdict, and order decided by one side's
+        // inversions alone (either side).
+        let (mut summed, mut one_sided) = ([[0; 2]; 2], [0; 2]);
+        // Views refused a summary for one cause alone: an id of 64 or
+        // more, a repeated id, a fifth inverted pair.
+        let mut refused = [0; 3];
+        let inversions = |seq: &[u32]| {
+            (0..seq.len())
+                .flat_map(|i| (i + 1..seq.len()).map(move |j| (i, j)))
+                .filter(|&(i, j)| seq[i] > seq[j])
+                .count()
+        };
+        for case in 0..6000 {
+            let base = if rng.chance(0.5) { 0 } else { 56 };
             let mut draw = || {
-                let mut ids: Vec<u32> = (0..12).collect();
-                for i in (1..ids.len()).rev() {
-                    ids.swap(i, rng.range_usize(0, i + 1));
+                let mut ids: Vec<u32> = (base..base + 12).collect();
+                if rng.chance(0.3) {
+                    for i in (1..ids.len()).rev() {
+                        ids.swap(i, rng.range_usize(0, i + 1));
+                    }
+                    ids.truncate(rng.range_usize(0, 9));
+                } else {
+                    ids.retain(|_| rng.chance(0.6));
+                    for _ in 0..rng.range(0, 6).min(ids.len().saturating_sub(1) as u64) {
+                        let i = rng.range_usize(0, ids.len() - 1);
+                        ids.swap(i, i + 1);
+                    }
                 }
-                ids.truncate(rng.range_usize(0, 9));
+                if !ids.is_empty() && rng.chance(0.05) {
+                    ids.insert(
+                        rng.range_usize(0, ids.len() + 1),
+                        ids[rng.range_usize(0, ids.len())],
+                    );
+                }
                 ids
             };
             let (a, b) = (draw(), draw());
+            let (sa, sb) = (Summary::of(&a), Summary::of(&b));
             let (mine, theirs) = (left.mark(&a), right.mark(&b));
-            assert!(!mine.repeats() && !theirs.repeats(), "case {case}");
+            for (seq, summary, marked) in [(&a, sa, mine), (&b, sb, theirs)] {
+                let mut distinct = seq.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let repeats = distinct.len() < seq.len();
+                assert_eq!(marked.repeats(), repeats, "case {case}: {seq:?}");
+                let (low, flips) = (seq.iter().all(|&k| k < 64), inversions(seq));
+                let summarizable = !repeats && low && flips <= 4;
+                assert_eq!(summary.is_some(), summarizable, "case {case}: {seq:?}");
+                for (n, alone) in refused.iter_mut().zip([
+                    !repeats && !low && flips <= 4,
+                    repeats && low,
+                    !repeats && low && flips == 5,
+                ]) {
+                    *n += usize::from(alone);
+                }
+            }
+            if mine.repeats() || theirs.repeats() {
+                continue;
+            }
             let content =
                 mine.first_not_in(theirs).is_some() && theirs.first_not_in(mine).is_some();
             let order = mine.inversion(theirs).is_some();
             assert_eq!(theirs.inversion(mine).is_some(), order, "case {case}: {a:?} {b:?}");
             assert_eq!(mine.verdict(&b), (content, order), "case {case}: {a:?} {b:?}");
             met[usize::from(content)][usize::from(order)] += 1;
+            if let (Some(sa), Some(sb)) = (sa, sb) {
+                assert_eq!(sa.verdict(&sb), (content, order), "case {case}: {a:?} {b:?}");
+                assert_eq!(sb.verdict(&sa), (content, order), "case {case}: {b:?} {a:?}");
+                summed[usize::from(content)][usize::from(order)] += 1;
+                let common = sa.ids & sb.ids;
+                match (sa.flips_alone(&sb, common), sb.flips_alone(&sa, common)) {
+                    (true, false) => one_sided[0] += 1,
+                    (false, true) => one_sided[1] += 1,
+                    _ => {}
+                }
+            }
         }
         assert!(met.iter().flatten().all(|&n| n > 100), "too tame: {met:?}");
+        assert!(summed.iter().flatten().all(|&n| n > 100), "too few summaries: {summed:?}");
+        assert!(one_sided.iter().all(|&n| n > 100), "too few one-sided inversions: {one_sided:?}");
+        assert!(refused.iter().all(|&n| n > 20), "too few refusals: {refused:?}");
     }
 
     /// A repeated id keeps its last position, so one walk can miss the

@@ -3,10 +3,11 @@
 //!
 //! One row per agent; time flows left to right over a fixed-width canvas.
 //! `w` marks a write invocation, `r` a read, `!` a read at which at least
-//! one anomaly was observed. A trailing legend lists the anomalies in
+//! one anomaly was observed (for a divergence, the pair's later read,
+//! whichever agent made it). A trailing legend lists the anomalies in
 //! chronological order.
 
-use crate::anomaly::Observation;
+use crate::anomaly::{AnomalyKind, Observation};
 use crate::trace::{EventKey, TestTrace, Timestamp};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -32,9 +33,15 @@ pub fn render<K: EventKey>(
         (((at.delta_nanos(start)) as f64 / span) * (width - 1) as f64).round() as usize
     };
 
-    // Anomalous read positions: (agent, response time).
-    let marks: HashSet<(u32, i64)> =
-        observations.iter().map(|o| (o.agent.0, o.at.as_nanos())).collect();
+    // Anomalous read positions: (agent, response time). A divergence is
+    // exposed at the later read of its pair, which may be either agent's.
+    let marks: HashSet<(u32, i64)> = observations
+        .iter()
+        .flat_map(|o| {
+            let other = o.other_agent.filter(|_| AnomalyKind::DIVERGENCE.contains(&o.kind));
+            [Some(o.agent), other].into_iter().flatten().map(|a| (a.0, o.at.as_nanos()))
+        })
+        .collect();
 
     for agent in trace.agents() {
         let mut row = vec![b'.'; width];
@@ -112,6 +119,25 @@ mod tests {
         assert!(s.contains('!'), "{s}");
         assert!(s.contains("anomalies (1):"), "{s}");
         assert!(s.contains("RYW"), "{s}");
+    }
+
+    /// Agent 0 reads `[1]` at 100 ms and agent 1 reads `[2]` at 500 ms: the
+    /// content divergence is exposed by agent 1's read, the pair's later
+    /// one, though the observation names agent 0 first.
+    #[test]
+    fn a_divergence_marks_the_read_that_exposed_it() {
+        let mut b = TestTraceBuilder::new();
+        b.read(AgentId(0), t(0), t(100), vec![1u32]);
+        b.read(AgentId(1), t(400), t(500), vec![2]);
+        let trace = b.build();
+        let obs = crate::analyze(&trace, &crate::CheckerConfig::default()).observations;
+        assert_eq!(obs.len(), 1);
+        assert_eq!((obs[0].agent, obs[0].at), (AgentId(0), t(500)));
+        let s = render(&trace, &obs, 21);
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0], "agent0  |....r................|", "{s}");
+        assert_eq!(lines[1], "agent1  |....................!|", "{s}");
+        assert!(s.contains("[CD @ 0.500000s by agent0]"), "{s}");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! third, [`probe_stress_trace`], is shaped for how the engine probes a
 //! view rather than for the anomalies it holds: keys repeated inside a
 //! read, keys first interned by the read being compared, and views whose
-//! key ids lie hundreds apart. The same properties are checked on all
-//! three.
+//! key ids lie hundreds apart. A fourth, [`summary_mix_trace`], mixes
+//! views the engine decides by word summaries with views it must walk or
+//! search, in one trace. The same properties are checked on all four.
 //!
 //! Alongside exact equivalence, the suite pins the two streaming-only
 //! contracts: [`live_counts`](StreamingAnalyzer::live_counts) grows
@@ -43,7 +44,8 @@ type K = (u32, u32); // (author, seq)
 /// Frozen pre-streaming batch checkers.
 ///
 /// Verbatim copies (modulo paths) of the last whole-trace revision of
-/// `checkers::{ryw,mw,mr,wfr,content,order}` and the `window` sweep.
+/// `checkers::{ryw,mw,mr,wfr,content,order}` and the `window` sweep; each
+/// observation's prose is built beside it and checked by `noted`.
 /// They must never be "fixed" to track the shipped engine — their whole
 /// value is staying an independent implementation of the paper's
 /// definitions.
@@ -53,6 +55,13 @@ mod reference {
     use conprobe_core::index::{ReadView, TraceIndex};
     use conprobe_core::trace::{EventKey, Timestamp};
     use conprobe_core::window::{WindowAnalysis, WindowKind};
+
+    /// An observation the frozen checker built beside its own prose: the
+    /// engine's rendering of the observation must be that text.
+    fn noted<K: EventKey>(obs: Observation<K>, detail: String) -> Observation<K> {
+        assert_eq!(obs.detail(), detail, "{obs:?}");
+        obs
+    }
 
     pub fn ryw<K: EventKey>(index: &TraceIndex<'_, K>) -> Vec<Observation<K>> {
         let mut out = Vec::new();
@@ -65,17 +74,21 @@ mod reference {
                     .map(|w| w.id.clone())
                     .collect();
                 if !missing.is_empty() {
-                    out.push(Observation {
-                        kind: AnomalyKind::ReadYourWrites,
-                        agent,
-                        other_agent: None,
-                        at: read.op.response,
-                        detail: format!(
-                            "read by {agent} misses {} own completed write(s): {missing:?}",
-                            missing.len()
-                        ),
-                        witnesses: missing,
-                    });
+                    let detail = format!(
+                        "read by {agent} misses {} own completed write(s): {missing:?}",
+                        missing.len()
+                    );
+                    out.push(noted(
+                        Observation {
+                            kind: AnomalyKind::ReadYourWrites,
+                            agent,
+                            other_agent: None,
+                            at: read.op.response,
+                            witnesses: missing,
+                            read_pairs: 0,
+                        },
+                        detail,
+                    ));
                 }
             }
         }
@@ -100,18 +113,22 @@ mod reference {
                         };
                         if violation {
                             let (x, y) = (x.id, y.id);
-                            out.push(Observation {
-                                kind: AnomalyKind::MonotonicWrites,
-                                agent: read.op.agent,
-                                other_agent: Some(writer),
-                                at: read.op.response,
-                                witnesses: vec![x.clone(), y.clone()],
-                                detail: format!(
-                                    "read by {} sees {writer}'s write {y:?} but write {x:?} \
-                                     is missing or ordered after it",
-                                    read.op.agent
-                                ),
-                            });
+                            let detail = format!(
+                                "read by {} sees {writer}'s write {y:?} but write {x:?} \
+                                 is missing or ordered after it",
+                                read.op.agent
+                            );
+                            out.push(noted(
+                                Observation {
+                                    kind: AnomalyKind::MonotonicWrites,
+                                    agent: read.op.agent,
+                                    other_agent: Some(writer),
+                                    at: read.op.response,
+                                    witnesses: vec![x.clone(), y.clone()],
+                                    read_pairs: 0,
+                                },
+                                detail,
+                            ));
                             break 'pairs;
                         }
                     }
@@ -135,18 +152,22 @@ mod reference {
                     .map(|(_, x)| x.clone())
                     .collect();
                 if !vanished.is_empty() {
-                    out.push(Observation {
-                        kind: AnomalyKind::MonotonicReads,
-                        agent,
-                        other_agent: None,
-                        at: r2.op.response,
-                        detail: format!(
-                            "{} event(s) observed by {agent} disappeared from its next read: \
-                             {vanished:?}",
-                            vanished.len()
-                        ),
-                        witnesses: vanished,
-                    });
+                    let detail = format!(
+                        "{} event(s) observed by {agent} disappeared from its next read: \
+                         {vanished:?}",
+                        vanished.len()
+                    );
+                    out.push(noted(
+                        Observation {
+                            kind: AnomalyKind::MonotonicReads,
+                            agent,
+                            other_agent: None,
+                            at: r2.op.response,
+                            witnesses: vanished,
+                            read_pairs: 0,
+                        },
+                        detail,
+                    ));
                 }
             }
         }
@@ -203,17 +224,21 @@ mod reference {
                 }
             }
             if !witnesses.is_empty() {
-                out.push(Observation {
-                    kind: AnomalyKind::WritesFollowReads,
-                    agent: read.op.agent,
-                    other_agent: None,
-                    at: read.op.response,
-                    detail: format!(
-                        "read by {} sees write(s) without their read dependencies: {witnesses:?}",
-                        read.op.agent
-                    ),
-                    witnesses,
-                });
+                let detail = format!(
+                    "read by {} sees write(s) without their read dependencies: {witnesses:?}",
+                    read.op.agent
+                );
+                out.push(noted(
+                    Observation {
+                        kind: AnomalyKind::WritesFollowReads,
+                        agent: read.op.agent,
+                        other_agent: None,
+                        at: read.op.response,
+                        witnesses,
+                        read_pairs: 0,
+                    },
+                    detail,
+                ));
             }
         }
         out
@@ -246,17 +271,21 @@ mod reference {
                     }
                 }
                 if let Some((x, y, at)) = first_witness {
-                    out.push(Observation {
-                        kind: AnomalyKind::ContentDivergence,
-                        agent: a,
-                        other_agent: Some(b),
-                        at,
-                        detail: format!(
-                            "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
-                             {a} alone sees {x:?}, {b} alone sees {y:?}"
-                        ),
-                        witnesses: vec![x, y],
-                    });
+                    let detail = format!(
+                        "{a} and {b} mutually diverge ({pair_count} read pair(s)): \
+                         {a} alone sees {x:?}, {b} alone sees {y:?}"
+                    );
+                    out.push(noted(
+                        Observation {
+                            kind: AnomalyKind::ContentDivergence,
+                            agent: a,
+                            other_agent: Some(b),
+                            at,
+                            witnesses: vec![x, y],
+                            read_pairs: pair_count,
+                        },
+                        detail,
+                    ));
                 }
             }
         }
@@ -305,17 +334,21 @@ mod reference {
                     }
                 }
                 if let Some((x, y, at)) = first {
-                    out.push(Observation {
-                        kind: AnomalyKind::OrderDivergence,
-                        agent: a,
-                        other_agent: Some(b),
-                        at,
-                        detail: format!(
-                            "{a} and {b} order {x:?}/{y:?} oppositely \
-                             ({pair_count} read pair(s))"
-                        ),
-                        witnesses: vec![x, y],
-                    });
+                    let detail = format!(
+                        "{a} and {b} order {x:?}/{y:?} oppositely \
+                         ({pair_count} read pair(s))"
+                    );
+                    out.push(noted(
+                        Observation {
+                            kind: AnomalyKind::OrderDivergence,
+                            agent: a,
+                            other_agent: Some(b),
+                            at,
+                            witnesses: vec![x, y],
+                            read_pairs: pair_count,
+                        },
+                        detail,
+                    ));
                 }
             }
         }
@@ -556,7 +589,8 @@ fn assert_full_pass_matches_the_oracle(trace: &TestTrace<K>, case: &str) -> Test
 
 /// The tentpole equivalence: a full streaming pass over a chaotic trace
 /// produces *identical* observations (kind, agent, timestamps, witnesses,
-/// detail strings — `Observation` is `PartialEq` on all of it) and
+/// read-pair counts — `Observation` is `PartialEq` on all of it — whose
+/// rendered prose equals the oracle's own, see `reference::noted`) and
 /// identical window sweeps to the frozen batch oracle.
 #[test]
 fn full_streaming_pass_equals_the_frozen_batch_oracle() {
@@ -613,7 +647,7 @@ fn trigger_pair_wfr_matches_the_oracle() {
 /// hundred reads over four sequences nearly every read pair is counted
 /// through a view's multiplicity and every witness comes from a view's
 /// first-arrived read, in both agent orientations — and counts,
-/// witnesses, `at` and detail strings still equal the oracle's.
+/// witnesses, `at` and prose still equal the oracle's.
 #[test]
 fn duplicate_heavy_traces_equal_the_oracle_in_both_orientations() {
     use conprobe_core::anomaly::AnomalyKind;
@@ -660,11 +694,11 @@ fn an_earlier_ordinal_pair_that_arrives_later_supplies_the_witness() {
     let content = of(AnomalyKind::ContentDivergence);
     assert_eq!(content.witnesses, [(9, 4), (9, 5)]);
     assert_eq!(content.at, Timestamp::from_millis(35));
-    assert!(content.detail.contains("(3 read pair(s))"), "{}", content.detail);
+    assert!(content.detail().contains("(3 read pair(s))"), "{}", content.detail());
     let order = of(AnomalyKind::OrderDivergence);
     assert_eq!(order.witnesses, [(9, 1), (9, 2)]);
     assert_eq!(order.at, Timestamp::from_millis(35));
-    assert!(order.detail.contains("(2 read pair(s))"), "{}", order.detail);
+    assert!(order.detail().contains("(2 read pair(s))"), "{}", order.detail());
 }
 
 /// A probe-stress trace: three agents, 30–60 ops after one wide read.
@@ -813,6 +847,131 @@ fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
         }
     }
     assert!(found.iter().all(|&n| n > 80), "generator too tame: {found:?}");
+}
+
+/// A summary-mix trace: three agents, about 90 writes of distinct keys,
+/// and reads of which some views have a word summary (ids below 64, none
+/// repeated, at most four inverted pairs) and some do not, in one trace.
+///
+/// Writes come 40 up front, then three in ten steps, on a strictly rising
+/// clock, so a key's id is its place in the write log and a read in log
+/// order inverts nothing. A read takes a sorted random subset of the log
+/// so far and one of four shapes:
+/// * tidy: keys among the first 64 written, up to three adjacent swaps
+///   (a summary);
+/// * reversed: the same, newest first (more than four inversions once it
+///   holds six keys);
+/// * late: one of the keys past the 64th too (an id of 64 or more);
+/// * doubled: a tidy read with one key repeated.
+///
+/// `flip` relabels agent `a` as `2 - a`.
+fn summary_mix_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
+    let op = |a: u32, at: i64, took: u64, kind| OpRecord {
+        agent: AgentId(if flip { 2 - a } else { a }),
+        invoke: Timestamp::from_millis(at),
+        response: Timestamp::from_millis(at + took as i64),
+        kind,
+    };
+    let (mut ops, mut log, mut now) = (Vec::new(), Vec::<K>::new(), 0i64);
+    for step in 0..rng.range(190, 221) {
+        now += rng.range(1, 8) as i64;
+        let a = rng.range(0, 3) as u32;
+        if step >= 40 && rng.chance(0.7) {
+            let tidy = log.len().min(64);
+            let mut picked: Vec<usize> =
+                (0..rng.range(1, 11)).map(|_| rng.range_usize(0, tidy)).collect();
+            let shape = rng.range(0, 4);
+            if shape == 2 && log.len() > 64 {
+                picked.push(rng.range_usize(64, log.len()));
+            }
+            picked.sort_unstable();
+            picked.dedup();
+            let mut seq: Vec<K> = picked.iter().map(|&i| log[i]).collect();
+            match shape {
+                1 => seq.reverse(),
+                3 => seq
+                    .insert(rng.range_usize(0, seq.len() + 1), seq[rng.range_usize(0, seq.len())]),
+                _ => {
+                    for _ in 0..rng.range(0, 4).min(seq.len().saturating_sub(1) as u64) {
+                        let i = rng.range_usize(0, seq.len() - 1);
+                        seq.swap(i, i + 1);
+                    }
+                }
+            }
+            ops.push(op(a, now, rng.range(0, 30), OpKind::Read { seq }));
+        } else {
+            let id = (a, log.len() as u32);
+            log.push(id);
+            ops.push(op(a, now, rng.range(0, 10), OpKind::Write { id }));
+        }
+    }
+    TestTrace::new(ops)
+}
+
+/// The generator keeps its promises, judged on key ids assigned the way
+/// the analyzer interns them: every trace has reads whose views have a
+/// summary and reads whose views lack one for each cause alone — an id
+/// of 64 or more, a repeated id, more than four inverted pairs.
+#[test]
+fn summary_mix_traces_have_the_advertised_shape() {
+    let mut rng = TestRng::new(0x57EA_000A);
+    for case in 0..20 {
+        let trace = summary_mix_trace(&mut rng, case % 2 == 1);
+        let mut ids = std::collections::HashMap::<K, usize>::new();
+        // Summarized reads, then reads refused for one cause alone.
+        let mut met = [0usize; 4];
+        for op in trace.ops() {
+            let keys = match &op.kind {
+                OpKind::Write { id } => std::slice::from_ref(id),
+                OpKind::Read { seq } => seq.as_slice(),
+            };
+            for &k in keys {
+                let next = ids.len();
+                ids.entry(k).or_insert(next);
+            }
+            if let OpKind::Read { seq } = &op.kind {
+                let of: Vec<usize> = seq.iter().map(|k| ids[k]).collect();
+                let repeats = (1..of.len()).any(|i| of[..i].contains(&of[i]));
+                let low = of.iter().all(|&i| i < 64);
+                let flips = (0..of.len())
+                    .flat_map(|i| (i + 1..of.len()).map(move |j| (i, j)))
+                    .filter(|&(i, j)| of[i] > of[j])
+                    .count();
+                let few = flips <= 4;
+                for (n, alone) in met.iter_mut().zip([
+                    !repeats && low && few,
+                    !repeats && !low && few,
+                    repeats && low,
+                    !repeats && low && !few,
+                ]) {
+                    *n += usize::from(alone);
+                }
+            }
+        }
+        assert!(met.iter().all(|&n| n > 0), "case {case}: {met:?}");
+    }
+}
+
+/// The summary verdict and the walk side by side: on summary-mix traces
+/// in both orientations, where view pairs are decided by words, by the
+/// walk, or by the searches within one trace, the full pass equals the
+/// frozen oracle.
+#[test]
+fn summary_mix_traces_equal_the_oracle_in_both_orientations() {
+    use conprobe_core::anomaly::AnomalyKind;
+    let mut rng = TestRng::new(0x57EA_0009);
+    let mut divergences = [0usize; 2];
+    for case in 0..40 {
+        let schedule = rng.clone();
+        for flip in [false, true] {
+            rng = schedule.clone();
+            let trace = summary_mix_trace(&mut rng, flip);
+            let analysis = assert_full_pass_matches_the_oracle(&trace, &format!("{case} {flip}"));
+            divergences[0] += analysis.count(AnomalyKind::ContentDivergence);
+            divergences[1] += analysis.count(AnomalyKind::OrderDivergence);
+        }
+    }
+    assert!(divergences.iter().all(|&n| n > 80), "generator too tame: {divergences:?}");
 }
 
 /// Mid-stream telemetry: `live_counts` never decreases in any component
