@@ -117,8 +117,8 @@ use crate::anomaly::{AnomalyKind, Observation};
 use crate::checkers::WfrMode;
 use crate::trace::{AgentId, EventKey, OpRecord, TestTrace, Timestamp};
 use crate::window::{WindowAnalysis, WindowKind};
+use conprobe_json::{FastMap, FastState};
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::BuildHasher;
 use std::mem::size_of;
@@ -330,7 +330,7 @@ impl Marked<'_> {
 /// whatever their hashes do (`S` is a parameter so a test can make every
 /// sequence collide).
 #[derive(Debug, Default)]
-struct ViewTable<S = RandomState> {
+struct ViewTable<S = FastState> {
     ids: HashMap<Arc<[u32]>, u32, S>,
     views: Vec<View>,
 }
@@ -501,7 +501,7 @@ pub struct StreamingAnalyzer<K: EventKey> {
 
     /// Interner: `K` → dense id, plus the id → `K` table for witness
     /// reconstruction. Both point at the one owned copy of each key.
-    key_ids: HashMap<Arc<K>, u32>,
+    key_ids: FastMap<Arc<K>, u32>,
     keys: Vec<Arc<K>>,
     views: ViewTable,
     /// The id sequence of the read being pushed; kept for its capacity.
@@ -563,7 +563,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         StreamingAnalyzer {
             general_wfr,
             triggers,
-            key_ids: HashMap::new(),
+            key_ids: FastMap::default(),
             keys: Vec::new(),
             views: ViewTable::default(),
             seq_scratch: Vec::new(),
@@ -1171,7 +1171,7 @@ mod tests {
 
     #[test]
     fn views_are_whole_sequences_not_sets() {
-        each_sequence_is_its_own_view::<RandomState>();
+        each_sequence_is_its_own_view::<FastState>();
     }
 
     /// View identity is full-vector equality, never the hash: with every

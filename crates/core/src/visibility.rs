@@ -14,7 +14,8 @@
 //! the trace is reported as [`Visibility::Never`] (right-censored).
 
 use crate::trace::{AgentId, EventKey, TestTrace, Timestamp};
-use std::collections::{BTreeMap, HashMap};
+use conprobe_json::FastMap;
+use std::collections::BTreeMap;
 
 /// When (if ever) an agent first observed a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +59,7 @@ pub struct VisibilityRecord<K> {
 pub fn visibility<K: EventKey>(trace: &TestTrace<K>) -> Vec<VisibilityRecord<K>> {
     // One pass over the reads: each reading agent's earliest response
     // that contained each key it ever read.
-    let mut first_seen: BTreeMap<AgentId, HashMap<&K, Timestamp>> = BTreeMap::new();
+    let mut first_seen: BTreeMap<AgentId, FastMap<&K, Timestamp>> = BTreeMap::new();
     for op in trace.ops() {
         let Some(seq) = op.read_seq() else { continue };
         let seen = first_seen.entry(op.agent).or_default();

@@ -23,10 +23,10 @@ use crate::guard::SessionGuard;
 use crate::proto::{HarnessMsg, LocalOpRecord, Msg};
 use crate::script::{post_for, TestScript};
 use conprobe_core::trace::OpKind;
+use conprobe_json::FastMap;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration};
 use conprobe_store::PostId;
-use std::collections::HashMap;
 
 const TOKEN_START: u64 = 1;
 const TOKEN_READ: u64 = 2;
@@ -113,12 +113,12 @@ pub struct AgentNode {
     /// deciding what to do there; `None` until a `Start` arrives.
     test: Option<(NodeId, TestScript)>,
     records: Vec<LocalOpRecord>,
-    pending: HashMap<u64, Pending>,
+    pending: FastMap<u64, Pending>,
     next_req: u64,
     stopped: bool,
     rpc: RpcStats,
     /// Operations rejected by the rate limiter, awaiting a backoff retry.
-    throttle_backlog: HashMap<u64, (PendingOp, ClientOp)>,
+    throttle_backlog: FastMap<u64, (PendingOp, ClientOp)>,
     next_backoff: u64,
     guard: Option<SessionGuard>,
     use_guard: bool,
@@ -135,11 +135,11 @@ impl AgentNode {
             coordinator: None,
             test: None,
             records: Vec::new(),
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             next_req: 0,
             stopped: false,
             rpc: RpcStats::default(),
-            throttle_backlog: HashMap::new(),
+            throttle_backlog: FastMap::default(),
             next_backoff: 0,
             guard: None,
             use_guard,

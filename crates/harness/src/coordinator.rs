@@ -11,11 +11,12 @@ use crate::clocksync::{estimate, DeltaEstimate, ProbeSample};
 use crate::proto::{AgentTestPlan, HarnessMsg, LocalOpRecord, Msg};
 use crate::script::Cadence;
 use conprobe_core::trace::{AgentId, OpRecord, TestTrace, Timestamp};
+use conprobe_json::{FastMap, FastSet};
 use conprobe_obs::Severity;
 use conprobe_services::NetMsg;
 use conprobe_sim::{Context, LocalTime, Node, NodeId, ObsSink, SimDuration, SimTime};
 use conprobe_store::PostId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 const TOKEN_PROBE: u64 = 1;
 const TOKEN_TIMEOUT: u64 = 2;
@@ -119,11 +120,11 @@ pub struct CoordinatorNode {
     cfg: CoordinatorConfig,
     phase: Phase,
     next_probe_id: u64,
-    in_flight: HashMap<u64, (usize, LocalTime)>,
+    in_flight: FastMap<u64, (usize, LocalTime)>,
     samples: Vec<Vec<ProbeSample>>,
     deltas: Vec<DeltaEstimate>,
-    completions: HashSet<u32>,
-    start_acks: HashSet<u32>,
+    completions: FastSet<u32>,
+    start_acks: FastSet<u32>,
     plans: Vec<AgentTestPlan>,
     logs: BTreeMap<u32, Vec<LocalOpRecord>>,
     started_at: LocalTime,
@@ -135,7 +136,7 @@ pub struct CoordinatorNode {
     /// Coordinator-local receipt time of each agent's latest heartbeat.
     last_heartbeat: Vec<Option<LocalTime>>,
     /// Agents written off as dead/unreachable.
-    quarantined: HashSet<u32>,
+    quarantined: FastSet<u32>,
     /// Stop retransmission rounds spent so far.
     stop_rounds: u32,
     /// Coordinator-local time the Start messages went out (liveness
@@ -162,11 +163,11 @@ impl CoordinatorNode {
             cfg,
             phase: Phase::Probing,
             next_probe_id: 0,
-            in_flight: HashMap::new(),
+            in_flight: FastMap::default(),
             samples: vec![Vec::new(); n],
             deltas: Vec::new(),
-            completions: HashSet::new(),
-            start_acks: HashSet::new(),
+            completions: FastSet::default(),
+            start_acks: FastSet::default(),
             plans: Vec::new(),
             logs: BTreeMap::new(),
             started_at: LocalTime::from_nanos(0),
@@ -175,7 +176,7 @@ impl CoordinatorNode {
             outcome: None,
             heartbeats: vec![0; n],
             last_heartbeat: vec![None; n],
-            quarantined: HashSet::new(),
+            quarantined: FastSet::default(),
             stop_rounds: 0,
             running_since: LocalTime::from_nanos(0),
             obs: None,

@@ -33,9 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod frame;
+mod hash;
 mod reader;
 mod writer;
 
+pub use hash::{FastHasher, FastMap, FastSet, FastState};
 pub use reader::JsonReader;
 pub use writer::JsonWriter;
 

@@ -128,7 +128,9 @@ pub struct Topology {
 /// The calibrated topology for `kind` (see module docs).
 pub fn topology(kind: ServiceKind) -> Topology {
     match kind {
-        // Single synchronous replica: linearizable, zero anomalies.
+        // Single synchronous replica, zero anomalies: linearizable by
+        // construction; not yet checked by a linearizability oracle
+        // (ROADMAP item 2).
         ServiceKind::Blogger => Topology {
             replicas: vec![(Region::Virginia, ReplicaParams::default())],
             affinity: AffinityMap::with_fallback(0),

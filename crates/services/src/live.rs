@@ -183,7 +183,7 @@ struct LiveReplica {
     /// One deterministic core per keyspace key this replica has seen,
     /// created on first touch with the replica's ordering policy. Keys
     /// are isolated objects: cores never exchange posts.
-    cores: HashMap<u32, ReplicaCore>,
+    cores: HashMap<u32, ReplicaCore>, // RandomState: a serve client picks keys
     ordering: OrderingPolicy,
     repl_delay: DelayDist,
     anti_entropy_nanos: Option<u64>,
@@ -191,7 +191,7 @@ struct LiveReplica {
     next_anti_entropy: u64,
     /// Per-key read caches for a stale-pinned replica (`None` when the
     /// replica is not pinned).
-    stale_cache: Option<HashMap<u32, ReadCache>>,
+    stale_cache: Option<HashMap<u32, ReadCache>>, // RandomState: a serve client picks keys
 }
 
 impl LiveReplica {

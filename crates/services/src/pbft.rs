@@ -19,7 +19,8 @@
 //!   [`ReplicaCore`].
 //!
 //! Reads are ordered through the same log, so every response is a
-//! prefix-consistent snapshot: the arm is linearizable and all six
+//! prefix-consistent snapshot: the arm is linearizable by construction;
+//! not yet checked by a linearizability oracle (ROADMAP item 2). All six
 //! checkers must come back clean under every fault plan.
 //!
 //! **View changes.** Each front door tracks its pending operations; when
@@ -59,7 +60,9 @@ use crate::quorum::{stored_post_from_payload, stored_post_to_payload};
 use crate::shell::{
     metric_prefix, Catchup, FrontDoor, Hosted, Transfers, Transition, TOKEN_CATCHUP_RETRY,
 };
-use conprobe_json::{frame, missing, read_members, FromJson, JsonError, JsonReader, JsonWriter};
+use conprobe_json::{
+    frame, missing, read_members, FastMap, FromJson, JsonError, JsonReader, JsonWriter,
+};
 use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
@@ -175,8 +178,9 @@ pub enum ProposeOp {
         /// The client's post.
         post: Post,
     },
-    /// Sequence this read (reads are log ops — that is what makes the
-    /// arm linearizable); `origin` answers from its snapshot at apply.
+    /// Sequence this read (reads are log ops, so the arm is linearizable
+    /// by construction; not yet checked by a linearizability oracle
+    /// (ROADMAP item 2)); `origin` answers from its snapshot at apply.
     Read {
         /// The forwarding front door's replica index.
         origin: usize,
@@ -393,18 +397,18 @@ pub struct PbftReplica {
     /// The first slot not yet applied to `core`.
     next_apply: u64,
     /// Leader-reign write dedupe: post id → assigned slot.
-    proposed_writes: HashMap<PostId, u64>,
+    proposed_writes: HashMap<PostId, u64>, // RandomState: a serve client picks post ids
     /// Leader-reign read dedupe: `(origin, seq)` → assigned slot.
-    proposed_reads: HashMap<(usize, u64), u64>,
+    proposed_reads: FastMap<(usize, u64), u64>,
     /// Front-door write tracking by post id.
-    pending_writes: HashMap<PostId, PendingWrite>,
+    pending_writes: HashMap<PostId, PendingWrite>, // RandomState: a serve client picks post ids
     /// Front-door read tracking by local read sequence number.
-    pending_reads: HashMap<u64, PendingRead>,
+    pending_reads: FastMap<u64, PendingRead>,
     /// RPC-retransmit dedupe: `(client, req_id)` → read seq.
-    read_reqs: HashMap<(NodeId, u64), u64>,
+    read_reqs: FastMap<(NodeId, u64), u64>,
     next_read_seq: u64,
     /// View-change votes: target view → voter index → proofs.
-    view_votes: HashMap<u64, HashMap<usize, Vec<PreparedProof>>>,
+    view_votes: FastMap<u64, FastMap<usize, Vec<PreparedProof>>>,
     /// The highest view this replica has voted for (≤ `view` when not
     /// currently suspicious).
     voted_view: u64,
@@ -473,12 +477,12 @@ impl PbftReplica {
             next_slot: 0,
             next_apply: 0,
             proposed_writes: HashMap::new(),
-            proposed_reads: HashMap::new(),
+            proposed_reads: FastMap::default(),
             pending_writes: HashMap::new(),
-            pending_reads: HashMap::new(),
-            read_reqs: HashMap::new(),
+            pending_reads: FastMap::default(),
+            read_reqs: FastMap::default(),
             next_read_seq: 0,
-            view_votes: HashMap::new(),
+            view_votes: FastMap::default(),
             voted_view: 0,
             voted_at: SimTime::ZERO,
             max_view_heard: 0,
@@ -1034,7 +1038,7 @@ impl PbftReplica {
             return;
         }
         self.view_votes.entry(new_view).or_default().insert(from_idx, prepared);
-        let votes = self.view_votes.get(&new_view).map_or(0, HashMap::len);
+        let votes = self.view_votes.get(&new_view).map_or(0, FastMap::len);
         if new_view > self.voted_view && votes >= self.join_quorum() {
             // f+1 distinct suspicions prove a correct replica is stuck:
             // join even if our own clients are happy.
@@ -1050,14 +1054,14 @@ impl PbftReplica {
         if new_view <= self.view || self.leader_index(new_view) != self.my_index {
             return;
         }
-        let votes = self.view_votes.get(&new_view).map_or(0, HashMap::len);
+        let votes = self.view_votes.get(&new_view).map_or(0, FastMap::len);
         if votes < self.cert_quorum() {
             return;
         }
         let now = ctx.true_now();
         // Union the prepared backlogs (our own included), highest view
         // winning per slot.
-        let mut chosen: HashMap<u64, PreparedProof> = HashMap::new();
+        let mut chosen: FastMap<u64, PreparedProof> = FastMap::default();
         let mut vote_proofs: Vec<PreparedProof> = self
             .view_votes
             .get(&new_view)

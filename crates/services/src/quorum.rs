@@ -47,11 +47,11 @@ use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{
     metric_prefix, Catchup, FrontDoor, Hosted, Transfers, Transition, TOKEN_CATCHUP_RETRY,
 };
-use conprobe_json::{frame, read_members, JsonError, JsonReader, JsonWriter};
+use conprobe_json::{frame, read_members, FastMap, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Serializes one stored post as the compact-JSON payload of a catch-up
 /// frame. Field order is fixed, so the encoding — and therefore the
@@ -115,7 +115,7 @@ struct PendingRead {
     merged: Vec<StoredPost>,
     /// The ids in `merged`, so folding a peer snapshot in is one lookup a
     /// post instead of a scan of the list.
-    merged_ids: HashSet<PostId>,
+    merged_ids: HashSet<PostId>, // RandomState: a serve client picks post ids
 }
 
 /// This arm's own metrics, next to the [`FrontDoor`]'s common ones.
@@ -137,8 +137,8 @@ pub struct QuorumReplica {
     catchup: Option<Catchup<StoredPost>>,
     /// Client reads queued behind the read fence: `(client, req_id)`.
     fenced_reads: Vec<(NodeId, u64)>,
-    pending_writes: HashMap<u64, PendingWrite>,
-    pending_reads: HashMap<u64, PendingRead>,
+    pending_writes: FastMap<u64, PendingWrite>,
+    pending_reads: FastMap<u64, PendingRead>,
     /// Malformed or replayed peer frames ignored-and-counted instead of
     /// panicking (`services.*.protocol_anomalies`).
     anomalies: u64,
@@ -173,8 +173,8 @@ impl QuorumReplica {
             door: FrontDoor::new(1, false),
             catchup: None,
             fenced_reads: Vec::new(),
-            pending_writes: HashMap::new(),
-            pending_reads: HashMap::new(),
+            pending_writes: FastMap::default(),
+            pending_reads: FastMap::default(),
             anomalies: 0,
             transfers: Transfers::default(),
             obs: None,

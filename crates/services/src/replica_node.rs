@@ -26,13 +26,13 @@
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{metric_prefix, FrontDoor, Transition, TOKEN_KIND_MASK};
+use conprobe_json::FastMap;
 use conprobe_obs::{latency_bounds_nanos, Counter, Histogram};
 use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimRng, SimTime};
 use conprobe_store::ranking::RankablePost;
 use conprobe_store::{
     FeedRanker, OrderingPolicy, Post, PostId, RankingConfig, ReadCache, ReplicaCore,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A sampled delay distribution.
@@ -184,18 +184,18 @@ pub struct ReplicaNode {
     core: ReplicaCore,
     caches: Vec<ReadCache>,
     ranker: Option<FeedRanker>,
-    visible_at: HashMap<PostId, SimTime>,
-    indexed_at: HashMap<PostId, SimTime>,
+    visible_at: FastMap<PostId, SimTime>,
+    indexed_at: FastMap<PostId, SimTime>,
     peers: Vec<NodeId>,
-    pending_apply: HashMap<u64, (Post, SimTime)>,
-    pending_push: HashMap<u64, (NodeId, Vec<conprobe_store::StoredPost>)>,
-    last_push_at: HashMap<NodeId, SimTime>,
+    pending_apply: FastMap<u64, (Post, SimTime)>,
+    pending_push: FastMap<u64, (NodeId, Vec<conprobe_store::StoredPost>)>,
+    last_push_at: FastMap<NodeId, SimTime>,
     /// Crash flag, brownout gate, request counters, timer tokens and the
     /// common metrics (fault injection and telemetry; see [`FrontDoor`]).
     door: FrontDoor,
     /// Writes forwarded to the primary: forwarded req id → (client, its
     /// original req id).
-    forwarded_writes: HashMap<u64, (NodeId, u64)>,
+    forwarded_writes: FastMap<u64, (NodeId, u64)>,
     /// Next forwarded request id (disjoint space from client ids).
     next_forward_req: u64,
     /// This arm's own metric handles, resolved in `on_start` when the
@@ -241,14 +241,14 @@ impl ReplicaNode {
             caches,
             ranker,
             params,
-            visible_at: HashMap::new(),
-            indexed_at: HashMap::new(),
+            visible_at: FastMap::default(),
+            indexed_at: FastMap::default(),
             peers: Vec::new(),
-            pending_apply: HashMap::new(),
-            pending_push: HashMap::new(),
-            last_push_at: HashMap::new(),
+            pending_apply: FastMap::default(),
+            pending_push: FastMap::default(),
+            last_push_at: FastMap::default(),
             door: FrontDoor::new(1, false),
-            forwarded_writes: HashMap::new(),
+            forwarded_writes: FastMap::default(),
             next_forward_req: 1 << 48,
             obs: None,
         }

@@ -12,10 +12,9 @@
 //! ([`Transfers`]) and show the wall-clock driver one face ([`Hosted`]).
 
 use crate::api::{ClientOp, ControlMsg, NetMsg, OpResult, ReplMsg};
-use conprobe_json::frame;
+use conprobe_json::{frame, FastMap, FastSet};
 use conprobe_obs::{Counter, Gauge, ObsSink, Severity};
 use conprobe_sim::{BrownoutMode, Context, NodeId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
 
 /// Timer-token kind: a brownout-held client request.
 const TOKEN_KIND_DELAY: u64 = 3 << 62;
@@ -66,7 +65,7 @@ pub(crate) struct FrontDoor {
     brownout: Option<BrownoutMode>,
     /// Client requests held by a [`BrownoutMode::Delay`] brownout, keyed
     /// by the hold timer's token.
-    delayed_requests: HashMap<u64, (NodeId, u64, ClientOp)>,
+    delayed_requests: FastMap<u64, (NodeId, u64, ClientOp)>,
     /// `(writes, reads, throttled)` counters for tests/diagnostics.
     stats: (u64, u64, u64),
     next_token: u64,
@@ -84,7 +83,7 @@ impl FrontDoor {
         FrontDoor {
             crashed: false,
             brownout: None,
-            delayed_requests: HashMap::new(),
+            delayed_requests: FastMap::default(),
             stats: (0, 0, 0),
             next_token: first_token,
             ordered_replies,
@@ -335,7 +334,7 @@ pub(crate) struct Catchup<T> {
     /// Correlation token; responses carrying any other token are stale.
     token: u64,
     /// Peers whose stream has been verified.
-    heard: HashSet<NodeId>,
+    heard: FastSet<NodeId>,
     /// Highest watermark heard from any responder.
     watermark: u64,
     /// Total frames verified across responders.
@@ -353,7 +352,7 @@ impl<T> Catchup<T> {
     pub(crate) fn new(token: u64, decode: fn(&str) -> Result<T, String>) -> Self {
         Catchup {
             token,
-            heard: HashSet::new(),
+            heard: FastSet::default(),
             watermark: 0,
             frames: 0,
             stream_hash: frame::FNV64_BASIS,

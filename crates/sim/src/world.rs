@@ -17,7 +17,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use conprobe_obs::{Counter, ObsSink, Severity};
 use std::any::Any;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -90,13 +90,44 @@ enum EventKind<M> {
 }
 
 /// A queue key. The event it schedules waits in `WorldCore::events[slot]`,
-/// so the heap sifts 24 bytes, not a message. `seq` is unique, so keys
-/// order by `(at, seq)` and `slot` never decides.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// so the heap sifts a key, not a message. `key` packs `(at, seq)` as
+/// `(at << 64) | seq`, so one `u128` comparison orders events as the
+/// pair does; `seq` is unique, so no two keys tie. The order reads `key`
+/// alone: a derived one also compares `slot`, which never decides and
+/// made a heap pop-and-push about 40 % slower in a micro-benchmark.
 struct Scheduled {
-    at: SimTime,
-    seq: u64,
+    key: u128,
     slot: u32,
+}
+
+impl Scheduled {
+    fn new(at: SimTime, seq: u64, slot: u32) -> Self {
+        Scheduled { key: (u128::from(at.as_nanos()) << 64) | u128::from(seq), slot }
+    }
+
+    fn at(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
 }
 
 /// What `send` needs to know of one ordered (src, dst) node pair.
@@ -243,15 +274,15 @@ impl<M> WorldCore<M> {
                 u32::try_from(self.events.len() - 1).expect("fewer than 2^32 queued events")
             }
         };
-        self.queue.push(Reverse(Scheduled { at, seq, slot }));
+        self.queue.push(Reverse(Scheduled::new(at, seq, slot)));
     }
 
     /// Pops the earliest event, by `(at, seq)`.
     fn pop(&mut self) -> Option<(SimTime, NodeId, EventKind<M>)> {
-        let Reverse(Scheduled { at, slot, .. }) = self.queue.pop()?;
-        let (dst, kind) = self.events[slot as usize].take().expect("a queued key has its event");
-        self.free.push(slot);
-        Some((at, dst, kind))
+        let Reverse(ev) = self.queue.pop()?;
+        let (dst, kind) = self.events[ev.slot as usize].take().expect("a queued key has its event");
+        self.free.push(ev.slot);
+        Some((ev.at(), dst, kind))
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, msg: M, ordered: bool) {
@@ -448,7 +479,8 @@ impl<M: 'static> World<M> {
         self.core.now
     }
 
-    /// Number of messages delivered so far.
+    /// Number of messages delivered so far: deliveries only, not timer
+    /// firings or node starts, so not the number of events dispatched.
     pub fn delivered(&self) -> u64 {
         self.core.delivered
     }
@@ -523,7 +555,7 @@ impl<M: 'static> World<M> {
     /// When the next queued event is due, if any: a read-only peek that
     /// lets a driver act between events without moving the clock.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.core.queue.peek().map(|Reverse(ev)| ev.at)
+        self.core.queue.peek().map(|Reverse(ev)| ev.at())
     }
 
     /// Processes every event due at or before `deadline` and leaves the

@@ -155,6 +155,25 @@ mod tests {
         assert!(PostId::from_json_str(r#"{"author":1}"#).is_err());
     }
 
+    /// An author × seq grid of ids (what the sim replicas' `FastMap`s
+    /// hold) reaches at least a quarter of 1024 low-bit buckets and half
+    /// of the 128 top-bit tags, like the hasher's own patterned keys.
+    #[test]
+    fn a_post_id_grid_spreads_over_fast_map_buckets() {
+        use conprobe_json::{FastSet, FastState};
+        use std::hash::BuildHasher;
+        let (mut buckets, mut tags) = (FastSet::default(), FastSet::default());
+        for author in 0..8 {
+            for seq in 1..=128 {
+                let h = FastState::default().hash_one(PostId::new(AuthorId(author), seq));
+                buckets.insert(h & 1023);
+                tags.insert(h >> 57);
+            }
+        }
+        assert!(buckets.len() >= 256, "{} of 1024 buckets", buckets.len());
+        assert!(tags.len() >= 64, "{} of 128 tags", tags.len());
+    }
+
     #[test]
     fn post_construction() {
         let p = Post::new(PostId::new(AuthorId(0), 1), "hello", LocalTime::from_nanos(5));

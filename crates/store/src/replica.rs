@@ -42,7 +42,7 @@ pub struct ReplicaCore {
     posts: Vec<StoredPost>,
     /// Positions into `posts`, in policy order.
     order: Vec<usize>,
-    seen: HashSet<PostId>,
+    seen: HashSet<PostId>, // RandomState: a serve client picks post ids
     arrival_counter: u64,
     /// Published slices of `order` (interior mutability keeps the read
     /// path `&self`; each simulated world is single-threaded and the live
