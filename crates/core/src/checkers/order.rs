@@ -121,7 +121,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::tests::inversion;
-    use crate::testutil::TestRng;
+    use conprobe_json::testkit::TestRng;
 
     /// A random sequence of distinct small ids.
     fn gen_seq(rng: &mut TestRng) -> Vec<u32> {

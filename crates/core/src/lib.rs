@@ -47,7 +47,6 @@ pub mod anomaly;
 pub mod checkers;
 pub mod index;
 pub mod stream;
-pub mod testutil;
 pub mod timeline;
 pub mod trace;
 pub mod verdict;

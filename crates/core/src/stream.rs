@@ -1137,8 +1137,8 @@ fn wfr_observation<K: EventKey>(read: &ReadState, witnesses: Vec<K>) -> Observat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestRng;
     use crate::trace::OpKind;
+    use conprobe_json::testkit::TestRng;
     use std::hash::{BuildHasherDefault, Hasher};
 
     /// Hashes everything to 0: every lookup lands in one bucket.

@@ -312,11 +312,23 @@ impl<K: ToJson> ToJson for TestTrace<K> {
     }
 }
 
+/// A decoded timestamp's magnitude must stay below this many
+/// nanoseconds, so the difference of any two fits an `i64`.
+const MAX_DECODED_NANOS: u64 = 1 << 62;
+
 impl<K: EventKey + FromJson> FromJson for TestTrace<K> {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         read_members!(r => ops: Vec::<OpRecord<K>>::read_json);
         if ops.iter().any(|op| op.response < op.invoke) {
             return Err(JsonError::schema("operation response precedes invocation"));
+        }
+        // Within ±2^62 ns (±146 years) any two instants subtract exactly.
+        let far = |t: Timestamp| t.0.unsigned_abs() >= MAX_DECODED_NANOS;
+        if let Some(op) = ops.iter().find(|op| far(op.invoke) || far(op.response)) {
+            return Err(JsonError::schema(format!(
+                "operation timestamp {} ns is outside ±2^62 ns",
+                if far(op.invoke) { op.invoke.0 } else { op.response.0 }
+            )));
         }
         Ok(TestTrace::new(ops))
     }
@@ -405,6 +417,26 @@ mod tests {
         let mut b = TestTraceBuilder::new();
         b.write(AgentId(0), t(10), t(5), 1u32);
         let _ = b.build();
+    }
+
+    /// Two reads 2^64 − 20 ns apart would overflow every difference the
+    /// window and visibility passes take; the decoder refuses them.
+    #[test]
+    fn decoded_timestamps_beyond_two_to_the_62_are_refused() {
+        let trace = |early: i64, late: i64| {
+            let mut b = TestTraceBuilder::new();
+            b.write(AgentId(0), Timestamp(early), Timestamp(early + 5), 1u32);
+            b.read(AgentId(1), Timestamp(early), Timestamp(early + 10), vec![1]);
+            b.read(AgentId(0), Timestamp(late - 10), Timestamp(late), vec![1]);
+            b.build().to_compact()
+        };
+        let decode = |text: &str| TestTrace::<u32>::from_json_str(text);
+        let err = decode(&trace(i64::MIN + 10, i64::MAX - 10)).unwrap_err();
+        assert!(err.message.contains("outside ±2^62 ns"), "{err}");
+        let edge = (1i64 << 62) - 1;
+        assert!(decode(&trace(-edge, edge)).is_ok());
+        assert!(decode(&trace(-edge - 1, 0)).is_err());
+        assert!(decode(&trace(0, edge + 1)).is_err());
     }
 
     #[test]

@@ -210,8 +210,8 @@ mod proptests {
     use super::*;
     use crate::analysis::{analyze, CheckerConfig};
     use crate::anomaly::AnomalyKind;
-    use crate::testutil::TestRng;
     use crate::trace::TestTraceBuilder;
+    use conprobe_json::testkit::TestRng;
 
     /// Random read schedules for two agents over a tiny id space.
     fn gen_reads(rng: &mut TestRng) -> Vec<(u8, Vec<u8>)> {

@@ -13,8 +13,8 @@
 
 use conprobe_core::analysis::{analyze, CheckerConfig};
 use conprobe_core::anomaly::{AnomalyKind, Observation};
-use conprobe_core::testutil::TestRng;
 use conprobe_core::trace::{AgentId, OpKind, OpRecord, TestTrace, Timestamp};
+use conprobe_json::testkit::TestRng;
 
 type K = (u32, u32); // (author, seq)
 

@@ -36,8 +36,8 @@
 use conprobe_core::analysis::{analyze, CheckerConfig, TestAnalysis};
 use conprobe_core::checkers::WfrMode;
 use conprobe_core::stream::StreamingAnalyzer;
-use conprobe_core::testutil::TestRng;
 use conprobe_core::trace::{AgentId, OpKind, OpRecord, TestTrace, Timestamp};
+use conprobe_json::testkit::TestRng;
 
 type K = (u32, u32); // (author, seq)
 

@@ -141,20 +141,16 @@ mod tests {
     /// Property test for the documented asymmetry bound: for *any* true
     /// delta, send time, and request/response delay split, the estimation
     /// error is exactly `(d_resp − d_req) / 2` (up to integer-division
-    /// rounding) and never exceeds half the RTT. Deterministic LCG sweep
-    /// so the corpus is reproducible.
+    /// rounding) and never exceeds half the RTT. A seeded sweep, so the
+    /// corpus is reproducible.
     #[test]
     fn asymmetry_error_is_exactly_half_the_delay_imbalance() {
-        let mut state: u64 = 0x9e3779b97f4a7c15;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % bound
-        };
+        let mut rng = conprobe_json::testkit::TestRng::new(0x9e3779b97f4a7c15);
         for _ in 0..2_000 {
-            let sent_nanos = next(3_600_000_000_000) as i64 - 1_800_000_000_000;
-            let d_req = next(500_000_000) as i64 + 1; // 1 ns ‥ 500 ms out
-            let d_resp = next(500_000_000) as i64 + 1; // 1 ns ‥ 500 ms back
-            let true_delta = next(20_000_000_000) as i64 - 10_000_000_000; // ±10 s
+            let sent_nanos = rng.below(3_600_000_000_000) as i64 - 1_800_000_000_000;
+            let d_req = rng.below(500_000_000) as i64 + 1; // 1 ns ‥ 500 ms out
+            let d_resp = rng.below(500_000_000) as i64 + 1; // 1 ns ‥ 500 ms back
+            let true_delta = rng.below(20_000_000_000) as i64 - 10_000_000_000; // ±10 s
             let reading = sent_nanos + d_req + true_delta;
             let p = ProbeSample {
                 sent: LocalTime::from_nanos(sent_nanos),

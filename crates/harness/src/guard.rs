@@ -198,7 +198,7 @@ mod tests {
 mod proptests {
     use super::tests::p;
     use super::*;
-    use conprobe_core::testutil::TestRng;
+    use conprobe_json::testkit::TestRng;
     use std::cmp::Ordering;
 
     /// Random read results: duplicate-free lists of (author, seq) posts.

@@ -1037,6 +1037,9 @@ mod tests {
     use super::*;
     use crate::proto::TestKind;
     use crate::runner::run_one_test;
+    use crate::stats;
+    use conprobe_core::window::WindowKind;
+    use conprobe_json::testkit::{self, Edit, TestRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -1182,32 +1185,21 @@ mod tests {
     /// written and the mutation reaches the reader and the schema.
     #[test]
     fn mutated_records_under_a_valid_checksum_never_panic_a_decoder() {
-        use conprobe_sim::SimRng;
         let config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
         let result = run_one_test(&config, 7);
         let payload = completed_record_json("fbgroup/test1", 2, 7, &result).into_bytes();
-        let mut rng = SimRng::new(0xF022);
+        let alphabet = b"{}[]\",:-0e.\\nut";
+        let edits = [
+            Edit::Flip(7),
+            Edit::Replace(alphabet, &[]),
+            Edit::Delete,
+            Edit::Truncate,
+            Edit::Splice,
+        ];
+        let mut rng = TestRng::new(0xF022);
         let (mut recovered, mut decoded) = (0, 0);
         for _ in 0..4000 {
-            let mut bytes = payload.clone();
-            for _ in 0..rng.gen_range(1..4usize) {
-                if bytes.is_empty() {
-                    break;
-                }
-                let at = rng.gen_range(0..bytes.len());
-                match rng.gen_range(0..5usize) {
-                    0 => bytes[at] ^= 1 << rng.gen_range(0..7usize),
-                    1 => bytes[at] = *rng.choose(b"{}[]\",:-0e.\\nut").expect("not empty"),
-                    2 => drop(bytes.remove(at)),
-                    3 => bytes.truncate(at),
-                    _ => {
-                        let len = rng.gen_range(1..40usize).min(bytes.len() - at);
-                        let chunk = bytes[at..at + len].to_vec();
-                        let to = rng.gen_range(0..bytes.len());
-                        bytes.splice(to..to, chunk);
-                    }
-                }
-            }
+            let bytes = testkit::mutant(&payload, &edits, 3, &mut rng);
             let Ok(mutated) = String::from_utf8(bytes) else { continue };
             let line = frame::encode_record(&mutated);
             let Ok(recovery) = recover_bytes(line.as_bytes()) else { unreachable!("one line") };
@@ -1219,6 +1211,67 @@ mod tests {
         }
         // The mutations land on both sides of every check.
         assert!(recovered > 100 && decoded > 10 && decoded < recovered, "{decoded}/{recovered}");
+    }
+
+    /// Value mode past the checksum: each integer of a completed record —
+    /// key, instants, ids, counts, ledger — set to its edge values and
+    /// re-framed. Recovery never panics: a line is refused whole (a tail),
+    /// or kept with its result either refused by the schema or rebuilt, and
+    /// a rebuilt result goes through the `repro` figures, which take
+    /// differences of its instants.
+    #[test]
+    fn hostile_values_in_a_completed_record_are_refused_or_answered() {
+        let config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
+        // The first ten operations: every integer of a record takes 15
+        // values, so the whole 24-operation trace costs a debug run 3 s.
+        let mut result = run_one_test(&config, 7);
+        result.trace = conprobe_core::TestTrace::new(result.trace.ops()[..10].to_vec());
+        let line = frame::encode_record(&completed_record_json("fbgroup/test1", 2, 7, &result));
+        let (mut refused, mut answered) = (0, 0);
+        for mutant in testkit::record_values(&line) {
+            let recovery = recover_on(mutant.as_bytes(), 1).expect("one line is never a middle");
+            refused += usize::from(recovery.tail.is_some());
+            for (_, (_, decoded)) in recovery.completed_for("fbgroup/test1") {
+                let Ok(result) = result_from_json(&config, decoded) else {
+                    refused += 1;
+                    continue;
+                };
+                answered += 1;
+                let results = [result];
+                for (kind, pair) in [WindowKind::Content, WindowKind::Order]
+                    .into_iter()
+                    .flat_map(|kind| stats::PAIRS.map(|pair| (kind, pair)))
+                {
+                    stats::largest_windows_secs(&results, kind, pair);
+                }
+                stats::visibility_by_locality(&results);
+            }
+        }
+        assert!(refused > 100 && answered > 100, "{refused} refused, {answered} answered");
+    }
+
+    /// A checksum-valid record whose instants span more than an `i64` of
+    /// nanoseconds is kept with its schema error, and a resume re-runs it.
+    #[test]
+    fn a_record_whose_timestamps_span_more_than_an_i64_is_kept_and_re_run() {
+        use conprobe_core::{AgentId, TestTraceBuilder, Timestamp};
+        let config = TestConfig::paper(ServiceKind::FacebookGroup, TestKind::Test1);
+        let mut result = run_one_test(&config, 7);
+        let (t, post) = (Timestamp::from_nanos, crate::proto::test1_post(0, 1));
+        let (early, late) = (i64::MIN + 10, i64::MAX - 10);
+        let mut b = TestTraceBuilder::new();
+        b.write(AgentId(0), t(early), t(early + 5), post);
+        b.read(AgentId(1), t(early), t(early + 5), vec![post]);
+        b.read(AgentId(0), t(late - 5), t(late), vec![post]);
+        b.read(AgentId(1), t(late - 5), t(late), vec![]);
+        result.trace = b.build();
+        let line = frame::encode_record(&completed_record_json("fbgroup/test1", 0, 7, &result));
+        let recovery = recover_bytes(line.as_bytes()).expect("a valid line");
+        assert_eq!((recovery.records.len(), &recovery.tail), (1, &None));
+        let completed = recovery.completed_for("fbgroup/test1");
+        let err = result_from_json(&config, completed[&0].1).unwrap_err();
+        assert!(err.message.contains("outside ±2^62 ns"), "{err}");
+        assert!(splice("fbgroup/test1", "instance", 0, completed[&0], 7, &config).is_none());
     }
 
     /// The same fuzz one layer out, in the shape of `wire::frame`'s: every
@@ -1236,23 +1289,19 @@ mod tests {
         let starts: Vec<usize> = (0..3).map(|i| lines[..i].concat().len()).collect();
         let clean = recover_bytes(&bytes).expect("an undamaged journal");
         assert_eq!(clean.records.len(), 3);
-        for pos in 0..bytes.len() {
+        for (pos, flip, damaged) in testkit::flips(&bytes) {
             let line = starts.iter().rposition(|&s| s <= pos).expect("line 0 starts at 0");
-            for flip in [0x01, 0x20, 0x80, 0xff] {
-                let mut damaged = bytes.clone();
-                damaged[pos] ^= flip;
-                let at = format!("byte {pos} ^ {flip:#04x}");
-                match recover_bytes(&damaged) {
-                    Ok(r) if r.tail.is_none() => assert_eq!(r.records, clean.records, "{at}"),
-                    Ok(r) => {
-                        assert_eq!(r.tail.expect("a tail").offset, starts[line] as u64, "{at}");
-                        assert_eq!(r.records, clean.records[..line], "{at}");
-                    }
-                    Err(JournalError::CorruptMiddle { record, offset, .. }) => {
-                        assert_eq!((record, offset), (line, starts[line] as u64), "{at}");
-                    }
-                    Err(e) => panic!("{at}: {e}"),
+            let at = format!("byte {pos} ^ {flip:#04x}");
+            match recover_bytes(&damaged) {
+                Ok(r) if r.tail.is_none() => assert_eq!(r.records, clean.records, "{at}"),
+                Ok(r) => {
+                    assert_eq!(r.tail.expect("a tail").offset, starts[line] as u64, "{at}");
+                    assert_eq!(r.records, clean.records[..line], "{at}");
                 }
+                Err(JournalError::CorruptMiddle { record, offset, .. }) => {
+                    assert_eq!((record, offset), (line, starts[line] as u64), "{at}");
+                }
+                Err(e) => panic!("{at}: {e}"),
             }
         }
     }

@@ -35,6 +35,7 @@
 pub mod frame;
 mod hash;
 mod reader;
+pub mod testkit;
 mod writer;
 
 pub use hash::{FastHasher, FastMap, FastSet, FastState};
@@ -469,6 +470,7 @@ impl<V: FromJson> FromJson for BTreeMap<String, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{self, TestRng};
 
     #[test]
     fn parses_scalars() {
@@ -562,16 +564,6 @@ mod tests {
         assert!(parse(&deep).is_err());
     }
 
-    /// A tiny deterministic LCG so the fuzz corpus is reproducible
-    /// without any wall-clock or OS entropy.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 16
-        }
-    }
-
     /// Every way the workspace reads JSON, over one input: the tree, a
     /// checking skip, each typed read, and a schema'd object. All must
     /// return, `Ok` or `Err`; and a skip accepts exactly what `parse` does.
@@ -617,21 +609,19 @@ mod tests {
     /// feeds disk bytes of unknown provenance straight into the reader.
     #[test]
     fn parse_never_panics_on_arbitrary_input() {
-        let mut rng = Lcg(0x5EED);
+        let mut rng = TestRng::new(0x5EED);
         // Alphabet biased toward JSON structure so inputs get deep into
         // the parser instead of failing on the first byte.
-        let alphabet: &[u8] = br#"{}[]",:.0123456789-+eE\truefalsn ulx"#;
+        let abc: &[u8] = br#"{}[]",:.0123456789-+eE\truefalsn ulx"#;
         for len in 0..200usize {
-            let s: String = (0..len)
-                .map(|_| alphabet[(rng.next() as usize) % alphabet.len()] as char)
-                .collect();
+            let s: String = (0..len).map(|_| abc[rng.range_usize(0, abc.len())] as char).collect();
             drive(&s);
         }
         // Raw high-byte / invalid-UTF-8-adjacent content via char soup.
         for _ in 0..500 {
-            let len = (rng.next() % 64) as usize;
+            let len = rng.below(64);
             let s: String = (0..len)
-                .map(|_| char::from_u32((rng.next() % 0xD7FF) as u32).unwrap_or('\u{FFFD}'))
+                .map(|_| char::from_u32(rng.below(0xD7FF) as u32).unwrap_or('\u{FFFD}'))
                 .collect();
             drive(&s);
         }
@@ -646,20 +636,10 @@ mod tests {
             "status":"completed","result":{"trace":[{"agent":0,"op":"w","at":-1.5e3,
             "key":[1,2],"vals":["a","b",null,true,false]}],"nested":{"deep":[[[{"x":1}]]]}}}"#;
         assert!(parse(doc).is_ok());
-        drive(doc);
-        for cut in 0..doc.len() {
-            if let Some(prefix) = doc.get(..cut) {
-                drive(prefix);
-            }
-        }
-        let bytes = doc.as_bytes();
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80] {
-                let mut mutated = bytes.to_vec();
-                mutated[i] ^= flip;
-                if let Ok(s) = std::str::from_utf8(&mutated) {
-                    drive(s);
-                }
+        let flipped = testkit::flips(doc.as_bytes()).map(|(.., mutant)| mutant);
+        for bytes in testkit::prefixes(doc.as_bytes()).map(<[u8]>::to_vec).chain(flipped) {
+            if let Ok(s) = std::str::from_utf8(&bytes) {
+                drive(s);
             }
         }
     }

@@ -6,20 +6,11 @@
 
 mod oracle;
 
+use conprobe_json::testkit::{mutant, Edit, TestRng};
 use conprobe_json::{frame, parse, JsonReader, JsonValue};
 
 const JOURNAL: &str = include_str!("../../../tests/fixtures/parent.cpj1.jsonl");
 const BENCHMARK: &str = include_str!("../../../BENCHMARK.json");
-
-/// A tiny deterministic LCG: the corpus is the same on every run.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((self.0 >> 33) as usize) % n
-    }
-}
 
 fn documents() -> Vec<&'static str> {
     let mut docs: Vec<&str> =
@@ -79,14 +70,14 @@ fn real_documents_read_the_same_and_serialize_back_to_themselves() {
 
 #[test]
 fn truncated_at_every_byte() {
-    let mut rng = Lcg(0x7A11);
+    let mut rng = TestRng::new(0x7A11);
     for (i, doc) in documents().into_iter().enumerate() {
         // Every prefix of the first completed record (4.6 kB) and of the
         // crashed one; of the others 150 seeded prefixes, because every
         // prefix of every document is quadratic and a debug build pays.
         let cuts: Vec<usize> = match i == 0 || doc.len() < 200 {
             true => (0..doc.len()).collect(),
-            false => (0..150).map(|_| rng.below(doc.len())).collect(),
+            false => (0..150).map(|_| rng.range_usize(0, doc.len())).collect(),
         };
         for cut in cuts {
             if let Some(prefix) = doc.get(..cut) {
@@ -98,21 +89,17 @@ fn truncated_at_every_byte() {
 
 #[test]
 fn one_byte_flipped_or_replaced() {
-    let mut rng = Lcg(0xF11B);
+    let mut rng = TestRng::new(0xF11B);
+    let alphabet = br#"{}[]",:-+.0123456789eE\untfrlasu "#;
+    let edits = [Edit::Flip(7), Edit::Replace(alphabet, &[]), Edit::Delete];
     let (mut accepted, mut rejected) = (0, 0);
     for doc in documents() {
         // The big records take a window, so a debug build stays quick.
-        let start = rng.below(doc.len().saturating_sub(3000).max(1));
+        let start = rng.range_usize(0, doc.len().saturating_sub(3000).max(1));
         let Some(window) = doc.get(start..(start + 3000).min(doc.len())) else { continue };
         let doc = if doc.len() > 10_000 { window } else { doc };
         for _ in 0..600 {
-            let mut bytes = doc.as_bytes().to_vec();
-            let at = rng.below(bytes.len());
-            match rng.below(3) {
-                0 => bytes[at] ^= 1 << rng.below(7),
-                1 => bytes[at] = br#"{}[]",:-+.0123456789eE\untfrlasu "#[rng.below(33)],
-                _ => drop(bytes.remove(at)),
-            }
+            let bytes = mutant(doc.as_bytes(), &edits, 1, &mut rng);
             if let Ok(text) = std::str::from_utf8(&bytes) {
                 *if agree(text) { &mut accepted } else { &mut rejected } += 1;
             }
@@ -130,16 +117,16 @@ fn members_swapped_and_keys_duplicated() {
             _ => {}
         }
     }
-    let mut rng = Lcg(0x5A4B);
+    let mut rng = TestRng::new(0x5A4B);
     for doc in documents() {
         for _ in 0..20 {
             let mut tree = oracle::parse(doc).unwrap();
             let mut found = Vec::new();
             objects(&mut tree, &mut found);
             for _ in 0..8 {
-                let pick = rng.below(found.len());
+                let pick = rng.range_usize(0, found.len());
                 let members = &mut *found[pick];
-                let (a, b) = (rng.below(members.len()), rng.below(members.len()));
+                let (a, b) = (rng.range_usize(0, members.len()), rng.range_usize(0, members.len()));
                 match rng.below(2) {
                     0 => members.swap(a, b),
                     _ => members.insert(a, members[b].clone()),

@@ -1886,6 +1886,37 @@ mod tests {
         );
     }
 
+    /// Value mode on a backlog stream, down both paths that take one. The
+    /// catch-up round refuses a hostile stream whole or admits it whole;
+    /// the same stream answering a running replica's gap-repair round is
+    /// refused (one protocol anomaly) exactly when the round refused it,
+    /// and the replica runs on within a step budget, without a panic.
+    #[test]
+    fn hostile_values_in_a_backlog_stream_are_refused_whole_or_admitted() {
+        const STEPS: usize = 50_000;
+        let stored =
+            StoredPost { post: post(1, 1), server_ts: SimTime::from_nanos(5), arrival_index: 0 };
+        let frames =
+            [(0, LogOp::Write { origin: 0, stored }), (1, LogOp::Read { origin: 2, seq: 9 })]
+                .map(|(slot, op)| frame::encode_record(&backlog_record(slot, &op)));
+        let mut round =
+            Catchup::new(1, PbftReplica::decode_backlog_frame).admitting(PbftReplica::in_window);
+        let verdicts =
+            crate::shell::tests::hostile_values_are_refused_whole_or_admitted(&mut round, &frames);
+        for (frames, verdict) in verdicts {
+            let mut world: World<Msg> = World::new(WorldConfig::default(), 41);
+            let ids = build_cluster(&mut world);
+            world.node_as_mut::<PbftReplica>(ids[0]).unwrap().gap_token = Some(77);
+            let resp = PbftMsg::StateResp { token: 77, view: INITIAL_VIEW, watermark: 0, frames };
+            world.post(ids[1], ids[0], NetMsg::Repl(ReplMsg::Pbft(resp)));
+            let deadline = SimTime::ZERO + at(500);
+            let steps = (0..STEPS).take_while(|_| world.now() < deadline && world.step()).count();
+            assert!(steps < STEPS, "the run kept stepping past its budget");
+            let anomalies = world.node_as::<PbftReplica>(ids[0]).unwrap().protocol_anomalies();
+            assert_eq!(anomalies, u64::from(verdict.is_err()), "{verdict:?}");
+        }
+    }
+
     /// A member that answers every state-transfer request with `frames`.
     struct Liar(Vec<String>);
 

@@ -810,6 +810,31 @@ mod tests {
         crate::shell::tests::damaged_streams_are_refused_whole(decode_post_frame, &frames);
     }
 
+    /// Value mode on a catch-up stream: an admitted stream merges into
+    /// quorum read order — server time, then post id — for every id,
+    /// the ones at and past 2^63 included.
+    #[test]
+    fn hostile_values_in_a_catchup_stream_are_refused_whole_or_admitted() {
+        let frames: Vec<String> = (1..=3u32)
+            .map(|seq| {
+                let (server_ts, arrival_index) = (SimTime::from_nanos(5), u64::from(seq));
+                let stored = StoredPost { post: post(1, seq), server_ts, arrival_index };
+                frame::encode_record(&stored_post_to_payload(&stored))
+            })
+            .collect();
+        let mut round = Catchup::new(1, decode_post_frame);
+        let verdicts =
+            crate::shell::tests::hostile_values_are_refused_whole_or_admitted(&mut round, &frames);
+        for (_, verdict) in verdicts {
+            let Ok(posts) = verdict else { continue };
+            let mut keys: Vec<(SimTime, u64)> =
+                posts.iter().map(|p| (p.server_ts, p.post.id.as_u64())).collect();
+            keys.sort_unstable();
+            let order: Vec<u64> = quorum_order(posts).iter().map(|id| id.as_u64()).collect();
+            assert_eq!(order, keys.iter().map(|key| key.1).collect::<Vec<u64>>());
+        }
+    }
+
     #[test]
     fn stored_post_payload_round_trips() {
         let original = StoredPost {

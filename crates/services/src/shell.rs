@@ -460,6 +460,7 @@ impl<T> Catchup<T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use conprobe_json::testkit;
 
     /// Mutation fuzz of a catch-up decoder, in the shape of `wire::frame`'s:
     /// each byte of each frame of `frames` — magic, length, checksum,
@@ -472,21 +473,48 @@ pub(crate) mod tests {
     ) {
         let mut round = Catchup::new(1, decode);
         for (i, line) in frames.iter().enumerate() {
-            for pos in 0..line.len() {
-                for flip in [0x01, 0x20, 0x80, 0xff] {
-                    let mut bytes = line.clone().into_bytes();
-                    bytes[pos] ^= flip;
-                    // Frames travel as `String`s: bytes that are not UTF-8
-                    // never reach a decoder.
-                    let Ok(damaged) = String::from_utf8(bytes) else { continue };
-                    let mut stream = frames.to_vec();
-                    stream[i] = damaged;
-                    let at = format!("frame {i}, byte {pos} ^ {flip:#04x}");
-                    assert!(round.verify(&stream, 0).is_err(), "{at}");
-                    assert_eq!((round.frames, round.stream_hash), (0, frame::FNV64_BASIS), "{at}");
-                }
+            for (pos, flip, bytes) in testkit::flips(line.as_bytes()) {
+                // Frames travel as `String`s: bytes that are not UTF-8
+                // never reach a decoder.
+                let Ok(damaged) = String::from_utf8(bytes) else { continue };
+                let mut stream = frames.to_vec();
+                stream[i] = damaged;
+                let at = format!("frame {i}, byte {pos} ^ {flip:#04x}");
+                assert!(round.verify(&stream, 0).is_err(), "{at}");
+                assert_eq!((round.frames, round.stream_hash), (0, frame::FNV64_BASIS), "{at}");
             }
         }
         assert_eq!(round.verify(frames, 0).map(|items| items.len()), Ok(frames.len()));
+    }
+
+    /// Each hostile stream a round was handed, with what it made of it.
+    pub(crate) type Verdicts<T> = Vec<(Vec<String>, Result<Vec<T>, String>)>;
+
+    /// Value-mode fuzz of a catch-up round: each integer of each frame's
+    /// record set to its edge values and re-framed under a valid checksum.
+    /// Every hostile stream is refused whole, leaving the round untouched,
+    /// or admitted whole; nothing panics. Returns each stream with its
+    /// verdict, for the caller to carry further.
+    pub(crate) fn hostile_values_are_refused_whole_or_admitted<T>(
+        round: &mut Catchup<T>,
+        frames: &[String],
+    ) -> Verdicts<T> {
+        let mut verdicts = Vec::new();
+        for (i, line) in frames.iter().enumerate() {
+            for hostile in testkit::record_values(line) {
+                let mut stream = frames.to_vec();
+                stream[i] = hostile;
+                let before = (round.frames, round.stream_hash);
+                let verdict = round.verify(&stream, 0);
+                match &verdict {
+                    Ok(items) => assert_eq!(items.len(), stream.len()),
+                    Err(_) => assert_eq!((round.frames, round.stream_hash), before, "{stream:?}"),
+                }
+                verdicts.push((stream, verdict));
+            }
+        }
+        let admitted = verdicts.iter().filter(|(_, verdict)| verdict.is_ok()).count();
+        assert!(admitted > 0 && admitted < verdicts.len(), "{admitted} of {}", verdicts.len());
+        verdicts
     }
 }

@@ -938,21 +938,23 @@ mod tests {
         });
     }
 
+    /// One incident of every kind, every optional member present.
+    const OUTAGE_TRACE: &str = r#"{"seed": 42, "incidents": [
+        {"kind": "partition", "start_ms": 4000, "duration_ms": 2000,
+         "regions": ["tokyo", "ireland"], "flaps": 2, "gap_ms": 1500},
+        {"kind": "loss", "start_ms": 4000, "duration_ms": 9000, "severity": 0.25},
+        {"kind": "degraded", "start_ms": 5000, "duration_ms": 8000,
+         "regions": ["Tokyo"], "extra_ms": 80, "jitter_ms": 20},
+        {"kind": "outage", "start_ms": 7000, "duration_ms": 4000, "target": 1},
+        {"kind": "brownout", "start_ms": 8000, "duration_ms": 5000,
+         "target": 0, "mode": "throttle"},
+        {"kind": "brownout", "start_ms": 9000, "duration_ms": 1000,
+         "target": 0, "mode": {"delay_ms": 40}}
+    ]}"#;
+
     #[test]
     fn outage_trace_compiles_to_a_plan() {
-        let trace = r#"{"seed": 42, "incidents": [
-            {"kind": "partition", "start_ms": 4000, "duration_ms": 2000,
-             "regions": ["tokyo", "ireland"], "flaps": 2, "gap_ms": 1500},
-            {"kind": "loss", "start_ms": 4000, "duration_ms": 9000, "severity": 0.25},
-            {"kind": "degraded", "start_ms": 5000, "duration_ms": 8000,
-             "regions": ["Tokyo"], "extra_ms": 80, "jitter_ms": 20},
-            {"kind": "outage", "start_ms": 7000, "duration_ms": 4000, "target": 1},
-            {"kind": "brownout", "start_ms": 8000, "duration_ms": 5000,
-             "target": 0, "mode": "throttle"},
-            {"kind": "brownout", "start_ms": 9000, "duration_ms": 1000,
-             "target": 0, "mode": {"delay_ms": 40}}
-        ]}"#;
-        let plan = FaultPlan::from_outage_trace(trace).expect("well-formed trace");
+        let plan = FaultPlan::from_outage_trace(OUTAGE_TRACE).expect("well-formed trace");
         assert_eq!(plan.seed(), 42);
 
         let effects = plan.network_effects();
@@ -1078,6 +1080,30 @@ mod tests {
         let at_cap = doc.replace("4000000000", &MAX_TRACE_FLAPS.to_string());
         let plan = FaultPlan::from_outage_trace(&at_cap).expect("the cap itself is allowed");
         assert_eq!(plan.network_effects().len(), MAX_TRACE_FLAPS as usize);
+    }
+
+    /// Value mode on an outage trace: each integer — seed, instants,
+    /// durations, flaps, gaps, targets, delays — set to its edge values.
+    /// Each document is refused with a schema error or compiles to a plan
+    /// of at most `MAX_TRACE_FLAPS` windows an incident, no window ending
+    /// before it starts.
+    #[test]
+    fn hostile_values_in_an_outage_trace_are_refused_or_compiled() {
+        let doc = conprobe_json::parse(OUTAGE_TRACE).unwrap();
+        let (mut refused, mut compiled) = (0, 0);
+        for hostile in conprobe_json::testkit::json_values(&doc) {
+            let Ok(plan) = FaultPlan::from_outage_trace(&hostile.to_compact()) else {
+                refused += 1;
+                continue;
+            };
+            compiled += 1;
+            let effects = plan.network_effects();
+            assert!(effects.len() <= 6 * MAX_TRACE_FLAPS as usize, "{}", hostile.to_compact());
+            assert!(effects.iter().all(|e| e.end >= e.start), "{}", hostile.to_compact());
+            let actions = plan.service_actions();
+            assert!(actions.iter().all(|a| a.at <= plan.end_time()), "{}", hostile.to_compact());
+        }
+        assert!(refused > 50 && compiled > 50, "{refused} refused, {compiled} compiled");
     }
 
     #[test]

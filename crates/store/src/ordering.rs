@@ -59,17 +59,19 @@ impl OrderingPolicy {
     }
 
     /// A sort key for `post` under this policy. Sorting by this key yields
-    /// the policy's total order.
-    pub fn sort_key(&self, post: &StoredPost) -> (u64, i64) {
+    /// the policy's total order. The tie key is unsigned: a reversed id
+    /// is its complement, which orders every `u64` id, not only the ones
+    /// below 2^63.
+    pub fn sort_key(&self, post: &StoredPost) -> (u64, u64) {
         match self {
             OrderingPolicy::Arrival => (post.arrival_index, 0),
             OrderingPolicy::Timestamp { precision, tie } => {
                 let p = precision.as_nanos().max(1);
                 let bucket = post.server_ts.as_nanos() / p;
                 let tie_key = match tie {
-                    TieBreak::PostId => post.id().as_u64() as i64,
-                    TieBreak::ReversePostId => -(post.id().as_u64() as i64),
-                    TieBreak::Arrival => post.arrival_index as i64,
+                    TieBreak::PostId => post.id().as_u64(),
+                    TieBreak::ReversePostId => !post.id().as_u64(),
+                    TieBreak::Arrival => post.arrival_index,
                 };
                 (bucket, tie_key)
             }
@@ -151,6 +153,32 @@ mod tests {
         let mut v = vec![stored(2, 1, 1400, 7), stored(1, 1, 1100, 9)];
         policy.sort(&mut v);
         assert_eq!(ids(&v), ["a2#1", "a1#1"]);
+    }
+
+    /// The ids of authors at and past 2^31 (2^63 and up as a `u64`) order
+    /// like every other id: ascending under `PostId`, descending under
+    /// `ReversePostId`, and no id overflows the key.
+    #[test]
+    fn tie_breaks_order_every_id_including_the_top_half() {
+        let authors = [0, 1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, u32::MAX];
+        let posts: Vec<StoredPost> = authors
+            .iter()
+            .flat_map(|&author| [0, 1, u32::MAX].map(|seq| stored(author, seq, 1100, 0)))
+            .collect();
+        let mut ascending: Vec<u64> = posts.iter().map(|p| p.id().as_u64()).collect();
+        ascending.sort_unstable();
+        let order = |policy: OrderingPolicy| {
+            let mut v = posts.clone();
+            policy.sort(&mut v);
+            v.iter().map(|p| p.id().as_u64()).collect::<Vec<u64>>()
+        };
+        assert_eq!(order(OrderingPolicy::exact_timestamp()), ascending);
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        assert_eq!(order(OrderingPolicy::facebook_group()), descending);
+        // Two posts in one bucket, on either side of 2^63: reversed.
+        let mut pair = vec![stored(1, 1, 1100, 1), stored(1 << 31 | 1, 1, 1400, 2)];
+        OrderingPolicy::facebook_group().sort(&mut pair);
+        assert_eq!(ids(&pair), ["a2147483649#1", "a1#1"]);
     }
 
     #[test]

@@ -610,6 +610,7 @@ pub fn write_frame(stream: &mut impl std::io::Write, frame: &Frame) -> std::io::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conprobe_json::testkit;
 
     fn corpus() -> Vec<Frame> {
         vec![
@@ -705,19 +706,14 @@ mod tests {
     #[test]
     fn single_byte_mutations_never_panic_and_never_misparse_silently() {
         for frame in corpus() {
-            let bytes = frame.encode();
-            for pos in 0..bytes.len() {
-                for flip in [0x01u8, 0x80, 0xff] {
-                    let mut mutated = bytes.clone();
-                    mutated[pos] ^= flip;
-                    // Must not panic; and when a frame *is* produced it
-                    // must be internally consistent (checksummed payload).
-                    if let Ok(Some((decoded, consumed))) = decode(&mutated) {
-                        assert!(consumed <= mutated.len());
-                        let reencoded = decoded.encode();
-                        let (again, _) = decode(&reencoded).unwrap().expect("re-decode");
-                        assert_eq!(again, decoded);
-                    }
+            for (_, _, mutated) in testkit::flips(&frame.encode()) {
+                // Must not panic; and when a frame *is* produced it
+                // must be internally consistent (checksummed payload).
+                if let Ok(Some((decoded, consumed))) = decode(&mutated) {
+                    assert!(consumed <= mutated.len());
+                    let reencoded = decoded.encode();
+                    let (again, _) = decode(&reencoded).unwrap().expect("re-decode");
+                    assert_eq!(again, decoded);
                 }
             }
         }
@@ -725,12 +721,8 @@ mod tests {
 
     #[test]
     fn arbitrary_bytes_never_panic() {
-        // Deterministic LCG, same idiom as conprobe-json's fuzz corpus.
-        let mut state: u64 = 0x1234_5678_9abc_def0;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        };
+        let mut rng = testkit::TestRng::new(0x1234_5678_9abc_def0);
+        let mut next = || rng.next_u64() as u8;
         for _ in 0..2_000 {
             let len = usize::from(next()) % 64;
             let mut bytes: Vec<u8> = (0..len).map(|_| next()).collect();
@@ -814,11 +806,9 @@ mod tests {
         // A checksum-corrupted frame is also a typed error, at any flip
         // offset inside the payload.
         let victim = Frame::ResultPush { record: "xyz".into() }.encode();
-        for pos in HEADER_LEN..victim.len() {
-            let mut mutated = victim.clone();
-            mutated[pos] ^= 0x55;
+        for (pos, flip, mutated) in testkit::flips(&victim).filter(|(pos, ..)| *pos >= HEADER_LEN) {
             let mut inc = Incremental::new();
-            assert_eq!(inc.feed(&mutated), Err(WireError::BadChecksum), "flip at {pos}");
+            assert_eq!(inc.feed(&mutated), Err(WireError::BadChecksum), "{flip:#04x} at {pos}");
         }
     }
 
@@ -981,8 +971,9 @@ mod tests {
         let retired =
             [framed(2, &write), framed(3, &7u64.to_le_bytes()), framed(4, &[]), framed(5, &ids)];
         for (bytes, kind) in retired.iter().zip(2u8..) {
-            for cut in 0..=bytes.len() {
-                match decode_raw(&bytes[..cut]) {
+            for prefix in testkit::prefixes(bytes) {
+                let cut = prefix.len();
+                match decode_raw(prefix) {
                     Ok(None) => assert!(cut < 5, "kind {kind}: {cut} bytes were still buffered"),
                     Err(WireError::UnknownKind(k)) => assert_eq!((k, cut >= 5), (kind, true)),
                     other => panic!("kind {kind}, prefix {cut}: {other:?}"),
@@ -990,16 +981,12 @@ mod tests {
             }
             // No single-byte flip of a retired kind byte lands on a live
             // kind, so every mutation is a typed rejection too.
-            for pos in 0..bytes.len() {
-                for flip in [0x01u8, 0x80, 0xff] {
-                    let mut mutated = bytes.clone();
-                    mutated[pos] ^= flip;
-                    let got = decode(&mutated);
-                    match pos {
-                        0..=3 => assert_eq!(got, Err(WireError::BadMagic)),
-                        4 => assert!(matches!(got, Err(WireError::UnknownKind(_))), "{got:?}"),
-                        _ => assert_eq!(got, Err(WireError::UnknownKind(kind)), "flip at {pos}"),
-                    }
+            for (pos, flip, mutated) in testkit::flips(bytes) {
+                let got = decode(&mutated);
+                match pos {
+                    0..=3 => assert_eq!(got, Err(WireError::BadMagic)),
+                    4 => assert!(matches!(got, Err(WireError::UnknownKind(_))), "{got:?}"),
+                    _ => assert_eq!(got, Err(WireError::UnknownKind(kind)), "{flip:#04x} at {pos}"),
                 }
             }
         }

@@ -1,20 +1,24 @@
 //! The wire plane on fabricated time: the three per-connection state
 //! machines (`server::Conn`, `chaos::Direction`, `pipeline::PipeConn`)
-//! fuzzed with `SimRng`-mutated streams, and chained client → interposer
+//! fuzzed with `testkit`-mutated streams, and chained client → interposer
 //! → server → interposer → client under one clock. No socket, no sleep.
 
 use crate::chaos::tests::Rig as Proxy;
 use crate::chaos::{ChaosConfig, ChaosLedger, InjectProfile};
 use crate::conn::mem::FakeClock;
-use crate::frame::{append_read_q, append_read_q_ok, decode, Frame, MAX_PAYLOAD, PROTO_VERSION};
+use crate::frame::{
+    append_read_q, append_read_q_ok, decode, fnv64, Frame, HEADER_LEN, MAX_PAYLOAD, PROTO_VERSION,
+};
 use crate::pipeline::tests::Rig as Pipe;
 use crate::pipeline::{PipeConn, PipeFault};
 use crate::server::tests::Rig as Server;
 use crate::server::{ServeConfig, Sweep};
+use conprobe_json::testkit::{self, Edit, Field, TestRng};
 use conprobe_services::ServiceKind;
 use conprobe_sim::faults::{FaultEvent, FaultPlan, LinkScope};
 use conprobe_sim::net::Region;
-use conprobe_sim::{SimDuration, SimRng, SimTime};
+use conprobe_sim::{SimDuration, SimTime};
+use std::ops::Range;
 use std::time::Duration;
 
 const MS: u64 = 1_000_000;
@@ -47,72 +51,36 @@ fn intact_front(mut bytes: &[u8]) -> (Vec<Frame>, Tail) {
     }
 }
 
-/// A well-formed stream cut into its frames.
-fn frames_of(mut bytes: &[u8]) -> Vec<&[u8]> {
-    let mut frames = Vec::new();
-    while let Ok(Some((_, used))) = decode(bytes) {
-        frames.push(&bytes[..used]);
-        bytes = &bytes[used..];
+/// Where each frame of a well-formed stream sits.
+fn frames_of(bytes: &[u8]) -> Vec<Range<usize>> {
+    let (mut frames, mut at) = (Vec::new(), 0);
+    while let Ok(Some((_, used))) = decode(&bytes[at..]) {
+        frames.push(at..at + used);
+        at += used;
     }
     frames
 }
 
-/// One seeded mutation of a well-formed stream: a truncation, a length
-/// lie, a bit flip, a retired or unknown kind number, or a whole frame
-/// out of place (swapped with its successor; the last one, repeated).
-fn mutate(stream: &[u8], rng: &mut SimRng) -> Vec<u8> {
-    let mut frames = frames_of(stream);
-    let pick = rng.gen_range(0..frames.len());
-    let at: usize = frames[..pick].iter().map(|f| f.len()).sum();
-    let mut bytes = stream.to_vec();
-    match rng.gen_range(0..5u32) {
-        0 => bytes.truncate(rng.gen_range(0..bytes.len())),
-        1 => {
-            let lie: u32 = match rng.gen_range(0..4u32) {
-                0 => 0,
-                1 => rng.gen_range(0..64u32),
-                2 => MAX_PAYLOAD as u32 + rng.gen_range(0..2u32),
-                _ => rng.gen_u64() as u32,
-            };
-            bytes[at + 5..at + 9].copy_from_slice(&lie.to_le_bytes());
-        }
-        2 => {
-            let byte = rng.gen_range(0..bytes.len());
-            bytes[byte] ^= 1 << rng.gen_range(0..8u32);
-        }
-        3 => {
-            let retired = rng.gen_range(2..6u32) as u8;
-            let unknown = rng.gen_range(19..256u32) as u8;
-            bytes[at + 4] = if rng.gen_bool(0.5) { retired } else { unknown };
-        }
-        _ => {
-            if pick + 1 < frames.len() {
-                frames.swap(pick, pick + 1);
-            } else {
-                frames.push(frames[pick]);
-            }
-            bytes = frames.concat();
-        }
-    }
-    bytes
-}
-
-/// The corpus itself, then `count` seeded mutations of it.
-fn fuzzed(corpus: &[u8], label: &str, count: usize) -> Vec<Vec<u8>> {
-    let mut rng = SimRng::new(24).split(label);
-    std::iter::once(corpus.to_vec()).chain((0..count).map(|_| mutate(corpus, &mut rng))).collect()
-}
-
-/// Where to cut stream `i` in two: at every byte offset for the corpus
-/// itself (stream 0); whole, plus three seeded offsets, for a mutation.
-fn cuts(bytes: &[u8], i: usize) -> Vec<usize> {
-    if i == 0 {
-        return (0..=bytes.len()).collect();
-    }
-    let mut rng = SimRng::new(24).split_indexed("cut", i as u64);
-    let mut cuts = vec![bytes.len()];
-    cuts.extend((0..3).map(|_| rng.gen_range(0..bytes.len() + 1)));
-    cuts
+/// The corpus split in two at every offset, then `count` seeded mutants —
+/// a truncation, a length lie, a bit flip, a retired or unknown kind, or a
+/// frame out of place — each whole and split at three seeded offsets.
+fn fuzzed(corpus: &[u8], seed: u64, count: usize) -> Vec<(Vec<u8>, Vec<usize>)> {
+    let frames = frames_of(corpus);
+    let [kinds, lengths] = [4, 5].map(|at| frames.iter().map(|f| f.start + at).collect::<Vec<_>>());
+    let edits = [
+        Edit::Truncate,
+        Edit::Lie(&lengths, MAX_PAYLOAD as u32),
+        Edit::Flip(8),
+        Edit::Replace(&[2, 3, 4, 5, 19, 64, 128, 255], &kinds),
+        Edit::Reorder(&frames),
+    ];
+    let rng = &mut TestRng::new(seed);
+    let mutants = (0..count).map(|_| {
+        let stream = testkit::mutant(corpus, &edits, 1, rng);
+        let len = stream.len();
+        (stream, [len].into_iter().chain((0..3).map(|_| rng.range_usize(0, len + 1))).collect())
+    });
+    std::iter::once((corpus.to_vec(), (0..=corpus.len()).collect())).chain(mutants).collect()
 }
 
 fn client_corpus() -> Vec<u8> {
@@ -165,9 +133,9 @@ fn server_owes(stream: &[u8]) -> (Vec<Option<u32>>, bool) {
 
 #[test]
 fn fuzzed_client_streams_never_get_an_answer_past_the_first_error() {
-    for (i, stream) in fuzzed(&client_corpus(), "fuzz.server", 400).iter().enumerate() {
+    for (i, (stream, cuts)) in fuzzed(&client_corpus(), 0x5E12, 400).iter().enumerate() {
         let (owed, hangs_up) = server_owes(stream);
-        for cut in cuts(stream, i) {
+        for &cut in cuts {
             let mut server =
                 Server::new(&ServeConfig::loopback(ServiceKind::Blogger, 1), Region::Tokyo);
             let mut link = crate::conn::mem::Link::default();
@@ -204,11 +172,11 @@ fn fuzzed_streams_degrade_an_interposer_direction_to_verbatim_forwarding() {
         base_port: 0,
     };
     for corpus in [client_corpus(), server_corpus(9)] {
-        for (i, stream) in fuzzed(&corpus, "fuzz.proxy", 300).iter().enumerate() {
+        for (i, (stream, cuts)) in fuzzed(&corpus, 0x9203, 300).iter().enumerate() {
             let (frames, tail) = intact_front(stream);
             // Only the start of a frame that may yet complete is held back.
             let kept_back = if let Tail::Starved(n) = tail { n } else { 0 };
-            for cut in cuts(stream, i) {
+            for &cut in cuts {
                 let mut proxy = Proxy::new(&transparent);
                 let mut got = Vec::new();
                 for (piece, at) in [(&stream[..cut], MS), (&stream[cut..], 2 * MS)] {
@@ -229,7 +197,7 @@ fn fuzzed_streams_degrade_an_interposer_direction_to_verbatim_forwarding() {
 fn fuzzed_response_streams_surface_as_decode_or_ordering_faults() {
     const DEPTH: u32 = 9;
     let mut seen = std::collections::BTreeSet::new();
-    for (i, stream) in fuzzed(&server_corpus(DEPTH), "fuzz.pipe", 400).iter().enumerate() {
+    for (i, (stream, cuts)) in fuzzed(&server_corpus(DEPTH), 0x919E, 400).iter().enumerate() {
         // The oracle: answers are owed in issue order, nothing else is.
         let (frames, tail) = intact_front(stream);
         let (mut done, mut refused, mut fault) = (0, 0, None);
@@ -255,7 +223,7 @@ fn fuzzed_response_streams_surface_as_decode_or_ordering_faults() {
             fault = Some(PipeFault::Decode);
         }
         seen.extend(fault.map(|f| format!("{f:?}")));
-        for cut in cuts(stream, i) {
+        for &cut in cuts {
             let mut pipe = Pipe::new();
             for _ in 0..DEPTH {
                 pipe.conn.issue_read(0, 0);
@@ -278,6 +246,66 @@ fn fuzzed_response_streams_surface_as_decode_or_ordering_faults() {
         seen.contains("Decode") && seen.contains("Ordering"),
         "the corpus reached both: {seen:?}"
     );
+}
+
+/// Value mode on the keyed requests: each integer field of a `write_q`
+/// and a `read_q` set to its edge values, singly and in pairs, under a
+/// valid checksum, sent down one connection to every arm. Each is
+/// answered, echoing its request id, or refused with `throttled`, within
+/// a budget of sweeps; nothing panics (a panic under a shard's lock would
+/// poison the shard for every later request).
+#[test]
+fn hostile_field_values_in_keyed_requests_are_answered_or_refused_by_every_arm() {
+    const SWEEPS: usize = 4;
+    let field = |at: usize, bits, signed| Field { at: HEADER_LEN + at, bits, signed };
+    let word = |at| field(at, 32, false);
+    let reframe = |bytes: &mut [u8]| {
+        let sum = fnv64(&bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    };
+    let write = Frame::WriteQ {
+        req: 1,
+        key: 2,
+        author: 3,
+        seq: 4,
+        client_ts_nanos: 5,
+        content: "v".into(),
+    };
+    let fields = [word(0), word(4), word(8), word(12), field(16, 64, true)];
+    let mut requests = testkit::field_values(&write.encode(), &fields, reframe);
+    let read = Frame::ReadQ { req: 1, key: 2 }.encode();
+    requests.extend(testkit::field_values(&read, &fields[..2], reframe));
+    for kind in ServiceKind::CATALOG {
+        let mut server = Server::new(&ServeConfig::loopback(kind, 1), Region::Tokyo);
+        let mut link = crate::conn::mem::Link::default();
+        let mut now = 0;
+        for request in &requests {
+            let req = match decode(request) {
+                Ok(Some((Frame::WriteQ { req, .. } | Frame::ReadQ { req, .. }, _))) => req,
+                other => panic!("{kind:?}: a well-formed request, not {other:?}"),
+            };
+            link.a_to_b.bytes.extend(request);
+            let mut heard = Vec::new();
+            for _ in 0..SWEEPS {
+                now += MS;
+                let swept = server.sweep(&mut link.b(), now);
+                assert_ne!(swept, Sweep::Closed, "{kind:?}: {request:02x?}");
+                heard.extend(link.b_to_a.take());
+                if !heard.is_empty() {
+                    break;
+                }
+            }
+            match intact_front(&heard) {
+                (answers, Tail::Clean) if answers.len() == 1 => match answers[0] {
+                    Frame::ReadQOk { req: r, .. }
+                    | Frame::WriteQAck { req: r, .. }
+                    | Frame::Throttled { req: r } => assert_eq!(r, req, "{kind:?}"),
+                    ref other => panic!("{kind:?}: {request:02x?} was answered {other:?}"),
+                },
+                other => panic!("{kind:?}: {request:02x?} got {other:?}"),
+            }
+        }
+    }
 }
 
 /// Client → interposer → server → interposer → client, one thread, one

@@ -331,6 +331,32 @@ fn analyze_test1_takes_its_trigger_pairs_from_the_trace() {
     assert!(err.0.contains("agent ids run past the trace's 1 operation(s)"), "{}", err.0);
 }
 
+/// A trace whose instants span more than an `i64` of nanoseconds is
+/// refused by the decoder, before any window or visibility arithmetic.
+#[test]
+fn analyze_refuses_a_trace_whose_timestamps_span_more_than_an_i64() {
+    use conprobe_core::{AgentId, TestTraceBuilder, Timestamp};
+    use conprobe_harness::proto::test1_post;
+    use conprobe_json::ToJson;
+
+    let t = Timestamp::from_nanos;
+    let (early, late) = (i64::MIN + 10, i64::MAX - 10);
+    let mut b = TestTraceBuilder::new();
+    b.write(AgentId(0), t(early), t(early + 5), test1_post(0, 1));
+    b.read(AgentId(1), t(early), t(early + 5), vec![test1_post(0, 1)]);
+    b.read(AgentId(0), t(late - 5), t(late), vec![test1_post(0, 1)]);
+    b.read(AgentId(1), t(late - 5), t(late), vec![]);
+    let dir = std::env::temp_dir().join("conprobe-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("far-apart.json").to_string_lossy().to_string();
+    std::fs::write(&path, b.build().to_pretty()).unwrap();
+    for flags in ["", " --test1"] {
+        let err = execute(parse(&args(&format!("analyze {path}{flags}"))).unwrap()).unwrap_err();
+        assert!(err.0.starts_with(&format!("parse {path}: ")), "{}", err.0);
+        assert!(err.0.contains("outside ±2^62 ns"), "{}", err.0);
+    }
+}
+
 #[test]
 fn run_with_whitebox_reports_ground_truth() {
     let out = execute(parse(&args("run --service fbfeed --test 2 --seed 2 --whitebox")).unwrap())
