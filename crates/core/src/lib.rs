@@ -50,6 +50,7 @@ pub mod stream;
 pub mod timeline;
 pub mod trace;
 pub mod verdict;
+pub mod view;
 pub mod visibility;
 pub mod window;
 
@@ -59,6 +60,7 @@ pub use index::TraceIndex;
 pub use stream::StreamingAnalyzer;
 pub use trace::{AgentId, EventKey, OpKind, OpRecord, TestTrace, TestTraceBuilder, Timestamp};
 pub use verdict::{Status, Verdict};
+pub use view::ReadView;
 pub use visibility::{
     staleness_bound_nanos, visibility, Visibility, VisibilityRecord, VisibilitySummary,
 };

@@ -1317,7 +1317,7 @@ mod tests {
             agent: AgentId(agent),
             invoke: Timestamp::from_millis(at),
             response: Timestamp::from_millis(at + 1),
-            kind: OpKind::Read { seq: seq.to_vec() },
+            kind: OpKind::Read { seq: seq.into() },
         };
         let mut s = StreamingAnalyzer::new(&CheckerConfig::default());
         s.push_event(&read(1, 0, once));

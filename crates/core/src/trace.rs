@@ -6,6 +6,7 @@
 //! clock deltas, then hands the merged log to the checkers as a
 //! [`TestTrace`].
 
+use crate::view::ReadView;
 use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use std::fmt;
 use std::hash::Hash;
@@ -84,8 +85,8 @@ pub enum OpKind<K> {
     },
     /// A read that returned `seq`, in the order the service presented it.
     Read {
-        /// The returned event sequence.
-        seq: Vec<K>,
+        /// The returned event sequence, shared with whoever served it.
+        seq: ReadView<K>,
     },
 }
 
@@ -366,7 +367,7 @@ impl<K: EventKey> TestTraceBuilder<K> {
         response: Timestamp,
         seq: Vec<K>,
     ) -> &mut Self {
-        self.ops.push(OpRecord { agent, invoke, response, kind: OpKind::Read { seq } });
+        self.ops.push(OpRecord { agent, invoke, response, kind: OpKind::Read { seq: seq.into() } });
         self
     }
 
@@ -467,7 +468,7 @@ mod tests {
             agent: AgentId(0),
             invoke: t(2),
             response: t(3),
-            kind: OpKind::Read { seq: vec![9u32] },
+            kind: OpKind::Read { seq: vec![9u32].into() },
         };
         assert_eq!(w.write_id(), Some(&9));
         assert_eq!(w.read_seq(), None);

@@ -65,7 +65,7 @@ fn linearizable_trace(schedule: &[Step]) -> TestTrace<K> {
                     agent: AgentId(*a),
                     invoke: at,
                     response: at,
-                    kind: OpKind::Read { seq: log.clone() },
+                    kind: OpKind::Read { seq: log.clone().into() },
                 });
             }
         }
@@ -122,7 +122,9 @@ fn planted_ryw_is_found() {
         let agent = ops[victim].agent;
         if let OpKind::Read { seq } = &mut ops[victim].kind {
             let pos = seq.iter().position(|(a, _)| *a == agent.0).unwrap();
-            seq.remove(pos);
+            let mut edited = seq.to_vec();
+            edited.remove(pos);
+            *seq = edited.into();
         }
         let mutated = TestTrace::new(ops);
         let obs = observations(&mutated, AnomalyKind::ReadYourWrites);
@@ -168,7 +170,9 @@ fn planted_mw_is_found() {
                 .map(|(i, _)| i)
                 .take(2)
                 .collect();
-            seq.swap(idx[0], idx[1]);
+            let mut edited = seq.to_vec();
+            edited.swap(idx[0], idx[1]);
+            *seq = edited.into();
         }
         let mutated = TestTrace::new(ops);
         assert!(
@@ -213,7 +217,7 @@ fn planted_mr_is_found() {
             if seq.is_empty() {
                 continue;
             }
-            seq.remove(0);
+            *seq = seq[1..].into();
         }
         exercised += 1;
         let mutated = TestTrace::new(ops);
@@ -252,10 +256,10 @@ fn planted_content_divergence_is_found() {
         exercised += 1;
         let mut ops = trace.ops().to_vec();
         if let OpKind::Read { seq } = &mut ops[r0[0]].kind {
-            seq.push((90, 1)); // phantom event only agent 0 sees
+            *seq = seq.iter().copied().chain([(90, 1)]).collect(); // phantom event only agent 0 sees
         }
         if let OpKind::Read { seq } = &mut ops[r1[0]].kind {
-            seq.push((91, 1)); // phantom event only agent 1 sees
+            *seq = seq.iter().copied().chain([(91, 1)]).collect(); // phantom event only agent 1 sees
         }
         let mutated = TestTrace::new(ops);
         assert!(

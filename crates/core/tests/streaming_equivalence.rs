@@ -472,7 +472,12 @@ fn chaotic_trace(rng: &mut TestRng, agents: u32) -> TestTrace<K> {
             if rng.chance(0.15) {
                 seq.push((900 + a, rng.range(1, 4) as u32));
             }
-            ops.push(OpRecord { agent: AgentId(a), invoke, response, kind: OpKind::Read { seq } });
+            ops.push(OpRecord {
+                agent: AgentId(a),
+                invoke,
+                response,
+                kind: OpKind::Read { seq: seq.into() },
+            });
         }
     }
     TestTrace::new(ops)
@@ -547,7 +552,7 @@ fn duplicate_heavy_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
             agent: agent(a as u32),
             invoke: Timestamp::from_millis(now),
             response: Timestamp::from_millis(now + took as i64),
-            kind: OpKind::Read { seq: variants[latest[a]].clone() },
+            kind: OpKind::Read { seq: variants[latest[a]].clone().into() },
         });
     }
     TestTrace::new(ops)
@@ -727,7 +732,7 @@ fn probe_stress_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
         kind,
     };
     let wide: Vec<K> = (0..rng.range(100, 301) as u32).map(|s| (950, s)).collect();
-    let mut ops = vec![op(0, 0, 5, OpKind::Read { seq: wide.clone() })];
+    let mut ops = vec![op(0, 0, 5, OpKind::Read { seq: wide.clone().into() })];
     let (mut log, mut written, mut fresh, mut now) = (Vec::new(), [0u32; 3], 0, 0i64);
     for _ in 0..rng.range_usize(30, 61) {
         now += rng.range(0, 12) as i64;
@@ -757,7 +762,7 @@ fn probe_stress_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
             fresh += 1;
             insert_anywhere(rng, &mut seq, (800 + a, fresh));
         }
-        ops.push(op(a, now, took, OpKind::Read { seq }));
+        ops.push(op(a, now, took, OpKind::Read { seq: seq.into() }));
     }
     TestTrace::new(ops)
 }
@@ -831,7 +836,7 @@ fn probe_stress_traces_equal_the_oracle_in_both_orientations() {
                 .iter()
                 .flat_map(|op| match &op.kind {
                     OpKind::Write { id } => vec![*id],
-                    OpKind::Read { seq } => seq.clone(),
+                    OpKind::Read { seq } => seq.to_vec(),
                 })
                 .filter(|k| k.0 != 950)
                 .chain([(950, 0), (777, 1)])
@@ -898,7 +903,7 @@ fn summary_mix_trace(rng: &mut TestRng, flip: bool) -> TestTrace<K> {
                     }
                 }
             }
-            ops.push(op(a, now, rng.range(0, 30), OpKind::Read { seq }));
+            ops.push(op(a, now, rng.range(0, 30), OpKind::Read { seq: seq.into() }));
         } else {
             let id = (a, log.len() as u32);
             log.push(id);
@@ -1070,7 +1075,7 @@ fn retained_state_stays_bounded_on_wide_keys() {
                     agent: AgentId(a),
                     invoke,
                     response,
-                    kind: OpKind::Read { seq: log.clone() },
+                    kind: OpKind::Read { seq: log.clone().into() },
                 });
             }
         }
@@ -1112,7 +1117,7 @@ fn identical_reads_retain_one_view() {
         agent: AgentId(agent),
         invoke: Timestamp::from_millis(at),
         response: Timestamp::from_millis(at + 3),
-        kind: OpKind::Read { seq: seq.clone() },
+        kind: OpKind::Read { seq: seq.clone().into() },
     };
     let mut s = StreamingAnalyzer::new(&CheckerConfig::default());
     let mut growth = Vec::new();

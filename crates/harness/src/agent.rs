@@ -25,7 +25,7 @@ use crate::script::{post_for, TestScript};
 use conprobe_core::trace::OpKind;
 use conprobe_json::FastMap;
 use conprobe_services::{ClientOp, NetMsg, OpResult};
-use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration};
+use conprobe_sim::{Context, LocalTime, Node, NodeId, SimDuration, TimerId};
 use conprobe_store::PostId;
 
 const TOKEN_START: u64 = 1;
@@ -66,6 +66,9 @@ struct Pending {
     op: ClientOp,
     /// Transmissions so far (first send included).
     attempts: u32,
+    /// The armed retransmit timer, cancelled when the answer arrives or
+    /// the request is dropped.
+    retry: TimerId,
 }
 
 /// Transport-level counters for one agent (diagnostics and the fault
@@ -188,11 +191,11 @@ impl AgentNode {
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, op: ClientOp, kind: PendingOp) {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.pending
-            .insert(req_id, Pending { invoke: ctx.now_local(), kind, op: op.clone(), attempts: 1 });
-        self.send_request(ctx, req_id, op);
+        self.send_request(ctx, req_id, op.clone());
         let delay = self.retry_delay(ctx, 1);
-        ctx.set_timer(delay, TOKEN_RETRY | req_id);
+        let retry = ctx.set_timer(delay, TOKEN_RETRY | req_id);
+        self.pending
+            .insert(req_id, Pending { invoke: ctx.now_local(), kind, op, attempts: 1, retry });
     }
 
     /// Issues a scheduled background read and arms the timer for the
@@ -214,11 +217,13 @@ impl AgentNode {
     /// with growing backoff (replicas deduplicate writes by post id; reads
     /// are idempotent), or abandons it once the attempt budget is spent —
     /// the request is undeliverable (dead service or severed link), and
-    /// the coordinator's liveness machinery handles a stalled test.
+    /// the coordinator's liveness machinery handles a stalled test. An
+    /// answered or dropped request's timer was cancelled, so the request
+    /// is still pending here.
     fn retransmit(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
         let req_id = token & !TOKEN_RETRY;
         let retransmit = match self.pending.get_mut(&req_id) {
-            None => return, // answered in the meantime
+            None => return,
             Some(p) if p.attempts >= MAX_ATTEMPTS => None,
             Some(p) => {
                 p.attempts += 1;
@@ -233,7 +238,10 @@ impl AgentNode {
                 }
                 self.send_request(ctx, req_id, op);
                 let delay = self.retry_delay(ctx, attempts);
-                ctx.set_timer(delay, TOKEN_RETRY | req_id);
+                let retry = ctx.set_timer(delay, TOKEN_RETRY | req_id);
+                if let Some(p) = self.pending.get_mut(&req_id) {
+                    p.retry = retry;
+                }
             }
             None => {
                 self.pending.remove(&req_id);
@@ -310,7 +318,13 @@ impl Node<Msg> for AgentNode {
                     // effect with only its ack lost, so it keeps
                     // retransmitting through a short grace before the log
                     // ships — losing its record would understate the trace.
-                    self.pending.retain(|_, p| matches!(p.kind, PendingOp::Write(_)));
+                    self.pending.retain(|_, p| {
+                        let write = matches!(p.kind, PendingOp::Write(_));
+                        if !write {
+                            ctx.cancel_timer(p.retry);
+                        }
+                        write
+                    });
                     self.throttle_backlog.clear();
                     if !self.pending.is_empty() {
                         ctx.set_timer(STOP_FLUSH_GRACE, TOKEN_FLUSH);
@@ -320,9 +334,11 @@ impl Node<Msg> for AgentNode {
                 self.ship_log(ctx);
             }
             NetMsg::Response { req_id, result } => {
-                let Some(Pending { invoke, kind, op, .. }) = self.pending.remove(&req_id) else {
+                let Some(Pending { invoke, kind, op, retry, .. }) = self.pending.remove(&req_id)
+                else {
                     return; // response to a request we no longer track
                 };
+                ctx.cancel_timer(retry);
                 if self.stopped {
                     // Only a late write ack still matters: record it, and
                     // release the held log once no write is outstanding.
@@ -412,7 +428,9 @@ impl Node<Msg> for AgentNode {
                     if let Some(obs) = &self.obs {
                         obs.abandoned.add(self.pending.len() as u64);
                     }
-                    self.pending.clear();
+                    for (_, p) in self.pending.drain() {
+                        ctx.cancel_timer(p.retry);
+                    }
                     self.ship_log(ctx);
                 }
                 // Write retransmissions keep running during the grace.
@@ -479,5 +497,83 @@ mod tests {
         assert_eq!(a.logged(), 0);
         assert_eq!(a.throttled(), 0);
         assert!(a.test.is_none());
+    }
+
+    /// A service that never answers, doubling as the coordinator.
+    struct Silent;
+
+    impl Node<Msg> for Silent {
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: u64) {}
+    }
+
+    /// An agent whose timer firings are logged.
+    struct Spy {
+        agent: AgentNode,
+        fired: Vec<(u64, conprobe_sim::SimTime)>,
+    }
+
+    impl Node<Msg> for Spy {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.agent.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+            self.agent.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
+            self.fired.push((token, ctx.true_now()));
+            self.agent.on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn no_retry_timer_of_a_read_dropped_at_stop_fires() {
+        use crate::proto::{AgentTestPlan, TestKind};
+        use crate::script::Cadence;
+        use conprobe_sim::{Region, SimTime, World, WorldConfig};
+
+        let mut w: World<Msg> = World::new(WorldConfig::default(), 3);
+        let silent = w.add_node(Region::Oregon, Box::new(Silent));
+        let spy = Spy { agent: AgentNode::new(0, false), fired: Vec::new() };
+        let agent = w.add_node(Region::Oregon, Box::new(spy));
+        let cadence = Cadence {
+            kind: TestKind::Test2,
+            read_period: SimDuration::from_millis(300),
+            fast_reads: 100,
+            slow_period: SimDuration::from_secs(1),
+            reads_target: 100,
+        };
+        let plan = AgentTestPlan {
+            cadence,
+            agent_index: 0,
+            total_agents: 1,
+            service_entry: silent,
+            start_at_local: LocalTime::from_nanos(0),
+        };
+        w.post(silent, agent, NetMsg::App(HarnessMsg::Start(Box::new(plan))));
+        w.run_until(SimTime::from_millis(2_500));
+
+        let stop_at = w.now();
+        let dropped: Vec<u64> = {
+            let a = &w.node_as::<Spy>(agent).unwrap().agent;
+            a.pending.iter().filter(|(_, p)| matches!(p.kind, PendingOp::Read)).map(|(r, _)| *r)
+        }
+        .collect();
+        assert!(dropped.len() >= 3, "reads in flight at Stop: {dropped:?}");
+        w.post(silent, agent, NetMsg::App(HarnessMsg::Stop));
+        w.run_capped(100_000);
+
+        let fired = &w.node_as::<Spy>(agent).unwrap().fired;
+        let late_retries: Vec<u64> = fired
+            .iter()
+            .filter(|&&(token, at)| at > stop_at && token & TOKEN_RETRY != 0)
+            .map(|&(token, _)| token & !TOKEN_RETRY)
+            .collect();
+        for req in &dropped {
+            assert!(!late_retries.contains(req), "read {req} retried after Stop: {late_retries:?}");
+        }
+        // Without the cancel those timers were due after Stop: retries run
+        // about a second behind each send, reads go out every 300 ms.
+        assert!(fired.iter().any(|&(token, at)| at <= stop_at && token & TOKEN_RETRY != 0));
     }
 }

@@ -19,6 +19,7 @@
 //! Staleness is the only price: the guard works on local state, adds no
 //! round trip and never blocks a request.
 
+use conprobe_core::ReadView;
 use conprobe_store::PostId;
 use std::collections::HashSet;
 
@@ -48,7 +49,7 @@ impl SessionGuard {
 
     /// Filters one raw read result and returns the corrected view: every
     /// event previously returned, then whatever became deliverable.
-    pub(crate) fn filter_read(&mut self, seq: &[PostId]) -> Vec<PostId> {
+    pub(crate) fn filter_read(&mut self, seq: &[PostId]) -> ReadView<PostId> {
         for &id in seq {
             self.discover(id);
         }
@@ -66,7 +67,7 @@ impl SessionGuard {
                 }
             }
             if self.pending.len() == held {
-                return self.view.clone();
+                return self.view.as_slice().into();
             }
         }
     }
@@ -156,7 +157,7 @@ mod tests {
         let mut g = SessionGuard::default();
         let reads =
             [vec![p(2, 1)], vec![p(2, 2), p(2, 1)], vec![], vec![p(3, 1)], vec![p(2, 3), p(3, 1)]];
-        let mut prev = Vec::new();
+        let mut prev = ReadView::default();
         for r in reads {
             let v = g.filter_read(&r);
             assert!(v.starts_with(&prev), "view must extend, never rewrite: {prev:?} → {v:?}");
@@ -183,7 +184,7 @@ mod tests {
         g.note_write_ack(p(0, 2));
         for (i, r) in raw_reads.iter().enumerate() {
             let at = t(30 + i as i64 * 10);
-            b.read(AgentId(0), at, at, g.filter_read(r));
+            b.read(AgentId(0), at, at, g.filter_read(r).to_vec());
         }
         let analysis = analyze(&b.build(), &CheckerConfig::default());
         for kind in
@@ -256,7 +257,7 @@ mod proptests {
         let mut rng = TestRng::new(0x6A8D_0002);
         for case in 0..400 {
             let mut g = SessionGuard::default();
-            let mut prev = Vec::new();
+            let mut prev = ReadView::default();
             for r in gen_reads(&mut rng) {
                 let v = g.filter_read(&r);
                 let set: HashSet<_> = v.iter().collect();

@@ -740,8 +740,8 @@ fn decode_result(r: &mut JsonReader<'_>) -> Result<DecodedResult, JsonError> {
     };
     *r = rewind;
     r.skip_value()?;
-    // A reader's error lies inside the member; a schema error's is 0.
-    let offset = error.offset.saturating_sub(start);
+    // A reader's error lies inside the member; a schema error has none.
+    let offset = error.offset.map(|at| at.saturating_sub(start));
     Ok(DecodedResult(Err(JsonError { offset, ..error })))
 }
 

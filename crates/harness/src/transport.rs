@@ -20,6 +20,7 @@
 use crate::proto::LocalOpRecord;
 use crate::script::{post_for, TestScript};
 use conprobe_core::trace::OpKind;
+use conprobe_core::ReadView;
 use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::LocalTime;
 use conprobe_store::PostId;
@@ -161,13 +162,13 @@ where
     fn call(
         &mut self,
         op: impl Fn(LocalTime) -> ClientOp,
-    ) -> Result<Option<Vec<PostId>>, EndpointError> {
+    ) -> Result<Option<ReadView<PostId>>, EndpointError> {
         loop {
             let invoke = self.clock.now();
             let result = self.endpoint.call(op(invoke))?;
             let response = self.clock.now();
             let (kind, seq) = match result {
-                OpResult::WriteAck(id) => (OpKind::Write { id }, Vec::new()),
+                OpResult::WriteAck(id) => (OpKind::Write { id }, ReadView::default()),
                 OpResult::ReadOk(seq) => (OpKind::Read { seq: seq.clone() }, seq),
                 OpResult::Throttled => {
                     let retry_at = response.offset_by(self.script.throttled().as_nanos() as i64);
@@ -221,7 +222,7 @@ mod tests {
             self.asked.push(op.clone());
             match (self.replies.pop_front().expect("the driver called past the script"), op) {
                 (Reply::Ack, ClientOp::Write(post)) => Ok(OpResult::WriteAck(post.id)),
-                (Reply::Read(seq), ClientOp::Read) => Ok(OpResult::ReadOk(seq)),
+                (Reply::Read(seq), ClientOp::Read) => Ok(OpResult::ReadOk(seq.into())),
                 (Reply::Throttle, _) => Ok(OpResult::Throttled),
                 (Reply::Fail, _) => Err(EndpointError("connection reset".into())),
                 (_, op) => panic!("scripted reply does not fit {op:?}"),
@@ -296,7 +297,7 @@ mod tests {
             [
                 record(1, OpKind::Write { id: m1 }),
                 record(304, OpKind::Write { id: m2 }),
-                record(307, OpKind::Read { seq: vec![m1, m2] }),
+                record(307, OpKind::Read { seq: vec![m1, m2].into() }),
             ],
             "everything answered before the error is salvaged"
         );

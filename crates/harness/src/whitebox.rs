@@ -70,7 +70,7 @@ impl WhiteboxReport {
                 agent: AgentId(s.replica as u32),
                 invoke: Timestamp::from_nanos(s.at_nanos as i64),
                 response: Timestamp::from_nanos(s.at_nanos as i64),
-                kind: conprobe_core::trace::OpKind::Read { seq: s.seq.to_vec() },
+                kind: conprobe_core::trace::OpKind::Read { seq: s.seq.clone().into() },
             })
             .collect();
         let mut analysis = analyze(&TestTrace::new(ops), &CheckerConfig::default());

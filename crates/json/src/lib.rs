@@ -149,24 +149,29 @@ impl JsonValue {
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    /// Byte offset of the failure in the input.
-    pub offset: usize,
+    /// Byte offset of the failure in the input; `None` for a schema
+    /// error, which a decoder raises about a value it has already read.
+    pub offset: Option<usize>,
     /// Human-readable description.
     pub message: String,
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
+        match self.offset {
+            Some(offset) => write!(f, "JSON error at byte {offset}: {}", self.message),
+            None => write!(f, "JSON error: {}", self.message),
+        }
     }
 }
 
 impl std::error::Error for JsonError {}
 
 impl JsonError {
-    /// A schema-level error (shape mismatch rather than syntax).
+    /// A schema-level error (shape mismatch rather than syntax). It has
+    /// no offset: it is about a value already read, not a byte.
     pub fn schema(message: impl Into<String>) -> Self {
-        JsonError { offset: 0, message: message.into() }
+        JsonError { offset: None, message: message.into() }
     }
 }
 
@@ -671,7 +676,7 @@ mod tests {
         assert!(<(u32, f64)>::from_json_str("[7,0.5,1]").is_err());
         assert!(u32::from_json(&JsonValue::Int(-1)).is_err());
         assert!(u32::from_json(&JsonValue::Str("x".into())).is_err());
-        assert_eq!(u32::from_json_str("4294967296").unwrap_err().offset, 0);
+        assert_eq!(u32::from_json_str("4294967296").unwrap_err().offset, Some(0));
         // An `f64` field takes an integer token; an integer field no float.
         assert_eq!(f64::from_json_str("3").unwrap(), 3.0);
         assert!(u64::from_json_str("3.0").is_err());
@@ -686,7 +691,7 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert_eq!(
                 (err.message.as_str(), err.offset),
-                ("number out of range", offset),
+                ("number out of range", Some(offset)),
                 "{bad}"
             );
         }
@@ -717,10 +722,10 @@ mod tests {
         assert_eq!(point(r#" { "y" : -2 , "z" : [{"x":9}] , "x" : 1 } "#), Ok((1, -2)));
         // The loser of a duplicate is skipped: checked as JSON, not as a `u32`.
         assert_eq!(point(r#"{"x":1,"x":"later","y":0}"#), Ok((1, 0)));
-        assert_eq!(point(r#"{"x":1,"x":tru,"y":0}"#).unwrap_err().offset, 11);
+        assert_eq!(point(r#"{"x":1,"x":tru,"y":0}"#).unwrap_err().offset, Some(11));
         assert_eq!(point(r#"{"x":1}"#).unwrap_err().message, "missing member `y`");
-        assert_eq!(point(r#"{"x":-1,"y":0}"#).unwrap_err().offset, 5);
-        assert_eq!(point(r#"{"x":1,"y":0,"z":01}"#).unwrap_err().offset, 18);
+        assert_eq!(point(r#"{"x":-1,"y":0}"#).unwrap_err().offset, Some(5));
+        assert_eq!(point(r#"{"x":1,"y":0,"z":01}"#).unwrap_err().offset, Some(18));
         assert!(point(r#"{"x":1,"y":0} x"#).is_err());
     }
 

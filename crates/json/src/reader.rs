@@ -40,7 +40,7 @@ impl<'a> JsonReader<'a> {
     /// An error at the reader's position.
     #[cold]
     pub fn error(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_string() }
+        JsonError { offset: Some(self.pos), message: message.to_string() }
     }
 
     /// Checks that only whitespace follows the top-level value.
@@ -173,7 +173,7 @@ impl<'a> JsonReader<'a> {
         // `str::parse` maps a too-large literal to infinity, not an error.
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(JsonValue::Float(f)),
-            _ => Err(JsonError { offset: start, message: "number out of range".into() }),
+            _ => Err(JsonError { offset: Some(start), message: "number out of range".into() }),
         }
     }
 
@@ -200,7 +200,7 @@ impl<'a> JsonReader<'a> {
         self.skip_ws();
         let offset = self.pos;
         pick(&self.number()?)
-            .ok_or_else(|| JsonError { offset, message: format!("expected {what}") })
+            .ok_or_else(|| JsonError { offset: Some(offset), message: format!("expected {what}") })
     }
 
     /// Reads a string, borrowed from the input unless it has escapes.

@@ -34,7 +34,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
-        JsonError { offset: self.pos, message: message.to_string() }
+        JsonError { offset: Some(self.pos), message: message.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -256,6 +256,6 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(JsonValue::Float)
-            .map_err(|_| JsonError { offset: start, message: "invalid number".into() })
+            .map_err(|_| JsonError { offset: Some(start), message: "invalid number".into() })
     }
 }

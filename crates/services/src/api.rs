@@ -8,6 +8,7 @@
 //! measurement and measured — flows over the same simulated WAN, exactly as
 //! in the paper's deployment.
 
+use conprobe_core::ReadView;
 use conprobe_sim::BrownoutMode;
 use conprobe_store::{Post, PostId, StoredPost};
 use std::collections::HashSet;
@@ -28,8 +29,9 @@ pub enum OpResult {
     /// The write was accepted (this is the service's *acknowledgement*; the
     /// write may become visible later).
     WriteAck(PostId),
-    /// The read result, in the order the service presents it.
-    ReadOk(Vec<PostId>),
+    /// The read result, in the order the service presents it: the view
+    /// the serving replica handed out, shared rather than copied.
+    ReadOk(ReadView<PostId>),
     /// The service's rate limit rejected the operation.
     Throttled,
 }

@@ -51,6 +51,7 @@ use crate::catalog::{topology, ServiceKind};
 use crate::hosted::HostedShard;
 use crate::replica_node::DelayDist;
 use crate::shard::ShardRing;
+use conprobe_core::ReadView;
 use conprobe_json::frame;
 use conprobe_sim::net::Region;
 use conprobe_sim::{SimDuration, SimRng, SimTime};
@@ -90,8 +91,8 @@ pub struct LiveConfig {
 /// The cluster's answer to one client operation ([`LiveCluster::serve`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiveReply {
-    /// The read result — a stored replica's shared snapshot, uncopied.
-    Read(Arc<[PostId]>),
+    /// The read result — the serving replica's shared view, uncopied.
+    Read(ReadView<PostId>),
     /// The write is acknowledged.
     Acked(PostId),
     /// A hosted arm cannot answer at this instant: no reachable quorum, a
@@ -361,12 +362,12 @@ impl LiveCluster {
                 ClientOp::Write(post) => {
                     LiveReply::Acked(self.write_keyed(region, key, post, now_nanos))
                 }
-                ClientOp::Read => LiveReply::Read(self.read_keyed(region, key, now_nanos)),
+                ClientOp::Read => LiveReply::Read(self.read_keyed(region, key, now_nanos).into()),
             };
         };
         let down = (0..self.down.len()).filter(|idx| self.is_down(*idx));
         match lock_hosted(shard).open(key, down).request(region, op, now_nanos) {
-            Some(OpResult::ReadOk(ids)) => LiveReply::Read(ids.into()),
+            Some(OpResult::ReadOk(ids)) => LiveReply::Read(ids),
             Some(OpResult::WriteAck(id)) => LiveReply::Acked(id),
             Some(OpResult::Throttled) | None => LiveReply::Unavailable,
         }

@@ -960,8 +960,8 @@ impl PbftReplica {
                     if origin == self.my_index {
                         if let Some(r) = self.pending_reads.remove(&seq) {
                             self.read_reqs.remove(&(r.client, r.req_id));
-                            let snapshot = self.core.snapshot().to_vec();
-                            self.door.respond(ctx, r.client, r.req_id, OpResult::ReadOk(snapshot));
+                            let view = self.core.snapshot().into();
+                            self.door.respond(ctx, r.client, r.req_id, OpResult::ReadOk(view));
                         }
                     }
                 }

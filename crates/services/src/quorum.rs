@@ -47,6 +47,7 @@ use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{
     metric_prefix, Catchup, FrontDoor, Hosted, Transfers, Transition, TOKEN_CATCHUP_RETRY,
 };
+use conprobe_core::ReadView;
 use conprobe_json::{frame, read_members, FastMap, JsonError, JsonReader, JsonWriter};
 use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
@@ -94,7 +95,7 @@ fn decode_post_frame(line: &str) -> Result<StoredPost, String> {
 /// Canonical presentation order for quorum reads: exact server timestamp,
 /// ties by post id — identical at every coordinator, so quorum systems
 /// never exhibit order divergence.
-fn quorum_order(mut posts: Vec<StoredPost>) -> Vec<PostId> {
+fn quorum_order(mut posts: Vec<StoredPost>) -> ReadView<PostId> {
     OrderingPolicy::exact_timestamp().sort(&mut posts);
     posts.into_iter().map(|p| p.id()).collect()
 }

@@ -26,6 +26,7 @@
 
 use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{metric_prefix, FrontDoor, Transition, TOKEN_KIND_MASK};
+use conprobe_core::ReadView;
 use conprobe_json::FastMap;
 use conprobe_obs::{latency_bounds_nanos, Counter, Histogram};
 use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimRng, SimTime};
@@ -201,6 +202,9 @@ pub struct ReplicaNode {
     /// This arm's own metric handles, resolved in `on_start` when the
     /// world has a sink installed. `None` means telemetry is off.
     obs: Option<ReplicaObs>,
+    /// The secondary index's visible ids, gathered here so a stale read
+    /// allocates only its view.
+    scratch: Vec<PostId>,
 }
 
 impl std::fmt::Debug for ReplicaNode {
@@ -251,6 +255,7 @@ impl ReplicaNode {
             forwarded_writes: FastMap::default(),
             next_forward_req: 1 << 48,
             obs: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -422,27 +427,32 @@ impl ReplicaNode {
         }
     }
 
-    fn serve_read<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) -> Vec<PostId> {
+    /// The view a read returns. The snapshot and cache paths share the
+    /// replica's cached slice; the index and ranking paths build one view.
+    fn serve_read<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) -> ReadView<PostId> {
         let now = ctx.true_now();
         match &self.params.read_path {
-            ReadPath::Snapshot => self.core.snapshot().to_vec(),
+            ReadPath::Snapshot => self.core.snapshot().into(),
             ReadPath::Caches { count, .. } => {
                 let idx = if *count == 1 { 0 } else { ctx.rng().gen_range(0..*count) };
                 self.caches[idx].refresh_if_stale(now, || self.core.snapshot());
-                self.caches[idx].read().to_vec()
+                Arc::clone(self.caches[idx].read()).into()
             }
             ReadPath::SecondaryIndex { stale_prob, .. } => {
                 if *stale_prob > 0.0 && ctx.rng().gen_bool(*stale_prob) {
-                    self.core
-                        .snapshot_posts()
-                        .iter()
-                        .filter(|p| {
-                            self.indexed_at.get(&p.id()).copied().unwrap_or(p.server_ts) <= now
-                        })
-                        .map(|p| p.id())
-                        .collect()
+                    self.scratch.clear();
+                    self.scratch.extend(
+                        self.core
+                            .snapshot_posts()
+                            .iter()
+                            .filter(|p| {
+                                self.indexed_at.get(&p.id()).copied().unwrap_or(p.server_ts) <= now
+                            })
+                            .map(|p| p.id()),
+                    );
+                    self.scratch.as_slice().into()
                 } else {
-                    self.core.snapshot().to_vec()
+                    self.core.snapshot().into()
                 }
             }
             ReadPath::Ranked(_) => {
@@ -457,7 +467,7 @@ impl ReplicaNode {
                         RankablePost { stored: stored.clone(), visible_at }
                     })
                     .collect();
-                ranker.read(&posts, now, ctx.rng())
+                ranker.read(&posts, now, ctx.rng()).into()
             }
         }
     }
@@ -625,7 +635,7 @@ mod tests {
         let s = w.node_as::<Script>(client).unwrap();
         assert_eq!(s.responses.len(), 2);
         assert_eq!(s.responses[0].1, OpResult::WriteAck(PostId::new(AuthorId(1), 1)));
-        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)]));
+        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)].into()));
     }
 
     #[test]
@@ -643,7 +653,7 @@ mod tests {
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
         let last = &s.responses.last().unwrap().1;
-        assert_eq!(*last, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)]));
+        assert_eq!(*last, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)].into()));
     }
 
     #[test]
@@ -664,8 +674,8 @@ mod tests {
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
-        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![]), "write acked but invisible");
-        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)]));
+        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![].into()), "write acked but invisible");
+        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)].into()));
     }
 
     #[test]
@@ -727,8 +737,8 @@ mod tests {
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
-        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![]), "served from stale cache");
-        assert_eq!(s.responses[3].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)]));
+        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![].into()), "served from stale cache");
+        assert_eq!(s.responses[3].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)].into()));
     }
 
     #[test]
@@ -754,8 +764,8 @@ mod tests {
         );
         w.run_until_idle();
         let s = w.node_as::<Script>(client).unwrap();
-        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![]));
-        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)]));
+        assert_eq!(s.responses[1].1, OpResult::ReadOk(vec![].into()));
+        assert_eq!(s.responses[2].1, OpResult::ReadOk(vec![PostId::new(AuthorId(1), 1)].into()));
     }
 
     #[test]
@@ -779,7 +789,7 @@ mod tests {
         let s = w.node_as::<Script>(client).unwrap();
         assert_eq!(
             s.responses[2].1,
-            OpResult::ReadOk(vec![PostId::new(AuthorId(1), 2), PostId::new(AuthorId(1), 1)]),
+            OpResult::ReadOk(vec![PostId::new(AuthorId(1), 2), PostId::new(AuthorId(1), 1)].into()),
             "same-second writes appear reversed — the paper's FB Group quirk"
         );
     }

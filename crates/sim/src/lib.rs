@@ -78,7 +78,7 @@ pub use faults::{
 pub use net::{LatencyMatrix, LinkSpec, Region};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use world::{Context, Node, NodeId, SimEventKind, World, WorldConfig};
+pub use world::{Context, Node, NodeId, SimEventKind, TimerId, World, WorldConfig};
 
 /// Re-export of the observability sink so downstream crates can install
 /// and share one without depending on `conprobe-obs` directly.

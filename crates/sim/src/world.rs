@@ -4,11 +4,11 @@
 //! equipped with a [`LocalClock`]. Nodes interact with the world only through
 //! the [`Context`] handed to their callbacks: they can send messages (which
 //! arrive after a sampled network delay, or never, if a window of the
-//! world's [`FaultPlan`] cuts, blocks or loses them), set timers, read
-//! their local clock, and draw from a private random stream. The plan in
-//! [`WorldConfig`] is the one way network faults enter a world. The loop
-//! pops events in `(time, sequence)` order, so runs are exactly
-//! reproducible for a given configuration and seed.
+//! world's [`FaultPlan`] cuts, blocks or loses them), set and cancel
+//! timers, read their local clock, and draw from a private random stream.
+//! The plan in [`WorldConfig`] is the one way network faults enter a
+//! world. The loop pops events in `(time, sequence)` order, so runs are
+//! exactly reproducible for a given configuration and seed.
 
 use crate::clock::{ClockConfig, LocalClock, LocalTime};
 use crate::faults::{judge_link, FaultNetStats, FaultPlan, LinkEffect, LinkVerdict};
@@ -89,6 +89,24 @@ enum EventKind<M> {
     Timer { token: u64 },
 }
 
+/// A queued event in its slab slot. `seq` is its key's sequence number:
+/// a key whose `seq` differs from its slot's (or whose slot is empty) is
+/// the leftover of a cancelled timer.
+struct Queued<M> {
+    seq: u64,
+    dst: NodeId,
+    kind: EventKind<M>,
+}
+
+/// A handle to a timer set through [`Context::set_timer`], for
+/// [`Context::cancel_timer`]: the timer's slab slot and its sequence
+/// number, which no other event of the world ever carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    slot: u32,
+    seq: u64,
+}
+
 /// A queue key. The event it schedules waits in `WorldCore::events[slot]`,
 /// so the heap sifts a key, not a message. `key` packs `(at, seq)` as
 /// `(at << 64) | seq`, so one `u128` comparison orders events as the
@@ -107,6 +125,10 @@ impl Scheduled {
 
     fn at(&self) -> SimTime {
         SimTime::from_nanos((self.key >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64
     }
 }
 
@@ -191,8 +213,11 @@ struct WorldCore<M> {
     seq: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
     /// The queued events, by slot; `free` lists the empty slots.
-    events: Vec<Option<(NodeId, EventKind<M>)>>,
+    events: Vec<Option<Queued<M>>>,
     free: Vec<u32>,
+    /// Keys in `queue` whose timer was cancelled. They are dropped when
+    /// they reach the head, so the head is always a live event.
+    cancelled: usize,
     regions: Vec<Region>,
     /// `channels[src][dst]`, one entry per node pair.
     channels: Vec<Vec<Channel>>,
@@ -260,10 +285,10 @@ impl<M> WorldCore<M> {
 }
 
 impl<M> WorldCore<M> {
-    fn push(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) {
+    fn push(&mut self, at: SimTime, dst: NodeId, kind: EventKind<M>) -> TimerId {
         let seq = self.seq;
         self.seq += 1;
-        let event = Some((dst, kind));
+        let event = Some(Queued { seq, dst, kind });
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.events[slot as usize] = event;
@@ -275,14 +300,48 @@ impl<M> WorldCore<M> {
             }
         };
         self.queue.push(Reverse(Scheduled::new(at, seq, slot)));
+        TimerId { slot, seq }
     }
 
     /// Pops the earliest event, by `(at, seq)`.
     fn pop(&mut self) -> Option<(SimTime, NodeId, EventKind<M>)> {
         let Reverse(ev) = self.queue.pop()?;
-        let (dst, kind) = self.events[ev.slot as usize].take().expect("a queued key has its event");
+        let q = self.events[ev.slot as usize].take().expect("the head key has its event");
         self.free.push(ev.slot);
-        Some((ev.at(), dst, kind))
+        self.drop_cancelled_head();
+        Some((ev.at(), q.dst, q.kind))
+    }
+
+    /// Removes `node`'s pending timer `id` from the queue. A handle whose
+    /// timer fired or was cancelled finds its slot empty or holding an
+    /// event of another `seq`, and cancels nothing. (Only `set_timer`
+    /// hands out a `TimerId`, so a live `seq` names a timer.)
+    fn cancel(&mut self, node: NodeId, id: TimerId) -> bool {
+        let Some(entry) = self.events.get_mut(id.slot as usize) else {
+            return false;
+        };
+        let live = entry.as_ref().is_some_and(|q| q.seq == id.seq && q.dst == node);
+        if live {
+            *entry = None;
+            self.free.push(id.slot);
+            self.cancelled += 1;
+            self.drop_cancelled_head();
+        }
+        live
+    }
+
+    /// Pops cancelled keys off the head until it is a live event (or the
+    /// queue is empty), so a peek at the head reads the next due event.
+    fn drop_cancelled_head(&mut self) {
+        while self.cancelled > 0 {
+            let Some(Reverse(head)) = self.queue.peek() else { break };
+            let slot = &self.events[head.slot as usize];
+            if slot.as_ref().is_some_and(|q| q.seq == head.seq()) {
+                break;
+            }
+            self.queue.pop();
+            self.cancelled -= 1;
+        }
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, msg: M, ordered: bool) {
@@ -383,10 +442,22 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Schedules [`Node::on_timer`] on this node after `delay`, carrying
-    /// `token`. Timers always fire; stale timers must be ignored by the node.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+    /// `token`, and returns its handle. The timer fires exactly once,
+    /// unless [`Context::cancel_timer`] removes it first; a node that no
+    /// longer wants a timer should cancel it rather than ignore its
+    /// firing.
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let at = self.core.now + delay;
-        self.core.push(at, self.node, EventKind::Timer { token });
+        self.core.push(at, self.node, EventKind::Timer { token })
+    }
+
+    /// Cancels this node's timer `id`: it will never fire, and the events
+    /// left in the queue keep their `(at, seq)` order. Returns whether a
+    /// pending timer was removed. A handle whose timer already fired or
+    /// was cancelled, or that names another node's timer, cancels nothing,
+    /// even when its queue slot now holds a newer event.
+    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+        self.core.cancel(self.node, id)
     }
 
     /// This node's private deterministic random stream.
@@ -423,6 +494,7 @@ impl<M: 'static> World<M> {
                 queue: BinaryHeap::new(),
                 events: Vec::new(),
                 free: Vec::new(),
+                cancelled: 0,
                 regions: Vec::new(),
                 channels: Vec::new(),
                 clocks: Vec::new(),
@@ -1424,5 +1496,175 @@ mod obs_tests {
         assert_eq!(plain.now(), observed.now());
         assert_eq!(plain.delivered(), observed.delivered());
         assert_eq!(plain.fault_stats(), observed.fault_stats());
+    }
+}
+
+#[cfg(test)]
+mod cancel_tests {
+    use super::*;
+
+    type Msg = ();
+
+    /// Runs a script of timer actions from `on_start` and logs firings.
+    struct Timers {
+        on_start: fn(&mut Timers, &mut Context<'_, Msg>),
+        on_fire: fn(&mut Timers, &mut Context<'_, Msg>, u64),
+        ids: Vec<TimerId>,
+        cancels: Vec<bool>,
+        fired: Vec<(u64, SimTime)>,
+    }
+
+    impl Timers {
+        fn new(
+            on_start: fn(&mut Timers, &mut Context<'_, Msg>),
+            on_fire: fn(&mut Timers, &mut Context<'_, Msg>, u64),
+        ) -> Box<Self> {
+            Box::new(Timers { on_start, on_fire, ids: vec![], cancels: vec![], fired: vec![] })
+        }
+    }
+
+    impl Node<Msg> for Timers {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            (self.on_start)(self, ctx);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
+            self.fired.push((token, ctx.true_now()));
+            (self.on_fire)(self, ctx, token);
+        }
+    }
+
+    fn world_with(
+        on_start: fn(&mut Timers, &mut Context<'_, Msg>),
+        on_fire: fn(&mut Timers, &mut Context<'_, Msg>, u64),
+    ) -> (World<Msg>, NodeId) {
+        let mut w = World::new(WorldConfig::default(), 1);
+        let id = w.add_node(Region::Oregon, Timers::new(on_start, on_fire));
+        (w, id)
+    }
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let (mut w, id) = world_with(
+            |n, ctx| {
+                n.ids = [10, 20, 30].map(|t| ctx.set_timer(ms(t), t)).to_vec();
+                n.cancels.push(ctx.cancel_timer(n.ids[1]));
+                n.cancels.push(ctx.cancel_timer(n.ids[1]));
+            },
+            |_, _, _| {},
+        );
+        w.run_until_idle();
+        let n = w.node_as::<Timers>(id).unwrap();
+        let tokens: Vec<u64> = n.fired.iter().map(|f| f.0).collect();
+        assert_eq!(tokens, [10, 30]);
+        assert_eq!(n.cancels, [true, false], "the second cancel finds nothing");
+        assert_eq!(w.now(), SimTime::from_millis(30));
+    }
+
+    #[test]
+    fn a_stale_timer_id_cancels_nothing_after_its_timer_fired_and_its_slot_was_reused() {
+        let (mut w, id) = world_with(
+            |n, ctx| n.ids.push(ctx.set_timer(ms(10), 1)),
+            |n, ctx, token| {
+                if token == 1 {
+                    // The fired timer's slot is free again: the next event
+                    // takes it.
+                    n.ids.push(ctx.set_timer(ms(10), 2));
+                    n.cancels.push(ctx.cancel_timer(n.ids[0]));
+                }
+            },
+        );
+        w.run_until_idle();
+        let n = w.node_as::<Timers>(id).unwrap();
+        assert_eq!(n.ids[0].slot, n.ids[1].slot, "the slot was reused");
+        assert_eq!(n.cancels, [false]);
+        assert_eq!(n.fired, [(1, SimTime::from_millis(10)), (2, SimTime::from_millis(20))]);
+    }
+
+    #[test]
+    fn a_stale_timer_id_cancels_nothing_after_a_cancel_freed_its_slot() {
+        let (mut w, id) = world_with(
+            |n, ctx| {
+                n.ids.push(ctx.set_timer(ms(10), 1));
+                n.cancels.push(ctx.cancel_timer(n.ids[0]));
+                n.ids.push(ctx.set_timer(ms(5), 2));
+                n.cancels.push(ctx.cancel_timer(n.ids[0]));
+            },
+            |_, _, _| {},
+        );
+        w.run_until_idle();
+        let n = w.node_as::<Timers>(id).unwrap();
+        assert_eq!(n.ids[0].slot, n.ids[1].slot, "the slot was reused");
+        assert_eq!(n.cancels, [true, false]);
+        assert_eq!(n.fired, [(2, SimTime::from_millis(5))]);
+        assert_eq!(w.now(), SimTime::from_millis(5), "the cancelled key moved no clock");
+    }
+
+    #[test]
+    fn a_node_cannot_cancel_another_nodes_timer() {
+        use std::sync::Mutex;
+        static SHARED: Mutex<Option<TimerId>> = Mutex::new(None);
+        let mut w: World<Msg> = World::new(WorldConfig::default(), 1);
+        let setter = Timers::new(
+            |_, ctx| *SHARED.lock().unwrap() = Some(ctx.set_timer(ms(10), 7)),
+            |_, _, _| {},
+        );
+        let thief = Timers::new(
+            |n, ctx| {
+                let id = SHARED.lock().unwrap().expect("the setter started first");
+                n.cancels.push(ctx.cancel_timer(id));
+            },
+            |_, _, _| {},
+        );
+        let a = w.add_node(Region::Oregon, setter);
+        let b = w.add_node(Region::Oregon, thief);
+        w.run_until_idle();
+        assert_eq!(w.node_as::<Timers>(b).unwrap().cancels, [false]);
+        assert_eq!(w.node_as::<Timers>(a).unwrap().fired, [(7, SimTime::from_millis(10))]);
+    }
+
+    #[test]
+    fn cancelling_the_earliest_event_leaves_next_event_at_and_run_until_exact() {
+        let (mut w, id) = world_with(
+            |n, ctx| {
+                n.ids = [10, 20, 50].map(|t| ctx.set_timer(ms(t), t)).to_vec();
+                // Cancel the head, then the new head: both sit at the top
+                // of the queue when cancelled.
+                n.cancels.push(ctx.cancel_timer(n.ids[0]));
+                n.cancels.push(ctx.cancel_timer(n.ids[1]));
+            },
+            |_, _, _| {},
+        );
+        assert!(w.step(), "the node starts");
+        assert_eq!(w.next_event_at(), Some(SimTime::from_millis(50)));
+        w.run_until(SimTime::from_millis(30));
+        assert_eq!(w.now(), SimTime::from_millis(30), "no step past the deadline");
+        assert!(w.node_as::<Timers>(id).unwrap().fired.is_empty());
+        w.run_until(SimTime::from_millis(50));
+        let n = w.node_as::<Timers>(id).unwrap();
+        assert_eq!(n.fired, [(50, SimTime::from_millis(50))]);
+        assert_eq!(n.cancels, [true, true]);
+        assert_eq!(w.next_event_at(), None);
+        assert!(w.run_capped(1), "an empty queue is idle");
+    }
+
+    #[test]
+    fn cancelling_keeps_the_order_of_the_remaining_events() {
+        // Equal deadlines fire in schedule order with or without a cancel
+        // between them.
+        let (mut w, id) = world_with(
+            |n, ctx| {
+                n.ids = [1, 2, 3, 4, 5].map(|t| ctx.set_timer(ms(5), t)).to_vec();
+                n.cancels.push(ctx.cancel_timer(n.ids[2]));
+            },
+            |_, _, _| {},
+        );
+        w.run_until_idle();
+        let tokens: Vec<u64> = w.node_as::<Timers>(id).unwrap().fired.iter().map(|f| f.0).collect();
+        assert_eq!(tokens, [1, 2, 4, 5]);
     }
 }

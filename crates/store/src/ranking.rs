@@ -23,6 +23,7 @@
 
 use crate::event::{PostId, StoredPost};
 use conprobe_sim::{SimDuration, SimRng, SimTime};
+use std::sync::Arc;
 
 /// Parameters of the ranked read path.
 #[derive(Debug, Clone)]
@@ -90,8 +91,9 @@ impl FeedRanker {
     /// Feed's monotonic-writes and order-divergence anomalies. The same
     /// inputs with the same RNG state return the same selection, but — as
     /// in the real service — two successive reads draw fresh noise and may
-    /// both reorder and re-select.
-    pub fn read(&self, posts: &[RankablePost], now: SimTime, rng: &mut SimRng) -> Vec<PostId> {
+    /// both reorder and re-select. The selection is collected straight
+    /// into the shared slice a read view wraps: one allocation.
+    pub fn read(&self, posts: &[RankablePost], now: SimTime, rng: &mut SimRng) -> Arc<[PostId]> {
         let mut scored: Vec<(f64, PostId)> = Vec::with_capacity(posts.len());
         for p in posts {
             // Not yet indexed: invisible to ranked reads.
@@ -151,7 +153,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         let out = ranker.read(&posts, SimTime::from_secs(10), &mut rng);
         // Presentation is normalized to chronological order.
-        assert_eq!(out, vec![PostId::new(AuthorId(1), 1), PostId::new(AuthorId(1), 2)]);
+        assert_eq!(*out, [PostId::new(AuthorId(1), 1), PostId::new(AuthorId(1), 2)]);
     }
 
     #[test]
@@ -170,7 +172,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         let out = ranker.read(&posts, SimTime::from_secs(5), &mut rng);
         // The two newest posts are selected, presented oldest-first.
-        assert_eq!(out, vec![PostId::new(AuthorId(1), 4), PostId::new(AuthorId(1), 5)]);
+        assert_eq!(*out, [PostId::new(AuthorId(1), 4), PostId::new(AuthorId(1), 5)]);
     }
 
     #[test]

@@ -191,3 +191,44 @@ fn repro_binary_renders_table1() {
     }
     assert!(!table.contains("Table II"), "only the requested artifact is rendered: {table}");
 }
+
+/// The usage follows a command line that did not parse, and only that: a
+/// command that parsed and then failed prints its error alone, and a
+/// schema error names no byte (it used to say "at byte 0" for every one).
+#[test]
+fn the_usage_follows_a_parse_error_and_not_a_refused_trace() {
+    use conprobe::core::{TestTraceBuilder, Timestamp};
+    use conprobe::harness::proto::test1_post;
+    use conprobe::json::ToJson;
+
+    let t = Timestamp::from_nanos;
+    let mut b = TestTraceBuilder::new();
+    b.write(AgentId(0), t(0), t(5), test1_post(0, 1));
+    b.read(AgentId(1), t(i64::MAX - 10), t(i64::MAX - 5), vec![test1_post(0, 1)]);
+    let path = std::env::temp_dir()
+        .join(format!("conprobe-e2e-refused-{}.json", std::process::id()))
+        .to_string_lossy()
+        .to_string();
+    std::fs::write(&path, b.build().to_pretty()).unwrap();
+    let conprobe = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_conprobe"))
+            .args(args)
+            .output()
+            .expect("spawn conprobe");
+        assert!(!out.status.success(), "{args:?} must fail");
+        String::from_utf8(out.stderr).unwrap()
+    };
+
+    let refused = conprobe(&["analyze", &path]);
+    assert_eq!(
+        refused,
+        format!(
+            "error: parse {path}: JSON error: operation timestamp {} ns is outside ±2^62 ns\n",
+            i64::MAX - 10
+        )
+    );
+    let unknown = conprobe(&["analyze", &path, "--bogus"]);
+    assert!(unknown.starts_with("error: "), "{unknown}");
+    assert!(unknown.contains(conprobe::cli::USAGE), "{unknown}");
+    std::fs::remove_file(&path).ok();
+}

@@ -472,7 +472,7 @@ fn throttle_storm_refuses_reads_at_every_key_and_clears() {
             OpResult::Throttled
         );
         server.set_brownout(0, None).expect("replica 0 exists");
-        assert_eq!(client.call(ClientOp::Read).expect("read"), OpResult::ReadOk(vec![]));
+        assert_eq!(client.call(ClientOp::Read).expect("read"), OpResult::ReadOk(Vec::new().into()));
     }
     server.request_stop();
     let metrics = conprobe::json::parse(&server.join()).expect("metrics dump is JSON");
