@@ -6,7 +6,7 @@
 //! clock deltas, then hands the merged log to the checkers as a
 //! [`TestTrace`].
 
-use crate::view::ReadView;
+use crate::view::{ReadView, ViewDecoder};
 use conprobe_json::{read_members, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use std::fmt;
 use std::hash::Hash;
@@ -262,20 +262,28 @@ impl<K: ToJson> ToJson for OpKind<K> {
     }
 }
 
-impl<K: FromJson> FromJson for OpKind<K> {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+impl<K: FromJson + Clone> OpKind<K> {
+    /// Reads an operation's `kind`, a read's view through `views`.
+    fn read_json_with(
+        r: &mut JsonReader<'_>,
+        views: &mut ViewDecoder<K>,
+    ) -> Result<Self, JsonError> {
         let (mut write, mut read) = (None, None);
+        let mut view = |r: &mut JsonReader<'_>| {
+            read_members!(r => seq: |r| views.read(r));
+            Ok(seq)
+        };
         r.begin_object()?;
+        if r.expect_key("Read") {
+            r.member(&mut read, &mut view)?;
+        }
         while let Some(variant) = r.next_key()? {
             match &*variant {
                 "Write" => r.member(&mut write, |r| {
                     read_members!(r => id);
                     Ok(id)
                 })?,
-                "Read" => r.member(&mut read, |r| {
-                    read_members!(r => seq);
-                    Ok(seq)
-                })?,
+                "Read" => r.member(&mut read, &mut view)?,
                 _ => drop(r.skip_value()?),
             }
         }
@@ -284,6 +292,12 @@ impl<K: FromJson> FromJson for OpKind<K> {
             (None, Some(seq)) => Ok(OpKind::Read { seq }),
             (None, None) => Err(JsonError::schema("expected `Write` or `Read` variant")),
         }
+    }
+}
+
+impl<K: FromJson + Clone> FromJson for OpKind<K> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Self::read_json_with(r, &mut ViewDecoder::default())
     }
 }
 
@@ -298,10 +312,20 @@ impl<K: ToJson> ToJson for OpRecord<K> {
     }
 }
 
-impl<K: FromJson> FromJson for OpRecord<K> {
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        read_members!(r => agent, invoke, response, kind);
+impl<K: FromJson + Clone> OpRecord<K> {
+    /// Reads one operation; see [`OpKind::read_json_with`].
+    fn read_json_with(
+        r: &mut JsonReader<'_>,
+        views: &mut ViewDecoder<K>,
+    ) -> Result<Self, JsonError> {
+        read_members!(r => agent, invoke, response, kind: |r| OpKind::read_json_with(r, views));
         Ok(OpRecord { agent, invoke, response, kind })
+    }
+}
+
+impl<K: FromJson + Clone> FromJson for OpRecord<K> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Self::read_json_with(r, &mut ViewDecoder::default())
     }
 }
 
@@ -319,7 +343,9 @@ const MAX_DECODED_NANOS: u64 = 1 << 62;
 
 impl<K: EventKey + FromJson> FromJson for TestTrace<K> {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        read_members!(r => ops: Vec::<OpRecord<K>>::read_json);
+        // One view decoder for the trace: one allocation per view.
+        let mut views = ViewDecoder::default();
+        read_members!(r => ops: |r| r.elements(|r| OpRecord::read_json_with(r, &mut views)));
         if ops.iter().any(|op| op.response < op.invoke) {
             return Err(JsonError::schema("operation response precedes invocation"));
         }

@@ -12,7 +12,7 @@
 //! from a replica's cached `Arc` slice costs nothing; a read path that
 //! builds a fresh sequence (a ranking, a merge, a filtered index) collects
 //! it straight into a view, which for an iterator of known length is one
-//! allocation.
+//! allocation. A view decoded from JSON is one allocation per read.
 
 use conprobe_json::{FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use std::fmt;
@@ -142,9 +142,39 @@ impl<K: ToJson> ToJson for ReadView<K> {
     }
 }
 
-impl<K: FromJson> FromJson for ReadView<K> {
+/// Decodes the read views of one trace, one allocation per view: a view's
+/// elements are read into a scratch buffer whose capacity is kept from view
+/// to view, and the view is one copy of it.
+#[derive(Debug)]
+pub(crate) struct ViewDecoder<K> {
+    elements: Vec<K>,
+}
+
+impl<K> Default for ViewDecoder<K> {
+    fn default() -> Self {
+        ViewDecoder { elements: Vec::new() }
+    }
+}
+
+impl<K: FromJson + Clone> ViewDecoder<K> {
+    /// Reads one JSON array of events as a view.
+    ///
+    /// # Errors
+    ///
+    /// The [`JsonError`] of the first element that does not read.
+    pub(crate) fn read(&mut self, r: &mut JsonReader<'_>) -> Result<ReadView<K>, JsonError> {
+        self.elements.clear();
+        r.begin_array()?;
+        while r.next_element()? {
+            self.elements.push(K::read_json(r)?);
+        }
+        Ok(ReadView(self.elements.as_slice().into()))
+    }
+}
+
+impl<K: FromJson + Clone> FromJson for ReadView<K> {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        Vec::<K>::read_json(r).map(ReadView::from)
+        ViewDecoder::default().read(r)
     }
 }
 
@@ -182,5 +212,20 @@ mod tests {
         let back = ReadView::<u32>::from_json_str("[5,4]").unwrap();
         assert_eq!(back, view);
         assert!(ReadView::<u32>::default().is_empty());
+    }
+
+    #[test]
+    fn a_view_decoder_reads_each_view_into_its_own_copy() {
+        let mut views = ViewDecoder::<u32>::default();
+        let mut read = |text: &str| views.read(&mut JsonReader::new(text));
+        let first = read("[1,2]").unwrap();
+        let again = read(" [ 1 , 2 ] ").unwrap();
+        assert_eq!(first, again);
+        assert!(!std::ptr::eq(first.as_slice(), again.as_slice()), "a copy each");
+        assert_eq!(read("[2]").unwrap(), [2]);
+        assert!(read("[]").unwrap().is_empty());
+        // An element that does not read is the error, at its offset.
+        assert_eq!(read("[1,-1]").unwrap_err().offset, Some(3));
+        assert_eq!(read("[1,2] ").unwrap(), [1, 2], "the decoder still works after an error");
     }
 }

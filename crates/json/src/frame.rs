@@ -20,7 +20,7 @@
 //! (harness journal, services state transfer, golden fingerprints) frames
 //! records identically without new edges in the crate graph.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Format magic for v1 records.
 pub const MAGIC: &str = "cpj1";
@@ -100,7 +100,13 @@ impl std::error::Error for FrameError {}
 /// must not contain a raw newline (compact JSON never does); the frame
 /// does not check, because the decoder's length field catches it.
 pub fn encode_record(payload: &str) -> String {
-    format!("{MAGIC} {} {:016x} {payload}\n", payload.len(), fnv64(payload.as_bytes()))
+    let (len, hash) = (payload.len(), fnv64(payload.as_bytes()));
+    // Built at its exact length: magic, three spaces, length, checksum,
+    // payload, newline.
+    let len_digits = len.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut line = String::with_capacity(MAGIC.len() + 3 + len_digits + 16 + len + 1);
+    writeln!(line, "{MAGIC} {len} {hash:016x} {payload}").expect("writing to a String");
+    line
 }
 
 /// Decodes one framed line (with or without its trailing newline) back
@@ -161,6 +167,20 @@ mod tests {
         assert!(line.ends_with('\n'));
         assert_eq!(decode_record(&line).unwrap(), payload);
         assert_eq!(decode_record(line.trim_end()).unwrap(), payload);
+    }
+
+    /// The line is the one the `format!` string `{MAGIC} {len} {hash:016x}
+    /// {payload}\n` wrote, in a buffer of exactly its length.
+    #[test]
+    fn a_line_is_built_at_its_exact_length() {
+        for len in [0, 1, 9, 10, 99, 100, 12_345, 100_000] {
+            let payload: String = (0..len).map(|i| char::from(b' ' + (i % 90) as u8)).collect();
+            let line = encode_record(&payload);
+            let hash = fnv64(payload.as_bytes());
+            assert_eq!(line, format!("{MAGIC} {len} {hash:016x} {payload}\n"));
+            assert_eq!(line.capacity(), line.len(), "{len}");
+        }
+        assert_eq!(encode_record("a"), "cpj1 1 af63dc4c8601ec8c a\n");
     }
 
     #[test]

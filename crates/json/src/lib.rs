@@ -255,6 +255,15 @@ macro_rules! read_members {
         $(let mut $key = None;)*
         $($(let mut $opt = None;)+)?
         $r.begin_object()?;
+        // Members in the order listed, as compact JSON writes them, are
+        // read in place; whatever is left — any order, unknown keys,
+        // duplicates, whitespace — the loop reads.
+        $(if $r.expect_key(stringify!($key)) {
+            $r.member(&mut $key, $crate::read_members!(@ $($read)?))?;
+        })*
+        $($(if $r.expect_key(stringify!($opt)) {
+            $r.member(&mut $opt, $crate::read_members!(@ $($opt_read)?))?;
+        })+)?
         while let Some(key) = $r.next_key()? {
             match &*key {
                 $(stringify!($key) => $r.member(&mut $key, $crate::read_members!(@ $($read)?))?,)*
@@ -322,7 +331,7 @@ macro_rules! int_impls {
         impl FromJson for $t {
             #[inline]
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-                r.number_as(stringify!($t), |n| n.as_u64().and_then(|n| <$t>::try_from(n).ok()))
+                r.integer(stringify!($t))
             }
         }
     )*};
@@ -340,7 +349,7 @@ impl ToJson for i64 {
 impl FromJson for i64 {
     #[inline]
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
-        r.number_as("i64", JsonValue::as_i64)
+        r.integer("i64")
     }
 }
 
@@ -683,6 +692,103 @@ mod tests {
         let map: BTreeMap<String, u32> = [("a".to_string(), 1), ("b".to_string(), 2)].into();
         assert_eq!(map.to_compact(), r#"{"a":1,"b":2}"#);
         assert_eq!(BTreeMap::from_json_str(r#"{"b":9,"a":1,"b":2}"#), Ok(map));
+    }
+
+    /// The typed integer reads (`FromJson` for `u32`, `u64`, `usize` and
+    /// `i64`) against the tree path they replaced: a number read as a
+    /// `JsonValue` and converted with its accessor. Both readers end in
+    /// the same place with the same value or the same error, message and
+    /// offset, on their own, in an array and at every depth around the
+    /// nesting limit.
+    #[test]
+    fn typed_integer_reads_answer_exactly_as_the_tree_path() {
+        fn tree<T: TryFrom<u64>>(r: &mut JsonReader<'_>, what: &str) -> Result<T, JsonError> {
+            r.number_as(what, |n| n.as_u64().and_then(|n| T::try_from(n).ok()))
+        }
+        fn both<T: FromJson + PartialEq + fmt::Debug>(
+            text: &str,
+            depth: usize,
+            old: impl Fn(&mut JsonReader<'_>) -> Result<T, JsonError>,
+        ) {
+            let read = |typed: bool| {
+                let mut r = JsonReader::new(text);
+                for _ in 0..depth {
+                    if let Err(e) = r.begin_array().and_then(|()| r.next_element().map(drop)) {
+                        return (Err(e), r.offset());
+                    }
+                }
+                let value = if typed { T::read_json(&mut r) } else { old(&mut r) };
+                let value = value.and_then(|v| {
+                    (0..depth)
+                        .try_for_each(|_| r.next_element().map(drop))
+                        .and_then(|()| r.finish())
+                        .map(|()| v)
+                });
+                (value, r.offset())
+            };
+            assert_eq!(read(true), read(false), "{text:?} at depth {depth}");
+        }
+        let mut literals: Vec<String> = [
+            "01",
+            "-0",
+            "-00",
+            "-01",
+            "00",
+            "1.0",
+            "1e3",
+            "1E3",
+            "1e-3",
+            "-1.5",
+            "0.5",
+            "-",
+            "",
+            "x",
+            "-x",
+            "+1",
+            " 7 ",
+            "\t\n12\r",
+            "7x",
+            "7,",
+            "[7]",
+            "1e400",
+            "12345678",
+            "123456789",
+            "123456789012345678",
+            "-123456789012345678",
+            "1000000000000000000",
+            "9999999999999999999",
+            "-9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "9223372036854775807",
+            "9223372036854775808",
+            "4294967295",
+            "4294967296",
+            "-1",
+            "00000000000000000000",
+            "12345678.5",
+            "1234567812345678e1",
+        ]
+        .map(String::from)
+        .into();
+        for edge in testkit::edges(32, false).into_iter().chain(testkit::edges(64, false)) {
+            literals.extend([edge.to_string(), format!("-{edge}"), format!("{edge}.0")]);
+        }
+        for edge in testkit::edges(64, true) {
+            literals.push((edge as i64).to_string());
+        }
+        for text in &literals {
+            for depth in [0, 1, 127, 128, 129, 130] {
+                let nested = format!("{}{text}{}", "[".repeat(depth), "]".repeat(depth));
+                both::<u32>(&nested, depth, |r| tree(r, "u32"));
+                both::<u64>(&nested, depth, |r| tree(r, "u64"));
+                both::<usize>(&nested, depth, |r| tree(r, "usize"));
+                both::<i64>(&nested, depth, |r| r.number_as("i64", JsonValue::as_i64));
+            }
+        }
     }
 
     #[test]

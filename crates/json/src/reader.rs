@@ -3,6 +3,56 @@
 use crate::{JsonError, JsonValue};
 use std::borrow::Cow;
 
+/// The length of the run at the start of `bytes` that a JSON string holds
+/// as itself: up to the first `"`, `\` or control character, or all of
+/// it. Eight bytes a word (the lowest byte a has-zero-byte or has-less
+/// test flags is always a true one), the last word padded with spaces;
+/// the reader's string scan and the writer's escaper share it.
+#[inline(always)]
+pub(crate) fn plain_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_le_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_le_bytes([b'\\'; 8]);
+    const SPACES: u64 = u64::from_le_bytes([b' '; 8]);
+    let special = |word: u64| {
+        let zero = |x: u64| x.wrapping_sub(ONES) & !x;
+        (zero(word ^ QUOTES) | zero(word ^ BACKSLASHES) | (word.wrapping_sub(SPACES) & !word))
+            & HIGHS
+    };
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let flags = special(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        if flags != 0 {
+            return i * 8 + flags.trailing_zeros() as usize / 8;
+        }
+    }
+    let rest = words.remainder();
+    let mut last = [b' '; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    let flags = special(u64::from_le_bytes(last));
+    bytes.len() - rest.len() + (flags.trailing_zeros() as usize / 8).min(rest.len())
+}
+
+/// The value of eight ASCII digits read as one little-endian word (the
+/// first digit in the lowest byte), or `None` if a byte is not a digit:
+/// pairs, then quads, then the eight, by three multiplications.
+#[inline]
+fn eight_digits(word: u64) -> Option<i64> {
+    const NIBBLES: u64 = u64::from_le_bytes([0xf0; 8]);
+    const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+    const SIXES: u64 = u64::from_le_bytes([0x06; 8]);
+    // Each byte is 0x30..=0x39: high nibble 3, and adding 6 leaves it 3.
+    if word & NIBBLES != ZEROS || word.wrapping_add(SIXES) & NIBBLES != ZEROS {
+        return None;
+    }
+    let v = word - ZEROS;
+    let v = v.wrapping_mul(10) + (v >> 8);
+    let low = (v & 0x0000_00ff_0000_00ff).wrapping_mul(100 + (1_000_000 << 32));
+    let high = ((v >> 16) & 0x0000_00ff_0000_00ff).wrapping_mul(1 + (10_000 << 32));
+    Some((low.wrapping_add(high) >> 32) as i64)
+}
+
 /// Values nested deeper than this are refused, so a hostile document
 /// fails cleanly instead of exhausting the stack.
 const MAX_DEPTH: usize = 128;
@@ -188,6 +238,54 @@ impl<'a> JsonReader<'a> {
         Ok(())
     }
 
+    /// Reads an integer that `T` holds. A plain integer of at most 18
+    /// digits (nearly every number of a record) goes from its digits
+    /// straight to the value; anything else — a fraction, an exponent, a
+    /// leading zero, a longer literal, no number at all — goes through
+    /// [`number_as`](Self::number_as), so a typed read accepts, refuses
+    /// and reports exactly what a tree lookup would. `what` names the type
+    /// in the error.
+    #[inline]
+    pub(crate) fn integer<T: TryFrom<i64> + TryFrom<u64>>(
+        &mut self,
+        what: &str,
+    ) -> Result<T, JsonError> {
+        self.skip_ws();
+        let (bytes, start) = (self.src.as_bytes(), self.pos);
+        let negative = bytes.get(start) == Some(&b'-');
+        let digits = start + usize::from(negative);
+        let (mut end, mut magnitude) = (digits, 0i64);
+        // A word at a time from a second digit on (one digit is the
+        // commonest number).
+        while let Some(word) = bytes.get(end..end + 8).filter(|w| w[1].is_ascii_digit()) {
+            let Some(eight) = eight_digits(u64::from_le_bytes(word.try_into().expect("8 bytes")))
+            else {
+                break;
+            };
+            magnitude = magnitude.wrapping_mul(100_000_000).wrapping_add(eight);
+            end += 8;
+        }
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(i64::from(digit - b'0'));
+            end += 1;
+        }
+        // Below 10^18 the magnitude is exact in an `i64`, either sign.
+        let plain = matches!(end - digits, 1..=18)
+            && (bytes[digits] != b'0' || end == digits + 1)
+            && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E'))
+            && self.depth <= MAX_DEPTH;
+        if !plain {
+            return self.number_as(what, |n| match *n {
+                JsonValue::Int(n) => T::try_from(n).ok(),
+                JsonValue::UInt(n) => T::try_from(n).ok(),
+                _ => None,
+            });
+        }
+        self.pos = end;
+        T::try_from(if negative { -magnitude } else { magnitude })
+            .map_err(|_| JsonError { offset: Some(start), message: format!("expected {what}") })
+    }
+
     /// Reads a number and converts it with `pick` — one of
     /// [`JsonValue`]'s accessors, so a typed read and a tree lookup
     /// agree on what converts. `what` names the type in the error.
@@ -225,10 +323,9 @@ impl<'a> JsonReader<'a> {
 
     /// Passes the bytes that stand for themselves inside a string. Both
     /// ends of such a run sit next to an ASCII byte: char boundaries.
+    #[inline]
     fn skip_plain(&mut self) {
-        let rest = &self.src.as_bytes()[self.pos..];
-        let special = |b: &u8| matches!(b, b'"' | b'\\' | 0..=0x1f);
-        self.pos += rest.iter().position(special).unwrap_or(rest.len());
+        self.pos += plain_len(&self.src.as_bytes()[self.pos..]);
     }
 
     /// Decodes a string that began at `start` and did not end with its
@@ -371,6 +468,28 @@ impl<'a> JsonReader<'a> {
         Ok(Some(key))
     }
 
+    /// Steps over the next member's `"key":` when it is written exactly
+    /// so, with no whitespace, where the reader stands: `true` with the
+    /// reader in front of the value, `false` with the reader unmoved. A
+    /// decoder that expects a member there reads it without scanning its
+    /// key; the key reads the same through [`next_key`](Self::next_key).
+    /// `key` must need no escape.
+    #[inline]
+    pub fn expect_key(&mut self, key: &str) -> bool {
+        let bytes = self.src.as_bytes();
+        let at = self.pos + usize::from(!self.first);
+        let end = at + key.len() + 3;
+        let found = (self.first || bytes.get(self.pos) == Some(&b','))
+            && bytes.get(at) == Some(&b'"')
+            && bytes.get(at + 1..end - 2) == Some(key.as_bytes())
+            && bytes.get(end - 2..end) == Some(b"\":");
+        if found {
+            self.pos = end;
+            self.first = false;
+        }
+        found
+    }
+
     /// Reads an array into an exactly sized `Vec`, one `read` per element.
     pub fn elements<T>(
         &mut self,
@@ -424,5 +543,58 @@ impl<'a> JsonReader<'a> {
             _ => return Err(self.error("expected a JSON value")),
         }
         Ok(&self.src[start..self.pos])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eight_digits_reads_every_word_of_digits_and_no_other() {
+        let word = |text: &[u8; 8]| u64::from_le_bytes(*text);
+        let mut n = 0u64;
+        while n < 100_000_000 {
+            let text = format!("{n:08}");
+            let bytes: [u8; 8] = text.as_bytes().try_into().unwrap();
+            assert_eq!(eight_digits(word(&bytes)), Some(n as i64), "{text}");
+            n = n * 3 + 7;
+        }
+        assert_eq!(eight_digits(word(b"99999999")), Some(99_999_999));
+        assert_eq!(eight_digits(word(b"00000000")), Some(0));
+        for bad in [b"1234567a", b"/2345678", b":2345678", b"1234 678", b"12345-78", b"\xb12345678"]
+        {
+            assert_eq!(eight_digits(word(bad)), None, "{:?}", std::str::from_utf8(bad));
+        }
+        for byte in 0..=255u8 {
+            let mut text = *b"12345678";
+            text[byte as usize % 8] = byte;
+            assert_eq!(eight_digits(word(&text)).is_some(), byte.is_ascii_digit(), "{byte:#x}");
+        }
+    }
+
+    #[test]
+    fn plain_len_stops_at_the_first_byte_a_string_escapes() {
+        let slow = |bytes: &[u8]| {
+            bytes.iter().position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f)).unwrap_or(bytes.len())
+        };
+        for len in 0..24 {
+            for at in 0..=len {
+                for special in [b'"', b'\\', 0, 0x1f, b'\n'] {
+                    let mut bytes = vec![b'a'; len];
+                    if at < len {
+                        bytes[at] = special;
+                    }
+                    // Bytes a special one borrows or carries into come after it.
+                    if at + 1 < len {
+                        bytes[at + 1] = 0x80;
+                    }
+                    assert_eq!(plain_len(&bytes), slow(&bytes), "{bytes:?}");
+                }
+            }
+        }
+        for bytes in [&b" !#[]~\x7f\x80\xff"[..], "é😀 ".as_bytes(), b"\x20\x21\x5b\x5d"] {
+            assert_eq!(plain_len(bytes), bytes.len());
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! The push encoder: every JSON byte the workspace emits is appended here.
 
+use crate::reader::plain_len;
 use std::io::Write as _;
 
 /// Appends JSON tokens to one buffer, compact or with 2-space indentation
@@ -124,7 +125,7 @@ impl JsonWriter {
     }
 
     /// Writes an object key; the member's value must follow.
-    #[inline]
+    #[inline(always)]
     pub fn key(&mut self, key: &str) {
         self.item();
         self.quoted(key);
@@ -136,6 +137,7 @@ impl JsonWriter {
     }
 
     /// Writes one object member: `key`, then `value` through its encoder.
+    #[inline(always)]
     pub fn member<T: crate::ToJson + ?Sized>(&mut self, key: &str, value: &T) {
         self.key(key);
         value.write_json(self);
@@ -236,31 +238,39 @@ impl JsonWriter {
     }
 
     /// The one string escaper: `"`, `\` and the control characters; all
-    /// else, non-ASCII included, is copied through.
+    /// else, non-ASCII included, is copied through. Inlined to its caller,
+    /// so for a literal key — the usual string — the check folds away and
+    /// the key is copied as a constant.
+    #[inline(always)]
     fn quoted(&mut self, s: &str) {
+        let bytes = s.as_bytes();
+        let plain = plain_len(bytes);
         self.out.push(b'"');
-        let mut clean = 0;
-        for (i, b) in s.bytes().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue;
-            }
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                _ => "",
-            };
-            self.out.extend_from_slice(&s.as_bytes()[clean..i]);
-            if escape.is_empty() {
-                let _ = write!(self.out, "\\u{b:04x}");
-            } else {
-                self.out.extend_from_slice(escape.as_bytes());
-            }
-            clean = i + 1;
+        self.out.extend_from_slice(&bytes[..plain]);
+        if plain < bytes.len() {
+            self.escaped(&bytes[plain..]);
         }
-        self.out.extend_from_slice(&s.as_bytes()[clean..]);
         self.out.push(b'"');
+    }
+
+    /// The rest of a string from its first byte that needs an escape.
+    #[cold]
+    fn escaped(&mut self, bytes: &[u8]) {
+        let mut clean = 0;
+        while let Some(&b) = bytes.get(clean) {
+            match b {
+                b'"' => self.out.extend_from_slice(b"\\\""),
+                b'\\' => self.out.extend_from_slice(b"\\\\"),
+                b'\n' => self.out.extend_from_slice(b"\\n"),
+                b'\r' => self.out.extend_from_slice(b"\\r"),
+                b'\t' => self.out.extend_from_slice(b"\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+            }
+            let end = clean + 1 + plain_len(&bytes[clean + 1..]);
+            self.out.extend_from_slice(&bytes[clean + 1..end]);
+            clean = end;
+        }
     }
 }

@@ -12,6 +12,7 @@ use conprobe_core::ReadView;
 use conprobe_sim::BrownoutMode;
 use conprobe_store::{Post, PostId, StoredPost};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A client-visible operation, per the paper's model (§III): writes create
 /// one event; reads return the current event sequence.
@@ -64,8 +65,8 @@ pub enum ReplMsg {
     SnapshotResp {
         /// The echoed correlation token.
         token: u64,
-        /// The responder's full stored state.
-        posts: Vec<StoredPost>,
+        /// The responder's full stored state: its shared snapshot.
+        posts: Arc<[StoredPost]>,
     },
     /// Anti-entropy request carrying the requester's digest.
     DigestReq(HashSet<PostId>),

@@ -53,6 +53,7 @@ use conprobe_obs::{Counter, Gauge};
 use conprobe_sim::{Context, LocalTime, Node, NodeId, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Serializes one stored post as the compact-JSON payload of a catch-up
 /// frame. Field order is fixed, so the encoding — and therefore the
@@ -95,9 +96,24 @@ fn decode_post_frame(line: &str) -> Result<StoredPost, String> {
 /// Canonical presentation order for quorum reads: exact server timestamp,
 /// ties by post id — identical at every coordinator, so quorum systems
 /// never exhibit order divergence.
-fn quorum_order(mut posts: Vec<StoredPost>) -> ReadView<PostId> {
-    OrderingPolicy::exact_timestamp().sort(&mut posts);
-    posts.into_iter().map(|p| p.id()).collect()
+///
+/// `local` is this replica's snapshot, taken whole; a post of a peer's
+/// snapshot joins only under an id not met before.
+fn quorum_order(local: &[StoredPost], peers: &[Arc<[StoredPost]>]) -> ReadView<PostId> {
+    let mut merged: Vec<&StoredPost> =
+        Vec::with_capacity(local.len() + peers.iter().map(|posts| posts.len()).sum::<usize>());
+    merged.extend(local);
+    if !peers.is_empty() {
+        // RandomState: a serve client picks post ids.
+        let mut seen = HashSet::with_capacity(merged.capacity());
+        seen.extend(local.iter().map(StoredPost::id));
+        for posts in peers {
+            merged.extend(posts.iter().filter(|p| seen.insert(p.id())));
+        }
+    }
+    let order = OrderingPolicy::exact_timestamp();
+    merged.sort_by_key(|p| order.sort_key(p));
+    merged.into_iter().map(StoredPost::id).collect()
 }
 
 /// A client write waiting for majority acknowledgement.
@@ -113,10 +129,10 @@ struct PendingRead {
     client: NodeId,
     req_id: u64,
     responses_remaining: usize,
-    merged: Vec<StoredPost>,
-    /// The ids in `merged`, so folding a peer snapshot in is one lookup a
-    /// post instead of a scan of the list.
-    merged_ids: HashSet<PostId>, // RandomState: a serve client picks post ids
+    /// This replica's snapshot when the read arrived, shared.
+    local: Arc<[StoredPost]>,
+    /// The peers' snapshots answered so far, shared, in arrival order.
+    peers: Vec<Arc<[StoredPost]>>,
 }
 
 /// This arm's own metrics, next to the [`FrontDoor`]'s common ones.
@@ -300,15 +316,15 @@ impl QuorumReplica {
     /// peer snapshots, answer in canonical timestamp order.
     fn quorum_read<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, client: NodeId, req_id: u64) {
         let responses_remaining = self.majority().saturating_sub(1);
-        let merged = self.core.snapshot_posts().to_vec();
+        let local = self.core.snapshot_posts();
         if responses_remaining == 0 {
-            self.door.respond(ctx, client, req_id, OpResult::ReadOk(quorum_order(merged)));
+            self.door.respond(ctx, client, req_id, OpResult::ReadOk(quorum_order(&local, &[])));
             return;
         }
         let token = self.door.fresh_token(0);
-        let merged_ids = merged.iter().map(StoredPost::id).collect();
+        let peers = Vec::with_capacity(responses_remaining);
         self.pending_reads
-            .insert(token, PendingRead { client, req_id, responses_remaining, merged, merged_ids });
+            .insert(token, PendingRead { client, req_id, responses_remaining, local, peers });
         for &peer in &self.peers {
             ctx.send(peer, NetMsg::Repl(ReplMsg::SnapshotReq { token }));
         }
@@ -318,17 +334,13 @@ impl QuorumReplica {
         &mut self,
         ctx: &mut Context<'_, NetMsg<A>>,
         token: u64,
-        posts: Vec<StoredPost>,
+        posts: Arc<[StoredPost]>,
     ) {
         let done = {
             let Some(pending) = self.pending_reads.get_mut(&token) else {
                 return; // answered with an earlier majority
             };
-            for p in posts {
-                if pending.merged_ids.insert(p.id()) {
-                    pending.merged.push(p);
-                }
-            }
+            pending.peers.push(posts);
             pending.responses_remaining = pending.responses_remaining.saturating_sub(1);
             pending.responses_remaining == 0
         };
@@ -339,7 +351,8 @@ impl QuorumReplica {
                 self.note_anomaly();
                 return;
             };
-            self.door.respond(ctx, p.client, p.req_id, OpResult::ReadOk(quorum_order(p.merged)));
+            let view = quorum_order(&p.local, &p.peers);
+            self.door.respond(ctx, p.client, p.req_id, OpResult::ReadOk(view));
         }
     }
 
@@ -515,7 +528,7 @@ impl<A: Send + 'static> Node<NetMsg<A>> for QuorumReplica {
                     // Read-fencing, peer side: a fenced replica's state
                     // must never count toward a read quorum.
                     if !self.is_fenced() {
-                        let posts = self.core.snapshot_posts().to_vec();
+                        let posts = self.core.snapshot_posts();
                         ctx.send(from, NetMsg::Repl(ReplMsg::SnapshotResp { token, posts }));
                     }
                 }
@@ -831,7 +844,7 @@ mod tests {
             let mut keys: Vec<(SimTime, u64)> =
                 posts.iter().map(|p| (p.server_ts, p.post.id.as_u64())).collect();
             keys.sort_unstable();
-            let order: Vec<u64> = quorum_order(posts).iter().map(|id| id.as_u64()).collect();
+            let order: Vec<u64> = quorum_order(&posts, &[]).iter().map(|id| id.as_u64()).collect();
             assert_eq!(order, keys.iter().map(|key| key.1).collect::<Vec<u64>>());
         }
     }

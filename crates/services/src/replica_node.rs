@@ -30,9 +30,8 @@ use conprobe_core::ReadView;
 use conprobe_json::FastMap;
 use conprobe_obs::{latency_bounds_nanos, Counter, Histogram};
 use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimRng, SimTime};
-use conprobe_store::ranking::RankablePost;
 use conprobe_store::{
-    FeedRanker, OrderingPolicy, Post, PostId, RankingConfig, ReadCache, ReplicaCore,
+    FeedRanker, OrderingPolicy, Post, PostId, RankingConfig, ReadCache, ReplicaCore, StoredPost,
 };
 use std::sync::Arc;
 
@@ -457,17 +456,10 @@ impl ReplicaNode {
             }
             ReadPath::Ranked(_) => {
                 let ranker = self.ranker.as_ref().expect("ranked path has ranker");
-                let posts: Vec<RankablePost> = self
-                    .core
-                    .snapshot_posts()
-                    .iter()
-                    .map(|stored| {
-                        let visible_at =
-                            self.visible_at.get(&stored.id()).copied().unwrap_or(stored.server_ts);
-                        RankablePost { stored: stored.clone(), visible_at }
-                    })
-                    .collect();
-                ranker.read(&posts, now, ctx.rng()).into()
+                let visible_at = |stored: &StoredPost| {
+                    self.visible_at.get(&stored.id()).copied().unwrap_or(stored.server_ts)
+                };
+                ranker.read(&self.core.snapshot_posts(), visible_at, now, ctx.rng()).into()
             }
         }
     }

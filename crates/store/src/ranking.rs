@@ -53,16 +53,6 @@ impl Default for RankingConfig {
     }
 }
 
-/// A post as seen by the ranking pipeline: the stored record plus the time
-/// it became visible at the serving replica.
-#[derive(Debug, Clone)]
-pub struct RankablePost {
-    /// The stored post.
-    pub stored: StoredPost,
-    /// When the serving replica applied it.
-    pub visible_at: SimTime,
-}
-
 /// The ranked read path.
 #[derive(Debug, Clone)]
 pub struct FeedRanker {
@@ -80,8 +70,9 @@ impl FeedRanker {
         &self.config
     }
 
-    /// Executes one ranked read over `posts` at time `now`, drawing
-    /// selection noise from `rng`.
+    /// Executes one ranked read at time `now` over `posts`, each with the
+    /// time it became visible at the serving replica (`visible_at`),
+    /// drawing selection noise from `rng`.
     ///
     /// Selection keeps the `top_k` best-scoring posts; presentation is in
     /// *score-ascending* order, i.e. the service's newest-first feed
@@ -93,23 +84,29 @@ impl FeedRanker {
     /// in the real service — two successive reads draw fresh noise and may
     /// both reorder and re-select. The selection is collected straight
     /// into the shared slice a read view wraps: one allocation.
-    pub fn read(&self, posts: &[RankablePost], now: SimTime, rng: &mut SimRng) -> Arc<[PostId]> {
+    pub fn read(
+        &self,
+        posts: &[StoredPost],
+        visible_at: impl Fn(&StoredPost) -> SimTime,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Arc<[PostId]> {
         let mut scored: Vec<(f64, PostId)> = Vec::with_capacity(posts.len());
         for p in posts {
             // Not yet indexed: invisible to ranked reads.
-            if now.saturating_since(p.visible_at) < self.config.index_delay {
+            if now.saturating_since(visible_at(p)) < self.config.index_delay {
                 continue;
             }
             if self.config.omit_prob > 0.0 && rng.gen_bool(self.config.omit_prob) {
                 continue;
             }
-            let age = now.saturating_since(p.stored.server_ts).as_secs_f64();
+            let age = now.saturating_since(p.server_ts).as_secs_f64();
             let noise = if self.config.noise_std_secs > 0.0 {
                 rng.gen_normal(0.0, self.config.noise_std_secs)
             } else {
                 0.0
             };
-            scored.push((-age + noise, p.stored.id()));
+            scored.push((-age + noise, p.id()));
         }
         // Best score first; post id as a deterministic tie-break.
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
@@ -126,15 +123,26 @@ mod tests {
     use crate::event::{AuthorId, Post, PostId};
     use conprobe_sim::LocalTime;
 
-    fn rankable(seq: u32, server_ms: u64, visible_ms: u64) -> RankablePost {
-        RankablePost {
-            stored: StoredPost {
-                post: Post::new(PostId::new(AuthorId(1), seq), "m", LocalTime::from_nanos(0)),
-                server_ts: SimTime::from_millis(server_ms),
-                arrival_index: seq as u64,
-            },
-            visible_at: SimTime::from_millis(visible_ms),
-        }
+    /// A stored post and the time it became visible at the replica.
+    fn rankable(seq: u32, server_ms: u64, visible_ms: u64) -> (StoredPost, SimTime) {
+        let stored = StoredPost {
+            post: Post::new(PostId::new(AuthorId(1), seq), "m", LocalTime::from_nanos(0)),
+            server_ts: SimTime::from_millis(server_ms),
+            arrival_index: seq as u64,
+        };
+        (stored, SimTime::from_millis(visible_ms))
+    }
+
+    /// A ranked read over `rankable` posts, the way a replica serves one.
+    fn read(
+        ranker: &FeedRanker,
+        posts: &[(StoredPost, SimTime)],
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Arc<[PostId]> {
+        let stored: Vec<StoredPost> = posts.iter().map(|(p, _)| p.clone()).collect();
+        let visible_at = |p: &StoredPost| posts.iter().find(|(q, _)| q.id() == p.id()).unwrap().1;
+        ranker.read(&stored, visible_at, now, rng)
     }
 
     fn noiseless(top_k: usize, omit: f64, index_ms: u64) -> FeedRanker {
@@ -151,7 +159,7 @@ mod tests {
         let ranker = noiseless(10, 0.0, 0);
         let posts = vec![rankable(2, 3_000, 3_000), rankable(1, 1_000, 1_000)];
         let mut rng = SimRng::new(1);
-        let out = ranker.read(&posts, SimTime::from_secs(10), &mut rng);
+        let out = read(&ranker, &posts, SimTime::from_secs(10), &mut rng);
         // Presentation is normalized to chronological order.
         assert_eq!(*out, [PostId::new(AuthorId(1), 1), PostId::new(AuthorId(1), 2)]);
     }
@@ -161,8 +169,8 @@ mod tests {
         let ranker = noiseless(10, 0.0, 1_000);
         let posts = vec![rankable(1, 0, 9_500)];
         let mut rng = SimRng::new(1);
-        assert!(ranker.read(&posts, SimTime::from_secs(10), &mut rng).is_empty());
-        assert_eq!(ranker.read(&posts, SimTime::from_millis(10_500), &mut rng).len(), 1);
+        assert!(read(&ranker, &posts, SimTime::from_secs(10), &mut rng).is_empty());
+        assert_eq!(read(&ranker, &posts, SimTime::from_millis(10_500), &mut rng).len(), 1);
     }
 
     #[test]
@@ -170,7 +178,7 @@ mod tests {
         let ranker = noiseless(2, 0.0, 0);
         let posts: Vec<_> = (1..=5).map(|i| rankable(i, i as u64 * 100, 0)).collect();
         let mut rng = SimRng::new(1);
-        let out = ranker.read(&posts, SimTime::from_secs(5), &mut rng);
+        let out = read(&ranker, &posts, SimTime::from_secs(5), &mut rng);
         // The two newest posts are selected, presented oldest-first.
         assert_eq!(*out, [PostId::new(AuthorId(1), 4), PostId::new(AuthorId(1), 5)]);
     }
@@ -180,7 +188,7 @@ mod tests {
         let ranker = noiseless(10, 1.0, 0);
         let posts = vec![rankable(1, 0, 0)];
         let mut rng = SimRng::new(1);
-        assert!(ranker.read(&posts, SimTime::from_secs(1), &mut rng).is_empty());
+        assert!(read(&ranker, &posts, SimTime::from_secs(1), &mut rng).is_empty());
     }
 
     #[test]
@@ -196,7 +204,7 @@ mod tests {
         let mut rng = SimRng::new(7);
         let mut orders = std::collections::HashSet::new();
         for _ in 0..50 {
-            orders.insert(ranker.read(&posts, SimTime::from_secs(5), &mut rng));
+            orders.insert(read(&ranker, &posts, SimTime::from_secs(5), &mut rng));
         }
         assert!(orders.len() > 1, "noise should produce both orders");
     }
@@ -213,7 +221,7 @@ mod tests {
         let posts = vec![rankable(1, 0, 0), rankable(2, 30_000, 30_000)];
         let mut rng = SimRng::new(7);
         for _ in 0..100 {
-            let out = ranker.read(&posts, SimTime::from_secs(60), &mut rng);
+            let out = read(&ranker, &posts, SimTime::from_secs(60), &mut rng);
             assert_eq!(out[0], PostId::new(AuthorId(1), 1), "oldest first");
         }
     }
@@ -222,8 +230,8 @@ mod tests {
     fn deterministic_given_same_rng_state() {
         let ranker = FeedRanker::new(RankingConfig::default());
         let posts: Vec<_> = (1..=6).map(|i| rankable(i, i as u64 * 300, 0)).collect();
-        let a = ranker.read(&posts, SimTime::from_secs(30), &mut SimRng::new(3));
-        let b = ranker.read(&posts, SimTime::from_secs(30), &mut SimRng::new(3));
+        let a = read(&ranker, &posts, SimTime::from_secs(30), &mut SimRng::new(3));
+        let b = read(&ranker, &posts, SimTime::from_secs(30), &mut SimRng::new(3));
         assert_eq!(a, b);
     }
 }

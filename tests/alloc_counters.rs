@@ -1,16 +1,19 @@
 //! Work counters for the simulator's per-test cost, exact for a fixed
-//! seed: heap allocations per instance, counted by this test binary's own
-//! allocator, and timer firings per instance, read through an installed
-//! `ObsSink`. Wall clock cannot resolve a 10 % change on a shared runner;
-//! these counts move only when the code does.
+//! seed: heap allocations per instance and per decoded journal record,
+//! counted by this test binary's own allocator, and timer firings per
+//! instance, read through an installed `ObsSink`. Wall clock cannot
+//! resolve a 10 % change on a shared runner; these counts move only when
+//! the code does.
 //!
-//! The bounds pin two changes. A read result is one shared `ReadView` from
-//! the replica's cached snapshot to the trace, so a read allocates only
-//! when a read path builds a fresh sequence. An agent cancels a request's
-//! retry timer when the answer arrives, so answered requests cost no
-//! timer firing.
+//! The bounds pin three changes. A read result is one shared `ReadView`
+//! from the replica's cached snapshot to the trace, so a read allocates
+//! only when a read path builds a fresh sequence. An agent cancels a
+//! request's retry timer when the answer arrives, so answered requests
+//! cost no timer firing. A journal record decodes each read view into one
+//! allocation, not three.
 
 use conprobe::harness::campaign::{run_instance, CampaignConfig};
+use conprobe::harness::journal::{cell_id, completed_record_json, parse_record_payload};
 use conprobe::harness::TestKind;
 use conprobe::services::ServiceKind;
 use conprobe::sim::{ObsSink, SimRng};
@@ -23,27 +26,30 @@ struct Counting;
 
 thread_local! {
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Reallocations: a `Vec` growing or shrinking in place or by a move.
+    static RESIZES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_block() {
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     // A thread being torn down has no slot left; its blocks are not a test's.
-    let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
+    let _ = counter.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every call forwards to `System` unchanged; counting touches only
-// a const-initialized thread-local `Cell`, which never allocates.
+// const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count(&BLOCKS);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count(&BLOCKS);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(&RESIZES);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -95,13 +101,15 @@ fn timers_per_instance(service: ServiceKind) -> u64 {
 fn a_read_allocates_only_the_views_a_read_path_builds() {
     // (service, bound). Google+ and FB Group serve a replica's cached
     // snapshot; before views were shared they took 558 and 460 blocks.
-    // Feed's ranking and Quorum's merge build one view per read: their
-    // bounds are their counts before views were shared.
+    // Feed's ranking and Quorum's merge build one view per read from the
+    // shared snapshots; while Feed copied every stored post to rank it and
+    // Quorum copied every replica's store to merge them, they took 613
+    // and 671.
     let cells = [
         (ServiceKind::GooglePlus, 350),
         (ServiceKind::FacebookGroup, 260),
-        (ServiceKind::FacebookFeed, 721),
-        (ServiceKind::Quorum, 762),
+        (ServiceKind::FacebookFeed, 495),
+        (ServiceKind::Quorum, 494),
     ];
     let measured = cells.map(|(service, _)| blocks_per_instance(service));
     eprintln!("blocks per Test 2 instance, seed {SEED}: {measured:?}");
@@ -116,4 +124,35 @@ fn answered_requests_leave_no_retry_timer_to_fire() {
     eprintln!("sim.timers per Google+ Test 2 instance, seed {SEED}: {timers}");
     // 630 while every retry timer fired, answered or not.
     assert!(timers <= 460, "{timers} timer firings per instance");
+}
+
+/// Allocator calls (blocks and reallocations) per decoded Google+ Test 2
+/// journal record, warm.
+fn allocator_calls_per_decoded_record() -> u64 {
+    let config = cell(ServiceKind::GooglePlus);
+    let root = SimRng::new(config.seed);
+    let cell = cell_id(ServiceKind::GooglePlus, TestKind::Test2);
+    let payloads: Vec<String> = (0..4)
+        .map(|i| {
+            let seed = root.split_indexed("test", u64::from(i)).seed();
+            let result = run_instance(&config, i, seed).outcome.expect("instance completes");
+            completed_record_json(&cell, i, seed, &result)
+        })
+        .collect();
+    drop(parse_record_payload(&payloads[0]).expect("a record decodes"));
+    let calls = || BLOCKS.with(Cell::get) + RESIZES.with(Cell::get);
+    let before = calls();
+    for payload in &payloads {
+        drop(parse_record_payload(payload).expect("a record decodes"));
+    }
+    (calls() - before) / payloads.len() as u64
+}
+
+#[test]
+fn a_decoded_record_allocates_once_per_read_view() {
+    let calls = allocator_calls_per_decoded_record();
+    eprintln!("allocator calls per decoded Google+ Test 2 record, seed {SEED}: {calls}");
+    // 561 while each of its 180 read views was a `Vec` grown by pushes,
+    // shrunk to fit and copied into its shared slice.
+    assert!(calls <= 207, "{calls} allocator calls per decoded record");
 }
