@@ -4,7 +4,7 @@
 //! semantics the simulator runs on virtual time. [`LiveCluster`] is that
 //! bridge: a thread-safe, I/O-free cluster whose notion of "now" is
 //! whatever nanosecond count the caller passes in. The TCP server feeds
-//! it wall-clock nanoseconds (and runs a ticker thread); unit tests feed
+//! it wall-clock nanoseconds (and ticks it from its event loop); unit tests feed
 //! it hand-picked instants and get fully deterministic behaviour — the
 //! same trick the sim plays, inverted.
 //!
@@ -84,7 +84,8 @@ pub struct LiveConfig {
     /// Optional seeded staleness window (see [`StaleWindow`]). It pins a
     /// *stored* snapshot; a hosted arm refuses it.
     pub stale_window: Option<StaleWindow>,
-    /// Keyspace shards (independent replica groups); clamped to ≥ 1.
+    /// Keyspace shards (independent replica groups); clamped to ≥ 1, and
+    /// at most [`MAX_SHARDS`](crate::shard::MAX_SHARDS).
     pub shards: usize,
 }
 
@@ -447,9 +448,9 @@ impl LiveCluster {
 
     /// Delivers due replication pushes and runs due anti-entropy rounds
     /// on every shard (for a hosted group, its due timers). Idempotent;
-    /// safe to call from a ticker thread *and* inline from reads/writes
+    /// safe to call from every serving loop *and* inline from reads/writes
     /// (each stored operation calls it so single-threaded tests never need
-    /// a ticker). When nothing is due — the overwhelmingly common case on
+    /// a periodic tick). When nothing is due — the overwhelmingly common case on
     /// a serving hot path — this is one atomic load.
     pub fn tick(&self, now_nanos: u64) {
         if now_nanos < self.next_due_nanos.load(Ordering::Acquire) {

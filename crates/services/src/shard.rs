@@ -25,6 +25,11 @@
 /// cost of a binary search over `64 * shards` points.
 pub const VNODES: usize = 64;
 
+/// Most shards a ring holds. A shard is a replica group and [`VNODES`]
+/// ring points, so the CLI bounds a shard count where it enters
+/// (`serve --shards`, a ready file's `shards=` line).
+pub const MAX_SHARDS: usize = 1024;
+
 fn ring_hash(bytes: &[u8]) -> u64 {
     let mut hash = conprobe_json::frame::fnv64(bytes);
     // Raw FNV-1a diffuses short inputs poorly into the high bits, and
@@ -46,8 +51,10 @@ pub struct ShardRing {
 }
 
 impl ShardRing {
-    /// Builds the ring for `shards` shards (at least 1).
+    /// Builds the ring for `shards` shards (at least 1, at most
+    /// [`MAX_SHARDS`]).
     pub fn new(shards: usize) -> Self {
+        assert!(shards <= MAX_SHARDS, "{shards} shards: the ring holds at most {MAX_SHARDS}");
         let shards = shards.max(1);
         let mut points = Vec::with_capacity(shards * VNODES);
         for shard in 0..shards as u32 {

@@ -26,6 +26,13 @@
 //! the judge's loss draw, each delay window's jitter, then reset, corrupt
 //! byte, corrupt bit and trickle.
 //!
+//! The interposer is one event loop on one thread, however many
+//! connections it proxies: each pass accepts on every door, dials the
+//! upstream for each new client, and sweeps every connection at the plan
+//! clock into the [`ChaosLedger`] it owns. It may dial inline because
+//! `serve` binds only loopback, where a dial is answered or refused at
+//! once; a timeout bounds what a ready file naming another host costs.
+//!
 //! Bytes that do not parse as frames (a client speaking garbage) are
 //! forwarded verbatim: the interposer degrades to a transparent pipe
 //! rather than guessing at alignment, and the endpoint's own decoder
@@ -36,7 +43,8 @@
 //! running [`WireServer`] — crash, state-transfer rejoin, brownout —
 //! narrating each transition for the CI greps.
 
-use crate::conn::{FrameBuf, READ_BACKLOG_CAP};
+use crate::client::dial_nonblocking;
+use crate::conn::{FrameBuf, IdleBackoff, READ_BACKLOG_CAP};
 use crate::frame::decode_raw;
 use crate::server::{bind_listeners, WireServer};
 use conprobe_sim::faults::{
@@ -47,8 +55,8 @@ use conprobe_sim::{SimRng, SimTime};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -131,26 +139,37 @@ pub struct ChaosLedger {
     pub trickled: u64,
 }
 
-/// Everything a pump thread needs, shared per target.
-struct TargetCtx {
-    target: ChaosTarget,
-    target_rng: SimRng,
-    conn_seq: AtomicU64,
-    effects: Arc<Vec<LinkEffect>>,
+/// What the loop judges every frame by, and the ledger it counts into.
+struct Plane {
+    effects: Vec<LinkEffect>,
     inject: InjectProfile,
-    epoch: Instant,
-    cells: Arc<Mutex<ChaosLedger>>,
-    stop: Arc<AtomicBool>,
-    pumps: Mutex<Vec<JoinHandle<()>>>,
+    ledger: ChaosLedger,
 }
 
-/// The running interposer: one proxy listener per target, pump threads
-/// per accepted connection, a shared fault ledger.
+impl Plane {
+    fn new(config: &ChaosConfig) -> Plane {
+        let (effects, inject) = (config.plan.network_effects(), config.inject);
+        Plane { effects, inject, ledger: ChaosLedger::default() }
+    }
+}
+
+/// One proxy listener, the target behind it, its `chaos.region/i`
+/// stream, and how many clients it has accepted (the next one's `seq`).
+struct Door {
+    listener: TcpListener,
+    target: ChaosTarget,
+    rng: SimRng,
+    accepted: u64,
+}
+
+/// Most a dial of the upstream may hold the loop.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The running interposer: one proxy listener per target, one loop.
 pub struct ChaosProxy {
     addrs: Vec<(Region, SocketAddr)>,
     stop: Arc<AtomicBool>,
-    accepters: Vec<JoinHandle<()>>,
-    cells: Arc<Mutex<ChaosLedger>>,
+    serving: JoinHandle<ChaosLedger>,
 }
 
 impl ChaosProxy {
@@ -159,30 +178,26 @@ impl ChaosProxy {
     /// The plan's timeline starts *now*: a window at `t+4s` opens four
     /// wall-clock seconds after this call returns.
     pub fn start(config: &ChaosConfig, targets: &[ChaosTarget]) -> io::Result<ChaosProxy> {
-        let effects = Arc::new(config.plan.network_effects());
-        let cells = Arc::new(Mutex::new(ChaosLedger::default()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let epoch = Instant::now();
         let root = SimRng::new(config.seed);
         let regions: Vec<Region> = targets.iter().map(|t| t.region).collect();
         let (listeners, addrs): (Vec<_>, _) =
             bind_listeners(config.base_port, &regions)?.into_iter().unzip();
-        let mut accepters = Vec::with_capacity(targets.len());
-        for (i, (target, listener)) in targets.iter().zip(listeners).enumerate() {
-            let ctx = Arc::new(TargetCtx {
+        let doors = (targets.iter().zip(listeners).enumerate())
+            .map(|(i, (target, listener))| Door {
+                listener,
                 target: *target,
-                target_rng: root.split_indexed("chaos.region", i as u64),
-                conn_seq: AtomicU64::new(0),
-                effects: Arc::clone(&effects),
-                inject: config.inject,
-                epoch,
-                cells: Arc::clone(&cells),
-                stop: Arc::clone(&stop),
-                pumps: Mutex::new(Vec::new()),
-            });
-            accepters.push(thread::spawn(move || accept_loop(listener, ctx)));
-        }
-        Ok(ChaosProxy { addrs, stop, accepters, cells })
+                rng: root.split_indexed("chaos.region", i as u64),
+                accepted: 0,
+            })
+            .collect();
+        let plane = Plane::new(config);
+        let stop = Arc::new(AtomicBool::new(false));
+        let epoch = Instant::now();
+        let serving = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || proxy_loop(doors, plane, &stop, epoch))
+        };
+        Ok(ChaosProxy { addrs, stop, serving })
     }
 
     /// The proxy-side listener address for each target, in target order.
@@ -190,47 +205,80 @@ impl ChaosProxy {
         &self.addrs
     }
 
-    /// Asks every accept and pump thread to wind down.
+    /// Asks the loop to wind down.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// Stops the proxy (if not already stopping) and waits for every
-    /// thread, returning the final fault ledger.
+    /// Stops the proxy (if not already stopping) and waits for its loop,
+    /// returning the final fault ledger.
     pub fn join(self) -> ChaosLedger {
         self.request_stop();
-        for handle in self.accepters {
-            let _ = handle.join();
-        }
-        *self.cells.lock().expect("no ledger update panics")
+        self.serving.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
-fn accept_loop(listener: TcpListener, ctx: Arc<TargetCtx>) {
-    while !ctx.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let seq = ctx.conn_seq.fetch_add(1, Ordering::AcqRel);
-                let conn_ctx = Arc::clone(&ctx);
-                let handle = thread::spawn(move || pump_connection(client, conn_ctx, seq));
-                ctx.pumps.lock().unwrap().push(handle);
+/// The interposer's loop: per pass, admit every waiting client, then sweep
+/// every connection at the plan clock (nanoseconds since `epoch`).
+fn proxy_loop(
+    mut doors: Vec<Door>,
+    mut plane: Plane,
+    stop: &AtomicBool,
+    epoch: Instant,
+) -> ChaosLedger {
+    let hang_up = |a: &TcpStream, b: &TcpStream| {
+        let _ = (a.shutdown(Shutdown::Both), b.shutdown(Shutdown::Both));
+    };
+    let mut conns: Vec<(TcpStream, TcpStream, Proxied)> = Vec::new();
+    let mut scratch = vec![0u8; 16 * 1024];
+    let mut backoff = IdleBackoff::default();
+    while !stop.load(Ordering::Acquire) {
+        let mut progress = false;
+        for door in &mut doors {
+            while let Ok((client, _)) = door.listener.accept() {
+                progress = true;
+                // A client takes its `seq` even if the dial fails, so the
+                // streams of the ones after it do not move.
+                let conn = Proxied::new(&door.target, &door.rng, door.accepted);
+                door.accepted += 1;
+                let upstream = dial_nonblocking(door.target.addr, DIAL_TIMEOUT);
+                if let (Ok(upstream), Ok(())) = (upstream, client.set_nonblocking(true)) {
+                    let _ = client.set_nodelay(true);
+                    conns.push((client, upstream, conn));
+                }
             }
-            // Nothing to accept yet (or a transient failure): poll again.
-            Err(_) => thread::sleep(Duration::from_millis(2)),
         }
+        let now = epoch.elapsed().as_nanos() as u64;
+        conns.retain_mut(|(client, upstream, conn)| {
+            // `Read`/`Write` are on `&TcpStream`: shared handles, mutable cursors.
+            let swept = conn.sweep(&mut &*client, &mut &*upstream, &mut plane, &mut scratch, now);
+            // Open until both directions have ended and half-closed.
+            let open = swept.is_ok_and(|moved| {
+                progress |= moved;
+                for (dir, dst) in [(&mut conn.c2s, &*upstream), (&mut conn.s2c, &*client)] {
+                    if dir.take_half_close() {
+                        let _ = dst.shutdown(Shutdown::Write);
+                        progress = true;
+                    }
+                }
+                !(conn.c2s.write_shut && conn.s2c.write_shut)
+            });
+            if !open {
+                hang_up(client, upstream);
+            }
+            open
+        });
+        backoff.after_sweep(progress);
     }
-    drop(listener);
-    let pumps = std::mem::take(&mut *ctx.pumps.lock().unwrap());
-    for handle in pumps {
-        let _ = handle.join();
-    }
+    conns.iter().for_each(|(client, upstream, _)| hang_up(client, upstream));
+    plane.ledger
 }
 
 /// One direction of a proxied connection minus its sockets: judge →
 /// release queue → due bytes. Frames move `buf` input → `queue` → `buf`
 /// output; the queue holds judged frames until their release instant,
 /// preserving FIFO order (`release = max(now + delay, last_release)`).
-/// Time is an argument: nanoseconds since [`TargetCtx::epoch`].
+/// Time is an argument: nanoseconds on the plan clock.
 #[derive(Default)]
 struct Direction {
     buf: FrameBuf,
@@ -260,9 +308,10 @@ impl Direction {
     /// to the release queue, and moves what is due to the output.
     /// `Ok(true)` when frames were consumed; `Err` is an injected reset,
     /// counted here: the connection is to be torn down.
-    fn step(&mut self, ctx: &TargetCtx, rng: &mut SimRng, now: u64) -> Result<bool, ()> {
+    fn step(&mut self, judge: &mut Judge, plane: &mut Plane, now: u64) -> Result<bool, ()> {
         let mut progress = false;
-        let mut ledger = ctx.cells.lock().expect("no ledger update panics");
+        let Judge { link: (a, b), rng } = judge;
+        let Plane { effects, inject, ledger } = plane;
         while !self.buf.unread().is_empty() {
             let consumed = match decode_raw(self.buf.unread()) {
                 // Unparseable stream: degrade to a transparent pipe.
@@ -284,14 +333,12 @@ impl Direction {
 
             // Judge against the plan's link windows at the wall offset.
             let at = SimTime::from_nanos(now);
-            let (a, b) = (ctx.target.region, ctx.target.replica_region);
-            let delay_nanos = match judge_link(&ctx.effects, a, b, at, rng, &mut ledger.net) {
+            let delay_nanos = match judge_link(effects, *a, *b, at, rng, &mut ledger.net) {
                 LinkVerdict::Deliver(extra) => extra.as_nanos(),
                 LinkVerdict::Blocked | LinkVerdict::Dropped => continue,
             };
 
             // Byte-level injections on the surviving frame.
-            let inject = &ctx.inject;
             if inject.reset_prob > 0.0 && rng.gen_bool(inject.reset_prob) {
                 ledger.resets += 1;
                 return Err(());
@@ -341,30 +388,40 @@ impl Direction {
         &mut self,
         src: &mut R,
         dst: &mut W,
-        ctx: &TargetCtx,
-        rng: &mut SimRng,
+        judge: &mut Judge,
+        plane: &mut Plane,
         scratch: &mut [u8],
         now: u64,
     ) -> Result<bool, ()> {
         let cap = READ_BACKLOG_CAP.saturating_sub(self.queued + self.buf.unsent());
         let read = self.buf.fill(src, scratch, cap).map_err(drop)?;
-        let judged = self.step(ctx, rng, now)?;
+        let judged = self.step(judge, plane, now)?;
         Ok(read | judged | self.buf.flush(dst).map_err(drop)?)
     }
 }
 
-/// A proxied connection minus its sockets: two directions and the one
-/// seeded stream both draw from.
-struct Proxied {
-    c2s: Direction,
-    s2c: Direction,
+/// What a connection's frames are judged on: its door's link to the
+/// replica, and the one seeded stream both directions draw from.
+struct Judge {
+    link: (Region, Region),
     rng: SimRng,
 }
 
+/// A proxied connection minus its sockets.
+struct Proxied {
+    c2s: Direction,
+    s2c: Direction,
+    judge: Judge,
+}
+
 impl Proxied {
-    fn new(ctx: &TargetCtx, seq: u64) -> Proxied {
-        let rng = ctx.target_rng.split_indexed("conn", seq);
-        Proxied { c2s: Direction::default(), s2c: Direction::default(), rng }
+    /// Connection `seq` of the door whose stream is `door_rng`.
+    fn new(target: &ChaosTarget, door_rng: &SimRng, seq: u64) -> Proxied {
+        let judge = Judge {
+            link: (target.region, target.replica_region),
+            rng: door_rng.split_indexed("conn", seq),
+        };
+        Proxied { c2s: Direction::default(), s2c: Direction::default(), judge }
     }
 
     /// One sweep of both directions at `now`.
@@ -372,48 +429,14 @@ impl Proxied {
         &mut self,
         client: &mut C,
         upstream: &mut U,
-        ctx: &TargetCtx,
+        plane: &mut Plane,
         scratch: &mut [u8],
         now: u64,
     ) -> Result<bool, ()> {
-        let up = self.c2s.sweep(client, upstream, ctx, &mut self.rng, scratch, now)?;
-        let down = self.s2c.sweep(upstream, client, ctx, &mut self.rng, scratch, now)?;
+        let up = self.c2s.sweep(client, upstream, &mut self.judge, plane, scratch, now)?;
+        let down = self.s2c.sweep(upstream, client, &mut self.judge, plane, scratch, now)?;
         Ok(up | down)
     }
-}
-
-fn pump_connection(client: TcpStream, ctx: Arc<TargetCtx>, seq: u64) {
-    let upstream = match TcpStream::connect(ctx.target.addr) {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    if client.set_nonblocking(true).is_err() || upstream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let _ = client.set_nodelay(true);
-    let _ = upstream.set_nodelay(true);
-    let mut conn = Proxied::new(&ctx, seq);
-    let mut scratch = vec![0u8; 16 * 1024];
-    // Until told to stop, or both directions have ended and half-closed.
-    while !(ctx.stop.load(Ordering::Acquire) || conn.c2s.write_shut && conn.s2c.write_shut) {
-        let now = ctx.epoch.elapsed().as_nanos() as u64;
-        // `Read`/`Write` are on `&TcpStream`: shared handles, mutable cursors.
-        let Ok(mut progress) = conn.sweep(&mut &client, &mut &upstream, &ctx, &mut scratch, now)
-        else {
-            break;
-        };
-        for (dir, dst) in [(&mut conn.c2s, &upstream), (&mut conn.s2c, &client)] {
-            if dir.take_half_close() {
-                let _ = dst.shutdown(Shutdown::Write);
-                progress = true;
-            }
-        }
-        if !progress {
-            thread::sleep(Duration::from_micros(300));
-        }
-    }
-    let _ = client.shutdown(Shutdown::Both);
-    let _ = upstream.shutdown(Shutdown::Both);
 }
 
 /// Replays a plan's compiled [`ServiceAction`] timeline against a live
@@ -541,7 +564,7 @@ pub(crate) mod tests {
     /// test (or a `PipeConn`) sits on `client.a()`, the server side on
     /// `upstream.b()`, and `sweep` is called with fabricated instants.
     pub(crate) struct Rig {
-        ctx: TargetCtx,
+        plane: Plane,
         conn: Proxied,
         pub client: Link,
         pub upstream: Link,
@@ -550,27 +573,19 @@ pub(crate) mod tests {
 
     impl Rig {
         pub(crate) fn new(config: &ChaosConfig) -> Rig {
-            let ctx = TargetCtx {
-                target: target_for("127.0.0.1:0".parse().expect("addr")),
-                target_rng: SimRng::new(config.seed).split_indexed("chaos.region", 0),
-                conn_seq: AtomicU64::new(1),
-                effects: Arc::new(config.plan.network_effects()),
-                inject: config.inject,
-                epoch: Instant::now(),
-                cells: Arc::default(),
-                stop: Arc::default(),
-                pumps: Mutex::default(),
-            };
-            let conn = Proxied::new(&ctx, 0);
+            let target = target_for("127.0.0.1:0".parse().expect("addr"));
+            let door_rng = SimRng::new(config.seed).split_indexed("chaos.region", 0);
+            let conn = Proxied::new(&target, &door_rng, 0);
             let (client, upstream) = (Link::default(), Link::default());
-            Rig { ctx, conn, client, upstream, scratch: vec![0; 16 * 1024] }
+            Rig { plane: Plane::new(config), conn, client, upstream, scratch: vec![0; 16 * 1024] }
         }
 
         /// One sweep at `now`; a finished direction closes its
         /// destination's pipe, as the socket loop shuts the write half.
         pub(crate) fn sweep(&mut self, now: u64) -> Result<bool, ()> {
             let (client, upstream) = (&mut self.client.b(), &mut self.upstream.a());
-            let progress = self.conn.sweep(client, upstream, &self.ctx, &mut self.scratch, now)?;
+            let progress =
+                self.conn.sweep(client, upstream, &mut self.plane, &mut self.scratch, now)?;
             if self.conn.c2s.take_half_close() {
                 self.upstream.a_to_b.closed = true;
             }
@@ -581,7 +596,7 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn ledger(&self) -> ChaosLedger {
-            *self.ctx.cells.lock().expect("no ledger update panics")
+            self.plane.ledger
         }
 
         /// Client → server: sends `bytes`, sweeps at `now`, and returns

@@ -21,6 +21,15 @@ fn io_err(context: &str, e: std::io::Error) -> EndpointError {
     EndpointError(format!("{context}: {e}"))
 }
 
+/// Dials `addr` within `timeout` for an event loop (`load`'s sweepers,
+/// `chaosd`'s upstreams): no Nagle delay, non-blocking.
+pub(crate) fn dial_nonblocking(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
 /// Reconnect budget for a dropped connection: up to `attempts`
 /// re-dials per failed operation, spaced by capped exponential backoff
 /// (`base_delay * 2^i`, clamped to `max_delay`) with seeded jitter so a

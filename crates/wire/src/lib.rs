@@ -11,8 +11,9 @@
 //!   per-region TCP listeners, with the sim's deterministic service
 //!   models bridged onto wall-clock time by
 //!   [`LiveCluster`](conprobe_services::live::LiveCluster), optional
-//!   WAN-shaped artificial latency/drop, and a graceful stop-file /
-//!   stop-frame drain;
+//!   WAN-shaped artificial latency, and a graceful drain on a `stop`
+//!   frame or [`WireServer::request_stop`] — accepting, serving and
+//!   ticking on one event loop;
 //! * [`client`] — the one blocking client (a TCP [`ServiceEndpoint`], and
 //!   the dispatch worker's exchange), reconnect-and-resend underneath;
 //! * [`probe`] — `conprobe probe`: real agent threads running the
@@ -33,8 +34,8 @@
 //!   interposer that executes a [`FaultPlan`](conprobe_sim::FaultPlan)
 //!   timeline against real connections — per-link partitions, loss,
 //!   latency spikes, resets, seeded byte corruption, slow-loris trickle
-//!   — plus the fault driver that crashes/rejoins live replicas and
-//!   toggles brownouts on a running [`WireServer`].
+//!   — on one event loop, plus the fault driver that crashes/rejoins
+//!   live replicas and toggles brownouts on a running [`WireServer`].
 //!
 //! The server hosts a consistent-hash-sharded keyspace
 //! ([`conprobe_services::shard`]): every `read_q`/`write_q` names its

@@ -19,13 +19,15 @@
 //! Error accounting is deliberately paranoid: I/O, decode, ordering and
 //! stall faults are counted separately *and* per connection
 //! (`conns_with_errors` / `max_conn_errors`), so a handful of sick
-//! connections cannot hide inside an aggregate average.
+//! connections cannot hide inside an aggregate average. Each event is
+//! counted once, in the `wire.load.*` registry counters; the report reads
+//! how far they moved during the run.
 
-use crate::client::WireClient;
+use crate::client::{dial_nonblocking, WireClient};
 use crate::conn::IdleBackoff;
 use crate::pipeline::{PipeConn, PipeFault};
 use conprobe_harness::transport::{EndpointError, ServiceEndpoint};
-use conprobe_obs::{latency_bounds_nanos, Histogram, MetricsRegistry};
+use conprobe_obs::{latency_bounds_nanos, Counter, Histogram, MetricsRegistry};
 
 /// Histogram bounds for wire-op latencies: sub-millisecond buckets
 /// (loopback RTTs are tens of microseconds) in front of the standard
@@ -168,35 +170,49 @@ fn percentile(hist: &Histogram, q: f64) -> (u64, bool) {
     (last_finite, true)
 }
 
-/// Per-thread tallies folded into the report at the end.
-#[derive(Default)]
-struct Tally {
-    ops: u64,
-    errors: u64,
-    ordering: u64,
-    decode: u64,
-    busy: u64,
-    throttled: u64,
-    conns_with_errors: u64,
-    max_conn_errors: u64,
+/// The run's one account: every event is counted here, once.
+struct LoadCounters {
+    latency: Histogram,
+    ops: Counter,
+    errors: Counter,
+    ordering: Counter,
+    decode: Counter,
+    busy: Counter,
+    throttled: Counter,
+}
+
+impl LoadCounters {
+    fn new(metrics: &MetricsRegistry) -> LoadCounters {
+        LoadCounters {
+            latency: metrics.histogram("wire.load.latency_nanos", &wire_latency_bounds_nanos()),
+            ops: metrics.counter("wire.load.ops"),
+            errors: metrics.counter("wire.load.errors"),
+            ordering: metrics.counter("wire.load.ordering_errors"),
+            decode: metrics.counter("wire.load.decode_errors"),
+            busy: metrics.counter("wire.load.busy_sheds"),
+            throttled: metrics.counter("wire.load.throttled"),
+        }
+    }
+
+    /// `[ops, errors, ordering, decode, busy, throttled]` as they stand.
+    fn read(&self) -> [u64; 6] {
+        [&self.ops, &self.errors, &self.ordering, &self.decode, &self.busy, &self.throttled]
+            .map(Counter::get)
+    }
 }
 
 /// Runs the load loop and records per-op latencies into `metrics`
 /// (`wire.load.latency_nanos` histogram, `wire.load.ops` /
 /// `wire.load.errors` / `wire.load.ordering_errors` /
 /// `wire.load.decode_errors` / `wire.load.busy_sheds` /
-/// `wire.load.throttled` counters).
+/// `wire.load.throttled` counters). The report's counts are how far
+/// those counters moved during the run.
 pub fn run_load(
     config: &LoadConfig,
     metrics: &MetricsRegistry,
 ) -> Result<LoadReport, EndpointError> {
-    let hist = metrics.histogram("wire.load.latency_nanos", &wire_latency_bounds_nanos());
-    let ops = metrics.counter("wire.load.ops");
-    let errors = metrics.counter("wire.load.errors");
-    let ordering_ctr = metrics.counter("wire.load.ordering_errors");
-    let decode_ctr = metrics.counter("wire.load.decode_errors");
-    let busy_ctr = metrics.counter("wire.load.busy_sheds");
-    let throttled_ctr = metrics.counter("wire.load.throttled");
+    let ctrs = LoadCounters::new(metrics);
+    let before = ctrs.read();
 
     // Seed a fixed read corpus, spread round-robin over the key set so
     // every key's read payload is stable over the run.
@@ -226,72 +242,45 @@ pub fn run_load(
         Duration::from_nanos(1_000_000_000 / per_conn)
     });
 
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        // Distribute the connection count across sweepers.
-        let mine = connections / threads + usize::from(t < connections % threads);
-        let config = config.clone();
-        let hist = hist.clone();
-        let ops = ops.clone();
-        let errors = errors.clone();
-        let ordering_ctr = ordering_ctr.clone();
-        let decode_ctr = decode_ctr.clone();
-        let busy_ctr = busy_ctr.clone();
-        let throttled_ctr = throttled_ctr.clone();
-        handles.push(std::thread::spawn(move || {
-            sweep_connections(SweeperArgs {
-                config: &config,
-                conns: mine,
-                depth,
-                keys,
-                pace,
-                warmup_end,
-                deadline,
-                hist: &hist,
-                ops: &ops,
-                errors: &errors,
-                ordering_ctr: &ordering_ctr,
-                decode_ctr: &decode_ctr,
-                busy_ctr: &busy_ctr,
-                throttled_ctr: &throttled_ctr,
+    // Errors per connection slot, over every sweeper's slots.
+    let slot_errors: Vec<u64> = std::thread::scope(|scope| {
+        let sweepers: Vec<_> = (0..threads)
+            .map(|t| {
+                // Distribute the connection count across sweepers.
+                let conns = connections / threads + usize::from(t < connections % threads);
+                let ctrs = &ctrs;
+                let args =
+                    SweeperArgs { config, conns, depth, keys, pace, warmup_end, deadline, ctrs };
+                scope.spawn(move || sweep_connections(args))
             })
-        }));
-    }
-    let mut tally = Tally::default();
-    for handle in handles {
-        if let Ok(t) = handle.join() {
-            tally.ops += t.ops;
-            tally.errors += t.errors;
-            tally.ordering += t.ordering;
-            tally.decode += t.decode;
-            tally.busy += t.busy;
-            tally.throttled += t.throttled;
-            tally.conns_with_errors += t.conns_with_errors;
-            tally.max_conn_errors = tally.max_conn_errors.max(t.max_conn_errors);
-        }
-    }
+            .collect();
+        sweepers.into_iter().filter_map(|s| s.join().ok()).flatten().collect()
+    });
+    let after = ctrs.read();
+    let [ops, errors, ordering, decode, busy, throttled] =
+        std::array::from_fn(|i| after[i] - before[i]);
 
     let elapsed_secs = config.duration.as_secs_f64();
-    let (p50_nanos, p50_saturated) = percentile(&hist, 0.50);
-    let (p99_nanos, p99_saturated) = percentile(&hist, 0.99);
-    let (p999_nanos, p999_saturated) = percentile(&hist, 0.999);
+    let (p50_nanos, p50_saturated) = percentile(&ctrs.latency, 0.50);
+    let (p99_nanos, p99_saturated) = percentile(&ctrs.latency, 0.99);
+    let (p999_nanos, p999_saturated) = percentile(&ctrs.latency, 0.999);
     Ok(LoadReport {
-        ops: tally.ops,
-        errors: tally.errors,
+        ops,
+        errors,
         elapsed_secs,
-        ops_per_sec: tally.ops as f64 / elapsed_secs.max(1e-9),
+        ops_per_sec: ops as f64 / elapsed_secs.max(1e-9),
         p50_nanos,
         p99_nanos,
         p999_nanos,
         p50_saturated,
         p99_saturated,
         p999_saturated,
-        ordering_errors: tally.ordering,
-        decode_errors: tally.decode,
-        busy_sheds: tally.busy,
-        throttled: tally.throttled,
-        conns_with_errors: tally.conns_with_errors,
-        max_conn_errors: tally.max_conn_errors,
+        ordering_errors: ordering,
+        decode_errors: decode,
+        busy_sheds: busy,
+        throttled,
+        conns_with_errors: slot_errors.iter().filter(|&&e| e > 0).count() as u64,
+        max_conn_errors: slot_errors.iter().copied().max().unwrap_or(0),
     })
 }
 
@@ -303,27 +292,19 @@ struct SweeperArgs<'a> {
     pace: Option<Duration>,
     warmup_end: Instant,
     deadline: Instant,
-    hist: &'a Histogram,
-    ops: &'a conprobe_obs::Counter,
-    errors: &'a conprobe_obs::Counter,
-    ordering_ctr: &'a conprobe_obs::Counter,
-    decode_ctr: &'a conprobe_obs::Counter,
-    busy_ctr: &'a conprobe_obs::Counter,
-    throttled_ctr: &'a conprobe_obs::Counter,
+    ctrs: &'a LoadCounters,
 }
 
 /// One sweeper thread: owns `conns` pipelined connections and runs the
-/// warm-up + measured loop over them.
-fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
-    let mut tally = Tally::default();
+/// warm-up + measured loop over them. Returns the errors per connection
+/// slot, the per-connection figure no registry counter holds.
+fn sweep_connections(args: SweeperArgs<'_>) -> Vec<u64> {
+    let ctrs = args.ctrs;
     // The sweeper's epoch: every `PipeConn` instant is nanoseconds since.
     let epoch = Instant::now();
     let clock = || epoch.elapsed().as_nanos() as u64;
-    // Connects (blocking), then switches the stream to non-blocking.
     let dial = || {
-        let stream = TcpStream::connect_timeout(&args.config.addr, args.config.timeout).ok()?;
-        stream.set_nodelay(true).ok()?;
-        stream.set_nonblocking(true).ok()?;
+        let stream = dial_nonblocking(args.config.addr, args.config.timeout).ok()?;
         Some((stream, PipeConn::new(clock())))
     };
     let pace = args.pace.map(|interval| interval.as_nanos() as u64);
@@ -339,7 +320,7 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
     for slot in slot_errors.iter_mut() {
         let conn = dial();
         if conn.is_none() {
-            tally.errors += 1;
+            ctrs.errors.inc();
             *slot += 1;
         }
         conns.push(conn);
@@ -384,39 +365,27 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
             let result = conn.pump(stream, &mut scratch, args.config.timeout, &clock);
             progressed |= result.progressed;
             if result.completed > 0 && measuring {
-                let n = result.completed as u64;
-                tally.ops += n;
-                args.ops.add(n);
+                ctrs.ops.add(result.completed as u64);
                 for nanos in conn.take_latencies() {
-                    args.hist.record(nanos);
+                    ctrs.latency.record(nanos);
                 }
             } else {
                 conn.take_latencies();
             }
             if result.throttled > 0 && measuring {
-                let n = result.throttled as u64;
-                tally.throttled += n;
-                args.throttled_ctr.add(n);
+                ctrs.throttled.add(result.throttled as u64);
             }
             if let Some(fault) = result.fault {
                 let backoff = if fault == PipeFault::Busy {
                     // Backpressure, not failure: honour the server's
                     // wait hint before re-dialing.
-                    tally.busy += 1;
-                    args.busy_ctr.inc();
+                    ctrs.busy.inc();
                     Duration::from_millis(u64::from(result.busy_wait_millis.unwrap_or(50)))
                 } else {
-                    tally.errors += 1;
-                    args.errors.inc();
+                    ctrs.errors.inc();
                     match fault {
-                        PipeFault::Ordering => {
-                            tally.ordering += 1;
-                            args.ordering_ctr.inc();
-                        }
-                        PipeFault::Decode => {
-                            tally.decode += 1;
-                            args.decode_ctr.inc();
-                        }
+                        PipeFault::Ordering => ctrs.ordering.inc(),
+                        PipeFault::Decode => ctrs.decode.inc(),
                         PipeFault::Io | PipeFault::Stall | PipeFault::Busy => {}
                     }
                     slot_errors[slot_idx] += 1;
@@ -438,9 +407,7 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Tally {
         let done =
             !issuing && (all_drained || Instant::now() > args.deadline + args.config.timeout);
         if done {
-            tally.conns_with_errors = slot_errors.iter().filter(|&&e| e > 0).count() as u64;
-            tally.max_conn_errors = slot_errors.iter().copied().max().unwrap_or(0);
-            return tally;
+            return slot_errors;
         }
         // The server's backoff, mirrored: a yield hands the core to the
         // serving thread, which holds the responses we are waiting on.

@@ -4,35 +4,30 @@
 //! keyspace-sharded [`LiveCluster`] (the catalog's services on wall-clock
 //! time), and serves frames with optional
 //! per-region artificial latency shaped from the sim's WAN latency
-//! matrix. Architecture — a readiness-sweep event loop (the workspace is
-//! `std`-only and forbids `unsafe`, so there is no epoll; non-blocking
-//! sockets swept in a tight loop get the same effect on loopback):
+//! matrix. Architecture — one readiness-sweep event loop per
+//! [`ServeConfig::event_loops`], so at the default `serve` is one thread
+//! (the workspace is `std`-only and forbids `unsafe`, so there is no
+//! epoll; non-blocking sockets swept in a tight loop get the same effect
+//! on loopback). Each pass of a loop:
 //!
-//! * one *accept* thread per region listener (non-blocking accept + stop
-//!   polling, so shutdown needs no signal machinery) handing accepted
-//!   streams to the event loops round-robin;
-//! * [`ServeConfig::event_loops`] *worker* threads, each owning a set of
-//!   non-blocking connections it multiplexes: per sweep it reads every
-//!   readable socket to exhaustion (or the backlog cap), serves **all**
-//!   buffered complete frames (pipelining: many in-flight requests per
-//!   connection, answered strictly in arrival order), and coalesces the
-//!   responses into one output buffer flushed with single large writes.
-//!   The worker owns the sockets and the clock; what a connection *does*
-//!   is `Conn`, a state machine over a `FrameBuf` and a `now`;
-//! * one *ticker* thread advancing the cluster's replication queue and
-//!   anti-entropy schedule on wall-clock time (the cluster's atomic
-//!   horizon makes the per-request inline tick nearly free);
-//! * an optional *stop-file* watcher — the workspace forbids `unsafe`,
-//!   so POSIX signal handlers are out; a stop file (or a `stop` frame
-//!   from any client) is the graceful-drain trigger, and `Ctrl-C` still
-//!   works the ungraceful way.
+//! * polls every region listener at most once a millisecond, applying
+//!   the dark-door and `busy`-shed rules (several loops each hold their
+//!   own handles to the listeners; whichever polls first adopts a client);
+//! * reads every socket it owns to exhaustion (or the backlog cap),
+//!   serves **all** buffered complete frames (pipelining: many in-flight
+//!   requests per connection, answered strictly in arrival order), and
+//!   flushes the coalesced responses with single large writes. The loop
+//!   owns the sockets and the clock; what a connection *does* is `Conn`,
+//!   a state machine over a `FrameBuf` and a `now`;
+//! * ticks the cluster's replication and anti-entropy every 5 ms (its
+//!   atomic horizon makes the per-request inline tick nearly free).
 //!
-//! Graceful drain: once the stop flag rises, accept threads close their
-//! listeners, each worker serves the requests already buffered on its
-//! connections, then switches the sockets back to blocking and flushes
-//! every output buffer to the last byte — a drained connection never
-//! ends mid-frame — and [`WireServer::join`] returns the final metrics
-//! dump.
+//! Graceful drain, without POSIX signal handlers (no `unsafe`): a `stop`
+//! frame or [`WireServer::request_stop`] (the CLI's stop file) raises the
+//! stop flag. At the drain point each loop closes its listeners, serves
+//! what is buffered, switches its sockets back to blocking and flushes
+//! every output buffer to the last byte — a drained connection never ends
+//! mid-frame — and [`WireServer::join`] returns the final metrics dump.
 //!
 //! Request routing: every `read_q`/`write_q` frame carries a keyspace
 //! key, routed by the cluster's consistent-hash [`ShardRing`] (see
@@ -58,9 +53,8 @@ use conprobe_sim::{BrownoutMode, LocalTime, SimRng};
 use conprobe_store::{Post, PostId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,13 +75,12 @@ pub struct ServeConfig {
     /// Base TCP port; region `i` binds `base_port + i`. `0` picks
     /// ephemeral ports (tests and same-host CI).
     pub base_port: u16,
-    /// Graceful-drain trigger: the server stops when this file appears.
-    pub stop_file: Option<PathBuf>,
-    /// Keyspace shards in the hosted [`LiveCluster`] (clamped to ≥ 1).
+    /// Keyspace shards in the hosted [`LiveCluster`] (clamped to ≥ 1; at
+    /// most `conprobe_services::shard::MAX_SHARDS`).
     pub shards: usize,
-    /// Event-loop worker threads multiplexing the connections (clamped
-    /// to ≥ 1). One is right for one core; more only helps when the
-    /// host actually has spare cores.
+    /// Event loops, one thread each, accepting and multiplexing the
+    /// connections (clamped to ≥ 1). One is right for one core; more
+    /// only helps when the host actually has spare cores.
     pub event_loops: usize,
     /// Bounded accept backlog: above this many live connections the
     /// server sheds new clients with a typed `busy` frame instead of
@@ -95,7 +88,7 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Slow-client eviction: a connection whose response bytes stay
     /// unflushable for longer than this budget is dropped so one
-    /// trickle-reading client cannot pin worker output buffers.
+    /// trickle-reading client cannot pin a loop's output buffers.
     /// `Duration::ZERO` disables eviction.
     pub stall_budget: Duration,
 }
@@ -110,7 +103,6 @@ impl ServeConfig {
             stale_window: None,
             latency_scale: 0.0,
             base_port: 0,
-            stop_file: None,
             shards: 16,
             event_loops: 1,
             max_connections: 0,
@@ -166,10 +158,8 @@ struct Shared {
     config: ServeConfig,
     service_token: &'static str,
     conn_seq: AtomicU64,
-    /// One inbox per event-loop worker; accept threads drop new
-    /// connections in round-robin and workers adopt them each sweep.
-    inboxes: Vec<Mutex<Vec<(TcpStream, Conn)>>>,
-    /// Live (accepted, not yet dropped) connections — the shed gate.
+    /// Live (accepted, not yet dropped) connections on every loop — the
+    /// shed gate.
     live_conns: AtomicU64,
     /// Per-replica crash flags. A down replica's listener stays bound
     /// (rebinding the port would race TIME_WAIT) but refuses clients:
@@ -201,7 +191,6 @@ impl Shared {
             config: config.clone(),
             service_token: conprobe_harness::journal::service_token(config.kind),
             conn_seq: AtomicU64::new(0),
-            inboxes: (0..config.event_loops.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
             live_conns: AtomicU64::new(0),
             replica_down: (0..replicas).map(|_| AtomicBool::new(false)).collect(),
             brownouts: (0..replicas).map(|_| BrownoutState::default()).collect(),
@@ -217,7 +206,7 @@ impl Shared {
 /// `base_port + i` (all ephemeral when `base_port` is 0). Either every
 /// listener binds or none stays bound: a port past 65535 is refused as
 /// `InvalidInput` before any bind, and a failed bind drops the listeners
-/// bound before it — so callers spawn accept threads only on success.
+/// bound before it — so callers start serving only on success.
 pub(crate) fn bind_listeners(
     base_port: u16,
     regions: &[Region],
@@ -238,14 +227,11 @@ pub(crate) fn bind_listeners(
 }
 
 /// A running wire server. Dropping it without [`WireServer::join`] leaks
-/// the serving threads; `join` performs the graceful drain.
+/// the event loops; `join` performs the graceful drain.
 pub struct WireServer {
     shared: Arc<Shared>,
     addrs: Vec<(Region, SocketAddr)>,
-    accepters: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    ticker: JoinHandle<()>,
-    watcher: Option<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -271,43 +257,22 @@ impl WireServer {
         }
         let (listeners, addrs): (Vec<_>, _) =
             bind_listeners(config.base_port, &Region::AGENTS)?.into_iter().unzip();
+        // Each loop accepts on handles of its own: a port closes once
+        // the last loop holding it has reached its drain point.
+        let doors: Vec<(Region, TcpListener)> = Region::AGENTS.into_iter().zip(listeners).collect();
+        let clone = |_| doors.iter().map(|(r, l)| Ok((*r, l.try_clone()?))).collect();
+        let mut handles: Vec<Vec<_>> =
+            (1..config.event_loops.max(1)).map(clone).collect::<std::io::Result<_>>()?;
+        handles.push(doors);
         let shared = Arc::new(Shared::new(config));
-        let accepters = listeners
+        let loops = handles
             .into_iter()
-            .zip(Region::AGENTS)
-            .map(|(listener, region)| {
+            .map(|doors| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || accept_loop(shared, region, listener))
+                std::thread::spawn(move || worker_loop(shared, doors))
             })
             .collect();
-        let workers = (0..shared.inboxes.len())
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared, w))
-            })
-            .collect();
-        let ticker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while !shared.stop.load(Ordering::Acquire) {
-                    shared.cluster.tick(shared.now_nanos());
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let watcher = config.stop_file.clone().map(|path| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while !shared.stop.load(Ordering::Acquire) {
-                    if path.exists() {
-                        shared.stop.store(true, Ordering::Release);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            })
-        });
-        Ok(WireServer { shared, addrs, accepters, workers, ticker, watcher })
+        Ok(WireServer { shared, addrs, loops })
     }
 
     /// The bound address for each agent region.
@@ -387,8 +352,7 @@ impl WireServer {
         self.shared.cluster.shard_count()
     }
 
-    /// Raises the stop flag (same effect as a `stop` frame or the stop
-    /// file appearing).
+    /// Raises the stop flag (same effect as a `stop` frame).
     pub fn request_stop(&self) {
         self.shared.stop.store(true, Ordering::Release);
     }
@@ -398,74 +362,63 @@ impl WireServer {
         self.shared.stop.load(Ordering::Acquire)
     }
 
-    /// Blocks until a drain is triggered, then joins every serving
-    /// thread and returns the final metrics dump as pretty JSON.
-    /// In-flight requests finish first: workers answer every request
-    /// already buffered and flush every response in full before closing.
+    /// Blocks until a drain is triggered, then joins every event loop
+    /// and returns the final metrics dump as pretty JSON. In-flight
+    /// requests finish first: each loop answers every request already
+    /// buffered and flushes every response in full before closing.
     pub fn join(self) -> String {
-        let threads = self.accepters.into_iter().chain(self.workers);
-        for handle in threads.chain([self.ticker]).chain(self.watcher) {
+        for handle in self.loops {
             let _ = handle.join();
         }
         self.shared.metrics.to_json().to_pretty()
     }
 }
 
-fn accept_loop(shared: Arc<Shared>, region: Region, listener: TcpListener) {
-    let connections = shared.metrics.counter("wire.server.connections");
-    let busy_sheds = shared.metrics.counter("wire.server.busy_sheds");
-    let refused_down = shared.metrics.counter("wire.server.refused_down");
+/// Adopts every client waiting at `region`'s door; true when anyone
+/// knocked. A crashed replica's door is dark: a client is dropped at once,
+/// sees EOF, and its reconnect policy backs off until the rejoin. Over the
+/// connection budget a client is shed with a typed `busy` frame (it
+/// carries a backoff hint; an accepted stream blocks, so it flushes).
+fn accept_pending(
+    shared: &Shared,
+    region: Region,
+    listener: &TcpListener,
+    conns: &mut Vec<(TcpStream, Conn)>,
+) -> bool {
+    let ctrs = &shared.ctrs;
     let replica_idx = shared.cluster.replica_for(region);
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return; // closing the listener refuses further clients
+    let cap = shared.config.max_connections as u64;
+    let mut knocked = false;
+    // A failed accept (nothing waiting, or a client gone before it was
+    // taken) leaves the rest for the next poll.
+    while let Ok((mut stream, _)) = listener.accept() {
+        knocked = true;
+        if shared.replica_down[replica_idx].load(Ordering::Acquire) {
+            ctrs.refused_down.inc();
+            continue;
         }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // A crashed replica's front door is dark: accept and
-                // immediately drop, so the client sees EOF and its
-                // reconnect policy backs off until the rejoin.
-                if shared.replica_down[replica_idx].load(Ordering::Acquire) {
-                    refused_down.inc();
-                    continue;
-                }
-                // Bounded backlog: over the connection budget, shed the
-                // client with a typed `busy` frame (retryable, carries a
-                // backoff hint) instead of silently queueing it. The
-                // accepted stream is still blocking here, so the tiny
-                // frame flushes synchronously before the drop.
-                let cap = shared.config.max_connections as u64;
-                if cap > 0 && shared.live_conns.load(Ordering::Acquire) >= cap {
-                    busy_sheds.inc();
-                    let mut shed = Vec::with_capacity(32);
-                    Frame::Busy { retry_after_millis: BUSY_RETRY_MILLIS }.encode_into(&mut shed);
-                    let _ = stream.write_all(&shed);
-                    let _ = stream.flush();
-                    continue;
-                }
-                connections.inc();
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-                shared.live_conns.fetch_add(1, Ordering::AcqRel);
-                let conn = Conn::new(&shared, region, conn_id);
-                let inbox = &shared.inboxes[(conn_id as usize) % shared.inboxes.len()];
-                inbox.lock().unwrap().push((stream, conn));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return,
+        if cap > 0 && shared.live_conns.load(Ordering::Acquire) >= cap {
+            ctrs.busy_sheds.inc();
+            let _ =
+                stream.write_all(&Frame::Busy { retry_after_millis: BUSY_RETRY_MILLIS }.encode());
+            continue;
         }
+        ctrs.connections.inc();
+        let _ = stream.set_nodelay(true);
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
+        shared.live_conns.fetch_add(1, Ordering::AcqRel);
+        conns.push((stream, Conn::new(shared, region, conn_id)));
     }
+    knocked
 }
 
 /// One multiplexed connection minus its stream: decode → shape/drop/
 /// throttle → [`LiveCluster::serve`] → encode, with the stall budget.
 /// Time is an argument (nanoseconds since [`Shared::started`]); the
-/// worker that owns the `TcpStream` reads the clock.
+/// loop that owns the `TcpStream` reads the clock.
 struct Conn {
     buf: FrameBuf,
     region: Region,
@@ -506,6 +459,9 @@ enum Step {
 
 /// Handles to the serving-path metrics (resolved once, not per op).
 struct Counters {
+    connections: conprobe_obs::Counter,
+    busy_sheds: conprobe_obs::Counter,
+    refused_down: conprobe_obs::Counter,
     frames: conprobe_obs::Counter,
     hellos: conprobe_obs::Counter,
     writes: conprobe_obs::Counter,
@@ -519,6 +475,9 @@ struct Counters {
 impl Counters {
     fn new(metrics: &MetricsRegistry) -> Counters {
         Counters {
+            connections: metrics.counter("wire.server.connections"),
+            busy_sheds: metrics.counter("wire.server.busy_sheds"),
+            refused_down: metrics.counter("wire.server.refused_down"),
             frames: metrics.counter("wire.server.frames"),
             hellos: metrics.counter("wire.server.hellos"),
             writes: metrics.counter("wire.server.writes"),
@@ -646,38 +605,51 @@ impl Conn {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, worker: usize) {
+/// Nanoseconds between accept polls.
+const ACCEPT_EVERY: u64 = 1_000_000;
+/// Nanoseconds between cluster ticks.
+const TICK_EVERY: u64 = 5_000_000;
+
+/// One event loop: accepts on `doors`, sweeps the connections it adopted,
+/// ticks the cluster, and drains once the stop flag rises.
+fn worker_loop(shared: Arc<Shared>, doors: Vec<(Region, TcpListener)>) {
     let clock = || shared.now_nanos();
     let mut conns: Vec<(TcpStream, Conn)> = Vec::new();
     let mut scratch = vec![0u8; 256 * 1024];
     let mut backoff = IdleBackoff::default();
+    let (mut accept_at, mut tick_at) = (0, 0);
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
-        {
-            let mut inbox = shared.inboxes[worker].lock().unwrap();
-            conns.append(&mut inbox);
-        }
+        let now = clock();
         let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let (stream, conn) = &mut conns[i];
-            match sweep_conn(&shared, stream, conn, &mut scratch, stopping, &clock) {
-                Sweep::Progress => {
-                    progressed = true;
-                    i += 1;
-                }
-                Sweep::Idle => i += 1,
-                Sweep::Closed => {
-                    shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-                    conns.swap_remove(i);
-                }
+        if !stopping && now >= accept_at {
+            accept_at = now + ACCEPT_EVERY;
+            for (region, listener) in &doors {
+                progressed |= accept_pending(&shared, *region, listener, &mut conns);
             }
         }
+        if now >= tick_at {
+            tick_at = now + TICK_EVERY;
+            shared.cluster.tick(now);
+        }
+        conns.retain_mut(|(stream, conn)| {
+            match sweep_conn(&shared, stream, conn, &mut scratch, stopping, &clock) {
+                Sweep::Progress => progressed = true,
+                Sweep::Idle => {}
+                Sweep::Closed => {
+                    shared.live_conns.fetch_sub(1, Ordering::AcqRel);
+                    return false;
+                }
+            }
+            true
+        });
         if stopping {
-            // Drain point: the sweep above answered everything buffered;
-            // push the remaining response bytes out synchronously (a
-            // blocking flush is `write_all`) so no client ever observes a
-            // stream ending mid-frame.
+            // Drain point: closing the listeners refuses further clients;
+            // the sweep above answered everything buffered, so push the
+            // remaining response bytes out synchronously (a blocking flush
+            // is `write_all`) and no client ever observes a stream ending
+            // mid-frame.
+            drop(doors);
             for (mut stream, mut conn) in conns.drain(..) {
                 shared.live_conns.fetch_sub(1, Ordering::AcqRel);
                 if conn.buf.unsent() > 0 {

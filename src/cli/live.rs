@@ -11,6 +11,7 @@ use conprobe_harness::journal;
 use conprobe_harness::runner::{checker_config_for, TestConfig, TestResult};
 use conprobe_obs::MetricsRegistry;
 use conprobe_services::live::StaleWindow;
+use conprobe_services::shard::MAX_SHARDS;
 use conprobe_services::{ServiceKind, ShardRing};
 use conprobe_sim::net::Region;
 use conprobe_sim::{FaultPlan, SimDuration, SimRng};
@@ -45,8 +46,8 @@ impl ReadyFile {
         let mut ready = ReadyFile::default();
         for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
             if let Some(n) = line.strip_prefix("shards=") {
-                ready.shards =
-                    Some(n.parse().map_err(|e| CliError(format!("bad shards line: {e}")))?);
+                let n = n.parse().map_err(|e| CliError(format!("bad shards line: {e}")))?;
+                ready.shards = Some(bounded_shards("bad shards line", n)?);
             } else if let Some(name) = line.strip_prefix("service=") {
                 ready.service = Some(parse_service(name)?);
             } else if let Some(a) = line.strip_prefix("dispatch=") {
@@ -91,6 +92,13 @@ impl ReadyFile {
         }
         Ok(ready)
     }
+}
+
+/// A shard count as it enters, refused past [`MAX_SHARDS`] before a ring
+/// or a cluster allocates for it.
+fn bounded_shards(what: &str, n: usize) -> Result<usize, CliError> {
+    let refusal = || CliError(format!("{what}: {n} shards is more than {MAX_SHARDS}"));
+    (n <= MAX_SHARDS).then_some(n).ok_or_else(refusal)
 }
 
 /// The flags `serve` and `chaosd` share: what their listeners bind and
@@ -151,11 +159,14 @@ impl HostArgs {
         Ok(())
     }
 
-    /// Blocks until `stopped` reports a drain trigger or `--max-secs`
-    /// have elapsed since `started`.
-    fn wait_for_drain(&self, started: Instant, stopped: impl Fn() -> bool) {
+    /// Blocks until the `--stop-file` appears (the host's loops never
+    /// look for it), `stopped` reports a drain trigger of the host's own,
+    /// or `--max-secs` have elapsed since `started`.
+    pub(super) fn wait_for_drain(&self, started: Instant, stopped: impl Fn() -> bool) {
         let open = |cap: u64| started.elapsed() < Duration::from_secs(cap);
-        while !stopped() && self.max_secs.is_none_or(open) {
+        let stop_file = self.stop_file.as_ref().map(std::path::Path::new);
+        let drained = || stopped() || stop_file.is_some_and(|f| f.exists());
+        while !drained() && self.max_secs.is_none_or(open) {
             std::thread::sleep(Duration::from_millis(50));
         }
     }
@@ -222,7 +233,7 @@ impl ServeArgs {
             host: HostArgs::parse(a)?,
             latency_scale,
             stale,
-            shards: a.num("--shards")?,
+            shards: a.num("--shards")?.map(|n| bounded_shards("--shards", n)).transpose()?,
             event_loops: a.num("--event-loops")?,
             max_conns: a.num("--max-conns")?,
             stall_budget_ms: a.num("--stall-budget-ms")?,
@@ -244,7 +255,6 @@ impl ServeArgs {
         config.base_port = self.host.base_port;
         config.stale_window =
             self.stale.map(|(replica, lag_nanos)| StaleWindow { replica, lag_nanos });
-        config.stop_file = self.host.stop_file.as_ref().map(Into::into);
         set(&mut config.latency_scale, self.latency_scale);
         set(&mut config.shards, self.shards);
         set(&mut config.event_loops, self.event_loops);
@@ -346,9 +356,7 @@ impl ChaosdArgs {
         let ready = ReadyFile { endpoints: proxy.addrs().to_vec(), ..upstream };
         self.host.announce(&format!("chaos interposer (seed {seed})"), &ready)?;
         let started = Instant::now();
-        self.host.wait_for_drain(started, || {
-            self.host.stop_file.as_ref().is_some_and(|f| std::path::Path::new(f).exists())
-        });
+        self.host.wait_for_drain(started, || false);
         proxy.request_stop();
         let ledger = proxy.join();
         let _ = writeln!(

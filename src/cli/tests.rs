@@ -541,6 +541,92 @@ fn serve_with_max_secs_zero_drains_immediately() {
     let _ = std::fs::remove_file(&metrics);
 }
 
+/// The stop file belongs to the CLI host: `HostArgs::wait_for_drain` sees
+/// it appear and drains `chaosd` and `serve` long before `--max-secs`.
+#[test]
+fn a_stop_file_drains_serve_and_chaosd() {
+    let dir = std::env::temp_dir().join("conprobe-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(format!("{name}-{}.txt", std::process::id()));
+    let [serve_ready, serve_stop, proxy_ready, proxy_stop] =
+        ["serve-ready", "serve-stop", "proxy-ready", "proxy-stop"].map(file);
+    for f in [&serve_ready, &serve_stop, &proxy_ready, &proxy_stop] {
+        let _ = std::fs::remove_file(f);
+    }
+    let wait_for = |ready: &std::path::Path| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !ready.exists() {
+            assert!(std::time::Instant::now() < deadline, "{} never appeared", ready.display());
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    let serve = format!(
+        "serve --service blogger --seed 5 --max-secs 60 --ready-file {} --stop-file {}",
+        serve_ready.display(),
+        serve_stop.display()
+    );
+    let chaosd = format!(
+        "chaosd --server-file {} --seed 5 --max-secs 60 --ready-file {} --stop-file {}",
+        serve_ready.display(),
+        proxy_ready.display(),
+        proxy_stop.display()
+    );
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| execute(parse(&args(&serve)).unwrap()));
+        wait_for(&serve_ready);
+        let proxying = scope.spawn(|| execute(parse(&args(&chaosd)).unwrap()));
+        wait_for(&proxy_ready);
+        std::fs::write(&proxy_stop, "drain\n").unwrap();
+        let out = proxying.join().unwrap().unwrap();
+        assert!(out.contains("chaosd drained"), "{out}");
+        std::fs::write(&serve_stop, "drain\n").unwrap();
+        let out = serving.join().unwrap().unwrap();
+        assert!(out.contains("Blogger drained"), "{out}");
+    });
+    assert!(started.elapsed() < Duration::from_secs(30), "the stop files drained both hosts");
+    for f in [&serve_ready, &serve_stop, &proxy_ready, &proxy_stop] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// Value mode over the ready file and `serve`'s flags: every edge value
+/// as a `shards=` line, a listener port, `--shards` and `--port` is
+/// answered or refused, never a panic. A shard count past `MAX_SHARDS`
+/// is refused where it enters, before a ring or a cluster is sized by it.
+#[test]
+fn shard_counts_and_ports_at_every_edge_are_answered_or_refused() {
+    use conprobe_json::testkit::edges;
+    use conprobe_services::shard::MAX_SHARDS;
+    let unsigned = [16, 32, 64].into_iter().flat_map(|bits| edges(bits, false));
+    let mut values: Vec<String> = unsigned.map(|v| v.to_string()).collect();
+    values.extend(edges(64, true).into_iter().map(|v| (v as i64).to_string()));
+    values.extend([MAX_SHARDS, MAX_SHARDS + 1].map(|v| v.to_string()));
+    for v in &values {
+        let fits = |max: usize| v.parse::<usize>().ok().filter(|n| *n <= max);
+        let shards = ReadyFile::parse(&format!("oregon=127.0.0.1:1\nshards={v}\n"));
+        let answer = shards.as_ref().ok().and_then(|ready| ready.shards);
+        assert_eq!(answer, fits(MAX_SHARDS), "shards={v}: {shards:?}");
+        let port = ReadyFile::parse(&format!("oregon=127.0.0.1:{v}\n"));
+        let answer = port.as_ref().ok().map(|ready| usize::from(ready.endpoints[0].1.port()));
+        assert_eq!(answer, fits(usize::from(u16::MAX)), "port {v}: {port:?}");
+
+        let serve = |flags: &str| match parse(&args(&format!("serve --service blogger {flags}"))) {
+            Ok(Command::Serve(serve)) => Some(serve),
+            Ok(other) => panic!("wrong parse: {other:?}"),
+            Err(_) => None,
+        };
+        let answer = serve(&format!("--shards {v}")).and_then(|serve| serve.shards);
+        assert_eq!(answer, fits(MAX_SHARDS), "--shards {v}");
+        let answer = serve(&format!("--port {v}")).map(|serve| usize::from(serve.host.base_port));
+        assert_eq!(answer, fits(usize::from(u16::MAX)), "--port {v}");
+    }
+    let err = parse_err("serve --service blogger --shards 1025");
+    assert_eq!(err, "--shards: 1025 shards is more than 1024");
+    let err = ReadyFile::parse("shards=4000000000\n").unwrap_err();
+    assert_eq!(err.0, "bad shards line: 4000000000 shards is more than 1024");
+}
+
 /// A serve ready-file for `server`'s listeners, with or without the
 /// shard-count and service lines (`service` names what it serves).
 fn ready_listing(server: &conprobe_wire::WireServer, service: Option<ServiceKind>) -> String {

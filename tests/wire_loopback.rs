@@ -234,27 +234,6 @@ fn graceful_drain_never_splits_a_frame() {
     assert!(metrics.contains("wire.server.stops"), "{metrics}");
 }
 
-/// The stop file is the signal-free drain trigger for `conprobe serve`.
-#[test]
-fn stop_file_appearance_drains_the_server() {
-    let stop_file = temp("stopfile");
-    let _ = std::fs::remove_file(&stop_file);
-    let server = WireServer::start(&ServeConfig {
-        stop_file: Some(stop_file.clone()),
-        ..ServeConfig::loopback(ServiceKind::Blogger, 5)
-    })
-    .expect("bind");
-    assert!(!server.stopping());
-    std::fs::write(&stop_file, b"drain\n").expect("write stop file");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while !server.stopping() {
-        assert!(std::time::Instant::now() < deadline, "stop file not noticed");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    server.join();
-    let _ = std::fs::remove_file(&stop_file);
-}
-
 /// The closed-loop load generator sustains traffic against a loopback
 /// server and reports a coherent latency distribution.
 #[test]
@@ -561,6 +540,45 @@ fn pipelined_load_reports_clean_percentiles_and_error_counters() {
     let json = metrics.to_json().to_pretty();
     assert!(json.contains("wire.load.ordering_errors"), "{json}");
     assert!(json.contains("wire.load.decode_errors"), "{json}");
+}
+
+/// Two event loops share the listeners: each adopts the clients it
+/// accepts, and a pipelined load over many connections spread across
+/// both comes back whole, in order, with no error of any kind.
+#[test]
+fn two_event_loops_carry_pipelined_load_without_faults() {
+    let server = WireServer::start(&ServeConfig {
+        event_loops: 2,
+        ..ServeConfig::loopback(ServiceKind::Blogger, 37)
+    })
+    .expect("bind");
+    let metrics = MetricsRegistry::new();
+    let report = run_load(
+        &LoadConfig {
+            connections: 64,
+            pipeline: 8,
+            threads: 2,
+            keys: 8,
+            duration: Duration::from_millis(500),
+            warmup: Duration::from_millis(100),
+            seed_posts: 8,
+            ..LoadConfig::loopback(server.addrs()[0].1)
+        },
+        &metrics,
+    )
+    .expect("load");
+    server.request_stop();
+    let dump = server.join();
+
+    assert!(report.ops > 0, "pipelined load made progress");
+    assert_eq!(report.errors, 0, "{report:?}");
+    assert_eq!((report.ordering_errors, report.decode_errors), (0, 0), "{report:?}");
+    assert_eq!((report.conns_with_errors, report.busy_sheds), (0, 0), "{report:?}");
+    // The seeder plus the 64 load connections, every one adopted.
+    assert!(dump.contains("\"wire.server.connections\": 65"), "{dump}");
+    // The report is the registry's account of the run.
+    let json = metrics.to_json().to_pretty();
+    assert!(json.contains(&format!("\"wire.load.ops\": {}", report.ops)), "{json}");
 }
 
 /// The quorum control arm served over real sockets: `serve --service
