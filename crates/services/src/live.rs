@@ -358,12 +358,15 @@ impl LiveCluster {
     /// the server's one entry point. A stored arm always answers; a hosted
     /// group that cannot, at `now_nanos`, is [`LiveReply::Unavailable`].
     pub fn serve(&self, region: Region, key: u32, op: ClientOp, now_nanos: u64) -> LiveReply {
-        let Some(shard) = self.hosted.get(self.ring.shard_for_key(key)) else {
+        let shard_idx = self.ring.shard_for_key(key);
+        let Some(shard) = self.hosted.get(shard_idx) else {
             return match op {
                 ClientOp::Write(post) => {
-                    LiveReply::Acked(self.write_keyed(region, key, post, now_nanos))
+                    LiveReply::Acked(self.write_at(shard_idx, region, key, post, now_nanos))
                 }
-                ClientOp::Read => LiveReply::Read(self.read_keyed(region, key, now_nanos).into()),
+                ClientOp::Read => {
+                    LiveReply::Read(self.read_at(shard_idx, region, key, now_nanos).into())
+                }
             };
         };
         let down = (0..self.down.len()).filter(|idx| self.is_down(*idx));
@@ -380,8 +383,20 @@ impl LiveCluster {
     /// every peer after a per-peer sampled delay. A down replica receives
     /// nothing: what it missed comes back through anti-entropy.
     pub fn write_keyed(&self, region: Region, key: u32, post: Post, now_nanos: u64) -> PostId {
+        self.write_at(self.ring.shard_for_key(key), region, key, post, now_nanos)
+    }
+
+    /// [`LiveCluster::write_keyed`] on stored shard `shard_idx`, which owns `key`.
+    fn write_at(
+        &self,
+        shard_idx: usize,
+        region: Region,
+        key: u32,
+        post: Post,
+        now_nanos: u64,
+    ) -> PostId {
         self.tick(now_nanos);
-        let shard = &self.shards[self.ring.shard_for_key(key)];
+        let shard = &self.shards[shard_idx];
         let origin = self.replica_for(region);
         let id = post.id;
         let (stored, repl_delay) = {
@@ -423,8 +438,13 @@ impl LiveCluster {
     /// replica, from its bounded-age cached snapshot. The result is the
     /// replica's shared `Arc` slice: no copy on the serving hot path.
     pub fn read_keyed(&self, region: Region, key: u32, now_nanos: u64) -> Arc<[PostId]> {
+        self.read_at(self.ring.shard_for_key(key), region, key, now_nanos)
+    }
+
+    /// [`LiveCluster::read_keyed`] on stored shard `shard_idx`, which owns `key`.
+    fn read_at(&self, shard_idx: usize, region: Region, key: u32, now_nanos: u64) -> Arc<[PostId]> {
         self.tick(now_nanos);
-        let shard = &self.shards[self.ring.shard_for_key(key)];
+        let shard = &self.shards[shard_idx];
         let idx = self.replica_for(region);
         let mut guard = shard.replicas[idx].lock().unwrap();
         let LiveReplica { cores, stale_cache, .. } = &mut *guard;

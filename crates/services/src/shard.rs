@@ -16,13 +16,21 @@
 //!   the classic consistent-hashing contract, and `tests` pins it.
 //! * **Balanced** — [`VNODES`] points per shard smooth the ring enough
 //!   that no shard owns a pathological share of a uniform keyspace.
+//! * **Constant-time lookup** — beside the sorted points the ring keeps a
+//!   prefix table: for every top-`k`-bit prefix of the ring hash, the
+//!   index of the first point at or after it, with `2^k` about four times
+//!   the point count (16 KiB of `u32`s for 16 shards). A lookup hashes the
+//!   key, reads two table entries and scans the points under its prefix
+//!   (a quarter of a point on average), and lands on exactly the point a
+//!   binary search over the whole ring would find.
 //!
 //! The hash is the workspace's standard FNV-1a 64 (the journal/frame
 //! checksum), so the ring needs no new primitives.
 
 /// Virtual points per shard. 64 keeps the worst/ideal load ratio within
-/// ~2x for the shard counts the serving path uses (tens), at a lookup
-/// cost of a binary search over `64 * shards` points.
+/// ~2x for the shard counts the serving path uses (tens). The lookup cost
+/// does not grow with it: the prefix table leaves a quarter of a point to
+/// scan on average at any shard count.
 pub const VNODES: usize = 64;
 
 /// Most shards a ring holds. A shard is a replica group and [`VNODES`]
@@ -47,6 +55,11 @@ fn ring_hash(bytes: &[u8]) -> u64 {
 pub struct ShardRing {
     /// `(point, shard)` sorted by point.
     points: Vec<(u64, u32)>,
+    /// `first[p]`: the index of the first point whose top bits are at or
+    /// above prefix `p`; `first[2^k]` is `points.len()`.
+    first: Vec<u32>,
+    /// `64 - k`: a hash's prefix is `hash >> shift`.
+    shift: u32,
     shards: usize,
 }
 
@@ -71,7 +84,18 @@ impl ShardRing {
         // ownership order-dependent; FNV-64 over 13-byte labels makes
         // them absurdly unlikely, and the sort above resolves any tie
         // deterministically by shard index anyway.
-        ShardRing { points, shards }
+        let bits = points.len().next_power_of_two().trailing_zeros() + 2;
+        let shift = 64 - bits;
+        let mut first = Vec::with_capacity((1 << bits) + 1);
+        let mut idx = 0;
+        for prefix in 0..1u64 << bits {
+            while idx < points.len() && points[idx].0 >> shift < prefix {
+                idx += 1;
+            }
+            first.push(idx as u32);
+        }
+        first.push(points.len() as u32);
+        ShardRing { points, first, shift, shards }
     }
 
     /// Number of shards on the ring.
@@ -82,8 +106,17 @@ impl ShardRing {
     /// The shard owning `key`: the first ring point at or after the
     /// key's hash, wrapping past the top of the ring.
     pub fn shard_for_key(&self, key: u32) -> usize {
-        let h = ring_hash(&key.to_le_bytes());
-        let idx = self.points.partition_point(|&(p, _)| p < h);
+        self.shard_for_hash(ring_hash(&key.to_le_bytes()))
+    }
+
+    /// The shard owning ring position `h`. Every point before
+    /// `first[prefix]` lies below `h` and every point from
+    /// `first[prefix + 1]` on lies above it, so only the points under
+    /// `h`'s own prefix are compared.
+    fn shard_for_hash(&self, h: u64) -> usize {
+        let prefix = (h >> self.shift) as usize;
+        let (lo, hi) = (self.first[prefix] as usize, self.first[prefix + 1] as usize);
+        let idx = lo + self.points[lo..hi].iter().take_while(|&&(p, _)| p < h).count();
         let (_, shard) = self.points[if idx == self.points.len() { 0 } else { idx }];
         shard as usize
     }
@@ -92,6 +125,42 @@ impl ShardRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The binary search over every point that the prefix table stands in for.
+    fn searched(ring: &ShardRing, h: u64) -> usize {
+        let idx = ring.points.partition_point(|&(p, _)| p < h);
+        ring.points[if idx == ring.points.len() { 0 } else { idx }].1 as usize
+    }
+
+    #[test]
+    fn the_prefix_table_places_every_hash_where_a_full_search_does() {
+        for shards in [1, 2, 3, 16, 17, 100, MAX_SHARDS] {
+            let ring = ShardRing::new(shards);
+            let keys = [0, u32::MAX].into_iter().chain((0..=u32::MAX).step_by(65_521));
+            for key in keys {
+                let h = ring_hash(&key.to_le_bytes());
+                assert_eq!(
+                    ring.shard_for_key(key),
+                    searched(&ring, h),
+                    "{shards} shards, key {key}"
+                );
+            }
+            // On a point, just above one, and the ends of the ring.
+            let on_and_above = ring.points.iter().flat_map(|&(p, _)| [p, p.saturating_add(1)]);
+            for h in on_and_above.chain([0, u64::MAX]) {
+                assert_eq!(
+                    ring.shard_for_hash(h),
+                    searched(&ring, h),
+                    "{shards} shards, hash {h:#x}"
+                );
+            }
+            let (last, _) = *ring.points.last().unwrap();
+            if last < u64::MAX {
+                let wrapped = ring.points[0].1 as usize;
+                assert_eq!(ring.shard_for_hash(last + 1), wrapped, "{shards} shards: no wrap");
+            }
+        }
+    }
 
     #[test]
     fn placement_is_deterministic_across_constructions() {

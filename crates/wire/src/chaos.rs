@@ -44,7 +44,7 @@
 //! narrating each transition for the CI greps.
 
 use crate::client::dial_nonblocking;
-use crate::conn::{FrameBuf, IdleBackoff, READ_BACKLOG_CAP};
+use crate::conn::{idle_nap, FrameBuf, IdleBackoff, ACCEPT_EVERY, READ_BACKLOG_CAP};
 use crate::frame::decode_raw;
 use crate::server::{bind_listeners, WireServer};
 use conprobe_sim::faults::{
@@ -268,7 +268,11 @@ fn proxy_loop(
             }
             open
         });
-        backoff.after_sweep(progress);
+        // With no connection, the next duty is the next accept poll.
+        match idle_nap(conns.len(), now + ACCEPT_EVERY, now) {
+            Some(nap) => thread::sleep(nap),
+            None => backoff.after_sweep(progress),
+        }
     }
     conns.iter().for_each(|(client, upstream, _)| hang_up(client, upstream));
     plane.ledger

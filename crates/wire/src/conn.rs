@@ -128,6 +128,19 @@ impl FrameBuf {
     }
 }
 
+/// Nanoseconds between a serving loop's accept polls, and the longest a
+/// loop holding no connection sleeps between passes.
+pub(crate) const ACCEPT_EVERY: u64 = 1_000_000;
+
+/// How long a serving loop that holds `held` connections sleeps after a
+/// pass, at `now`, when its next timed duty (accept poll, tick) falls at
+/// `deadline`: a loop with no connection has nothing to sweep, so it
+/// sleeps until that duty, and never longer than [`ACCEPT_EVERY`]; `None`
+/// leaves a loop with connections to its [`IdleBackoff`] ladder.
+pub(crate) fn idle_nap(held: usize, deadline: u64, now: u64) -> Option<Duration> {
+    (held == 0).then(|| Duration::from_nanos(deadline.saturating_sub(now).min(ACCEPT_EVERY)))
+}
+
 /// What a sweep loop does between sweeps that moved nothing: yield first
 /// — on a saturated core the peer's thread likely holds the next bytes,
 /// and a yield hands it the CPU at context-switch cost instead of a 50 µs
@@ -251,17 +264,36 @@ pub(crate) mod mem {
 
     /// A fabricated clock: nanoseconds the test sets, read through
     /// [`FakeClock::read`]'s closure where a socket loop would read
-    /// `Instant::now`.
+    /// `Instant::now`. It counts its reads, and can advance by a fixed
+    /// step on each.
     #[derive(Default)]
-    pub(crate) struct FakeClock(Cell<u64>);
+    pub(crate) struct FakeClock {
+        nanos: Cell<u64>,
+        step: Cell<u64>,
+        reads: Cell<u64>,
+    }
 
     impl FakeClock {
         pub(crate) fn set(&self, nanos: u64) {
-            self.0.set(nanos);
+            self.nanos.set(nanos);
+        }
+
+        /// Every later read first advances the clock by `nanos`.
+        pub(crate) fn tick_per_read(&self, nanos: u64) {
+            self.step.set(nanos);
+        }
+
+        /// Reads made so far.
+        pub(crate) fn reads(&self) -> u64 {
+            self.reads.get()
         }
 
         pub(crate) fn read(&self) -> impl Fn() -> u64 + '_ {
-            || self.0.get()
+            || {
+                self.reads.set(self.reads.get() + 1);
+                self.nanos.set(self.nanos.get() + self.step.get());
+                self.nanos.get()
+            }
         }
     }
 }
@@ -326,6 +358,22 @@ mod tests {
         assert_eq!((buf.outbuf.len(), buf.unsent()), (0, 0));
         let expect: Vec<u8> = (0..3 * COMPACT_AT).map(|i| i as u8).chain([1, 2, 3]).collect();
         assert_eq!(tx.take(), expect, "every byte once, in order");
+    }
+
+    #[test]
+    fn only_a_loop_without_connections_naps_and_never_past_its_next_duty_or_a_poll_period() {
+        let ms = Duration::from_nanos(ACCEPT_EVERY);
+        // Held connections keep the yield-then-sleep ladder, however far the deadline.
+        assert_eq!(idle_nap(1, u64::MAX, 0), None);
+        assert_eq!(idle_nap(1000, 5, 0), None);
+        // No connection: sleep until the next duty ...
+        assert_eq!(idle_nap(0, 10_400_250, 10_000_000), Some(Duration::from_nanos(400_250)));
+        // ... capped at one accept period ...
+        assert_eq!(idle_nap(0, 10_000_000 + 5 * ACCEPT_EVERY, 10_000_000), Some(ms));
+        assert_eq!(idle_nap(0, u64::MAX, 0), Some(ms));
+        // ... and not at all once the duty is due or past.
+        assert_eq!(idle_nap(0, 7, 7), Some(Duration::ZERO));
+        assert_eq!(idle_nap(0, 7, 9), Some(Duration::ZERO));
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //!   owns the sockets and the clock; what a connection *does* is `Conn`,
 //!   a state machine over a `FrameBuf` and a `now`;
 //! * ticks the cluster's replication and anti-entropy every 5 ms (its
-//!   atomic horizon makes the per-request inline tick nearly free).
+//!   atomic horizon makes the per-request inline tick nearly free);
+//! * between passes that moved nothing, yields and then sleeps 50 µs
+//!   while it holds connections, and with none sleeps until its next
+//!   accept poll or tick (at most a millisecond), so an idle `serve`
+//!   wakes about once a millisecond instead of spinning.
 //!
 //! Graceful drain, without POSIX signal handlers (no `unsafe`): a `stop`
 //! frame or [`WireServer::request_stop`] (the CLI's stop file) raises the
@@ -38,7 +42,7 @@
 //! verify per-connection FIFO order. A connection
 //! needs no `hello` before its first operation.
 
-use crate::conn::{FrameBuf, IdleBackoff, READ_BACKLOG_CAP};
+use crate::conn::{idle_nap, FrameBuf, IdleBackoff, ACCEPT_EVERY, READ_BACKLOG_CAP};
 use crate::frame::{
     append_read_q_ok_iter, append_write_q_ack, decode_raw, read_q_fields, write_q_fields, Frame,
     KIND_HELLO, KIND_READ_Q, KIND_STOP, KIND_WRITE_Q, PROTO_VERSION,
@@ -605,8 +609,6 @@ impl Conn {
     }
 }
 
-/// Nanoseconds between accept polls.
-const ACCEPT_EVERY: u64 = 1_000_000;
 /// Nanoseconds between cluster ticks.
 const TICK_EVERY: u64 = 5_000_000;
 
@@ -659,14 +661,21 @@ fn worker_loop(shared: Arc<Shared>, doors: Vec<(Region, TcpListener)>) {
             }
             return;
         }
-        backoff.after_sweep(progressed);
+        match idle_nap(conns.len(), accept_at.min(tick_at), now) {
+            Some(nap) => std::thread::sleep(nap),
+            None => backoff.after_sweep(progressed),
+        }
     }
 }
 
 /// One event-loop pass over one connection and the stream `io` it
 /// arrived on: read to the backlog cap, serve every buffered complete
 /// frame that is due, flush what the stream will take. `clock` is read
-/// twice per served frame (the request's `now`, then its `op_nanos`).
+/// once per served frame, plus once for the first: the first frame's
+/// `now` is read after `fill` (a `HelloAck` never carries an instant older
+/// than the bytes it answers), and each frame's end, which times its
+/// `op_nanos`, is the next frame's `now`. A connection with nothing
+/// buffered reads no clock.
 fn sweep_conn<S: Read + Write>(
     shared: &Shared,
     io: &mut S,
@@ -689,11 +698,14 @@ fn sweep_conn<S: Read + Write>(
         }
     }
     let mut held = false;
+    let mut now = None;
     while !conn.buf.unread().is_empty() {
-        let began = clock();
+        let began = *now.get_or_insert_with(clock);
         match conn.serve_next(shared, began) {
             Step::Served => {
-                shared.ctrs.op_nanos.record(clock() - began);
+                let ended = clock();
+                shared.ctrs.op_nanos.record(ended - began);
+                now = Some(ended);
                 progressed = true;
             }
             Step::Starved => break,
@@ -716,7 +728,9 @@ fn sweep_conn<S: Read + Write>(
         if conn.buf.eof() && !held {
             return Sweep::Closed;
         }
-    } else if !budget.is_zero() && conn.stalled_out(budget.as_nanos() as u64, clock()) {
+    } else if !budget.is_zero()
+        && conn.stalled_out(budget.as_nanos() as u64, now.unwrap_or_else(clock))
+    {
         shared.ctrs.slow_evictions.inc();
         return Sweep::Closed;
     }
@@ -933,6 +947,48 @@ pub(crate) mod tests {
         assert_eq!(rig.sweep(&mut link.b(), 0), Sweep::Progress);
         assert_eq!(rig.sweep(&mut link.b(), 3_600_000 * MS), Sweep::Idle);
         assert_eq!(rig.counter("wire.server.slow_evictions"), 0);
+    }
+
+    #[test]
+    fn a_sweep_reads_the_clock_once_per_served_frame_and_once_before_the_first() {
+        const STEP: u64 = 250;
+        let mut rig = Rig::new(&ServeConfig::loopback(ServiceKind::Blogger, 7), Region::Oregon);
+        rig.clock.tick_per_read(STEP);
+        let mut link = Link::default();
+        let op_nanos = rig.shared.ctrs.op_nanos.clone();
+        let reads_in = |rig: &mut Rig, link: &mut Link, now: u64| {
+            let before = rig.clock.reads();
+            rig.sweep(&mut link.b(), now);
+            rig.clock.reads() - before
+        };
+        // Nothing buffered: no read.
+        assert_eq!(reads_in(&mut rig, &mut link, MS), 0);
+        let mut served = 0;
+        for k in [1u32, 5, 40] {
+            // k frames and the head of the next: the starved tail costs nothing.
+            link.a_to_b.bytes.extend(reads(0..k));
+            link.a_to_b.bytes.extend(&reads(k..k + 1)[..7]);
+            let (count, sum) = (op_nanos.count(), op_nanos.sum());
+            assert_eq!(reads_in(&mut rig, &mut link, 10 * MS), u64::from(k) + 1, "{k} frames");
+            // k samples, which sum to the time from the first read to the last.
+            assert_eq!(op_nanos.count() - count, u64::from(k));
+            assert_eq!(op_nanos.sum() - sum, u64::from(k) * STEP);
+            served += u64::from(k);
+            assert_eq!(answered(&link.b_to_a.take()).len() as u64, u64::from(k));
+            // The rest of the head frame: one frame, two reads.
+            link.a_to_b.bytes.extend(&reads(k..k + 1)[7..]);
+            assert_eq!(reads_in(&mut rig, &mut link, 11 * MS), 2);
+            served += 1;
+            link.b_to_a.take();
+        }
+        assert_eq!(rig.counter("wire.server.frames"), served);
+        // A held head frame reads the clock once, on every sweep that holds it.
+        rig.delay_brownout(5 * MS);
+        link.a_to_b.bytes.extend(reads(0..3));
+        assert_eq!(reads_in(&mut rig, &mut link, 20 * MS), 1);
+        assert_eq!(reads_in(&mut rig, &mut link, 21 * MS), 1);
+        assert!(link.b_to_a.bytes.is_empty());
+        assert_eq!(rig.counter("wire.server.frames"), served);
     }
 
     #[test]
