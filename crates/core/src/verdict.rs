@@ -12,6 +12,13 @@
 //! literature the paper cites: PRAM requires RYW+MR+MW; causal additionally
 //! requires WFR; single-order additionally requires no order divergence;
 //! "strong (compatible)" additionally requires no content divergence.
+//!
+//! Where every read returns the whole state of the grow-only set, a
+//! single order (linearizable or sequential) makes the read results a
+//! chain under ⊆, and a content divergence is two results off any chain:
+//! there it refutes the single-order rung too. Where reads are a ranked
+//! selection (FB Feed's top 25), a divergence refutes nothing below
+//! "strong".
 
 use crate::analysis::TestAnalysis;
 use crate::anomaly::AnomalyKind;
@@ -67,11 +74,15 @@ pub struct Verdict {
     pub content_agreement: Status,
     /// Agreement on order across clients (no order divergence).
     pub order_agreement: Status,
+    /// Whether the arm's reads return its whole state, so that a content
+    /// divergence refutes every single-order model.
+    pub whole_state_reads: bool,
 }
 
 impl Verdict {
-    /// Derives the verdict from an analysis.
-    pub fn from_analysis<K: EventKey>(analysis: &TestAnalysis<K>) -> Self {
+    /// Derives the verdict from an analysis of an arm whose reads return
+    /// the whole state (`whole_state_reads`) or a selection of it.
+    pub fn from_analysis<K: EventKey>(analysis: &TestAnalysis<K>, whole_state_reads: bool) -> Self {
         Verdict {
             read_your_writes: Status::of(analysis.has(AnomalyKind::ReadYourWrites)),
             monotonic_reads: Status::of(analysis.has(AnomalyKind::MonotonicReads)),
@@ -79,6 +90,7 @@ impl Verdict {
             writes_follow_reads: Status::of(analysis.has(AnomalyKind::WritesFollowReads)),
             content_agreement: Status::of(analysis.has(AnomalyKind::ContentDivergence)),
             order_agreement: Status::of(analysis.has(AnomalyKind::OrderDivergence)),
+            whole_state_reads,
         }
     }
 
@@ -97,9 +109,11 @@ impl Verdict {
     }
 
     /// Single-order compatibility: causal + all clients agree on event
-    /// order (no order divergence).
+    /// order (no order divergence) + on whole-state reads, on content.
     pub fn single_order_compatible(&self) -> bool {
-        self.causal_compatible() && self.order_agreement.holds()
+        self.causal_compatible()
+            && self.order_agreement.holds()
+            && (self.content_agreement.holds() || !self.whole_state_reads)
     }
 
     /// Compatibility with strong consistency: no anomaly of any kind.
@@ -155,7 +169,7 @@ mod tests {
         b.write(AgentId(0), t(0), t(10), 1u32);
         b.read(AgentId(0), t(20), t(30), vec![1]);
         b.read(AgentId(1), t(20), t(30), vec![1]);
-        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()));
+        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()), true);
         assert!(v.strong_compatible());
         assert_eq!(v.strongest_level(), "strong (compatible)");
         assert!(v.to_string().contains("compatible"));
@@ -166,21 +180,37 @@ mod tests {
         let mut b = TestTraceBuilder::new();
         b.write(AgentId(0), t(0), t(10), 1u32);
         b.read(AgentId(0), t(20), t(30), vec![]);
-        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()));
+        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()), true);
         assert_eq!(v.read_your_writes, Status::Violated);
         assert!(!v.pram_compatible());
         assert_eq!(v.strongest_level(), "weaker than PRAM");
     }
 
-    #[test]
-    fn divergence_without_session_violations_is_causal() {
-        // Two agents see mutually different content but no session
-        // guarantee is broken.
+    /// Two agents see mutually different content but no session guarantee
+    /// is broken.
+    fn diverging_reads() -> TestAnalysis<u32> {
         let mut b = TestTraceBuilder::new();
         b.read(AgentId(0), t(0), t(10), vec![1u32]);
         b.read(AgentId(1), t(0), t(10), vec![2]);
-        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()));
+        analyze(&b.build(), &CheckerConfig::default())
+    }
+
+    #[test]
+    fn a_divergence_of_whole_state_reads_refutes_single_order() {
+        // {1} and {2} are no chain: no single order of the two writes
+        // yields both reads.
+        let v = Verdict::from_analysis(&diverging_reads(), true);
         assert!(v.causal_compatible());
+        assert!(!v.single_order_compatible());
+        assert!(!v.strong_compatible());
+        assert_eq!(v.strongest_level(), "causal");
+    }
+
+    #[test]
+    fn divergence_without_session_violations_is_causal() {
+        // On ranked reads (a top-k that may omit either post from either
+        // read) the divergence refutes only "strong".
+        let v = Verdict::from_analysis(&diverging_reads(), false);
         assert!(v.single_order_compatible());
         assert!(!v.strong_compatible());
         assert_eq!(v.strongest_level(), "single-order / sequential-like");
@@ -191,7 +221,7 @@ mod tests {
         let mut b = TestTraceBuilder::new();
         b.read(AgentId(0), t(0), t(10), vec![1u32, 2]);
         b.read(AgentId(1), t(0), t(10), vec![2, 1]);
-        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()));
+        let v = Verdict::from_analysis(&analyze(&b.build(), &CheckerConfig::default()), true);
         assert!(v.causal_compatible());
         assert!(!v.single_order_compatible());
         assert_eq!(v.strongest_level(), "causal");
@@ -201,7 +231,7 @@ mod tests {
     fn level_hierarchy_is_monotone() {
         // strong ⇒ single-order ⇒ causal ⇒ PRAM for every combination of
         // statuses.
-        for bits in 0..64u32 {
+        for bits in 0..128u32 {
             let s = |i: u32| Status::of(bits & (1 << i) != 0);
             let v = Verdict {
                 read_your_writes: s(0),
@@ -210,6 +240,7 @@ mod tests {
                 writes_follow_reads: s(3),
                 content_agreement: s(4),
                 order_agreement: s(5),
+                whole_state_reads: bits & (1 << 6) != 0,
             };
             if v.strong_compatible() {
                 assert!(v.single_order_compatible());

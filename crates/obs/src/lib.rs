@@ -3,9 +3,15 @@
 //! The paper's authors ran each service for ~30 days and could only
 //! characterize what their harness logged. This crate is the reproduction's
 //! telemetry substrate: a metrics registry of lock-free-ish atomic
-//! counters/gauges/fixed-bucket histograms, a bounded ring-buffer event log
+//! counters/gauges/log-linear histograms, a bounded ring-buffer event log
 //! keyed by **simulation time**, and wall-clock [`Span`] guards for
 //! harness/campaign phases.
+//!
+//! Every [`Histogram`] has one layout: exact below 64, then 32 linear
+//! sub-buckets per power of two, 1,920 buckets over all of `u64`, so
+//! [`Histogram::quantile`] lands within 1/32 above the exact nearest-rank
+//! value. A dump ([`MetricsRegistry::to_json`]) lists only the non-empty
+//! buckets, each by its lower bound.
 //!
 //! ## Determinism contract
 //!
@@ -88,26 +94,44 @@ impl Gauge {
     }
 }
 
+/// Buckets of the one histogram layout: 64 exact buckets for `0..64`, then
+/// 32 linear sub-buckets for each of the 58 powers of two from `2^6` up to
+/// `2^63`, so every `u64` has a bucket.
+const BUCKETS: usize = 60 * 32;
+
+/// The bucket of `v`: exact below 64; above, the six leading bits of `v`
+/// under the shift that keeps them.
+fn bucket_of(v: u64) -> usize {
+    let shift = (u64::BITS - v.leading_zeros()).saturating_sub(6);
+    ((shift as usize) << 5) + (v >> shift) as usize
+}
+
+/// The inclusive `(lower, upper)` values of bucket `i`. A lower end has at
+/// most six significant bits, so it is exact as an `f64`; the width is at
+/// most 1/32 of it.
+fn bucket_range(i: usize) -> (u64, u64) {
+    let shift = (i >> 5).saturating_sub(1);
+    let lower = ((i - (shift << 5)) as u64) << shift;
+    (lower, lower + ((1u64 << shift) - 1))
+}
+
 #[derive(Debug)]
 struct HistogramCore {
-    /// Upper bounds (inclusive) of the first `bounds.len()` buckets; one
-    /// overflow bucket follows.
-    bounds: Box<[u64]>,
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A fixed-bucket histogram of `u64` samples (typically nanoseconds).
+/// A histogram of `u64` samples (typically nanoseconds) over one fixed
+/// log-linear layout: exact below 64, and within 1/32 of every sample
+/// above.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
+    fn new() -> Self {
         Histogram(Arc::new(HistogramCore {
-            bounds: bounds.into(),
-            buckets,
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }))
@@ -115,8 +139,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let idx = self.0.bounds.partition_point(|b| *b < v);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -131,40 +154,34 @@ impl Histogram {
         self.0.sum.load(Ordering::Relaxed)
     }
 
-    /// `(upper_bound, count)` per bucket; the final entry is the overflow
-    /// bucket, reported with `u64::MAX` as its bound.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.0
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (self.0.bounds.get(i).copied().unwrap_or(u64::MAX), c.load(Ordering::Relaxed))
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) by nearest rank, as the inclusive
+    /// upper end of the bucket holding that rank: never below the exact
+    /// quantile, and above it by at most 1/32 of it. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        // Two passes over the live buckets: a sample recorded between them
+        // only makes the second reach the rank sooner.
+        let counts = || self.0.buckets.iter().map(|c| c.load(Ordering::Relaxed));
+        let total: u64 = counts().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+        let mut seen = 0;
+        counts()
+            .position(|c| {
+                seen += c;
+                seen >= rank
             })
-            .collect()
+            .map(|i| bucket_range(i).1)
     }
-}
 
-/// Default histogram bounds for latency-like quantities in nanoseconds:
-/// 1 ms … 30 s in a 1-2-5 progression.
-pub fn latency_bounds_nanos() -> Vec<u64> {
-    const MS: u64 = 1_000_000;
-    vec![
-        MS,
-        2 * MS,
-        5 * MS,
-        10 * MS,
-        20 * MS,
-        50 * MS,
-        100 * MS,
-        200 * MS,
-        500 * MS,
-        1_000 * MS,
-        2_000 * MS,
-        5_000 * MS,
-        10_000 * MS,
-        30_000 * MS,
-    ]
+    /// `(lower, count)` for each non-empty bucket, lowest first.
+    fn occupied(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.0.buckets.iter().enumerate().filter_map(|(i, c)| {
+            let n = c.load(Ordering::Relaxed);
+            (n > 0).then(|| (bucket_range(i).0, n))
+        })
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -214,21 +231,24 @@ impl MetricsRegistry {
         }
     }
 
-    /// Gets or creates the histogram `name` with the given bucket bounds
-    /// (bounds are fixed at first registration).
+    /// Gets or creates the histogram `name`.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+    pub fn log_histogram(&self, name: &str) -> Histogram {
         let mut map = self.inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
-        {
+        match map.entry(name.to_string()).or_insert_with(|| Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h.clone(),
             other => panic!("metric '{name}' already registered as {}", kind_name(other)),
         }
+    }
+
+    /// [`MetricsRegistry::log_histogram`]; `bounds` is ignored, since every
+    /// histogram has the one layout.
+    // frozen benchmark surface: ROADMAP item 24
+    pub fn histogram(&self, name: &str, _bounds: &[u64]) -> Histogram {
+        self.log_histogram(name)
     }
 
     /// Starts a wall-clock span named `name`: on drop it adds the elapsed
@@ -247,7 +267,8 @@ impl MetricsRegistry {
     }
 
     /// Serializes every metric, sorted by name, as
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`. A
+    /// histogram lists only its non-empty buckets, each by its lower end.
     pub fn to_json(&self) -> JsonValue {
         let map = self.inner.lock().expect("metrics registry poisoned");
         let mut counters = Vec::new();
@@ -258,32 +279,16 @@ impl MetricsRegistry {
                 Metric::Counter(c) => counters.push((name.clone(), JsonValue::UInt(c.get()))),
                 Metric::Gauge(g) => gauges.push((name.clone(), JsonValue::Float(g.get()))),
                 Metric::Histogram(h) => {
-                    let snap = h.snapshot();
-                    // The overflow bucket has no finite upper bound. Its
-                    // `u64::MAX` sentinel must not leak into the dump:
-                    // consumers reading JSON numbers as f64 would render it
-                    // as 18446744073709552000 (u64::MAX is not exactly
-                    // representable). `null` says "open-ended" explicitly.
-                    let bounds: Vec<JsonValue> = snap
-                        .iter()
-                        .map(
-                            |(b, _)| {
-                                if *b == u64::MAX {
-                                    JsonValue::Null
-                                } else {
-                                    JsonValue::UInt(*b)
-                                }
-                            },
-                        )
-                        .collect();
-                    let counts: Vec<JsonValue> =
-                        snap.iter().map(|(_, c)| JsonValue::UInt(*c)).collect();
+                    let (lowers, counts): (Vec<_>, Vec<_>) = h
+                        .occupied()
+                        .map(|(lower, n)| (JsonValue::UInt(lower), JsonValue::UInt(n)))
+                        .unzip();
                     histograms.push((
                         name.clone(),
                         JsonValue::Object(vec![
                             ("count".into(), JsonValue::UInt(h.count())),
                             ("sum".into(), JsonValue::UInt(h.sum())),
-                            ("bucket_upper_bounds".into(), JsonValue::Array(bounds)),
+                            ("bucket_lower_bounds".into(), JsonValue::Array(lowers)),
                             ("bucket_counts".into(), JsonValue::Array(counts)),
                         ]),
                     ));
@@ -548,14 +553,74 @@ mod tests {
     #[test]
     fn histogram_buckets_samples() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[10, 100]);
-        for v in [5, 10, 11, 100, 5000] {
+        let h = reg.log_histogram("lat");
+        for v in [5, 63, 64, 65, 100, 5000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 5126);
-        // Bounds are inclusive: 10 lands in the first bucket.
-        assert_eq!(h.snapshot(), vec![(10, 2), (100, 2), (u64::MAX, 1)]);
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.sum(), 5297);
+        // Exact below 64; 64 and 65 share a bucket two wide; 5000 lands in
+        // [4992, 5119], 128 wide.
+        let buckets: Vec<(u64, u64)> = h.occupied().collect();
+        assert_eq!(buckets, vec![(5, 1), (63, 1), (64, 2), (100, 1), (4992, 1)]);
+        assert_eq!(bucket_range(bucket_of(5000)), (4992, 5119));
+        assert_eq!(bucket_range(BUCKETS - 1).1, u64::MAX, "the layout covers every u64");
+    }
+
+    #[test]
+    fn every_bucket_holds_exactly_its_range() {
+        let mut next = 0;
+        for i in 0..BUCKETS {
+            let (lower, upper) = bucket_range(i);
+            assert_eq!(lower, next, "bucket {i} starts where {} ends", i.saturating_sub(1));
+            assert!(lower == 0 || lower >> lower.trailing_zeros() < 64, "six significant bits");
+            assert_eq!((bucket_of(lower), bucket_of(upper)), (i, i));
+            assert!((upper - lower) as u128 * 32 <= u128::from(lower.max(1)), "bucket {i}");
+            next = upper.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+    }
+
+    /// The exact nearest-rank `q`-quantile of ascending `sorted`.
+    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn quantiles_never_under_report_and_stay_within_a_32nd() {
+        use conprobe_json::testkit::TestRng;
+        const MS: u64 = 1_000_000;
+        let mut rng = TestRng::new(0x0B5_4157);
+        let n = 20_000;
+        let distributions: Vec<(&str, Vec<u64>)> = vec![
+            ("constant", vec![676; n]),
+            ("uniform on [0, 1 ms]", (0..n).map(|_| rng.range(0, MS + 1)).collect()),
+            (
+                "exponential, mean 50 us",
+                (0..n).map(|_| (-(1.0 - rng.unit()).ln() * 50_000.0) as u64).collect(),
+            ),
+            (
+                "bimodal 1 us / 10 ms",
+                (0..n).map(|_| if rng.chance(0.7) { 1_000 } else { 10 * MS }).collect(),
+            ),
+            ("0, 63, 64 and u64::MAX", vec![0, 63, 64, u64::MAX]),
+        ];
+        for (name, mut samples) in distributions {
+            let h = MetricsRegistry::new().log_histogram("q");
+            samples.iter().for_each(|&v| h.record(v));
+            samples.sort_unstable();
+            for q in [0.5, 0.9, 0.99, 0.999] {
+                let exact = exact_quantile(&samples, q);
+                let estimate = h.quantile(q).expect("recorded samples");
+                assert!(estimate >= exact, "{name} q{q}: {estimate} < exact {exact}");
+                assert!(
+                    u128::from(estimate - exact) * 32 <= u128::from(exact),
+                    "{name} q{q}: {estimate} is more than 1/32 above {exact}"
+                );
+            }
+        }
+        assert_eq!(MetricsRegistry::new().log_histogram("empty").quantile(0.5), None);
     }
 
     #[test]
@@ -612,7 +677,7 @@ mod tests {
         let sink = ObsSink::new();
         sink.metrics.counter("sim.delivered").add(7);
         sink.metrics.gauge("campaign.tests_per_sec").set(12.0);
-        sink.metrics.histogram("services.lag", &[100]).record(50);
+        sink.metrics.log_histogram("services.lag").record(50);
         let doc = sink.metrics.to_json();
         assert_eq!(
             doc.get("counters").and_then(|c| c.get("sim.delivered")).and_then(|v| v.as_u64()),
@@ -626,32 +691,37 @@ mod tests {
         );
         let hist = doc.get("histograms").and_then(|h| h.get("services.lag")).expect("histogram");
         assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(1));
+        // Only the one non-empty bucket is listed, by its lower end.
+        assert_eq!(
+            hist.get("bucket_lower_bounds"),
+            Some(&JsonValue::Array(vec![JsonValue::UInt(50)]))
+        );
+        assert_eq!(hist.get("bucket_counts"), Some(&JsonValue::Array(vec![JsonValue::UInt(1)])));
     }
 
     #[test]
-    fn histogram_json_overflow_bound_is_null_not_u64_max() {
+    fn a_dump_holding_u64_max_has_no_bound_an_f64_reader_mangles() {
         let sink = ObsSink::new();
-        sink.metrics.histogram("services.lag", &[10, 100]).record(5000);
+        let h = sink.metrics.log_histogram("services.lag");
+        for v in [7, 5_000, u64::MAX] {
+            h.record(v);
+        }
         let doc = sink.metrics.to_json();
         let hist = doc.get("histograms").and_then(|h| h.get("services.lag")).expect("histogram");
-        let bounds = match hist.get("bucket_upper_bounds") {
-            Some(JsonValue::Array(b)) => b,
-            other => panic!("bucket_upper_bounds missing: {other:?}"),
+        let Some(JsonValue::Array(bounds)) = hist.get("bucket_lower_bounds") else {
+            panic!("bucket_lower_bounds missing: {hist:?}");
         };
-        assert_eq!(bounds[0], JsonValue::UInt(10));
-        assert_eq!(bounds[1], JsonValue::UInt(100));
-        assert_eq!(bounds[2], JsonValue::Null, "open-ended bucket must serialize as null");
-        // Counts stay aligned with bounds: the overflow sample is in the
-        // final (null-bounded) bucket.
-        let counts = match hist.get("bucket_counts") {
-            Some(JsonValue::Array(c)) => c,
-            other => panic!("bucket_counts missing: {other:?}"),
-        };
-        assert_eq!(counts[2], JsonValue::UInt(1));
-        // The rendered dump never contains the u64::MAX sentinel (which
-        // f64-based JSON readers would mangle to 18446744073709552000).
+        assert_eq!(bounds.len(), 3);
+        for bound in bounds {
+            let b = bound.as_u64().expect("a lower bound is an integer");
+            assert_eq!(b as f64 as u64, b, "{b} survives a round trip through f64");
+        }
+        // u64::MAX's bucket is listed by its lower end, 63 << 58; the
+        // dump spells no u64::MAX anywhere (the sum wraps, as an atomic
+        // sum does).
+        assert_eq!(bounds[2].as_u64(), Some(63 << 58));
         let out = doc.to_compact();
-        assert!(!out.contains("18446744073709551615"), "sentinel leaked: {out}");
+        assert!(!out.contains("18446744073709551615"), "u64::MAX leaked: {out}");
     }
 
     #[test]

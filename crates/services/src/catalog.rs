@@ -78,6 +78,14 @@ impl ServiceKind {
         matches!(self, ServiceKind::Quorum | ServiceKind::Pbft)
     }
 
+    /// Whether a read returns the arm's whole state, so that a content
+    /// divergence refutes every single-order model (`core::verdict`).
+    /// FB Feed's reads are the ranked top 25 of `store::ranking`, which
+    /// may omit any post.
+    pub fn reads_whole_state(&self) -> bool {
+        !matches!(self, ServiceKind::FacebookFeed)
+    }
+
     /// Human-readable name as used in the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {

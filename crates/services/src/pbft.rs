@@ -63,7 +63,7 @@ use crate::shell::{
 use conprobe_json::{
     frame, missing, read_members, FastMap, FromJson, JsonError, JsonReader, JsonWriter,
 };
-use conprobe_obs::{latency_bounds_nanos, Counter, Gauge, Histogram, Severity};
+use conprobe_obs::{Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
 use std::collections::{BTreeMap, HashMap};
@@ -1522,8 +1522,7 @@ impl<A: Send + 'static> Node<NetMsg<A>> for PbftReplica {
                 view_changes: m.counter("services.pbft.view_changes"),
                 commits: m.counter("services.pbft.commits"),
                 leader: m.gauge("services.pbft.leader"),
-                commit_latency: m
-                    .histogram("services.pbft.commit_latency_nanos", &latency_bounds_nanos()),
+                commit_latency: m.log_histogram("services.pbft.commit_latency_nanos"),
             }
         });
         // Stagger suspicion deterministically per seed/node so replicas

@@ -28,7 +28,7 @@ use crate::api::{ClientOp, NetMsg, OpResult, ReplMsg};
 use crate::shell::{metric_prefix, FrontDoor, Transition, TOKEN_KIND_MASK};
 use conprobe_core::ReadView;
 use conprobe_json::FastMap;
-use conprobe_obs::{latency_bounds_nanos, Counter, Histogram};
+use conprobe_obs::{Counter, Histogram};
 use conprobe_sim::{BrownoutMode, Context, Node, NodeId, SimDuration, SimRng, SimTime};
 use conprobe_store::{
     FeedRanker, OrderingPolicy, Post, PostId, RankingConfig, ReadCache, ReplicaCore, StoredPost,
@@ -472,9 +472,7 @@ impl<A: Send + 'static> Node<NetMsg<A>> for ReplicaNode {
             let prefix = metric_prefix(ctx.node_id());
             ReplicaObs {
                 anti_entropy_rounds: sink.metrics.counter(&format!("{prefix}.anti_entropy_rounds")),
-                prop_lag: sink
-                    .metrics
-                    .histogram(&format!("{prefix}.propagation_lag_nanos"), &latency_bounds_nanos()),
+                prop_lag: sink.metrics.log_histogram(&format!("{prefix}.propagation_lag_nanos")),
             }
         });
         if let Some(period) = self.params.anti_entropy {

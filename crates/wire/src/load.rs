@@ -27,17 +27,7 @@ use crate::client::{dial_nonblocking, WireClient};
 use crate::conn::IdleBackoff;
 use crate::pipeline::{PipeConn, PipeFault};
 use conprobe_harness::transport::{EndpointError, ServiceEndpoint};
-use conprobe_obs::{latency_bounds_nanos, Counter, Histogram, MetricsRegistry};
-
-/// Histogram bounds for wire-op latencies: sub-millisecond buckets
-/// (loopback RTTs are tens of microseconds) in front of the standard
-/// 1 ms–30 s latency ladder.
-pub fn wire_latency_bounds_nanos() -> Vec<u64> {
-    const US: u64 = 1_000;
-    let mut bounds = vec![10 * US, 20 * US, 50 * US, 100 * US, 200 * US, 500 * US];
-    bounds.extend(latency_bounds_nanos());
-    bounds
-}
+use conprobe_obs::{Counter, Histogram, MetricsRegistry};
 use conprobe_services::{ClientOp, OpResult};
 use conprobe_sim::LocalTime;
 use conprobe_store::{AuthorId, Post, PostId};
@@ -108,22 +98,13 @@ pub struct LoadReport {
     pub elapsed_secs: f64,
     /// `ops / elapsed_secs`.
     pub ops_per_sec: f64,
-    /// Latency percentiles in nanoseconds: upper bucket bounds from the
-    /// histogram.
-    pub p50_nanos: u64,
-    /// 99th percentile upper bucket bound.
-    pub p99_nanos: u64,
-    /// 99.9th percentile upper bucket bound — the tail the p99 hides.
-    pub p999_nanos: u64,
-    /// True when the p50 rank landed in the histogram's open-ended
-    /// overflow bucket: the reported bound is the largest finite bucket
-    /// bound, an *underestimate* of the true percentile.
-    pub p50_saturated: bool,
-    /// Overflow-saturation flag for [`LoadReport::p99_nanos`].
-    pub p99_saturated: bool,
-    /// Overflow-saturation flag for [`LoadReport::p999_nanos`]. The tail
-    /// percentile saturates first — check this before quoting p999.
-    pub p999_saturated: bool,
+    /// Median latency in nanoseconds ([`Histogram::quantile`]: at most
+    /// 1/32 above the exact value); `None` when no op completed.
+    pub p50_nanos: Option<u64>,
+    /// 99th percentile latency in nanoseconds.
+    pub p99_nanos: Option<u64>,
+    /// 99.9th percentile latency in nanoseconds — the tail the p99 hides.
+    pub p999_nanos: Option<u64>,
     /// Responses that violated per-connection FIFO order.
     pub ordering_errors: u64,
     /// Responses that failed frame validation.
@@ -142,34 +123,6 @@ pub struct LoadReport {
     pub max_conn_errors: u64,
 }
 
-/// Percentile `q` as an upper bucket bound, plus a saturation flag.
-///
-/// When the rank lands in the open-ended overflow bucket there is no
-/// finite bound to report: the function falls back to the largest finite
-/// bucket bound and returns `true` — the value is a floor on the true
-/// percentile, not an estimate of it. Callers must surface that flag
-/// rather than quoting the fallback as a measurement.
-fn percentile(hist: &Histogram, q: f64) -> (u64, bool) {
-    let buckets = hist.snapshot();
-    let total: u64 = buckets.iter().map(|(_, c)| c).sum();
-    if total == 0 {
-        return (0, false);
-    }
-    let rank = (total as f64 * q).ceil() as u64;
-    let mut seen = 0;
-    let mut last_finite = 0;
-    for &(bound, count) in &buckets {
-        seen += count;
-        if bound != u64::MAX {
-            last_finite = bound;
-        }
-        if seen >= rank {
-            return if bound == u64::MAX { (last_finite, true) } else { (bound, false) };
-        }
-    }
-    (last_finite, true)
-}
-
 /// The run's one account: every event is counted here, once.
 struct LoadCounters {
     latency: Histogram,
@@ -184,7 +137,7 @@ struct LoadCounters {
 impl LoadCounters {
     fn new(metrics: &MetricsRegistry) -> LoadCounters {
         LoadCounters {
-            latency: metrics.histogram("wire.load.latency_nanos", &wire_latency_bounds_nanos()),
+            latency: metrics.log_histogram("wire.load.latency_nanos"),
             ops: metrics.counter("wire.load.ops"),
             errors: metrics.counter("wire.load.errors"),
             ordering: metrics.counter("wire.load.ordering_errors"),
@@ -261,20 +214,14 @@ pub fn run_load(
         std::array::from_fn(|i| after[i] - before[i]);
 
     let elapsed_secs = config.duration.as_secs_f64();
-    let (p50_nanos, p50_saturated) = percentile(&ctrs.latency, 0.50);
-    let (p99_nanos, p99_saturated) = percentile(&ctrs.latency, 0.99);
-    let (p999_nanos, p999_saturated) = percentile(&ctrs.latency, 0.999);
     Ok(LoadReport {
         ops,
         errors,
         elapsed_secs,
         ops_per_sec: ops as f64 / elapsed_secs.max(1e-9),
-        p50_nanos,
-        p99_nanos,
-        p999_nanos,
-        p50_saturated,
-        p99_saturated,
-        p999_saturated,
+        p50_nanos: ctrs.latency.quantile(0.50),
+        p99_nanos: ctrs.latency.quantile(0.99),
+        p999_nanos: ctrs.latency.quantile(0.999),
         ordering_errors: ordering,
         decode_errors: decode,
         busy_sheds: busy,
@@ -412,67 +359,5 @@ fn sweep_connections(args: SweeperArgs<'_>) -> Vec<u64> {
         // The server's backoff, mirrored: a yield hands the core to the
         // serving thread, which holds the responses we are waiting on.
         backoff.after_sweep(progressed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hist(bounds: &[u64]) -> Histogram {
-        MetricsRegistry::new().histogram("t", bounds)
-    }
-
-    #[test]
-    fn percentile_within_ladder_is_exact_bound_unsaturated() {
-        let h = hist(&[10, 100]);
-        for v in [1, 2, 3] {
-            h.record(v);
-        }
-        assert_eq!(percentile(&h, 0.50), (10, false));
-        assert_eq!(percentile(&h, 0.999), (10, false));
-        h.record(50);
-        assert_eq!(percentile(&h, 0.999), (100, false));
-    }
-
-    #[test]
-    fn percentile_of_empty_histogram_is_zero() {
-        assert_eq!(percentile(&hist(&[10, 100]), 0.999), (0, false));
-    }
-
-    #[test]
-    fn tail_rank_in_overflow_bucket_is_flagged_saturated() {
-        // One in-ladder sample, one past the last finite bound: the p50
-        // is honest, the p999 falls back to the largest finite bound and
-        // must say so.
-        let h = hist(&[10, 100]);
-        h.record(5);
-        h.record(5_000);
-        assert_eq!(percentile(&h, 0.50), (10, false));
-        assert_eq!(percentile(&h, 0.999), (100, true));
-    }
-
-    #[test]
-    fn all_samples_in_overflow_saturate_every_percentile() {
-        // The previously-silent case: every sample beyond the ladder.
-        // The old code reported the largest finite bound (100 ns here)
-        // for every percentile with no indication anything was wrong.
-        let h = hist(&[10, 100]);
-        for _ in 0..3 {
-            h.record(7_000);
-        }
-        assert_eq!(percentile(&h, 0.50), (100, true));
-        assert_eq!(percentile(&h, 0.99), (100, true));
-        assert_eq!(percentile(&h, 0.999), (100, true));
-    }
-
-    #[test]
-    fn wire_ladder_saturates_past_thirty_seconds() {
-        let bounds = wire_latency_bounds_nanos();
-        let h = hist(&bounds);
-        h.record(31_000_000_000); // 31 s > the ladder's 30 s ceiling
-        let (bound, saturated) = percentile(&h, 0.50);
-        assert_eq!(bound, *bounds.last().unwrap());
-        assert!(saturated);
     }
 }

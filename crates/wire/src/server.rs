@@ -47,7 +47,6 @@ use crate::frame::{
     append_read_q_ok_iter, append_write_q_ack, decode_raw, read_q_fields, write_q_fields, Frame,
     KIND_HELLO, KIND_READ_Q, KIND_STOP, KIND_WRITE_Q, PROTO_VERSION,
 };
-use crate::load::wire_latency_bounds_nanos;
 use conprobe_obs::MetricsRegistry;
 use conprobe_services::catalog::topology;
 use conprobe_services::live::{LiveCluster, LiveConfig, LiveReply, RejoinReport, StaleWindow};
@@ -489,7 +488,7 @@ impl Counters {
             stops: metrics.counter("wire.server.stops"),
             slow_evictions: metrics.counter("wire.server.slow_evictions"),
             throttled: metrics.counter("wire.server.throttled"),
-            op_nanos: metrics.histogram("wire.server.op_nanos", &wire_latency_bounds_nanos()),
+            op_nanos: metrics.log_histogram("wire.server.op_nanos"),
         }
     }
 }

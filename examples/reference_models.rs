@@ -31,7 +31,7 @@ fn profile(label: &str, service: ServiceKind, topo: Option<Topology>) {
             for obs in &r.analysis.observations {
                 *counts.entry(obs.kind).or_insert(0u32) += 1;
             }
-            last_verdict = Some(Verdict::from_analysis(&r.analysis));
+            last_verdict = Some(Verdict::from_analysis(&r.analysis, service.reads_whole_state()));
         }
     }
     println!("== {label} ==");

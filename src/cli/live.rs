@@ -179,6 +179,16 @@ fn set<T>(slot: &mut T, value: Option<T>) {
     }
 }
 
+/// A latency in milliseconds to three significant figures ("0.0523 ms",
+/// "1.20 ms", "340 ms"), or "n/a" when nothing was measured: a quantile
+/// within 1/32 of its value keeps its own digits.
+pub(super) fn millis_3sf(nanos: Option<u64>) -> String {
+    let Some(nanos) = nanos else { return "n/a".into() };
+    let ms = nanos as f64 / 1e6;
+    let decimals = if nanos == 0 { 0 } else { (2 - ms.log10().floor() as i64).max(0) as usize };
+    format!("{ms:.decimals$} ms")
+}
+
 /// `conprobe serve`: host a catalog service on real TCP listeners
 /// (`cpw1` protocol) until drained by a stop file, a `stop` frame, or
 /// `--max-secs`. Every `Option` tuning field overrides
@@ -515,8 +525,7 @@ impl ProbeArgs {
             metrics
                 .counter("wire.probe.reads")
                 .add(r.reads_per_agent.iter().map(|&n| u64::from(n)).sum());
-            let bounds = conprobe_obs::latency_bounds_nanos();
-            let h = metrics.histogram("wire.probe.clock_error_nanos", &bounds);
+            let h = metrics.log_histogram("wire.probe.clock_error_nanos");
             for e in &r.clock_error_nanos {
                 h.record(e.unsigned_abs());
             }
@@ -691,15 +700,11 @@ impl LoadArgs {
         config.target_ops_per_sec = self.target_ops;
         let metrics = MetricsRegistry::new();
         let report = run_load(&config, &metrics).map_err(|e| CliError(format!("load: {e}")))?;
-        // A saturated percentile fell in the histogram's open-ended
-        // overflow bucket: the printed bound is a floor, not a
-        // measurement, and is marked as such.
-        let sat = |saturated: bool| if saturated { "+ (saturated)" } else { "" };
         let _ = writeln!(
             out,
             "load {target}: {} ops in {:.1}s over {} connection(s) \
              x {} in-flight ({:.0} ops/sec); \
-             p50 {:.2} ms{}, p99 {:.2} ms{}, p999 {:.2} ms{}; \
+             p50 {}, p99 {}, p999 {}; \
              {} error(s) ({} ordering, {} decode; \
              {} connection(s) affected, worst {}); {} throttled",
             report.ops,
@@ -707,12 +712,9 @@ impl LoadArgs {
             config.connections,
             config.pipeline,
             report.ops_per_sec,
-            report.p50_nanos as f64 / 1e6,
-            sat(report.p50_saturated),
-            report.p99_nanos as f64 / 1e6,
-            sat(report.p99_saturated),
-            report.p999_nanos as f64 / 1e6,
-            sat(report.p999_saturated),
+            millis_3sf(report.p50_nanos),
+            millis_3sf(report.p99_nanos),
+            millis_3sf(report.p999_nanos),
             report.errors,
             report.ordering_errors,
             report.decode_errors,

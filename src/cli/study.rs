@@ -231,6 +231,7 @@ pub(super) fn report_analysis(
     out: &mut String,
     analysis: &conprobe_core::TestAnalysis<PostId>,
     trace: &TestTrace<PostId>,
+    whole_state_reads: bool,
     show_timeline: bool,
 ) {
     let _ =
@@ -244,7 +245,7 @@ pub(super) fn report_analysis(
     if analysis.is_clean() {
         let _ = writeln!(out, "  no anomalies");
     }
-    let _ = writeln!(out, "{}", Verdict::from_analysis(analysis));
+    let _ = writeln!(out, "{}", Verdict::from_analysis(analysis, whole_state_reads));
     if show_timeline {
         let _ = writeln!(out, "\n{}", timeline::render(trace, &analysis.observations, 72));
     }
@@ -294,7 +295,13 @@ impl RunArgs {
             if r.completed { "completed" } else { "TIMED OUT" },
             r.duration_secs
         );
-        report_analysis(out, &r.analysis, &r.trace, self.show_timeline);
+        report_analysis(
+            out,
+            &r.analysis,
+            &r.trace,
+            service.reads_whole_state(),
+            self.show_timeline,
+        );
         if let Some(report) = &r.whitebox {
             let _ = writeln!(
                 out,
@@ -353,7 +360,9 @@ impl AnalyzeArgs {
         };
         let analysis = analyze(&trace, &config);
         let _ = writeln!(out, "analyzed {path}:");
-        report_analysis(out, &analysis, &trace, true);
+        // A trace file does not name the arm that wrote it, so its reads
+        // may be a ranked selection: a divergence refutes only "strong".
+        report_analysis(out, &analysis, &trace, false, true);
         Ok(())
     }
 }
@@ -447,7 +456,7 @@ impl TraceArgs {
             self.target.as_ref().map(|t| format!(" under '{t}'")).unwrap_or_default(),
             sink.log.evicted(),
         );
-        report_analysis(out, &r.analysis, &r.trace, false);
+        report_analysis(out, &r.analysis, &r.trace, service.reads_whole_state(), false);
         Ok(())
     }
 }

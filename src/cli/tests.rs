@@ -1,6 +1,6 @@
 use super::args::{grammar, parse_endpoint, parse_service, region_token, synopses};
 use super::chaos::ChaosArgs;
-use super::live::{ChaosdArgs, DispatchArgs, HostArgs, ReadyFile, WorkerArgs};
+use super::live::{millis_3sf, ChaosdArgs, DispatchArgs, HostArgs, ReadyFile, WorkerArgs};
 use super::study::{JournalArgs, TestSpec, TraceArgs};
 use super::*;
 use conprobe_core::AnomalyKind;
@@ -988,4 +988,18 @@ fn campaign_summarizes_prevalence() {
             .unwrap();
     assert!(out.contains("2/2 completed"), "{out}");
     assert!(!out.contains("read your writes"), "Blogger clean: {out}");
+}
+
+#[test]
+fn load_prints_latencies_to_three_significant_figures() {
+    let cases = [
+        (Some(52_345), "0.0523 ms"),
+        (Some(1_200_000), "1.20 ms"),
+        (Some(340_400_000), "340 ms"),
+        (Some(0), "0 ms"),
+        (None, "n/a"),
+    ];
+    for (nanos, text) in cases {
+        assert_eq!(millis_3sf(nanos), text, "{nanos:?}");
+    }
 }

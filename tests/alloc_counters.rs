@@ -105,11 +105,15 @@ fn a_read_allocates_only_the_views_a_read_path_builds() {
     // shared snapshots; while Feed copied every stored post to rank it and
     // Quorum copied every replica's store to merge them, they took 613
     // and 671.
+    // Blogger's one replica and PBFT's ordered log are bounded at the
+    // counts they first measured.
     let cells = [
         (ServiceKind::GooglePlus, 350),
         (ServiceKind::FacebookGroup, 260),
         (ServiceKind::FacebookFeed, 495),
         (ServiceKind::Quorum, 494),
+        (ServiceKind::Blogger, 103),
+        (ServiceKind::Pbft, 347),
     ];
     let measured = cells.map(|(service, _)| blocks_per_instance(service));
     eprintln!("blocks per Test 2 instance, seed {SEED}: {measured:?}");
