@@ -77,7 +77,7 @@ struct Pending {
 pub struct RpcStats {
     /// Retransmissions of unanswered requests.
     pub retransmits: u64,
-    /// Operations given up on after [`MAX_ATTEMPTS`] transmissions.
+    /// Operations given up on after `MAX_ATTEMPTS` (8) transmissions.
     pub abandoned: u64,
     /// Responses rejected by the service's rate limiter.
     pub throttled: u64,

@@ -82,10 +82,10 @@
 //!
 //! ## What a record stores
 //!
-//! A `completed` record persists everything in a
-//! [`TestResult`](crate::runner::TestResult) *except* the analysis and
-//! the white-box report: the analysis is recomputed on recovery from the
-//! persisted trace with [`crate::runner::checker_config_for`] (pure and
+//! A `completed` record persists everything in a [`TestResult`] *except*
+//! the analysis and the white-box report: the analysis is recomputed on
+//! recovery from the persisted trace with
+//! [`crate::runner::checker_config_for`] (pure and
 //! deterministic, so resumption is byte-identical), and the white-box
 //! probe is a single-test debugging tool that journaled campaigns don't
 //! enable. A `crashed` record stores the panic message of a quarantined

@@ -58,7 +58,8 @@ fn eight_digits(word: u64) -> Option<i64> {
 const MAX_DEPTH: usize = 128;
 
 /// A strict, allocation-free reader over one JSON text: no trailing
-/// commas, no comments, no NaN/Infinity, nesting limited to [`MAX_DEPTH`].
+/// commas, no comments, no NaN/Infinity, nesting limited to `MAX_DEPTH`
+/// (128) levels.
 ///
 /// The caller pulls what its schema expects — a typed scalar, the keys
 /// of an object, the elements of an array — and whatever it does not

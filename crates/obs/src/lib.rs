@@ -43,7 +43,7 @@
 use conprobe_json::JsonValue;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -120,6 +120,8 @@ struct HistogramCore {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
+    /// Set once `sum` has wrapped: from then on it bounds nothing.
+    sum_overflowed: AtomicBool,
 }
 
 /// A histogram of `u64` samples (typically nanoseconds) over one fixed
@@ -134,6 +136,7 @@ impl Histogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            sum_overflowed: AtomicBool::new(false),
         }))
     }
 
@@ -141,7 +144,10 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
+        let before = self.0.sum.fetch_add(v, Ordering::Relaxed);
+        if before.checked_add(v).is_none() {
+            self.0.sum_overflowed.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Total samples recorded.
@@ -149,9 +155,16 @@ impl Histogram {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all samples.
+    /// Sum of all samples, saturating at `u64::MAX`: it never
+    /// under-reports, even after the running sum has overflowed.
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.exact_sum().unwrap_or(u64::MAX)
+    }
+
+    /// Sum of all samples, or `None` once it no longer fits in a `u64`.
+    fn exact_sum(&self) -> Option<u64> {
+        let sum = self.0.sum.load(Ordering::Relaxed);
+        (!self.0.sum_overflowed.load(Ordering::Relaxed)).then_some(sum)
     }
 
     /// The `q`-quantile (`0 ≤ q ≤ 1`) by nearest rank, as the inclusive
@@ -268,7 +281,8 @@ impl MetricsRegistry {
 
     /// Serializes every metric, sorted by name, as
     /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`. A
-    /// histogram lists only its non-empty buckets, each by its lower end.
+    /// histogram lists only its non-empty buckets, each by its lower end;
+    /// its `sum` is `null` once the samples' sum overflowed a `u64`.
     pub fn to_json(&self) -> JsonValue {
         let map = self.inner.lock().expect("metrics registry poisoned");
         let mut counters = Vec::new();
@@ -287,7 +301,7 @@ impl MetricsRegistry {
                         name.clone(),
                         JsonValue::Object(vec![
                             ("count".into(), JsonValue::UInt(h.count())),
-                            ("sum".into(), JsonValue::UInt(h.sum())),
+                            ("sum".into(), h.exact_sum().map_or(JsonValue::Null, JsonValue::UInt)),
                             ("bucket_lower_bounds".into(), JsonValue::Array(lowers)),
                             ("bucket_counts".into(), JsonValue::Array(counts)),
                         ]),
@@ -722,6 +736,26 @@ mod tests {
         assert_eq!(bounds[2].as_u64(), Some(63 << 58));
         let out = doc.to_compact();
         assert!(!out.contains("18446744073709551615"), "u64::MAX leaked: {out}");
+    }
+
+    #[test]
+    fn an_overflowed_sum_saturates_and_dumps_as_null() {
+        let sink = ObsSink::new();
+        let h = sink.metrics.log_histogram("services.lag");
+        for v in [7, 5_000] {
+            h.record(v);
+        }
+        assert_eq!(h.sum(), 5_007);
+        h.record(u64::MAX);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.sum(), u64::MAX, "an overflowed sum never under-reports");
+        // Further samples cannot bring a wrapped sum back into range.
+        h.record(1);
+        assert_eq!(h.sum(), u64::MAX);
+        let doc = sink.metrics.to_json();
+        let hist = doc.get("histograms").and_then(|h| h.get("services.lag")).expect("histogram");
+        assert_eq!(hist.get("sum"), Some(&JsonValue::Null));
+        assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(4));
     }
 
     #[test]

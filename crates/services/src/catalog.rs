@@ -36,8 +36,8 @@ pub enum ServiceKind {
     /// the repo's strong-consistency control arm, run under the same
     /// workloads and fault plans that expose the four above. Measured
     /// profile: the five session/order checkers come back clean; Test 2
-    /// shows a brief *content divergence* in ≈ 5–8 % of instances (open
-    /// under ROADMAP item 2).
+    /// shows a brief *content divergence* in ≈ 5–8 % of instances, which
+    /// the module docs of [`crate::quorum`] explain.
     Quorum,
     /// PBFT-style ordered-log replication ([`crate::pbft`]) — the second
     /// strong control arm: a replicated state machine where partitions
@@ -137,8 +137,8 @@ pub struct Topology {
 pub fn topology(kind: ServiceKind) -> Topology {
     match kind {
         // Single synchronous replica, zero anomalies: linearizable by
-        // construction; not yet checked by a linearizability oracle
-        // (ROADMAP item 2).
+        // construction; the oracle in `tests/linearizability.rs` accepts
+        // its Test 2 traces for seeds 0–59.
         ServiceKind::Blogger => Topology {
             replicas: vec![(Region::Virginia, ReplicaParams::default())],
             affinity: AffinityMap::with_fallback(0),
@@ -296,8 +296,8 @@ pub fn topology_quorum() -> Topology {
 /// with `f = 1`) — one per agent region plus a North Virginia witness
 /// that never fronts clients. Writes and reads are both sequenced
 /// through the leader's log (ordered reads are what make the arm
-/// linearizable by construction; not yet checked by a linearizability
-/// oracle, ROADMAP item 2).
+/// linearizable by construction; the oracle in `tests/linearizability.rs`
+/// accepts its Test 2 traces for seeds 0–59).
 pub fn topology_pbft() -> Topology {
     strong_topology(&[Region::Oregon, Region::Tokyo, Region::Ireland, Region::Virginia])
 }

@@ -11,7 +11,7 @@
 //! **Two drivers, one shell.** The ring, the region affinity, the `down`
 //! flags and the operator surface exist once. An arm whose protocol *is*
 //! its message exchange is *hosted*: the sim's own nodes on a `World` fed
-//! real time ([`crate::hosted`]). The rest are *stored*, driven by this
+//! real time (the `hosted` module). The rest are *stored*, driven by this
 //! module — [`ReplicaCore`]s behind mutexes, a replication queue and an
 //! anti-entropy schedule, which is all a weak arm is. The rest of this
 //! page describes the stored driver.
@@ -36,8 +36,8 @@
 //! reconciles two replicas by reading each core's id set in place.
 //!
 //! Fidelity note: the stored driver reuses the catalog's per-replica
-//! [`OrderingPolicy`](conprobe_store::OrderingPolicy), replication-delay
-//! distribution, anti-entropy period, and canonicalization flags, but
+//! [`OrderingPolicy`], replication-delay distribution, anti-entropy
+//! period, and canonicalization flags, but
 //! serves every read from the policy-ordered snapshot (the sim's
 //! front-end caches, secondary indexes and ranking pipelines stay
 //! sim-only). For live experiments that must *exhibit* staleness on

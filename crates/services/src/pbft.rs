@@ -19,9 +19,10 @@
 //!   [`ReplicaCore`].
 //!
 //! Reads are ordered through the same log, so every response is a
-//! prefix-consistent snapshot: the arm is linearizable by construction;
-//! not yet checked by a linearizability oracle (ROADMAP item 2). All six
-//! checkers must come back clean under every fault plan.
+//! prefix-consistent snapshot: the arm is linearizable by construction,
+//! and the oracle in `tests/linearizability.rs` accepts its Test 2 traces
+//! for seeds 0–59. All six checkers must come back clean under every
+//! fault plan.
 //!
 //! **View changes.** Each front door tracks its pending operations; when
 //! one stalls past a seeded suspicion timeout and this replica is not
@@ -179,8 +180,7 @@ pub enum ProposeOp {
         post: Post,
     },
     /// Sequence this read (reads are log ops, so the arm is linearizable
-    /// by construction; not yet checked by a linearizability oracle
-    /// (ROADMAP item 2)); `origin` answers from its snapshot at apply.
+    /// by construction); `origin` answers from its snapshot at apply.
     Read {
         /// The forwarding front door's replica index.
         origin: usize,

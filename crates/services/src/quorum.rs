@@ -33,8 +33,14 @@
 //! plans): the five session/order checkers — read-your-writes, monotonic
 //! writes, monotonic reads, writes-follow-reads, order divergence — never
 //! fire. Test 2 shows a brief *content divergence* in ≈ 5–8 % of
-//! instances; it is unexplained and stays open under ROADMAP item 2,
-//! which is why nothing here claims (or disclaims) linearizability.
+//! instances. White-box samples explain it
+//! (`quorum_divergence_is_one_majority_read_at_two_instants` in
+//! `tests/quorum_replica.rs`): two agents write and read at two doors at
+//! once, and each read merges its door's store, taken before that door's
+//! write lands, with the other door's snapshot, taken after. Both reads
+//! consult the same majority at different instants and each sees only
+//! the other agent's write, an order no single history allows. The read
+//! has one phase and no write-back, so this arm is not linearizable.
 //!
 //! The node is [`FaultDriver`](crate::fault_driver::FaultDriver)-aware
 //! through the same front-door shell as

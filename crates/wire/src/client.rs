@@ -1,5 +1,4 @@
-//! The blocking client side of `cpw1` — a
-//! [`ServiceEndpoint`](conprobe_harness::transport::ServiceEndpoint).
+//! The blocking client side of `cpw1` — a [`ServiceEndpoint`].
 //!
 //! The live probe agents and the load generator's seeder call it through
 //! that trait: one keyed operation per call, addressed to the client's

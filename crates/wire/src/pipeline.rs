@@ -4,8 +4,7 @@
 //! the state of a non-blocking connection that keeps up to `depth` keyed
 //! requests in flight, batches their frames into one output buffer
 //! (flushed with single large writes), and reaps responses incrementally
-//! with [`decode_raw`](crate::frame::decode_raw) — no allocation per
-//! response. It owns no socket and reads no clock: [`PipeConn::pump`]
+//! with [`decode_raw`] — no allocation per response. It owns no socket and reads no clock: [`PipeConn::pump`]
 //! sweeps it over the caller's non-blocking stream (any `Read + Write`),
 //! and one generator thread sweeps thousands of these.
 //!

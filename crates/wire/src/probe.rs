@@ -15,16 +15,14 @@
 //! 3. agents start at one agreed *server-timeline* instant (each sleeps
 //!    until its own skewed clock reaches the mapped deadline — exactly
 //!    the coordinator's synchronized-start trick);
-//! 4. [`run_script`] drives the chosen design's
-//!    [`TestScript`](conprobe_harness::script::TestScript) — the one the
-//!    sim agent runs — against the endpoint, logging local
+//! 4. [`run_script`] drives the chosen design's [`TestScript`] — the one
+//!    the sim agent runs — against the endpoint, logging local
 //!    invoke/response times, until the script ends or every agent has
 //!    completed or been written off (the coordinator's Stop,
 //!    decentralized);
 //! 5. records are mapped onto the server timeline via the estimated
-//!    deltas and merged into a standard
-//!    [`TestTrace`](conprobe_core::TestTrace) — which then flows through
-//!    the *unmodified* `analyze()` checkers, journal, metrics and report
+//!    deltas and merged into a standard [`TestTrace`] — which then flows
+//!    through the *unmodified* `analyze()` checkers, journal, metrics and report
 //!    pipeline.
 //!
 //! The output is a full [`TestResult`], so campaign-side machinery

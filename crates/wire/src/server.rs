@@ -34,9 +34,9 @@
 //! mid-frame — and [`WireServer::join`] returns the final metrics dump.
 //!
 //! Request routing: every `read_q`/`write_q` frame carries a keyspace
-//! key, routed by the cluster's consistent-hash [`ShardRing`] (see
-//! `conprobe_services::shard`; key 0 is the paper's single-object
-//! workload), plus a request id echoed in the response — `read_q_ok`,
+//! key, routed by the cluster's consistent-hash
+//! [`ShardRing`](conprobe_services::ShardRing) (key 0 is the paper's
+//! single-object workload), plus a request id echoed in the response — `read_q_ok`,
 //! `write_q_ack`, or `throttled` (a throttle-storm brownout, or a hosted
 //! arm with no majority to answer from) — so pipelined clients can
 //! verify per-connection FIFO order. A connection

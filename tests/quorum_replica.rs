@@ -7,19 +7,25 @@
 //! reads, writes-follow-reads and order divergence never fire, in clean
 //! runs and under the chaos plan's crash/recover cycle alike; Test 2
 //! shows a brief *content divergence* in ≈ 5–8 % of instances (seeds 9,
-//! 19, 22, 39 of the first 60), which ROADMAP item 2 keeps open. The
-//! seeds pinned below are clean on all six checkers. Under a fixed seed
-//! the whole thing — trace, recovery narration, state-transfer stream
-//! hash — must be byte-deterministic.
+//! 19, 22, 39 of the first 60). White-box samples explain it (seed 9,
+//! below): two concurrent one-phase reads consult the same two replicas
+//! at different instants, each its own door before that door's write
+//! lands and the other door after, so each sees only the other agent's
+//! write. The other seeds pinned below are clean on all six checkers.
+//! Under a fixed seed the whole thing — trace, recovery narration,
+//! state-transfer stream hash — must be byte-deterministic.
 
 use conprobe::cli::chaos_plan;
-use conprobe::core::AnomalyKind;
+use conprobe::core::{AgentId, AnomalyKind, OpRecord};
 use conprobe::harness::proto::TestKind;
 use conprobe::harness::runner::{run_one_test, TestConfig, TestResult};
+use conprobe::harness::whitebox::PERIOD;
 use conprobe::services::ServiceKind;
+use conprobe::store::PostId;
 use conprobe_json::frame::fnv64;
 use conprobe_json::ToJson;
 use conprobe_obs::{EventLog, ObsSink, Severity};
+use std::collections::BTreeSet;
 
 /// The control arm: no faults, every checker, both test designs, seeds
 /// 0..6 plus 7 and 42 — zero anomaly observations. That covers what
@@ -45,6 +51,108 @@ fn clean_quorum_runs_are_anomaly_free_across_all_six_checkers() {
             assert!(r.analysis.is_clean());
         }
     }
+}
+
+/// Quorum Test 2, seed 9: the content divergence, joined with the two
+/// reads' front doors and the white-box samples around them.
+///
+/// A one-phase `QuorumReplica::quorum_read` answers with its door's store
+/// (taken when the read arrives) merged with the first peer snapshot to
+/// come back, so each result is the union of one majority's sets. The
+/// expected explanation was two reads served by two *different*
+/// majorities. The samples show one majority read twice instead: each
+/// read holds only the other agent's write, which is exactly the other
+/// door's set at the first sample after the writes land, and its own
+/// door contributes its empty set from before them. Both reads are
+/// explained by the same pair of replicas and by no other pair. The two
+/// doors read each other in opposite orders against two concurrent
+/// writes, which no single order of the four operations allows.
+#[test]
+fn quorum_divergence_is_one_majority_read_at_two_instants() {
+    let mut config = TestConfig::paper(ServiceKind::Quorum, TestKind::Test2);
+    config.whitebox = true;
+    let r = run_one_test(&config, 9);
+    let cds = r.analysis.of_kind(AnomalyKind::ContentDivergence);
+    assert_eq!(cds.len(), 1, "seed 9 diverges once: {cds:?}");
+    let cd = cds[0];
+    let (a, b) = (cd.agent, cd.other_agent.expect("a divergence names its pair"));
+    // `a` alone sees `x`, `b` alone sees `y`.
+    let (x, y) = (cd.witnesses[0], cd.witnesses[1]);
+    let set = |op: &OpRecord<PostId>| -> BTreeSet<PostId> {
+        op.read_seq().expect("a read").iter().copied().collect()
+    };
+    let diverging_read = |agent: AgentId, has: PostId, lacks: PostId| {
+        let reads: Vec<_> = r
+            .trace
+            .reads_by(agent)
+            .into_iter()
+            .filter(|op| set(op).contains(&has) && !set(op).contains(&lacks))
+            .collect();
+        assert_eq!(reads.len(), 1, "{agent} has one diverging read");
+        reads[0]
+    };
+    let (read_a, read_b) = (diverging_read(a, x, y), diverging_read(b, y, x));
+    let writer = |id: PostId| {
+        r.trace.ops().iter().find(|op| op.write_id() == Some(&id)).expect("a written id").agent
+    };
+    // Each read holds the other agent's write and nothing else.
+    assert_eq!((writer(x), writer(y)), (b, a));
+    assert_eq!(set(read_a), BTreeSet::from([x]));
+    assert_eq!(set(read_b), BTreeSet::from([y]));
+    // The two reads overlap in time.
+    assert!(read_a.invoke < read_b.response && read_b.invoke < read_a.response);
+
+    let door = |agent: AgentId| r.agent_entries[agent.0 as usize].0;
+    let (door_a, door_b) = (door(a), door(b));
+    assert_ne!(door_a, door_b);
+    let wb = r.whitebox.as_ref().expect("white-box samples");
+    let sampled = |replica: usize, at: u64| -> BTreeSet<PostId> {
+        let s = wb.samples.iter().find(|s| s.replica == replica && s.at_nanos == at);
+        s.expect("every replica is sampled at every instant").seq.iter().copied().collect()
+    };
+    // The nearest samples: `landed` is the first instant any replica holds
+    // either write. Then each door holds exactly its own agent's write;
+    // one period earlier every replica was empty.
+    let landed = wb
+        .samples
+        .iter()
+        .find(|s| s.seq.contains(&x) || s.seq.contains(&y))
+        .expect("the writes land")
+        .at_nanos;
+    let before = landed - PERIOD.as_nanos();
+    assert_eq!(sampled(door_a, landed), BTreeSet::from([y]));
+    assert_eq!(sampled(door_b, landed), BTreeSet::from([x]));
+    for replica in 0..wb.replicas {
+        assert!(sampled(replica, before).is_empty(), "replica {replica} before the writes");
+    }
+    // So each read is its peer's set after the writes landed, joined with
+    // its door's set from before them.
+    assert_eq!(set(read_a), &sampled(door_a, before) | &sampled(door_b, landed));
+    assert_eq!(set(read_b), &sampled(door_b, before) | &sampled(door_a, landed));
+
+    // The one-phase prediction, tested over every sampled instant: which
+    // peers, joined with the door, can explain each result?
+    let held = |replica: usize| -> Vec<BTreeSet<PostId>> {
+        let mut sets: Vec<BTreeSet<PostId>> = Vec::new();
+        for s in wb.samples.iter().filter(|s| s.replica == replica) {
+            let now: BTreeSet<PostId> = s.seq.iter().copied().collect();
+            if sets.last() != Some(&now) {
+                sets.push(now);
+            }
+        }
+        sets
+    };
+    let majorities = |door: usize, result: &BTreeSet<PostId>| -> BTreeSet<usize> {
+        (0..wb.replicas)
+            .filter(|&peer| peer != door)
+            .filter(|&peer| {
+                held(door).iter().any(|d| held(peer).iter().any(|p| &(d | p) == result))
+            })
+            .collect()
+    };
+    // Each result is one majority's union, and both name the same one.
+    assert_eq!(majorities(door_a, &set(read_a)), BTreeSet::from([door_b]));
+    assert_eq!(majorities(door_b, &set(read_b)), BTreeSet::from([door_a]));
 }
 
 /// Runs the level-3 chaos cell (loss burst + degraded link + link flap +
