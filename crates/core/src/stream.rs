@@ -26,8 +26,11 @@
 //! polls that return the same five posts cost one view plus a thousand
 //! records. A view's word summary (see *Probes*), five words and a count,
 //! is part of the view and so is paid once per distinct view. Each agent
-//! also keeps one `(view, multiplicity, first-arrived read)` entry per
-//! distinct view it has read. Pairwise divergence counting is
+//! also keeps one entry per distinct view it has read, 24 bytes: the view
+//! id, its multiplicity, and the ordinal and response time of its
+//! first-arrived read, which is all a comparison needs of that read.
+//! Each finalized WFR dependency set keeps its bounds and, when its keys
+//! are all below 64, their mask. Pairwise divergence counting is
 //! `O(reads × distinct views)` in *time*, but the per-event *space* is a
 //! small constant — the property [`StreamingAnalyzer::retained_bytes`]
 //! accounts for and the streaming-equivalence suite pins. On a million-event trace of wide
@@ -42,13 +45,14 @@
 //! (the batch checkers' rule) and a slot left by any earlier generation
 //! reads as absent; the generation is a `u64` and never wraps back onto a
 //! stale mark. Then "does the view contain `k`" and "at which position"
-//! are one load each. A check of one view (RYW, MW, MR, WFR) marks it
-//! once. A pairwise comparison (divergence, windows) marks the new read's
-//! view and walks each view it is compared with once, probing: when
-//! neither repeats a key, they content-diverge iff `common < |mine|` and
-//! `common < |theirs|` (`common` counts the walked keys found), and
-//! order-diverge iff the found positions descend somewhere along the
-//! walk. Whether a view repeats a key is settled when it is first marked;
+//! are one load each. A read's view is marked once for the checks its
+//! arrival runs (divergence, WFR), once for RYW and MW, and once for MR
+//! and its window step. A pairwise comparison (divergence, windows) marks
+//! the new read's view and walks each view it is compared with once,
+//! probing: when neither repeats a key, they content-diverge iff
+//! `common < |mine|` and `common < |theirs|` (`common` counts the walked
+//! keys found), and order-diverge iff the found positions descend
+//! somewhere along the walk. Whether a view repeats a key is settled when it is first marked;
 //! a pair with such a view, or one whose witness is wanted (see
 //! *Pair-state lattice*), marks the compared view in the second table and
 //! runs the witness searches, which walk the sequences in order,
@@ -65,6 +69,26 @@
 //! the common mask and is not among the other's inverted pairs. Every
 //! pair either view inverts is listed, so the verdict is exact. A pair in
 //! which either view lacks a summary is walked as above.
+//!
+//! Unused pair slots hold 0. For two views that each invert at most one
+//! pair, with first slots `p` and `q`, the order verdict is one
+//! expression, with no loop and no branch on the data:
+//! `p ≠ q ∧ ((p ≠ 0 ∧ p ⊆ common) ∨ (q ≠ 0 ∧ q ⊆ common))` — equal pairs
+//! are inverted by both, and a pair held by one view alone flips alone
+//! iff both its ids are common. Views with two to four inverted pairs
+//! take the loop. How often the expression applies depends on the
+//! traces (counts in EXPERIMENTS.md): to every summarized pair of the
+//! `analyze` benchmark's synthetic pool, which swaps at most one adjacent
+//! pair per read, but to 55 % of those in the study matrix's ten cells
+//! (36 % in FB Feed Test 2, 59 % in Google+ Test 2, 89 % in PBFT Test 2),
+//! where 98 % of the compared pairs are summarized.
+//!
+//! General-mode WFR asks whether a view holds a write and each of its
+//! dependencies. A summarized view answers with a bit of its mask, and a
+//! dependency set whose mask the view holds whole is skipped whole; any
+//! other view is marked and probed. In the synthetic pool the mask skips
+//! 47 % of the (view, dependency set) tests; the study traces finalize
+//! no dependency set, so there it never runs.
 //!
 //! # Exactness machinery
 //!
@@ -122,6 +146,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::BuildHasher;
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A distinct read result: the interned id sequence. Every read that
@@ -145,6 +170,15 @@ struct View {
 }
 
 impl View {
+    /// Whether the view holds `key`: one mask test when it has a summary,
+    /// else one probe of `marks`, in which it must be the marked view.
+    fn holds(&self, marks: &Marks, key: u32) -> bool {
+        match &self.summary {
+            Some(summary) => summary.holds(key),
+            None => marks.contains(key),
+        }
+    }
+
     fn retained_bytes(&self) -> usize {
         // The struct (its summary included), the shared sequence with its
         // two `Arc` counters, and the index entry that points back here.
@@ -203,11 +237,23 @@ impl Summary {
     /// The verdict `(content, order)` of two summarized views, by word
     /// operations: they content-diverge iff each holds an id the other
     /// lacks, and order-diverge iff one inverts a common pair that the
-    /// other does not.
+    /// other does not. When neither inverts more than one pair, the first
+    /// slots `p` and `q` (0 when unused) decide order without a loop.
     fn verdict(&self, other: &Summary) -> (bool, bool) {
         let common = self.ids & other.ids;
-        let content = self.ids != common && other.ids != common;
-        (content, self.flips_alone(other, common) || other.flips_alone(self, common))
+        let content = (self.ids != common) & (other.ids != common);
+        let order = if self.flipped | other.flipped <= 1 {
+            let (p, q) = (self.flips[0], other.flips[0]);
+            (p != q) & (((p != 0) & (p & common == p)) | ((q != 0) & (q & common == q)))
+        } else {
+            self.flips_alone(other, common) || other.flips_alone(self, common)
+        };
+        (content, order)
+    }
+
+    /// Whether the view holds `key`.
+    fn holds(&self, key: u32) -> bool {
+        1u64.checked_shl(key).is_some_and(|bit| self.ids & bit != 0)
     }
 }
 
@@ -215,6 +261,7 @@ impl Summary {
 /// from the summaries when both views have one, else from the one walk of
 /// `theirs` against the marked `mine`; `None` when a repeated id leaves
 /// it to the searches.
+#[inline]
 fn quick_verdict(mine: Marked<'_>, my_view: &View, their_view: &View) -> Option<(bool, bool)> {
     match (&my_view.summary, &their_view.summary) {
         (Some(m), Some(t)) => Some(m.verdict(t)),
@@ -375,13 +422,17 @@ struct WriteRec {
 
 /// One distinct view among an agent's reads — what another agent's new
 /// read is compared against, in place of every read that returned it.
+/// It carries what the comparison needs of the first of those reads to
+/// arrive, so a comparison loads no [`ReadState`].
 #[derive(Debug, Clone, Copy)]
 struct AgentView {
     view: u32,
     /// How many of the agent's reads returned it.
     count: u32,
-    /// Index of the first of them to arrive: the smallest `ord_in_agent`.
-    first_read: u32,
+    /// The first read's `ord_in_agent`: the smallest of them.
+    first_ord: u32,
+    /// The first read's response time.
+    response: Timestamp,
 }
 
 #[derive(Debug, Default)]
@@ -406,6 +457,16 @@ struct DepRec {
     dep_key: u32,
     write_key: u32,
     sort: (AgentId, u32, u32),
+}
+
+/// One write's finalized WFR dependencies, `deps[start..end]`: every one
+/// is on `write_key`. `mask` holds their keys when all are below 64.
+#[derive(Debug, Clone, Copy)]
+struct DepSet {
+    write_key: u32,
+    start: u32,
+    end: u32,
+    mask: Option<u64>,
 }
 
 /// One `(view, dependency)` WFR violation — shared by every read that
@@ -434,35 +495,27 @@ struct TriggerPair<K> {
 struct Divergence {
     /// Diverging read pairs so far.
     count: usize,
-    /// `((first ordinal, second ordinal), x id, y id, at)` for the
-    /// lexicographically earliest diverging read pair.
-    best: Option<((u32, u32), u32, u32, Timestamp)>,
+    /// `(ordinal key, x id, y id, at)` for the lexicographically earliest
+    /// diverging read pair. The key packs `(first ordinal, second
+    /// ordinal)` into one word, the first in the high half, so that the
+    /// words compare as the pairs do.
+    best: Option<(u64, u32, u32, Timestamp)>,
     open: Option<Timestamp>,
     closed: Vec<(Timestamp, Timestamp)>,
 }
 
 impl Divergence {
-    /// Accounts `pairs` diverging read pairs that share the witness
-    /// `(x, y)`; `ordkey` and `at` belong to the earliest of them.
-    fn record(&mut self, pairs: u32, ordkey: (u32, u32), (x, y): (u32, u32), at: Timestamp) {
-        self.count += pairs as usize;
-        if self.best.is_none_or(|(k, ..)| ordkey < k) {
-            self.best = Some((ordkey, x, y, at));
-        }
+    /// Whether a diverging read pair keyed `ordkey` could supply the
+    /// witness: its key is no later than the kept one's.
+    fn could_win(&self, ordkey: u64) -> bool {
+        self.best.is_none_or(|(k, ..)| ordkey <= k)
     }
 
-    /// Accounts `pairs` read pairs keyed `ordkey` on their one-walk
-    /// verdict (`None`: a repeated id leaves it to the exact search);
-    /// whether the exact search must still run, for the verdict or for a
-    /// witness that would beat `best`.
-    fn needs_search(&mut self, pairs: u32, ordkey: (u32, u32), diverged: Option<bool>) -> bool {
-        match diverged {
-            Some(false) => false,
-            Some(true) if self.best.is_some_and(|(k, ..)| k < ordkey) => {
-                self.count += pairs as usize;
-                false
-            }
-            _ => true,
+    /// Keeps the witness `(x, y)` of the read pair keyed `ordkey`, which
+    /// met at `at`, if no earlier pair is kept.
+    fn offer(&mut self, ordkey: u64, (x, y): (u32, u32), at: Timestamp) {
+        if self.could_win(ordkey) {
+            self.best = Some((ordkey, x, y, at));
         }
     }
 
@@ -535,6 +588,8 @@ pub struct StreamingAnalyzer<K: EventKey> {
     /// Trigger-mode WFR observations, keyed by read index.
     wfr_obs: Vec<(u32, Observation<K>)>,
     deps: Vec<DepRec>,
+    /// `deps` cut into one set per finalized write that has any.
+    dep_sets: Vec<DepSet>,
     wfr_matches: Vec<MatchRec>,
     /// Reads whose view has a general-mode WFR match.
     wfr_reads_hit: usize,
@@ -583,6 +638,7 @@ impl<K: EventKey> StreamingAnalyzer<K> {
             mr_obs: Vec::new(),
             wfr_obs: Vec::new(),
             deps: Vec::new(),
+            dep_sets: Vec::new(),
             wfr_matches: Vec::new(),
             wfr_reads_hit: 0,
             pairs: BTreeMap::new(),
@@ -695,22 +751,15 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         });
         self.retained += size_of::<ReadState>() + size_of::<u32>();
 
-        if new_view {
-            let dups = self.marks[0].mark(&self.views.get(view).keys).repeats();
-            self.views.views[view as usize].dups = dups;
-        }
+        // Marked once for every check below.
+        let marked = self.marks[0].mark(&self.views.get(view).keys);
+        let dups = new_view && marked.repeats();
+        self.views.views[view as usize].dups |= dups;
         self.divergence_scan(idx);
         if !self.general_wfr {
             self.trigger_scan(idx);
         } else if new_view {
-            self.marks[0].mark(&self.views.get(view).keys);
-            for i in 0..self.deps.len() {
-                let (dep, marks) = (self.deps[i], &self.marks[0]);
-                // The view shows the write without its dependency.
-                if marks.contains(dep.write_key) && !marks.contains(dep.dep_key) {
-                    self.record_wfr_match(view, dep);
-                }
-            }
+            self.match_deps(view, 0..self.dep_sets.len());
         } else if self.views.get(view).wfr_hit {
             self.wfr_reads_hit += 1;
         }
@@ -723,33 +772,45 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     /// view stands for all the reads that returned it (see the module
     /// docs), so each unordered read pair is accounted exactly once. One
     /// walk decides each view pair; the exact searches run only where a
-    /// repeated id leaves that walk inexact or a witness could win.
+    /// repeated id leaves that walk inexact or a witness could win. The
+    /// read's view is marked in the first table.
     fn divergence_scan(&mut self, idx: u32) {
         let read = &self.reads[idx as usize];
         let a = read.agent;
         let [my_marks, their_marks] = &mut self.marks;
         let my_view = self.views.get(read.view);
-        let mine = my_marks.mark(&my_view.keys);
+        let mine = Marked { seq: &my_view.keys, marks: my_marks };
         for (&b, bst) in &self.agents {
             if b == a || bst.views.is_empty() {
                 continue;
             }
             let st = self.pairs.entry(if a < b { (a, b) } else { (b, a) }).or_default();
+            // The pair's smaller agent's ordinal is the key's high half.
+            let (my_shift, their_shift) = if a < b { (32, 0) } else { (0, 32) };
+            let my_key = u64::from(read.ord_in_agent) << my_shift;
+            // Read pairs the one-walk verdicts find diverging.
+            let (mut content_pairs, mut order_pairs) = (0, 0);
             for theirs in &bst.views {
-                let rb = &self.reads[theirs.first_read as usize];
-                let ordkey = if a < b {
-                    (read.ord_in_agent, rb.ord_in_agent)
-                } else {
-                    (rb.ord_in_agent, read.ord_in_agent)
-                };
+                let ordkey = my_key | u64::from(theirs.first_ord) << their_shift;
+                let pairs = theirs.count as usize;
                 let their_view = self.views.get(theirs.view);
-                let walked = quick_verdict(mine, my_view, their_view);
-                let content = st.content.needs_search(theirs.count, ordkey, walked.map(|v| v.0));
-                let order = st.order.needs_search(theirs.count, ordkey, walked.map(|v| v.1));
-                if !content && !order {
+                // `None`: a repeated id leaves the verdict, and the count,
+                // to the searches. The verdicts are data, not branches:
+                // `&` and `|` below do not short-circuit.
+                let quick = quick_verdict(mine, my_view, their_view);
+                let (content, order) = match quick {
+                    Some((content, order)) => {
+                        content_pairs += usize::from(content) * pairs;
+                        order_pairs += usize::from(order) * pairs;
+                        (content & st.content.could_win(ordkey), order & st.order.could_win(ordkey))
+                    }
+                    None => (true, true),
+                };
+                if !(content | order) {
                     continue;
                 }
-                let at = read.response.max(rb.response);
+                let searched = if quick.is_none() { pairs } else { 0 };
+                let at = read.response.max(theirs.response);
                 let other = their_marks.mark(&their_view.keys);
                 // Canonical orientation: `first` is the pair's smaller
                 // agent's view.
@@ -758,22 +819,52 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                     if let (Some(x), Some(y)) =
                         (first.first_not_in(second), second.first_not_in(first))
                     {
-                        st.content.record(theirs.count, ordkey, (x, y), at);
+                        st.content.count += searched;
+                        st.content.offer(ordkey, (x, y), at);
                     }
                 }
                 if order {
                     if let Some(xy) = first.inversion(second) {
-                        st.order.record(theirs.count, ordkey, xy, at);
+                        st.order.count += searched;
+                        st.order.offer(ordkey, xy, at);
                     }
                 }
             }
+            st.content.count += content_pairs;
+            st.order.count += order_pairs;
         }
         let own = &mut self.agents.get_mut(&a).expect("created by push_read").views;
         match own.iter_mut().find(|v| v.view == read.view) {
             Some(seen) => seen.count += 1,
             None => {
-                own.push(AgentView { view: read.view, count: 1, first_read: idx });
+                let (view, first_ord, response) = (read.view, read.ord_in_agent, read.response);
+                own.push(AgentView { view, count: 1, first_ord, response });
                 self.retained += size_of::<AgentView>();
+            }
+        }
+    }
+
+    /// Files every general-mode WFR violation of `view` in the dependency
+    /// sets `sets`: a dependency whose write the view holds without it.
+    /// A set whose write the view lacks is skipped whole, and so is one
+    /// whose mask a summarized view holds. `view` is marked in the first
+    /// table unless it has a summary (see [`View::holds`]).
+    fn match_deps(&mut self, view: u32, sets: Range<usize>) {
+        for set in sets {
+            let DepSet { write_key, start, end, mask } = self.dep_sets[set];
+            let v = self.views.get(view);
+            let misses_one = match (&v.summary, mask) {
+                (Some(summary), Some(mask)) => mask & !summary.ids != 0,
+                _ => true,
+            };
+            if !(misses_one && v.holds(&self.marks[0], write_key)) {
+                continue;
+            }
+            for i in start..end {
+                let dep = self.deps[i as usize];
+                if !self.views.get(view).holds(&self.marks[0], dep.dep_key) {
+                    self.record_wfr_match(view, dep);
+                }
             }
         }
     }
@@ -789,11 +880,12 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         }
     }
 
-    /// Evaluates the Test 1 trigger pairs against one read, emitting the
-    /// (final, timeless) WFR observation immediately.
+    /// Evaluates the Test 1 trigger pairs against one read, whose view is
+    /// marked in the first table, emitting the (final, timeless) WFR
+    /// observation immediately.
     fn trigger_scan(&mut self, idx: u32) {
         let read = &self.reads[idx as usize];
-        let view = self.marks[0].mark(&self.views.get(read.view).keys).marks;
+        let view = &self.marks[0];
         let mut witnesses: Vec<K> = Vec::new();
         for t in &mut self.triggers {
             if t.write_id.is_none() {
@@ -825,6 +917,8 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 }
             }
             self.rw_cursor += 1;
+            // Marked once for both checks.
+            self.marks[0].mark(&self.views.get(self.reads[r_idx].view).keys);
             self.eval_ryw(r_idx);
             self.eval_mw(r_idx);
         }
@@ -834,11 +928,11 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         K::clone(&self.keys[id as usize])
     }
 
+    /// RYW for read `r_idx`, whose view is marked in the first table.
     fn eval_ryw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
         let agent = r.agent;
         let Some(st) = self.agents.get(&agent) else { return };
-        self.marks[0].mark(&self.views.get(r.view).keys);
         let view = &self.marks[0];
         let missing: Vec<K> = st
             .writes
@@ -859,9 +953,9 @@ impl<K: EventKey> StreamingAnalyzer<K> {
         }
     }
 
+    /// MW for read `r_idx`, whose view is marked in the first table.
     fn eval_mw(&mut self, r_idx: usize) {
         let r = &self.reads[r_idx];
-        self.marks[0].mark(&self.views.get(r.view).keys);
         let view = &self.marks[0];
         let completed = |w: &&WriteRec| w.response <= r.invoke;
         for (&writer, wst) in &self.agents {
@@ -931,18 +1025,21 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                     }
                 }
             }
-            self.retained += (self.deps.len() - first_new) * size_of::<DepRec>();
+            let new = &self.deps[first_new..];
+            if new.is_empty() {
+                continue;
+            }
+            let mask = new.iter().try_fold(0u64, |m, d| Some(m | 1u64.checked_shl(d.dep_key)?));
+            let (start, end) = (first_new as u32, self.deps.len() as u32);
+            self.dep_sets.push(DepSet { write_key: w.key, start, end, mask });
+            self.retained += std::mem::size_of_val(new) + size_of::<DepSet>();
+            let set = self.dep_sets.len() - 1;
             for view in 0..self.views.views.len() as u32 {
-                // Every new dependency is on the same write.
-                if !self.marks[0].mark(&self.views.get(view).keys).marks.contains(w.key) {
-                    continue;
+                let v = self.views.get(view);
+                if v.summary.is_none() {
+                    self.marks[0].mark(&v.keys);
                 }
-                for i in first_new..self.deps.len() {
-                    let dep = self.deps[i];
-                    if !self.marks[0].contains(dep.dep_key) {
-                        self.record_wfr_match(view, dep);
-                    }
-                }
+                self.match_deps(view, set..set + 1);
             }
         }
     }
@@ -969,8 +1066,9 @@ impl<K: EventKey> StreamingAnalyzer<K> {
                 continue;
             }
 
+            // Marked once for MR and the window step.
+            self.marks[0].mark(&self.views.get(r.view).keys);
             if let Some(p) = prev {
-                self.marks[0].mark(&self.views.get(r.view).keys);
                 let now = &self.marks[0];
                 let vanished: Vec<K> = self
                     .views
@@ -998,13 +1096,13 @@ impl<K: EventKey> StreamingAnalyzer<K> {
     }
 
     /// One step of the per-pair window sweeps: agent `a`'s latest view
-    /// just became read `idx`; re-evaluate every pair involving `a` at
-    /// this read's response time.
+    /// just became read `idx`, whose view is marked in the first table;
+    /// re-evaluate every pair involving `a` at this read's response time.
     fn window_step(&mut self, a: AgentId, idx: u32) {
         let read = &self.reads[idx as usize];
         let [my_marks, their_marks] = &mut self.marks;
         let my_view = self.views.get(read.view);
-        let mine = my_marks.mark(&my_view.keys);
+        let mine = Marked { seq: &my_view.keys, marks: my_marks };
         for (&b, bst) in &self.agents {
             if b == a {
                 continue;
@@ -1218,6 +1316,10 @@ mod tests {
         // Summarized pairs: by verdict, and order decided by one side's
         // inversions alone (either side).
         let (mut summed, mut one_sided) = ([[0; 2]; 2], [0; 2]);
+        // Summarized pairs in which each view inverts exactly one pair:
+        // the same pair, two pairs both inside the common ids, and two
+        // pairs of which exactly one lies outside them.
+        let mut single = [0; 3];
         // Views refused a summary for one cause alone: an id of 64 or
         // more, a repeated id, a fifth inverted pair.
         let mut refused = [0; 3];
@@ -1290,12 +1392,85 @@ mod tests {
                     (false, true) => one_sided[1] += 1,
                     _ => {}
                 }
+                if sa.flipped == 1 && sb.flipped == 1 {
+                    let (p, q) = (sa.flips[0], sb.flips[0]);
+                    match (p == q, p & common == p, q & common == q) {
+                        (true, ..) => single[0] += 1,
+                        (false, true, true) => single[1] += 1,
+                        (false, inside, also) if inside != also => single[2] += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // Pairs in which each view inverts exactly one pair, drawn on
+        // purpose: one adjacent swap in each of two runs over ids 0..12.
+        for case in 0..3000 {
+            let mut draw = || {
+                let mut ids: Vec<u32> = (0..12).filter(|_| rng.chance(0.8)).collect();
+                let i = rng.range_usize(0, ids.len() - 1);
+                ids.swap(i, i + 1);
+                ids
+            };
+            let (a, b) = (draw(), draw());
+            let (Some(sa), Some(sb)) = (Summary::of(&a), Summary::of(&b)) else { continue };
+            let (mine, theirs) = (left.mark(&a), right.mark(&b));
+            let want = mine.searched_verdict(theirs);
+            assert_eq!(sa.verdict(&sb), want, "one-inversion case {case}: {a:?} {b:?}");
+            assert_eq!(sb.verdict(&sa), want, "one-inversion case {case}: {b:?} {a:?}");
+            let (p, q, common) = (sa.flips[0], sb.flips[0], sa.ids & sb.ids);
+            match (p == q, p & common == p, q & common == q) {
+                (true, ..) => single[0] += 1,
+                (false, true, true) => single[1] += 1,
+                (false, inside, also) if inside != also => single[2] += 1,
+                _ => {}
             }
         }
         assert!(met.iter().flatten().all(|&n| n > 100), "too tame: {met:?}");
         assert!(summed.iter().flatten().all(|&n| n > 100), "too few summaries: {summed:?}");
         assert!(one_sided.iter().all(|&n| n > 100), "too few one-sided inversions: {one_sided:?}");
+        assert!(single.iter().all(|&n| n > 100), "too few one-inversion pairs: {single:?}");
         assert!(refused.iter().all(|&n| n > 20), "too few refusals: {refused:?}");
+    }
+
+    /// The long run of the verdict equivalence: a million view pairs drawn
+    /// as above, with the one walk and, where both views have one, the
+    /// summary verdict against the searches. Run it with `cargo test
+    /// --release -p conprobe-core -- --ignored`.
+    #[test]
+    #[ignore = "long run: a million view pairs"]
+    fn the_verdicts_equal_the_searches_on_a_million_view_pairs() {
+        let mut rng = TestRng::new(0x0E_3A1D);
+        let fresh = || Marks { generation: 0, slots: vec![(0, 0); 72] };
+        let [mut left, mut right] = [fresh(), fresh()];
+        let mut summed = 0;
+        for case in 0..1_000_000 {
+            let base = if rng.chance(0.5) { 0 } else { 56 };
+            let mut draw = || {
+                let mut ids: Vec<u32> = (base..base + 12).filter(|_| rng.chance(0.6)).collect();
+                if rng.chance(0.3) {
+                    for i in (1..ids.len()).rev() {
+                        ids.swap(i, rng.range_usize(0, i + 1));
+                    }
+                } else {
+                    for _ in 0..rng.range(0, 6).min(ids.len().saturating_sub(1) as u64) {
+                        let i = rng.range_usize(0, ids.len() - 1);
+                        ids.swap(i, i + 1);
+                    }
+                }
+                ids
+            };
+            let (a, b) = (draw(), draw());
+            let (mine, theirs) = (left.mark(&a), right.mark(&b));
+            let want = mine.searched_verdict(theirs);
+            assert_eq!(mine.verdict(&b), want, "case {case}: {a:?} {b:?}");
+            if let (Some(sa), Some(sb)) = (Summary::of(&a), Summary::of(&b)) {
+                assert_eq!(sa.verdict(&sb), want, "case {case}: {a:?} {b:?}");
+                assert_eq!(sb.verdict(&sa), want, "case {case}: {b:?} {a:?}");
+                summed += 1;
+            }
+        }
+        assert!(summed > 100_000, "too few summaries: {summed}");
     }
 
     /// A repeated id keeps its last position, so one walk can miss the

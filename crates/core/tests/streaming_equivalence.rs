@@ -979,6 +979,29 @@ fn summary_mix_traces_equal_the_oracle_in_both_orientations() {
     assert!(divergences.iter().all(|&n| n > 80), "generator too tame: {divergences:?}");
 }
 
+/// The long run of the two probe guards: 2,000 summary-mix and 2,000
+/// probe-stress traces, each schedule in both orientations, against the
+/// frozen oracle. Run it with `cargo test --release -p conprobe-core --
+/// --ignored`.
+#[test]
+#[ignore = "long run: 4,000 traces in both orientations"]
+fn summary_mix_and_probe_stress_traces_equal_the_oracle_at_length() {
+    type Generator = fn(&mut TestRng, bool) -> TestTrace<K>;
+    let generators: [(u64, Generator); 2] =
+        [(0x57EA_000B, summary_mix_trace), (0x57EA_000C, probe_stress_trace)];
+    for (seed, generate) in generators {
+        let mut rng = TestRng::new(seed);
+        for case in 0..2000 {
+            let schedule = rng.clone();
+            for flip in [false, true] {
+                rng = schedule.clone();
+                let trace = generate(&mut rng, flip);
+                assert_full_pass_matches_the_oracle(&trace, &format!("{seed:#x} {case} {flip}"));
+            }
+        }
+    }
+}
+
 /// Mid-stream telemetry: `live_counts` never decreases in any component
 /// as events arrive, `events_pushed` tracks exactly, and every count is
 /// a *lower bound* on the per-kind observation count of the finished

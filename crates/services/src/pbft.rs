@@ -32,10 +32,13 @@
 //! next leader (`leader = view mod n`) installs the view at a
 //! certificate quorum of votes and broadcasts `NewView`, re-issuing the
 //! union of all prepared slots (highest view wins per slot) and
-//! noop-filling sequence gaps, so nothing committed is ever lost and
+//! noop-filling sequence gaps, so that nothing committed is lost and
 //! nothing uncommitted can dodge re-ordering. Clients never see any of
 //! this: their front door simply re-forwards pending ops to the new
-//! leader.
+//! leader. That is the design, and under message loss the arm falls
+//! short of it: `tests/invariant_probes.rs` catches two replicas
+//! committing different ops at one slot, with and without a restart
+//! (ROADMAP item 2(c); the `FOUND:` line on the pbft fork in CHANGES.md).
 //!
 //! **Crash recovery** is the quorum arm's state-transfer round (one
 //! implementation, shared) applied to the log: a recovering replica
@@ -533,6 +536,17 @@ impl PbftReplica {
     /// up).
     pub fn is_fenced(&self) -> bool {
         self.catchup.is_some()
+    }
+
+    /// The committed log by slot (diagnostics): the slots below
+    /// [`PbftReplica::applied_slots`] are the applied ones.
+    pub fn committed_log(&self) -> &BTreeMap<u64, LogOp> {
+        &self.committed
+    }
+
+    /// The first slot not yet applied (diagnostics).
+    pub fn applied_slots(&self) -> u64 {
+        self.next_apply
     }
 
     /// The current view number.
