@@ -48,7 +48,9 @@
 //! only place an op is text) plus their apply watermark. The recovering
 //! replica decodes and verifies each whole stream before applying any of
 //! it — a slot at or past the responder's watermark plus `LOG_WINDOW`
-//! refuses the stream — and serves **no client operations**
+//! refuses the stream, the watermark taken as at most the stream's frame
+//! count, since an honest backlog holds every slot below its watermark —
+//! and serves **no client operations**
 //! until it has heard `n − quorum + 1` peers (every commit quorum misses
 //! at most `n − quorum` replicas, so this fence intersects all of them —
 //! the same intersection argument as `quorum.rs`) *and* caught up past
@@ -70,7 +72,7 @@ use conprobe_json::{
 use conprobe_obs::{Counter, Gauge, Histogram, Severity};
 use conprobe_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use conprobe_store::{OrderingPolicy, Post, PostId, ReplicaCore, StoredPost};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Fixed timer token: the periodic pulse (re-forwarding, leader
 /// retransmission, suspicion, gap repair). Re-armed while not crashed.
@@ -388,13 +390,18 @@ pub struct PbftReplica {
     door: FrontDoor,
     /// The current view; `leader = view mod n`.
     view: u64,
-    /// Per-slot protocol state, indexed by slot number, below the high
-    /// watermark `next_apply + LOG_WINDOW` (never garbage-collected — the
-    /// retained history doubles as the view-change proof store; see
-    /// DESIGN §15).
+    /// Per-slot protocol state at index `slot`, `None` for a slot no
+    /// message has touched, below the high watermark
+    /// `next_apply + LOG_WINDOW` (never garbage-collected — the retained
+    /// history doubles as the view-change proof store; see DESIGN §15).
     slots: Vec<Option<Slot>>,
-    /// The persistent consensus backlog: committed ops by slot.
-    committed: BTreeMap<u64, LogOp>,
+    /// The persistent consensus backlog, indexed like `slots`: the op
+    /// committed at `slot`, `None` for a slot not committed here. It ends
+    /// at its highest committed slot (the last entry is never `None`), so
+    /// its length is where a later leader reign may resume assigning. A
+    /// state-transfer merge may reach past `slots`, but never past the
+    /// stream's frame count plus `LOG_WINDOW` (`in_window`).
+    committed: Vec<Option<LogOp>>,
     /// The leader's next slot to assign.
     next_slot: u64,
     /// The first slot not yet applied to `core`.
@@ -476,7 +483,7 @@ impl PbftReplica {
             door: FrontDoor::new(2, true),
             view: INITIAL_VIEW,
             slots: Vec::new(),
-            committed: BTreeMap::new(),
+            committed: Vec::new(),
             next_slot: 0,
             next_apply: 0,
             proposed_writes: HashMap::new(),
@@ -538,10 +545,11 @@ impl PbftReplica {
         self.catchup.is_some()
     }
 
-    /// The committed log by slot (diagnostics): the slots below
+    /// The committed log as `(slot, op)` in slot order, slots not
+    /// committed here skipped (diagnostics): the slots below
     /// [`PbftReplica::applied_slots`] are the applied ones.
-    pub fn committed_log(&self) -> &BTreeMap<u64, LogOp> {
-        &self.committed
+    pub fn committed_log(&self) -> impl Iterator<Item = (u64, &LogOp)> {
+        (0u64..).zip(&self.committed).filter_map(|(slot, op)| Some((slot, op.as_ref()?)))
     }
 
     /// The first slot not yet applied (diagnostics).
@@ -639,6 +647,21 @@ impl PbftReplica {
         self.slots.get_mut(usize::try_from(slot).ok()?)?.as_mut()
     }
 
+    /// The op committed at `slot`, if any.
+    fn committed_at(&self, slot: u64) -> Option<&LogOp> {
+        self.committed.get(usize::try_from(slot).ok()?)?.as_ref()
+    }
+
+    /// The backlog entry for `slot`, grown to reach it; the caller fills
+    /// it. `slot` is windowed (`slot_mut` or `in_window` admitted it).
+    fn committed_entry(&mut self, slot: u64) -> &mut Option<LogOp> {
+        let i = usize::try_from(slot).expect("a windowed slot is a log index");
+        if i >= self.committed.len() {
+            self.committed.resize_with(i + 1, || None);
+        }
+        &mut self.committed[i]
+    }
+
     fn note_anomaly(&mut self) {
         self.anomalies += 1;
         if let Some(obs) = &self.obs {
@@ -646,17 +669,25 @@ impl PbftReplica {
         }
     }
 
+    /// Sends `msg` to every peer: a copy to each but the last, which
+    /// takes `msg` itself.
     fn broadcast<A>(&self, ctx: &mut Context<'_, NetMsg<A>>, msg: PbftMsg, ordered: bool) {
-        for (i, &peer) in self.replicas.iter().enumerate() {
-            if i == self.my_index {
-                continue;
-            }
+        let send = |ctx: &mut Context<'_, NetMsg<A>>, peer, msg| {
+            let msg = NetMsg::Repl(ReplMsg::Pbft(msg));
             if ordered {
-                ctx.send_ordered(peer, NetMsg::Repl(ReplMsg::Pbft(msg.clone())));
+                ctx.send_ordered(peer, msg);
             } else {
-                ctx.send(peer, NetMsg::Repl(ReplMsg::Pbft(msg.clone())));
+                ctx.send(peer, msg);
             }
+        };
+        let mut peers = (self.replicas.iter().enumerate())
+            .filter_map(|(i, &peer)| (i != self.my_index).then_some(peer));
+        let Some(mut peer) = peers.next() else { return };
+        for next in peers {
+            send(ctx, peer, msg.clone());
+            peer = next;
         }
+        send(ctx, peer, msg);
     }
 
     // ------------------------------------------------------------------
@@ -857,7 +888,7 @@ impl PbftReplica {
             self.note_anomaly(); // digest does not match the op
             return;
         }
-        if let Some(committed) = self.committed.get(&slot) {
+        if let Some(committed) = self.committed_at(slot) {
             if committed.digest() == digest {
                 // Re-affirm so replicas missing the commit round hear it.
                 self.broadcast(ctx, PbftMsg::Commit { view, slot, digest }, false);
@@ -900,7 +931,7 @@ impl PbftReplica {
             // this digest is valid evidence regardless of the view tag.
         }
         // Every applied slot is in `committed`.
-        if slot < self.next_apply || self.committed.contains_key(&slot) {
+        if slot < self.next_apply || self.committed_at(slot).is_some() {
             return; // settled; late votes are expected under loss
         }
         let Some(entry) = self.slot_entry(slot, view, digest, ctx.true_now()) else { return };
@@ -935,7 +966,7 @@ impl PbftReplica {
         if newly_committed {
             s.committed = true;
             let payload = s.payload.clone().expect("checked payload.is_some() above");
-            self.committed.insert(slot, payload);
+            *self.committed_entry(slot) = Some(payload);
             if let Some(obs) = &self.obs {
                 obs.commits.inc();
             }
@@ -952,7 +983,7 @@ impl PbftReplica {
     /// front door's clients as their ops apply.
     fn try_apply<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>) {
         let now = ctx.true_now();
-        while let Some(op) = self.committed.get(&self.next_apply).cloned() {
+        while let Some(op) = self.committed_at(self.next_apply).cloned() {
             self.next_apply += 1;
             match op {
                 LogOp::Write { origin, stored } => {
@@ -986,9 +1017,7 @@ impl PbftReplica {
         // A merged backlog (state transfer, gap repair) may extend past
         // every locally opened slot; a future leader reign must never
         // re-assign a committed slot number.
-        if let Some((&last, _)) = self.committed.iter().next_back() {
-            self.next_slot = self.next_slot.max(last + 1);
-        }
+        self.next_slot = self.next_slot.max(self.committed.len() as u64);
         self.door.set_applied(self.core.len());
     }
 
@@ -1001,20 +1030,22 @@ impl PbftReplica {
     /// committed-but-unapplied slots — is what makes noop-filling safe:
     /// a slot prepared anywhere in the vote quorum is always re-issued,
     /// never overwritten by a noop.
+    ///
+    /// In slot order: a slot's prepared binding, else its committed op
+    /// standing in at view 0.
     fn prepared_proofs(&self) -> Vec<PreparedProof> {
-        let mut proofs: BTreeMap<u64, PreparedProof> = BTreeMap::new();
-        for (slot, s) in (0u64..).zip(&self.slots) {
-            if let Some(Slot { prepared: true, payload: Some(payload), view, digest, .. }) = s {
-                let (view, digest, payload) = (*view, *digest, payload.clone());
-                proofs.insert(slot, PreparedProof { slot, view, digest, payload });
-            }
-        }
-        for (&slot, op) in &self.committed {
-            let proof =
-                || PreparedProof { slot, view: 0, digest: op.digest(), payload: op.clone() };
-            proofs.entry(slot).or_insert_with(proof);
-        }
-        proofs.into_values().collect()
+        let end = self.slots.len().max(self.committed.len()) as u64;
+        (0..end)
+            .filter_map(|slot| {
+                let s = self.slots.get(slot as usize).and_then(Option::as_ref);
+                if let Some(Slot { prepared: true, payload: Some(payload), view, digest, .. }) = s {
+                    let (view, digest, payload) = (*view, *digest, payload.clone());
+                    return Some(PreparedProof { slot, view, digest, payload });
+                }
+                let op = self.committed_at(slot)?;
+                Some(PreparedProof { slot, view: 0, digest: op.digest(), payload: op.clone() })
+            })
+            .collect()
     }
 
     fn send_view_change<A>(&mut self, ctx: &mut Context<'_, NetMsg<A>>, new_view: u64) {
@@ -1096,7 +1127,7 @@ impl PbftReplica {
         let max_slot = chosen
             .keys()
             .copied()
-            .chain(self.committed.keys().copied())
+            .chain((self.committed.len() as u64).checked_sub(1))
             .chain(self.next_slot.checked_sub(1))
             .max();
         // The full re-issued prefix: committed history verbatim, the
@@ -1106,7 +1137,7 @@ impl PbftReplica {
         let mut pre_prepares = Vec::new();
         if let Some(max_slot) = max_slot {
             for slot in 0..=max_slot {
-                let payload = (self.committed.get(&slot).cloned())
+                let payload = (self.committed_at(slot).cloned())
                     .or_else(|| chosen.remove(&slot).map(|proof| proof.payload))
                     .unwrap_or(LogOp::Noop { slot });
                 let digest = payload.digest();
@@ -1117,7 +1148,7 @@ impl PbftReplica {
         self.enter_view(ctx, new_view);
         // Adopt the re-issued bindings locally (committed slots stand).
         for p in &pre_prepares {
-            if self.committed.contains_key(&p.slot) {
+            if self.committed_at(p.slot).is_some() {
                 continue;
             }
             let (now, my_index) = (ctx.true_now(), self.my_index);
@@ -1216,9 +1247,8 @@ impl PbftReplica {
 
     /// Serializes the committed backlog as `cpj1` frames, slot order.
     fn backlog_frames(&self) -> Vec<String> {
-        self.committed
-            .iter()
-            .map(|(slot, op)| frame::encode_record(&backlog_record(*slot, op)))
+        self.committed_log()
+            .map(|(slot, op)| frame::encode_record(&backlog_record(slot, op)))
             .collect()
     }
 
@@ -1236,9 +1266,12 @@ impl PbftReplica {
     /// Refuses an entry at or above the responder's high watermark: no
     /// honest replica commits a slot outside its log window. Both the
     /// catch-up and the gap-repair stream run every entry through it.
-    fn in_window(entry: (u64, LogOp), watermark: u64) -> Result<(u64, LogOp), String> {
+    /// An honest backlog holds every slot below its watermark, so the
+    /// watermark counts as at most the stream's `frames`: a peer that
+    /// claims more cannot make the backlog grow past `frames + LOG_WINDOW`.
+    fn in_window(entry: (u64, LogOp), watermark: u64, frames: u64) -> Result<(u64, LogOp), String> {
         let slot = entry.0;
-        let window = watermark.saturating_add(LOG_WINDOW);
+        let window = watermark.min(frames) + LOG_WINDOW;
         (slot < window)
             .then_some(entry)
             .ok_or_else(|| format!("slot {slot} is past window {window}"))
@@ -1271,7 +1304,9 @@ impl PbftReplica {
             // skipped past us).
             None if self.gap_token == Some(token) => {
                 self.gap_token = None;
-                let decode = |line| Self::in_window(Self::decode_backlog_frame(line)?, watermark);
+                let count = frames.len() as u64;
+                let decode =
+                    |line| Self::in_window(Self::decode_backlog_frame(line)?, watermark, count);
                 Some(frames.iter().map(|line| decode(line)).collect())
             }
             None => None,
@@ -1282,7 +1317,7 @@ impl PbftReplica {
             None => return,
         };
         for (slot, op) in entries {
-            self.committed.entry(slot).or_insert(op);
+            self.committed_entry(slot).get_or_insert(op);
         }
         if gap_repair {
             if peer_view > self.view {
@@ -1420,8 +1455,8 @@ impl PbftReplica {
         }
         // Gap repair: committed slots exist above a hole the commit
         // rounds skipped past us; fetch the missing prefix.
-        let gapped = !self.committed.contains_key(&self.next_apply)
-            && self.committed.keys().next_back().is_some_and(|last| *last > self.next_apply);
+        let gapped = self.committed_at(self.next_apply).is_none()
+            && self.committed.len() as u64 > self.next_apply + 1;
         if gapped {
             let since = *self.gap_since.get_or_insert(now);
             if now.saturating_since(since) >= GAP_REPAIR {
@@ -1987,6 +2022,68 @@ mod tests {
             assert_eq!((r.applied(), r.next_apply), (2, 2), "slot {bad}: both writes, no noop");
             assert_eq!(r.protocol_anomalies(), 1, "slot {bad}");
             assert_eq!(r.transfers.donors, 2, "slot {bad}: the liar is not heard");
+        }
+    }
+
+    /// Answers replica 0's outstanding gap-repair round (token 77) with
+    /// `frames` claiming `watermark`, as the view-1 leader, and runs the
+    /// world to `until`.
+    fn gap_repair_answer(
+        world: &mut World<Msg>,
+        ids: &[NodeId],
+        watermark: u64,
+        frames: Vec<String>,
+        until: SimDuration,
+    ) {
+        world.node_as_mut::<PbftReplica>(ids[0]).unwrap().gap_token = Some(77);
+        let resp = PbftMsg::StateResp { token: 77, view: INITIAL_VIEW, watermark, frames };
+        world.post(ids[1], ids[0], NetMsg::Repl(ReplMsg::Pbft(resp)));
+        run(world, until);
+    }
+
+    #[test]
+    fn a_merge_keeps_the_first_committed_op_and_the_log_skips_gaps() {
+        let mut world: World<Msg> = World::new(WorldConfig::default(), 42);
+        let ids = build_cluster(&mut world);
+        let frame = |slot, op: LogOp| frame::encode_record(&backlog_record(slot, &op));
+        let (a, b) = (LogOp::Read { origin: 2, seq: 9 }, LogOp::Read { origin: 3, seq: 4 });
+        let first =
+            vec![frame(5, a.clone()), frame(2, b.clone()), frame(5, LogOp::Noop { slot: 5 })];
+        gap_repair_answer(&mut world, &ids, 0, first, at(100));
+        gap_repair_answer(&mut world, &ids, 0, vec![frame(2, LogOp::Noop { slot: 2 })], at(200));
+        let r = world.node_as::<PbftReplica>(ids[0]).unwrap();
+        let log: Vec<(u64, &LogOp)> = r.committed_log().collect();
+        assert_eq!(log, [(2, &b), (5, &a)], "slot order, first op per slot, gaps skipped");
+        assert_eq!((r.committed.len(), r.next_apply, r.next_slot), (6, 0, 6));
+        assert_eq!(r.protocol_anomalies(), 0);
+    }
+
+    /// A lying gap-repair responder claims a huge watermark for a stream
+    /// of one frame. The watermark counts as at most the frame count, so
+    /// the backlog never grows past `frames + LOG_WINDOW` entries. Every
+    /// refused stream here was admitted while the claimed watermark alone
+    /// bounded the window.
+    #[test]
+    fn a_claimed_watermark_cannot_grow_the_log_past_its_stream() {
+        let far = 1_000_000_000_000;
+        let cases = [
+            // (claimed watermark, the frame's slot, anomalies, log length)
+            (u64::MAX, u64::MAX - 1, 1, 0),
+            (u64::MAX, LOG_WINDOW + 1, 1, 0),
+            (far, far - 1, 1, 0),
+            (far, LOG_WINDOW, 0, LOG_WINDOW + 1),
+        ];
+        for (watermark, slot, anomalies, len) in cases {
+            let mut world: World<Msg> = World::new(WorldConfig::default(), 43);
+            let ids = build_cluster(&mut world);
+            let frames = vec![frame::encode_record(&backlog_record(slot, &LogOp::Noop { slot }))];
+            gap_repair_answer(&mut world, &ids, watermark, frames, at(500));
+            let r = world.node_as::<PbftReplica>(ids[0]).unwrap();
+            let case = format!("watermark {watermark}, slot {slot}");
+            assert_eq!(r.protocol_anomalies(), anomalies, "{case}");
+            assert_eq!(r.committed.len() as u64, len, "{case}");
+            assert!(r.committed.len() as u64 <= 1 + LOG_WINDOW, "{case}");
+            assert_eq!(r.next_apply, 0, "{case}: nothing below the far slot to apply");
         }
     }
 

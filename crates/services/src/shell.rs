@@ -343,9 +343,10 @@ pub(crate) struct Catchup<T> {
     /// byte-determinism witness logged on completion.
     stream_hash: u64,
     decode: fn(&str) -> Result<T, String>,
-    /// Checks each decoded item against the responder's watermark (see
-    /// [`Catchup::admitting`]); an error refuses the stream whole.
-    admit: fn(T, u64) -> Result<T, String>,
+    /// Checks each decoded item against the responder's watermark and
+    /// its stream's frame count (see [`Catchup::admitting`]); an error
+    /// refuses the stream whole.
+    admit: fn(T, u64, u64) -> Result<T, String>,
 }
 
 impl<T> Catchup<T> {
@@ -357,12 +358,12 @@ impl<T> Catchup<T> {
             frames: 0,
             stream_hash: frame::FNV64_BASIS,
             decode,
-            admit: |item, _| Ok(item),
+            admit: |item, _, _| Ok(item),
         }
     }
 
     /// The round with `admit` as its per-item watermark check.
-    pub(crate) fn admitting(self, admit: fn(T, u64) -> Result<T, String>) -> Self {
+    pub(crate) fn admitting(self, admit: fn(T, u64, u64) -> Result<T, String>) -> Self {
         Catchup { admit, ..self }
     }
 
@@ -386,7 +387,8 @@ impl<T> Catchup<T> {
     /// stream into the frame count and hash: a corrupt or inadmissible
     /// stream is refused whole and leaves the round untouched.
     fn verify(&mut self, frames: &[String], watermark: u64) -> Result<Vec<T>, String> {
-        let admit = |line: &String| (self.admit)((self.decode)(line)?, watermark);
+        let count = frames.len() as u64;
+        let admit = |line: &String| (self.admit)((self.decode)(line)?, watermark, count);
         let items = frames.iter().map(admit).collect::<Result<Vec<T>, String>>()?;
         self.frames += frames.len() as u64;
         for line in frames {

@@ -99,6 +99,29 @@ fn fbfeed_test2_matches_pre_optimization_golden() {
     );
 }
 
+/// The strong arms, two seeds each: these pin the consensus and quorum
+/// protocols' message schedules, so a change to either arm's internals
+/// must leave every byte of its Test 2 runs where it was.
+#[test]
+fn pbft_test2_matches_golden() {
+    expect_case(ServiceKind::Pbft, TestKind::Test2, 1, 0xf7c7170b1d5fd305, [0; 6], 0, 0);
+    expect_case(ServiceKind::Pbft, TestKind::Test2, 9, 0xdd991a52333ffb07, [0; 6], 0, 0);
+}
+
+#[test]
+fn quorum_test2_matches_golden() {
+    expect_case(ServiceKind::Quorum, TestKind::Test2, 1, 0x7fd49ab7c7ef8b56, [0; 6], 0, 0);
+    expect_case(
+        ServiceKind::Quorum,
+        TestKind::Test2,
+        9,
+        0xf6f9f0b4628712b3,
+        [0, 0, 0, 0, 1, 0],
+        1,
+        0,
+    );
+}
+
 #[test]
 fn study_json_matches_pre_optimization_golden() {
     assert_eq!(

@@ -250,13 +250,14 @@ impl PbftLogs {
                 self.applied[idx].clear();
                 continue;
             };
-            let (log, applied) = (r.committed_log(), r.applied_slots());
-            if (log.len(), applied) == self.seen[idx] {
+            let (committed, applied) = (r.committed_log().count(), r.applied_slots());
+            if (committed, applied) == self.seen[idx] {
                 continue;
             }
-            self.seen[idx] = (log.len(), applied);
+            self.seen[idx] = (committed, applied);
             moved = true;
-            for (&slot, op) in log {
+            let log: BTreeMap<_, _> = r.committed_log().collect();
+            for (&slot, op) in &log {
                 let digest = op.digest();
                 if *self.digests.entry(slot).or_insert(digest) != digest {
                     return Err(format!("replica {idx} commits another digest at slot {slot}"));
@@ -440,7 +441,7 @@ fn hostile_streams_meet_a_silent_fence(
             let id = cluster.replicas[last];
             let took = match cluster.kind {
                 ServiceKind::Quorum => world.node_as::<QuorumReplica>(id).unwrap().applied(),
-                _ => world.node_as::<PbftReplica>(id).unwrap().committed_log().len(),
+                _ => world.node_as::<PbftReplica>(id).unwrap().committed_log().count(),
             };
             *(if took > 0 { &mut admitted } else { &mut refused }) += 1;
         }
